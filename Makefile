@@ -19,7 +19,7 @@ BENCH_TOL ?= 0.25
 
 BENCHJSON := /tmp/apujoin-benchjson
 
-.PHONY: all build test race bench bench-json bench-check bench-refresh coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
+.PHONY: all build test race bench bench-json bench-kernels bench-check bench-refresh apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
 # Budget for the randomized join-oracle fuzz smoke (the committed seed
 # corpus under testdata/fuzz additionally runs as plain unit tests).
@@ -45,14 +45,27 @@ bench:
 
 # Machine-readable benchmark artifacts: the parallel-speedup,
 # service-throughput and planner-amortization trajectories CI archives on
-# every run and the regression gate (bench-check) diffs against.
+# every run and the regression gate (bench-check) diffs against. Record
+# them at GOMAXPROCS >= 2: on one core BenchmarkParallelSpeedup skips its
+# workers>=2 rows, and a baseline without them cannot gate the speed-up.
 bench-json:
 	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
-	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=1x . | $(BENCHJSON) > BENCH_parallel.json
+	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=5x . | $(BENCHJSON) > BENCH_parallel.json
 	$(GO) test -run=NONE -bench='BenchmarkServiceThroughput|BenchmarkCatalogReuse|BenchmarkShardedScaleout' -benchmem -benchtime=4x ./internal/service | $(BENCHJSON) > BENCH_service.json
 	( $(GO) test -run=NONE -bench='BenchmarkPlannerAmortization|BenchmarkPipelineOrdering' -benchmem -benchtime=3x ./internal/plan; \
 	  $(GO) test -run=NONE -bench='BenchmarkPipelineStreaming|BenchmarkSpillVsResident' -benchmem -benchtime=3x . ) | $(BENCHJSON) > BENCH_plan.json
 	@echo "wrote BENCH_parallel.json BENCH_service.json BENCH_plan.json"
+
+# Kernel microbenchmarks, the bottom rung of the benchmark ladder: ns/tuple
+# and allocations of the counter and insert steps as the runner executes
+# them (range morsels / ownership shards on a pool of 1 and 2), and of the
+# owner-index build they share, at 2^20 uniform and high-skew tuples.
+bench-kernels:
+	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
+	( $(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=10x ./internal/sched; \
+	  $(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkN3Shard' -benchmem -benchtime=10x ./internal/radix; \
+	  $(GO) test -run=NONE -bench=BenchmarkB3B4Shard -benchmem -benchtime=10x ./internal/htab ) | $(BENCHJSON) > BENCH_kernels.json
+	@echo "wrote BENCH_kernels.json"
 
 # CI benchmark-regression gate: rerun the benchmarks into /tmp and diff
 # them against the committed BENCH_*.json baselines; a gated time metric
@@ -65,7 +78,7 @@ bench-json:
 # bench-json` when a slowdown is intended and reviewed.
 bench-check:
 	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
-	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=1x . | $(BENCHJSON) > /tmp/apujoin-bench-parallel.json
+	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=5x . | $(BENCHJSON) > /tmp/apujoin-bench-parallel.json
 	$(GO) test -run=NONE -bench='BenchmarkServiceThroughput|BenchmarkCatalogReuse|BenchmarkShardedScaleout' -benchmem -benchtime=4x ./internal/service | $(BENCHJSON) > /tmp/apujoin-bench-service.json
 	( $(GO) test -run=NONE -bench='BenchmarkPlannerAmortization|BenchmarkPipelineOrdering' -benchmem -benchtime=3x ./internal/plan; \
 	  $(GO) test -run=NONE -bench='BenchmarkPipelineStreaming|BenchmarkSpillVsResident' -benchmem -benchtime=3x . ) | $(BENCHJSON) > /tmp/apujoin-bench-plan.json
@@ -162,5 +175,11 @@ vet:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
+# The host-time benchmark's own smoke: every workload at ~1 % scale, a
+# handful of ops each, answers checked against the oracle. It tests the
+# harness and the surfaces it binds to, not performance (cmd/apubench).
+apubench-smoke:
+	$(GO) run ./cmd/apubench -smoke
+
 # Everything CI runs, in the same order.
-check: fmt vet lint build race docs-check
+check: fmt vet lint build race docs-check apubench-smoke

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"apujoin/internal/radix"
 	"apujoin/internal/rel"
 )
 
@@ -122,6 +124,42 @@ func TestWorkersDefault(t *testing.T) {
 		}
 		if res.Matches != want {
 			t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
+		}
+	}
+}
+
+// TestPartitionLeavesInputsUntouched: the first radix pass reads the
+// caller's relations in place and later passes ping-pong between the run's
+// own buffers, so a multi-pass PHJ must hand the caller's (possibly
+// catalog-resident, shared) slices back byte-identical — never use them as
+// a gather target.
+func TestPartitionLeavesInputsUntouched(t *testing.T) {
+	r := rel.Gen{N: 50000, Dist: rel.HighSkew, Seed: 41}.Build()
+	s := rel.Gen{N: 60000, Seed: 42}.Probe(r, 0.9)
+	want := rel.NaiveJoinCount(r, s)
+	rk, rr := slices.Clone(r.Keys), slices.Clone(r.RIDs)
+	sk, sr := slices.Clone(s.Keys), slices.Clone(s.RIDs)
+
+	// 512 B partitions need 10 radix bits — two passes; 2 B ones need 18 —
+	// three, the third gathering back into the first buffer.
+	for _, c := range []struct {
+		passes int
+		target int64
+	}{{2, 512}, {3, 2}} {
+		passes, target := c.passes, c.target
+		opt := Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: 4, RadixTargetBytes: target}
+		if got := radix.PlanFor(r.Len(), target).Passes(); got != passes {
+			t.Fatalf("target %d B plans %d pass(es), want %d", target, got, passes)
+		}
+		res, err := Run(r, s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != want {
+			t.Fatalf("target %d B: matches %d, want %d", target, res.Matches, want)
+		}
+		if !slices.Equal(r.Keys, rk) || !slices.Equal(r.RIDs, rr) || !slices.Equal(s.Keys, sk) || !slices.Equal(s.RIDs, sr) {
+			t.Fatalf("target %d B: the join wrote into its input relations", target)
 		}
 	}
 }

@@ -44,14 +44,19 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 
 	for relIdx, in := range []rel.Relation{rn.r, rn.s} {
 		n := in.Len()
-		cur := rel.Relation{
-			Keys: append([]int32(nil), in.Keys...),
-			RIDs: append([]int32(nil), in.RIDs...),
-		}
-		buf := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+		// Passes never write their input, so the first one reads the
+		// caller's relation in place; gathers ping-pong between two
+		// buffers of the run's own (the second exists only if a second
+		// pass does), never into the catalog-resident input.
+		cur := in
+		var bufs [2]rel.Relation
 		shift := opt.HashShift
 
-		for _, bits := range plan.BitsPerPass {
+		for pi, bits := range plan.BitsPerPass {
+			buf := &bufs[pi%2]
+			if buf.Keys == nil {
+				buf.Keys, buf.RIDs = make([]int32, n), make([]int32, n)
+			}
 			arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
 			pass := radix.NewPass(cur, arena, shift, bits)
 			rn.env.partitionStreams = int64(1<<bits) * chunkBytes
@@ -73,13 +78,12 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 							})
 						}},
 					{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
+						ParSetup: func(p *sched.Pool) { pass.Owners(p, &rn.owner) },
 						ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-							shards := pass.Shards(sched.DefaultShards)
-							sh := pass.ShardShift(shards)
-							return p.MapShards(shards, func(shard int) device.Acct {
+							return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
 								la := arena.NewLocal()
 								defer la.Close()
-								return pass.N3Shard(d, lo, hi, int32(shard), sh, la)
+								return pass.N3Shard(d, rn.owner.Shard(shard, lo, hi), la)
 							})
 						}},
 				},
@@ -124,12 +128,12 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 			// Link the partition chunks into contiguous form for the next
 			// pass / the join ("we link all the intermediate partitions
 			// together").
-			_, ga := pass.Gather(buf)
+			_, ga := pass.Gather(*buf)
 			res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
 
 			res.AllocStats.Add(arena.Stats())
 
-			cur, buf = buf, cur
+			cur = *buf
 			shift += bits
 		}
 

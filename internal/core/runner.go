@@ -40,9 +40,16 @@ type runner struct {
 	out      htab.Out
 
 	// Intermediate per-step arrays (the "intermediate results" PL trades
-	// in): R-side for the build series, S-side for the probe series.
+	// in): R-side for the build series, S-side for the probe series. The
+	// work hints exist only under Options.Grouping, their one reader.
 	bucketR, headR, nodeR, workR []int32
 	bucketS, headS, nodeS, workS []int32
+
+	// owner is the ownership decomposition the parallel insert kernels
+	// (n3, b3, b4) walk. The radix passes and the hash build never overlap
+	// in time, so one index — one slab — is rebuilt for each in turn, by
+	// the ParSetup of n3 and of b3 (b4 walks b3's).
+	owner sched.OwnerIndex
 
 	// PHJ state.
 	partIdxR, partIdxS []int32
@@ -76,14 +83,22 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	rn.outArena = alloc.New(opt.Alloc, 64)
 	rn.out = htab.Out{Arena: rn.outArena, Materialize: !opt.CountOnly}
 
-	rn.bucketR = make([]int32, nr)
-	rn.headR = make([]int32, nr)
-	rn.nodeR = make([]int32, nr)
-	rn.workR = make([]int32, nr)
-	rn.bucketS = make([]int32, ns)
-	rn.headS = make([]int32, ns)
-	rn.nodeS = make([]int32, ns)
-	rn.workS = make([]int32, ns)
+	// One allocation, carved: the arrays live and die together.
+	cols := 3
+	if opt.Grouping {
+		cols = 4
+	}
+	scratch := make([]int32, cols*(nr+ns))
+	carve := func(n int) []int32 {
+		c := scratch[:n:n]
+		scratch = scratch[n:]
+		return c
+	}
+	rn.bucketR, rn.headR, rn.nodeR = carve(nr), carve(nr), carve(nr)
+	rn.bucketS, rn.headS, rn.nodeS = carve(ns), carve(ns), carve(ns)
+	if opt.Grouping {
+		rn.workR, rn.workS = carve(nr), carve(ns)
+	}
 
 	rn.env = &envState{
 		cache:           opt.Cache,
@@ -137,16 +152,14 @@ func (rn *runner) grouping(d *device.Device, work []int32, lo, hi int) ([]int32,
 	return order, a
 }
 
-// mapOwned runs an ownership-shard kernel over t's bucket space: fn
-// receives the shard number, the bucket shift routing buckets to shards,
-// and a worker-private allocator on t's arena.
-func mapOwned(p *sched.Pool, t *htab.Table, fn func(shard int32, shift uint, la *alloc.Local) device.Acct) device.Acct {
-	shards := t.Shards(sched.DefaultShards)
-	shift := t.ShardShift(shards)
-	return p.MapShards(shards, func(shard int) device.Acct {
+// mapOwned runs an ownership-shard kernel of the build over the tuples of
+// [lo,hi): fn receives one shard's share of the build's owner index and a
+// worker-private allocator on t's arena.
+func (rn *runner) mapOwned(p *sched.Pool, t *htab.Table, lo, hi int, fn func(idx []int32, la *alloc.Local) device.Acct) device.Acct {
+	return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
 		la := t.Arena().NewLocal()
 		defer la.Close()
-		return fn(int32(shard), shift, la)
+		return fn(rn.owner.Shard(shard, lo, hi), la)
 	})
 }
 
@@ -192,10 +205,13 @@ func (rn *runner) buildSeries() sched.Series {
 				a.Add(ga)
 				return a
 			},
+			// One index over b1's bucket numbers serves b3 and b4, both
+			// devices and both separate tables (they share one geometry).
+			ParSetup: func(p *sched.Pool) { rn.table.Owners(p, rn.bucketR, &rn.owner) },
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return mapOwned(p, t, func(shard int32, shift uint, la *alloc.Local) device.Acct {
-					return t.B3Shard(d, keys, rn.bucketR, rn.nodeR, lo, hi, shard, shift, la)
+				return rn.mapOwned(p, t, lo, hi, func(idx []int32, la *alloc.Local) device.Acct {
+					return t.B3Shard(d, keys, rn.bucketR, rn.nodeR, idx, la)
 				})
 			},
 		},
@@ -206,8 +222,8 @@ func (rn *runner) buildSeries() sched.Series {
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return mapOwned(p, t, func(shard int32, shift uint, la *alloc.Local) device.Acct {
-					return t.B4Shard(d, rids, rn.bucketR, rn.nodeR, lo, hi, shard, shift, la)
+				return rn.mapOwned(p, t, lo, hi, func(idx []int32, la *alloc.Local) device.Acct {
+					return t.B4Shard(d, rids, rn.nodeR, idx, la)
 				})
 			},
 		},

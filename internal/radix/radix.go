@@ -132,16 +132,17 @@ type Pass struct {
 func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 	n := in.Len()
 	parts := 1 << bits
+	hdr := make([]int32, 4*parts) // the four header columns, one allocation
 	p := &Pass{
 		Shift:  shift,
 		Bits:   bits,
 		in:     in,
 		arena:  arena,
 		part:   make([]int32, n),
-		counts: make([]int32, parts),
-		head:   make([]int32, parts),
-		tail:   make([]int32, parts),
-		fill:   make([]int32, parts),
+		counts: hdr[0*parts : 1*parts : 1*parts],
+		head:   hdr[1*parts : 2*parts : 2*parts],
+		tail:   hdr[2*parts : 3*parts : 3*parts],
+		fill:   hdr[3*parts : 4*parts : 4*parts],
 	}
 	for i := range p.head {
 		p.head[i] = nilRef

@@ -83,6 +83,9 @@ func (e *Exec) Run(s Series, ratios Ratios) (Result, error) {
 			split = s.Items
 		}
 
+		if e.Pool != nil && st.ParKernel != nil && st.ParSetup != nil {
+			st.ParSetup(e.Pool)
+		}
 		var sr StepResult
 		sr.ID = st.ID
 		sr.Ratio = r

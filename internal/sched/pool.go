@@ -48,9 +48,12 @@ type Pool struct {
 const MorselItems = 1 << 14
 
 // DefaultShards is the number of ownership shards insert-style kernels are
-// split into. It is a balance point: more shards smooth skew, but every
-// shard scans the whole range for its tuples. Fixed (worker-independent) by
-// the determinism rule.
+// split into; each shard walks its own tuples through an OwnerIndex. More
+// shards smooth skew across workers, at one dispatch and one abandoned
+// allocator block apiece. The value is contractual, not a tuning knob:
+// every shard allocates through a fresh worker-private alloc.Local, so the
+// shard count feeds the allocator accounting and with it the simulated
+// times. Fixed (worker-independent) by the determinism rule.
 const DefaultShards = 16
 
 // NewPool returns a resident pool of the given size; workers <= 0 selects

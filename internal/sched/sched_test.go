@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +244,54 @@ func TestGroupOrderEmptyAndSingleton(t *testing.T) {
 	o := GroupOrder([]int32{7}, 0, 1, 4)
 	if len(o) != 1 || o[0] != 0 {
 		t.Fatalf("singleton order %v", o)
+	}
+}
+
+// TestParSetupRunsOncePerParallelStep: a step's ParSetup runs exactly once,
+// before either device's ParKernel share, on every Run over a pool — and
+// never where the single-stream Kernel executes instead (no pool, BasicUnit).
+func TestParSetupRunsOncePerParallelStep(t *testing.T) {
+	var log []string
+	series := Series{Name: "setup", Items: 100, Steps: []Step{{
+		ID: B3,
+		Kernel: func(d *device.Device, lo, hi int) device.Acct {
+			log = append(log, "kernel")
+			return device.Acct{Items: int64(hi - lo)}
+		},
+		ParSetup: func(*Pool) { log = append(log, "setup") },
+		ParKernel: func(d *device.Device, lo, hi int, p *Pool) device.Acct {
+			log = append(log, "par")
+			return device.Acct{Items: int64(hi - lo)}
+		},
+	}}}
+
+	e := New(FixedEnv(device.UniformEnv(0.9)))
+	e.Pool = NewPool(2)
+	defer e.Pool.Close()
+	for run := 0; run < 2; run++ {
+		log = nil
+		if _, err := e.Run(series, Ratios{0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"setup", "par", "par"}; !slices.Equal(log, want) {
+			t.Fatalf("pooled run %d: %v, want %v", run, log, want)
+		}
+	}
+
+	log = nil
+	if _, err := e.RunBasicUnit(series, 50, 50); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(log, "setup") || slices.Contains(log, "par") {
+		t.Fatalf("BasicUnit took the parallel path: %v", log)
+	}
+
+	log = nil
+	serial := New(FixedEnv(device.UniformEnv(0.9)))
+	if _, err := serial.Run(series, Ratios{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"kernel", "kernel"}; !slices.Equal(log, want) {
+		t.Fatalf("serial run: %v, want %v", log, want)
 	}
 }

@@ -80,6 +80,10 @@ type Step struct {
 	// grouped-execution kernels whose processing order is itself the
 	// optimization) always run single-stream.
 	ParKernel ParKernel
+	// ParSetup, when non-nil, runs once on the host before the step's
+	// ParKernel calls — only where those run — to prepare what every
+	// device's share of the step reads (the insert steps' owner index).
+	ParSetup func(p *Pool)
 	// After, if non-nil, runs on the host once the step has completed.
 	After Barrier
 }
