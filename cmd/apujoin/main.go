@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 0, "host worker goroutines for the morsel runtime (0 = GOMAXPROCS); changes wall-clock only, never results or simulated times")
 	pipelineF := flag.String("pipeline", "", "multi-way join pipeline: comma-separated tuple counts (e.g. 1048576,2097152,524288); the first is the build relation, the rest are probes of it with -sel and -skew; overrides -r/-s")
 	declared := flag.Bool("declared-order", false, "with -pipeline, skip the cost-based join orderer and run sources as declared")
-	materialized := flag.Bool("materialized", false, "with -pipeline, register every intermediate through the catalog instead of streaming it to the next step (identical results, larger peak resident footprint)")
 	flag.Parse()
 
 	if *workers < 0 {
@@ -98,7 +97,7 @@ func main() {
 	ctx := context.Background()
 
 	if *pipelineF != "" {
-		runPipeline(ctx, eng, *pipelineF, *declared, *materialized, dist, *seed, *sel, opt, auto, *workers)
+		runPipeline(ctx, eng, *pipelineF, *declared, dist, *seed, *sel, opt, auto, *workers)
 		return
 	}
 
@@ -185,7 +184,7 @@ func main() {
 // the build relation, every later size a probe of it, all registered in
 // the engine's catalog (so the cost-based orderer has ingest statistics)
 // with an inline fallback when the catalog budget is too small.
-func runPipeline(ctx context.Context, eng *apujoin.Engine, sizes string, declared, materialized bool,
+func runPipeline(ctx context.Context, eng *apujoin.Engine, sizes string, declared bool,
 	dist apujoin.Distribution, seed int64, sel float64, opt apujoin.Options, auto bool, workers int) {
 	var gens []apujoin.Gen
 	for i, f := range strings.Split(sizes, ",") {
@@ -211,7 +210,7 @@ func runPipeline(ctx context.Context, eng *apujoin.Engine, sizes string, declare
 		}
 		if err != nil {
 			// Free the partial registrations: the fallback pipeline still
-			// charges its intermediates (streamed or materialized) against
+			// charges its streamed intermediates against
 			// the same catalog budget, which orphaned registrations would
 			// eat into.
 			for j := range gens[:i] {
@@ -238,7 +237,7 @@ func runPipeline(ctx context.Context, eng *apujoin.Engine, sizes string, declare
 		opts = append(opts, apujoin.WithAuto())
 	}
 	start := time.Now()
-	pr, err := eng.JoinPipeline(ctx, apujoin.Pipeline{Sources: sources, DeclaredOrder: declared, Materialize: materialized}, opts...)
+	pr, err := eng.JoinPipeline(ctx, apujoin.Pipeline{Sources: sources, DeclaredOrder: declared}, opts...)
 	wall := time.Since(start)
 	if err != nil {
 		log.Fatal(err)
@@ -257,13 +256,9 @@ func runPipeline(ctx context.Context, eng *apujoin.Engine, sizes string, declare
 		}
 		fmt.Println(line)
 	}
-	mode := "streamed"
-	if !pr.Streamed {
-		mode = "materialized through the catalog"
-	}
 	fmt.Printf("final: %d matches, %.3f ms simulated across the chain\n", pr.Final.Matches, pr.TotalNS/1e6)
-	fmt.Printf("intermediates (%s): %d tuples, %d bytes, peak %d resident\n",
-		mode, pr.IntermediateTuples, pr.IntermediateBytes, pr.PeakIntermediateBytes)
+	fmt.Printf("intermediates (streamed): %d tuples, %d bytes, peak %d resident\n",
+		pr.IntermediateTuples, pr.IntermediateBytes, pr.PeakIntermediateBytes)
 	fmt.Printf("host: %v wall-clock with %d worker(s)\n", wall.Round(time.Microsecond), workers)
 }
 

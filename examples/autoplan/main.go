@@ -39,7 +39,7 @@ func main() {
 	const repeats = 3
 	opt := core.Options{Delta: 0.1, PilotItems: 1 << 13}
 
-	svc := service.New(service.Options{MaxConcurrent: 2})
+	svc := service.New(service.Config{MaxConcurrent: 2})
 	defer svc.Close()
 
 	start := time.Now()

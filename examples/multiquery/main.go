@@ -38,7 +38,7 @@ func main() {
 		return r, s
 	}
 
-	svc := service.New(service.Options{MaxConcurrent: len(queries)})
+	svc := service.New(service.Config{MaxConcurrent: len(queries)})
 	defer svc.Close()
 
 	// Round 1: one at a time through the service.

@@ -1,14 +1,12 @@
 // Pipeline: a multi-way join over registered relations, executed as a
-// chain of pairwise joins with the intermediates streamed step to step
-// (the default; Materialize forces them through the catalog instead).
+// chain of pairwise joins with the intermediates streamed step to step.
 // The example registers a small star — one build relation, a wide
 // selectivity-1 probe and a narrow selective probe — declares the pipeline
 // in the worst order on purpose, and shows the greedy cost-based orderer
 // (fed by the catalog's ingest-time skew/selectivity statistics) picking a
-// cheaper left-deep order, then verifies the determinism contracts: the
+// cheaper left-deep order, then verifies the determinism contract: the
 // same pipeline forced into declaration order produces the identical final
-// match count at a higher simulated cost, and the materialized path
-// produces bit-identical results at a higher peak resident footprint.
+// match count at a higher simulated cost.
 package main
 
 import (
@@ -50,7 +48,7 @@ func main() {
 			i+1, st.Build, st.Probe, st.BuildTuples, st.ProbeTuples, st.OutTuples,
 			st.Result.TotalNS/1e6, st.Plan.Algo, st.Plan.Scheme)
 	}
-	fmt.Printf("final: %d matches, %.3f ms simulated; intermediates %d tuples / %d bytes, peak %d resident (streamed)\n\n",
+	fmt.Printf("final: %d matches, %.3f ms simulated; intermediates %d tuples / %d bytes, peak %d resident\n\n",
 		pr.Final.Matches, pr.TotalNS/1e6, pr.IntermediateTuples, pr.IntermediateBytes, pr.PeakIntermediateBytes)
 
 	// Same pipeline, declaration order: identical final matches, more
@@ -64,20 +62,5 @@ func main() {
 		declared.Order, declared.Final.Matches, declared.TotalNS/1e6, declared.TotalNS/pr.TotalNS)
 	if declared.Final.Matches != pr.Final.Matches {
 		log.Fatal("BUG: join order changed the multi-way match count")
-	}
-
-	// Same pipeline again with the intermediates materialized through the
-	// catalog: bit-identical results, larger peak resident footprint (every
-	// intermediate pinned to pipeline end, plus its ingest statistics).
-	mat, err := eng.JoinPipeline(ctx, apujoin.Pipeline{Sources: pipe.Sources, Materialize: true},
-		apujoin.WithAuto())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("materialized path: %d matches, peak %d resident bytes (%.2fx the streamed peak)\n",
-		mat.Final.Matches, mat.PeakIntermediateBytes,
-		float64(mat.PeakIntermediateBytes)/float64(pr.PeakIntermediateBytes))
-	if mat.Final.Matches != pr.Final.Matches {
-		log.Fatal("BUG: materialization changed the multi-way match count")
 	}
 }

@@ -2,12 +2,10 @@ package apujoin
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/oracle"
 	"apujoin/internal/rel"
 )
@@ -39,13 +37,12 @@ func fuzzCombos() []Options {
 // and every 3–4-relation pipeline, cost-ordered and declared — produces
 // exactly the brute-force oracle's match count, and that the pipeline
 // intermediates equal the oracle's reference join tuple for tuple. The
-// streamed (default) and materialized pipeline paths are compared step for
-// step, and a capacity-starved engine checks the residency-budget
-// invariant between them: the streamed path spills intermediates that
-// overflow the budget and still produces exactly the oracle's counts
-// within the bounded repartitioning depth, while the materialized path —
-// which pins every intermediate and cannot spill — fails with ErrNoSpace
-// on genuine exhaustion; either way the budget is left intact.
+// pipeline is compared step for step against the hand-run chain (one Join
+// per step, intermediates built with rel.JoinMaterialize), and a
+// capacity-starved engine checks the residency-budget invariant: the
+// pipeline spills intermediates that overflow the budget and still
+// produces exactly the oracle's counts within the bounded repartitioning
+// depth, leaving the budget intact.
 // The seed corpus lives in testdata/fuzz/FuzzJoinAgainstOracle and runs as
 // a plain unit test under `go test`; CI additionally explores new inputs
 // with `go test -fuzz=FuzzJoinAgainstOracle -fuzztime=30s .`.
@@ -149,23 +146,27 @@ func FuzzJoinAgainstOracle(f *testing.F) {
 				declared.Final.Matches, wantPipe, seed, nrel)
 		}
 
-		// Streamed (the runs above) and materialized execution are
-		// bit-identical step for step on the same warm engine.
-		mat, err := eng.JoinPipeline(context.Background(),
-			Pipeline{Sources: refs, Materialize: true}, opts...)
-		if err != nil {
-			t.Fatalf("materialized pipeline: %v", err)
-		}
-		if !ordered.Streamed || mat.Streamed {
-			t.Fatalf("mode flags: streamed run %v, materialized run %v", ordered.Streamed, mat.Streamed)
-		}
-		if !reflect.DeepEqual(ordered.Order, mat.Order) || !reflect.DeepEqual(ordered.Final, mat.Final) {
-			t.Errorf("streamed and materialized pipelines diverge (seed=%d nrel=%d)", seed, nrel)
-		}
-		for i := range ordered.Steps {
-			if !reflect.DeepEqual(ordered.Steps[i].Result, mat.Steps[i].Result) {
-				t.Errorf("step %d: streamed Result differs from materialized (seed=%d)", i, seed)
+		// The pipeline is the hand-run chain, step for step: each step's
+		// Result is the stand-alone Join of its inputs, bit for bit — except
+		// a step with an empty side, which the pipeline skips (zero Result)
+		// where a stand-alone Join would still run its kernels.
+		cur := rels[ordered.Order[0]]
+		for i, st := range ordered.Steps {
+			probe := rels[ordered.Order[i+1]]
+			if cur.Len() == 0 || probe.Len() == 0 {
+				if st.Result.Matches != 0 || st.Result.TotalNS != 0 {
+					t.Errorf("step %d: empty-side step reports %d matches in %v ns (seed=%d)", i, st.Result.Matches, st.Result.TotalNS, seed)
+				}
+			} else {
+				want, err := eng.Join(context.Background(), Inline(cur), Inline(probe), opts...)
+				if err != nil {
+					t.Fatalf("hand-run step %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(st.Result, want) {
+					t.Errorf("step %d: pipeline Result differs from the hand-run Join (seed=%d nrel=%d)", i, seed, nrel)
+				}
 			}
+			cur = rel.JoinMaterialize(cur, probe)
 		}
 
 		// A sharded engine — shard count derived from the input so the
@@ -200,12 +201,10 @@ func FuzzJoinAgainstOracle(f *testing.F) {
 		}
 
 		// Budget invariant on an engine whose capacity barely exceeds the
-		// sources: the streamed path always completes — intermediates that
+		// sources: the pipeline always completes — intermediates that
 		// overflow the 1 KB of headroom spill through the bounded-depth
-		// hybrid-hash store and the final count still equals the oracle.
-		// The materialized path pins every intermediate, so it either fits
-		// (bit-identical to an unspilled streamed run) or fails with
-		// ErrNoSpace. Both paths restore the budget completely.
+		// hybrid-hash store and the final count still equals the oracle —
+		// and restores the budget completely.
 		var srcBytes int64
 		for _, rl := range rels {
 			srcBytes += rl.Bytes()
@@ -231,20 +230,6 @@ func FuzzJoinAgainstOracle(f *testing.F) {
 		if (tinySt.SpilledPartitions == 0) != (tinySt.SpillBytes == 0) {
 			t.Errorf("inconsistent spill accounting: %d partitions, %d bytes (seed=%d)",
 				tinySt.SpilledPartitions, tinySt.SpillBytes, seed)
-		}
-		tinyMat, errMat := tiny.JoinPipeline(context.Background(), Pipeline{Sources: refs, Materialize: true}, opts...)
-		switch {
-		case errMat == nil && tinySt.SpilledPartitions == 0:
-			if !reflect.DeepEqual(tinySt.Final, tinyMat.Final) {
-				t.Errorf("tiny-budget streamed and materialized finals diverge (seed=%d)", seed)
-			}
-		case errMat == nil:
-			if tinyMat.Final.Matches != wantPipe {
-				t.Errorf("tiny-budget materialized pipeline: matches %d, oracle %d (seed=%d)",
-					tinyMat.Final.Matches, wantPipe, seed)
-			}
-		case !errors.Is(errMat, catalog.ErrNoSpace):
-			t.Errorf("tiny-budget materialized failure is not ErrNoSpace: %v (seed=%d)", errMat, seed)
 		}
 		if got := tiny.svc.Stats().Catalog.Bytes; got != srcBytes {
 			t.Errorf("tiny budget not restored: %d bytes resident, want %d (seed=%d)", got, srcBytes, seed)

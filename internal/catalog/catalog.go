@@ -68,12 +68,8 @@ type Entry struct {
 	probeOf string
 	sel     float64
 
-	// Ingest-time statistics: the strided key sample, its skew bucket and
-	// heavy-hitter share, and the sorted key index for membership tests.
-	sample     []int32
-	index      rel.KeyIndex
-	skewBucket int
-	heavyShare float64
+	// stats are the ingest-time statistics, measured once at registration.
+	stats IngestStats
 
 	// Mutable, guarded by c.mu.
 	pins    int
@@ -90,12 +86,12 @@ func (e *Entry) Relation() rel.Relation { return e.rel }
 
 // SkewBucket returns the ingest-time skew bucket (0 uniform, 1 ≈ s=10,
 // 2 ≈ s=25), identical to what plan.MeasureWorkload would classify.
-func (e *Entry) SkewBucket() int { return e.skewBucket }
+func (e *Entry) SkewBucket() int { return e.stats.SkewBucket }
 
 // HeavyShare returns the heaviest key's share of the ingest-time sample —
 // the raw number behind SkewBucket, which the pipeline orderer uses to
 // estimate heavy-key collision blowup between two skewed relations.
-func (e *Entry) HeavyShare() float64 { return e.heavyShare }
+func (e *Entry) HeavyShare() float64 { return e.stats.HeavyShare }
 
 // Release drops one pin taken by Catalog.Acquire. When the entry was
 // dropped and this was the last pin, the resident zero-copy bytes are
@@ -145,8 +141,8 @@ func (e *Entry) infoLocked() Info {
 		Tuples:     e.rel.Len(),
 		Bytes:      e.rel.Bytes(),
 		Source:     e.source,
-		SkewBucket: e.skewBucket,
-		HeavyShare: e.heavyShare,
+		SkewBucket: e.stats.SkewBucket,
+		HeavyShare: e.stats.HeavyShare,
 		Pins:       e.pins,
 		Joins:      e.joins,
 		Created:    e.created,
@@ -288,12 +284,8 @@ func (c *Catalog) precheck(name string, n int) error {
 
 // insert measures the ingest-time statistics and publishes the entry.
 func (c *Catalog) insert(e *Entry) (Info, error) {
-	// Measurement runs outside the lock: sampling is cheap but the key
-	// index sort is O(n log n).
-	e.sample = e.rel.KeySample(plan.WorkloadSample)
-	e.index = e.rel.Index()
-	e.skewBucket = plan.SkewBucketOf(e.sample)
-	e.heavyShare = heavyShare(e.sample)
+	// Measurement runs outside the lock.
+	e.stats = Measure(e.rel)
 	//apulint:ignore wallclock(registration wall-time is reporting metadata surfaced in Info; it never enters a simulated quantity)
 	e.created = time.Now()
 	e.c = c
@@ -315,11 +307,30 @@ func (c *Catalog) insert(e *Entry) (Info, error) {
 	return e.infoLocked(), nil
 }
 
-// HeavyShareOf returns the heaviest key's share of a key sample — the raw
-// number behind the skew bucket, reported in listings. Exported so the
-// sharded router computes the identical ingest statistic for relations it
-// splits across shard catalogs.
-func HeavyShareOf(sample []int32) float64 { return heavyShare(sample) }
+// IngestStats are the workload statistics measured once when a relation
+// is registered: the strided key sample, its skew bucket and heaviest key's
+// share, and the sorted key index for membership tests. The sharded router
+// keeps the same statistics for the relations it splits across shard
+// catalogs, so sharded and unsharded pair workloads land in the same
+// plan-cache buckets.
+type IngestStats struct {
+	Sample     []int32
+	Index      rel.KeyIndex
+	SkewBucket int
+	HeavyShare float64
+}
+
+// Measure computes a relation's ingest statistics. Sampling is cheap; the
+// key index sort is O(n log n).
+func Measure(r rel.Relation) IngestStats {
+	sample := r.KeySample(plan.WorkloadSample)
+	return IngestStats{
+		Sample:     sample,
+		Index:      r.Index(),
+		SkewBucket: plan.SkewBucketOf(sample),
+		HeavyShare: heavyShare(sample),
+	}
+}
 
 // heavyShare returns the heaviest key's share of the sample — the raw
 // number behind the skew bucket, reported in listings.
@@ -338,22 +349,12 @@ func heavyShare(sample []int32) float64 {
 	return float64(maxCount) / float64(len(sample))
 }
 
-// Fits reports whether bytes of additional resident data would fit the
-// remaining budget right now. A cheap pre-check for callers about to
-// construct a large relation (pipeline intermediates): registration still
-// re-checks authoritatively under the same lock as the allocation.
-func (c *Catalog) Fits(bytes int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.zc.Fits(bytes)
-}
-
 // Reserve charges bytes of transient pipeline data against the resident
 // zero-copy budget without registering anything: the streamed pipeline
 // path holds its one in-flight intermediate through Reserve instead of
-// Load, so an intermediate the budget cannot hold fails with the same
-// ErrNoSpace as on the materialized path while nothing is measured,
-// indexed, named or pinned. The caller returns the bytes with Unreserve
+// Load, so an intermediate the budget cannot hold is detected (ErrNoSpace)
+// before anything is allocated, measured, indexed, named or pinned — the
+// pipeline then spills. The caller returns the bytes with Unreserve
 // when the consumer step has finished with them.
 func (c *Catalog) Reserve(bytes int64) error {
 	if bytes < 0 {
@@ -415,25 +416,6 @@ func (c *Catalog) Unreserve(bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.zc.Free(bytes)
-}
-
-// StatBytes returns the resident footprint of the ingest-time statistics
-// the catalog builds for a relation of n tuples: the sorted key index (one
-// int32 per tuple) plus the strided key sample (one int32 per sampled
-// position — KeySample's stride arithmetic, targeted at
-// plan.WorkloadSample). The pipeline accountant uses it to attribute the
-// full cost of materializing an intermediate through the catalog; the
-// streamed path never builds these copies.
-func StatBytes(tuples int) int64 {
-	if tuples <= 0 {
-		return 0
-	}
-	stride := tuples / plan.WorkloadSample
-	if stride < 1 {
-		stride = 1
-	}
-	sampled := (tuples + stride - 1) / stride
-	return int64(tuples)*4 + int64(sampled)*4
 }
 
 // Acquire resolves a name to its entry and takes one pin; the caller must
@@ -535,7 +517,7 @@ func (c *Catalog) Workload(r, s *Entry) plan.Workload {
 	}
 	c.mu.Unlock()
 
-	w := plan.PairWorkload(s.sample, s.skewBucket, r.index.Contains)
+	w := plan.PairWorkload(s.stats.Sample, s.stats.SkewBucket, r.stats.Index.Contains)
 
 	c.mu.Lock()
 	// Only memoize while both names still resolve to these entries: a

@@ -163,19 +163,13 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 // TestReserveAccounting: transient pipeline reservations share the budget
-// with registered relations — Fits and Reserve agree, overflow is
+// with registered relations — a reservation to capacity fits, overflow is
 // ErrNoSpace, Unreserve returns the bytes — and the PeakBytes high-water
 // mark records the worst simultaneous residency either path reached.
 func TestReserveAccounting(t *testing.T) {
 	c := New(1024 * 8)
 	if _, err := c.RegisterGen("half", rel.Gen{N: 512, Seed: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if !c.Fits(512 * 8) {
-		t.Error("Fits rejected a reservation exactly at capacity")
-	}
-	if c.Fits(512*8 + 1) {
-		t.Error("Fits accepted a reservation beyond capacity")
 	}
 	if err := c.Reserve(512 * 8); err != nil {
 		t.Fatalf("reserve to capacity: %v", err)
@@ -198,21 +192,6 @@ func TestReserveAccounting(t *testing.T) {
 	c.Unreserve(0)
 	if st := c.Stats(); st.PeakBytes != 1024*8 {
 		t.Errorf("peak moved to %d on a no-op", st.PeakBytes)
-	}
-}
-
-// TestStatBytes pins the statistics-footprint model to the catalog's
-// actual ingest arithmetic: one int32 per indexed tuple plus one per
-// KeySample position (stride = n/plan.WorkloadSample, floored to 1).
-func TestStatBytes(t *testing.T) {
-	if got := StatBytes(0); got != 0 {
-		t.Errorf("StatBytes(0) = %d", got)
-	}
-	for _, n := range []int{1, 100, plan.WorkloadSample, plan.WorkloadSample + 1, 3*plan.WorkloadSample + 7} {
-		want := int64(n)*4 + int64(len(rel.Gen{N: n, Seed: 9}.Build().KeySample(plan.WorkloadSample)))*4
-		if got := StatBytes(n); got != want {
-			t.Errorf("StatBytes(%d) = %d, want %d (index + sample)", n, got, want)
-		}
 	}
 }
 

@@ -179,7 +179,6 @@ func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (s
 	spec.Opt.Delta = req.Delta
 	spec.Opt.CountOnly = req.CountOnly
 	spec.DeclaredOrder = req.DeclaredOrder
-	spec.Materialized = req.Materialized
 
 	if req.PerPartition {
 		if svc.Clustered() {
@@ -276,7 +275,6 @@ func response(q *service.Query) api.JoinResponse {
 		pr := &api.PipelineReport{
 			Sources:               pi.Sources,
 			Ordered:               pi.Ordered,
-			Streamed:              pi.Streamed,
 			Order:                 pi.Order,
 			IntermediateTuples:    pi.IntermediateTuples,
 			IntermediateBytes:     pi.IntermediateBytes,
@@ -647,14 +645,6 @@ func New(svc *service.Service, cfg Config) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("missing ?name="))
 			return
 		}
-		if strings.HasPrefix(name, service.ReservedPrefix) {
-			// A pipeline's intermediates are its own: deleting one from
-			// outside (in the instant before the pipeline unbinds it
-			// itself) would spuriously fail the in-flight pipeline.
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("relation names starting with %q are reserved for pipeline intermediates", service.ReservedPrefix))
-			return
-		}
 		info, err := svc.DropRelation(name)
 		if err != nil {
 			writeError(w, relationStatus(err), err)
@@ -723,9 +713,6 @@ func lookupQuery(w http.ResponseWriter, r *http.Request, svc *service.Service) (
 func registerRelation(svc *service.Service, req api.RelationRequest, maxTuples int) (catalog.Info, error) {
 	if req.Name == "" {
 		return catalog.Info{}, errors.New("missing relation name")
-	}
-	if strings.HasPrefix(req.Name, service.ReservedPrefix) {
-		return catalog.Info{}, fmt.Errorf("relation names starting with %q are reserved for pipeline intermediates", service.ReservedPrefix)
 	}
 	seed := int64(42)
 	if req.Seed != nil {

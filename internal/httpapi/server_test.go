@@ -157,8 +157,6 @@ func TestRoutesTable(t *testing.T) {
 
 		{"register duplicate", "POST", "/v1/relations", `{"name":"orders","n":64}`, 409},
 		{"register oversized key_range", "POST", "/v1/relations", `{"name":"x","n":64,"key_range":2000000000}`, 400},
-		{"register reserved prefix", "POST", "/v1/relations", `{"name":"__pipeline/1/step1","n":64}`, 400},
-		{"delete reserved prefix", "DELETE", "/v1/relations?name=__pipeline/1/step1", "", 400},
 		{"register nameless", "POST", "/v1/relations", `{"n":64}`, 400},
 		{"register bad skew", "POST", "/v1/relations", `{"name":"x","n":64,"skew":"extreme"}`, 400},
 		{"probe of unknown", "POST", "/v1/relations", `{"name":"x","probe_of":"ghost","n":64}`, 404},
@@ -358,31 +356,8 @@ func TestPipelineEndpoint(t *testing.T) {
 	if resp["matches"].(float64) <= 0 {
 		t.Errorf("matches = %v, want > 0", resp["matches"])
 	}
-	if pipe["streamed"] != true {
-		t.Errorf("default pipeline not streamed: %v", pipe["streamed"])
-	}
-	streamedPeak := pipe["peak_intermediate_bytes"].(float64)
-	if streamedPeak <= 0 {
-		t.Errorf("streamed peak_intermediate_bytes = %v, want > 0", streamedPeak)
-	}
-	streamedMatches := resp["matches"].(float64)
-
-	// The same pipeline with materialized:true reports the mode, an equal
-	// result, and a strictly larger resident footprint.
-	st, resp = do(t, "POST", ts.URL+"/v1/pipeline",
-		`{"algo":"auto","delta":0.1,"materialized":true,"sources":[{"name":"orders"},{"name":"lineitem"},{"name":"returns"}],"wait":true}`)
-	if st != 200 || resp["state"] != "done" {
-		t.Fatalf("materialized pipeline: status %d, resp %v", st, resp)
-	}
-	pipe = resp["pipeline"].(map[string]any)
-	if pipe["streamed"] != false {
-		t.Errorf("materialized pipeline claims streamed: %v", pipe["streamed"])
-	}
-	if got := resp["matches"].(float64); got != streamedMatches {
-		t.Errorf("materialized matches %v != streamed matches %v", got, streamedMatches)
-	}
-	if peak := pipe["peak_intermediate_bytes"].(float64); peak <= streamedPeak {
-		t.Errorf("materialized peak %v not above streamed peak %v", peak, streamedPeak)
+	if peak := pipe["peak_intermediate_bytes"].(float64); peak <= 0 {
+		t.Errorf("peak_intermediate_bytes = %v, want > 0", peak)
 	}
 
 	// Inline generated sources over one key range: no catalog statistics,
@@ -402,20 +377,15 @@ func TestPipelineEndpoint(t *testing.T) {
 		t.Errorf("inline pipeline matches = %v, want 4000", got)
 	}
 	// The stats surface picked up the pipeline counters, including the
-	// per-mode peak-footprint gauges.
+	// peak-footprint gauge.
 	if st, stats := do(t, "GET", ts.URL+"/v1/stats", ""); st != 200 {
 		t.Fatalf("stats: %d", st)
 	} else {
-		if stats["pipelines"].(float64) < 3 {
-			t.Errorf("stats pipelines = %v, want >= 3", stats["pipelines"])
+		if stats["pipelines"].(float64) < 2 {
+			t.Errorf("stats pipelines = %v, want >= 2", stats["pipelines"])
 		}
-		if stats["streamed_pipelines"].(float64) < 2 {
-			t.Errorf("stats streamed_pipelines = %v, want >= 2", stats["streamed_pipelines"])
-		}
-		sp := stats["peak_intermediate_bytes_streamed"].(float64)
-		mp := stats["peak_intermediate_bytes_materialized"].(float64)
-		if sp <= 0 || mp <= sp {
-			t.Errorf("per-mode peaks: streamed %v, materialized %v (want 0 < streamed < materialized)", sp, mp)
+		if sp := stats["peak_intermediate_bytes_streamed"].(float64); sp <= 0 {
+			t.Errorf("peak_intermediate_bytes_streamed = %v, want > 0", sp)
 		}
 	}
 }

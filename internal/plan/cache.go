@@ -21,25 +21,12 @@ type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Observations counts executions whose predicted-vs-simulated error was
-	// written back onto a resident entry via Observe; MeanObservedErr is the
-	// mean relative error |predicted−simulated|/simulated over them. The
-	// counters survive the entries they were recorded against (an evicted
-	// entry's observations stay in the aggregate).
-	Observations    int64   `json:"observations"`
-	MeanObservedErr float64 `json:"mean_observed_err"`
 }
 
 // entry is one cached plan keyed by its fingerprint.
 type entry struct {
 	fp   Fingerprint
 	plan *core.Plan
-	// obsCount and obsRelErr accumulate the entry's observed prediction
-	// error: executions recorded and summed relative error. They feed the
-	// cache-level aggregate and let callers inspect how trustworthy this
-	// shape's predictions have proven.
-	obsCount  int64
-	obsRelErr float64
 }
 
 // flight is one in-progress plan build; concurrent requests for the same
@@ -64,10 +51,6 @@ type Cache struct {
 	hits      int64
 	misses    int64
 	evictions int64
-	// observations / observedErr aggregate Observe calls across all
-	// entries, including since-evicted ones.
-	observations int64
-	observedErr  float64
 }
 
 // NewCache returns an empty cache holding at most capacity plans;
@@ -182,37 +165,6 @@ func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*c
 	return fl.plan, false, fl.err
 }
 
-// Observe writes one execution's predicted-vs-simulated error back onto
-// the entry for fp: predictedNS is the plan's estimate, simulatedNS the
-// simulated time the execution actually produced. The relative error
-// accumulates on the entry and in the cache-wide aggregate, closing the
-// loop the planner previously left open (the error stat existed but
-// nothing recorded it against the plan that made the prediction).
-// Observing neither promotes the entry in the LRU nor counts as a hit —
-// it is feedback, not use. ok reports whether the entry was still
-// resident; observations of evicted fingerprints are dropped.
-func (c *Cache) Observe(fp Fingerprint, predictedNS, simulatedNS float64) (ok bool) {
-	if simulatedNS <= 0 {
-		return false
-	}
-	relErr := (predictedNS - simulatedNS) / simulatedNS
-	if relErr < 0 {
-		relErr = -relErr
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, present := c.entries[fp]
-	if !present {
-		return false
-	}
-	e := el.Value.(*entry)
-	e.obsCount++
-	e.obsRelErr += relErr
-	c.observations++
-	c.observedErr += relErr
-	return true
-}
-
 // Len returns the number of resident plans.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -224,16 +176,11 @@ func (c *Cache) Len() int {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{
-		Capacity:     c.capacity,
-		Entries:      len(c.entries),
-		Hits:         c.hits,
-		Misses:       c.misses,
-		Evictions:    c.evictions,
-		Observations: c.observations,
+	return CacheStats{
+		Capacity:  c.capacity,
+		Entries:   len(c.entries),
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
 	}
-	if c.observations > 0 {
-		st.MeanObservedErr = c.observedErr / float64(c.observations)
-	}
-	return st
 }

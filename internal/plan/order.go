@@ -32,7 +32,7 @@ const skewCostPenalty = 0.15
 
 // OrderPipeline picks a left-deep execution order for a multi-way join
 // pipeline: order[0] ⋈ order[1] runs first, every later order[t] probes the
-// materialized intermediate. The heuristic is the classic greedy
+// previous step's intermediate. The heuristic is the classic greedy
 // minimum-intermediate rule over the catalog's ingest-time statistics:
 //
 //   - the estimated output of build i ⋈ probe j is sel(i,j)·|j| plus the

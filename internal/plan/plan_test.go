@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -312,76 +311,5 @@ func TestAutoPlannedBitIdentical(t *testing.T) {
 	}
 	if want := rel.NaiveJoinCount(r, s); auto.Matches != want {
 		t.Fatalf("auto-planned run: %d matches, want %d", auto.Matches, want)
-	}
-}
-
-// TestCacheObserve: Observe writes a prediction's relative error back onto
-// a resident entry — feedback, not use, so it must neither promote the
-// entry in LRU order nor resurrect an evicted fingerprint — and the
-// aggregate counters survive eviction of the entries that produced them.
-func TestCacheObserve(t *testing.T) {
-	c := NewCache(2)
-	a, b, d := Fingerprint{R: 1}, Fingerprint{R: 2}, Fingerprint{R: 3}
-	pl := &core.Plan{}
-
-	if c.Observe(a, 100, 100) {
-		t.Fatal("Observe succeeded on a fingerprint never cached")
-	}
-	c.Put(a, pl)
-	c.Put(b, pl)
-	if !c.Observe(a, 150, 100) {
-		t.Fatal("Observe failed on a resident entry")
-	}
-	if c.Observe(a, 150, 0) {
-		t.Fatal("Observe accepted a non-positive simulated time")
-	}
-	st := c.Stats()
-	if st.Observations != 1 || st.MeanObservedErr != 0.5 {
-		t.Fatalf("stats %+v, want 1 observation at mean error 0.5", st)
-	}
-	// Underprediction counts by magnitude: |50−100|/100 = 0.5 again.
-	if !c.Observe(b, 50, 100) {
-		t.Fatal("Observe failed on entry b")
-	}
-	if st := c.Stats(); st.Observations != 2 || st.MeanObservedErr != 0.5 {
-		t.Fatalf("stats %+v, want 2 observations at mean error 0.5", st)
-	}
-
-	// Observing a is not a use: b was Put later, so a is still the LRU
-	// victim when d arrives.
-	c.Put(d, pl)
-	if _, ok := c.Get(a); ok {
-		t.Fatal("observed-but-unused entry a survived eviction")
-	}
-	if c.Observe(a, 100, 100) {
-		t.Fatal("Observe succeeded on an evicted fingerprint")
-	}
-	// The aggregate keeps the evicted entry's observations.
-	if st := c.Stats(); st.Observations != 2 || st.MeanObservedErr != 0.5 {
-		t.Fatalf("stats after eviction %+v, want the 2 observations retained", st)
-	}
-}
-
-// TestCacheStatsJSON pins the wire names the service's /v1/stats handler
-// re-exports: the observation counters must marshal under observations
-// and mean_observed_err.
-func TestCacheStatsJSON(t *testing.T) {
-	c := NewCache(2)
-	fp := Fingerprint{R: 9}
-	c.Put(fp, &core.Plan{})
-	c.Observe(fp, 120, 100)
-	raw, err := json.Marshal(c.Stats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["observations"] != float64(1) {
-		t.Errorf("observations = %v, want 1 (payload %s)", m["observations"], raw)
-	}
-	if got, want := m["mean_observed_err"].(float64), 0.2; got < want-1e-12 || got > want+1e-12 {
-		t.Errorf("mean_observed_err = %v, want %v", got, want)
 	}
 }

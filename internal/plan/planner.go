@@ -41,11 +41,5 @@ func (p *Planner) PlanWorkload(ctx context.Context, r, s rel.Relation, opt core.
 	return pl, fp, hit, err
 }
 
-// Observe records one execution's predicted-vs-simulated error against
-// the cached plan that predicted it; see Cache.Observe.
-func (p *Planner) Observe(fp Fingerprint, predictedNS, simulatedNS float64) bool {
-	return p.cache.Observe(fp, predictedNS, simulatedNS)
-}
-
 // Stats snapshots the underlying cache counters.
 func (p *Planner) Stats() CacheStats { return p.cache.Stats() }

@@ -25,7 +25,7 @@ import (
 )
 
 // MaxPipelineSources bounds how many sources one pipeline may join: each
-// extra source is a full pairwise join plus a materialized intermediate.
+// extra source is a full pairwise join plus one more intermediate.
 const MaxPipelineSources = 16
 
 // JoinRequest is the JSON body of POST /v1/join and each element of a
@@ -94,16 +94,11 @@ type PipelineRequest struct {
 	Scheme        string           `json:"scheme,omitempty"`
 	Arch          string           `json:"arch,omitempty"`
 	DeclaredOrder bool             `json:"declared_order,omitempty"`
-	// Materialized routes every intermediate through the catalog (pinned
-	// and charged until the pipeline finishes) instead of the default
-	// streamed hand-off; results are identical, only the resident footprint
-	// differs.
-	Materialized bool    `json:"materialized,omitempty"`
-	Separate     bool    `json:"separate,omitempty"`
-	Grouping     bool    `json:"grouping,omitempty"`
-	Delta        float64 `json:"delta,omitempty"`
-	CountOnly    bool    `json:"count_only,omitempty"`
-	Wait         bool    `json:"wait,omitempty"`
+	Separate      bool             `json:"separate,omitempty"`
+	Grouping      bool             `json:"grouping,omitempty"`
+	Delta         float64          `json:"delta,omitempty"`
+	CountOnly     bool             `json:"count_only,omitempty"`
+	Wait          bool             `json:"wait,omitempty"`
 
 	// PerPartition asks a sharded server for the raw per-partition,
 	// per-step result vectors (the cluster protocol); rejected by
@@ -208,14 +203,12 @@ type PipelineStepReport struct {
 type PipelineReport struct {
 	Sources            int                  `json:"sources"`
 	Ordered            bool                 `json:"ordered"`
-	Streamed           bool                 `json:"streamed"`
 	Order              []int                `json:"order"`
 	Steps              []PipelineStepReport `json:"steps"`
 	IntermediateTuples int64                `json:"intermediate_tuples"`
 	IntermediateBytes  int64                `json:"intermediate_bytes"`
 	// PeakIntermediateBytes is the pipeline's resident intermediate
-	// high-water mark: at most one transient intermediate when streamed,
-	// every intermediate plus its catalog statistics when materialized.
+	// high-water mark: at most one transient intermediate per chain.
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	// Replans counts mid-pipeline re-orderings of the remaining steps;
 	// SpilledPartitions and SpillBytes describe hybrid-hash spilling under

@@ -1,0 +1,297 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"apujoin/internal/catalog"
+	"apujoin/internal/core"
+	"apujoin/internal/plan"
+	"apujoin/internal/rel"
+	"apujoin/internal/sched"
+	"apujoin/internal/shard"
+)
+
+// localBackend keeps the partition slices in-process: one catalog per
+// shard with its own zero-copy budget, holding partition p of relation
+// name as the entry partName(name, p), and one planner per fixed grid
+// partition.
+type localBackend struct {
+	// pool runs the partition fan-out (the service's resident pool).
+	pool     *sched.Pool
+	catalogs []*catalog.Catalog
+	// planners are per fixed hash partition — NOT per shard — so each
+	// partition's plan cache evolves identically for any shard count.
+	planners [shard.Partitions]*plan.Planner
+
+	// partBudget is the per-partition share of the TOTAL configured budget
+	// (total / shard.Partitions, independent of the shard count). The spill
+	// path triggers on it rather than on a shard catalog's physical
+	// headroom: which partition chains spill — and therefore every spilled
+	// number — must be a pure function of the data and the total budget,
+	// never of how partitions happen to be packed into shards.
+	partBudget int64
+
+	mu sync.Mutex
+	// partBytes tracks the registered relation bytes resident per fixed
+	// grid partition, backing partitionBudget.
+	partBytes [shard.Partitions]int64
+}
+
+// partName is the shard-catalog entry name of one partition of a
+// relation. Shard catalogs are written only by the backend, so the suffix
+// cannot collide with user registrations.
+func partName(name string, p int) string {
+	return fmt.Sprintf("%s/p%d", name, p)
+}
+
+// newLocalBackend builds the in-process tier from a service Config:
+// Shards shard catalogs (budget ShardBudget each, defaulting to an even
+// split of CatalogBytes), and one planner per fixed hash partition.
+func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
+	shards := shard.Clamp(cfg.Shards)
+	budget := cfg.ShardBudget
+	if budget <= 0 {
+		total := cfg.CatalogBytes
+		if total <= 0 {
+			total = catalog.DefaultCapacity
+		}
+		budget = total / int64(shards)
+	}
+	b := &localBackend{
+		pool:     pool,
+		catalogs: make([]*catalog.Catalog, shards),
+		// An even partition split of the total budget. With the default
+		// even shard split this is total/Partitions for every shard count;
+		// an explicit ShardBudget makes the total (and with it the spill
+		// thresholds) a property of the configured topology.
+		partBudget: budget * int64(shards) / shard.Partitions,
+	}
+	for i := range b.catalogs {
+		b.catalogs[i] = catalog.New(budget)
+	}
+	for p := range b.planners {
+		b.planners[p] = plan.New(cfg.PlanCache)
+	}
+	return b
+}
+
+// catalogOf returns the shard catalog owning partition p.
+func (b *localBackend) catalogOf(p int) *catalog.Catalog {
+	return b.catalogs[shard.Owner(p, len(b.catalogs))]
+}
+
+// place loads each slice into its owning shard catalog. A shard whose
+// budget cannot hold its partitions rolls the others back and the
+// placement fails with the catalog's ErrNoSpace — no bytes, no names and
+// no gauges left behind.
+func (b *localBackend) place(name string, parts *[shard.Partitions]rel.Relation) error {
+	for p := range parts {
+		if _, err := b.catalogOf(p).Load(partName(name, p), parts[p]); err != nil {
+			for q := 0; q < p; q++ {
+				b.catalogOf(q).Drop(partName(name, q)) //nolint:errcheck // just loaded
+			}
+			return fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
+		}
+	}
+	b.mu.Lock()
+	for p := range parts {
+		b.partBytes[p] += parts[p].Bytes()
+	}
+	b.mu.Unlock()
+	return nil
+}
+
+// remove drops every partition entry from its shard catalog — each shard's
+// bytes free when its last pin drains — and unwinds the partition gauges.
+func (b *localBackend) remove(name string) {
+	var freed [shard.Partitions]int64
+	for p := range freed {
+		if info, err := b.catalogOf(p).Drop(partName(name, p)); err == nil {
+			freed[p] = info.Bytes
+		}
+	}
+	b.mu.Lock()
+	for p, bytes := range freed {
+		b.partBytes[p] -= bytes
+	}
+	b.mu.Unlock()
+}
+
+// pins sums the pins over the partition entries.
+func (b *localBackend) pins(name string) int {
+	n := 0
+	for p := 0; p < shard.Partitions; p++ {
+		if info, ok := b.catalogOf(p).Get(partName(name, p)); ok {
+			n += info.Pins
+		}
+	}
+	return n
+}
+
+// partitions pins every partition entry of a placed relation, appending
+// the entries — in partition order — to pins.
+func (b *localBackend) partitions(name string, pins []*catalog.Entry) (parts [shard.Partitions]rel.Relation, _ []*catalog.Entry, err error) {
+	base := len(pins)
+	for p := range parts {
+		e, err := b.catalogOf(p).Acquire(partName(name, p))
+		if err != nil {
+			releaseAll(pins[base:])
+			return parts, pins[:base], fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
+		}
+		pins = append(pins, e)
+		parts[p] = e.Relation()
+	}
+	return parts, pins, nil
+}
+
+// input resolves one job source to its per-partition slices: a registered
+// relation's pinned entries, or an inline relation split on the spot.
+func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
+	if name == "" {
+		return shard.Split(inline), pins, nil
+	}
+	return b.partitions(name, pins)
+}
+
+func (b *localBackend) bindJoin(j *joinJob, sp *JoinSpec) (pins []*catalog.Entry, err error) {
+	pins = make([]*catalog.Entry, 0, 2*shard.Partitions)
+	if j.rParts, pins, err = b.input(sp.RName, sp.R, pins); err != nil {
+		return nil, err
+	}
+	if j.sParts, pins, err = b.input(sp.SName, sp.S, pins); err != nil {
+		releaseAll(pins)
+		return nil, err
+	}
+	return pins, nil
+}
+
+func (b *localBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) (pins []*catalog.Entry, err error) {
+	pins = make([]*catalog.Entry, 0, len(j.sources)*shard.Partitions)
+	for i := range j.sources {
+		src := &j.sources[i]
+		if src.parts, pins, err = b.input(sp.Sources[i].Name, src.rel, pins); err != nil {
+			releaseAll(pins)
+			return nil, fmt.Errorf("pipeline source %d: %w", i+1, err)
+		}
+	}
+	return pins, nil
+}
+
+// partitionBudget returns partition p's residency budget for transient
+// pipeline intermediates: its even share of the total configured budget
+// minus the relation bytes registered into it. The spill path compares
+// intermediates against this — a pure function of the registered data and
+// the total budget — so spill decisions are identical for any shard count
+// and any concurrent interleaving. Summed over a shard's owned partitions
+// the thresholds never exceed the shard catalog's free capacity, which is
+// what makes the thresholds physically honorable.
+func (b *localBackend) partitionBudget(p int) int64 {
+	b.mu.Lock()
+	free := b.partBudget - b.partBytes[p]
+	b.mu.Unlock()
+	if free < 0 {
+		return 0
+	}
+	return free
+}
+
+// runJoin runs every partition's sub-join on the pool. A partition with an
+// empty side joins to nothing: it skips planning (the planner refuses
+// empty relations) and execution and contributes a zero result — which
+// partitions are empty depends only on the keys and the fixed grid, never
+// the shard count. Planning (auto) happens inside the fan-out on the
+// partition's own planner: the planner index is the grid partition, never
+// the shard, and the job's full-relation workload (registered pairs)
+// stands in for measuring the slice.
+func (b *localBackend) runJoin(ctx context.Context, j *joinJob, opt core.Options, auto bool) ([]*core.Result, error) {
+	var errs [shard.Partitions]error
+	parts := sched.Collect(b.pool, shard.Partitions, func(p int) *core.Result {
+		if j.rParts[p].Len() == 0 || j.sParts[p].Len() == 0 {
+			return emptyResult(opt)
+		}
+		res, _, _, err := planRun(ctx, plannerIf(auto, b.planners[p]), j.rParts[p], j.sParts[p], opt, j.workload)
+		errs[p] = err
+		return res
+	})
+	return parts, firstPartitionErr(errs[:])
+}
+
+// firstPartitionErr selects the lowest failing partition's error:
+// deterministic whatever order the partitions finished in.
+func firstPartitionErr(errs []error) error {
+	for p, err := range errs {
+		if err != nil {
+			return fmt.Errorf("partition %d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// runPipeline runs the whole chain once per grid partition, concurrently on
+// the pool, each over that partition's slice of every source and with
+// reservations against the partition's owning shard catalog, then
+// transposes the chains into the per-partition transport.
+func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob, opt core.Options, auto bool) (*PipelinePartitions, error) {
+	n := len(j.sources)
+	names := make([]string, n)
+	in := make([]rel.Relation, n*shard.Partitions)
+	for i := range j.sources {
+		names[i] = j.sources[i].name
+		for p, r := range j.sources[i].parts {
+			in[p*n+i] = r
+		}
+	}
+	var errs [shard.Partitions]error
+	chains := sched.Collect(b.pool, shard.Partitions, func(p int) *chain {
+		env := chainEnv{
+			cat:     b.catalogOf(p),
+			planner: plannerIf(auto, b.planners[p]),
+			wFirst:  j.wFirst,
+			budget:  b.partitionBudget(p),
+			level:   1,
+		}
+		c, err := runChain(ctx, &env, names, in[p*n:(p+1)*n], j.order.order, opt)
+		errs[p] = err
+		return c
+	})
+	if err := firstPartitionErr(errs[:]); err != nil {
+		return nil, err
+	}
+	pp := newPipelinePartitions(n - 1)
+	for p, c := range chains {
+		for t := range c.steps {
+			pp.Steps[t][p] = c.steps[t]
+			pp.BuildTuples[t][p] = c.buildTuples[t]
+			pp.ProbeTuples[t][p] = c.probeTuples[t]
+			pp.Plans[t][p] = c.plans[t]
+		}
+		pp.Peak[p], pp.InterTuples[p], pp.InterBytes[p], pp.SpillDepth[p] = c.peak, c.interTuples, c.interBytes, c.spillDepth
+	}
+	return pp, nil
+}
+
+// stats folds in the per-partition planners' cache counters and replaces
+// the logical byte total with the physical one: bytes, capacity and peak
+// summed over the shard catalogs, whose own gauges follow in shard order.
+func (b *localBackend) stats(st *Stats) {
+	for _, p := range b.planners {
+		cs := p.Stats()
+		st.PlanHits += cs.Hits
+		st.PlanMisses += cs.Misses
+		st.PlanEvictions += cs.Evictions
+		st.PlanEntries += cs.Entries
+	}
+	st.Catalog.Bytes = 0
+	st.ShardCatalogs = make([]catalog.Stats, len(b.catalogs))
+	for i, c := range b.catalogs {
+		cs := c.Stats()
+		st.ShardCatalogs[i] = cs
+		st.Catalog.Bytes += cs.Bytes
+		st.Catalog.Capacity += cs.Capacity
+		st.Catalog.PeakBytes += cs.PeakBytes
+	}
+}
+
+func (b *localBackend) close() {}

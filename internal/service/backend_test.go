@@ -1,0 +1,242 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"apujoin/internal/catalog"
+	"apujoin/internal/core"
+	"apujoin/internal/rel"
+	"apujoin/internal/shard"
+)
+
+// fakeBackend is a backend that holds nothing: it records placements,
+// fails or blocks them on demand, and answers jobs with canned
+// per-partition vectors — the router's logic under test, alone.
+type fakeBackend struct {
+	placed   map[string]bool
+	placeErr error
+	// entered and release, when set, make place announce itself and block.
+	entered, release chan struct{}
+
+	joinParts []*core.Result
+	pipeParts *PipelinePartitions
+}
+
+func (f *fakeBackend) place(name string, _ *[shard.Partitions]rel.Relation) error {
+	if f.entered != nil {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	if f.placeErr != nil {
+		return f.placeErr
+	}
+	f.placed[name] = true
+	return nil
+}
+func (f *fakeBackend) remove(name string) { delete(f.placed, name) }
+func (f *fakeBackend) pins(string) int    { return 0 }
+func (f *fakeBackend) partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
+	return [shard.Partitions]rel.Relation{}, pins, errors.New("fake: no tuple data")
+}
+func (f *fakeBackend) bindJoin(*joinJob, *JoinSpec) ([]*catalog.Entry, error) { return nil, nil }
+func (f *fakeBackend) bindPipeline(*pipeJob, *PipelineSpec) ([]*catalog.Entry, error) {
+	return nil, nil
+}
+func (f *fakeBackend) runJoin(context.Context, *joinJob, core.Options, bool) ([]*core.Result, error) {
+	// Produced highest partition first: the merge must not care.
+	out := make([]*core.Result, shard.Partitions)
+	for p := shard.Partitions - 1; p >= 0; p-- {
+		out[p] = f.joinParts[p]
+	}
+	return out, nil
+}
+func (f *fakeBackend) runPipeline(context.Context, *pipeJob, core.Options, bool) (*PipelinePartitions, error) {
+	return f.pipeParts, nil
+}
+func (f *fakeBackend) stats(*Stats) {}
+func (f *fakeBackend) close()       {}
+
+func newFakeRouter() (*router, *fakeBackend) {
+	f := &fakeBackend{placed: make(map[string]bool)}
+	return newRouter(f, 1), f
+}
+
+// TestRouterFailedPlacementLeavesNothing: whichever registration form the
+// backend's placement fails under, the router keeps no record and no
+// pending mark, counts nothing, and the name registers cleanly once the
+// backend recovers.
+func TestRouterFailedPlacementLeavesNothing(t *testing.T) {
+	rt, f := newFakeRouter()
+	if _, err := rt.RegisterGen("base", rel.Gen{N: 64, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	forms := map[string]func() (catalog.Info, error){
+		"gen":   func() (catalog.Info, error) { return rt.RegisterGen("x", rel.Gen{N: 64, Seed: 2}) },
+		"probe": func() (catalog.Info, error) { return rt.RegisterProbe("x", "base", rel.Gen{N: 64, Seed: 3}, 0.5) },
+		"load":  func() (catalog.Info, error) { return rt.Load("x", rel.Gen{N: 64, Seed: 4}.Build()) },
+	}
+	boom := errors.New("boom")
+	for name, register := range forms {
+		f.placeErr = boom
+		before := rt.registered
+		if _, err := register(); !errors.Is(err, boom) {
+			t.Fatalf("%s: err %v, want the placement failure", name, err)
+		}
+		if _, ok := rt.Get("x"); ok || len(rt.pending) != 0 || len(rt.rels) != 1 || rt.registered != before {
+			t.Errorf("%s: failed placement left state behind: bound=%v pending=%v rels=%d registered=%d (was %d)",
+				name, ok, rt.pending, len(rt.rels), rt.registered, before)
+		}
+		f.placeErr = nil
+		if _, err := register(); err != nil {
+			t.Errorf("%s: re-register after the failure: %v", name, err)
+		}
+		if _, err := rt.Drop("x"); err != nil || f.placed["x"] || len(rt.pending) != 0 {
+			t.Errorf("%s: drop: err %v, still placed %v, pending %v", name, err, f.placed["x"], rt.pending)
+		}
+	}
+}
+
+// TestRouterConcurrentRegistrationOneWinner: while one registration of a
+// name is in flight (blocked in the backend), a second one fails with
+// ErrExists at once — before generating anything — and the first completes.
+func TestRouterConcurrentRegistrationOneWinner(t *testing.T) {
+	rt, f := newFakeRouter()
+	f.entered, f.release = make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := rt.RegisterGen("x", rel.Gen{N: 64, Seed: 1})
+		first <- err
+	}()
+	<-f.entered
+	// Were this to get as far as generation, the size alone would show.
+	if _, err := rt.RegisterGen("x", rel.Gen{N: 1 << 22, Seed: 2}); !errors.Is(err, catalog.ErrExists) {
+		t.Errorf("concurrent duplicate: err %v, want catalog.ErrExists", err)
+	}
+	if _, err := rt.Load("x", rel.Relation{}); !errors.Is(err, catalog.ErrExists) {
+		t.Errorf("concurrent duplicate load: err %v, want catalog.ErrExists", err)
+	}
+	close(f.release)
+	if err := <-first; err != nil {
+		t.Fatalf("first registration: %v", err)
+	}
+	if info, ok := rt.Get("x"); !ok || info.Tuples != 64 || rt.registered != 1 {
+		t.Errorf("winner: info %+v ok=%v registered=%d, want the 64-tuple relation once", info, ok, rt.registered)
+	}
+}
+
+// cannedResult is a partition result whose floats make summation order
+// visible: merged in any order but the fixed one, the totals differ.
+func cannedResult(p, t int) *core.Result {
+	r := &core.Result{Matches: int64(p + 1), TotalNS: 1e15/float64(p+1) + 0.1*float64(t+p)}
+	r.BuildNS = r.TotalNS / 3
+	return r
+}
+
+// TestRouterMergesInFixedOrder: whatever order the backend computed the
+// partitions in, a join merges to shard.MergeResults over partition order,
+// and a pipeline's steps, plan aggregates and gauges reassemble from the
+// per-partition transport the same way.
+func TestRouterMergesInFixedOrder(t *testing.T) {
+	rt, f := newFakeRouter()
+	f.joinParts = make([]*core.Result, shard.Partitions)
+	for p := range f.joinParts {
+		f.joinParts[p] = cannedResult(p, 0)
+	}
+	merged, parts, err := rt.execJoin(context.Background(), &joinJob{keep: true}, core.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged, shard.MergeResults(f.joinParts)) || !reflect.DeepEqual(parts, f.joinParts) {
+		t.Error("join: merged result or kept vector differs from the fixed-order merge")
+	}
+	if _, parts, _ = rt.execJoin(context.Background(), &joinJob{}, core.Options{}, false); parts != nil {
+		t.Error("join: per-partition vector kept without being asked for")
+	}
+
+	const nSteps = 2
+	pp := newPipelinePartitions(nSteps)
+	var wantPeak, wantTuples int64
+	for p := 0; p < shard.Partitions; p++ {
+		for s := 0; s < nSteps; s++ {
+			pp.Steps[s][p] = cannedResult(p, s)
+			pp.BuildTuples[s][p], pp.ProbeTuples[s][p] = 10+p, 20+p
+		}
+		// Step 0 is planned on the odd partitions only; one of them missed.
+		if p%2 == 1 {
+			pp.Plans[0][p] = &PlanInfo{Algo: "PHJ", Scheme: "PL", CacheHit: p != 3, PredictedNS: float64(p)}
+		}
+		pp.Peak[p], pp.InterTuples[p], pp.InterBytes[p] = int64(100*p), int64(p), int64(8*p)
+		wantPeak += int64(100 * p)
+		wantTuples += int64(p)
+	}
+	pp.SpillDepth[5] = 2
+	f.pipeParts = pp
+	pj := &pipeJob{
+		sources: []pipeSource{{name: "a"}, {name: "b"}, {name: "c"}},
+		order:   &pipeOrder{order: []int{2, 0, 1}, ordered: true},
+	}
+	pr, err := rt.execPipeline(context.Background(), pj, core.Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < nSteps; s++ {
+		if !reflect.DeepEqual(pr.Steps[s].Result, shard.MergeResults(pp.Steps[s])) {
+			t.Errorf("pipeline step %d: merged result differs from the fixed-order merge", s)
+		}
+	}
+	if pr.Steps[0].Build != "c" || pr.Steps[0].Probe != "a" || pr.Steps[1].Build != "step1" || pr.Steps[1].Probe != "b" {
+		t.Errorf("step labels: %q ⋈ %q, %q ⋈ %q", pr.Steps[0].Build, pr.Steps[0].Probe, pr.Steps[1].Build, pr.Steps[1].Probe)
+	}
+	if pl := pr.Steps[0].Plan; pl == nil || pl.Algo != "PHJ" || pl.CacheHit || pl.PredictedNS != 1+3+5+7 {
+		t.Errorf("step 0 plan aggregate = %+v, want PHJ, a miss, 16 ns predicted", pl)
+	}
+	if pr.Steps[1].Plan != nil {
+		t.Errorf("step 1 reports a plan no partition made: %+v", pr.Steps[1].Plan)
+	}
+	if pr.Final != pr.Steps[1].Result || pr.TotalNS != pr.Steps[0].Result.TotalNS+pr.Steps[1].Result.TotalNS {
+		t.Error("pipeline Final or TotalNS is not the steps' serial fold")
+	}
+	if pr.PeakIntermediateBytes != wantPeak || pr.IntermediateTuples != wantTuples || pr.SpillDepth != 2 || pr.Partitions != nil {
+		t.Errorf("gauges: peak %d tuples %d depth %d partitions %v, want %d/%d/2/nil",
+			pr.PeakIntermediateBytes, pr.IntermediateTuples, pr.SpillDepth, pr.Partitions, wantPeak, wantTuples)
+	}
+}
+
+// TestRouterDropInvalidatesWorkloadMemo: the pair workload is computed once
+// per pair and reused, dropping either side forgets it, and a relation
+// re-registered under the name gets a fresh one.
+func TestRouterDropInvalidatesWorkloadMemo(t *testing.T) {
+	rt, _ := newFakeRouter()
+	register := func(sel float64) [2]*shardedRel {
+		t.Helper()
+		if _, err := rt.RegisterProbe("s", "r", rel.Gen{N: 4000, Seed: 2}, sel); err != nil {
+			t.Fatal(err)
+		}
+		return [2]*shardedRel{rt.rels["r"], rt.rels["s"]}
+	}
+	if _, err := rt.RegisterGen("r", rel.Gen{N: 4000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recs := register(1.0)
+	full := rt.workload(recs[0], recs[1])
+	if again := rt.workload(recs[0], recs[1]); again != full || rt.reuses != 1 || len(rt.workloads) != 1 {
+		t.Errorf("second lookup: %+v (first %+v), reuses %d, memo %d", again, full, rt.reuses, len(rt.workloads))
+	}
+	if _, err := rt.Drop("s"); err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.workloads) != 0 {
+		t.Errorf("memo survived the drop: %v", rt.workloads)
+	}
+	// A lookup racing the drop must not resurrect the stale pair either.
+	if rt.workload(recs[0], recs[1]); len(rt.workloads) != 0 {
+		t.Errorf("stale records re-memoized: %v", rt.workloads)
+	}
+	recs = register(0.0)
+	if none := rt.workload(recs[0], recs[1]); none == full || rt.reuses != 1 {
+		t.Errorf("re-registered pair: workload %+v (old %+v), reuses %d — served from the stale memo", none, full, rt.reuses)
+	}
+}

@@ -21,7 +21,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	s := rel.Gen{N: 1 << 17, Seed: 2}.Probe(r, 1.0)
 	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 1 << 13}
 
-	svc := New(Options{MaxConcurrent: 4, MaxQueue: 1 << 20})
+	svc := New(Config{MaxConcurrent: 4, MaxQueue: 1 << 20})
 	defer svc.Close()
 
 	b.SetBytes(r.Bytes() + s.Bytes())
@@ -70,7 +70,7 @@ func BenchmarkCatalogReuse(b *testing.B) {
 
 	run := func(b *testing.B, spec func() JoinSpec) {
 		b.Helper()
-		svc := New(Options{MaxConcurrent: 2, MaxQueue: 1 << 20})
+		svc := New(Config{MaxConcurrent: 2, MaxQueue: 1 << 20})
 		defer svc.Close()
 		if _, err := svc.Catalog().RegisterGen("r", rg); err != nil {
 			b.Fatal(err)

@@ -23,7 +23,7 @@ func TestSubmitNamedBitIdentical(t *testing.T) {
 	sg := rel.Gen{N: 40000, Dist: rel.LowSkew, Seed: 22}
 	const sel = 0.7
 
-	svc := New(Options{MaxConcurrent: 2})
+	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
 	if _, err := svc.Catalog().RegisterGen("orders", rg); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestSubmitNamedBitIdentical(t *testing.T) {
 }
 
 func TestSubmitNamedErrors(t *testing.T) {
-	svc := New(Options{MaxConcurrent: 1})
+	svc := New(Config{MaxConcurrent: 1})
 	defer svc.Close()
 	if _, err := svc.SubmitSpec(context.Background(), JoinSpec{RName: "ghost", SName: "ghost"}); !errors.Is(err, catalog.ErrNotFound) {
 		t.Errorf("unknown names: err %v, want catalog.ErrNotFound", err)
@@ -83,7 +83,7 @@ func TestSubmitNamedErrors(t *testing.T) {
 // queue is rejected whole — no partial admission, no leaked slots or pins —
 // while a batch that fits is admitted in one transaction.
 func TestSubmitBatchAdmission(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 1, MaxQueue: 2})
+	svc := New(Config{Workers: 2, MaxConcurrent: 1, MaxQueue: 2})
 	defer svc.Close()
 	if _, err := svc.Catalog().RegisterGen("r", rel.Gen{N: 20000, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestSubmitBatchAdmission(t *testing.T) {
 // name immediately but the running query keeps its pinned data and
 // completes; the zero-copy bytes free once the query finishes.
 func TestDropWhileQueryRunning(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 1})
+	svc := New(Config{Workers: 2, MaxConcurrent: 1})
 	defer svc.Close()
 	if _, err := svc.Catalog().RegisterGen("r", rel.Gen{N: 60000, Seed: 1}); err != nil {
 		t.Fatal(err)

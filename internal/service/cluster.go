@@ -5,54 +5,36 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/cluster"
 	"apujoin/internal/core"
-	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
 )
 
-// clusterRouter is the network-sharded sibling of router: the same
-// fixed-grid routing tier, but the shard catalogs live in remote apujoind
-// processes reached over HTTP through a cluster.Pool. The router keeps
-// only per-relation metadata — generation specs and the full-relation
-// ingest statistics the planner fingerprints and the pipeline orderer
-// consume — and ships the tuple data to each server as one bulk upload of
-// its owned partitions.
+// remoteBackend keeps the partition slices in remote apujoind processes
+// reached over HTTP through a cluster.Pool: each server receives one bulk
+// upload of its owned partitions and answers partition jobs over the same
+// /v1 surface clients use.
 //
 // The invariance contract survives the network hop because nothing
-// numeric is computed differently: relations split over the identical
-// fixed grid (shard.Split is pure and order-preserving, and each server
-// re-splits its upload onto the same partitions), every server plans with
-// the full-relation workload the router measured centrally, pipeline
-// orders are chosen once here, and the per-partition results come back as
-// raw float64 nanoseconds to merge locally in fixed partition order —
-// exactly the reduction a single-process sharded engine runs.
-type clusterRouter struct {
+// numeric is computed differently: each server re-splits its upload onto
+// the identical fixed grid (shard.Split is pure and order-preserving),
+// plans with the full-relation workload the router measured centrally,
+// executes the router's order, and returns raw float64 nanoseconds per
+// partition for the router to merge in fixed partition order — exactly the
+// reduction a single-process sharded engine runs.
+type remoteBackend struct {
 	pool *cluster.Pool
-
-	mu   sync.Mutex
-	rels map[string]*shardedRel
-	// pending guards in-flight registrations by name: generation and the
-	// remote uploads run outside the lock, and a concurrent duplicate must
-	// fail with ErrExists instead of racing the uploads.
-	pending   map[string]bool
-	workloads map[routerPairKey]plan.Workload
-
-	registered, dropped, reuses int64
 }
 
-// newClusterRouter builds the network tier from a service Config. Server
+// newRemoteBackend builds the network tier from a service Config. Server
 // addresses beyond shard.Partitions are dropped — they could never own a
 // partition (cmd/apujoin-router rejects such configs up front).
-func newClusterRouter(cfg Config) *clusterRouter {
+func newRemoteBackend(cfg Config) *remoteBackend {
 	addrs := cfg.Cluster
 	if len(addrs) > shard.Partitions {
 		addrs = addrs[:shard.Partitions]
@@ -64,147 +46,27 @@ func newClusterRouter(cfg Config) *clusterRouter {
 	case retries < 0:
 		retries = 0
 	}
-	return &clusterRouter{
-		pool: cluster.NewPool(cluster.Config{
-			Addrs:          addrs,
-			Timeout:        cfg.ClusterTimeout,
-			Retries:        retries,
-			Backoff:        cfg.ClusterBackoff,
-			HealthInterval: cfg.HealthInterval,
-			HealthFailures: cfg.HealthFailures,
-			Logf:           cfg.Logf,
-		}),
-		rels:      make(map[string]*shardedRel),
-		pending:   make(map[string]bool),
-		workloads: make(map[routerPairKey]plan.Workload),
-	}
+	return &remoteBackend{pool: cluster.NewPool(cluster.Config{
+		Addrs:          addrs,
+		Timeout:        cfg.ClusterTimeout,
+		Retries:        retries,
+		Backoff:        cfg.ClusterBackoff,
+		HealthInterval: cfg.HealthInterval,
+		HealthFailures: cfg.HealthFailures,
+		Logf:           cfg.Logf,
+	})}
 }
 
-// registerGen generates and registers a build relation from a spec,
-// uploading each server's owned partitions.
-func (c *clusterRouter) registerGen(name string, g rel.Gen) (catalog.Info, error) {
-	if err := c.precheck(name, g.N); err != nil {
-		return catalog.Info{}, err
-	}
-	defer c.unpend(name)
-	sr := &shardedRel{name: name, source: catalog.Generated, gen: g}
-	return c.register(sr, g.Build())
-}
-
-// registerProbe generates and registers a probe relation against the
-// registered build relation of, regenerating the build side from its
-// stored spec in original tuple order — the upload is bit-identical to
-// the unsharded generation from the same specs.
-func (c *clusterRouter) registerProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
-	if err := c.precheck(name, g.N); err != nil {
-		return catalog.Info{}, err
-	}
-	defer c.unpend(name)
-	if selectivity < 0 || selectivity > 1 {
-		return catalog.Info{}, fmt.Errorf("catalog: selectivity %v out of [0,1]", selectivity)
-	}
-	base, err := c.fullRelation(of)
-	if err != nil {
-		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: %w", of, err)
-	}
-	sr := &shardedRel{name: name, source: catalog.Probe, gen: g, probeOf: of, sel: selectivity}
-	return c.register(sr, g.Probe(base, selectivity))
-}
-
-// load registers an existing relation (bulk load).
-func (c *clusterRouter) load(name string, r rel.Relation) (catalog.Info, error) {
-	if err := c.precheck(name, r.Len()); err != nil {
-		return catalog.Info{}, err
-	}
-	defer c.unpend(name)
-	if err := r.Validate(); err != nil {
-		return catalog.Info{}, fmt.Errorf("catalog: %w", err)
-	}
-	sr := &shardedRel{name: name, source: catalog.Loaded}
-	return c.register(sr, r)
-}
-
-// precheck fails fast on an obviously invalid or duplicate registration
-// and marks the name pending; the caller unpends when done.
-func (c *clusterRouter) precheck(name string, n int) error {
-	if name == "" {
-		return fmt.Errorf("catalog: empty relation name")
-	}
-	if n < 0 {
-		return fmt.Errorf("catalog: negative relation size %d", n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.rels[name]; ok {
-		return fmt.Errorf("%w: %q", catalog.ErrExists, name)
-	}
-	if c.pending[name] {
-		return fmt.Errorf("%w: %q (registration in progress)", catalog.ErrExists, name)
-	}
-	c.pending[name] = true
-	return nil
-}
-
-func (c *clusterRouter) unpend(name string) {
-	c.mu.Lock()
-	delete(c.pending, name)
-	c.mu.Unlock()
-}
-
-// fullRelation rebuilds a registered relation in original tuple order
-// from its stored generation chain, exactly as router.fullRelation does:
-// probe generation indexes the build side by original position, which the
-// partition split does not preserve. Bulk-loaded relations have no spec
-// and cannot anchor a probe registration.
-func (c *clusterRouter) fullRelation(name string) (rel.Relation, error) {
-	type link struct {
-		gen rel.Gen
-		sel float64
-	}
-	var chain []link
-	c.mu.Lock()
-	cur, ok := c.rels[name]
-	for {
-		if !ok {
-			c.mu.Unlock()
-			return rel.Relation{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
-		}
-		chain = append(chain, link{gen: cur.gen, sel: cur.sel})
-		if cur.source == catalog.Generated {
-			break
-		}
-		if cur.source != catalog.Probe {
-			n := cur.name
-			c.mu.Unlock()
-			return rel.Relation{}, fmt.Errorf("catalog: %q was bulk-loaded; a sharded service regenerates relations from their specs and cannot reassemble a loaded relation in original order", n)
-		}
-		cur, ok = c.rels[cur.probeOf]
-	}
-	c.mu.Unlock()
-	r := chain[len(chain)-1].gen.Build()
-	for i := len(chain) - 2; i >= 0; i-- {
-		r = chain[i].gen.Probe(r, chain[i].sel)
-	}
-	return r, nil
-}
-
-// register measures the full-relation ingest statistics, splits the
-// relation over the fixed grid, and uploads each server's owned
-// partitions — concatenated in ascending partition order, so the server's
-// own re-split reproduces the identical per-partition relations (Split is
-// pure in the keys and preserves relative tuple order). The upload is
-// all-or-nothing: a server that rejects its slice (ErrNoSpace, transport
-// failure, anything) rolls the earlier servers back with best-effort
-// deletes and the registration fails whole.
-func (c *clusterRouter) register(sr *shardedRel, full rel.Relation) (catalog.Info, error) {
-	sr.tuples = full.Len()
-	sr.sample = full.KeySample(plan.WorkloadSample)
-	sr.index = full.Index()
-	sr.skewBucket = plan.SkewBucketOf(sr.sample)
-	sr.heavyShare = catalog.HeavyShareOf(sr.sample)
-	parts := shard.Split(full)
-
-	n := c.pool.Size()
+// place uploads each server's owned partitions — concatenated in ascending
+// partition order, so the server's own re-split reproduces the identical
+// per-partition relations (Split is pure in the keys and preserves
+// relative tuple order). A server that rejects its slice (ErrNoSpace,
+// transport failure, anything) fails the placement whole: the earlier
+// servers AND the failing one are sent the idempotent delete — a POST whose
+// reply was lost may still have committed there, and the orphan would
+// answer 409 to the retry.
+func (b *remoteBackend) place(name string, parts *[shard.Partitions]rel.Relation) error {
+	n := b.pool.Size()
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the
 		// wire, while a missing keys field would read as a generator spec.
@@ -213,180 +75,55 @@ func (c *clusterRouter) register(sr *shardedRel, full rel.Relation) (catalog.Inf
 			keys = append(keys, parts[p].Keys...)
 			rids = append(rids, parts[p].RIDs...)
 		}
-		req := api.RelationRequest{Name: sr.name, Keys: keys, RIDs: rids}
-		if err := c.pool.Call(context.Background(), j, http.MethodPost, "/v1/relations", &req, nil); err != nil {
-			for q := j - 1; q >= 0; q-- {
-				c.deleteRemote(q, sr.name)
+		req := api.RelationRequest{Name: name, Keys: keys, RIDs: rids}
+		if err := b.pool.Call(context.Background(), j, http.MethodPost, "/v1/relations", &req, nil); err != nil {
+			for q := j; q >= 0; q-- {
+				b.delete(q, name)
 			}
-			return catalog.Info{}, fmt.Errorf("cluster: register %q on shard %d: %w", sr.name, j, err)
+			return fmt.Errorf("cluster: register %q on shard %d: %w", name, j, err)
 		}
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sr.created = time.Now()
-	c.rels[sr.name] = sr
-	c.registered++
-	return c.infoLocked(sr), nil
+	return nil
 }
 
-// deleteRemote best-effort drops one relation from one shard server.
-func (c *clusterRouter) deleteRemote(j int, name string) {
-	c.pool.Call(context.Background(), j, http.MethodDelete, "/v1/relations?name="+url.QueryEscape(name), nil, nil) //nolint:errcheck // best-effort
+// delete best-effort drops one relation from one shard server.
+func (b *remoteBackend) delete(j int, name string) {
+	b.pool.Call(context.Background(), j, http.MethodDelete, "/v1/relations?name="+url.QueryEscape(name), nil, nil) //nolint:errcheck // best-effort
 }
 
-// drop unregisters a relation: the name unbinds locally first (so the
-// cluster's logical namespace is immediately consistent), then every
-// shard server is asked to drop its slice best-effort. A server that is
-// down keeps an orphaned slice — a documented failure mode: re-registering
-// the name may answer 409 from the recovered server until the delete is
-// re-issued (DELETE /v1/relations is idempotent on the router).
-func (c *clusterRouter) drop(name string) (catalog.Info, error) {
-	c.mu.Lock()
-	sr, ok := c.rels[name]
-	if !ok {
-		c.mu.Unlock()
-		return catalog.Info{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+// remove asks every shard server to drop its slice, best-effort. A server
+// that is down keeps an orphaned slice — a documented failure mode:
+// re-registering the name may answer 409 from the recovered server until
+// the delete is re-issued (DELETE /v1/relations is idempotent on the
+// router).
+func (b *remoteBackend) remove(name string) {
+	for j := 0; j < b.pool.Size(); j++ {
+		b.delete(j, name)
 	}
-	info := c.infoLocked(sr)
-	delete(c.rels, name)
-	//apulint:ignore detmaporder(invalidation deletes a key set; the surviving map contents are the same whatever order the keys are visited in)
-	for k := range c.workloads {
-		if k.r == name || k.s == name {
-			delete(c.workloads, k)
-		}
-	}
-	c.dropped++
-	c.mu.Unlock()
-	for j := 0; j < c.pool.Size(); j++ {
-		c.deleteRemote(j, name)
-	}
-	return info, nil
 }
 
-// get snapshots one registered relation.
-func (c *clusterRouter) get(name string) (catalog.Info, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sr, ok := c.rels[name]
-	if !ok {
-		return catalog.Info{}, false
-	}
-	return c.infoLocked(sr), true
+// pins stays 0: the partition entries — and their pins — live in the
+// remote processes.
+func (b *remoteBackend) pins(string) int { return 0 }
+
+// partitions cannot be served: a cluster router holds no tuple data, so a
+// bulk-loaded relation cannot anchor a probe registration.
+func (b *remoteBackend) partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
+	return [shard.Partitions]rel.Relation{}, pins, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", name)
 }
 
-// list snapshots every registered relation, sorted by name.
-func (c *clusterRouter) list() []catalog.Info {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]catalog.Info, 0, len(c.rels))
-	for _, sr := range c.rels {
-		out = append(out, c.infoLocked(sr))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// infoLocked builds the logical (whole-relation) Info from the router
-// record. Pins stay 0: the partition entries — and their pins — live in
-// the remote processes.
-func (c *clusterRouter) infoLocked(sr *shardedRel) catalog.Info {
-	info := catalog.Info{
-		Name:       sr.name,
-		Tuples:     sr.tuples,
-		Bytes:      int64(sr.tuples) * 8,
-		Source:     sr.source,
-		SkewBucket: sr.skewBucket,
-		HeavyShare: sr.heavyShare,
-		Joins:      sr.joins,
-		Created:    sr.created,
-	}
-	if sr.source != catalog.Loaded {
-		info.Dist = sr.gen.Dist.String()
-		info.Seed = sr.gen.Seed
-		info.KeyRange = sr.gen.KeyRange
-	}
-	if sr.source == catalog.Probe {
-		info.ProbeOf = sr.probeOf
-		info.Selectivity = sr.sel
-	}
-	return info
-}
-
-// workload returns the memoized full-relation pair workload, identically
-// to router.workload — the same buckets a single-process engine
-// fingerprints with.
-func (c *clusterRouter) workload(r, s *shardedRel) plan.Workload {
-	if r.tuples == 0 || s.tuples == 0 {
-		return plan.Workload{}
-	}
-	key := routerPairKey{r: r.name, s: s.name}
-	c.mu.Lock()
-	if w, ok := c.workloads[key]; ok {
-		c.reuses++
-		c.mu.Unlock()
-		return w
-	}
-	c.mu.Unlock()
-
-	w := plan.PairWorkload(s.sample, s.skewBucket, r.index.Contains)
-
-	c.mu.Lock()
-	// Only memoize while both names still resolve to these records: a
-	// concurrent drop must not be overwritten by a stale pair.
-	if c.rels[r.name] == r && c.rels[s.name] == s {
-		c.workloads[key] = w
-	}
-	c.mu.Unlock()
-	return w
-}
-
-// stats is the cluster router's catalog surface: logical relations and
-// their whole-relation bytes. Capacity and peak stay 0 — the residency
-// budgets are enforced by the remote shard catalogs, visible in each
-// server's own /v1/stats.
-func (c *clusterRouter) stats() catalog.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := catalog.Stats{
-		Relations:      len(c.rels),
-		Registered:     c.registered,
-		Dropped:        c.dropped,
-		WorkloadReuses: c.reuses,
-	}
-	for _, sr := range c.rels {
-		st.Bytes += int64(sr.tuples) * 8
-	}
-	return st
-}
-
-// clusterJob is one resolved clustered join: the wire request to fan out,
-// plus the full-relation pair workload override for auto planning.
-type clusterJob struct {
-	req      api.JoinRequest
-	workload *plan.Workload
-	// keep retains the merged raw per-partition vector on the query so the
-	// HTTP layer can echo it; the router always fetches the vectors (they
-	// are the transport) but only stores them when asked.
-	keep bool
-}
-
-// resolve builds a clustered join job from a JoinSpec. Programmatic
+// bindJoin builds the wire request of a clustered join. Programmatic
 // callers must reference registered relations by name — inline relations
 // are an HTTP-surface feature on a cluster (the request forwards verbatim
-// and every server generates the same full relations). Named pairs
-// resolve against the router's records, fail fast with ErrNotFound, and
-// carry the centrally measured pair workload when planning is automatic.
-func (c *clusterRouter) resolve(sp JoinSpec) (resolvedSpec, error) {
-	rs := resolvedSpec{opt: sp.Opt, auto: sp.Auto}
-	job := &clusterJob{keep: sp.KeepPartitions}
+// and every server generates the same full relations).
+func (b *remoteBackend) bindJoin(j *joinJob, sp *JoinSpec) ([]*catalog.Entry, error) {
 	if sp.Forward != nil {
-		job.req = *sp.Forward
+		j.req = *sp.Forward
 	} else {
 		if sp.RName == "" || sp.SName == "" {
-			return rs, fmt.Errorf("service: a clustered service joins registered relations only; register both sides and reference them by name (r %q, s %q)", sp.RName, sp.SName)
+			return nil, fmt.Errorf("service: a clustered service joins registered relations only; register both sides and reference them by name (r %q, s %q)", sp.RName, sp.SName)
 		}
-		req := api.JoinRequest{
+		j.req = api.JoinRequest{
 			RName:     sp.RName,
 			SName:     sp.SName,
 			Separate:  sp.Opt.SeparateTables,
@@ -394,67 +131,34 @@ func (c *clusterRouter) resolve(sp JoinSpec) (resolvedSpec, error) {
 			Delta:     sp.Opt.Delta,
 			CountOnly: sp.Opt.CountOnly,
 		}
-		if sp.Auto {
-			req.Algo = "auto"
-		} else {
-			req.Algo = api.AlgoName(sp.Opt.Algo)
-			req.Scheme = api.SchemeName(sp.Opt.Scheme)
-			req.Arch = api.ArchName(sp.Opt.Arch)
-		}
-		job.req = req
+		j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
 	}
-	if (job.req.RName == "") != (job.req.SName == "") {
-		return rs, fmt.Errorf("service: reference both relations by name or neither (r %q, s %q)", job.req.RName, job.req.SName)
+	if (j.req.RName == "") != (j.req.SName == "") {
+		return nil, fmt.Errorf("service: reference both relations by name or neither (r %q, s %q)", j.req.RName, j.req.SName)
 	}
-	auto := sp.Auto || strings.EqualFold(job.req.Algo, "auto")
-	if job.req.RName != "" {
-		c.mu.Lock()
-		rRec, rok := c.rels[job.req.RName]
-		sRec, sok := c.rels[job.req.SName]
-		if !rok {
-			c.mu.Unlock()
-			return rs, fmt.Errorf("%w: %q", catalog.ErrNotFound, job.req.RName)
-		}
-		if !sok {
-			c.mu.Unlock()
-			return rs, fmt.Errorf("%w: %q", catalog.ErrNotFound, job.req.SName)
-		}
-		rRec.joins++
-		sRec.joins++
-		c.mu.Unlock()
-		if auto && job.req.Workload == nil && sp.Workload == nil {
-			w := c.workload(rRec, sRec)
-			job.workload = &w
-		}
-	}
-	if sp.Workload != nil {
-		job.workload = sp.Workload
-	}
-	rs.clusterjob = job
-	return rs, nil
+	return nil, nil
 }
 
-// execJoin fans one join out to every shard server and merges the raw
-// per-partition results locally. Fail-fast: a marked-down shard rejects
-// the query before any request is sent (cluster.ErrShardDown, mapped to a
-// structured 503 by the HTTP layer), and each in-flight request is
-// bounded by the pool's per-request timeout — a dead shard can fail the
-// query, never hang it. Every server computes all the fixed grid
-// partitions it can (its owned partitions from resident data; inline
-// requests regenerate everything); the merge overlays partition p from
-// its owner's vector, so each number is read exactly once and the
-// partition-order reduction is identical to the in-process engine's.
-func (c *clusterRouter) execJoin(ctx context.Context, job *clusterJob) (*core.Result, []*core.Result, error) {
-	if err := c.pool.RequireAllUp(); err != nil {
-		return nil, nil, err
+// wireAlgo names a query's algorithm, scheme and architecture on the wire:
+// "auto" alone when the planner decides.
+func wireAlgo(auto bool, opt core.Options) (algo, scheme, arch string) {
+	if auto {
+		return "auto", "", ""
 	}
-	req := job.req
-	req.Wait = true
-	req.PerPartition = true
-	if job.workload != nil {
-		req.Workload = job.workload
+	return api.AlgoName(opt.Algo), api.SchemeName(opt.Scheme), api.ArchName(opt.Arch)
+}
+
+// fanOut posts req to path on every shard server at once and returns the
+// responses in server order. Fail-fast: a marked-down shard rejects the
+// query before any request is sent (cluster.ErrShardDown, mapped to a
+// structured 503 by the HTTP layer), and each in-flight request is bounded
+// by the pool's per-request timeout — a dead shard can fail the query,
+// never hang it. what names the operation in errors.
+func (b *remoteBackend) fanOut(ctx context.Context, what, path string, req any) ([]*api.JoinResponse, error) {
+	if err := b.pool.RequireAllUp(); err != nil {
+		return nil, err
 	}
-	n := c.pool.Size()
+	n := b.pool.Size()
 	resps := make([]*api.JoinResponse, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -464,7 +168,7 @@ func (c *clusterRouter) execJoin(ctx context.Context, job *clusterJob) (*core.Re
 		go func(i int) {
 			defer wg.Done()
 			var resp api.JoinResponse
-			if err := c.pool.Call(ctx, i, http.MethodPost, "/v1/join", &req, &resp); err != nil {
+			if err := b.pool.Call(ctx, i, http.MethodPost, path, req, &resp); err != nil {
 				errs[i] = err
 				return
 			}
@@ -473,50 +177,56 @@ func (c *clusterRouter) execJoin(ctx context.Context, job *clusterJob) (*core.Re
 	}
 	wg.Wait()
 	for i, err := range errs {
+		if err == nil {
+			err = validateShardResponse(resps[i])
+		}
 		if err != nil {
 			// Lowest shard index wins: deterministic error selection.
-			return nil, nil, fmt.Errorf("cluster: join on shard %d (%s): %w", i, c.pool.Addr(i), err)
+			return nil, fmt.Errorf("cluster: %s on shard %d (%s): %w", what, i, b.pool.Addr(i), err)
 		}
 	}
-	for i, resp := range resps {
-		if err := validateShardJoin(resp); err != nil {
-			return nil, nil, fmt.Errorf("cluster: join on shard %d (%s): %w", i, c.pool.Addr(i), err)
-		}
-	}
-	parts := make([]*core.Result, shard.Partitions)
-	for p := range parts {
-		parts[p] = resps[shard.Owner(p, n)].Partitions[p].ToResult()
-	}
-	return shard.MergeResults(parts), parts, nil
+	return resps, nil
 }
 
-// validateShardJoin checks one shard server's join response is usable as
-// cluster transport: finished, and carrying the full per-partition vector.
-func validateShardJoin(resp *api.JoinResponse) error {
+// validateShardResponse checks one shard server's response reports a
+// finished query.
+func validateShardResponse(resp *api.JoinResponse) error {
 	if resp.State != "done" {
 		if resp.Error != "" {
 			return fmt.Errorf("query %s: %s", resp.State, resp.Error)
 		}
 		return fmt.Errorf("query finished in state %q", resp.State)
 	}
-	if len(resp.Partitions) != shard.Partitions {
-		return fmt.Errorf("returned %d per-partition results, want %d (is the shard server running with -shards >= 1?)", len(resp.Partitions), shard.Partitions)
-	}
 	return nil
 }
 
-// clusterPipeJob is one resolved clustered pipeline: the wire request
-// (sources still in declared order), the centrally chosen execution
-// order, and the first step's workload override.
-type clusterPipeJob struct {
-	req     api.PipelineRequest
-	order   []int
-	ordered bool
-	wFirst  *plan.Workload
-	// names are the step labels by ORIGINAL declared source index —
-	// catalog names, or "inline[i]" — so the reassembled report labels
-	// steps exactly as a single-process engine would.
-	names []string
+// runJoin fans one join out to every shard server. Every server computes
+// all the fixed grid partitions it can (its owned partitions from resident
+// data; inline requests regenerate everything); partition p is read from
+// its owner's vector, so each number is read exactly once.
+func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob, _ core.Options, _ bool) ([]*core.Result, error) {
+	req := j.req
+	req.Wait = true
+	req.PerPartition = true
+	if j.workload != nil {
+		req.Workload = j.workload
+	}
+	resps, err := b.fanOut(ctx, "join", "/v1/join", &req)
+	if err != nil {
+		return nil, err
+	}
+	n := len(resps)
+	for i, resp := range resps {
+		if len(resp.Partitions) != shard.Partitions {
+			return nil, fmt.Errorf("cluster: join on shard %d (%s): returned %d per-partition results, want %d (is the shard server running with -shards >= 1?)",
+				i, b.pool.Addr(i), len(resp.Partitions), shard.Partitions)
+		}
+	}
+	parts := make([]*core.Result, shard.Partitions)
+	for p := range parts {
+		parts[p] = resps[shard.Owner(p, n)].Partitions[p].ToResult()
+	}
+	return parts, nil
 }
 
 // defaultInlineTuples mirrors the HTTP surface's default size for inline
@@ -524,258 +234,105 @@ type clusterPipeJob struct {
 // any server has generated anything.
 const defaultInlineTuples = 1 << 20
 
-// resolvePipeline builds a clustered pipeline job: validate the sources,
-// resolve the named records, choose the left-deep order ONCE from the
-// full-relation statistics (every server must execute the same order — a
-// per-server choice could not even diverge today, but the contract is
-// explicit), and capture the first step's pair workload for auto
-// planning. Inline sources are normalized here — each gets its positional
-// default seed before any reorder, so reordering never changes what a
-// server generates.
-func (c *clusterRouter) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
-	rs := resolvedSpec{opt: spec.Opt, auto: spec.Auto}
-	var req api.PipelineRequest
-	if spec.Forward != nil {
-		req = *spec.Forward
-		req.Sources = append([]api.PipelineSource(nil), spec.Forward.Sources...)
+// bindPipeline builds the wire request of a clustered pipeline (sources
+// still in declared order). Inline sources — an HTTP-surface feature, as
+// for joins — are normalized here: each gets its positional default seed
+// before any reorder, so reordering never changes what a server generates,
+// and reports its generated cardinality to the orderer.
+func (b *remoteBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) ([]*catalog.Entry, error) {
+	if sp.Forward != nil {
+		j.req = *sp.Forward
+		j.req.Sources = append([]api.PipelineSource(nil), sp.Forward.Sources...)
 	} else {
-		for i, src := range spec.Sources {
+		for i, src := range sp.Sources {
 			if src.Name == "" {
-				return rs, fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered relations only; inline sources are an HTTP-surface feature", i+1)
+				return nil, fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered relations only; inline sources are an HTTP-surface feature", i+1)
 			}
-			req.Sources = append(req.Sources, api.PipelineSource{Name: src.Name})
+			j.req.Sources = append(j.req.Sources, api.PipelineSource{Name: src.Name})
 		}
-		if spec.Auto {
-			req.Algo = "auto"
-		} else {
-			req.Algo = api.AlgoName(spec.Opt.Algo)
-			req.Scheme = api.SchemeName(spec.Opt.Scheme)
-			req.Arch = api.ArchName(spec.Opt.Arch)
-		}
-		req.DeclaredOrder = spec.DeclaredOrder
-		req.Materialized = spec.Materialized
-		req.Separate = spec.Opt.SeparateTables
-		req.Grouping = spec.Opt.Grouping
-		req.Delta = spec.Opt.Delta
-		req.CountOnly = spec.Opt.CountOnly
+		j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
+		j.req.Separate = sp.Opt.SeparateTables
+		j.req.Grouping = sp.Opt.Grouping
+		j.req.Delta = sp.Opt.Delta
+		j.req.CountOnly = sp.Opt.CountOnly
 	}
-	n := len(req.Sources)
-	if n < 2 {
-		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, n)
+	if n := len(j.req.Sources); n > api.MaxPipelineSources {
+		return nil, fmt.Errorf("service: pipeline of %d sources exceeds the maximum of %d", n, api.MaxPipelineSources)
+	} else if n != len(j.sources) {
+		return nil, fmt.Errorf("service: the forwarded pipeline request has %d sources, its spec %d", n, len(j.sources))
 	}
-	if n > api.MaxPipelineSources {
-		return rs, fmt.Errorf("service: pipeline of %d sources exceeds the maximum of %d", n, api.MaxPipelineSources)
-	}
-	auto := spec.Auto || strings.EqualFold(req.Algo, "auto")
-
-	// Pin down every inline source's seed by declared position before the
-	// order is chosen: the shard servers see reordered sources and must
-	// still generate what the declared order would have.
-	for i := range req.Sources {
-		if req.Sources[i].Name == "" && req.Sources[i].Seed == nil {
-			seed := int64(42 + i)
-			req.Sources[i].Seed = &seed
-		}
-	}
-
-	pj := &clusterPipeJob{names: make([]string, n)}
-	recs := make([]*shardedRel, n)
-	tuples := make([]int, n)
-	c.mu.Lock()
-	for i, src := range req.Sources {
-		if src.Name == "" {
-			pj.names[i] = fmt.Sprintf("inline[%d]", i)
-			tuples[i] = src.N
-			if tuples[i] <= 0 {
-				tuples[i] = defaultInlineTuples
-			}
+	for i := range j.req.Sources {
+		src := &j.req.Sources[i]
+		if src.Name != "" {
 			continue
 		}
-		sr, ok := c.rels[src.Name]
-		if !ok {
-			c.mu.Unlock()
-			return rs, fmt.Errorf("pipeline source %d: %w: %q", i+1, catalog.ErrNotFound, src.Name)
+		if src.Seed == nil {
+			seed := int64(42 + i)
+			src.Seed = &seed
 		}
-		recs[i], pj.names[i], tuples[i] = sr, src.Name, sr.tuples
-	}
-	for _, sr := range recs {
-		if sr != nil {
-			sr.joins++
+		if j.sources[i].tuples = src.N; src.N <= 0 {
+			j.sources[i].tuples = defaultInlineTuples
 		}
 	}
-	c.mu.Unlock()
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	ordered := false
-	if !req.DeclaredOrder {
-		rels := make([]plan.PipeRel, n)
-		for i := range rels {
-			rels[i] = plan.PipeRel{Tuples: tuples[i]}
-			if recs[i] != nil {
-				rels[i].HeavyShare = recs[i].heavyShare
-			}
-		}
-		order, ordered = plan.OrderPipeline(rels, func(i, j int) (plan.Workload, bool) {
-			if recs[i] == nil || recs[j] == nil {
-				return plan.Workload{}, false
-			}
-			return c.workload(recs[i], recs[j]), true
-		})
-	}
-	pj.order, pj.ordered = order, ordered
-
-	switch {
-	case spec.FirstWorkload != nil:
-		pj.wFirst = spec.FirstWorkload
-	case req.FirstWorkload != nil:
-		pj.wFirst = req.FirstWorkload
-	case auto:
-		if b, p0 := recs[order[0]], recs[order[1]]; b != nil && p0 != nil {
-			w := c.workload(b, p0)
-			pj.wFirst = &w
-		}
-	}
-	pj.req = req
-	rs.clusterpipe = pj
-	return rs, nil
+	return nil, nil
 }
 
-// execPipeline fans one pipeline out to every shard server — sources
+// runPipeline fans one pipeline out to every shard server — sources
 // pre-reordered and declared_order set, so every server executes the
-// router's centrally chosen order — and reassembles the global report
-// from the raw per-partition, per-step results, merging each step across
-// partitions in fixed partition order exactly as the in-process sharded
-// engine does.
-func (c *clusterRouter) execPipeline(ctx context.Context, pj *clusterPipeJob) (*PipelineResult, error) {
-	if err := c.pool.RequireAllUp(); err != nil {
-		return nil, err
+// router's centrally chosen order — and decodes the raw per-partition,
+// per-step results, each partition read from its owner.
+func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob, _ core.Options, _ bool) (*PipelinePartitions, error) {
+	req := j.req
+	req.Sources = make([]api.PipelineSource, len(j.order.order))
+	for i, idx := range j.order.order {
+		req.Sources[i] = j.req.Sources[idx]
 	}
-	req := pj.req
-	sources := make([]api.PipelineSource, len(pj.order))
-	for i, idx := range pj.order {
-		sources[i] = pj.req.Sources[idx]
-	}
-	req.Sources = sources
 	req.DeclaredOrder = true
 	req.Wait = true
 	req.PerPartition = true
-	req.FirstWorkload = pj.wFirst
+	req.FirstWorkload = j.wFirst
 
-	n := c.pool.Size()
-	nSrc := len(pj.order)
-	resps := make([]*api.JoinResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		//apulint:ignore nakedgo(network fan-out: one HTTP call per shard server, joined by wg.Wait before any result is read; the CPU-parallel work runs on each server's pool)
-		go func(i int) {
-			defer wg.Done()
-			var resp api.JoinResponse
-			if err := c.pool.Call(ctx, i, http.MethodPost, "/v1/pipeline", &req, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			resps[i] = &resp
-		}(i)
+	resps, err := b.fanOut(ctx, "pipeline", "/v1/pipeline", &req)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			// Lowest shard index wins: deterministic error selection.
-			return nil, fmt.Errorf("cluster: pipeline on shard %d (%s): %w", i, c.pool.Addr(i), err)
-		}
-	}
+	nSteps := len(j.sources) - 1
 	for i, resp := range resps {
-		if err := validateShardPipeline(resp, nSrc); err != nil {
-			return nil, fmt.Errorf("cluster: pipeline on shard %d (%s): %w", i, c.pool.Addr(i), err)
+		if err := validateShardPipeline(resp, nSteps); err != nil {
+			return nil, fmt.Errorf("cluster: pipeline on shard %d (%s): %w", i, b.pool.Addr(i), err)
 		}
 	}
-
-	res := &PipelineResult{
-		Order:    append([]int(nil), pj.order...),
-		Ordered:  pj.ordered,
-		Streamed: !req.Materialized,
-	}
-	for t := 1; t < nSrc; t++ {
-		idx := t - 1
-		parts := make([]*core.Result, shard.Partitions)
-		buildT, probeT := 0, 0
-		var pinfo *PlanInfo
-		cacheHit := true
-		for p := range parts {
-			ps := resps[shard.Owner(p, n)].Pipeline.Partitions.Steps[idx][p]
-			parts[p] = ps.Result.ToResult()
-			buildT += ps.BuildTuples
-			probeT += ps.ProbeTuples
-			// The same aggregation the in-process sharded engine applies to
-			// its per-partition plans: representative algo/scheme from the
-			// lowest planned partition, predictions summed in partition
-			// order, cache_hit only when every planned partition hit.
+	n := len(resps)
+	pp := newPipelinePartitions(nSteps)
+	for p := 0; p < shard.Partitions; p++ {
+		wire := resps[shard.Owner(p, n)].Pipeline.Partitions
+		for t := 0; t < nSteps; t++ {
+			ps := wire.Steps[t][p]
+			pp.Steps[t][p] = ps.Result.ToResult()
+			pp.BuildTuples[t][p], pp.ProbeTuples[t][p] = ps.BuildTuples, ps.ProbeTuples
 			if pl := ps.Plan; pl != nil {
-				if pinfo == nil {
-					pinfo = &PlanInfo{Algo: pl.Algo, Scheme: pl.Scheme}
-				}
-				pinfo.PredictedNS += pl.PredictedNS
-				cacheHit = cacheHit && pl.CacheHit
+				pp.Plans[t][p] = &PlanInfo{Algo: pl.Algo, Scheme: pl.Scheme, CacheHit: pl.CacheHit, PredictedNS: pl.PredictedNS}
 			}
 		}
-		if pinfo != nil {
-			pinfo.CacheHit = cacheHit
-		}
-		merged := shard.MergeResults(parts)
-		build := pj.names[pj.order[0]]
-		if t > 1 {
-			build = fmt.Sprintf("step%d", t-1)
-		}
-		res.Steps = append(res.Steps, PipelineStep{
-			Build:       build,
-			Probe:       pj.names[pj.order[t]],
-			BuildTuples: buildT,
-			ProbeTuples: probeT,
-			OutTuples:   merged.Matches,
-			Result:      merged,
-			Plan:        pinfo,
-		})
-		res.TotalNS += merged.TotalNS
-		res.SpilledPartitions += merged.SpilledPartitions
-		res.SpillBytes += merged.SpillBytes
-		res.SpillNS += merged.SpillNS
-		if t == nSrc-1 {
-			res.Final = merged
+		pp.Peak[p] = wire.PeakIntermediateBytes[p]
+		pp.InterTuples[p] = wire.IntermediateTuples[p]
+		pp.InterBytes[p] = wire.IntermediateBytes[p]
+		if len(wire.SpillDepth) == shard.Partitions {
+			pp.SpillDepth[p] = wire.SpillDepth[p]
 		}
 	}
-	for p := 0; p < shard.Partitions; p++ {
-		pp := resps[shard.Owner(p, n)].Pipeline.Partitions
-		res.IntermediateTuples += pp.IntermediateTuples[p]
-		res.IntermediateBytes += pp.IntermediateBytes[p]
-		res.PeakIntermediateBytes += pp.PeakIntermediateBytes[p]
-		if len(pp.SpillDepth) == shard.Partitions && pp.SpillDepth[p] > res.SpillDepth {
-			res.SpillDepth = pp.SpillDepth[p]
-		}
-	}
-	return res, nil
+	return pp, nil
 }
 
 // validateShardPipeline checks one shard server's pipeline response
-// carries the full per-partition, per-step transport for an nSrc-source
-// chain.
-func validateShardPipeline(resp *api.JoinResponse, nSrc int) error {
-	if resp.State != "done" {
-		if resp.Error != "" {
-			return fmt.Errorf("query %s: %s", resp.State, resp.Error)
-		}
-		return fmt.Errorf("query finished in state %q", resp.State)
-	}
+// carries the full per-partition, per-step transport for an nSteps chain.
+func validateShardPipeline(resp *api.JoinResponse, nSteps int) error {
 	if resp.Pipeline == nil || resp.Pipeline.Partitions == nil {
 		return fmt.Errorf("returned no per-partition pipeline results (is the shard server running with -shards >= 1?)")
 	}
 	pp := resp.Pipeline.Partitions
-	if len(pp.Steps) != nSrc-1 {
-		return fmt.Errorf("returned %d pipeline steps, want %d", len(pp.Steps), nSrc-1)
+	if len(pp.Steps) != nSteps {
+		return fmt.Errorf("returned %d pipeline steps, want %d", len(pp.Steps), nSteps)
 	}
 	for t, row := range pp.Steps {
 		if len(row) != shard.Partitions {
@@ -789,3 +346,13 @@ func validateShardPipeline(resp *api.JoinResponse, nSrc int) error {
 	}
 	return nil
 }
+
+// stats adds the per-shard health and latency gauges. Capacity and peak
+// stay 0 — the residency budgets are enforced by the remote shard
+// catalogs, visible in each server's own /v1/stats.
+func (b *remoteBackend) stats(st *Stats) {
+	rep := b.pool.Report()
+	st.Cluster = &rep
+}
+
+func (b *remoteBackend) close() { b.pool.Close() }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,5 +254,106 @@ func TestClusterShardDownFailsFast(t *testing.T) {
 	}
 	if body.Error.Code != "shard_down" || body.Error.Message == "" {
 		t.Errorf("router error envelope: %+v, want code shard_down with a message", body.Error)
+	}
+}
+
+// TestPipelineEmptySideEveryBackend: a pipeline whose first step matches
+// nothing hands an empty intermediate to the next step. Every backend
+// applies the one rule — an empty-side step is neither planned nor run and
+// reports a zero result — so the pipeline succeeds, explicit and auto, on
+// the unsharded service, the in-process shards and a cluster alike, with
+// the same step count. (The unsharded auto run used to fail: the planner
+// refuses an empty relation.)
+func TestPipelineEmptySideEveryBackend(t *testing.T) {
+	backends := map[string]*service.Service{
+		"unsharded": service.New(service.Config{Workers: 2}),
+		"shards=4":  service.New(service.Config{Workers: 2, Shards: 4}),
+		"cluster":   clusterService(t, []string{startShardServer(t, 1).URL, startShardServer(t, 2).URL}),
+	}
+	for name, svc := range backends {
+		if name != "cluster" {
+			t.Cleanup(func() { _ = svc.Close() })
+		}
+		if _, err := svc.RegisterGen("a", rel.Gen{N: 4096, Seed: 1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := svc.RegisterProbe("b", "a", rel.Gen{N: 4096, Seed: 2}, 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := svc.RegisterProbe("c", "a", rel.Gen{N: 4096, Seed: 3}, 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, auto := range []bool{false, true} {
+			spec := service.PipelineSpec{
+				Sources:       []service.PipelineSource{{Name: "a"}, {Name: "b"}, {Name: "c"}},
+				Opt:           ddOptions(t, "shj"),
+				Auto:          auto,
+				DeclaredOrder: true,
+			}
+			pr, err := svc.RunPipeline(context.Background(), spec)
+			if err != nil {
+				t.Errorf("%s auto=%v: %v", name, auto, err)
+				continue
+			}
+			if len(pr.Steps) != 2 || pr.Final.Matches != 0 || pr.IntermediateTuples != 0 {
+				t.Errorf("%s auto=%v: %d steps, %d matches, %d intermediate tuples; want 2/0/0",
+					name, auto, len(pr.Steps), pr.Final.Matches, pr.IntermediateTuples)
+				continue
+			}
+			// The skipped step costs nothing and carries no plan, everywhere.
+			if last := pr.Steps[1]; last.BuildTuples != 0 || last.Result.TotalNS != 0 || last.Plan != nil {
+				t.Errorf("%s auto=%v: empty-side step = %d build tuples, %v ns, plan %+v",
+					name, auto, last.BuildTuples, last.Result.TotalNS, last.Plan)
+			}
+		}
+	}
+}
+
+// TestClusterRegisterLostReplyLeavesNoOrphan: a shard server that commits
+// an upload and then loses the reply fails the registration — and must not
+// keep the slice, or the retry would meet a 409. The rollback therefore
+// deletes on the failing server too, and the name registers cleanly.
+func TestClusterRegisterLostReplyLeavesNoOrphan(t *testing.T) {
+	healthy := startShardServer(t, 1)
+
+	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: 1})
+	inner := httpapi.New(svc, httpapi.Config{})
+	var dropReply atomic.Bool
+	lossy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/relations" && dropReply.CompareAndSwap(true, false) {
+			// Commit, then lose the reply: the handler runs to completion
+			// against a discarded response and the connection is cut.
+			inner.ServeHTTP(httptest.NewRecorder(), r)
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				_ = conn.Close()
+			}
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		lossy.Close()
+		_ = svc.Close()
+	})
+
+	// The lossy server is the LAST one uploaded to: the rollback has earlier
+	// servers to undo as well as the failing one.
+	csvc := clusterService(t, []string{healthy.URL, lossy.URL})
+	dropReply.Store(true)
+	if _, err := csvc.RegisterGen("orders", rel.Gen{N: 6000, Seed: 7}); err == nil {
+		t.Fatal("registration succeeded although a shard's reply was lost")
+	}
+	if _, ok := svc.RelationInfo("orders"); ok {
+		t.Error("the shard that lost its reply kept an orphaned slice")
+	}
+	if _, ok := csvc.RelationInfo("orders"); ok {
+		t.Error("the router kept a record of the failed registration")
+	}
+	if _, err := csvc.RegisterGen("orders", rel.Gen{N: 6000, Seed: 7}); err != nil {
+		t.Fatalf("re-register after the lost reply: %v", err)
+	}
+	if info, ok := svc.RelationInfo("orders"); !ok || info.Tuples == 0 {
+		t.Errorf("retry did not place the slice: %+v ok=%v", info, ok)
 	}
 }

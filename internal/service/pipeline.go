@@ -11,16 +11,11 @@ import (
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/service/api"
+	"apujoin/internal/shard"
 )
 
 // ErrPipelineTooShort reports a pipeline with fewer than two sources.
 var ErrPipelineTooShort = errors.New("service: a pipeline needs at least 2 sources")
-
-// ReservedPrefix prefixes the catalog names pipeline intermediates are
-// registered (and immediately unbound) under. Untrusted front-ends reject
-// external registration or deletion of such names: squatting one would
-// spuriously fail an in-flight pipeline.
-const ReservedPrefix = "__pipeline/"
 
 // PipelineSource is one input of a multi-way pipeline: a catalog reference
 // (Name) or an inline relation (Rel, used when Name is empty).
@@ -31,7 +26,7 @@ type PipelineSource struct {
 
 // PipelineSpec describes a join over N ≥ 2 sources, executed as a chain of
 // pairwise joins: the first two sources of the chosen order join first and
-// every later source probes the materialized intermediate. Opt configures
+// every later source probes the previous step's intermediate. Opt configures
 // each pairwise step exactly as in Submit; Auto hands every step's
 // algorithm, scheme and ratios to the planner (per-step plan-cache
 // consultation, catalog statistics reused where both inputs are resident).
@@ -43,14 +38,6 @@ type PipelineSpec struct {
 	// exactly as declared. The final match count is identical either way;
 	// only intermediate sizes and costs change.
 	DeclaredOrder bool
-	// Materialized forces every intermediate through the catalog — loaded,
-	// measured, pinned and charged until the pipeline finishes — instead of
-	// the default streamed hand-off, which keeps at most one transient
-	// intermediate resident and never registers it. Results are bit-identical
-	// either way; only the resident footprint (and the statistics built)
-	// differ. Set it when a consumer needs catalog-resident intermediates or
-	// to A/B the two paths.
-	Materialized bool
 	// FirstWorkload, when non-nil, overrides the pair workload the planner
 	// fingerprints the FIRST step with (later steps build from
 	// intermediates and measure their partitions). A cluster router sets
@@ -75,7 +62,7 @@ type PipelineStep struct {
 	Build, Probe string
 	// BuildTuples and Probe Tuples are the input cardinalities; OutTuples
 	// is the step's match count — and, for every step but the last, the
-	// cardinality of the intermediate materialized through the catalog.
+	// cardinality of the intermediate handed to the next step.
 	BuildTuples, ProbeTuples int
 	OutTuples                int64
 	// Result is the full pairwise join result (the same Result a
@@ -99,25 +86,17 @@ type PipelineResult struct {
 	// TotalNS sums the simulated time of every step (the steps form a
 	// serial chain: each consumes the previous step's output).
 	TotalNS float64
-	// Streamed reports which execution path produced the intermediates:
-	// true for the default streamed hand-off (each step's matches are
-	// produced morsel-parallel directly into the next step's build input,
-	// reserved transiently and freed as soon as the consumer step finishes),
-	// false for the catalog-materialized path.
-	Streamed bool
 	// IntermediateTuples and IntermediateBytes total every intermediate the
-	// pipeline produced, on either path. On the materialized path the bytes
-	// stay charged against the catalog's residency budget until the
-	// pipeline finishes; on the streamed path at most one intermediate is
-	// charged at a time.
+	// pipeline produced. Each step's matches are produced morsel-parallel
+	// directly into the next step's build input, reserved transiently and
+	// freed as soon as the consumer step has built from them, so at most
+	// one intermediate is charged against the residency budget at a time.
 	IntermediateTuples int64
 	IntermediateBytes  int64
 	// PeakIntermediateBytes is the high-water mark of the pipeline's
-	// resident intermediate footprint: relation bytes of the live
-	// intermediates, plus — on the materialized path — the ingest-time
-	// statistics (key index and sample) the catalog builds for each. This is
-	// the number the streamed path exists to shrink: Σ over all steps
-	// becomes max over single steps, with no statistics at all.
+	// resident intermediate footprint — the largest single intermediate's
+	// relation bytes (on a sharded service, summed over the concurrently
+	// running partition chains).
 	PeakIntermediateBytes int64
 	// Replans counts mid-pipeline re-orderings: after a step whose observed
 	// matches deviated from the orderer's estimate beyond the re-plan
@@ -165,7 +144,6 @@ type PipelinePartitions struct {
 type PipelineInfo struct {
 	Sources               int                `json:"sources"`
 	Ordered               bool               `json:"ordered"`
-	Streamed              bool               `json:"streamed"`
 	Order                 []int              `json:"order"`
 	Steps                 []PipelineStepInfo `json:"steps"`
 	IntermediateTuples    int64              `json:"intermediate_tuples"`
@@ -192,7 +170,6 @@ func pipelineInfo(p *PipelineResult) *PipelineInfo {
 	info := &PipelineInfo{
 		Sources:               len(p.Order),
 		Ordered:               p.Ordered,
-		Streamed:              p.Streamed,
 		Order:                 append([]int(nil), p.Order...),
 		IntermediateTuples:    p.IntermediateTuples,
 		IntermediateBytes:     p.IntermediateBytes,
@@ -219,40 +196,65 @@ func pipelineInfo(p *PipelineResult) *PipelineInfo {
 	return info
 }
 
-// pipeInput is one resolved pipeline input: the concrete relation, its
-// display name, and — for catalog-resident inputs (named sources and
-// materialized intermediates) — the pinned entry carrying ingest-time
-// statistics.
-type pipeInput struct {
-	name  string
-	rel   rel.Relation
-	entry *catalog.Entry
+// pipeSource is one resolved pipeline input. The unsharded service joins
+// whole relations (rel, with the pinned catalog entry for registered
+// sources); a routed pipeline carries the router's record of a registered
+// source and — on the in-process backend — its per-partition slices, or an
+// inline source's split.
+type pipeSource struct {
+	// name is the registered name, or "inline[i]" for the i-th declared
+	// inline source; tuples the whole-relation cardinality.
+	name   string
+	tuples int
+	rel    rel.Relation
+	entry  *catalog.Entry
+	rec    *shardedRel
+	parts  [shard.Partitions]rel.Relation
+}
+
+// pipeRel is the source as the join orderer sees it.
+func (src *pipeSource) pipeRel() plan.PipeRel {
+	pr := plan.PipeRel{Tuples: src.tuples}
+	switch {
+	case src.entry != nil:
+		pr.HeavyShare = src.entry.HeavyShare()
+	case src.rec != nil:
+		pr.HeavyShare = src.rec.stats.HeavyShare
+	}
+	return pr
 }
 
 // pipeJob is a resolved pipeline awaiting execution.
 type pipeJob struct {
-	sources      []pipeInput
-	declared     bool
-	materialized bool
+	sources  []pipeSource
+	declared bool
+	// keep retains the raw per-partition step results
+	// (PipelineSpec.KeepPartitions); wFirst overrides the first step's
+	// planning workload (PipelineSpec.FirstWorkload).
+	keep   bool
+	wFirst *plan.Workload
+	// order is the routed pipeline's global order, chosen at resolve time;
+	// the unsharded service chooses at execution, where re-planning may
+	// revise it.
+	order *pipeOrder
+	// req is the wire request a cluster backend fans out.
+	req api.PipelineRequest
 }
 
 // resolvePipeline pins the named sources of a spec. The returned
 // resolvedSpec carries the pins (released by the query's terminal state,
 // or by the caller on the synchronous path) and the pipeline job.
 func (s *Service) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
-	if s.cluster != nil {
-		return s.cluster.resolvePipeline(spec)
-	}
-	if s.router != nil {
-		return s.resolveShardedPipeline(spec)
-	}
 	rs := resolvedSpec{opt: spec.Opt, auto: spec.Auto}
 	if len(spec.Sources) < 2 {
 		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, len(spec.Sources))
 	}
-	pj := &pipeJob{declared: spec.DeclaredOrder, materialized: spec.Materialized}
+	if s.router != nil {
+		return s.router.resolvePipeline(spec)
+	}
+	pj := &pipeJob{declared: spec.DeclaredOrder}
 	for i, src := range spec.Sources {
-		in := pipeInput{name: src.Name, rel: src.Rel}
+		in := pipeSource{name: src.Name, rel: src.Rel}
 		if src.Name != "" {
 			e, err := s.catalog.Acquire(src.Name)
 			if err != nil {
@@ -264,6 +266,7 @@ func (s *Service) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 		} else {
 			in.name = fmt.Sprintf("inline[%d]", i)
 		}
+		in.tuples = in.rel.Len()
 		pj.sources = append(pj.sources, in)
 	}
 	rs.pipe = pj
@@ -298,255 +301,79 @@ func (s *Service) RunPipeline(ctx context.Context, spec PipelineSpec) (*Pipeline
 		return nil, err
 	}
 	defer rs.release()
-	if rs.clusterpipe != nil {
-		return s.cluster.execPipeline(ctx, rs.clusterpipe)
-	}
-	if rs.shardpipe != nil {
-		return s.execShardedPipeline(ctx, rs.shardpipe, rs.opt, rs.auto)
-	}
-	return s.execPipeline(ctx, rs.pipe, rs.opt, rs.auto)
+	return s.execPipeline(ctx, &rs)
 }
 
-// execPipeline runs a resolved pipeline: order the sources, then chain
-// pairwise joins, handing each non-final step's output to the next step.
-//
-// On the default streamed path the hand-off never goes through the
-// catalog: the step's matches are produced morsel-parallel
-// (core.StreamMaterialize on the query's pool) directly into the buffer
-// the next step builds from, their relation bytes reserved transiently
-// against the catalog's residency budget — same budget, same ErrNoSpace —
-// and freed the moment the consumer step has derived its per-key state
-// from them. At most one intermediate is resident at a time and no key
-// index or sample is ever built for it.
-//
-// With pj.materialized the output instead goes through the catalog as a
-// registered relation: measured at ingest, pinned and charged (relation
-// bytes plus statistics) until the pipeline finishes, its reserved name
-// unbound immediately so a pipeline never pollutes the namespace.
-//
-// Both paths run the identical single-intermediate-construction order
-// (probe order, matches in build order, dense RIDs), so a pipeline's
-// Steps, Final and TotalNS are bit-identical between them and across
-// worker counts; only PeakIntermediateBytes differs.
-func (s *Service) execPipeline(ctx context.Context, pj *pipeJob, opt core.Options, auto bool) (*PipelineResult, error) {
-	n := len(pj.sources)
-
-	// Cost-based ordering from the catalog's ingest-time statistics; any
-	// inline source means no statistics and declaration order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// entryWorkload is the unsharded pairFn: the catalog's ingest-time pair
+// workload of two registered sources.
+func (s *Service) entryWorkload(build, probe *pipeSource) (plan.Workload, bool) {
+	if build.entry == nil || probe.entry == nil {
+		return plan.Workload{}, false
 	}
-	ordered := false
-	var ests []float64
-	var rels []plan.PipeRel
-	var pairStats plan.PairStats
-	if !pj.declared {
-		rels = make([]plan.PipeRel, n)
-		for i, src := range pj.sources {
-			rels[i] = plan.PipeRel{Tuples: src.rel.Len()}
-			if src.entry != nil {
-				rels[i].HeavyShare = src.entry.HeavyShare()
-			}
-		}
-		pairStats = func(i, j int) (plan.Workload, bool) {
-			bi, pi := pj.sources[i].entry, pj.sources[j].entry
-			if bi == nil || pi == nil {
-				return plan.Workload{}, false
-			}
-			return s.catalog.Workload(bi, pi), true
-		}
-		order, ests, ordered = plan.OrderPipelineEst(rels, pairStats)
+	return s.catalog.Workload(build.entry, probe.entry), true
+}
+
+// execPipeline runs a resolved pipeline. A routed pipeline goes to the
+// router; the unsharded service orders the sources from the catalog's
+// ingest-time statistics and runs the one chain over the whole relations,
+// re-planning the remaining order when a step's output surprises the
+// orderer. Every step's Result is the stand-alone Join of its inputs, bit
+// for bit, for any worker count.
+func (s *Service) execPipeline(ctx context.Context, rs *resolvedSpec) (*PipelineResult, error) {
+	pj := rs.pipe
+	if s.router != nil {
+		return s.router.execPipeline(ctx, pj, rs.opt, rs.auto)
 	}
-
-	res := &PipelineResult{Order: order, Ordered: ordered, Streamed: !pj.materialized}
-	id := s.pipeSeq.Add(1)
-
-	// Materialized intermediate pins are released when the pipeline
-	// finishes — their zero-copy bytes stay charged for the pipeline's
-	// whole lifetime. Streamed reservations are returned as each consumer
-	// step finishes with them; whatever is still reserved on exit (the last
-	// live intermediate, or one orphaned by an error) is returned here.
-	var inters []*catalog.Entry
-	var reserved int64
-	defer func() {
-		for _, e := range inters {
-			e.Release()
-		}
-		s.catalog.Unreserve(reserved)
-	}()
-
-	// The peak accountant tracks the resident intermediate footprint:
-	// relation bytes of every live intermediate plus, on the materialized
-	// path, the statistics the catalog built for it.
-	var residentBytes int64
-	charge := func(b int64) {
-		residentBytes += b
-		if residentBytes > res.PeakIntermediateBytes {
-			res.PeakIntermediateBytes = residentBytes
-		}
+	o := chooseOrder(pj.sources, pj.declared, s.entryWorkload)
+	env := &chainEnv{
+		cat:     s.catalog,
+		planner: plannerIf(rs.auto, s.planner),
+		budget:  math.MaxInt64,
+		replan:  o.replan,
 	}
-
-	cur := pj.sources[order[0]]
-	var curTransient int64 // reserved bytes backing cur, when cur is streamed
-	for t := 1; t < n; t++ {
-		probe := pj.sources[order[t]]
-		stepOpt := opt
-		var pinfo *PlanInfo
-		var stepFP plan.Fingerprint
-		if auto {
-			var pl *core.Plan
-			var hit bool
-			var perr error
-			if cur.entry != nil && probe.entry != nil {
-				w := s.catalog.Workload(cur.entry, probe.entry)
-				pl, stepFP, hit, perr = s.planner.PlanWorkload(ctx, cur.rel, probe.rel, stepOpt, w)
-			} else {
-				pl, stepFP, hit, perr = s.planner.Plan(ctx, cur.rel, probe.rel, stepOpt)
-			}
-			if perr != nil {
-				return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): plan: %w", t, cur.name, probe.name, perr)
-			}
-			stepOpt.Plan = pl
-			pinfo = &PlanInfo{
-				Algo:        pl.Algo.String(),
-				Scheme:      pl.Scheme.String(),
-				CacheHit:    hit,
-				PredictedNS: pl.PredictedNS,
-			}
-		}
-
-		stepRes, err := core.RunCtx(ctx, cur.rel, probe.rel, stepOpt)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): %w", t, cur.name, probe.name, err)
-		}
-		if pinfo != nil {
-			// Close the planner's feedback loop: record this execution's
-			// predicted-vs-simulated error on the cache entry that
-			// predicted it.
-			s.planner.Observe(stepFP, pinfo.PredictedNS, stepRes.TotalNS)
-		}
+	if rs.auto {
+		env.wFirst = firstWorkload(pj.sources, o.order, s.entryWorkload)
+	}
+	names := make([]string, len(pj.sources))
+	in := make([]rel.Relation, len(pj.sources))
+	for i := range pj.sources {
+		names[i], in[i] = pj.sources[i].name, pj.sources[i].rel
+	}
+	c, err := runChain(ctx, env, names, in, o.order, rs.opt)
+	if err != nil {
+		return nil, err
+	}
+	res := &PipelineResult{
+		Order:                 o.order,
+		Ordered:               o.ordered,
+		IntermediateTuples:    c.interTuples,
+		IntermediateBytes:     c.interBytes,
+		PeakIntermediateBytes: c.peak,
+		Replans:               c.replans,
+		SpillDepth:            c.spillDepth,
+	}
+	for i, r := range c.steps {
+		build, probe := stepLabels(pj.sources, o.order, i+1)
 		res.Steps = append(res.Steps, PipelineStep{
-			Build:       cur.name,
-			Probe:       probe.name,
-			BuildTuples: cur.rel.Len(),
-			ProbeTuples: probe.rel.Len(),
-			OutTuples:   stepRes.Matches,
-			Result:      stepRes,
-			Plan:        pinfo,
+			Build:       build,
+			Probe:       probe,
+			BuildTuples: c.buildTuples[i],
+			ProbeTuples: c.probeTuples[i],
+			OutTuples:   r.Matches,
+			Result:      r,
+			Plan:        c.plans[i],
 		})
-		res.TotalNS += stepRes.TotalNS
-		if t == n-1 {
-			res.Final = stepRes
-			break
-		}
-
-		if stepRes.Matches > math.MaxInt32 {
-			return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples exceeds the representable relation size",
-				t, cur.name, probe.name, stepRes.Matches)
-		}
-
-		// Mid-pipeline re-planning: the orderer predicted this step's output
-		// when it chose the order; when the observation deviates beyond the
-		// threshold and at least two steps remain (one remaining step has no
-		// order to choose), the greedy tail re-runs anchored on the TRUE
-		// cardinality. Every input is a pure function of the data, so the
-		// decision — like the order itself — is identical for any worker
-		// count.
-		if ordered && n-1-t >= 2 && t-1 < len(ests) {
-			pred := ests[t-1]
-			if obs := float64(stepRes.Matches); math.Abs(obs-pred) > replanDeviation*math.Max(pred, 1) {
-				interRel := plan.PipeRel{Tuples: int(stepRes.Matches)}
-				newTail, newEsts, ok := plan.OrderRemaining(interRel, rels, order[:t+1], order[t+1:], pairStats)
-				if ok {
-					copy(order[t+1:], newTail)
-					copy(ests[t:], newEsts)
-					res.Replans++
-				}
-			}
-		}
-
-		if !pj.materialized {
-			// Streamed hand-off. The per-key state of the finished step's
-			// build side is all the producer needs from cur: once it is
-			// derived, a transient cur is freed *before* the new
-			// intermediate is reserved, so at most one streamed
-			// intermediate ever holds budget.
-			counts := rel.KeyCounts(cur.rel)
-			if curTransient > 0 {
-				s.catalog.Unreserve(curTransient)
-				reserved -= curTransient
-				residentBytes -= curTransient
-				curTransient = 0
-			}
-			// The step's exact match count is known before anything is
-			// allocated: reserving up front detects an intermediate the
-			// residency budget cannot hold — before any host allocation
-			// happens. Instead of failing with ErrNoSpace as the
-			// materialized path does, the streamed path degrades: the
-			// hybrid-hash spiller partitions the remaining chain into the
-			// simulated spill store and finishes under whatever headroom is
-			// left.
-			bytes := stepRes.Matches * 8
-			if err := s.catalog.Reserve(bytes); err != nil {
-				if !errors.Is(err, catalog.ErrNoSpace) {
-					return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples: %w",
-						t, cur.name, probe.name, stepRes.Matches, err)
-				}
-				return s.spillRemainder(ctx, res, pj, order, t, cur, probe, opt, auto)
-			}
-			reserved += bytes
-			inter := core.StreamMaterialize(opt.Pool, counts, probe.rel)
-			if int64(inter.Len()) != stepRes.Matches {
-				return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): streamed %d tuples but the join counted %d — engine bug",
-					t, cur.name, probe.name, inter.Len(), stepRes.Matches)
-			}
-			charge(bytes)
-			res.IntermediateTuples += int64(inter.Len())
-			res.IntermediateBytes += inter.Bytes()
-			cur = pipeInput{name: fmt.Sprintf("step%d", t), rel: inter}
-			curTransient = bytes
-			continue
-		}
-
-		// Materialize the intermediate through the catalog: registered
-		// (measured at ingest like any relation, charged against the
-		// residency budget), pinned, and immediately unbound so the
-		// reserved name never collides or lingers in listings.
-		//
-		// The step's exact match count is known before anything is
-		// allocated: reject an intermediate the residency budget cannot
-		// hold *before* materializing it — a skew-exploded join (two
-		// heavy-key relations joined against each other) would otherwise
-		// try a multi-gigabyte host allocation just to have Load refuse it.
-		if !s.catalog.Fits(stepRes.Matches * 8) {
-			return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples: %w",
-				t, cur.name, probe.name, stepRes.Matches, catalog.ErrNoSpace)
-		}
-		inter := rel.JoinMaterialize(cur.rel, probe.rel)
-		if int64(inter.Len()) != stepRes.Matches {
-			return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): materialized %d tuples but the join counted %d — engine bug",
-				t, cur.name, probe.name, inter.Len(), stepRes.Matches)
-		}
-		name := fmt.Sprintf("%s%d/step%d", ReservedPrefix, id, t)
-		if _, err := s.catalog.Load(name, inter); err != nil {
-			return nil, fmt.Errorf("pipeline step %d: intermediate: %w", t, err)
-		}
-		entry, err := s.catalog.Acquire(name)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline step %d: intermediate: %w", t, err)
-		}
-		inters = append(inters, entry)
-		if _, err := s.catalog.Drop(name); err != nil {
-			return nil, fmt.Errorf("pipeline step %d: intermediate: %w", t, err)
-		}
-		// Materialized intermediates stay pinned to the pipeline's end, so
-		// the footprint accumulates: relation bytes plus the ingest-time
-		// statistics (key index and sample) the catalog built.
-		charge(inter.Bytes() + catalog.StatBytes(inter.Len()))
-		res.IntermediateTuples += int64(inter.Len())
-		res.IntermediateBytes += inter.Bytes()
-		cur = pipeInput{name: fmt.Sprintf("step%d", t), rel: inter, entry: entry}
+		res.add(r)
 	}
 	return res, nil
+}
+
+// add folds one executed step's (merged) result into the pipeline's serial
+// totals; the last step added is the pipeline's Final.
+func (res *PipelineResult) add(r *core.Result) {
+	res.TotalNS += r.TotalNS
+	res.SpilledPartitions += r.SpilledPartitions
+	res.SpillBytes += r.SpillBytes
+	res.SpillNS += r.SpillNS
+	res.Final = r
 }

@@ -46,7 +46,7 @@ func pipelineSpec(auto bool) PipelineSpec {
 // and checks the result surfaces: final matches against the oracle, the
 // per-step snapshot with plan decisions, and the stats counters.
 func TestSubmitPipeline(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 2})
+	svc := New(Config{Workers: 2, MaxConcurrent: 2})
 	defer svc.Close()
 	rels := registerPipelineRels(t, svc)
 
@@ -117,14 +117,13 @@ func TestSubmitPipeline(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsPerMode drives one streamed (default) and one
-// materialized pipeline through the admission layer and checks the mode
-// surfaces: the streamed counter, the per-mode peak-footprint stats, the
-// strict streamed < materialized ordering on this shape, the catalog's
-// lifetime high-water mark, and that both modes leave the residency budget
-// back at the registered relations.
-func TestPipelineStatsPerMode(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 1})
+// TestPipelineStats drives one pipeline through the admission layer and
+// checks the footprint surfaces: the per-pipeline peak (exactly the largest
+// single intermediate — at most one is ever resident), its snapshot and
+// stats mirrors, the catalog's lifetime high-water mark, and that the
+// residency budget is back at the registered relations afterwards.
+func TestPipelineStats(t *testing.T) {
+	svc := New(Config{Workers: 2, MaxConcurrent: 1})
 	defer svc.Close()
 	rels := registerPipelineRels(t, svc)
 	var relBytes int64
@@ -132,56 +131,42 @@ func TestPipelineStatsPerMode(t *testing.T) {
 		relBytes += r.Bytes()
 	}
 
-	peaks := make(map[bool]int64)
-	for _, materialized := range []bool{false, true} {
-		spec := pipelineSpec(false)
-		spec.Materialized = materialized
-		q, err := svc.SubmitPipeline(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := q.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		pr, ok := q.Pipeline()
-		if !ok {
-			t.Fatal("no pipeline result")
-		}
-		if pr.Streamed == materialized {
-			t.Errorf("materialized=%v: Streamed=%v", materialized, pr.Streamed)
-		}
-		if pr.PeakIntermediateBytes <= 0 {
-			t.Errorf("materialized=%v: peak %d, want > 0", materialized, pr.PeakIntermediateBytes)
-		}
-		if info := q.Snapshot(); info.Pipeline == nil ||
-			info.Pipeline.Streamed == materialized ||
-			info.Pipeline.PeakIntermediateBytes != pr.PeakIntermediateBytes {
-			t.Errorf("materialized=%v: snapshot pipeline = %+v", materialized, info.Pipeline)
-		}
-		peaks[materialized] = pr.PeakIntermediateBytes
+	q, err := svc.SubmitPipeline(context.Background(), pipelineSpec(false))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if peaks[false] >= peaks[true] {
-		t.Errorf("streamed peak %d not strictly below materialized peak %d", peaks[false], peaks[true])
+	if _, err := q.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	pr, ok := q.Pipeline()
+	if !ok {
+		t.Fatal("no pipeline result")
+	}
+	var peak int64
+	for _, st := range pr.Steps[:len(pr.Steps)-1] {
+		if b := st.OutTuples * 8; b > peak {
+			peak = b
+		}
+	}
+	if pr.PeakIntermediateBytes != peak || peak <= 0 {
+		t.Errorf("peak %d, want the largest single intermediate %d > 0", pr.PeakIntermediateBytes, peak)
+	}
+	if info := q.Snapshot(); info.Pipeline == nil || info.Pipeline.PeakIntermediateBytes != peak {
+		t.Errorf("snapshot pipeline = %+v", info.Pipeline)
 	}
 
 	st := svc.Stats()
-	if st.Pipelines != 2 || st.StreamedPipelines != 1 {
-		t.Errorf("stats pipelines=%d streamed=%d, want 2/1", st.Pipelines, st.StreamedPipelines)
+	if st.Pipelines != 1 || st.PeakIntermediateBytesStreamed != peak {
+		t.Errorf("stats pipelines=%d peak=%d, want 1/%d", st.Pipelines, st.PeakIntermediateBytesStreamed, peak)
 	}
-	if st.PeakIntermediateBytesStreamed != peaks[false] {
-		t.Errorf("stats streamed peak %d, want %d", st.PeakIntermediateBytesStreamed, peaks[false])
-	}
-	if st.PeakIntermediateBytesMaterialized != peaks[true] {
-		t.Errorf("stats materialized peak %d, want %d", st.PeakIntermediateBytesMaterialized, peaks[true])
-	}
-	// Both pipelines drained their budget charges, and the catalog's
-	// lifetime high-water mark recorded them: at least the relations plus
-	// the streamed reservation, and never more than capacity.
+	// The pipeline drained its budget charges, and the catalog's lifetime
+	// high-water mark recorded them: at least the relations plus the
+	// reservation, and never more than capacity.
 	if st.Catalog.Bytes != relBytes {
-		t.Errorf("catalog bytes %d after pipelines, want %d", st.Catalog.Bytes, relBytes)
+		t.Errorf("catalog bytes %d after the pipeline, want %d", st.Catalog.Bytes, relBytes)
 	}
-	if st.Catalog.PeakBytes < relBytes+peaks[false] || st.Catalog.PeakBytes > st.Catalog.Capacity {
-		t.Errorf("catalog peak %d, want within [%d, %d]", st.Catalog.PeakBytes, relBytes+peaks[false], st.Catalog.Capacity)
+	if st.Catalog.PeakBytes < relBytes+peak || st.Catalog.PeakBytes > st.Catalog.Capacity {
+		t.Errorf("catalog peak %d, want within [%d, %d]", st.Catalog.PeakBytes, relBytes+peak, st.Catalog.Capacity)
 	}
 }
 
@@ -206,9 +191,9 @@ func normalizeCacheHits(pr *PipelineResult) *PipelineResult {
 // contract to pipelines: a pipeline is bit-identical whether it runs alone
 // synchronously, interleaved with other pipelines and plain queries, or
 // serially afterwards. Under -race this also proves pipeline execution —
-// including catalog-mediated intermediates — is data-race free.
+// including the transient reservations — is data-race free.
 func TestConcurrentPipelinesInvariance(t *testing.T) {
-	svc := New(Options{Workers: 4, MaxConcurrent: 4, MaxQueue: 16})
+	svc := New(Config{Workers: 4, MaxConcurrent: 4, MaxQueue: 16})
 	defer svc.Close()
 	registerPipelineRels(t, svc)
 
@@ -278,7 +263,7 @@ func TestConcurrentPipelinesInvariance(t *testing.T) {
 // all-or-nothing — a rejected pipeline releases every source pin — and a
 // queued pipeline can be cancelled before it runs, releasing its pins too.
 func TestPipelineAdmission(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 1, MaxQueue: 2})
+	svc := New(Config{Workers: 2, MaxConcurrent: 1, MaxQueue: 2})
 	defer svc.Close()
 	registerPipelineRels(t, svc)
 
@@ -352,7 +337,7 @@ func waitForZeroPins(t *testing.T, svc *Service) {
 func TestPipelineCloseNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	svc := New(Options{Workers: 4, MaxConcurrent: 2, MaxQueue: 8})
+	svc := New(Config{Workers: 4, MaxConcurrent: 2, MaxQueue: 8})
 	registerPipelineRels(t, svc)
 	for i := 0; i < 4; i++ {
 		if _, err := svc.SubmitPipeline(context.Background(), pipelineSpec(i%2 == 0)); err != nil {

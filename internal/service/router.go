@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -13,56 +11,79 @@ import (
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
-	"apujoin/internal/sched"
+	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
 )
 
-// router is the stateless-routing tier of a sharded service: relations
-// register once and split over the fixed shard.Partitions hash grid into
-// per-shard catalogs; joins and pipelines fan out to every partition and
-// merge in partition order. The router itself holds only lightweight
-// per-relation metadata (specs, ingest-time statistics, partition
-// placement is pure arithmetic via shard.Owner) — all tuple data lives in
-// the shard catalogs, each with its own residency budget.
+// router is the stateless-routing tier of a sharded service, in-process or
+// clustered: relations register once and split over the fixed
+// shard.Partitions hash grid, joins and pipelines fan out to every
+// partition and merge in partition order. The router owns everything
+// logical exactly once — the namespace, each relation's provenance and
+// full-relation ingest statistics, the memoized pair workloads, pipeline
+// order and first-step workload, the fixed-order merge — and holds no tuple
+// data. Where the partition slices live and how a partition job runs is
+// the backend's business.
 //
-// The shard count decides placement and budget boundaries and nothing
-// else: every computed number is a function of the fixed partition grid,
-// which is why results are bit-identical for any shard count.
+// The shard (or server) count decides placement and budget boundaries and
+// nothing else: every computed number is a function of the fixed partition
+// grid, which is why results are bit-identical for any shard count and any
+// backend.
 type router struct {
+	b backend
+	// shards is the in-process shard count or the cluster's server count.
 	shards int
-	// catalogs hold the partitioned relations, one catalog per shard with
-	// a per-shard zero-copy budget. Streamed pipeline intermediates
-	// reserve transient bytes against the owning partition's shard
-	// catalog.
-	catalogs []*catalog.Catalog
-	// planners are per fixed hash partition — NOT per shard — so each
-	// partition's plan cache evolves identically for any shard count.
-	planners [shard.Partitions]*plan.Planner
 
-	// partBudget is the per-partition share of the TOTAL configured budget
-	// (total / shard.Partitions, independent of the shard count). The spill
-	// path triggers on it rather than on a shard catalog's physical
-	// headroom: which partition chains spill — and therefore every spilled
-	// number — must be a pure function of the data and the total budget,
-	// never of how partitions happen to be packed into shards.
-	partBudget int64
-
-	mu        sync.Mutex
-	rels      map[string]*shardedRel
+	mu   sync.Mutex
+	rels map[string]*shardedRel
+	// pending guards names with a registration or drop in flight: generation
+	// and placement run outside the lock, and a concurrent duplicate must
+	// fail with ErrExists before doing any work instead of racing them.
+	pending   map[string]bool
 	workloads map[routerPairKey]plan.Workload
-	// partBytes tracks the registered relation bytes resident per fixed
-	// grid partition, backing partitionBudget.
-	partBytes [shard.Partitions]int64
 
 	registered, dropped, reuses int64
 }
 
+// backend is what genuinely differs between an in-process sharded engine
+// and a network cluster: where a relation's partition slices live and how
+// one partition job runs. It never sees a logical relation record and
+// never merges.
+type backend interface {
+	// place stores one relation's partition slices, all or nothing: after
+	// a failure no slice of name remains anywhere.
+	place(name string, parts *[shard.Partitions]rel.Relation) error
+	// remove drops a relation's slices; in-flight pins keep their data.
+	remove(name string)
+	// pins counts the in-flight pins on a relation's slices.
+	pins(name string) int
+	// partitions hands back a placed relation's slices in partition order,
+	// pinned until the entries appended to pins are released — what
+	// reassembling a bulk-loaded base in original tuple order reads.
+	partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error)
+	// bindJoin and bindPipeline attach the backend's form of a job's
+	// inputs — pinned or split partition slices in-process, the wire
+	// request on a cluster — and return the pins the query must release.
+	bindJoin(j *joinJob, sp *JoinSpec) ([]*catalog.Entry, error)
+	bindPipeline(j *pipeJob, sp *PipelineSpec) ([]*catalog.Entry, error)
+	// runJoin runs one join on every grid partition and returns the raw
+	// results indexed by partition.
+	runJoin(ctx context.Context, j *joinJob, opt core.Options, auto bool) ([]*core.Result, error)
+	// runPipeline runs one pipeline's chain, in the job's order, on every
+	// grid partition and returns the raw per-partition transport.
+	runPipeline(ctx context.Context, j *pipeJob, opt core.Options, auto bool) (*PipelinePartitions, error)
+	// stats folds the backend's physical gauges into st.
+	stats(st *Stats)
+	close()
+}
+
 // shardedRel is the router's record of one registered relation: the
 // generation provenance (so probe relations can regenerate their build
-// side in original tuple order), and the full-relation ingest statistics
-// the planner fingerprints and the pipeline orderer consume. The tuple
-// data itself lives as per-partition entries in the shard catalogs, under
-// partName(name, p).
+// side in original tuple order) and the full-relation ingest statistics
+// the planner fingerprints and the pipeline orderer consume — measured on
+// the FULL relation, identical to what the unsharded catalog stores, so
+// sharded pair workloads land in the same plan-cache buckets as unsharded
+// ones. The tuple data itself lives with the backend.
 type shardedRel struct {
 	name    string
 	source  catalog.Source
@@ -81,18 +102,7 @@ type shardedRel struct {
 	order []uint8
 
 	tuples int
-	// partBytes is the relation's resident bytes per fixed grid partition,
-	// unwound from the router's partition gauges at drop.
-	partBytes [shard.Partitions]int64
-	// sample, index, skewBucket and heavyShare are measured on the FULL
-	// relation at ingest — identical to what the unsharded catalog stores —
-	// so sharded pair workloads land in the same plan-cache buckets as
-	// unsharded ones. The index costs 4 bytes/tuple at the router, the same
-	// overhead the unsharded catalog's ingest index carries.
-	sample     []int32
-	index      rel.KeyIndex
-	skewBucket int
-	heavyShare float64
+	stats  catalog.IngestStats
 
 	joins int64
 }
@@ -100,68 +110,34 @@ type shardedRel struct {
 // routerPairKey identifies a memoized (build, probe) pair workload.
 type routerPairKey struct{ r, s string }
 
-// partName is the shard-catalog entry name of one partition of a
-// relation. Shard catalogs are written only by the router, so the suffix
-// cannot collide with user registrations.
-func partName(name string, p int) string {
-	return fmt.Sprintf("%s/p%d", name, p)
-}
-
-// newRouter builds the sharded tier from a service Config: Shards shard
-// catalogs (budget ShardBudget each, defaulting to an even split of
-// CatalogBytes), and one planner per fixed hash partition.
-func newRouter(cfg Config) *router {
-	shards := shard.Clamp(cfg.Shards)
-	budget := cfg.ShardBudget
-	if budget <= 0 {
-		total := cfg.CatalogBytes
-		if total <= 0 {
-			total = catalog.DefaultCapacity
-		}
-		budget = total / int64(shards)
-	}
-	t := &router{
+func newRouter(b backend, shards int) *router {
+	return &router{
+		b:         b,
 		shards:    shards,
-		catalogs:  make([]*catalog.Catalog, shards),
 		rels:      make(map[string]*shardedRel),
+		pending:   make(map[string]bool),
 		workloads: make(map[routerPairKey]plan.Workload),
-		// An even partition split of the total budget. With the default
-		// even shard split this is total/Partitions for every shard count;
-		// an explicit ShardBudget makes the total (and with it the spill
-		// thresholds) a property of the configured topology.
-		partBudget: budget * int64(shards) / shard.Partitions,
 	}
-	for i := range t.catalogs {
-		t.catalogs[i] = catalog.New(budget)
-	}
-	for p := range t.planners {
-		t.planners[p] = plan.New(cfg.PlanCache)
-	}
-	return t
 }
 
-// catalogOf returns the shard catalog owning partition p.
-func (t *router) catalogOf(p int) *catalog.Catalog {
-	return t.catalogs[shard.Owner(p, t.shards)]
-}
-
-// registerGen generates and registers a build relation from a spec.
-func (t *router) registerGen(name string, g rel.Gen) (catalog.Info, error) {
+// RegisterGen generates and registers a build relation from a spec.
+func (t *router) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
 	if err := t.precheck(name, g.N); err != nil {
 		return catalog.Info{}, err
 	}
-	sr := &shardedRel{name: name, source: catalog.Generated, gen: g}
-	return t.register(sr, g.Build())
+	defer t.unpend(name)
+	return t.register(&shardedRel{name: name, source: catalog.Generated, gen: g}, g.Build())
 }
 
-// registerProbe generates and registers a probe relation against the
-// registered build relation of. The build side is regenerated from its
-// stored spec in original tuple order, so the probe is bit-identical to
-// g.Probe on the unsharded catalog's resident build relation.
-func (t *router) registerProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
+// RegisterProbe generates and registers a probe relation against the
+// registered build relation of. The build side is rebuilt in original
+// tuple order first, so the probe is bit-identical to g.Probe on the
+// unsharded catalog's resident build relation.
+func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
 	if err := t.precheck(name, g.N); err != nil {
 		return catalog.Info{}, err
 	}
+	defer t.unpend(name)
 	if selectivity < 0 || selectivity > 1 {
 		return catalog.Info{}, fmt.Errorf("catalog: selectivity %v out of [0,1]", selectivity)
 	}
@@ -173,22 +149,22 @@ func (t *router) registerProbe(name, of string, g rel.Gen, selectivity float64) 
 	return t.register(sr, g.Probe(base, selectivity))
 }
 
-// load registers an existing relation (bulk load). The split copies the
+// Load registers an existing relation (bulk load). The split copies the
 // columns into per-partition relations; unlike the unsharded catalog the
 // caller's slices are not retained.
-func (t *router) load(name string, r rel.Relation) (catalog.Info, error) {
+func (t *router) Load(name string, r rel.Relation) (catalog.Info, error) {
 	if err := t.precheck(name, r.Len()); err != nil {
 		return catalog.Info{}, err
 	}
+	defer t.unpend(name)
 	if err := r.Validate(); err != nil {
 		return catalog.Info{}, fmt.Errorf("catalog: %w", err)
 	}
-	sr := &shardedRel{name: name, source: catalog.Loaded}
-	return t.register(sr, r)
+	return t.register(&shardedRel{name: name, source: catalog.Loaded}, r)
 }
 
-// precheck fails fast on an obviously invalid registration before any
-// generation work; register re-checks the name under the lock.
+// precheck fails fast on an invalid or duplicate registration before any
+// generation work and marks the name pending; the caller unpends when done.
 func (t *router) precheck(name string, n int) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
@@ -201,14 +177,24 @@ func (t *router) precheck(name string, n int) error {
 	if _, ok := t.rels[name]; ok {
 		return fmt.Errorf("%w: %q", catalog.ErrExists, name)
 	}
+	if t.pending[name] {
+		return fmt.Errorf("%w: %q (registration or drop in progress)", catalog.ErrExists, name)
+	}
+	t.pending[name] = true
 	return nil
+}
+
+func (t *router) unpend(name string) {
+	t.mu.Lock()
+	delete(t.pending, name)
+	t.mu.Unlock()
 }
 
 // fullRelation rebuilds a registered relation in its original tuple order.
 // Probe generation indexes the build side by original position, which the
 // partition split does not preserve, so the router walks the provenance
 // chain: generated bases regenerate from their stored specs, bulk-loaded
-// bases reassemble from their partition entries via the ingest-time order
+// bases reassemble from their partition slices via the ingest-time order
 // map (see shardedRel.order), and probe links re-apply on top. Either base
 // yields the relation bit-identical to the unsharded catalog's resident
 // copy.
@@ -256,41 +242,27 @@ func (t *router) fullRelation(name string) (rel.Relation, error) {
 }
 
 // reassemble reconstructs a bulk-loaded relation in its original tuple
-// order: pin every partition entry, then walk the ingest-time order map
+// order: pin every partition slice, then walk the ingest-time order map
 // with one cursor per partition — the split preserves within-partition
 // relative order, so tuple i is the next unconsumed tuple of its recorded
 // partition.
 func (t *router) reassemble(sr *shardedRel) (rel.Relation, error) {
+	// Pinning under the lock, after re-checking the record: the slices read
+	// below must be the ones sr.order was recorded against.
 	t.mu.Lock()
 	if t.rels[sr.name] != sr {
 		t.mu.Unlock()
 		return rel.Relation{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, sr.name)
 	}
-	ents := make([]*catalog.Entry, shard.Partitions)
-	for p := 0; p < shard.Partitions; p++ {
-		e, err := t.catalogOf(p).Acquire(partName(sr.name, p))
-		if err != nil {
-			for q := 0; q < p; q++ {
-				ents[q].Release()
-			}
-			t.mu.Unlock()
-			return rel.Relation{}, fmt.Errorf("shard %d: %w", shard.Owner(p, t.shards), err)
-		}
-		ents[p] = e
-	}
+	parts, pins, err := t.b.partitions(sr.name, nil)
 	t.mu.Unlock()
-	defer func() {
-		for _, e := range ents {
-			e.Release()
-		}
-	}()
+	if err != nil {
+		return rel.Relation{}, err
+	}
+	defer releaseAll(pins)
 	out := rel.Relation{
 		RIDs: make([]int32, 0, len(sr.order)),
 		Keys: make([]int32, 0, len(sr.order)),
-	}
-	var parts [shard.Partitions]rel.Relation
-	for p, e := range ents {
-		parts[p] = e.Relation()
 	}
 	var cursors [shard.Partitions]int
 	for _, p := range sr.order {
@@ -302,17 +274,19 @@ func (t *router) reassemble(sr *shardedRel) (rel.Relation, error) {
 	return out, nil
 }
 
+func releaseAll(pins []*catalog.Entry) {
+	for _, e := range pins {
+		e.Release()
+	}
+}
+
 // register measures the full-relation ingest statistics, splits the
-// relation over the fixed partition grid, and loads each partition into
-// its owning shard catalog. Loading is all-or-nothing: a shard whose
-// budget cannot hold its partitions rolls the others back and the
-// registration fails with the catalog's ErrNoSpace.
+// relation over the fixed partition grid, and places the slices with the
+// backend — all or nothing. The caller holds the name pending, so nothing
+// else can bind it meanwhile.
 func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, error) {
 	sr.tuples = full.Len()
-	sr.sample = full.KeySample(plan.WorkloadSample)
-	sr.index = full.Index()
-	sr.skewBucket = plan.SkewBucketOf(sr.sample)
-	sr.heavyShare = catalog.HeavyShareOf(sr.sample)
+	sr.stats = catalog.Measure(full)
 	if sr.source == catalog.Loaded {
 		// Loaded relations have no spec to regenerate from, so the split's
 		// inverse is recorded instead: each tuple's partition, one byte per
@@ -324,42 +298,27 @@ func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, erro
 		}
 	}
 	parts := shard.Split(full)
-
+	if err := t.b.place(sr.name, &parts); err != nil {
+		return catalog.Info{}, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.rels[sr.name]; ok {
-		return catalog.Info{}, fmt.Errorf("%w: %q", catalog.ErrExists, sr.name)
-	}
-	for p := 0; p < shard.Partitions; p++ {
-		if _, err := t.catalogOf(p).Load(partName(sr.name, p), parts[p]); err != nil {
-			// All-or-nothing: roll back every partition already loaded so a
-			// failed registration leaves no bytes, no names and no gauges
-			// behind.
-			for q := 0; q < p; q++ {
-				t.catalogOf(q).Drop(partName(sr.name, q))
-			}
-			return catalog.Info{}, fmt.Errorf("shard %d: %w", shard.Owner(p, t.shards), err)
-		}
-	}
-	for p := 0; p < shard.Partitions; p++ {
-		sr.partBytes[p] = parts[p].Bytes()
-		t.partBytes[p] += sr.partBytes[p]
-	}
 	sr.created = time.Now()
 	t.rels[sr.name] = sr
 	t.registered++
 	return t.infoLocked(sr), nil
 }
 
-// drop unregisters a relation: the name unbinds immediately and every
-// partition entry is dropped from its shard catalog — in-flight queries
-// keep their partition pins, and each shard's bytes free when its last
-// pin drains.
-func (t *router) drop(name string) (catalog.Info, error) {
+// Drop unregisters a relation: the name unbinds at once — no new query can
+// resolve it, and its memoized pair workloads go with it — then the
+// backend drops the slices, where in-flight queries keep their pins. The
+// name stays pending until the slices are gone, so a re-registration
+// cannot meet its predecessor's leftovers.
+func (t *router) Drop(name string) (catalog.Info, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	sr, ok := t.rels[name]
 	if !ok {
+		t.mu.Unlock()
 		return catalog.Info{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
 	}
 	info := t.infoLocked(sr)
@@ -370,34 +329,16 @@ func (t *router) drop(name string) (catalog.Info, error) {
 			delete(t.workloads, k)
 		}
 	}
-	for p := 0; p < shard.Partitions; p++ {
-		t.catalogOf(p).Drop(partName(name, p))
-		t.partBytes[p] -= sr.partBytes[p]
-	}
 	t.dropped++
+	t.pending[name] = true
+	t.mu.Unlock()
+	t.b.remove(name)
+	t.unpend(name)
 	return info, nil
 }
 
-// partitionBudget returns partition p's residency budget for transient
-// pipeline intermediates: its even share of the total configured budget
-// minus the relation bytes registered into it. The spill path compares
-// intermediates against this — a pure function of the registered data and
-// the total budget — so spill decisions are identical for any shard count
-// and any concurrent interleaving. Summed over a shard's owned partitions
-// the thresholds never exceed the shard catalog's free capacity, which is
-// what makes the thresholds physically honorable.
-func (t *router) partitionBudget(p int) int64 {
-	t.mu.Lock()
-	b := t.partBudget - t.partBytes[p]
-	t.mu.Unlock()
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
-// get snapshots one registered relation.
-func (t *router) get(name string) (catalog.Info, bool) {
+// Get snapshots one registered relation.
+func (t *router) Get(name string) (catalog.Info, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sr, ok := t.rels[name]
@@ -407,8 +348,8 @@ func (t *router) get(name string) (catalog.Info, bool) {
 	return t.infoLocked(sr), true
 }
 
-// list snapshots every registered relation, sorted by name.
-func (t *router) list() []catalog.Info {
+// List snapshots every registered relation, sorted by name.
+func (t *router) List() []catalog.Info {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]catalog.Info, 0, len(t.rels))
@@ -420,16 +361,16 @@ func (t *router) list() []catalog.Info {
 }
 
 // infoLocked builds the logical (whole-relation) Info: global tuple count
-// and statistics from the router record, pins summed over the partition
-// entries.
+// and statistics from the router record, pins from the backend.
 func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 	info := catalog.Info{
 		Name:       sr.name,
 		Tuples:     sr.tuples,
 		Bytes:      int64(sr.tuples) * 8,
 		Source:     sr.source,
-		SkewBucket: sr.skewBucket,
-		HeavyShare: sr.heavyShare,
+		SkewBucket: sr.stats.SkewBucket,
+		HeavyShare: sr.stats.HeavyShare,
+		Pins:       t.b.pins(sr.name),
 		Joins:      sr.joins,
 		Created:    sr.created,
 	}
@@ -442,37 +383,30 @@ func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 		info.ProbeOf = sr.probeOf
 		info.Selectivity = sr.sel
 	}
-	for p := 0; p < shard.Partitions; p++ {
-		if pi, ok := t.catalogOf(p).Get(partName(sr.name, p)); ok {
-			info.Pins += pi.Pins
-		}
-	}
 	return info
 }
 
-// acquire pins every partition entry of a registered relation for one
-// query. The returned entries are in partition order; the caller releases
-// each when the query reaches a terminal state.
-func (t *router) acquire(name string) (*shardedRel, []*catalog.Entry, error) {
+// lookup resolves each non-empty name to its record (recs[i] stays nil for
+// an empty names[i]) and counts one join against every record found.
+func (t *router) lookup(names []string, recs []*shardedRel) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sr, ok := t.rels[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
-	}
-	ents := make([]*catalog.Entry, shard.Partitions)
-	for p := 0; p < shard.Partitions; p++ {
-		e, err := t.catalogOf(p).Acquire(partName(name, p))
-		if err != nil {
-			for q := 0; q < p; q++ {
-				ents[q].Release()
-			}
-			return nil, nil, fmt.Errorf("shard %d: %w", shard.Owner(p, t.shards), err)
+	for i, name := range names {
+		if name == "" {
+			continue
 		}
-		ents[p] = e
+		sr, ok := t.rels[name]
+		if !ok {
+			return fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+		}
+		recs[i] = sr
 	}
-	sr.joins++
-	return sr, ents, nil
+	for _, sr := range recs {
+		if sr != nil {
+			sr.joins++
+		}
+	}
+	return nil
 }
 
 // workload returns the planner workload buckets of the pair (build r,
@@ -492,7 +426,7 @@ func (t *router) workload(r, s *shardedRel) plan.Workload {
 	}
 	t.mu.Unlock()
 
-	w := plan.PairWorkload(s.sample, s.skewBucket, r.index.Contains)
+	w := plan.PairWorkload(s.stats.Sample, s.stats.SkewBucket, r.stats.Index.Contains)
 
 	t.mu.Lock()
 	// Only memoize while both names still resolve to these records: a
@@ -504,149 +438,82 @@ func (t *router) workload(r, s *shardedRel) plan.Workload {
 	return w
 }
 
-// planFor plans one partition's sub-join on that partition's own planner.
-// The planner index is the fixed grid partition, never the shard, so each
-// partition's plan-cache evolution — and with it every planned decision —
-// is identical for any shard count. w, when non-nil, carries the
-// full-relation pair workload (named pairs); nil measures the partition.
-// fp and hit expose the cache interaction so callers can report the
-// decision (per-step PlanInfo) and write the observed prediction error
-// back after the sub-join runs.
-func (t *router) planFor(ctx context.Context, p int, r, s rel.Relation, opt core.Options, w *plan.Workload) (pl *core.Plan, fp plan.Fingerprint, hit bool, err error) {
-	if w != nil {
-		return t.planners[p].PlanWorkload(ctx, r, s, opt, *w)
+// recWorkload is the routed pairFn: the memoized pair workload of two
+// registered sources.
+func (t *router) recWorkload(build, probe *pipeSource) (plan.Workload, bool) {
+	if build.rec == nil || probe.rec == nil {
+		return plan.Workload{}, false
 	}
-	return t.planners[p].Plan(ctx, r, s, opt)
+	return t.workload(build.rec, probe.rec), true
 }
 
-// stats aggregates the router's catalog surface: the logical totals
-// (relations are counted once, bytes/capacity/peak sum over shards) plus
-// the per-shard gauges in shard order.
-func (t *router) stats() (catalog.Stats, []catalog.Stats) {
-	perShard := make([]catalog.Stats, len(t.catalogs))
-	var agg catalog.Stats
-	for i, c := range t.catalogs {
-		perShard[i] = c.Stats()
-		agg.Bytes += perShard[i].Bytes
-		agg.Capacity += perShard[i].Capacity
-		agg.PeakBytes += perShard[i].PeakBytes
-	}
+// stats fills the sharded catalog surface of st: the logical totals
+// (relations counted once, whole-relation bytes), then the backend's
+// physical gauges on top.
+func (t *router) stats(st *Stats) {
 	t.mu.Lock()
-	agg.Relations = len(t.rels)
-	agg.Registered = t.registered
-	agg.Dropped = t.dropped
-	agg.WorkloadReuses = t.reuses
+	st.Catalog = catalog.Stats{
+		Relations:      len(t.rels),
+		Registered:     t.registered,
+		Dropped:        t.dropped,
+		WorkloadReuses: t.reuses,
+	}
+	for _, sr := range t.rels {
+		st.Catalog.Bytes += int64(sr.tuples) * 8
+	}
 	t.mu.Unlock()
-	return agg, perShard
+	st.Shards = t.shards
+	t.b.stats(st)
 }
 
-// emptyPartResult is the zero result a partition with an empty join side
-// contributes to the merge: no matches, no simulated time, labeled with
-// the requested algorithm, scheme and architecture.
-func emptyPartResult(opt core.Options) *core.Result {
-	return &core.Result{Algo: opt.Algo, Scheme: opt.Scheme, Arch: opt.Arch}
-}
-
-// shardJob is one resolved sharded join: both sides' fixed per-partition
-// inputs, plus the full-relation pair workload when both sides are
-// registered (auto planning).
-type shardJob struct {
-	rParts, sParts [shard.Partitions]rel.Relation
-	workload       *plan.Workload
+// joinJob is one resolved routed join: the full-relation pair workload
+// when both sides are registered (auto planning), and the backend's form
+// of the inputs — both sides' per-partition slices in-process, the wire
+// request on a cluster.
+type joinJob struct {
+	workload *plan.Workload
 	// keep retains the raw per-partition results alongside the merge
 	// (JoinSpec.KeepPartitions) — the cluster transport's raw material.
 	keep bool
+
+	rParts, sParts [shard.Partitions]rel.Relation
+	req            api.JoinRequest
 }
 
-// resolveSharded resolves a JoinSpec through the router: named sides pin
-// every partition entry, inline sides split over the grid on the spot.
-// Unlike the unsharded resolver, mixed named/inline pairs are accepted
+// resolveJoin resolves a JoinSpec through the router: registered sides
+// resolve to their records and — when the planner decides — carry the
+// centrally measured pair workload; the backend binds the inputs. Unlike
+// the unsharded resolver, mixed named/inline pairs are accepted in-process
 // (the engine facade's contract); the HTTP layer enforces its own
 // both-or-neither rule before submitting.
-func (s *Service) resolveSharded(sp JoinSpec) (resolvedSpec, error) {
+func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 	rs := resolvedSpec{opt: sp.Opt, auto: sp.Auto}
-	job := &shardJob{keep: sp.KeepPartitions, workload: sp.Workload}
-	var rRec, sRec *shardedRel
-	if sp.RName != "" {
-		sr, ents, err := s.router.acquire(sp.RName)
-		if err != nil {
-			return rs, err
-		}
-		rRec = sr
-		rs.pins = append(rs.pins, ents...)
-		for p, e := range ents {
-			job.rParts[p] = e.Relation()
-		}
-	} else {
-		job.rParts = shard.Split(sp.R)
+	var recs [2]*shardedRel
+	if err := t.lookup([]string{sp.RName, sp.SName}, recs[:]); err != nil {
+		return rs, err
 	}
-	if sp.SName != "" {
-		sr, ents, err := s.router.acquire(sp.SName)
-		if err != nil {
-			rs.release()
-			rs.pins = nil
-			return rs, err
-		}
-		sRec = sr
-		rs.pins = append(rs.pins, ents...)
-		for p, e := range ents {
-			job.sParts[p] = e.Relation()
-		}
-	} else {
-		job.sParts = shard.Split(sp.S)
+	job := &joinJob{keep: sp.KeepPartitions, workload: sp.Workload}
+	var err error
+	if rs.pins, err = t.b.bindJoin(job, &sp); err != nil {
+		return rs, err
 	}
-	if sp.Auto && job.workload == nil && rRec != nil && sRec != nil {
-		w := s.router.workload(rRec, sRec)
+	if sp.Auto && job.workload == nil && recs[0] != nil && recs[1] != nil {
+		w := t.workload(recs[0], recs[1])
 		job.workload = &w
 	}
-	rs.shardjob = job
+	rs.join = job
 	return rs, nil
 }
 
-// execShardedJoin fans one join out to every fixed hash partition on the
-// resident pool and merges the per-partition results in partition order.
-// Equi-join matches never cross partitions, so the merged result — match
-// count and every simulated number — equals the fixed grid's and is
-// bit-identical for any shard count. Per-partition planning (auto) runs
-// inside the fan-out on the partition's own planner. parts is the raw
-// per-partition vector, returned only when job.keep asked for it.
-func (s *Service) execShardedJoin(ctx context.Context, job *shardJob, opt core.Options, auto bool) (merged *core.Result, parts []*core.Result, err error) {
-	type partOut struct {
-		res *core.Result
-		err error
-	}
-	outs := sched.Collect(s.pool, shard.Partitions, func(p int) partOut {
-		// A partition with an empty side joins to nothing: skip planning
-		// (the planner refuses empty relations) and execution and
-		// contribute a zero result. Which partitions are empty depends only
-		// on the keys and the fixed grid — never the shard count — so the
-		// skip is deterministic and the invariance contract holds.
-		if job.rParts[p].Len() == 0 || job.sParts[p].Len() == 0 {
-			return partOut{res: emptyPartResult(opt)}
-		}
-		popt := opt
-		var fp plan.Fingerprint
-		if auto {
-			pl, pfp, _, err := s.router.planFor(ctx, p, job.rParts[p], job.sParts[p], popt, job.workload)
-			if err != nil {
-				return partOut{err: err}
-			}
-			popt.Plan = pl
-			fp = pfp
-		}
-		res, err := core.RunCtx(ctx, job.rParts[p], job.sParts[p], popt)
-		if err == nil && popt.Plan != nil {
-			s.router.planners[p].Observe(fp, popt.Plan.PredictedNS, res.TotalNS)
-		}
-		return partOut{res: res, err: err}
-	})
-	parts = make([]*core.Result, shard.Partitions)
-	for p, o := range outs {
-		if o.err != nil {
-			// Lowest partition index wins: deterministic error selection.
-			return nil, nil, fmt.Errorf("partition %d: %w", p, o.err)
-		}
-		parts[p] = o.res
+// execJoin fans one join out to every fixed hash partition and merges the
+// per-partition results in partition order. Equi-join matches never cross
+// partitions, so the merged result — match count and every simulated
+// number — equals the fixed grid's and is bit-identical for any shard
+// count and any backend. parts is the raw per-partition vector, returned
+// only when the job asked to keep it.
+func (t *router) execJoin(ctx context.Context, job *joinJob, opt core.Options, auto bool) (merged *core.Result, parts []*core.Result, err error) {
+	if parts, err = t.b.runJoin(ctx, job, opt, auto); err != nil {
+		return nil, nil, err
 	}
 	merged = shard.MergeResults(parts)
 	if !job.keep {
@@ -655,175 +522,78 @@ func (s *Service) execShardedJoin(ctx context.Context, job *shardJob, opt core.O
 	return merged, parts, nil
 }
 
-// shardedPipeSource is one resolved pipeline input on the sharded path:
-// the display name, the per-partition relations, and the router record
-// for registered sources (nil for inline ones).
-type shardedPipeSource struct {
-	name  string
-	sr    *shardedRel
-	parts [shard.Partitions]rel.Relation
-}
-
-func (src *shardedPipeSource) tuples() int {
-	n := 0
-	for _, r := range src.parts {
-		n += r.Len()
-	}
-	return n
-}
-
-// shardedPipeJob is a resolved sharded pipeline awaiting execution.
-type shardedPipeJob struct {
-	sources      []shardedPipeSource
-	declared     bool
-	materialized bool
-	// keep retains the raw per-partition step results
-	// (PipelineSpec.KeepPartitions); wFirst overrides the first step's
-	// planning workload (PipelineSpec.FirstWorkload).
-	keep   bool
-	wFirst *plan.Workload
-}
-
-// resolveShardedPipeline pins the named sources' partition entries and
-// splits the inline ones, mirroring resolvePipeline.
-func (s *Service) resolveShardedPipeline(spec PipelineSpec) (resolvedSpec, error) {
+// resolvePipeline resolves a pipeline through the router: look the
+// registered sources up, let the backend bind the inputs, then choose the
+// left-deep order ONCE from the full-relation statistics — every partition
+// (and every server) executes the same order — and capture the first
+// step's pair workload for auto planning.
+func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 	rs := resolvedSpec{opt: spec.Opt, auto: spec.Auto}
-	if len(spec.Sources) < 2 {
-		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, len(spec.Sources))
+	names := make([]string, len(spec.Sources))
+	for i, src := range spec.Sources {
+		names[i] = src.Name
 	}
-	pj := &shardedPipeJob{
-		declared:     spec.DeclaredOrder,
-		materialized: spec.Materialized,
-		keep:         spec.KeepPartitions,
-		wFirst:       spec.FirstWorkload,
+	recs := make([]*shardedRel, len(names))
+	if err := t.lookup(names, recs); err != nil {
+		return rs, fmt.Errorf("pipeline source: %w", err)
+	}
+	pj := &pipeJob{
+		sources:  make([]pipeSource, len(spec.Sources)),
+		declared: spec.DeclaredOrder,
+		keep:     spec.KeepPartitions,
+		wFirst:   spec.FirstWorkload,
 	}
 	for i, src := range spec.Sources {
-		in := shardedPipeSource{name: src.Name}
-		if src.Name != "" {
-			sr, ents, err := s.router.acquire(src.Name)
-			if err != nil {
-				rs.release()
-				rs.pins = nil
-				return rs, fmt.Errorf("pipeline source %d: %w", i+1, err)
-			}
-			rs.pins = append(rs.pins, ents...)
-			in.sr = sr
-			for p, e := range ents {
-				in.parts[p] = e.Relation()
-			}
+		in := &pj.sources[i]
+		in.name, in.rec, in.rel = src.Name, recs[i], src.Rel
+		if in.rec != nil {
+			in.tuples = in.rec.tuples
 		} else {
-			in.name = fmt.Sprintf("inline[%d]", i)
-			in.parts = shard.Split(src.Rel)
+			in.name, in.tuples = fmt.Sprintf("inline[%d]", i), in.rel.Len()
 		}
-		pj.sources = append(pj.sources, in)
 	}
-	rs.shardpipe = pj
+	var err error
+	if rs.pins, err = t.b.bindPipeline(pj, &spec); err != nil {
+		return rs, err
+	}
+	pj.order = chooseOrder(pj.sources, pj.declared, t.recWorkload)
+	if spec.Auto && pj.wFirst == nil {
+		pj.wFirst = firstWorkload(pj.sources, pj.order.order, t.recWorkload)
+	}
+	rs.pipe = pj
 	return rs, nil
 }
 
-// partChain is one partition's executed left-deep chain.
-type partChain struct {
-	steps                    []*core.Result
-	buildTuples, probeTuples []int
-	// plans records the partition planner's decision per step (auto only):
-	// nil for skipped empty-side steps and for steps the spiller re-ran.
-	// Always the same length as steps.
-	plans                   []*PlanInfo
-	interTuples, interBytes int64
-	peak                    int64
-	// spillDepth is the deepest repartitioning level this chain's spiller
-	// reached (0 when nothing spilled).
-	spillDepth int
-	err        error
-}
-
-// execShardedPipeline runs a resolved pipeline on the sharded path: the
-// left-deep order is chosen ONCE from the full-relation statistics (every
-// partition executes the same order), each partition then runs the whole
-// chain independently over its slice of every source, and the per-step
-// results merge across partitions in partition order. The chain
-// decomposes exactly because every source is partitioned on the shared
-// join key: step t of partition p only ever meets keys of partition p.
+// execPipeline runs a resolved pipeline on the backend and reassembles the
+// global report from the raw per-partition transport: the chain decomposes
+// exactly because every source is partitioned on the shared join key —
+// step t of partition p only ever meets keys of partition p — so each
+// step's results merge across partitions in fixed partition order; labels
+// and tuple counts are global (full-relation) quantities. A step's
+// PlanInfo aggregates the per-partition planner decisions: representative
+// algo/scheme from the lowest planned partition (all partitions of one
+// step share a fingerprint shape, so they agree in practice), predicted
+// time summed in partition order, cache_hit only when every planned
+// partition hit. Spilled partitions plan their sub-steps internally and
+// contribute no PlanInfo; a step with no planned partition reports none.
 //
-// Streamed and materialized modes mirror the unsharded accounting against
-// the owning partition's shard catalog: streamed chains hold at most one
-// transient intermediate per partition (reserved, freed before the next
-// is reserved); materialized chains charge every intermediate's bytes
-// plus its would-be statistics until the pipeline ends — without
-// registering anything, so no shard catalog ever lists an intermediate.
 // PeakIntermediateBytes sums the per-partition chain peaks: the chains
-// execute concurrently, so their peaks are simultaneous in the worst
-// case, and the sum is a pure function of the grid (shard-count
-// invariant).
-func (s *Service) execShardedPipeline(ctx context.Context, pj *shardedPipeJob, opt core.Options, auto bool) (*PipelineResult, error) {
-	n := len(pj.sources)
-
-	// Global order from the full-relation statistics; any inline source
-	// means no statistics and declaration order, as on the unsharded path.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// execute concurrently, so their peaks are simultaneous in the worst case,
+// and the sum is a pure function of the grid (shard-count invariant).
+func (t *router) execPipeline(ctx context.Context, pj *pipeJob, opt core.Options, auto bool) (*PipelineResult, error) {
+	pp, err := t.b.runPipeline(ctx, pj, opt, auto)
+	if err != nil {
+		return nil, err
 	}
-	ordered := false
-	if !pj.declared {
-		rels := make([]plan.PipeRel, n)
-		for i := range pj.sources {
-			rels[i] = plan.PipeRel{Tuples: pj.sources[i].tuples()}
-			if pj.sources[i].sr != nil {
-				rels[i].HeavyShare = pj.sources[i].sr.heavyShare
-			}
-		}
-		order, ordered = plan.OrderPipeline(rels, func(i, j int) (plan.Workload, bool) {
-			bi, pi := pj.sources[i].sr, pj.sources[j].sr
-			if bi == nil || pi == nil {
-				return plan.Workload{}, false
-			}
-			return s.router.workload(bi, pi), true
-		})
-	}
-	res := &PipelineResult{Order: order, Ordered: ordered, Streamed: !pj.materialized}
-
-	// The first step's pair workload, when both inputs are registered:
-	// per-partition planning fingerprints with the full-relation buckets,
-	// like a registered pairwise join would. Later steps build from
-	// intermediates and measure their partitions.
-	wFirst := pj.wFirst
-	if auto && wFirst == nil {
-		if b, p0 := pj.sources[order[0]].sr, pj.sources[order[1]].sr; b != nil && p0 != nil {
-			w := s.router.workload(b, p0)
-			wFirst = &w
-		}
-	}
-
-	chains := sched.Collect(s.pool, shard.Partitions, func(p int) *partChain {
-		return s.runPartitionChain(ctx, pj, order, p, opt, auto, wFirst)
-	})
-	for p, c := range chains {
-		if c.err != nil {
-			// Lowest partition index wins: deterministic error selection.
-			return nil, fmt.Errorf("partition %d: %w", p, c.err)
-		}
-	}
-
-	// Merge per step across partitions, in partition order; labels and
-	// tuple counts are global (full-relation) quantities. A step's PlanInfo
-	// aggregates the per-partition planner decisions: representative
-	// algo/scheme from the lowest non-nil partition (all partitions of one
-	// step share a fingerprint shape, so they agree in practice), predicted
-	// time summed in partition order, cache_hit only when every planned
-	// partition hit. Spilled partitions plan their sub-steps internally and
-	// contribute no PlanInfo; a step with no planned partition reports none.
-	for t := 1; t < n; t++ {
-		idx := t - 1
-		parts := make([]*core.Result, shard.Partitions)
+	res := &PipelineResult{Order: pj.order.order, Ordered: pj.order.ordered}
+	for idx, parts := range pp.Steps {
 		buildT, probeT := 0, 0
 		var pinfo *PlanInfo
 		cacheHit := true
-		for p, c := range chains {
-			parts[p] = c.steps[idx]
-			buildT += c.buildTuples[idx]
-			probeT += c.probeTuples[idx]
-			if pi := c.plans[idx]; pi != nil {
+		for p := range parts {
+			buildT += pp.BuildTuples[idx][p]
+			probeT += pp.ProbeTuples[idx][p]
+			if pi := pp.Plans[idx][p]; pi != nil {
 				if pinfo == nil {
 					pinfo = &PlanInfo{Algo: pi.Algo, Scheme: pi.Scheme}
 				}
@@ -835,222 +605,50 @@ func (s *Service) execShardedPipeline(ctx context.Context, pj *shardedPipeJob, o
 			pinfo.CacheHit = cacheHit
 		}
 		merged := shard.MergeResults(parts)
-		build := pj.sources[order[0]].name
-		if t > 1 {
-			build = fmt.Sprintf("step%d", t-1)
-		}
+		build, probe := stepLabels(pj.sources, res.Order, idx+1)
 		res.Steps = append(res.Steps, PipelineStep{
 			Build:       build,
-			Probe:       pj.sources[order[t]].name,
+			Probe:       probe,
 			BuildTuples: buildT,
 			ProbeTuples: probeT,
 			OutTuples:   merged.Matches,
 			Result:      merged,
 			Plan:        pinfo,
 		})
-		res.TotalNS += merged.TotalNS
-		res.SpilledPartitions += merged.SpilledPartitions
-		res.SpillBytes += merged.SpillBytes
-		res.SpillNS += merged.SpillNS
-		if t == n-1 {
-			res.Final = merged
-		}
+		res.add(merged)
 	}
-	for _, c := range chains {
-		res.IntermediateTuples += c.interTuples
-		res.IntermediateBytes += c.interBytes
-		res.PeakIntermediateBytes += c.peak
-		if c.spillDepth > res.SpillDepth {
-			res.SpillDepth = c.spillDepth
+	for p := 0; p < shard.Partitions; p++ {
+		res.IntermediateTuples += pp.InterTuples[p]
+		res.IntermediateBytes += pp.InterBytes[p]
+		res.PeakIntermediateBytes += pp.Peak[p]
+		if pp.SpillDepth[p] > res.SpillDepth {
+			res.SpillDepth = pp.SpillDepth[p]
 		}
 	}
 	if pj.keep {
-		pp := &PipelinePartitions{
-			Steps:       make([][]*core.Result, n-1),
-			BuildTuples: make([][]int, n-1),
-			ProbeTuples: make([][]int, n-1),
-			Plans:       make([][]*PlanInfo, n-1),
-			Peak:        make([]int64, shard.Partitions),
-			InterTuples: make([]int64, shard.Partitions),
-			InterBytes:  make([]int64, shard.Partitions),
-			SpillDepth:  make([]int, shard.Partitions),
-		}
-		for idx := 0; idx < n-1; idx++ {
-			pp.Steps[idx] = make([]*core.Result, shard.Partitions)
-			pp.BuildTuples[idx] = make([]int, shard.Partitions)
-			pp.ProbeTuples[idx] = make([]int, shard.Partitions)
-			pp.Plans[idx] = make([]*PlanInfo, shard.Partitions)
-			for p, c := range chains {
-				pp.Steps[idx][p] = c.steps[idx]
-				pp.BuildTuples[idx][p] = c.buildTuples[idx]
-				pp.ProbeTuples[idx][p] = c.probeTuples[idx]
-				pp.Plans[idx][p] = c.plans[idx]
-			}
-		}
-		for p, c := range chains {
-			pp.Peak[p] = c.peak
-			pp.InterTuples[p] = c.interTuples
-			pp.InterBytes[p] = c.interBytes
-			pp.SpillDepth[p] = c.spillDepth
-		}
 		res.Partitions = pp
 	}
 	return res, nil
 }
 
-// runPartitionChain executes the whole left-deep chain over partition p's
-// slice of every source — the sharded sibling of execPipeline's loop,
-// with reservations against the partition's owning shard catalog.
-func (s *Service) runPartitionChain(ctx context.Context, pj *shardedPipeJob, order []int, p int, opt core.Options, auto bool, wFirst *plan.Workload) *partChain {
-	c := &partChain{}
-	cat := s.router.catalogOf(p)
-	n := len(pj.sources)
-
-	// reserved tracks every live reservation of this chain (returned on
-	// exit — the last streamed intermediate, every materialized one, or
-	// whatever an error orphaned); curTransient the reservation backing
-	// the current streamed intermediate.
-	var reserved, curTransient, resident int64
-	defer func() { cat.Unreserve(reserved) }()
-	charge := func(b int64) {
-		resident += b
-		if resident > c.peak {
-			c.peak = resident
-		}
+// newPipelinePartitions allocates the per-partition transport of an
+// nSteps-step pipeline.
+func newPipelinePartitions(nSteps int) *PipelinePartitions {
+	pp := &PipelinePartitions{
+		Steps:       make([][]*core.Result, nSteps),
+		BuildTuples: make([][]int, nSteps),
+		ProbeTuples: make([][]int, nSteps),
+		Plans:       make([][]*PlanInfo, nSteps),
+		Peak:        make([]int64, shard.Partitions),
+		InterTuples: make([]int64, shard.Partitions),
+		InterBytes:  make([]int64, shard.Partitions),
+		SpillDepth:  make([]int, shard.Partitions),
 	}
-
-	cur := pj.sources[order[0]].parts[p]
-	curName := pj.sources[order[0]].name
-	for t := 1; t < n; t++ {
-		probe := pj.sources[order[t]].parts[p]
-		var stepRes *core.Result
-		var pinfo *PlanInfo
-		if cur.Len() == 0 || probe.Len() == 0 {
-			// An empty side joins to nothing: skip planning and execution
-			// for this partition's step (deterministic — emptiness depends
-			// only on the keys and the fixed grid, never the shard count).
-			// The zero-match intermediate still flows through the normal
-			// hand-off below, producing an empty build side for the next
-			// step.
-			stepRes = emptyPartResult(opt)
-		} else {
-			stepOpt := opt
-			var stepFP plan.Fingerprint
-			if auto {
-				var w *plan.Workload
-				if t == 1 {
-					w = wFirst
-				}
-				pl, fp, hit, err := s.router.planFor(ctx, p, cur, probe, stepOpt, w)
-				if err != nil {
-					c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): plan: %w", t, curName, pj.sources[order[t]].name, err)
-					return c
-				}
-				stepOpt.Plan = pl
-				stepFP = fp
-				pinfo = &PlanInfo{
-					Algo:        pl.Algo.String(),
-					Scheme:      pl.Scheme.String(),
-					CacheHit:    hit,
-					PredictedNS: pl.PredictedNS,
-				}
-			}
-
-			var err error
-			stepRes, err = core.RunCtx(ctx, cur, probe, stepOpt)
-			if err != nil {
-				c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): %w", t, curName, pj.sources[order[t]].name, err)
-				return c
-			}
-			if stepOpt.Plan != nil {
-				s.router.planners[p].Observe(stepFP, stepOpt.Plan.PredictedNS, stepRes.TotalNS)
-			}
-		}
-		c.steps = append(c.steps, stepRes)
-		c.buildTuples = append(c.buildTuples, cur.Len())
-		c.probeTuples = append(c.probeTuples, probe.Len())
-		c.plans = append(c.plans, pinfo)
-		if t == n-1 {
-			break
-		}
-		if stepRes.Matches > math.MaxInt32 {
-			c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples exceeds the representable relation size",
-				t, curName, pj.sources[order[t]].name, stepRes.Matches)
-			return c
-		}
-
-		if !pj.materialized {
-			// Streamed hand-off, per partition: derive the per-key state,
-			// free the previous transient, reserve the new intermediate
-			// against the owning shard catalog, then produce.
-			counts := rel.KeyCounts(cur)
-			if curTransient > 0 {
-				cat.Unreserve(curTransient)
-				reserved -= curTransient
-				resident -= curTransient
-				curTransient = 0
-			}
-			bytes := stepRes.Matches * 8
-			// Spill decision: against the partition's pure budget share
-			// first (shard-count invariant), and only then against physical
-			// space — which the threshold guarantees except under
-			// concurrent overload, where the fallback still degrades
-			// gracefully instead of failing.
-			budget := s.router.partitionBudget(p)
-			spill := bytes > budget
-			if !spill {
-				if err := cat.Reserve(bytes); err != nil {
-					if !errors.Is(err, catalog.ErrNoSpace) {
-						c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples: %w",
-							t, curName, pj.sources[order[t]].name, stepRes.Matches, err)
-						return c
-					}
-					spill = true
-					if hr := cat.Headroom(); hr < budget {
-						budget = hr
-					}
-				}
-			}
-			if spill {
-				s.spillPartitionChain(ctx, c, pj, order, p, t, cur, opt, auto, budget, cat)
-				return c
-			}
-			reserved += bytes
-			inter := core.StreamMaterialize(opt.Pool, counts, probe)
-			if int64(inter.Len()) != stepRes.Matches {
-				c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): streamed %d tuples but the join counted %d — engine bug",
-					t, curName, pj.sources[order[t]].name, inter.Len(), stepRes.Matches)
-				return c
-			}
-			charge(bytes)
-			c.interTuples += int64(inter.Len())
-			c.interBytes += inter.Bytes()
-			cur = inter
-			curTransient = bytes
-		} else {
-			// Materialized mode: charge what the unsharded path charges —
-			// relation bytes plus the would-be ingest statistics — held to
-			// the pipeline's end, but never register the intermediate (a
-			// sharded catalog lists only whole registered relations).
-			bytes := stepRes.Matches*8 + catalog.StatBytes(int(stepRes.Matches))
-			if err := cat.Reserve(bytes); err != nil {
-				c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): intermediate of %d tuples: %w",
-					t, curName, pj.sources[order[t]].name, stepRes.Matches, err)
-				return c
-			}
-			reserved += bytes
-			inter := rel.JoinMaterialize(cur, probe)
-			if int64(inter.Len()) != stepRes.Matches {
-				c.err = fmt.Errorf("pipeline step %d (%s ⋈ %s): materialized %d tuples but the join counted %d — engine bug",
-					t, curName, pj.sources[order[t]].name, inter.Len(), stepRes.Matches)
-				return c
-			}
-			charge(bytes)
-			c.interTuples += int64(inter.Len())
-			c.interBytes += inter.Bytes()
-			cur = inter
-		}
-		curName = fmt.Sprintf("step%d", t)
+	for t := 0; t < nSteps; t++ {
+		pp.Steps[t] = make([]*core.Result, shard.Partitions)
+		pp.BuildTuples[t] = make([]int, shard.Partitions)
+		pp.ProbeTuples[t] = make([]int, shard.Partitions)
+		pp.Plans[t] = make([]*PlanInfo, shard.Partitions)
 	}
-	return c
+	return pp
 }

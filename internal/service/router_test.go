@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"apujoin/internal/catalog"
@@ -220,9 +219,8 @@ func TestRouterShardedJoinPaths(t *testing.T) {
 
 // TestRouterShardedPipeline: the sharded pipeline path — global order,
 // per-partition chains, deterministic per-step merge — matches the
-// multi-way oracle on streamed, materialized and declared-order runs,
-// streamed and materialized agree bit for bit, and tiny relations whose
-// hash partitions are mostly empty still chain correctly.
+// multi-way oracle on cost-ordered and declared-order runs, and tiny
+// relations whose hash partitions are mostly empty still chain correctly.
 func TestRouterShardedPipeline(t *testing.T) {
 	svc := New(Config{Workers: 2, Shards: 3})
 	defer svc.Close()
@@ -253,18 +251,8 @@ func TestRouterShardedPipeline(t *testing.T) {
 	if streamed.Final.Matches != want {
 		t.Errorf("streamed: matches %d, oracle %d", streamed.Final.Matches, want)
 	}
-	if !streamed.Streamed || !streamed.Ordered || streamed.PeakIntermediateBytes <= 0 {
-		t.Errorf("streamed run: Streamed=%v Ordered=%v peak=%d", streamed.Streamed, streamed.Ordered, streamed.PeakIntermediateBytes)
-	}
-	mat, err := svc.RunPipeline(context.Background(), PipelineSpec{Sources: named, Opt: opt, Auto: true, Materialized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Streamed {
-		t.Error("materialized run reported Streamed")
-	}
-	if !reflect.DeepEqual(streamed.Order, mat.Order) || !reflect.DeepEqual(streamed.Final, mat.Final) {
-		t.Error("streamed and materialized sharded pipelines diverge")
+	if !streamed.Ordered || streamed.PeakIntermediateBytes <= 0 {
+		t.Errorf("streamed run: Ordered=%v peak=%d", streamed.Ordered, streamed.PeakIntermediateBytes)
 	}
 
 	// Inline sources run in declaration order; tiny relations leave most
@@ -296,11 +284,9 @@ func TestRouterShardedPipeline(t *testing.T) {
 }
 
 // TestRouterShardedPipelineBudget: a sharded pipeline whose intermediate
-// overflows a shard's budget spills on the streamed path — completing
-// with the unconstrained matches and reporting the spill — and still
-// fails with ErrNoSpace when materialized (documented scope: the
-// materialized path pins every intermediate and cannot spill). Both
-// outcomes restore every shard's residency gauge.
+// overflows a shard's budget spills — completing with the unconstrained
+// matches and reporting the spill — and restores every shard's residency
+// gauge.
 func TestRouterShardedPipelineBudget(t *testing.T) {
 	rg := rel.Gen{N: 2000, Seed: 1}
 	sg := rel.Gen{N: 2000, Seed: 2}
@@ -342,12 +328,6 @@ func TestRouterShardedPipelineBudget(t *testing.T) {
 			res.SpilledPartitions, res.SpillBytes, res.SpillNS)
 	}
 
-	_, err = svc.RunPipeline(context.Background(), PipelineSpec{
-		Sources: named, Opt: opt, Materialized: true, DeclaredOrder: true,
-	})
-	if !errors.Is(err, catalog.ErrNoSpace) {
-		t.Errorf("overflowing intermediate (materialized): err %v, want catalog.ErrNoSpace", err)
-	}
 	if after := svc.Stats().Catalog.Bytes; after != before {
 		t.Errorf("pipeline leaked residency: %d bytes, want %d", after, before)
 	}

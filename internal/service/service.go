@@ -24,7 +24,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"apujoin/internal/catalog"
@@ -115,12 +114,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Options is the former name of Config.
-//
-// Deprecated: use Config. The alias is kept one release for callers
-// constructing services positionally; it will be removed.
-type Options = Config
-
 func (o *Config) setDefaults() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -175,20 +168,14 @@ type Query struct {
 	started  time.Time
 	finished time.Time
 
-	// auto marks a SubmitAuto query; plan/planHit are filled once the
-	// planner has decided (just before execution starts), planFP is the
-	// plan-cache fingerprint the observed error writes back to.
-	auto    bool
-	plan    *core.Plan
-	planHit bool
-	planFP  plan.Fingerprint
+	// auto marks a SubmitAuto query; plan is the planner's decision, filled
+	// when the query finishes.
+	auto bool
+	plan *PlanInfo
 
 	// pins holds the catalog entries a named query references; released
-	// when the query reaches a terminal state. workload carries the
-	// catalog's ingest-time buckets to the planner fingerprint (nil for
-	// inline relations, which the planner measures itself).
-	pins     []*catalog.Entry
-	workload *plan.Workload
+	// when the query reaches a terminal state.
+	pins []*catalog.Entry
 
 	// pipe is the per-step report of a SubmitPipeline query, filled when
 	// the pipeline finishes (res then holds the final step's Result).
@@ -306,12 +293,8 @@ func (q *Query) Snapshot() Info {
 		info.Pipeline = pipelineInfo(q.pipe)
 	}
 	if q.plan != nil {
-		info.Plan = &PlanInfo{
-			Algo:        q.plan.Algo.String(),
-			Scheme:      q.plan.Scheme.String(),
-			CacheHit:    q.planHit,
-			PredictedNS: q.plan.PredictedNS,
-		}
+		pl := *q.plan
+		info.Plan = &pl
 	}
 	if q.err != nil {
 		info.Error = q.err.Error()
@@ -354,22 +337,17 @@ type Stats struct {
 	Batches int64 `json:"batches"`
 
 	// Pipelines counts completed multi-way pipeline queries and
-	// PipelineSteps their executed pairwise steps; StreamedPipelines counts
-	// the subset that ran the streamed hand-off (the default).
-	// IntermediateTuples and IntermediateBytes total the intermediates
-	// those pipelines produced on either path. The two peaks report the
-	// largest resident intermediate footprint any single completed pipeline
-	// reached on each path — the streamed peak holds at most one transient
-	// intermediate's relation bytes, the materialized peak every
-	// intermediate plus its catalog statistics — which is what the streamed
-	// path's CI-gated memory budget compares.
-	Pipelines                         int64 `json:"pipelines"`
-	StreamedPipelines                 int64 `json:"streamed_pipelines"`
-	PipelineSteps                     int64 `json:"pipeline_steps"`
-	IntermediateTuples                int64 `json:"intermediate_tuples"`
-	IntermediateBytes                 int64 `json:"intermediate_bytes"`
-	PeakIntermediateBytesStreamed     int64 `json:"peak_intermediate_bytes_streamed"`
-	PeakIntermediateBytesMaterialized int64 `json:"peak_intermediate_bytes_materialized"`
+	// PipelineSteps their executed pairwise steps. IntermediateTuples and
+	// IntermediateBytes total the intermediates those pipelines produced;
+	// PeakIntermediateBytesStreamed is the largest resident intermediate
+	// footprint any single completed pipeline reached (at most one
+	// transient intermediate's relation bytes per chain) — what the CI-gated
+	// memory budget compares.
+	Pipelines                     int64 `json:"pipelines"`
+	PipelineSteps                 int64 `json:"pipeline_steps"`
+	IntermediateTuples            int64 `json:"intermediate_tuples"`
+	IntermediateBytes             int64 `json:"intermediate_bytes"`
+	PeakIntermediateBytesStreamed int64 `json:"peak_intermediate_bytes_streamed"`
 
 	// Replans counts mid-pipeline re-orderings across completed pipelines;
 	// SpilledPartitions and SpillBytes total the hybrid-hash spill activity
@@ -404,12 +382,6 @@ type Stats struct {
 	PlanPredictedNS float64 `json:"plan_predicted_ns"`
 	PlanSimulatedNS float64 `json:"plan_simulated_ns"`
 	PlanAbsErrNS    float64 `json:"plan_abs_err_ns"`
-	// PlanObservations counts observed-error write-backs into plan cache
-	// entries (each completed auto step reports its simulated time back to
-	// the entry that predicted it); PlanObservedErr is the cache's mean
-	// relative |predicted−simulated|/simulated over those observations.
-	PlanObservations int64   `json:"plan_observations"`
-	PlanObservedErr  float64 `json:"plan_observed_err"`
 
 	// Catalog mirrors the relation catalog: resident relations, their
 	// zero-copy footprint, and how often ingest-time statistics were
@@ -448,24 +420,17 @@ type Service struct {
 	pool    *sched.Pool
 	planner *plan.Planner
 	catalog *catalog.Catalog
-	// router is the sharded-mode front: non-nil when Config.Shards > 0,
-	// owning the per-shard catalogs and the per-partition planners. With a
-	// router, relation registration and every join or pipeline go through
-	// the fixed hash-partition grid; without one the legacy single-catalog
-	// path below runs unchanged.
+	// router is the sharded front — over in-process shard catalogs when
+	// Config.Shards > 0, over remote shard servers when Config.Cluster is
+	// set (which wins: a cluster router holds no tuple data). With a router,
+	// relation registration and every join or pipeline go through the fixed
+	// hash-partition grid; without one the single-catalog path runs.
 	router *router
-	// cluster is the network-sharded front: non-nil when Config.Cluster
-	// lists remote shard servers. It wins over router — a cluster router
-	// holds only relation metadata and fans every join out over HTTP.
-	cluster *clusterRouter
 	// sem holds one slot per concurrently executing query; acquisition
 	// order is the runtime's FIFO for blocked channel sends, which
 	// interleaves waiting queries fairly.
 	sem     chan struct{}
 	closing chan struct{}
-
-	// pipeSeq numbers pipelines for their reserved intermediate names.
-	pipeSeq atomic.Int64
 
 	mu      sync.Mutex
 	closed  bool
@@ -491,9 +456,11 @@ func New(opt Config) *Service {
 		queries: make(map[int64]*Query),
 	}
 	if len(opt.Cluster) > 0 {
-		s.cluster = newClusterRouter(opt)
+		b := newRemoteBackend(opt)
+		s.router = newRouter(b, b.pool.Size())
 	} else if opt.Shards > 0 {
-		s.router = newRouter(opt)
+		b := newLocalBackend(opt, s.pool)
+		s.router = newRouter(b, len(b.catalogs))
 	}
 	s.stats.Workers = s.pool.Workers()
 	s.stats.MaxConcurrent = opt.MaxConcurrent
@@ -502,17 +469,14 @@ func New(opt Config) *Service {
 
 // Sharded reports whether the service runs the sharded router path
 // (in-process shards or a network cluster).
-func (s *Service) Sharded() bool { return s.router != nil || s.cluster != nil }
+func (s *Service) Sharded() bool { return s.router != nil }
 
 // Clustered reports whether the service fans out to remote shard servers.
-func (s *Service) Clustered() bool { return s.cluster != nil }
+func (s *Service) Clustered() bool { return len(s.opt.Cluster) > 0 }
 
 // Shards returns the configured shard count: remote servers for a
 // clustered service, in-process shards otherwise (0 when unsharded).
 func (s *Service) Shards() int {
-	if s.cluster != nil {
-		return s.cluster.pool.Size()
-	}
 	if s.router == nil {
 		return 0
 	}
@@ -530,16 +494,30 @@ func (s *Service) Pool() *sched.Pool { return s.pool }
 // instead, which dispatch to the router when sharding is on.
 func (s *Service) Catalog() *catalog.Catalog { return s.catalog }
 
+// relationSet is the relation surface the single catalog and the sharded
+// router share.
+type relationSet interface {
+	RegisterGen(name string, g rel.Gen) (catalog.Info, error)
+	RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error)
+	Load(name string, r rel.Relation) (catalog.Info, error)
+	Drop(name string) (catalog.Info, error)
+	List() []catalog.Info
+	Get(name string) (catalog.Info, bool)
+}
+
+// relations is where the service's relations register: the router when
+// sharded, the single catalog otherwise.
+func (s *Service) relations() relationSet {
+	if s.router != nil {
+		return s.router
+	}
+	return s.catalog
+}
+
 // RegisterGen generates and registers a build relation from a spec,
 // splitting it across the shard catalogs when the service is sharded.
 func (s *Service) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
-	if s.cluster != nil {
-		return s.cluster.registerGen(name, g)
-	}
-	if s.router != nil {
-		return s.router.registerGen(name, g)
-	}
-	return s.catalog.RegisterGen(name, g)
+	return s.relations().RegisterGen(name, g)
 }
 
 // RegisterProbe generates and registers a probe relation against the
@@ -548,60 +526,26 @@ func (s *Service) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
 // original tuple order) before generating, so the probe is bit-identical
 // to the unsharded generation from the same specs.
 func (s *Service) RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
-	if s.cluster != nil {
-		return s.cluster.registerProbe(name, of, g, selectivity)
-	}
-	if s.router != nil {
-		return s.router.registerProbe(name, of, g, selectivity)
-	}
-	return s.catalog.RegisterProbe(name, of, g, selectivity)
+	return s.relations().RegisterProbe(name, of, g, selectivity)
 }
 
 // LoadRelation registers an existing relation (bulk load), splitting it
 // across the shard catalogs when the service is sharded.
 func (s *Service) LoadRelation(name string, r rel.Relation) (catalog.Info, error) {
-	if s.cluster != nil {
-		return s.cluster.load(name, r)
-	}
-	if s.router != nil {
-		return s.router.load(name, r)
-	}
-	return s.catalog.Load(name, r)
+	return s.relations().Load(name, r)
 }
 
 // DropRelation unregisters a relation: the name unbinds immediately while
 // in-flight queries keep their pins.
 func (s *Service) DropRelation(name string) (catalog.Info, error) {
-	if s.cluster != nil {
-		return s.cluster.drop(name)
-	}
-	if s.router != nil {
-		return s.router.drop(name)
-	}
-	return s.catalog.Drop(name)
+	return s.relations().Drop(name)
 }
 
 // Relations lists the registered relations, sorted by name.
-func (s *Service) Relations() []catalog.Info {
-	if s.cluster != nil {
-		return s.cluster.list()
-	}
-	if s.router != nil {
-		return s.router.list()
-	}
-	return s.catalog.List()
-}
+func (s *Service) Relations() []catalog.Info { return s.relations().List() }
 
 // RelationInfo snapshots one registered relation.
-func (s *Service) RelationInfo(name string) (catalog.Info, bool) {
-	if s.cluster != nil {
-		return s.cluster.get(name)
-	}
-	if s.router != nil {
-		return s.router.get(name)
-	}
-	return s.catalog.Get(name)
-}
+func (s *Service) RelationInfo(name string) (catalog.Info, bool) { return s.relations().Get(name) }
 
 // RunJoin executes one join synchronously, outside the admission layer —
 // the engine facade's sharded path (the caller bounds its own concurrency
@@ -614,34 +558,23 @@ func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, err
 		return nil, err
 	}
 	defer rs.release()
-	if rs.clusterjob != nil {
-		res, _, err := s.cluster.execJoin(ctx, rs.clusterjob)
-		return res, err
-	}
-	if rs.shardjob != nil {
-		res, _, err := s.execShardedJoin(ctx, rs.shardjob, rs.opt, rs.auto)
-		return res, err
-	}
-	opt := rs.opt
-	var fp plan.Fingerprint
-	if rs.auto {
-		var pl *core.Plan
-		var perr error
-		if rs.workload != nil {
-			pl, fp, _, perr = s.planner.PlanWorkload(ctx, rs.r, rs.s, opt, *rs.workload)
-		} else {
-			pl, fp, _, perr = s.planner.Plan(ctx, rs.r, rs.s, opt)
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		opt.Plan = pl
-	}
-	res, err := core.RunCtx(ctx, rs.r, rs.s, opt)
-	if err == nil && opt.Plan != nil {
-		s.planner.Observe(fp, opt.Plan.PredictedNS, res.TotalNS)
-	}
+	res, _, _, err := s.execJoin(ctx, &rs)
 	return res, err
+}
+
+// execJoin runs one resolved join: a routed join fans out to every fixed
+// hash partition (per-partition planning on the partition's own planner)
+// and merges deterministically; otherwise the shared planner decides (auto)
+// and the join runs whole. parts is the raw per-partition vector of a
+// routed join that asked to keep it, pl the planner's decision for an
+// unsharded auto join.
+func (s *Service) execJoin(ctx context.Context, rs *resolvedSpec) (res *core.Result, parts []*core.Result, pl *PlanInfo, err error) {
+	if rs.join != nil {
+		res, parts, err = s.router.execJoin(ctx, rs.join, rs.opt, rs.auto)
+		return res, parts, nil, err
+	}
+	res, cpl, hit, err := planRun(ctx, plannerIf(rs.auto, s.planner), rs.r, rs.s, rs.opt, rs.workload)
+	return res, nil, planInfo(cpl, hit), err
 }
 
 // PlanFor consults the service's shared planner and plan cache outside the
@@ -650,12 +583,7 @@ func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, err
 // statistics — so planning touches neither relation; hit reports whether
 // the plan was served without a pilot run.
 func (s *Service) PlanFor(ctx context.Context, r, sr rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error) {
-	if w != nil {
-		pl, _, hit, err := s.planner.PlanWorkload(ctx, r, sr, opt, *w)
-		return pl, hit, err
-	}
-	pl, _, hit, err := s.planner.Plan(ctx, r, sr, opt)
-	return pl, hit, err
+	return planFor(ctx, s.planner, r, sr, opt, w)
 }
 
 // Submit enqueues one join R ⋈ S under the per-query options and returns
@@ -729,22 +657,12 @@ type resolvedSpec struct {
 	workload *plan.Workload
 	// pipe marks a pipeline job (SubmitPipeline); r/s/workload are unused.
 	pipe *pipeJob
-	// shardjob / shardpipe mark sharded-router work (Config.Shards > 0):
-	// the per-partition inputs of a join or pipeline. r/s/pipe are unused.
-	shardjob  *shardJob
-	shardpipe *shardedPipeJob
-	// clusterjob / clusterpipe mark network-cluster work (Config.Cluster
-	// non-empty): the wire requests to fan out to the remote shard
-	// servers. Every other execution field is unused.
-	clusterjob  *clusterJob
-	clusterpipe *clusterPipeJob
+	// join marks a routed join (sharded service): the backend-bound
+	// per-partition job. r/s are unused.
+	join *joinJob
 }
 
-func (rs *resolvedSpec) release() {
-	for _, p := range rs.pins {
-		p.Release()
-	}
-}
+func (rs *resolvedSpec) release() { releaseAll(rs.pins) }
 
 // resolve pins the catalog entries a spec references and captures their
 // ingest-time workload statistics for the planner. On a sharded service
@@ -752,11 +670,8 @@ func (rs *resolvedSpec) release() {
 // fixed per-partition inputs (named sides pin all partition entries,
 // inline sides split on the spot).
 func (s *Service) resolve(sp JoinSpec) (resolvedSpec, error) {
-	if s.cluster != nil {
-		return s.cluster.resolve(sp)
-	}
 	if s.router != nil {
-		return s.resolveSharded(sp)
+		return s.router.resolveJoin(sp)
 	}
 	rs := resolvedSpec{r: sp.R, s: sp.S, opt: sp.Opt, auto: sp.Auto, workload: sp.Workload}
 	if (sp.RName == "") != (sp.SName == "") {
@@ -829,7 +744,7 @@ func (s *Service) SubmitBatch(ctx context.Context, specs []JoinSpec) ([]*Query, 
 // resolved specs' pins are owned by the queries from here on (released at
 // each terminal state) — or released here when the whole set is rejected.
 func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch bool) ([]*Query, error) {
-	releaseAll := func() {
+	reject := func() {
 		for i := range res {
 			res[i].release()
 		}
@@ -838,7 +753,7 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		releaseAll()
+		reject()
 		return nil, ErrClosed
 	}
 	// Immediate admission when slots are free; only genuinely waiting
@@ -861,7 +776,7 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 		}
 		s.stats.Rejected += int64(len(res))
 		s.mu.Unlock()
-		releaseAll()
+		reject()
 		return nil, ErrQueueFull
 	}
 	now := time.Now()
@@ -871,13 +786,12 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 		s.nextID++
 		qctx, cancel := context.WithCancel(ctx)
 		q := &Query{
-			ID:       s.nextID,
-			auto:     res[i].auto,
-			submit:   now,
-			cancel:   cancel,
-			done:     make(chan struct{}),
-			pins:     res[i].pins,
-			workload: res[i].workload,
+			ID:     s.nextID,
+			auto:   res[i].auto,
+			submit: now,
+			cancel: cancel,
+			done:   make(chan struct{}),
+			pins:   res[i].pins,
 		}
 		if admitted[i] {
 			q.state = Running
@@ -909,7 +823,6 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 
 // run carries one query from admission through completion.
 func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted bool) {
-	r, sr, opt := rs.r, rs.s, rs.opt
 	defer s.wg.Done()
 	defer q.cancel()
 
@@ -960,113 +873,31 @@ func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted b
 	started := q.started
 	q.mu.Unlock()
 
-	// A pipeline query runs its whole chain inside the one admission slot;
-	// the final step's Result is the query's Result and the per-step
-	// report lands on the query before it turns terminal. Sharded
-	// pipelines fan the chain out per partition the same way.
-	if rs.pipe != nil || rs.shardpipe != nil || rs.clusterpipe != nil {
+	// A pipeline query runs its whole chain inside the one admission slot:
+	// the final step's Result is the query's Result and the per-step report
+	// lands on the query before it turns terminal. A plain join reports the
+	// planner's decision and, when asked, its raw per-partition results.
+	var res *core.Result
+	var err error
+	if rs.pipe != nil {
 		var pres *PipelineResult
-		var err error
-		switch {
-		case rs.clusterpipe != nil:
-			pres, err = s.cluster.execPipeline(ctx, rs.clusterpipe)
-		case rs.shardpipe != nil:
-			pres, err = s.execShardedPipeline(ctx, rs.shardpipe, opt, rs.auto)
-		default:
-			pres, err = s.execPipeline(ctx, rs.pipe, opt, rs.auto)
-		}
-		switch {
-		case err == nil:
+		if pres, err = s.execPipeline(ctx, &rs); err == nil {
+			res = pres.Final
 			q.mu.Lock()
 			q.pipe = pres
 			q.mu.Unlock()
-			s.finish(q, pres.Final, nil, Done, started)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.finish(q, nil, err, Canceled, started)
-		default:
-			s.finish(q, nil, err, Failed, started)
 		}
-		return
-	}
-
-	// A clustered join fans out to the remote shard servers inside the one
-	// admission slot; the per-partition results come back raw and merge
-	// locally in partition order.
-	if rs.clusterjob != nil {
-		res, parts, err := s.cluster.execJoin(ctx, rs.clusterjob)
-		switch {
-		case err == nil:
-			if rs.clusterjob.keep {
-				q.mu.Lock()
-				q.parts = parts
-				q.mu.Unlock()
-			}
-			s.finish(q, res, nil, Done, started)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.finish(q, nil, err, Canceled, started)
-		default:
-			s.finish(q, nil, err, Failed, started)
-		}
-		return
-	}
-
-	// A sharded join fans out to every fixed hash partition inside the one
-	// admission slot and merges deterministically; per-partition planning
-	// happens inside the fan-out on the partition's own planner.
-	if rs.shardjob != nil {
-		res, parts, err := s.execShardedJoin(ctx, rs.shardjob, opt, rs.auto)
-		switch {
-		case err == nil:
+	} else {
+		var parts []*core.Result
+		var pl *PlanInfo
+		if res, parts, pl, err = s.execJoin(ctx, &rs); err == nil {
 			q.mu.Lock()
-			q.parts = parts
+			q.parts, q.plan = parts, pl
 			q.mu.Unlock()
-			s.finish(q, res, nil, Done, started)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.finish(q, nil, err, Canceled, started)
-		default:
-			s.finish(q, nil, err, Failed, started)
 		}
-		return
 	}
-
-	if q.auto {
-		// Planning happens inside the admission slot: a cache hit is
-		// nearly free, a miss pays one pilot that every later query of
-		// this shape skips. The plan decides algorithm, scheme and ratios.
-		// The query's context bounds the planning wait, so a cancelled
-		// query frees its slot instead of blocking on another's build.
-		// Catalog-referenced pairs carry their ingest-time workload
-		// buckets, so fingerprinting reads neither relation.
-		var pl *core.Plan
-		var hit bool
-		var perr error
-		if q.workload != nil {
-			pl, q.planFP, hit, perr = s.planner.PlanWorkload(ctx, r, sr, opt, *q.workload)
-		} else {
-			pl, q.planFP, hit, perr = s.planner.Plan(ctx, r, sr, opt)
-		}
-		if perr != nil {
-			st := Failed
-			if errors.Is(perr, context.Canceled) || errors.Is(perr, context.DeadlineExceeded) {
-				st = Canceled
-			}
-			s.finish(q, nil, perr, st, started)
-			return
-		}
-		q.mu.Lock()
-		q.plan, q.planHit = pl, hit
-		q.mu.Unlock()
-		opt.Plan = pl
-	}
-
-	res, err := core.RunCtx(ctx, r, sr, opt)
 	switch {
 	case err == nil:
-		if opt.Plan != nil {
-			// Write the observed error back into the plan cache entry that
-			// predicted this query, feeding the adaptive feedback surface.
-			s.planner.Observe(q.planFP, opt.Plan.PredictedNS, res.TotalNS)
-		}
 		s.finish(q, res, nil, Done, started)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.finish(q, nil, err, Canceled, started)
@@ -1088,9 +919,7 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 	close(q.done)
 	// The query no longer reads its relations: release its catalog pins
 	// (finish runs exactly once per query, so pins release exactly once).
-	for _, p := range q.pins {
-		p.Release()
-	}
+	releaseAll(q.pins)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1117,13 +946,8 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 			s.stats.Replans += pipe.Replans
 			s.stats.SpilledPartitions += pipe.SpilledPartitions
 			s.stats.SpillBytes += pipe.SpillBytes
-			if pipe.Streamed {
-				s.stats.StreamedPipelines++
-				if pipe.PeakIntermediateBytes > s.stats.PeakIntermediateBytesStreamed {
-					s.stats.PeakIntermediateBytesStreamed = pipe.PeakIntermediateBytes
-				}
-			} else if pipe.PeakIntermediateBytes > s.stats.PeakIntermediateBytesMaterialized {
-				s.stats.PeakIntermediateBytesMaterialized = pipe.PeakIntermediateBytes
+			if pipe.PeakIntermediateBytes > s.stats.PeakIntermediateBytesStreamed {
+				s.stats.PeakIntermediateBytesStreamed = pipe.PeakIntermediateBytes
 			}
 			s.stats.SimulatedNS += pipe.TotalNS
 			for _, step := range pipe.Steps {
@@ -1214,9 +1038,9 @@ func (s *Service) Queries() []Info {
 }
 
 // Stats snapshots the metrics surface, folding in the plan cache counters.
-// On a sharded service the plan counters sum over the per-partition
-// planners, Catalog aggregates the shard catalogs, and ShardCatalogs
-// carries the per-shard gauges.
+// On a sharded service the plan counters add the per-partition planners',
+// Catalog aggregates the shard catalogs, and ShardCatalogs carries the
+// per-shard gauges; on a clustered one Cluster reports shard health.
 func (s *Service) Stats() Stats {
 	cs := s.planner.Stats()
 	s.mu.Lock()
@@ -1226,32 +1050,10 @@ func (s *Service) Stats() Stats {
 	st.PlanMisses = cs.Misses
 	st.PlanEvictions = cs.Evictions
 	st.PlanEntries = cs.Entries
-	st.PlanObservations = cs.Observations
-	obsErr := cs.MeanObservedErr * float64(cs.Observations)
-	st.Catalog = s.catalog.Stats()
-	if s.cluster != nil {
-		st.Shards = s.cluster.pool.Size()
-		st.Catalog = s.cluster.stats()
-		rep := s.cluster.pool.Report()
-		st.Cluster = &rep
-	}
 	if s.router != nil {
-		for _, p := range s.router.planners {
-			pcs := p.Stats()
-			st.PlanHits += pcs.Hits
-			st.PlanMisses += pcs.Misses
-			st.PlanEvictions += pcs.Evictions
-			st.PlanEntries += pcs.Entries
-			st.PlanObservations += pcs.Observations
-			obsErr += pcs.MeanObservedErr * float64(pcs.Observations)
-		}
-		st.Shards = s.router.shards
-		st.Catalog, st.ShardCatalogs = s.router.stats()
-	}
-	// Cache-level means recombine as an observation-weighted average so the
-	// aggregate is the mean over ALL write-backs, whichever planner took them.
-	if st.PlanObservations > 0 {
-		st.PlanObservedErr = obsErr / float64(st.PlanObservations)
+		s.router.stats(&st)
+	} else {
+		st.Catalog = s.catalog.Stats()
 	}
 	return st
 }
@@ -1271,8 +1073,8 @@ func (s *Service) Close() error {
 	}
 	s.wg.Wait()
 	s.pool.Close()
-	if s.cluster != nil {
-		s.cluster.pool.Close()
+	if s.router != nil {
+		s.router.b.close()
 	}
 	return nil
 }

@@ -106,7 +106,7 @@ func TestConcurrentQueriesInvariance(t *testing.T) {
 		refs[i] = res
 	}
 
-	svc := New(Options{Workers: 8, MaxConcurrent: len(cases), MaxQueue: len(cases)})
+	svc := New(Config{Workers: 8, MaxConcurrent: len(cases), MaxQueue: len(cases)})
 	defer svc.Close()
 
 	// Interleaved: all queries in flight at once on the shared pool.
@@ -162,7 +162,7 @@ func TestConcurrentQueriesInvariance(t *testing.T) {
 func TestServiceCloseNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	svc := New(Options{Workers: 8, MaxConcurrent: 3})
+	svc := New(Config{Workers: 8, MaxConcurrent: 3})
 	r := rel.Gen{N: 20000, Seed: 1}.Build()
 	s := rel.Gen{N: 20000, Seed: 2}.Probe(r, 1.0)
 	for i := 0; i < 5; i++ {
@@ -197,7 +197,7 @@ func TestServiceCloseNoGoroutineLeaks(t *testing.T) {
 // overflow is rejected fast, and a queued query can be cancelled without
 // ever running.
 func TestAdmissionQueueAndCancel(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 1, MaxQueue: 3})
+	svc := New(Config{Workers: 2, MaxConcurrent: 1, MaxQueue: 3})
 	defer svc.Close()
 
 	// q1 is big enough to still be running while the rest are submitted.
@@ -262,7 +262,7 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 // TestResultRetention checks eviction keeps the newest finished queries
 // pollable and never drops unfinished ones.
 func TestResultRetention(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxConcurrent: 2, MaxQueue: 16, KeepResults: 3})
+	svc := New(Config{Workers: 2, MaxConcurrent: 2, MaxQueue: 16, KeepResults: 3})
 	defer svc.Close()
 
 	r := rel.Gen{N: 3000, Seed: 7}.Build()
@@ -301,7 +301,7 @@ func TestSubmitAutoBitIdentical(t *testing.T) {
 	r := rel.Gen{N: 30000, Dist: rel.LowSkew, Seed: 11}.Build()
 	s := rel.Gen{N: 30000, Dist: rel.LowSkew, Seed: 12}.Probe(r, 0.8)
 
-	svc := New(Options{MaxConcurrent: 2})
+	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
 
 	const queries = 4
@@ -383,7 +383,7 @@ func TestSubmitAutoBitIdentical(t *testing.T) {
 // cache entries and each picks its own plan.
 func TestSubmitAutoDistinctShapes(t *testing.T) {
 	opt := core.Options{Delta: 0.1, PilotItems: 1 << 11}
-	svc := New(Options{MaxConcurrent: 2})
+	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
 
 	shapes := []struct {

@@ -8,13 +8,14 @@ import (
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/cost"
+	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/shard"
 )
 
 // Hybrid-hash spill executor. When a pipeline intermediate would exceed
-// the residency budget (catalog.ErrNoSpace on the streamed hand-off), the
-// spiller takes over the remaining chain instead of failing the query:
+// the residency budget (runChain's hand-off), the spiller takes over the
+// remaining chain instead of failing the query:
 //
 //   - the current build side, its probe and every remaining probe are
 //     partitioned with the shard package's fixed grid partitioner into a
@@ -61,129 +62,17 @@ const (
 	replanDeviation = 1.0
 )
 
-// spillRemainder finishes a streamed pipeline whose next intermediate the
-// residency budget just rejected: steps t..last re-run through the
-// hybrid-hash spiller under the catalog's remaining headroom. Step t's
-// already-recorded result is replaced by the spiller's partitioned
-// re-execution (merged over partitions, so the step keeps one Result),
-// and — since the partitioned execution is what actually ran — its plan
-// report is dropped along with it; spilled steps carry no per-step plan.
-func (s *Service) spillRemainder(ctx context.Context, res *PipelineResult, pj *pipeJob, order []int, t int, cur, probe pipeInput, opt core.Options, auto bool) (*PipelineResult, error) {
-	n := len(pj.sources)
-	dropped := res.Steps[len(res.Steps)-1]
-	res.Steps = res.Steps[:len(res.Steps)-1]
-	res.TotalNS -= dropped.Result.TotalNS
-
-	rest := make([]rel.Relation, 0, n-1-t)
-	for i := t + 1; i < n; i++ {
-		rest = append(rest, pj.sources[order[i]].rel)
-	}
-	sp := &spiller{ctx: ctx, cat: s.catalog, opt: opt, budget: s.catalog.Headroom()}
-	if auto {
-		sp.plan = func(ctx context.Context, b, p rel.Relation, o core.Options) (*core.Plan, error) {
-			pl, _, _, err := s.planner.Plan(ctx, b, p, o)
-			return pl, err
-		}
-	}
-	stepsRes, err := sp.run(cur.rel, probe.rel, rest, 0)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline step %d (%s ⋈ %s): spill: %w", t, cur.name, probe.name, err)
-	}
-
-	// The simulated I/O the spill store charged attaches to the first
-	// spilled step (and with it to the pipeline's serial total).
-	stepsRes[0].SpilledPartitions, stepsRes[0].SpillBytes, stepsRes[0].SpillNS = sp.parts, sp.bytes, sp.ns
-	stepsRes[0].TotalNS += sp.ns
-
-	buildName, buildTuples := cur.name, cur.rel.Len()
-	for i, r := range stepsRes {
-		st := t + i
-		probeIn := pj.sources[order[st]]
-		res.Steps = append(res.Steps, PipelineStep{
-			Build:       buildName,
-			Probe:       probeIn.name,
-			BuildTuples: buildTuples,
-			ProbeTuples: probeIn.rel.Len(),
-			OutTuples:   r.Matches,
-			Result:      r,
-		})
-		res.TotalNS += r.TotalNS
-		if i < len(stepsRes)-1 {
-			res.IntermediateTuples += r.Matches
-			res.IntermediateBytes += r.Matches * 8
-		}
-		buildName, buildTuples = fmt.Sprintf("step%d", st), int(r.Matches)
-	}
-	res.Final = stepsRes[len(stepsRes)-1]
-	res.SpilledPartitions, res.SpillBytes, res.SpillNS, res.SpillDepth = sp.parts, sp.bytes, sp.ns, sp.depth
-	if sp.peak > res.PeakIntermediateBytes {
-		res.PeakIntermediateBytes = sp.peak
-	}
-	return res, nil
-}
-
-// spillPartitionChain finishes one partition chain of a sharded pipeline
-// whose next intermediate exceeded the partition's budget share: steps
-// t..last re-run through the spiller at repartitioning level 1 (the data
-// is already one fixed-grid partition — level 0). Step t's recorded result
-// and plan are replaced by the spiller's, exactly as spillRemainder does
-// on the unsharded path. Results land in c; on failure c.err is set.
-func (s *Service) spillPartitionChain(ctx context.Context, c *partChain, pj *shardedPipeJob, order []int, p, t int, cur rel.Relation, opt core.Options, auto bool, budget int64, cat *catalog.Catalog) {
-	n := len(pj.sources)
-	c.steps = c.steps[:len(c.steps)-1]
-	c.plans = c.plans[:len(c.plans)-1]
-
-	probe := pj.sources[order[t]].parts[p]
-	rest := make([]rel.Relation, 0, n-1-t)
-	for i := t + 1; i < n; i++ {
-		rest = append(rest, pj.sources[order[i]].parts[p])
-	}
-	sp := &spiller{ctx: ctx, cat: cat, opt: opt, budget: budget}
-	if auto {
-		sp.plan = func(ctx context.Context, b, pr rel.Relation, o core.Options) (*core.Plan, error) {
-			pl, _, _, err := s.router.planners[p].Plan(ctx, b, pr, o)
-			return pl, err
-		}
-	}
-	stepsRes, err := sp.run(cur, probe, rest, 1)
-	if err != nil {
-		c.err = fmt.Errorf("pipeline step %d (⋈ %s): spill: %w", t, pj.sources[order[t]].name, err)
-		return
-	}
-	stepsRes[0].SpilledPartitions, stepsRes[0].SpillBytes, stepsRes[0].SpillNS = sp.parts, sp.bytes, sp.ns
-	stepsRes[0].TotalNS += sp.ns
-
-	for i, r := range stepsRes {
-		c.steps = append(c.steps, r)
-		c.plans = append(c.plans, nil)
-		if i > 0 {
-			c.buildTuples = append(c.buildTuples, int(stepsRes[i-1].Matches))
-			c.probeTuples = append(c.probeTuples, pj.sources[order[t+i]].parts[p].Len())
-		}
-		if i < len(stepsRes)-1 {
-			c.interTuples += r.Matches
-			c.interBytes += r.Matches * 8
-		}
-	}
-	c.spillDepth = sp.depth
-	if sp.peak > c.peak {
-		c.peak = sp.peak
-	}
-}
-
-// spillPlanFn plans one spilled chain step when the pipeline runs auto;
-// nil runs every step with the pipeline's base options.
-type spillPlanFn func(ctx context.Context, build, probe rel.Relation, opt core.Options) (*core.Plan, error)
-
 // spiller executes the remainder of one pipeline chain under a residency
 // budget. It is single-use and not safe for concurrent use; the morsel
 // parallelism inside each step (opt.Pool) is unaffected.
 type spiller struct {
-	ctx    context.Context
-	cat    *catalog.Catalog
-	opt    core.Options
-	plan   spillPlanFn
-	budget int64
+	ctx context.Context
+	cat *catalog.Catalog
+	// planner plans each chain step (measured workloads); nil runs every
+	// step with the pipeline's base options.
+	planner *plan.Planner
+	opt     core.Options
+	budget  int64
 
 	// Spill accounting: partitions written to the simulated store, their
 	// input bytes, the simulated I/O charged, and the deepest
@@ -287,7 +176,7 @@ func (sp *spiller) run(cur, probe rel.Relation, rest []rel.Relation, depth int) 
 	for p := 0; p < shard.Partitions; p++ {
 		if curP[p].Len() == 0 || probeP[p].Len() == 0 {
 			for t := 0; t < nsteps; t++ {
-				perStep[t] = append(perStep[t], emptyPartResult(sp.opt))
+				perStep[t] = append(perStep[t], emptyResult(sp.opt))
 			}
 			continue
 		}
@@ -337,7 +226,7 @@ func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) (
 		probe := probes[j]
 		if cur.Len() == 0 || probe.Len() == 0 {
 			for range probes[j:] {
-				out = append(out, emptyPartResult(sp.opt))
+				out = append(out, emptyResult(sp.opt))
 			}
 			return out, nil
 		}
@@ -359,15 +248,7 @@ func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) (
 				return append(out, sub...), nil
 			}
 		}
-		stepOpt := sp.opt
-		if sp.plan != nil {
-			pl, err := sp.plan(sp.ctx, cur, probe, stepOpt)
-			if err != nil {
-				return nil, fmt.Errorf("chain step %d: plan: %w", j, err)
-			}
-			stepOpt.Plan = pl
-		}
-		stepRes, err := core.RunCtx(sp.ctx, cur, probe, stepOpt)
+		stepRes, _, _, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, nil)
 		if err != nil {
 			return nil, fmt.Errorf("chain step %d: %w", j, err)
 		}
@@ -407,7 +288,7 @@ func (sp *spiller) stream(cur, probe rel.Relation, rest []rel.Relation) ([]*core
 	out := make([]*core.Result, nsteps)
 	for t := range perStep {
 		if len(perStep[t]) == 0 {
-			out[t] = emptyPartResult(sp.opt)
+			out[t] = emptyResult(sp.opt)
 			continue
 		}
 		out[t] = shard.MergeResults(perStep[t])

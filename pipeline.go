@@ -11,22 +11,18 @@ import (
 // two sources of the chosen order join first, and every later source
 // probes the previous step's intermediate (a left-deep plan).
 //
-// By default intermediates are streamed: each step's matches are produced
+// Intermediates are streamed: each step's matches are produced
 // morsel-parallel directly into the next step's build input, their bytes
 // reserved transiently against the engine's residency budget and freed as
 // soon as the consumer step has built from them — at most one intermediate
 // is resident at a time, and none is registered (no catalog statistics are
-// built for it). Set Materialize to route intermediates through the
-// catalog instead: registered, measured at ingest like any relation, and
-// charged until the pipeline finishes. Results are bit-identical on both
-// paths; only PipelineResult.PeakIntermediateBytes differs. A streamed
-// intermediate the budget cannot hold does not fail the pipeline: the
-// remaining chain spills — hybrid-hash partitioned through a simulated
-// spill store, as many partitions resident as the budget allows — and
-// completes with the same matches, reported by the PipelineResult's
-// SpilledPartitions/SpillBytes/SpillNS/SpillDepth. The materialized path
-// keeps the strict contract and fails with ErrNoSpace before the
-// intermediate is allocated.
+// built for it). An intermediate the budget cannot hold does not fail the
+// pipeline: the remaining chain spills — hybrid-hash partitioned through a
+// simulated spill store, as many partitions resident as the budget allows
+// — and completes with the same matches, reported by the PipelineResult's
+// SpilledPartitions/SpillBytes/SpillNS/SpillDepth. A step with an empty
+// side joins to nothing and is skipped: it reports a zero Result and hands
+// an empty intermediate on.
 //
 // Unless DeclaredOrder is set, a greedy cost-based orderer picks the
 // cheapest left-deep order from the catalog's ingest-time skew and
@@ -47,12 +43,6 @@ type Pipeline struct {
 	// DeclaredOrder skips the cost-based orderer and joins the sources
 	// exactly as declared.
 	DeclaredOrder bool
-	// Materialize forces every intermediate through the catalog (pinned and
-	// charged, with ingest statistics, until the pipeline finishes) instead
-	// of the default streamed hand-off. Results are identical; use it when
-	// a consumer requires catalog-resident intermediates or to compare the
-	// two paths' footprints.
-	Materialize bool
 }
 
 // PipelineResult reports one executed pipeline: the chosen order, every
@@ -67,9 +57,8 @@ type PipelineStep = service.PipelineStep
 
 // JoinPipeline executes a multi-way join pipeline on the engine. Options
 // configure every pairwise step exactly as in Join; WithAuto plans each
-// step through the engine's shared plan cache (catalog-resident inputs —
-// named sources and materialized intermediates — plan from ingest-time
-// statistics). JoinPipeline is synchronous and runs outside the service
+// step through the engine's shared plan cache (a first step over two
+// named sources plans from their ingest-time statistics). JoinPipeline is synchronous and runs outside the service
 // admission layer, like Join; apujoind's POST /v1/pipeline layers bounded
 // admission on the same primitives.
 //
@@ -88,7 +77,6 @@ func (e *Engine) JoinPipeline(ctx context.Context, p Pipeline, opts ...JoinOptio
 		Opt:           cfg.opt,
 		Auto:          cfg.auto,
 		DeclaredOrder: p.DeclaredOrder,
-		Materialized:  p.Materialize,
 	}
 	for _, src := range p.Sources {
 		spec.Sources = append(spec.Sources, service.PipelineSource{Name: src.name, Rel: src.rel})

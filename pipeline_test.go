@@ -51,10 +51,32 @@ func pipelineFixture(t *testing.T, eng *Engine) (rels []Relation) {
 
 var pipelineTestOpts = []JoinOption{WithDelta(0.1), WithPilotItems(1 << 10)}
 
+// handRunChain executes a pipeline's chain by hand in the given order: one
+// stand-alone Join per step, each intermediate built with
+// rel.JoinMaterialize. It returns every step's Result and every
+// intermediate — the reference the pipeline executor is held to.
+func handRunChain(t *testing.T, eng *Engine, rels []Relation, order []int, opts []JoinOption) (steps []*Result, inters []Relation) {
+	t.Helper()
+	cur := rels[order[0]]
+	for i := 1; i < len(order); i++ {
+		probe := rels[order[i]]
+		res, err := eng.Join(context.Background(), Inline(cur), Inline(probe), opts...)
+		if err != nil {
+			t.Fatalf("hand-run step %d: %v", i, err)
+		}
+		steps = append(steps, res)
+		if i < len(order)-1 {
+			cur = rel.JoinMaterialize(cur, probe)
+			inters = append(inters, cur)
+		}
+	}
+	return steps, inters
+}
+
 // TestPipelineMatchesManualChain is the PR's acceptance contract: a
 // 3-relation pipeline's final Result is bit-identical to manually chaining
-// pairwise Join calls in the chosen order — with the intermediates
-// materialized by hand — for worker counts 1 and GOMAXPROCS, under both an
+// pairwise Join calls in the chosen order — with the intermediates built
+// by hand — for worker counts 1 and GOMAXPROCS, under both an
 // explicit configuration and the auto planner; and the final match count
 // equals the brute-force multi-way oracle.
 func TestPipelineMatchesManualChain(t *testing.T) {
@@ -95,25 +117,13 @@ func TestPipelineMatchesManualChain(t *testing.T) {
 				}
 
 				// Manual chain in the chosen order, same options per step.
-				cur := rels[pr.Order[0]]
-				var final *Result
-				for i := 1; i < len(pr.Order); i++ {
-					probe := rels[pr.Order[i]]
-					res, err := eng.Join(ctx, Inline(cur), Inline(probe), m.opts...)
-					if err != nil {
-						t.Fatalf("manual step %d: %v", i, err)
-					}
-					final = res
-					if i < len(pr.Order)-1 {
-						cur = rel.JoinMaterialize(cur, probe)
-					}
-				}
-				if !reflect.DeepEqual(pr.Final, final) {
+				steps, inters := handRunChain(t, eng, rels, pr.Order, m.opts)
+				if !reflect.DeepEqual(pr.Final, steps[len(steps)-1]) {
 					t.Errorf("workers=%d: pipeline final Result differs from the manual chain", workers)
 				}
 				// Per-step results match the manual chain's counts too.
-				if pr.Steps[0].OutTuples != int64(rel.JoinMaterialize(rels[pr.Order[0]], rels[pr.Order[1]]).Len()) {
-					t.Errorf("step 0 out tuples %d disagree with materialization", pr.Steps[0].OutTuples)
+				if pr.Steps[0].OutTuples != int64(inters[0].Len()) {
+					t.Errorf("step 0 out tuples %d disagree with the hand-built intermediate", pr.Steps[0].OutTuples)
 				}
 			})
 		}
@@ -143,56 +153,61 @@ func TestPipelineWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamedMatchesMaterialized is the streamed path's acceptance
-// contract: for worker counts 1 and GOMAXPROCS, a pipeline run with the
-// default streamed hand-off is bit-identical — order, every step's Result,
-// Final, TotalNS — to the same pipeline run with Materialize set, while its
-// peak resident intermediate footprint is strictly below the materialized
-// path's. Each run uses a fresh engine so both plan against a cold cache.
-func TestPipelineStreamedMatchesMaterialized(t *testing.T) {
+// TestPipelineStreamedMatchesHandRunChain is the streamed hand-off's
+// acceptance contract: for worker counts 1 and GOMAXPROCS, explicit and
+// auto, a pipeline is bit-identical — every step's Result, Final, TotalNS,
+// the intermediate totals — to the chain run by hand in the same order,
+// while its peak resident footprint is exactly the largest single
+// intermediate: at most one is ever resident, and nothing but its relation
+// bytes is charged. Each run uses a fresh engine so the pipeline plans
+// against a cold cache.
+func TestPipelineStreamedMatchesHandRunChain(t *testing.T) {
+	modes := map[string][]JoinOption{
+		"explicit PHJ-DD": append([]JoinOption{WithAlgo(PHJ), WithScheme(DD)}, pipelineTestOpts...),
+		"auto":            append([]JoinOption{WithAuto()}, pipelineTestOpts...),
+	}
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		prs := make(map[bool]*PipelineResult)
-		for _, materialize := range []bool{false, true} {
+		for name, opts := range modes {
 			eng := NewEngine(Workers(workers))
-			pipelineFixture(t, eng)
+			rels := pipelineFixture(t, eng)
 			pr, err := eng.JoinPipeline(context.Background(), Pipeline{
-				Sources:     []Source{Ref("orders"), Ref("lineitem"), Ref("returns")},
-				Materialize: materialize,
-			}, append([]JoinOption{WithAuto()}, pipelineTestOpts...)...)
-			eng.Close()
+				Sources: []Source{Ref("orders"), Ref("lineitem"), Ref("returns")},
+			}, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pr.Streamed == materialize {
-				t.Errorf("workers=%d materialize=%v: Streamed=%v", workers, materialize, pr.Streamed)
+			steps, inters := handRunChain(t, eng, rels, pr.Order, opts)
+			eng.Close()
+
+			var totalNS float64
+			var interTuples, interBytes, peak int64
+			for i, want := range steps {
+				if !reflect.DeepEqual(pr.Steps[i].Result, want) {
+					t.Errorf("workers=%d %s step %d: Result differs from the hand-run Join", workers, name, i)
+				}
+				totalNS += want.TotalNS
 			}
-			prs[materialize] = pr
-		}
-		st, mat := prs[false], prs[true]
-		if !reflect.DeepEqual(st.Order, mat.Order) {
-			t.Fatalf("workers=%d: order differs: streamed %v, materialized %v", workers, st.Order, mat.Order)
-		}
-		for i := range st.Steps {
-			if !reflect.DeepEqual(st.Steps[i].Result, mat.Steps[i].Result) {
-				t.Errorf("workers=%d step %d: Result differs between streamed and materialized", workers, i)
+			for _, in := range inters {
+				interTuples += int64(in.Len())
+				interBytes += in.Bytes()
+				if in.Bytes() > peak {
+					peak = in.Bytes()
+				}
 			}
-		}
-		if !reflect.DeepEqual(st.Final, mat.Final) {
-			t.Errorf("workers=%d: Final differs between streamed and materialized", workers)
-		}
-		if st.TotalNS != mat.TotalNS {
-			t.Errorf("workers=%d: TotalNS %.0f (streamed) != %.0f (materialized)", workers, st.TotalNS, mat.TotalNS)
-		}
-		if st.IntermediateTuples != mat.IntermediateTuples || st.IntermediateBytes != mat.IntermediateBytes {
-			t.Errorf("workers=%d: intermediate totals differ: streamed %d/%d, materialized %d/%d", workers,
-				st.IntermediateTuples, st.IntermediateBytes, mat.IntermediateTuples, mat.IntermediateBytes)
-		}
-		if st.PeakIntermediateBytes <= 0 {
-			t.Errorf("workers=%d: streamed peak %d, want > 0", workers, st.PeakIntermediateBytes)
-		}
-		if st.PeakIntermediateBytes >= mat.PeakIntermediateBytes {
-			t.Errorf("workers=%d: streamed peak %d not strictly below materialized peak %d",
-				workers, st.PeakIntermediateBytes, mat.PeakIntermediateBytes)
+			if !reflect.DeepEqual(pr.Final, steps[len(steps)-1]) {
+				t.Errorf("workers=%d %s: Final differs from the hand-run chain", workers, name)
+			}
+			if pr.TotalNS != totalNS {
+				t.Errorf("workers=%d %s: TotalNS %.0f != hand-run %.0f", workers, name, pr.TotalNS, totalNS)
+			}
+			if pr.IntermediateTuples != interTuples || pr.IntermediateBytes != interBytes {
+				t.Errorf("workers=%d %s: intermediate totals %d/%d, hand-run %d/%d", workers, name,
+					pr.IntermediateTuples, pr.IntermediateBytes, interTuples, interBytes)
+			}
+			if pr.PeakIntermediateBytes != peak || peak != maxIntermediateBytes(pr) || peak <= 0 {
+				t.Errorf("workers=%d %s: peak %d, want the largest single intermediate %d (8 x matches: %d) > 0",
+					workers, name, pr.PeakIntermediateBytes, peak, maxIntermediateBytes(pr))
+			}
 		}
 	}
 }
@@ -289,7 +304,7 @@ func TestPipelineErrors(t *testing.T) {
 	}
 	// An intermediate that does not fit the catalog's residency budget:
 	// capacity fits the two 64–72 KB inputs but not the 72 KB intermediate
-	// the selectivity-1 first step materializes.
+	// the selectivity-1 first step hands on.
 	small := NewEngine(CatalogCapacity(150 << 10))
 	defer small.Close()
 	r := Gen{N: 8000, Seed: 1}.Build()
@@ -301,11 +316,9 @@ func TestPipelineErrors(t *testing.T) {
 	if _, err := small.Load("s", s); err != nil {
 		t.Fatal(err)
 	}
-	// The streamed path spills instead of failing: the pipeline completes
-	// with the unconstrained matches and reports the spill. The
-	// materialized path pins every intermediate and keeps the strict
-	// ErrNoSpace contract. Either way the residency budget is back to the
-	// two registered relations afterwards.
+	// The pipeline spills instead of failing: it completes with the
+	// unconstrained matches and reports the spill, and the residency
+	// budget is back to the two registered relations afterwards.
 	res, err := small.JoinPipeline(ctx, Pipeline{
 		Sources: []Source{Ref("r"), Ref("s"), Inline(u)},
 	}, pipelineTestOpts...)
@@ -318,16 +331,6 @@ func TestPipelineErrors(t *testing.T) {
 	}
 	if got, want := small.svc.Stats().Catalog.Bytes, r.Bytes()+s.Bytes(); got != want {
 		t.Errorf("catalog bytes after spilled pipeline = %d, want %d", got, want)
-	}
-	_, err = small.JoinPipeline(ctx, Pipeline{
-		Sources:     []Source{Ref("r"), Ref("s"), Inline(u)},
-		Materialize: true,
-	}, pipelineTestOpts...)
-	if !errors.Is(err, catalog.ErrNoSpace) {
-		t.Errorf("oversized intermediate (materialized): err %v, want catalog.ErrNoSpace", err)
-	}
-	if got, want := small.svc.Stats().Catalog.Bytes, r.Bytes()+s.Bytes(); got != want {
-		t.Errorf("catalog bytes after failed materialized pipeline = %d, want %d", got, want)
 	}
 }
 
