@@ -169,8 +169,8 @@ lint: lint-apulint
 		echo "govulncheck not installed; skipping (make lint-install)"; \
 	fi
 
-# The determinism/parallelism/envelope contracts, enforced at compile
-# time (see internal/analysis). Any finding — including a suppression
+# The determinism/parallelism/envelope/slab-recycling contracts, enforced
+# at compile time (see internal/analysis). Any finding — including a suppression
 # pragma without a reason — fails the build.
 lint-apulint:
 	$(GO) build -o $(APULINT) ./cmd/apulint

@@ -103,7 +103,10 @@ type Arena struct {
 	statsMu    sync.Mutex // guards stats folds from closing Locals
 }
 
-// New returns an arena with capacity for capWords int32 words.
+// New returns an arena with capacity for capWords int32 words. The backing
+// array comes from the slab recycler with arbitrary contents — every user
+// writes the words it allocates before it reads them — and goes back with
+// Release.
 func New(cfg Config, capWords int) *Arena {
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = DefaultBlockBytes
@@ -115,7 +118,7 @@ func New(cfg Config, capWords int) *Arena {
 	if capWords < 1 {
 		capWords = 1
 	}
-	return &Arena{cfg: cfg, words: make([]int32, capWords), blockWords: bw}
+	return &Arena{cfg: cfg, words: GetWords(capWords), blockWords: bw}
 }
 
 // Config returns the arena's configuration.
@@ -216,12 +219,21 @@ func (a *Arena) GroupGrabs(groups int) {
 
 // Reset forgets all allocations but keeps capacity and configuration.
 func (a *Arena) Reset() {
+	clear(a.words[:min(a.Used(), len(a.words))])
 	a.next.Store(0)
 	a.blockLeft = 0
 	a.stats = Stats{}
-	for i := range a.words {
-		a.words[i] = 0
+}
+
+// Release hands the backing array to the slab recycler. The arena must not
+// allocate or be indexed afterwards; its Stats stay readable. Releasing a
+// nil arena is a no-op.
+func (a *Arena) Release() {
+	if a == nil {
+		return
 	}
+	PutWords(a.words)
+	a.words = nil
 }
 
 func (a *Arena) ensure(n int) {
@@ -232,7 +244,10 @@ func (a *Arena) ensure(n int) {
 	for newCap < n {
 		newCap *= 2
 	}
-	w := make([]int32, newCap)
+	// Both sides of the doubling go through the recycler: an output arena
+	// that starts small would otherwise leave every size it outgrew behind.
+	w := GetWords(newCap)
 	copy(w, a.words)
+	PutWords(a.words)
 	a.words = w
 }

@@ -11,7 +11,9 @@
 //   - wallclock: no wall-clock or global-randomness reads in the
 //     simulated-time core,
 //   - envelope: every apujoind HTTP response flows through the unified
-//     JSON envelope writers.
+//     JSON envelope writers,
+//   - slabmake: no input-sized make([]int32, n) in the join-executing
+//     packages — a run's slabs come from the alloc recycler.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so migrating onto the upstream framework is a
@@ -48,7 +50,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetMapOrder, FloatSum, NakedGo, WallClock, Envelope}
+	return []*Analyzer{DetMapOrder, FloatSum, NakedGo, WallClock, Envelope, SlabMake}
 }
 
 // ByName resolves an analyzer name; it reports false for unknown names

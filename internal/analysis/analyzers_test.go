@@ -104,6 +104,23 @@ func TestEnvelopeOutOfScope(t *testing.T) {
 	}
 }
 
+func TestSlabMake(t *testing.T) {
+	runFixture(t, "slabmake/a", "apujoin/internal/core", SlabMake)
+}
+
+func TestSlabMakeOutOfScope(t *testing.T) {
+	// Catalog-resident relations, rel.Gen and the service layer's chain-
+	// owned buffers keep make: the analyzer binds to the four packages
+	// that execute a join, nowhere else.
+	for _, asPath := range []string{"apujoin/internal/rel", "apujoin/internal/service", "apujoin/internal/alloc"} {
+		for _, f := range fixtureFindings(t, "slabmake/a", asPath, SlabMake) {
+			if f.Analyzer == SlabMake.Name {
+				t.Errorf("%s: out-of-scope package flagged: %s", asPath, f)
+			}
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, a := range All() {
 		got, ok := ByName(a.Name)

@@ -48,6 +48,15 @@ var goAllowed = []string{
 	modulePath + "/cmd/",
 }
 
+// slabScope is the set of packages that execute a join, whose input-sized
+// []int32 arrays belong on the alloc slab recycler. slabmake binds here.
+var slabScope = []string{
+	modulePath + "/internal/core",
+	modulePath + "/internal/radix",
+	modulePath + "/internal/htab",
+	modulePath + "/internal/sched",
+}
+
 // envelopeScope is where the unified JSON envelope is law.
 var envelopeScope = []string{
 	modulePath + "/internal/httpapi",

@@ -104,46 +104,48 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	// Partition both relations chunk by chunk. Each chunk is copied into
 	// the zero-copy buffer, partitioned there with the usual n1..n3 steps
 	// (DD co-processing with the paper's partition-phase ratio), and the
-	// intermediate partitions are copied back out to system memory.
+	// intermediate partitions are copied back out to system memory: the
+	// chunk's slice of out.
+	partitionChunk := func(chunk, out rel.Relation) error {
+		cn := chunk.Len()
+		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // into zero-copy
+
+		arena := alloc.New(opt.Alloc, cn*3+radix.ChunkTuples*4)
+		defer arena.Release()
+		pass := radix.NewPass(chunk, arena, 0, outerBits)
+		defer pass.Release()
+		series := sched.Series{
+			Name:  "ext-partition",
+			Items: cn,
+			Steps: []sched.Step{
+				{ID: sched.N1, Kernel: pass.N1},
+				{ID: sched.N2, Kernel: pass.N2},
+				{ID: sched.N3, Kernel: pass.N3},
+			},
+		}
+		pres, err := exec.Run(series, sched.Uniform(0.25, 3))
+		if err != nil {
+			return err
+		}
+		res.PartitionNS += pres.TotalNS
+		_, ga := pass.Gather(out)
+		res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
+
+		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // partitions out
+		return nil
+	}
 	partitionRel := func(in rel.Relation) (rel.Relation, error) {
 		n := in.Len()
-		out := rel.Relation{Keys: make([]int32, 0, n), RIDs: make([]int32, 0, n)}
+		//apulint:ignore slabmake(the system-memory side of the external join: it outlives the zero-copy rounds the recycler serves)
+		out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
 		for lo := 0; lo < n; lo += res.ChunkTuples {
 			if err := ctx.Err(); err != nil {
-				return out, err
+				return rel.Relation{}, err
 			}
-			hi := lo + res.ChunkTuples
-			if hi > n {
-				hi = n
+			hi := min(lo+res.ChunkTuples, n)
+			if err := partitionChunk(in.Slice(lo, hi), out.Slice(lo, hi)); err != nil {
+				return rel.Relation{}, err
 			}
-			chunk := in.Slice(lo, hi)
-			cn := chunk.Len()
-
-			res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // into zero-copy
-
-			arena := alloc.New(opt.Alloc, cn*3+radix.ChunkTuples*4)
-			pass := radix.NewPass(chunk, arena, 0, outerBits)
-			series := sched.Series{
-				Name:  "ext-partition",
-				Items: cn,
-				Steps: []sched.Step{
-					{ID: sched.N1, Kernel: pass.N1},
-					{ID: sched.N2, Kernel: pass.N2},
-					{ID: sched.N3, Kernel: pass.N3},
-				},
-			}
-			pres, err := exec.Run(series, sched.Uniform(0.25, 3))
-			if err != nil {
-				return out, err
-			}
-			res.PartitionNS += pres.TotalNS
-			buf := rel.Relation{Keys: make([]int32, cn), RIDs: make([]int32, cn)}
-			_, ga := pass.Gather(buf)
-			res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
-
-			res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // partitions out
-			out.Keys = append(out.Keys, buf.Keys...)
-			out.RIDs = append(out.RIDs, buf.RIDs...)
 		}
 		return out, nil
 	}

@@ -43,102 +43,12 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 	rn.env.parts = rn.parts
 
 	for relIdx, in := range []rel.Relation{rn.r, rn.s} {
-		n := in.Len()
-		// Passes never write their input, so the first one reads the
-		// caller's relation in place; gathers ping-pong between two
-		// buffers of the run's own (the second exists only if a second
-		// pass does), never into the catalog-resident input.
-		cur := in
-		var bufs [2]rel.Relation
-		shift := opt.HashShift
-
-		for pi, bits := range plan.BitsPerPass {
-			buf := &bufs[pi%2]
-			if buf.Keys == nil {
-				buf.Keys, buf.RIDs = make([]int32, n), make([]int32, n)
-			}
-			arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
-			pass := radix.NewPass(cur, arena, shift, bits)
-			rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-
-			series := sched.Series{
-				Name:  "partition",
-				Items: n,
-				Steps: []sched.Step{
-					{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1,
-						ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-							return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-								return pass.N1(d, mlo, mhi)
-							})
-						}},
-					{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2,
-						ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-							return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-								return pass.N2Atomic(d, mlo, mhi)
-							})
-						}},
-					{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
-						ParSetup: func(p *sched.Pool) { pass.Owners(p, &rn.owner) },
-						ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-							return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
-								la := arena.NewLocal()
-								defer la.Close()
-								return pass.N3Shard(d, rn.owner.Shard(shard, lo, hi), la)
-							})
-						}},
-				},
-			}
-
-			if opt.Scheme == BasicUnit {
-				bu, err := exec.RunBasicUnit(series, opt.CPUChunk, opt.GPUChunk)
-				if err != nil {
-					return err
-				}
-				res.PartitionNS += bu.TotalNS
-				if relIdx == 0 && shift == opt.HashShift {
-					res.BasicUnitShares = append(res.BasicUnitShares, bu.CPUShare)
-					res.Ratios.Partition = append(res.Ratios.Partition, sched.Uniform(bu.CPUShare, 3))
-				}
-			} else {
-				ratios, est := rn.chooseRatios(model, prof, n, len(series.Steps), opt.FixedPartition)
-				pres, err := exec.Run(series, ratios)
-				if err != nil {
-					return err
-				}
-				res.PartitionNS += pres.TotalNS - pres.TransferNS
-				res.TransferNS += pres.TransferNS
-				res.EstimatedNS += est
-				res.EstPartitionNS += est
-				recordSteps(res, "partition", pres, n)
-				if relIdx == 0 && shift == opt.HashShift {
-					res.Ratios.Partition = append(res.Ratios.Partition, ratios)
-				}
-				cs := rn.env.missStats(pres, rn.cpu, rn.gpu)
-				res.Cache.Accesses += cs.Accesses
-				res.Cache.Misses += cs.Misses
-
-				if opt.Arch == Discrete {
-					pcie := mem.NewPCIe()
-					gpuShare := 1 - avgRatio(ratios)
-					bytes := int64(gpuShare * float64(n) * 8)
-					res.TransferNS += pcie.TransferNS(bytes) * 2 // in + partitions back
-				}
-			}
-
-			// Link the partition chunks into contiguous form for the next
-			// pass / the join ("we link all the intermediate partitions
-			// together").
-			_, ga := pass.Gather(*buf)
-			res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
-
-			res.AllocStats.Add(arena.Stats())
-
-			cur = *buf
-			shift += bits
+		cur, err := rn.partitionRel(res, exec, model, prof, plan, in, relIdx == 0)
+		if err != nil {
+			return err
 		}
-
 		out := radix.Result{Rel: cur, Offsets: radix.FinalOffsetsShifted(cur, plan, opt.HashShift), Plan: plan}
-		idx := make([]int32, n)
+		idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
 		out.PartIdx(idx)
 		if relIdx == 0 {
 			rn.r = out.Rel
@@ -150,6 +60,129 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 			rn.offsetsS = out.Offsets
 		}
 	}
+	return nil
+}
+
+// partitionRel runs every pass of plan over in and returns the partitioned
+// relation. Passes never write their input, so the first one reads the
+// caller's relation in place; gathers ping-pong between two recycler
+// buffers of the run's own (the second exists only if a second pass does),
+// never into the catalog-resident input. The buffer holding the result is
+// held for the run; the other goes back at once, so S's passes reuse R's.
+// first marks the build relation, whose first pass records the ratios.
+func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, error) {
+	n := in.Len()
+	cur := in
+	var bufs [2]rel.Relation
+	putBuf := func(b rel.Relation) {
+		alloc.PutWords(b.Keys)
+		alloc.PutWords(b.RIDs)
+	}
+
+	shift := rn.opt.HashShift
+	for pi, bits := range plan.BitsPerPass {
+		buf := &bufs[pi%2]
+		if buf.Keys == nil {
+			// Gather writes all n tuples of both columns.
+			buf.Keys, buf.RIDs = alloc.GetWords(n), alloc.GetWords(n)
+		}
+		if err := rn.partitionPass(res, exec, model, prof, cur, *buf, shift, bits, first && pi == 0); err != nil {
+			putBuf(bufs[0])
+			putBuf(bufs[1])
+			return rel.Relation{}, err
+		}
+		cur = *buf
+		shift += bits
+	}
+	if passes := plan.Passes(); passes > 0 {
+		putBuf(bufs[passes%2]) // the one not holding the result (none after a single pass)
+		rn.hold(cur.Keys)
+		rn.hold(cur.RIDs)
+	}
+	return cur, nil
+}
+
+// partitionPass runs one radix pass over cur under the configured scheme
+// and gathers its partitions into out. The pass's chunk arena and partition
+// numbers live exactly as long as the pass.
+func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, cur, out rel.Relation, shift, bits uint, record bool) error {
+	opt := rn.opt
+	n := cur.Len()
+	arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
+	defer arena.Release()
+	pass := radix.NewPass(cur, arena, shift, bits)
+	defer pass.Release()
+	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
+
+	series := sched.Series{
+		Name:  "partition",
+		Items: n,
+		Steps: []sched.Step{
+			{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1,
+				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+					return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
+						return pass.N1(d, mlo, mhi)
+					})
+				}},
+			{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2,
+				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+					return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
+						return pass.N2Atomic(d, mlo, mhi)
+					})
+				}},
+			{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
+				ParSetup: func(p *sched.Pool) { pass.Owners(p, &rn.owner) },
+				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+					return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
+						la := arena.NewLocal()
+						defer la.Close()
+						return pass.N3Shard(d, rn.owner.Shard(shard, lo, hi), la)
+					})
+				}},
+		},
+	}
+
+	if opt.Scheme == BasicUnit {
+		bu, err := exec.RunBasicUnit(series, opt.CPUChunk, opt.GPUChunk)
+		if err != nil {
+			return err
+		}
+		res.PartitionNS += bu.TotalNS
+		if record {
+			res.BasicUnitShares = append(res.BasicUnitShares, bu.CPUShare)
+			res.Ratios.Partition = append(res.Ratios.Partition, sched.Uniform(bu.CPUShare, 3))
+		}
+	} else {
+		ratios, est := rn.chooseRatios(model, prof, n, len(series.Steps), opt.FixedPartition)
+		pres, err := exec.Run(series, ratios)
+		if err != nil {
+			return err
+		}
+		res.PartitionNS += pres.TotalNS - pres.TransferNS
+		res.TransferNS += pres.TransferNS
+		res.EstimatedNS += est
+		res.EstPartitionNS += est
+		recordSteps(res, "partition", pres, n)
+		if record {
+			res.Ratios.Partition = append(res.Ratios.Partition, ratios)
+		}
+		cs := rn.env.missStats(pres, rn.cpu, rn.gpu)
+		res.Cache.Accesses += cs.Accesses
+		res.Cache.Misses += cs.Misses
+
+		if opt.Arch == Discrete {
+			pcie := mem.NewPCIe()
+			gpuShare := 1 - avgRatio(ratios)
+			bytes := int64(gpuShare * float64(n) * 8)
+			res.TransferNS += pcie.TransferNS(bytes) * 2 // in + partitions back
+		}
+	}
+
+	// Link the partition chunks into contiguous form for the next pass /
+	// the join ("we link all the intermediate partitions together").
+	_, ga := pass.Gather(out)
+	res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
+	res.AllocStats.Add(arena.Stats())
 	return nil
 }
 
@@ -176,6 +209,7 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 			for i := sLo; i < sHi; i++ {
 				a.Add(t.ProbeOne(rn.s.Keys[i], rn.s.RIDs[i], &rn.out))
 			}
+			t.Release()
 		}
 		a.Items++
 		div.Item(work)

@@ -39,6 +39,7 @@ func runPilot(r, s rel.Relation, opt Options) profiles {
 	popt.Algo = SHJ
 	popt.SeparateTables = false
 	rn := newRunner(pr, ps, popt)
+	defer rn.release()
 	rn.makeTables()
 
 	exec := &sched.Exec{CPU: rn.cpu, GPU: rn.gpu, Env: rn.env.envFor}
@@ -56,8 +57,10 @@ func runPilot(r, s rel.Relation, opt Options) profiles {
 	// Partition-pass profile for PHJ variants: one pass over the sample.
 	if opt.Algo == PHJ {
 		arena := alloc.New(opt.Alloc, n*3+radix.ChunkTuples*4)
+		defer arena.Release()
 		bits := uint(radix.MaxBitsPerPass)
 		pass := radix.NewPass(pr, arena, 0, bits)
+		defer pass.Release()
 		series := sched.Series{
 			Name:  "partition",
 			Items: n,

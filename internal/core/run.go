@@ -24,11 +24,14 @@ func Run(r, s rel.Relation, opt Options) (*Result, error) {
 
 // RunCtx is Run with cancellation: a cancelled context aborts the join at
 // the next step boundary with the context's error. Run is re-entrant — it
-// keeps no package-level state, every run owns its arenas and intermediate
-// arrays, and the worker pool is either injected (Options.Pool, shared by
-// the multi-query service layer) or transient to the call — so any number
-// of runs may execute concurrently, each producing bit-identical results to
-// the same run executed alone.
+// keeps no package-level state a result can depend on: every run owns its
+// arenas and intermediate arrays for as long as it runs (they are slabs of
+// the process-wide recycler in internal/alloc, taken with arbitrary
+// contents and handed back on every return path), and the worker pool is
+// either injected (Options.Pool, shared by the multi-query service layer)
+// or transient to the call — so any number of runs may execute
+// concurrently, each producing bit-identical results to the same run
+// executed alone.
 func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error) {
 	if opt.Plan != nil {
 		// An injected plan decides algorithm, scheme and ratios; the
@@ -70,6 +73,7 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	defer opt.ZeroCopy.Free(foot)
 
 	rn := newRunner(r, s, opt)
+	defer rn.release()
 	rn.pool = opt.Pool
 	if rn.pool == nil {
 		rn.pool = sched.NewPool(opt.Workers)
@@ -170,6 +174,7 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	// the GPU side; probing continues there and no merge is needed (OL on
 	// the discrete architecture has only the transfer overhead, Sec. 5.2).
 	if rn.tableGPU != nil && avgRatio(res.Ratios.Build) == 0 {
+		rn.table.Release()
 		rn.table, rn.tableGPU = rn.tableGPU, nil
 	}
 

@@ -11,7 +11,9 @@ import (
 )
 
 // runner holds the state of one join execution: relations, tables, scratch
-// arrays for the per-step intermediate results, and the device pair.
+// arrays for the per-step intermediate results, and the device pair. Every
+// large []int32 it owns is a recycler slab (alloc.GetWords), handed back by
+// release when the run ends.
 type runner struct {
 	opt Options
 	r   rel.Relation
@@ -57,6 +59,38 @@ type runner struct {
 	parts              int
 	bucketsPerPart     int
 	radixBits          uint
+
+	// held lists the run-lifetime slabs that no other field owns: the
+	// carved scratch, and per partitioned relation its final gather buffer
+	// (two columns) and partition index. A fixed array, so holding costs
+	// the many small joins of a pipeline no allocation.
+	held  [7][]int32
+	nheld int
+}
+
+// hold registers a slab for release and returns it.
+func (rn *runner) hold(w []int32) []int32 {
+	rn.held[rn.nheld] = w
+	rn.nheld++
+	return w
+}
+
+// release hands every slab of the run back to the recycler. The caller
+// defers it, so it runs on the error and cancellation paths too, and that
+// is safe there: Pool.ForEach is a completion barrier and Exec checks its
+// context only between steps, so no worker still holds a slab when the run
+// returns. Nothing of the runner may be used afterwards.
+func (rn *runner) release() {
+	for _, w := range rn.held[:rn.nheld] {
+		alloc.PutWords(w)
+	}
+	rn.nheld = 0
+	rn.arena.Release()
+	rn.arenaGPU.Release()
+	rn.outArena.Release()
+	rn.table.Release()
+	rn.tableGPU.Release()
+	rn.owner.Release()
 }
 
 func newRunner(r, s rel.Relation, opt Options) *runner {
@@ -83,12 +117,14 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	rn.outArena = alloc.New(opt.Alloc, 64)
 	rn.out = htab.Out{Arena: rn.outArena, Materialize: !opt.CountOnly}
 
-	// One allocation, carved: the arrays live and die together.
+	// One slab, carved: the arrays live and die together. Its contents are
+	// arbitrary; every column is written by the step that produces it
+	// before the step that consumes it reads it.
 	cols := 3
 	if opt.Grouping {
 		cols = 4
 	}
-	scratch := make([]int32, cols*(nr+ns))
+	scratch := rn.hold(alloc.GetWords(cols * (nr + ns)))
 	carve := func(n int) []int32 {
 		c := scratch[:n:n]
 		scratch = scratch[n:]
@@ -138,7 +174,8 @@ func (rn *runner) tableFor(d *device.Device) *htab.Table {
 }
 
 // grouping computes the grouped execution order for a divergent step on a
-// SIMD device and the accounting of the grouping pass itself.
+// SIMD device and the accounting of the grouping pass itself. The order is
+// a recycler slab the step puts back after its kernel.
 func (rn *runner) grouping(d *device.Device, work []int32, lo, hi int) ([]int32, device.Acct) {
 	var a device.Acct
 	if !rn.opt.Grouping || d.WavefrontSize <= 1 || hi-lo <= 1 {
@@ -202,6 +239,7 @@ func (rn *runner) buildSeries() sched.Series {
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workR, lo, hi)
 				a := rn.tableFor(d).B3(d, keys, rn.bucketR, rn.nodeR, lo, hi, order)
+				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
@@ -271,6 +309,7 @@ func (rn *runner) probeSeries() sched.Series {
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
 				a := rn.tableFor(d).P3(d, keys, rn.headS, rn.nodeS, lo, hi, order)
+				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
@@ -285,11 +324,14 @@ func (rn *runner) probeSeries() sched.Series {
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
 				a := rn.tableFor(d).P4(d, rids, rn.nodeS, &rn.out, lo, hi, order)
+				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
+					// The morsel's output arena is taken from the recycler
+					// and handed back inside the morsel.
 					priv := htab.Out{Materialize: rn.out.Materialize}
 					if priv.Materialize {
 						priv.Arena = alloc.New(rn.opt.Alloc, 4*(mhi-mlo)+64)
@@ -305,6 +347,7 @@ func (rn *runner) probeSeries() sched.Series {
 						rn.outExtra.Add(priv.Arena.Stats())
 					}
 					rn.outMu.Unlock()
+					priv.Arena.Release()
 					return a
 				})
 			},

@@ -55,8 +55,11 @@ func StreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation)
 	if total == 0 {
 		return rel.Relation{}
 	}
+	// The hand-off buffer is owned by the pipeline chain, not by a run, so
+	// it stays outside the recycler until step-to-step streaming
+	// (ROADMAP item 8) deletes it. The pragma covers both columns.
 	out := rel.Relation{
-		RIDs: make([]int32, total),
+		RIDs: make([]int32, total), //apulint:ignore slabmake(chain-owned hand-off buffer, not a run's slab)
 		Keys: make([]int32, total),
 	}
 	pool.ForEach(len(perMorsel), func(i int) {

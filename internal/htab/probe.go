@@ -16,9 +16,6 @@ type Out struct {
 	Pairs       int64
 }
 
-// Reset clears the match count (the arena is reset by the caller).
-func (o *Out) Reset() { o.Pairs = 0 }
-
 // P1 computes the hash bucket number for probe tuples [lo,hi).
 func (t *Table) P1(d *device.Device, keys []int32, bucket []int32, lo, hi int) device.Acct {
 	var a device.Acct

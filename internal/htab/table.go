@@ -87,7 +87,9 @@ func New(nBuckets int, arena *alloc.Arena) *Table {
 // NewShifted returns a flat table whose bucket function skips the low
 // hashShift hash bits. The external join (data larger than the zero-copy
 // buffer) pre-partitions on the low bits, so the per-pair joins must hash
-// with the bits above them or most buckets would stay empty.
+// with the bits above them or most buckets would stay empty. The bucket
+// headers come from the slab recycler — Count zeroed, Head filled with
+// nilRef — and go back with Release.
 func NewShifted(nBuckets int, hashShift uint, arena *alloc.Arena) *Table {
 	n := 1
 	for n < nBuckets {
@@ -96,8 +98,8 @@ func NewShifted(nBuckets int, hashShift uint, arena *alloc.Arena) *Table {
 	t := &Table{
 		nBuckets: n,
 		mask:     uint32(n - 1),
-		Count:    make([]int32, n),
-		Head:     make([]int32, n),
+		Count:    alloc.GetZeroed(n),
+		Head:     alloc.GetWords(n), // every word overwritten just below
 		arena:    arena,
 	}
 	for i := range t.Head {
@@ -125,14 +127,16 @@ func (t *Table) BytesResident() int64 {
 	return headers + nodes
 }
 
-// Reset empties the table, retaining buckets. The arena is not reset
-// (several tables may share it); callers reset the arena between joins.
-func (t *Table) Reset() {
-	for i := range t.Head {
-		t.Head[i] = nilRef
-		t.Count[i] = 0
+// Release hands the bucket headers to the slab recycler; the table must not
+// be used afterwards. The arena is the caller's to release (several tables
+// may share it). Releasing a nil table is a no-op.
+func (t *Table) Release() {
+	if t == nil {
+		return
 	}
-	t.numKeys.Store(0)
+	alloc.PutWords(t.Count)
+	alloc.PutWords(t.Head)
+	t.Count, t.Head = nil, nil
 }
 
 // Validate walks the whole structure checking invariants: bucket counts

@@ -121,6 +121,7 @@ type Pass struct {
 	arena *alloc.Arena
 
 	part   []int32 // n1 output: partition number per tuple
+	hdr    []int32 // the four header columns below, one slab
 	counts []int32 // partition header: tuple count
 	head   []int32 // partition header: first chunk
 	tail   []int32 // current append chunk
@@ -128,17 +129,21 @@ type Pass struct {
 }
 
 // NewPass prepares a pass consuming bits radix bits at the given shift,
-// appending partition chunks into arena.
+// appending partition chunks into arena. Its two slabs come from the
+// recycler — the header zeroed (counts and fill start at 0), part with
+// arbitrary contents, since n1 writes every entry before n2 reads one — and
+// go back with Release.
 func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 	n := in.Len()
 	parts := 1 << bits
-	hdr := make([]int32, 4*parts) // the four header columns, one allocation
+	hdr := alloc.GetZeroed(4 * parts)
 	p := &Pass{
 		Shift:  shift,
 		Bits:   bits,
 		in:     in,
 		arena:  arena,
-		part:   make([]int32, n),
+		part:   alloc.GetWords(n),
+		hdr:    hdr,
 		counts: hdr[0*parts : 1*parts : 1*parts],
 		head:   hdr[1*parts : 2*parts : 2*parts],
 		tail:   hdr[2*parts : 3*parts : 3*parts],
@@ -149,6 +154,15 @@ func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 		p.tail[i] = nilRef
 	}
 	return p
+}
+
+// Release hands the pass's slabs to the recycler, once Gather has copied
+// the partitions out; the pass must not be used afterwards. The chunk arena
+// is the caller's to release.
+func (p *Pass) Release() {
+	alloc.PutWords(p.part)
+	alloc.PutWords(p.hdr)
+	*p = Pass{}
 }
 
 // Items returns the number of tuples the pass processes.
@@ -238,6 +252,7 @@ func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
 func (p *Pass) Gather(out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
 	words := p.arena.Words()
+	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0
 	for pt := range p.counts {
@@ -295,10 +310,11 @@ func FinalOffsets(r rel.Relation, plan Plan) []int32 {
 func FinalOffsetsShifted(r rel.Relation, plan Plan, shift uint) []int32 {
 	total := plan.TotalBits()
 	parts := 1 << total
-	counts := make([]int32, parts)
+	counts := alloc.GetZeroed(parts)
 	for _, k := range r.Keys {
 		counts[hash.RadixPass(uint32(k), shift, total)]++
 	}
+	//apulint:ignore slabmake(the result: the caller keeps the offsets, one word per partition)
 	offs := make([]int32, parts+1)
 	var sum int32
 	for i, c := range counts {
@@ -306,6 +322,7 @@ func FinalOffsetsShifted(r rel.Relation, plan Plan, shift uint) []int32 {
 		sum += c
 	}
 	offs[parts] = sum
+	alloc.PutWords(counts)
 	return offs
 }
 
@@ -318,6 +335,7 @@ func PartitionHost(in rel.Relation, plan Plan) Result {
 		Keys: append([]int32(nil), in.Keys...),
 		RIDs: append([]int32(nil), in.RIDs...),
 	}
+	//apulint:ignore slabmake(the host reference's columns: one of the two is returned as Result.Rel)
 	buf := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
 	cpu := device.New(device.APUCPU())
 	var shift uint

@@ -1,5 +1,7 @@
 package sched
 
+import "apujoin/internal/alloc"
+
 // GroupOrder implements the workload-divergence grouping optimization
 // (paper Sec. 3.3): input items are grouped by their expected workload so
 // that work items within the same wavefront perform similar amounts of
@@ -9,7 +11,8 @@ package sched
 // snapshotted by p2). numGroups is the tuning knob trading grouping
 // overhead against divergence reduction. The returned slice is a
 // permutation of the indices [lo,hi) ordered by workload group; passing it
-// as the order argument of the b3/p3/p4 kernels executes them grouped.
+// as the order argument of the b3/p3/p4 kernels executes them grouped. It
+// is a recycler slab: the caller may alloc.PutWords it after the kernel.
 func GroupOrder(work []int32, lo, hi, numGroups int) []int32 {
 	n := hi - lo
 	if n <= 0 {
@@ -39,6 +42,7 @@ func GroupOrder(work []int32, lo, hi, numGroups int) []int32 {
 		}
 		return int(int64(w) * int64(numGroups) / int64(maxW+1))
 	}
+	//apulint:ignore slabmake(one word per workload level, a handful)
 	counts := make([]int32, numGroups+1)
 	for i := lo; i < hi; i++ {
 		counts[level(work[i])+1]++
@@ -46,7 +50,7 @@ func GroupOrder(work []int32, lo, hi, numGroups int) []int32 {
 	for g := 1; g <= numGroups; g++ {
 		counts[g] += counts[g-1]
 	}
-	order := make([]int32, n)
+	order := alloc.GetWords(n) // a permutation: every entry is written below
 	for i := lo; i < hi; i++ {
 		g := level(work[i])
 		order[counts[g]] = int32(i)

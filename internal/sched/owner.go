@@ -1,6 +1,10 @@
 package sched
 
-import "slices"
+import (
+	"slices"
+
+	"apujoin/internal/alloc"
+)
 
 // OwnerIndex is the ownership decomposition of an insert step: for a key
 // array (a radix pass's partition numbers, a build's bucket numbers) whose
@@ -18,7 +22,9 @@ import "slices"
 //
 // One value serves a whole run. Build reuses the slab whenever it is large
 // enough, so the radix passes and the hash build — which never overlap in
-// time — share one allocation. The zero value is ready to use.
+// time — share one allocation; the slab comes from the recycler (Build
+// writes every cursor and every index before reading it) and goes back
+// with Release. The zero value is ready to use.
 type OwnerIndex struct {
 	shards int
 	// off[s] is the position in idx of shard s's first index.
@@ -36,7 +42,8 @@ func (x *OwnerIndex) Build(p *Pool, key []int32, shift uint, shards int) {
 	m := (n + MorselItems - 1) / MorselItems
 	x.shards = shards
 	if need := m*shards + n; cap(x.slab) < need {
-		x.slab = make([]int32, need)
+		alloc.PutWords(x.slab)
+		x.slab = alloc.GetWords(need)
 	}
 	cur := x.slab[:m*shards]
 	idx := x.slab[m*shards : m*shards+n]
@@ -72,6 +79,12 @@ func (x *OwnerIndex) Build(p *Pool, key []int32, shift uint, shards int) {
 			at[s]++
 		}
 	})
+}
+
+// Release hands the slab to the recycler, leaving the zero value.
+func (x *OwnerIndex) Release() {
+	alloc.PutWords(x.slab)
+	*x = OwnerIndex{}
 }
 
 // Shards returns the shard count of the last Build.

@@ -916,7 +916,9 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 	q.err = err
 	q.finished = now
 	q.mu.Unlock()
-	close(q.done)
+	// Waiters wake last (deferred before the lock below, so after its
+	// unlock): Stats read right after Wait already counts this query.
+	defer close(q.done)
 	// The query no longer reads its relations: release its catalog pins
 	// (finish runs exactly once per query, so pins release exactly once).
 	releaseAll(q.pins)
