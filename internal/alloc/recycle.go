@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"unsafe"
 )
@@ -23,10 +24,14 @@ import (
 // Slabs are size-classed at four classes per octave (a request is rounded
 // up by at most 25 %) and returned cut to exactly the requested length, so
 // Arena.Cap and every sizing rule read what they would from a plain make.
-// Each class is one sync.Pool, which makes retention the runtime's rule,
-// not a setting: a slab nobody took for two GC cycles is freed, and the
-// runtime's forced GC every two minutes bounds what an idle process keeps.
-// The pools are process-wide on purpose — there is nothing to configure, and
+// Each class is a mutex-guarded pair of LIFO lists, cur and old, aged once
+// per garbage collection (old is dropped, cur becomes old), which makes
+// retention the collector's rhythm, not a setting: a slab nobody took for
+// two GC cycles is freed, and the runtime's forced GC every two minutes
+// bounds what an idle process keeps. That is sync.Pool's rule without its
+// per-P private slots, which hide a slab put on one P from a Get on another
+// and so cost a join a fresh multi-megabyte slab every few runs, at random.
+// The lists are process-wide on purpose — there is nothing to configure, and
 // every engine and service in one process shares the same warm slabs.
 
 // PoisonWord is what a race build fills a slab with when it is put back.
@@ -43,10 +48,65 @@ const (
 	numClasses = 4 * (31 - minShift)
 )
 
-// pools[c] holds slabs of exactly classWords(c) words, each as a pointer to
-// its first word: a pointer fits an interface without allocating, and the
-// class fixes the length that rebuilds the slice.
-var pools [numClasses]sync.Pool
+// sizeClass holds free slabs of exactly classWords(c) words, each as a
+// pointer to its first word (the class fixes the length that rebuilds the
+// slice): cur the ones put back since the last collection, old the ones put
+// back during the cycle before.
+type sizeClass struct {
+	mu       sync.Mutex
+	cur, old []*int32
+}
+
+var classes [numClasses]sizeClass
+
+// get pops the most recently put slab, or nil when the class is empty.
+func (c *sizeClass) get() *int32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := pop(&c.cur); p != nil {
+		return p
+	}
+	return pop(&c.old)
+}
+
+func pop(l *[]*int32) *int32 {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	p := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return p
+}
+
+func (c *sizeClass) put(p *int32) {
+	c.mu.Lock()
+	c.cur = append(c.cur, p)
+	c.mu.Unlock()
+}
+
+// age drops the slabs that sat through a whole GC cycle untaken and starts
+// the clock on the rest.
+func (c *sizeClass) age() {
+	c.mu.Lock()
+	clear(c.old)
+	c.old, c.cur = c.cur, c.old[:0]
+	c.mu.Unlock()
+}
+
+// gcSentinel is an unreachable object whose finalizer runs after each
+// collection and re-arms itself: the recycler's only clock.
+type gcSentinel struct{ _ [16]byte }
+
+func ageOnGC(s *gcSentinel) {
+	for c := range classes {
+		classes[c].age()
+	}
+	runtime.SetFinalizer(s, ageOnGC)
+}
+
+func init() { runtime.SetFinalizer(new(gcSentinel), ageOnGC) }
 
 // classWords is the slab size of class c: 1, 1.25, 1.5 and 1.75 times each
 // power of two from recycleMinWords up.
@@ -61,7 +121,7 @@ func classOf(n int) int {
 }
 
 // take returns a slab of length n and whether it came freshly zeroed from
-// the runtime rather than from a pool.
+// the runtime rather than from a size class.
 func take(n int) (w []int32, fresh bool) {
 	if n < recycleMinWords {
 		return make([]int32, n), true
@@ -70,7 +130,7 @@ func take(n int) (w []int32, fresh bool) {
 	if c >= numClasses {
 		return make([]int32, n), true
 	}
-	if p, _ := pools[c].Get().(*int32); p != nil {
+	if p := classes[c].get(); p != nil {
 		return unsafe.Slice(p, classWords(c))[:n], false
 	}
 	return make([]int32, n, classWords(c)), true
@@ -95,7 +155,7 @@ func GetZeroed(n int) []int32 {
 
 // PutWords hands a slab back. w must start where the slab GetWords or
 // GetZeroed returned starts (reslicing its length is fine) and nothing may
-// read or write it afterwards. Slabs that did not come from a pool class —
+// read or write it afterwards. Slabs that did not come from a size class —
 // small ones, nil, foreign capacities — are left to the garbage collector.
 func PutWords(w []int32) {
 	n := cap(w)
@@ -115,5 +175,5 @@ func PutWords(w []int32) {
 			copy(w[done:], w[:done])
 		}
 	}
-	pools[c].Put(&w[0])
+	classes[c].put(&w[0])
 }

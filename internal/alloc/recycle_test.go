@@ -1,6 +1,10 @@
 package alloc
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestSizeClasses pins the class geometry: four classes per octave from
 // recycleMinWords up, every request rounded up by at most a quarter, and
@@ -61,9 +65,8 @@ func TestGetWordsShape(t *testing.T) {
 }
 
 // TestRecycleRoundTrip: a slab put back is the one the next request of its
-// class gets, with the previous owner's contents (poisoned in race builds),
-// and GetZeroed clears exactly that. sync.Pool drops puts at random under
-// the race detector, so identity is asserted in plain builds only.
+// class gets, with the previous owner's contents (the poison in race builds),
+// and GetZeroed clears exactly that.
 func TestRecycleRoundTrip(t *testing.T) {
 	const n = 3000 // class of 3072 words, shared with no other test
 	w := GetWords(n)
@@ -74,14 +77,14 @@ func TestRecycleRoundTrip(t *testing.T) {
 	PutWords(w)
 
 	again := GetWords(n - 100) // same class, shorter cut
+	if &again[0] != first {
+		t.Fatal("the slab put back was not the one handed out next")
+	}
 	if !PoisonOnPut {
-		if &again[0] != first {
-			t.Fatal("the slab put back was not the one handed out next")
-		}
 		if again[0] != 1 || again[n-101] != int32(n-100) {
 			t.Fatal("GetWords did not return the previous owner's contents")
 		}
-	} else if &again[0] == first {
+	} else {
 		for i, v := range again[:cap(again)] {
 			if v != PoisonWord {
 				t.Fatalf("race build: word %d of a recycled slab is %#x, want the poison", i, v)
@@ -97,6 +100,94 @@ func TestRecycleRoundTrip(t *testing.T) {
 		}
 	}
 	PutWords(z)
+}
+
+// TestPutIsVisibleAcrossThreads: a slab put back by a goroutine locked to
+// one OS thread is what a Get on another thread receives, every time. A
+// per-P cache (sync.Pool's private slot) fails this about as often as the
+// scheduler moves the second goroutine, which is what made join_large's
+// alloc_mb_per_op a coin toss per run.
+func TestPutIsVisibleAcrossThreads(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 5000 // class of 5120 words, shared with no other test
+	type slab struct{ first *int32 }
+	put, got := make(chan slab), make(chan slab)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		for {
+			select {
+			case <-done:
+				return
+			case <-put:
+			}
+			w := GetWords(n)
+			got <- slab{&w[0]}
+			PutWords(w)
+			got <- slab{}
+		}
+	}()
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	for i := 0; i < 1000; i++ {
+		put <- slab{}
+		theirs := <-got // the other thread holds the class's one slab…
+		<-got           // …and has put it back
+		w := GetWords(n)
+		if &w[0] != theirs.first {
+			t.Fatalf("round %d: a slab put back on another thread was not handed to this one", i)
+		}
+		PutWords(w)
+	}
+}
+
+// retained counts the slabs the size classes hold.
+func retained() int {
+	total := 0
+	for c := range classes {
+		classes[c].mu.Lock()
+		total += len(classes[c].cur) + len(classes[c].old)
+		classes[c].mu.Unlock()
+	}
+	return total
+}
+
+// TestTwoCollectionsEmptyTheClasses: a slab survives one collection (it is
+// still handed out after it) and not two with no Get in between — the
+// retention rule DESIGN.md states, driven by the collector itself.
+func TestTwoCollectionsEmptyTheClasses(t *testing.T) {
+	const n = 9000 // class of 10240 words, shared with no other test
+	c := &classes[classOf(n)]
+	w := GetWords(n)
+	first := &w[0]
+	PutWords(w)
+	c.age()
+	if w = GetWords(n); &w[0] != first {
+		t.Fatal("a slab was dropped after one ageing")
+	}
+	PutWords(w)
+	c.age()
+	c.age()
+	if w = GetWords(n); &w[0] == first {
+		t.Fatal("a slab nobody took for two ageings is still handed out")
+	}
+	PutWords(w)
+
+	// The same through the real clock. The finalizer runs on its own
+	// goroutine some time after a collection ends, so wait for each ageing
+	// to show rather than for a fixed time.
+	PutWords(GetWords(n))
+	for gcs := 1; retained() > 0; gcs++ {
+		if gcs > 100 {
+			t.Fatalf("%d slabs still retained after %d collections with no Get", retained(), gcs-1)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPutWordsRejectsForeignSlabs: only capacities that are exactly a class
@@ -138,10 +229,8 @@ func TestArenaGrowsThroughRecycler(t *testing.T) {
 			t.Fatalf("word %d lost in growth", i)
 		}
 	}
-	if !PoisonOnPut {
-		if w := GetWords(recycleMinWords); &w[0] != old {
-			t.Fatal("the outgrown backing array did not go back to the recycler")
-		}
+	if w := GetWords(recycleMinWords); &w[0] != old {
+		t.Fatal("the outgrown backing array did not go back to the recycler")
 	}
 	stats := a.Stats()
 	a.Release()

@@ -120,10 +120,13 @@ func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
 	popt.Algo = PHJ
 	prof := runPilot(r, s, popt)
 
+	// One model prices every candidate, each under its own environment, so
+	// the searches' tables are grown once per plan.
+	model := &cost.Model{CPU: opt.CPU, GPU: opt.GPU}
 	var best *Plan
 	for _, algo := range []Algo{SHJ, PHJ} {
 		for _, scheme := range autoSchemes(algo, opt) {
-			cand := planCandidate(r, s, opt, algo, scheme, prof)
+			cand := planCandidate(model, r, s, opt, algo, scheme, prof)
 			if best == nil || cand.PredictedNS < best.PredictedNS {
 				best = cand
 			}
@@ -132,12 +135,23 @@ func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
 	return best, nil
 }
 
+// The planner reaches the ratio searches through these two variables, so
+// that TestBuildPlanEqualsReferenceSearch can price the same candidates with
+// the per-leaf reference searches; nothing else assigns them. Run calls
+// schemeRatios and OptimizeDD directly: an indirect call would move its
+// Model from the stack to the heap on every join.
+var (
+	planRatios = schemeRatios
+	planDD     = (*cost.Model).OptimizeDD
+)
+
 // planCandidate prices one (algorithm, scheme) alternative: it rebuilds
 // the run's memory environment statically — radix fan-out, estimated
 // hash-table residency, partition-chunk working sets — and runs the same
 // per-scheme ratio optimizers chooseRatios would, yielding the ratios the
-// plan will fix and the model's end-to-end estimate.
-func planCandidate(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) *Plan {
+// plan will fix and the model's end-to-end estimate. It points model at the
+// candidate's environment.
+func planCandidate(model *cost.Model, r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) *Plan {
 	opt.Algo, opt.Scheme = algo, scheme
 	env := &envState{
 		cache:           opt.Cache,
@@ -145,7 +159,7 @@ func planCandidate(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, pro
 		shared:          !opt.SeparateTables,
 		scratchPressure: 512 << 10,
 	}
-	model := &cost.Model{CPU: opt.CPU, GPU: opt.GPU, Env: env.envFor}
+	model.Env = env.envFor
 	pl := &Plan{
 		Algo: algo, Scheme: scheme, Arch: opt.Arch,
 		Partition: prof.partition, Build: prof.build, Probe: prof.probe,
@@ -168,7 +182,7 @@ func planCandidate(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, pro
 		// both relations at those ratios under its own chunk working set.
 		env.partitionStreams = int64(1<<rp.BitsPerPass[0]) * chunkBytes
 		steps := len(prof.partition.Steps)
-		ratios, _ := schemeRatios(model, opt, prof.partition, r.Len(), steps)
+		ratios, _ := planRatios(model, opt, prof.partition, r.Len(), steps)
 		pl.PartitionRatios = ratios
 		for _, bits := range rp.BitsPerPass {
 			env.partitionStreams = int64(1<<bits) * chunkBytes
@@ -184,7 +198,7 @@ func planCandidate(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, pro
 		env.coarsePairBytes = (r.Bytes() + s.Bytes() + env.tableBytes) / int64(parts)
 		cp := coarseProfile(prof.build, prof.probe,
 			float64(r.Len())/float64(parts), float64(s.Len())/float64(parts))
-		_, est := model.OptimizeDD(cp, parts, opt.Delta)
+		_, est := planDD(model, cp, parts, opt.Delta)
 		// The pair joins cover build and probe; attribute by tuple share
 		// as coarseJoin does.
 		fr := float64(r.Len()) / float64(r.Len()+s.Len())
@@ -192,9 +206,9 @@ func planCandidate(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, pro
 		pl.PredictedProbeNS = est * (1 - fr)
 	} else {
 		pl.BuildRatios, pl.PredictedBuildNS =
-			schemeRatios(model, opt, prof.build, r.Len(), len(prof.build.Steps))
+			planRatios(model, opt, prof.build, r.Len(), len(prof.build.Steps))
 		pl.ProbeRatios, pl.PredictedProbeNS =
-			schemeRatios(model, opt, prof.probe, s.Len(), len(prof.probe.Steps))
+			planRatios(model, opt, prof.probe, s.Len(), len(prof.probe.Steps))
 	}
 	pl.PredictedNS = pl.PredictedPartitionNS + pl.PredictedBuildNS + pl.PredictedProbeNS
 	return pl

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"apujoin/internal/alloc"
+	"apujoin/internal/cost"
+	"apujoin/internal/rel"
+	"apujoin/internal/sched"
+)
+
+// The per-leaf ratio searches the planner ran before the cost model's became
+// table-driven, every candidate priced through EstimateNS — the same bodies
+// internal/cost's reference_test.go holds, repeated here because a test
+// cannot import another package's test files.
+
+func refGrid(delta float64) []float64 {
+	if delta <= 0 || delta > 1 {
+		delta = cost.DefaultDelta
+	}
+	var vs []float64
+	for v := 0.0; v < 1.0+1e-9; v += delta {
+		if v > 1 {
+			v = 1
+		}
+		vs = append(vs, v)
+	}
+	if vs[len(vs)-1] < 1 {
+		vs = append(vs, 1)
+	}
+	return vs
+}
+
+func refSearchPL(m *cost.Model, sp cost.SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
+	vs := refGrid(delta)
+	n := len(sp.Steps)
+	cur := make(sched.Ratios, n)
+	best := make(sched.Ratios, n)
+	bestT := math.Inf(1)
+	var rec func(step int)
+	rec = func(step int) {
+		if step == n {
+			if t := m.EstimateNS(sp, items, cur); t < bestT {
+				bestT = t
+				copy(best, cur)
+			}
+			return
+		}
+		for _, v := range vs {
+			cur[step] = v
+			rec(step + 1)
+		}
+	}
+	rec(0)
+	return best, bestT
+}
+
+func refSearchRefined(m *cost.Model, sp cost.SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
+	best, bestT := refSearchPL(m, sp, items, math.Max(0.1, delta))
+	vs := refGrid(delta)
+	improved := true
+	for iter := 0; improved && iter < 32; iter++ {
+		improved = false
+		for step := range best {
+			orig := best[step]
+			for _, v := range vs {
+				if v == orig {
+					continue
+				}
+				best[step] = v
+				if t := m.EstimateNS(sp, items, best); t < bestT {
+					bestT = t
+					orig = v
+					improved = true
+				} else {
+					best[step] = orig
+				}
+			}
+			best[step] = orig
+		}
+	}
+	return best, bestT
+}
+
+func refSearchDD(m *cost.Model, sp cost.SeriesProfile, items int, delta float64) (float64, float64) {
+	bestR, bestT := 0.0, math.Inf(1)
+	for _, v := range refGrid(delta) {
+		if t := m.EstimateNS(sp, items, sched.Uniform(v, len(sp.Steps))); t < bestT {
+			bestT = t
+			bestR = v
+		}
+	}
+	return bestR, bestT
+}
+
+// refSchemeRatios is schemeRatios with the searching schemes sent to the
+// reference.
+func refSchemeRatios(m *cost.Model, opt Options, prof cost.SeriesProfile, items, steps int) (sched.Ratios, float64) {
+	switch {
+	case opt.Scheme == DD:
+		r, est := refSearchDD(m, prof, items, opt.Delta)
+		return sched.Uniform(r, steps), est
+	case opt.Scheme != PL && opt.Scheme != CoarsePL:
+		return schemeRatios(m, opt, prof, items, steps)
+	case opt.FullGrid:
+		return refSearchPL(m, prof, items, opt.Delta)
+	}
+	return refSearchRefined(m, prof, items, opt.Delta)
+}
+
+// buildPlanOverReference is BuildPlan with the reference searches swapped in.
+func buildPlanOverReference(t testing.TB, r, s rel.Relation, opt Options) *Plan {
+	t.Helper()
+	ratios, dd := planRatios, planDD
+	planRatios, planDD = refSchemeRatios, refSearchDD
+	defer func() { planRatios, planDD = ratios, dd }()
+	p, err := BuildPlan(r, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBuildPlanEqualsReferenceSearch: the plan — algorithm, scheme, every
+// ratio, every predicted time, bit for bit — is the one the per-leaf search
+// chose, on the plan tests' shapes and on the 192 fingerprints apubench's
+// plan_cold workload cycles through (4 096 × (4 096 + 16·i) tuples at the
+// default options). A plan that differs means the search is wrong: the
+// simulated clock of every auto-planned join hangs off these ratios.
+func TestBuildPlanEqualsReferenceSearch(t *testing.T) {
+	check := func(name string, r, s rel.Relation, opt Options) {
+		t.Helper()
+		got, err := BuildPlan(r, s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := buildPlanOverReference(t, r, s, opt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: BuildPlan chose\n%+v\nthe reference search\n%+v", name, got, want)
+		}
+	}
+
+	r, s := planTestData(t)
+	check("plan test data", r, s, planTestOptions())
+	for name, mod := range map[string]func(*Options){
+		"full grid":       func(o *Options) { o.FullGrid = true },
+		"δ=0.05":          func(o *Options) { o.Delta = 0.05 },
+		"separate tables": func(o *Options) { o.SeparateTables = true },
+	} {
+		opt := planTestOptions()
+		mod(&opt)
+		check(name, r, s, opt)
+	}
+
+	// The reference costs 40 ms a plan (and the race detector has nothing to
+	// find in single-goroutine float arithmetic): -short and race builds
+	// take every eighth fingerprint.
+	stride := 1
+	if testing.Short() || alloc.PoisonOnPut {
+		stride = 8
+	}
+	build := rel.Gen{N: 4096, Seed: 1}.Build()
+	for i := 0; i < 192; i += stride {
+		probe := rel.Gen{N: 4096 + 16*i, Seed: int64(2 + i)}.Probe(build, 1.0)
+		check("plan_cold fingerprint", build, probe, Options{})
+	}
+}
+
+// BenchmarkBuildPlan is one cold plan of a 4 096 × 4 096 join at the default
+// options (δ=0.02): the pilot, eleven candidates, six refined searches — what
+// every plan-cache miss costs.
+func BenchmarkBuildPlan(b *testing.B) {
+	r := rel.Gen{N: 4096, Seed: 1}.Build()
+	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 0.8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildPlan(r, s, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

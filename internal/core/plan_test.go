@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"apujoin/internal/cost"
 	"apujoin/internal/rel"
 )
 
@@ -54,9 +55,10 @@ func TestBuildPlanPicksCheapest(t *testing.T) {
 	pilotOpt := popt
 	pilotOpt.Algo = PHJ
 	prof := runPilot(r, s, pilotOpt)
+	model := &cost.Model{CPU: popt.CPU, GPU: popt.GPU}
 	for _, algo := range []Algo{SHJ, PHJ} {
 		for _, scheme := range autoSchemes(algo, popt) {
-			cand := planCandidate(r, s, popt, algo, scheme, prof)
+			cand := planCandidate(model, r, s, popt, algo, scheme, prof)
 			if cand.PredictedNS < best.PredictedNS {
 				t.Errorf("candidate %s-%s predicted %.0f ns beats chosen %s-%s at %.0f ns",
 					algo, scheme, cand.PredictedNS, best.Algo, best.Scheme, best.PredictedNS)

@@ -87,20 +87,31 @@ type Model struct {
 	Env sched.EnvFor
 
 	cpuDev, gpuDev *device.Device
-	// Scratch buffers reused by EstimateNS in optimizer loops.
+	// Per-step time buffers reused by EstimateNS and the refined search.
 	cpuScratch, gpuScratch []float64
+	search                 search
 }
 
-// newDevPair returns (and caches on first use) the model's device handles;
-// the optimizer calls Estimate millions of times, so they are not rebuilt
-// per evaluation. Model values are therefore used via pointer once a
-// search starts; the zero devices are rebuilt transparently after copying.
+// newDevPair returns the model's device handles, rebuilt only when either
+// profile has changed since they were made: EstimateNS is called per random
+// sample by MonteCarlo and a few times per plan candidate, and a search
+// tabulates 2·n·|grid| step times through them. A Model carries scratch and
+// is therefore used via pointer, by one goroutine at a time.
 func newDevPair(m *Model) (*device.Device, *device.Device) {
-	if m.cpuDev == nil || m.cpuDev.Name != m.CPU.Name {
+	if m.cpuDev == nil || m.cpuDev.Profile != m.CPU || m.gpuDev.Profile != m.GPU {
 		m.cpuDev = device.New(m.CPU)
 		m.gpuDev = device.New(m.GPU)
 	}
 	return m.cpuDev, m.gpuDev
+}
+
+// stepScratch returns the model's two per-step time buffers cut to n steps.
+func (m *Model) stepScratch(n int) (cpu, gpu []float64) {
+	if cap(m.cpuScratch) < n {
+		m.cpuScratch = make([]float64, n)
+		m.gpuScratch = make([]float64, n)
+	}
+	return m.cpuScratch[:n], m.gpuScratch[:n]
 }
 
 // stepTime estimates one step's time on one device: computation (Eq. 3)
@@ -175,13 +186,7 @@ func (m *Model) EstimateNS(sp SeriesProfile, items int, ratios sched.Ratios) flo
 		return math.Inf(1)
 	}
 	cpuDev, gpuDev := newDevPair(m)
-	n := len(sp.Steps)
-	if cap(m.cpuScratch) < n {
-		m.cpuScratch = make([]float64, n)
-		m.gpuScratch = make([]float64, n)
-	}
-	cpu := m.cpuScratch[:n]
-	gpu := m.gpuScratch[:n]
+	cpu, gpu := m.stepScratch(len(sp.Steps))
 	for i, p := range sp.Steps {
 		x := float64(items)
 		cpu[i] = m.stepTime(p, m.CPU, cpuDev, ratios[i]*x)

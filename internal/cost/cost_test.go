@@ -191,7 +191,7 @@ func TestEstimateValidatesRatios(t *testing.T) {
 }
 
 func TestGridValues(t *testing.T) {
-	vs := gridValues(0.25)
+	vs := gridValues(nil, 0.25)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
 	if len(vs) != len(want) {
 		t.Fatalf("grid %v", vs)
@@ -202,7 +202,7 @@ func TestGridValues(t *testing.T) {
 		}
 	}
 	// Degenerate δ falls back to the default.
-	if len(gridValues(0)) != 51 {
-		t.Fatalf("default grid size %d, want 51", len(gridValues(0)))
+	if len(gridValues(nil, 0)) != 51 {
+		t.Fatalf("default grid size %d, want 51", len(gridValues(nil, 0)))
 	}
 }

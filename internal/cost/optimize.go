@@ -13,12 +13,14 @@ import (
 // optimizations").
 const DefaultDelta = 0.02
 
-// gridValues returns the candidate ratios 0, δ, 2δ, …, 1.
-func gridValues(delta float64) []float64 {
+// gridValues appends the candidate ratios 0, δ, 2δ, …, 1 to vs[:0]. The
+// values are the running sum itself (0.1+0.1+0.1 is 0.30000000000000004 and
+// stays so): the searches compare and return them as they are.
+func gridValues(vs []float64, delta float64) []float64 {
 	if delta <= 0 || delta > 1 {
 		delta = DefaultDelta
 	}
-	var vs []float64
+	vs = vs[:0]
 	for v := 0.0; v < 1.0+1e-9; v += delta {
 		if v > 1 {
 			v = 1
@@ -31,38 +33,118 @@ func gridValues(delta float64) []float64 {
 	return vs
 }
 
-// OptimizePL exhaustively searches the δ-grid over all per-step ratios —
-// the paper's approach ("we consider all the possible ratios at the step
-// of δ for r_i") — and returns the ratios with the lowest estimated time.
-//
-// The search space is |grid|^n; with δ=0.02 and a 4-step series that is
-// 51^4 ≈ 6.8M evaluations, which the closed-form model evaluates in well
-// under a minute. Callers with tighter budgets pass a coarser δ and refine
-// with OptimizePLRefined.
-func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
-	vs := gridValues(delta)
-	n := len(sp.Steps)
-	cur := make(sched.Ratios, n)
-	best := make(sched.Ratios, n)
-	bestT := math.Inf(1)
+// search is the ratio searches' scratch, held on the Model and grown once
+// so that a search on a warm Model allocates nothing but its result. A
+// step's time depends on nothing but its own ratio, so each search first
+// tabulates stepTime over the grid — 2·n·|grid| calls — and then combines
+// table entries, where pricing every candidate through EstimateNS made
+// 2·n·|grid|^n. Every candidate is still the same float operations in the
+// same order as EstimateNS on its ratios (DESIGN.md, "Ratio search").
+type search struct {
+	grid []float64
+	// cpuTab[i*len(grid)+k] is step i's time on the CPU at ratio grid[k],
+	// gpuTab the GPU's on the remaining 1-grid[k].
+	cpuTab, gpuTab []float64
+	// prune records that no table entry is negative or NaN, which is what
+	// makes a prefix sum a lower bound of every total beneath it.
+	prune bool
 
-	var rec func(step int)
-	rec = func(step int) {
-		if step == n {
-			t := m.EstimateNS(sp, items, cur)
-			if t < bestT {
-				bestT = t
-				copy(best, cur)
+	// The exhaustive recursion's state: the candidate being built, the
+	// incumbent (the caller's result slice) and its time.
+	cur, best sched.Ratios
+	bestT     float64
+}
+
+// tabulate fills the search tables for sp over the δ-grid and returns the
+// grid size.
+func (m *Model) tabulate(sp SeriesProfile, items int, delta float64) int {
+	s := &m.search
+	s.grid = gridValues(s.grid, delta)
+	g := len(s.grid)
+	if size := len(sp.Steps) * g; cap(s.cpuTab) < size {
+		s.cpuTab = make([]float64, size)
+		s.gpuTab = make([]float64, size)
+	}
+	cpuDev, gpuDev := newDevPair(m)
+	x := float64(items)
+	s.prune = true
+	for i, p := range sp.Steps {
+		for k, v := range s.grid {
+			c := m.stepTime(p, m.CPU, cpuDev, v*x)
+			gp := m.stepTime(p, m.GPU, gpuDev, (1-v)*x)
+			s.cpuTab[i*g+k], s.gpuTab[i*g+k] = c, gp
+			if !(c >= 0 && gp >= 0) {
+				s.prune = false
 			}
-			return
-		}
-		for _, v := range vs {
-			cur[step] = v
-			rec(step + 1)
 		}
 	}
-	rec(0)
-	return best, bestT
+	return g
+}
+
+// OptimizePL exhaustively searches the δ-grid over all per-step ratios —
+// the paper's approach ("we consider all the possible ratios at the step
+// of δ for r_i") — and returns the ratios with the lowest estimated time,
+// the first such in lexicographic grid order.
+//
+// The search space is |grid|^n — 51^4 ≈ 6.8M candidates at δ=0.02 over a
+// 4-step series — but candidates sharing a ratio prefix share its partial
+// sums, so the tree is walked with one DelayStep per node rather than n per
+// leaf, over tabulated step times, and subtrees whose prefix already costs
+// as much as the incumbent are skipped. BenchmarkOptimizePLFullGrid reads
+// 3.8 ms for that grid on the two-core machine where pricing each leaf
+// through EstimateNS read 1.8 s; OptimizePLRefined, the default, 42 µs.
+func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
+	best := make(sched.Ratios, len(sp.Steps))
+	return best, m.searchGrid(sp, items, delta, best)
+}
+
+// searchGrid is OptimizePL into a caller-supplied result.
+func (m *Model) searchGrid(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
+	n := len(sp.Steps)
+	if n == 0 {
+		return 0
+	}
+	m.tabulate(sp, items, delta)
+	s := &m.search
+	if cap(s.cur) < n {
+		s.cur = make(sched.Ratios, n)
+	}
+	s.cur, s.best, s.bestT = s.cur[:n], best, math.Inf(1)
+	s.descend(0, 0, 0, 0, 0)
+	s.best = nil
+	return s.bestT
+}
+
+// descend tries every grid value for step and recurses, carrying what the
+// Eq. 4/5 recurrence needs of the prefix: the per-device sums, the previous
+// ratio and the previous step's GPU time. Leaves are reached in the order
+// nested loops over the grid would reach them, and only a strictly lower
+// time replaces the incumbent.
+func (s *search) descend(step int, cpuSum, gpuSum, rp, gpuPrev float64) {
+	g := len(s.grid)
+	cpuT, gpuT := s.cpuTab[step*g:(step+1)*g], s.gpuTab[step*g:(step+1)*g]
+	last := step == len(s.cur)-1
+	for k, v := range s.grid {
+		if step == 0 {
+			rp = v
+		}
+		dC, dG := sched.DelayStep(cpuSum, gpuSum, rp, v, gpuPrev, cpuT[k], gpuT[k])
+		cs := cpuSum + (cpuT[k] + dC)
+		gs := gpuSum + (gpuT[k] + dG)
+		s.cur[step] = v
+		switch {
+		case last:
+			if t := math.Max(cs, gs); t < s.bestT {
+				s.bestT = t
+				copy(s.best, s.cur)
+			}
+		case s.prune && (cs >= s.bestT || gs >= s.bestT):
+			// Step times and delays are non-negative, so every total
+			// below is at least this prefix: no strict improvement.
+		default:
+			s.descend(step+1, cs, gs, v, gpuT[k])
+		}
+	}
 }
 
 // OptimizePLRefined runs a coarse grid pass followed by coordinate descent
@@ -70,45 +152,69 @@ func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ra
 // well-behaved cost surfaces of the hash join series at a fraction of the
 // evaluations, and is what the join driver uses by default.
 func (m *Model) OptimizePLRefined(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
-	n := len(sp.Steps)
+	best := make(sched.Ratios, len(sp.Steps))
+	return best, m.searchRefined(sp, items, delta, best)
+}
+
+// searchRefined is OptimizePLRefined into a caller-supplied result.
+func (m *Model) searchRefined(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
 	coarse := 0.1
 	if delta > coarse {
 		coarse = delta
 	}
-	best, bestT := m.OptimizePL(sp, items, coarse)
+	bestT := m.searchGrid(sp, items, coarse, best)
 
-	vs := gridValues(delta)
+	// The descent holds the current point's step times and swaps one
+	// step's pair for a table entry per probe. The coarse pass's values
+	// need not be on the fine grid (0.30000000000000004 is not on the
+	// δ=0.05 one), so they are priced directly.
+	g := m.tabulate(sp, items, delta)
+	s := &m.search
+	cpu, gpu := m.stepScratch(len(sp.Steps))
+	cpuDev, gpuDev := newDevPair(m)
+	x := float64(items)
+	for i, p := range sp.Steps {
+		cpu[i] = m.stepTime(p, m.CPU, cpuDev, best[i]*x)
+		gpu[i] = m.stepTime(p, m.GPU, gpuDev, (1-best[i])*x)
+	}
 	improved := true
 	for iter := 0; improved && iter < 32; iter++ {
 		improved = false
-		for step := 0; step < n; step++ {
-			orig := best[step]
-			for _, v := range vs {
+		for step := range best {
+			orig, origC, origG := best[step], cpu[step], gpu[step]
+			for k, v := range s.grid {
 				if v == orig {
 					continue
 				}
-				best[step] = v
-				if t := m.EstimateNS(sp, items, best); t < bestT {
+				best[step], cpu[step], gpu[step] = v, s.cpuTab[step*g+k], s.gpuTab[step*g+k]
+				cpuTot, gpuTot := sched.DelayTotals(cpu, gpu, best)
+				if t := math.Max(cpuTot, gpuTot); t < bestT {
 					bestT = t
-					orig = v
+					orig, origC, origG = v, cpu[step], gpu[step]
 					improved = true
-				} else {
-					best[step] = orig
 				}
 			}
-			best[step] = orig
+			best[step], cpu[step], gpu[step] = orig, origC, origG
 		}
 	}
-	return best, bestT
+	return bestT
 }
 
 // OptimizeDD searches the single-ratio space of the data-dividing scheme:
 // all steps share one ratio r.
 func (m *Model) OptimizeDD(sp SeriesProfile, items int, delta float64) (float64, float64) {
+	g := m.tabulate(sp, items, delta)
+	s := &m.search
 	bestR, bestT := 0.0, math.Inf(1)
-	for _, v := range gridValues(delta) {
-		t := m.EstimateNS(sp, items, sched.Uniform(v, len(sp.Steps)))
-		if t < bestT {
+	for k, v := range s.grid {
+		// Equal ratios never stall (Eqs. 4 and 5 need r_i ≠ r_{i-1}), so a
+		// device's total is the plain sum of its step times.
+		var cpuSum, gpuSum float64
+		for i := range sp.Steps {
+			cpuSum += s.cpuTab[i*g+k]
+			gpuSum += s.gpuTab[i*g+k]
+		}
+		if t := math.Max(cpuSum, gpuSum); t < bestT {
 			bestT = t
 			bestR = v
 		}
@@ -120,7 +226,8 @@ func (m *Model) OptimizeDD(sp SeriesProfile, items int, delta float64) (float64,
 // GPU — the off-loading scheme. On the coupled architecture the decision is
 // independent per step ("depending only on the performance comparison of
 // running the steps on the CPU and the GPU", Sec. 3.2), so the search is
-// linear rather than 2^n.
+// linear rather than 2^n: 2·n step times and one EstimateNS, nothing a table
+// would save.
 func (m *Model) OptimizeOL(sp SeriesProfile, items int) (sched.Ratios, float64) {
 	n := len(sp.Steps)
 	ratios := make(sched.Ratios, n)
@@ -144,7 +251,10 @@ type MonteCarloSample struct {
 }
 
 // MonteCarlo evaluates runs random ratio settings (paper Sec. 5.3, Fig. 9)
-// and returns the samples sorted by estimated time, ready for a CDF.
+// and returns the samples sorted by estimated time, ready for a CDF. Each
+// sample is priced through EstimateNS: the ratios are float64(k)/50, which
+// are not the running sums the searches' δ=0.02 grid holds, so no table
+// entry is theirs.
 func (m *Model) MonteCarlo(sp SeriesProfile, items, runs int, seed int64) []MonteCarloSample {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]MonteCarloSample, 0, runs)

@@ -164,31 +164,12 @@ func Delays(cpuNS, gpuNS []float64, ratios Ratios) (cpuTot, gpuTot float64, dCPU
 	// Prefix sums of step times with preceding stalls folded in, as the
 	// equations accumulate T_j which include earlier delays.
 	var cpuSum, gpuSum float64
-	for i := 0; i < n; i++ {
+	for i, ri := range ratios {
+		rp, gpuPrev := ri, 0.0
 		if i > 0 {
-			ri := ratios[i]
-			rp := ratios[i-1]
-			switch {
-			case ri > rp:
-				frac := 0.0
-				if rp < 1 {
-					frac = (1 - ri) / (1 - rp)
-				}
-				d := (gpuSum - gpuNS[i-1]*frac) - (cpuSum + cpuNS[i])
-				if d > 0 {
-					dCPU[i] = d
-				}
-			case ri < rp:
-				frac := 0.0
-				if ri < 1 {
-					frac = (1 - rp) / (1 - ri)
-				}
-				d := cpuSum - (gpuSum + gpuNS[i] - gpuNS[i]*frac)
-				if d > 0 {
-					dGPU[i] = d
-				}
-			}
+			rp, gpuPrev = ratios[i-1], gpuNS[i-1]
 		}
+		dCPU[i], dGPU[i] = DelayStep(cpuSum, gpuSum, rp, ri, gpuPrev, cpuNS[i], gpuNS[i])
 		cpuSum += cpuNS[i] + dCPU[i]
 		gpuSum += gpuNS[i] + dGPU[i]
 	}
@@ -196,37 +177,55 @@ func Delays(cpuNS, gpuNS []float64, ratios Ratios) (cpuTot, gpuTot float64, dCPU
 }
 
 // DelayTotals is Delays without the per-step delay slices, allocation-free
-// for the optimizer's inner loop.
+// for the cost model's EstimateNS.
 func DelayTotals(cpuNS, gpuNS []float64, ratios Ratios) (cpuTot, gpuTot float64) {
 	var cpuSum, gpuSum float64
-	for i := range ratios {
-		var dC, dG float64
+	for i, ri := range ratios {
+		rp, gpuPrev := ri, 0.0
 		if i > 0 {
-			ri := ratios[i]
-			rp := ratios[i-1]
-			switch {
-			case ri > rp:
-				frac := 0.0
-				if rp < 1 {
-					frac = (1 - ri) / (1 - rp)
-				}
-				if d := (gpuSum - gpuNS[i-1]*frac) - (cpuSum + cpuNS[i]); d > 0 {
-					dC = d
-				}
-			case ri < rp:
-				frac := 0.0
-				if ri < 1 {
-					frac = (1 - rp) / (1 - ri)
-				}
-				if d := cpuSum - (gpuSum + gpuNS[i] - gpuNS[i]*frac); d > 0 {
-					dG = d
-				}
-			}
+			rp, gpuPrev = ratios[i-1], gpuNS[i-1]
 		}
+		dC, dG := DelayStep(cpuSum, gpuSum, rp, ri, gpuPrev, cpuNS[i], gpuNS[i])
 		cpuSum += cpuNS[i] + dC
 		gpuSum += gpuNS[i] + dG
 	}
 	return cpuSum, gpuSum
+}
+
+// DelayStep is one step of the Eq. 4/5 recurrence: the stall each device
+// incurs entering a step with ratio ri, raw times cpuNS and gpuNS, after a
+// step with ratio rp and raw GPU time gpuPrev, given the per-device prefix
+// sums so far (cpuSum, gpuSum). At most one of the two is non-zero. A
+// series' first step has no predecessor and is passed its own ratio as rp,
+// which selects neither case.
+//
+// Delays, DelayTotals and the cost model's ratio search (which folds it down
+// its search tree) all go through this one body, so an estimate is the same
+// float operations in the same order wherever it is computed. Its shape —
+// the ratio helper, the single clamp at the end — keeps it under the
+// compiler's inlining budget; `go build -gcflags=-m ./internal/sched` says
+// so.
+func DelayStep(cpuSum, gpuSum, rp, ri, gpuPrev, cpuNS, gpuNS float64) (dCPU, dGPU float64) {
+	if ri > rp {
+		dCPU = (gpuSum - gpuPrev*shareLeft(ri, rp)) - (cpuSum + cpuNS)
+	} else if ri < rp {
+		dGPU = cpuSum - (gpuSum + gpuNS - gpuNS*shareLeft(rp, ri))
+	}
+	// Negative (and NaN) delays clamp to 0; the untouched one is 0 already.
+	if dCPU > 0 || dGPU > 0 {
+		return dCPU, dGPU
+	}
+	return 0, 0
+}
+
+// shareLeft is (1−hi)/(1−lo), the fraction of the lower-ratio step's GPU
+// share that the higher-ratio step still leaves on the GPU; 0 when the
+// lower ratio already left the GPU nothing.
+func shareLeft(hi, lo float64) float64 {
+	if lo < 1 {
+		return (1 - hi) / (1 - lo)
+	}
+	return 0
 }
 
 func maxf(a, b float64) float64 {
