@@ -20,12 +20,7 @@ COVERAGE_FLOOR ?= 80
 # package shrinks; never raise it to merge.
 SERVICE_LOC_CEILING ?= 2327
 
-# Fractional slowdown tolerated by the benchmark-regression gate.
-BENCH_TOL ?= 0.25
-
-BENCHJSON := /tmp/apujoin-benchjson
-
-.PHONY: all build test race loc bench bench-json bench-kernels bench-check bench-refresh apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
+.PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
 # Budget for the randomized join-oracle fuzz smoke (the committed seed
 # corpus under testdata/fuzz additionally runs as plain unit tests).
@@ -49,57 +44,25 @@ race:
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelSpeedup|BenchmarkJoin' -benchmem .
 
-# Machine-readable benchmark artifacts: the parallel-speedup,
-# service-throughput and planner-amortization trajectories CI archives on
-# every run and the regression gate (bench-check) diffs against. Record
-# them at GOMAXPROCS >= 2: on one core BenchmarkParallelSpeedup skips its
-# workers>=2 rows, and a baseline without them cannot gate the speed-up.
-bench-json:
-	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
-	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=5x . | $(BENCHJSON) > BENCH_parallel.json
-	$(GO) test -run=NONE -bench='BenchmarkServiceThroughput|BenchmarkCatalogReuse|BenchmarkShardedScaleout' -benchmem -benchtime=4x ./internal/service | $(BENCHJSON) > BENCH_service.json
-	( $(GO) test -run=NONE -bench='BenchmarkPlannerAmortization|BenchmarkPipelineOrdering' -benchmem -benchtime=3x ./internal/plan; \
-	  $(GO) test -run=NONE -bench='BenchmarkPipelineStreaming|BenchmarkSpillVsResident' -benchmem -benchtime=3x . ) | $(BENCHJSON) > BENCH_plan.json
-	@echo "wrote BENCH_parallel.json BENCH_service.json BENCH_plan.json"
-
 # Kernel microbenchmarks, the bottom rung of the benchmark ladder: ns/tuple
 # and allocations of the counter and insert steps as the runner executes
 # them (range morsels / ownership shards on a pool of 1 and 2), and of the
 # owner-index build they share, at 2^20 uniform and high-skew tuples.
 bench-kernels:
-	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
-	( $(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=10x ./internal/sched; \
-	  $(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkN3Shard' -benchmem -benchtime=10x ./internal/radix; \
-	  $(GO) test -run=NONE -bench=BenchmarkB3B4Shard -benchmem -benchtime=10x ./internal/htab ) | $(BENCHJSON) > BENCH_kernels.json
-	@echo "wrote BENCH_kernels.json"
+	$(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=10x ./internal/sched
+	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkN3Shard' -benchmem -benchtime=10x ./internal/radix
+	$(GO) test -run=NONE -bench=BenchmarkB3B4Shard -benchmem -benchtime=10x ./internal/htab
 
-# CI benchmark-regression gate: rerun the benchmarks into /tmp and diff
-# them against the committed BENCH_*.json baselines; a gated time metric
-# more than BENCH_TOL slower fails the build (deterministic sim_ns/op
-# always gates; host ns/op only between like machines — see benchjson).
-# The streamed pipeline's peak_bytes/op and the spill benchmark's
-# spill_bytes/op gate with zero tolerance: the resident footprint and the
-# spill decomposition are exact functions of data and budget and must
-# never drift. Refresh the baselines with `make
-# bench-json` when a slowdown is intended and reviewed.
-bench-check:
-	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
-	$(GO) test -run=NONE -bench=BenchmarkParallelSpeedup -benchmem -benchtime=5x . | $(BENCHJSON) > /tmp/apujoin-bench-parallel.json
-	$(GO) test -run=NONE -bench='BenchmarkServiceThroughput|BenchmarkCatalogReuse|BenchmarkShardedScaleout' -benchmem -benchtime=4x ./internal/service | $(BENCHJSON) > /tmp/apujoin-bench-service.json
-	( $(GO) test -run=NONE -bench='BenchmarkPlannerAmortization|BenchmarkPipelineOrdering' -benchmem -benchtime=3x ./internal/plan; \
-	  $(GO) test -run=NONE -bench='BenchmarkPipelineStreaming|BenchmarkSpillVsResident' -benchmem -benchtime=3x . ) | $(BENCHJSON) > /tmp/apujoin-bench-plan.json
-	$(BENCHJSON) -compare BENCH_parallel.json /tmp/apujoin-bench-parallel.json -tol $(BENCH_TOL)
-	$(BENCHJSON) -compare BENCH_service.json /tmp/apujoin-bench-service.json -tol $(BENCH_TOL)
-	$(BENCHJSON) -compare BENCH_plan.json /tmp/apujoin-bench-plan.json -tol $(BENCH_TOL) -tol-metric peak_bytes/op=0 -tol-metric spill_bytes/op=0
-
-# Promote the JSONs bench-check just measured to the baseline filenames
-# without re-running the benchmarks (CI runs bench-check first, then this
-# to refresh the uploaded artifact; committing the result is how an
-# intended slowdown updates the baselines).
-bench-refresh:
-	cp /tmp/apujoin-bench-parallel.json BENCH_parallel.json
-	cp /tmp/apujoin-bench-service.json BENCH_service.json
-	cp /tmp/apujoin-bench-plan.json BENCH_plan.json
+# "Did host time move?": one full apubench run set (all four workloads,
+# ~15 s each), then its comparison against the committed baseline. Host
+# time has this one home; the simulated clock is gated by `go test` (the
+# TestGolden* tests), not here. The comparison is informational until
+# cmd/apubench/baseline.jsonl is re-recorded on this tree — it predates
+# three perf PRs — so its exit status is ignored. Needs at least 2 cores.
+bench-host:
+	mkdir -p nightly && rm -f nightly/apubench.jsonl
+	$(GO) run ./cmd/apubench -record nightly/apubench.jsonl
+	-$(GO) run ./cmd/apubench -compare cmd/apubench/baseline.jsonl nightly/apubench.jsonl
 
 # Explore new inputs against the brute-force join oracle: every algorithm ×
 # scheme combination and 3–4-relation pipelines must match it exactly.

@@ -103,22 +103,50 @@ func BenchmarkJoinPHJCoarsePL(b *testing.B) {
 	benchJoin(b, Options{Algo: PHJ, Scheme: CoarsePL})
 }
 
+// The gated shapes. Each of the next three benchmarks times a fixture whose
+// simulated results are exact functions of data and options. The fixture
+// is one function shared with golden_test.go, which asserts those results
+// bit for bit under plain `go test`, so the invariants it carries fire in
+// tier-1 and not only under -bench.
+
+// parallelSpeedupTuples sizes both sides of the parallel-speedup join.
+const parallelSpeedupTuples = 1 << 20
+
+// parallelSpeedupShape is the 1M-tuple PHJ-PL join of
+// BenchmarkParallelSpeedup. run executes it once on the given worker count
+// and returns the simulated total; matches and simulated time must equal
+// the first run's whatever the count.
+func parallelSpeedupShape() (run func(tb testing.TB, workers int) float64) {
+	r := Gen{N: parallelSpeedupTuples, Seed: 1}.Build()
+	s := Gen{N: parallelSpeedupTuples, Seed: 2}.Probe(r, 1.0)
+	var ref *Result
+	return func(tb testing.TB, workers int) float64 {
+		tb.Helper()
+		res, err := Join(r, s, Options{Algo: PHJ, Scheme: PL, Workers: workers, Delta: 0.05, PilotItems: 1 << 13})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+		}
+		if res.Matches == 0 || res.Matches != ref.Matches || res.TotalNS != ref.TotalNS {
+			tb.Fatalf("workers=%d changed results: matches %d (want %d), simNS %v (want %v)",
+				workers, res.Matches, ref.Matches, res.TotalNS, ref.TotalNS)
+		}
+		return res.TotalNS
+	}
+}
+
 // BenchmarkParallelSpeedup measures host wall-clock of the morsel-driven
 // runtime for a 1M-tuple PHJ join at 1, 2 and GOMAXPROCS workers. The
 // simulated times and match counts are identical across the sub-benchmarks
 // by construction; ns/op is the number that should drop on multi-core
-// hosts, and its trajectory is what BENCH_*.json tracks from this PR on.
-// On a single core the workers≥2 rows are skipped rather than reported: the
-// committed baseline has them, so `make bench-check` then fails on the
-// missing row instead of gating a number that measures nothing.
+// hosts. On a single core the workers≥2 rows are skipped rather than
+// reported: they would measure nothing.
 func BenchmarkParallelSpeedup(b *testing.B) {
-	r := Gen{N: 1 << 20, Seed: 1}.Build()
-	s := Gen{N: 1 << 20, Seed: 2}.Probe(r, 1.0)
-	workerSets := []int{1, 2, runtime.GOMAXPROCS(0)}
+	run := parallelSpeedupShape()
 	seen := map[int]bool{}
-	var refMatches int64
-	var refSimNS float64
-	for _, w := range workerSets {
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		if seen[w] {
 			continue // 1- or 2-core host: avoid duplicate sub-benchmarks
 		}
@@ -128,64 +156,60 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			if w > 1 && runtime.GOMAXPROCS(0) < 2 {
 				b.Skipf("workers=%d on GOMAXPROCS=%d measures no speed-up: run on at least 2 cores", w, runtime.GOMAXPROCS(0))
 			}
-			opt := Options{Algo: PHJ, Scheme: PL, Workers: w, Delta: 0.05, PilotItems: 1 << 13}
-			b.SetBytes(r.Bytes() + s.Bytes())
+			b.SetBytes(2 * 8 * parallelSpeedupTuples)
+			var simNS float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Join(r, s, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if refMatches == 0 {
-					refMatches, refSimNS = res.Matches, res.TotalNS
-				} else if res.Matches != refMatches || res.TotalNS != refSimNS {
-					b.Fatalf("workers=%d changed results: matches %d (want %d), simNS %.0f (want %.0f)",
-						w, res.Matches, refMatches, res.TotalNS, refSimNS)
-				}
+				simNS = run(b, w)
 			}
-			// Deterministic simulated time per join: the machine-independent
-			// metric the CI benchmark-regression gate diffs.
-			b.ReportMetric(refSimNS, "sim_ns/op")
+			b.ReportMetric(simNS, "sim_ns/op")
 		})
 	}
 }
 
-// BenchmarkPipelineStreaming runs the 3-relation pipeline shape of
-// internal/plan's ordering benchmark and reports the deterministic
-// simulated time (sim_ns/op) and the peak resident intermediate footprint
-// (peak_bytes/op — exactly the largest single intermediate, since at most
-// one is ever resident). Both are machine-independent; the CI
-// benchmark-regression gate diffs them, with zero tolerance on
-// peak_bytes/op, so the streamed hand-off's footprint cannot silently grow.
-func BenchmarkPipelineStreaming(b *testing.B) {
+// pipelineStreamingShape is the 3-relation pipeline shape of
+// internal/plan's ordering benchmark on an engine of its own. run executes
+// the streamed pipeline once; at most one intermediate is ever resident,
+// so the peak resident footprint must be exactly the largest single
+// intermediate.
+func pipelineStreamingShape(tb testing.TB) (run func(tb testing.TB) *PipelineResult) {
 	eng := NewEngine()
-	defer eng.Close()
+	tb.Cleanup(func() { eng.Close() })
 	if _, err := eng.Register("build", Gen{N: 1 << 16, Seed: 1}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := eng.RegisterProbe("wide", "build", Gen{N: 1 << 16, Seed: 2}, 1.0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := eng.RegisterProbe("narrow", "build", Gen{N: 1 << 14, Seed: 3}, 0.1); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := []JoinOption{WithDelta(0.25), WithPilotItems(1 << 12)}
+	return func(tb testing.TB) *PipelineResult {
+		tb.Helper()
+		pr, err := eng.JoinPipeline(context.Background(), Pipeline{
+			Sources: []Source{Ref("build"), Ref("wide"), Ref("narrow")},
+		}, WithDelta(0.25), WithPilotItems(1<<12))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if pr.Final.Matches == 0 || pr.PeakIntermediateBytes != maxIntermediateBytes(pr) {
+			tb.Fatalf("degenerate pipeline: matches=%d peak=%d, largest intermediate %d",
+				pr.Final.Matches, pr.PeakIntermediateBytes, maxIntermediateBytes(pr))
+		}
+		return pr
+	}
+}
 
+// BenchmarkPipelineStreaming times the streamed 3-relation pipeline and
+// reports its deterministic simulated time (sim_ns/op) and peak resident
+// intermediate footprint (peak_bytes/op) beside the host ns/op.
+func BenchmarkPipelineStreaming(b *testing.B) {
+	run := pipelineStreamingShape(b)
 	b.Run("streamed", func(b *testing.B) {
 		var pr *PipelineResult
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
-			pr, err = eng.JoinPipeline(context.Background(), Pipeline{
-				Sources: []Source{Ref("build"), Ref("wide"), Ref("narrow")},
-			}, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if pr.Final.Matches == 0 || pr.PeakIntermediateBytes != maxIntermediateBytes(pr) {
-			b.Fatalf("degenerate pipeline: matches=%d peak=%d, largest intermediate %d",
-				pr.Final.Matches, pr.PeakIntermediateBytes, maxIntermediateBytes(pr))
+			pr = run(b)
 		}
 		b.ReportMetric(pr.TotalNS, "sim_ns/op")
 		b.ReportMetric(float64(pr.PeakIntermediateBytes), "peak_bytes/op")
@@ -204,68 +228,76 @@ func maxIntermediateBytes(pr *PipelineResult) int64 {
 	return peak
 }
 
-// BenchmarkSpillVsResident pins the cost of spilling: the same
-// three-relation selectivity-1 pipeline runs once unconstrained (every
-// intermediate resident) and once under a residency budget that forces
-// the hybrid-hash spill path. Both report the deterministic simulated
-// time (sim_ns/op) and the simulated spill volume (spill_bytes/op — zero
-// for the resident run). The CI regression gate diffs spill_bytes/op with
-// zero tolerance: the spill decomposition is an exact function of the
-// data and the budget, so the volume must never drift; sim_ns/op gates at
-// the standard tolerance and keeps the spilled run's I/O surcharge from
-// silently growing.
-func BenchmarkSpillVsResident(b *testing.B) {
+// spillVsResidentShape pins the cost of spilling: the same three-relation
+// selectivity-1 pipeline on an unconstrained engine (every intermediate
+// resident) and on one whose residency budget forces the hybrid-hash spill
+// path. run executes the pipeline once on the named engine. The spill
+// decomposition is an exact function of the data and the budget: the
+// resident engine must spill nothing, the constrained one something, and
+// the final match count must not depend on which ran.
+func spillVsResidentShape(tb testing.TB) (run func(tb testing.TB, spilled bool) *PipelineResult) {
 	r := Gen{N: 1 << 13, Seed: 1}.Build()
 	s := Gen{N: 1 << 13, Seed: 2}.Probe(r, 1.0)
 	u := Gen{N: 1 << 13, Seed: 3}.Probe(r, 1.0)
-	opts := []JoinOption{WithDelta(0.25), WithPilotItems(1 << 10)}
 
 	// The spilled engine's capacity holds the two registered relations
 	// plus 16 KB — not the 64 KB selectivity-1 intermediate.
-	caps := map[string]int64{"resident": 0, "spilled": r.Bytes() + s.Bytes() + 16<<10}
-	matches := make(map[string]int64)
-	spills := make(map[string]int64)
-	for _, name := range []string{"resident", "spilled"} {
-		var eng *Engine
-		if caps[name] > 0 {
-			eng = NewEngine(CatalogCapacity(caps[name]))
-		} else {
-			eng = NewEngine()
-		}
+	engines := map[bool]*Engine{
+		false: NewEngine(),
+		true:  NewEngine(CatalogCapacity(r.Bytes() + s.Bytes() + 16<<10)),
+	}
+	for _, eng := range engines {
+		eng := eng
+		tb.Cleanup(func() { eng.Close() })
 		if _, err := eng.Load("r", r); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := eng.Load("s", s); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		name := name
-		b.Run(name, func(b *testing.B) {
+	}
+	var refMatches int64
+	return func(tb testing.TB, spilled bool) *PipelineResult {
+		tb.Helper()
+		pr, err := engines[spilled].JoinPipeline(context.Background(), Pipeline{
+			Sources: []Source{Ref("r"), Ref("s"), Inline(u)},
+		}, WithDelta(0.25), WithPilotItems(1<<10))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if (pr.SpillBytes > 0) != spilled {
+			tb.Fatalf("spilled=%v run spilled %d bytes", spilled, pr.SpillBytes)
+		}
+		if refMatches == 0 {
+			refMatches = pr.Final.Matches
+		}
+		if pr.Final.Matches == 0 || pr.Final.Matches != refMatches {
+			tb.Fatalf("spilled=%v matches %d, the other engine found %d", spilled, pr.Final.Matches, refMatches)
+		}
+		return pr
+	}
+}
+
+// BenchmarkSpillVsResident times the resident and the spilled run of
+// spillVsResidentShape and reports, beside host ns/op, each one's
+// deterministic simulated time (sim_ns/op — the spilled run carries the
+// I/O surcharge) and simulated spill volume (spill_bytes/op).
+func BenchmarkSpillVsResident(b *testing.B) {
+	run := spillVsResidentShape(b)
+	for _, v := range []struct {
+		name    string
+		spilled bool
+	}{{"resident", false}, {"spilled", true}} {
+		v := v
+		b.Run(v.name, func(b *testing.B) {
 			var pr *PipelineResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				pr, err = eng.JoinPipeline(context.Background(), Pipeline{
-					Sources: []Source{Ref("r"), Ref("s"), Inline(u)},
-				}, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
+				pr = run(b, v.spilled)
 			}
-			matches[name] = pr.Final.Matches
-			spills[name] = pr.SpillBytes
 			b.ReportMetric(pr.TotalNS, "sim_ns/op")
 			b.ReportMetric(float64(pr.SpillBytes), "spill_bytes/op")
 		})
-		eng.Close()
-	}
-	if spills["resident"] != 0 {
-		b.Fatalf("unconstrained run spilled %d bytes", spills["resident"])
-	}
-	if spills["spilled"] == 0 {
-		b.Fatal("constrained run did not spill")
-	}
-	if matches["resident"] != matches["spilled"] {
-		b.Fatalf("spilled matches %d != resident matches %d", matches["spilled"], matches["resident"])
 	}
 }
 

@@ -10,160 +10,194 @@ import (
 	"apujoin/internal/shard"
 )
 
-// BenchmarkServiceThroughput measures end-to-end query throughput of the
-// service layer: b.N PHJ-PL joins submitted through admission onto the
-// shared resident pool, MaxConcurrent in flight at a time. ns/op is host
-// wall-clock per query at service concurrency; the simulated numbers are
-// checked invariant against the first query. Its trajectory is recorded in
-// BENCH_service.json by `make bench-json` and the CI artifact.
-func BenchmarkServiceThroughput(b *testing.B) {
-	r := rel.Gen{N: 1 << 17, Seed: 1}.Build()
-	s := rel.Gen{N: 1 << 17, Seed: 2}.Probe(r, 1.0)
+// Each benchmark below times a fixture whose simulated results are exact
+// functions of data and options. The fixture is one function shared with
+// golden_test.go, which asserts those results bit for bit under plain
+// `go test`, so the invariants it carries fire in tier-1 and not only
+// under -bench.
+
+// benchTuples sizes both sides of every join in this file.
+const benchTuples = 1 << 17
+
+// mustRepeat fails unless res found matches and repeats ref's count and
+// simulated total bit for bit.
+func mustRepeat(tb testing.TB, res, ref *core.Result) {
+	tb.Helper()
+	if res.Matches == 0 || res.Matches != ref.Matches || res.TotalNS != ref.TotalNS {
+		tb.Fatalf("results drifted: matches %d (want %d), simNS %v (want %v)",
+			res.Matches, ref.Matches, res.TotalNS, ref.TotalNS)
+	}
+}
+
+// serviceThroughputShape is one service with four admission slots. run
+// submits n identical PHJ-PL joins onto the shared resident pool, waits for
+// all of them and returns the simulated total, which — like the match
+// count — must be the same for every query whatever ran beside it.
+func serviceThroughputShape(tb testing.TB) (run func(tb testing.TB, n int) float64) {
+	r := rel.Gen{N: benchTuples, Seed: 1}.Build()
+	s := rel.Gen{N: benchTuples, Seed: 2}.Probe(r, 1.0)
 	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 1 << 13}
 
 	svc := New(Config{MaxConcurrent: 4, MaxQueue: 1 << 20})
-	defer svc.Close()
+	tb.Cleanup(func() { svc.Close() })
 
-	b.SetBytes(r.Bytes() + s.Bytes())
-	b.ResetTimer()
-
-	queries := make([]*Query, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		q, err := svc.Submit(context.Background(), r, s, opt)
-		if err != nil {
-			b.Fatal(err)
+	var ref *core.Result
+	return func(tb testing.TB, n int) float64 {
+		tb.Helper()
+		queries := make([]*Query, 0, n)
+		for i := 0; i < n; i++ {
+			q, err := svc.Submit(context.Background(), r, s, opt)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			queries = append(queries, q)
 		}
-		queries = append(queries, q)
+		for _, q := range queries {
+			res, err := q.Wait(context.Background())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if ref == nil {
+				ref = res
+			}
+			mustRepeat(tb, res, ref)
+		}
+		return ref.TotalNS
 	}
-	var refMatches int64
-	var refSimNS float64
-	for _, q := range queries {
+}
+
+// BenchmarkServiceThroughput measures end-to-end query throughput of the
+// service layer: b.N joins submitted through admission, MaxConcurrent in
+// flight at a time. ns/op is host wall-clock per query at service
+// concurrency.
+func BenchmarkServiceThroughput(b *testing.B) {
+	run := serviceThroughputShape(b)
+	b.SetBytes(2 * 8 * benchTuples)
+	b.ResetTimer()
+	b.ReportMetric(run(b, b.N), "sim_ns/op")
+}
+
+// catalogReuseShape is one auto-planned query on a service of its own,
+// its relations either catalog handles (no generation, ingest-time
+// statistics feed the fingerprint) or regenerated and re-measured per
+// submission — apujoind's pre-catalog behavior. The shared plan cache is
+// primed before run is returned; run submits once more and returns the
+// simulated total, which must equal the priming query's. Both variants run
+// the identical join, so the two totals are equal as well — the golden
+// test holds them to one literal.
+func catalogReuseShape(tb testing.TB, inline bool) (run func(tb testing.TB) float64) {
+	rg := rel.Gen{N: benchTuples, Seed: 1}
+	sg := rel.Gen{N: benchTuples, Seed: 2}
+	opt := core.Options{Delta: 0.1, PilotItems: 1 << 13}
+	spec := func() JoinSpec {
+		if !inline {
+			return JoinSpec{RName: "r", SName: "s", Opt: opt, Auto: true}
+		}
+		r := rg.Build()
+		return JoinSpec{R: r, S: sg.Probe(r, 1.0), Opt: opt, Auto: true}
+	}
+
+	svc := New(Config{MaxConcurrent: 2, MaxQueue: 1 << 20})
+	tb.Cleanup(func() { svc.Close() })
+	if _, err := svc.Catalog().RegisterGen("r", rg); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := svc.Catalog().RegisterProbe("s", "r", sg, 1.0); err != nil {
+		tb.Fatal(err)
+	}
+	submit := func(tb testing.TB) *core.Result {
+		tb.Helper()
+		q, err := svc.SubmitSpec(context.Background(), spec())
+		if err != nil {
+			tb.Fatal(err)
+		}
 		res, err := q.Wait(context.Background())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if refMatches == 0 {
-			refMatches, refSimNS = res.Matches, res.TotalNS
-		} else if res.Matches != refMatches || res.TotalNS != refSimNS {
-			b.Fatalf("concurrency changed results: matches %d (want %d), simNS %.0f (want %.0f)",
-				res.Matches, refMatches, res.TotalNS, refSimNS)
-		}
+		return res
 	}
-	// Deterministic simulated time per query: the machine-independent
-	// metric the CI benchmark-regression gate diffs.
-	b.ReportMetric(refSimNS, "sim_ns/op")
+	ref := submit(tb)
+	return func(tb testing.TB) float64 {
+		tb.Helper()
+		res := submit(tb)
+		mustRepeat(tb, res, ref)
+		return res.TotalNS
+	}
 }
 
 // BenchmarkCatalogReuse measures what registering data once buys: the
-// end-to-end submit latency of an auto-planned query whose relations are
-// catalog handles (warm: no generation, ingest-time statistics feed the
-// fingerprint, the plan cache hits) against the same query regenerating
-// and re-measuring its relations per submission — apujoind's pre-catalog
-// behavior. Both variants run the identical join, so sim_ns/op is equal by
-// construction and the ns/op gap is pure host-side generation plus
-// measurement. Recorded in BENCH_service.json and gated by bench-check.
+// end-to-end submit latency of a warm auto-planned query by handle against
+// the same query regenerating its relations per submission. sim_ns/op is
+// equal by construction; the ns/op gap is pure host-side generation plus
+// measurement.
 func BenchmarkCatalogReuse(b *testing.B) {
-	const tuples = 1 << 17
-	rg := rel.Gen{N: tuples, Seed: 1}
-	sg := rel.Gen{N: tuples, Seed: 2}
-	opt := core.Options{Delta: 0.1, PilotItems: 1 << 13}
-
-	run := func(b *testing.B, spec func() JoinSpec) {
-		b.Helper()
-		svc := New(Config{MaxConcurrent: 2, MaxQueue: 1 << 20})
-		defer svc.Close()
-		if _, err := svc.Catalog().RegisterGen("r", rg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.Catalog().RegisterProbe("s", "r", sg, 1.0); err != nil {
-			b.Fatal(err)
-		}
-		// Prime the shared plan cache outside the timer so both variants
-		// measure steady-state submits, not the one-off pilot.
-		q, err := svc.SubmitSpec(context.Background(), spec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ref, err := q.Wait(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(tuples) * 8 * 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q, err := svc.SubmitSpec(context.Background(), spec())
-			if err != nil {
-				b.Fatal(err)
+	for _, v := range []struct {
+		name   string
+		inline bool
+	}{{"catalog", false}, {"inline-regen", true}} {
+		v := v
+		b.Run(v.name, func(b *testing.B) {
+			run := catalogReuseShape(b, v.inline)
+			b.SetBytes(2 * 8 * benchTuples)
+			var simNS float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				simNS = run(b)
 			}
-			res, err := q.Wait(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Matches != ref.Matches || res.TotalNS != ref.TotalNS {
-				b.Fatalf("results drifted: matches %d (want %d), simNS %.0f (want %.0f)",
-					res.Matches, ref.Matches, res.TotalNS, ref.TotalNS)
-			}
-		}
-		b.ReportMetric(ref.TotalNS, "sim_ns/op")
+			b.ReportMetric(simNS, "sim_ns/op")
+		})
 	}
+}
 
-	b.Run("catalog", func(b *testing.B) {
-		run(b, func() JoinSpec {
-			return JoinSpec{RName: "r", SName: "s", Opt: opt, Auto: true}
-		})
-	})
-	b.Run("inline-regen", func(b *testing.B) {
-		run(b, func() JoinSpec {
-			r := rg.Build()
-			s := sg.Probe(r, 1.0)
-			return JoinSpec{R: r, S: s, Opt: opt, Auto: true}
-		})
-	})
+// shardedScaleoutShape is one catalog join on a sharded service of the
+// given shard count. run executes the fan-out join once and returns the
+// simulated total, which must equal the first run's; the
+// shard-count-invariance contract makes it the same number at every shard
+// count too — the golden test holds shards=1 and shards=8 to one literal.
+func shardedScaleoutShape(tb testing.TB, shards int) (run func(tb testing.TB) float64) {
+	svc := New(Config{Shards: shards})
+	tb.Cleanup(func() { svc.Close() })
+	if _, err := svc.RegisterGen("r", rel.Gen{N: benchTuples, Seed: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: benchTuples, Seed: 2}, 1.0); err != nil {
+		tb.Fatal(err)
+	}
+	spec := JoinSpec{RName: "r", SName: "s",
+		Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 1 << 13}}
+	var ref *core.Result
+	return func(tb testing.TB) float64 {
+		tb.Helper()
+		res, err := svc.RunJoin(context.Background(), spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+		}
+		mustRepeat(tb, res, ref)
+		return res.TotalNS
+	}
 }
 
 // BenchmarkShardedScaleout measures the stateless router's host-side cost
 // against its parallelism: the identical catalog join on one shard and on
 // the maximum (one shard per hash partition). ns/op is host wall-clock per
-// fan-out join; sim_ns/op is the deterministic simulated time, which the
-// shard-count-invariance contract requires to be bit-identical between the
-// two variants — the regression gate diffs both. Recorded in
-// BENCH_service.json by `make bench-json`.
+// fan-out join.
 func BenchmarkShardedScaleout(b *testing.B) {
-	const tuples = 1 << 17
-	rg := rel.Gen{N: tuples, Seed: 1}
-	sg := rel.Gen{N: tuples, Seed: 2}
-	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 1 << 13}
-
-	run := func(b *testing.B, shards int) {
-		b.Helper()
-		svc := New(Config{Shards: shards})
-		defer svc.Close()
-		if _, err := svc.RegisterGen("r", rg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.RegisterProbe("s", "r", sg, 1.0); err != nil {
-			b.Fatal(err)
-		}
-		spec := JoinSpec{RName: "r", SName: "s", Opt: opt}
-		ref, err := svc.RunJoin(context.Background(), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(tuples) * 8 * 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := svc.RunJoin(context.Background(), spec)
-			if err != nil {
-				b.Fatal(err)
+	for _, shards := range []int{1, shard.Partitions} {
+		shards := shards
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			run := shardedScaleoutShape(b, shards)
+			run(b) // first fan-out outside the timer
+			b.SetBytes(2 * 8 * benchTuples)
+			var simNS float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				simNS = run(b)
 			}
-			if res.Matches != ref.Matches || res.TotalNS != ref.TotalNS {
-				b.Fatalf("results drifted: matches %d (want %d), simNS %.0f (want %.0f)",
-					res.Matches, ref.Matches, res.TotalNS, ref.TotalNS)
-			}
-		}
-		b.ReportMetric(ref.TotalNS, "sim_ns/op")
+			b.ReportMetric(simNS, "sim_ns/op")
+		})
 	}
-
-	b.Run("shards=1", func(b *testing.B) { run(b, 1) })
-	b.Run(fmt.Sprintf("shards=%d", shard.Partitions), func(b *testing.B) { run(b, shard.Partitions) })
 }
