@@ -18,7 +18,7 @@ COVERAGE_FLOOR ?= 80
 # may hold: COVERAGE_FLOOR's pattern pointing the other way. The service
 # layer was three copies of one design; this keeps it one. Lower it as the
 # package shrinks; never raise it to merge.
-SERVICE_LOC_CEILING ?= 2327
+SERVICE_LOC_CEILING ?= 2325
 
 .PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -47,11 +47,18 @@ bench:
 # Kernel microbenchmarks, the bottom rung of the benchmark ladder: ns/tuple
 # and allocations of the counter and insert steps as the runner executes
 # them (range morsels / ownership shards on a pool of 1 and 2), and of the
-# owner-index build they share, at 2^20 uniform and high-skew tuples.
+# owner-index build they share, at 2^20 uniform and high-skew tuples; then
+# the pipeline hand-off between two joins — the key-count table, the
+# streamed producer (pools of 1 and 2) and the spill partitioner, the last
+# two single-stream — at 2^14 and 2^17 tuples, a spilled partition's size
+# and the benchmark's relation size.
 bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=10x ./internal/sched
 	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkN3Shard' -benchmem -benchtime=10x ./internal/radix
 	$(GO) test -run=NONE -bench=BenchmarkB3B4Shard -benchmem -benchtime=10x ./internal/htab
+	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=10x ./internal/rel
+	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=10x ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=10x ./internal/shard
 
 # "Did host time move?": one full apubench run set (all four workloads,
 # ~15 s each), then its comparison against the committed baseline. Host

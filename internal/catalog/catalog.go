@@ -324,29 +324,13 @@ type IngestStats struct {
 // key index sort is O(n log n).
 func Measure(r rel.Relation) IngestStats {
 	sample := r.KeySample(plan.WorkloadSample)
+	share := plan.HeavyShare(sample)
 	return IngestStats{
 		Sample:     sample,
 		Index:      r.Index(),
-		SkewBucket: plan.SkewBucketOf(sample),
-		HeavyShare: heavyShare(sample),
+		SkewBucket: plan.SkewBucketOf(share),
+		HeavyShare: share,
 	}
-}
-
-// heavyShare returns the heaviest key's share of the sample — the raw
-// number behind the skew bucket, reported in listings.
-func heavyShare(sample []int32) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	counts := make(map[int32]int, len(sample))
-	maxCount := 0
-	for _, k := range sample {
-		counts[k]++
-		if counts[k] > maxCount {
-			maxCount = counts[k]
-		}
-	}
-	return float64(maxCount) / float64(len(sample))
 }
 
 // Reserve charges bytes of transient pipeline data against the resident

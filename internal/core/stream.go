@@ -1,6 +1,7 @@
 package core
 
 import (
+	"apujoin/internal/alloc"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -12,7 +13,8 @@ import (
 // catalog. counts is the build side's key → multiplicity table
 // (rel.KeyCounts of the step's build input — the same per-key state the
 // step's hash table held); s is the step's probe side, whose order defines
-// the output order.
+// the output order. counts is only read: one table serves any number of
+// calls, and releasing it stays with whoever built it.
 //
 // The construction reuses the pool's ordered-reduction machinery so the
 // output is bit-identical to rel.JoinMaterialize for any worker count:
@@ -34,17 +36,19 @@ import (
 // The caller must ensure the match count fits a relation (≤ MaxInt32
 // tuples); pipeline execution checks the step's exact Matches before
 // producing. A nil pool runs the same grid inline.
-func StreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation) rel.Relation {
+//
+// Both output columns are recycler slabs, every word of which the fill
+// pass writes. The chain that called for the intermediate owns it and hands
+// it back with ReleaseStreamed once the consumer step has run and derived
+// its own per-key state; a caller that simply drops the result leaves
+// ordinary garbage.
+func StreamMaterialize(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.Relation {
 	n := s.Len()
-	if n == 0 || len(counts) == 0 {
+	if n == 0 || counts.Len() == 0 {
 		return rel.Relation{}
 	}
 	perMorsel := pool.MapRangeCounts(0, n, func(mlo, mhi int) int64 {
-		var c int64
-		for _, k := range s.Keys[mlo:mhi] {
-			c += int64(counts[k])
-		}
-		return c
+		return counts.Matches(s.Keys[mlo:mhi])
 	})
 	offsets := make([]int64, len(perMorsel))
 	var total int64
@@ -55,13 +59,7 @@ func StreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation)
 	if total == 0 {
 		return rel.Relation{}
 	}
-	// The hand-off buffer is owned by the pipeline chain, not by a run, so
-	// it stays outside the recycler until step-to-step streaming
-	// (ROADMAP item 8) deletes it. The pragma covers both columns.
-	out := rel.Relation{
-		RIDs: make([]int32, total), //apulint:ignore slabmake(chain-owned hand-off buffer, not a run's slab)
-		Keys: make([]int32, total),
-	}
+	out := rel.Relation{RIDs: alloc.GetWords(int(total)), Keys: alloc.GetWords(int(total))}
 	pool.ForEach(len(perMorsel), func(i int) {
 		mlo := i * sched.MorselItems
 		mhi := mlo + sched.MorselItems
@@ -70,7 +68,7 @@ func StreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation)
 		}
 		at := offsets[i]
 		for _, k := range s.Keys[mlo:mhi] {
-			for c := counts[k]; c > 0; c-- {
+			for c := counts.Of(k); c > 0; c-- {
 				out.RIDs[at] = int32(at)
 				out.Keys[at] = k
 				at++
@@ -78,4 +76,12 @@ func StreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation)
 		}
 	})
 	return out
+}
+
+// ReleaseStreamed hands a StreamMaterialize result's columns back to the
+// recycler. Nothing may read the relation afterwards; the zero relation is
+// fine to pass.
+func ReleaseStreamed(r rel.Relation) {
+	alloc.PutWords(r.RIDs)
+	alloc.PutWords(r.Keys)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -70,5 +71,113 @@ func TestStreamMaterializeWorkersInvariance(t *testing.T) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("workers=%d: streamed output differs from the inline reference", workers)
 		}
+	}
+}
+
+// mapStreamMaterialize is StreamMaterialize as it was before rel.Counts and
+// the recycler: the same three-step construction over a Go map, into
+// columns from make. It stays as the reference.
+func mapStreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relation) rel.Relation {
+	n := s.Len()
+	if n == 0 || len(counts) == 0 {
+		return rel.Relation{}
+	}
+	perMorsel := pool.MapRangeCounts(0, n, func(mlo, mhi int) int64 {
+		var c int64
+		for _, k := range s.Keys[mlo:mhi] {
+			c += int64(counts[k])
+		}
+		return c
+	})
+	offsets := make([]int64, len(perMorsel))
+	var total int64
+	for i, c := range perMorsel {
+		offsets[i] = total
+		total += c
+	}
+	if total == 0 {
+		return rel.Relation{}
+	}
+	out := rel.Relation{RIDs: make([]int32, total), Keys: make([]int32, total)}
+	pool.ForEach(len(perMorsel), func(i int) {
+		mlo := i * sched.MorselItems
+		mhi := min(mlo+sched.MorselItems, n)
+		at := offsets[i]
+		for _, k := range s.Keys[mlo:mhi] {
+			for c := counts[k]; c > 0; c-- {
+				out.RIDs[at] = int32(at)
+				out.Keys[at] = k
+				at++
+			}
+		}
+	})
+	return out
+}
+
+// TestStreamMaterializeMatchesMapReference: the flat-table, slab-backed
+// producer writes the bytes the map-backed one wrote, on pools nil, 1 and
+// 2, with duplicate build keys (an intermediate as the build side) and
+// skewed probes. Each result is released and the next call runs on the
+// returned slabs — poisoned under -race — so a word the fill pass does not
+// write shows as a difference.
+func TestStreamMaterializeMatchesMapReference(t *testing.T) {
+	base := rel.Gen{N: 20000, Seed: 11}.Build()
+	dup := rel.Gen{N: 50000, Dist: rel.LowSkew, Seed: 12}.Probe(base, 0.9) // duplicate keys
+	for _, tc := range []struct {
+		name string
+		r, s rel.Relation
+	}{
+		{"distinct build, uniform probe", base, rel.Gen{N: 70000, Seed: 13}.Probe(base, 0.6)},
+		{"distinct build, high-skew probe", base, rel.Gen{N: 40000, Dist: rel.HighSkew, Seed: 14}.Probe(base, 1.0)},
+		{"duplicate build keys", dup, rel.Gen{N: 1<<14 + 3, Seed: 15}.Probe(base, 0.8)},
+		{"no matches", base, rel.Gen{N: 5000, Seed: 16}.Probe(base, 0)},
+	} {
+		ref := map[int32]int32{}
+		for _, k := range tc.r.Keys {
+			ref[k]++
+		}
+		counts := rel.KeyCounts(tc.r)
+		for _, workers := range []int{0, 1, 2} {
+			var pool *sched.Pool // nil runs the grid inline
+			if workers > 0 {
+				pool = sched.NewPool(workers)
+			}
+			want := mapStreamMaterialize(pool, ref, tc.s)
+			for round := 0; round < 2; round++ {
+				got := StreamMaterialize(pool, counts, tc.s)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, pool %d, round %d: output differs from the map-backed reference", tc.name, workers, round)
+				}
+				ReleaseStreamed(got)
+			}
+			pool.Close()
+		}
+		counts.Release()
+	}
+}
+
+// BenchmarkStreamMaterialize measures the hand-off's producer as a chain
+// runs it — one output produced and released per iteration, the count table
+// built outside the timer (BenchmarkKeyCounts in internal/rel prices it).
+func BenchmarkStreamMaterialize(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 17} {
+		r := rel.Gen{N: n, Seed: 1}.Build()
+		counts := rel.KeyCounts(r)
+		for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
+			s := rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(r, 1.0)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%v/n=%d/pool=%d", dist, n, workers), func(b *testing.B) {
+					pool := sched.NewPool(workers)
+					defer pool.Close()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ReleaseStreamed(StreamMaterialize(pool, counts, s))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
+				})
+			}
+		}
+		counts.Release()
 	}
 }

@@ -99,44 +99,54 @@ type Workload struct {
 // MeasureWorkload measures the workload buckets of one R ⋈ S pair: the
 // probe-side skew (heavy-hitter share of a strided key sample) and the
 // join selectivity (exact membership of the sampled probe keys in the full
-// build key set, tested by scanning R once against the small sample map —
-// O(|R|) time, O(sample) memory). Quantization makes equivalent relations
-// from different seeds land in the same bucket.
+// build key set, tested by scanning R once against the sample's own small
+// key table — O(|R|) time, O(sample) memory). Quantization makes equivalent
+// relations from different seeds land in the same bucket.
 func MeasureWorkload(r, s rel.Relation) Workload {
 	if s.Len() == 0 || r.Len() == 0 {
 		return Workload{}
 	}
 	sample := s.KeySample(WorkloadSample)
-	present := make(map[int32]bool, len(sample))
-	for _, k := range sample {
-		present[k] = false
-	}
-	for _, k := range r.Keys {
-		if v, ok := present[k]; ok && !v {
-			present[k] = true
-		}
-	}
-	return Workload{
-		SkewBucket: SkewBucketOf(sample),
-		SelBucket:  SelBucketOf(sample, func(k int32) bool { return present[k] }),
-	}
+	sampled := rel.CountKeys(sample)
+	defer sampled.Release()
+	inBuild := sampled.Restrict(r.Keys)
+	defer inBuild.Release()
+	return PairWorkload(sample, SkewBucketOf(heavyShare(sampled, len(sample))),
+		func(k int32) bool { return inBuild.Of(k) > 0 })
 }
 
-// SkewBucketOf classifies a probe key sample by its heavy-hitter share,
-// with thresholds placed between the paper's workload classes.
-func SkewBucketOf(sample []int32) int {
-	if len(sample) == 0 {
+// CountsWorkload is MeasureWorkload for a build side whose key counts are
+// already in hand — a pipeline chain derives them for the hand-off anyway —
+// so the build relation is not scanned again. Membership in build is
+// membership in R, so the buckets equal MeasureWorkload's on the same pair.
+func CountsWorkload(build rel.Counts, s rel.Relation) Workload {
+	if s.Len() == 0 || build.Len() == 0 {
+		return Workload{}
+	}
+	sample := s.KeySample(WorkloadSample)
+	return PairWorkload(sample, SkewBucketOf(HeavyShare(sample)),
+		func(k int32) bool { return build.Of(k) > 0 })
+}
+
+// HeavyShare returns the heaviest key's share of a probe key sample — the
+// raw measurement behind the skew bucket, which the catalog also reports.
+func HeavyShare(sample []int32) float64 {
+	counts := rel.CountKeys(sample)
+	defer counts.Release()
+	return heavyShare(counts, len(sample))
+}
+
+func heavyShare(counts rel.Counts, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	counts := make(map[int32]int, len(sample))
-	maxCount := 0
-	for _, k := range sample {
-		counts[k]++
-		if counts[k] > maxCount {
-			maxCount = counts[k]
-		}
-	}
-	switch share := float64(maxCount) / float64(len(sample)); {
+	return float64(counts.Max()) / float64(n)
+}
+
+// SkewBucketOf classifies a sample's heavy-hitter share (HeavyShare), with
+// thresholds placed between the paper's workload classes.
+func SkewBucketOf(share float64) int {
+	switch {
 	case share < skewLowThreshold:
 		return 0
 	case share < skewHighThreshold:
@@ -149,8 +159,8 @@ func SkewBucketOf(sample []int32) int {
 // SelBucketOf quantizes the fraction of sampled probe keys for which
 // contains reports membership in the build key set. The catalog passes a
 // binary search over its ingest-time key index; the inline path passes a
-// lookup into the map MeasureWorkload filled by scanning R — both report
-// the same memberships, so the buckets agree.
+// lookup into a rel.Counts table over R's keys — both report the same
+// memberships, so the buckets agree.
 func SelBucketOf(sample []int32, contains func(int32) bool) int {
 	if len(sample) == 0 {
 		return 0

@@ -17,10 +17,8 @@ package rel
 // corresponding join), which pipeline execution uses as a cross-check.
 func JoinMaterialize(r, s Relation) Relation {
 	counts := KeyCounts(r)
-	var m int64
-	for _, k := range s.Keys {
-		m += int64(counts[k])
-	}
+	defer counts.Release()
+	m := counts.Matches(s.Keys)
 	if m == 0 {
 		// The zero relation, with nil columns — the same representation a
 		// tuple-at-a-time construction (and the test oracle) produces.
@@ -31,25 +29,10 @@ func JoinMaterialize(r, s Relation) Relation {
 		Keys: make([]int32, 0, m),
 	}
 	for _, k := range s.Keys {
-		for c := counts[k]; c > 0; c-- {
+		for c := counts.Of(k); c > 0; c-- {
 			out.RIDs = append(out.RIDs, int32(len(out.RIDs)))
 			out.Keys = append(out.Keys, k)
 		}
 	}
 	return out
-}
-
-// KeyCounts returns the key → multiplicity table of the relation — the
-// per-key match counts a hash table built over it would hold. It is the
-// compact producer state a pipeline hands from one join to the
-// construction of the next intermediate: together with the probe side's
-// key column it determines the materialized output completely, so
-// JoinMaterialize's single-stream pass and the engine's morsel-parallel
-// streamed producer (core.StreamMaterialize) agree bit for bit.
-func KeyCounts(r Relation) map[int32]int32 {
-	counts := make(map[int32]int32, r.Len())
-	for _, k := range r.Keys {
-		counts[k]++
-	}
-	return counts
 }

@@ -189,10 +189,10 @@ type chain struct {
 //
 // The hand-off never goes through the catalog's namespace: the matches are
 // produced morsel-parallel (core.StreamMaterialize) directly into the
-// buffer the next step builds from, their relation bytes reserved
-// transiently against env.cat and freed the moment the consumer step has
-// derived its per-key state from them — at most one intermediate is
-// resident and no key index or sample is ever built for it. An
+// buffer the next step builds from — recycler slabs this chain hands back
+// — their relation bytes reserved transiently against env.cat and returned
+// once the consumer step has run: at most one intermediate is reserved and
+// no key index or sample is ever built for it. An
 // intermediate the budget cannot hold — known exactly, before anything is
 // allocated — hands the rest of the chain to the hybrid-hash spiller.
 //
@@ -211,7 +211,13 @@ func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relat
 	// reserved is the live reservation backing the current intermediate,
 	// returned when its consumer step is done with it or on exit.
 	var reserved int64
-	defer func() { env.cat.Unreserve(reserved) }()
+	// inter is cur when this chain produced it: recycler slabs, handed back
+	// once the consumer step has run and the next intermediate is produced.
+	var inter rel.Relation
+	defer func() {
+		env.cat.Unreserve(reserved)
+		core.ReleaseStreamed(inter)
+	}()
 
 	cur, curName := in[order[0]], names[order[0]]
 	for t := 1; t < n; t++ {
@@ -248,10 +254,10 @@ func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relat
 			c.replans++
 		}
 
-		// The per-key state of the finished step's build side is all the
-		// producer needs from cur: once it is derived, a transient cur is
-		// freed before the new intermediate is reserved.
-		counts := rel.KeyCounts(cur)
+		// The finished step's build side has served its consumer: a
+		// transient cur's reservation is returned before the new
+		// intermediate is reserved. Whether that one fits needs only the
+		// step's match count.
 		env.cat.Unreserve(reserved)
 		reserved = 0
 		bytes := stepRes.Matches * 8
@@ -273,17 +279,22 @@ func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relat
 			}
 		}
 		if spill {
-			rest := make([]rel.Relation, 0, n-1-t)
-			for _, i := range order[t+1:] {
-				rest = append(rest, in[i])
+			probes := make([]rel.Relation, 0, n-t)
+			for _, i := range order[t:] {
+				probes = append(probes, in[i])
 			}
-			if err := c.spill(ctx, env, cur, probe, rest, opt, budget); err != nil {
+			if err := c.spill(ctx, env, cur, probes, opt, budget); err != nil {
 				return nil, fail(fmt.Errorf("spill: %w", err))
 			}
 			return c, nil
 		}
 		reserved = bytes
-		inter := core.StreamMaterialize(opt.Pool, counts, probe)
+		// The per-key state of cur is all the producer needs from it.
+		counts := rel.KeyCounts(cur)
+		next := core.StreamMaterialize(opt.Pool, counts, probe)
+		counts.Release()
+		core.ReleaseStreamed(inter)
+		inter = next
 		if int64(inter.Len()) != stepRes.Matches {
 			return nil, fail(fmt.Errorf("streamed %d tuples but the join counted %d — engine bug", inter.Len(), stepRes.Matches))
 		}
@@ -298,15 +309,15 @@ func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relat
 }
 
 // spill hands the chain from its last recorded step on to the hybrid-hash
-// spiller: cur ⋈ probe ⋈ rest… re-run partitioned under budget. The
+// spiller: cur ⋈ probes… re-run partitioned under budget. The
 // recorded step's result is replaced by the spiller's (merged over
 // partitions, so the step keeps one Result) and — since the partitioned
 // execution is what actually ran — its plan report is dropped with it;
 // spilled steps carry no per-step plan. The simulated I/O the spill store
 // charged attaches to the first spilled step.
-func (c *chain) spill(ctx context.Context, env *chainEnv, cur, probe rel.Relation, rest []rel.Relation, opt core.Options, budget int64) error {
+func (c *chain) spill(ctx context.Context, env *chainEnv, cur rel.Relation, probes []rel.Relation, opt core.Options, budget int64) error {
 	sp := &spiller{ctx: ctx, cat: env.cat, planner: env.planner, opt: opt, budget: budget}
-	steps, err := sp.run(cur, probe, rest, env.level)
+	steps, err := sp.run(cur, probes, env.level)
 	if err != nil {
 		return err
 	}
@@ -320,7 +331,7 @@ func (c *chain) spill(ctx context.Context, env *chainEnv, cur, probe rel.Relatio
 		c.plans = append(c.plans, nil)
 		if i > 0 {
 			c.buildTuples = append(c.buildTuples, int(steps[i-1].Matches))
-			c.probeTuples = append(c.probeTuples, rest[i-1].Len())
+			c.probeTuples = append(c.probeTuples, probes[i].Len())
 		}
 		if i < len(steps)-1 {
 			c.interTuples += r.Matches

@@ -113,98 +113,86 @@ func (sp *spiller) unreserve(demand, phys int64) {
 	sp.resident -= demand
 }
 
-// heavyDominated reports whether one key owns at least heavyKeyShare of
-// the build side — the case repartitioning cannot improve.
-func heavyDominated(counts map[int32]int32, n int) bool {
-	if n == 0 {
-		return false
-	}
-	var max int32
-	for _, c := range counts { //apulint:ignore detmaporder (order-free max reduction)
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) >= heavyKeyShare*float64(n)
-}
-
-// run executes the chain cur ⋈ probe ⋈ rest[0] ⋈ … under the budget by
-// partitioning every input at the given repartitioning level. It returns
-// one merged Result per chain step (1+len(rest) of them), bit-identical
-// for any worker count.
-func (sp *spiller) run(cur, probe rel.Relation, rest []rel.Relation, depth int) ([]*core.Result, error) {
+// run executes the chain cur ⋈ probes[0] ⋈ probes[1] ⋈ … under the budget
+// by partitioning every input at the given repartitioning level. It
+// returns one merged Result per chain step, bit-identical for any worker
+// count.
+//
+// The build side's key counts are derived once, per partition: partitions
+// hold disjoint key sets, so the heaviest key overall is the heaviest of
+// any partition, each partition's exact intermediate size reads its own
+// table, and that table then serves the partition's first chain step.
+func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
 	if depth > sp.depth {
 		sp.depth = depth
 	}
-	counts := rel.KeyCounts(cur)
-	if depth >= maxSpillDepth || heavyDominated(counts, cur.Len()) {
-		return sp.stream(cur, probe, rest)
+	if depth >= maxSpillDepth {
+		return sp.stream(cur, probes)
 	}
-	nsteps := 1 + len(rest)
 	curP := shard.SplitAt(cur, depth)
-	probeP := shard.SplitAt(probe, depth)
-	restP := make([][shard.Partitions]rel.Relation, len(rest))
-	for j := range rest {
-		restP[j] = shard.SplitAt(rest[j], depth)
-	}
-
-	// The first intermediate's per-partition size is exact before any join
-	// runs: partitioning is by key, so partition p's matches are the sum of
-	// the build-side counts of p's probe keys.
-	var interBytes [shard.Partitions]int64
-	for p := 0; p < shard.Partitions; p++ {
-		var m int64
-		for _, k := range probeP[p].Keys {
-			m += int64(counts[k])
+	var counts [shard.Partitions]rel.Counts
+	defer func() {
+		for p := range counts {
+			counts[p].Release()
 		}
-		interBytes[p] = m * 8
+	}()
+	var heaviest int32
+	for p := range counts {
+		counts[p] = rel.KeyCounts(curP[p])
+		heaviest = max(heaviest, counts[p].Max())
+	}
+	// One key owning heavyKeyShare of the build side is the case
+	// repartitioning cannot improve.
+	if heaviest > 0 && float64(heaviest) >= heavyKeyShare*float64(cur.Len()) {
+		return sp.stream(cur, probes)
+	}
+	probeP := make([][shard.Partitions]rel.Relation, len(probes))
+	for j := range probes {
+		probeP[j] = shard.SplitAt(probes[j], depth)
 	}
 
 	// Hybrid residency: first-fit in partition order, keeping as many
 	// partitions resident as the budget holds. Resident partitions pay no
-	// spill I/O; everything else is written out and read back once.
+	// spill I/O; everything else is written out and read back once. The
+	// first intermediate's per-partition size is exact before any join
+	// runs: partitioning is by key, so partition p's matches are the sum of
+	// the build-side counts of p's probe keys.
 	var resident [shard.Partitions]bool
 	var residentCum int64
-	for p := 0; p < shard.Partitions; p++ {
-		if residentCum+interBytes[p] <= sp.budget {
-			residentCum += interBytes[p]
+	for p := range resident {
+		if b := counts[p].Matches(probeP[0][p].Keys) * 8; residentCum+b <= sp.budget {
+			residentCum += b
 			resident[p] = true
 		}
 	}
 
-	perStep := make([][]*core.Result, nsteps)
+	perStep := make([][]*core.Result, len(probes))
 	for p := 0; p < shard.Partitions; p++ {
-		if curP[p].Len() == 0 || probeP[p].Len() == 0 {
-			for t := 0; t < nsteps; t++ {
-				perStep[t] = append(perStep[t], emptyResult(sp.opt))
-			}
-			continue
+		part := make([]rel.Relation, len(probes))
+		b := curP[p].Bytes()
+		for j := range probeP {
+			part[j] = probeP[j][p]
+			b += part[j].Bytes()
 		}
-		if !resident[p] {
-			b := curP[p].Bytes() + probeP[p].Bytes()
-			for j := range restP {
-				b += restP[j][p].Bytes()
-			}
+		// A partition with an empty side joins to nothing (the chain reports
+		// zero results for it) and is never written out.
+		if !resident[p] && curP[p].Len() > 0 && part[0].Len() > 0 {
 			sp.parts++
 			sp.bytes += b
 			sp.ns += cost.SpillRoundTripNS(b)
 		}
-		probes := make([]rel.Relation, 0, nsteps)
-		probes = append(probes, probeP[p])
-		for j := range restP {
-			probes = append(probes, restP[j][p])
-		}
-		// An oversized partition (interBytes[p] > budget) recurses to the
-		// next level through the chain's own pre-check.
-		sub, err := sp.chain(curP[p], probes, depth)
+		// An oversized partition (its first intermediate alone exceeds the
+		// budget) recurses to the next level through the chain's own
+		// pre-check.
+		sub, err := sp.chain(curP[p], counts[p], part, depth)
 		if err != nil {
 			return nil, fmt.Errorf("spill partition %d (level %d): %w", p, depth, err)
 		}
-		for t := 0; t < nsteps; t++ {
+		for t := range perStep {
 			perStep[t] = append(perStep[t], sub[t])
 		}
 	}
-	out := make([]*core.Result, nsteps)
+	out := make([]*core.Result, len(probes))
 	for t := range perStep {
 		out[t] = shard.MergeResults(perStep[t])
 	}
@@ -216,12 +204,25 @@ func (sp *spiller) run(cur, probe rel.Relation, rest []rel.Relation, depth int) 
 // intermediate cannot fit the budget — known exactly before the step runs
 // — hands the rest of the chain back to run at the next repartitioning
 // level. At most one intermediate is reserved at a time: the build side's
-// reservation is returned once its key counts are derived, before the next
+// reservation is returned once its consumer step has run, before the next
 // intermediate reserves.
-func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
+//
+// counts is build's key → multiplicity table and stays the caller's. Every
+// later build side is an intermediate this chain produced: the chain
+// derives its counts (the last step needs none), and hands both back to
+// the recycler once the step consuming them has produced the next one.
+// Where a step has its build counts, its planner buckets come from them
+// (plan.CountsWorkload) instead of another scan of the build side.
+func (sp *spiller) chain(build rel.Relation, counts rel.Counts, probes []rel.Relation, depth int) ([]*core.Result, error) {
 	out := make([]*core.Result, 0, len(probes))
 	cur, curRes, curPhys := build, int64(0), int64(0)
-	defer func() { sp.unreserve(curRes, curPhys) }()
+	var inter rel.Relation     // cur, when this chain produced it
+	var interCounts rel.Counts // counts, when this chain derived them
+	defer func() {
+		sp.unreserve(curRes, curPhys)
+		interCounts.Release()
+		core.ReleaseStreamed(inter)
+	}()
 	for j := 0; j < len(probes); j++ {
 		probe := probes[j]
 		if cur.Len() == 0 || probe.Len() == 0 {
@@ -231,24 +232,28 @@ func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) (
 			return out, nil
 		}
 		last := j == len(probes)-1
-		var counts map[int32]int32
-		if !last {
-			counts = rel.KeyCounts(cur)
-			var m int64
-			for _, k := range probe.Keys {
-				m += int64(counts[k])
-			}
-			if m*8 > sp.budget {
-				sp.unreserve(curRes, curPhys)
-				curRes, curPhys = 0, 0
-				sub, err := sp.run(cur, probe, probes[j+1:], depth+1)
-				if err != nil {
-					return nil, err
-				}
-				return append(out, sub...), nil
-			}
+		// cur's counts exist at step 0 (the caller's) and at every step that
+		// hands an intermediate on.
+		counted := j == 0 || !last
+		if j > 0 && counted {
+			interCounts = rel.KeyCounts(cur)
+			counts = interCounts
 		}
-		stepRes, _, _, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, nil)
+		if !last && counts.Matches(probe.Keys)*8 > sp.budget {
+			sp.unreserve(curRes, curPhys)
+			curRes, curPhys = 0, 0
+			sub, err := sp.run(cur, probes[j:], depth+1)
+			if err != nil {
+				return nil, err
+			}
+			return append(out, sub...), nil
+		}
+		var w *plan.Workload
+		if sp.planner != nil && counted {
+			cw := plan.CountsWorkload(counts, probe)
+			w = &cw
+		}
+		stepRes, _, _, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, w)
 		if err != nil {
 			return nil, fmt.Errorf("chain step %d: %w", j, err)
 		}
@@ -262,7 +267,10 @@ func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) (
 		sp.unreserve(curRes, curPhys)
 		bytes := stepRes.Matches * 8
 		curRes, curPhys = bytes, sp.reserve(bytes)
-		cur = core.StreamMaterialize(sp.opt.Pool, counts, probe)
+		next := core.StreamMaterialize(sp.opt.Pool, counts, probe)
+		interCounts.Release()
+		core.ReleaseStreamed(inter)
+		cur, inter = next, next
 	}
 	return out, nil
 }
@@ -276,16 +284,12 @@ func (sp *spiller) chain(build rel.Relation, probes []rel.Relation, depth int) (
 // boundaries depend only on key counts and the budget, keeping the
 // decomposition deterministic; match counts are exact because an
 // equi-join distributes over a disjoint union of its probe side.
-func (sp *spiller) stream(cur, probe rel.Relation, rest []rel.Relation) ([]*core.Result, error) {
-	nsteps := 1 + len(rest)
-	perStep := make([][]*core.Result, nsteps)
-	probes := make([]rel.Relation, 0, nsteps)
-	probes = append(probes, probe)
-	probes = append(probes, rest...)
+func (sp *spiller) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Result, error) {
+	perStep := make([][]*core.Result, len(probes))
 	if err := sp.streamStep(perStep, cur, probes, 0); err != nil {
 		return nil, err
 	}
-	out := make([]*core.Result, nsteps)
+	out := make([]*core.Result, len(probes))
 	for t := range perStep {
 		if len(perStep[t]) == 0 {
 			out[t] = emptyResult(sp.opt)
@@ -311,11 +315,12 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 	}
 	last := j == len(probes)-1
 	counts := rel.KeyCounts(build)
+	defer counts.Release()
 	for lo := 0; lo < probe.Len(); {
 		var m int64
 		hi := lo
 		for hi < probe.Len() {
-			dm := int64(counts[probe.Keys[hi]])
+			dm := int64(counts.Of(probe.Keys[hi]))
 			if hi > lo && (m+dm)*8 > capB {
 				break
 			}
@@ -336,6 +341,7 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 		phys := sp.reserve(bytes)
 		inter := core.StreamMaterialize(sp.opt.Pool, counts, chunk)
 		err = sp.streamStep(acc, inter, probes, j+1)
+		core.ReleaseStreamed(inter)
 		sp.unreserve(bytes, phys)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -204,6 +205,29 @@ func TestSplitAtPreservesJoinCount(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("level %d decomposed join counts %d, undecomposed %d", level, got, want)
+		}
+	}
+}
+
+// BenchmarkSplitAt measures the spill path's partitioner — a counting pass,
+// then a scatter into fresh columns: every input of a spilled chain goes
+// through it once per repartitioning level. It is single-stream, so there
+// is no pool to vary.
+func BenchmarkSplitAt(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 17} {
+		build := rel.Gen{N: n, Seed: 1}.Build()
+		for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
+			in := build
+			if dist != rel.Uniform {
+				in = rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(build, 1.0)
+			}
+			b.Run(fmt.Sprintf("%v/n=%d", dist, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					SplitAt(in, 0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
+			})
 		}
 	}
 }
