@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/exp"
+	"apujoin/internal/rel"
 )
 
 func main() {
@@ -25,15 +25,15 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	reuse := flag.Bool("reuse-data", true, "register datasets in a relation catalog so experiments sharing a shape generate them once (results unchanged)")
+	reuse := flag.Bool("reuse-data", true, "cache generated datasets so experiments sharing a shape generate them once (results unchanged)")
 	flag.Parse()
 
 	cfg := exp.Config{Tuples: *tuples, Delta: *delta, MonteCarloRuns: *mc, PilotItems: *pilot, Quick: *quick}
 	if *reuse {
-		// One catalog across every experiment of the run: identical
+		// One cache across every experiment of the run: identical
 		// (size, skew, selectivity) shapes generate once and stay
 		// resident, like the service layer's registered relations.
-		cfg.Catalog = catalog.New(0)
+		cfg.Datasets = map[string]rel.Relation{}
 	}
 
 	if *list {

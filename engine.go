@@ -2,12 +2,10 @@ package apujoin
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
-	"apujoin/internal/plan"
 	"apujoin/internal/service"
 )
 
@@ -142,10 +140,10 @@ func (e *Engine) Register(name string, g Gen) (RelationInfo, error) {
 // registered build relation of: the given fraction of its tuples carry
 // keys present in the build side, with g's skew applied — exactly
 // g.Probe(build, selectivity), so the result is bit-identical to inline
-// generation from the same spec. A sharded engine rebuilds the build side
-// in original tuple order first — regenerated from its stored spec, or,
-// for a bulk-loaded relation, reassembled from its partition entries via
-// the recorded ingest order.
+// generation from the same spec. An unsharded engine reads the resident
+// build side; a sharded one rebuilds it in original tuple order first —
+// regenerated from its stored spec, or, for a bulk-loaded relation,
+// reassembled from its partition entries via the recorded ingest order.
 func (e *Engine) RegisterProbe(name, of string, g Gen, selectivity float64) (RelationInfo, error) {
 	return e.svc.RegisterProbe(name, of, g, selectivity)
 }
@@ -174,117 +172,38 @@ func (e *Engine) Relation(name string) (RelationInfo, bool) { return e.svc.Relat
 // Shards returns the configured shard count (0 for an unsharded engine).
 func (e *Engine) Shards() int { return e.svc.Shards() }
 
-// resolve pins catalog references and returns the concrete relations plus
-// a release func and, for named pairs, the ingest-time workload statistics.
-// Unlike the service layer's resolver (which mirrors the HTTP contract and
-// requires both names or neither), the engine deliberately accepts mixed
-// Ref/Inline pairs — a library caller joining resident data against a
-// relation it just built; ingest statistics are only reusable when both
-// sides are catalog entries.
-func (e *Engine) resolve(r, s Source, auto bool) (rr, sr Relation, release func(), wl *plan.Workload, err error) {
-	release = func() {}
-	cat := e.svc.Catalog()
-	if r.name == "" && s.name == "" {
-		return r.rel, s.rel, release, nil, nil
-	}
-	var pins []*catalog.Entry
-	release = func() {
-		for _, p := range pins {
-			p.Release()
-		}
-	}
-	re, se := (*catalog.Entry)(nil), (*catalog.Entry)(nil)
-	if r.name != "" {
-		if re, err = cat.Acquire(r.name); err != nil {
-			return rr, sr, release, nil, err
-		}
-		pins = append(pins, re)
-		rr = re.Relation()
-	} else {
-		rr = r.rel
-	}
-	if s.name != "" {
-		if se, err = cat.Acquire(s.name); err != nil {
-			release()
-			return rr, sr, func() {}, nil, err
-		}
-		pins = append(pins, se)
-		sr = se.Relation()
-	} else {
-		sr = s.rel
-	}
-	if auto && re != nil && se != nil {
-		w := cat.Workload(re, se)
-		wl = &w
-	}
-	return rr, sr, release, wl, nil
+// spec folds one join's sources and resolved options into the service's
+// form, routed onto the engine's resident pool unless the caller chose one.
+func (e *Engine) spec(r, s Source, cfg joinConfig) service.JoinSpec {
+	e.injectPool(&cfg.opt)
+	return service.JoinSpec{R: r.rel, S: s.rel, RName: r.name, SName: s.name, Opt: cfg.opt, Auto: cfg.auto}
 }
 
 // Join executes one hash join of R ⋈ S on the engine: sources resolve
-// against the catalog (Ref) or come inline, options configure the run
-// (WithAlgo, WithScheme, ... — the zero set is a coupled-architecture
-// SHJ-PL). Unless WithWorkers requests a dedicated pool, the join runs on
-// the engine's resident workers. WithAuto consults the engine's shared
-// plan cache; a catalog-referenced pair plans from its ingest-time
-// statistics without re-measuring the data.
+// against the catalog (Ref) or come inline — any mix of the two — and
+// options configure the run (WithAlgo, WithScheme, ... — the zero set is a
+// coupled-architecture SHJ-PL). Unless WithWorkers requests a dedicated
+// pool, the join runs on the engine's resident workers. WithAuto consults
+// the engine's plan cache; a catalog-referenced pair plans from its
+// ingest-time statistics without re-measuring the data. A join with an
+// empty side matches nothing and costs nothing: it reports the zero Result.
+//
+// Every engine runs the same path: the join resolves through the router,
+// fans out to each hash partition of the engine's grid (per-partition
+// planning under WithAuto) and merges deterministically — over the single
+// partition of an unsharded engine all three are the identity.
 func (e *Engine) Join(ctx context.Context, r, s Source, opts ...JoinOption) (*Result, error) {
-	cfg := applyJoinOptions(opts)
-	if e.svc.Sharded() {
-		// The sharded path resolves through the router: named sides pin
-		// every partition entry, inline sides split on the spot, and the
-		// join fans out to all fixed hash partitions (per-partition planning
-		// under WithAuto) before the deterministic merge.
-		opt := cfg.opt
-		e.injectPool(&opt)
-		return e.svc.RunJoin(ctx, service.JoinSpec{
-			R: r.rel, S: s.rel, RName: r.name, SName: s.name, Opt: opt, Auto: cfg.auto,
-		})
-	}
-	rr, sr, release, wl, err := e.resolve(r, s, cfg.auto)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	opt := cfg.opt
-	if cfg.auto {
-		pl, _, perr := e.svc.PlanFor(ctx, rr, sr, opt, wl)
-		if perr != nil {
-			return nil, perr
-		}
-		opt.Plan = pl
-	}
-	e.injectPool(&opt)
-	return core.RunCtx(ctx, rr, sr, opt)
+	return e.svc.RunJoin(ctx, e.spec(r, s, applyJoinOptions(opts)))
 }
 
 // JoinExternal joins relations whose footprint exceeds the zero-copy
 // buffer, partitioning through it in chunks (paper appendix). Sources and
 // options follow Join; WithAuto carries only the planned algorithm and
-// scheme into the per-pair sub-joins.
+// scheme into the per-pair sub-joins. External joins chunk whole relations:
+// a sharded engine holds only partition slices, so it accepts Inline
+// sources but not Ref ones.
 func (e *Engine) JoinExternal(ctx context.Context, r, s Source, opts ...JoinOption) (*ExternalResult, error) {
-	cfg := applyJoinOptions(opts)
-	if e.svc.Sharded() && (r.name != "" || s.name != "") {
-		// External joins chunk whole relations through the zero-copy buffer;
-		// a sharded catalog holds only partition slices, so Ref sources
-		// cannot resolve to the contiguous relations RunExternal needs.
-		// Inline sources work on any engine.
-		return nil, fmt.Errorf("apujoin: JoinExternal does not accept catalog references on a sharded engine (resolve the data yourself and pass it inline)")
-	}
-	rr, sr, release, wl, err := e.resolve(r, s, cfg.auto)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	opt := cfg.opt
-	if cfg.auto {
-		pl, _, perr := e.svc.PlanFor(ctx, rr, sr, opt, wl)
-		if perr != nil {
-			return nil, perr
-		}
-		opt.Plan = pl
-	}
-	e.injectPool(&opt)
-	return core.RunExternalCtx(ctx, rr, sr, opt)
+	return e.svc.RunExternal(ctx, e.spec(r, s, applyJoinOptions(opts)))
 }
 
 // injectPool routes the run onto the engine's resident pool unless the

@@ -143,3 +143,60 @@ func TestEngineExternalFacade(t *testing.T) {
 		t.Errorf("external matches = %d, want > 0", ext.Matches)
 	}
 }
+
+// TestEngineUnshardedJoinsResolveThroughTheRouter: an unsharded engine has
+// no resolver of its own. A mixed Ref/Inline pair joins exactly like the
+// all-inline pair, and an auto JoinExternal over two references plans from
+// the router's memoized pair workload — the same memo Join's auto path
+// uses, so the reuse counter moves on the second lookup of either kind.
+func TestEngineUnshardedJoinsResolveThroughTheRouter(t *testing.T) {
+	eng := NewEngine(Workers(2))
+	defer eng.Close()
+	rg, sg := Gen{N: 6000, Seed: 1}, Gen{N: 8000, Dist: LowSkew, Seed: 2}
+	if _, err := eng.Register("r", rg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RegisterProbe("s", "r", sg, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	r := rg.Build()
+	s := sg.Probe(r, 0.7)
+	ctx := context.Background()
+	opts := []JoinOption{WithAuto(), WithDelta(0.25), WithPilotItems(1 << 9)}
+
+	inline, err := eng.Join(ctx, Inline(r), Inline(s), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pair := range map[string][2]Source{"Ref⋈Inline": {Ref("r"), Inline(s)}, "Inline⋈Ref": {Inline(r), Ref("s")}} {
+		mixed, err := eng.Join(ctx, pair[0], pair[1], opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mixed.Matches != inline.Matches || mixed.TotalNS != inline.TotalNS {
+			t.Errorf("%s: %d matches in %v ns, the inline pair %d in %v", name, mixed.Matches, mixed.TotalNS, inline.Matches, inline.TotalNS)
+		}
+	}
+	reuses := func() int64 { return eng.svc.Stats().Catalog.WorkloadReuses }
+	if got := reuses(); got != 0 {
+		t.Fatalf("workload reuses = %d before any registered pair was planned", got)
+	}
+	for i, want := range []int64{0, 1} {
+		ext, err := eng.JoinExternal(ctx, Ref("r"), Ref("s"), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext.Matches != inline.Matches {
+			t.Errorf("external run %d: %d matches, want %d", i, ext.Matches, inline.Matches)
+		}
+		if got := reuses(); got != want {
+			t.Errorf("external run %d: workload reuses = %d, want %d (the plan did not come from the router's memo)", i, got, want)
+		}
+	}
+	if _, err := eng.Join(ctx, Ref("r"), Ref("s"), opts...); err != nil {
+		t.Fatal(err)
+	}
+	if got := reuses(); got != 2 {
+		t.Errorf("workload reuses = %d after Join reused the external join's memo, want 2", got)
+	}
+}

@@ -9,10 +9,11 @@ import (
 )
 
 // TestWorkloadMatchesInlineMeasurement is the statistics contract: the
-// buckets the catalog assembles from its ingest-time sample and key index
-// must equal plan.MeasureWorkload on the raw relations, for every workload
-// class — otherwise catalog-referenced and inline queries would
-// fingerprint into different plan-cache slots.
+// buckets assembled from a probe's ingest-time sample and a build's key
+// index (what the service's router memoizes per registered pair) must equal
+// plan.MeasureWorkload on the raw relations, for every workload class —
+// otherwise registered and inline queries would fingerprint into different
+// plan-cache slots.
 func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,48 +27,12 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(0)
-			g := rel.Gen{N: 1 << 15, Seed: 7}
-			if _, err := c.RegisterGen("r", g); err != nil {
-				t.Fatal(err)
-			}
-			pg := rel.Gen{N: 1 << 15, Dist: tc.dist, Seed: 8}
-			if _, err := c.RegisterProbe("s", "r", pg, tc.sel); err != nil {
-				t.Fatal(err)
-			}
-			re, err := c.Acquire("r")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Release()
-			se, err := c.Acquire("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer se.Release()
-
-			got := c.Workload(re, se)
-			want := plan.MeasureWorkload(re.Relation(), se.Relation())
-			if got != want {
-				t.Errorf("catalog workload %+v != inline measurement %+v", got, want)
-			}
-			// And the probe itself must be bit-identical to inline generation.
-			inline := pg.Probe(re.Relation(), tc.sel)
-			sr := se.Relation()
-			if len(inline.Keys) != len(sr.Keys) {
-				t.Fatalf("probe length %d != inline %d", len(sr.Keys), len(inline.Keys))
-			}
-			for i := range inline.Keys {
-				if inline.Keys[i] != sr.Keys[i] || inline.RIDs[i] != sr.RIDs[i] {
-					t.Fatalf("probe tuple %d differs from inline generation", i)
-				}
-			}
-			// The memoized second lookup counts as a reuse.
-			if again := c.Workload(re, se); again != got {
-				t.Errorf("memoized workload %+v != first %+v", again, got)
-			}
-			if st := c.Stats(); st.WorkloadReuses != 1 {
-				t.Errorf("workload reuses = %d, want 1", st.WorkloadReuses)
+			r := rel.Gen{N: 1 << 15, Seed: 7}.Build()
+			s := rel.Gen{N: 1 << 15, Dist: tc.dist, Seed: 8}.Probe(r, tc.sel)
+			build, probe := Measure(r), Measure(s)
+			got := plan.PairWorkload(probe.Sample, probe.SkewBucket, build.Index.Contains)
+			if want := plan.MeasureWorkload(r, s); got != want {
+				t.Errorf("ingest-statistics workload %+v != inline measurement %+v", got, want)
 			}
 		})
 	}
@@ -75,39 +40,27 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 
 func TestRegisterLookupDrop(t *testing.T) {
 	c := New(0)
-	info, err := c.RegisterGen("orders", rel.Gen{N: 1024, Seed: 1})
-	if err != nil {
+	orders := rel.Gen{N: 1024, Seed: 1}.Build()
+	if err := c.Load("orders", orders); err != nil {
 		t.Fatal(err)
 	}
-	if info.Tuples != 1024 || info.Bytes != 1024*8 || info.Source != Generated {
-		t.Errorf("unexpected info: %+v", info)
+	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build()); !errors.Is(err, ErrExists) {
+		t.Errorf("duplicate load: err %v, want ErrExists", err)
 	}
-	if _, err := c.RegisterGen("orders", rel.Gen{N: 16, Seed: 2}); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate register: err %v, want ErrExists", err)
-	}
-	if _, err := c.RegisterProbe("x", "missing", rel.Gen{N: 16}, 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("probe of missing build: err %v, want ErrNotFound", err)
-	}
-
-	loaded := rel.Gen{N: 512, Seed: 3}.Build()
-	if _, err := c.Load("lineitem", loaded); err != nil {
+	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build()); err != nil {
 		t.Fatal(err)
 	}
-	list := c.List()
-	if len(list) != 2 || list[0].Name != "lineitem" || list[1].Name != "orders" {
-		t.Fatalf("list = %+v, want [lineitem orders]", list)
-	}
-	if st := c.Stats(); st.Relations != 2 || st.Bytes != (1024+512)*8 {
+	if st := c.Stats(); st.Relations != 2 || st.Bytes != (1024+512)*8 || st.Registered != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 
-	if _, err := c.Drop("orders"); err != nil {
-		t.Fatal(err)
+	if bytes, err := c.Drop("orders"); err != nil || bytes != orders.Bytes() {
+		t.Fatalf("drop: %d bytes, err %v", bytes, err)
 	}
 	if _, err := c.Acquire("orders"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("acquire after drop: err %v, want ErrNotFound", err)
 	}
-	if st := c.Stats(); st.Relations != 1 || st.Bytes != 512*8 {
+	if st := c.Stats(); st.Relations != 1 || st.Bytes != 512*8 || st.Dropped != 1 {
 		t.Errorf("stats after drop = %+v, want bytes freed", st)
 	}
 	if _, err := c.Drop("orders"); !errors.Is(err, ErrNotFound) {
@@ -119,19 +72,18 @@ func TestRegisterLookupDrop(t *testing.T) {
 // survive until the pin is released.
 func TestDropWhilePinned(t *testing.T) {
 	c := New(0)
-	if _, err := c.RegisterGen("r", rel.Gen{N: 1024, Seed: 1}); err != nil {
+	if err := c.Load("r", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Drop("r")
-	if err != nil {
-		t.Fatal(err)
+	if pins := c.Pins("r"); pins != 1 {
+		t.Errorf("pins = %d, want 1", pins)
 	}
-	if info.Pins != 1 {
-		t.Errorf("drop info pins = %d, want 1", info.Pins)
+	if _, err := c.Drop("r"); err != nil {
+		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Bytes != 1024*8 {
 		t.Errorf("bytes %d freed before last pin released", st.Bytes)
@@ -148,17 +100,18 @@ func TestDropWhilePinned(t *testing.T) {
 
 func TestCapacityEnforced(t *testing.T) {
 	c := New(1024 * 8)
-	if _, err := c.RegisterGen("fits", rel.Gen{N: 1024, Seed: 1}); err != nil {
+	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterGen("overflow", rel.Gen{N: 1, Seed: 2}); !errors.Is(err, ErrNoSpace) {
-		t.Errorf("overflow register: err %v, want ErrNoSpace", err)
+	overflow := rel.Gen{N: 1, Seed: 2}.Build()
+	if err := c.Load("overflow", overflow); !errors.Is(err, ErrNoSpace) {
+		t.Errorf("overflow load: err %v, want ErrNoSpace", err)
 	}
 	if _, err := c.Drop("fits"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterGen("overflow", rel.Gen{N: 1, Seed: 2}); err != nil {
-		t.Errorf("register after drop freed space: %v", err)
+	if err := c.Load("overflow", overflow); err != nil {
+		t.Errorf("load after drop freed space: %v", err)
 	}
 }
 
@@ -168,7 +121,7 @@ func TestCapacityEnforced(t *testing.T) {
 // mark records the worst simultaneous residency either path reached.
 func TestReserveAccounting(t *testing.T) {
 	c := New(1024 * 8)
-	if _, err := c.RegisterGen("half", rel.Gen{N: 512, Seed: 1}); err != nil {
+	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Reserve(512 * 8); err != nil {
@@ -195,51 +148,38 @@ func TestReserveAccounting(t *testing.T) {
 	}
 }
 
-// TestEntryAccessors: the pinned-entry accessors surface the ingest-time
-// measurements, and Get/Relation resolve without pinning.
+// TestEntryAccessors: a pinned entry serves the slice exactly as it was
+// loaded — the caller's columns, not a copy — and Pins follows the pins
+// without taking one.
 func TestEntryAccessors(t *testing.T) {
 	c := New(0)
-	if _, err := c.RegisterGen("base", rel.Gen{N: 4096, Seed: 1}); err != nil {
+	in := rel.Gen{N: 4096, Seed: 1}.Build()
+	if err := c.Load("base", in); err != nil {
 		t.Fatal(err)
 	}
-	// Build keys are a permutation (uniform by construction); skew lives in
-	// probe relations, so the skewed entry is a high-skew probe.
-	if _, err := c.RegisterProbe("skewed", "base", rel.Gen{N: 4096, Dist: rel.HighSkew, Seed: 2}, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("skewed")
+	e, err := c.Acquire("base")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Release()
-	if e.Name() != "skewed" {
-		t.Errorf("Name() = %q", e.Name())
+	if r := e.Relation(); r.Len() != 4096 || &r.Keys[0] != &in.Keys[0] || &r.RIDs[0] != &in.RIDs[0] {
+		t.Errorf("Relation() is not the loaded columns (len %d)", r.Len())
 	}
-	if e.SkewBucket() <= 0 || e.HeavyShare() <= 0 {
-		t.Errorf("high-skew ingest measured bucket %d share %f", e.SkewBucket(), e.HeavyShare())
+	if c.Pins("base") != 1 || c.Pins("absent") != 0 {
+		t.Errorf("Pins: base %d absent %d, want 1 and 0", c.Pins("base"), c.Pins("absent"))
 	}
-	info, ok := c.Get("skewed")
-	if !ok || info.Tuples != 4096 || info.SkewBucket != e.SkewBucket() {
-		t.Errorf("Get: ok=%v info=%+v", ok, info)
-	}
-	if _, ok := c.Get("absent"); ok {
-		t.Error("Get resolved an absent name")
-	}
-	if r, ok := c.Relation("skewed"); !ok || r.Len() != 4096 {
-		t.Errorf("Relation: ok=%v len=%d", ok, r.Len())
-	}
-	if _, ok := c.Relation("absent"); ok {
-		t.Error("Relation resolved an absent name")
+	e.Release()
+	if c.Pins("base") != 0 {
+		t.Errorf("Pins after release = %d", c.Pins("base"))
 	}
 }
 
 func TestLoadValidates(t *testing.T) {
 	c := New(0)
 	bad := rel.Relation{RIDs: []int32{0, 1}, Keys: []int32{5}}
-	if _, err := c.Load("bad", bad); err == nil {
+	if err := c.Load("bad", bad); err == nil {
 		t.Error("loading a column-length-mismatched relation succeeded")
 	}
-	if _, err := c.Load("", rel.Relation{}); err == nil {
+	if err := c.Load("", rel.Relation{}); err == nil {
 		t.Error("loading under an empty name succeeded")
 	}
 }

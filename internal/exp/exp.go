@@ -17,7 +17,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/rel"
 )
@@ -37,12 +36,13 @@ type Config struct {
 	MonteCarloRuns int
 	// Quick shrinks sweeps for use in tests.
 	Quick bool
-	// Catalog, when non-nil, backs dataset() with a relation catalog:
-	// experiments sharing a (size, distribution, selectivity) shape reuse
-	// one registered pair instead of regenerating it per driver. Results
-	// are unchanged — registration is bit-identical to inline generation —
-	// only host time shifts from generation to lookup.
-	Catalog *catalog.Catalog
+	// Datasets, when non-nil, caches what dataset() generates, keyed by
+	// shape: experiments sharing a (size, distribution, selectivity) shape
+	// reuse one generated pair instead of regenerating it per driver.
+	// Results are unchanged — drivers only read their inputs — only host
+	// time shifts from generation to lookup. Not safe for concurrent
+	// drivers.
+	Datasets map[string]rel.Relation
 }
 
 // SetDefaults fills zero fields.
@@ -150,34 +150,28 @@ func IDs() []string {
 // --- shared helpers ---
 
 // dataset builds an R⋈S pair with the given sizes, distribution and match
-// selectivity. With cfg.Catalog set, the pair registers under a
-// shape-derived name on first use and later experiments with the same
-// shape reuse the resident relations; any catalog error (e.g. the
-// zero-copy budget at large scales) falls back to inline generation.
+// selectivity. With cfg.Datasets set, each side is generated on first use
+// under a shape-derived name and later experiments with the same shape
+// reuse it.
 func dataset(cfg Config, nr, ns int, dist rel.Distribution, selectivity float64) (rel.Relation, rel.Relation) {
 	rg := rel.Gen{N: nr, Dist: dist, Seed: cfg.Seed}
 	sg := rel.Gen{N: ns, Dist: dist, Seed: cfg.Seed + 1}
-	if cfg.Catalog != nil {
-		rname := fmt.Sprintf("R-n%d-%s-seed%d", nr, dist, cfg.Seed)
-		sname := fmt.Sprintf("S-%s-n%d-sel%g", rname, ns, selectivity)
-		if _, ok := cfg.Catalog.Relation(rname); !ok {
-			if _, err := cfg.Catalog.RegisterGen(rname, rg); err != nil {
-				r := rg.Build()
-				return r, sg.Probe(r, selectivity)
-			}
-		}
-		if _, ok := cfg.Catalog.Relation(sname); !ok {
-			if _, err := cfg.Catalog.RegisterProbe(sname, rname, sg, selectivity); err != nil {
-				r := rg.Build()
-				return r, sg.Probe(r, selectivity)
-			}
-		}
-		r, _ := cfg.Catalog.Relation(rname)
-		s, _ := cfg.Catalog.Relation(sname)
-		return r, s
+	if cfg.Datasets == nil {
+		r := rg.Build()
+		return r, sg.Probe(r, selectivity)
 	}
-	r := rg.Build()
-	s := sg.Probe(r, selectivity)
+	rname := fmt.Sprintf("R-n%d-%s-seed%d", nr, dist, cfg.Seed)
+	sname := fmt.Sprintf("S-%s-n%d-sel%g", rname, ns, selectivity)
+	r, ok := cfg.Datasets[rname]
+	if !ok {
+		r = rg.Build()
+		cfg.Datasets[rname] = r
+	}
+	s, ok := cfg.Datasets[sname]
+	if !ok {
+		s = sg.Probe(r, selectivity)
+		cfg.Datasets[sname] = s
+	}
 	return r, s
 }
 

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"apujoin/internal/catalog"
+	"apujoin/internal/rel"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick/*.csv from this run instead of comparing against them")
@@ -26,8 +26,8 @@ var update = flag.Bool("update", false, "rewrite testdata/quick/*.csv from this 
 //
 // (the package goes before the flag: go test does not know -update) and
 // the diff of testdata/ is the enumeration of what moved.
-func goldenQuickTables(t *testing.T, datasets *catalog.Catalog) {
-	cfg := Config{Quick: true, Tuples: 1 << 16, MonteCarloRuns: 50, Delta: 0.1, Catalog: datasets}
+func goldenQuickTables(t *testing.T, datasets map[string]rel.Relation) {
+	cfg := Config{Quick: true, Tuples: 1 << 16, MonteCarloRuns: 50, Delta: 0.1, Datasets: datasets}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -63,11 +63,13 @@ func goldenQuickTables(t *testing.T, datasets *catalog.Catalog) {
 
 // The gate has two inputs and, because the first predates it, two names.
 // TestAllExperimentsQuick generates every dataset inline.
-// TestGoldenQuickTables backs dataset() with one relation catalog across
-// all tables, as cmd/experiments does by default (-reuse-data): "results
+// TestGoldenQuickTables backs dataset() with one dataset cache across all
+// tables, as cmd/experiments does by default (-reuse-data): "results
 // unchanged" there means the same bytes here.
 func TestAllExperimentsQuick(t *testing.T) { goldenQuickTables(t, nil) }
-func TestGoldenQuickTables(t *testing.T)   { goldenQuickTables(t, catalog.New(0)) }
+func TestGoldenQuickTables(t *testing.T) {
+	goldenQuickTables(t, map[string]rel.Relation{})
+}
 
 // TestFig4CalibrationTargets holds Fig. 4 to the targets the device
 // constants were calibrated against, at 2^19 tuples: the GPU at least 10x

@@ -48,6 +48,52 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// wireOptions are the run-option fields a join and a pipeline request
+// share on the wire.
+type wireOptions struct {
+	Algo, Scheme, Arch      string
+	Separate, Grouping      bool
+	Delta                   float64
+	CountOnly, PerPartition bool
+}
+
+// parseOptions turns the shared wire fields into run options. algo=auto
+// hands algorithm and scheme to the planner (the plan cache amortizes the
+// decision across repeated shapes) and conflicts with an explicit scheme.
+// per_partition is the cluster transport: a sharded server answers it with
+// the raw per-partition result vectors. A cluster router rejects it — it is
+// not a shard server, and chaining routers is not supported — and so does
+// an unsharded server, which has no grid to report.
+func parseOptions(w wireOptions, svc *service.Service) (opt core.Options, auto, keepPartitions bool, err error) {
+	auto = strings.EqualFold(w.Algo, "auto")
+	if !auto {
+		if opt.Algo, err = core.ParseAlgo(w.Algo); err != nil {
+			return opt, false, false, err
+		}
+		if opt.Scheme, err = core.ParseScheme(w.Scheme); err != nil {
+			return opt, false, false, err
+		}
+	} else if w.Scheme != "" {
+		return opt, false, false, fmt.Errorf("algo=auto picks the scheme; drop %q", w.Scheme)
+	}
+	if opt.Arch, err = core.ParseArch(w.Arch); err != nil {
+		return opt, false, false, err
+	}
+	opt.SeparateTables = w.Separate
+	opt.Grouping = w.Grouping
+	opt.Delta = w.Delta
+	opt.CountOnly = w.CountOnly
+	if w.PerPartition {
+		if svc.Clustered() {
+			return opt, false, false, errors.New("per_partition is the cluster transport of shard servers; this router is not a shard server")
+		}
+		if !svc.Sharded() {
+			return opt, false, false, errors.New("per_partition requires a sharded server (-shards >= 1)")
+		}
+	}
+	return opt, auto, w.PerPartition, nil
+}
+
 // parseJoin turns one api.JoinRequest into a service.JoinSpec. On a local
 // service inline data is generated here; on a clustered service the
 // validated request is forwarded verbatim instead (every shard server
@@ -56,39 +102,11 @@ func (c *Config) setDefaults() {
 func parseJoin(req api.JoinRequest, cfg Config, svc *service.Service) (service.JoinSpec, error) {
 	var spec service.JoinSpec
 	var err error
-
-	// algo=auto hands algorithm and scheme to the planner; the service's
-	// shared plan cache amortizes the decision across repeated shapes.
-	spec.Auto = strings.EqualFold(req.Algo, "auto")
-	if !spec.Auto {
-		if spec.Opt.Algo, err = core.ParseAlgo(req.Algo); err != nil {
-			return spec, err
-		}
-		if spec.Opt.Scheme, err = core.ParseScheme(req.Scheme); err != nil {
-			return spec, err
-		}
-	} else if req.Scheme != "" {
-		return spec, fmt.Errorf("algo=auto picks the scheme; drop %q", req.Scheme)
-	}
-	if spec.Opt.Arch, err = core.ParseArch(req.Arch); err != nil {
+	spec.Opt, spec.Auto, spec.KeepPartitions, err = parseOptions(wireOptions{
+		Algo: req.Algo, Scheme: req.Scheme, Arch: req.Arch, Separate: req.Separate, Grouping: req.Grouping,
+		Delta: req.Delta, CountOnly: req.CountOnly, PerPartition: req.PerPartition}, svc)
+	if err != nil {
 		return spec, err
-	}
-	spec.Opt.SeparateTables = req.Separate
-	spec.Opt.Grouping = req.Grouping
-	spec.Opt.Delta = req.Delta
-	spec.Opt.CountOnly = req.CountOnly
-
-	// per_partition is the cluster transport: a sharded server answers it
-	// with the raw per-partition result vector. A cluster router rejects it
-	// — it is not a shard server, and chaining routers is not supported.
-	if req.PerPartition {
-		if svc.Clustered() {
-			return spec, errors.New("per_partition is the cluster transport of shard servers; this router is not a shard server")
-		}
-		if !svc.Sharded() {
-			return spec, errors.New("per_partition requires a sharded server (-shards >= 1)")
-		}
-		spec.KeepPartitions = true
 	}
 	spec.Workload = req.Workload
 
@@ -160,35 +178,13 @@ func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (s
 	if len(req.Sources) > api.MaxPipelineSources {
 		return spec, fmt.Errorf("pipeline of %d sources exceeds the limit of %d", len(req.Sources), api.MaxPipelineSources)
 	}
-	spec.Auto = strings.EqualFold(req.Algo, "auto")
-	if !spec.Auto {
-		if spec.Opt.Algo, err = core.ParseAlgo(req.Algo); err != nil {
-			return spec, err
-		}
-		if spec.Opt.Scheme, err = core.ParseScheme(req.Scheme); err != nil {
-			return spec, err
-		}
-	} else if req.Scheme != "" {
-		return spec, fmt.Errorf("algo=auto picks the scheme; drop %q", req.Scheme)
-	}
-	if spec.Opt.Arch, err = core.ParseArch(req.Arch); err != nil {
+	spec.Opt, spec.Auto, spec.KeepPartitions, err = parseOptions(wireOptions{
+		Algo: req.Algo, Scheme: req.Scheme, Arch: req.Arch, Separate: req.Separate, Grouping: req.Grouping,
+		Delta: req.Delta, CountOnly: req.CountOnly, PerPartition: req.PerPartition}, svc)
+	if err != nil {
 		return spec, err
 	}
-	spec.Opt.SeparateTables = req.Separate
-	spec.Opt.Grouping = req.Grouping
-	spec.Opt.Delta = req.Delta
-	spec.Opt.CountOnly = req.CountOnly
 	spec.DeclaredOrder = req.DeclaredOrder
-
-	if req.PerPartition {
-		if svc.Clustered() {
-			return spec, errors.New("per_partition is the cluster transport of shard servers; this router is not a shard server")
-		}
-		if !svc.Sharded() {
-			return spec, errors.New("per_partition requires a sharded server (-shards >= 1)")
-		}
-		spec.KeepPartitions = true
-	}
 	spec.FirstWorkload = req.FirstWorkload
 
 	for i, src := range req.Sources {

@@ -15,18 +15,20 @@ import (
 
 // localBackend keeps the partition slices in-process: one catalog per
 // shard with its own zero-copy budget, holding partition p of relation
-// name as the entry partName(name, p), and one planner per fixed grid
-// partition.
+// name as the entry partName(name, p), and one planner per grid partition.
+// The unsharded engine is this backend over a grid of one: one catalog, one
+// planner, and every relation stored whole under its own name.
 type localBackend struct {
 	// pool runs the partition fan-out (the service's resident pool).
 	pool     *sched.Pool
+	grid     shard.Grid
 	catalogs []*catalog.Catalog
-	// planners are per fixed hash partition — NOT per shard — so each
+	// planners are per grid partition — NOT per shard — so each
 	// partition's plan cache evolves identically for any shard count.
-	planners [shard.Partitions]*plan.Planner
+	planners []*plan.Planner
 
 	// partBudget is the per-partition share of the TOTAL configured budget
-	// (total / shard.Partitions, independent of the shard count). The spill
+	// (total / grid size, independent of the shard count). The spill
 	// path triggers on it rather than on a shard catalog's physical
 	// headroom: which partition chains spill — and therefore every spilled
 	// number — must be a pure function of the data and the total budget,
@@ -34,25 +36,31 @@ type localBackend struct {
 	partBudget int64
 
 	mu sync.Mutex
-	// partBytes tracks the registered relation bytes resident per fixed
-	// grid partition, backing partitionBudget.
-	partBytes [shard.Partitions]int64
+	// partBytes tracks the registered relation bytes resident per grid
+	// partition, backing partitionBudget.
+	partBytes []int64
 }
 
 // partName is the shard-catalog entry name of one partition of a
 // relation. Shard catalogs are written only by the backend, so the suffix
-// cannot collide with user registrations.
-func partName(name string, p int) string {
+// cannot collide with user registrations; a grid of one stores the relation
+// under its own name.
+func (b *localBackend) partName(name string, p int) string {
+	if b.grid.Whole() {
+		return name
+	}
 	return fmt.Sprintf("%s/p%d", name, p)
 }
 
-// newLocalBackend builds the in-process tier from a service Config:
-// Shards shard catalogs (budget ShardBudget each, defaulting to an even
-// split of CatalogBytes), and one planner per fixed hash partition.
+// newLocalBackend builds the in-process tier from a service Config: the
+// grid Config.Shards selects, Shards shard catalogs (budget ShardBudget
+// each, defaulting to an even split of CatalogBytes) — one catalog holding
+// all of CatalogBytes when unsharded — and one planner per grid partition.
 func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
+	grid := shard.GridFor(cfg.Shards)
 	shards := shard.Clamp(cfg.Shards)
 	budget := cfg.ShardBudget
-	if budget <= 0 {
+	if budget <= 0 || grid.Whole() {
 		total := cfg.CatalogBytes
 		if total <= 0 {
 			total = catalog.DefaultCapacity
@@ -61,12 +69,15 @@ func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	}
 	b := &localBackend{
 		pool:     pool,
+		grid:     grid,
 		catalogs: make([]*catalog.Catalog, shards),
+		planners: make([]*plan.Planner, grid),
 		// An even partition split of the total budget. With the default
-		// even shard split this is total/Partitions for every shard count;
+		// even shard split this is total/grid for every shard count;
 		// an explicit ShardBudget makes the total (and with it the spill
 		// thresholds) a property of the configured topology.
-		partBudget: budget * int64(shards) / shard.Partitions,
+		partBudget: budget * int64(shards) / int64(grid),
+		partBytes:  make([]int64, grid),
 	}
 	for i := range b.catalogs {
 		b.catalogs[i] = catalog.New(budget)
@@ -86,11 +97,11 @@ func (b *localBackend) catalogOf(p int) *catalog.Catalog {
 // budget cannot hold its partitions rolls the others back and the
 // placement fails with the catalog's ErrNoSpace — no bytes, no names and
 // no gauges left behind.
-func (b *localBackend) place(name string, parts *[shard.Partitions]rel.Relation) error {
+func (b *localBackend) place(name string, parts []rel.Relation) error {
 	for p := range parts {
-		if _, err := b.catalogOf(p).Load(partName(name, p), parts[p]); err != nil {
+		if err := b.catalogOf(p).Load(b.partName(name, p), parts[p]); err != nil {
 			for q := 0; q < p; q++ {
-				b.catalogOf(q).Drop(partName(name, q)) //nolint:errcheck // just loaded
+				b.catalogOf(q).Drop(b.partName(name, q)) //nolint:errcheck // just loaded
 			}
 			return fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
 		}
@@ -106,11 +117,9 @@ func (b *localBackend) place(name string, parts *[shard.Partitions]rel.Relation)
 // remove drops every partition entry from its shard catalog — each shard's
 // bytes free when its last pin drains — and unwinds the partition gauges.
 func (b *localBackend) remove(name string) {
-	var freed [shard.Partitions]int64
+	freed := make([]int64, b.grid)
 	for p := range freed {
-		if info, err := b.catalogOf(p).Drop(partName(name, p)); err == nil {
-			freed[p] = info.Bytes
-		}
+		freed[p], _ = b.catalogOf(p).Drop(b.partName(name, p)) // absent: nothing was freed
 	}
 	b.mu.Lock()
 	for p, bytes := range freed {
@@ -119,26 +128,27 @@ func (b *localBackend) remove(name string) {
 	b.mu.Unlock()
 }
 
-// pins sums the pins over the partition entries.
+// pins reports the in-flight queries referencing a relation: every query
+// pins all of its partition entries, so the count is any one partition's —
+// the largest, since pins are taken and released one partition at a time.
 func (b *localBackend) pins(name string) int {
 	n := 0
-	for p := 0; p < shard.Partitions; p++ {
-		if info, ok := b.catalogOf(p).Get(partName(name, p)); ok {
-			n += info.Pins
-		}
+	for p := range int(b.grid) {
+		n = max(n, b.catalogOf(p).Pins(b.partName(name, p)))
 	}
 	return n
 }
 
 // partitions pins every partition entry of a placed relation, appending
 // the entries — in partition order — to pins.
-func (b *localBackend) partitions(name string, pins []*catalog.Entry) (parts [shard.Partitions]rel.Relation, _ []*catalog.Entry, err error) {
+func (b *localBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
 	base := len(pins)
+	parts := make([]rel.Relation, b.grid)
 	for p := range parts {
-		e, err := b.catalogOf(p).Acquire(partName(name, p))
+		e, err := b.catalogOf(p).Acquire(b.partName(name, p))
 		if err != nil {
 			releaseAll(pins[base:])
-			return parts, pins[:base], fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
+			return nil, pins[:base], fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
 		}
 		pins = append(pins, e)
 		parts[p] = e.Relation()
@@ -148,15 +158,15 @@ func (b *localBackend) partitions(name string, pins []*catalog.Entry) (parts [sh
 
 // input resolves one job source to its per-partition slices: a registered
 // relation's pinned entries, or an inline relation split on the spot.
-func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
+func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
 	if name == "" {
-		return shard.Split(inline), pins, nil
+		return b.grid.Split(inline), pins, nil
 	}
 	return b.partitions(name, pins)
 }
 
-func (b *localBackend) bindJoin(j *joinJob, sp *JoinSpec) (pins []*catalog.Entry, err error) {
-	pins = make([]*catalog.Entry, 0, 2*shard.Partitions)
+func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry, err error) {
+	pins = make([]*catalog.Entry, 0, 2*int(b.grid))
 	if j.rParts, pins, err = b.input(sp.RName, sp.R, pins); err != nil {
 		return nil, err
 	}
@@ -167,8 +177,8 @@ func (b *localBackend) bindJoin(j *joinJob, sp *JoinSpec) (pins []*catalog.Entry
 	return pins, nil
 }
 
-func (b *localBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) (pins []*catalog.Entry, err error) {
-	pins = make([]*catalog.Entry, 0, len(j.sources)*shard.Partitions)
+func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalog.Entry, err error) {
+	pins = make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
 	for i := range j.sources {
 		src := &j.sources[i]
 		if src.parts, pins, err = b.input(sp.Sources[i].Name, src.rel, pins); err != nil {
@@ -179,9 +189,17 @@ func (b *localBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) (pins []*catal
 	return pins, nil
 }
 
+// planWhole plans a whole-relation join that runs outside the grid (an
+// external join) on partition 0's planner — on an unsharded engine, the
+// planner every join uses.
+func (b *localBackend) planWhole(ctx context.Context, r, s rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error) {
+	return planFor(ctx, b.planners[0], r, s, opt, w)
+}
+
 // partitionBudget returns partition p's residency budget for transient
 // pipeline intermediates: its even share of the total configured budget
-// minus the relation bytes registered into it. The spill path compares
+// minus the relation bytes registered into it — over a grid of one, the
+// capacity less everything registered. The spill path compares
 // intermediates against this — a pure function of the registered data and
 // the total budget — so spill decisions are identical for any shard count
 // and any concurrent interleaving. Summed over a shard's owned partitions
@@ -197,34 +215,40 @@ func (b *localBackend) partitionBudget(p int) int64 {
 	return free
 }
 
-// runJoin runs every partition's sub-join on the pool. A partition with an
-// empty side joins to nothing: it skips planning (the planner refuses
-// empty relations) and execution and contributes a zero result — which
-// partitions are empty depends only on the keys and the fixed grid, never
-// the shard count. Planning (auto) happens inside the fan-out on the
-// partition's own planner: the planner index is the grid partition, never
-// the shard, and the job's full-relation workload (registered pairs)
-// stands in for measuring the slice.
-func (b *localBackend) runJoin(ctx context.Context, j *joinJob, opt core.Options, auto bool) ([]*core.Result, error) {
-	var errs [shard.Partitions]error
-	parts := sched.Collect(b.pool, shard.Partitions, func(p int) *core.Result {
+// runJoin runs every partition's sub-join on the pool (a grid of one runs
+// inline on the caller). A partition with an empty side joins to nothing:
+// it skips planning (the planner refuses empty relations) and execution and
+// contributes a zero result — which partitions are empty depends only on
+// the keys and the grid, never the shard count. Planning (auto) happens
+// inside the fan-out on the partition's own planner: the planner index is
+// the grid partition, never the shard, and the job's full-relation workload
+// (registered pairs) stands in for measuring the slice.
+func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error) {
+	errs := make([]error, b.grid)
+	plans := make([]*PlanInfo, b.grid)
+	parts := sched.Collect(b.pool, int(b.grid), func(p int) *core.Result {
 		if j.rParts[p].Len() == 0 || j.sParts[p].Len() == 0 {
-			return emptyResult(opt)
+			return emptyResult(j.opt)
 		}
-		res, _, _, err := planRun(ctx, plannerIf(auto, b.planners[p]), j.rParts[p], j.sParts[p], opt, j.workload)
-		errs[p] = err
+		res, pl, hit, err := planRun(ctx, plannerIf(j.auto, b.planners[p]), j.rParts[p], j.sParts[p], j.opt, j.workload)
+		errs[p], plans[p] = err, planInfo(pl, hit)
 		return res
 	})
-	return parts, firstPartitionErr(errs[:])
+	return parts, plans, firstPartitionErr(errs)
 }
 
 // firstPartitionErr selects the lowest failing partition's error:
-// deterministic whatever order the partitions finished in.
+// deterministic whatever order the partitions finished in. A grid of one
+// has no partition to name.
 func firstPartitionErr(errs []error) error {
 	for p, err := range errs {
-		if err != nil {
-			return fmt.Errorf("partition %d: %w", p, err)
+		if err == nil {
+			continue
 		}
+		if len(errs) == 1 {
+			return err
+		}
+		return fmt.Errorf("partition %d: %w", p, err)
 	}
 	return nil
 }
@@ -232,34 +256,40 @@ func firstPartitionErr(errs []error) error {
 // runPipeline runs the whole chain once per grid partition, concurrently on
 // the pool, each over that partition's slice of every source and with
 // reservations against the partition's owning shard catalog, then
-// transposes the chains into the per-partition transport.
-func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob, opt core.Options, auto bool) (*PipelinePartitions, error) {
-	n := len(j.sources)
+// transposes the chains into the per-partition transport. Only the chain
+// of a grid of one sees global cardinalities, so only it may revise the
+// job's order mid-pipeline; partition chains execute the order as resolved
+// — it is part of their merge contract.
+func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error) {
+	n, grid := len(j.sources), int(b.grid)
 	names := make([]string, n)
-	in := make([]rel.Relation, n*shard.Partitions)
+	in := make([]rel.Relation, n*grid)
 	for i := range j.sources {
 		names[i] = j.sources[i].name
 		for p, r := range j.sources[i].parts {
 			in[p*n+i] = r
 		}
 	}
-	var errs [shard.Partitions]error
-	chains := sched.Collect(b.pool, shard.Partitions, func(p int) *chain {
+	errs := make([]error, grid)
+	chains := sched.Collect(b.pool, grid, func(p int) *chain {
 		env := chainEnv{
 			cat:     b.catalogOf(p),
-			planner: plannerIf(auto, b.planners[p]),
+			planner: plannerIf(j.auto, b.planners[p]),
 			wFirst:  j.wFirst,
 			budget:  b.partitionBudget(p),
-			level:   1,
+			level:   b.grid.Levels(),
 		}
-		c, err := runChain(ctx, &env, names, in[p*n:(p+1)*n], j.order.order, opt)
+		if b.grid.Whole() {
+			env.replan = j.order.replan
+		}
+		c, err := runChain(ctx, &env, names, in[p*n:(p+1)*n], j.order.order, j.opt)
 		errs[p] = err
 		return c
 	})
-	if err := firstPartitionErr(errs[:]); err != nil {
+	if err := firstPartitionErr(errs); err != nil {
 		return nil, err
 	}
-	pp := newPipelinePartitions(n - 1)
+	pp := newPipelinePartitions(n-1, grid)
 	for p, c := range chains {
 		for t := range c.steps {
 			pp.Steps[t][p] = c.steps[t]
@@ -274,7 +304,8 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob, opt core.Opt
 
 // stats folds in the per-partition planners' cache counters and replaces
 // the logical byte total with the physical one: bytes, capacity and peak
-// summed over the shard catalogs, whose own gauges follow in shard order.
+// summed over the shard catalogs, whose own gauges follow in shard order —
+// on a sharded service; an unsharded engine's one catalog is the aggregate.
 func (b *localBackend) stats(st *Stats) {
 	for _, p := range b.planners {
 		cs := p.Stats()
@@ -284,10 +315,11 @@ func (b *localBackend) stats(st *Stats) {
 		st.PlanEntries += cs.Entries
 	}
 	st.Catalog.Bytes = 0
-	st.ShardCatalogs = make([]catalog.Stats, len(b.catalogs))
-	for i, c := range b.catalogs {
+	for _, c := range b.catalogs {
 		cs := c.Stats()
-		st.ShardCatalogs[i] = cs
+		if st.Shards > 0 {
+			st.ShardCatalogs = append(st.ShardCatalogs, cs)
+		}
 		st.Catalog.Bytes += cs.Bytes
 		st.Catalog.Capacity += cs.Capacity
 		st.Catalog.PeakBytes += cs.PeakBytes

@@ -8,6 +8,7 @@ import (
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
+	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/shard"
 )
@@ -22,10 +23,11 @@ type fakeBackend struct {
 	entered, release chan struct{}
 
 	joinParts []*core.Result
+	joinPlans []*PlanInfo
 	pipeParts *PipelinePartitions
 }
 
-func (f *fakeBackend) place(name string, _ *[shard.Partitions]rel.Relation) error {
+func (f *fakeBackend) place(name string, _ []rel.Relation) error {
 	if f.entered != nil {
 		f.entered <- struct{}{}
 		<-f.release
@@ -38,30 +40,33 @@ func (f *fakeBackend) place(name string, _ *[shard.Partitions]rel.Relation) erro
 }
 func (f *fakeBackend) remove(name string) { delete(f.placed, name) }
 func (f *fakeBackend) pins(string) int    { return 0 }
-func (f *fakeBackend) partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
-	return [shard.Partitions]rel.Relation{}, pins, errors.New("fake: no tuple data")
+func (f *fakeBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
+	return nil, pins, errors.New("fake: no tuple data")
 }
-func (f *fakeBackend) bindJoin(*joinJob, *JoinSpec) ([]*catalog.Entry, error) { return nil, nil }
-func (f *fakeBackend) bindPipeline(*pipeJob, *PipelineSpec) ([]*catalog.Entry, error) {
+func (f *fakeBackend) bindJoin(*joinJob, JoinSpec) ([]*catalog.Entry, error) { return nil, nil }
+func (f *fakeBackend) bindPipeline(*pipeJob, PipelineSpec) ([]*catalog.Entry, error) {
 	return nil, nil
 }
-func (f *fakeBackend) runJoin(context.Context, *joinJob, core.Options, bool) ([]*core.Result, error) {
+func (f *fakeBackend) runJoin(context.Context, *joinJob) ([]*core.Result, []*PlanInfo, error) {
 	// Produced highest partition first: the merge must not care.
-	out := make([]*core.Result, shard.Partitions)
-	for p := shard.Partitions - 1; p >= 0; p-- {
+	out := make([]*core.Result, len(f.joinParts))
+	for p := len(out) - 1; p >= 0; p-- {
 		out[p] = f.joinParts[p]
 	}
-	return out, nil
+	return out, f.joinPlans, nil
 }
-func (f *fakeBackend) runPipeline(context.Context, *pipeJob, core.Options, bool) (*PipelinePartitions, error) {
+func (f *fakeBackend) runPipeline(context.Context, *pipeJob) (*PipelinePartitions, error) {
 	return f.pipeParts, nil
+}
+func (f *fakeBackend) planWhole(context.Context, rel.Relation, rel.Relation, core.Options, *plan.Workload) (*core.Plan, bool, error) {
+	return nil, false, errors.New("fake: no planner")
 }
 func (f *fakeBackend) stats(*Stats) {}
 func (f *fakeBackend) close()       {}
 
 func newFakeRouter() (*router, *fakeBackend) {
 	f := &fakeBackend{placed: make(map[string]bool)}
-	return newRouter(f, 1), f
+	return newRouter(f, shard.Partitions), f
 }
 
 // TestRouterFailedPlacementLeavesNothing: whichever registration form the
@@ -145,19 +150,19 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 	for p := range f.joinParts {
 		f.joinParts[p] = cannedResult(p, 0)
 	}
-	merged, parts, err := rt.execJoin(context.Background(), &joinJob{keep: true}, core.Options{}, false)
+	merged, parts, _, err := rt.execJoin(context.Background(), &joinJob{keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged, shard.MergeResults(f.joinParts)) || !reflect.DeepEqual(parts, f.joinParts) {
 		t.Error("join: merged result or kept vector differs from the fixed-order merge")
 	}
-	if _, parts, _ = rt.execJoin(context.Background(), &joinJob{}, core.Options{}, false); parts != nil {
+	if _, parts, _, _ = rt.execJoin(context.Background(), &joinJob{}); parts != nil {
 		t.Error("join: per-partition vector kept without being asked for")
 	}
 
 	const nSteps = 2
-	pp := newPipelinePartitions(nSteps)
+	pp := newPipelinePartitions(nSteps, shard.Partitions)
 	var wantPeak, wantTuples int64
 	for p := 0; p < shard.Partitions; p++ {
 		for s := 0; s < nSteps; s++ {
@@ -178,7 +183,7 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 		sources: []pipeSource{{name: "a"}, {name: "b"}, {name: "c"}},
 		order:   &pipeOrder{order: []int{2, 0, 1}, ordered: true},
 	}
-	pr, err := rt.execPipeline(context.Background(), pj, core.Options{}, true)
+	pr, err := rt.execPipeline(context.Background(), pj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +207,58 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 	if pr.PeakIntermediateBytes != wantPeak || pr.IntermediateTuples != wantTuples || pr.SpillDepth != 2 || pr.Partitions != nil {
 		t.Errorf("gauges: peak %d tuples %d depth %d partitions %v, want %d/%d/2/nil",
 			pr.PeakIntermediateBytes, pr.IntermediateTuples, pr.SpillDepth, pr.Partitions, wantPeak, wantTuples)
+	}
+}
+
+// TestRouterGridOfOneIsIdentity: over a one-partition backend the router's
+// merge is the identity. A join's result is the backend's own *core.Result
+// — the pointer, so ratio vectors, step timings and pilot profiles survive,
+// where the fixed-order merge of a larger grid leaves them zero — and a
+// join's or a pipeline step's PlanInfo equals the partition's.
+func TestRouterGridOfOneIsIdentity(t *testing.T) {
+	f := &fakeBackend{placed: make(map[string]bool)}
+	rt := newRouter(f, shard.One)
+	own := cannedResult(0, 0)
+	own.Ratios.Build = []float64{0.25, 0.5}
+	plan0 := &PlanInfo{Algo: "PHJ", Scheme: "PL", CacheHit: true, PredictedNS: 1234.5}
+	f.joinParts, f.joinPlans = []*core.Result{own}, []*PlanInfo{plan0}
+	merged, _, pl, err := rt.execJoin(context.Background(), &joinJob{auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged != own {
+		t.Errorf("join: merged result %p is not the partition's own %p", merged, own)
+	}
+	if pl == nil || *pl != *plan0 {
+		t.Errorf("join: plan %+v, want the partition's %+v", pl, plan0)
+	}
+
+	pp := newPipelinePartitions(2, 1)
+	for s := range pp.Steps {
+		pp.Steps[s][0] = cannedResult(0, s)
+		pp.BuildTuples[s][0], pp.ProbeTuples[s][0] = 10, 20
+	}
+	pp.Plans[0][0] = &PlanInfo{Algo: "SHJ", Scheme: "DD", PredictedNS: 77}
+	pp.Peak[0], pp.SpillDepth[0] = 4096, 1
+	f.pipeParts = pp
+	pj := &pipeJob{
+		sources: []pipeSource{{name: "a"}, {name: "b"}, {name: "c"}},
+		order:   &pipeOrder{order: []int{0, 1, 2}, ordered: true, replans: 1},
+	}
+	pr, err := rt.execPipeline(context.Background(), pj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range pp.Steps {
+		if pr.Steps[s].Result != pp.Steps[s][0] {
+			t.Errorf("pipeline step %d: result is not the partition's own", s)
+		}
+	}
+	if got := pr.Steps[0].Plan; got == nil || *got != *pp.Plans[0][0] || pr.Steps[1].Plan != nil {
+		t.Errorf("step plans %+v / %+v, want the partition's and none", got, pr.Steps[1].Plan)
+	}
+	if pr.PeakIntermediateBytes != 4096 || pr.SpillDepth != 1 || pr.Replans != 1 {
+		t.Errorf("gauges: peak %d depth %d replans %d, want 4096/1/1", pr.PeakIntermediateBytes, pr.SpillDepth, pr.Replans)
 	}
 }
 

@@ -99,10 +99,10 @@ func catalogReuseShape(tb testing.TB, inline bool) (run func(tb testing.TB) floa
 
 	svc := New(Config{MaxConcurrent: 2, MaxQueue: 1 << 20})
 	tb.Cleanup(func() { svc.Close() })
-	if _, err := svc.Catalog().RegisterGen("r", rg); err != nil {
+	if _, err := svc.RegisterGen("r", rg); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("s", "r", sg, 1.0); err != nil {
+	if _, err := svc.RegisterProbe("s", "r", sg, 1.0); err != nil {
 		tb.Fatal(err)
 	}
 	submit := func(tb testing.TB) *core.Result {

@@ -25,10 +25,10 @@ func TestSubmitNamedBitIdentical(t *testing.T) {
 
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
-	if _, err := svc.Catalog().RegisterGen("orders", rg); err != nil {
+	if _, err := svc.RegisterGen("orders", rg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("lineitem", "orders", sg, sel); err != nil {
+	if _, err := svc.RegisterProbe("lineitem", "orders", sg, sel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,10 +85,10 @@ func TestSubmitNamedErrors(t *testing.T) {
 func TestSubmitBatchAdmission(t *testing.T) {
 	svc := New(Config{Workers: 2, MaxConcurrent: 1, MaxQueue: 2})
 	defer svc.Close()
-	if _, err := svc.Catalog().RegisterGen("r", rel.Gen{N: 20000, Seed: 1}); err != nil {
+	if _, err := svc.RegisterGen("r", rel.Gen{N: 20000, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("s", "r", rel.Gen{N: 20000, Seed: 2}, 1.0); err != nil {
+	if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: 20000, Seed: 2}, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	spec := JoinSpec{RName: "r", SName: "s", Opt: core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1, PilotItems: 2048}}
@@ -102,7 +102,7 @@ func TestSubmitBatchAdmission(t *testing.T) {
 		t.Errorf("after rejection: rejected %d submitted %d, want 4/0", st.Rejected, st.Submitted)
 	}
 	// Rejection released every pin.
-	if infos := svc.Catalog().List(); infos[0].Pins != 0 || infos[1].Pins != 0 {
+	if infos := svc.Relations(); infos[0].Pins != 0 || infos[1].Pins != 0 {
 		t.Errorf("pins after rejection: %+v", infos)
 	}
 
@@ -141,10 +141,10 @@ func TestSubmitBatchAdmission(t *testing.T) {
 func TestDropWhileQueryRunning(t *testing.T) {
 	svc := New(Config{Workers: 2, MaxConcurrent: 1})
 	defer svc.Close()
-	if _, err := svc.Catalog().RegisterGen("r", rel.Gen{N: 60000, Seed: 1}); err != nil {
+	if _, err := svc.RegisterGen("r", rel.Gen{N: 60000, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("s", "r", rel.Gen{N: 60000, Seed: 2}, 1.0); err != nil {
+	if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: 60000, Seed: 2}, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	spec := JoinSpec{RName: "r", SName: "s", Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 2048}}
@@ -152,10 +152,10 @@ func TestDropWhileQueryRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().Drop("r"); err != nil {
+	if _, err := svc.DropRelation("r"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().Drop("s"); err != nil {
+	if _, err := svc.DropRelation("s"); err != nil {
 		t.Fatal(err)
 	}
 	// New names no longer resolve.

@@ -21,8 +21,8 @@ func plannerIf(auto bool, p *plan.Planner) *plan.Planner {
 	return nil
 }
 
-// planFor plans one pairwise join on p: from the catalog workload w when
-// the caller has one (fingerprinting then reads neither relation), else
+// planFor plans one pairwise join on p: from the registered pair's
+// workload w when the caller has one (fingerprinting then reads neither relation), else
 // from a measured one. hit reports whether the plan was served without a
 // pilot run. ctx bounds the planning wait, so a cancelled query frees its
 // slot instead of blocking on another query's plan build.
@@ -70,19 +70,20 @@ func emptyResult(opt core.Options) *core.Result {
 	return &core.Result{Algo: opt.Algo, Scheme: opt.Scheme, Arch: opt.Arch}
 }
 
-// pairFn reports the catalog pair workload of two pipeline sources, or
+// pairFn reports the memoized pair workload of two pipeline sources, or
 // ok=false when either carries no ingest statistics (an inline source).
 type pairFn func(build, probe *pipeSource) (w plan.Workload, ok bool)
 
 // pipeOrder is a pipeline's chosen left-deep order with what mid-pipeline
 // re-planning needs to revise it: the orderer's inputs and its per-step
-// output estimates (nil unless ordered).
+// output estimates (nil unless ordered). replans counts the revisions.
 type pipeOrder struct {
 	order   []int
 	ordered bool
 	rels    []plan.PipeRel
 	ests    []float64
 	stats   plan.PairStats
+	replans int64
 }
 
 // chooseOrder picks a pipeline's order once, from whole-relation
@@ -100,7 +101,7 @@ func chooseOrder(srcs []pipeSource, declared bool, pair pairFn) *pipeOrder {
 	return o
 }
 
-// firstWorkload is the first step's catalog pair workload when both of its
+// firstWorkload is the first step's pair workload when both of its
 // inputs are registered (nil otherwise: the planner measures). Later steps
 // build from intermediates and are always measured.
 func firstWorkload(srcs []pipeSource, order []int, pair pairFn) *plan.Workload {
@@ -114,23 +115,24 @@ func firstWorkload(srcs []pipeSource, order []int, pair pairFn) *plan.Workload {
 // when it chose the order; when the observation deviates beyond
 // replanDeviation and at least two steps remain (one remaining step has no
 // order to choose), the greedy tail re-runs anchored on the TRUE
-// cardinality. Every input is a pure function of the data, so the decision
-// — like the order itself — is identical for any worker count.
-func (o *pipeOrder) replan(t int, matches int64) bool {
+// cardinality and the order is revised in place. Every input is a pure
+// function of the data, so the decision — like the order itself — is
+// identical for any worker count.
+func (o *pipeOrder) replan(t int, matches int64) {
 	if !o.ordered || len(o.order)-1-t < 2 || t-1 >= len(o.ests) {
-		return false
+		return
 	}
 	pred := o.ests[t-1]
 	if math.Abs(float64(matches)-pred) <= replanDeviation*math.Max(pred, 1) {
-		return false
+		return
 	}
 	tail, ests, ok := plan.OrderRemaining(plan.PipeRel{Tuples: int(matches)}, o.rels, o.order[:t+1], o.order[t+1:], o.stats)
 	if !ok {
-		return false
+		return
 	}
 	copy(o.order[t+1:], tail)
 	copy(o.ests[t:], ests)
-	return true
+	o.replans++
 }
 
 // stepLabels names step t's inputs: the first source (or the previous
@@ -143,36 +145,36 @@ func stepLabels(srcs []pipeSource, order []int, t int) (build, probe string) {
 	return build, srcs[order[t]].name
 }
 
-// chainEnv is what one left-deep chain runs against. The unsharded service
-// runs one chain over the whole relations; the in-process backend runs
-// shard.Partitions of them, one per grid partition, over that partition's
-// slices.
+// chainEnv is what one left-deep chain runs against: the in-process backend
+// runs one chain per grid partition over that partition's slices — a single
+// chain over the whole relations on an unsharded engine.
 type chainEnv struct {
 	// cat is the catalog streamed intermediates reserve against.
 	cat *catalog.Catalog
 	// planner plans each step; nil runs every step under the base options.
 	planner *plan.Planner
-	// wFirst is the first step's catalog pair workload (nil: measure).
+	// wFirst is the first step's registered pair workload (nil: measure).
 	wFirst *plan.Workload
 	// budget pre-checks an intermediate before physical space is asked for:
-	// a grid partition's share of the total budget, so that which chains
-	// spill is a pure function of data and budget, never of how partitions
-	// are packed into shards. math.MaxInt64 leaves the decision to the
-	// catalog's headroom alone.
+	// a grid partition's share of the total budget less what is registered
+	// into it, so that which chains spill is a pure function of data and
+	// budget, never of how partitions are packed into shards or of which
+	// concurrent pipeline reserved first.
 	budget int64
-	// level is the repartitioning level a spill starts at: 0 for whole
-	// relations, 1 for a grid partition (the grid itself is level 0).
+	// level is the repartitioning level a spill starts at: the levels the
+	// grid itself consumed (shard.Grid.Levels).
 	level int
 	// replan, when set, may re-order the steps after t (mid-pipeline
-	// re-planning). Partition chains never re-order: the global order is
-	// part of the merge contract.
-	replan func(t int, matches int64) bool
+	// re-planning) given step t's observed matches. Only a chain that sees
+	// global cardinalities gets one; partition chains never re-order: the
+	// global order is part of the merge contract.
+	replan func(t int, matches int64)
 }
 
 // chain is one executed left-deep chain: per step the pairwise result, the
 // input cardinalities and the planner's decision (nil for a skipped
 // empty-side step and for steps the spiller ran), then the chain's
-// intermediate totals, resident peak, deepest spill level and re-plans.
+// intermediate totals, resident peak and deepest spill level.
 type chain struct {
 	steps                    []*core.Result
 	buildTuples, probeTuples []int
@@ -180,7 +182,6 @@ type chain struct {
 	interTuples, interBytes  int64
 	peak                     int64
 	spillDepth               int
-	replans                  int64
 }
 
 // runChain executes in[order[0]] ⋈ in[order[1]] ⋈ … as a chain of pairwise
@@ -250,8 +251,8 @@ func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relat
 		if stepRes.Matches > math.MaxInt32 {
 			return nil, fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", stepRes.Matches))
 		}
-		if env.replan != nil && env.replan(t, stepRes.Matches) {
-			c.replans++
+		if env.replan != nil {
+			env.replan(t, stepRes.Matches)
 		}
 
 		// The finished step's build side has served its consumer: a

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -10,6 +11,7 @@ import (
 	"apujoin/internal/catalog"
 	"apujoin/internal/cluster"
 	"apujoin/internal/core"
+	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
@@ -65,7 +67,7 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 // servers AND the failing one are sent the idempotent delete — a POST whose
 // reply was lost may still have committed there, and the orphan would
 // answer 409 to the retry.
-func (b *remoteBackend) place(name string, parts *[shard.Partitions]rel.Relation) error {
+func (b *remoteBackend) place(name string, parts []rel.Relation) error {
 	n := b.pool.Size()
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the
@@ -108,15 +110,15 @@ func (b *remoteBackend) pins(string) int { return 0 }
 
 // partitions cannot be served: a cluster router holds no tuple data, so a
 // bulk-loaded relation cannot anchor a probe registration.
-func (b *remoteBackend) partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error) {
-	return [shard.Partitions]rel.Relation{}, pins, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", name)
+func (b *remoteBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
+	return nil, pins, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", name)
 }
 
 // bindJoin builds the wire request of a clustered join. Programmatic
 // callers must reference registered relations by name — inline relations
 // are an HTTP-surface feature on a cluster (the request forwards verbatim
 // and every server generates the same full relations).
-func (b *remoteBackend) bindJoin(j *joinJob, sp *JoinSpec) ([]*catalog.Entry, error) {
+func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error) {
 	if sp.Forward != nil {
 		j.req = *sp.Forward
 	} else {
@@ -203,8 +205,10 @@ func validateShardResponse(resp *api.JoinResponse) error {
 // runJoin fans one join out to every shard server. Every server computes
 // all the fixed grid partitions it can (its owned partitions from resident
 // data; inline requests regenerate everything); partition p is read from
-// its owner's vector, so each number is read exactly once.
-func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob, _ core.Options, _ bool) ([]*core.Result, error) {
+// its owner's vector, so each number is read exactly once. The join
+// transport carries no per-partition planner decisions, so a clustered
+// join reports no PlanInfo (each server's own reply does).
+func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error) {
 	req := j.req
 	req.Wait = true
 	req.PerPartition = true
@@ -213,12 +217,12 @@ func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob, _ core.Options,
 	}
 	resps, err := b.fanOut(ctx, "join", "/v1/join", &req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := len(resps)
 	for i, resp := range resps {
 		if len(resp.Partitions) != shard.Partitions {
-			return nil, fmt.Errorf("cluster: join on shard %d (%s): returned %d per-partition results, want %d (is the shard server running with -shards >= 1?)",
+			return nil, nil, fmt.Errorf("cluster: join on shard %d (%s): returned %d per-partition results, want %d (is the shard server running with -shards >= 1?)",
 				i, b.pool.Addr(i), len(resp.Partitions), shard.Partitions)
 		}
 	}
@@ -226,7 +230,7 @@ func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob, _ core.Options,
 	for p := range parts {
 		parts[p] = resps[shard.Owner(p, n)].Partitions[p].ToResult()
 	}
-	return parts, nil
+	return parts, nil, nil
 }
 
 // defaultInlineTuples mirrors the HTTP surface's default size for inline
@@ -239,7 +243,7 @@ const defaultInlineTuples = 1 << 20
 // for joins — are normalized here: each gets its positional default seed
 // before any reorder, so reordering never changes what a server generates,
 // and reports its generated cardinality to the orderer.
-func (b *remoteBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) ([]*catalog.Entry, error) {
+func (b *remoteBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
 	if sp.Forward != nil {
 		j.req = *sp.Forward
 		j.req.Sources = append([]api.PipelineSource(nil), sp.Forward.Sources...)
@@ -281,7 +285,7 @@ func (b *remoteBackend) bindPipeline(j *pipeJob, sp *PipelineSpec) ([]*catalog.E
 // pre-reordered and declared_order set, so every server executes the
 // router's centrally chosen order — and decodes the raw per-partition,
 // per-step results, each partition read from its owner.
-func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob, _ core.Options, _ bool) (*PipelinePartitions, error) {
+func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error) {
 	req := j.req
 	req.Sources = make([]api.PipelineSource, len(j.order.order))
 	for i, idx := range j.order.order {
@@ -303,7 +307,7 @@ func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob, _ core.Opti
 		}
 	}
 	n := len(resps)
-	pp := newPipelinePartitions(nSteps)
+	pp := newPipelinePartitions(nSteps, shard.Partitions)
 	for p := 0; p < shard.Partitions; p++ {
 		wire := resps[shard.Owner(p, n)].Pipeline.Partitions
 		for t := 0; t < nSteps; t++ {
@@ -345,6 +349,11 @@ func validateShardPipeline(resp *api.JoinResponse, nSteps int) error {
 		return fmt.Errorf("per-partition gauge vectors are incomplete")
 	}
 	return nil
+}
+
+// planWhole has no planner to offer: a cluster plans on its shard servers.
+func (b *remoteBackend) planWhole(context.Context, rel.Relation, rel.Relation, core.Options, *plan.Workload) (*core.Plan, bool, error) {
+	return nil, false, errors.New("service: a clustered service plans on its shard servers; run an external join with an explicit algorithm and scheme")
 }
 
 // stats adds the per-shard health and latency gauges. Capacity and peak

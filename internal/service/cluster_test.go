@@ -263,10 +263,14 @@ func TestClusterShardDownFailsFast(t *testing.T) {
 // reports a zero result — so the pipeline succeeds, explicit and auto, on
 // the unsharded service, the in-process shards and a cluster alike, with
 // the same step count. (The unsharded auto run used to fail: the planner
-// refuses an empty relation.)
+// refuses an empty relation.) The rule covers a pairwise join the same way:
+// an empty build or probe side yields the labelled zero Result — on the
+// unsharded service too, which used to answer a planner error (auto) or the
+// kernels' cost over the non-empty side (explicit).
 func TestPipelineEmptySideEveryBackend(t *testing.T) {
 	backends := map[string]*service.Service{
 		"unsharded": service.New(service.Config{Workers: 2}),
+		"shards=1":  service.New(service.Config{Workers: 2, Shards: 1}),
 		"shards=4":  service.New(service.Config{Workers: 2, Shards: 4}),
 		"cluster":   clusterService(t, []string{startShardServer(t, 1).URL, startShardServer(t, 2).URL}),
 	}
@@ -283,7 +287,24 @@ func TestPipelineEmptySideEveryBackend(t *testing.T) {
 		if _, err := svc.RegisterProbe("c", "a", rel.Gen{N: 4096, Seed: 3}, 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if _, err := svc.LoadRelation("none", rel.Relation{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for _, auto := range []bool{false, true} {
+			for _, pair := range [][2]string{{"none", "c"}, {"a", "none"}} {
+				opt := ddOptions(t, "phj")
+				res, err := svc.RunJoin(context.Background(), service.JoinSpec{RName: pair[0], SName: pair[1], Opt: opt, Auto: auto})
+				if err != nil {
+					t.Errorf("%s auto=%v: %s ⋈ %s: %v", name, auto, pair[0], pair[1], err)
+					continue
+				}
+				// (Auto names no algorithm on the cluster's wire, so only an
+				// explicit join's label is the same everywhere.)
+				if res.Matches != 0 || res.TotalNS != 0 || !auto && (res.Algo != opt.Algo || res.Scheme != opt.Scheme) {
+					t.Errorf("%s auto=%v: %s ⋈ %s = %d matches, %v ns, %v-%v; want the zero result labelled %v-%v",
+						name, auto, pair[0], pair[1], res.Matches, res.TotalNS, res.Algo, res.Scheme, opt.Algo, opt.Scheme)
+				}
+			}
 			spec := service.PipelineSpec{
 				Sources:       []service.PipelineSource{{Name: "a"}, {Name: "b"}, {Name: "c"}},
 				Opt:           ddOptions(t, "shj"),

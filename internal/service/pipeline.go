@@ -3,15 +3,11 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/service/api"
-	"apujoin/internal/shard"
 )
 
 // ErrPipelineTooShort reports a pipeline with fewer than two sources.
@@ -102,7 +98,8 @@ type PipelineResult struct {
 	// matches deviated from the orderer's estimate beyond the re-plan
 	// threshold, the remaining steps were re-ordered around the true
 	// cardinality. The final match count is unaffected; only the remaining
-	// intermediates (and their costs) change.
+	// intermediates (and their costs) change. Only an unsharded engine's
+	// chain sees global cardinalities, so only it re-plans.
 	Replans int64
 	// SpilledPartitions, SpillBytes and SpillNS aggregate the hybrid-hash
 	// spill activity of the whole pipeline (see Result's fields of the same
@@ -119,13 +116,13 @@ type PipelineResult struct {
 	Partitions *PipelinePartitions
 }
 
-// PipelinePartitions is the raw per-partition breakdown of a sharded
-// pipeline: for each executed step t (0-based) and fixed grid partition p,
+// PipelinePartitions is the raw per-partition breakdown of a
+// pipeline: for each executed step t (0-based) and grid partition p,
 // Steps[t][p] is partition p's pairwise result of that step, with the
 // matching input cardinalities in BuildTuples/ProbeTuples. The per-
 // partition gauges report each partition chain's intermediate totals and
-// resident peak. Merging Steps[t] with shard.MergeResults yields exactly
-// the pipeline's Steps[t].Result.
+// resident peak. Merging Steps[t] over the grid (shard.Grid.Merge) yields
+// exactly the pipeline's Steps[t].Result.
 type PipelinePartitions struct {
 	Steps                    [][]*core.Result
 	BuildTuples, ProbeTuples [][]int
@@ -196,29 +193,24 @@ func pipelineInfo(p *PipelineResult) *PipelineInfo {
 	return info
 }
 
-// pipeSource is one resolved pipeline input. The unsharded service joins
-// whole relations (rel, with the pinned catalog entry for registered
-// sources); a routed pipeline carries the router's record of a registered
-// source and — on the in-process backend — its per-partition slices, or an
-// inline source's split.
+// pipeSource is one resolved pipeline input: the router's record of a
+// registered source or an inline relation, and — on the in-process backend
+// — its per-partition slices (pinned entries, or the inline relation's
+// split).
 type pipeSource struct {
 	// name is the registered name, or "inline[i]" for the i-th declared
 	// inline source; tuples the whole-relation cardinality.
 	name   string
 	tuples int
 	rel    rel.Relation
-	entry  *catalog.Entry
 	rec    *shardedRel
-	parts  [shard.Partitions]rel.Relation
+	parts  []rel.Relation
 }
 
 // pipeRel is the source as the join orderer sees it.
 func (src *pipeSource) pipeRel() plan.PipeRel {
 	pr := plan.PipeRel{Tuples: src.tuples}
-	switch {
-	case src.entry != nil:
-		pr.HeavyShare = src.entry.HeavyShare()
-	case src.rec != nil:
+	if src.rec != nil {
 		pr.HeavyShare = src.rec.stats.HeavyShare
 	}
 	return pr
@@ -226,6 +218,8 @@ func (src *pipeSource) pipeRel() plan.PipeRel {
 
 // pipeJob is a resolved pipeline awaiting execution.
 type pipeJob struct {
+	opt      core.Options
+	auto     bool
 	sources  []pipeSource
 	declared bool
 	// keep retains the raw per-partition step results
@@ -233,44 +227,12 @@ type pipeJob struct {
 	// planning workload (PipelineSpec.FirstWorkload).
 	keep   bool
 	wFirst *plan.Workload
-	// order is the routed pipeline's global order, chosen at resolve time;
-	// the unsharded service chooses at execution, where re-planning may
-	// revise it.
+	// order is the pipeline's global order, chosen at resolve time from the
+	// full-relation statistics; execution on a grid of one may revise it in
+	// place (mid-pipeline re-planning).
 	order *pipeOrder
 	// req is the wire request a cluster backend fans out.
 	req api.PipelineRequest
-}
-
-// resolvePipeline pins the named sources of a spec. The returned
-// resolvedSpec carries the pins (released by the query's terminal state,
-// or by the caller on the synchronous path) and the pipeline job.
-func (s *Service) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
-	rs := resolvedSpec{opt: spec.Opt, auto: spec.Auto}
-	if len(spec.Sources) < 2 {
-		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, len(spec.Sources))
-	}
-	if s.router != nil {
-		return s.router.resolvePipeline(spec)
-	}
-	pj := &pipeJob{declared: spec.DeclaredOrder}
-	for i, src := range spec.Sources {
-		in := pipeSource{name: src.Name, rel: src.Rel}
-		if src.Name != "" {
-			e, err := s.catalog.Acquire(src.Name)
-			if err != nil {
-				rs.release()
-				return rs, fmt.Errorf("pipeline source %d: %w", i+1, err)
-			}
-			rs.pins = append(rs.pins, e)
-			in.rel, in.entry = e.Relation(), e
-		} else {
-			in.name = fmt.Sprintf("inline[%d]", i)
-		}
-		in.tuples = in.rel.Len()
-		pj.sources = append(pj.sources, in)
-	}
-	rs.pipe = pj
-	return rs, nil
 }
 
 // SubmitPipeline enqueues one multi-way pipeline as a single query: every
@@ -281,7 +243,8 @@ func (s *Service) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 // decisions when Auto — is available through Query.Pipeline and in the
 // query's Info snapshot.
 func (s *Service) SubmitPipeline(ctx context.Context, spec PipelineSpec) (*Query, error) {
-	rs, err := s.resolvePipeline(spec)
+	spec.Opt.Pool = s.pool
+	rs, err := s.router.resolvePipeline(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -296,76 +259,12 @@ func (s *Service) SubmitPipeline(ctx context.Context, spec PipelineSpec) (*Query
 // layer — the engine facade's path; the caller bounds its own concurrency
 // and provides the worker pool through spec.Opt.
 func (s *Service) RunPipeline(ctx context.Context, spec PipelineSpec) (*PipelineResult, error) {
-	rs, err := s.resolvePipeline(spec)
+	rs, err := s.router.resolvePipeline(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.release()
-	return s.execPipeline(ctx, &rs)
-}
-
-// entryWorkload is the unsharded pairFn: the catalog's ingest-time pair
-// workload of two registered sources.
-func (s *Service) entryWorkload(build, probe *pipeSource) (plan.Workload, bool) {
-	if build.entry == nil || probe.entry == nil {
-		return plan.Workload{}, false
-	}
-	return s.catalog.Workload(build.entry, probe.entry), true
-}
-
-// execPipeline runs a resolved pipeline. A routed pipeline goes to the
-// router; the unsharded service orders the sources from the catalog's
-// ingest-time statistics and runs the one chain over the whole relations,
-// re-planning the remaining order when a step's output surprises the
-// orderer. Every step's Result is the stand-alone Join of its inputs, bit
-// for bit, for any worker count.
-func (s *Service) execPipeline(ctx context.Context, rs *resolvedSpec) (*PipelineResult, error) {
-	pj := rs.pipe
-	if s.router != nil {
-		return s.router.execPipeline(ctx, pj, rs.opt, rs.auto)
-	}
-	o := chooseOrder(pj.sources, pj.declared, s.entryWorkload)
-	env := &chainEnv{
-		cat:     s.catalog,
-		planner: plannerIf(rs.auto, s.planner),
-		budget:  math.MaxInt64,
-		replan:  o.replan,
-	}
-	if rs.auto {
-		env.wFirst = firstWorkload(pj.sources, o.order, s.entryWorkload)
-	}
-	names := make([]string, len(pj.sources))
-	in := make([]rel.Relation, len(pj.sources))
-	for i := range pj.sources {
-		names[i], in[i] = pj.sources[i].name, pj.sources[i].rel
-	}
-	c, err := runChain(ctx, env, names, in, o.order, rs.opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &PipelineResult{
-		Order:                 o.order,
-		Ordered:               o.ordered,
-		IntermediateTuples:    c.interTuples,
-		IntermediateBytes:     c.interBytes,
-		PeakIntermediateBytes: c.peak,
-		Replans:               c.replans,
-		SpillDepth:            c.spillDepth,
-	}
-	for i, r := range c.steps {
-		build, probe := stepLabels(pj.sources, o.order, i+1)
-		res.Steps = append(res.Steps, PipelineStep{
-			Build:       build,
-			Probe:       probe,
-			BuildTuples: c.buildTuples[i],
-			ProbeTuples: c.probeTuples[i],
-			OutTuples:   r.Matches,
-			Result:      r,
-			Plan:        c.plans[i],
-		})
-		res.add(r)
-	}
-	return res, nil
+	return s.router.execPipeline(ctx, rs.pipe)
 }
 
 // add folds one executed step's (merged) result into the pipeline's serial

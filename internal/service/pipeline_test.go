@@ -21,13 +21,13 @@ func registerPipelineRels(t testing.TB, svc *Service) []rel.Relation {
 	rg := rel.Gen{N: 20000, Seed: 21}
 	sg := rel.Gen{N: 26000, Dist: rel.LowSkew, Seed: 22}
 	ug := rel.Gen{N: 12000, Seed: 23}
-	if _, err := svc.Catalog().RegisterGen("orders", rg); err != nil {
+	if _, err := svc.RegisterGen("orders", rg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("lineitem", "orders", sg, 0.9); err != nil {
+	if _, err := svc.RegisterProbe("lineitem", "orders", sg, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Catalog().RegisterProbe("returns", "orders", ug, 0.3); err != nil {
+	if _, err := svc.RegisterProbe("returns", "orders", ug, 0.3); err != nil {
 		t.Fatal(err)
 	}
 	r := rg.Build()
@@ -321,7 +321,7 @@ func waitForZeroPins(t *testing.T, svc *Service) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		pins := 0
-		for _, info := range svc.Catalog().List() {
+		for _, info := range svc.Relations() {
 			pins += info.Pins
 		}
 		if pins == 0 {

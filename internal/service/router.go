@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,24 +16,25 @@ import (
 	"apujoin/internal/shard"
 )
 
-// router is the stateless-routing tier of a sharded service, in-process or
-// clustered: relations register once and split over the fixed
-// shard.Partitions hash grid, joins and pipelines fan out to every
-// partition and merge in partition order. The router owns everything
-// logical exactly once — the namespace, each relation's provenance and
-// full-relation ingest statistics, the memoized pair workloads, pipeline
-// order and first-step workload, the fixed-order merge — and holds no tuple
-// data. Where the partition slices live and how a partition job runs is
-// the backend's business.
+// router is the stateless-routing tier of every service — unsharded,
+// sharded in-process or clustered: relations register once and split over
+// the engine's hash grid, joins and pipelines fan out to every partition
+// and merge in partition order. The router owns everything logical exactly
+// once — the namespace, each relation's provenance and full-relation ingest
+// statistics, the memoized pair workloads, pipeline order and first-step
+// workload, the fixed-order merge — and holds no tuple data. Where the
+// partition slices live and how a partition job runs is the backend's
+// business.
 //
-// The shard (or server) count decides placement and budget boundaries and
-// nothing else: every computed number is a function of the fixed partition
-// grid, which is why results are bit-identical for any shard count and any
-// backend.
+// The grid is shard.One on an unsharded engine — the split, the fan-out and
+// the merge are then identities (see shard.Grid) and the one partition's
+// numbers are the engine's — and shard.Partitions otherwise, where the shard
+// (or server) count decides placement and budget boundaries and nothing
+// else: every computed number is a function of the grid, which is why
+// results are bit-identical for any shard count and any backend.
 type router struct {
-	b backend
-	// shards is the in-process shard count or the cluster's server count.
-	shards int
+	b    backend
+	grid shard.Grid
 
 	mu   sync.Mutex
 	rels map[string]*shardedRel
@@ -52,26 +54,29 @@ type router struct {
 type backend interface {
 	// place stores one relation's partition slices, all or nothing: after
 	// a failure no slice of name remains anywhere.
-	place(name string, parts *[shard.Partitions]rel.Relation) error
+	place(name string, parts []rel.Relation) error
 	// remove drops a relation's slices; in-flight pins keep their data.
 	remove(name string)
 	// pins counts the in-flight pins on a relation's slices.
 	pins(name string) int
 	// partitions hands back a placed relation's slices in partition order,
 	// pinned until the entries appended to pins are released — what
-	// reassembling a bulk-loaded base in original tuple order reads.
-	partitions(name string, pins []*catalog.Entry) ([shard.Partitions]rel.Relation, []*catalog.Entry, error)
+	// rebuilding a probe registration's base in original tuple order reads.
+	partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error)
 	// bindJoin and bindPipeline attach the backend's form of a job's
 	// inputs — pinned or split partition slices in-process, the wire
 	// request on a cluster — and return the pins the query must release.
-	bindJoin(j *joinJob, sp *JoinSpec) ([]*catalog.Entry, error)
-	bindPipeline(j *pipeJob, sp *PipelineSpec) ([]*catalog.Entry, error)
+	bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error)
+	bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error)
 	// runJoin runs one join on every grid partition and returns the raw
-	// results indexed by partition.
-	runJoin(ctx context.Context, j *joinJob, opt core.Options, auto bool) ([]*core.Result, error)
+	// results, and the planner decisions it has, indexed by partition.
+	runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error)
 	// runPipeline runs one pipeline's chain, in the job's order, on every
 	// grid partition and returns the raw per-partition transport.
-	runPipeline(ctx context.Context, j *pipeJob, opt core.Options, auto bool) (*PipelinePartitions, error)
+	runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error)
+	// planWhole plans one whole-relation join outside the grid (external
+	// joins), from the pair workload w when there is one.
+	planWhole(ctx context.Context, r, s rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error)
 	// stats folds the backend's physical gauges into st.
 	stats(st *Stats)
 	close()
@@ -81,9 +86,9 @@ type backend interface {
 // generation provenance (so probe relations can regenerate their build
 // side in original tuple order) and the full-relation ingest statistics
 // the planner fingerprints and the pipeline orderer consume — measured on
-// the FULL relation, identical to what the unsharded catalog stores, so
-// sharded pair workloads land in the same plan-cache buckets as unsharded
-// ones. The tuple data itself lives with the backend.
+// the FULL relation whatever the grid, so a pair workload lands in the same
+// plan-cache bucket on every engine shape. The tuple data itself lives with
+// the backend.
 type shardedRel struct {
 	name    string
 	source  catalog.Source
@@ -93,8 +98,9 @@ type shardedRel struct {
 	probeOf string
 	sel     float64
 
-	// order records, for bulk-loaded relations only, each original tuple
-	// position's fixed grid partition (one byte per tuple). The partition
+	// order records, for bulk-loaded relations split over more than one
+	// partition, each original tuple position's grid partition (one byte per
+	// tuple). The partition
 	// split preserves within-partition relative order, so walking order
 	// with per-partition cursors reassembles the exact original relation —
 	// what a probe registration against a loaded build side needs. Written
@@ -110,10 +116,10 @@ type shardedRel struct {
 // routerPairKey identifies a memoized (build, probe) pair workload.
 type routerPairKey struct{ r, s string }
 
-func newRouter(b backend, shards int) *router {
+func newRouter(b backend, grid shard.Grid) *router {
 	return &router{
 		b:         b,
-		shards:    shards,
+		grid:      grid,
 		rels:      make(map[string]*shardedRel),
 		pending:   make(map[string]bool),
 		workloads: make(map[routerPairKey]plan.Workload),
@@ -130,9 +136,9 @@ func (t *router) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
 }
 
 // RegisterProbe generates and registers a probe relation against the
-// registered build relation of. The build side is rebuilt in original
-// tuple order first, so the probe is bit-identical to g.Probe on the
-// unsharded catalog's resident build relation.
+// registered build relation of. The build side is read in original tuple
+// order (fullRelation), so the probe is bit-identical to inline
+// g.Probe(build, selectivity) on every grid.
 func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
 	if err := t.precheck(name, g.N); err != nil {
 		return catalog.Info{}, err
@@ -141,17 +147,18 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 	if selectivity < 0 || selectivity > 1 {
 		return catalog.Info{}, fmt.Errorf("catalog: selectivity %v out of [0,1]", selectivity)
 	}
-	base, err := t.fullRelation(of)
+	base, pins, err := t.fullRelation(of)
 	if err != nil {
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: %w", of, err)
 	}
+	defer releaseAll(pins)
 	sr := &shardedRel{name: name, source: catalog.Probe, gen: g, probeOf: of, sel: selectivity}
 	return t.register(sr, g.Probe(base, selectivity))
 }
 
-// Load registers an existing relation (bulk load). The split copies the
-// columns into per-partition relations; unlike the unsharded catalog the
-// caller's slices are not retained.
+// Load registers an existing relation (bulk load). A grid of one retains
+// the caller's columns, which must not be mutated afterwards; a larger grid
+// copies them into its per-partition relations.
 func (t *router) Load(name string, r rel.Relation) (catalog.Info, error) {
 	if err := t.precheck(name, r.Len()); err != nil {
 		return catalog.Info{}, err
@@ -190,15 +197,17 @@ func (t *router) unpend(name string) {
 	t.mu.Unlock()
 }
 
-// fullRelation rebuilds a registered relation in its original tuple order.
-// Probe generation indexes the build side by original position, which the
-// partition split does not preserve, so the router walks the provenance
-// chain: generated bases regenerate from their stored specs, bulk-loaded
-// bases reassemble from their partition slices via the ingest-time order
-// map (see shardedRel.order), and probe links re-apply on top. Either base
-// yields the relation bit-identical to the unsharded catalog's resident
-// copy.
-func (t *router) fullRelation(name string) (rel.Relation, error) {
+// fullRelation returns a registered relation in its original tuple order,
+// with the pins (if any) the caller releases when done reading it. Probe
+// generation indexes the build side by original position. A grid of one
+// holds exactly that — the one resident slice is the relation — and it is
+// read in place. A partition split does not preserve positions, so over a
+// larger grid the router walks the provenance chain: generated bases
+// regenerate from their stored specs, bulk-loaded bases reassemble from
+// their partition slices via the ingest-time order map (see
+// shardedRel.order), and probe links re-apply on top. Every route yields the
+// same relation, bit for bit.
+func (t *router) fullRelation(name string) (rel.Relation, []*catalog.Entry, error) {
 	type link struct {
 		gen rel.Gen
 		sel float64
@@ -207,10 +216,18 @@ func (t *router) fullRelation(name string) (rel.Relation, error) {
 	var loaded *shardedRel
 	t.mu.Lock()
 	cur, ok := t.rels[name]
+	if ok && t.grid.Whole() {
+		parts, pins, err := t.b.partitions(name, nil)
+		t.mu.Unlock()
+		if err != nil {
+			return rel.Relation{}, nil, err
+		}
+		return parts[0], pins, nil
+	}
 	for {
 		if !ok {
 			t.mu.Unlock()
-			return rel.Relation{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+			return rel.Relation{}, nil, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
 		}
 		if cur.source == catalog.Loaded {
 			loaded = cur
@@ -229,7 +246,7 @@ func (t *router) fullRelation(name string) (rel.Relation, error) {
 	if loaded != nil {
 		var err error
 		if r, err = t.reassemble(loaded); err != nil {
-			return rel.Relation{}, err
+			return rel.Relation{}, nil, err
 		}
 	} else {
 		r = chain[len(chain)-1].gen.Build()
@@ -238,7 +255,7 @@ func (t *router) fullRelation(name string) (rel.Relation, error) {
 	for i := len(chain) - 1; i >= 0; i-- {
 		r = chain[i].gen.Probe(r, chain[i].sel)
 	}
-	return r, nil
+	return r, nil, nil
 }
 
 // reassemble reconstructs a bulk-loaded relation in its original tuple
@@ -264,7 +281,7 @@ func (t *router) reassemble(sr *shardedRel) (rel.Relation, error) {
 		RIDs: make([]int32, 0, len(sr.order)),
 		Keys: make([]int32, 0, len(sr.order)),
 	}
-	var cursors [shard.Partitions]int
+	cursors := make([]int, len(parts))
 	for _, p := range sr.order {
 		i := cursors[p]
 		out.RIDs = append(out.RIDs, parts[p].RIDs[i])
@@ -281,24 +298,23 @@ func releaseAll(pins []*catalog.Entry) {
 }
 
 // register measures the full-relation ingest statistics, splits the
-// relation over the fixed partition grid, and places the slices with the
-// backend — all or nothing. The caller holds the name pending, so nothing
+// relation over the grid, and places the slices with the backend — all or
+// nothing. The caller holds the name pending, so nothing
 // else can bind it meanwhile.
 func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, error) {
 	sr.tuples = full.Len()
 	sr.stats = catalog.Measure(full)
-	if sr.source == catalog.Loaded {
+	if sr.source == catalog.Loaded && !t.grid.Whole() {
 		// Loaded relations have no spec to regenerate from, so the split's
 		// inverse is recorded instead: each tuple's partition, one byte per
 		// tuple, enough to reassemble the original order for probe
 		// registrations against this relation.
 		sr.order = make([]uint8, full.Len())
 		for i, k := range full.Keys {
-			sr.order[i] = uint8(shard.PartitionOf(k))
+			sr.order[i] = uint8(t.grid.PartitionOf(k))
 		}
 	}
-	parts := shard.Split(full)
-	if err := t.b.place(sr.name, &parts); err != nil {
+	if err := t.b.place(sr.name, t.grid.Split(full)); err != nil {
 		return catalog.Info{}, err
 	}
 	t.mu.Lock()
@@ -410,9 +426,11 @@ func (t *router) lookup(names []string, recs []*shardedRel) error {
 }
 
 // workload returns the planner workload buckets of the pair (build r,
-// probe s) from the full-relation ingest statistics, memoized per pair —
-// the sharded sibling of catalog.Workload, computing the identical
-// buckets (plan.PairWorkload over the same sample and membership test).
+// probe s) from the full-relation ingest statistics — the probe's stored
+// key sample against the build's sorted key index — without scanning either
+// relation. The result is memoized per pair and equals plan.MeasureWorkload
+// on the same relations, so registered and inline queries share plan-cache
+// entries.
 func (t *router) workload(r, s *shardedRel) plan.Workload {
 	if r.tuples == 0 || s.tuples == 0 {
 		return plan.Workload{}
@@ -447,7 +465,7 @@ func (t *router) recWorkload(build, probe *pipeSource) (plan.Workload, bool) {
 	return t.workload(build.rec, probe.rec), true
 }
 
-// stats fills the sharded catalog surface of st: the logical totals
+// stats fills the catalog surface of st: the logical totals
 // (relations counted once, whole-relation bytes), then the backend's
 // physical gauges on top.
 func (t *router) stats(st *Stats) {
@@ -462,39 +480,40 @@ func (t *router) stats(st *Stats) {
 		st.Catalog.Bytes += int64(sr.tuples) * 8
 	}
 	t.mu.Unlock()
-	st.Shards = t.shards
 	t.b.stats(st)
 }
 
-// joinJob is one resolved routed join: the full-relation pair workload
-// when both sides are registered (auto planning), and the backend's form
-// of the inputs — both sides' per-partition slices in-process, the wire
-// request on a cluster.
+// joinJob is one resolved join: its options, the full-relation pair
+// workload when both sides are registered (auto planning), and the
+// backend's form of the inputs — both sides' per-partition slices
+// in-process, the wire request on a cluster.
 type joinJob struct {
+	opt      core.Options
+	auto     bool
 	workload *plan.Workload
 	// keep retains the raw per-partition results alongside the merge
 	// (JoinSpec.KeepPartitions) — the cluster transport's raw material.
 	keep bool
 
-	rParts, sParts [shard.Partitions]rel.Relation
+	rParts, sParts []rel.Relation
 	req            api.JoinRequest
 }
 
 // resolveJoin resolves a JoinSpec through the router: registered sides
 // resolve to their records and — when the planner decides — carry the
-// centrally measured pair workload; the backend binds the inputs. Unlike
-// the unsharded resolver, mixed named/inline pairs are accepted in-process
-// (the engine facade's contract); the HTTP layer enforces its own
-// both-or-neither rule before submitting.
+// centrally measured pair workload; the backend binds the inputs. Mixed
+// named/inline pairs are accepted in-process (the engine facade's
+// contract); the HTTP layer enforces its own both-or-neither rule before
+// submitting.
 func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
-	rs := resolvedSpec{opt: sp.Opt, auto: sp.Auto}
+	rs := resolvedSpec{auto: sp.Auto}
 	var recs [2]*shardedRel
 	if err := t.lookup([]string{sp.RName, sp.SName}, recs[:]); err != nil {
 		return rs, err
 	}
-	job := &joinJob{keep: sp.KeepPartitions, workload: sp.Workload}
+	job := &joinJob{opt: sp.Opt, auto: sp.Auto, keep: sp.KeepPartitions, workload: sp.Workload}
 	var err error
-	if rs.pins, err = t.b.bindJoin(job, &sp); err != nil {
+	if rs.pins, err = t.b.bindJoin(job, sp); err != nil {
 		return rs, err
 	}
 	if sp.Auto && job.workload == nil && recs[0] != nil && recs[1] != nil {
@@ -505,21 +524,64 @@ func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 	return rs, nil
 }
 
-// execJoin fans one join out to every fixed hash partition and merges the
+// whole resolves a join's two sources to whole relations in original tuple
+// order, with the pins the caller releases and — auto, both registered —
+// the memoized pair workload. Inline relations are whole as they come; a
+// registered one is whole only where the grid keeps it in one piece.
+func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, pins []*catalog.Entry, err error) {
+	if sp.RName == "" && sp.SName == "" {
+		return sp.R, sp.S, sp.Workload, nil, nil
+	}
+	if !t.grid.Whole() {
+		return r, s, nil, nil, errors.New("service: an external join does not accept catalog references on a sharded engine, which holds partition slices (resolve the data yourself and pass it inline)")
+	}
+	rs, err := t.resolveJoin(sp)
+	if err != nil {
+		return r, s, nil, nil, err
+	}
+	return rs.join.rParts[0], rs.join.sParts[0], rs.join.workload, rs.pins, nil
+}
+
+// execJoin fans one join out to every grid partition and merges the
 // per-partition results in partition order. Equi-join matches never cross
 // partitions, so the merged result — match count and every simulated
-// number — equals the fixed grid's and is bit-identical for any shard
-// count and any backend. parts is the raw per-partition vector, returned
-// only when the job asked to keep it.
-func (t *router) execJoin(ctx context.Context, job *joinJob, opt core.Options, auto bool) (merged *core.Result, parts []*core.Result, err error) {
-	if parts, err = t.b.runJoin(ctx, job, opt, auto); err != nil {
-		return nil, nil, err
+// number — equals the grid's and is bit-identical for any shard count and
+// any backend. parts is the raw per-partition vector, returned only when
+// the job asked to keep it; pl aggregates the partitions' planner decisions
+// (mergePlans).
+func (t *router) execJoin(ctx context.Context, job *joinJob) (merged *core.Result, parts []*core.Result, pl *PlanInfo, err error) {
+	parts, plans, err := t.b.runJoin(ctx, job)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	merged = shard.MergeResults(parts)
+	merged = t.grid.Merge(parts)
 	if !job.keep {
 		parts = nil
 	}
-	return merged, parts, nil
+	return merged, parts, mergePlans(plans), nil
+}
+
+// mergePlans aggregates the per-partition planner decisions of one join or
+// pipeline step: representative algo/scheme from the lowest planned
+// partition (all partitions of one step share a fingerprint shape, so they
+// agree in practice), predicted time summed in partition order, cache_hit
+// only when every planned partition hit. Partitions that planned nothing —
+// an explicit query, an empty side, a spilled step — contribute nothing,
+// and a vector without a plan reports none. Over one partition the
+// aggregate is that partition's own report.
+func mergePlans(plans []*PlanInfo) *PlanInfo {
+	var out *PlanInfo
+	for _, pi := range plans {
+		if pi == nil {
+			continue
+		}
+		if out == nil {
+			out = &PlanInfo{Algo: pi.Algo, Scheme: pi.Scheme, CacheHit: true}
+		}
+		out.PredictedNS += pi.PredictedNS
+		out.CacheHit = out.CacheHit && pi.CacheHit
+	}
+	return out
 }
 
 // resolvePipeline resolves a pipeline through the router: look the
@@ -528,7 +590,10 @@ func (t *router) execJoin(ctx context.Context, job *joinJob, opt core.Options, a
 // (and every server) executes the same order — and capture the first
 // step's pair workload for auto planning.
 func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
-	rs := resolvedSpec{opt: spec.Opt, auto: spec.Auto}
+	rs := resolvedSpec{auto: spec.Auto}
+	if len(spec.Sources) < 2 {
+		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, len(spec.Sources))
+	}
 	names := make([]string, len(spec.Sources))
 	for i, src := range spec.Sources {
 		names[i] = src.Name
@@ -538,6 +603,8 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 		return rs, fmt.Errorf("pipeline source: %w", err)
 	}
 	pj := &pipeJob{
+		opt:      spec.Opt,
+		auto:     spec.Auto,
 		sources:  make([]pipeSource, len(spec.Sources)),
 		declared: spec.DeclaredOrder,
 		keep:     spec.KeepPartitions,
@@ -553,7 +620,7 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 		}
 	}
 	var err error
-	if rs.pins, err = t.b.bindPipeline(pj, &spec); err != nil {
+	if rs.pins, err = t.b.bindPipeline(pj, spec); err != nil {
 		return rs, err
 	}
 	pj.order = chooseOrder(pj.sources, pj.declared, t.recWorkload)
@@ -569,42 +636,27 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 // exactly because every source is partitioned on the shared join key —
 // step t of partition p only ever meets keys of partition p — so each
 // step's results merge across partitions in fixed partition order; labels
-// and tuple counts are global (full-relation) quantities. A step's
-// PlanInfo aggregates the per-partition planner decisions: representative
-// algo/scheme from the lowest planned partition (all partitions of one
-// step share a fingerprint shape, so they agree in practice), predicted
-// time summed in partition order, cache_hit only when every planned
-// partition hit. Spilled partitions plan their sub-steps internally and
-// contribute no PlanInfo; a step with no planned partition reports none.
+// and tuple counts are global (full-relation) quantities, and a step's
+// PlanInfo aggregates the per-partition planner decisions (mergePlans).
+// The job's order is read after the run: the chain of a grid of one may
+// have revised it in place, which Replans counts.
 //
 // PeakIntermediateBytes sums the per-partition chain peaks: the chains
 // execute concurrently, so their peaks are simultaneous in the worst case,
 // and the sum is a pure function of the grid (shard-count invariant).
-func (t *router) execPipeline(ctx context.Context, pj *pipeJob, opt core.Options, auto bool) (*PipelineResult, error) {
-	pp, err := t.b.runPipeline(ctx, pj, opt, auto)
+func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult, error) {
+	pp, err := t.b.runPipeline(ctx, pj)
 	if err != nil {
 		return nil, err
 	}
-	res := &PipelineResult{Order: pj.order.order, Ordered: pj.order.ordered}
+	res := &PipelineResult{Order: pj.order.order, Ordered: pj.order.ordered, Replans: pj.order.replans}
 	for idx, parts := range pp.Steps {
 		buildT, probeT := 0, 0
-		var pinfo *PlanInfo
-		cacheHit := true
 		for p := range parts {
 			buildT += pp.BuildTuples[idx][p]
 			probeT += pp.ProbeTuples[idx][p]
-			if pi := pp.Plans[idx][p]; pi != nil {
-				if pinfo == nil {
-					pinfo = &PlanInfo{Algo: pi.Algo, Scheme: pi.Scheme}
-				}
-				pinfo.PredictedNS += pi.PredictedNS
-				cacheHit = cacheHit && pi.CacheHit
-			}
 		}
-		if pinfo != nil {
-			pinfo.CacheHit = cacheHit
-		}
-		merged := shard.MergeResults(parts)
+		merged := t.grid.Merge(parts)
 		build, probe := stepLabels(pj.sources, res.Order, idx+1)
 		res.Steps = append(res.Steps, PipelineStep{
 			Build:       build,
@@ -613,11 +665,11 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob, opt core.Options
 			ProbeTuples: probeT,
 			OutTuples:   merged.Matches,
 			Result:      merged,
-			Plan:        pinfo,
+			Plan:        mergePlans(pp.Plans[idx]),
 		})
 		res.add(merged)
 	}
-	for p := 0; p < shard.Partitions; p++ {
+	for p := range pp.Peak {
 		res.IntermediateTuples += pp.InterTuples[p]
 		res.IntermediateBytes += pp.InterBytes[p]
 		res.PeakIntermediateBytes += pp.Peak[p]
@@ -632,23 +684,23 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob, opt core.Options
 }
 
 // newPipelinePartitions allocates the per-partition transport of an
-// nSteps-step pipeline.
-func newPipelinePartitions(nSteps int) *PipelinePartitions {
+// nSteps-step pipeline over a grid of the given size.
+func newPipelinePartitions(nSteps, grid int) *PipelinePartitions {
 	pp := &PipelinePartitions{
 		Steps:       make([][]*core.Result, nSteps),
 		BuildTuples: make([][]int, nSteps),
 		ProbeTuples: make([][]int, nSteps),
 		Plans:       make([][]*PlanInfo, nSteps),
-		Peak:        make([]int64, shard.Partitions),
-		InterTuples: make([]int64, shard.Partitions),
-		InterBytes:  make([]int64, shard.Partitions),
-		SpillDepth:  make([]int, shard.Partitions),
+		Peak:        make([]int64, grid),
+		InterTuples: make([]int64, grid),
+		InterBytes:  make([]int64, grid),
+		SpillDepth:  make([]int, grid),
 	}
 	for t := 0; t < nSteps; t++ {
-		pp.Steps[t] = make([]*core.Result, shard.Partitions)
-		pp.BuildTuples[t] = make([]int, shard.Partitions)
-		pp.ProbeTuples[t] = make([]int, shard.Partitions)
-		pp.Plans[t] = make([]*PlanInfo, shard.Partitions)
+		pp.Steps[t] = make([]*core.Result, grid)
+		pp.BuildTuples[t] = make([]int, grid)
+		pp.ProbeTuples[t] = make([]int, grid)
+		pp.Plans[t] = make([]*PlanInfo, grid)
 	}
 	return pp
 }

@@ -414,3 +414,76 @@ func TestRouterWorkloadMemoization(t *testing.T) {
 		t.Errorf("join after drop+re-register: matches %d, oracle %d (stale workload memo?)", res.Matches, want)
 	}
 }
+
+// TestPinsCountQueriesNotPartitions: a query pins every partition entry of
+// the relations it references, and /v1/relations documents pins as in-flight
+// queries — one query is one pin for any shard count (a sharded server used
+// to report the eight partition pins), in the listing and in the drop reply.
+func TestPinsCountQueriesNotPartitions(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		svc := New(Config{Workers: 1, Shards: shards})
+		if _, err := svc.RegisterGen("r", rel.Gen{N: 4000, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		// A resolved join is a query held open: its pins last until release.
+		open, err := svc.router.resolveJoin(JoinSpec{RName: "r", S: rel.Gen{N: 100, Seed: 2}.Build()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, _ := svc.RelationInfo("r"); info.Pins != 1 {
+			t.Errorf("shards=%d: one open query shows pins = %d, want 1", shards, info.Pins)
+		}
+		if info, err := svc.DropRelation("r"); err != nil || info.Pins != 1 {
+			t.Errorf("shards=%d: drop reply pins = %d (err %v), want the 1 query still open", shards, info.Pins, err)
+		}
+		open.release()
+		if b := svc.Stats().Catalog.Bytes; b != 0 {
+			t.Errorf("shards=%d: %d bytes resident after the last pin drained", shards, b)
+		}
+		svc.Close()
+	}
+}
+
+// TestUnshardedRegistrationKeepsTheRelationWhole: an unsharded service's one
+// partition is the relation itself. Load retains the caller's columns — the
+// whole-relation resolve hands the very same backing arrays back — and a
+// probe registered against a loaded build side is generated from that
+// resident slice, equal to inline g.Probe(build, sel) tuple for tuple.
+func TestUnshardedRegistrationKeepsTheRelationWhole(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	in := rel.Gen{N: 3000, Seed: 1}.Build()
+	if _, err := svc.LoadRelation("in", in); err != nil {
+		t.Fatal(err)
+	}
+	pg := rel.Gen{N: 2500, Dist: rel.HighSkew, Seed: 2}
+	if _, err := svc.RegisterProbe("p", "in", pg, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	whole, probe, _, pins, err := svc.router.whole(JoinSpec{RName: "in", SName: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseAll(pins)
+	if &whole.Keys[0] != &in.Keys[0] || &whole.RIDs[0] != &in.RIDs[0] {
+		t.Error("Load copied the relation: the resident columns are not the caller's")
+	}
+	want := pg.Probe(in, 0.6)
+	if len(probe.Keys) != len(want.Keys) {
+		t.Fatalf("probe of loaded: %d tuples, inline generation %d", len(probe.Keys), len(want.Keys))
+	}
+	for i := range want.Keys {
+		if probe.Keys[i] != want.Keys[i] || probe.RIDs[i] != want.RIDs[i] {
+			t.Fatalf("probe of loaded: tuple %d differs from inline generation", i)
+		}
+	}
+	// Only a grid of one holds relations whole.
+	sharded := New(Config{Workers: 1, Shards: 1})
+	defer sharded.Close()
+	if _, err := sharded.LoadRelation("in", in); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := sharded.router.whole(JoinSpec{RName: "in", SName: "in"}); err == nil {
+		t.Error("a sharded service resolved a reference to a whole relation")
+	}
+}

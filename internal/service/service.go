@@ -33,6 +33,7 @@ import (
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 	"apujoin/internal/service/api"
+	"apujoin/internal/shard"
 )
 
 // ErrClosed reports a Submit after Close.
@@ -60,9 +61,9 @@ type Config struct {
 	// KeepResults bounds how many finished queries stay pollable; <= 0
 	// defaults to 1024. The oldest finished queries are evicted first.
 	KeepResults int
-	// PlanCache bounds the shared plan cache consulted by SubmitAuto;
-	// <= 0 selects plan.DefaultCacheCapacity. A sharded service applies
-	// the same capacity to each fixed hash partition's planner.
+	// PlanCache bounds the plan cache consulted by SubmitAuto; <= 0 selects
+	// plan.DefaultCacheCapacity. There is one planner per grid partition —
+	// one on an unsharded service — and each gets this capacity.
 	PlanCache int
 	// CatalogBytes bounds the zero-copy space the relation catalog's
 	// resident relations may occupy; <= 0 selects the A8-3870K's 512 MB.
@@ -74,8 +75,10 @@ type Config struct {
 	// relations register once and split over the fixed shard.Partitions
 	// grid, joins and pipelines fan out to every partition and merge
 	// deterministically, and results are bit-identical for any shard
-	// count. 0 (the default) keeps the single resident catalog and the
-	// legacy execution path. Values above shard.Partitions are clamped.
+	// count. 0 (the default) is the unsharded engine: the same router over
+	// a grid of one partition in one catalog, where a relation's single
+	// slice is the relation itself. Values above shard.Partitions are
+	// clamped.
 	Shards int
 	// ShardBudget bounds each shard catalog's zero-copy bytes; <= 0
 	// splits CatalogBytes (or its 512 MB default) evenly across the
@@ -181,9 +184,9 @@ type Query struct {
 	// the pipeline finishes (res then holds the final step's Result).
 	pipe *PipelineResult
 
-	// parts holds the raw per-partition results of a sharded join that
-	// asked for them (JoinSpec.KeepPartitions), indexed by fixed grid
-	// partition. A cluster router rebuilds the merged result from these.
+	// parts holds the raw per-partition results of a join that asked for
+	// them (JoinSpec.KeepPartitions), indexed by grid partition. A cluster
+	// router rebuilds the merged result from these.
 	parts []*core.Result
 
 	cancel context.CancelFunc
@@ -199,10 +202,10 @@ func (q *Query) Pipeline() (*PipelineResult, bool) {
 	return q.pipe, q.pipe != nil
 }
 
-// Partitions returns the raw per-partition results of a finished sharded
-// join submitted with JoinSpec.KeepPartitions, indexed by fixed grid
-// partition (nil otherwise). Merging them with shard.MergeResults yields
-// exactly the query's Result.
+// Partitions returns the raw per-partition results of a finished join
+// submitted with JoinSpec.KeepPartitions, indexed by grid partition (nil
+// otherwise). Merging them over the grid (shard.Grid.Merge) yields exactly
+// the query's Result.
 func (q *Query) Partitions() []*core.Result {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -260,7 +263,8 @@ type Info struct {
 }
 
 // PlanInfo is the plan report of one auto-planned query: what the planner
-// chose, whether the plan came from the cache, and its predicted time.
+// chose, whether the plan came from the cache, and its predicted time —
+// aggregated over the grid's partitions (mergePlans).
 type PlanInfo struct {
 	Algo        string  `json:"algo"`
 	Scheme      string  `json:"scheme"`
@@ -416,15 +420,14 @@ func (s Stats) MeanPlanErr() float64 {
 
 // Service is a multi-query join service over one shared resident pool.
 type Service struct {
-	opt     Config
-	pool    *sched.Pool
-	planner *plan.Planner
-	catalog *catalog.Catalog
-	// router is the sharded front — over in-process shard catalogs when
-	// Config.Shards > 0, over remote shard servers when Config.Cluster is
-	// set (which wins: a cluster router holds no tuple data). With a router,
-	// relation registration and every join or pipeline go through the fixed
-	// hash-partition grid; without one the single-catalog path runs.
+	opt  Config
+	pool *sched.Pool
+	// router is the front every relation registration, join and pipeline
+	// goes through: over remote shard servers when Config.Cluster is set
+	// (which wins: a cluster router holds no tuple data), else over
+	// in-process catalogs — Config.Shards of them behind the fixed
+	// hash-partition grid, or one holding whole relations (a grid of one)
+	// when unsharded.
 	router *router
 	// sem holds one slot per concurrently executing query; acquisition
 	// order is the runtime's FIFO for blocked channel sends, which
@@ -449,141 +452,115 @@ func New(opt Config) *Service {
 	s := &Service{
 		opt:     opt,
 		pool:    sched.NewPool(opt.Workers),
-		planner: plan.New(opt.PlanCache),
-		catalog: catalog.New(opt.CatalogBytes),
 		sem:     make(chan struct{}, opt.MaxConcurrent),
 		closing: make(chan struct{}),
 		queries: make(map[int64]*Query),
 	}
 	if len(opt.Cluster) > 0 {
 		b := newRemoteBackend(opt)
-		s.router = newRouter(b, b.pool.Size())
-	} else if opt.Shards > 0 {
+		s.router = newRouter(b, shard.Partitions)
+	} else {
 		b := newLocalBackend(opt, s.pool)
-		s.router = newRouter(b, len(b.catalogs))
+		s.router = newRouter(b, b.grid)
 	}
 	s.stats.Workers = s.pool.Workers()
 	s.stats.MaxConcurrent = opt.MaxConcurrent
 	return s
 }
 
-// Sharded reports whether the service runs the sharded router path
-// (in-process shards or a network cluster).
-func (s *Service) Sharded() bool { return s.router != nil }
+// Sharded reports whether the service splits relations over the fixed
+// hash-partition grid (in-process shards or a network cluster) rather than
+// holding them whole.
+func (s *Service) Sharded() bool { return s.Shards() > 0 }
 
 // Clustered reports whether the service fans out to remote shard servers.
 func (s *Service) Clustered() bool { return len(s.opt.Cluster) > 0 }
 
-// Shards returns the configured shard count: remote servers for a
-// clustered service, in-process shards otherwise (0 when unsharded).
+// Shards returns the configured shard count, clamped to the grid: remote
+// servers for a clustered service, in-process shards otherwise (0 when
+// unsharded).
 func (s *Service) Shards() int {
-	if s.router == nil {
-		return 0
+	if s.Clustered() {
+		return min(len(s.opt.Cluster), shard.Partitions)
 	}
-	return s.router.shards
+	return min(max(s.opt.Shards, 0), shard.Partitions)
 }
 
 // Pool exposes the shared resident pool (for callers running joins outside
 // the admission layer but on the same workers).
 func (s *Service) Pool() *sched.Pool { return s.pool }
 
-// Catalog exposes the relation catalog: register data once (generator
-// spec or bulk load), then submit queries referencing the names. On a
-// sharded service this is the legacy single catalog, which the router
-// path does not use — register through the Service's relation methods
-// instead, which dispatch to the router when sharding is on.
-func (s *Service) Catalog() *catalog.Catalog { return s.catalog }
-
-// relationSet is the relation surface the single catalog and the sharded
-// router share.
-type relationSet interface {
-	RegisterGen(name string, g rel.Gen) (catalog.Info, error)
-	RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error)
-	Load(name string, r rel.Relation) (catalog.Info, error)
-	Drop(name string) (catalog.Info, error)
-	List() []catalog.Info
-	Get(name string) (catalog.Info, bool)
-}
-
-// relations is where the service's relations register: the router when
-// sharded, the single catalog otherwise.
-func (s *Service) relations() relationSet {
-	if s.router != nil {
-		return s.router
-	}
-	return s.catalog
-}
-
-// RegisterGen generates and registers a build relation from a spec,
-// splitting it across the shard catalogs when the service is sharded.
+// RegisterGen generates and registers a build relation from a spec (keys a
+// permutation of [1, KeyRange] — the primary-key side of a join), splitting
+// it across the shard catalogs when the service is sharded.
 func (s *Service) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
-	return s.relations().RegisterGen(name, g)
+	return s.router.RegisterGen(name, g)
 }
 
 // RegisterProbe generates and registers a probe relation against the
-// registered build relation of, with the given match selectivity. A
-// sharded service regenerates the build side from its stored spec (in
-// original tuple order) before generating, so the probe is bit-identical
-// to the unsharded generation from the same specs.
+// registered build relation of, with the given match selectivity: exactly
+// g.Probe(build, selectivity), bit-identical to inline generation from the
+// same specs. An unsharded service reads the build side where it is
+// resident; a sharded one rebuilds it in original tuple order first.
 func (s *Service) RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
-	return s.relations().RegisterProbe(name, of, g, selectivity)
+	return s.router.RegisterProbe(name, of, g, selectivity)
 }
 
-// LoadRelation registers an existing relation (bulk load), splitting it
-// across the shard catalogs when the service is sharded.
+// LoadRelation registers an existing relation (bulk load). An unsharded
+// service retains the columns, which the caller must not mutate afterwards;
+// a sharded one copies them into its partition split.
 func (s *Service) LoadRelation(name string, r rel.Relation) (catalog.Info, error) {
-	return s.relations().Load(name, r)
+	return s.router.Load(name, r)
 }
 
 // DropRelation unregisters a relation: the name unbinds immediately while
 // in-flight queries keep their pins.
 func (s *Service) DropRelation(name string) (catalog.Info, error) {
-	return s.relations().Drop(name)
+	return s.router.Drop(name)
 }
 
 // Relations lists the registered relations, sorted by name.
-func (s *Service) Relations() []catalog.Info { return s.relations().List() }
+func (s *Service) Relations() []catalog.Info { return s.router.List() }
 
 // RelationInfo snapshots one registered relation.
-func (s *Service) RelationInfo(name string) (catalog.Info, bool) { return s.relations().Get(name) }
+func (s *Service) RelationInfo(name string) (catalog.Info, bool) { return s.router.Get(name) }
 
 // RunJoin executes one join synchronously, outside the admission layer —
-// the engine facade's sharded path (the caller bounds its own concurrency
-// and provides the worker pool through spec.Opt). The spec resolves
-// exactly as SubmitSpec's would: on a sharded service it fans out to every
-// fixed hash partition and merges deterministically.
+// the engine facade's path (the caller bounds its own concurrency and
+// provides the worker pool through spec.Opt). The spec resolves exactly as
+// SubmitSpec's would: it fans out to every grid partition and merges
+// deterministically.
 func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, error) {
-	rs, err := s.resolve(spec)
+	rs, err := s.router.resolveJoin(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.release()
-	res, _, _, err := s.execJoin(ctx, &rs)
+	res, _, _, err := s.router.execJoin(ctx, rs.join)
 	return res, err
 }
 
-// execJoin runs one resolved join: a routed join fans out to every fixed
-// hash partition (per-partition planning on the partition's own planner)
-// and merges deterministically; otherwise the shared planner decides (auto)
-// and the join runs whole. parts is the raw per-partition vector of a
-// routed join that asked to keep it, pl the planner's decision for an
-// unsharded auto join.
-func (s *Service) execJoin(ctx context.Context, rs *resolvedSpec) (res *core.Result, parts []*core.Result, pl *PlanInfo, err error) {
-	if rs.join != nil {
-		res, parts, err = s.router.execJoin(ctx, rs.join, rs.opt, rs.auto)
-		return res, parts, nil, err
+// RunExternal executes one join whose footprint exceeds the zero-copy
+// buffer, chunking whole relations through it (paper appendix) —
+// synchronously and outside the admission layer, like RunJoin. Registered
+// sources resolve to their resident data, which only an unsharded service
+// holds whole (a sharded one keeps partition slices and answers an error);
+// inline sources work on any service. Auto plans the whole pair once — a
+// registered pair from its memoized workload — and carries the planned
+// algorithm and scheme into the per-chunk sub-joins.
+func (s *Service) RunExternal(ctx context.Context, spec JoinSpec) (*core.ExternalResult, error) {
+	r, sr, w, pins, err := s.router.whole(spec)
+	if err != nil {
+		return nil, err
 	}
-	res, cpl, hit, err := planRun(ctx, plannerIf(rs.auto, s.planner), rs.r, rs.s, rs.opt, rs.workload)
-	return res, nil, planInfo(cpl, hit), err
-}
-
-// PlanFor consults the service's shared planner and plan cache outside the
-// admission layer (the engine facade's synchronous path). w, when non-nil,
-// supplies precomputed workload buckets — the catalog's ingest-time
-// statistics — so planning touches neither relation; hit reports whether
-// the plan was served without a pilot run.
-func (s *Service) PlanFor(ctx context.Context, r, sr rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error) {
-	return planFor(ctx, s.planner, r, sr, opt, w)
+	defer releaseAll(pins)
+	opt := spec.Opt
+	if spec.Auto {
+		if opt.Plan, _, err = s.router.b.planWhole(ctx, r, sr, opt, w); err != nil {
+			return nil, err
+		}
+	}
+	return core.RunExternalCtx(ctx, r, sr, opt)
 }
 
 // Submit enqueues one join R ⋈ S under the per-query options and returns
@@ -611,16 +588,16 @@ func (s *Service) SubmitAuto(ctx context.Context, r, sr rel.Relation, opt core.O
 }
 
 // JoinSpec describes one join for SubmitSpec/SubmitBatch: each side is
-// either an inline relation (R/S) or a catalog reference (RName/SName —
-// both names or neither). Auto hands algorithm, scheme and ratios to the
-// planner; for named pairs the fingerprint reuses the catalog's
-// ingest-time skew/selectivity buckets instead of re-measuring.
+// either an inline relation (R/S) or a reference to a registered one
+// (RName/SName). Auto hands algorithm, scheme and ratios to the planner;
+// for named pairs the fingerprint reuses the ingest-time skew/selectivity
+// buckets instead of re-measuring.
 type JoinSpec struct {
 	// R and S are inline relations, used when RName/SName are empty.
 	R, S rel.Relation
-	// RName and SName reference relations registered on the service's
-	// Catalog. The query pins both entries for its lifetime, so a
-	// concurrent Drop cannot pull the data out from under it.
+	// RName and SName reference relations registered on the service. The
+	// query pins both for its lifetime, so a concurrent Drop cannot pull
+	// the data out from under it.
 	RName, SName string
 	// Opt is the per-query options; Pool is overridden with the shared
 	// resident pool.
@@ -647,56 +624,18 @@ type JoinSpec struct {
 	Forward *api.JoinRequest
 }
 
-// resolvedSpec is one admitted unit of work after catalog resolution: a
-// plain pairwise join, or — when pipe is set — a multi-way pipeline.
+// resolvedSpec is one admitted unit of work after resolution through the
+// router: a pairwise join, or — when pipe is set — a multi-way pipeline.
 type resolvedSpec struct {
-	r, s     rel.Relation
-	opt      core.Options
-	auto     bool
-	pins     []*catalog.Entry
-	workload *plan.Workload
-	// pipe marks a pipeline job (SubmitPipeline); r/s/workload are unused.
-	pipe *pipeJob
-	// join marks a routed join (sharded service): the backend-bound
-	// per-partition job. r/s are unused.
+	auto bool
+	pins []*catalog.Entry
+	// join is the backend-bound per-partition job of a pairwise join, pipe
+	// that of a pipeline (SubmitPipeline); exactly one is set.
 	join *joinJob
+	pipe *pipeJob
 }
 
 func (rs *resolvedSpec) release() { releaseAll(rs.pins) }
-
-// resolve pins the catalog entries a spec references and captures their
-// ingest-time workload statistics for the planner. On a sharded service
-// the spec resolves through the router instead: each side becomes its
-// fixed per-partition inputs (named sides pin all partition entries,
-// inline sides split on the spot).
-func (s *Service) resolve(sp JoinSpec) (resolvedSpec, error) {
-	if s.router != nil {
-		return s.router.resolveJoin(sp)
-	}
-	rs := resolvedSpec{r: sp.R, s: sp.S, opt: sp.Opt, auto: sp.Auto, workload: sp.Workload}
-	if (sp.RName == "") != (sp.SName == "") {
-		return rs, fmt.Errorf("service: reference both relations by name or neither (r %q, s %q)", sp.RName, sp.SName)
-	}
-	if sp.RName == "" {
-		return rs, nil
-	}
-	re, err := s.catalog.Acquire(sp.RName)
-	if err != nil {
-		return rs, err
-	}
-	se, err := s.catalog.Acquire(sp.SName)
-	if err != nil {
-		re.Release()
-		return rs, err
-	}
-	rs.r, rs.s = re.Relation(), se.Relation()
-	rs.pins = []*catalog.Entry{re, se}
-	if sp.Auto && rs.workload == nil {
-		w := s.catalog.Workload(re, se)
-		rs.workload = &w
-	}
-	return rs, nil
-}
 
 // SubmitSpec enqueues one join described by a JoinSpec — the general form
 // behind Submit and SubmitAuto that also accepts catalog references.
@@ -726,7 +665,8 @@ func (s *Service) SubmitBatch(ctx context.Context, specs []JoinSpec) ([]*Query, 
 	// below on rejection.
 	res := make([]resolvedSpec, len(specs))
 	for i, sp := range specs {
-		rs, err := s.resolve(sp)
+		sp.Opt.Pool = s.pool
+		rs, err := s.router.resolveJoin(sp)
 		if err != nil {
 			for j := range res[:i] {
 				res[j].release()
@@ -813,10 +753,8 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 	s.mu.Unlock()
 
 	for i, q := range qs {
-		rs := res[i]
-		rs.opt.Pool = s.pool
 		//apulint:ignore nakedgo(query lifecycle goroutine, tracked by s.wg and cancelled via qctx; the query's data parallelism still runs on the pool)
-		go s.run(ctxs[i], q, rs, admitted[i])
+		go s.run(ctxs[i], q, res[i], admitted[i])
 	}
 	return qs, nil
 }
@@ -881,7 +819,7 @@ func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted b
 	var err error
 	if rs.pipe != nil {
 		var pres *PipelineResult
-		if pres, err = s.execPipeline(ctx, &rs); err == nil {
+		if pres, err = s.router.execPipeline(ctx, rs.pipe); err == nil {
 			res = pres.Final
 			q.mu.Lock()
 			q.pipe = pres
@@ -890,7 +828,7 @@ func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted b
 	} else {
 		var parts []*core.Result
 		var pl *PlanInfo
-		if res, parts, pl, err = s.execJoin(ctx, &rs); err == nil {
+		if res, parts, pl, err = s.router.execJoin(ctx, rs.join); err == nil {
 			q.mu.Lock()
 			q.parts, q.plan = parts, pl
 			q.mu.Unlock()
@@ -1039,24 +977,17 @@ func (s *Service) Queries() []Info {
 	return out
 }
 
-// Stats snapshots the metrics surface, folding in the plan cache counters.
-// On a sharded service the plan counters add the per-partition planners',
-// Catalog aggregates the shard catalogs, and ShardCatalogs carries the
-// per-shard gauges; on a clustered one Cluster reports shard health.
+// Stats snapshots the metrics surface, folding in the plan cache counters
+// — summed over the per-partition planners — and the catalog gauges: on a
+// sharded service Catalog aggregates the shard catalogs and ShardCatalogs
+// carries the per-shard gauges; on a clustered one Cluster reports shard
+// health.
 func (s *Service) Stats() Stats {
-	cs := s.planner.Stats()
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	st.PlanHits = cs.Hits
-	st.PlanMisses = cs.Misses
-	st.PlanEvictions = cs.Evictions
-	st.PlanEntries = cs.Entries
-	if s.router != nil {
-		s.router.stats(&st)
-	} else {
-		st.Catalog = s.catalog.Stats()
-	}
+	st.Shards = s.Shards()
+	s.router.stats(&st)
 	return st
 }
 
@@ -1075,8 +1006,6 @@ func (s *Service) Close() error {
 	}
 	s.wg.Wait()
 	s.pool.Close()
-	if s.router != nil {
-		s.router.b.close()
-	}
+	s.router.b.close()
 	return nil
 }

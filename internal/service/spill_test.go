@@ -149,7 +149,7 @@ func TestSpilledPipelineUnchanged(t *testing.T) {
 			for _, r := range sh.rels {
 				resident += r.Bytes()
 			}
-			if got := svc.Catalog().Stats().Bytes; got != resident {
+			if got := svc.Stats().Catalog.Bytes; got != resident {
 				t.Errorf("%d catalog bytes after the runs, the relations occupy %d: a transient reservation was not returned", got, resident)
 			}
 		})

@@ -1,8 +1,9 @@
 // Package shard owns the hash partitioner and the deterministic merge
-// behind the sharded engine: relations are split once into a fixed grid of
-// Partitions key-hash partitions, partitions are assigned to N in-process
-// engine shards by a contiguous ownership map, and per-partition join
-// results are reduced in partition order.
+// behind every engine: relations are split once over the engine's Grid —
+// one partition (the unsharded engine: the relation itself) or a fixed grid
+// of Partitions key-hash partitions — partitions are assigned to N
+// in-process engine shards by a contiguous ownership map, and per-partition
+// join results are reduced in partition order.
 //
 // The shard-count-invariance contract rests on the grid being fixed: the
 // partition a tuple lands in depends only on its key, never on the shard
@@ -57,6 +58,72 @@ func levelSeed(level int) uint32 {
 // sub-partitioner of the spill path.
 func PartitionAt(key int32, level int) int {
 	return int(hash.Murmur2(uint32(key), levelSeed(level)) & (Partitions - 1))
+}
+
+// Grid is the number of key-hash partitions one engine splits every relation
+// into: One — the unsharded engine, whose single partition is the relation
+// itself — or Partitions. Everything below the router is written against a
+// grid; the identities of a grid of one (no copy, no hash, no merge) live
+// here and nowhere else.
+type Grid int
+
+// One is the grid of an unsharded engine.
+const One Grid = 1
+
+// GridFor derives an engine's grid from its configured shard count: no
+// shards is one partition in one catalog, any shard count is the fixed
+// Partitions grid (which is why results cannot depend on the count).
+func GridFor(shards int) Grid {
+	if shards <= 0 {
+		return One
+	}
+	return Partitions
+}
+
+// Whole reports whether each partition slice of the grid is the whole
+// relation, in its original tuple order.
+func (g Grid) Whole() bool { return g == One }
+
+// Levels is how many Partitions-way repartitioning levels the grid itself
+// consumed — the level a spill of one of its partitions starts at, so that
+// no level's hash is ever applied twice to the same keys.
+func (g Grid) Levels() int {
+	n := 0
+	for size := One; size < g; size *= Partitions {
+		n++
+	}
+	return n
+}
+
+// PartitionOf returns the grid partition owning key.
+func (g Grid) PartitionOf(key int32) int {
+	if g == One {
+		return 0
+	}
+	return PartitionOf(key)
+}
+
+// Split partitions r over the grid. Over One it returns r's own columns,
+// not a copy; over Partitions it is Split.
+func (g Grid) Split(r rel.Relation) []rel.Relation {
+	if g == One {
+		return []rel.Relation{r}
+	}
+	parts := Split(r)
+	return parts[:]
+}
+
+// Merge reduces the grid's per-partition results of one join. The single
+// result of One is the join's result and is returned as it is, ratio
+// vectors, step timings and pilot profiles included; Partitions results
+// reduce with MergeResults. (MergeResults itself never short-cuts a vector
+// of one: the spiller's streaming fallback merges however many chunks the
+// data made, and a chunk count of one must not change what a step reports.)
+func (g Grid) Merge(parts []*core.Result) *core.Result {
+	if g == One {
+		return parts[0]
+	}
+	return MergeResults(parts)
 }
 
 // Clamp normalizes a configured shard count: values below 1 select one

@@ -209,6 +209,52 @@ func TestSplitAtPreservesJoinCount(t *testing.T) {
 	}
 }
 
+// TestGridOfOneIsTheRelation: the identities of the unsharded engine's grid
+// — Split hands back the input's own columns, every key lives in partition
+// 0, merging one result returns that result, no repartitioning level is
+// consumed — against the grid of Partitions, which is Split, PartitionOf and
+// MergeResults one level down.
+func TestGridOfOneIsTheRelation(t *testing.T) {
+	if GridFor(0) != One || GridFor(-3) != One || GridFor(1) != Partitions || GridFor(64) != Partitions {
+		t.Fatalf("GridFor: 0→%d, 1→%d, 64→%d; want 1, %d, %d", GridFor(0), GridFor(1), GridFor(64), Partitions, Partitions)
+	}
+	r := rel.Gen{N: 1 << 10, Seed: 3}.Build()
+	one := One.Split(r)
+	if len(one) != 1 || &one[0].Keys[0] != &r.Keys[0] || &one[0].RIDs[0] != &r.RIDs[0] {
+		t.Error("One.Split copied the relation or returned more than one slice")
+	}
+	for _, k := range r.Keys {
+		if One.PartitionOf(k) != 0 {
+			t.Fatalf("One.PartitionOf(%d) = %d", k, One.PartitionOf(k))
+		}
+		if Grid(Partitions).PartitionOf(k) != PartitionOf(k) {
+			t.Fatalf("the fixed grid places key %d differently from PartitionOf", k)
+		}
+	}
+	res := &core.Result{Matches: 7, TotalNS: 1.5}
+	res.Ratios.Build = []float64{0.25}
+	if One.Merge([]*core.Result{res}) != res {
+		t.Error("One.Merge did not return the partition's own result")
+	}
+	if !One.Whole() || One.Levels() != 0 || Grid(Partitions).Whole() || Grid(Partitions).Levels() != 1 {
+		t.Errorf("Whole/Levels: one %v/%d, fixed %v/%d; want true/0, false/1",
+			One.Whole(), One.Levels(), Grid(Partitions).Whole(), Grid(Partitions).Levels())
+	}
+
+	eight, want := Grid(Partitions).Split(r), Split(r)
+	if len(eight) != Partitions || !reflect.DeepEqual(eight, want[:]) {
+		t.Error("the fixed grid's Split differs from Split")
+	}
+	parts := []*core.Result{res, {Matches: 2, TotalNS: 0.5}, nil, nil, nil, nil, nil, nil}
+	if got := Grid(Partitions).Merge(parts); !reflect.DeepEqual(got, MergeResults(parts)) || got == res {
+		t.Error("the fixed grid's Merge differs from MergeResults")
+	}
+	// MergeResults never short-cuts: one chunk merges to a fresh Result.
+	if got := MergeResults(parts[:1]); got == res || got.Ratios.Build != nil {
+		t.Error("MergeResults over one result returned it as is")
+	}
+}
+
 // BenchmarkSplitAt measures the spill path's partitioner — a counting pass,
 // then a scatter into fresh columns: every input of a spilled chain goes
 // through it once per repartitioning level. It is single-stream, so there

@@ -92,9 +92,10 @@ func runShardWorkload(t *testing.T, eng *Engine, tiny Relation) *shardOutcome {
 // and for worker counts 1 and GOMAXPROCS. Sharding decides where data
 // lives and which budget it charges, never a computed number. Full
 // Results and PipelineResults are compared with DeepEqual; match counts
-// are additionally grounded against an unsharded engine (match counts
-// are decomposition-independent even though unsharded simulated times
-// legitimately differ).
+// are additionally grounded against an unsharded engine, which also runs
+// as the shards=0 column for match counts only — they are
+// decomposition-independent, while the simulated times of a grid of one
+// legitimately differ from the grid of eight's, and only it may re-plan.
 func TestShardInvariance(t *testing.T) {
 	unsharded := NewEngine(Workers(2))
 	defer unsharded.Close()
@@ -104,7 +105,7 @@ func TestShardInvariance(t *testing.T) {
 	var ref *shardOutcome
 	var refCfg string
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1, 2, 4} {
 			cfg := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 			t.Run(cfg, func(t *testing.T) {
 				eng := NewEngine(Workers(workers), WithShards(shards))
@@ -143,6 +144,9 @@ func TestShardInvariance(t *testing.T) {
 					}
 				}
 
+				if shards == 0 {
+					return
+				}
 				if ref == nil {
 					ref, refCfg = o, cfg
 					return
@@ -170,7 +174,8 @@ func TestShardInvariance(t *testing.T) {
 // full PipelineResult (match counts, every simulated time, the spill
 // accounting itself) is bit-identical for worker counts 1 and
 // GOMAXPROCS and shard counts 1, 2 and 4 with the total budget held
-// fixed.
+// fixed. An unsharded engine under the same total (the shards=0 column)
+// must spill too and find the same matches; its numbers are its own.
 func TestShardSpillInvariance(t *testing.T) {
 	// Total residency budget across all shards, divisible by 4 so every
 	// shard count gets an exact split and the per-partition budget —
@@ -214,11 +219,11 @@ func TestShardSpillInvariance(t *testing.T) {
 	var ref *PipelineResult
 	var refCfg string
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1, 2, 4} {
 			cfg := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 			t.Run(cfg, func(t *testing.T) {
-				eng := NewEngine(Workers(workers), WithShards(shards),
-					WithShardBudget(totalBudget/int64(shards)))
+				eng := NewEngine(Workers(workers), WithShards(shards), CatalogCapacity(totalBudget),
+					WithShardBudget(totalBudget/int64(max(shards, 1))))
 				defer eng.Close()
 				register(t, eng)
 
@@ -233,6 +238,9 @@ func TestShardSpillInvariance(t *testing.T) {
 				if res.SpilledPartitions == 0 || res.SpillBytes == 0 || res.SpillNS == 0 {
 					t.Errorf("constrained run reports no spill: partitions=%d bytes=%d ns=%v",
 						res.SpilledPartitions, res.SpillBytes, res.SpillNS)
+				}
+				if shards == 0 {
+					return
 				}
 				if ref == nil {
 					ref, refCfg = res, cfg
