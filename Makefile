@@ -45,20 +45,26 @@ bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelSpeedup|BenchmarkJoin' -benchmem .
 
 # Kernel microbenchmarks, the bottom rung of the benchmark ladder: ns/tuple
-# and allocations of the counter and insert steps as the runner executes
-# them (range morsels / ownership shards on a pool of 1 and 2), and of the
-# owner-index build they share, at 2^20 uniform and high-skew tuples; then
-# the pipeline hand-off between two joins — the key-count table, the
-# streamed producer (pools of 1 and 2) and the spill partitioner, the last
-# two single-stream — at 2^14 and 2^17 tuples, a spilled partition's size
-# and the benchmark's relation size.
+# and allocations at 2^20 uniform and high-skew tuples, on a pool of 1 and
+# 2, of the steps as the runner executes them — the owner-index build the
+# build's insert steps share, n2's counting morsels, one whole radix pass
+# from n2 to the gathered relation (the pooled scatter beside the
+# single-stream chunk chains on the same input, the ratio printed as
+# x-chunked), b3 + b4 over their ownership shards, p3 and p4 (materializing
+# and count-only) over range morsels; then the pipeline hand-off between two
+# joins — the key-count table, the streamed producer (pools of 1 and 2) and
+# the spill partitioner, the last two single-stream — at 2^14 and 2^17
+# tuples, a spilled partition's size and the benchmark's relation size.
+# Several rows check their output against a reference and fail on a
+# mismatch, so CI runs the target once per PR at BENCHTIME=1x.
+BENCHTIME ?= 10x
 bench-kernels:
-	$(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=10x ./internal/sched
-	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkN3Shard' -benchmem -benchtime=10x ./internal/radix
-	$(GO) test -run=NONE -bench=BenchmarkB3B4Shard -benchmem -benchtime=10x ./internal/htab
-	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=10x ./internal/rel
-	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=10x ./internal/core
-	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=10x ./internal/shard
+	$(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=$(BENCHTIME) ./internal/sched
+	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkPartitionPass' -benchmem -benchtime=$(BENCHTIME) ./internal/radix
+	$(GO) test -run=NONE -bench='BenchmarkB3B4Shard|BenchmarkP3P4' -benchmem -benchtime=$(BENCHTIME) ./internal/htab
+	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel
+	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=$(BENCHTIME) ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=$(BENCHTIME) ./internal/shard
 
 # "Did host time move?": one full apubench run set (all four workloads,
 # ~15 s each), then its comparison against the committed baseline. Host

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"apujoin/internal/alloc"
-	"apujoin/internal/hash"
+	"apujoin/internal/device"
 	"apujoin/internal/mem"
 	"apujoin/internal/radix"
 	"apujoin/internal/rel"
@@ -93,20 +93,16 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	res.OuterBits = outerBits
 	res.Pairs = 1 << outerBits
 
-	cpu, gpu := opt.CPU, opt.GPU
 	env := &envState{cache: opt.Cache, parts: 1, shared: true,
 		partitionStreams: int64(1<<outerBits) * chunkBytes, scratchPressure: 512 << 10}
-	exec := sched.New(env.envFor)
-	exec.Ctx = ctx
-	_ = cpu
-	_ = gpu
+	exec := &sched.Exec{CPU: device.New(opt.CPU), GPU: device.New(opt.GPU), Env: env.envFor, Ctx: ctx}
 
 	// Partition both relations chunk by chunk. Each chunk is copied into
 	// the zero-copy buffer, partitioned there with the usual n1..n3 steps
 	// (DD co-processing with the paper's partition-phase ratio), and the
 	// intermediate partitions are copied back out to system memory: the
-	// chunk's slice of out.
-	partitionChunk := func(chunk, out rel.Relation) error {
+	// chunk's slice of out, whose partition offsets are returned.
+	partitionChunk := func(chunk, out rel.Relation) ([]int32, error) {
 		cn := chunk.Len()
 		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // into zero-copy
 
@@ -125,50 +121,54 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 		}
 		pres, err := exec.Run(series, sched.Uniform(0.25, 3))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.PartitionNS += pres.TotalNS
-		_, ga := pass.Gather(out)
+		offs, ga := pass.Gather(out)
 		res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
 
 		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // partitions out
-		return nil
+		return offs, nil
 	}
-	partitionRel := func(in rel.Relation) (rel.Relation, error) {
+	// partitionRel returns in partitioned round by round, with each round's
+	// partition offsets into its own slice of the result.
+	partitionRel := func(in rel.Relation) (rel.Relation, [][]int32, error) {
 		n := in.Len()
 		//apulint:ignore slabmake(the system-memory side of the external join: it outlives the zero-copy rounds the recycler serves)
 		out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+		var rounds [][]int32
 		for lo := 0; lo < n; lo += res.ChunkTuples {
 			if err := ctx.Err(); err != nil {
-				return rel.Relation{}, err
+				return rel.Relation{}, nil, err
 			}
 			hi := min(lo+res.ChunkTuples, n)
-			if err := partitionChunk(in.Slice(lo, hi), out.Slice(lo, hi)); err != nil {
-				return rel.Relation{}, err
+			offs, err := partitionChunk(in.Slice(lo, hi), out.Slice(lo, hi))
+			if err != nil {
+				return rel.Relation{}, nil, err
 			}
+			rounds = append(rounds, offs)
 		}
-		return out, nil
+		return out, rounds, nil
 	}
 
-	// gatherPartition collects partition p's tuples across all chunks
-	// ("link all the intermediate partitions together").
-	gatherPartition := func(part rel.Relation, p uint32) rel.Relation {
+	// gatherPartition collects partition p's tuples across all rounds
+	// ("link all the intermediate partitions together"): round order, then
+	// the round's in-partition order.
+	gatherPartition := func(part rel.Relation, rounds [][]int32, p int) rel.Relation {
 		var out rel.Relation
-		mask := uint32(1<<outerBits) - 1
-		for i, k := range part.Keys {
-			if hash.Murmur2(uint32(k), hash.Murmur2Seed)&mask == p {
-				out.Keys = append(out.Keys, k)
-				out.RIDs = append(out.RIDs, part.RIDs[i])
-			}
+		for k, offs := range rounds {
+			lo, hi := k*res.ChunkTuples+int(offs[p]), k*res.ChunkTuples+int(offs[p+1])
+			out.Keys = append(out.Keys, part.Keys[lo:hi]...)
+			out.RIDs = append(out.RIDs, part.RIDs[lo:hi]...)
 		}
 		return out
 	}
 
-	pr, err := partitionRel(r)
+	pr, roundsR, err := partitionRel(r)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := partitionRel(s)
+	ps, roundsS, err := partitionRel(s)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +179,9 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	sub.HashShift = outerBits
 	sub.ZeroCopy = mem.NewZeroCopy()
 	sub.ZeroCopy.Capacity = opt.ZeroCopy.Capacity
-	for p := uint32(0); p < uint32(res.Pairs); p++ {
-		rp := gatherPartition(pr, p)
-		sp := gatherPartition(ps, p)
+	for p := 0; p < res.Pairs; p++ {
+		rp := gatherPartition(pr, roundsR, p)
+		sp := gatherPartition(ps, roundsS, p)
 		if rp.Len() == 0 || sp.Len() == 0 {
 			continue
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
+	"apujoin/internal/alloc"
 	"apujoin/internal/radix"
 	"apujoin/internal/rel"
 )
@@ -163,3 +165,39 @@ func TestPartitionLeavesInputsUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenTwoPassPartition runs a PHJ-PL whose radix plan has two passes,
+// so the second pass's n3 scatters a relation the first one scattered and
+// the final boundaries come from the histogram. The simulated clock, the
+// partition phase and the allocator totals are pinned to what the
+// chain-building shard kernels produced (recorded on PR 24's parent), with
+// == and at one worker and many.
+func TestGoldenTwoPassPartition(t *testing.T) {
+	r := rel.Gen{N: 50000, Dist: rel.HighSkew, Seed: 41}.Build()
+	s := rel.Gen{N: 60000, Seed: 42}.Probe(r, 0.9)
+	want := rel.NaiveJoinCount(r, s)
+	if got := radix.PlanFor(r.Len(), 512).Passes(); got != 2 {
+		t.Fatalf("plan has %d pass(es), want 2", got)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := Run(r, s, Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: workers, RadixTargetBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != want {
+			t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
+		}
+		if res.TotalNS != goldenTwoPassTotalNS || res.PartitionNS != goldenTwoPassPartitionNS || res.AllocStats != goldenTwoPassAlloc {
+			t.Errorf("workers=%d: total %s partition %s alloc %+v\n golden: total %s partition %s alloc %+v", workers,
+				strconv.FormatFloat(res.TotalNS, 'g', -1, 64), strconv.FormatFloat(res.PartitionNS, 'g', -1, 64), res.AllocStats,
+				strconv.FormatFloat(goldenTwoPassTotalNS, 'g', -1, 64), strconv.FormatFloat(goldenTwoPassPartitionNS, 'g', -1, 64), goldenTwoPassAlloc)
+		}
+	}
+}
+
+const (
+	goldenTwoPassTotalNS     = 4.751809487574654e+06
+	goldenTwoPassPartitionNS = 4.044892149145299e+06
+)
+
+var goldenTwoPassAlloc = alloc.Stats{Allocs: 153985, Words: 357970, GlobalAtomics: 720, LocalOps: 153985, WastedWords: 9584}

@@ -43,11 +43,15 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 	rn.env.parts = rn.parts
 
 	for relIdx, in := range []rel.Relation{rn.r, rn.s} {
-		cur, err := rn.partitionRel(res, exec, model, prof, plan, in, relIdx == 0)
+		cur, offs, err := rn.partitionRel(res, exec, model, prof, plan, in, relIdx == 0)
 		if err != nil {
 			return err
 		}
-		out := radix.Result{Rel: cur, Offsets: radix.FinalOffsetsShifted(cur, plan, opt.HashShift), Plan: plan}
+		if plan.Passes() != 1 {
+			// A later pass's boundaries cover only its own fan-out.
+			offs = radix.FinalOffsetsShifted(cur, plan, opt.HashShift)
+		}
+		out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
 		idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
 		out.PartIdx(idx)
 		if relIdx == 0 {
@@ -64,15 +68,18 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 }
 
 // partitionRel runs every pass of plan over in and returns the partitioned
-// relation. Passes never write their input, so the first one reads the
-// caller's relation in place; gathers ping-pong between two recycler
-// buffers of the run's own (the second exists only if a second pass does),
-// never into the catalog-resident input. The buffer holding the result is
-// held for the run; the other goes back at once, so S's passes reuse R's.
-// first marks the build relation, whose first pass records the ratios.
-func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, error) {
+// relation with the last pass's partition offsets — the final boundaries
+// when that pass was the only one. Passes never write their input, so the
+// first one reads the caller's relation in place; passes ping-pong between
+// two recycler buffers of the run's own (the second exists only if a second
+// pass does), never into the catalog-resident input. The buffer holding the
+// result is held for the run; the other goes back at once, so S's passes
+// reuse R's. first marks the build relation, whose first pass records the
+// ratios.
+func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
 	n := in.Len()
 	cur := in
+	var offs []int32
 	var bufs [2]rel.Relation
 	putBuf := func(b rel.Relation) {
 		alloc.PutWords(b.Keys)
@@ -83,13 +90,15 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 	for pi, bits := range plan.BitsPerPass {
 		buf := &bufs[pi%2]
 		if buf.Keys == nil {
-			// Gather writes all n tuples of both columns.
+			// The pass (n3's scatter, or Gather after a single-stream
+			// n3) writes all n tuples of both columns.
 			buf.Keys, buf.RIDs = alloc.GetWords(n), alloc.GetWords(n)
 		}
-		if err := rn.partitionPass(res, exec, model, prof, cur, *buf, shift, bits, first && pi == 0); err != nil {
+		var err error
+		if offs, err = rn.partitionPass(res, exec, model, prof, cur, *buf, shift, bits, first && pi == 0); err != nil {
 			putBuf(bufs[0])
 			putBuf(bufs[1])
-			return rel.Relation{}, err
+			return rel.Relation{}, nil, err
 		}
 		cur = *buf
 		shift += bits
@@ -99,13 +108,15 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 		rn.hold(cur.Keys)
 		rn.hold(cur.RIDs)
 	}
-	return cur, nil
+	return cur, offs, nil
 }
 
-// partitionPass runs one radix pass over cur under the configured scheme
-// and gathers its partitions into out. The pass's chunk arena and partition
-// numbers live exactly as long as the pass.
-func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, cur, out rel.Relation, shift, bits uint, record bool) error {
+// partitionPass runs one radix pass over cur under the configured scheme,
+// leaving its partitions in out, and returns their offsets. On a pool n3
+// scatters into out directly; single-stream (BasicUnit's chunk-by-chunk
+// n1→n2→n3) it appends to chunk chains that Gather then copies out. The
+// pass's chunk arena and partition numbers live exactly as long as the pass.
+func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, cur, out rel.Relation, shift, bits uint, record bool) ([]int32, error) {
 	opt := rn.opt
 	n := cur.Len()
 	arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
@@ -131,13 +142,10 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 					})
 				}},
 			{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
-				ParSetup: func(p *sched.Pool) { pass.Owners(p, &rn.owner) },
+				ParSetup: func(p *sched.Pool) { pass.N3Setup(p, out) },
 				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-					return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
-						la := arena.NewLocal()
-						defer la.Close()
-						return pass.N3Shard(d, rn.owner.Shard(shard, lo, hi), la)
-					})
+					var shards [sched.DefaultShards]device.Acct
+					return sched.MergeAccts(pass.N3Scatter(lo, hi, p, shards[:]))
 				}},
 		},
 	}
@@ -145,7 +153,7 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	if opt.Scheme == BasicUnit {
 		bu, err := exec.RunBasicUnit(series, opt.CPUChunk, opt.GPUChunk)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.PartitionNS += bu.TotalNS
 		if record {
@@ -156,7 +164,7 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 		ratios, est := rn.chooseRatios(model, prof, n, len(series.Steps), opt.FixedPartition)
 		pres, err := exec.Run(series, ratios)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.PartitionNS += pres.TotalNS - pres.TransferNS
 		res.TransferNS += pres.TransferNS
@@ -179,11 +187,12 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	}
 
 	// Link the partition chunks into contiguous form for the next pass /
-	// the join ("we link all the intermediate partitions together").
-	_, ga := pass.Gather(out)
+	// the join ("we link all the intermediate partitions together"): charged
+	// always, copied only if n3 built chains.
+	offs, ga := pass.Gather(out)
 	res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
 	res.AllocStats.Add(arena.Stats())
-	return nil
+	return offs, nil
 }
 
 // coarsePairKernel joins whole partition pairs [lo,hi): the coarse-grained

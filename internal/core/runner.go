@@ -47,10 +47,8 @@ type runner struct {
 	bucketR, headR, nodeR, workR []int32
 	bucketS, headS, nodeS, workS []int32
 
-	// owner is the ownership decomposition the parallel insert kernels
-	// (n3, b3, b4) walk. The radix passes and the hash build never overlap
-	// in time, so one index — one slab — is rebuilt for each in turn, by
-	// the ParSetup of n3 and of b3 (b4 walks b3's).
+	// owner is the ownership decomposition the parallel insert kernels of
+	// the build (b3, b4) walk, built by b3's ParSetup.
 	owner sched.OwnerIndex
 
 	// PHJ state.
@@ -61,7 +59,7 @@ type runner struct {
 	radixBits          uint
 
 	// held lists the run-lifetime slabs that no other field owns: the
-	// carved scratch, and per partitioned relation its final gather buffer
+	// carved scratch, and per partitioned relation its final pass buffer
 	// (two columns) and partition index. A fixed array, so holding costs
 	// the many small joins of a pipeline no allocation.
 	held  [7][]int32

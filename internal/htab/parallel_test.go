@@ -3,6 +3,7 @@ package htab
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"apujoin/internal/alloc"
@@ -330,6 +331,69 @@ func BenchmarkB3B4Shard(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
 			})
+		}
+	}
+}
+
+// BenchmarkP3P4 measures the probe's list-walk and emit steps over 2^20
+// probe tuples (selectivity 1) of a 2^20-tuple build as the runner executes
+// them: range morsels on the pool, p4 either materializing its pairs
+// through a morsel-private output arena or counting them. p1 and p2 run
+// outside the timer. Each p4 row must find the pairs a single-stream p4
+// finds.
+func BenchmarkP3P4(b *testing.B) {
+	const n = 1 << 20
+	cpu := device.New(device.APUCPU())
+	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
+		r := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
+		s := rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(r, 1.0)
+		t := buildSerial(r)
+		bucket, head, node := make([]int32, n), make([]int32, n), make([]int32, n)
+		t.P1(cpu, s.Keys, bucket, 0, n)
+		t.P2(cpu, bucket, head, nil, 0, n)
+		t.P3(cpu, s.Keys, head, node, 0, n, nil)
+		var serial Out
+		t.P4(cpu, s.RIDs, node, &serial, 0, n, nil)
+
+		for _, workers := range []int{1, 2} {
+			pool := sched.NewPool(workers)
+			b.Run(fmt.Sprintf("P3/%v/pool=%d", dist, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						return t.P3(cpu, s.Keys, head, node, lo, hi, nil)
+					})
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+			})
+			for _, materialize := range []bool{true, false} {
+				name := "count-only"
+				if materialize {
+					name = "materialize"
+				}
+				b.Run(fmt.Sprintf("P4/%s/%v/pool=%d", name, dist, workers), func(b *testing.B) {
+					var pairs atomic.Int64
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						pairs.Store(0)
+						pool.MapRange(0, n, func(lo, hi int) device.Acct {
+							priv := Out{Materialize: materialize}
+							if materialize {
+								priv.Arena = alloc.New(alloc.Config{}, 4*(hi-lo)+64)
+							}
+							a := t.P4(cpu, s.RIDs, node, &priv, lo, hi, nil)
+							pairs.Add(priv.Pairs)
+							priv.Arena.Release()
+							return a
+						})
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+					if pairs.Load() != serial.Pairs {
+						b.Fatalf("%d pairs, single-stream p4 found %d", pairs.Load(), serial.Pairs)
+					}
+				})
+			}
+			pool.Close()
 		}
 	}
 }

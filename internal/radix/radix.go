@@ -16,6 +16,13 @@
 // exactly what the PL scheme needs — and the partition output buffer is one
 // of the dynamic allocations whose allocator behaviour Fig. 11 studies.
 //
+// That structure is what every pass is charged for. The single-stream
+// kernels (N1..N3 + Gather) also build it, because they may run chunk by
+// chunk with no barrier between n2 and n3; the pooled n3 (parallel.go) runs
+// after n2 has counted the whole relation, so it writes each tuple once, to
+// the slot Gather would have copied it to, and replays the chunk requests
+// through the allocator for the accounting alone.
+//
 // Passes consume radix bits of the key hash from the lowest bit upward and
 // append stably, so after g passes the gathered relation is grouped by the
 // combined partition number — the classic LSB radix property. The number
@@ -126,6 +133,14 @@ type Pass struct {
 	head   []int32 // partition header: first chunk
 	tail   []int32 // current append chunk
 	fill   []int32 // tuples in the tail chunk
+
+	// The pooled n3's state (parallel.go), nil on a pass whose n3 runs
+	// single-stream: the relation it scatters into and one slab holding the
+	// morsel × partition cursors and the two per-partition counters.
+	out   rel.Relation
+	grid  []int32 // cursors, then moved, then done: one slab
+	moved []int32 // tuples the running share has scattered
+	done  []int32 // tuples earlier shares have scattered
 }
 
 // NewPass prepares a pass consuming bits radix bits at the given shift,
@@ -156,12 +171,13 @@ func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 	return p
 }
 
-// Release hands the pass's slabs to the recycler, once Gather has copied
-// the partitions out; the pass must not be used afterwards. The chunk arena
-// is the caller's to release.
+// Release hands the pass's slabs to the recycler, once Gather has returned;
+// the pass must not be used afterwards. The chunk arena is the caller's to
+// release.
 func (p *Pass) Release() {
 	alloc.PutWords(p.part)
 	alloc.PutWords(p.hdr)
+	alloc.PutWords(p.grid)
 	*p = Pass{}
 }
 
@@ -207,7 +223,6 @@ func (p *Pass) N2(d *device.Device, lo, hi int) device.Acct {
 // appending through the partition header and allocating a fresh chunk from
 // the software allocator whenever the tail chunk fills.
 func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
-	var a device.Acct
 	before := p.arena.Stats()
 	inK, inR := p.in.Keys, p.in.RIDs
 	for i := lo; i < hi; i++ {
@@ -232,16 +247,21 @@ func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
 		words[off+1] = inR[i]
 		p.fill[pt] = f + 1
 	}
-	n := int64(hi - lo)
+	return p.n3Acct(int64(hi-lo), p.arena.Stats().Sub(before))
+}
+
+// n3Acct is the accounting of appending n tuples whose chunk requests cost
+// the allocator st.
+func (p *Pass) n3Acct(n int64, st alloc.Stats) device.Acct {
+	var a device.Acct
 	a.Items = n
 	a.Instr = n * instrAppendRow
 	a.SeqBytes = n * 8 // streamed input reads
 	a.Rand[device.RegionPartition] = n * 2
 	a.AtomicOps = n // latched append position on the partition header
 	a.AtomicTargets = int64(len(p.counts))
-	d2 := p.arena.Stats().Sub(before)
-	a.AllocAtomics += d2.GlobalAtomics
-	a.LocalOps += d2.LocalOps
+	a.AllocAtomics = st.GlobalAtomics
+	a.LocalOps = st.LocalOps
 	return a
 }
 
@@ -249,27 +269,41 @@ func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
 // contiguous relation out (in partition order), returning the partition
 // boundary offsets and the accounting of the streaming copy ("we link all
 // the intermediate partitions together to form the result partition pairs").
+// After the pooled n3 the tuples are in out already — it must be the
+// relation N3Setup was given — and only the offsets and the same accounting
+// are left to produce.
 func (p *Pass) Gather(out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
-	words := p.arena.Words()
 	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0
-	for pt := range p.counts {
-		offs[pt] = int32(pos)
-		remaining := p.counts[pt]
-		for c := p.head[pt]; c != nilRef; c = words[c+chunkOffNxt] {
-			n := int32(ChunkTuples)
-			if remaining < n {
-				n = remaining
+	if p.grid != nil {
+		if n := p.out.Len(); out.Len() != n || n > 0 && &out.Keys[0] != &p.out.Keys[0] {
+			panic("radix: Gather into a relation other than the one n3 scattered into")
+		}
+		for pt, c := range p.counts {
+			offs[pt] = int32(pos)
+			pos += int(c)
+			a.Rand[device.RegionPartition] += int64(chunksOf(c)) // one per chunk the copy would visit
+		}
+	} else {
+		words := p.arena.Words()
+		for pt := range p.counts {
+			offs[pt] = int32(pos)
+			remaining := p.counts[pt]
+			for c := p.head[pt]; c != nilRef; c = words[c+chunkOffNxt] {
+				n := int32(ChunkTuples)
+				if remaining < n {
+					n = remaining
+				}
+				for j := int32(0); j < n; j++ {
+					out.Keys[pos] = words[c+1+2*j]
+					out.RIDs[pos] = words[c+2+2*j]
+					pos++
+				}
+				remaining -= n
+				a.Rand[device.RegionPartition]++
 			}
-			for j := int32(0); j < n; j++ {
-				out.Keys[pos] = words[c+1+2*j]
-				out.RIDs[pos] = words[c+2+2*j]
-				pos++
-			}
-			remaining -= n
-			a.Rand[device.RegionPartition]++
 		}
 	}
 	offs[len(p.counts)] = int32(pos)

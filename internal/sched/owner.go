@@ -7,7 +7,7 @@ import (
 )
 
 // OwnerIndex is the ownership decomposition of an insert step: for a key
-// array (a radix pass's partition numbers, a build's bucket numbers) whose
+// array (a build's bucket numbers) whose
 // high bits name the owning shard, it lists every shard's tuple indices in
 // ascending order, so a shard kernel visits exactly its own tuples — in the
 // same relative order as a single-stream pass — instead of scanning the
@@ -21,10 +21,9 @@ import (
 // fills which morsel.
 //
 // One value serves a whole run. Build reuses the slab whenever it is large
-// enough, so the radix passes and the hash build — which never overlap in
-// time — share one allocation; the slab comes from the recycler (Build
-// writes every cursor and every index before reading it) and goes back
-// with Release. The zero value is ready to use.
+// enough; the slab comes from the recycler (Build writes every cursor and
+// every index before reading it) and goes back with Release. The zero
+// value is ready to use.
 type OwnerIndex struct {
 	shards int
 	// off[s] is the position in idx of shard s's first index.

@@ -48,7 +48,8 @@ type Pool struct {
 const MorselItems = 1 << 14
 
 // DefaultShards is the number of ownership shards insert-style kernels are
-// split into; each shard walks its own tuples through an OwnerIndex. More
+// split into; each of the build's shards walks its own tuples through an
+// OwnerIndex, and the partition scatter is charged as that many. More
 // shards smooth skew across workers, at one dispatch and one abandoned
 // allocator block apiece. The value is contractual, not a tuning knob:
 // every shard allocates through a fresh worker-private alloc.Local, so the

@@ -82,7 +82,8 @@ type Step struct {
 	ParKernel ParKernel
 	// ParSetup, when non-nil, runs once on the host before the step's
 	// ParKernel calls — only where those run — to prepare what every
-	// device's share of the step reads (the insert steps' owner index).
+	// device's share of the step reads (the partition scatter's cursor grid,
+	// the build's owner index).
 	ParSetup func(p *Pool)
 	// After, if non-nil, runs on the host once the step has completed.
 	After Barrier
