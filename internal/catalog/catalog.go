@@ -5,8 +5,8 @@
 // keeps them, charged against a resident zero-copy buffer (the paper's
 // schemes assume the relations already live in the region both devices
 // address, Sec. 4), and lends the same budget to a pipeline's transient
-// intermediates (Reserve, ReserveTransient, Headroom, Unreserve). Slices are
-// stored as given: nothing is copied, measured or indexed here.
+// intermediates (ReserveTransient, Unreserve). Slices are stored as given:
+// nothing is copied, measured or indexed here.
 //
 // Deletion is refcounted: Drop unbinds the name immediately (no new query
 // can resolve it) while in-flight queries keep their pins; the zero-copy
@@ -214,36 +214,15 @@ func (c *Catalog) Load(name string, r rel.Relation) error {
 	return nil
 }
 
-// Reserve charges bytes of transient pipeline data against the resident
-// zero-copy budget without storing anything: the streamed pipeline path
-// holds its one in-flight intermediate through Reserve, so an intermediate
-// the budget cannot hold is detected (ErrNoSpace) before anything is
-// allocated, named or pinned — the pipeline then spills. The caller returns
-// the bytes with Unreserve when the consumer step has finished with them.
-func (c *Catalog) Reserve(bytes int64) error {
-	if bytes < 0 {
-		return fmt.Errorf("catalog: negative reservation of %d bytes", bytes)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.zc.Alloc(bytes); err != nil {
-		return fmt.Errorf("%w: %d transient bytes, %d of %d in use",
-			ErrNoSpace, bytes, c.zc.Used(), c.zc.Capacity)
-	}
-	if c.zc.Used() > c.peakBytes {
-		c.peakBytes = c.zc.Used()
-	}
-	return nil
-}
-
-// ReserveTransient charges up to bytes of transient spill working memory
-// and returns the amount actually charged — possibly zero. Unlike Reserve
-// it never fails: the spill path's irreducible working set (a single
-// probe chunk's intermediate, or one heavy key's matches) must
-// materialize even when it exceeds the remaining headroom, so the excess
-// becomes an overdraft reported through the spiller's own peak gauge
-// rather than an error. The caller must hand the returned amount — not
-// its demand — back to Unreserve.
+// ReserveTransient charges up to bytes of a pipeline intermediate against
+// the resident zero-copy budget without storing anything, and returns the
+// amount actually charged — possibly zero. It never fails: whether an
+// intermediate is held or spilled was decided before it was produced,
+// against the pipeline's budget share, so what does not fit right now
+// (another pipeline holds the rest, or the spill path's irreducible working
+// set overdraws) is an overdraft reported through the caller's own demand
+// gauge, never an error. The caller must hand the returned amount — not its
+// demand — back to Unreserve.
 func (c *Catalog) ReserveTransient(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
@@ -262,17 +241,8 @@ func (c *Catalog) ReserveTransient(bytes int64) int64 {
 	return bytes
 }
 
-// Headroom returns the unused resident budget — the largest reservation
-// that could succeed right now. The hybrid-hash spill path sizes its
-// residency budget with it when a Reserve has just failed: whatever fits
-// stays resident, the rest goes through the simulated spill store.
-func (c *Catalog) Headroom() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.zc.Capacity - c.zc.Used()
-}
-
-// Unreserve returns bytes taken by Reserve to the resident budget.
+// Unreserve returns bytes charged by ReserveTransient to the resident
+// budget.
 func (c *Catalog) Unreserve(bytes int64) {
 	if bytes <= 0 {
 		return

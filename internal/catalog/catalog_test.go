@@ -116,35 +116,45 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 // TestReserveAccounting: transient pipeline reservations share the budget
-// with registered relations — a reservation to capacity fits, overflow is
-// ErrNoSpace, Unreserve returns the bytes — and the PeakBytes high-water
-// mark records the worst simultaneous residency either path reached.
+// with registered relations. ReserveTransient charges a demand in full when
+// it fits, what fits at the edge, and nothing for a demand ≤ 0 or a full
+// catalog; Unreserve of the returned amounts restores Bytes, and the
+// PeakBytes high-water mark never decreases.
 func TestReserveAccounting(t *testing.T) {
-	c := New(1024 * 8)
+	const half = 512 * 8
+	c := New(2 * half)
 	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reserve(512 * 8); err != nil {
-		t.Fatalf("reserve to capacity: %v", err)
+	peak := c.Stats().PeakBytes
+	step := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: charged %d, want %d", what, got, want)
+		}
+		st := c.Stats()
+		if st.PeakBytes < peak || st.PeakBytes < st.Bytes {
+			t.Errorf("%s: peak %d with %d bytes in use, was %d", what, st.PeakBytes, st.Bytes, peak)
+		}
+		peak = st.PeakBytes
 	}
-	if err := c.Reserve(8); !errors.Is(err, ErrNoSpace) {
-		t.Errorf("reserve beyond capacity: err %v, want ErrNoSpace", err)
+	full := c.ReserveTransient(half / 2)
+	step("a demand that fits", full, half/2)
+	edge := c.ReserveTransient(half)
+	step("a demand at the edge", edge, half/2)
+	step("a demand on a full catalog", c.ReserveTransient(8), 0)
+	step("a zero demand", c.ReserveTransient(0), 0)
+	step("a negative demand", c.ReserveTransient(-8), 0)
+	if st := c.Stats(); st.Bytes != 2*half || st.PeakBytes != 2*half {
+		t.Errorf("bytes %d, peak %d at capacity, want %d and %d", st.Bytes, st.PeakBytes, 2*half, 2*half)
 	}
-	if err := c.Reserve(-1); err == nil {
-		t.Error("negative reservation accepted")
-	}
-	c.Unreserve(512 * 8)
-	st := c.Stats()
-	if st.Bytes != 512*8 {
-		t.Errorf("bytes %d after unreserve, want %d", st.Bytes, 512*8)
-	}
-	if st.PeakBytes != 1024*8 {
-		t.Errorf("peak %d, want the full-capacity high-water %d", st.PeakBytes, 1024*8)
-	}
-	// Unreserve of nothing is a no-op; the peak never decreases.
+
+	c.Unreserve(edge)
+	c.Unreserve(full)
 	c.Unreserve(0)
-	if st := c.Stats(); st.PeakBytes != 1024*8 {
-		t.Errorf("peak moved to %d on a no-op", st.PeakBytes)
+	step("after Unreserve", 0, 0)
+	if st := c.Stats(); st.Bytes != half || st.PeakBytes != 2*half {
+		t.Errorf("bytes %d, peak %d after Unreserve, want %d and the high-water %d", st.Bytes, st.PeakBytes, half, 2*half)
 	}
 }
 

@@ -271,13 +271,15 @@ func (o *Options) SetDefaults() {
 	}
 }
 
-// Validate rejects inconsistent configurations.
+// Validate rejects inconsistent configurations. A zero Delta is unset
+// (SetDefaults picks the paper's); any other must lie in
+// [cost.MinDelta, 1].
 func (o *Options) Validate() error {
 	if o.Scheme == CoarsePL && o.Algo != PHJ {
 		return fmt.Errorf("core: CoarsePL (PHJ-PL') requires Algo PHJ")
 	}
-	if o.Delta < 0 || o.Delta > 1 {
-		return fmt.Errorf("core: delta %v out of (0,1]", o.Delta)
+	if o.Delta != 0 && !(o.Delta >= cost.MinDelta && o.Delta <= 1) {
+		return fmt.Errorf("core: delta %v out of [%v,1]", o.Delta, cost.MinDelta)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d (0 selects GOMAXPROCS)", o.Workers)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"apujoin/internal/alloc"
+	"apujoin/internal/cost"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -25,6 +26,40 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := Run(r, s, Options{Algo: SHJ, Scheme: PL, Arch: Discrete}); err == nil {
 		t.Error("PL on the discrete architecture accepted (paper: infeasible)")
+	}
+}
+
+// TestOptionsValidate: δ is unset (0) or within [cost.MinDelta, 1],
+// PHJ-PL' needs PHJ, and a negative worker count is refused. BuildPlan
+// validates too, so a δ that would hold the planner for minutes fails at
+// once.
+func TestOptionsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		opt  Options
+		ok   bool
+	}{
+		{"zero value", Options{}, true},
+		{"paper delta", Options{Delta: cost.DefaultDelta}, true},
+		{"delta at the floor", Options{Delta: cost.MinDelta}, true},
+		{"delta one", Options{Delta: 1}, true},
+		{"delta below the floor", Options{Delta: cost.MinDelta / 2}, false},
+		{"delta 1e-9", Options{Delta: 1e-9}, false},
+		{"negative delta", Options{Delta: -0.1}, false},
+		{"delta above one", Options{Delta: 1.5}, false},
+		{"NaN delta", Options{Delta: math.NaN()}, false},
+		{"coarse PL with PHJ", Options{Algo: PHJ, Scheme: CoarsePL}, true},
+		{"coarse PL with SHJ", Options{Algo: SHJ, Scheme: CoarsePL}, false},
+		{"negative workers", Options{Workers: -1}, false},
+	}
+	for _, tc := range cases {
+		if err := tc.opt.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	r, s := testData(4096)
+	if _, err := BuildPlan(r, s, Options{Delta: 1e-9}); err == nil {
+		t.Error("BuildPlan accepted δ = 1e-9")
 	}
 }
 

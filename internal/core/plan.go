@@ -102,6 +102,9 @@ func autoSchemes(algo Algo, opt Options) []Scheme {
 func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
 	opt.Plan = nil
 	opt.SetDefaults()
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	if err := r.Validate(); err != nil {
 		return nil, fmt.Errorf("core: plan build relation: %w", err)
 	}

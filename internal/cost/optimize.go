@@ -13,6 +13,12 @@ import (
 // optimizations").
 const DefaultDelta = 0.02
 
+// MinDelta is the finest grid core.Options.Validate accepts: the grid holds
+// 1/δ ratios and the searches are polynomial in it, so an unbounded δ lets
+// one request hold a planner for minutes. Twenty times finer than the
+// paper's δ, finer than any in-tree caller.
+const MinDelta = 0.001
+
 // gridValues appends the candidate ratios 0, δ, 2δ, …, 1 to vs[:0]. The
 // values are the running sum itself (0.1+0.1+0.1 is 0.30000000000000004 and
 // stays so): the searches compare and return them as they are.

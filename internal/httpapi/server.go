@@ -60,6 +60,8 @@ type wireOptions struct {
 // parseOptions turns the shared wire fields into run options. algo=auto
 // hands algorithm and scheme to the planner (the plan cache amortizes the
 // decision across repeated shapes) and conflicts with an explicit scheme.
+// An option set core.Options.Validate rejects (a δ below cost.MinDelta,
+// coarsepl without phj) fails here, at submit, not as a failed query.
 // per_partition is the cluster transport: a sharded server answers it with
 // the raw per-partition result vectors. A cluster router rejects it — it is
 // not a shard server, and chaining routers is not supported — and so does
@@ -83,6 +85,9 @@ func parseOptions(w wireOptions, svc *service.Service) (opt core.Options, auto, 
 	opt.Grouping = w.Grouping
 	opt.Delta = w.Delta
 	opt.CountOnly = w.CountOnly
+	if err = opt.Validate(); err != nil {
+		return opt, false, false, err
+	}
 	if w.PerPartition {
 		if svc.Clustered() {
 			return opt, false, false, errors.New("per_partition is the cluster transport of shard servers; this router is not a shard server")

@@ -125,6 +125,11 @@ func TestRoutesTable(t *testing.T) {
 		{"bad algo", "POST", "/v1/join", `{"algo":"quantum"}`, 400},
 		{"bad scheme", "POST", "/v1/join", `{"scheme":"warp"}`, 400},
 		{"auto with scheme", "POST", "/v1/join", `{"algo":"auto","scheme":"pl"}`, 400},
+		{"delta below the grid floor", "POST", "/v1/join",
+			`{"algo":"auto","delta":1e-9,"r_name":"orders","s_name":"lineitem","wait":true}`, 400},
+		{"delta above one", "POST", "/v1/join", `{"algo":"shj","scheme":"dd","delta":1.5}`, 400},
+		{"coarsepl without phj", "POST", "/v1/join",
+			`{"algo":"shj","scheme":"coarsepl","r_name":"orders","s_name":"lineitem","wait":true}`, 400},
 		{"negative size", "POST", "/v1/join", `{"r":-1}`, 400},
 		{"exceeds max-tuples", "POST", "/v1/join", `{"r":2097152}`, 400},
 		{"sel out of range", "POST", "/v1/join", `{"sel":1.5}`, 400},
@@ -145,6 +150,8 @@ func TestRoutesTable(t *testing.T) {
 			`{"sources":[{"name":"orders","n":64},{"name":"lineitem"}]}`, 400},
 		{"pipeline auto with scheme", "POST", "/v1/pipeline",
 			`{"algo":"auto","scheme":"pl","sources":[{"name":"orders"},{"name":"lineitem"}]}`, 400},
+		{"pipeline delta below the grid floor", "POST", "/v1/pipeline",
+			`{"algo":"auto","delta":1e-9,"sources":[{"name":"orders"},{"name":"lineitem"}],"wait":true}`, 400},
 		{"pipeline negative size", "POST", "/v1/pipeline",
 			`{"sources":[{"n":-5},{"name":"orders"}]}`, 400},
 		{"pipeline exceeds max-tuples", "POST", "/v1/pipeline",

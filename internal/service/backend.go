@@ -254,50 +254,55 @@ func firstPartitionErr(errs []error) error {
 }
 
 // runPipeline runs the whole chain once per grid partition, concurrently on
-// the pool, each over that partition's slice of every source and with
-// reservations against the partition's owning shard catalog, then
-// transposes the chains into the per-partition transport. Only the chain
-// of a grid of one sees global cardinalities, so only it may revise the
-// job's order mid-pipeline; partition chains execute the order as resolved
-// — it is part of their merge contract.
+// the pool, each over that partition's slice of every source, on its own
+// spiller — reservations against the partition's owning shard catalog,
+// spill decisions against its budget share — and writes each chain into
+// its column of the per-partition transport. Only the chain of a grid of
+// one sees global cardinalities, so only it may revise the job's order
+// mid-pipeline; partition chains execute the order as resolved — it is part
+// of their merge contract.
 func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error) {
 	n, grid := len(j.sources), int(b.grid)
-	names := make([]string, n)
 	in := make([]rel.Relation, n*grid)
 	for i := range j.sources {
-		names[i] = j.sources[i].name
 		for p, r := range j.sources[i].parts {
 			in[p*n+i] = r
 		}
 	}
-	errs := make([]error, grid)
-	chains := sched.Collect(b.pool, grid, func(p int) *chain {
-		env := chainEnv{
-			cat:     b.catalogOf(p),
-			planner: plannerIf(j.auto, b.planners[p]),
-			wFirst:  j.wFirst,
-			budget:  b.partitionBudget(p),
-			level:   b.grid.Levels(),
-		}
+	order := j.order.order
+	pp := newPipelinePartitions(n-1, grid)
+	errs := sched.Collect(b.pool, grid, func(p int) error {
+		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: j.opt, budget: b.partitionBudget(p)}
+		c := &chain{level: b.grid.Levels(), wFirst: j.wFirst, steps: make([]*core.Result, 0, n-1), plans: make([]*PlanInfo, 0, n-1)}
 		if b.grid.Whole() {
-			env.replan = j.order.replan
+			c.replan = j.order.replan
 		}
-		c, err := runChain(ctx, &env, names, in[p*n:(p+1)*n], j.order.order, j.opt)
-		errs[p] = err
-		return c
+		in := in[p*n : (p+1)*n]
+		if err := sp.runChain(c, in, order, rel.Counts{}); err != nil {
+			return err
+		}
+		// The spill I/O of every level the spiller reached attaches to the
+		// first spilled step of the grid partition's chain alone: merged
+		// partition chains would count it again.
+		if s := c.spilled; s != nil {
+			s.SpilledPartitions, s.SpillBytes, s.SpillNS = sp.parts, sp.bytes, sp.ns
+			s.TotalNS += sp.ns
+		}
+		// Step t builds from step t-1's intermediate, of exactly its matches.
+		build := in[order[0]].Len()
+		for t, r := range c.steps {
+			pp.Steps[t][p], pp.Plans[t][p] = r, c.plans[t]
+			pp.BuildTuples[t][p], pp.ProbeTuples[t][p] = build, in[order[t+1]].Len()
+			build = int(r.Matches)
+			if t < n-2 {
+				pp.InterTuples[p] += r.Matches
+			}
+		}
+		pp.InterBytes[p], pp.Peak[p], pp.SpillDepth[p] = pp.InterTuples[p]*8, sp.peak, sp.depth
+		return nil
 	})
 	if err := firstPartitionErr(errs); err != nil {
-		return nil, err
-	}
-	pp := newPipelinePartitions(n-1, grid)
-	for p, c := range chains {
-		for t := range c.steps {
-			pp.Steps[t][p] = c.steps[t]
-			pp.BuildTuples[t][p] = c.buildTuples[t]
-			pp.ProbeTuples[t][p] = c.probeTuples[t]
-			pp.Plans[t][p] = c.plans[t]
-		}
-		pp.Peak[p], pp.InterTuples[p], pp.InterBytes[p], pp.SpillDepth[p] = c.peak, c.interTuples, c.interBytes, c.spillDepth
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	return pp, nil
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
@@ -145,203 +143,154 @@ func stepLabels(srcs []pipeSource, order []int, t int) (build, probe string) {
 	return build, srcs[order[t]].name
 }
 
-// chainEnv is what one left-deep chain runs against: the in-process backend
-// runs one chain per grid partition over that partition's slices — a single
-// chain over the whole relations on an unsharded engine.
-type chainEnv struct {
-	// cat is the catalog streamed intermediates reserve against.
-	cat *catalog.Catalog
-	// planner plans each step; nil runs every step under the base options.
-	planner *plan.Planner
-	// wFirst is the first step's registered pair workload (nil: measure).
-	wFirst *plan.Workload
-	// budget pre-checks an intermediate before physical space is asked for:
-	// a grid partition's share of the total budget less what is registered
-	// into it, so that which chains spill is a pure function of data and
-	// budget, never of how partitions are packed into shards or of which
-	// concurrent pipeline reserved first.
-	budget int64
+// chain is one left-deep chain: what it starts from and, per executed
+// step, the pairwise result and the planner's decision (nil for an
+// empty-side step and for steps the spiller ran). Input cardinalities and
+// intermediate totals follow from the steps (step t builds from step t-1's
+// matches), and the resident peak and spill depth from the spiller the
+// chain ran against, so the chain keeps none of them.
+type chain struct {
 	// level is the repartitioning level a spill starts at: the levels the
-	// grid itself consumed (shard.Grid.Levels).
+	// grid consumed (shard.Grid.Levels) for a grid partition's chain, one
+	// past its parent's for a spilled partition's.
 	level int
+	// wFirst is the first step's registered pair workload (nil: plan from
+	// the build side's key counts, or measure).
+	wFirst *plan.Workload
 	// replan, when set, may re-order the steps after t (mid-pipeline
-	// re-planning) given step t's observed matches. Only a chain that sees
+	// re-planning) given step t's exact matches. Only a chain that sees
 	// global cardinalities gets one; partition chains never re-order: the
 	// global order is part of the merge contract.
 	replan func(t int, matches int64)
-}
 
-// chain is one executed left-deep chain: per step the pairwise result, the
-// input cardinalities and the planner's decision (nil for a skipped
-// empty-side step and for steps the spiller ran), then the chain's
-// intermediate totals, resident peak and deepest spill level.
-type chain struct {
-	steps                    []*core.Result
-	buildTuples, probeTuples []int
-	plans                    []*PlanInfo
-	interTuples, interBytes  int64
-	peak                     int64
-	spillDepth               int
+	steps []*core.Result
+	plans []*PlanInfo
+	// spilled is the first step the spiller ran (nil: the chain ran whole).
+	spilled *core.Result
 }
 
 // runChain executes in[order[0]] ⋈ in[order[1]] ⋈ … as a chain of pairwise
-// joins, streaming each non-final step's matches into the next step's
-// build input.
+// joins and appends every step to c. It is the one loop that chains
+// pairwise steps: a grid partition's chain runs here, and so does every
+// partition chain the spiller starts.
 //
-// The hand-off never goes through the catalog's namespace: the matches are
-// produced morsel-parallel (core.StreamMaterialize) directly into the
+// Before a non-final step runs, its build side's key counts give the exact
+// intermediate size. One the budget cannot hold hands the remaining chain
+// to the spiller at c.level without running the step. One that fits is
+// produced morsel-parallel (core.StreamMaterialize) straight into the
 // buffer the next step builds from — recycler slabs this chain hands back
-// — their relation bytes reserved transiently against env.cat and returned
-// once the consumer step has run: at most one intermediate is reserved and
-// no key index or sample is ever built for it. An
-// intermediate the budget cannot hold — known exactly, before anything is
-// allocated — hands the rest of the chain to the hybrid-hash spiller.
+// — reserved through sp.reserve and returned once the consumer step has
+// run, so a chain holds at most one intermediate and never names, pins or
+// indexes it.
+//
+// counts is in[order[0]]'s key → multiplicity table when the caller holds
+// one (a spilled partition's) and stays the caller's. Every other build
+// side's table the chain derives when the step hands an intermediate on
+// (the last step needs none) and releases after the hand-off. A step
+// whose build counts are in hand plans from them (plan.CountsWorkload —
+// the measured workload by construction); the first step prefers wFirst.
 //
 // A step with an empty side joins to nothing: it is neither planned (the
 // planner refuses empty relations) nor run, reports a zero result, and its
 // empty intermediate flows on. Emptiness depends only on the data (and the
 // fixed grid), so the skip is deterministic.
-func runChain(ctx context.Context, env *chainEnv, names []string, in []rel.Relation, order []int, opt core.Options) (*chain, error) {
+func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts) error {
 	n := len(order)
-	c := &chain{
-		steps:       make([]*core.Result, 0, n-1),
-		buildTuples: make([]int, 0, n-1),
-		probeTuples: make([]int, 0, n-1),
-		plans:       make([]*PlanInfo, 0, n-1),
-	}
-	// reserved is the live reservation backing the current intermediate,
-	// returned when its consumer step is done with it or on exit.
-	var reserved int64
-	// inter is cur when this chain produced it: recycler slabs, handed back
-	// once the consumer step has run and the next intermediate is produced.
+	// reserved (phys of it charged) backs cur and inter is cur once this
+	// chain produced it; own is counts once this chain derived them. All are
+	// handed back after the consumer step has run, or on exit.
+	var reserved, phys int64
 	var inter rel.Relation
+	var own rel.Counts
 	defer func() {
-		env.cat.Unreserve(reserved)
+		sp.unreserve(reserved, phys)
+		own.Release()
 		core.ReleaseStreamed(inter)
 	}()
 
-	cur, curName := in[order[0]], names[order[0]]
+	cur := in[order[0]]
 	for t := 1; t < n; t++ {
 		probe := in[order[t]]
-		fail := func(err error) error {
-			return fmt.Errorf("pipeline step %d (%s ⋈ %s): %w", t, curName, names[order[t]], err)
+		fail := func(err error) error { return fmt.Errorf("step %d: %w", t, err) }
+		empty := cur.Len() == 0 || probe.Len() == 0
+		last := t == n-1
+		var matches int64
+		if !last {
+			if !empty {
+				if counts.Len() == 0 {
+					own = rel.KeyCounts(cur)
+					counts = own
+				}
+				if matches = counts.Matches(probe.Keys); matches > math.MaxInt32 {
+					return fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", matches))
+				}
+			}
+			if c.replan != nil {
+				c.replan(t, matches)
+			}
+			if matches*8 > sp.budget {
+				// cur's reservation returns first, as at every hand-off; its
+				// slabs stay until the spiller has partitioned it.
+				sp.unreserve(reserved, phys)
+				reserved, phys = 0, 0
+				probes := make([]rel.Relation, 0, n-t)
+				for _, i := range order[t:] {
+					probes = append(probes, in[i])
+				}
+				steps, err := sp.run(cur, probes, c.level)
+				if err != nil {
+					return fail(fmt.Errorf("spill: %w", err))
+				}
+				c.spilled = steps[0]
+				for _, r := range steps {
+					c.steps = append(c.steps, r)
+					c.plans = append(c.plans, nil)
+				}
+				return nil
+			}
 		}
+
 		var stepRes *core.Result
 		var pinfo *PlanInfo
-		if cur.Len() == 0 || probe.Len() == 0 {
-			stepRes = emptyResult(opt)
+		if empty {
+			stepRes = emptyResult(sp.opt)
 		} else {
-			var w *plan.Workload
-			if t == 1 {
-				w = env.wFirst
+			w := c.wFirst
+			if t > 1 {
+				w = nil
 			}
-			res, pl, hit, err := planRun(ctx, env.planner, cur, probe, opt, w)
+			if w == nil && sp.planner != nil && counts.Len() > 0 {
+				cw := plan.CountsWorkload(counts, probe)
+				w = &cw
+			}
+			res, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, w)
 			if err != nil {
-				return nil, fail(err)
+				return fail(err)
 			}
 			stepRes, pinfo = res, planInfo(pl, hit)
 		}
 		c.steps = append(c.steps, stepRes)
-		c.buildTuples = append(c.buildTuples, cur.Len())
-		c.probeTuples = append(c.probeTuples, probe.Len())
 		c.plans = append(c.plans, pinfo)
-		if t == n-1 {
+		if last {
 			break
 		}
-		if stepRes.Matches > math.MaxInt32 {
-			return nil, fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", stepRes.Matches))
-		}
-		if env.replan != nil {
-			env.replan(t, stepRes.Matches)
-		}
 
-		// The finished step's build side has served its consumer: a
-		// transient cur's reservation is returned before the new
-		// intermediate is reserved. Whether that one fits needs only the
-		// step's match count.
-		env.cat.Unreserve(reserved)
-		reserved = 0
-		bytes := stepRes.Matches * 8
-		// Spill decision: against the budget share first, and only then
-		// against physical space — which the share guarantees except under
-		// concurrent overload, where the fallback still degrades gracefully
-		// instead of failing.
-		budget := env.budget
-		spill := bytes > budget
-		if !spill {
-			if err := env.cat.Reserve(bytes); err != nil {
-				if !errors.Is(err, catalog.ErrNoSpace) {
-					return nil, fail(fmt.Errorf("intermediate of %d tuples: %w", stepRes.Matches, err))
-				}
-				spill = true
-				if hr := env.cat.Headroom(); hr < budget {
-					budget = hr
-				}
-			}
+		// The finished step's build side has served its consumer: its
+		// reservation is returned before the next intermediate reserves.
+		sp.unreserve(reserved, phys)
+		reserved = matches * 8
+		phys = sp.reserve(reserved)
+		var next rel.Relation
+		if !empty {
+			next = core.StreamMaterialize(sp.opt.Pool, counts, probe)
 		}
-		if spill {
-			probes := make([]rel.Relation, 0, n-t)
-			for _, i := range order[t:] {
-				probes = append(probes, in[i])
-			}
-			if err := c.spill(ctx, env, cur, probes, opt, budget); err != nil {
-				return nil, fail(fmt.Errorf("spill: %w", err))
-			}
-			return c, nil
-		}
-		reserved = bytes
-		// The per-key state of cur is all the producer needs from it.
-		counts := rel.KeyCounts(cur)
-		next := core.StreamMaterialize(opt.Pool, counts, probe)
-		counts.Release()
+		own.Release()
+		counts = rel.Counts{}
 		core.ReleaseStreamed(inter)
-		inter = next
-		if int64(inter.Len()) != stepRes.Matches {
-			return nil, fail(fmt.Errorf("streamed %d tuples but the join counted %d — engine bug", inter.Len(), stepRes.Matches))
+		cur, inter = next, next
+		if int64(next.Len()) != stepRes.Matches {
+			return fail(fmt.Errorf("streamed %d tuples but the join counted %d — engine bug", next.Len(), stepRes.Matches))
 		}
-		if bytes > c.peak {
-			c.peak = bytes
-		}
-		c.interTuples += int64(inter.Len())
-		c.interBytes += inter.Bytes()
-		cur, curName = inter, fmt.Sprintf("step%d", t)
-	}
-	return c, nil
-}
-
-// spill hands the chain from its last recorded step on to the hybrid-hash
-// spiller: cur ⋈ probes… re-run partitioned under budget. The
-// recorded step's result is replaced by the spiller's (merged over
-// partitions, so the step keeps one Result) and — since the partitioned
-// execution is what actually ran — its plan report is dropped with it;
-// spilled steps carry no per-step plan. The simulated I/O the spill store
-// charged attaches to the first spilled step.
-func (c *chain) spill(ctx context.Context, env *chainEnv, cur rel.Relation, probes []rel.Relation, opt core.Options, budget int64) error {
-	sp := &spiller{ctx: ctx, cat: env.cat, planner: env.planner, opt: opt, budget: budget}
-	steps, err := sp.run(cur, probes, env.level)
-	if err != nil {
-		return err
-	}
-	steps[0].SpilledPartitions, steps[0].SpillBytes, steps[0].SpillNS = sp.parts, sp.bytes, sp.ns
-	steps[0].TotalNS += sp.ns
-
-	last := len(c.steps) - 1
-	c.steps, c.plans = c.steps[:last], c.plans[:last]
-	for i, r := range steps {
-		c.steps = append(c.steps, r)
-		c.plans = append(c.plans, nil)
-		if i > 0 {
-			c.buildTuples = append(c.buildTuples, int(steps[i-1].Matches))
-			c.probeTuples = append(c.probeTuples, probes[i].Len())
-		}
-		if i < len(steps)-1 {
-			c.interTuples += r.Matches
-			c.interBytes += r.Matches * 8
-		}
-	}
-	c.spillDepth = sp.depth
-	if sp.peak > c.peak {
-		c.peak = sp.peak
 	}
 	return nil
 }

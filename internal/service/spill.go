@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
@@ -13,9 +12,9 @@ import (
 	"apujoin/internal/shard"
 )
 
-// Hybrid-hash spill executor. When a pipeline intermediate would exceed
-// the residency budget (runChain's hand-off), the spiller takes over the
-// remaining chain instead of failing the query:
+// Hybrid-hash spill executor. When a chain's next intermediate would exceed
+// the residency budget (runChain's pre-check, before the step runs), the
+// spiller takes over the remaining chain instead of failing the query:
 //
 //   - the current build side, its probe and every remaining probe are
 //     partitioned with the shard package's fixed grid partitioner into a
@@ -62,17 +61,24 @@ const (
 	replanDeviation = 1.0
 )
 
-// spiller executes the remainder of one pipeline chain under a residency
-// budget. It is single-use and not safe for concurrent use; the morsel
-// parallelism inside each step (opt.Pool) is unaffected.
+// spiller is what one grid partition's chain runs against — the catalog
+// its intermediates reserve in, its planner (nil runs every step under the
+// base options) and its residency budget — and, once a chain spills, the
+// hybrid-hash spill executor of the rest: every partition chain it starts
+// runs through runChain on the same spiller, so spill I/O, depth and the
+// resident peak accumulate in one place. It is not safe for concurrent
+// use; the morsel parallelism inside each step (opt.Pool) is unaffected.
 type spiller struct {
-	ctx context.Context
-	cat *catalog.Catalog
-	// planner plans each chain step (measured workloads); nil runs every
-	// step with the pipeline's base options.
+	ctx     context.Context
+	cat     *catalog.Catalog
 	planner *plan.Planner
 	opt     core.Options
-	budget  int64
+	// budget pre-checks every intermediate before it is produced: a grid
+	// partition's share of the total budget less what is registered into
+	// it, so which chains spill is a pure function of data and budget,
+	// never of how partitions are packed into shards or of what concurrent
+	// pipelines hold.
+	budget int64
 
 	// Spill accounting: partitions written to the simulated store, their
 	// input bytes, the simulated I/O charged, and the deepest
@@ -81,20 +87,22 @@ type spiller struct {
 	bytes int64
 	ns    float64
 	depth int
-	// resident/peak track the spiller's own transient reservations, for
+	// resident/peak track the demand of every transient reservation, for
 	// the pipeline's peak-footprint gauge.
 	resident int64
 	peak     int64
 }
 
-// reserve charges transient intermediate bytes against the catalog —
-// whatever portion of the demand fits; the rest is an overdraft the spill
-// path is entitled to (its irreducible working set is one probe chunk's
-// intermediate per chain level, which no budget can shrink further). It
-// returns the physically charged portion, which the caller must hand back
-// to unreserve; the spiller's own peak gauge tracks the full demand, so
-// the pipeline's peak-footprint accounting stays exact and deterministic
-// even when the catalog could only absorb part of it.
+// reserve charges an intermediate's bytes against the catalog — whatever
+// portion of the demand fits. The rest is an overdraft: another pipeline
+// holds that space right now, or it is the spill path's irreducible working
+// set (one probe chunk's intermediate per chain level, which no budget can
+// shrink further); whether the intermediate is held at all was decided
+// against the budget before it was produced. reserve returns the
+// physically charged portion, which the caller must hand back to
+// unreserve; the peak gauge tracks the full demand, so the pipeline's
+// peak-footprint accounting stays exact and deterministic whatever the
+// catalog could absorb.
 func (sp *spiller) reserve(b int64) (phys int64) {
 	phys = sp.cat.ReserveTransient(b)
 	sp.resident += b
@@ -166,111 +174,42 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 		}
 	}
 
-	perStep := make([][]*core.Result, len(probes))
-	for p := 0; p < shard.Partitions; p++ {
-		part := make([]rel.Relation, len(probes))
+	// Every partition's chain runs through runChain one level down, from
+	// its build side's counts — an intermediate the budget cannot hold
+	// recurses through the chain's own pre-check. in holds the partition's
+	// inputs in chain order.
+	in := make([]rel.Relation, len(probes)+1)
+	order := make([]int, len(in))
+	for i := range order {
+		order[i] = i
+	}
+	pc := chain{level: depth + 1, steps: make([]*core.Result, 0, len(probes)), plans: make([]*PlanInfo, 0, len(probes))}
+	perStep := make([]*core.Result, len(probes)*shard.Partitions)
+	for p := range shard.Partitions {
+		in[0] = curP[p]
 		b := curP[p].Bytes()
 		for j := range probeP {
-			part[j] = probeP[j][p]
-			b += part[j].Bytes()
+			in[j+1] = probeP[j][p]
+			b += in[j+1].Bytes()
 		}
 		// A partition with an empty side joins to nothing (the chain reports
 		// zero results for it) and is never written out.
-		if !resident[p] && curP[p].Len() > 0 && part[0].Len() > 0 {
+		if !resident[p] && curP[p].Len() > 0 && in[1].Len() > 0 {
 			sp.parts++
 			sp.bytes += b
 			sp.ns += cost.SpillRoundTripNS(b)
 		}
-		// An oversized partition (its first intermediate alone exceeds the
-		// budget) recurses to the next level through the chain's own
-		// pre-check.
-		sub, err := sp.chain(curP[p], counts[p], part, depth)
-		if err != nil {
+		pc.steps, pc.plans = pc.steps[:0], pc.plans[:0]
+		if err := sp.runChain(&pc, in, order, counts[p]); err != nil {
 			return nil, fmt.Errorf("spill partition %d (level %d): %w", p, depth, err)
 		}
-		for t := range perStep {
-			perStep[t] = append(perStep[t], sub[t])
+		for t, r := range pc.steps {
+			perStep[t*shard.Partitions+p] = r
 		}
 	}
 	out := make([]*core.Result, len(probes))
-	for t := range perStep {
-		out[t] = shard.MergeResults(perStep[t])
-	}
-	return out, nil
-}
-
-// chain runs one partition's remaining steps sequentially, materializing
-// each intermediate under a transient reservation. A step whose
-// intermediate cannot fit the budget — known exactly before the step runs
-// — hands the rest of the chain back to run at the next repartitioning
-// level. At most one intermediate is reserved at a time: the build side's
-// reservation is returned once its consumer step has run, before the next
-// intermediate reserves.
-//
-// counts is build's key → multiplicity table and stays the caller's. Every
-// later build side is an intermediate this chain produced: the chain
-// derives its counts (the last step needs none), and hands both back to
-// the recycler once the step consuming them has produced the next one.
-// Where a step has its build counts, its planner buckets come from them
-// (plan.CountsWorkload) instead of another scan of the build side.
-func (sp *spiller) chain(build rel.Relation, counts rel.Counts, probes []rel.Relation, depth int) ([]*core.Result, error) {
-	out := make([]*core.Result, 0, len(probes))
-	cur, curRes, curPhys := build, int64(0), int64(0)
-	var inter rel.Relation     // cur, when this chain produced it
-	var interCounts rel.Counts // counts, when this chain derived them
-	defer func() {
-		sp.unreserve(curRes, curPhys)
-		interCounts.Release()
-		core.ReleaseStreamed(inter)
-	}()
-	for j := 0; j < len(probes); j++ {
-		probe := probes[j]
-		if cur.Len() == 0 || probe.Len() == 0 {
-			for range probes[j:] {
-				out = append(out, emptyResult(sp.opt))
-			}
-			return out, nil
-		}
-		last := j == len(probes)-1
-		// cur's counts exist at step 0 (the caller's) and at every step that
-		// hands an intermediate on.
-		counted := j == 0 || !last
-		if j > 0 && counted {
-			interCounts = rel.KeyCounts(cur)
-			counts = interCounts
-		}
-		if !last && counts.Matches(probe.Keys)*8 > sp.budget {
-			sp.unreserve(curRes, curPhys)
-			curRes, curPhys = 0, 0
-			sub, err := sp.run(cur, probes[j:], depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return append(out, sub...), nil
-		}
-		var w *plan.Workload
-		if sp.planner != nil && counted {
-			cw := plan.CountsWorkload(counts, probe)
-			w = &cw
-		}
-		stepRes, _, _, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, w)
-		if err != nil {
-			return nil, fmt.Errorf("chain step %d: %w", j, err)
-		}
-		out = append(out, stepRes)
-		if last {
-			return out, nil
-		}
-		if stepRes.Matches > math.MaxInt32 {
-			return nil, fmt.Errorf("chain step %d: intermediate of %d tuples exceeds the representable relation size", j, stepRes.Matches)
-		}
-		sp.unreserve(curRes, curPhys)
-		bytes := stepRes.Matches * 8
-		curRes, curPhys = bytes, sp.reserve(bytes)
-		next := core.StreamMaterialize(sp.opt.Pool, counts, probe)
-		interCounts.Release()
-		core.ReleaseStreamed(inter)
-		cur, inter = next, next
+	for t := range out {
+		out[t] = shard.MergeResults(perStep[t*shard.Partitions : (t+1)*shard.Partitions])
 	}
 	return out, nil
 }

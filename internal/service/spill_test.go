@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"apujoin/internal/core"
@@ -37,23 +38,8 @@ func spillShapes() []spillShape {
 		rel.Gen{N: 1 << 11, Seed: 4}.Probe(r, 0.5),
 	}
 	// A build side three fifths of which is one key: no partitioner can
-	// split it, so the spiller streams. The probes mostly hit the light
-	// keys and carry the heavy one a few times each, which keeps the
-	// intermediates small enough to test with.
-	heavy := rel.Gen{N: 1 << 10, Seed: 5}.Build()
-	nHeavy := heavy.Len() * 3 / 5
-	for i := 0; i < nHeavy; i++ {
-		heavy.Keys[i] = heavy.Keys[0]
-	}
-	light := heavy.Slice(nHeavy, heavy.Len())
-	probe := func(n int, seed int64, sel float64, heavyTuples int) rel.Relation {
-		p := rel.Gen{N: n, Seed: seed}.Probe(light, sel)
-		for i := 0; i < heavyTuples; i++ {
-			p.Keys[i*7] = heavy.Keys[0]
-		}
-		return p
-	}
-	skewed := []rel.Relation{heavy, probe(1<<11, 6, 0.5, 4), probe(1<<10, 7, 0.5, 2), probe(1<<9, 8, 1.0, 1)}
+	// split it, so the spiller streams.
+	skewed := skewedRels(1<<10*3/5, 1<<10*3/5)
 	return []spillShape{
 		{name: "depth 0", rels: uniform, headroom: 16 << 10,
 			digest: "8323e49d90012c2d5611e85b633be66e5b435ec89cc1e6fa1771abfb90f30d03",
@@ -79,17 +65,39 @@ func spillShapes() []spillShape {
 	}
 }
 
+// skewedRels is a four-source pipeline over a 1024-tuple build side whose
+// first nHeavy tuples share one key. The probes draw from the build tuples
+// at index light and above and carry the heavy key a few times each, which
+// keeps the intermediates small enough to test with.
+func skewedRels(nHeavy, light int) []rel.Relation {
+	heavy := rel.Gen{N: 1 << 10, Seed: 5}.Build()
+	for i := 0; i < nHeavy; i++ {
+		heavy.Keys[i] = heavy.Keys[0]
+	}
+	lightRel := heavy.Slice(light, heavy.Len())
+	probe := func(n int, seed int64, sel float64, heavyTuples int) rel.Relation {
+		p := rel.Gen{N: n, Seed: seed}.Probe(lightRel, sel)
+		for i := 0; i < heavyTuples; i++ {
+			p.Keys[i*7] = heavy.Keys[0]
+		}
+		return p
+	}
+	return []rel.Relation{heavy, probe(1<<11, 6, 0.5, 4), probe(1<<10, 7, 0.5, 2), probe(1<<9, 8, 1.0, 1)}
+}
+
 var spillNames = []string{"r", "s", "u", "v"}
 
 // load starts a service whose catalog holds the shape's relations plus its
 // headroom.
 func (sh *spillShape) load(t testing.TB, workers int) *Service {
+	return sh.loadOn(t, Config{Workers: workers})
+}
+
+// loadOn is load on a given configuration; the shape sets CatalogBytes.
+func (sh *spillShape) loadOn(t testing.TB, cfg Config) *Service {
 	t.Helper()
-	budget := sh.headroom
-	for _, r := range sh.rels {
-		budget += r.Bytes()
-	}
-	svc := New(Config{Workers: workers, CatalogBytes: budget})
+	cfg.CatalogBytes = sh.headroom + sh.resident()
+	svc := New(cfg)
 	t.Cleanup(func() { svc.Close() })
 	for i, r := range sh.rels {
 		if _, err := svc.LoadRelation(spillNames[i], r); err != nil {
@@ -99,17 +107,31 @@ func (sh *spillShape) load(t testing.TB, workers int) *Service {
 	return svc
 }
 
-func (sh *spillShape) run(t testing.TB, svc *Service) *PipelineResult {
-	t.Helper()
+// spillSpec is the auto, declared-order pipeline over r, s, u, v.
+func spillSpec() PipelineSpec {
 	spec := PipelineSpec{Opt: core.Options{Delta: 0.25, PilotItems: 1 << 8}, Auto: true, DeclaredOrder: true}
 	for _, name := range spillNames {
 		spec.Sources = append(spec.Sources, PipelineSource{Name: name})
 	}
-	pr, err := svc.RunPipeline(context.Background(), spec)
+	return spec
+}
+
+func (sh *spillShape) run(t testing.TB, svc *Service) *PipelineResult {
+	t.Helper()
+	pr, err := svc.RunPipeline(context.Background(), spillSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return normalizeCacheHits(pr)
+}
+
+// resident is the bytes the shape's relations occupy in the catalog.
+func (sh *spillShape) resident() int64 {
+	var b int64
+	for _, r := range sh.rels {
+		b += r.Bytes()
+	}
+	return b
 }
 
 // TestSpilledPipelineUnchanged: the flat count table, its once-per-build-
@@ -192,5 +214,108 @@ func TestSpillSteadyStateAllocationCeiling(t *testing.T) {
 	t.Logf("first run allocated %d B, a warm run %d B (ceiling %d B)", first, warm, ceiling)
 	if warm > ceiling {
 		t.Fatalf("a warm spilled pipeline over 2^17-tuple relations allocates %d B, above the ceiling of %d B: a count table or a hand-off buffer is not going back to the recycler", warm, ceiling)
+	}
+}
+
+// TestSpillBoundaries pins the spiller's three escape hatches at their
+// boundaries: a key owning exactly heavyKeyShare of the spilled build side
+// streams it whole, the same key one tuple lighter repartitions (and its
+// own partition streams one level down), and uniform data under a zero
+// budget repartitions to maxSpillDepth and streams there.
+func TestSpillBoundaries(t *testing.T) {
+	r := rel.Gen{N: 1 << 11, Seed: 1}.Build()
+	cases := []struct {
+		name  string
+		sh    spillShape
+		parts int64
+		depth int
+		peak  int64
+	}{
+		{name: "heavy key at the share streams",
+			sh:    spillShape{rels: skewedRels(1<<9, 1<<9), headroom: 4 << 10},
+			parts: 0, depth: 0, peak: 48776},
+		{name: "heavy key one below repartitions",
+			sh:    spillShape{rels: skewedRels(1<<9-1, 1<<9), headroom: 4 << 10},
+			parts: 4, depth: 1, peak: 50256},
+		{name: "max depth streams",
+			sh: spillShape{rels: []rel.Relation{r,
+				rel.Gen{N: 1 << 11, Seed: 2}.Probe(r, 1.0),
+				rel.Gen{N: 1 << 11, Seed: 3}.Probe(r, 1.0),
+				rel.Gen{N: 1 << 9, Seed: 4}.Probe(r, 0.5),
+			}},
+			parts: 546, depth: 3, peak: 336},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := tc.sh.run(t, tc.sh.load(t, 2))
+			if pr.SpilledPartitions != tc.parts || pr.SpillDepth != tc.depth || pr.PeakIntermediateBytes != tc.peak {
+				t.Errorf("spilled %d partitions to depth %d with a peak of %d bytes, want %d, %d, %d",
+					pr.SpilledPartitions, pr.SpillDepth, pr.PeakIntermediateBytes, tc.parts, tc.depth, tc.peak)
+			}
+			if want := oracle.PipelineCount(tc.sh.rels); pr.Final.Matches != want {
+				t.Errorf("%d matches, the oracle counts %d", pr.Final.Matches, want)
+			}
+		})
+	}
+}
+
+// TestSpillPlanLookups: a chain decides to spill from its build side's key
+// counts before it plans or runs the step, so a spilled pipeline consults
+// the plan cache only for the steps that actually run — the partition
+// chains' — never for the whole-relation step the spiller takes over.
+func TestSpillPlanLookups(t *testing.T) {
+	want := map[string]int64{"depth 0": 24, "depth ≥ 1": 192, "streaming fallback": 0}
+	for _, sh := range spillShapes() {
+		svc := sh.load(t, 2)
+		sh.run(t, svc)
+		if st := svc.Stats(); st.PlanHits+st.PlanMisses != want[sh.name] {
+			t.Errorf("%s: %d plan lookups, want %d", sh.name, st.PlanHits+st.PlanMisses, want[sh.name])
+		}
+	}
+}
+
+// TestConcurrentSpillDeterminism: which chains spill depends on the data
+// and the partition's budget share alone, never on what concurrent
+// pipelines hold. Four copies of one pipeline run at once on a catalog
+// whose headroom holds one of its intermediates but not two — unsharded and
+// over four shards — and each must return exactly the solo run's result;
+// afterwards every transient byte is back.
+func TestConcurrentSpillDeterminism(t *testing.T) {
+	sh := spillShapes()[0]
+	sh.headroom = 96 << 10
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc := sh.loadOn(t, Config{Workers: 2, Shards: shards})
+			solo := sh.run(t, svc)
+			const rounds, lanes = 10, 4
+			differ := 0
+			for range rounds {
+				results := make([]*PipelineResult, lanes)
+				errs := make([]error, lanes)
+				var wg sync.WaitGroup
+				for i := range results {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[i], errs[i] = svc.RunPipeline(context.Background(), spillSpec())
+					}()
+				}
+				wg.Wait()
+				for i, pr := range results {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					if !reflect.DeepEqual(normalizeCacheHits(pr), solo) {
+						differ++
+					}
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d of %d concurrent runs differ from the solo run", differ, rounds*lanes)
+			}
+			if got := svc.Stats().Catalog.Bytes; got != sh.resident() {
+				t.Errorf("%d catalog bytes after the runs, the relations occupy %d", got, sh.resident())
+			}
+		})
 	}
 }
