@@ -18,7 +18,7 @@ COVERAGE_FLOOR ?= 80
 # may hold: COVERAGE_FLOOR's pattern pointing the other way. The service
 # layer was three copies of one design; this keeps it one. Lower it as the
 # package shrinks; never raise it to merge.
-SERVICE_LOC_CEILING ?= 2141
+SERVICE_LOC_CEILING ?= 2140
 
 .PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -46,20 +46,22 @@ bench:
 
 # Kernel microbenchmarks, the bottom rung of the benchmark ladder: ns/tuple
 # and allocations at 2^20 uniform and high-skew tuples, on a pool of 1 and
-# 2, of the steps as the runner executes them — the owner-index build the
-# build's insert steps share, n2's counting morsels, one whole radix pass
-# from n2 to the gathered relation (the pooled scatter beside the
-# single-stream chunk chains on the same input, the ratio printed as
-# x-chunked), b3 + b4 over their ownership shards, p3 and p4 (materializing
-# and count-only) over range morsels; then the pipeline hand-off between two
-# joins — the key-count table, the streamed producer (pools of 1 and 2) and
-# the spill partitioner, the last two single-stream — at 2^14 and 2^17
-# tuples, a spilled partition's size and the benchmark's relation size.
-# Several rows check their output against a reference and fail on a
-# mismatch, so CI runs the target once per PR at BENCHTIME=1x.
+# 2, of the steps as the runner executes them — the SHJ build's owner
+# scatter (sched.Scatter, the one count/prefix/fill every hash split runs
+# on), n2's counting morsels, one whole radix pass from n2 to the gathered
+# relation (the pooled scatter beside the single-stream chunk chains on the
+# same input, the ratio printed as x-chunked), b3 + b4 over the contiguous
+# ranges of their ownership shards (beside the owner-index walks they
+# replaced, x-sparse), p3 and p4 (materializing and count-only) over range
+# morsels; then the pipeline hand-off between two joins — the key-count
+# table (single-stream), the streamed producer and the spill partitioner
+# (pools of 1 and 2; the partitioner beside the single-stream append loop it
+# replaced, x-ref) — at 2^14 and 2^17 tuples, a spilled partition's size
+# and the benchmark's relation size. Several rows check their output against a reference and
+# fail on a mismatch, so CI runs the target once per PR at BENCHTIME=1x.
 BENCHTIME ?= 10x
 bench-kernels:
-	$(GO) test -run=NONE -bench=BenchmarkOwnerIndex -benchmem -benchtime=$(BENCHTIME) ./internal/sched
+	$(GO) test -run=NONE -bench=BenchmarkOwnerScatter -benchmem -benchtime=$(BENCHTIME) ./internal/sched
 	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkPartitionPass' -benchmem -benchtime=$(BENCHTIME) ./internal/radix
 	$(GO) test -run=NONE -bench='BenchmarkB3B4Shard|BenchmarkP3P4' -benchmem -benchtime=$(BENCHTIME) ./internal/htab
 	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel

@@ -10,10 +10,10 @@ import (
 // The word-slab recycler: the paper's Sec. 3.3 move — pre-allocate, then
 // serve requests in software — applied one level above the Arena. A run's
 // large []int32 slabs (arena backing arrays, step-intermediate columns,
-// gather buffers, bucket headers, the owner index) are taken from here and
-// handed back when the run ends, so the next run, on any engine in the
-// process, starts on memory that is already mapped instead of faulting in
-// and zeroing a fresh copy.
+// gather buffers, bucket headers, scatter grids, split columns) are taken
+// from here and handed back when the run ends, so the next run, on any
+// engine in the process, starts on memory that is already mapped instead
+// of faulting in and zeroing a fresh copy.
 //
 // The contract is "contents are arbitrary": GetWords returns whatever the
 // previous owner left, so a consumer either writes every word before it
@@ -38,11 +38,12 @@ import (
 const PoisonWord int32 = 0x5A5A5A5A
 
 const (
-	// recycleMinWords is the smallest request the recycler serves (4 KiB)
+	// MinSlabWords is the smallest request the recycler serves (4 KiB)
 	// and the size of class 0; anything smaller is a plain make, which the
-	// runtime's own size classes already recycle well.
-	recycleMinWords = 1 << minShift
-	minShift        = 10
+	// runtime's own size classes already recycle well. A consumer that asks
+	// for at least this much gets every small array from the recycler too.
+	MinSlabWords = 1 << minShift
+	minShift     = 10
 	// The largest class is 7<<(minShift-2+numClasses/4-1) = 7<<28 words;
 	// an Arena is indexed by int32, so nothing larger than 1<<31 is asked for.
 	numClasses = 4 * (31 - minShift)
@@ -109,10 +110,10 @@ func ageOnGC(s *gcSentinel) {
 func init() { runtime.SetFinalizer(new(gcSentinel), ageOnGC) }
 
 // classWords is the slab size of class c: 1, 1.25, 1.5 and 1.75 times each
-// power of two from recycleMinWords up.
+// power of two from MinSlabWords up.
 func classWords(c int) int { return (4 + c&3) << (minShift - 2 + c>>2) }
 
-// classOf returns the smallest class holding n ≥ recycleMinWords words, or
+// classOf returns the smallest class holding n ≥ MinSlabWords words, or
 // numClasses when n is beyond the largest.
 func classOf(n int) int {
 	shift := bits.Len(uint(n-1)) - 3 // 4<<shift < n ≤ 8<<shift
@@ -123,7 +124,7 @@ func classOf(n int) int {
 // take returns a slab of length n and whether it came freshly zeroed from
 // the runtime rather than from a size class.
 func take(n int) (w []int32, fresh bool) {
-	if n < recycleMinWords {
+	if n < MinSlabWords {
 		return make([]int32, n), true
 	}
 	c := classOf(n)
@@ -159,7 +160,7 @@ func GetZeroed(n int) []int32 {
 // small ones, nil, foreign capacities — are left to the garbage collector.
 func PutWords(w []int32) {
 	n := cap(w)
-	if n < recycleMinWords {
+	if n < MinSlabWords {
 		return
 	}
 	c := classOf(n)

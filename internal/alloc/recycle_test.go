@@ -7,11 +7,11 @@ import (
 )
 
 // TestSizeClasses pins the class geometry: four classes per octave from
-// recycleMinWords up, every request rounded up by at most a quarter, and
+// MinSlabWords up, every request rounded up by at most a quarter, and
 // classOf the inverse of classWords.
 func TestSizeClasses(t *testing.T) {
-	if got := classWords(0); got != recycleMinWords {
-		t.Fatalf("class 0 holds %d words, want %d", got, recycleMinWords)
+	if got := classWords(0); got != MinSlabWords {
+		t.Fatalf("class 0 holds %d words, want %d", got, MinSlabWords)
 	}
 	for c := 0; c < numClasses; c++ {
 		w := classWords(c)
@@ -47,14 +47,14 @@ func TestSizeClasses(t *testing.T) {
 // its class, small requests bypass the classes, and a request beyond the
 // largest class is a plain make PutWords ignores.
 func TestGetWordsShape(t *testing.T) {
-	for _, n := range []int{0, 1, 63, recycleMinWords - 1} {
+	for _, n := range []int{0, 1, 63, MinSlabWords - 1} {
 		w := GetWords(n)
 		if len(w) != n || cap(w) != n {
 			t.Fatalf("GetWords(%d): len %d cap %d, want a plain make", n, len(w), cap(w))
 		}
 		PutWords(w) // ignored
 	}
-	for _, n := range []int{recycleMinWords, recycleMinWords + 1, 65600, 1 << 18} {
+	for _, n := range []int{MinSlabWords, MinSlabWords + 1, 65600, 1 << 18} {
 		w := GetWords(n)
 		if len(w) != n || cap(w) != classWords(classOf(n)) {
 			t.Fatalf("GetWords(%d): len %d cap %d, want len %d cap %d", n, len(w), cap(w), n, classWords(classOf(n)))
@@ -213,15 +213,15 @@ func TestPutWordsRejectsForeignSlabs(t *testing.T) {
 // array keeps every allocated word, takes the grown array from the
 // recycler and hands the outgrown one back.
 func TestArenaGrowsThroughRecycler(t *testing.T) {
-	a := New(Config{Strategy: Basic}, recycleMinWords)
+	a := New(Config{Strategy: Basic}, MinSlabWords)
 	old := &a.Words()[0]
 	var offs []int32
-	for i := 0; i < 3*recycleMinWords; i++ {
+	for i := 0; i < 3*MinSlabWords; i++ {
 		off := a.Alloc(1)
 		a.Words()[off] = int32(i)
 		offs = append(offs, off)
 	}
-	if a.Cap() < 3*recycleMinWords {
+	if a.Cap() < 3*MinSlabWords {
 		t.Fatalf("arena did not grow: cap %d", a.Cap())
 	}
 	for i, off := range offs {
@@ -229,7 +229,7 @@ func TestArenaGrowsThroughRecycler(t *testing.T) {
 			t.Fatalf("word %d lost in growth", i)
 		}
 	}
-	if w := GetWords(recycleMinWords); &w[0] != old {
+	if w := GetWords(MinSlabWords); &w[0] != old {
 		t.Fatal("the outgrown backing array did not go back to the recycler")
 	}
 	stats := a.Stats()

@@ -123,11 +123,21 @@ type Entry struct {
 // callers must treat them as read-only.
 func (e *Entry) Relation() rel.Relation { return e.rel }
 
+// Scratch pins a relation no catalog holds: one query's split of an inline
+// relation, whose columns are recycler slabs. Its one Release hands them
+// back, as the last pin on a dropped entry frees its bytes.
+func Scratch(r rel.Relation) *Entry { return &Entry{rel: r, pins: 1} }
+
 // Release drops one pin taken by Catalog.Acquire. When the entry was
 // dropped and this was the last pin, the resident zero-copy bytes are
 // released. Release is safe to call from query-completion paths running
 // concurrently with Drop.
 func (e *Entry) Release() {
+	if e.c == nil {
+		e.rel.Release()
+		e.rel = rel.Relation{}
+		return
+	}
 	e.c.mu.Lock()
 	defer e.c.mu.Unlock()
 	if e.pins > 0 {

@@ -81,10 +81,6 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 	cur := in
 	var offs []int32
 	var bufs [2]rel.Relation
-	putBuf := func(b rel.Relation) {
-		alloc.PutWords(b.Keys)
-		alloc.PutWords(b.RIDs)
-	}
 
 	shift := rn.opt.HashShift
 	for pi, bits := range plan.BitsPerPass {
@@ -92,19 +88,19 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 		if buf.Keys == nil {
 			// The pass (n3's scatter, or Gather after a single-stream
 			// n3) writes all n tuples of both columns.
-			buf.Keys, buf.RIDs = alloc.GetWords(n), alloc.GetWords(n)
+			*buf = rel.Recycled(n)
 		}
 		var err error
 		if offs, err = rn.partitionPass(res, exec, model, prof, cur, *buf, shift, bits, first && pi == 0); err != nil {
-			putBuf(bufs[0])
-			putBuf(bufs[1])
+			bufs[0].Release()
+			bufs[1].Release()
 			return rel.Relation{}, nil, err
 		}
 		cur = *buf
 		shift += bits
 	}
 	if passes := plan.Passes(); passes > 0 {
-		putBuf(bufs[passes%2]) // the one not holding the result (none after a single pass)
+		bufs[passes%2].Release() // the one not holding the result (none after a single pass)
 		rn.hold(cur.Keys)
 		rn.hold(cur.RIDs)
 	}

@@ -47,9 +47,9 @@ type runner struct {
 	bucketR, headR, nodeR, workR []int32
 	bucketS, headS, nodeS, workS []int32
 
-	// owner is the ownership decomposition the parallel insert kernels of
-	// the build (b3, b4) walk, built by b3's ParSetup.
-	owner sched.OwnerIndex
+	// own is the ownership layout the parallel insert kernels of the build
+	// (b3, b4) read, built by b3's ParSetup.
+	own htab.Owners
 
 	// PHJ state.
 	partIdxR, partIdxS []int32
@@ -88,7 +88,7 @@ func (rn *runner) release() {
 	rn.outArena.Release()
 	rn.table.Release()
 	rn.tableGPU.Release()
-	rn.owner.Release()
+	rn.own.Release()
 }
 
 func newRunner(r, s rel.Relation, opt Options) *runner {
@@ -188,13 +188,14 @@ func (rn *runner) grouping(d *device.Device, work []int32, lo, hi int) ([]int32,
 }
 
 // mapOwned runs an ownership-shard kernel of the build over the tuples of
-// [lo,hi): fn receives one shard's share of the build's owner index and a
-// worker-private allocator on t's arena.
-func (rn *runner) mapOwned(p *sched.Pool, t *htab.Table, lo, hi int, fn func(idx []int32, la *alloc.Local) device.Acct) device.Acct {
-	return p.MapShards(rn.owner.Shards(), func(shard int) device.Acct {
+// [lo,hi): fn receives one shard's share, a range of the owner-ordered
+// columns, and a worker-private allocator on t's arena.
+func (rn *runner) mapOwned(p *sched.Pool, t *htab.Table, lo, hi int, fn func(lo, hi int, la *alloc.Local) device.Acct) device.Acct {
+	from, to := rn.own.Cut(lo), rn.own.Cut(hi)
+	return p.MapShards(rn.own.Shards(), func(shard int) device.Acct {
 		la := t.Arena().NewLocal()
 		defer la.Close()
-		return fn(rn.owner.Shard(shard, lo, hi), la)
+		return fn(int(from[shard]), int(to[shard]), la)
 	})
 }
 
@@ -241,13 +242,15 @@ func (rn *runner) buildSeries() sched.Series {
 				a.Add(ga)
 				return a
 			},
-			// One index over b1's bucket numbers serves b3 and b4, both
-			// devices and both separate tables (they share one geometry).
-			ParSetup: func(p *sched.Pool) { rn.table.Owners(p, rn.bucketR, &rn.owner) },
+			// One layout over b1's bucket numbers serves b3 and b4, both
+			// devices and both separate tables (they share one geometry);
+			// b3 writes node in its order for b4. offsetsR is nil but for
+			// a partitioned (PHJ) build side.
+			ParSetup: func(p *sched.Pool) { rn.own.Build(p, rn.table, keys, rn.bucketR, rids, rn.offsetsR) },
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return rn.mapOwned(p, t, lo, hi, func(idx []int32, la *alloc.Local) device.Acct {
-					return t.B3Shard(d, keys, rn.bucketR, rn.nodeR, idx, la)
+				return rn.mapOwned(p, t, lo, hi, func(lo, hi int, la *alloc.Local) device.Acct {
+					return t.B3Shard(d, rn.own.Keys, rn.own.Bucket, rn.nodeR, lo, hi, la)
 				})
 			},
 		},
@@ -258,8 +261,8 @@ func (rn *runner) buildSeries() sched.Series {
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return rn.mapOwned(p, t, lo, hi, func(idx []int32, la *alloc.Local) device.Acct {
-					return t.B4Shard(d, rids, rn.nodeR, idx, la)
+				return rn.mapOwned(p, t, lo, hi, func(lo, hi int, la *alloc.Local) device.Acct {
+					return t.B4Shard(d, rn.own.RIDs, rn.nodeR, lo, hi, la)
 				})
 			},
 		},

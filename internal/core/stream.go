@@ -1,7 +1,6 @@
 package core
 
 import (
-	"apujoin/internal/alloc"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -20,7 +19,7 @@ import (
 // output is bit-identical to rel.JoinMaterialize for any worker count:
 //
 //  1. Count pass: the probe side is split into the fixed sched.MorselItems
-//     grid and each morsel sums its matches (MapRangeCounts — a pure
+//     grid and each morsel sums its matches (CollectRange — a pure
 //     function of the morsel, merged in grid order).
 //  2. An exclusive prefix sum over the per-morsel counts, in grid order,
 //     places every morsel's output slice.
@@ -39,7 +38,7 @@ import (
 //
 // Both output columns are recycler slabs, every word of which the fill
 // pass writes. The chain that called for the intermediate owns it and hands
-// it back with ReleaseStreamed once the consumer step has run and derived
+// it back with Release once the consumer step has run and derived
 // its own per-key state; a caller that simply drops the result leaves
 // ordinary garbage.
 func StreamMaterialize(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.Relation {
@@ -47,7 +46,7 @@ func StreamMaterialize(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.
 	if n == 0 || counts.Len() == 0 {
 		return rel.Relation{}
 	}
-	perMorsel := pool.MapRangeCounts(0, n, func(mlo, mhi int) int64 {
+	perMorsel := sched.CollectRange(pool, 0, n, func(mlo, mhi int) int64 {
 		return counts.Matches(s.Keys[mlo:mhi])
 	})
 	offsets := make([]int64, len(perMorsel))
@@ -59,7 +58,7 @@ func StreamMaterialize(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.
 	if total == 0 {
 		return rel.Relation{}
 	}
-	out := rel.Relation{RIDs: alloc.GetWords(int(total)), Keys: alloc.GetWords(int(total))}
+	out := rel.Recycled(int(total))
 	pool.ForEach(len(perMorsel), func(i int) {
 		mlo := i * sched.MorselItems
 		mhi := mlo + sched.MorselItems
@@ -76,12 +75,4 @@ func StreamMaterialize(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.
 		}
 	})
 	return out
-}
-
-// ReleaseStreamed hands a StreamMaterialize result's columns back to the
-// recycler. Nothing may read the relation afterwards; the zero relation is
-// fine to pass.
-func ReleaseStreamed(r rel.Relation) {
-	alloc.PutWords(r.RIDs)
-	alloc.PutWords(r.Keys)
 }

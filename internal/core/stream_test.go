@@ -82,7 +82,7 @@ func mapStreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relati
 	if n == 0 || len(counts) == 0 {
 		return rel.Relation{}
 	}
-	perMorsel := pool.MapRangeCounts(0, n, func(mlo, mhi int) int64 {
+	perMorsel := sched.CollectRange(pool, 0, n, func(mlo, mhi int) int64 {
 		var c int64
 		for _, k := range s.Keys[mlo:mhi] {
 			c += int64(counts[k])
@@ -148,7 +148,7 @@ func TestStreamMaterializeMatchesMapReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s, pool %d, round %d: output differs from the map-backed reference", tc.name, workers, round)
 				}
-				ReleaseStreamed(got)
+				got.Release()
 			}
 			pool.Close()
 		}
@@ -172,7 +172,7 @@ func BenchmarkStreamMaterialize(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						ReleaseStreamed(StreamMaterialize(pool, counts, s))
+						StreamMaterialize(pool, counts, s).Release()
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 				})

@@ -19,54 +19,87 @@ import (
 //
 //   - B3Shard / B4Shard split the insert steps by bucket OWNERSHIP instead
 //     of by range: shard k processes exactly the tuples whose bucket lies
-//     in its slice of the bucket space (for the segmented PHJ table the
-//     high bucket bits are the partition index, so shards own disjoint
-//     partition segments). A shard receives its tuples as an ascending
-//     index list — its share of a sched.OwnerIndex built once per build
-//     over the bucket numbers — so within a shard tuples are visited in
-//     index order, the same relative order per bucket as a single-stream
-//     execution, and key-list shapes, walk lengths and therefore simulated
-//     times are identical no matter how many workers execute the shards.
-//     Node allocation goes through a worker-private alloc.Local.
+//     in its slice of the bucket space, so concurrent shards never touch
+//     the same key list. Owners lays the build out so that a shard's
+//     tuples are one contiguous range, in index order — the same relative
+//     order per bucket as a single-stream execution — so key-list shapes,
+//     walk lengths and therefore simulated times are identical no matter
+//     how many workers execute the shards. For the segmented PHJ table the
+//     high bucket bits are the partition index and the partitioned build
+//     side is already in that order; any other build is stable-scattered
+//     by owner with sched.Scatter. Node allocation goes through a
+//     worker-private alloc.Local.
 //
-// The per-item accounting charges match the serial kernels; building the
-// owner index is runtime scheduling work (two streamed passes over the
-// bucket numbers) and is not modeled, like the morsel dispatch itself.
+// The per-item accounting charges match the serial kernels; laying out the
+// ownership is runtime scheduling work (for SHJ two streamed passes over
+// the build's columns) and is not modeled, like the morsel dispatch itself.
 
-// shardShift returns the right-shift that maps a bucket number to its
-// ownership shard for the given shard count (a power of two).
-func (t *Table) shardShift(shards int) uint {
-	var shift uint
-	for 1<<shift < t.nBuckets {
-		shift++
-	}
-	var sbits uint
-	for 1<<sbits < shards {
-		sbits++
-	}
-	if sbits > shift {
-		return 0
-	}
-	return shift - sbits
+// Owners is the ownership decomposition of a build's insert steps, b3 and
+// b4: sched.DefaultShards shards (fewer on a tiny table), shard k owning the
+// k-th slice of the bucket space. Every shard's tuples are one contiguous
+// range of the owner-ordered columns Keys, Bucket and RIDs, in index order.
+// One layout serves both insert steps, every device's share of them and
+// both tables of a SeparateTables build (they share one geometry). The
+// zero value is ready to use; Release hands back what Build took.
+type Owners struct {
+	Keys, Bucket, RIDs []int32
+
+	shards int
+	// offsets, on a partition-sorted build side, are its partition
+	// boundaries: shard k owns the per partitions from k*per on, whose
+	// tuples are contiguous already and used in place. Otherwise scat laid
+	// the columns out in slab.
+	offsets []int32
+	per     int
+	scat    sched.Scatter
+	slab    []int32
 }
 
-// shards clamps the requested ownership shard count to the bucket count,
-// keeping it a power of two.
-func (t *Table) shards(want int) int {
-	s := 1
-	for s*2 <= want && s*2 <= t.nBuckets {
-		s *= 2
+// Build lays out the ownership of the build side (keys, rids), whose b1
+// bucket numbers on t are bucket. offsets, when non-nil, are the partition
+// boundaries of a build side sorted by partition for the segmented table t
+// (PHJ): with at least one partition per shard, a shard owns whole
+// partitions and nothing is built. Otherwise the three columns are
+// stable-scattered by owner into a recycler slab on the pool.
+func (o *Owners) Build(p *sched.Pool, t *Table, keys, bucket, rids, offsets []int32) {
+	shards, shift := sched.OwnerShards(t.nBuckets)
+	o.shards, o.offsets = shards, nil
+	if parts := len(offsets) - 1; parts >= shards {
+		o.Keys, o.Bucket, o.RIDs = keys, bucket, rids
+		o.offsets, o.per = offsets, parts/shards
+		return
 	}
-	return s
+	n := len(keys)
+	alloc.PutWords(o.slab)
+	o.slab = alloc.GetWords(3 * n)
+	o.Keys, o.Bucket, o.RIDs = o.slab[:n:n], o.slab[n:2*n:2*n], o.slab[2*n:3*n]
+	o.scat.Setup(p, bucket, shift, shards)
+	o.scat.Move(p, 0, n, sched.Cols{o.Keys, o.Bucket, o.RIDs}, sched.Cols{keys, bucket, rids})
 }
 
-// Owners builds the ownership decomposition of b3 and b4 into x:
-// sched.DefaultShards shards (fewer on a tiny table) over bucket, b1's
-// output. Call it between b1 and b3; one index serves both insert steps,
-// every device's share of them, and any table of the same geometry.
-func (t *Table) Owners(pool *sched.Pool, bucket []int32, x *sched.OwnerIndex) {
-	shards := t.shards(sched.DefaultShards)
-	x.Build(pool, bucket, t.shardShift(shards), shards)
+// Shards returns the shard count of the last Build.
+func (o *Owners) Shards() int { return o.shards }
+
+// Cut returns, for every shard k, the position in the owner-ordered
+// columns of shard k's first tuple at index i or later, so shard k's share
+// of the tuples [lo,hi) is [Cut(lo)[k], Cut(hi)[k]).
+func (o *Owners) Cut(i int) (at [sched.DefaultShards]int32) {
+	if o.offsets == nil {
+		o.scat.Cut(i, at[:o.shards])
+		return at
+	}
+	for k := range o.shards {
+		at[k] = min(max(int32(i), o.offsets[k*o.per]), o.offsets[(k+1)*o.per])
+	}
+	return at
+}
+
+// Release hands the slab and the scatter's grid to the recycler, leaving the
+// zero value.
+func (o *Owners) Release() {
+	alloc.PutWords(o.slab)
+	o.scat.Release()
+	*o = Owners{}
 }
 
 // B2Atomic is B2 with a sync/atomic increment of the bucket count, safe for
@@ -95,19 +128,19 @@ func (t *Table) B2Atomic(d *device.Device, bucket []int32, head, work []int32, l
 	return a
 }
 
-// B3Shard performs b3 for the tuples idx — one shard's share of the owner
-// index over bucket, ascending: the key lists visited (and the key nodes
+// B3Shard performs b3 for the tuples [lo,hi) of the owner-ordered columns —
+// one shard's share (Owners.Cut): the key lists visited (and the key nodes
 // created, through the worker-private allocator) all live in the shard's
 // bucket range, so concurrent shards never touch the same list. The created
 // key nodes are counted privately and published with one add: the only
 // readers (B4Shard's AtomicTargets, NumKeys) run after the b3 barrier.
-func (t *Table) B3Shard(d *device.Device, keys, bucket, node []int32, idx []int32, la *alloc.Local) device.Acct {
+func (t *Table) B3Shard(d *device.Device, keys, bucket, node []int32, lo, hi int, la *alloc.Local) device.Acct {
 	var a device.Acct
 	div := device.NewDivTracker(d.WavefrontSize)
 	words := t.arena.Words()
 
 	var created int64
-	for _, i := range idx {
+	for i := lo; i < hi; i++ {
 		b := bucket[i]
 		key := keys[i]
 		var visited int32 = 1
@@ -131,7 +164,7 @@ func (t *Table) B3Shard(d *device.Device, keys, bucket, node []int32, idx []int3
 	}
 	t.numKeys.Add(created)
 
-	processed := int64(len(idx))
+	processed := int64(hi - lo)
 	a.Items = processed
 	a.Instr += created * instrCreateNode
 	a.AtomicOps = created       // latched head swap on the bucket
@@ -144,16 +177,16 @@ func (t *Table) B3Shard(d *device.Device, keys, bucket, node []int32, idx []int3
 	return a
 }
 
-// B4Shard performs b4 for the tuples idx, the same shard share B3Shard
-// received. The key node a tuple appends to belongs to the tuple's bucket,
-// so ownership carries over from b3 and the rid-list pushes need no
-// synchronization.
-func (t *Table) B4Shard(d *device.Device, rids, node []int32, idx []int32, la *alloc.Local) device.Acct {
+// B4Shard performs b4 for the tuples [lo,hi) of the owner-ordered columns,
+// a shard share as B3Shard takes it. The key node a tuple appends to
+// belongs to the tuple's bucket, so ownership carries over from b3 and the
+// rid-list pushes need no synchronization.
+func (t *Table) B4Shard(d *device.Device, rids, node []int32, lo, hi int, la *alloc.Local) device.Acct {
 	var a device.Acct
 	words := t.arena.Words()
 	before := la.Stats()
 
-	for _, i := range idx {
+	for i := lo; i < hi; i++ {
 		kn := node[i]
 		rn := la.Alloc(ridNodeWords)
 		words[rn+ridOffRID] = rids[i]
@@ -161,7 +194,7 @@ func (t *Table) B4Shard(d *device.Device, rids, node []int32, idx []int32, la *a
 		words[kn+keyOffRIDHead] = rn
 	}
 
-	processed := int64(len(idx))
+	processed := int64(hi - lo)
 	a.Items = processed
 	a.Instr = processed * instrInsertRID
 	a.SeqBytes = processed * 8

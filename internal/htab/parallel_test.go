@@ -8,27 +8,25 @@ import (
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
+	"apujoin/internal/hash"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
 
-// b3ShardScan and b4ShardScan are the scan-and-skip insert kernels that
-// B3Shard/B4Shard's index walk replaced: every shard reads all of [lo,hi)
-// and skips the tuples whose bucket it does not own, and b3 publishes each
-// created key node with its own atomic add. They are kept as the reference
-// decomposition — same tuples, same order, same allocator request sequence,
-// so the same device.Acct per shard.
-func (t *Table) b3ShardScan(d *device.Device, keys, bucket, node []int32, lo, hi int, shard int32, shift uint, la *alloc.Local) device.Acct {
+// b3ShardIdx and b4ShardIdx are the insert kernels B3Shard / B4Shard were
+// before the contiguous layout: a shard walks an ascending, sparse list of
+// its tuple indices — the build's owner index — over the build's own
+// columns. They are kept as the reference decomposition: same tuples, same
+// order, same allocator request sequence, so the same device.Acct per
+// (step, share, shard).
+func (t *Table) b3ShardIdx(d *device.Device, keys, bucket, node []int32, idx []int32, la *alloc.Local) device.Acct {
 	var a device.Acct
 	div := device.NewDivTracker(d.WavefrontSize)
 	words := t.arena.Words()
 
-	var processed int64
-	for i := lo; i < hi; i++ {
+	var created int64
+	for _, i := range idx {
 		b := bucket[i]
-		if b>>shift != shard {
-			continue
-		}
 		key := keys[i]
 		var visited int32 = 1
 		kn := t.Head[b]
@@ -42,18 +40,19 @@ func (t *Table) b3ShardScan(d *device.Device, keys, bucket, node []int32, lo, hi
 			words[kn+keyOffRIDHead] = nilRef
 			words[kn+keyOffNext] = t.Head[b]
 			t.Head[b] = kn
-			t.numKeys.Add(1)
-			a.Instr += instrCreateNode
-			a.AtomicOps++
+			created++
 		}
 		node[i] = kn
 		a.Instr += int64(visited) * instrListNode
 		a.Rand[device.RegionHashTable] += int64(visited)
 		div.Item(visited)
-		processed++
 	}
+	t.numKeys.Add(created)
 
+	processed := int64(len(idx))
 	a.Items = processed
+	a.Instr += created * instrCreateNode
+	a.AtomicOps = created
 	a.SeqBytes = processed * 12
 	a.AtomicTargets = int64(t.nBuckets)
 	st := la.Stats()
@@ -63,33 +62,42 @@ func (t *Table) b3ShardScan(d *device.Device, keys, bucket, node []int32, lo, hi
 	return a
 }
 
-func (t *Table) b4ShardScan(rids, bucket, node []int32, lo, hi int, shard int32, shift uint, la *alloc.Local) device.Acct {
+func (t *Table) b4ShardIdx(rids, node []int32, idx []int32, la *alloc.Local) device.Acct {
 	var a device.Acct
 	words := t.arena.Words()
+	before := la.Stats()
 
-	var processed int64
-	for i := lo; i < hi; i++ {
-		if bucket[i]>>shift != shard {
-			continue
-		}
+	for _, i := range idx {
 		kn := node[i]
 		rn := la.Alloc(ridNodeWords)
 		words[rn+ridOffRID] = rids[i]
 		words[rn+ridOffNext] = words[kn+keyOffRIDHead]
 		words[kn+keyOffRIDHead] = rn
-		processed++
 	}
 
+	processed := int64(len(idx))
 	a.Items = processed
 	a.Instr = processed * instrInsertRID
 	a.SeqBytes = processed * 8
 	a.Rand[device.RegionHashTable] = processed * 2
 	a.AtomicOps = processed
 	a.AtomicTargets = max(t.numKeys.Load(), 1)
-	st := la.Stats()
+	st := la.Stats().Sub(before)
 	a.AllocAtomics += st.GlobalAtomics
 	a.LocalOps += st.LocalOps
 	return a
+}
+
+// ownedIdx is one shard's list of the owner index the reference kernels
+// walk: the tuples of [lo,hi) whose bucket the shard owns, ascending.
+func ownedIdx(bucket []int32, shift uint, shard, lo, hi int) []int32 {
+	var out []int32
+	for i := lo; i < hi; i++ {
+		if int(bucket[i]>>shift) == shard {
+			out = append(out, int32(i))
+		}
+	}
+	return out
 }
 
 // buildSerial runs the single-stream b1..b4 pipeline.
@@ -108,60 +116,123 @@ func buildSerial(r rel.Relation) *Table {
 	return t
 }
 
-// shardedBuild is a table after b1 and the atomic b2, ready for the
-// ownership-shard insert steps, with the per-step intermediates.
-type shardedBuild struct {
-	t            *Table
+// insertBuild is a build after b1 and the atomic b2, ready for the
+// ownership-shard insert steps: a CPU and a GPU table — one table twice
+// unless the build keeps separate tables — and b1's bucket numbers. A PHJ
+// build side is sorted by a radix partition first, as the partition phase
+// leaves it, and offsets holds its partition boundaries.
+type insertBuild struct {
+	tables       [2]*Table
 	r            rel.Relation
 	bucket, node []int32
-	shards       int
+	offsets      []int32
 	shift        uint
 }
 
-func newShardedBuild(r rel.Relation) *shardedBuild {
+// newInsertBuild builds over r with the given allocator: SHJ when bits is
+// 0, else PHJ over 1<<bits partitions. With separate tables, b2 counts the
+// tuples below cut into the CPU table and the rest into the GPU table, the
+// split every step of a DD build shares.
+func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, cut int) *insertBuild {
 	n := r.Len()
-	arena := alloc.New(alloc.Config{}, alloc.ParallelCapWords(alloc.Config{}, n*5+64, 3, 4*sched.DefaultShards))
-	sb := &shardedBuild{t: New(n, arena), r: r, bucket: make([]int32, n), node: make([]int32, n)}
+	ib := &insertBuild{r: r, bucket: make([]int32, n), node: make([]int32, n)}
+	var partIdx []int32
+	if bits > 0 {
+		ib.r, partIdx, ib.offsets = byPartition(r, bits)
+	}
+	newTable := func() *Table {
+		arena := alloc.New(cfg, alloc.ParallelCapWords(cfg, n*5+64, 3, 4*sched.DefaultShards))
+		if bits > 0 {
+			return NewSeg(1<<bits, max(n>>bits, 1), 0, bits, arena)
+		}
+		return New(n, arena)
+	}
+	ib.tables[0] = newTable()
+	ib.tables[1] = ib.tables[0]
+	if separate {
+		ib.tables[1] = newTable()
+	} else {
+		cut = n
+	}
 	cpu := device.New(device.APUCPU())
-	sb.t.B1(cpu, r.Keys, sb.bucket, 0, n)
-	sb.t.B2Atomic(cpu, sb.bucket, make([]int32, n), nil, 0, n)
-	sb.shards = sb.t.shards(sched.DefaultShards)
-	sb.shift = sb.t.shardShift(sb.shards)
-	return sb
+	t := ib.tables[0]
+	if bits > 0 {
+		t.B1Seg(cpu, ib.r.Keys, partIdx, ib.bucket, 0, n)
+	} else {
+		t.B1(cpu, ib.r.Keys, ib.bucket, 0, n)
+	}
+	head := make([]int32, n)
+	ib.tables[0].B2Atomic(cpu, ib.bucket, head, nil, 0, cut)
+	ib.tables[1].B2Atomic(cpu, ib.bucket, head, nil, cut, n)
+	_, ib.shift = sched.OwnerShards(t.nBuckets)
+	return ib
 }
 
-// share is one device's [lo,hi) slice of a step, as a PL ratio cuts it.
+// byPartition returns r stably sorted by its radix partition over the low
+// bits of the key hash, the partition of each tuple and the partition
+// boundaries.
+func byPartition(r rel.Relation, bits uint) (rel.Relation, []int32, []int32) {
+	n := r.Len()
+	parts := 1 << bits
+	offsets := make([]int32, parts+1)
+	for _, k := range r.Keys {
+		offsets[hash.RadixPass(uint32(k), 0, bits)+1]++
+	}
+	for p := 0; p < parts; p++ {
+		offsets[p+1] += offsets[p]
+	}
+	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	partIdx := make([]int32, n)
+	at := slices.Clone(offsets)
+	for i, k := range r.Keys {
+		p := hash.RadixPass(uint32(k), 0, bits)
+		out.Keys[at[p]], out.RIDs[at[p]], partIdx[at[p]] = k, r.RIDs[i], int32(p)
+		at[p]++
+	}
+	return out, partIdx, offsets
+}
+
+// share is one device's [lo,hi) slice of a step on that device's table.
 type share struct {
 	d      *device.Device
+	t      *Table
 	lo, hi int
 }
 
-// plShares splits [0,n) at cut into a CPU and a GPU share.
-func plShares(cut, n int) []share {
+// shares splits [0,n) at cut into a CPU and a GPU share, as a PL ratio cuts
+// one step.
+func (ib *insertBuild) shares(cut int) []share {
 	return []share{
-		{device.New(device.APUCPU()), 0, cut},
-		{device.New(device.APUGPU()), cut, n},
+		{device.New(device.APUCPU()), ib.tables[0], 0, cut},
+		{device.New(device.APUGPU()), ib.tables[1], cut, ib.r.Len()},
 	}
 }
 
-// insertScan runs b3 over b3Shares then b4 over b4Shares with the reference
-// scan kernels, serially in the given shard order, returning every (step,
+// shards returns the ownership shard count of the build's geometry.
+func (ib *insertBuild) shards() int {
+	shards, _ := sched.OwnerShards(ib.tables[0].nBuckets)
+	return shards
+}
+
+// insertIdx runs b3 over b3Shares, then b4 over b4Shares, with the
+// reference kernels: every shard walks its owner-index list of the share,
+// the shards one after another in the given order. It returns every (step,
 // share, shard) accounting record.
-func (sb *shardedBuild) insertScan(b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
+func (ib *insertBuild) insertIdx(b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
 	for _, sh := range b3Shares {
-		accts := make([]device.Acct, sb.shards)
+		accts := make([]device.Acct, ib.shards())
 		for _, s := range order {
-			la := sb.t.arena.NewLocal()
-			accts[s] = sb.t.b3ShardScan(sh.d, sb.r.Keys, sb.bucket, sb.node, sh.lo, sh.hi, int32(s), sb.shift, la)
+			la := sh.t.arena.NewLocal()
+			accts[s] = sh.t.b3ShardIdx(sh.d, ib.r.Keys, ib.bucket, ib.node, ownedIdx(ib.bucket, ib.shift, s, sh.lo, sh.hi), la)
 			la.Close()
 		}
 		b3 = append(b3, accts)
 	}
 	for _, sh := range b4Shares {
-		accts := make([]device.Acct, sb.shards)
+		accts := make([]device.Acct, ib.shards())
 		for _, s := range order {
-			la := sb.t.arena.NewLocal()
-			accts[s] = sb.t.b4ShardScan(sb.r.RIDs, sb.bucket, sb.node, sh.lo, sh.hi, int32(s), sb.shift, la)
+			la := sh.t.arena.NewLocal()
+			accts[s] = sh.t.b4ShardIdx(ib.r.RIDs, ib.node, ownedIdx(ib.bucket, ib.shift, s, sh.lo, sh.hi), la)
 			la.Close()
 		}
 		b4 = append(b4, accts)
@@ -169,40 +240,42 @@ func (sb *shardedBuild) insertScan(b3Shares, b4Shares []share, order []int) (b3,
 	return b3, b4
 }
 
-// owners builds the build's owner index over the bucket numbers.
-func (sb *shardedBuild) owners(pool *sched.Pool) *sched.OwnerIndex {
-	var owner sched.OwnerIndex
-	sb.t.Owners(pool, sb.bucket, &owner)
-	return &owner
+// owners lays out the build's insert ownership, as b3's ParSetup does.
+func (ib *insertBuild) owners(pool *sched.Pool) *Owners {
+	var o Owners
+	o.Build(pool, ib.tables[0], ib.r.Keys, ib.bucket, ib.r.RIDs, ib.offsets)
+	return &o
 }
 
-// insertIndexed runs the same steps with the production kernels over one
-// owner index for both steps and all shares. A nil order executes the shards
-// concurrently on the pool, the way the runner does; otherwise they run one
+// insertOwned runs the same steps with the production kernels over one
+// ownership layout for both steps and all shares. A nil order runs the
+// shards concurrently on the pool, the way the runner does; otherwise one
 // after another in that order.
-func (sb *shardedBuild) insertIndexed(pool *sched.Pool, owner *sched.OwnerIndex, b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
-	each := func(fn func(s int) device.Acct) []device.Acct {
-		if order == nil {
-			return sched.Collect(pool, sb.shards, fn)
+func (ib *insertBuild) insertOwned(pool *sched.Pool, o *Owners, b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
+	each := func(sh share, fn func(t *Table, lo, hi int, la *alloc.Local) device.Acct) []device.Acct {
+		from, to := o.Cut(sh.lo), o.Cut(sh.hi)
+		run := func(s int) device.Acct {
+			la := sh.t.arena.NewLocal()
+			defer la.Close()
+			return fn(sh.t, int(from[s]), int(to[s]), la)
 		}
-		accts := make([]device.Acct, sb.shards)
+		if order == nil {
+			return sched.Collect(pool, o.Shards(), run)
+		}
+		accts := make([]device.Acct, o.Shards())
 		for _, s := range order {
-			accts[s] = fn(s)
+			accts[s] = run(s)
 		}
 		return accts
 	}
 	for _, sh := range b3Shares {
-		b3 = append(b3, each(func(s int) device.Acct {
-			la := sb.t.arena.NewLocal()
-			defer la.Close()
-			return sb.t.B3Shard(sh.d, sb.r.Keys, sb.bucket, sb.node, owner.Shard(s, sh.lo, sh.hi), la)
+		b3 = append(b3, each(sh, func(t *Table, lo, hi int, la *alloc.Local) device.Acct {
+			return t.B3Shard(sh.d, o.Keys, o.Bucket, ib.node, lo, hi, la)
 		}))
 	}
 	for _, sh := range b4Shares {
-		b4 = append(b4, each(func(s int) device.Acct {
-			la := sb.t.arena.NewLocal()
-			defer la.Close()
-			return sb.t.B4Shard(sh.d, sb.r.RIDs, sb.node, owner.Shard(s, sh.lo, sh.hi), la)
+		b4 = append(b4, each(sh, func(t *Table, lo, hi int, la *alloc.Local) device.Acct {
+			return t.B4Shard(sh.d, o.RIDs, ib.node, lo, hi, la)
 		}))
 	}
 	return b3, b4
@@ -216,52 +289,85 @@ func ascending(n int) []int {
 	return out
 }
 
-// TestShardedBuildMatchesSerial compares the sharded build against the
-// serial one structurally — identical invariants, key population and rid
-// order per key (the ownership design preserves per-bucket insertion
-// order, so list shapes and walk costs match too) — and against the
-// scan-and-skip reference record by record: every (step, share, shard)
-// device.Acct of the indexed kernels must equal the reference's, also when
-// b3 and b4 are cut at different points, as per-step PL ratios do.
+// requireSameTables checks two builds of the same tuples structurally: each
+// table valid, the same key population and allocator totals, and the same
+// rid order for every 17th tuple's key.
+func requireSameTables(t *testing.T, name string, got, want *insertBuild) {
+	t.Helper()
+	for i := range got.tables {
+		g, w := got.tables[i], want.tables[i]
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: table %d invalid: %v", name, i, err)
+		}
+		if g.NumKeys() != w.NumKeys() || g.arena.Stats() != w.arena.Stats() {
+			t.Fatalf("%s: table %d holds %d keys, allocator %+v; the reference %d, %+v", name, i, g.NumKeys(), g.arena.Stats(), w.NumKeys(), w.arena.Stats())
+		}
+		for j := 0; j < got.r.Len(); j += 17 {
+			k := got.r.Keys[j]
+			if a, b := g.Lookup(k), w.Lookup(k); !slices.Equal(a, b) {
+				t.Fatalf("%s: table %d key %d rids %v, the reference's %v", name, i, k, a, b)
+			}
+		}
+	}
+}
+
+// TestShardedBuildMatchesSerial holds the contiguous insert steps to the
+// owner-index kernels they replaced, record by record: every (step, share,
+// shard) device.Acct, the allocator totals and the rid order of every key
+// must be equal — for SHJ, for PHJ over a partition-sorted build side with
+// more partitions than shards (nothing is laid out) and with fewer (the
+// scatter takes over), under Basic and Block allocation, with one shared
+// table and with separate CPU and GPU tables, at cuts on and inside
+// morsels, b3 and b4 cut at different points on a shared table as per-step
+// PL ratios do. A shared SHJ table must also equal the serial build's.
 func TestShardedBuildMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
-		r := rel.Gen{N: sched.MorselItems + 3616, Dist: dist, Seed: 7}.Build()
-		n := r.Len()
+	n := sched.MorselItems + 3616
+	base := rel.Gen{N: n, Seed: 7}.Build()
+	inputs := map[string]rel.Relation{
+		"distinct":  base,
+		"high-skew": rel.Gen{N: n, Dist: rel.HighSkew, Seed: 8}.Probe(base, 1.0),
+	}
+	for iname, r := range inputs {
 		serial := buildSerial(r)
-
-		for _, cuts := range [][2]int{{n, n}, {n / 3, 2 * n / 3}, {0, n / 2}} {
-			b3Shares, b4Shares := plShares(cuts[0], n), plShares(cuts[1], n)
-			ref := newShardedBuild(r)
-			ref3, ref4 := ref.insertScan(b3Shares, b4Shares, ascending(ref.shards))
-			idx := newShardedBuild(r)
-			got3, got4 := idx.insertIndexed(pool, idx.owners(pool), b3Shares, b4Shares, nil)
-
-			for si := range b3Shares {
-				for s := 0; s < ref.shards; s++ {
-					if got3[si][s] != ref3[si][s] {
-						t.Fatalf("%v cuts %v: b3 share %d shard %d acct\n got %+v\nwant %+v", dist, cuts, si, s, got3[si][s], ref3[si][s])
+		for _, bits := range []uint{0, 6, 3} {
+			for _, cfg := range []alloc.Config{{Strategy: alloc.Basic}, {Strategy: alloc.Block}} {
+				for _, separate := range []bool{false, true} {
+					cuts := [][2]int{{n, n}, {n / 3, 2 * n / 3}, {0, n / 2}, {sched.MorselItems + 77, 5000}}
+					if separate {
+						// A tuple's b3 and b4 must meet one table: DD cuts.
+						cuts = [][2]int{{n / 3, n / 3}, {sched.MorselItems + 77, sched.MorselItems + 77}, {0, 0}}
 					}
-					if got4[si][s] != ref4[si][s] {
-						t.Fatalf("%v cuts %v: b4 share %d shard %d acct\n got %+v\nwant %+v", dist, cuts, si, s, got4[si][s], ref4[si][s])
-					}
-				}
-			}
+					for _, cut := range cuts {
+						name := fmt.Sprintf("%s bits=%d %v separate=%v cuts=%v", iname, bits, cfg.Strategy, separate, cut)
+						ref := newInsertBuild(r, bits, separate, cfg, cut[0])
+						b3Shares, b4Shares := ref.shares(cut[0]), ref.shares(cut[1])
+						ref3, ref4 := ref.insertIdx(b3Shares, b4Shares, ascending(ref.shards()))
 
-			sharded := idx.t
-			if err := sharded.Validate(); err != nil {
-				t.Fatalf("%v cuts %v: sharded table invalid: %v", dist, cuts, err)
-			}
-			if serial.NumKeys() != sharded.NumKeys() {
-				t.Fatalf("%v cuts %v: keys %d vs %d", dist, cuts, serial.NumKeys(), sharded.NumKeys())
-			}
-			// Shares run in index order (CPU [0,cut) before GPU [cut,n)),
-			// so a cut build still inserts every bucket's tuples in index
-			// order and rid lists match the serial build's exactly.
-			for _, k := range r.Keys[:200] {
-				if a, b := serial.Lookup(k), sharded.Lookup(k); !slices.Equal(a, b) {
-					t.Fatalf("%v cuts %v: key %d rids differ: %v vs %v", dist, cuts, k, a, b)
+						got := newInsertBuild(r, bits, separate, cfg, cut[0])
+						b3Shares, b4Shares = got.shares(cut[0]), got.shares(cut[1])
+						o := got.owners(pool)
+						got3, got4 := got.insertOwned(pool, o, b3Shares, b4Shares, nil)
+						o.Release()
+						for si := range b3Shares {
+							if !slices.Equal(got3[si], ref3[si]) {
+								t.Fatalf("%s: b3 share %d accts\n got %+v\nwant %+v", name, si, got3[si], ref3[si])
+							}
+							if !slices.Equal(got4[si], ref4[si]) {
+								t.Fatalf("%s: b4 share %d accts\n got %+v\nwant %+v", name, si, got4[si], ref4[si])
+							}
+						}
+						requireSameTables(t, name, got, ref)
+						if bits > 0 || separate {
+							continue
+						}
+						for _, k := range r.Keys[:200] {
+							if a, b := serial.Lookup(k), got.tables[0].Lookup(k); !slices.Equal(a, b) {
+								t.Fatalf("%s: key %d rids %v, the serial build's %v", name, k, b, a)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -270,67 +376,102 @@ func TestShardedBuildMatchesSerial(t *testing.T) {
 
 // TestShardedBuildAccountingDeterministic: per-tuple accounting must be a
 // pure function of the shard decomposition, not of shard execution order.
-// B3Shard and B4Shard run serially over one owner index with the shards in
-// ascending and in reversed order; every (step, share, shard) record must be
-// the same both ways, and equal to the scan-and-skip reference's.
+// B3Shard and B4Shard run serially over one ownership layout with the
+// shards in ascending and in reversed order; every (step, share, shard)
+// record must be the same both ways, and equal to the owner-index
+// reference's.
 func TestShardedBuildAccountingDeterministic(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
-		r := rel.Gen{N: 8192, Dist: dist, Seed: 9}.Build()
+		r := rel.Gen{N: 8192, Dist: dist, Seed: 9}.Probe(rel.Gen{N: 8192, Seed: 10}.Build(), 1.0)
 		n := r.Len()
-		b3Shares, b4Shares := plShares(n/4, n), plShares(n/2, n)
+		for _, bits := range []uint{0, 6} {
+			ref := newInsertBuild(r, bits, false, alloc.Config{}, n)
+			fwd := newInsertBuild(r, bits, false, alloc.Config{}, n)
+			rev := newInsertBuild(r, bits, false, alloc.Config{}, n)
+			order := ascending(ref.shards())
+			want3, want4 := ref.insertIdx(ref.shares(n/4), ref.shares(n/2), order)
+			fwd3, fwd4 := fwd.insertOwned(nil, fwd.owners(pool), fwd.shares(n/4), fwd.shares(n/2), order)
+			slices.Reverse(order)
+			rev3, rev4 := rev.insertOwned(nil, rev.owners(pool), rev.shares(n/4), rev.shares(n/2), order)
 
-		ref := newShardedBuild(r)
-		fwd := newShardedBuild(r)
-		rev := newShardedBuild(r)
-		order := ascending(ref.shards)
-		want3, want4 := ref.insertScan(b3Shares, b4Shares, order)
-		fwd3, fwd4 := fwd.insertIndexed(nil, fwd.owners(pool), b3Shares, b4Shares, order)
-		slices.Reverse(order)
-		rev3, rev4 := rev.insertIndexed(nil, rev.owners(pool), b3Shares, b4Shares, order)
-
-		for si := range b3Shares {
-			if !slices.Equal(fwd3[si], rev3[si]) || !slices.Equal(fwd4[si], rev4[si]) {
-				t.Fatalf("%v share %d: accounting depends on shard execution order:\n b3 fwd %+v\n b3 rev %+v\n b4 fwd %+v\n b4 rev %+v",
-					dist, si, fwd3[si], rev3[si], fwd4[si], rev4[si])
-			}
-			if !slices.Equal(fwd3[si], want3[si]) || !slices.Equal(fwd4[si], want4[si]) {
-				t.Fatalf("%v share %d: indexed kernels differ from the scan reference:\n b3 got %+v\n b3 want %+v\n b4 got %+v\n b4 want %+v",
-					dist, si, fwd3[si], want3[si], fwd4[si], want4[si])
+			for si := range want3 {
+				if !slices.Equal(fwd3[si], rev3[si]) || !slices.Equal(fwd4[si], rev4[si]) {
+					t.Fatalf("%v bits=%d share %d: accounting depends on shard execution order:\n b3 fwd %+v\n b3 rev %+v\n b4 fwd %+v\n b4 rev %+v",
+						dist, bits, si, fwd3[si], rev3[si], fwd4[si], rev4[si])
+				}
+				if !slices.Equal(fwd3[si], want3[si]) || !slices.Equal(fwd4[si], want4[si]) {
+					t.Fatalf("%v bits=%d share %d: contiguous kernels differ from the owner-index reference:\n b3 got %+v\n b3 want %+v\n b4 got %+v\n b4 want %+v",
+						dist, bits, si, fwd3[si], want3[si], fwd4[si], want4[si])
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkB3B4Shard measures the two insert steps of a 2^20-tuple build as
-// the runner executes them: ownership shards on the pool walking one owner
-// index, built outside the timer (BenchmarkOwnerIndex in internal/sched
-// prices the build).
+// BenchmarkB3B4Shard measures the two insert steps of a 2^20-tuple SHJ
+// build as the runner executes them — ownership shards on the pool, each
+// reading its contiguous range of the owner-ordered columns, laid out
+// outside the timer (BenchmarkOwnerScatter in internal/sched prices the
+// layout) — beside the owner-index kernels they replaced, whose lists are
+// also built outside the timer. The contiguous rows report their speed-up
+// over the sparse row beside them as x-sparse.
 func BenchmarkB3B4Shard(b *testing.B) {
 	const n = 1 << 20
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
-		sb := newShardedBuild(rel.Gen{N: n, Dist: dist, Seed: 1}.Build())
-		whole := plShares(n, n)[:1]
+		ib := newInsertBuild(rel.Gen{N: n, Dist: dist, Seed: 1}.Build(), 0, false, alloc.Config{}, n)
+		whole := ib.shares(n)[:1]
+		idx := make([][]int32, ib.shards())
+		for s := range idx {
+			idx[s] = ownedIdx(ib.bucket, ib.shift, s, 0, n)
+		}
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%v/pool=%d", dist, workers), func(b *testing.B) {
-				pool := sched.NewPool(workers)
-				defer pool.Close()
-				owner := sb.owners(pool)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := range sb.t.Head {
-						sb.t.Head[j] = nilRef
+			pool := sched.NewPool(workers)
+			o := ib.owners(pool)
+			var sparseNS float64
+			run := func(name string, insert func()) {
+				b.Run(fmt.Sprintf("%v/pool=%d/%s", dist, workers, name), func(b *testing.B) {
+					t := ib.tables[0]
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						for j := range t.Head {
+							t.Head[j] = nilRef
+						}
+						t.numKeys.Store(0)
+						t.arena.Reset()
+						b.StartTimer()
+						insert()
 					}
-					sb.t.numKeys.Store(0)
-					sb.t.arena.Reset()
-					b.StartTimer()
-					sb.insertIndexed(pool, owner, whole, whole, nil)
+					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					b.ReportMetric(ns/n, "ns/tuple")
+					if name == "sparse" {
+						sparseNS = ns
+					} else if sparseNS > 0 {
+						b.ReportMetric(sparseNS/ns, "x-sparse")
+					}
+				})
+			}
+			run("sparse", func() {
+				t, d := ib.tables[0], whole[0].d
+				for _, step := range []func(s int, la *alloc.Local) device.Acct{
+					func(s int, la *alloc.Local) device.Acct {
+						return t.b3ShardIdx(d, ib.r.Keys, ib.bucket, ib.node, idx[s], la)
+					},
+					func(s int, la *alloc.Local) device.Acct { return t.b4ShardIdx(ib.r.RIDs, ib.node, idx[s], la) },
+				} {
+					pool.MapShards(len(idx), func(s int) device.Acct {
+						la := t.arena.NewLocal()
+						defer la.Close()
+						return step(s, la)
+					})
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
 			})
+			run("contiguous", func() { ib.insertOwned(pool, o, whole, whole, nil) })
+			o.Release()
+			pool.Close()
 		}
 	}
 }

@@ -106,7 +106,8 @@ func MeasureWorkload(r, s rel.Relation) Workload {
 	if s.Len() == 0 || r.Len() == 0 {
 		return Workload{}
 	}
-	sample := s.KeySample(WorkloadSample)
+	sample := s.KeySampleSlab(WorkloadSample)
+	defer alloc.PutWords(sample)
 	sampled := rel.CountKeys(sample)
 	defer sampled.Release()
 	inBuild := sampled.Restrict(r.Keys)
@@ -123,7 +124,8 @@ func CountsWorkload(build rel.Counts, s rel.Relation) Workload {
 	if s.Len() == 0 || build.Len() == 0 {
 		return Workload{}
 	}
-	sample := s.KeySample(WorkloadSample)
+	sample := s.KeySampleSlab(WorkloadSample)
+	defer alloc.PutWords(sample)
 	return PairWorkload(sample, SkewBucketOf(HeavyShare(sample)),
 		func(k int32) bool { return build.Of(k) > 0 })
 }

@@ -80,7 +80,7 @@ func parallelPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
 // accounting of the gather. A pass that scattered already holds its output.
 func gathered(p *Pass) (rel.Relation, []int32, device.Acct) {
 	out := p.out
-	if p.grid == nil {
+	if out.Keys == nil {
 		n := p.Items()
 		out = rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
 	}
@@ -159,8 +159,7 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 
 					ref := parallelPass(in, cfg, sh.shift, sh.bits)
 					ref.N2Atomic(cpu, 0, n)
-					shards := ref.shards(sched.DefaultShards)
-					shift := ref.shardShift(shards)
+					shards, shift := sched.OwnerShards(ref.Partitions())
 					var refAccts [][]device.Acct
 					for _, s := range shares {
 						if s.lo == s.hi {
@@ -249,8 +248,8 @@ func (p *Pass) reset() {
 		p.head[i], p.tail[i] = nilRef, nilRef
 	}
 	p.arena.Reset()
-	alloc.PutWords(p.grid)
-	p.out, p.grid, p.moved, p.done = rel.Relation{}, nil, nil, nil
+	p.scat.Release()
+	p.out = rel.Relation{}
 }
 
 // benchInputs names the 2^20-tuple relations the kernel benchmarks run on.

@@ -37,6 +37,7 @@ import (
 	"apujoin/internal/device"
 	"apujoin/internal/hash"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
 
 // Profiled per-step instruction constants, mirroring htab's role for the
@@ -134,13 +135,11 @@ type Pass struct {
 	tail   []int32 // current append chunk
 	fill   []int32 // tuples in the tail chunk
 
-	// The pooled n3's state (parallel.go), nil on a pass whose n3 runs
-	// single-stream: the relation it scatters into and one slab holding the
-	// morsel × partition cursors and the two per-partition counters.
-	out   rel.Relation
-	grid  []int32 // cursors, then moved, then done: one slab
-	moved []int32 // tuples the running share has scattered
-	done  []int32 // tuples earlier shares have scattered
+	// The pooled n3's state (parallel.go), zero on a pass whose n3 runs
+	// single-stream: the relation it scatters into and the scatter of the
+	// partition numbers.
+	out  rel.Relation
+	scat sched.Scatter
 }
 
 // NewPass prepares a pass consuming bits radix bits at the given shift,
@@ -177,7 +176,7 @@ func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 func (p *Pass) Release() {
 	alloc.PutWords(p.part)
 	alloc.PutWords(p.hdr)
-	alloc.PutWords(p.grid)
+	p.scat.Release()
 	*p = Pass{}
 }
 
@@ -277,7 +276,7 @@ func (p *Pass) Gather(out rel.Relation) ([]int32, device.Acct) {
 	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0
-	if p.grid != nil {
+	if p.out.Keys != nil {
 		if n := p.out.Len(); out.Len() != n || n > 0 && &out.Keys[0] != &p.out.Keys[0] {
 			panic("radix: Gather into a relation other than the one n3 scattered into")
 		}

@@ -86,9 +86,9 @@ func TestCountsMatchesMap(t *testing.T) {
 }
 
 // TestCountsOnPartitionLocalKeys is the decorrelation check: a table built
-// over shard.SplitAt(·, level)[p] holds only keys that agree on three bits
-// of that level's Murmur2 — and, nested as the spiller nests them, of every
-// level above it. A table hash correlated with any of them would fold such
+// over one partition of shard.SplitAt at a level holds only keys that agree
+// on three bits of that level's Murmur2 — and, nested as the spiller nests
+// them, of every level above it. A table hash correlated with any of them would fold such
 // a column into a fraction of its slots; a decorrelated one keeps the mean
 // probe length of a hit where linear probing at load ≤ 1/2 puts it (1.5 in
 // expectation at exactly one half).
@@ -101,7 +101,8 @@ func TestCountsOnPartitionLocalKeys(t *testing.T) {
 		if level > 2 {
 			return
 		}
-		for p, part := range shard.SplitAt(cur, level) {
+		split, _ := shard.SplitAt(nil, level, cur)
+		for p, part := range split[0] {
 			c := rel.KeyCounts(part)
 			requireCountsEqualMap(t, c, part.Keys)
 			var sum int

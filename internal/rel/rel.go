@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"apujoin/internal/alloc"
 )
 
 // Relation is a column-oriented relation of (RID, Key) pairs.
@@ -43,6 +45,20 @@ func (r Relation) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Recycled returns an n-tuple relation whose two columns are recycler slabs
+// of arbitrary contents, for a producer that writes every word of both.
+// Release hands them back.
+func Recycled(n int) Relation {
+	return Relation{RIDs: alloc.GetWords(n), Keys: alloc.GetWords(n)}
+}
+
+// Release hands a Recycled relation's columns back to the recycler. Nothing
+// may read the relation afterwards; the zero relation is fine to pass.
+func (r Relation) Release() {
+	alloc.PutWords(r.RIDs)
+	alloc.PutWords(r.Keys)
 }
 
 // Slice returns the sub-relation covering tuples [lo, hi).

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,14 +49,22 @@ type Pool struct {
 const MorselItems = 1 << 14
 
 // DefaultShards is the number of ownership shards insert-style kernels are
-// split into; each of the build's shards walks its own tuples through an
-// OwnerIndex, and the partition scatter is charged as that many. More
+// split into; each of the build's shards walks its own contiguous range of
+// tuples, and the partition scatter is charged as that many. More
 // shards smooth skew across workers, at one dispatch and one abandoned
 // allocator block apiece. The value is contractual, not a tuning knob:
 // every shard allocates through a fresh worker-private alloc.Local, so the
 // shard count feeds the allocator accounting and with it the simulated
 // times. Fixed (worker-independent) by the determinism rule.
 const DefaultShards = 16
+
+// OwnerShards divides a power-of-two space of buckets — hash buckets or
+// partitions — among DefaultShards ownership shards, fewer when there are
+// fewer buckets: shard k owns the contiguous buckets b with b>>shift == k.
+func OwnerShards(buckets int) (shards int, shift uint) {
+	shards = min(DefaultShards, buckets)
+	return shards, uint(bits.TrailingZeros(uint(buckets)) - bits.TrailingZeros(uint(shards)))
+}
 
 // NewPool returns a resident pool of the given size; workers <= 0 selects
 // GOMAXPROCS. A 1-worker pool executes the same decomposition inline on the
@@ -196,47 +205,7 @@ func MergeAccts(accts []device.Acct) device.Acct {
 // MapRange splits [lo,hi) into the fixed MorselItems grid, executes fn over
 // the morsels on the pool, and merges the per-morsel records in grid order.
 func (p *Pool) MapRange(lo, hi int, fn func(mlo, mhi int) device.Acct) device.Acct {
-	n := hi - lo
-	if n <= 0 {
-		return device.Acct{}
-	}
-	m := (n + MorselItems - 1) / MorselItems
-	accts := make([]device.Acct, m)
-	p.ForEach(m, func(i int) {
-		mlo := lo + i*MorselItems
-		mhi := mlo + MorselItems
-		if mhi > hi {
-			mhi = hi
-		}
-		accts[i] = fn(mlo, mhi)
-	})
-	return MergeAccts(accts)
-}
-
-// MapRangeCounts splits [lo,hi) into the fixed MorselItems grid, executes
-// fn over the morsels on the pool, and returns the per-morsel values in
-// grid order. It is the ordered-reduction sibling of MapRange for kernels
-// whose per-morsel result is a plain count rather than a device accounting
-// record: the streamed pipeline producer sizes each output morsel with it
-// (count pass) before the parallel fill. The grid — and with it the
-// returned slice — is a pure function of [lo,hi); the worker count only
-// decides which goroutine computes which entry.
-func (p *Pool) MapRangeCounts(lo, hi int, fn func(mlo, mhi int) int64) []int64 {
-	n := hi - lo
-	if n <= 0 {
-		return nil
-	}
-	m := (n + MorselItems - 1) / MorselItems
-	counts := make([]int64, m)
-	p.ForEach(m, func(i int) {
-		mlo := lo + i*MorselItems
-		mhi := mlo + MorselItems
-		if mhi > hi {
-			mhi = hi
-		}
-		counts[i] = fn(mlo, mhi)
-	})
-	return counts
+	return MergeAccts(CollectRange(p, lo, hi, fn))
 }
 
 // MapShards executes fn once per ownership shard on the pool and merges the
@@ -244,12 +213,22 @@ func (p *Pool) MapRangeCounts(lo, hi int, fn func(mlo, mhi int) int64) []int64 {
 // routed by structure ownership (hash bucket or partition segment) rather
 // than split by range.
 func (p *Pool) MapShards(shards int, fn func(shard int) device.Acct) device.Acct {
-	if shards <= 0 {
-		return device.Acct{}
-	}
-	accts := make([]device.Acct, shards)
-	p.ForEach(shards, func(i int) { accts[i] = fn(i) })
-	return MergeAccts(accts)
+	return MergeAccts(Collect(p, shards, fn))
+}
+
+// CollectRange splits [lo,hi) into the fixed MorselItems grid, executes fn
+// over the morsels on the pool, and returns the per-morsel results in grid
+// order: MapRange's records, or the per-morsel counts the streamed
+// pipeline producer sizes its output with before the parallel fill. The
+// grid — and with it the returned slice — is a pure function of [lo,hi);
+// the worker count only decides which goroutine computes which entry.
+func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {
+	out := make([]T, (max(hi-lo, 0)+MorselItems-1)/MorselItems)
+	p.ForEach(len(out), func(i int) {
+		mlo := lo + i*MorselItems
+		out[i] = fn(mlo, min(hi, mlo+MorselItems))
+	})
+	return out
 }
 
 // Collect executes fn once per index of a fixed n-element grid on the pool

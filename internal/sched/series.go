@@ -83,7 +83,7 @@ type Step struct {
 	// ParSetup, when non-nil, runs once on the host before the step's
 	// ParKernel calls — only where those run — to prepare what every
 	// device's share of the step reads (the partition scatter's cursor grid,
-	// the build's owner index).
+	// the build's insert ownership).
 	ParSetup func(p *Pool)
 	// After, if non-nil, runs on the host once the step has completed.
 	After Barrier

@@ -157,10 +157,15 @@ func (b *localBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Rel
 }
 
 // input resolves one job source to its per-partition slices: a registered
-// relation's pinned entries, or an inline relation split on the spot.
+// relation's pinned entries, or an inline relation split on the spot into
+// slabs that go back with the job's pins.
 func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
 	if name == "" {
-		return b.grid.Split(inline), pins, nil
+		parts, scratch := b.grid.SplitScratch(b.pool, inline)
+		if scratch.Len() > 0 {
+			pins = append(pins, catalog.Scratch(scratch))
+		}
+		return parts, pins, nil
 	}
 	return b.partitions(name, pins)
 }
@@ -278,7 +283,7 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 			c.replan = j.order.replan
 		}
 		in := in[p*n : (p+1)*n]
-		if err := sp.runChain(c, in, order, rel.Counts{}); err != nil {
+		if err := sp.runChain(c, in, order, rel.Counts{}, 0); err != nil {
 			return err
 		}
 		// The spill I/O of every level the spiller reached attaches to the

@@ -184,9 +184,11 @@ type chain struct {
 // indexes it.
 //
 // counts is in[order[0]]'s key → multiplicity table when the caller holds
-// one (a spilled partition's) and stays the caller's. Every other build
-// side's table the chain derives when the step hands an intermediate on
-// (the last step needs none) and releases after the hand-off. A step
+// one (a spilled partition's) and stays the caller's; known is then its
+// Matches over in[order[1]]'s keys, which the first pre-check reads instead
+// of summing again. Every other build side's table the chain derives when
+// the step hands an intermediate on (the last step needs none) and releases
+// after the hand-off. A step
 // whose build counts are in hand plans from them (plan.CountsWorkload —
 // the measured workload by construction); the first step prefers wFirst.
 //
@@ -194,7 +196,7 @@ type chain struct {
 // planner refuses empty relations) nor run, reports a zero result, and its
 // empty intermediate flows on. Emptiness depends only on the data (and the
 // fixed grid), so the skip is deterministic.
-func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts) error {
+func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts, known int64) error {
 	n := len(order)
 	// reserved (phys of it charged) backs cur and inter is cur once this
 	// chain produced it; own is counts once this chain derived them. All are
@@ -205,7 +207,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 	defer func() {
 		sp.unreserve(reserved, phys)
 		own.Release()
-		core.ReleaseStreamed(inter)
+		inter.Release()
 	}()
 
 	cur := in[order[0]]
@@ -219,9 +221,9 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			if !empty {
 				if counts.Len() == 0 {
 					own = rel.KeyCounts(cur)
-					counts = own
+					counts, known = own, own.Matches(probe.Keys)
 				}
-				if matches = counts.Matches(probe.Keys); matches > math.MaxInt32 {
+				if matches = known; matches > math.MaxInt32 {
 					return fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", matches))
 				}
 			}
@@ -286,7 +288,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 		}
 		own.Release()
 		counts = rel.Counts{}
-		core.ReleaseStreamed(inter)
+		inter.Release()
 		cur, inter = next, next
 		if int64(next.Len()) != stepRes.Matches {
 			return fail(fmt.Errorf("streamed %d tuples but the join counted %d — engine bug", next.Len(), stepRes.Matches))

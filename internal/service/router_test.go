@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"apujoin/internal/catalog"
@@ -214,6 +216,37 @@ func TestRouterShardedJoinPaths(t *testing.T) {
 	}
 	if _, err := svc.RunJoin(context.Background(), JoinSpec{RName: "r", SName: "missing", Opt: opt}); !errors.Is(err, catalog.ErrNotFound) {
 		t.Errorf("unknown probe name: err %v, want catalog.ErrNotFound", err)
+	}
+}
+
+// TestInlineSplitSlabsGoBack: an inline join on a sharded service splits
+// both sides over the grid into recycler slabs that go back with the
+// query's pins, so once the recycler is warm a join allocates less than
+// one copy of its inputs (1 MB here), the columns the split used to make
+// on every query: 0.2 MB alone, up to 0.7 MB with other tests' goroutines
+// allocating beside it, and a lost release adds the whole megabyte. The
+// collector is off for the duration so that no slab is freed in between.
+func TestInlineSplitSlabsGoBack(t *testing.T) {
+	const n = 1 << 16
+	svc := New(Config{Workers: 2, Shards: 2})
+	defer svc.Close()
+	r := rel.Gen{N: n, Seed: 1}.Build()
+	spec := JoinSpec{R: r, S: rel.Gen{N: n, Seed: 2}.Probe(r, 1.0), Opt: core.Options{Delta: 0.25, PilotItems: 1 << 8}}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := svc.RunJoin(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	warm, ceiling := run(), uint64(2*n*8)
+	t.Logf("a warm inline join allocated %d B (ceiling %d B)", warm, ceiling)
+	if warm > ceiling {
+		t.Fatalf("a warm inline 2^16 × 2^16 join on a sharded service allocates %d B, above the ceiling of %d B: the split's slabs are not going back with the pins", warm, ceiling)
 	}
 }
 

@@ -18,13 +18,15 @@ import (
 //
 //   - the current build side, its probe and every remaining probe are
 //     partitioned with the shard package's fixed grid partitioner into a
-//     simulated spill store (shard.SplitAt — level 0 is the grid itself,
-//     deeper levels rehash with decorrelated seeds);
+//     simulated spill store (shard.SplitAt on the pool, into one pair of
+//     recycled slabs per level — level 0 is the grid itself, deeper levels
+//     rehash with decorrelated seeds);
 //   - as many partitions as the budget allows stay resident (first-fit in
 //     partition order over each partition's exact intermediate size, which
-//     is known from the build side's key counts before anything runs) and
-//     pay no I/O; every other partition is charged one simulated
-//     write+read-back round trip over its input bytes (cost.Spill*);
+//     the build side's key counts give, partition by partition on the pool,
+//     before anything runs) and pay no I/O; every other partition is
+//     charged one simulated write+read-back round trip over its input
+//     bytes (cost.Spill*);
 //   - a partition whose intermediate alone exceeds the budget is
 //     recursively repartitioned at the next level, to maxSpillDepth;
 //   - a partition dominated by one heavy key — repartitioning cannot split
@@ -126,10 +128,12 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // returns one merged Result per chain step, bit-identical for any worker
 // count.
 //
-// The build side's key counts are derived once, per partition: partitions
-// hold disjoint key sets, so the heaviest key overall is the heaviest of
-// any partition, each partition's exact intermediate size reads its own
-// table, and that table then serves the partition's first chain step.
+// Every input splits on the pool into consecutive sub-slices of one keys
+// slab and one RIDs slab, handed back when run returns. The build side's
+// key counts are derived once, per partition and on the pool, beside the
+// partition's exact first intermediate: partitions hold disjoint key sets,
+// so the heaviest key overall is the heaviest of any partition, and a
+// partition's table and size then serve its first chain step.
 func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
 	if depth > sp.depth {
 		sp.depth = depth
@@ -137,16 +141,23 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 	if depth >= maxSpillDepth {
 		return sp.stream(cur, probes)
 	}
-	curP := shard.SplitAt(cur, depth)
+	split, slab := shard.SplitAt(sp.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
 	var counts [shard.Partitions]rel.Counts
 	defer func() {
 		for p := range counts {
 			counts[p].Release()
 		}
+		slab.Release()
 	}()
+	// Partitioning is by key, so partition p's first intermediate is the sum
+	// of the build-side counts of p's probe keys.
+	var matches [shard.Partitions]int64
+	sp.opt.Pool.ForEach(shard.Partitions, func(p int) {
+		counts[p] = rel.KeyCounts(split[0][p])
+		matches[p] = counts[p].Matches(split[1][p].Keys)
+	})
 	var heaviest int32
 	for p := range counts {
-		counts[p] = rel.KeyCounts(curP[p])
 		heaviest = max(heaviest, counts[p].Max())
 	}
 	// One key owning heavyKeyShare of the build side is the case
@@ -154,53 +165,40 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 	if heaviest > 0 && float64(heaviest) >= heavyKeyShare*float64(cur.Len()) {
 		return sp.stream(cur, probes)
 	}
-	probeP := make([][shard.Partitions]rel.Relation, len(probes))
-	for j := range probes {
-		probeP[j] = shard.SplitAt(probes[j], depth)
-	}
-
-	// Hybrid residency: first-fit in partition order, keeping as many
-	// partitions resident as the budget holds. Resident partitions pay no
-	// spill I/O; everything else is written out and read back once. The
-	// first intermediate's per-partition size is exact before any join
-	// runs: partitioning is by key, so partition p's matches are the sum of
-	// the build-side counts of p's probe keys.
-	var resident [shard.Partitions]bool
-	var residentCum int64
-	for p := range resident {
-		if b := counts[p].Matches(probeP[0][p].Keys) * 8; residentCum+b <= sp.budget {
-			residentCum += b
-			resident[p] = true
-		}
-	}
 
 	// Every partition's chain runs through runChain one level down, from
 	// its build side's counts — an intermediate the budget cannot hold
 	// recurses through the chain's own pre-check. in holds the partition's
 	// inputs in chain order.
-	in := make([]rel.Relation, len(probes)+1)
+	in := make([]rel.Relation, len(split))
 	order := make([]int, len(in))
 	for i := range order {
 		order[i] = i
 	}
 	pc := chain{level: depth + 1, steps: make([]*core.Result, 0, len(probes)), plans: make([]*PlanInfo, 0, len(probes))}
 	perStep := make([]*core.Result, len(probes)*shard.Partitions)
+	var residentCum int64
 	for p := range shard.Partitions {
-		in[0] = curP[p]
-		b := curP[p].Bytes()
-		for j := range probeP {
-			in[j+1] = probeP[j][p]
-			b += in[j+1].Bytes()
+		var b int64
+		for j := range split {
+			in[j] = split[j][p]
+			b += in[j].Bytes()
 		}
-		// A partition with an empty side joins to nothing (the chain reports
-		// zero results for it) and is never written out.
-		if !resident[p] && curP[p].Len() > 0 && in[1].Len() > 0 {
+		// Hybrid residency: first-fit in partition order over the exact
+		// sizes, keeping as many partitions resident as the budget holds.
+		// Resident partitions pay no spill I/O; everything else is written
+		// out and read back once — but a partition with an empty side joins
+		// to nothing (the chain reports zero results for it) and is never
+		// written out.
+		if m := matches[p] * 8; residentCum+m <= sp.budget {
+			residentCum += m
+		} else if in[0].Len() > 0 && in[1].Len() > 0 {
 			sp.parts++
 			sp.bytes += b
 			sp.ns += cost.SpillRoundTripNS(b)
 		}
 		pc.steps, pc.plans = pc.steps[:0], pc.plans[:0]
-		if err := sp.runChain(&pc, in, order, counts[p]); err != nil {
+		if err := sp.runChain(&pc, in, order, counts[p], matches[p]); err != nil {
 			return nil, fmt.Errorf("spill partition %d (level %d): %w", p, depth, err)
 		}
 		for t, r := range pc.steps {
@@ -280,7 +278,7 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 		phys := sp.reserve(bytes)
 		inter := core.StreamMaterialize(sp.opt.Pool, counts, chunk)
 		err = sp.streamStep(acc, inter, probes, j+1)
-		core.ReleaseStreamed(inter)
+		inter.Release()
 		sp.unreserve(bytes, phys)
 		if err != nil {
 			return err

@@ -17,9 +17,11 @@
 package shard
 
 import (
+	"apujoin/internal/alloc"
 	"apujoin/internal/core"
 	"apujoin/internal/hash"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
 
 // Partitions is the fixed number of hash partitions every relation is
@@ -103,14 +105,27 @@ func (g Grid) PartitionOf(key int32) int {
 	return PartitionOf(key)
 }
 
-// Split partitions r over the grid. Over One it returns r's own columns,
-// not a copy; over Partitions it is Split.
+// Split partitions r over the grid for a relation that outlives the query
+// (ingest). Over One it returns r's own columns, not a copy; over
+// Partitions it is Split.
 func (g Grid) Split(r rel.Relation) []rel.Relation {
 	if g == One {
 		return []rel.Relation{r}
 	}
 	parts := Split(r)
 	return parts[:]
+}
+
+// SplitScratch partitions one query's inline relation over the grid. Over
+// One it returns r's own columns and no scratch; over Partitions the
+// partitions are sub-slices of scratch, a pair of recycler slabs the caller
+// hands back (Release) once no reader is left.
+func (g Grid) SplitScratch(p *sched.Pool, r rel.Relation) (parts []rel.Relation, scratch rel.Relation) {
+	if g == One {
+		return []rel.Relation{r}, rel.Relation{}
+	}
+	split, scratch := SplitAt(p, 0, r)
+	return split[0][:], scratch
 }
 
 // Merge reduces the grid's per-partition results of one join. The single
@@ -167,34 +182,60 @@ func OwnedBy(k, shards int) []int {
 // partition PartitionOf(r.Keys[i]), keeping its original (RID, Key) pair,
 // and tuples within a partition preserve their relative order in r. The
 // output is a pure function of r — the shard count plays no part — and
-// the returned relations' columns are freshly allocated (they do not
-// alias r).
+// every returned partition has freshly allocated columns of its own (they
+// alias neither r nor each other): catalog entries outlive any query and
+// drop one partition at a time.
 func Split(r rel.Relation) [Partitions]rel.Relation {
-	return SplitAt(r, 0)
+	split, slab := SplitAt(nil, 0, r)
+	defer slab.Release()
+	parts := split[0]
+	for p, part := range parts {
+		parts[p] = rel.Relation{RIDs: append([]int32(nil), part.RIDs...), Keys: append([]int32(nil), part.Keys...)}
+	}
+	return parts
 }
 
-// SplitAt is Split at a repartitioning level: tuple i lands in partition
-// PartitionAt(r.Keys[i], level). Level 0 is the fixed grid; deeper levels
-// are the spill path's recursive sub-splits of one oversized partition,
-// each a pure function of r exactly as Split is.
-func SplitAt(r rel.Relation, level int) [Partitions]rel.Relation {
-	var counts [Partitions]int
-	for _, k := range r.Keys {
-		counts[PartitionAt(k, level)]++
+// SplitAt partitions each of rs at a repartitioning level on the pool (nil
+// runs it inline): tuple i of a relation lands in partition
+// PartitionAt(Keys[i], level) with its (RID, Key) pair, in its relative
+// order. Each key is hashed once, and the tuples move through
+// sched.Scatter into one pair of recycler slabs, each relation's partitions
+// consecutive sub-slices of it in partition order. SplitAt returns every
+// relation's partitions and the slabs, which the caller hands back
+// (Release) once no reader is left. Level 0 is the fixed grid; deeper
+// levels are the spill path's recursive sub-splits of one oversized
+// partition, each a pure function of the data exactly as Split is.
+func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Relation, rel.Relation) {
+	n := 0
+	for _, r := range rs {
+		n += r.Len()
 	}
-	var out [Partitions]rel.Relation
-	for p, n := range counts {
-		if n == 0 {
-			continue
+	slab, part := rel.Recycled(n), alloc.GetWords(n)
+	defer alloc.PutWords(part)
+	var x sched.Scatter
+	defer x.Release()
+	split := make([][Partitions]rel.Relation, len(rs))
+	at := 0
+	for j, r := range rs {
+		hashed, out := part[at:at+r.Len()], slab.Slice(at, at+r.Len())
+		at += r.Len()
+		p.ForEach((r.Len()+sched.MorselItems-1)/sched.MorselItems, func(mi int) {
+			lo := mi * sched.MorselItems
+			for i, k := range r.Keys[lo:min(r.Len(), lo+sched.MorselItems)] {
+				hashed[lo+i] = int32(PartitionAt(k, level))
+			}
+		})
+		x.Setup(p, hashed, 0, Partitions)
+		x.Move(p, 0, r.Len(), sched.Cols{out.Keys, out.RIDs}, sched.Cols{r.Keys, r.RIDs})
+		var from, to [Partitions]int32
+		x.Cut(0, from[:])
+		x.Cut(r.Len(), to[:])
+		for q, lo := range from {
+			hi := to[q]
+			split[j][q] = rel.Relation{RIDs: out.RIDs[lo:hi:hi], Keys: out.Keys[lo:hi:hi]}
 		}
-		out[p] = rel.Relation{RIDs: make([]int32, 0, n), Keys: make([]int32, 0, n)}
 	}
-	for i, k := range r.Keys {
-		p := PartitionAt(k, level)
-		out[p].RIDs = append(out[p].RIDs, r.RIDs[i])
-		out[p].Keys = append(out[p].Keys, k)
-	}
-	return out
+	return split, slab
 }
 
 // MergeResults reduces per-partition join results in partition order into

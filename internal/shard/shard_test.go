@@ -3,11 +3,133 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"apujoin/internal/alloc"
 	"apujoin/internal/core"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
+
+// splitAtRef is SplitAt as it was before the scatter: a counting pass, then
+// an append of every tuple into fresh per-partition columns, hashing every
+// key twice on one goroutine. It stays as the reference.
+func splitAtRef(r rel.Relation, level int) [Partitions]rel.Relation {
+	var counts [Partitions]int
+	for _, k := range r.Keys {
+		counts[PartitionAt(k, level)]++
+	}
+	var out [Partitions]rel.Relation
+	for p, n := range counts {
+		if n == 0 {
+			continue
+		}
+		out[p] = rel.Relation{RIDs: make([]int32, 0, n), Keys: make([]int32, 0, n)}
+	}
+	for i, k := range r.Keys {
+		p := PartitionAt(k, level)
+		out[p].RIDs = append(out[p].RIDs, r.RIDs[i])
+		out[p].Keys = append(out[p].Keys, k)
+	}
+	return out
+}
+
+// splitAt is SplitAt of one relation on no pool, its slabs left to the
+// collector.
+func splitAt(r rel.Relation, level int) [Partitions]rel.Relation {
+	split, _ := SplitAt(nil, level, r)
+	return split[0]
+}
+
+// requireSplitsEqual compares two splits tuple for tuple, an empty
+// partition equal to an absent one.
+func requireSplitsEqual(t testing.TB, name string, got, want [Partitions]rel.Relation) {
+	t.Helper()
+	for p := range got {
+		if got[p].Len() != want[p].Len() {
+			t.Fatalf("%s: partition %d holds %d tuples, the reference %d", name, p, got[p].Len(), want[p].Len())
+		}
+		for i := range got[p].Keys {
+			if got[p].Keys[i] != want[p].Keys[i] || got[p].RIDs[i] != want[p].RIDs[i] {
+				t.Fatalf("%s: partition %d slot %d holds (rid %d, key %d), the reference (rid %d, key %d)",
+					name, p, i, got[p].RIDs[i], got[p].Keys[i], want[p].RIDs[i], want[p].Keys[i])
+			}
+		}
+	}
+}
+
+// dirtyRecycler poisons the slabs a split can draw, so that plain builds run
+// the next split on dirty memory too; race builds poison on every PutWords
+// already.
+func dirtyRecycler(maxWords int) {
+	if alloc.PoisonOnPut {
+		return
+	}
+	var held [][]int32
+	for n := 1024; n <= maxWords; {
+		w := alloc.GetWords(n)
+		w = w[:cap(w)]
+		for i := range w {
+			w[i] = alloc.PoisonWord
+		}
+		held = append(held, w)
+		n = cap(w) + 1 // the next class up
+	}
+	for _, w := range held {
+		alloc.PutWords(w)
+	}
+}
+
+// TestSplitAtMatchesReference: the pooled split into recycled slabs equals
+// the append loop it replaced tuple for tuple, on pools of 1, 2 and 4, at
+// levels 0–3, for an empty input, a one-tuple input, an input whose every
+// key lands in one partition and a multi-morsel input — each alone and all
+// in one call, sharing one pair of slabs — every time on a freshly dirtied
+// recycler; Split's fresh columns equal it too, and alias neither the input
+// nor each other.
+func TestSplitAtMatchesReference(t *testing.T) {
+	n := 2*sched.MorselItems + 777
+	big := rel.Gen{N: n, Dist: rel.HighSkew, Seed: 31}.Probe(rel.Gen{N: n, Seed: 30}.Build(), 0.8)
+	for _, workers := range []int{1, 2, 4} {
+		pool := sched.NewPool(workers)
+		for level := 0; level <= 3; level++ {
+			var one rel.Relation // every key in partition 0 at this level
+			for i, k := range big.Keys {
+				if PartitionAt(k, level) == 0 {
+					one.Keys, one.RIDs = append(one.Keys, k), append(one.RIDs, big.RIDs[i])
+				}
+			}
+			names := []string{"empty", "one tuple", "one partition", "multi-morsel"}
+			inputs := []rel.Relation{{}, big.Slice(5, 6), one, big}
+			for j, r := range inputs {
+				dirtyRecycler(4 * n)
+				split, slab := SplitAt(pool, level, r)
+				requireSplitsEqual(t, fmt.Sprintf("pool=%d level=%d %s", workers, level, names[j]), split[0], splitAtRef(r, level))
+				slab.Release()
+			}
+			dirtyRecycler(8 * n)
+			split, slab := SplitAt(pool, level, inputs...)
+			for j, r := range inputs {
+				requireSplitsEqual(t, fmt.Sprintf("pool=%d level=%d %s in one call", workers, level, names[j]), split[j], splitAtRef(r, level))
+			}
+			slab.Release()
+		}
+		pool.Close()
+	}
+	want, orig := splitAtRef(big, 0), rel.Relation{Keys: slices.Clone(big.Keys), RIDs: slices.Clone(big.RIDs)}
+	fresh := Split(big)
+	requireSplitsEqual(t, "Split", fresh, want)
+	for p := range fresh {
+		clear(fresh[p].Keys)
+		clear(fresh[p].RIDs)
+		want[p] = fresh[p]
+		requireSplitsEqual(t, fmt.Sprintf("Split after clearing partition %d", p), fresh, want)
+	}
+	if !reflect.DeepEqual(big, orig) {
+		t.Fatal("Split's partitions alias its input")
+	}
+}
 
 // Split must place every tuple exactly once, in its key's fixed partition,
 // preserving relative order and the original (RID, Key) pairs.
@@ -136,11 +258,9 @@ func TestSplitPreservesJoinCount(t *testing.T) {
 func TestSplitAtLevelsPartitionEveryTupleOnce(t *testing.T) {
 	g := rel.Gen{N: 1 << 12, Dist: rel.LowSkew, Seed: 21}
 	r := g.Build()
-	if a, b := Split(r), SplitAt(r, 0); !reflect.DeepEqual(a, b) {
-		t.Fatal("SplitAt(r, 0) differs from Split(r)")
-	}
+	requireSplitsEqual(t, "Split vs SplitAt at level 0", Split(r), splitAt(r, 0))
 	for level := 0; level <= 3; level++ {
-		parts := SplitAt(r, level)
+		parts := splitAt(r, level)
 		total := 0
 		for p, pr := range parts {
 			total += pr.Len()
@@ -154,7 +274,7 @@ func TestSplitAtLevelsPartitionEveryTupleOnce(t *testing.T) {
 		if total != r.Len() {
 			t.Fatalf("level %d split scattered %d of %d tuples", level, total, r.Len())
 		}
-		if again := SplitAt(r, level); !reflect.DeepEqual(parts, again) {
+		if again := splitAt(r, level); !reflect.DeepEqual(parts, again) {
 			t.Fatalf("SplitAt at level %d is not deterministic", level)
 		}
 	}
@@ -180,10 +300,10 @@ func TestSplitAtDecorrelatedSeeds(t *testing.T) {
 			}
 			return n
 		}
-		if got := nonEmpty(SplitAt(part, 0)); got != 1 {
+		if got := nonEmpty(splitAt(part, 0)); got != 1 {
 			t.Errorf("partition %d re-split at level 0 spans %d partitions, want the degenerate 1", p, got)
 		}
-		if got := nonEmpty(SplitAt(part, 1)); got < 2 {
+		if got := nonEmpty(splitAt(part, 1)); got < 2 {
 			t.Errorf("partition %d split at level 1 spans %d partitions, want a real subdivision", p, got)
 		}
 	}
@@ -198,7 +318,7 @@ func TestSplitAtPreservesJoinCount(t *testing.T) {
 	probe := rel.Gen{N: 4000, Dist: rel.LowSkew, Seed: 24}.Probe(build, 0.7)
 	want := rel.NaiveJoinCount(build, probe)
 	for level := 0; level <= 3; level++ {
-		bp, pp := SplitAt(build, level), SplitAt(probe, level)
+		bp, pp := splitAt(build, level), splitAt(probe, level)
 		var got int64
 		for p := 0; p < Partitions; p++ {
 			got += rel.NaiveJoinCount(bp[p], pp[p])
@@ -255,10 +375,11 @@ func TestGridOfOneIsTheRelation(t *testing.T) {
 	}
 }
 
-// BenchmarkSplitAt measures the spill path's partitioner — a counting pass,
-// then a scatter into fresh columns: every input of a spilled chain goes
-// through it once per repartitioning level. It is single-stream, so there
-// is no pool to vary.
+// BenchmarkSplitAt measures the spill path's partitioner: every input of a
+// spilled chain goes through it once per repartitioning level. The ref row
+// is the append loop it replaced; the pooled rows split into recycled slabs
+// on pools of 1 and 2, report their speed-up over the ref row beside them
+// as x-ref, and fail if their partitions differ from its.
 func BenchmarkSplitAt(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		build := rel.Gen{N: n, Seed: 1}.Build()
@@ -267,13 +388,36 @@ func BenchmarkSplitAt(b *testing.B) {
 			if dist != rel.Uniform {
 				in = rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(build, 1.0)
 			}
-			b.Run(fmt.Sprintf("%v/n=%d", dist, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					SplitAt(in, 0)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
+			want := splitAtRef(in, 0)
+			var refNS float64
+			run := func(name string, split func() ([][Partitions]rel.Relation, rel.Relation)) {
+				b.Run(fmt.Sprintf("%v/n=%d/%s", dist, n, name), func(b *testing.B) {
+					var got [][Partitions]rel.Relation
+					var slab rel.Relation
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						slab.Release()
+						got, slab = split()
+					}
+					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					b.ReportMetric(ns/float64(n), "ns/tuple")
+					requireSplitsEqual(b, name, got[0], want)
+					slab.Release()
+					if name == "ref" {
+						refNS = ns
+					} else if refNS > 0 {
+						b.ReportMetric(refNS/ns, "x-ref")
+					}
+				})
+			}
+			run("ref", func() ([][Partitions]rel.Relation, rel.Relation) {
+				return [][Partitions]rel.Relation{splitAtRef(in, 0)}, rel.Relation{}
 			})
+			for _, workers := range []int{1, 2} {
+				pool := sched.NewPool(workers)
+				run(fmt.Sprintf("pool=%d", workers), func() ([][Partitions]rel.Relation, rel.Relation) { return SplitAt(pool, 0, in) })
+				pool.Close()
+			}
 		}
 	}
 }
