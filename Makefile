@@ -49,10 +49,10 @@ bench:
 # 2, of the steps as the runner executes them — the SHJ build's owner
 # scatter (sched.Scatter, the one count/prefix/fill every hash split runs
 # on), n2's counting morsels, one whole radix pass from n2 to the gathered
-# relation (the pooled scatter beside the single-stream chunk chains on the
-# same input, the ratio printed as x-chunked), b3 + b4 over the contiguous
-# ranges of their ownership shards (beside the owner-index walks they
-# replaced, x-sparse), p3 and p4 (materializing and count-only) over range
+# relation (single-stream and pooled, beside the chunk chains the host used
+# to build on the same input, the ratio printed as x-chains), b3 + b4 over
+# the contiguous ranges of their ownership shards (beside the owner-index
+# walks they replaced, x-sparse), p3 and p4 (materializing and count-only) over range
 # morsels; then the pipeline hand-off between two joins — the key-count
 # table (single-stream), the streamed producer and the spill partitioner
 # (pools of 1 and 2; the partitioner beside the single-stream append loop it
@@ -62,7 +62,7 @@ bench:
 BENCHTIME ?= 10x
 bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkOwnerScatter -benchmem -benchtime=$(BENCHTIME) ./internal/sched
-	$(GO) test -run=NONE -bench='BenchmarkN2Atomic|BenchmarkPartitionPass' -benchmem -benchtime=$(BENCHTIME) ./internal/radix
+	$(GO) test -run=NONE -bench='BenchmarkN2|BenchmarkPartitionPass' -benchmem -benchtime=$(BENCHTIME) ./internal/radix
 	$(GO) test -run=NONE -bench='BenchmarkB3B4Shard|BenchmarkP3P4' -benchmem -benchtime=$(BENCHTIME) ./internal/htab
 	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel
 	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=$(BENCHTIME) ./internal/core

@@ -110,12 +110,13 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 		defer arena.Release()
 		pass := radix.NewPass(chunk, arena, 0, outerBits)
 		defer pass.Release()
+		pool := opt.Pool // captured alone, so opt stays on the stack
 		series := sched.Series{
 			Name:  "ext-partition",
 			Items: cn,
 			Steps: []sched.Step{
 				{ID: sched.N1, Kernel: pass.N1},
-				{ID: sched.N2, Kernel: pass.N2},
+				{ID: sched.N2, Kernel: pass.N2, After: func() { pass.Layout(pool) }},
 				{ID: sched.N3, Kernel: pass.N3},
 			},
 		}
@@ -124,7 +125,7 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 			return nil, err
 		}
 		res.PartitionNS += pres.TotalNS
-		offs, ga := pass.Gather(out)
+		offs, ga := pass.Gather(pool, out)
 		res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
 
 		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // partitions out

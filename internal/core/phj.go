@@ -86,8 +86,7 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 	for pi, bits := range plan.BitsPerPass {
 		buf := &bufs[pi%2]
 		if buf.Keys == nil {
-			// The pass (n3's scatter, or Gather after a single-stream
-			// n3) writes all n tuples of both columns.
+			// The pass's Gather writes all n tuples of both columns.
 			*buf = rel.Recycled(n)
 		}
 		var err error
@@ -108,10 +107,11 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 }
 
 // partitionPass runs one radix pass over cur under the configured scheme,
-// leaving its partitions in out, and returns their offsets. On a pool n3
-// scatters into out directly; single-stream (BasicUnit's chunk-by-chunk
-// n1→n2→n3) it appends to chunk chains that Gather then copies out. The
-// pass's chunk arena and partition numbers live exactly as long as the pass.
+// leaving its partitions in out, and returns their offsets. n3 only charges
+// the chunk chains — on a pool through the ownership shards, single-stream
+// (BasicUnit's chunk-by-chunk n1→n2→n3) through the pass arena — and Gather
+// moves the tuples into out. The pass's chunk arena and partition numbers
+// live exactly as long as the pass.
 func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, cur, out rel.Relation, shift, bits uint, record bool) ([]int32, error) {
 	opt := rn.opt
 	n := cur.Len()
@@ -120,6 +120,7 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	pass := radix.NewPass(cur, arena, shift, bits)
 	defer pass.Release()
 	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
+	pool := exec.Pool // captured alone, so the executor stays on the caller's stack
 
 	series := sched.Series{
 		Name:  "partition",
@@ -134,14 +135,14 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 			{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2,
 				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 					return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-						return pass.N2Atomic(d, mlo, mhi)
+						return pass.N2(d, mlo, mhi)
 					})
-				}},
+				},
+				After: func() { pass.Layout(pool) }},
 			{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
-				ParSetup: func(p *sched.Pool) { pass.N3Setup(p, out) },
 				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 					var shards [sched.DefaultShards]device.Acct
-					return sched.MergeAccts(pass.N3Scatter(lo, hi, p, shards[:]))
+					return sched.MergeAccts(pass.N3Shards(lo, hi, shards[:]))
 				}},
 		},
 	}
@@ -183,11 +184,9 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	}
 
 	// Link the partition chunks into contiguous form for the next pass /
-	// the join ("we link all the intermediate partitions together"): charged
-	// always, copied only if n3 built chains.
-	offs, ga := pass.Gather(out)
+	// the join ("we link all the intermediate partitions together").
+	offs, ga := pass.Gather(pool, out)
 	res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
-	res.AllocStats.Add(arena.Stats())
 	return offs, nil
 }
 

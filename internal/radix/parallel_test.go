@@ -11,55 +11,6 @@ import (
 	"apujoin/internal/sched"
 )
 
-// n3ShardScan is the chain-building shard kernel the pooled n3 used to be:
-// shard `shard` reads all of [lo,hi), skips the tuples it does not own and
-// appends the rest to its partitions' chunk chains through a worker-private
-// allocator. It is kept as the accounting reference of N3Scatter — same
-// tuples per shard, same allocator request sequence, so the same
-// device.Acct per (share, shard) and the same arena totals.
-func (p *Pass) n3ShardScan(lo, hi int, shard int32, shift uint, la *alloc.Local) device.Acct {
-	var a device.Acct
-	inK, inR := p.in.Keys, p.in.RIDs
-	words := p.arena.Words()
-
-	var processed int64
-	for i := lo; i < hi; i++ {
-		pt := p.part[i]
-		if pt>>shift != shard {
-			continue
-		}
-		f := p.fill[pt]
-		if p.tail[pt] == nilRef || f == ChunkTuples {
-			c := la.Alloc(chunkWords)
-			words[c+chunkOffNxt] = nilRef
-			if p.tail[pt] == nilRef {
-				p.head[pt] = c
-			} else {
-				words[p.tail[pt]+chunkOffNxt] = c
-			}
-			p.tail[pt] = c
-			p.fill[pt] = 0
-			f = 0
-		}
-		off := p.tail[pt] + 1 + 2*f
-		words[off] = inK[i]
-		words[off+1] = inR[i]
-		p.fill[pt] = f + 1
-		processed++
-	}
-
-	a.Items = processed
-	a.Instr = processed * instrAppendRow
-	a.SeqBytes = processed * 8
-	a.Rand[device.RegionPartition] = processed * 2
-	a.AtomicOps = processed
-	a.AtomicTargets = int64(len(p.counts))
-	st := la.Stats()
-	a.AllocAtomics += st.GlobalAtomics
-	a.LocalOps += st.LocalOps
-	return a
-}
-
 // passArenaWords sizes a pass's chunk arena as the runner does: the
 // worst-case chunk population with headroom for one worker-private
 // allocator per ownership shard per device share.
@@ -76,18 +27,6 @@ func parallelPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
 	return p
 }
 
-// gathered returns the pass's output relation, partition offsets and the
-// accounting of the gather. A pass that scattered already holds its output.
-func gathered(p *Pass) (rel.Relation, []int32, device.Acct) {
-	out := p.out
-	if out.Keys == nil {
-		n := p.Items()
-		out = rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
-	}
-	offs, a := p.Gather(out)
-	return out, offs, a
-}
-
 // poisoned returns an n-tuple output relation no word of which is a valid
 // result, so a slot the scatter skips shows in the comparison.
 func poisoned(n int) rel.Relation {
@@ -99,15 +38,15 @@ func poisoned(n int) rel.Relation {
 }
 
 // TestShardedPassMatchesSerial partitions the same relation three ways —
-// the serial n1..n3 kernels plus Gather, the chain-building shard reference
-// plus Gather, and N3Setup / N3Scatter on a pool — with n3 split PL-style
-// into a CPU share [0,a) and a GPU share [a,n), over splits that fall on
-// and inside morsels, narrow and wide passes, both distributions, both
-// allocator strategies (blocks smaller and larger than a chunk) and a
-// non-zero hash shift. The scattered relation and offsets must equal the
+// the chain-building single-stream reference, the chain-building shard
+// reference, and Layout / N3Shards / Gather on a pool — with n3 split
+// PL-style into a CPU share [0,a) and a GPU share [a,n), over splits that
+// fall on and inside morsels, narrow and wide passes, both distributions,
+// both allocator strategies (blocks smaller and larger than a chunk) and a
+// non-zero hash shift. The pooled relation and offsets must equal the
 // serial ones tuple for tuple (and the offsets FinalOffsetsShifted's); every
 // (share, shard) accounting record, all five arena totals and Gather's
-// accounting must equal the reference's.
+// accounting must equal the shard reference's.
 func TestShardedPassMatchesSerial(t *testing.T) {
 	cpu, gpu := device.New(device.APUCPU()), device.New(device.APUGPU())
 	var pools []*sched.Pool
@@ -138,11 +77,12 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
 		in := rel.Gen{N: n, Dist: dist, Seed: 5}.Build()
 		for _, sh := range shapes {
-			sp := NewPass(in, alloc.New(alloc.Config{}, n*3+ChunkTuples*4), sh.shift, sh.bits)
-			sp.N1(cpu, 0, n)
-			sp.N2(cpu, 0, n)
-			sp.N3(cpu, 0, n)
-			serialOut, serialOffs, _ := gathered(sp)
+			sp := parallelPass(in, alloc.Config{}, sh.shift, sh.bits)
+			sp.n2PerTuple(0, n)
+			sc := newChains(1 << sh.bits)
+			sp.n3ChainRef(sc, 0, n)
+			serialOut := poisoned(n)
+			serialOffs, _ := sp.gatherChainRef(sc, serialOut)
 			// A plan's only pass ends on the final boundaries: the runner
 			// takes them from Gather instead of re-hashing every key.
 			if final := FinalOffsetsShifted(serialOut, Plan{BitsPerPass: []uint{sh.bits}}, sh.shift); !slices.Equal(serialOffs, final) {
@@ -152,52 +92,44 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 			for _, cfg := range sh.allocs {
 				for _, a := range splits {
 					name := fmt.Sprintf("%v shift=%d bits=%d %v/%d a=%d", dist, sh.shift, sh.bits, cfg.Strategy, cfg.BlockBytes, a)
-					shares := []struct {
-						d      *device.Device
-						lo, hi int
-					}{{cpu, 0, a}, {gpu, a, n}}
+					shares := splitShares(cpu, gpu, a, n)
 
 					ref := parallelPass(in, cfg, sh.shift, sh.bits)
-					ref.N2Atomic(cpu, 0, n)
-					shards, shift := sched.OwnerShards(ref.Partitions())
+					ref.N2(cpu, 0, n)
+					rc := newChains(1 << sh.bits)
+					shards, shift := sched.OwnerShards(len(ref.counts))
 					var refAccts [][]device.Acct
 					for _, s := range shares {
-						if s.lo == s.hi {
-							continue // the executor issues no empty share
-						}
 						accts := make([]device.Acct, shards)
 						// Reverse shard order: the result must not care.
 						for k := shards - 1; k >= 0; k-- {
 							la := ref.arena.NewLocal()
-							accts[k] = ref.n3ShardScan(s.lo, s.hi, int32(k), shift, la)
+							accts[k] = ref.n3ShardScan(rc, s.lo, s.hi, int32(k), shift, la)
 							la.Close()
 						}
 						refAccts = append(refAccts, accts)
 					}
-					refOut, refOffs, refGather := gathered(ref)
+					refOut := poisoned(n)
+					refOffs, refGather := ref.gatherChainRef(rc, refOut)
 					if !slices.Equal(refOffs, serialOffs) || !slices.Equal(refOut.Keys, serialOut.Keys) || !slices.Equal(refOut.RIDs, serialOut.RIDs) {
 						t.Fatalf("%s: reference differs from serial", name)
 					}
 
 					for _, pool := range pools {
 						pp := parallelPass(in, cfg, sh.shift, sh.bits)
-						pool.MapRange(0, n, func(lo, hi int) device.Acct { return pp.N2Atomic(cpu, lo, hi) })
-						pp.N3Setup(pool, poisoned(n))
-						si := 0
-						for _, s := range shares {
-							if s.lo == s.hi {
-								continue
-							}
-							accts := pp.N3Scatter(s.lo, s.hi, pool, make([]device.Acct, sched.DefaultShards))
+						pool.MapRange(0, n, func(lo, hi int) device.Acct { return pp.N2(cpu, lo, hi) })
+						pp.Layout(pool)
+						for si, s := range shares {
+							accts := pp.N3Shards(s.lo, s.hi, make([]device.Acct, sched.DefaultShards))
 							if !slices.Equal(accts, refAccts[si]) {
 								t.Fatalf("%s pool=%d share %d: per-shard accts\n got %+v\nwant %+v", name, pool.Workers(), si, accts, refAccts[si])
 							}
-							si++
 						}
 						if got, want := pp.arena.Stats(), ref.arena.Stats(); got != want {
 							t.Fatalf("%s pool=%d: arena totals\n got %+v\nwant %+v", name, pool.Workers(), got, want)
 						}
-						out, offs, ga := gathered(pp)
+						out := poisoned(n)
+						offs, ga := pp.Gather(pool, out)
 						if ga != refGather {
 							t.Fatalf("%s pool=%d: gather acct\n got %+v\nwant %+v", name, pool.Workers(), ga, refGather)
 						}
@@ -214,9 +146,9 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestN2AtomicMatchesSerial runs n2's morsels concurrently on a pool: the
-// published counts and the merged accounting must equal one serial N2 over
-// the whole range.
+// TestN2AtomicMatchesSerial runs N2's morsels concurrently on a pool: the
+// published counts and the merged accounting must equal one per-tuple n2
+// over the whole range.
 func TestN2AtomicMatchesSerial(t *testing.T) {
 	cpu := device.New(device.APUCPU())
 	pool := sched.NewPool(4)
@@ -226,30 +158,25 @@ func TestN2AtomicMatchesSerial(t *testing.T) {
 			in := rel.Gen{N: 5*sched.MorselItems + 17, Dist: dist, Seed: 11}.Build()
 			n := in.Len()
 			sp := parallelPass(in, alloc.Config{}, 0, bits)
-			want := sp.N2(cpu, 0, n)
+			want := sp.n2PerTuple(0, n)
 			pp := parallelPass(in, alloc.Config{}, 0, bits)
-			got := pool.MapRange(0, n, func(lo, hi int) device.Acct { return pp.N2Atomic(cpu, lo, hi) })
+			got := pool.MapRange(0, n, func(lo, hi int) device.Acct { return pp.N2(cpu, lo, hi) })
 			if got != want {
 				t.Fatalf("%v bits=%d: acct\n got %+v\nwant %+v", dist, bits, got, want)
 			}
 			if !slices.Equal(pp.counts, sp.counts) {
-				t.Fatalf("%v bits=%d: partition counts differ from serial N2", dist, bits)
+				t.Fatalf("%v bits=%d: partition counts differ from the per-tuple n2", dist, bits)
 			}
 		}
 	}
 }
 
 // reset returns the pass to its state after n1: empty partitions, empty
-// arena, no scatter grid.
+// arena, no layout.
 func (p *Pass) reset() {
-	clear(p.counts)
-	clear(p.fill)
-	for i := range p.head {
-		p.head[i], p.tail[i] = nilRef, nilRef
-	}
+	clear(p.hdr)
 	p.arena.Reset()
 	p.scat.Release()
-	p.out = rel.Relation{}
 }
 
 // benchInputs names the 2^20-tuple relations the kernel benchmarks run on.
@@ -260,9 +187,9 @@ func reportPerTuple(b *testing.B, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 }
 
-// BenchmarkN2Atomic measures the n2 step as the runner executes it: range
-// morsels of one 8-bit pass on the pool.
-func BenchmarkN2Atomic(b *testing.B) {
+// BenchmarkN2 measures the n2 step as the runner executes it: range morsels
+// of one 8-bit pass on the pool.
+func BenchmarkN2(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())
 	for _, dist := range benchInputs {
@@ -275,7 +202,7 @@ func BenchmarkN2Atomic(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					clear(p.counts)
-					pool.MapRange(0, n, func(lo, hi int) device.Acct { return p.N2Atomic(cpu, lo, hi) })
+					pool.MapRange(0, n, func(lo, hi int) device.Acct { return p.N2(cpu, lo, hi) })
 				}
 				reportPerTuple(b, n)
 			})
@@ -285,12 +212,12 @@ func BenchmarkN2Atomic(b *testing.B) {
 
 // BenchmarkPartitionPass measures one radix pass over 2^20 tuples from n2
 // to the gathered relation (n1, a pure hash map, runs outside the timer),
-// two ways on the same input: single-stream through the chunk chains (N2,
-// N3, Gather — what BasicUnit, the pilot and the external join's buffer
-// rounds run), and as the runner executes it on a pool (N2Atomic morsels,
-// N3Setup, N3Scatter, Gather). The pooled rows report their speed-up over
-// the chunked row beside them as x-chunked, and every row's output must
-// equal the chunked one's.
+// four ways on the same input: through the chunk chains the host used to
+// build (the test reference), single-stream as BasicUnit, the pilot and the
+// external join's buffer rounds run it (N2, N3, Layout and Gather with no
+// pool), and as the runner executes it on a pool (N2 morsels, Layout,
+// N3Shards, Gather). The rows after the first report their speed-up over the
+// chains as x-chains, and every row's output must equal the chains'.
 func BenchmarkPartitionPass(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())
@@ -299,9 +226,10 @@ func BenchmarkPartitionPass(b *testing.B) {
 		in := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
 		for _, bits := range []uint{6, MaxBitsPerPass} {
 			p := parallelPass(in, alloc.Config{}, 0, bits)
+			c := newChains(1 << bits)
 			var want rel.Relation
 			var wantOffs []int32
-			var chunkedNS float64
+			var chainsNS float64
 			run := func(name string, pass func() []int32) {
 				b.Run(fmt.Sprintf("%v/bits=%d/%s", dist, bits, name), func(b *testing.B) {
 					var offs []int32
@@ -310,6 +238,7 @@ func BenchmarkPartitionPass(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
 						p.reset()
+						c.reset()
 						b.StartTimer()
 						offs = pass()
 					}
@@ -317,31 +246,38 @@ func BenchmarkPartitionPass(b *testing.B) {
 					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 					b.ReportMetric(ns/n, "ns/tuple")
 					switch {
-					case name == "chunked":
+					case name == "chains":
 						want = rel.Relation{Keys: slices.Clone(out.Keys), RIDs: slices.Clone(out.RIDs)}
-						wantOffs, chunkedNS = offs, ns
-					case want.Keys == nil: // the chunked row was filtered out
+						wantOffs, chainsNS = offs, ns
+					case want.Keys == nil: // the chains row was filtered out
 					case !slices.Equal(offs, wantOffs) || !slices.Equal(out.Keys, want.Keys) || !slices.Equal(out.RIDs, want.RIDs):
-						b.Fatal("partitioned relation differs from the chunked pass's")
+						b.Fatal("partitioned relation differs from the chains'")
 					default:
-						b.ReportMetric(chunkedNS/ns, "x-chunked")
+						b.ReportMetric(chainsNS/ns, "x-chains")
 					}
 				})
 			}
-			run("chunked", func() []int32 {
+			run("chains", func() []int32 {
+				p.N2(cpu, 0, n)
+				p.n3ChainRef(c, 0, n)
+				offs, _ := p.gatherChainRef(c, out)
+				return offs
+			})
+			run("serial", func() []int32 {
 				p.N2(cpu, 0, n)
 				p.N3(cpu, 0, n)
-				offs, _ := p.Gather(out)
+				p.Layout(nil)
+				offs, _ := p.Gather(nil, out)
 				return offs
 			})
 			for _, workers := range []int{1, 2} {
 				pool := sched.NewPool(workers)
 				run(fmt.Sprintf("pool=%d", workers), func() []int32 {
-					pool.MapRange(0, n, func(lo, hi int) device.Acct { return p.N2Atomic(cpu, lo, hi) })
-					p.N3Setup(pool, out)
+					pool.MapRange(0, n, func(lo, hi int) device.Acct { return p.N2(cpu, lo, hi) })
+					p.Layout(pool)
 					var shards [sched.DefaultShards]device.Acct
-					sched.MergeAccts(p.N3Scatter(0, n, pool, shards[:]))
-					offs, _ := p.Gather(out)
+					sched.MergeAccts(p.N3Shards(0, n, shards[:]))
+					offs, _ := p.Gather(pool, out)
 					return offs
 				})
 				pool.Close()

@@ -16,12 +16,14 @@
 // exactly what the PL scheme needs — and the partition output buffer is one
 // of the dynamic allocations whose allocator behaviour Fig. 11 studies.
 //
-// That structure is what every pass is charged for. The single-stream
-// kernels (N1..N3 + Gather) also build it, because they may run chunk by
-// chunk with no barrier between n2 and n3; the pooled n3 (parallel.go) runs
-// after n2 has counted the whole relation, so it writes each tuple once, to
-// the slot Gather would have copied it to, and replays the chunk requests
-// through the allocator for the accounting alone.
+// That structure is what every pass is charged for, and the host builds
+// none of it. n3 only charges the chains: single-stream (N3) it counts each
+// partition's appends and requests a chunk from the allocator whenever one
+// fills, which works chunk by chunk with no barrier between n2 and n3; on a
+// pool (N3Shards) it replays the ownership shards' requests through
+// worker-private allocators. The tuples move once, in Gather, through the
+// tree's one counting scatter (sched.Scatter), straight to the slots a walk
+// of the chains would copy them to.
 //
 // Passes consume radix bits of the key hash from the lowest bit upward and
 // append stably, so after g passes the gathered relation is grouped by the
@@ -32,6 +34,7 @@ package radix
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
@@ -51,11 +54,11 @@ const (
 // ChunkTuples is the number of <key,rid> pairs per partition chunk.
 const ChunkTuples = 64
 
-const (
-	chunkWords  = 1 + 2*ChunkTuples // [next, k0,r0, k1,r1, ...]
-	chunkOffNxt = 0
-	nilRef      = int32(-1)
-)
+// chunkWords is the size of one chunk request: [next, k0,r0, k1,r1, ...].
+const chunkWords = 1 + 2*ChunkTuples
+
+// chunksOf returns the number of chunks holding c tuples of one partition.
+func chunksOf(c int32) int32 { return (c + ChunkTuples - 1) / ChunkTuples }
 
 // MaxBitsPerPass bounds the fan-out of one pass. 2^8 = 256 open partition
 // streams keep within TLB reach, mirroring the paper's TLB-aware tuning.
@@ -119,8 +122,9 @@ func PlanFor(buildTuples int, targetBytes int64) Plan {
 	return plan
 }
 
-// Pass holds one radix pass over a relation: the partition bucket structure
-// and the intermediate array n1 hands to n2/n3.
+// Pass holds one radix pass over a relation: the partition headers, the
+// intermediate array n1 hands to n2/n3, and the scatter Gather moves the
+// tuples with.
 type Pass struct {
 	Shift uint
 	Bits  uint
@@ -128,46 +132,34 @@ type Pass struct {
 	in    rel.Relation
 	arena *alloc.Arena
 
-	part   []int32 // n1 output: partition number per tuple
-	hdr    []int32 // the four header columns below, one slab
-	counts []int32 // partition header: tuple count
-	head   []int32 // partition header: first chunk
-	tail   []int32 // current append chunk
-	fill   []int32 // tuples in the tail chunk
+	part     []int32 // n1 output: partition number per tuple
+	hdr      []int32 // the two header columns below, one slab
+	counts   []int32 // partition header: tuple count
+	appended []int32 // tuples the single-stream n3 has charged per partition
 
-	// The pooled n3's state (parallel.go), zero on a pass whose n3 runs
-	// single-stream: the relation it scatters into and the scatter of the
-	// partition numbers.
-	out  rel.Relation
+	// scat lays out every partition's final slots (Layout).
 	scat sched.Scatter
 }
 
 // NewPass prepares a pass consuming bits radix bits at the given shift,
-// appending partition chunks into arena. Its two slabs come from the
-// recycler — the header zeroed (counts and fill start at 0), part with
-// arbitrary contents, since n1 writes every entry before n2 reads one — and
-// go back with Release.
+// charging partition chunks to arena. Its two slabs come from the
+// recycler — the header zeroed and never below the recycler's smallest
+// class, so a narrow pass allocates nothing; part with arbitrary contents,
+// since n1 writes every entry before n2 reads one — and go back with
+// Release.
 func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
-	n := in.Len()
 	parts := 1 << bits
-	hdr := alloc.GetZeroed(4 * parts)
-	p := &Pass{
-		Shift:  shift,
-		Bits:   bits,
-		in:     in,
-		arena:  arena,
-		part:   alloc.GetWords(n),
-		hdr:    hdr,
-		counts: hdr[0*parts : 1*parts : 1*parts],
-		head:   hdr[1*parts : 2*parts : 2*parts],
-		tail:   hdr[2*parts : 3*parts : 3*parts],
-		fill:   hdr[3*parts : 4*parts : 4*parts],
+	hdr := alloc.GetZeroed(max(2*parts, alloc.MinSlabWords))
+	return &Pass{
+		Shift:    shift,
+		Bits:     bits,
+		in:       in,
+		arena:    arena,
+		part:     alloc.GetWords(in.Len()),
+		hdr:      hdr,
+		counts:   hdr[:parts:parts],
+		appended: hdr[parts : 2*parts],
 	}
-	for i := range p.head {
-		p.head[i] = nilRef
-		p.tail[i] = nilRef
-	}
-	return p
 }
 
 // Release hands the pass's slabs to the recycler, once Gather has returned;
@@ -179,12 +171,6 @@ func (p *Pass) Release() {
 	p.scat.Release()
 	*p = Pass{}
 }
-
-// Items returns the number of tuples the pass processes.
-func (p *Pass) Items() int { return p.in.Len() }
-
-// Partitions returns the fan-out of this pass.
-func (p *Pass) Partitions() int { return len(p.counts) }
 
 // N1 computes the partition number for tuples [lo,hi). Like b1/p1 it is a
 // pure hash computation the GPU accelerates heavily.
@@ -202,11 +188,22 @@ func (p *Pass) N1(d *device.Device, lo, hi int) device.Acct {
 }
 
 // N2 visits the partition header for tuples [lo,hi): a latched increment of
-// the partition's tuple count.
+// the partition's tuple count. It is safe on concurrent range morsels: the
+// range counts into a private stack-resident histogram (a pass fans out to
+// at most 1<<MaxBitsPerPass partitions) and publishes each non-zero entry
+// with one sync/atomic add, so concurrent morsels meet on the shared headers
+// once per partition instead of once per tuple. Integer sums commute, so the
+// final counts are schedule-free; the accounting is a function of hi-lo only.
 func (p *Pass) N2(d *device.Device, lo, hi int) device.Acct {
 	var a device.Acct
-	for i := lo; i < hi; i++ {
-		p.counts[p.part[i]]++
+	var h [1 << MaxBitsPerPass]int32
+	for _, pt := range p.part[lo:hi] {
+		h[pt]++
+	}
+	for pt, c := range h[:len(p.counts)] {
+		if c != 0 {
+			atomic.AddInt32(&p.counts[pt], c)
+		}
 	}
 	n := int64(hi - lo)
 	a.Items = n
@@ -218,33 +215,20 @@ func (p *Pass) N2(d *device.Device, lo, hi int) device.Acct {
 	return a
 }
 
-// N3 inserts the <key, rid> pairs of tuples [lo,hi) into their partitions,
-// appending through the partition header and allocating a fresh chunk from
-// the software allocator whenever the tail chunk fills.
+// N3 is n3 on one stream: it charges the appends of tuples [lo,hi) to their
+// partitions' chunk chains, requesting a fresh chunk from the software
+// allocator whenever a partition's running count reaches a multiple of
+// ChunkTuples — the append that finds its tail chunk missing or full. The
+// shares must be charged in index order, tuples [0,lo) first, as the
+// executor's CPU and GPU shares and BasicUnit's chunks are; the tuples move
+// later, in Gather.
 func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
 	before := p.arena.Stats()
-	inK, inR := p.in.Keys, p.in.RIDs
-	for i := lo; i < hi; i++ {
-		pt := p.part[i]
-		f := p.fill[pt]
-		if p.tail[pt] == nilRef || f == ChunkTuples {
-			c := p.arena.Alloc(chunkWords)
-			words := p.arena.Words()
-			words[c+chunkOffNxt] = nilRef
-			if p.tail[pt] == nilRef {
-				p.head[pt] = c
-			} else {
-				words[p.tail[pt]+chunkOffNxt] = c
-			}
-			p.tail[pt] = c
-			p.fill[pt] = 0
-			f = 0
+	for _, pt := range p.part[lo:hi] {
+		if p.appended[pt]%ChunkTuples == 0 {
+			p.arena.Alloc(chunkWords)
 		}
-		words := p.arena.Words()
-		off := p.tail[pt] + 1 + 2*f
-		words[off] = inK[i]
-		words[off+1] = inR[i]
-		p.fill[pt] = f + 1
+		p.appended[pt]++
 	}
 	return p.n3Acct(int64(hi-lo), p.arena.Stats().Sub(before))
 }
@@ -264,46 +248,32 @@ func (p *Pass) n3Acct(n int64, st alloc.Stats) device.Acct {
 	return a
 }
 
-// Gather copies the partitioned tuples out of the chunk structure into the
-// contiguous relation out (in partition order), returning the partition
-// boundary offsets and the accounting of the streaming copy ("we link all
-// the intermediate partitions together to form the result partition pairs").
-// After the pooled n3 the tuples are in out already — it must be the
-// relation N3Setup was given — and only the offsets and the same accounting
-// are left to produce.
-func (p *Pass) Gather(out rel.Relation) ([]int32, device.Acct) {
+// Layout lays out every partition's final slots: a sched.Scatter of n1's
+// partition numbers on pool, whose grid is over the whole relation and
+// independent of the pool. Call it once n1 has covered [0,n) — the pass's
+// callers hang it on n2's After hook — and before the pooled n3 or Gather;
+// the grid goes back with Release.
+func (p *Pass) Layout(pool *sched.Pool) {
+	p.scat.Setup(pool, p.part, 0, len(p.counts))
+}
+
+// Gather links the partitioned tuples into the contiguous relation out, in
+// partition order ("we link all the intermediate partitions together to form
+// the result partition pairs"), and returns the partition boundary offsets
+// with the accounting of the streaming copy out of the chunk chains. The
+// tuples move once, on pool, straight to the slots Layout laid out: a
+// partition's tuples in input order, which is the order its chain holds them
+// in.
+func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
+	p.scat.Move(pool, 0, p.in.Len(), sched.Cols{out.Keys, out.RIDs}, sched.Cols{p.in.Keys, p.in.RIDs})
 	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0
-	if p.out.Keys != nil {
-		if n := p.out.Len(); out.Len() != n || n > 0 && &out.Keys[0] != &p.out.Keys[0] {
-			panic("radix: Gather into a relation other than the one n3 scattered into")
-		}
-		for pt, c := range p.counts {
-			offs[pt] = int32(pos)
-			pos += int(c)
-			a.Rand[device.RegionPartition] += int64(chunksOf(c)) // one per chunk the copy would visit
-		}
-	} else {
-		words := p.arena.Words()
-		for pt := range p.counts {
-			offs[pt] = int32(pos)
-			remaining := p.counts[pt]
-			for c := p.head[pt]; c != nilRef; c = words[c+chunkOffNxt] {
-				n := int32(ChunkTuples)
-				if remaining < n {
-					n = remaining
-				}
-				for j := int32(0); j < n; j++ {
-					out.Keys[pos] = words[c+1+2*j]
-					out.RIDs[pos] = words[c+2+2*j]
-					pos++
-				}
-				remaining -= n
-				a.Rand[device.RegionPartition]++
-			}
-		}
+	for pt, c := range p.counts {
+		offs[pt] = int32(pos)
+		pos += int(c)
+		a.Rand[device.RegionPartition] += int64(chunksOf(c)) // one per chunk the copy visits
 	}
 	offs[len(p.counts)] = int32(pos)
 	a.Items = int64(pos)
@@ -360,8 +330,8 @@ func FinalOffsetsShifted(r rel.Relation, plan Plan, shift uint) []int32 {
 }
 
 // PartitionHost partitions a relation on the host in one shot (all passes,
-// no co-processing). It is the reference implementation used by tests and
-// by callers that only need the data movement, not the timing.
+// no co-processing, nothing charged). Its only callers are tests, which use
+// it as the data-movement reference.
 func PartitionHost(in rel.Relation, plan Plan) Result {
 	n := in.Len()
 	cur := rel.Relation{
@@ -373,12 +343,12 @@ func PartitionHost(in rel.Relation, plan Plan) Result {
 	cpu := device.New(device.APUCPU())
 	var shift uint
 	for _, bits := range plan.BitsPerPass {
-		arena := alloc.New(alloc.Config{Strategy: alloc.Block}, n*3+1024)
-		p := NewPass(cur, arena, shift, bits)
+		p := NewPass(cur, nil, shift, bits) // no n3: nothing charges a chunk
 		p.N1(cpu, 0, n)
 		p.N2(cpu, 0, n)
-		p.N3(cpu, 0, n)
-		p.Gather(buf)
+		p.Layout(nil)
+		p.Gather(nil, buf)
+		p.Release()
 		cur, buf = buf, cur
 		shift += bits
 	}

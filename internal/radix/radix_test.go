@@ -117,8 +117,9 @@ func TestPassStepsSplitAcrossDevices(t *testing.T) {
 		step(cpu, 0, split)
 		step(gpu, split, n)
 	}
+	pass.Layout(nil)
 	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
-	offs, _ := pass.Gather(out)
+	offs, _ := pass.Gather(nil, out)
 	if int(offs[len(offs)-1]) != n {
 		t.Fatalf("gathered %d tuples, want %d", offs[len(offs)-1], n)
 	}
@@ -156,9 +157,9 @@ func TestFinalOffsetsShifted(t *testing.T) {
 	cpu := device.New(device.APUCPU())
 	pass.N1(cpu, 0, r.Len())
 	pass.N2(cpu, 0, r.Len())
-	pass.N3(cpu, 0, r.Len())
+	pass.Layout(nil)
 	out := rel.Relation{Keys: make([]int32, r.Len()), RIDs: make([]int32, r.Len())}
-	pass.Gather(out)
+	pass.Gather(nil, out)
 	offs := FinalOffsetsShifted(out, Plan{BitsPerPass: []uint{4}}, shift)
 	for p := 0; p+1 < len(offs); p++ {
 		for i := offs[p]; i < offs[p+1]; i++ {

@@ -35,11 +35,13 @@ const BasicUnitChunkNS = 2500.0
 // This is exactly the deficiency the paper calls out — a device processes
 // every step of its chunk even when some steps run far better on the peer.
 //
-// The series must not contain mid-series host barriers whose results later
-// steps depend on (the n2→n3 prefix sum): BasicUnit is defined by the paper
-// for the build and probe operations, whose steps are per-tuple independent.
-// After hooks still run once at the end. Like Run, a cancelled Exec.Ctx
-// aborts at the next chunk boundary with the context's error.
+// The series' Kernels must not depend on a mid-series host barrier:
+// BasicUnit is defined by the paper for the build and probe operations,
+// whose steps are per-tuple independent, and a radix pass's single-stream n3
+// charges chunk by chunk. After hooks still run once at the end, in step
+// order (a radix pass's layout, which only its pooled n3 and its gather
+// read). Like Run, a cancelled Exec.Ctx aborts at the next chunk boundary
+// with the context's error.
 func (e *Exec) RunBasicUnit(s Series, cpuChunk, gpuChunk int) (BasicUnitResult, error) {
 	if cpuChunk <= 0 {
 		cpuChunk = 1 << 14

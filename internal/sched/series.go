@@ -56,8 +56,8 @@ func (s StepID) String() string {
 type Kernel func(d *device.Device, lo, hi int) device.Acct
 
 // Barrier is an optional host-side action between two steps (e.g. the
-// histogram prefix sum between n2 and n3). It runs once after the step
-// completes on both devices.
+// radix pass's layout of its partitions' slots between n2 and n3). It runs
+// once after the step completes on both devices.
 type Barrier func()
 
 // ParKernel executes the real work of one step over items [lo,hi) like a
@@ -82,8 +82,7 @@ type Step struct {
 	ParKernel ParKernel
 	// ParSetup, when non-nil, runs once on the host before the step's
 	// ParKernel calls — only where those run — to prepare what every
-	// device's share of the step reads (the partition scatter's cursor grid,
-	// the build's insert ownership).
+	// device's share of the step reads (the build's insert ownership).
 	ParSetup func(p *Pool)
 	// After, if non-nil, runs on the host once the step has completed.
 	After Barrier
