@@ -92,31 +92,28 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	}
 	res.OuterBits = outerBits
 	res.Pairs = 1 << outerBits
+	// A pass fans out to at most radix.MaxBitsPerPass bits, so a wider outer
+	// fan-out takes more than one pass per round, as PHJ's partitioning does.
+	outer := radix.PlanBits(outerBits)
 
-	env := &envState{cache: opt.Cache, parts: 1, shared: true,
-		partitionStreams: int64(1<<outerBits) * chunkBytes, scratchPressure: 512 << 10}
+	env := &envState{cache: opt.Cache, parts: 1, shared: true, scratchPressure: 512 << 10}
 	exec := &sched.Exec{CPU: device.New(opt.CPU), GPU: device.New(opt.GPU), Env: env.envFor, Ctx: ctx}
 
-	// Partition both relations chunk by chunk. Each chunk is copied into
-	// the zero-copy buffer, partitioned there with the usual n1..n3 steps
-	// (DD co-processing with the paper's partition-phase ratio), and the
-	// intermediate partitions are copied back out to system memory: the
-	// chunk's slice of out, whose partition offsets are returned.
-	partitionChunk := func(chunk, out rel.Relation) ([]int32, error) {
-		cn := chunk.Len()
-		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // into zero-copy
-
-		arena := alloc.New(opt.Alloc, cn*3+radix.ChunkTuples*4)
+	// partitionPass runs one pass of the outer partitioning over in with the
+	// usual n1..n3 steps (DD co-processing with the paper's partition-phase
+	// ratio), leaving its partitions in out, and returns their offsets.
+	partitionPass := func(in, out rel.Relation, shift, bits uint) ([]int32, error) {
+		arena := alloc.New(opt.Alloc, in.Len()*3+radix.ChunkTuples*4)
 		defer arena.Release()
-		pass := radix.NewPass(chunk, arena, 0, outerBits)
+		pass := radix.NewPass(in, arena, shift, bits)
 		defer pass.Release()
-		pool := opt.Pool // captured alone, so opt stays on the stack
+		env.partitionStreams = int64(1<<bits) * chunkBytes
 		series := sched.Series{
 			Name:  "ext-partition",
-			Items: cn,
+			Items: in.Len(),
 			Steps: []sched.Step{
 				{ID: sched.N1, Kernel: pass.N1},
-				{ID: sched.N2, Kernel: pass.N2, After: func() { pass.Layout(pool) }},
+				{ID: sched.N2, Kernel: pass.N2},
 				{ID: sched.N3, Kernel: pass.N3},
 			},
 		}
@@ -125,9 +122,43 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 			return nil, err
 		}
 		res.PartitionNS += pres.TotalNS
-		offs, ga := pass.Gather(pool, out)
+		pass.Layout(opt.Pool)
+		offs, ga := pass.Gather(opt.Pool, out)
 		res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
+		return offs, nil
+	}
 
+	// Partition both relations chunk by chunk. Each chunk is copied into
+	// the zero-copy buffer, partitioned there pass by pass, and the
+	// intermediate partitions are copied back out to system memory: the
+	// chunk's slice of out, whose partition offsets are returned. The passes
+	// ping-pong through one scratch chunk so that the last writes out.
+	partitionChunk := func(chunk, out rel.Relation) ([]int32, error) {
+		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // into zero-copy
+		var scratch rel.Relation
+		if outer.Passes() > 1 {
+			scratch = rel.Recycled(chunk.Len()) // every pass's Gather writes all of it
+			defer scratch.Release()
+		}
+		cur := chunk
+		var offs []int32
+		var shift uint
+		for pi, bits := range outer.BitsPerPass {
+			dst := out
+			if (outer.Passes()-pi)%2 == 0 {
+				dst = scratch
+			}
+			var err error
+			if offs, err = partitionPass(cur, dst, shift, bits); err != nil {
+				return nil, err
+			}
+			cur = dst
+			shift += bits
+		}
+		if outer.Passes() > 1 {
+			// A later pass's boundaries cover only its own fan-out.
+			offs = radix.FinalOffsets(out, outer)
+		}
 		res.DataCopyNS += mem.CopyNS(chunk.Bytes()) // partitions out
 		return offs, nil
 	}

@@ -32,6 +32,38 @@ func TestExternalJoin(t *testing.T) {
 		res.Pairs, res.ChunkTuples, res.PartitionNS/1e6, res.JoinNS/1e6, res.DataCopyNS/1e6, res.TotalNS/1e6)
 }
 
+// TestExternalJoinWideOuterFanOut: a buffer small beside the data needs more
+// than 1<<radix.MaxBitsPerPass outer partitions, which each round reaches in
+// passes of at most MaxBitsPerPass bits — 9 bits as 8+1 and the 12-bit cap
+// as 8+4 — and every match is still found.
+func TestExternalJoinWideOuterFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		capacity int64
+		algo     Algo
+		bits     uint
+	}{
+		{1 << 15, 1 << 12, SHJ, 9},
+		{3 << 15, 1 << 11, PHJ, 12},
+	} {
+		r := rel.Gen{N: tc.n, Seed: 7}.Build()
+		s := rel.Gen{N: tc.n, Seed: 8}.Probe(r, 1.0)
+		zc := mem.NewZeroCopy()
+		zc.Capacity = tc.capacity
+		opt := Options{Algo: tc.algo, Scheme: PL, Delta: 0.1, PilotItems: 64, ZeroCopy: zc}
+		res, err := RunExternal(r, s, opt)
+		if err != nil {
+			t.Fatalf("%d bits: %v", tc.bits, err)
+		}
+		if res.OuterBits != tc.bits {
+			t.Fatalf("outer bits %d, want %d", res.OuterBits, tc.bits)
+		}
+		if want := rel.NaiveJoinCount(r, s); res.Matches != want {
+			t.Errorf("%d bits: matches %d want %d", tc.bits, res.Matches, want)
+		}
+	}
+}
+
 // TestExternalPartitionUsesCallerProfiles: the chunked partition phase runs
 // on the devices the caller configured, like the per-pair sub-joins. The
 // default profiles read what the stock A8-3870K pair reads, and a GPU that

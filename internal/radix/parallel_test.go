@@ -214,10 +214,11 @@ func BenchmarkN2(b *testing.B) {
 // to the gathered relation (n1, a pure hash map, runs outside the timer),
 // four ways on the same input: through the chunk chains the host used to
 // build (the test reference), single-stream as BasicUnit, the pilot and the
-// external join's buffer rounds run it (N2, N3, Layout and Gather with no
-// pool), and as the runner executes it on a pool (N2 morsels, Layout,
-// N3Shards, Gather). The rows after the first report their speed-up over the
-// chains as x-chains, and every row's output must equal the chains'.
+// external join's buffer rounds run n2 and n3 (N2, N3, then Layout and
+// Gather with no pool), and as the runner executes it on a pool (N2
+// morsels, Layout, N3Shards, Gather). The rows after the first report their
+// speed-up over the chains as x-chains, and every row's output must equal
+// the chains'.
 func BenchmarkPartitionPass(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())

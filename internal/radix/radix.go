@@ -110,6 +110,12 @@ func PlanFor(buildTuples int, targetBytes int64) Plan {
 	if bits < 6 {
 		bits = 6
 	}
+	return PlanBits(bits)
+}
+
+// PlanBits splits a fan-out of 2^bits partitions into passes of at most
+// MaxBitsPerPass bits, low bits first.
+func PlanBits(bits uint) Plan {
 	var plan Plan
 	for bits > 0 {
 		b := bits
@@ -146,8 +152,12 @@ type Pass struct {
 // recycler — the header zeroed and never below the recycler's smallest
 // class, so a narrow pass allocates nothing; part with arbitrary contents,
 // since n1 writes every entry before n2 reads one — and go back with
-// Release.
+// Release. A pass takes at most MaxBitsPerPass bits: wider fan-outs are
+// split into passes (PlanBits).
 func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
+	if bits > MaxBitsPerPass {
+		panic(fmt.Sprintf("radix: a pass of %d bits, above MaxBitsPerPass (%d)", bits, MaxBitsPerPass))
+	}
 	parts := 1 << bits
 	hdr := alloc.GetZeroed(max(2*parts, alloc.MinSlabWords))
 	return &Pass{
@@ -250,9 +260,9 @@ func (p *Pass) n3Acct(n int64, st alloc.Stats) device.Acct {
 
 // Layout lays out every partition's final slots: a sched.Scatter of n1's
 // partition numbers on pool, whose grid is over the whole relation and
-// independent of the pool. Call it once n1 has covered [0,n) — the pass's
-// callers hang it on n2's After hook — and before the pooled n3 or Gather;
-// the grid goes back with Release.
+// independent of the pool. Call it once n1 has covered [0,n) and before the
+// pooled n3 or Gather — the runner hangs it on n2's After hook, since its
+// pooled n3 reads the cuts; the grid goes back with Release.
 func (p *Pass) Layout(pool *sched.Pool) {
 	p.scat.Setup(pool, p.part, 0, len(p.counts))
 }

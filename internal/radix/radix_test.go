@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,23 @@ func TestPlanFor(t *testing.T) {
 	if p.Partitions() != 1<<p.TotalBits() {
 		t.Fatal("partitions/bits mismatch")
 	}
+}
+
+// TestPassesStayWithinMaxBits: PlanBits splits a wide fan-out into passes of
+// at most MaxBitsPerPass bits, and NewPass refuses a wider pass outright —
+// its n2 histogram and the scatter hold 1<<MaxBitsPerPass partitions.
+func TestPassesStayWithinMaxBits(t *testing.T) {
+	for bits, want := range map[uint][]uint{6: {6}, 8: {8}, 9: {8, 1}, 12: {8, 4}, 17: {8, 8, 1}} {
+		if got := PlanBits(bits).BitsPerPass; !slices.Equal(got, want) {
+			t.Errorf("PlanBits(%d) = %v, want %v", bits, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPass accepted a pass above MaxBitsPerPass")
+		}
+	}()
+	NewPass(rel.Gen{N: 10, Seed: 1}.Build(), nil, 0, MaxBitsPerPass+1)
 }
 
 func TestPartitionHostGroupsByHash(t *testing.T) {

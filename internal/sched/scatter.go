@@ -11,17 +11,18 @@ const maxBuckets = 256
 type Cols [3][]int32
 
 // Scatter is the stable, morsel-parallel counting scatter every hash split
-// of the tree goes through: the pooled radix pass (n3), the shard grid and
-// spill splits, and the SHJ build's insert ownership. Tuple i belongs to
-// bucket key[i]>>shift. Setup counts the tuples per morsel × bucket on the
-// fixed MorselItems grid and turns the counts into output cursors with an
-// exclusive prefix sum in bucket-major, morsel-minor order, so a bucket's
-// slots are its morsels' runs in grid order: the output holds the buckets
-// one after another, each in input order. Move then writes each tuple of a
-// range straight to its final slot, every morsel into slots no other morsel
-// writes. Like every decomposition in this package it is a pure function of
-// the data: the pool only decides which goroutine counts or moves which
-// morsel, and how a caller cuts [0,n) into Move calls changes nothing.
+// of the tree goes through: every radix pass (Gather; the pooled n3 reads
+// its cuts), the shard grid and spill splits, and the SHJ build's insert
+// ownership. Tuple i belongs to bucket key[i]>>shift. Setup counts the
+// tuples per morsel × bucket on the fixed MorselItems grid and turns the
+// counts into output cursors with an exclusive prefix sum in bucket-major,
+// morsel-minor order, so a bucket's slots are its morsels' runs in grid
+// order: the output holds the buckets one after another, each in input
+// order. Move then writes each tuple of a range straight to its final slot,
+// every morsel into slots no other morsel writes. Like every decomposition
+// in this package it is a pure function of the data: the pool only decides
+// which goroutine counts or moves which morsel, and how a caller cuts [0,n)
+// into Move calls changes nothing.
 //
 // The cursor grid is a recycler slab — never smaller than the recycler's
 // smallest, so a small scatter allocates nothing — that Setup reuses when it
@@ -38,11 +39,14 @@ type Scatter struct {
 	grid []int32
 }
 
-// Setup lays out the scatter of len(key) tuples into at most 256 buckets,
-// tuple i to bucket key[i]>>shift, which must be below buckets, with shift
-// below 32. It replaces whatever the scatter held before; key
+// Setup lays out the scatter of len(key) tuples into at most 256 buckets (it
+// panics on more), tuple i to bucket key[i]>>shift, which must be below
+// buckets, with shift below 32. It replaces whatever the scatter held before; key
 // must stay unchanged while the scatter is in use.
 func (x *Scatter) Setup(p *Pool, key []int32, shift uint, buckets int) {
+	if buckets > maxBuckets {
+		panic("sched: a scatter over more than 256 buckets")
+	}
 	n := len(key)
 	m := (n + MorselItems - 1) / MorselItems
 	if cap(x.grid) < (m+1)*buckets {
