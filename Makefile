@@ -53,7 +53,9 @@ bench:
 # to build on the same input, the ratio printed as x-chains), b3 + b4 over
 # the contiguous ranges of their ownership shards (beside the owner-index
 # walks they replaced, x-sparse), p3 and p4 (materializing and count-only) over range
-# morsels; then the pipeline hand-off between two joins — the key-count
+# morsels, each beside its twin without the model's accounting (acct-pct), the
+# serial arena bump (Alloc(2), Basic and Block, ns/alloc); then the pipeline
+# hand-off between two joins — the key-count
 # table (single-stream), the streamed producer and the spill partitioner
 # (pools of 1 and 2; the partitioner beside the single-stream append loop it
 # replaced, x-ref) — at 2^14 and 2^17 tuples, a spilled partition's size
@@ -64,6 +66,7 @@ bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkOwnerScatter -benchmem -benchtime=$(BENCHTIME) ./internal/sched
 	$(GO) test -run=NONE -bench='BenchmarkN2|BenchmarkPartitionPass' -benchmem -benchtime=$(BENCHTIME) ./internal/radix
 	$(GO) test -run=NONE -bench='BenchmarkB3B4Shard|BenchmarkP3P4' -benchmem -benchtime=$(BENCHTIME) ./internal/htab
+	$(GO) test -run=NONE -bench=BenchmarkArenaAlloc -benchmem -benchtime=$(BENCHTIME) ./internal/alloc
 	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel
 	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=$(BENCHTIME) ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=$(BENCHTIME) ./internal/shard

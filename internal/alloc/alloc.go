@@ -90,14 +90,21 @@ func (s *Stats) Add(t Stats) {
 //
 // The serial entry point Alloc is not safe for concurrent use; the parallel
 // execution engine instead hands each worker a Local view (see local.go)
-// whose block grabs go through Grab, the only concurrent operation. While
-// any Local is live the backing array never moves: Grab serves strictly
-// from the pre-sized capacity and refuses to grow.
+// whose block grabs go through Grab, the only concurrent operation and the
+// arena's one atomic instruction. Alloc never overlaps a Grab — a parallel
+// phase ends at a barrier before serial allocation resumes — so it bumps
+// the pointer with plain reads and writes; the global atomics of the
+// paper's allocator are counted in Stats, not executed. While any Local is
+// live the backing array never moves: Grab serves strictly from the
+// pre-sized capacity and refuses to grow.
 type Arena struct {
+	// next is the bump pointer: atomic in Grab and Used, plain in the
+	// serial Alloc and Reset. The first field, so 64-bit aligned for the
+	// atomics on 32-bit platforms.
+	next       int64
 	cfg        Config
 	words      []int32
-	next       atomic.Int64 // bumped by Grab (concurrent) and Alloc (serial)
-	blockLeft  int          // words remaining in the current block (Block strategy)
+	blockLeft  int // words remaining in the current block (Block strategy)
 	blockWords int
 	stats      Stats
 	statsMu    sync.Mutex // guards stats folds from closing Locals
@@ -128,7 +135,7 @@ func (a *Arena) Config() Config { return a.cfg }
 func (a *Arena) Stats() Stats { return a.stats }
 
 // Used returns the number of words handed out (including block waste).
-func (a *Arena) Used() int { return int(a.next.Load()) }
+func (a *Arena) Used() int { return int(atomic.LoadInt64(&a.next)) }
 
 // Cap returns the arena capacity in words.
 func (a *Arena) Cap() int { return len(a.words) }
@@ -165,7 +172,7 @@ func (a *Arena) Alloc(n int) int32 {
 			// Grab a fresh block: one global atomic; the remainder of the
 			// previous block is wasted.
 			a.stats.WastedWords += int64(a.blockLeft)
-			a.next.Add(int64(a.blockLeft))
+			a.next += int64(a.blockLeft)
 			a.blockLeft = a.blockWords
 			a.stats.GlobalAtomics++
 		}
@@ -173,9 +180,9 @@ func (a *Arena) Alloc(n int) int32 {
 		a.stats.LocalOps++
 	}
 
-	off := a.next.Load()
+	off := a.next
 	a.ensure(int(off) + n)
-	a.next.Store(off + int64(n))
+	a.next = off + int64(n)
 	return int32(off)
 }
 
@@ -189,7 +196,7 @@ func (a *Arena) Grab(n int) int32 {
 	if n <= 0 {
 		panic(fmt.Sprintf("alloc: non-positive grab %d", n))
 	}
-	end := a.next.Add(int64(n))
+	end := atomic.AddInt64(&a.next, int64(n))
 	if end > int64(len(a.words)) {
 		panic(fmt.Sprintf("alloc: arena exhausted during parallel phase (%d of %d words); pre-size the arena", end, len(a.words)))
 	}
@@ -220,7 +227,7 @@ func (a *Arena) GroupGrabs(groups int) {
 // Reset forgets all allocations but keeps capacity and configuration.
 func (a *Arena) Reset() {
 	clear(a.words[:min(a.Used(), len(a.words))])
-	a.next.Store(0)
+	a.next = 0
 	a.blockLeft = 0
 	a.stats = Stats{}
 }

@@ -43,8 +43,10 @@ type runner struct {
 
 	// Intermediate per-step arrays (the "intermediate results" PL trades
 	// in): R-side for the build series, S-side for the probe series. The
-	// work hints exist only under Options.Grouping, their one reader.
-	bucketR, headR, nodeR, workR []int32
+	// work hints exist only under Options.Grouping, their one reader. Only
+	// the probe snapshots key-list heads: b3 must re-read them, because it
+	// links new key nodes as it goes.
+	bucketR, nodeR, workR        []int32
 	bucketS, headS, nodeS, workS []int32
 
 	// own is the ownership layout the parallel insert kernels of the build
@@ -118,17 +120,17 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	// One slab, carved: the arrays live and die together. Its contents are
 	// arbitrary; every column is written by the step that produces it
 	// before the step that consumes it reads it.
-	cols := 3
+	words := 2*nr + 3*ns
 	if opt.Grouping {
-		cols = 4
+		words += nr + ns
 	}
-	scratch := rn.hold(alloc.GetWords(cols * (nr + ns)))
+	scratch := rn.hold(alloc.GetWords(words))
 	carve := func(n int) []int32 {
 		c := scratch[:n:n]
 		scratch = scratch[n:]
 		return c
 	}
-	rn.bucketR, rn.headR, rn.nodeR = carve(nr), carve(nr), carve(nr)
+	rn.bucketR, rn.nodeR = carve(nr), carve(nr)
 	rn.bucketS, rn.headS, rn.nodeS = carve(ns), carve(ns), carve(ns)
 	if opt.Grouping {
 		rn.workR, rn.workS = carve(nr), carve(ns)
@@ -225,12 +227,11 @@ func (rn *runner) buildSeries() sched.Series {
 		{
 			ID: sched.B2, OutBytesPerItem: 8,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				return rn.tableFor(d).B2(d, rn.bucketR, rn.headR, rn.workR, lo, hi)
+				return rn.tableFor(d).B2(d, rn.bucketR, rn.workR, lo, hi)
 			},
+			// On a pool b2 only charges: b4's shards count the tuples.
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.tableFor(d).B2Atomic(d, rn.bucketR, rn.headR, rn.workR, mlo, mhi)
-				})
+				return rn.tableFor(d).B2Charge(lo, hi)
 			},
 		},
 		{
@@ -262,7 +263,7 @@ func (rn *runner) buildSeries() sched.Series {
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
 				return rn.mapOwned(p, t, lo, hi, func(lo, hi int, la *alloc.Local) device.Acct {
-					return t.B4Shard(d, rn.own.RIDs, rn.nodeR, lo, hi, la)
+					return t.B4Shard(d, rn.own.Bucket, rn.own.RIDs, rn.nodeR, lo, hi, la)
 				})
 			},
 		},

@@ -47,20 +47,28 @@ func (t *Table) B1(d *device.Device, keys []int32, bucket []int32, lo, hi int) d
 }
 
 // B2 visits the hash bucket header for tuples [lo,hi): it increments the
-// bucket's tuple count (one latched atomic per tuple, spread over nBuckets
-// targets) and snapshots the key-list head into head[i]. When work is
-// non-nil it also records the bucket's tuple count as the workload hint the
-// grouping optimization sorts by.
-func (t *Table) B2(d *device.Device, bucket []int32, head, work []int32, lo, hi int) device.Acct {
-	var a device.Acct
+// bucket's tuple count and, when work is non-nil, records the count as the
+// workload hint the grouping optimization sorts by. The single stream is
+// the only writer, so the increment is plain; B2Charge prices the paper's
+// latched atomic.
+func (t *Table) B2(d *device.Device, bucket, work []int32, lo, hi int) device.Acct {
 	for i := lo; i < hi; i++ {
 		b := bucket[i]
 		t.Count[b]++
-		head[i] = t.Head[b]
 		if work != nil {
 			work[i] = t.Count[b]
 		}
 	}
+	return t.B2Charge(lo, hi)
+}
+
+// B2Charge is the accounting record of b2 over tuples [lo,hi): one latched
+// atomic count increment per tuple, spread over nBuckets targets, and the
+// key-list head snapshot the paper's kernel writes. On a pool it is the
+// whole of b2 — nothing moves; B4Shard counts each tuple into its bucket as
+// it links the tuple's rid, under ownership.
+func (t *Table) B2Charge(lo, hi int) device.Acct {
+	var a device.Acct
 	n := int64(hi - lo)
 	a.Items = n
 	a.Instr = n * instrVisitHeader
@@ -83,6 +91,7 @@ func (t *Table) B3(d *device.Device, keys, bucket []int32, node []int32, lo, hi 
 	before := t.arena.Stats()
 	words := t.arena.Words()
 
+	var created int64
 	run := func(i int) {
 		key := keys[i]
 		b := bucket[i]
@@ -97,6 +106,7 @@ func (t *Table) B3(d *device.Device, keys, bucket []int32, node []int32, lo, hi 
 			words = t.arena.Words()
 			a.Instr += instrCreateNode
 			a.AtomicOps++ // latched head swap on the bucket
+			created++
 		}
 		node[i] = kn
 		a.Instr += int64(visited) * instrListNode
@@ -114,6 +124,7 @@ func (t *Table) B3(d *device.Device, keys, bucket []int32, node []int32, lo, hi 
 			run(i)
 		}
 	}
+	t.numKeys.Add(created)
 
 	n := int64(hi - lo)
 	a.Items = n

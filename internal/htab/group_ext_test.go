@@ -21,7 +21,7 @@ func TestGroupingReducesP3Divergence(t *testing.T) {
 	node := make([]int32, n)
 	work := make([]int32, n)
 	tbl.B1(gpu, r.Keys, bucket, 0, n)
-	tbl.B2(gpu, bucket, head, nil, 0, n)
+	tbl.B2(gpu, bucket, nil, 0, n)
 	tbl.B3(gpu, r.Keys, bucket, node, 0, n, nil)
 	tbl.B4(gpu, r.RIDs, node, 0, n)
 

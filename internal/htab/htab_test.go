@@ -14,10 +14,9 @@ func buildAll(t *testing.T, tbl *Table, d *device.Device, r rel.Relation) {
 	t.Helper()
 	n := r.Len()
 	bucket := make([]int32, n)
-	head := make([]int32, n)
 	node := make([]int32, n)
 	tbl.B1(d, r.Keys, bucket, 0, n)
-	tbl.B2(d, bucket, head, nil, 0, n)
+	tbl.B2(d, bucket, nil, 0, n)
 	tbl.B3(d, r.Keys, bucket, node, 0, n, nil)
 	tbl.B4(d, r.RIDs, node, 0, n)
 }
@@ -115,11 +114,10 @@ func TestSplitExecutionEqualsFull(t *testing.T) {
 		tbl := New(r.Len(), arena)
 		n := r.Len()
 		bucket := make([]int32, n)
-		head := make([]int32, n)
 		node := make([]int32, n)
 		for _, step := range []func(d *device.Device, lo, hi int){
 			func(d *device.Device, lo, hi int) { tbl.B1(d, r.Keys, bucket, lo, hi) },
-			func(d *device.Device, lo, hi int) { tbl.B2(d, bucket, head, nil, lo, hi) },
+			func(d *device.Device, lo, hi int) { tbl.B2(d, bucket, nil, lo, hi) },
 			func(d *device.Device, lo, hi int) { tbl.B3(d, r.Keys, bucket, node, lo, hi, nil) },
 			func(d *device.Device, lo, hi int) { tbl.B4(d, r.RIDs, node, lo, hi) },
 		} {
@@ -160,6 +158,9 @@ func TestMergePreservesAllPairs(t *testing.T) {
 	if acct.Items != int64(r.Len()-half) {
 		t.Fatalf("merge items %d", acct.Items)
 	}
+	if a.NumKeys() != int64(r.Len()) {
+		t.Fatalf("after merge %d distinct keys, want %d", a.NumKeys(), r.Len())
+	}
 	for i := 0; i < r.Len(); i += 97 {
 		if got := a.Lookup(r.Keys[i]); len(got) != 1 || got[0] != r.RIDs[i] {
 			t.Fatalf("after merge key %d: %v", r.Keys[i], got)
@@ -186,10 +187,9 @@ func TestSegmentedTableRouting(t *testing.T) {
 		partIdx[i] = int32(hashOf(k) & (parts - 1))
 	}
 	bucket := make([]int32, n)
-	head := make([]int32, n)
 	node := make([]int32, n)
 	tbl.B1Seg(cpu, r.Keys, partIdx, bucket, 0, n)
-	tbl.B2(cpu, bucket, head, nil, 0, n)
+	tbl.B2(cpu, bucket, nil, 0, n)
 	tbl.B3(cpu, r.Keys, bucket, node, 0, n, nil)
 	tbl.B4(cpu, r.RIDs, node, 0, n)
 	if err := tbl.Validate(); err != nil {
@@ -227,7 +227,7 @@ func TestInsertProbeOneAgreeWithBatch(t *testing.T) {
 		for i := range s.Keys {
 			tbl.ProbeOne(s.Keys[i], s.RIDs[i], &out)
 		}
-		return out.Pairs == rel.NaiveJoinCount(r, s)
+		return out.Pairs == rel.NaiveJoinCount(r, s) && tbl.NumKeys() == int64(r.Len())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package htab
 
 import (
-	"sync/atomic"
-
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
 	"apujoin/internal/sched"
@@ -10,25 +8,26 @@ import (
 
 // Parallel-safe build kernels for the morsel-driven runtime.
 //
-// Two mechanisms keep concurrent builds both correct and deterministic:
+// B3Shard / B4Shard split the insert steps by bucket OWNERSHIP instead of
+// by range: shard k processes exactly the tuples whose bucket lies in its
+// slice of the bucket space, so concurrent shards never touch the same key
+// list or bucket header. Owners lays the build out so that a shard's tuples
+// are one contiguous range, in index order — the same relative order per
+// bucket as a single-stream execution — so key-list shapes, walk lengths
+// and therefore simulated times are identical no matter how many workers
+// execute the shards. For the segmented PHJ table the high bucket bits are
+// the partition index and the partitioned build side is already in that
+// order; any other build is stable-scattered by owner with sched.Scatter.
+// Node allocation goes through a worker-private alloc.Local.
 //
-//   - B2Atomic replaces the bucket-header count increment with a
-//     sync/atomic add on the Count array, so range morsels of b2 can run
-//     concurrently. Counter sums are order-independent, so the final table
-//     state and the accounting are schedule-free.
-//
-//   - B3Shard / B4Shard split the insert steps by bucket OWNERSHIP instead
-//     of by range: shard k processes exactly the tuples whose bucket lies
-//     in its slice of the bucket space, so concurrent shards never touch
-//     the same key list. Owners lays the build out so that a shard's
-//     tuples are one contiguous range, in index order — the same relative
-//     order per bucket as a single-stream execution — so key-list shapes,
-//     walk lengths and therefore simulated times are identical no matter
-//     how many workers execute the shards. For the segmented PHJ table the
-//     high bucket bits are the partition index and the partitioned build
-//     side is already in that order; any other build is stable-scattered
-//     by owner with sched.Scatter. Node allocation goes through a
-//     worker-private alloc.Local.
+// b2 moves nothing on a pool: its parallel kernel is its charge alone
+// (Table.B2Charge), and B4Shard counts each tuple into its bucket header as
+// it links the tuple's rid — a plain increment, since the shard owns the
+// bucket. The model still charges b2's latched atomic per tuple; the host
+// issues none. Nothing reads the counts between b2 and b4 on a pool (their
+// one reader, the grouping hints, keeps the build single-stream), and the
+// counts follow the rids, so they hold on each of separate tables whatever
+// b2's and b4's PL ratios are.
 //
 // The per-item accounting charges match the serial kernels; laying out the
 // ownership is runtime scheduling work (for SHJ two streamed passes over
@@ -102,32 +101,6 @@ func (o *Owners) Release() {
 	*o = Owners{}
 }
 
-// B2Atomic is B2 with a sync/atomic increment of the bucket count, safe for
-// concurrent range morsels. The head snapshot is a plain read: b3 is the
-// step that links new key nodes, so Head is constant throughout b2. The
-// work hint records the post-increment count; under concurrency its exact
-// value is schedule-dependent, so grouped execution (the only consumer)
-// stays on the serial path.
-func (t *Table) B2Atomic(d *device.Device, bucket []int32, head, work []int32, lo, hi int) device.Acct {
-	var a device.Acct
-	for i := lo; i < hi; i++ {
-		b := bucket[i]
-		c := atomic.AddInt32(&t.Count[b], 1)
-		head[i] = t.Head[b]
-		if work != nil {
-			work[i] = c
-		}
-	}
-	n := int64(hi - lo)
-	a.Items = n
-	a.Instr = n * instrVisitHeader
-	a.SeqBytes = n * 8
-	a.Rand[device.RegionHashTable] = n
-	a.AtomicOps = n
-	a.AtomicTargets = int64(t.nBuckets)
-	return a
-}
-
 // B3Shard performs b3 for the tuples [lo,hi) of the owner-ordered columns —
 // one shard's share (Owners.Cut): the key lists visited (and the key nodes
 // created, through the worker-private allocator) all live in the shard's
@@ -178,15 +151,17 @@ func (t *Table) B3Shard(d *device.Device, keys, bucket, node []int32, lo, hi int
 }
 
 // B4Shard performs b4 for the tuples [lo,hi) of the owner-ordered columns,
-// a shard share as B3Shard takes it. The key node a tuple appends to
-// belongs to the tuple's bucket, so ownership carries over from b3 and the
-// rid-list pushes need no synchronization.
-func (t *Table) B4Shard(d *device.Device, rids, node []int32, lo, hi int, la *alloc.Local) device.Acct {
+// a shard share as B3Shard takes it, and counts each tuple into its bucket
+// header — the count the pooled b2 only charges. The key node a tuple
+// appends to and the header it counts in belong to the tuple's bucket, so
+// ownership carries over from b3 and neither needs synchronization.
+func (t *Table) B4Shard(d *device.Device, bucket, rids, node []int32, lo, hi int, la *alloc.Local) device.Acct {
 	var a device.Acct
 	words := t.arena.Words()
 	before := la.Stats()
 
 	for i := lo; i < hi; i++ {
+		t.Count[bucket[i]]++
 		kn := node[i]
 		rn := la.Alloc(ridNodeWords)
 		words[rn+ridOffRID] = rids[i]

@@ -88,6 +88,63 @@ func (t *Table) b4ShardIdx(rids, node []int32, idx []int32, la *alloc.Local) dev
 	return a
 }
 
+// b2AtomicRef is the pooled b2 before it only charged: B2 with a sync/atomic
+// increment of the bucket count, run over concurrent range morsels. It is
+// kept as the reference B2Charge's records are held to.
+func (t *Table) b2AtomicRef(d *device.Device, bucket, work []int32, lo, hi int) device.Acct {
+	var a device.Acct
+	for i := lo; i < hi; i++ {
+		c := atomic.AddInt32(&t.Count[bucket[i]], 1)
+		if work != nil {
+			work[i] = c
+		}
+	}
+	n := int64(hi - lo)
+	a.Items = n
+	a.Instr = n * instrVisitHeader
+	a.SeqBytes = n * 8
+	a.Rand[device.RegionHashTable] = n
+	a.AtomicOps = n
+	a.AtomicTargets = int64(t.nBuckets)
+	return a
+}
+
+// p3Bare and p4Bare are P3 and P4 with the model taken out: the same walks
+// and the same output, but no device.Acct and no DivTracker. BenchmarkP3P4
+// runs them beside the kernels, so what the accounting costs is measured.
+func (t *Table) p3Bare(keys, head, node []int32, lo, hi int) {
+	words := t.arena.Words()
+	for i := lo; i < hi; i++ {
+		key := keys[i]
+		kn := head[i]
+		for kn != nilRef && words[kn+keyOffKey] != key {
+			kn = words[kn+keyOffNext]
+		}
+		node[i] = kn
+	}
+}
+
+func (t *Table) p4Bare(rids, node []int32, out *Out, lo, hi int) {
+	words := t.arena.Words()
+	var pairs int64
+	for i := lo; i < hi; i++ {
+		kn := node[i]
+		if kn == nilRef {
+			continue
+		}
+		for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
+			pairs++
+			if out.Materialize && out.Arena != nil {
+				off := out.Arena.Alloc(2)
+				ow := out.Arena.Words()
+				ow[off] = words[rn+ridOffRID]
+				ow[off+1] = rids[i]
+			}
+		}
+	}
+	out.Pairs += pairs
+}
+
 // ownedIdx is one shard's list of the owner index the reference kernels
 // walk: the tuples of [lo,hi) whose bucket the shard owns, ascending.
 func ownedIdx(bucket []int32, shift uint, shard, lo, hi int) []int32 {
@@ -107,20 +164,20 @@ func buildSerial(r rel.Relation) *Table {
 	t := New(n, arena)
 	cpu := device.New(device.APUCPU())
 	bucket := make([]int32, n)
-	head := make([]int32, n)
 	node := make([]int32, n)
 	t.B1(cpu, r.Keys, bucket, 0, n)
-	t.B2(cpu, bucket, head, nil, 0, n)
+	t.B2(cpu, bucket, nil, 0, n)
 	t.B3(cpu, r.Keys, bucket, node, 0, n, nil)
 	t.B4(cpu, r.RIDs, node, 0, n)
 	return t
 }
 
-// insertBuild is a build after b1 and the atomic b2, ready for the
-// ownership-shard insert steps: a CPU and a GPU table — one table twice
-// unless the build keeps separate tables — and b1's bucket numbers. A PHJ
-// build side is sorted by a radix partition first, as the partition phase
-// leaves it, and offsets holds its partition boundaries.
+// insertBuild is a build after b1, ready for the ownership-shard insert
+// steps as a pool runs them — b2 only charges there, so no bucket is
+// counted yet: a CPU and a GPU table — one table twice unless the build
+// keeps separate tables — and b1's bucket numbers. A PHJ build side is
+// sorted by a radix partition first, as the partition phase leaves it, and
+// offsets holds its partition boundaries.
 type insertBuild struct {
 	tables       [2]*Table
 	r            rel.Relation
@@ -130,10 +187,8 @@ type insertBuild struct {
 }
 
 // newInsertBuild builds over r with the given allocator: SHJ when bits is
-// 0, else PHJ over 1<<bits partitions. With separate tables, b2 counts the
-// tuples below cut into the CPU table and the rest into the GPU table, the
-// split every step of a DD build shares.
-func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, cut int) *insertBuild {
+// 0, else PHJ over 1<<bits partitions.
+func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config) *insertBuild {
 	n := r.Len()
 	ib := &insertBuild{r: r, bucket: make([]int32, n), node: make([]int32, n)}
 	var partIdx []int32
@@ -151,8 +206,6 @@ func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, 
 	ib.tables[1] = ib.tables[0]
 	if separate {
 		ib.tables[1] = newTable()
-	} else {
-		cut = n
 	}
 	cpu := device.New(device.APUCPU())
 	t := ib.tables[0]
@@ -161,10 +214,25 @@ func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, 
 	} else {
 		t.B1(cpu, ib.r.Keys, ib.bucket, 0, n)
 	}
-	head := make([]int32, n)
-	ib.tables[0].B2Atomic(cpu, ib.bucket, head, nil, 0, cut)
-	ib.tables[1].B2Atomic(cpu, ib.bucket, head, nil, cut, n)
 	_, ib.shift = sched.OwnerShards(t.nBuckets)
+	return ib
+}
+
+// newSerialBuild is newInsertBuild's build run to the end with the
+// single-stream kernels, every step of it split at cut between the CPU and
+// the GPU share, as a DD build splits them.
+func newSerialBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, cut int) *insertBuild {
+	ib := newInsertBuild(r, bits, separate, cfg)
+	shares := ib.shares(cut)
+	for _, sh := range shares {
+		sh.t.B2(sh.d, ib.bucket, nil, sh.lo, sh.hi)
+	}
+	for _, sh := range shares {
+		sh.t.B3(sh.d, ib.r.Keys, ib.bucket, ib.node, sh.lo, sh.hi, nil)
+	}
+	for _, sh := range shares {
+		sh.t.B4(sh.d, ib.r.RIDs, ib.node, sh.lo, sh.hi)
+	}
 	return ib
 }
 
@@ -212,6 +280,27 @@ func (ib *insertBuild) shares(cut int) []share {
 func (ib *insertBuild) shards() int {
 	shards, _ := sched.OwnerShards(ib.tables[0].nBuckets)
 	return shards
+}
+
+// b2Records runs b2 over every non-empty share — the executor dispatches no
+// empty one — and returns one record per share: the pooled b2's charge, or
+// with ref the atomic reference over range morsels on the pool, which also
+// counts the share's tuples into the share's table.
+func (ib *insertBuild) b2Records(pool *sched.Pool, shares []share, ref bool) []device.Acct {
+	var out []device.Acct
+	for _, sh := range shares {
+		if sh.lo == sh.hi {
+			continue
+		}
+		if !ref {
+			out = append(out, sh.t.B2Charge(sh.lo, sh.hi))
+			continue
+		}
+		out = append(out, pool.MapRange(sh.lo, sh.hi, func(lo, hi int) device.Acct {
+			return sh.t.b2AtomicRef(sh.d, ib.bucket, nil, lo, hi)
+		}))
+	}
+	return out
 }
 
 // insertIdx runs b3 over b3Shares, then b4 over b4Shares, with the
@@ -275,7 +364,7 @@ func (ib *insertBuild) insertOwned(pool *sched.Pool, o *Owners, b3Shares, b4Shar
 	}
 	for _, sh := range b4Shares {
 		b4 = append(b4, each(sh, func(t *Table, lo, hi int, la *alloc.Local) device.Acct {
-			return t.B4Shard(sh.d, o.RIDs, ib.node, lo, hi, la)
+			return t.B4Shard(sh.d, o.Bucket, o.RIDs, ib.node, lo, hi, la)
 		}))
 	}
 	return b3, b4
@@ -290,14 +379,18 @@ func ascending(n int) []int {
 }
 
 // requireSameTables checks two builds of the same tuples structurally: each
-// table valid, the same key population and allocator totals, and the same
-// rid order for every 17th tuple's key.
-func requireSameTables(t *testing.T, name string, got, want *insertBuild) {
+// table valid, with the bucket counts of the serial build, and the same key
+// population, allocator totals and rid order for every 17th tuple's key as
+// want.
+func requireSameTables(t *testing.T, name string, got, want, serial *insertBuild) {
 	t.Helper()
 	for i := range got.tables {
 		g, w := got.tables[i], want.tables[i]
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: table %d invalid: %v", name, i, err)
+		}
+		if !slices.Equal(g.Count, serial.tables[i].Count) {
+			t.Fatalf("%s: table %d bucket counts differ from the serial build's", name, i)
 		}
 		if g.NumKeys() != w.NumKeys() || g.arena.Stats() != w.arena.Stats() {
 			t.Fatalf("%s: table %d holds %d keys, allocator %+v; the reference %d, %+v", name, i, g.NumKeys(), g.arena.Stats(), w.NumKeys(), w.arena.Stats())
@@ -318,8 +411,11 @@ func requireSameTables(t *testing.T, name string, got, want *insertBuild) {
 // more partitions than shards (nothing is laid out) and with fewer (the
 // scatter takes over), under Basic and Block allocation, with one shared
 // table and with separate CPU and GPU tables, at cuts on and inside
-// morsels, b3 and b4 cut at different points on a shared table as per-step
-// PL ratios do. A shared SHJ table must also equal the serial build's.
+// morsels, b2, b3 and b4 cut at different points as per-step PL ratios do.
+// b2 only charges, so b4's shards count the buckets: every table must hold
+// the bucket counts of the serial build split at b4's cut and pass
+// Validate, separate tables whose b2 cut differs from b4's too. A shared
+// SHJ table must also equal the serial build's.
 func TestShardedBuildMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
@@ -334,19 +430,24 @@ func TestShardedBuildMatchesSerial(t *testing.T) {
 		for _, bits := range []uint{0, 6, 3} {
 			for _, cfg := range []alloc.Config{{Strategy: alloc.Basic}, {Strategy: alloc.Block}} {
 				for _, separate := range []bool{false, true} {
-					cuts := [][2]int{{n, n}, {n / 3, 2 * n / 3}, {0, n / 2}, {sched.MorselItems + 77, 5000}}
+					// b2, b3 and b4 cuts.
+					cuts := [][3]int{{n, n, n}, {n / 3, n / 3, 2 * n / 3}, {n, 0, n / 2}, {0, sched.MorselItems + 77, 5000}}
 					if separate {
 						// A tuple's b3 and b4 must meet one table: DD cuts.
-						cuts = [][2]int{{n / 3, n / 3}, {sched.MorselItems + 77, sched.MorselItems + 77}, {0, 0}}
+						cuts = [][3]int{{n / 3, n / 3, n / 3}, {n / 2, sched.MorselItems + 77, sched.MorselItems + 77}, {n, 0, 0}}
 					}
 					for _, cut := range cuts {
 						name := fmt.Sprintf("%s bits=%d %v separate=%v cuts=%v", iname, bits, cfg.Strategy, separate, cut)
-						ref := newInsertBuild(r, bits, separate, cfg, cut[0])
-						b3Shares, b4Shares := ref.shares(cut[0]), ref.shares(cut[1])
+						ref := newInsertBuild(r, bits, separate, cfg)
+						ref2 := ref.b2Records(pool, ref.shares(cut[0]), true)
+						b3Shares, b4Shares := ref.shares(cut[1]), ref.shares(cut[2])
 						ref3, ref4 := ref.insertIdx(b3Shares, b4Shares, ascending(ref.shards()))
 
-						got := newInsertBuild(r, bits, separate, cfg, cut[0])
-						b3Shares, b4Shares = got.shares(cut[0]), got.shares(cut[1])
+						got := newInsertBuild(r, bits, separate, cfg)
+						if got2 := got.b2Records(pool, got.shares(cut[0]), false); !slices.Equal(got2, ref2) {
+							t.Fatalf("%s: b2 accts\n got %+v\nwant %+v", name, got2, ref2)
+						}
+						b3Shares, b4Shares = got.shares(cut[1]), got.shares(cut[2])
 						o := got.owners(pool)
 						got3, got4 := got.insertOwned(pool, o, b3Shares, b4Shares, nil)
 						o.Release()
@@ -358,7 +459,7 @@ func TestShardedBuildMatchesSerial(t *testing.T) {
 								t.Fatalf("%s: b4 share %d accts\n got %+v\nwant %+v", name, si, got4[si], ref4[si])
 							}
 						}
-						requireSameTables(t, name, got, ref)
+						requireSameTables(t, name, got, ref, newSerialBuild(r, bits, separate, cfg, cut[2]))
 						if bits > 0 || separate {
 							continue
 						}
@@ -387,9 +488,9 @@ func TestShardedBuildAccountingDeterministic(t *testing.T) {
 		r := rel.Gen{N: 8192, Dist: dist, Seed: 9}.Probe(rel.Gen{N: 8192, Seed: 10}.Build(), 1.0)
 		n := r.Len()
 		for _, bits := range []uint{0, 6} {
-			ref := newInsertBuild(r, bits, false, alloc.Config{}, n)
-			fwd := newInsertBuild(r, bits, false, alloc.Config{}, n)
-			rev := newInsertBuild(r, bits, false, alloc.Config{}, n)
+			ref := newInsertBuild(r, bits, false, alloc.Config{})
+			fwd := newInsertBuild(r, bits, false, alloc.Config{})
+			rev := newInsertBuild(r, bits, false, alloc.Config{})
 			order := ascending(ref.shards())
 			want3, want4 := ref.insertIdx(ref.shares(n/4), ref.shares(n/2), order)
 			fwd3, fwd4 := fwd.insertOwned(nil, fwd.owners(pool), fwd.shares(n/4), fwd.shares(n/2), order)
@@ -410,6 +511,32 @@ func TestShardedBuildAccountingDeterministic(t *testing.T) {
 	}
 }
 
+// TestPooledB2ChargeMatchesAtomic holds the pooled b2, which only charges,
+// to the kernel it replaced — an atomic count increment per tuple over
+// range morsels: per device share, B2Charge must equal the MapRange-merged
+// b2AtomicRef records, for SHJ and PHJ geometry, uniform and high-skew
+// keys, and splits at both ends, at a third, inside a morsel and in the
+// ragged last morsel.
+func TestPooledB2ChargeMatchesAtomic(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	n := 3*sched.MorselItems + 3616
+	base := rel.Gen{N: n, Seed: 11}.Build()
+	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
+		r := rel.Gen{N: n, Dist: dist, Seed: 12}.Probe(base, 1.0)
+		for _, bits := range []uint{0, 6} {
+			ib := newInsertBuild(r, bits, false, alloc.Config{})
+			for _, cut := range []int{0, n, n / 3, sched.MorselItems + 77, n - 1000} {
+				shares := ib.shares(cut)
+				got, want := ib.b2Records(pool, shares, false), ib.b2Records(pool, shares, true)
+				if len(got) == 0 || !slices.Equal(got, want) {
+					t.Fatalf("%v bits=%d cut=%d: pooled b2 charges\n %+v\nthe atomic kernel\n %+v", dist, bits, cut, got, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkB3B4Shard measures the two insert steps of a 2^20-tuple SHJ
 // build as the runner executes them — ownership shards on the pool, each
 // reading its contiguous range of the owner-ordered columns, laid out
@@ -420,7 +547,7 @@ func TestShardedBuildAccountingDeterministic(t *testing.T) {
 func BenchmarkB3B4Shard(b *testing.B) {
 	const n = 1 << 20
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
-		ib := newInsertBuild(rel.Gen{N: n, Dist: dist, Seed: 1}.Build(), 0, false, alloc.Config{}, n)
+		ib := newInsertBuild(rel.Gen{N: n, Dist: dist, Seed: 1}.Build(), 0, false, alloc.Config{})
 		whole := ib.shares(n)[:1]
 		idx := make([][]int32, ib.shards())
 		for s := range idx {
@@ -440,6 +567,7 @@ func BenchmarkB3B4Shard(b *testing.B) {
 						for j := range t.Head {
 							t.Head[j] = nilRef
 						}
+						clear(t.Count)
 						t.numKeys.Store(0)
 						t.arena.Reset()
 						b.StartTimer()
@@ -480,7 +608,10 @@ func BenchmarkB3B4Shard(b *testing.B) {
 // probe tuples (selectivity 1) of a 2^20-tuple build as the runner executes
 // them: range morsels on the pool, p4 either materializing its pairs
 // through a morsel-private output arena or counting them. p1 and p2 run
-// outside the timer. Each p4 row must find the pairs a single-stream p4
+// outside the timer. Each row is paired with an unaccounted row that runs
+// p3Bare / p4Bare instead — the same walks without device.Acct and
+// DivTracker — and reports how much of the accounted row's time the model
+// took as acct-pct. Each p4 row must find the pairs a single-stream p4
 // finds.
 func BenchmarkP3P4(b *testing.B) {
 	const n = 1 << 20
@@ -498,41 +629,71 @@ func BenchmarkP3P4(b *testing.B) {
 
 		for _, workers := range []int{1, 2} {
 			pool := sched.NewPool(workers)
-			b.Run(fmt.Sprintf("P3/%v/pool=%d", dist, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+			var accountedNS float64
+			// row times step over the probe; an unaccounted row follows its
+			// accounted twin. check, when non-nil, verifies the last pass.
+			row := func(name string, accounted bool, step func(), check func(b *testing.B)) {
+				if !accounted {
+					name += "/unaccounted"
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						step()
+					}
+					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					b.ReportMetric(ns/n, "ns/tuple")
+					if accounted {
+						accountedNS = ns
+					} else if accountedNS > 0 {
+						b.ReportMetric(100*(accountedNS-ns)/accountedNS, "acct-pct")
+					}
+					if check != nil {
+						check(b)
+					}
+				})
+			}
+			for _, accounted := range []bool{true, false} {
+				row(fmt.Sprintf("P3/%v/pool=%d", dist, workers), accounted, func() {
 					pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						if !accounted {
+							t.p3Bare(s.Keys, head, node, lo, hi)
+							return device.Acct{}
+						}
 						return t.P3(cpu, s.Keys, head, node, lo, hi, nil)
 					})
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
-			})
+				}, nil)
+			}
 			for _, materialize := range []bool{true, false} {
 				name := "count-only"
 				if materialize {
 					name = "materialize"
 				}
-				b.Run(fmt.Sprintf("P4/%s/%v/pool=%d", name, dist, workers), func(b *testing.B) {
+				for _, accounted := range []bool{true, false} {
 					var pairs atomic.Int64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
+					row(fmt.Sprintf("P4/%s/%v/pool=%d", name, dist, workers), accounted, func() {
 						pairs.Store(0)
 						pool.MapRange(0, n, func(lo, hi int) device.Acct {
 							priv := Out{Materialize: materialize}
 							if materialize {
 								priv.Arena = alloc.New(alloc.Config{}, 4*(hi-lo)+64)
 							}
-							a := t.P4(cpu, s.RIDs, node, &priv, lo, hi, nil)
+							var a device.Acct
+							if accounted {
+								a = t.P4(cpu, s.RIDs, node, &priv, lo, hi, nil)
+							} else {
+								t.p4Bare(s.RIDs, node, &priv, lo, hi)
+							}
 							pairs.Add(priv.Pairs)
 							priv.Arena.Release()
 							return a
 						})
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
-					if pairs.Load() != serial.Pairs {
-						b.Fatalf("%d pairs, single-stream p4 found %d", pairs.Load(), serial.Pairs)
-					}
-				})
+					}, func(b *testing.B) {
+						if pairs.Load() != serial.Pairs {
+							b.Fatalf("%d pairs, single-stream p4 found %d", pairs.Load(), serial.Pairs)
+						}
+					})
+				}
 			}
 			pool.Close()
 		}

@@ -10,7 +10,10 @@ import (
 // where one work item executes a whole partition pair's join, and for
 // tests.
 func (t *Table) InsertOne(key, rid int32) device.Acct {
-	a := t.insertOne(key, rid)
+	a, created := t.insertOne(key, rid)
+	if created > 0 {
+		t.numKeys.Add(created)
+	}
 	a.Items = 1
 	a.Instr += hash.InstrPerHash
 	a.SeqBytes += 8

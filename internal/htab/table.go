@@ -201,6 +201,7 @@ func (t *Table) Lookup(key int32) []int32 {
 // it to the device performing the merge.
 func (t *Table) Merge(src *Table) device.Acct {
 	var a device.Acct
+	var created int64
 	words := src.arena.Words()
 	for b := 0; b < src.nBuckets; b++ {
 		for kn := src.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
@@ -208,19 +209,23 @@ func (t *Table) Merge(src *Table) device.Acct {
 			a.Rand[device.RegionHashTable]++
 			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
 				rid := words[rn+ridOffRID]
-				ins := t.insertOne(key, rid)
+				ins, c := t.insertOne(key, rid)
 				a.Add(ins)
 				a.Items++
+				created += c
 			}
 		}
 	}
+	t.numKeys.Add(created)
 	return a
 }
 
 // insertOne performs a full single-tuple insert (b1..b4 fused), used by
-// Merge and by tests.
-func (t *Table) insertOne(key, rid int32) device.Acct {
+// Merge and InsertOne. It returns the number of key nodes it created, 0 or
+// 1, for the caller to publish.
+func (t *Table) insertOne(key, rid int32) (device.Acct, int64) {
 	var a device.Acct
+	var created int64
 	words := t.arena.Words()
 	b := t.bucketOf(key)
 	t.Count[b]++
@@ -239,6 +244,7 @@ func (t *Table) insertOne(key, rid int32) device.Acct {
 		words = t.arena.Words()
 		a.Instr += instrCreateNode
 		a.AtomicOps++
+		created = 1
 	}
 	rn := t.arena.Alloc(ridNodeWords)
 	words = t.arena.Words()
@@ -251,10 +257,12 @@ func (t *Table) insertOne(key, rid int32) device.Acct {
 	if a.AtomicTargets == 0 {
 		a.AtomicTargets = int64(t.nBuckets)
 	}
-	return a
+	return a, created
 }
 
-// newKeyNode allocates and links a key node at the head of bucket b.
+// newKeyNode allocates and links a key node at the head of bucket b. The
+// caller counts the node and publishes its kernel call's total to numKeys
+// once.
 func (t *Table) newKeyNode(key int32, b int) int32 {
 	kn := t.arena.Alloc(keyNodeWords)
 	words := t.arena.Words()
@@ -262,6 +270,5 @@ func (t *Table) newKeyNode(key int32, b int) int32 {
 	words[kn+keyOffRIDHead] = nilRef
 	words[kn+keyOffNext] = t.Head[b]
 	t.Head[b] = kn
-	t.numKeys.Add(1)
 	return kn
 }
