@@ -142,10 +142,11 @@ func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, err
 }
 
 // wireAlgo names a query's algorithm, scheme and architecture on the wire:
-// "auto" alone when the planner decides.
+// "auto" and no scheme when the planner decides. The planner never picks
+// the architecture, so arch is always carried.
 func wireAlgo(auto bool, opt core.Options) (algo, scheme, arch string) {
 	if auto {
-		return "auto", "", ""
+		return "auto", "", api.ArchName(opt.Arch)
 	}
 	return api.AlgoName(opt.Algo), api.SchemeName(opt.Scheme), api.ArchName(opt.Arch)
 }

@@ -94,6 +94,9 @@ func TestClusterInvariance(t *testing.T) {
 		{RName: "orders", SName: "lineitem", Opt: ddOptions(t, "phj")},
 		{RName: "orders", SName: "returns", Opt: ddOptions(t, "shj")},
 		{RName: "orders", SName: "lineitem", Auto: true},
+		// The planner picks algorithm and scheme, never the architecture:
+		// the router's wire request must carry arch under auto too.
+		{RName: "orders", SName: "lineitem", Auto: true, Opt: core.Options{Arch: core.Discrete}},
 	}
 	pipeSpec := service.PipelineSpec{
 		Sources: []service.PipelineSource{{Name: "orders"}, {Name: "lineitem"}, {Name: "returns"}},
