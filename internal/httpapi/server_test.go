@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"apujoin/internal/service"
+	"apujoin/internal/shard"
 )
 
 // testServer boots one service + HTTP handler pair for a test.
@@ -83,22 +84,72 @@ func errMsg(resp map[string]any) string {
 	return s
 }
 
+// routeShape is one deployment shape of the /v1 surface.
+type routeShape struct {
+	name string
+	ts   *httptest.Server
+}
+
+// routeShapes boots the three shapes one handler serves: an unsharded
+// engine, an in-process engine of four shards, and a cluster router over
+// two shard servers (-shards 1 and 2). cfg bounds the front the client
+// talks to; the shard servers behind the router keep the defaults, since
+// the router's bulk uploads outgrow a client's body limit.
+func routeShapes(t *testing.T, cfg Config) []routeShape {
+	t.Helper()
+	base := service.Config{Workers: 2, MaxConcurrent: 2}
+	sharded := base
+	sharded.Shards = 4
+	router := base
+	for _, n := range []int{1, 2} {
+		shardCfg := base
+		shardCfg.Shards = n
+		router.Cluster = append(router.Cluster, testServer(t, shardCfg, Config{}).URL)
+	}
+	return []routeShape{
+		{"unsharded", testServer(t, base, cfg)},
+		{"sharded", testServer(t, sharded, cfg)},
+		{"router", testServer(t, router, cfg)},
+	}
+}
+
+// partitionsIn counts the per-partition slots of a per_partition response:
+// a join's partitions vector, or the first step row of a pipeline's.
+func partitionsIn(resp map[string]any) int {
+	res, _ := resp["result"].(map[string]any)
+	if parts, ok := res["partitions"].([]any); ok {
+		return len(parts)
+	}
+	pipe, _ := res["pipeline"].(map[string]any)
+	pp, _ := pipe["partitions"].(map[string]any)
+	steps, _ := pp["steps"].([]any)
+	if len(steps) == 0 {
+		return 0
+	}
+	row, _ := steps[0].([]any)
+	return len(row)
+}
+
 // TestRoutesTable drives every /v1 route through its happy path and the
-// documented failure statuses: 400 for malformed or conflicting input,
+// documented failure statuses — 400 for malformed or conflicting input,
 // 404 for unknown names and ids, 409 for duplicate registration, 413 for
-// oversized bodies.
+// oversized bodies — on every deployment shape: one surface, whatever
+// serves it. Only per_partition, the shard servers' transport, differs by
+// shape: a sharded engine answers it, an unsharded one has no grid to
+// report and a router is not a shard server.
 func TestRoutesTable(t *testing.T) {
-	ts := testServer(t, service.Config{Workers: 2, MaxConcurrent: 2},
-		Config{MaxTuples: 1 << 20, MaxBody: 1 << 16})
+	shapes := routeShapes(t, Config{MaxTuples: 1 << 20, MaxBody: 1 << 16})
 
 	// Happy-path prologue: register a build + probe pair.
-	if st, resp := do(t, "POST", ts.URL+"/v1/relations",
-		`{"name":"orders","n":30000,"seed":1}`); st != http.StatusCreated {
-		t.Fatalf("register orders: status %d, resp %v", st, resp)
-	}
-	if st, resp := do(t, "POST", ts.URL+"/v1/relations",
-		`{"name":"lineitem","probe_of":"orders","n":30000,"sel":0.5,"seed":2}`); st != http.StatusCreated {
-		t.Fatalf("register lineitem: status %d, resp %v", st, resp)
+	for _, sh := range shapes {
+		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations",
+			`{"name":"orders","n":30000,"seed":1}`); st != http.StatusCreated {
+			t.Fatalf("%s: register orders: status %d, resp %v", sh.name, st, resp)
+		}
+		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations",
+			`{"name":"lineitem","probe_of":"orders","n":30000,"sel":0.5,"seed":2}`); st != http.StatusCreated {
+			t.Fatalf("%s: register lineitem: status %d, resp %v", sh.name, st, resp)
+		}
 	}
 
 	cases := []struct {
@@ -107,135 +158,158 @@ func TestRoutesTable(t *testing.T) {
 		path   string
 		body   string
 		want   int
+		// except names the shapes whose status differs from want.
+		except map[string]int
 	}{
 		{"join by names", "POST", "/v1/join",
-			`{"algo":"phj","scheme":"dd","delta":0.1,"r_name":"orders","s_name":"lineitem","wait":true}`, 200},
+			`{"algo":"phj","scheme":"dd","delta":0.1,"r_name":"orders","s_name":"lineitem","wait":true}`, 200, nil},
 		{"join inline", "POST", "/v1/join",
-			`{"algo":"shj","scheme":"dd","delta":0.1,"r":20000,"s":20000,"wait":true}`, 200},
+			`{"algo":"shj","scheme":"dd","delta":0.1,"r":20000,"s":20000,"wait":true}`, 200, nil},
 		{"join fire-and-poll", "POST", "/v1/join",
-			`{"algo":"shj","scheme":"dd","delta":0.1,"r_name":"orders","s_name":"lineitem"}`, 202},
-		{"list relations", "GET", "/v1/relations", "", 200},
-		{"list queries", "GET", "/v1/queries", "", 200},
-		{"stats", "GET", "/v1/stats", "", 200},
-		{"healthz", "GET", "/healthz", "", 200},
+			`{"algo":"shj","scheme":"dd","delta":0.1,"r_name":"orders","s_name":"lineitem"}`, 202, nil},
+		{"join per_partition", "POST", "/v1/join",
+			`{"algo":"phj","scheme":"dd","delta":0.1,"r_name":"orders","s_name":"lineitem","per_partition":true,"wait":true}`,
+			400, map[string]int{"sharded": 200}},
+		{"list relations", "GET", "/v1/relations", "", 200, nil},
+		{"list queries", "GET", "/v1/queries", "", 200, nil},
+		{"stats", "GET", "/v1/stats", "", 200, nil},
+		{"healthz", "GET", "/healthz", "", 200, nil},
 
-		{"malformed JSON", "POST", "/v1/join", `{"algo":`, 400},
-		{"unknown field", "POST", "/v1/join", `{"algol":"shj"}`, 400},
-		{"trailing garbage", "POST", "/v1/join", `{"algo":"shj"} extra`, 400},
-		{"bad algo", "POST", "/v1/join", `{"algo":"quantum"}`, 400},
-		{"bad scheme", "POST", "/v1/join", `{"scheme":"warp"}`, 400},
-		{"auto with scheme", "POST", "/v1/join", `{"algo":"auto","scheme":"pl"}`, 400},
+		{"malformed JSON", "POST", "/v1/join", `{"algo":`, 400, nil},
+		{"unknown field", "POST", "/v1/join", `{"algol":"shj"}`, 400, nil},
+		{"trailing garbage", "POST", "/v1/join", `{"algo":"shj"} extra`, 400, nil},
+		{"bad algo", "POST", "/v1/join", `{"algo":"quantum"}`, 400, nil},
+		{"bad scheme", "POST", "/v1/join", `{"scheme":"warp"}`, 400, nil},
+		{"auto with scheme", "POST", "/v1/join", `{"algo":"auto","scheme":"pl"}`, 400, nil},
 		{"delta below the grid floor", "POST", "/v1/join",
-			`{"algo":"auto","delta":1e-9,"r_name":"orders","s_name":"lineitem","wait":true}`, 400},
-		{"delta above one", "POST", "/v1/join", `{"algo":"shj","scheme":"dd","delta":1.5}`, 400},
+			`{"algo":"auto","delta":1e-9,"r_name":"orders","s_name":"lineitem","wait":true}`, 400, nil},
+		{"delta above one", "POST", "/v1/join", `{"algo":"shj","scheme":"dd","delta":1.5}`, 400, nil},
 		{"coarsepl without phj", "POST", "/v1/join",
-			`{"algo":"shj","scheme":"coarsepl","r_name":"orders","s_name":"lineitem","wait":true}`, 400},
-		{"negative size", "POST", "/v1/join", `{"r":-1}`, 400},
-		{"exceeds max-tuples", "POST", "/v1/join", `{"r":2097152}`, 400},
-		{"sel out of range", "POST", "/v1/join", `{"sel":1.5}`, 400},
-		{"one name only", "POST", "/v1/join", `{"r_name":"orders"}`, 400},
-		{"name plus inline", "POST", "/v1/join", `{"r_name":"orders","s_name":"lineitem","r":1024}`, 400},
-		{"unknown relation names", "POST", "/v1/join", `{"r_name":"ghost","s_name":"ghost"}`, 404},
+			`{"algo":"shj","scheme":"coarsepl","r_name":"orders","s_name":"lineitem","wait":true}`, 400, nil},
+		{"negative size", "POST", "/v1/join", `{"r":-1}`, 400, nil},
+		{"exceeds max-tuples", "POST", "/v1/join", `{"r":2097152}`, 400, nil},
+		{"sel out of range", "POST", "/v1/join", `{"sel":1.5}`, 400, nil},
+		{"one name only", "POST", "/v1/join", `{"r_name":"orders"}`, 400, nil},
+		{"name plus inline", "POST", "/v1/join", `{"r_name":"orders","s_name":"lineitem","r":1024}`, 400, nil},
+		{"unknown relation names", "POST", "/v1/join", `{"r_name":"ghost","s_name":"ghost"}`, 404, nil},
 
 		{"pipeline by names", "POST", "/v1/pipeline",
-			`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"orders"},{"name":"lineitem"},{"name":"lineitem"}],"wait":true}`, 200},
+			`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"orders"},{"name":"lineitem"},{"name":"lineitem"}],"wait":true}`, 200, nil},
 		{"pipeline fire-and-poll", "POST", "/v1/pipeline",
-			`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"orders"},{"name":"lineitem"}]}`, 202},
-		{"pipeline one source", "POST", "/v1/pipeline", `{"sources":[{"name":"orders"}]}`, 400},
+			`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"orders"},{"name":"lineitem"}]}`, 202, nil},
+		{"pipeline per_partition", "POST", "/v1/pipeline",
+			`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"orders"},{"name":"lineitem"}],"per_partition":true,"wait":true}`,
+			400, map[string]int{"sharded": 200}},
+		{"pipeline one source", "POST", "/v1/pipeline", `{"sources":[{"name":"orders"}]}`, 400, nil},
 		{"pipeline too many sources", "POST", "/v1/pipeline",
-			`{"sources":[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]}`, 400},
+			`{"sources":[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]}`, 400, nil},
 		{"pipeline unknown name", "POST", "/v1/pipeline",
-			`{"sources":[{"name":"orders"},{"name":"ghost"}]}`, 404},
+			`{"sources":[{"name":"orders"},{"name":"ghost"}]}`, 404, nil},
 		{"pipeline name+generator conflict", "POST", "/v1/pipeline",
-			`{"sources":[{"name":"orders","n":64},{"name":"lineitem"}]}`, 400},
+			`{"sources":[{"name":"orders","n":64},{"name":"lineitem"}]}`, 400, nil},
 		{"pipeline auto with scheme", "POST", "/v1/pipeline",
-			`{"algo":"auto","scheme":"pl","sources":[{"name":"orders"},{"name":"lineitem"}]}`, 400},
+			`{"algo":"auto","scheme":"pl","sources":[{"name":"orders"},{"name":"lineitem"}]}`, 400, nil},
 		{"pipeline delta below the grid floor", "POST", "/v1/pipeline",
-			`{"algo":"auto","delta":1e-9,"sources":[{"name":"orders"},{"name":"lineitem"}],"wait":true}`, 400},
+			`{"algo":"auto","delta":1e-9,"sources":[{"name":"orders"},{"name":"lineitem"}],"wait":true}`, 400, nil},
 		{"pipeline negative size", "POST", "/v1/pipeline",
-			`{"sources":[{"n":-5},{"name":"orders"}]}`, 400},
+			`{"sources":[{"n":-5},{"name":"orders"}]}`, 400, nil},
 		{"pipeline exceeds max-tuples", "POST", "/v1/pipeline",
-			`{"sources":[{"n":2097152},{"name":"orders"}]}`, 400},
+			`{"sources":[{"n":2097152},{"name":"orders"}]}`, 400, nil},
 		{"pipeline bad skew", "POST", "/v1/pipeline",
-			`{"sources":[{"n":64,"skew":"extreme"},{"name":"orders"}]}`, 400},
+			`{"sources":[{"n":64,"skew":"extreme"},{"name":"orders"}]}`, 400, nil},
 
 		{"pipeline oversized key_range", "POST", "/v1/pipeline",
-			`{"sources":[{"n":64,"key_range":2000000000},{"name":"orders"}]}`, 400},
+			`{"sources":[{"n":64,"key_range":2000000000},{"name":"orders"}]}`, 400, nil},
 
-		{"register duplicate", "POST", "/v1/relations", `{"name":"orders","n":64}`, 409},
-		{"register oversized key_range", "POST", "/v1/relations", `{"name":"x","n":64,"key_range":2000000000}`, 400},
-		{"register nameless", "POST", "/v1/relations", `{"n":64}`, 400},
-		{"register bad skew", "POST", "/v1/relations", `{"name":"x","n":64,"skew":"extreme"}`, 400},
-		{"probe of unknown", "POST", "/v1/relations", `{"name":"x","probe_of":"ghost","n":64}`, 404},
-		{"sel without probe_of", "POST", "/v1/relations", `{"name":"x","n":64,"sel":0.5}`, 400},
-		{"rids without keys", "POST", "/v1/relations", `{"name":"x","rids":[1,2]}`, 400},
-		{"upload keys+generator conflict", "POST", "/v1/relations", `{"name":"x","n":64,"keys":[1,2]}`, 400},
-		{"delete unknown relation", "DELETE", "/v1/relations?name=ghost", "", 404},
-		{"delete without name", "DELETE", "/v1/relations", "", 400},
+		{"register duplicate", "POST", "/v1/relations", `{"name":"orders","n":64}`, 409, nil},
+		{"register oversized key_range", "POST", "/v1/relations", `{"name":"x","n":64,"key_range":2000000000}`, 400, nil},
+		{"register nameless", "POST", "/v1/relations", `{"n":64}`, 400, nil},
+		{"register bad skew", "POST", "/v1/relations", `{"name":"x","n":64,"skew":"extreme"}`, 400, nil},
+		{"probe of unknown", "POST", "/v1/relations", `{"name":"x","probe_of":"ghost","n":64}`, 404, nil},
+		{"sel without probe_of", "POST", "/v1/relations", `{"name":"x","n":64,"sel":0.5}`, 400, nil},
+		{"rids without keys", "POST", "/v1/relations", `{"name":"x","rids":[1,2]}`, 400, nil},
+		{"upload keys+generator conflict", "POST", "/v1/relations", `{"name":"x","n":64,"keys":[1,2]}`, 400, nil},
+		{"delete unknown relation", "DELETE", "/v1/relations?name=ghost", "", 404, nil},
+		{"delete without name", "DELETE", "/v1/relations", "", 400, nil},
 
-		{"poll bad id", "GET", "/v1/query?id=abc", "", 400},
-		{"poll unknown id", "GET", "/v1/query?id=999999", "", 404},
-		{"cancel bad id", "DELETE", "/v1/query?id=abc", "", 400},
-		{"cancel unknown id", "DELETE", "/v1/query?id=999999", "", 404},
+		{"poll bad id", "GET", "/v1/query?id=abc", "", 400, nil},
+		{"poll unknown id", "GET", "/v1/query?id=999999", "", 404, nil},
+		{"cancel bad id", "DELETE", "/v1/query?id=abc", "", 400, nil},
+		{"cancel unknown id", "DELETE", "/v1/query?id=999999", "", 404, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, resp := doRaw(t, tc.method, ts.URL+tc.path, tc.body)
-			if st != tc.want {
-				t.Fatalf("%s %s: status %d, want %d (resp %v)", tc.method, tc.path, st, tc.want, resp)
-			}
-			if st >= 400 {
-				eobj, ok := resp["error"].(map[string]any)
-				if !ok {
-					t.Fatalf("error status %d without the {\"error\":{\"code\",\"message\"}} envelope: %v", st, resp)
-				}
-				if code, _ := eobj["code"].(string); code == "" {
-					t.Errorf("error envelope without code: %v", resp)
-				}
-				if errMsg(resp) == "" {
-					t.Errorf("error envelope without message: %v", resp)
-				}
-				// The envelope is exactly {"error": ...}: the one-release
-				// top-level "status" mirror is gone.
-				if _, ok := resp["status"]; ok {
-					t.Errorf("removed legacy status mirror still present: %v", resp)
-				}
-			} else {
-				if _, ok := resp["result"]; !ok {
-					t.Errorf("success status %d without the {\"result\": ...} envelope: %v", st, resp)
-				}
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					want := tc.want
+					if st, ok := tc.except[sh.name]; ok {
+						want = st
+					}
+					st, resp := doRaw(t, tc.method, sh.ts.URL+tc.path, tc.body)
+					if st != want {
+						t.Fatalf("%s %s: status %d, want %d (resp %v)", tc.method, tc.path, st, want, resp)
+					}
+					if st >= 400 {
+						eobj, ok := resp["error"].(map[string]any)
+						if !ok {
+							t.Fatalf("error status %d without the {\"error\":{\"code\",\"message\"}} envelope: %v", st, resp)
+						}
+						if code, _ := eobj["code"].(string); code == "" {
+							t.Errorf("error envelope without code: %v", resp)
+						}
+						if errMsg(resp) == "" {
+							t.Errorf("error envelope without message: %v", resp)
+						}
+						// The envelope is exactly {"error": ...}: the one-release
+						// top-level "status" mirror is gone.
+						if _, ok := resp["status"]; ok {
+							t.Errorf("removed legacy status mirror still present: %v", resp)
+						}
+						return
+					}
+					if _, ok := resp["result"]; !ok {
+						t.Errorf("success status %d without the {\"result\": ...} envelope: %v", st, resp)
+					}
+					if strings.Contains(tc.body, `"per_partition":true`) {
+						if n := partitionsIn(resp); n != shard.Partitions {
+							t.Errorf("per_partition response carries %d partition slots, want %d", n, shard.Partitions)
+						}
+					}
+				})
 			}
 		})
 	}
 
-	// Oversized body → 413 with the structured envelope.
-	big := fmt.Sprintf(`{"name":"big","keys":[%s1]}`, strings.Repeat("1,", 40000))
-	if st, resp := do(t, "POST", ts.URL+"/v1/relations", big); st != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body: status %d, resp %v, want 413", st, resp)
-	}
+	for _, sh := range shapes {
+		// Oversized body → 413 with the structured envelope.
+		big := fmt.Sprintf(`{"name":"big","keys":[%s1]}`, strings.Repeat("1,", 40000))
+		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations", big); st != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body: status %d, resp %v, want 413", sh.name, st, resp)
+		}
 
-	// Bulk upload happy path, with ingest-time stats in the response.
-	if st, resp := do(t, "POST", ts.URL+"/v1/relations",
-		`{"name":"uploaded","keys":[1,2,3,4,5],"rids":[10,11,12,13,14]}`); st != http.StatusCreated {
-		t.Errorf("upload: status %d, resp %v", st, resp)
-	} else if resp["tuples"].(float64) != 5 || resp["source"] != "loaded" {
-		t.Errorf("upload info: %v", resp)
-	}
+		// Bulk upload happy path, with ingest-time stats in the response.
+		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations",
+			`{"name":"uploaded","keys":[1,2,3,4,5],"rids":[10,11,12,13,14]}`); st != http.StatusCreated {
+			t.Errorf("%s: upload: status %d, resp %v", sh.name, st, resp)
+		} else if resp["tuples"].(float64) != 5 || resp["source"] != "loaded" {
+			t.Errorf("%s: upload info: %v", sh.name, resp)
+		}
 
-	// An explicitly empty keys array is an empty upload, not a generator
-	// spec: it must register 0 tuples, never a defaulted 1M relation.
-	if st, resp := do(t, "POST", ts.URL+"/v1/relations",
-		`{"name":"emptyrel","keys":[]}`); st != http.StatusCreated {
-		t.Errorf("empty upload: status %d, resp %v", st, resp)
-	} else if resp["tuples"].(float64) != 0 || resp["source"] != "loaded" {
-		t.Errorf("empty upload info: %v", resp)
-	}
+		// An explicitly empty keys array is an empty upload, not a generator
+		// spec: it must register 0 tuples, never a defaulted 1M relation.
+		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations",
+			`{"name":"emptyrel","keys":[]}`); st != http.StatusCreated {
+			t.Errorf("%s: empty upload: status %d, resp %v", sh.name, st, resp)
+		} else if resp["tuples"].(float64) != 0 || resp["source"] != "loaded" {
+			t.Errorf("%s: empty upload info: %v", sh.name, resp)
+		}
 
-	// Refcounted delete reports zero pins once queries finished.
-	if st, resp := do(t, "DELETE", ts.URL+"/v1/relations?name=uploaded", ""); st != 200 {
-		t.Errorf("delete: status %d, resp %v", st, resp)
-	} else if resp["name"] != "uploaded" {
-		t.Errorf("delete info: %v", resp)
+		// Refcounted delete reports zero pins once queries finished.
+		if st, resp := do(t, "DELETE", sh.ts.URL+"/v1/relations?name=uploaded", ""); st != 200 {
+			t.Errorf("%s: delete: status %d, resp %v", sh.name, st, resp)
+		} else if resp["name"] != "uploaded" {
+			t.Errorf("%s: delete info: %v", sh.name, resp)
+		}
 	}
 }
 
