@@ -12,11 +12,32 @@
 // bit-identical for any shard count. /v1/stats then reports the aggregate
 // catalog plus per-shard gauges under "shard_catalogs".
 //
-// Every response uses one JSON envelope: successes carry the payload under
-// "result", failures carry {"error": {"code", "message"}}. The deprecated
-// top-level mirrors of the payload fields and of the HTTP status are gone.
+// With -cluster URL,… the daemon is a cluster router instead: it holds no
+// tuple data and fans the same /v1 surface out over 1..8 apujoind shard
+// servers, each running with -shards >= 1. Relation registrations split by
+// the fixed hash-partition grid, every join and pipeline fans out to all
+// shard servers, and the raw per-partition results merge locally in fixed
+// partition order — bit-identical to a single-process engine for any
+// cluster size. Clients cannot tell the two roles apart:
 //
-// Endpoints (the full wire reference lives in docs/API.md):
+//	apujoind -addr :8431 -shards 4 &
+//	apujoind -addr :8432 -shards 4 &
+//	apujoind -addr :8430 -cluster http://localhost:8431,http://localhost:8432
+//
+// A background health checker probes each shard server's /healthz; a query
+// that needs a marked-down shard fails fast with a structured 503 (code
+// "shard_down") instead of hanging, and /v1/stats adds a "cluster" section
+// with per-shard health and traffic gauges. The engine-only flags (-shards,
+// -shard-budget, -catalog-bytes, -plan-cache) are errors on a router, the
+// router-only ones (-timeout, -retries, -backoff, -health-interval,
+// -health-failures) errors without -cluster.
+//
+// Every response uses one JSON envelope: successes carry the payload under
+// "result", failures carry {"error": {"code", "message"}}.
+//
+// Endpoints (the full wire reference lives in docs/API.md; deployment
+// recipes, the flag reference and the failure-mode table in
+// docs/OPERATIONS.md):
 //
 //	POST   /v1/join        submit a join; {"wait":true} blocks for the result
 //	POST   /v1/pipeline    submit a multi-way join pipeline (2..16 sources)
@@ -39,101 +60,169 @@
 // Inline generation specs are still accepted:
 //
 //	curl -s localhost:8417/v1/join -d '{"algo":"auto","r":1048576,"s":1048576,"wait":true}'
-//
-// To shard across machines instead of in-process, run one apujoind with
-// -shards >= 1 per machine and put apujoin-router in front of them; the
-// router serves this same /v1 surface (see docs/OPERATIONS.md).
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"apujoin/internal/httpapi"
 	"apujoin/internal/service"
+	"apujoin/internal/shard"
 )
 
 func main() {
-	addr := flag.String("addr", ":8417", "listen address")
-	workers := flag.Int("workers", 0, "resident pool size (0 = GOMAXPROCS)")
-	maxConc := flag.Int("max-concurrent", 0, "queries executing at once (0 = half the pool, min 2)")
-	queue := flag.Int("queue", 64, "admission queue capacity")
-	keep := flag.Int("keep", 1024, "finished queries retained for polling")
-	maxTuples := flag.Int("max-tuples", 1<<24, "largest accepted relation size")
-	maxBody := flag.Int64("max-body", 32<<20, "largest accepted request body in bytes")
-	planCache := flag.Int("plan-cache", 0, "plan cache capacity for algo=auto queries (0 = default)")
-	catalogBytes := flag.Int64("catalog-bytes", 0, "zero-copy budget for registered relations (0 = 512 MB)")
-	shards := flag.Int("shards", 0, "partition the relation catalog across this many engine shards (0 = unsharded; results are identical for any value)")
-	shardBudget := flag.Int64("shard-budget", 0, "zero-copy budget per shard catalog (0 = split -catalog-bytes evenly)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "apujoind:", err)
+		os.Exit(1)
+	}
+}
 
-	if *workers < 0 {
-		log.Fatalf("apujoind: -workers %d is negative; use 0 for GOMAXPROCS", *workers)
+// daemon is what the flags configure: the listen address, the service
+// behind it — an engine, or a cluster router when Cluster is set — and the
+// bounds of the HTTP surface in front.
+type daemon struct {
+	addr string
+	svc  service.Config
+	http httpapi.Config
+}
+
+// parseFlags reads the command line into a daemon, rejecting every value
+// and every combination the service would silently coerce or ignore. Usage
+// and parse errors go to out.
+func parseFlags(args []string, out io.Writer) (daemon, error) {
+	var d daemon
+	c := &d.svc
+	fs := flag.NewFlagSet("apujoind", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&d.addr, "addr", ":8417", "listen address")
+	cluster := fs.String("cluster", "", "serve as a cluster router over these comma-separated shard server base URLs, e.g. http://host1:8417,http://host2:8417 (1..8 servers; each must run apujoind -shards >= 1)")
+	fs.IntVar(&c.Workers, "workers", 0, "resident pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 0, "queries executing at once — on a router, in flight across the cluster (0 = half the pool, min 2)")
+	fs.IntVar(&c.MaxQueue, "queue", 64, "admission queue capacity")
+	fs.IntVar(&c.KeepResults, "keep", 1024, "finished queries retained for polling")
+	fs.IntVar(&d.http.MaxTuples, "max-tuples", 1<<24, "largest accepted relation size")
+	fs.Int64Var(&d.http.MaxBody, "max-body", 32<<20, "largest accepted request body in bytes")
+	fs.IntVar(&c.PlanCache, "plan-cache", 0, "plan cache capacity for algo=auto queries (0 = default)")
+	fs.Int64Var(&c.CatalogBytes, "catalog-bytes", 0, "zero-copy budget for registered relations (0 = 512 MB)")
+	fs.IntVar(&c.Shards, "shards", 0, "partition the relation catalog across this many engine shards (0 = unsharded; results are identical for any value)")
+	fs.Int64Var(&c.ShardBudget, "shard-budget", 0, "zero-copy budget per shard catalog (0 = split -catalog-bytes evenly)")
+	fs.DurationVar(&c.ClusterTimeout, "timeout", 120*time.Second, "router: per-shard-request timeout; a query on a dead shard fails within this bound")
+	fs.IntVar(&c.ClusterRetries, "retries", 2, "router: retries for idempotent (GET) shard requests; mutations never retry (0 or -1 disables)")
+	fs.DurationVar(&c.ClusterBackoff, "backoff", 100*time.Millisecond, "router: base backoff between retries (exponential, jittered)")
+	fs.DurationVar(&c.HealthInterval, "health-interval", 2*time.Second, "router: period of the background /healthz probe per shard")
+	fs.IntVar(&c.HealthFailures, "health-failures", 3, "router: consecutive probe failures before a shard is marked down")
+	if err := fs.Parse(args); err != nil {
+		return d, err
 	}
-	// service.Options treats <= 0 as "use the default", so zero would be
-	// silently coerced; reject it rather than surprise the operator.
-	if *queue < 1 || *keep < 1 || *maxTuples < 1 || *maxBody < 1 {
-		log.Fatalf("apujoind: -queue, -keep, -max-tuples and -max-body must be >= 1")
+
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var err error
+	if set["cluster"] {
+		c.Cluster, err = parseCluster(*cluster)
 	}
-	if *shards < 0 {
-		log.Fatalf("apujoind: -shards %d is negative; use 0 for the unsharded catalog", *shards)
+	// service.Config reads <= 0 as "use the default" and ignores what the
+	// other role reads, so either would be silently coerced: reject it
+	// rather than surprise the operator.
+	switch {
+	case err != nil:
+		return d, err
+	case set["cluster"] && (set["shards"] || set["shard-budget"] || set["catalog-bytes"] || set["plan-cache"]):
+		return d, errors.New("-shards, -shard-budget, -catalog-bytes and -plan-cache size an engine's data; a router (-cluster) holds none")
+	case !set["cluster"] && (set["timeout"] || set["retries"] || set["backoff"] || set["health-interval"] || set["health-failures"]):
+		return d, errors.New("-timeout, -retries, -backoff, -health-interval and -health-failures tune a router; they need -cluster")
+	case c.Workers < 0:
+		return d, fmt.Errorf("-workers %d is negative; use 0 for GOMAXPROCS", c.Workers)
+	case c.MaxQueue < 1 || c.KeepResults < 1 || d.http.MaxTuples < 1 || d.http.MaxBody < 1:
+		return d, errors.New("-queue, -keep, -max-tuples and -max-body must be >= 1")
+	case c.Shards < 0:
+		return d, fmt.Errorf("-shards %d is negative; use 0 for the unsharded catalog", c.Shards)
+	case c.ShardBudget != 0 && c.Shards == 0:
+		return d, errors.New("-shard-budget needs -shards")
+	case c.ClusterTimeout <= 0 || c.ClusterBackoff <= 0 || c.HealthInterval <= 0 || c.HealthFailures < 1:
+		return d, errors.New("-timeout, -backoff and -health-interval must be positive and -health-failures >= 1")
 	}
-	if *shardBudget != 0 && *shards == 0 {
-		log.Fatalf("apujoind: -shard-budget needs -shards")
+	if c.MaxConcurrent == 0 {
+		c.MaxConcurrent = max(cmp.Or(c.Workers, runtime.GOMAXPROCS(0))/2, 2)
 	}
-	if *maxConc == 0 {
-		w := *workers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
+	// The flag reads 0 and -1 as "disable", which the config spells as any
+	// negative value (its 0 selects the default).
+	if c.ClusterRetries <= 0 {
+		c.ClusterRetries = -1
+	}
+	return d, nil
+}
+
+// parseCluster validates the -cluster flag: 1..shard.Partitions comma-
+// separated http(s) base URLs. More servers than partitions would leave the
+// excess forever idle (a partition has exactly one owner), so that is a
+// configuration error, not a silent truncation.
+func parseCluster(spec string) ([]string, error) {
+	var addrs []string
+	for _, raw := range strings.Split(spec, ",") {
+		raw = strings.TrimSpace(raw)
+		if raw == "" {
+			continue
 		}
-		*maxConc = w / 2
-		if *maxConc < 2 {
-			*maxConc = 2
+		if u, err := url.Parse(raw); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("bad shard URL %q: need http(s)://host[:port]", raw)
 		}
+		addrs = append(addrs, strings.TrimRight(raw, "/"))
 	}
+	if len(addrs) == 0 || len(addrs) > shard.Partitions {
+		return nil, fmt.Errorf("-cluster lists %d shard servers; want 1..%d, since a partition has exactly one owner", len(addrs), shard.Partitions)
+	}
+	return addrs, nil
+}
 
-	svc := service.New(service.Config{
-		Workers:       *workers,
-		MaxConcurrent: *maxConc,
-		MaxQueue:      *queue,
-		KeepResults:   *keep,
-		PlanCache:     *planCache,
-		CatalogBytes:  *catalogBytes,
-		Shards:        *shards,
-		ShardBudget:   *shardBudget,
-	})
-
-	handler := httpapi.New(svc, httpapi.Config{MaxTuples: *maxTuples, MaxBody: *maxBody})
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+// run parses args, serves until SIGINT or SIGTERM, then drains: running
+// queries (or fan-outs) finish, queued ones are cancelled, and the pool and
+// any health checker stop. The log goes to stdout.
+func run(args []string, stdout io.Writer) error {
+	d, err := parseFlags(args, stdout)
+	if err != nil {
+		return err
+	}
+	logger := log.New(stdout, "apujoind: ", log.LstdFlags)
+	d.svc.Logf = logger.Printf
+	svc := service.New(d.svc)
+	srv := &http.Server{Addr: d.addr, Handler: httpapi.New(svc, d.http), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
 		<-ctx.Done()
-		log.Printf("apujoind: shutting down")
+		logger.Printf("shutting down")
 		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(sctx)
 	}()
 
-	if n := svc.Shards(); n > 0 {
-		log.Printf("apujoind: sharded catalog: %d shards (per-shard gauges under /v1/stats shard_catalogs)", n)
+	if n := len(d.svc.Cluster); n > 0 {
+		logger.Printf("routing %d partitions across %d shard servers: %s", shard.Partitions, n, strings.Join(d.svc.Cluster, ", "))
+	} else if n := svc.Shards(); n > 0 {
+		logger.Printf("sharded catalog: %d shards (per-shard gauges under /v1/stats shard_catalogs)", n)
 	}
-	log.Printf("apujoind: listening on %s (%d workers, %d concurrent queries)",
-		*addr, svc.Stats().Workers, *maxConc)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	// Drain: running queries finish, queued ones are cancelled, the pool
-	// stops.
+	logger.Printf("listening on %s (%d workers, %d concurrent queries)", d.addr, svc.Stats().Workers, d.svc.MaxConcurrent)
+	err = srv.ListenAndServe()
 	_ = svc.Close()
-	log.Printf("apujoind: drained %d queries, bye", svc.Stats().Completed)
+	if !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	logger.Printf("drained %d queries, bye", svc.Stats().Completed)
+	return nil
 }
