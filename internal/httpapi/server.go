@@ -1,9 +1,10 @@
 // Package httpapi serves the /v1 HTTP surface over one service.Service.
-// Both daemons mount it: apujoind serves it over a local engine (optionally
-// sharded in-process), and apujoin-router serves the identical surface over
-// a cluster-backed service that fans out to remote apujoind shard servers.
-// One handler, one wire contract (documented in docs/API.md), three
-// deployment shapes.
+// apujoind mounts it in both roles: over a local engine (optionally sharded
+// in-process), and with -cluster over a router that fans out to remote
+// apujoind shard servers. One handler, one wire contract (documented in
+// docs/API.md), three deployment shapes — and the handler never asks which
+// one it serves: it validates requests into typed specs, and the service's
+// backend decides how to run them.
 //
 // Success responses use the unified envelope {"result": …}; failures
 // return {"error": {"code", "message"}} with a stable machine-readable
@@ -62,10 +63,10 @@ type wireOptions struct {
 // decision across repeated shapes) and conflicts with an explicit scheme.
 // An option set core.Options.Validate rejects (a δ below cost.MinDelta,
 // coarsepl without phj) fails here, at submit, not as a failed query.
-// per_partition is the cluster transport: a sharded server answers it with
-// the raw per-partition result vectors. A cluster router rejects it — it is
-// not a shard server, and chaining routers is not supported — and so does
-// an unsharded server, which has no grid to report.
+// per_partition is the cluster transport: a shard server — a sharded
+// engine — answers it with the raw per-partition result vectors. An
+// unsharded engine has no grid to report, and a router is not a shard
+// server (chaining routers is not supported).
 func parseOptions(w wireOptions, svc *service.Service) (opt core.Options, auto, keepPartitions bool, err error) {
 	auto = strings.EqualFold(w.Algo, "auto")
 	if !auto {
@@ -88,22 +89,16 @@ func parseOptions(w wireOptions, svc *service.Service) (opt core.Options, auto, 
 	if err = opt.Validate(); err != nil {
 		return opt, false, false, err
 	}
-	if w.PerPartition {
-		if svc.Clustered() {
-			return opt, false, false, errors.New("per_partition is the cluster transport of shard servers; this router is not a shard server")
-		}
-		if !svc.Sharded() {
-			return opt, false, false, errors.New("per_partition requires a sharded server (-shards >= 1)")
-		}
+	if w.PerPartition && !svc.ShardServer() {
+		return opt, false, false, errors.New("per_partition is the cluster transport of shard servers; it needs a sharded engine (-shards >= 1), not an unsharded one or a router")
 	}
 	return opt, auto, w.PerPartition, nil
 }
 
-// parseJoin turns one api.JoinRequest into a service.JoinSpec. On a local
-// service inline data is generated here; on a clustered service the
-// validated request is forwarded verbatim instead (every shard server
-// generates the same full relations from the same spec), so the router
-// never materializes inline tuples itself.
+// parseJoin turns one api.JoinRequest into a service.JoinSpec. Inline
+// generation fields become a validated generator spec, which the service's
+// backend materializes: an engine generates the pair, a router sends the
+// spec and every shard server generates the same full relations.
 func parseJoin(req api.JoinRequest, cfg Config, svc *service.Service) (service.JoinSpec, error) {
 	var spec service.JoinSpec
 	var err error
@@ -123,28 +118,16 @@ func parseJoin(req api.JoinRequest, cfg Config, svc *service.Service) (service.J
 			return spec, fmt.Errorf("inline generation fields (r, s, sel, seed, skew) conflict with r_name/s_name")
 		}
 		spec.RName, spec.SName = req.RName, req.SName
-		if svc.Clustered() {
-			spec.Forward = &req
-		}
 		return spec, nil
 	}
 
-	dist, err := rel.ParseDistribution(req.Skew)
+	r, err := genSpec(req.R, req.Skew, req.Seed, 0, 42, cfg.MaxTuples)
 	if err != nil {
-		return spec, err
+		return spec, fmt.Errorf("r: %w", err)
 	}
-	nr, ns := req.R, req.S
-	if nr == 0 {
-		nr = 1 << 20
-	}
-	if ns == 0 {
-		ns = 1 << 20
-	}
-	if nr < 0 || ns < 0 {
-		return spec, fmt.Errorf("negative relation size r=%d s=%d", nr, ns)
-	}
-	if nr > cfg.MaxTuples || ns > cfg.MaxTuples {
-		return spec, fmt.Errorf("relation size exceeds -max-tuples %d", cfg.MaxTuples)
+	s, err := genSpec(req.S, req.Skew, req.Seed, 0, 42, cfg.MaxTuples)
+	if err != nil {
+		return spec, fmt.Errorf("s: %w", err)
 	}
 	sel := 1.0
 	if req.Sel != nil {
@@ -153,26 +136,41 @@ func parseJoin(req api.JoinRequest, cfg Config, svc *service.Service) (service.J
 	if sel < 0 || sel > 1 {
 		return spec, fmt.Errorf("selectivity %v out of [0,1]", sel)
 	}
-	seed := int64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if svc.Clustered() {
-		// Validated, not generated: the shard servers generate the same
-		// full relations from the forwarded spec (their own defaults match
-		// the ones applied above).
-		spec.Forward = &req
-		return spec, nil
-	}
-	spec.R = rel.Gen{N: nr, Dist: dist, Seed: seed}.Build()
-	spec.S = rel.Gen{N: ns, Dist: dist, Seed: seed + 1}.Probe(spec.R, sel)
+	spec.Gen = &service.JoinGen{R: r.N, S: s.N, Dist: r.Dist, Seed: r.Seed, Sel: sel}
 	return spec, nil
 }
 
+// genSpec validates one inline generator — a join side, a pipeline source
+// or a registration — and applies the defaults: 1<<20 tuples, uniform keys
+// and defaultSeed. Both the size and the key range are bounded by
+// maxTuples: the permutation buffer scales with key_range, not n, so an
+// unbounded one would let a tiny request force a multi-gigabyte allocation.
+func genSpec(n int, skew string, seed *int64, keyRange int, defaultSeed int64, maxTuples int) (rel.Gen, error) {
+	if n == 0 {
+		n = 1 << 20
+	}
+	switch {
+	case n < 0:
+		return rel.Gen{}, fmt.Errorf("negative relation size n=%d", n)
+	case n > maxTuples:
+		return rel.Gen{}, fmt.Errorf("relation size %d exceeds -max-tuples %d", n, maxTuples)
+	case keyRange < 0 || keyRange > maxTuples:
+		return rel.Gen{}, fmt.Errorf("key_range %d out of [0, -max-tuples %d]", keyRange, maxTuples)
+	}
+	dist, err := rel.ParseDistribution(skew)
+	if err != nil {
+		return rel.Gen{}, err
+	}
+	if seed != nil {
+		defaultSeed = *seed
+	}
+	return rel.Gen{N: n, Dist: dist, Seed: defaultSeed, KeyRange: keyRange}, nil
+}
+
 // parsePipeline turns an api.PipelineRequest into a service.PipelineSpec,
-// resolving names later (admission time). Inline sources generate now on a
-// local service; a clustered service forwards the validated request and
-// lets every shard server generate identically.
+// resolving names later (admission time). An inline source becomes a
+// validated generator spec with its positional default seed (42 + its
+// declared index) resolved, so any reorder generates the same relation.
 func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (service.PipelineSpec, error) {
 	var spec service.PipelineSpec
 	var err error
@@ -201,38 +199,11 @@ func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (s
 			spec.Sources = append(spec.Sources, service.PipelineSource{Name: src.Name})
 			continue
 		}
-		n := src.N
-		if n == 0 {
-			n = 1 << 20
-		}
-		if n < 0 {
-			return spec, fmt.Errorf("source %d of %d: negative relation size n=%d", i+1, len(req.Sources), n)
-		}
-		if n > cfg.MaxTuples {
-			return spec, fmt.Errorf("source %d of %d: relation size %d exceeds -max-tuples %d", i+1, len(req.Sources), n, cfg.MaxTuples)
-		}
-		if src.KeyRange < 0 || src.KeyRange > cfg.MaxTuples {
-			return spec, fmt.Errorf("source %d of %d: key_range %d out of [0, -max-tuples %d]", i+1, len(req.Sources), src.KeyRange, cfg.MaxTuples)
-		}
-		dist, err := rel.ParseDistribution(src.Skew)
+		g, err := genSpec(src.N, src.Skew, src.Seed, src.KeyRange, 42+int64(i), cfg.MaxTuples)
 		if err != nil {
 			return spec, fmt.Errorf("source %d of %d: %w", i+1, len(req.Sources), err)
 		}
-		if svc.Clustered() {
-			// Validated only; the cluster backend pins the positional seed
-			// default before reordering and forwards the source spec.
-			spec.Sources = append(spec.Sources, service.PipelineSource{})
-			continue
-		}
-		seed := int64(42) + int64(i)
-		if src.Seed != nil {
-			seed = *src.Seed
-		}
-		g := rel.Gen{N: n, Dist: dist, Seed: seed, KeyRange: src.KeyRange}
-		spec.Sources = append(spec.Sources, service.PipelineSource{Rel: g.Build()})
-	}
-	if svc.Clustered() {
-		spec.Forward = &req
+		spec.Sources = append(spec.Sources, service.PipelineSource{Gen: &g})
 	}
 	return spec, nil
 }
@@ -715,10 +686,6 @@ func registerRelation(svc *service.Service, req api.RelationRequest, maxTuples i
 	if req.Name == "" {
 		return catalog.Info{}, errors.New("missing relation name")
 	}
-	seed := int64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
 
 	// An explicit "keys" array — even an empty one — is a bulk upload; a
 	// generator spec omits the field entirely.
@@ -742,27 +709,10 @@ func registerRelation(svc *service.Service, req api.RelationRequest, maxTuples i
 		return catalog.Info{}, errors.New("rids without keys")
 	}
 
-	n := req.N
-	if n == 0 {
-		n = 1 << 20
-	}
-	if n < 0 {
-		return catalog.Info{}, fmt.Errorf("negative relation size n=%d", n)
-	}
-	if n > maxTuples {
-		return catalog.Info{}, fmt.Errorf("relation size %d exceeds -max-tuples %d", n, maxTuples)
-	}
-	// The permutation buffer scales with key_range, not n: bound it too,
-	// or a tiny request could force a multi-gigabyte allocation.
-	if req.KeyRange < 0 || req.KeyRange > maxTuples {
-		return catalog.Info{}, fmt.Errorf("key_range %d out of [0, -max-tuples %d]", req.KeyRange, maxTuples)
-	}
-	dist, err := rel.ParseDistribution(req.Skew)
+	g, err := genSpec(req.N, req.Skew, req.Seed, req.KeyRange, 42, maxTuples)
 	if err != nil {
 		return catalog.Info{}, err
 	}
-	g := rel.Gen{N: n, Dist: dist, Seed: seed, KeyRange: req.KeyRange}
-
 	if req.ProbeOf != "" {
 		sel := 1.0
 		if req.Sel != nil {

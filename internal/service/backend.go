@@ -170,7 +170,11 @@ func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.E
 	return b.partitions(name, pins)
 }
 
+// bindJoin materializes a generator spec, then pins or splits both sides.
 func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry, err error) {
+	if sp.Gen != nil {
+		sp.R, sp.S = sp.Gen.relations()
+	}
 	pins = make([]*catalog.Entry, 0, 2*int(b.grid))
 	if j.rParts, pins, err = b.input(sp.RName, sp.R, pins); err != nil {
 		return nil, err
@@ -182,11 +186,15 @@ func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry,
 	return pins, nil
 }
 
+// bindPipeline materializes each generator spec, then pins or splits every
+// source.
 func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalog.Entry, err error) {
 	pins = make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
-	for i := range j.sources {
-		src := &j.sources[i]
-		if src.parts, pins, err = b.input(sp.Sources[i].Name, src.rel, pins); err != nil {
+	for i, in := range sp.Sources {
+		if in.Gen != nil {
+			in.Rel = in.Gen.Build()
+		}
+		if j.sources[i].parts, pins, err = b.input(in.Name, in.Rel, pins); err != nil {
 			releaseAll(pins)
 			return nil, fmt.Errorf("pipeline source %d: %w", i+1, err)
 		}

@@ -35,7 +35,7 @@ type remoteBackend struct {
 
 // newRemoteBackend builds the network tier from a service Config. Server
 // addresses beyond shard.Partitions are dropped — they could never own a
-// partition (cmd/apujoin-router rejects such configs up front).
+// partition (apujoind -cluster rejects such configs up front).
 func newRemoteBackend(cfg Config) *remoteBackend {
 	addrs := cfg.Cluster
 	if len(addrs) > shard.Partitions {
@@ -114,29 +114,20 @@ func (b *remoteBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Re
 	return nil, pins, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", name)
 }
 
-// bindJoin builds the wire request of a clustered join. Programmatic
-// callers must reference registered relations by name — inline relations
-// are an HTTP-surface feature on a cluster (the request forwards verbatim
-// and every server generates the same full relations).
+// bindJoin builds the wire request of a clustered join from its spec —
+// the one builder for named, generated and programmatic joins alike. A
+// generator travels as its spec and every server generates the same full
+// relations from it; an inline relation cannot travel.
 func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error) {
-	if sp.Forward != nil {
-		j.req = *sp.Forward
-	} else {
-		if sp.RName == "" || sp.SName == "" {
-			return nil, fmt.Errorf("service: a clustered service joins registered relations only; register both sides and reference them by name (r %q, s %q)", sp.RName, sp.SName)
-		}
-		j.req = api.JoinRequest{
-			RName:     sp.RName,
-			SName:     sp.SName,
-			Separate:  sp.Opt.SeparateTables,
-			Grouping:  sp.Opt.Grouping,
-			Delta:     sp.Opt.Delta,
-			CountOnly: sp.Opt.CountOnly,
-		}
-		j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
-	}
-	if (j.req.RName == "") != (j.req.SName == "") {
-		return nil, fmt.Errorf("service: reference both relations by name or neither (r %q, s %q)", j.req.RName, j.req.SName)
+	j.req = api.JoinRequest{RName: sp.RName, SName: sp.SName,
+		Separate: sp.Opt.SeparateTables, Grouping: sp.Opt.Grouping, Delta: sp.Opt.Delta, CountOnly: sp.Opt.CountOnly}
+	j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
+	switch g := sp.Gen; {
+	case g != nil:
+		seed, sel := g.Seed, g.Sel
+		j.req.R, j.req.S, j.req.Skew, j.req.Seed, j.req.Sel = g.R, g.S, g.Dist.String(), &seed, &sel
+	case sp.RName == "" || sp.SName == "":
+		return nil, fmt.Errorf("service: a clustered service joins registered or generated relations, not inline ones; reference both sides by name or pass a generator (r %q, s %q)", sp.RName, sp.SName)
 	}
 	return nil, nil
 }
@@ -234,50 +225,26 @@ func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result
 	return parts, nil, nil
 }
 
-// defaultInlineTuples mirrors the HTTP surface's default size for inline
-// generator sources; the orderer needs the generated cardinality before
-// any server has generated anything.
-const defaultInlineTuples = 1 << 20
-
-// bindPipeline builds the wire request of a clustered pipeline (sources
-// still in declared order). Inline sources — an HTTP-surface feature, as
-// for joins — are normalized here: each gets its positional default seed
-// before any reorder, so reordering never changes what a server generates,
-// and reports its generated cardinality to the orderer.
+// bindPipeline builds the wire request of a clustered pipeline from its
+// spec, sources still in declared order. A generated source travels as its
+// spec, seed included, so reordering never changes what a server
+// generates; an inline relation cannot travel.
 func (b *remoteBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
-	if sp.Forward != nil {
-		j.req = *sp.Forward
-		j.req.Sources = append([]api.PipelineSource(nil), sp.Forward.Sources...)
-	} else {
-		for i, src := range sp.Sources {
-			if src.Name == "" {
-				return nil, fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered relations only; inline sources are an HTTP-surface feature", i+1)
-			}
-			j.req.Sources = append(j.req.Sources, api.PipelineSource{Name: src.Name})
-		}
-		j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
-		j.req.Separate = sp.Opt.SeparateTables
-		j.req.Grouping = sp.Opt.Grouping
-		j.req.Delta = sp.Opt.Delta
-		j.req.CountOnly = sp.Opt.CountOnly
-	}
-	if n := len(j.req.Sources); n > api.MaxPipelineSources {
+	if n := len(sp.Sources); n > api.MaxPipelineSources {
 		return nil, fmt.Errorf("service: pipeline of %d sources exceeds the maximum of %d", n, api.MaxPipelineSources)
-	} else if n != len(j.sources) {
-		return nil, fmt.Errorf("service: the forwarded pipeline request has %d sources, its spec %d", n, len(j.sources))
 	}
-	for i := range j.req.Sources {
-		src := &j.req.Sources[i]
-		if src.Name != "" {
-			continue
+	j.req = api.PipelineRequest{Separate: sp.Opt.SeparateTables, Grouping: sp.Opt.Grouping, Delta: sp.Opt.Delta, CountOnly: sp.Opt.CountOnly}
+	j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
+	for i, src := range sp.Sources {
+		ws := api.PipelineSource{Name: src.Name}
+		switch g := src.Gen; {
+		case g != nil:
+			seed := g.Seed
+			ws = api.PipelineSource{N: g.N, Skew: g.Dist.String(), Seed: &seed, KeyRange: g.KeyRange}
+		case src.Name == "":
+			return nil, fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered or generated relations, not inline ones", i+1)
 		}
-		if src.Seed == nil {
-			seed := int64(42 + i)
-			src.Seed = &seed
-		}
-		if j.sources[i].tuples = src.N; src.N <= 0 {
-			j.sources[i].tuples = defaultInlineTuples
-		}
+		j.req.Sources = append(j.req.Sources, ws)
 	}
 	return nil, nil
 }

@@ -97,10 +97,15 @@ func TestClusterInvariance(t *testing.T) {
 		// The planner picks algorithm and scheme, never the architecture:
 		// the router's wire request must carry arch under auto too.
 		{RName: "orders", SName: "lineitem", Auto: true, Opt: core.Options{Arch: core.Discrete}},
+		// A generator travels as its spec; every server generates the pair.
+		{Gen: &service.JoinGen{R: 20000, S: 16000, Dist: rel.HighSkew, Seed: 3, Sel: 0.7}, Opt: ddOptions(t, "phj")},
 	}
-	pipeSpec := service.PipelineSpec{
-		Sources: []service.PipelineSource{{Name: "orders"}, {Name: "lineitem"}, {Name: "returns"}},
-		Auto:    true,
+	gens := []rel.Gen{{N: 4000, KeyRange: 4000, Seed: 7}, {N: 5000, KeyRange: 4000, Seed: 8}}
+	pipeSpecs := []service.PipelineSpec{
+		{Sources: []service.PipelineSource{{Name: "orders"}, {Name: "lineitem"}, {Name: "returns"}}, Auto: true},
+		// Named and generated sources together (in declaration order: a
+		// generated source carries no ingest statistics to order by).
+		{Sources: []service.PipelineSource{{Gen: &gens[0]}, {Name: "orders"}, {Gen: &gens[1]}}, Opt: ddOptions(t, "shj")},
 	}
 
 	refJoins := make([]*core.Result, len(joinSpecs))
@@ -111,9 +116,13 @@ func TestClusterInvariance(t *testing.T) {
 		}
 		refJoins[i] = res
 	}
-	refPipe, err := ref.RunPipeline(ctx, pipeSpec)
-	if err != nil {
-		t.Fatalf("reference pipeline: %v", err)
+	refPipes := make([]*service.PipelineResult, len(pipeSpecs))
+	for i, sp := range pipeSpecs {
+		res, err := ref.RunPipeline(ctx, sp)
+		if err != nil {
+			t.Fatalf("reference pipeline %d: %v", i, err)
+		}
+		refPipes[i] = res
 	}
 
 	for _, servers := range []int{1, 2, 4} {
@@ -137,21 +146,25 @@ func TestClusterInvariance(t *testing.T) {
 			}
 		}
 
-		pres, err := csvc.RunPipeline(ctx, pipeSpec)
-		if err != nil {
-			t.Fatalf("%d servers: pipeline: %v", servers, err)
-		}
-		if !reflect.DeepEqual(pres, refPipe) {
-			t.Errorf("%d servers: pipeline diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
-				servers, pres, refPipe)
+		for i, sp := range pipeSpecs {
+			pres, err := csvc.RunPipeline(ctx, sp)
+			if err != nil {
+				t.Fatalf("%d servers: pipeline %d: %v", servers, i, err)
+			}
+			if !reflect.DeepEqual(pres, refPipes[i]) {
+				t.Errorf("%d servers: pipeline %d diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
+					servers, i, pres, refPipes[i])
+			}
 		}
 	}
 }
 
-// TestClusterHTTPInlineInvariance drives the HTTP forward path: an inline
-// generation join POSTed to a cluster router reports the same matches and
-// simulated total as the identical request on a stand-alone server (every
-// shard server generates the full relations from the forwarded spec).
+// TestClusterHTTPInlineInvariance drives inline generation over HTTP: an
+// inline join or pipeline POSTed to a cluster router reports the same
+// matches, simulated total, phases and pipeline section as the identical
+// request on a stand-alone server (every shard server generates the full
+// relations from the generator spec the router sends, positional default
+// seeds included).
 func TestClusterHTTPInlineInvariance(t *testing.T) {
 	single := startShardServer(t, 1)
 
@@ -167,38 +180,32 @@ func TestClusterHTTPInlineInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var m map[string]any
+		var m struct{ Result map[string]any }
 		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 			t.Fatalf("POST %s: non-JSON response: %v", url, err)
 		}
-		return resp.StatusCode, m
+		return resp.StatusCode, m.Result
+	}
+	same := func(what, body string) {
+		t.Helper()
+		st1, want := post(single.URL+what, body)
+		st2, got := post(router.URL+what, body)
+		if st1 != 200 || st2 != 200 || want["matches"] == nil {
+			t.Fatalf("%s: single %d %v, router %d %v", what, st1, want, st2, got)
+		}
+		for _, k := range []string{"matches", "total_ms", "phases", "pipeline"} {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("%s: router %s %v != single server %v", what, k, got[k], want[k])
+			}
+		}
+		// The router must not leak its per-partition transport to clients.
+		if _, ok := got["partitions"]; ok {
+			t.Errorf("%s: router response leaks the per-partition transport: %v", what, got)
+		}
 	}
 
-	join := `{"algo":"phj","scheme":"dd","delta":0.1,"r":20000,"s":20000,"sel":0.7,"wait":true}`
-	st1, want := post(single.URL+"/v1/join", join)
-	st2, got := post(router.URL+"/v1/join", join)
-	if st1 != 200 || st2 != 200 {
-		t.Fatalf("inline join: single %d %v, router %d %v", st1, want, st2, got)
-	}
-	if got["matches"] != want["matches"] || got["total_ms"] != want["total_ms"] {
-		t.Errorf("router inline join (matches %v, total %v) != single server (matches %v, total %v)",
-			got["matches"], got["total_ms"], want["matches"], want["total_ms"])
-	}
-
-	pipe := `{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"n":4000,"key_range":4000,"seed":7},{"n":4000,"key_range":4000,"seed":8},{"n":4000,"key_range":4000,"seed":9}],"wait":true}`
-	st1, want = post(single.URL+"/v1/pipeline", pipe)
-	st2, got = post(router.URL+"/v1/pipeline", pipe)
-	if st1 != 200 || st2 != 200 {
-		t.Fatalf("inline pipeline: single %d %v, router %d %v", st1, want, st2, got)
-	}
-	if got["matches"] != want["matches"] || got["total_ms"] != want["total_ms"] {
-		t.Errorf("router inline pipeline (matches %v, total %v) != single server (matches %v, total %v)",
-			got["matches"], got["total_ms"], want["matches"], want["total_ms"])
-	}
-	// The router must not leak its per-partition transport to clients.
-	if _, ok := got["partitions"]; ok {
-		t.Errorf("router response leaks the per-partition transport: %v", got)
-	}
+	same("/v1/join", `{"algo":"phj","scheme":"dd","delta":0.1,"r":20000,"s":20000,"sel":0.7,"skew":"low","wait":true}`)
+	same("/v1/pipeline", `{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"n":4000,"key_range":4000,"seed":7},{"n":4000,"key_range":4000},{"n":5000,"key_range":4000}],"wait":true}`)
 }
 
 // TestClusterShardDownFailsFast: killing one shard server turns queries

@@ -14,10 +14,14 @@ import (
 var ErrPipelineTooShort = errors.New("service: a pipeline needs at least 2 sources")
 
 // PipelineSource is one input of a multi-way pipeline: a catalog reference
-// (Name) or an inline relation (Rel, used when Name is empty).
+// (Name) or an inline relation (Rel, or generated from Gen, used when Name
+// is empty). The backend materializes Gen, as it does JoinSpec.Gen; its
+// Seed is final (the HTTP surface resolves the positional default before
+// submitting), so reordering the sources never changes what is generated.
 type PipelineSource struct {
 	Name string
 	Rel  rel.Relation
+	Gen  *rel.Gen
 }
 
 // PipelineSpec describes a join over N ≥ 2 sources, executed as a chain of
@@ -44,10 +48,6 @@ type PipelineSpec struct {
 	// per-partition results of every step (PipelineResult.Partitions), as
 	// JoinSpec.KeepPartitions does for joins.
 	KeepPartitions bool
-	// Forward, when non-nil on a clustered service, is the original wire
-	// request to fan out verbatim after validation and ordering, instead
-	// of reconstructing one from the fields above.
-	Forward *api.PipelineRequest
 }
 
 // PipelineStep reports one executed pairwise step of a pipeline.
@@ -194,15 +194,14 @@ func pipelineInfo(p *PipelineResult) *PipelineInfo {
 }
 
 // pipeSource is one resolved pipeline input: the router's record of a
-// registered source or an inline relation, and — on the in-process backend
-// — its per-partition slices (pinned entries, or the inline relation's
-// split).
+// registered source, or nil for an inline one, and — on the in-process
+// backend — its per-partition slices (pinned entries, or the inline
+// relation's split).
 type pipeSource struct {
 	// name is the registered name, or "inline[i]" for the i-th declared
 	// inline source; tuples the whole-relation cardinality.
 	name   string
 	tuples int
-	rel    rel.Relation
 	rec    *shardedRel
 	parts  []rel.Relation
 }

@@ -526,10 +526,14 @@ func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 
 // whole resolves a join's two sources to whole relations in original tuple
 // order, with the pins the caller releases and — auto, both registered —
-// the memoized pair workload. Inline relations are whole as they come; a
-// registered one is whole only where the grid keeps it in one piece.
+// the memoized pair workload. Inline relations are whole as they come (a
+// generator is materialized here); a registered one is whole only where the
+// grid keeps it in one piece.
 func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, pins []*catalog.Entry, err error) {
 	if sp.RName == "" && sp.SName == "" {
+		if sp.Gen != nil {
+			sp.R, sp.S = sp.Gen.relations()
+		}
 		return sp.R, sp.S, sp.Workload, nil, nil
 	}
 	if !t.grid.Whole() {
@@ -612,11 +616,14 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 	}
 	for i, src := range spec.Sources {
 		in := &pj.sources[i]
-		in.name, in.rec, in.rel = src.Name, recs[i], src.Rel
-		if in.rec != nil {
+		in.name, in.rec = src.Name, recs[i]
+		switch {
+		case in.rec != nil:
 			in.tuples = in.rec.tuples
-		} else {
-			in.name, in.tuples = fmt.Sprintf("inline[%d]", i), in.rel.Len()
+		case src.Gen != nil:
+			in.name, in.tuples = fmt.Sprintf("inline[%d]", i), src.Gen.N
+		default:
+			in.name, in.tuples = fmt.Sprintf("inline[%d]", i), src.Rel.Len()
 		}
 	}
 	var err error

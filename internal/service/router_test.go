@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -185,8 +186,8 @@ func TestRouterProbeChainRegeneration(t *testing.T) {
 func TestRouterShardedJoinPaths(t *testing.T) {
 	svc := New(Config{Workers: 2, Shards: 2})
 	defer svc.Close()
-	if !svc.Sharded() || svc.Shards() != 2 {
-		t.Fatalf("Sharded()=%v Shards()=%d, want true/2", svc.Sharded(), svc.Shards())
+	if !svc.ShardServer() || svc.Shards() != 2 {
+		t.Fatalf("ShardServer()=%v Shards()=%d, want true/2", svc.ShardServer(), svc.Shards())
 	}
 	if svc.Pool() == nil {
 		t.Fatal("resident pool missing")
@@ -216,6 +217,63 @@ func TestRouterShardedJoinPaths(t *testing.T) {
 	}
 	if _, err := svc.RunJoin(context.Background(), JoinSpec{RName: "r", SName: "missing", Opt: opt}); !errors.Is(err, catalog.ErrNotFound) {
 		t.Errorf("unknown probe name: err %v, want catalog.ErrNotFound", err)
+	}
+}
+
+// TestGeneratorSpecsMaterialize: a generator spec is the inline relations
+// it describes. RunJoin, RunPipeline and RunExternal report exactly what
+// the materialized relations report, unsharded and sharded — RunExternal in
+// particular never joins the spec's empty R and S.
+func TestGeneratorSpecsMaterialize(t *testing.T) {
+	ctx := context.Background()
+	jg := &JoinGen{R: 3000, S: 4000, Dist: rel.LowSkew, Seed: 5, Sel: 0.6}
+	r, s := jg.relations()
+	gens := []rel.Gen{{N: 500, KeyRange: 500, Seed: 7}, {N: 600, KeyRange: 500, Seed: 8}, {N: 400, KeyRange: 500, Seed: 9}}
+	var genSrcs, relSrcs []PipelineSource
+	for i := range gens {
+		genSrcs = append(genSrcs, PipelineSource{Gen: &gens[i]})
+		relSrcs = append(relSrcs, PipelineSource{Rel: gens[i].Build()})
+	}
+	opt := core.Options{Delta: 0.25, PilotItems: 1 << 8}
+	for _, shards := range []int{0, 4} {
+		svc := New(Config{Workers: 2, Shards: shards})
+		defer svc.Close()
+
+		got, err := svc.RunJoin(ctx, JoinSpec{Gen: jg, Opt: opt})
+		if err != nil {
+			t.Fatalf("shards=%d: generated join: %v", shards, err)
+		}
+		want, err := svc.RunJoin(ctx, JoinSpec{R: r, S: s, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || got.Matches != oracle.JoinCount(r, s) {
+			t.Errorf("shards=%d: generated join %+v != inline join %+v (oracle %d)", shards, got, want, oracle.JoinCount(r, s))
+		}
+
+		gotExt, err := svc.RunExternal(ctx, JoinSpec{Gen: jg, Opt: opt})
+		if err != nil {
+			t.Fatalf("shards=%d: generated external join: %v", shards, err)
+		}
+		wantExt, err := svc.RunExternal(ctx, JoinSpec{R: r, S: s, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotExt, wantExt) || gotExt.Matches != want.Matches {
+			t.Errorf("shards=%d: generated external join %+v != inline %+v", shards, gotExt, wantExt)
+		}
+
+		gotPipe, err := svc.RunPipeline(ctx, PipelineSpec{Sources: genSrcs, Opt: opt})
+		if err != nil {
+			t.Fatalf("shards=%d: generated pipeline: %v", shards, err)
+		}
+		wantPipe, err := svc.RunPipeline(ctx, PipelineSpec{Sources: relSrcs, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotPipe, wantPipe) || gotPipe.Final.Matches == 0 {
+			t.Errorf("shards=%d: generated pipeline %+v != inline %+v", shards, gotPipe, wantPipe)
+		}
 	}
 }
 

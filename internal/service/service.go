@@ -32,7 +32,6 @@ import (
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
-	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
 )
 
@@ -85,13 +84,14 @@ type Config struct {
 	// shards.
 	ShardBudget int64
 	// Cluster lists the base URLs of remote apujoind shard servers. When
-	// non-empty the service becomes a network cluster router: relations
-	// register by splitting over the fixed shard.Partitions grid and
-	// uploading each server's owned partitions, joins and pipelines fan
-	// out over HTTP and merge locally in partition order, and results stay
-	// bit-identical to a single-process engine over the same data. Cluster
-	// takes precedence over Shards (a cluster router holds no tuple data
-	// of its own). Between 1 and shard.Partitions servers are supported.
+	// non-empty the service becomes a network cluster router — what
+	// apujoind -cluster serves: relations register by splitting over the
+	// fixed shard.Partitions grid and uploading each server's owned
+	// partitions, joins and pipelines fan out over HTTP and merge locally
+	// in partition order, and results stay bit-identical to a
+	// single-process engine over the same data. Cluster takes precedence
+	// over Shards (a cluster router holds no tuple data of its own).
+	// Between 1 and shard.Partitions servers are supported.
 	Cluster []string
 	// ClusterTimeout bounds each remote shard request; <= 0 selects 120s
 	// (join fan-outs block until the remote query finishes).
@@ -468,20 +468,19 @@ func New(opt Config) *Service {
 	return s
 }
 
-// Sharded reports whether the service splits relations over the fixed
-// hash-partition grid (in-process shards or a network cluster) rather than
-// holding them whole.
-func (s *Service) Sharded() bool { return s.Shards() > 0 }
-
-// Clustered reports whether the service fans out to remote shard servers.
-func (s *Service) Clustered() bool { return len(s.opt.Cluster) > 0 }
+// ShardServer reports whether the service can serve a cluster router as
+// one of its shard servers: a sharded in-process engine, which runs every
+// grid partition itself and can report each one's raw result
+// (JoinSpec.KeepPartitions). An unsharded engine has no grid to report; a
+// router runs no partition of its own.
+func (s *Service) ShardServer() bool { return len(s.opt.Cluster) == 0 && s.opt.Shards > 0 }
 
 // Shards returns the configured shard count, clamped to the grid: remote
-// servers for a clustered service, in-process shards otherwise (0 when
+// servers for a cluster router, in-process shards otherwise (0 when
 // unsharded).
 func (s *Service) Shards() int {
-	if s.Clustered() {
-		return min(len(s.opt.Cluster), shard.Partitions)
+	if n := len(s.opt.Cluster); n > 0 {
+		return min(n, shard.Partitions)
 	}
 	return min(max(s.opt.Shards, 0), shard.Partitions)
 }
@@ -545,7 +544,8 @@ func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, err
 // synchronously and outside the admission layer, like RunJoin. Registered
 // sources resolve to their resident data, which only an unsharded service
 // holds whole (a sharded one keeps partition slices and answers an error);
-// inline sources work on any service. Auto plans the whole pair once — a
+// inline sources — a generator spec materialized here — work on any
+// service. Auto plans the whole pair once — a
 // registered pair from its memoized workload — and carries the planned
 // algorithm and scheme into the per-chunk sub-joins.
 func (s *Service) RunExternal(ctx context.Context, spec JoinSpec) (*core.ExternalResult, error) {
@@ -588,13 +588,18 @@ func (s *Service) SubmitAuto(ctx context.Context, r, sr rel.Relation, opt core.O
 }
 
 // JoinSpec describes one join for SubmitSpec/SubmitBatch: each side is
-// either an inline relation (R/S) or a reference to a registered one
-// (RName/SName). Auto hands algorithm, scheme and ratios to the planner;
-// for named pairs the fingerprint reuses the ingest-time skew/selectivity
-// buckets instead of re-measuring.
+// either an inline relation (R/S, or both generated from Gen) or a
+// reference to a registered one (RName/SName). Auto hands algorithm, scheme
+// and ratios to the planner; for named pairs the fingerprint reuses the
+// ingest-time skew/selectivity buckets instead of re-measuring.
 type JoinSpec struct {
 	// R and S are inline relations, used when RName/SName are empty.
 	R, S rel.Relation
+	// Gen, when non-nil, generates R and S in their place. The backend
+	// materializes it: an in-process engine generates the pair and splits
+	// it, a cluster router sends the spec and every shard server generates
+	// the same full relations.
+	Gen *JoinGen
 	// RName and SName reference relations registered on the service. The
 	// query pins both for its lifetime, so a concurrent Drop cannot pull
 	// the data out from under it.
@@ -617,11 +622,24 @@ type JoinSpec struct {
 	// router overlays each partition from its owner and merges locally,
 	// which is what keeps cluster results bit-identical.
 	KeepPartitions bool
-	// Forward, when non-nil on a clustered service, is the original wire
-	// request to fan out verbatim (after validation) instead of
-	// reconstructing one from the fields above. The HTTP layer sets it so
-	// shard servers parse exactly what the client sent.
-	Forward *api.JoinRequest
+}
+
+// JoinGen is an inline join's generator: R builds N = R tuples of
+// distribution Dist from Seed, and S generates S tuples from Seed+1 that
+// probe R at selectivity Sel — the pair POST /v1/join's inline fields
+// describe, and the pair a registered build relation and a probe_of it
+// from the same specs hold.
+type JoinGen struct {
+	R, S int
+	Dist rel.Distribution
+	Seed int64
+	Sel  float64
+}
+
+// relations materializes the generator's pair.
+func (g *JoinGen) relations() (r, s rel.Relation) {
+	r = rel.Gen{N: g.R, Dist: g.Dist, Seed: g.Seed}.Build()
+	return r, rel.Gen{N: g.S, Dist: g.Dist, Seed: g.Seed + 1}.Probe(r, g.Sel)
 }
 
 // resolvedSpec is one admitted unit of work after resolution through the
