@@ -189,9 +189,10 @@ func parseCluster(spec string) ([]string, error) {
 	return addrs, nil
 }
 
-// run parses args, serves until SIGINT or SIGTERM, then drains: running
-// queries (or fan-outs) finish, queued ones are cancelled, and the pool and
-// any health checker stop. The log goes to stdout.
+// run parses args, serves until SIGINT or SIGTERM, then drains: open
+// requests are answered, running queries (or fan-outs) finish, queued ones
+// are cancelled, and the pool and any health checker stop. The log goes to
+// stdout.
 func run(args []string, stdout io.Writer) error {
 	d, err := parseFlags(args, stdout)
 	if err != nil {
@@ -204,23 +205,28 @@ func run(args []string, stdout io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		logger.Printf("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-	}()
-
 	if n := len(d.svc.Cluster); n > 0 {
 		logger.Printf("routing %d partitions across %d shard servers: %s", shard.Partitions, n, strings.Join(d.svc.Cluster, ", "))
 	} else if n := svc.Shards(); n > 0 {
 		logger.Printf("sharded catalog: %d shards (per-shard gauges under /v1/stats shard_catalogs)", n)
 	}
 	logger.Printf("listening on %s (%d workers, %d concurrent queries)", d.addr, svc.Stats().Workers, d.svc.MaxConcurrent)
-	err = srv.ListenAndServe()
+	// The listener stops the daemon on failure, a signal on request. The
+	// channel holds the listener's one result, so its goroutine never blocks.
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		// Shutdown returns once every open request is answered, so waiting
+		// clients get their results before the service drains.
+		logger.Printf("shutting down")
+		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		err = srv.Shutdown(sctx)
+	}
 	_ = svc.Close()
-	if !errors.Is(err, http.ErrServerClosed) {
+	if err != nil {
 		return err
 	}
 	logger.Printf("drained %d queries, bye", svc.Stats().Completed)

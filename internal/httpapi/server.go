@@ -161,10 +161,11 @@ func genSpec(n int, skew string, seed *int64, keyRange int, defaultSeed int64, m
 	if err != nil {
 		return rel.Gen{}, err
 	}
+	g := rel.Gen{N: n, Dist: dist, Seed: defaultSeed, KeyRange: keyRange}
 	if seed != nil {
-		defaultSeed = *seed
+		g.Seed = *seed
 	}
-	return rel.Gen{N: n, Dist: dist, Seed: defaultSeed, KeyRange: keyRange}, nil
+	return g, nil
 }
 
 // parsePipeline turns an api.PipelineRequest into a service.PipelineSpec,

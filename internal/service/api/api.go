@@ -1,8 +1,9 @@
 // Package api holds the JSON request and response types of the /v1 HTTP
-// surface, shared by every process that speaks it: the apujoind daemon
-// (internal/httpapi serves these types over one service.Service) and the
-// apujoin-router cluster tier (internal/service's cluster backend forwards
-// them to remote shard servers and decodes their responses).
+// surface, shared by every process that speaks it: the apujoind daemon in
+// both its roles (internal/httpapi serves these types over one
+// service.Service) and, under apujoind -cluster, the router's cluster
+// backend in internal/service, which builds them for the remote shard
+// servers and decodes their responses.
 //
 // The wire contract is documented in docs/API.md. Everything here follows
 // the unified envelope: success responses nest their payload under

@@ -544,10 +544,10 @@ func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, err
 // synchronously and outside the admission layer, like RunJoin. Registered
 // sources resolve to their resident data, which only an unsharded service
 // holds whole (a sharded one keeps partition slices and answers an error);
-// inline sources — a generator spec materialized here — work on any
-// service. Auto plans the whole pair once — a
-// registered pair from its memoized workload — and carries the planned
-// algorithm and scheme into the per-chunk sub-joins.
+// inline sources work on any service, a generator spec materialized here.
+// Auto plans the whole pair once — a registered pair from its memoized
+// workload — and carries the planned algorithm and scheme into the
+// per-chunk sub-joins.
 func (s *Service) RunExternal(ctx context.Context, spec JoinSpec) (*core.ExternalResult, error) {
 	r, sr, w, pins, err := s.router.whole(spec)
 	if err != nil {
@@ -624,11 +624,10 @@ type JoinSpec struct {
 	KeepPartitions bool
 }
 
-// JoinGen is an inline join's generator: R builds N = R tuples of
-// distribution Dist from Seed, and S generates S tuples from Seed+1 that
-// probe R at selectivity Sel — the pair POST /v1/join's inline fields
-// describe, and the pair a registered build relation and a probe_of it
-// from the same specs hold.
+// JoinGen generates an inline join's pair: a build side of R tuples of
+// distribution Dist from Seed, and S tuples from Seed+1 that probe it at
+// selectivity Sel. It is the pair POST /v1/join's inline fields describe,
+// and the pair RegisterGen and RegisterProbe build from the same specs.
 type JoinGen struct {
 	R, S int
 	Dist rel.Distribution
