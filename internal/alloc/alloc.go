@@ -13,7 +13,9 @@
 // array, mirroring OpenCL buffer indices instead of Go pointers) while
 // counting the global atomics and local-memory operations each strategy
 // would issue. Kernels snapshot Stats around their batch and feed the delta
-// into their device accounting record.
+// into their device accounting record. Count and FreshStats charge a run of
+// equal requests in closed form without serving them — the join output is
+// charged, not written — under the same Block rule as Alloc.
 package alloc
 
 import (
@@ -118,14 +120,24 @@ func New(cfg Config, capWords int) *Arena {
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = DefaultBlockBytes
 	}
-	bw := cfg.BlockBytes / WordBytes
-	if bw < 1 {
-		bw = 1
+	return &Arena{cfg: cfg, words: GetWords(max(capWords, 1)), blockWords: blockWordsOf(cfg)}
+}
+
+// blockWordsOf is the Block strategy's block size in words under cfg.
+func blockWordsOf(cfg Config) int {
+	if cfg.BlockBytes <= 0 {
+		cfg.BlockBytes = DefaultBlockBytes
 	}
-	if capWords < 1 {
-		capWords = 1
-	}
-	return &Arena{cfg: cfg, words: GetWords(capWords), blockWords: bw}
+	return max(cfg.BlockBytes/WordBytes, 1)
+}
+
+// FreshStats returns the Stats of a fresh arena under cfg after m calls of
+// Alloc(n), without building the arena: the charge of a morsel-private
+// output arena.
+func FreshStats(cfg Config, m int64, n int) Stats {
+	a := Arena{cfg: cfg, blockWords: blockWordsOf(cfg)}
+	a.Count(m, n)
+	return a.stats
 }
 
 // Config returns the arena's configuration.
@@ -152,38 +164,56 @@ func (a *Arena) At(i int32) *int32 { return &a.words[i] }
 // pre-allocation generously; growth keeps the library usable without
 // pre-sizing while the accounting still reflects the pre-allocated design).
 func (a *Arena) Alloc(n int) int32 {
+	a.take(1, int64(n))
+	if int(a.next) > len(a.words) {
+		a.grow(int(a.next))
+	}
+	return int32(a.next) - int32(n)
+}
+
+// Count charges m requests of n words each — Stats, block state and bump
+// pointer — exactly as m calls of Alloc(n) would, but serves none of them:
+// it never touches or grows the backing array. Used counts the words, and a
+// later Alloc grows the array past them.
+func (a *Arena) Count(m int64, n int) {
+	if m > 0 {
+		a.take(m, int64(n))
+	}
+}
+
+// take is the allocator's one rule, for m > 0 requests of n words each:
+// Basic pays one global atomic per request, and so does a Block request
+// larger than a block, which bypasses blocking. Other Block requests are
+// served from the current block while they fit; the rest grab fresh blocks
+// of bw/n requests, one global atomic apiece, and the tail of every block
+// left behind is wasted. The bump pointer passes the requests and the waste.
+func (a *Arena) take(m, n int64) {
 	if n <= 0 {
 		panic(fmt.Sprintf("alloc: non-positive allocation %d", n))
 	}
-	a.stats.Allocs++
-	a.stats.Words += int64(n)
-
-	switch a.cfg.Strategy {
-	case Basic:
-		a.stats.GlobalAtomics++
-	case Block:
-		if n > a.blockWords {
-			// Oversized request bypasses blocking with a global atomic.
-			a.stats.GlobalAtomics++
-			a.blockLeft = 0
-			break
+	s := &a.stats
+	need := m * n
+	s.Allocs += m
+	s.Words += need
+	bw := int64(a.blockWords)
+	if a.cfg.Strategy == Basic || n > bw {
+		s.GlobalAtomics += m
+		a.blockLeft = 0
+	} else {
+		s.LocalOps += m
+		left := int64(a.blockLeft)
+		if left < need {
+			fit, per := left/n, bw/n
+			grabs := (m - fit + per - 1) / per
+			waste := left - fit*n + (grabs-1)*(bw-per*n)
+			s.GlobalAtomics += grabs
+			s.WastedWords += waste
+			a.next += waste
+			left += grabs*bw - waste
 		}
-		if a.blockLeft < n {
-			// Grab a fresh block: one global atomic; the remainder of the
-			// previous block is wasted.
-			a.stats.WastedWords += int64(a.blockLeft)
-			a.next += int64(a.blockLeft)
-			a.blockLeft = a.blockWords
-			a.stats.GlobalAtomics++
-		}
-		a.blockLeft -= n
-		a.stats.LocalOps++
+		a.blockLeft = int(left - need)
 	}
-
-	off := a.next
-	a.ensure(int(off) + n)
-	a.next = off + int64(n)
-	return int32(off)
+	a.next += need
 }
 
 // Grab reserves n words with one atomic bump of the arena pointer — the
@@ -243,16 +273,14 @@ func (a *Arena) Release() {
 	a.words = nil
 }
 
-func (a *Arena) ensure(n int) {
-	if n <= len(a.words) {
-		return
-	}
+// grow doubles the backing array until it holds n words.
+func (a *Arena) grow(n int) {
 	newCap := len(a.words) * 2
 	for newCap < n {
 		newCap *= 2
 	}
-	// Both sides of the doubling go through the recycler: an output arena
-	// that starts small would otherwise leave every size it outgrew behind.
+	// Both sides of the doubling go through the recycler: an arena that
+	// starts small would otherwise leave every size it outgrew behind.
 	w := GetWords(newCap)
 	copy(w, a.words)
 	PutWords(a.words)

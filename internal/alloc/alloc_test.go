@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +165,60 @@ func TestAllocPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(Config{}, 16).Alloc(0)
+}
+
+// TestCountMatchesAlloc holds the closed-form Count to a twin arena that
+// serves every request with Alloc: after each step of a sequence that
+// mixes Count and Alloc on one arena, Stats and Used must equal the twin's,
+// and so must the offset each real Alloc returns. FreshStats must equal a
+// fresh arena after the same requests. Basic, and Block at the default and
+// at 2048-, 4-, 6- and 10-byte blocks; requests of 1, 2 and 3 words and of
+// more than a 2 KB block.
+func TestCountMatchesAlloc(t *testing.T) {
+	cfgs := []Config{
+		{Strategy: Basic},
+		{Strategy: Block},
+		{Strategy: Block, BlockBytes: 2048},
+		{Strategy: Block, BlockBytes: 4},
+		{Strategy: Block, BlockBytes: 6},
+		{Strategy: Block, BlockBytes: 10},
+	}
+	runs := []int64{0, 1, 3, 255, 256, 257, 513}
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range cfgs {
+		for _, n := range []int{1, 2, 3, 600} {
+			name := fmt.Sprintf("%+v n=%d", cfg, n)
+			for _, m := range runs {
+				twin := New(cfg, 64)
+				for range m {
+					twin.Alloc(n)
+				}
+				if got := FreshStats(cfg, m, n); got != twin.Stats() {
+					t.Fatalf("%s: FreshStats of %d requests %+v, a fresh arena's %+v", name, m, got, twin.Stats())
+				}
+				twin.Release()
+			}
+			a, twin := New(cfg, 64), New(cfg, 64)
+			for step := range 40 {
+				if rng.Intn(3) == 0 {
+					if got, want := a.Alloc(n), twin.Alloc(n); got != want {
+						t.Fatalf("%s step %d: Alloc at %d, the twin's at %d", name, step, got, want)
+					}
+				} else {
+					m := runs[rng.Intn(len(runs))]
+					a.Count(m, n)
+					for range m {
+						twin.Alloc(n)
+					}
+				}
+				if a.Stats() != twin.Stats() || a.Used() != twin.Used() {
+					t.Fatalf("%s step %d: %+v, %d words used; the twin %+v, %d", name, step, a.Stats(), a.Used(), twin.Stats(), twin.Used())
+				}
+			}
+			a.Release()
+			twin.Release()
+		}
+	}
 }
 
 func TestStatsSub(t *testing.T) {

@@ -84,13 +84,7 @@ func (l *Local) Close() {
 // blockWords-(maxAlloc-1) useful words; requests larger than a block (and
 // the whole Basic strategy) grab exactly their size.
 func ParallelCapWords(cfg Config, usefulWords, maxAlloc, locals int) int {
-	bw := cfg.BlockBytes / WordBytes
-	if cfg.BlockBytes <= 0 {
-		bw = DefaultBlockBytes / WordBytes
-	}
-	if bw < 1 {
-		bw = 1
-	}
+	bw := blockWordsOf(cfg)
 	total := usefulWords
 	if cfg.Strategy == Block && bw >= maxAlloc {
 		yield := bw - (maxAlloc - 1)

@@ -196,10 +196,11 @@ type Options struct {
 	// aims for (PHJ only).
 	RadixTargetBytes int64
 
-	// CountOnly skips materializing result pairs and only counts matches.
-	// The default materializes each matching rid pair through the software
-	// allocator, as the paper's implementation does ("simply outputs the
-	// matching rid pair").
+	// CountOnly leaves the join output uncharged: only matches are
+	// counted. By default each matching rid pair is charged as the paper's
+	// implementation writes it ("simply outputs the matching rid pair"): its
+	// bytes and its request to the software allocator. No pair is written
+	// either way; nothing reads one.
 	CountOnly bool
 
 	// PilotItems is the sample size of the profiling pilot run.

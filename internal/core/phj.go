@@ -211,7 +211,7 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 				a.Add(t.InsertOne(rn.r.Keys[i], rn.r.RIDs[i]))
 			}
 			for i := sLo; i < sHi; i++ {
-				a.Add(t.ProbeOne(rn.s.Keys[i], rn.s.RIDs[i], &rn.out))
+				a.Add(t.ProbeOne(rn.s.Keys[i], &rn.out))
 			}
 			t.Release()
 		}

@@ -27,8 +27,8 @@ type runner struct {
 	// pilot's runner leaves it nil so profiling stays single-stream.
 	pool *sched.Pool
 
-	// outExtra accumulates allocator activity of the morsel-private output
-	// arenas the parallel p4 materializes through (outMu guards it).
+	// outExtra accumulates the output allocator activity the parallel p4's
+	// morsels charge (outMu guards it).
 	outMu    sync.Mutex
 	outExtra alloc.Stats
 
@@ -273,10 +273,10 @@ func (rn *runner) buildSeries() sched.Series {
 
 // probeSeries returns the probe step series (p1..p4) over S. The probe
 // reads an immutable table, so every step splits into plain range morsels;
-// p4 routes materialized pairs through morsel-private output arenas and
-// folds their match counts and allocator activity back into the run.
+// p4 counts each morsel's matches, charges its output allocator in closed
+// form and folds both back into the run.
 func (rn *runner) probeSeries() sched.Series {
-	keys, rids := rn.s.Keys, rn.s.RIDs
+	keys := rn.s.Keys
 	steps := []sched.Step{
 		{
 			ID: sched.P1, OutBytesPerItem: 4,
@@ -325,31 +325,26 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P4, OutBytesPerItem: 0,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.tableFor(d).P4(d, rids, rn.nodeS, &rn.out, lo, hi, order)
+				a := rn.tableFor(d).P4(d, rn.nodeS, &rn.out, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					// The morsel's output arena is taken from the recycler
-					// and handed back inside the morsel.
+					// Each morsel charges its output as an arena of its own
+					// would serve it.
 					priv := htab.Out{Materialize: rn.out.Materialize}
-					if priv.Materialize {
-						priv.Arena = alloc.New(rn.opt.Alloc, 4*(mhi-mlo)+64)
-					}
-					a := rn.tableFor(d).P4(d, rids, rn.nodeS, &priv, mlo, mhi, nil)
-					// Fold the morsel-private output under the mutex (once
-					// per morsel): Out.Pairs is a plain field mid-struct,
-					// not guaranteed 64-bit aligned for atomics on 32-bit
+					a := rn.tableFor(d).P4(d, rn.nodeS, &priv, mlo, mhi, nil)
+					st := priv.ChargeFresh(&a, rn.opt.Alloc)
+					// Fold the morsel's output under the mutex (once per
+					// morsel): Out.Pairs is a plain field mid-struct, not
+					// guaranteed 64-bit aligned for atomics on 32-bit
 					// platforms.
 					rn.outMu.Lock()
 					rn.out.Pairs += priv.Pairs
-					if priv.Arena != nil {
-						rn.outExtra.Add(priv.Arena.Stats())
-					}
+					rn.outExtra.Add(st)
 					rn.outMu.Unlock()
-					priv.Arena.Release()
 					return a
 				})
 			},

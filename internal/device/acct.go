@@ -148,7 +148,8 @@ func (d *DivTracker) Item(work int32) {
 // Flush closes the trailing partial wavefront and writes the sums into a.
 func (d *DivTracker) Flush(a *Acct) {
 	if d.inWF > 0 {
-		// A partial wavefront still occupies a full wavefront slot.
+		// A partial wavefront runs its live lanes to the longest item's
+		// work: live lanes × max, not a full wavefront's width.
 		d.sumMax += int64(d.maxWF) * int64(d.inWF)
 		d.inWF = 0
 		d.maxWF = 0

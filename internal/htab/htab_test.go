@@ -92,11 +92,11 @@ func TestProbePipelineCountsMatches(t *testing.T) {
 	tbl.P1(gpu, s.Keys, bucket, 0, n)
 	tbl.P2(gpu, bucket, head, work, 0, n)
 	tbl.P3(gpu, s.Keys, head, node, 0, n, nil)
-	tbl.P4(gpu, s.RIDs, node, &out, 0, n, nil)
+	tbl.P4(gpu, node, &out, 0, n, nil)
 	if out.Pairs != want {
 		t.Fatalf("pairs %d, want %d", out.Pairs, want)
 	}
-	// Materialized pairs occupy 2 words each.
+	// Materialized pairs are charged 2 words each.
 	if int64(outArena.Used()) != want*2 {
 		t.Fatalf("materialized %d words, want %d", outArena.Used(), want*2)
 	}
@@ -225,7 +225,7 @@ func TestInsertProbeOneAgreeWithBatch(t *testing.T) {
 		}
 		out := Out{}
 		for i := range s.Keys {
-			tbl.ProbeOne(s.Keys[i], s.RIDs[i], &out)
+			tbl.ProbeOne(s.Keys[i], &out)
 		}
 		return out.Pairs == rel.NaiveJoinCount(r, s) && tbl.NumKeys() == int64(r.Len())
 	}

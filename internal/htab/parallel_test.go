@@ -110,8 +110,9 @@ func (t *Table) b2AtomicRef(d *device.Device, bucket, work []int32, lo, hi int) 
 }
 
 // p3Bare and p4Bare are P3 and P4 with the model taken out: the same walks
-// and the same output, but no device.Acct and no DivTracker. BenchmarkP3P4
-// runs them beside the kernels, so what the accounting costs is measured.
+// and the same node refs and pair count, but no device.Acct, no DivTracker
+// and no output charge. BenchmarkP3P4 runs them beside the kernels, so what
+// the accounting costs is measured.
 func (t *Table) p3Bare(keys, head, node []int32, lo, hi int) {
 	words := t.arena.Words()
 	for i := lo; i < hi; i++ {
@@ -124,7 +125,7 @@ func (t *Table) p3Bare(keys, head, node []int32, lo, hi int) {
 	}
 }
 
-func (t *Table) p4Bare(rids, node []int32, out *Out, lo, hi int) {
+func (t *Table) p4Bare(node []int32, out *Out, lo, hi int) {
 	words := t.arena.Words()
 	var pairs int64
 	for i := lo; i < hi; i++ {
@@ -134,12 +135,6 @@ func (t *Table) p4Bare(rids, node []int32, out *Out, lo, hi int) {
 		}
 		for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
 			pairs++
-			if out.Materialize && out.Arena != nil {
-				off := out.Arena.Alloc(2)
-				ow := out.Arena.Words()
-				ow[off] = words[rn+ridOffRID]
-				ow[off+1] = rids[i]
-			}
 		}
 	}
 	out.Pairs += pairs
@@ -606,13 +601,15 @@ func BenchmarkB3B4Shard(b *testing.B) {
 
 // BenchmarkP3P4 measures the probe's list-walk and emit steps over 2^20
 // probe tuples (selectivity 1) of a 2^20-tuple build as the runner executes
-// them: range morsels on the pool, p4 either materializing its pairs
-// through a morsel-private output arena or counting them. p1 and p2 run
-// outside the timer. Each row is paired with an unaccounted row that runs
-// p3Bare / p4Bare instead — the same walks without device.Acct and
-// DivTracker — and reports how much of the accounted row's time the model
-// took as acct-pct. Each p4 row must find the pairs a single-stream p4
-// finds.
+// them: range morsels on the pool, p4 counting its pairs and, under
+// materialize, charging each morsel's output as ChargeFresh does. p1 and p2
+// run outside the timer. Each row is paired with an unaccounted row that
+// runs p3Bare / p4Bare instead — the same walks without device.Acct,
+// DivTracker and output charge — and reports how much of the accounted
+// row's time the model took as acct-pct. Each p4 row must find the pairs a
+// single-stream p4 finds, and each accounted p4 row's merged record must
+// equal the single-stream p4's: at selectivity 1 every morsel's pairs fill
+// whole 2 KB output blocks, so the morsels' charges add up to one arena's.
 func BenchmarkP3P4(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())
@@ -624,8 +621,6 @@ func BenchmarkP3P4(b *testing.B) {
 		t.P1(cpu, s.Keys, bucket, 0, n)
 		t.P2(cpu, bucket, head, nil, 0, n)
 		t.P3(cpu, s.Keys, head, node, 0, n, nil)
-		var serial Out
-		t.P4(cpu, s.RIDs, node, &serial, 0, n, nil)
 
 		for _, workers := range []int{1, 2} {
 			pool := sched.NewPool(workers)
@@ -669,28 +664,35 @@ func BenchmarkP3P4(b *testing.B) {
 				if materialize {
 					name = "materialize"
 				}
+				serial := Out{Materialize: materialize}
+				if materialize {
+					serial.Arena = alloc.New(alloc.Config{}, 64)
+				}
+				want := t.P4(cpu, node, &serial, 0, n, nil)
+				serial.Arena.Release()
 				for _, accounted := range []bool{true, false} {
 					var pairs atomic.Int64
+					var got device.Acct
 					row(fmt.Sprintf("P4/%s/%v/pool=%d", name, dist, workers), accounted, func() {
 						pairs.Store(0)
-						pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						got = pool.MapRange(0, n, func(lo, hi int) device.Acct {
 							priv := Out{Materialize: materialize}
-							if materialize {
-								priv.Arena = alloc.New(alloc.Config{}, 4*(hi-lo)+64)
-							}
 							var a device.Acct
 							if accounted {
-								a = t.P4(cpu, s.RIDs, node, &priv, lo, hi, nil)
+								a = t.P4(cpu, node, &priv, lo, hi, nil)
+								priv.ChargeFresh(&a, alloc.Config{})
 							} else {
-								t.p4Bare(s.RIDs, node, &priv, lo, hi)
+								t.p4Bare(node, &priv, lo, hi)
 							}
 							pairs.Add(priv.Pairs)
-							priv.Arena.Release()
 							return a
 						})
 					}, func(b *testing.B) {
 						if pairs.Load() != serial.Pairs {
 							b.Fatalf("%d pairs, single-stream p4 found %d", pairs.Load(), serial.Pairs)
+						}
+						if accounted && got != want {
+							b.Fatalf("merged record\n %+v\nsingle-stream p4's\n %+v", got, want)
 						}
 					})
 				}

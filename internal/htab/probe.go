@@ -6,14 +6,32 @@ import (
 	"apujoin/internal/hash"
 )
 
-// Out collects join results produced by P4. When Materialize is set, each
-// matching (buildRID, probeRID) pair is written through the arena — the
-// "join result output" dynamic allocation of the paper — so allocator
-// contention on the output path is accounted realistically.
+// Out collects the join result of P4 and ProbeOne: the number of matching
+// (buildRID, probeRID) pairs. No pair is written. Materialize decides
+// whether the output is charged as the paper's kernel writes it: 8 bytes
+// and one two-word request to the software allocator per pair — the "join
+// result output" dynamic allocation of the paper — counted in closed form
+// on Arena, the run's serial output arena. A pool morsel has no arena of
+// its own; ChargeFresh charges its pairs as a fresh one would serve them.
 type Out struct {
 	Arena       *alloc.Arena
 	Materialize bool
 	Pairs       int64
+}
+
+// pairWords is one output pair's allocator request.
+const pairWords = 2
+
+// ChargeFresh charges into a, under Materialize, the allocator activity of
+// a fresh output arena under cfg that served o's pairs, and returns it: the
+// output allocator of a pool morsel's P4, which builds no arena.
+func (o *Out) ChargeFresh(a *device.Acct, cfg alloc.Config) alloc.Stats {
+	if !o.Materialize {
+		return alloc.Stats{}
+	}
+	st := alloc.FreshStats(cfg, o.Pairs, pairWords)
+	allocDelta(a, alloc.Stats{}, st)
+	return st
 }
 
 // P1 computes the hash bucket number for probe tuples [lo,hi).
@@ -97,38 +115,23 @@ func (t *Table) P3(d *device.Device, keys, head []int32, node []int32, lo, hi in
 }
 
 // P4 visits the matching build tuples for probe tuples [lo,hi): it walks
-// the rid list of node[i] and produces one output tuple per match into out.
-// The per-item workload is the number of matches, so skew and selectivity
-// show up as wavefront divergence here.
-func (t *Table) P4(d *device.Device, rids, node []int32, out *Out, lo, hi int, order []int32) device.Acct {
+// the rid list of node[i] and counts one output tuple per match into out,
+// charging the output as Out describes. The per-item workload is the number
+// of matches, so skew and selectivity show up as wavefront divergence here.
+func (t *Table) P4(d *device.Device, node []int32, out *Out, lo, hi int, order []int32) device.Acct {
 	var a device.Acct
 	div := device.NewDivTracker(d.WavefrontSize)
 	words := t.arena.Words()
-	var before alloc.Stats
-	if out.Materialize && out.Arena != nil {
-		before = out.Arena.Stats()
-	}
+	var pairs int64
 
 	run := func(i int) {
-		kn := node[i]
 		var matches int32
-		if kn != nilRef {
+		if kn := node[i]; kn != nilRef {
 			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
 				matches++
-				a.Rand[device.RegionHashTable]++
-				if out.Materialize && out.Arena != nil {
-					off := out.Arena.Alloc(2)
-					ow := out.Arena.Words()
-					ow[off] = words[rn+ridOffRID]
-					ow[off+1] = rids[i]
-				}
 			}
 		}
-		out.Pairs += int64(matches)
-		a.Instr += int64(matches+1) * instrEmitMatch
-		if out.Materialize {
-			a.SeqBytes += int64(matches) * 8 // output pair write
-		}
+		pairs += int64(matches)
 		div.Item(matches + 1)
 	}
 
@@ -145,9 +148,17 @@ func (t *Table) P4(d *device.Device, rids, node []int32, out *Out, lo, hi int, o
 
 	n := int64(hi - lo)
 	a.Items = n
-	a.SeqBytes += n * 8 // rid, node ref reads
-	if out.Materialize && out.Arena != nil {
-		allocDelta(&a, before, out.Arena.Stats())
+	a.Instr = (pairs + n) * instrEmitMatch
+	a.SeqBytes = n * 8 // rid, node ref reads
+	a.Rand[device.RegionHashTable] = pairs
+	out.Pairs += pairs
+	if out.Materialize {
+		a.SeqBytes += pairs * 8 // output pair writes
+		if out.Arena != nil {
+			before := out.Arena.Stats()
+			out.Arena.Count(pairs, pairWords)
+			allocDelta(&a, before, out.Arena.Stats())
+		}
 	}
 	div.Flush(&a)
 	return a

@@ -21,8 +21,9 @@ func (t *Table) InsertOne(key, rid int32) device.Acct {
 }
 
 // ProbeOne performs a fused single-tuple probe (p1..p4 in one call),
-// producing matches into out.
-func (t *Table) ProbeOne(key, srid int32, out *Out) device.Acct {
+// counting matches into out and, under Materialize with an arena, charging
+// their output.
+func (t *Table) ProbeOne(key int32, out *Out) device.Acct {
 	var a device.Acct
 	a.Items = 1
 	a.Instr = hash.InstrPerHash + instrVisitHeader
@@ -40,17 +41,16 @@ func (t *Table) ProbeOne(key, srid int32, out *Out) device.Acct {
 	if kn == nilRef {
 		return a
 	}
+	var matches int64
 	for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-		a.Rand[device.RegionHashTable]++
-		a.Instr += instrEmitMatch
-		if out.Materialize && out.Arena != nil {
-			off := out.Arena.Alloc(2)
-			ow := out.Arena.Words()
-			ow[off] = words[rn+ridOffRID]
-			ow[off+1] = srid
-			a.SeqBytes += 8
-		}
-		out.Pairs++
+		matches++
+	}
+	a.Rand[device.RegionHashTable] += matches
+	a.Instr += matches * instrEmitMatch
+	out.Pairs += matches
+	if out.Materialize && out.Arena != nil {
+		out.Arena.Count(matches, pairWords)
+		a.SeqBytes += matches * 8
 	}
 	return a
 }

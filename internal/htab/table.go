@@ -21,7 +21,9 @@
 // Every step kernel does the real work on a batch [lo,hi) of tuples while
 // filling a device accounting record; the co-processing schedulers split
 // batches between the CPU and GPU devices and the device model converts the
-// accounts into simulated time.
+// accounts into simulated time. The one exception is p4's output: the
+// kernel counts the matches, and under Out.Materialize the output tuples
+// are charged, but they are never written (see Out).
 package htab
 
 import (

@@ -56,7 +56,9 @@ func WithGrouping(groups int) JoinOption {
 // WithDelta sets the ratio-grid granularity δ of the cost-model searches.
 func WithDelta(d float64) JoinOption { return func(c *joinConfig) { c.opt.Delta = d } }
 
-// WithCountOnly skips materializing result pairs and only counts matches.
+// WithCountOnly leaves the join output uncharged: the simulated clock
+// counts matches without the bytes and allocator requests of writing each
+// result pair. No pair is written either way.
 func WithCountOnly() JoinOption { return func(c *joinConfig) { c.opt.CountOnly = true } }
 
 // WithPilotItems sets the profiling pilot's sample size.
