@@ -12,13 +12,13 @@ APULINT := /tmp/apujoin-apulint
 
 # Minimum total test coverage (percent) the coverage target enforces.
 # Raise it as coverage grows; never lower it to merge.
-COVERAGE_FLOOR ?= 80
+COVERAGE_FLOOR ?= 91
 
 # Maximum non-test code lines (as `make loc` counts them) internal/service
 # may hold: COVERAGE_FLOOR's pattern pointing the other way. The service
 # layer was three copies of one design; this keeps it one. Lower it as the
 # package shrinks; never raise it to merge.
-SERVICE_LOC_CEILING ?= 2130
+SERVICE_LOC_CEILING ?= 2124
 
 .PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

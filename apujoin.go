@@ -27,13 +27,11 @@
 //		apujoin.WithAlgo(apujoin.PHJ), apujoin.WithScheme(apujoin.PL))
 //	fmt.Println(res.Matches, res.TotalNS)
 //
-// The package-level Join/JoinCtx/JoinExternal remain as thin shims over a
-// process-wide default engine for the original inline calling convention.
+// Every join goes through an Engine. A caller-held relation joins inline
+// (Inline); a whole Options struct passes through WithOptions.
 package apujoin
 
 import (
-	"context"
-
 	"apujoin/internal/core"
 	"apujoin/internal/mem"
 	"apujoin/internal/rel"
@@ -69,27 +67,14 @@ func ParseArch(s string) (Arch, error) { return core.ParseArch(s) }
 // ParseDistribution parses "uniform" | "low" | "high" (empty = Uniform).
 func ParseDistribution(s string) (Distribution, error) { return rel.ParseDistribution(s) }
 
-// Options configures a join run; the zero value is a coupled-architecture
-// SHJ with the cost-model-tuned PL scheme disabled fields defaulted.
+// Options configures a join run for WithOptions. The zero value is a
+// coupled-architecture SHJ under the PL scheme, with the cost model tuning
+// the ratios and every other field at its default.
 type Options = core.Options
 
 // Result reports a join run: exact match count, simulated phase breakdown,
 // chosen ratios, cost-model estimate and cache statistics.
 type Result = core.Result
-
-// Plan is a precomputed execution plan (algorithm, scheme, pilot profiles,
-// optimized ratios, predicted time) for Options.Plan; a run with an
-// injected plan skips its own pilot and ratio searches.
-type Plan = core.Plan
-
-// BuildPlan evaluates both join algorithms under every applicable
-// co-processing scheme for the workload — one pilot run feeds the cost
-// model's candidate searches — and returns the plan predicted cheapest.
-// internal/plan caches these per workload fingerprint for the service
-// layer's algo=auto path.
-func BuildPlan(r, s Relation, opt Options) (*Plan, error) {
-	return core.BuildPlan(r, s, opt)
-}
 
 // ExternalResult reports a join larger than the zero-copy buffer.
 type ExternalResult = core.ExternalResult
@@ -131,36 +116,8 @@ const (
 )
 
 // ErrExceedsZeroCopy reports that the join does not fit the zero-copy
-// buffer; use JoinExternal.
+// buffer; use Engine.JoinExternal.
 var ErrExceedsZeroCopy = core.ErrExceedsZeroCopy
-
-// Join executes one hash join of R ⋈ S under the configured algorithm,
-// co-processing scheme and architecture — a thin shim over the default
-// engine with inline sources. When opt.Workers is zero and no pool is
-// injected, the join runs on the default engine's resident workers
-// (results are identical either way; only host wall-clock can differ).
-func Join(r, s Relation, opt Options) (*Result, error) {
-	return JoinCtx(context.Background(), r, s, opt)
-}
-
-// JoinCtx is Join with cancellation: a cancelled context aborts the join at
-// the next step boundary. Join is re-entrant; any number of joins may run
-// concurrently (see Engine and internal/service for the richer surfaces).
-func JoinCtx(ctx context.Context, r, s Relation, opt Options) (*Result, error) {
-	return Default().Join(ctx, Inline(r), Inline(s), WithOptions(opt))
-}
-
-// JoinExternal joins relations whose footprint exceeds the zero-copy
-// buffer, partitioning through the buffer in chunks (paper appendix); a
-// shim over the default engine, like Join.
-func JoinExternal(r, s Relation, opt Options) (*ExternalResult, error) {
-	return JoinExternalCtx(context.Background(), r, s, opt)
-}
-
-// JoinExternalCtx is JoinExternal with cancellation.
-func JoinExternalCtx(ctx context.Context, r, s Relation, opt Options) (*ExternalResult, error) {
-	return Default().JoinExternal(ctx, Inline(r), Inline(s), WithOptions(opt))
-}
 
 // NaiveJoinCount is the reference match count (map-based), useful to
 // verify results in examples and tests.

@@ -1,14 +1,27 @@
 package apujoin
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
+
+// inlineJoiner starts an engine that closes when tb ends and returns a join
+// of two inline relations under a whole Options struct on it: the root
+// tests' one way to run an Options-driven join.
+func inlineJoiner(tb testing.TB) func(r, s Relation, opt Options) (*Result, error) {
+	eng := NewEngine()
+	tb.Cleanup(func() { eng.Close() })
+	return func(r, s Relation, opt Options) (*Result, error) {
+		return eng.Join(context.Background(), Inline(r), Inline(s), WithOptions(opt))
+	}
+}
 
 // TestAllVariantsAgreeOnMatches is the top-level correctness property: every
 // algorithm × scheme × architecture combination must produce exactly the
 // same match count as a naive map join, on every dataset shape.
 func TestAllVariantsAgreeOnMatches(t *testing.T) {
+	join := inlineJoiner(t)
 	for _, dist := range []Distribution{Uniform, HighSkew} {
 		r := Gen{N: 20000, Dist: dist, Seed: 3}.Build()
 		s := Gen{N: 25000, Dist: dist, Seed: 4}.Probe(r, 0.7)
@@ -17,7 +30,7 @@ func TestAllVariantsAgreeOnMatches(t *testing.T) {
 		run := func(name string, opt Options) {
 			opt.Delta = 0.1
 			opt.PilotItems = 4096
-			res, err := Join(r, s, opt)
+			res, err := join(r, s, opt)
 			if err != nil {
 				t.Fatalf("%v %s: %v", dist, name, err)
 			}
@@ -44,6 +57,7 @@ func TestAllVariantsAgreeOnMatches(t *testing.T) {
 
 // TestJoinMatchesProperty fuzzes dataset shapes against the naive oracle.
 func TestJoinMatchesProperty(t *testing.T) {
+	join := inlineJoiner(t)
 	f := func(seed int64, selRaw uint8, phj bool) bool {
 		sel := float64(selRaw%101) / 100
 		r := Gen{N: 3000, Seed: seed}.Build()
@@ -52,7 +66,7 @@ func TestJoinMatchesProperty(t *testing.T) {
 		if phj {
 			opt.Algo = PHJ
 		}
-		res, err := Join(r, s, opt)
+		res, err := join(r, s, opt)
 		if err != nil {
 			return false
 		}
@@ -67,6 +81,7 @@ func TestPLBeatsSingleDeviceAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale comparison")
 	}
+	join := inlineJoiner(t)
 	r := Gen{N: 1 << 19, Seed: 5}.Build()
 	s := Gen{N: 1 << 19, Seed: 6}.Probe(r, 1.0)
 	times := map[string]float64{}
@@ -77,7 +92,7 @@ func TestPLBeatsSingleDeviceAtScale(t *testing.T) {
 		"pl":  {Algo: SHJ, Scheme: PL},
 	} {
 		opt.Delta = 0.05
-		res, err := Join(r, s, opt)
+		res, err := join(r, s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +120,13 @@ func TestExternalJoinFacade(t *testing.T) {
 	s := Gen{N: 1 << 16, Seed: 8}.Probe(r, 1.0)
 	opt := Options{Algo: SHJ, Scheme: PL, Delta: 0.25, PilotItems: 2048}
 	opt.ZeroCopy = ZeroCopyBuffer(1 << 19)
-	if _, err := Join(r, s, opt); err != ErrExceedsZeroCopy {
+	eng := NewEngine()
+	defer eng.Close()
+	ctx := context.Background()
+	if _, err := eng.Join(ctx, Inline(r), Inline(s), WithOptions(opt)); err != ErrExceedsZeroCopy {
 		t.Fatalf("expected ErrExceedsZeroCopy, got %v", err)
 	}
-	res, err := JoinExternal(r, s, opt)
+	res, err := eng.JoinExternal(ctx, Inline(r), Inline(s), WithOptions(opt))
 	if err != nil {
 		t.Fatal(err)
 	}

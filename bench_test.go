@@ -73,6 +73,7 @@ func BenchmarkFig20Locking(b *testing.B)            { benchExperiment(b, "fig20"
 
 func benchJoin(b *testing.B, opt Options) {
 	b.Helper()
+	join := inlineJoiner(b)
 	r := Gen{N: 1 << 17, Seed: 1}.Build()
 	s := Gen{N: 1 << 17, Seed: 2}.Probe(r, 1.0)
 	opt.Delta = 0.1
@@ -80,7 +81,7 @@ func benchJoin(b *testing.B, opt Options) {
 	b.SetBytes(r.Bytes() + s.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Join(r, s, opt)
+		res, err := join(r, s, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,14 +116,16 @@ const parallelSpeedupTuples = 1 << 20
 // parallelSpeedupShape is the 1M-tuple PHJ-PL join of
 // BenchmarkParallelSpeedup. run executes it once on the given worker count
 // and returns the simulated total; matches and simulated time must equal
-// the first run's whatever the count.
-func parallelSpeedupShape() (run func(tb testing.TB, workers int) float64) {
+// the first run's whatever the count. An explicit Options.Workers runs on a
+// transient pool of that size, not the engine's resident one.
+func parallelSpeedupShape(tb testing.TB) (run func(tb testing.TB, workers int) float64) {
+	join := inlineJoiner(tb)
 	r := Gen{N: parallelSpeedupTuples, Seed: 1}.Build()
 	s := Gen{N: parallelSpeedupTuples, Seed: 2}.Probe(r, 1.0)
 	var ref *Result
 	return func(tb testing.TB, workers int) float64 {
 		tb.Helper()
-		res, err := Join(r, s, Options{Algo: PHJ, Scheme: PL, Workers: workers, Delta: 0.05, PilotItems: 1 << 13})
+		res, err := join(r, s, Options{Algo: PHJ, Scheme: PL, Workers: workers, Delta: 0.05, PilotItems: 1 << 13})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -144,7 +147,7 @@ func parallelSpeedupShape() (run func(tb testing.TB, workers int) float64) {
 // hosts. On a single core the workers≥2 rows are skipped rather than
 // reported: they would measure nothing.
 func BenchmarkParallelSpeedup(b *testing.B) {
-	run := parallelSpeedupShape()
+	run := parallelSpeedupShape(b)
 	seen := map[int]bool{}
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		if seen[w] {

@@ -2,7 +2,6 @@ package apujoin
 
 import (
 	"context"
-	"sync"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
@@ -119,9 +118,9 @@ type Source struct {
 // cannot pull the data out from under it.
 func Ref(name string) Source { return Source{name: name} }
 
-// Inline carries a caller-held relation into a single join, the pre-Engine
-// calling convention. Inline joins are measured per query; registering the
-// relation instead moves generation and measurement to ingest.
+// Inline carries a caller-held relation into a single join. Inline joins
+// are measured per query; registering the relation instead moves
+// generation and measurement to ingest.
 func Inline(r Relation) Source { return Source{rel: r} }
 
 // RelationInfo describes one registered relation: size, provenance,
@@ -207,24 +206,11 @@ func (e *Engine) JoinExternal(ctx context.Context, r, s Source, opts ...JoinOpti
 }
 
 // injectPool routes the run onto the engine's resident pool unless the
-// caller asked for a dedicated transient pool (WithWorkers / a legacy
-// Options.Workers) or injected a pool of their own. Pool choice never
+// caller asked for a dedicated transient pool (WithWorkers, or Workers in
+// a WithOptions struct) or injected a pool of their own. Pool choice never
 // changes results, only host wall-clock.
 func (e *Engine) injectPool(opt *core.Options) {
 	if opt.Pool == nil && opt.Workers == 0 {
 		opt.Pool = e.svc.Pool()
 	}
-}
-
-// default engine backing the package-level Join/JoinCtx/JoinExternal
-// shims, started on first use and alive for the process's lifetime.
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the process-wide engine the package-level shims run on.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
 }

@@ -73,8 +73,9 @@ func FuzzJoinAgainstOracle(f *testing.F) {
 				seed, nr, ns, dist, sel)
 		}
 
+		join := inlineJoiner(t)
 		for _, opt := range fuzzCombos() {
-			res, err := Join(r, s, opt)
+			res, err := join(r, s, opt)
 			if err != nil {
 				t.Fatalf("%s-%s on %s: %v", opt.Algo, opt.Scheme, opt.Arch, err)
 			}

@@ -26,7 +26,7 @@ func wantGolden(tb testing.TB, gauge string, got, want float64) {
 }
 
 func TestGoldenParallelSpeedup(t *testing.T) {
-	run := parallelSpeedupShape()
+	run := parallelSpeedupShape(t)
 	for _, workers := range []int{1, 2} {
 		wantGolden(t, fmt.Sprintf("workers=%d sim_ns/op", workers), run(t, workers), 3.0140635094110988e+07)
 	}

@@ -46,7 +46,7 @@ func serviceThroughputShape(tb testing.TB) (run func(tb testing.TB, n int) float
 		tb.Helper()
 		queries := make([]*Query, 0, n)
 		for i := 0; i < n; i++ {
-			q, err := svc.Submit(context.Background(), r, s, opt)
+			q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt})
 			if err != nil {
 				tb.Fatal(err)
 			}

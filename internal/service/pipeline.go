@@ -27,7 +27,7 @@ type PipelineSource struct {
 // PipelineSpec describes a join over N ≥ 2 sources, executed as a chain of
 // pairwise joins: the first two sources of the chosen order join first and
 // every later source probes the previous step's intermediate. Opt configures
-// each pairwise step exactly as in Submit; Auto hands every step's
+// each pairwise step exactly as in SubmitSpec; Auto hands every step's
 // algorithm, scheme and ratios to the planner (per-step plan-cache
 // consultation, catalog statistics reused where both inputs are resident).
 type PipelineSpec struct {

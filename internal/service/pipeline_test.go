@@ -222,7 +222,7 @@ func TestConcurrentPipelinesInvariance(t *testing.T) {
 	// A plain query interleaves with the pipelines on the same pool.
 	r := rel.Gen{N: 10000, Seed: 31}.Build()
 	s := rel.Gen{N: 10000, Seed: 32}.Probe(r, 1.0)
-	plain, err := svc.Submit(context.Background(), r, s, core.Options{Delta: 0.1, PilotItems: 1 << 10})
+	plain, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: core.Options{Delta: 0.1, PilotItems: 1 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +270,8 @@ func TestPipelineAdmission(t *testing.T) {
 	// holder is big enough to still be running while the rest submit.
 	r1 := rel.Gen{N: 1 << 17, Seed: 41}.Build()
 	s1 := rel.Gen{N: 1 << 17, Seed: 42}.Probe(r1, 1.0)
-	holder, err := svc.Submit(context.Background(), r1, s1,
-		core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 4096})
+	holder, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r1, S: s1,
+		Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 // Package service is the multi-query join service layer: a long-lived
 // Service owns one resident sched.Pool shared by every query, an admission
 // layer that bounds how many queries execute and wait at once, a shared
-// plan cache behind SubmitAuto (the planner picks algorithm, scheme and
-// ratios; repeated workload shapes skip the pilot entirely), a relation
-// catalog (register data once, join by name — SubmitSpec/SubmitBatch;
-// named queries pin their relations for their lifetime and reuse the
-// catalog's ingest-time statistics in the planner fingerprint), and a
-// metrics surface aggregated across the service's lifetime.
+// plan cache behind auto joins (JoinSpec.Auto: the planner picks
+// algorithm, scheme and ratios; repeated workload shapes skip the pilot
+// entirely), a relation catalog (register data once, join by name —
+// SubmitSpec/SubmitBatch; named queries pin their relations for their
+// lifetime and reuse the catalog's ingest-time statistics in the planner
+// fingerprint), and a metrics surface aggregated across the service's
+// lifetime.
 //
 // The determinism contract of the execution engine extends to the service:
 // a query's match count and every simulated time are bit-identical whether
@@ -35,7 +36,7 @@ import (
 	"apujoin/internal/shard"
 )
 
-// ErrClosed reports a Submit after Close.
+// ErrClosed reports a submission after Close.
 var ErrClosed = errors.New("service: closed")
 
 // ErrQueueFull reports that the admission queue is at capacity; the caller
@@ -60,7 +61,7 @@ type Config struct {
 	// KeepResults bounds how many finished queries stay pollable; <= 0
 	// defaults to 1024. The oldest finished queries are evicted first.
 	KeepResults int
-	// PlanCache bounds the plan cache consulted by SubmitAuto; <= 0 selects
+	// PlanCache bounds the plan cache consulted by auto joins; <= 0 selects
 	// plan.DefaultCacheCapacity. There is one planner per grid partition —
 	// one on an unsharded service — and each gets this capacity.
 	PlanCache int
@@ -171,8 +172,8 @@ type Query struct {
 	started  time.Time
 	finished time.Time
 
-	// auto marks a SubmitAuto query; plan is the planner's decision, filled
-	// when the query finishes.
+	// auto marks an auto query (JoinSpec.Auto); plan is the planner's
+	// decision, filled when the query finishes.
 	auto bool
 	plan *PlanInfo
 
@@ -563,30 +564,6 @@ func (s *Service) RunExternal(ctx context.Context, spec JoinSpec) (*core.Externa
 	return core.RunExternalCtx(ctx, r, sr, opt)
 }
 
-// Submit enqueues one join R ⋈ S under the per-query options and returns
-// immediately. A free execution slot is claimed on the spot — a burst onto
-// an idle service is never rejected while capacity exists — otherwise the
-// query waits in the bounded queue. ctx cancels it while queued or
-// running. opt.Pool is overridden with the service's shared pool; every
-// other option is per-query (each query gets its own arenas and, when
-// opt.ZeroCopy is nil, its own zero-copy buffer — callers must not share
-// one ZeroCopy across concurrent submissions).
-func (s *Service) Submit(ctx context.Context, r, sr rel.Relation, opt core.Options) (*Query, error) {
-	return s.SubmitSpec(ctx, JoinSpec{R: r, S: sr, Opt: opt})
-}
-
-// SubmitAuto is Submit with the algorithm and scheme decided by the
-// planner: when the query starts executing it consults the service's
-// shared plan cache — a fingerprint hit reuses the cached plan and skips
-// the pilot and ratio searches entirely; a miss builds the plan (both
-// algorithms, every applicable scheme) and caches it for every later query
-// of the same shape. opt.Algo, opt.Scheme and any opt.Plan are ignored;
-// the other options are per-query as in Submit and are part of the
-// workload fingerprint where they shape the plan.
-func (s *Service) SubmitAuto(ctx context.Context, r, sr rel.Relation, opt core.Options) (*Query, error) {
-	return s.SubmitSpec(ctx, JoinSpec{R: r, S: sr, Opt: opt, Auto: true})
-}
-
 // JoinSpec describes one join for SubmitSpec/SubmitBatch: each side is
 // either an inline relation (R/S, or both generated from Gen) or a
 // reference to a registered one (RName/SName). Auto hands algorithm, scheme
@@ -607,8 +584,12 @@ type JoinSpec struct {
 	// Opt is the per-query options; Pool is overridden with the shared
 	// resident pool.
 	Opt core.Options
-	// Auto ignores Opt.Algo/Opt.Scheme and lets the planner decide, as
-	// SubmitAuto does.
+	// Auto ignores Opt.Algo/Opt.Scheme and any Opt.Plan and lets the
+	// planner decide when the query starts executing: a fingerprint hit in
+	// the shared plan cache skips the pilot and ratio searches, a miss
+	// builds the plan and caches it for every later query of the same
+	// shape. The other options are part of the fingerprint where they
+	// shape the plan.
 	Auto bool
 	// Workload, when non-nil, overrides the pair workload the planner
 	// fingerprints with for Auto queries. A cluster router sets it on the
@@ -654,8 +635,14 @@ type resolvedSpec struct {
 
 func (rs *resolvedSpec) release() { releaseAll(rs.pins) }
 
-// SubmitSpec enqueues one join described by a JoinSpec — the general form
-// behind Submit and SubmitAuto that also accepts catalog references.
+// SubmitSpec enqueues one join described by a JoinSpec and returns
+// immediately. A free execution slot is claimed on the spot — a burst onto
+// an idle service is never rejected while capacity exists — otherwise the
+// query waits in the bounded queue. ctx cancels it while queued or
+// running. spec.Opt.Pool is overridden with the service's shared pool;
+// every other option is per-query (each query gets its own arenas and,
+// when Opt.ZeroCopy is nil, its own zero-copy buffer — callers must not
+// share one ZeroCopy across concurrent submissions).
 func (s *Service) SubmitSpec(ctx context.Context, spec JoinSpec) (*Query, error) {
 	qs, err := s.SubmitBatch(ctx, []JoinSpec{spec})
 	if err != nil {
@@ -672,7 +659,7 @@ func (s *Service) SubmitSpec(ctx context.Context, spec JoinSpec) (*Query, error)
 // wait queue, but if the queue cannot hold them the whole batch is
 // rejected with ErrQueueFull (no partial admission). ctx cancels every
 // query of the batch while queued or running; per-query options follow
-// the Submit contract.
+// the SubmitSpec contract.
 func (s *Service) SubmitBatch(ctx context.Context, specs []JoinSpec) ([]*Query, error) {
 	if len(specs) == 0 {
 		return nil, nil

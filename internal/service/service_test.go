@@ -113,7 +113,7 @@ func TestConcurrentQueriesInvariance(t *testing.T) {
 	queries := make([]*Query, len(cases))
 	for i, c := range cases {
 		r, s := c.data()
-		q, err := svc.Submit(context.Background(), r, s, c.options())
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: c.options()})
 		if err != nil {
 			t.Fatalf("%s: submit: %v", c.name, err)
 		}
@@ -130,7 +130,7 @@ func TestConcurrentQueriesInvariance(t *testing.T) {
 	// Serial through the same (now warm) service: one at a time.
 	for i, c := range cases {
 		r, s := c.data()
-		q, err := svc.Submit(context.Background(), r, s, c.options())
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: c.options()})
 		if err != nil {
 			t.Fatalf("%s: serial submit: %v", c.name, err)
 		}
@@ -167,7 +167,7 @@ func TestServiceCloseNoGoroutineLeaks(t *testing.T) {
 	s := rel.Gen{N: 20000, Seed: 2}.Probe(r, 1.0)
 	for i := 0; i < 5; i++ {
 		opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1, PilotItems: 2048}
-		if _, err := svc.Submit(context.Background(), r, s, opt); err != nil {
+		if _, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestServiceCloseNoGoroutineLeaks(t *testing.T) {
 		t.Errorf("goroutines after Close: %d, want <= %d", g, before)
 	}
 
-	if _, err := svc.Submit(context.Background(), r, s, core.Options{}); !errors.Is(err, ErrClosed) {
+	if _, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: core.Options{}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: err %v, want ErrClosed", err)
 	}
 	if err := svc.Close(); err != nil { // idempotent
@@ -203,7 +203,7 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 	// q1 is big enough to still be running while the rest are submitted.
 	r1 := rel.Gen{N: 1 << 17, Seed: 1}.Build()
 	s1 := rel.Gen{N: 1 << 17, Seed: 2}.Probe(r1, 1.0)
-	q1, err := svc.Submit(context.Background(), r1, s1, core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 4096})
+	q1, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r1, S: s1, Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 4096}})
 	if err != nil {
 		t.Fatalf("q1 submit: %v", err)
 	}
@@ -219,19 +219,19 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 	s := rel.Gen{N: 4000, Seed: 4}.Probe(r, 1.0)
 	small := core.Options{Algo: core.SHJ, Scheme: core.DD, Delta: 0.25, PilotItems: 1024}
 
-	q2, err := svc.Submit(context.Background(), r, s, small)
+	q2, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: small})
 	if err != nil {
 		t.Fatalf("q2 submit: %v", err)
 	}
-	q3, err := svc.Submit(context.Background(), r, s, small)
+	q3, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: small})
 	if err != nil {
 		t.Fatalf("q3 submit: %v", err)
 	}
-	q4, err := svc.Submit(context.Background(), r, s, small)
+	q4, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: small})
 	if err != nil {
 		t.Fatalf("q4 submit: %v", err)
 	}
-	if _, err := svc.Submit(context.Background(), r, s, small); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: small}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overflow submit: err %v, want ErrQueueFull", err)
 	}
 	if got := svc.Stats().Rejected; got != 1 {
@@ -271,7 +271,7 @@ func TestResultRetention(t *testing.T) {
 
 	var last *Query
 	for i := 0; i < 6; i++ {
-		q, err := svc.Submit(context.Background(), r, s, opt)
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -291,7 +291,7 @@ func TestResultRetention(t *testing.T) {
 	}
 }
 
-// TestSubmitAutoBitIdentical: queries submitted with SubmitAuto — planner
+// TestSubmitAutoBitIdentical: queries submitted with Auto set — planner
 // decides, plan cache mediates — produce results bit-identical to a plain
 // core.Run with the same plan injected explicitly, whether the plan came
 // from a cache miss or a hit; and the stats surface reports the cache and
@@ -307,7 +307,7 @@ func TestSubmitAutoBitIdentical(t *testing.T) {
 	const queries = 4
 	qs := make([]*Query, queries)
 	for i := range qs {
-		q, err := svc.SubmitAuto(context.Background(), r, s, opt)
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt, Auto: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestSubmitAutoDistinctShapes(t *testing.T) {
 	for i, sh := range shapes {
 		r := rel.Gen{N: 20000, Dist: sh.dist, Seed: int64(100 * (i + 1))}.Build()
 		s := rel.Gen{N: 20000, Dist: sh.dist, Seed: int64(100*(i+1) + 1)}.Probe(r, sh.sel)
-		q, err := svc.SubmitAuto(context.Background(), r, s, opt)
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt, Auto: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,10 +64,10 @@ func WithCountOnly() JoinOption { return func(c *joinConfig) { c.opt.CountOnly =
 // WithPilotItems sets the profiling pilot's sample size.
 func WithPilotItems(n int) JoinOption { return func(c *joinConfig) { c.opt.PilotItems = n } }
 
-// WithOptions seeds the whole legacy Options struct — the escape hatch for
-// knobs without a dedicated JoinOption (fixed ratios, device profiles,
-// allocator config, ...). Later JoinOptions override its fields; it also
-// backs the package-level compatibility shims.
+// WithOptions seeds the whole Options struct — the escape hatch for knobs
+// without a dedicated JoinOption (fixed ratios, device profiles, allocator
+// config, the zero-copy buffer, ...). Later JoinOptions override its
+// fields.
 func WithOptions(opt Options) JoinOption {
 	return func(c *joinConfig) { c.opt = opt }
 }
