@@ -18,7 +18,7 @@ COVERAGE_FLOOR ?= 91
 # may hold: COVERAGE_FLOOR's pattern pointing the other way. The service
 # layer was three copies of one design; this keeps it one. Lower it as the
 # package shrinks; never raise it to merge.
-SERVICE_LOC_CEILING ?= 2124
+SERVICE_LOC_CEILING ?= 2123
 
 .PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -56,9 +56,11 @@ bench:
 # morsels, each beside its twin without the model's accounting (acct-pct), the
 # serial arena bump (Alloc(2), Basic and Block, ns/alloc); then the pipeline
 # hand-off between two joins — the key-count
-# table (single-stream), the streamed producer and the spill partitioner
-# (pools of 1 and 2; the partitioner beside the single-stream append loop it
-# replaced, x-ref) — at 2^14 and 2^17 tuples, a spilled partition's size
+# table (single-stream), the streamed producer as a chain runs it
+# (Multiplicities, then StreamFill from the slab) beside the three-pass
+# producer that looked every key up twice, and the spill partitioner beside
+# the single-stream append loop it replaced (pools of 1 and 2, x-ref) — at
+# 2^14 and 2^17 tuples, a spilled partition's size
 # and the benchmark's relation size. Several rows check their output against a reference and
 # fail on a mismatch, so CI runs the target once per PR at BENCHTIME=1x.
 BENCHTIME ?= 10x

@@ -156,26 +156,155 @@ func TestStreamMaterializeMatchesMapReference(t *testing.T) {
 	}
 }
 
+// streamMaterializeRef is StreamMaterialize as it was before the
+// multiplicity slab: a count pass summing the table over each morsel, the
+// prefix sum, and a fill pass that looks every key up again. It stays as
+// the reference.
+func streamMaterializeRef(pool *sched.Pool, counts rel.Counts, s rel.Relation) rel.Relation {
+	n := s.Len()
+	if n == 0 || counts.Len() == 0 {
+		return rel.Relation{}
+	}
+	perMorsel := sched.CollectRange(pool, 0, n, func(mlo, mhi int) int64 {
+		return counts.Matches(s.Keys[mlo:mhi])
+	})
+	offsets := make([]int64, len(perMorsel))
+	var total int64
+	for i, c := range perMorsel {
+		offsets[i] = total
+		total += c
+	}
+	if total == 0 {
+		return rel.Relation{}
+	}
+	out := rel.Recycled(int(total))
+	pool.ForEach(len(perMorsel), func(i int) {
+		mlo := i * sched.MorselItems
+		mhi := min(mlo+sched.MorselItems, n)
+		at := offsets[i]
+		for _, k := range s.Keys[mlo:mhi] {
+			for c := counts.Of(k); c > 0; c-- {
+				out.RIDs[at] = int32(at)
+				out.Keys[at] = k
+				at++
+			}
+		}
+	})
+	return out
+}
+
+// TestMultiplicitiesMatchReference: every probe tuple's multiplicity is its
+// key's count in the table and the total is Counts.Matches; StreamFill fed
+// from them, and StreamMaterialize, write the bytes the three-pass producer
+// wrote, on pools of 1, 2 and 4 — also for a chunk Of[lo:hi] whose lo is
+// off the morsel grid, the skew fallback's shape, which fills on a grid of
+// its own. Every slab goes back before the next call, so under -race each
+// call runs on poisoned memory.
+func TestMultiplicitiesMatchReference(t *testing.T) {
+	base := rel.Gen{N: 30000, Seed: 21}.Build()
+	dup := rel.Gen{N: 50000, Dist: rel.LowSkew, Seed: 22}.Probe(base, 0.9) // duplicate keys
+	uniform := rel.Gen{N: 3*sched.MorselItems + 5, Seed: 23}.Probe(base, 0.7)
+	for _, tc := range []struct {
+		name   string
+		r, s   rel.Relation
+		lo, hi int // the chunk of s to fill; hi 0 is all of s
+	}{
+		{name: "uniform", r: base, s: uniform},
+		{name: "high skew", r: base, s: rel.Gen{N: 40000, Dist: rel.HighSkew, Seed: 24}.Probe(base, 1.0)},
+		{name: "duplicate build keys", r: dup, s: rel.Gen{N: 1<<14 + 3, Seed: 25}.Probe(base, 0.8)},
+		{name: "empty probe", r: base},
+		{name: "zero matches", r: base, s: rel.Gen{N: 5000, Seed: 26}.Probe(base, 0)},
+		{name: "chunk off the grid", r: base, s: uniform, lo: 5000, hi: 5000 + 2*sched.MorselItems - 77},
+	} {
+		counts := rel.KeyCounts(tc.r)
+		hi := tc.hi
+		if hi == 0 {
+			hi = tc.s.Len()
+		}
+		chunk := tc.s.Slice(tc.lo, hi)
+		for _, workers := range []int{1, 2, 4} {
+			pool := sched.NewPool(workers)
+			want := streamMaterializeRef(pool, counts, chunk)
+			for round := 0; round < 2; round++ {
+				mult := Multiplicities(pool, counts, tc.s.Keys)
+				if len(mult.Of) != tc.s.Len() || mult.Total != counts.Matches(tc.s.Keys) {
+					t.Fatalf("%s, pool %d: %d multiplicities totalling %d, want %d totalling %d",
+						tc.name, workers, len(mult.Of), mult.Total, tc.s.Len(), counts.Matches(tc.s.Keys))
+				}
+				for i, k := range tc.s.Keys {
+					if mult.Of[i] != counts.Of(k) {
+						t.Fatalf("%s, pool %d: multiplicity %d of tuple %d, the table holds %d", tc.name, workers, mult.Of[i], i, counts.Of(k))
+					}
+				}
+				got := StreamFill(pool, chunk, mult.Of[tc.lo:hi])
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, pool %d, round %d: StreamFill differs from the three-pass producer", tc.name, workers, round)
+				}
+				got.Release()
+				mult.Release()
+				got = StreamMaterialize(pool, counts, chunk)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, pool %d, round %d: StreamMaterialize differs from the three-pass producer", tc.name, workers, round)
+				}
+				got.Release()
+			}
+			want.Release()
+			pool.Close()
+		}
+		counts.Release()
+	}
+}
+
 // BenchmarkStreamMaterialize measures the hand-off's producer as a chain
 // runs it — one output produced and released per iteration, the count table
 // built outside the timer (BenchmarkKeyCounts in internal/rel prices it).
+// Per pool, the ref row is the three-pass producer streamMaterializeRef and
+// the mult row what a chain runs, Multiplicities (whose total its pre-check
+// reads) then StreamFill from the slab; the mult row reports its speed-up
+// over the ref row as x-ref. Both fail if their output differs from
+// rel.JoinMaterialize's.
 func BenchmarkStreamMaterialize(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		r := rel.Gen{N: n, Seed: 1}.Build()
 		counts := rel.KeyCounts(r)
 		for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
 			s := rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(r, 1.0)
+			want := rel.JoinMaterialize(r, s)
 			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%v/n=%d/pool=%d", dist, n, workers), func(b *testing.B) {
-					pool := sched.NewPool(workers)
-					defer pool.Close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						StreamMaterialize(pool, counts, s).Release()
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
-				})
+				pool := sched.NewPool(workers)
+				var refNS float64
+				for _, row := range []struct {
+					name    string
+					produce func() rel.Relation
+				}{
+					{"ref", func() rel.Relation { return streamMaterializeRef(pool, counts, s) }},
+					{"mult", func() rel.Relation {
+						mult := Multiplicities(pool, counts, s.Keys)
+						defer mult.Release()
+						return StreamFill(pool, s, mult.Of)
+					}},
+				} {
+					b.Run(fmt.Sprintf("%v/n=%d/pool=%d/%s", dist, n, workers, row.name), func(b *testing.B) {
+						b.ReportAllocs()
+						var out rel.Relation
+						for i := 0; i < b.N; i++ {
+							out.Release()
+							out = row.produce()
+						}
+						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+						b.ReportMetric(ns/float64(n), "ns/tuple")
+						if !reflect.DeepEqual(out, want) {
+							b.Fatalf("%s: output differs from rel.JoinMaterialize", row.name)
+						}
+						out.Release()
+						if row.name == "ref" {
+							refNS = ns
+						} else if refNS > 0 {
+							b.ReportMetric(refNS/ns, "x-ref")
+						}
+					})
+				}
+				pool.Close()
 			}
 		}
 		counts.Release()

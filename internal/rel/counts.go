@@ -143,6 +143,30 @@ func (c Counts) Matches(keys []int32) int64 {
 	return m
 }
 
+// OfEach writes each key's multiplicity to dst — dst[i] = Of(keys[i]) — and
+// returns their sum, Matches(keys). dst must be at least as long as keys.
+func (c Counts) OfEach(dst, keys []int32) int64 {
+	dst = dst[:len(keys)]
+	slots := c.slots
+	if len(slots) == 0 {
+		clear(dst)
+		return 0
+	}
+	mask := len(slots) - 1
+	var m int64
+	for j, k := range keys {
+		i := int(mix(k)) << 1 & mask
+		n := slots[i|1]
+		for n != 0 && slots[i] != k {
+			i = (i + 2) & mask
+			n = slots[i|1]
+		}
+		dst[j] = n
+		m += int64(n)
+	}
+	return m
+}
+
 // Len returns the number of distinct keys.
 func (c Counts) Len() int { return c.n }
 

@@ -218,8 +218,8 @@ func (p *Pool) MapShards(shards int, fn func(shard int) device.Acct) device.Acct
 
 // CollectRange splits [lo,hi) into the fixed MorselItems grid, executes fn
 // over the morsels on the pool, and returns the per-morsel results in grid
-// order: MapRange's records, or the per-morsel counts the streamed
-// pipeline producer sizes its output with before the parallel fill. The
+// order: MapRange's records, or the per-morsel match totals of the
+// streamed pipeline hand-off's multiplicity pass. The
 // grid — and with it the returned slice — is a pure function of [lo,hi);
 // the worker count only decides which goroutine computes which entry.
 func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {

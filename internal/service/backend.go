@@ -291,7 +291,7 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 			c.replan = j.order.replan
 		}
 		in := in[p*n : (p+1)*n]
-		if err := sp.runChain(c, in, order, rel.Counts{}, 0); err != nil {
+		if err := sp.runChain(c, in, order, rel.Counts{}, core.Mults{}); err != nil {
 			return err
 		}
 		// The spill I/O of every level the spiller reached attaches to the

@@ -174,21 +174,24 @@ type chain struct {
 // pairwise steps: a grid partition's chain runs here, and so does every
 // partition chain the spiller starts.
 //
-// Before a non-final step runs, its build side's key counts give the exact
-// intermediate size. One the budget cannot hold hands the remaining chain
-// to the spiller at c.level without running the step. One that fits is
-// produced morsel-parallel (core.StreamMaterialize) straight into the
+// Before a non-final step runs, its probe keys are looked up in its build
+// side's key counts once, on the pool (core.Multiplicities): the total is
+// the exact intermediate size. One the budget cannot hold hands the
+// remaining chain to the spiller at c.level without running the step. One
+// that fits is produced morsel-parallel from the same per-tuple
+// multiplicities (core.StreamFill, no second lookup) straight into the
 // buffer the next step builds from — recycler slabs this chain hands back
 // — reserved through sp.reserve and returned once the consumer step has
 // run, so a chain holds at most one intermediate and never names, pins or
 // indexes it.
 //
-// counts is in[order[0]]'s key → multiplicity table when the caller holds
-// one (a spilled partition's) and stays the caller's; known is then its
-// Matches over in[order[1]]'s keys, which the first pre-check reads instead
-// of summing again. Every other build side's table the chain derives when
-// the step hands an intermediate on (the last step needs none) and releases
-// after the hand-off. A step
+// counts and known are in[order[0]]'s key → multiplicity table and
+// in[order[1]]'s multiplicities against it when the caller holds them (a
+// spilled partition's), and stay the caller's: the first pre-check reads
+// known's total and the first hand-off fills from it. Every other build
+// side's table and multiplicities the chain derives when the step hands an
+// intermediate on (the last step needs none) and releases after the
+// hand-off. A step
 // whose build counts are in hand plans from them (plan.CountsWorkload —
 // the measured workload by construction); the first step prefers wFirst.
 //
@@ -196,17 +199,20 @@ type chain struct {
 // planner refuses empty relations) nor run, reports a zero result, and its
 // empty intermediate flows on. Emptiness depends only on the data (and the
 // fixed grid), so the skip is deterministic.
-func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts, known int64) error {
+func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts, known core.Mults) error {
 	n := len(order)
 	// reserved (phys of it charged) backs cur and inter is cur once this
-	// chain produced it; own is counts once this chain derived them. All are
-	// handed back after the consumer step has run, or on exit.
+	// chain produced it; own and ownMult are counts and known once this
+	// chain derived them. All are handed back after the consumer step has
+	// run, or on exit.
 	var reserved, phys int64
 	var inter rel.Relation
 	var own rel.Counts
+	var ownMult core.Mults
 	defer func() {
 		sp.unreserve(reserved, phys)
 		own.Release()
+		ownMult.Release()
 		inter.Release()
 	}()
 
@@ -221,9 +227,10 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			if !empty {
 				if counts.Len() == 0 {
 					own = rel.KeyCounts(cur)
-					counts, known = own, own.Matches(probe.Keys)
+					ownMult = core.Multiplicities(sp.opt.Pool, own, probe.Keys)
+					counts, known = own, ownMult
 				}
-				if matches = known; matches > math.MaxInt32 {
+				if matches = known.Total; matches > math.MaxInt32 {
 					return fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", matches))
 				}
 			}
@@ -282,12 +289,11 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 		sp.unreserve(reserved, phys)
 		reserved = matches * 8
 		phys = sp.reserve(reserved)
-		var next rel.Relation
-		if !empty {
-			next = core.StreamMaterialize(sp.opt.Pool, counts, probe)
-		}
+		// An empty step's known is zero or all zeros: it fills nothing.
+		next := core.StreamFill(sp.opt.Pool, probe, known.Of)
 		own.Release()
-		counts = rel.Counts{}
+		ownMult.Release()
+		counts, known = rel.Counts{}, core.Mults{}
 		inter.Release()
 		cur, inter = next, next
 		if int64(next.Len()) != stepRes.Matches {

@@ -130,10 +130,14 @@ func (sp *spiller) unreserve(demand, phys int64) {
 //
 // Every input splits on the pool into consecutive sub-slices of one keys
 // slab and one RIDs slab, handed back when run returns. The build side's
-// key counts are derived once, per partition and on the pool, beside the
-// partition's exact first intermediate: partitions hold disjoint key sets,
+// key counts are derived once, per partition and on the pool, and so are
+// the multiplicities of the partition's probe keys against them, whose
+// total is its exact first intermediate: partitions hold disjoint key sets,
 // so the heaviest key overall is the heaviest of any partition, and a
-// partition's table and size then serve its first chain step.
+// partition's table and multiplicities then serve its first chain step —
+// its pre-check reads the total and its hand-off fills from the slab, so
+// that step looks its probe up once. run owns both and releases them when
+// it returns.
 func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
 	if depth > sp.depth {
 		sp.depth = depth
@@ -143,18 +147,20 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 	}
 	split, slab := shard.SplitAt(sp.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
 	var counts [shard.Partitions]rel.Counts
+	var mults [shard.Partitions]core.Mults
 	defer func() {
 		for p := range counts {
 			counts[p].Release()
+			mults[p].Release()
 		}
 		slab.Release()
 	}()
 	// Partitioning is by key, so partition p's first intermediate is the sum
-	// of the build-side counts of p's probe keys.
-	var matches [shard.Partitions]int64
+	// of the build-side counts of p's probe keys. The loop is the
+	// parallelism: each partition's lookups run inline.
 	sp.opt.Pool.ForEach(shard.Partitions, func(p int) {
 		counts[p] = rel.KeyCounts(split[0][p])
-		matches[p] = counts[p].Matches(split[1][p].Keys)
+		mults[p] = core.Multiplicities(nil, counts[p], split[1][p].Keys)
 	})
 	var heaviest int32
 	for p := range counts {
@@ -190,7 +196,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 		// out and read back once — but a partition with an empty side joins
 		// to nothing (the chain reports zero results for it) and is never
 		// written out.
-		if m := matches[p] * 8; residentCum+m <= sp.budget {
+		if m := mults[p].Total * 8; residentCum+m <= sp.budget {
 			residentCum += m
 		} else if in[0].Len() > 0 && in[1].Len() > 0 {
 			sp.parts++
@@ -198,7 +204,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 			sp.ns += cost.SpillRoundTripNS(b)
 		}
 		pc.steps, pc.plans = pc.steps[:0], pc.plans[:0]
-		if err := sp.runChain(&pc, in, order, counts[p], matches[p]); err != nil {
+		if err := sp.runChain(&pc, in, order, counts[p], mults[p]); err != nil {
 			return nil, fmt.Errorf("spill partition %d (level %d): %w", p, depth, err)
 		}
 		for t, r := range pc.steps {
@@ -240,24 +246,24 @@ func (sp *spiller) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Resu
 // streamStep processes chain level j for one build relation: walk
 // probes[j] in chunks whose exact intermediate fits the chunk cap, run the
 // step per chunk, and recurse each chunk's intermediate into level j+1.
-// Results accumulate per level in a fixed sequential order.
+// The probe's multiplicities are computed once: they cut the chunks, and
+// each chunk's intermediate fills from its own stretch of them. Results
+// accumulate per level in a fixed sequential order.
 func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes []rel.Relation, j int) error {
 	probe := probes[j]
 	if build.Len() == 0 || probe.Len() == 0 {
 		return nil
 	}
-	capB := sp.budget
-	if min := int64(streamChunk) * 8; capB < min {
-		capB = min
-	}
+	capB := max(sp.budget, int64(streamChunk)*8)
 	last := j == len(probes)-1
 	counts := rel.KeyCounts(build)
-	defer counts.Release()
-	for lo := 0; lo < probe.Len(); {
+	mult := core.Multiplicities(sp.opt.Pool, counts, probe.Keys)
+	counts.Release()
+	defer mult.Release()
+	for lo, hi := 0, 0; lo < probe.Len(); lo = hi {
 		var m int64
-		hi := lo
 		for hi < probe.Len() {
-			dm := int64(counts.Of(probe.Keys[hi]))
+			dm := int64(mult.Of[hi])
 			if hi > lo && (m+dm)*8 > capB {
 				break
 			}
@@ -265,7 +271,6 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 			hi++
 		}
 		chunk := probe.Slice(lo, hi)
-		lo = hi
 		stepRes, err := core.RunCtx(sp.ctx, build, chunk, sp.opt)
 		if err != nil {
 			return fmt.Errorf("stream step %d: %w", j, err)
@@ -276,7 +281,7 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 		}
 		bytes := stepRes.Matches * 8
 		phys := sp.reserve(bytes)
-		inter := core.StreamMaterialize(sp.opt.Pool, counts, chunk)
+		inter := core.StreamFill(sp.opt.Pool, chunk, mult.Of[lo:hi])
 		err = sp.streamStep(acc, inter, probes, j+1)
 		inter.Release()
 		sp.unreserve(bytes, phys)

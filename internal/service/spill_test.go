@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"apujoin/internal/core"
 	"apujoin/internal/oracle"
@@ -179,41 +180,75 @@ func TestSpilledPipelineUnchanged(t *testing.T) {
 }
 
 // TestSpillSteadyStateAllocationCeiling: once the recycler is warm, a
-// spilled pipeline's split slabs, count tables, planner samples and
-// hand-off buffers come from it and go back to it, and what a run still
-// allocates is the small records of its two dozen partition joins, about
-// 0.5 MB. The shape is the benchmark's pipeline_spill (r, s, u of 2^17
-// tuples, v a quarter, 256 KB of headroom), which allocated 25 MB per run
-// through the map-backed hand-off and 4.55 MB while the splits made fresh
-// columns (3.4 MB of them). The cheapest lost Release — one intermediate
-// per partition — costs 1.2 MB, so the 1.5 MB ceiling fails on any one of
-// them. The collector is off for the duration so that no slab is freed in
-// between.
+// pipeline's split slabs, count tables, multiplicity slabs, planner samples
+// and hand-off buffers come from it and go back to it, and what a run still
+// allocates is the small records of its joins. The spilled shape is the
+// benchmark's pipeline_spill (r, s, u of 2^17 tuples, v a quarter, 256 KB
+// of headroom): a warm run allocates about 0.44 MB, where it allocated
+// 25 MB through the map-backed hand-off and 4.55 MB while the splits made
+// fresh columns (3.4 MB of them). Two more shapes cover the other owners of
+// a multiplicity slab: a resident chain that derives two steps' slabs, and
+// a heavy-key build side that the skew fallback streams. The eight
+// per-partition slabs of the spilled shape are 512 KB together, and the
+// other shapes' first probes are 2^18 tuples, 1 MB of multiplicities, so any
+// one lost Release puts a warm run over the 0.75 MB ceiling. Each shape
+// starts on a recycler emptied of spares, which would otherwise stand in
+// for a lost slab, and the collector is off for the duration so that no
+// slab is freed in between.
 func TestSpillSteadyStateAllocationCeiling(t *testing.T) {
-	const n, ceiling = 1 << 17, 3 << 19
+	const n, ceiling = 1 << 17, 3 << 18
 	r := rel.Gen{N: n, Seed: 1}.Build()
-	sh := spillShape{headroom: 256 << 10, rels: []rel.Relation{r,
-		rel.Gen{N: n, Seed: 2}.Probe(r, 1.0),
-		rel.Gen{N: n, Seed: 3}.Probe(r, 1.0),
-		rel.Gen{N: n / 4, Seed: 4}.Probe(r, 0.5),
-	}}
-	svc := sh.load(t, 2)
+	small := rel.Gen{N: n / 2, Seed: 5}.Build()
+	const nHeavy = 1 << 10 * 3 / 5
+	skewed := skewedRels(nHeavy, nHeavy)
+	skewed[1] = rel.Gen{N: 2 * n, Seed: 6}.Probe(skewed[0].Slice(nHeavy, skewed[0].Len()), 0.01)
+	for i := 0; i < 4; i++ {
+		skewed[1].Keys[i*7] = skewed[0].Keys[0]
+	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if pr := sh.run(t, svc); pr.SpilledPartitions == 0 {
-			t.Fatal("the pipeline did not spill")
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first := run()
-	warm := run()
-	t.Logf("first run allocated %d B, a warm run %d B (ceiling %d B)", first, warm, ceiling)
-	if warm > ceiling {
-		t.Fatalf("a warm spilled pipeline over 2^17-tuple relations allocates %d B, above the ceiling of %d B: a split slab, a count table or a hand-off buffer is not going back to the recycler", warm, ceiling)
+	for _, tc := range []struct {
+		sh   spillShape
+		path string
+		took func(*PipelineResult) bool
+	}{
+		{spillShape{name: "spilled", headroom: 256 << 10, rels: []rel.Relation{r,
+			rel.Gen{N: n, Seed: 2}.Probe(r, 1.0),
+			rel.Gen{N: n, Seed: 3}.Probe(r, 1.0),
+			rel.Gen{N: n / 4, Seed: 4}.Probe(r, 0.5),
+		}}, "spill", func(pr *PipelineResult) bool { return pr.SpilledPartitions > 0 }},
+		{spillShape{name: "resident", headroom: 4 << 20, rels: []rel.Relation{small,
+			rel.Gen{N: 2 * n, Seed: 6}.Probe(small, 0.25),
+			rel.Gen{N: n / 2, Seed: 7}.Probe(small, 1.0),
+			rel.Gen{N: n / 8, Seed: 8}.Probe(small, 0.5),
+		}}, "stay resident", func(pr *PipelineResult) bool { return pr.PeakIntermediateBytes > 256<<10 && pr.SpilledPartitions == 0 }},
+		{spillShape{name: "streamed", headroom: 4 << 10, rels: skewed}, "stream",
+			func(pr *PipelineResult) bool { return pr.IntermediateBytes > 4<<10 && pr.SpilledPartitions == 0 }},
+	} {
+		t.Run(tc.sh.name, func(t *testing.T) {
+			svc := tc.sh.load(t, 2)
+			// Two collections age every spare out of the recycler; its
+			// ageing runs on the finalizer goroutine after each one.
+			for range 3 {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			run := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if pr := tc.sh.run(t, svc); !tc.took(pr) {
+					t.Fatalf("the pipeline did not %s", tc.path)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			first := run()
+			warm := run()
+			t.Logf("first run allocated %d B, a warm run %d B (ceiling %d B)", first, warm, ceiling)
+			if warm > ceiling {
+				t.Fatalf("a warm pipeline allocates %d B, above the ceiling of %d B: a split slab, a count table, a multiplicity slab or a hand-off buffer is not going back to the recycler", warm, ceiling)
+			}
+		})
 	}
 }
 
