@@ -87,9 +87,12 @@ bench-host:
 # Explore new inputs against the brute-force join oracle: every algorithm ×
 # scheme combination and 3–4-relation pipelines must match it exactly.
 # A failure writes the input to testdata/fuzz/FuzzJoinAgainstOracle/ —
-# commit it as a permanent regression seed.
+# commit it as a permanent regression seed. Then the router's shard-reply
+# reader against encoding/json (internal/service/api): what it accepts must
+# decode to the identical value.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzJoinAgainstOracle -fuzztime=$(FUZZ_TIME) .
+	$(GO) test -run=NONE -fuzz=FuzzDecodeJoinEnvelope -fuzztime=15s ./internal/service/api
 
 # Coverage with an enforced floor: per-package lines from go test, the
 # total from the merged profile, fail below COVERAGE_FLOOR percent. The

@@ -128,12 +128,13 @@ type Pool struct {
 
 // NewPool builds the pool and starts the health checker. Shards start
 // optimistically up; the first probe round corrects that within one
-// HealthInterval.
+// HealthInterval. The pool owns its transport, so Close can close its
+// connections without touching other clients'.
 func NewPool(cfg Config) *Pool {
 	cfg.setDefaults()
 	p := &Pool{
 		cfg:    cfg,
-		client: &http.Client{},
+		client: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		stop:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
@@ -146,10 +147,13 @@ func NewPool(cfg Config) *Pool {
 	return p
 }
 
-// Close stops the health checker and waits for it.
+// Close stops the health checker, waits for it and closes the pool's idle
+// keep-alive connections, whose reader and writer goroutines would
+// otherwise outlive it.
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
+	p.client.CloseIdleConnections()
 }
 
 // Size returns the number of shards.
@@ -183,6 +187,9 @@ func (p *Pool) jitter(d time.Duration) time.Duration {
 	return time.Duration(p.rng.Int63n(int64(d)/2 + 1))
 }
 
+// maxReply bounds how much of one shard reply is read.
+const maxReply = 256 << 20
+
 // envelope is the /v1 response envelope: the payload under "result", or a
 // structured error.
 type envelope struct {
@@ -193,14 +200,22 @@ type envelope struct {
 	} `json:"error"`
 }
 
+// envelopeDecoder is implemented by result types that read a whole
+// {"result": …} body themselves. DecodeEnvelope reports false when it
+// declines the body; Call then decodes it with encoding/json.
+type envelopeDecoder interface {
+	DecodeEnvelope(raw []byte) bool
+}
+
 // Call performs one request against shard i: method and path against the
 // shard's base URL, in (when non-nil) marshaled as the JSON body, the
-// envelope's result decoded into out (when non-nil). Idempotent requests
-// (GET) retry on transport errors and 5xx responses with exponential
-// backoff plus jitter; everything else gets exactly one attempt. Transport
-// failures wrap ErrShardDown; structured shard failures return a
-// *ShardError. Each attempt is bounded by the pool's Timeout on top of
-// ctx.
+// envelope's result decoded into out (when non-nil) in one pass — by out's
+// own DecodeEnvelope when it has one and accepts the body. Idempotent
+// requests (GET) retry on transport errors and 5xx responses with
+// exponential backoff plus jitter; everything else gets exactly one
+// attempt. Transport failures wrap ErrShardDown; structured shard failures
+// return a *ShardError. Each attempt is bounded by the pool's Timeout on
+// top of ctx.
 func (p *Pool) Call(ctx context.Context, i int, method, path string, in, out any) error {
 	s := p.shards[i]
 	var body []byte
@@ -273,23 +288,32 @@ func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, 
 		return true, fmt.Errorf("shard %d (%s): %s %s: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	// One read into a buffer the Content-Length sizes, rather than
+	// io.ReadAll's doubling from 512 bytes.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxReply {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxReply))
+	raw := buf.Bytes()
 	if err != nil {
 		return true, fmt.Errorf("shard %d (%s): %s %s: read: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
 	}
-	var env envelope
 	if resp.StatusCode < 300 {
 		if out == nil {
 			return false, nil
 		}
-		if err := json.Unmarshal(raw, &env); err != nil {
-			return false, fmt.Errorf("shard %d (%s): %s %s: decode: %w", s.index, s.addr, method, path, err)
+		if d, ok := out.(envelopeDecoder); ok && d.DecodeEnvelope(raw) {
+			return false, nil
 		}
-		if err := json.Unmarshal(env.Result, out); err != nil {
-			return false, fmt.Errorf("shard %d (%s): %s %s: decode result: %w", s.index, s.addr, method, path, err)
+		if err := json.Unmarshal(raw, &struct {
+			Result any `json:"result"`
+		}{out}); err != nil {
+			return false, fmt.Errorf("shard %d (%s): %s %s: decode: %w", s.index, s.addr, method, path, err)
 		}
 		return false, nil
 	}
+	var env envelope
 	se := &ShardError{Shard: s.index, Addr: s.addr, Status: resp.StatusCode, Code: "internal", Message: http.StatusText(resp.StatusCode)}
 	if json.Unmarshal(raw, &env) == nil {
 		switch {

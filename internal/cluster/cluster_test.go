@@ -96,6 +96,43 @@ func TestClientRetriesIdempotent(t *testing.T) {
 	}
 }
 
+// ownReader is a result with its own envelope reader, which accepts a body
+// only when accept is set and then marks what it read with Attempt -1.
+type ownReader struct {
+	OK      bool  `json:"ok"`
+	Attempt int32 `json:"attempt"`
+	accept  bool
+}
+
+func (r *ownReader) DecodeEnvelope([]byte) bool {
+	if r.accept {
+		r.Attempt = -1
+	}
+	return r.accept
+}
+
+// TestCallDecodesOnce: a result with its own reader is decoded by it alone
+// when it accepts the body, and by encoding/json when it declines.
+func TestCallDecodesOnce(t *testing.T) {
+	srv := httptest.NewServer((&flakyShard{}).handler())
+	defer srv.Close()
+	p := NewPool(Config{Addrs: []string{srv.URL}, HealthInterval: time.Hour})
+	defer p.Close()
+
+	accepted, declined := ownReader{accept: true}, ownReader{}
+	for _, out := range []*ownReader{&accepted, &declined} {
+		if err := p.Call(context.Background(), 0, http.MethodGet, "/v1/thing", nil, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if accepted.OK || accepted.Attempt != -1 {
+		t.Errorf("an accepted body was decoded again: %+v", accepted)
+	}
+	if !declined.OK || declined.Attempt != 2 {
+		t.Errorf("a declined body was not decoded by encoding/json: %+v", declined)
+	}
+}
+
 // TestRetriesExhausted checks a GET against a persistently failing shard
 // stops after 1+Retries attempts and returns the last error rather than
 // looping.

@@ -14,6 +14,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/cluster"
@@ -320,12 +322,47 @@ func wirePipelineParts(pp *service.PipelinePartitions) *api.PipelineParts {
 	return wire
 }
 
+// bodyBufs recycles the buffers response bodies are encoded into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers bodyBufs keeps: one huge listing must
+// not pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+// writeJSON encodes v compactly into a pooled buffer first and only then
+// writes the status, Content-Length and body in one call, so a value that
+// cannot be encoded (a NaN or ±Inf float) becomes a structured 500, never
+// the success status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorEnvelope{Error: wireError{Code: "internal", Message: "encode response: " + err.Error()}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+}
+
+// resultEnvelope and errorEnvelope are the two shapes of every /v1 body.
+type resultEnvelope struct {
+	Result any `json:"result"`
+}
+
+type errorEnvelope struct {
+	Error wireError `json:"error"`
+}
+
+type wireError struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // writeResult emits the unified success envelope every 2xx response uses:
@@ -336,7 +373,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // release" after the envelope unification) are gone: the payload lives
 // under "result" and nowhere else.
 func writeResult(w http.ResponseWriter, status int, v any) {
-	writeJSON(w, status, map[string]any{"result": v})
+	writeJSON(w, status, resultEnvelope{Result: v})
 }
 
 // writeError emits the unified error envelope every failure path uses:
@@ -349,9 +386,7 @@ func writeResult(w http.ResponseWriter, status int, v any) {
 // top-level "status" mirror of the HTTP status code has been removed with
 // the payload mirrors — the status is on the HTTP response itself.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]any{
-		"error": map[string]any{"code": errorCode(status, err), "message": err.Error()},
-	})
+	writeJSON(w, status, errorEnvelope{Error: wireError{Code: errorCode(status, err), Message: err.Error()}})
 }
 
 // errorCode derives the envelope's stable error code: sentinel errors

@@ -557,3 +557,26 @@ func TestShutdownNoGoroutineLeaks(t *testing.T) {
 		t.Errorf("goroutines after shutdown: %d, want <= %d", g, before)
 	}
 }
+
+// TestEncodeFailureIsStructured500: a payload encoding/json cannot write
+// (a NaN float) becomes a structured 500 with a decodable body, never the
+// success status over an empty one.
+func TestEncodeFailureIsStructured500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeResult(rec, http.StatusOK, map[string]float64{"total_ms": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q does not decode: %v", rec.Body.String(), err)
+	}
+	if env.Error.Code != "internal" || env.Error.Message == "" {
+		t.Errorf("error envelope %+v, want code internal with a message", env.Error)
+	}
+	if got, want := rec.Header().Get("Content-Length"), fmt.Sprint(rec.Body.Len()); got != want {
+		t.Errorf("Content-Length %s, body %s bytes", got, want)
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"apujoin/internal/httpapi"
 	"apujoin/internal/rel"
 	"apujoin/internal/service"
+	"apujoin/internal/service/api"
 )
 
 // startShardServer boots one apujoind-equivalent shard server: an
@@ -27,12 +30,34 @@ import (
 func startShardServer(t *testing.T, shards int) *httptest.Server {
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: shards})
-	ts := httptest.NewServer(httpapi.New(svc, httpapi.Config{}))
+	ts := httptest.NewServer(readerAccepts(t, httpapi.New(svc, httpapi.Config{})))
 	t.Cleanup(func() {
 		ts.Close()
 		_ = svc.Close()
 	})
 	return ts
+}
+
+// readerAccepts passes a shard server's traffic through and fails the test
+// when the router's one-pass reader, api.JoinResponse.DecodeEnvelope,
+// declines a successful join or pipeline reply: the router would still
+// decode it right, through encoding/json, and silently lose the reader.
+func readerAccepts(t *testing.T, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/join" && r.URL.Path != "/v1/pipeline" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var resp api.JoinResponse
+		if rec.Code < 300 && !resp.DecodeEnvelope(rec.Body.Bytes()) {
+			t.Errorf("the reader declines a %s reply: %s", r.URL.Path, rec.Body)
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	})
 }
 
 // clusterService builds a cluster-backed service over the given shard
@@ -215,7 +240,7 @@ func TestClusterHTTPInlineInvariance(t *testing.T) {
 // recovery is covered by the pool's own health tests.
 func TestClusterShardDownFailsFast(t *testing.T) {
 	svc1 := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: 1})
-	ts1 := httptest.NewServer(httpapi.New(svc1, httpapi.Config{}))
+	ts1 := httptest.NewServer(readerAccepts(t, httpapi.New(svc1, httpapi.Config{})))
 	t.Cleanup(func() { ts1.Close(); _ = svc1.Close() })
 	ts2 := startShardServer(t, 1)
 
@@ -386,5 +411,37 @@ func TestClusterRegisterLostReplyLeavesNoOrphan(t *testing.T) {
 	}
 	if info, ok := svc.RelationInfo("orders"); !ok || info.Tuples == 0 {
 		t.Errorf("retry did not place the slice: %+v ok=%v", info, ok)
+	}
+}
+
+// TestClusterRouterCloseReclaimsGoroutines: a router that ran joins over
+// two shard servers and is closed leaves no goroutine behind — not its
+// health checker, not its workers, and not the reader and writer of a
+// keep-alive connection of its pool's transport.
+func TestClusterRouterCloseReclaimsGoroutines(t *testing.T) {
+	addrs := []string{startShardServer(t, 1).URL, startShardServer(t, 2).URL}
+	before := runtime.NumGoroutine()
+
+	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Cluster: addrs})
+	registerTriple(t, svc)
+	for _, spec := range []service.JoinSpec{
+		{RName: "orders", SName: "lineitem", Opt: ddOptions(t, "phj")},
+		{RName: "orders", SName: "lineitem", Auto: true},
+	} {
+		if _, err := svc.RunJoin(context.Background(), spec); err != nil {
+			t.Fatalf("auto=%v: %v", spec.Auto, err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutines after the router closed: %d, want <= %d", g, before)
 	}
 }
