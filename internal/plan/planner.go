@@ -11,6 +11,8 @@ import (
 // service layer owns and every auto-planned query consults.
 type Planner struct {
 	cache *Cache
+	// seat, when set, makes the planner one chain of a Turns fan-out.
+	seat *seat
 }
 
 // New returns a planner over a fresh cache of the given capacity
@@ -35,7 +37,7 @@ func (p *Planner) Plan(ctx context.Context, r, s rel.Relation, opt core.Options)
 // query therefore fingerprints without reading either relation.
 func (p *Planner) PlanWorkload(ctx context.Context, r, s rel.Relation, opt core.Options, w Workload) (pl *core.Plan, fp Fingerprint, hit bool, err error) {
 	fp = OfWorkload(r, s, opt, w)
-	pl, hit, err = p.cache.GetOrBuild(ctx, fp, func() (*core.Plan, error) {
+	pl, hit, err = p.lookup(ctx, fp, func() (*core.Plan, error) {
 		return core.BuildPlan(r, s, opt)
 	})
 	return pl, fp, hit, err

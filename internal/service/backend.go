@@ -7,6 +7,7 @@ import (
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
+	"apujoin/internal/cost"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
@@ -237,31 +238,28 @@ func (b *localBackend) partitionBudget(p int) int64 {
 // the grid partition, never the shard, and the job's full-relation workload
 // (registered pairs) stands in for measuring the slice.
 func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error) {
-	errs := make([]error, b.grid)
+	parts := make([]*core.Result, b.grid)
 	plans := make([]*PlanInfo, b.grid)
-	parts := sched.Collect(b.pool, int(b.grid), func(p int) *core.Result {
-		if j.rParts[p].Len() == 0 || j.sParts[p].Len() == 0 {
-			return emptyResult(j.opt)
-		}
+	err := runPartitions(b.pool, int(b.grid), func(p int) error {
 		res, pl, hit, err := planRun(ctx, plannerIf(j.auto, b.planners[p]), j.rParts[p], j.sParts[p], j.opt, j.workload)
-		errs[p], plans[p] = err, planInfo(pl, hit)
-		return res
+		parts[p], plans[p] = res, planInfo(pl, hit)
+		return err
 	})
-	return parts, plans, firstPartitionErr(errs)
+	return parts, plans, err
 }
 
-// firstPartitionErr selects the lowest failing partition's error:
-// deterministic whatever order the partitions finished in. A grid of one
-// has no partition to name.
-func firstPartitionErr(errs []error) error {
-	for p, err := range errs {
-		if err == nil {
-			continue
+// runPartitions runs fn once per partition, concurrently on the pool, and
+// returns the lowest failing partition's error: deterministic whatever
+// order the partitions finished in. A single partition has no partition to
+// name.
+func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
+	for p, err := range sched.Collect(pool, n, fn) {
+		if err != nil && n > 1 {
+			return fmt.Errorf("partition %d: %w", p, err)
 		}
-		if len(errs) == 1 {
+		if err != nil {
 			return err
 		}
-		return fmt.Errorf("partition %d: %w", p, err)
 	}
 	return nil
 }
@@ -284,8 +282,8 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 	}
 	order := j.order.order
 	pp := newPipelinePartitions(n-1, grid)
-	errs := sched.Collect(b.pool, grid, func(p int) error {
-		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: j.opt, budget: b.partitionBudget(p)}
+	err := runPartitions(b.pool, grid, func(p int) error {
+		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: b.partitionBudget(p)}
 		c := &chain{level: b.grid.Levels(), wFirst: j.wFirst, steps: make([]*core.Result, 0, n-1), plans: make([]*PlanInfo, 0, n-1)}
 		if b.grid.Whole() {
 			c.replan = j.order.replan
@@ -298,8 +296,12 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 		// first spilled step of the grid partition's chain alone: merged
 		// partition chains would count it again.
 		if s := c.spilled; s != nil {
-			s.SpilledPartitions, s.SpillBytes, s.SpillNS = sp.parts, sp.bytes, sp.ns
-			s.TotalNS += sp.ns
+			for _, b := range sp.spills {
+				s.SpilledPartitions++
+				s.SpillBytes += b
+				s.SpillNS += cost.SpillRoundTripNS(b)
+			}
+			s.TotalNS += s.SpillNS
 		}
 		// Step t builds from step t-1's intermediate, of exactly its matches.
 		build := in[order[0]].Len()
@@ -314,7 +316,7 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 		pp.InterBytes[p], pp.Peak[p], pp.SpillDepth[p] = pp.InterTuples[p]*8, sp.peak, sp.depth
 		return nil
 	})
-	if err := firstPartitionErr(errs); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	return pp, nil

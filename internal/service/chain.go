@@ -35,9 +35,14 @@ func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 
 // planRun is the one place a pairwise join is planned and executed: with a
 // planner it plans first (planFor) and runs under the plan; a nil planner
-// runs opt as given. pl and hit report the planner's decision (nil, false
-// when nothing was planned).
+// runs opt as given. A pair with an empty side joins to nothing: it is
+// neither planned (the planner refuses empty relations) nor run, and
+// reports a zero result. pl and hit report the planner's decision (nil,
+// false when nothing was planned).
 func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload) (res *core.Result, pl *core.Plan, hit bool, err error) {
+	if r.Len() == 0 || s.Len() == 0 {
+		return emptyResult(opt), nil, false, nil
+	}
 	if p != nil {
 		if pl, hit, err = planFor(ctx, p, r, s, opt, w); err != nil {
 			return nil, nil, false, fmt.Errorf("plan: %w", err)
@@ -99,16 +104,6 @@ func chooseOrder(srcs []pipeSource, declared bool, pair pairFn) *pipeOrder {
 	return o
 }
 
-// firstWorkload is the first step's pair workload when both of its
-// inputs are registered (nil otherwise: the planner measures). Later steps
-// build from intermediates and are always measured.
-func firstWorkload(srcs []pipeSource, order []int, pair pairFn) *plan.Workload {
-	if w, ok := pair(&srcs[order[0]], &srcs[order[1]]); ok {
-		return &w
-	}
-	return nil
-}
-
 // replan is runChain's re-order hook. The orderer predicted step t's output
 // when it chose the order; when the observation deviates beyond
 // replanDeviation and at least two steps remain (one remaining step has no
@@ -164,9 +159,20 @@ type chain struct {
 	replan func(t int, matches int64)
 
 	steps []*core.Result
+	// plans is nil for a spilled partition's chain: no result reports its
+	// planner decisions.
 	plans []*PlanInfo
 	// spilled is the first step the spiller ran (nil: the chain ran whole).
 	spilled *core.Result
+}
+
+// add appends one step and, when the chain keeps plans, its planner
+// decision.
+func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
+	c.steps = append(c.steps, r)
+	if c.plans != nil {
+		c.plans = append(c.plans, planInfo(pl, hit))
+	}
 }
 
 // runChain executes in[order[0]] ⋈ in[order[1]] ⋈ … as a chain of pairwise
@@ -220,6 +226,11 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 	for t := 1; t < n; t++ {
 		probe := in[order[t]]
 		fail := func(err error) error { return fmt.Errorf("step %d: %w", t, err) }
+		// A cancelled query starts no further step, here or in any other
+		// partition chain of its fan-out.
+		if err := sp.ctx.Err(); err != nil {
+			return fail(err)
+		}
 		empty := cur.Len() == 0 || probe.Len() == 0
 		last := t == n-1
 		var matches int64
@@ -252,34 +263,25 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 				}
 				c.spilled = steps[0]
 				for _, r := range steps {
-					c.steps = append(c.steps, r)
-					c.plans = append(c.plans, nil)
+					c.add(r, nil, false)
 				}
 				return nil
 			}
 		}
 
-		var stepRes *core.Result
-		var pinfo *PlanInfo
-		if empty {
-			stepRes = emptyResult(sp.opt)
-		} else {
-			w := c.wFirst
-			if t > 1 {
-				w = nil
-			}
-			if w == nil && sp.planner != nil && counts.Len() > 0 {
-				cw := plan.CountsWorkload(counts, probe)
-				w = &cw
-			}
-			res, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, sp.opt, w)
-			if err != nil {
-				return fail(err)
-			}
-			stepRes, pinfo = res, planInfo(pl, hit)
+		w := c.wFirst
+		if t > 1 {
+			w = nil
 		}
-		c.steps = append(c.steps, stepRes)
-		c.plans = append(c.plans, pinfo)
+		if w == nil && sp.planner != nil && counts.Len() > 0 {
+			cw := plan.CountsWorkload(counts, probe)
+			w = &cw
+		}
+		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, *sp.opt, w)
+		if err != nil {
+			return fail(err)
+		}
+		c.add(stepRes, pl, hit)
 		if last {
 			break
 		}

@@ -631,8 +631,13 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 		return rs, err
 	}
 	pj.order = chooseOrder(pj.sources, pj.declared, t.recWorkload)
-	if spec.Auto && pj.wFirst == nil {
-		pj.wFirst = firstWorkload(pj.sources, pj.order.order, t.recWorkload)
+	// The first step plans from its pair workload when both of its inputs
+	// are registered (otherwise the planner measures); later steps build
+	// from intermediates and are always measured.
+	if o := pj.order.order; spec.Auto && pj.wFirst == nil {
+		if w, ok := t.recWorkload(&pj.sources[o[0]], &pj.sources[o[1]]); ok {
+			pj.wFirst = &w
+		}
 	}
 	rs.pipe = pj
 	return rs, nil
@@ -680,9 +685,7 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult
 		res.IntermediateTuples += pp.InterTuples[p]
 		res.IntermediateBytes += pp.InterBytes[p]
 		res.PeakIntermediateBytes += pp.Peak[p]
-		if pp.SpillDepth[p] > res.SpillDepth {
-			res.SpillDepth = pp.SpillDepth[p]
-		}
+		res.SpillDepth = max(res.SpillDepth, pp.SpillDepth[p])
 	}
 	if pj.keep {
 		res.Partitions = pp

@@ -890,22 +890,10 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 			s.stats.Replans += pipe.Replans
 			s.stats.SpilledPartitions += pipe.SpilledPartitions
 			s.stats.SpillBytes += pipe.SpillBytes
-			if pipe.PeakIntermediateBytes > s.stats.PeakIntermediateBytesStreamed {
-				s.stats.PeakIntermediateBytesStreamed = pipe.PeakIntermediateBytes
-			}
+			s.stats.PeakIntermediateBytesStreamed = max(s.stats.PeakIntermediateBytesStreamed, pipe.PeakIntermediateBytes)
 			s.stats.SimulatedNS += pipe.TotalNS
 			for _, step := range pipe.Steps {
-				sr := step.Result
-				s.stats.Phases.Partition += sr.PartitionNS
-				s.stats.Phases.Build += sr.BuildNS
-				s.stats.Phases.Probe += sr.ProbeNS
-				s.stats.Phases.Merge += sr.MergeNS
-				s.stats.Phases.Transfer += sr.TransferNS
-				if step.Plan != nil {
-					s.stats.PlanPredictedNS += step.Plan.PredictedNS
-					s.stats.PlanSimulatedNS += sr.TotalNS
-					s.stats.PlanAbsErrNS += math.Abs(step.Plan.PredictedNS - sr.TotalNS)
-				}
+				s.stats.addRun(step.Result, step.Plan)
 			}
 			if q.auto {
 				s.stats.AutoPlanned++
@@ -913,21 +901,29 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 			break
 		}
 		s.stats.SimulatedNS += res.TotalNS
-		s.stats.Phases.Partition += res.PartitionNS
-		s.stats.Phases.Build += res.BuildNS
-		s.stats.Phases.Probe += res.ProbeNS
-		s.stats.Phases.Merge += res.MergeNS
-		s.stats.Phases.Transfer += res.TransferNS
+		s.stats.addRun(res, pl)
 		if pl != nil {
 			s.stats.AutoPlanned++
-			s.stats.PlanPredictedNS += pl.PredictedNS
-			s.stats.PlanSimulatedNS += res.TotalNS
-			s.stats.PlanAbsErrNS += math.Abs(pl.PredictedNS - res.TotalNS)
 		}
 	case Failed:
 		s.stats.Failed++
 	case Canceled:
 		s.stats.Canceled++
+	}
+}
+
+// addRun folds one executed join — a query's, or one pipeline step's —
+// into the phase totals and, when it was planned, the planner's error.
+func (st *Stats) addRun(r *core.Result, pl *PlanInfo) {
+	st.Phases.Partition += r.PartitionNS
+	st.Phases.Build += r.BuildNS
+	st.Phases.Probe += r.ProbeNS
+	st.Phases.Merge += r.MergeNS
+	st.Phases.Transfer += r.TransferNS
+	if pl != nil {
+		st.PlanPredictedNS += pl.PredictedNS
+		st.PlanSimulatedNS += r.TotalNS
+		st.PlanAbsErrNS += math.Abs(pl.PredictedNS - r.TotalNS)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
-	"apujoin/internal/cost"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/shard"
@@ -63,18 +62,17 @@ const (
 	replanDeviation = 1.0
 )
 
-// spiller is what one grid partition's chain runs against — the catalog
-// its intermediates reserve in, its planner (nil runs every step under the
-// base options) and its residency budget — and, once a chain spills, the
-// hybrid-hash spill executor of the rest: every partition chain it starts
-// runs through runChain on the same spiller, so spill I/O, depth and the
-// resident peak accumulate in one place. It is not safe for concurrent
-// use; the morsel parallelism inside each step (opt.Pool) is unaffected.
+// spiller is what one chain runs against — the catalog its intermediates
+// reserve in, its planner (nil runs every step under the base options) and
+// its residency budget — and, once the chain spills, the hybrid-hash spill
+// executor of the rest, with the spill accounting of every level below. A
+// spiller is not safe for concurrent use: run gives each partition chain a
+// child spiller of its own and folds the children back in partition order.
 type spiller struct {
 	ctx     context.Context
 	cat     *catalog.Catalog
 	planner *plan.Planner
-	opt     core.Options
+	opt     *core.Options
 	// budget pre-checks every intermediate before it is produced: a grid
 	// partition's share of the total budget less what is registered into
 	// it, so which chains spill is a pure function of data and budget,
@@ -82,13 +80,12 @@ type spiller struct {
 	// pipelines hold.
 	budget int64
 
-	// Spill accounting: partitions written to the simulated store, their
-	// input bytes, the simulated I/O charged, and the deepest
-	// repartitioning level reached.
-	parts int64
-	bytes int64
-	ns    float64
-	depth int
+	// spills holds the input bytes of every partition written to the
+	// simulated store, in the order the sequential spill executor meets
+	// them — their count, sum and I/O charge are the spill accounting —
+	// and depth the deepest repartitioning level reached.
+	spills []int64
+	depth  int
 	// resident/peak track the demand of every transient reservation, for
 	// the pipeline's peak-footprint gauge.
 	resident int64
@@ -108,18 +105,14 @@ type spiller struct {
 func (sp *spiller) reserve(b int64) (phys int64) {
 	phys = sp.cat.ReserveTransient(b)
 	sp.resident += b
-	if sp.resident > sp.peak {
-		sp.peak = sp.resident
-	}
+	sp.peak = max(sp.peak, sp.resident)
 	return phys
 }
 
 // unreserve returns a reserve's physically charged portion to the catalog
 // and retires its full demand from the spiller's gauge.
 func (sp *spiller) unreserve(demand, phys int64) {
-	if phys > 0 {
-		sp.cat.Unreserve(phys)
-	}
+	sp.cat.Unreserve(phys)
 	sp.resident -= demand
 }
 
@@ -139,9 +132,7 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // that step looks its probe up once. run owns both and releases them when
 // it returns.
 func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
-	if depth > sp.depth {
-		sp.depth = depth
-	}
+	sp.depth = max(sp.depth, depth)
 	if depth >= maxSpillDepth {
 		return sp.stream(cur, probes)
 	}
@@ -172,48 +163,68 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 		return sp.stream(cur, probes)
 	}
 
+	// Hybrid residency: first-fit in partition order over the exact sizes,
+	// keeping as many partitions resident as the budget holds, in one pass
+	// before any chain runs. Resident partitions pay no spill I/O;
+	// everything else is written out and read back once — but a partition
+	// with an empty side joins to nothing (the chain reports zero results
+	// for it) and is never written out.
+	const n = shard.Partitions
+	var spills [n]int64
+	var residentCum int64
+	for p := range spills {
+		if m := mults[p].Total * 8; residentCum+m <= sp.budget {
+			residentCum += m
+		} else if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
+			for j := range split {
+				spills[p] += split[j][p].Bytes()
+			}
+		}
+	}
+
 	// Every partition's chain runs through runChain one level down, from
-	// its build side's counts — an intermediate the budget cannot hold
-	// recurses through the chain's own pre-check. in holds the partition's
-	// inputs in chain order.
-	in := make([]rel.Relation, len(split))
-	order := make([]int, len(in))
+	// its build side's counts, on a child spiller, concurrently on the pool
+	// (an intermediate the budget cannot hold recurses through the chain's
+	// own pre-check); Turns keeps their planner decisions in partition
+	// order. A chain's inputs, in chain order, sit on its own stack.
+	order := make([]int, len(split))
 	for i := range order {
 		order[i] = i
 	}
-	pc := chain{level: depth + 1, steps: make([]*core.Result, 0, len(probes)), plans: make([]*PlanInfo, 0, len(probes))}
-	perStep := make([]*core.Result, len(probes)*shard.Partitions)
-	var residentCum int64
-	for p := range shard.Partitions {
-		var b int64
+	k := len(probes)
+	steps := make([]*core.Result, n*k)
+	kids := make([]spiller, n)
+	turns := sp.planner.Turns(n, func(p int, pl *plan.Planner) error {
+		var buf [4]rel.Relation
+		in := buf[:0]
 		for j := range split {
-			in[j] = split[j][p]
-			b += in[j].Bytes()
+			in = append(in, split[j][p])
 		}
-		// Hybrid residency: first-fit in partition order over the exact
-		// sizes, keeping as many partitions resident as the budget holds.
-		// Resident partitions pay no spill I/O; everything else is written
-		// out and read back once — but a partition with an empty side joins
-		// to nothing (the chain reports zero results for it) and is never
-		// written out.
-		if m := mults[p].Total * 8; residentCum+m <= sp.budget {
-			residentCum += m
-		} else if in[0].Len() > 0 && in[1].Len() > 0 {
-			sp.parts++
-			sp.bytes += b
-			sp.ns += cost.SpillRoundTripNS(b)
-		}
-		pc.steps, pc.plans = pc.steps[:0], pc.plans[:0]
-		if err := sp.runChain(&pc, in, order, counts[p], mults[p]); err != nil {
-			return nil, fmt.Errorf("spill partition %d (level %d): %w", p, depth, err)
-		}
-		for t, r := range pc.steps {
-			perStep[t*shard.Partitions+p] = r
-		}
+		kids[p] = spiller{ctx: sp.ctx, cat: sp.cat, planner: pl, opt: sp.opt, budget: sp.budget}
+		c := chain{level: depth + 1, steps: steps[p*k : p*k : (p+1)*k]}
+		return kids[p].runChain(&c, in, order, counts[p], mults[p])
+	})
+	if err := runPartitions(sp.opt.Pool, n, turns.Run); err != nil {
+		return nil, fmt.Errorf("level %d: %w", depth, err)
 	}
-	out := make([]*core.Result, len(probes))
+
+	// The children fold back in partition order, as if their chains had run
+	// one after another on this spiller.
+	for p, kid := range kids {
+		if spills[p] > 0 {
+			sp.spills = append(sp.spills, spills[p])
+		}
+		sp.spills = append(sp.spills, kid.spills...)
+		sp.depth = max(sp.depth, kid.depth)
+		sp.peak = max(sp.peak, sp.resident+kid.peak)
+	}
+	out := make([]*core.Result, k)
+	var col [n]*core.Result
 	for t := range out {
-		out[t] = shard.MergeResults(perStep[t*shard.Partitions : (t+1)*shard.Partitions])
+		for p := range col {
+			col[p] = steps[p*k+t]
+		}
+		out[t] = shard.MergeResults(col[:])
 	}
 	return out, nil
 }
@@ -235,7 +246,7 @@ func (sp *spiller) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Resu
 	out := make([]*core.Result, len(probes))
 	for t := range perStep {
 		if len(perStep[t]) == 0 {
-			out[t] = emptyResult(sp.opt)
+			out[t] = emptyResult(*sp.opt)
 			continue
 		}
 		out[t] = shard.MergeResults(perStep[t])
@@ -271,7 +282,7 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 			hi++
 		}
 		chunk := probe.Slice(lo, hi)
-		stepRes, err := core.RunCtx(sp.ctx, build, chunk, sp.opt)
+		stepRes, err := core.RunCtx(sp.ctx, build, chunk, *sp.opt)
 		if err != nil {
 			return fmt.Errorf("stream step %d: %w", j, err)
 		}

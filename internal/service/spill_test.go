@@ -4,10 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"apujoin/internal/core"
 	"apujoin/internal/oracle"
 	"apujoin/internal/rel"
+	"apujoin/internal/shard"
 )
 
 // spillShape is one spilled four-source pipeline: relations, the catalog
@@ -108,22 +111,38 @@ func (sh *spillShape) loadOn(t testing.TB, cfg Config) *Service {
 	return svc
 }
 
-// spillSpec is the auto, declared-order pipeline over r, s, u, v.
-func spillSpec() PipelineSpec {
+// spillSpec is the auto, declared-order pipeline over the first n of r,
+// s, u, v.
+func spillSpec(n int) PipelineSpec {
 	spec := PipelineSpec{Opt: core.Options{Delta: 0.25, PilotItems: 1 << 8}, Auto: true, DeclaredOrder: true}
-	for _, name := range spillNames {
+	for _, name := range spillNames[:n] {
 		spec.Sources = append(spec.Sources, PipelineSource{Name: name})
 	}
 	return spec
 }
 
-func (sh *spillShape) run(t testing.TB, svc *Service) *PipelineResult {
+// spec is the shape's pipeline on the service's pool, so the spilled
+// partitions' chains run as concurrently as its worker count allows.
+func (sh *spillShape) spec(svc *Service) PipelineSpec {
+	spec := spillSpec(len(sh.rels))
+	spec.Opt.Pool = svc.Pool()
+	return spec
+}
+
+// exec runs the shape's pipeline.
+func (sh *spillShape) exec(t testing.TB, svc *Service) *PipelineResult {
 	t.Helper()
-	pr, err := svc.RunPipeline(context.Background(), spillSpec())
+	pr, err := svc.RunPipeline(context.Background(), sh.spec(svc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return normalizeCacheHits(pr)
+	return pr
+}
+
+// run runs the shape's pipeline and drops which plans were cache hits.
+func (sh *spillShape) run(t testing.TB, svc *Service) *PipelineResult {
+	t.Helper()
+	return normalizeCacheHits(sh.exec(t, svc))
 }
 
 // resident is the bytes the shape's relations occupy in the catalog.
@@ -139,8 +158,8 @@ func (sh *spillShape) resident() int64 {
 // side derivation and the recycled hand-off buffers change no number of a
 // spilled pipeline. Each shape — partitions resident at depth 0, recursive
 // repartitioning, and the streaming fallback of an indivisible key — must
-// reproduce the PipelineResult the map-backed hand-off produced, twice and
-// again on another worker count: the later runs execute on
+// reproduce the PipelineResult the map-backed hand-off produced, again on
+// one, two and four workers: the later runs execute on
 // slabs the earlier ones released, which a -race build hands back poisoned,
 // so a table or column read past what its owner wrote, or released while
 // still in use, changes a number here.
@@ -160,13 +179,12 @@ func TestSpilledPipelineUnchanged(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != sh.digest {
 				t.Errorf("PipelineResult digest %s, want %s (TotalNS %v)", got, sh.digest, first.TotalNS)
 			}
-			// A fresh service, so the plan cache is as cold as it was for the
+			// Fresh services, so the plan cache is as cold as it was for the
 			// first run; the recycler is the process's and stays warm.
-			if again := sh.run(t, sh.load(t, 2)); !reflect.DeepEqual(again, first) {
-				t.Error("the second run, on recycled slabs, differs from the first")
-			}
-			if other := sh.run(t, sh.load(t, 1)); !reflect.DeepEqual(other, first) {
-				t.Error("a one-worker service differs from the two-worker one")
+			for _, workers := range []int{1, 2, 4} {
+				if other := sh.run(t, sh.load(t, workers)); !reflect.DeepEqual(other, first) {
+					t.Errorf("a run on %d workers, on recycled slabs, differs from the first", workers)
+				}
 			}
 			var resident int64
 			for _, r := range sh.rels {
@@ -194,7 +212,10 @@ func TestSpilledPipelineUnchanged(t *testing.T) {
 // one lost Release puts a warm run over the 0.75 MB ceiling. Each shape
 // starts on a recycler emptied of spares, which would otherwise stand in
 // for a lost slab, and the collector is off for the duration so that no
-// slab is freed in between.
+// slab is freed in between. The service has one worker, so the partition
+// chains run in partition order and a warm run takes exactly the slabs the
+// run before handed back; concurrent chains hold a different set of slabs
+// at once on every schedule, and take a few runs to warm.
 func TestSpillSteadyStateAllocationCeiling(t *testing.T) {
 	const n, ceiling = 1 << 17, 3 << 18
 	r := rel.Gen{N: n, Seed: 1}.Build()
@@ -226,7 +247,7 @@ func TestSpillSteadyStateAllocationCeiling(t *testing.T) {
 			func(pr *PipelineResult) bool { return pr.IntermediateBytes > 4<<10 && pr.SpilledPartitions == 0 }},
 	} {
 		t.Run(tc.sh.name, func(t *testing.T) {
-			svc := tc.sh.load(t, 2)
+			svc := tc.sh.load(t, 1)
 			// Two collections age every spare out of the recycler; its
 			// ageing runs on the finalizer goroutine after each one.
 			for range 3 {
@@ -332,7 +353,7 @@ func TestConcurrentSpillDeterminism(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						results[i], errs[i] = svc.RunPipeline(context.Background(), spillSpec())
+						results[i], errs[i] = svc.RunPipeline(context.Background(), sh.spec(svc))
 					}()
 				}
 				wg.Wait()
@@ -350,6 +371,177 @@ func TestConcurrentSpillDeterminism(t *testing.T) {
 			}
 			if got := svc.Stats().Catalog.Bytes; got != sh.resident() {
 				t.Errorf("%d catalog bytes after the runs, the relations occupy %d", got, sh.resident())
+			}
+		})
+	}
+}
+
+// fanOutPlanShape is a three-source pipeline that spills at level 0 into
+// two chains, in partitions 0 and 1, whose second steps share one plan
+// fingerprint — 1000 ⋈ 1000 tuples, uniform, every probe key matching —
+// while their data differ: partition 0's intermediate has 1000 distinct
+// keys that match once each, partition 1's has 250 keys that match four
+// times each. A plan built from partition 1's data is a different plan.
+// Partition 0's first step (4000 ⋈ 1000) is the heavier one, so partition
+// 1 tends to reach the shared fingerprint first.
+func fanOutPlanShape() spillShape {
+	var keys [2][]int32
+	for k := int32(1); len(keys[0]) < 4000 || len(keys[1]) < 250; k++ {
+		if p := shard.PartitionAt(k, 0); p < 2 {
+			keys[p] = append(keys[p], k)
+		}
+	}
+	a, b := keys[0][:4000], keys[1][:250]
+	r := append([]int32(nil), a...)
+	s := append([]int32(nil), a[:1000]...)
+	u := append([]int32(nil), a[:1000]...)
+	for range 2 {
+		r, s = append(r, b...), append(s, b...)
+	}
+	for range 4 {
+		u = append(u, b...)
+	}
+	rels := make([]rel.Relation, 3)
+	for i, keys := range [][]int32{r, s, u} {
+		rels[i] = rel.Relation{RIDs: make([]int32, len(keys)), Keys: keys}
+		for j := range keys {
+			rels[i].RIDs[j] = int32(j)
+		}
+	}
+	return spillShape{name: "fan-out plan order", rels: rels, headroom: 12 << 10}
+}
+
+// planCounters are a service's plan-cache counters.
+func planCounters(svc *Service) [4]int64 {
+	st := svc.Stats()
+	return [4]int64{st.PlanHits, st.PlanMisses, st.PlanEvictions, int64(st.PlanEntries)}
+}
+
+// TestSpillFanOutPlanOrder: spilled partition chains run concurrently, yet
+// a plan two of them share is built from the lower partition's data, and
+// every lookup hits or misses as it does when the chains run in partition
+// order. A cold run, then a warm one, on one, two and four workers — and
+// again on a two-entry plan cache, where the chains' inserts evict each
+// other's plans — must return the same PipelineResult, cache hits
+// included, and leave the same plan-cache counters.
+func TestSpillFanOutPlanOrder(t *testing.T) {
+	sh := fanOutPlanShape()
+	type outcome struct {
+		cold, warm           *PipelineResult
+		coldPlans, warmPlans [4]int64
+	}
+	for _, capacity := range []int{0, 2} {
+		t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
+			var want *outcome
+			for _, workers := range []int{1, 2, 4} {
+				svc := sh.loadOn(t, Config{Workers: workers, PlanCache: capacity})
+				var got outcome
+				got.cold, got.coldPlans = sh.exec(t, svc), planCounters(svc)
+				got.warm, got.warmPlans = sh.exec(t, svc), planCounters(svc)
+				if want == nil {
+					// Both chains plan their first step and share the second:
+					// three misses and one hit on a cold cache.
+					if got.cold.SpilledPartitions != 1 || got.cold.SpillDepth != 0 || got.coldPlans[0] != 1 || got.coldPlans[1] != 3 {
+						t.Fatalf("%d partitions spilled to depth %d with %d plan hits and %d misses: the fixture lost its shared fingerprint",
+							got.cold.SpilledPartitions, got.cold.SpillDepth, got.coldPlans[0], got.coldPlans[1])
+					}
+					want = &got
+					continue
+				}
+				if !reflect.DeepEqual(got, *want) {
+					t.Errorf("%d workers: the run differs from the one-worker run (plan counters cold %v warm %v, want %v and %v)",
+						workers, got.coldPlans, got.warmPlans, want.coldPlans, want.warmPlans)
+				}
+			}
+		})
+	}
+}
+
+// boundaryCtx is cancelled by the k-th call to Done — the k-th step
+// boundary the engine checks — and counts the calls after it. The count
+// and the close share one lock, so every call counted after the cancel
+// sees it.
+type boundaryCtx struct {
+	context.Context
+	mu          sync.Mutex
+	left, after int
+	done        chan struct{}
+}
+
+func cancelAtBoundary(k int) *boundaryCtx {
+	return &boundaryCtx{Context: context.Background(), left: k, done: make(chan struct{})}
+}
+
+func (c *boundaryCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.left--; {
+	case c.left == 0:
+		close(c.done)
+	case c.left < 0:
+		c.after++
+	}
+	return c.done
+}
+
+func (c *boundaryCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// afterCancel is how many boundaries were checked after the cancel.
+func (c *boundaryCtx) afterCancel() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.after
+}
+
+// TestSpillFanOutCancellation cancels the depth-0 spill at every step
+// boundary in turn, on one, two and four workers. Each run must fail with
+// the one cancellation error of its lowest failing partition, and no
+// partition may start a step after the cancel: besides the chain that saw
+// it, only chains already inside a step — at most one per other worker —
+// may reach one more boundary. Every transient byte and every goroutine
+// must be back afterwards, and once k passes the last boundary the run
+// completes with the uncancelled result.
+func TestSpillFanOutCancellation(t *testing.T) {
+	sh := spillShapes()[0]
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			svc := sh.load(t, workers)
+			want := sh.run(t, svc)
+			goroutines := runtime.NumGoroutine()
+			for k := 1; ; k++ {
+				ctx := cancelAtBoundary(k)
+				pr, err := svc.RunPipeline(ctx, sh.spec(svc))
+				if got := svc.Stats().Catalog.Bytes; got != sh.resident() {
+					t.Fatalf("k=%d: %d catalog bytes after the run, the relations occupy %d", k, got, sh.resident())
+				}
+				if err == nil {
+					if k == 1 {
+						t.Fatal("the pipeline checked no step boundary")
+					}
+					if !reflect.DeepEqual(normalizeCacheHits(pr), want) {
+						t.Errorf("k=%d: the run past the last boundary differs from the uncancelled one", k)
+					}
+					break
+				}
+				if !errors.Is(err, context.Canceled) || strings.Count(err.Error(), context.Canceled.Error()) != 1 {
+					t.Fatalf("k=%d: %v, want one cancellation error", k, err)
+				}
+				if n := ctx.afterCancel(); n > workers-1 {
+					t.Fatalf("k=%d: %d step boundaries were checked after the cancel on %d workers: a partition started a step after it", k, n, workers)
+				}
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("%d goroutines after the cancelled runs, %d before", n, goroutines)
 			}
 		})
 	}
