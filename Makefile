@@ -18,7 +18,7 @@ COVERAGE_FLOOR ?= 91
 # may hold: COVERAGE_FLOOR's pattern pointing the other way. The service
 # layer was three copies of one design; this keeps it one. Lower it as the
 # package shrinks; never raise it to merge.
-SERVICE_LOC_CEILING ?= 2123
+SERVICE_LOC_CEILING ?= 2095
 
 .PHONY: all build test race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

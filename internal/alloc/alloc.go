@@ -101,7 +101,7 @@ func (s *Stats) Add(t Stats) {
 // pre-sized capacity and refuses to grow.
 type Arena struct {
 	// next is the bump pointer: atomic in Grab and Used, plain in the
-	// serial Alloc and Reset. The first field, so 64-bit aligned for the
+	// serial Alloc. The first field, so 64-bit aligned for the
 	// atomics on 32-bit platforms.
 	next       int64
 	cfg        Config
@@ -140,24 +140,15 @@ func FreshStats(cfg Config, m int64, n int) Stats {
 	return a.stats
 }
 
-// Config returns the arena's configuration.
-func (a *Arena) Config() Config { return a.cfg }
-
 // Stats returns a snapshot of the allocator counters.
 func (a *Arena) Stats() Stats { return a.stats }
 
 // Used returns the number of words handed out (including block waste).
 func (a *Arena) Used() int { return int(atomic.LoadInt64(&a.next)) }
 
-// Cap returns the arena capacity in words.
-func (a *Arena) Cap() int { return len(a.words) }
-
 // Words exposes the backing array; callers index it with offsets returned
 // by Alloc, exactly as OpenCL kernels index a pre-allocated buffer.
 func (a *Arena) Words() []int32 { return a.words }
-
-// At returns a pointer to word i for read-modify-write sequences.
-func (a *Arena) At(i int32) *int32 { return &a.words[i] }
 
 // Alloc reserves n words and returns the offset of the first.
 // The arena grows transparently if exhausted (the paper sizes the
@@ -238,28 +229,6 @@ func (a *Arena) foldStats(s Stats) {
 	a.statsMu.Lock()
 	a.stats.Add(s)
 	a.statsMu.Unlock()
-}
-
-// GroupGrabs accounts for the per-work-group partial blocks the single-stream
-// simulation cannot see: when a kernel with groups work groups finishes, each
-// group abandons its partial block. Callers invoke it once per kernel launch
-// under the Block strategy.
-func (a *Arena) GroupGrabs(groups int) {
-	if a.cfg.Strategy != Block || groups <= 1 {
-		return
-	}
-	// Each extra group grabbed at least one block of its own and wasted
-	// half a block on average.
-	a.stats.GlobalAtomics += int64(groups - 1)
-	a.stats.WastedWords += int64(groups-1) * int64(a.blockWords) / 2
-}
-
-// Reset forgets all allocations but keeps capacity and configuration.
-func (a *Arena) Reset() {
-	clear(a.words[:min(a.Used(), len(a.words))])
-	a.next = 0
-	a.blockLeft = 0
-	a.stats = Stats{}
 }
 
 // Release hands the backing array to the slab recycler. The arena must not

@@ -71,22 +71,23 @@ func TestArenaAllocAfterGrab(t *testing.T) {
 // BenchmarkArenaAlloc measures the serial bump allocation that every
 // materialized p4 pair and every single-stream table node takes: 2^20
 // Alloc(2) requests per op under Basic and Block, reported as ns/alloc.
-// The arena is reset outside the timer.
+// Each op takes a fresh arena outside the timer.
 func BenchmarkArenaAlloc(b *testing.B) {
 	const n = 1 << 20
 	for _, cfg := range []alloc.Config{{Strategy: alloc.Basic}, {Strategy: alloc.Block}} {
 		b.Run(fmt.Sprint(cfg.Strategy), func(b *testing.B) {
-			a := alloc.New(cfg, 2*n+64)
-			defer a.Release()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				a.Reset()
+				a := alloc.New(cfg, 2*n+64)
 				b.StartTimer()
 				for range n {
 					a.Alloc(2)
 				}
+				b.StopTimer()
+				a.Release()
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/alloc")
 		})

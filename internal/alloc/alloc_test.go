@@ -106,8 +106,8 @@ func TestArenaGrowsPreservingContents(t *testing.T) {
 	if a.Words()[off] != 99 {
 		t.Fatal("growth lost contents")
 	}
-	if a.Cap() < 1002 {
-		t.Fatalf("cap %d after growth", a.Cap())
+	if len(a.Words()) < 1002 {
+		t.Fatalf("cap %d after growth", len(a.Words()))
 	}
 }
 
@@ -126,35 +126,6 @@ func TestWasteTracking(t *testing.T) {
 	a.Alloc(10) // doesn't fit the 6 remaining words: wastes them
 	if a.Stats().WastedWords != 6 {
 		t.Fatalf("wasted words %d, want 6", a.Stats().WastedWords)
-	}
-}
-
-func TestGroupGrabs(t *testing.T) {
-	a := New(Config{Strategy: Block, BlockBytes: 2048}, 1024)
-	before := a.Stats()
-	a.GroupGrabs(8)
-	d := a.Stats().Sub(before)
-	if d.GlobalAtomics != 7 {
-		t.Fatalf("group grabs added %d atomics, want 7", d.GlobalAtomics)
-	}
-	// Basic strategy: no-op.
-	b := New(Config{Strategy: Basic}, 1024)
-	b.GroupGrabs(8)
-	if b.Stats().GlobalAtomics != 0 {
-		t.Fatal("GroupGrabs must be a no-op for the basic allocator")
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := New(Config{Strategy: Block}, 64)
-	off := a.Alloc(4)
-	a.Words()[off] = 7
-	a.Reset()
-	if a.Used() != 0 || a.Stats() != (Stats{}) {
-		t.Fatal("reset incomplete")
-	}
-	if a.Words()[off] != 0 {
-		t.Fatal("reset did not zero words")
 	}
 }
 

@@ -47,7 +47,7 @@ func TestLocalOversizedRequest(t *testing.T) {
 	a := New(Config{Strategy: Block, BlockBytes: 64}, 1024)
 	l := a.NewLocal()
 	off := l.Alloc(100) // > 16-word block: direct grab
-	if off < 0 || int(off)+100 > a.Cap() {
+	if off < 0 || int(off)+100 > len(a.Words()) {
 		t.Fatalf("oversized offset %d", off)
 	}
 	if st := l.Stats(); st.GlobalAtomics != 1 || st.LocalOps != 0 {

@@ -221,8 +221,8 @@ func TestArenaGrowsThroughRecycler(t *testing.T) {
 		a.Words()[off] = int32(i)
 		offs = append(offs, off)
 	}
-	if a.Cap() < 3*MinSlabWords {
-		t.Fatalf("arena did not grow: cap %d", a.Cap())
+	if len(a.Words()) < 3*MinSlabWords {
+		t.Fatalf("arena did not grow: cap %d", len(a.Words()))
 	}
 	for i, off := range offs {
 		if a.Words()[off] != int32(i) {

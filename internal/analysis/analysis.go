@@ -53,17 +53,6 @@ func All() []*Analyzer {
 	return []*Analyzer{DetMapOrder, FloatSum, NakedGo, WallClock, Envelope, SlabMake}
 }
 
-// ByName resolves an analyzer name; it reports false for unknown names
-// (the driver turns unknown pragma targets into errors with this).
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
 	Analyzer  *Analyzer

@@ -169,69 +169,3 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	return pkgs, nil
 }
-
-// LoadFixture type-checks a single directory of Go files that is not part
-// of the module build (an analysistest-style fixture under testdata),
-// pretending it lives at import path asPath so path-scoped analyzers
-// treat it as the package under test. Imports are resolved the same way
-// Load resolves them: `go list -export` run from moduleDir supplies the
-// export data for whatever the fixture imports.
-func LoadFixture(moduleDir, fixtureDir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
-	}
-	// First pass with a throwaway FileSet: collect the import set so the
-	// export data can be resolved before the real type-checking parse.
-	scanFset := token.NewFileSet()
-	imported := make(map[string]bool)
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		path := filepath.Join(fixtureDir, e.Name())
-		f, err := parser.ParseFile(scanFset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", path, err)
-		}
-		names = append(names, e.Name())
-		for _, imp := range f.Imports {
-			imported[strings.Trim(imp.Path.Value, `"`)] = true
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in fixture %s", fixtureDir)
-	}
-	exports := make(map[string]string)
-	if len(imported) > 0 {
-		patterns := make([]string, 0, len(imported))
-		for p := range imported {
-			patterns = append(patterns, p)
-		}
-		sort.Strings(patterns)
-		listed, err := goList(moduleDir, patterns...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Error != nil {
-				return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	pkg, err := typeCheck(fset, imp, listedPackage{
-		ImportPath: asPath,
-		Dir:        fixtureDir,
-		GoFiles:    names,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}

@@ -58,8 +58,8 @@ type Config struct {
 	// generous, because a fanned-out join runs server-side within it.
 	Timeout time.Duration
 	// Retries is how many times an idempotent request is retried beyond
-	// the first attempt; < 0 selects 2. Non-idempotent requests (POST,
-	// DELETE) are never retried.
+	// the first attempt; 0 selects 2 and a negative value disables
+	// retries. Non-idempotent requests (POST, DELETE) are never retried.
 	Retries int
 	// Backoff is the base of the exponential retry backoff (attempt k
 	// sleeps Backoff·2^k plus up to 50% jitter); <= 0 selects 100ms.
@@ -78,7 +78,7 @@ func (c *Config) setDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 120 * time.Second
 	}
-	if c.Retries < 0 {
+	if c.Retries == 0 {
 		c.Retries = 2
 	}
 	if c.Backoff <= 0 {
@@ -228,7 +228,7 @@ func (p *Pool) Call(ctx context.Context, i int, method, path string, in, out any
 	idempotent := method == http.MethodGet
 	attempts := 1
 	if idempotent {
-		attempts += p.cfg.Retries
+		attempts += max(p.cfg.Retries, 0)
 	}
 
 	s.mu.Lock()

@@ -135,21 +135,26 @@ func TestCallDecodesOnce(t *testing.T) {
 
 // TestRetriesExhausted checks a GET against a persistently failing shard
 // stops after 1+Retries attempts and returns the last error rather than
-// looping.
+// looping. A zero Retries selects the default of 2; a negative one
+// disables retries.
 func TestRetriesExhausted(t *testing.T) {
-	shard := &flakyShard{failN: 100}
-	srv := httptest.NewServer(shard.handler())
-	defer srv.Close()
+	for _, tc := range []struct {
+		retries int
+		want    int32
+	}{{2, 3}, {0, 3}, {-1, 1}} {
+		shard := &flakyShard{failN: 100}
+		srv := httptest.NewServer(shard.handler())
+		p := NewPool(Config{Addrs: []string{srv.URL}, Retries: tc.retries, Backoff: time.Millisecond, HealthInterval: time.Hour})
 
-	p := NewPool(Config{Addrs: []string{srv.URL}, Retries: 2, Backoff: time.Millisecond, HealthInterval: time.Hour})
-	defer p.Close()
-
-	err := p.Call(context.Background(), 0, http.MethodGet, "/v1/thing", nil, nil)
-	if err == nil {
-		t.Fatal("GET against always-failing shard succeeded")
-	}
-	if got := shard.gets.Load(); got != 3 {
-		t.Fatalf("GET attempts = %d, want 3 (initial + 2 retries)", got)
+		err := p.Call(context.Background(), 0, http.MethodGet, "/v1/thing", nil, nil)
+		p.Close()
+		srv.Close()
+		if err == nil {
+			t.Fatalf("Retries %d: GET against always-failing shard succeeded", tc.retries)
+		}
+		if got := shard.gets.Load(); got != tc.want {
+			t.Fatalf("Retries %d: GET attempts = %d, want %d", tc.retries, got, tc.want)
+		}
 	}
 }
 

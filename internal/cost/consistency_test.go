@@ -15,7 +15,7 @@ import (
 // and divergence.
 func TestModelMatchesExecutorWithoutLocks(t *testing.T) {
 	const items = 100000
-	env := sched.FixedEnv(device.UniformEnv(0.7))
+	env := fixedEnv(device.UniformEnv(0.7))
 
 	kernel := func(d *device.Device, lo, hi int) device.Acct {
 		var a device.Acct
@@ -32,7 +32,7 @@ func TestModelMatchesExecutorWithoutLocks(t *testing.T) {
 		Steps: []sched.Step{{ID: sched.P2, Kernel: kernel}, {ID: sched.P3, Kernel: kernel}},
 	}
 
-	exec := sched.New(env)
+	exec := &sched.Exec{CPU: device.New(device.APUCPU()), GPU: device.New(device.APUGPU()), Env: env}
 	ratios := sched.Ratios{0.4, 0.7}
 	res, err := exec.Run(series, ratios)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestModelMatchesExecutorWithoutLocks(t *testing.T) {
 // so measured > estimated — the "lock overhead" the paper back-derives.
 func TestModelUnderestimatesWithAtomics(t *testing.T) {
 	const items = 100000
-	env := sched.FixedEnv(device.UniformEnv(0.7))
+	env := fixedEnv(device.UniformEnv(0.7))
 	kernel := func(d *device.Device, lo, hi int) device.Acct {
 		var a device.Acct
 		n := int64(hi - lo)
@@ -70,7 +70,7 @@ func TestModelUnderestimatesWithAtomics(t *testing.T) {
 	}
 	series := sched.Series{Name: "atomics", Items: items,
 		Steps: []sched.Step{{ID: sched.B4, Kernel: kernel}}}
-	exec := sched.New(env)
+	exec := &sched.Exec{CPU: device.New(device.APUCPU()), GPU: device.New(device.APUGPU()), Env: env}
 	ratios := sched.Ratios{0.3}
 	res, err := exec.Run(series, ratios)
 	if err != nil {

@@ -18,7 +18,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"apujoin/internal/device"
@@ -148,39 +147,10 @@ func (m *Model) stepTime(p StepProfile, dp device.Profile, dev *device.Device, i
 	return c + seq + rnd + dp.LaunchNS
 }
 
-// Estimate is the model's prediction for a series at given ratios.
-type Estimate struct {
-	CPUNS, GPUNS, TotalNS  float64
-	StepCPUNS, StepGPUNS   []float64
-	DelayCPUNS, DelayGPUNS []float64
-}
-
-// Estimate evaluates Eqs. 1–5 for the series profile over items tuples with
-// the given per-step CPU ratios.
-func (m *Model) Estimate(sp SeriesProfile, items int, ratios sched.Ratios) (Estimate, error) {
-	if err := ratios.Validate(len(sp.Steps)); err != nil {
-		return Estimate{}, fmt.Errorf("cost: series %s: %w", sp.Name, err)
-	}
-	cpuDev, gpuDev := newDevPair(m)
-	n := len(sp.Steps)
-	cpu := make([]float64, n)
-	gpu := make([]float64, n)
-	for i, p := range sp.Steps {
-		x := float64(items)
-		cpu[i] = m.stepTime(p, m.CPU, cpuDev, ratios[i]*x)
-		gpu[i] = m.stepTime(p, m.GPU, gpuDev, (1-ratios[i])*x)
-	}
-	cpuTot, gpuTot, dc, dg := sched.Delays(cpu, gpu, ratios)
-	return Estimate{
-		CPUNS: cpuTot, GPUNS: gpuTot,
-		TotalNS:   math.Max(cpuTot, gpuTot),
-		StepCPUNS: cpu, StepGPUNS: gpu,
-		DelayCPUNS: dc, DelayGPUNS: dg,
-	}, nil
-}
-
-// EstimateNS is Estimate returning only the total, for optimizer loops.
-// It avoids the per-step slice allocations of Estimate.
+// EstimateNS evaluates Eqs. 1–5 for the series profile over items tuples
+// with the given per-step CPU ratios and returns the estimated total time;
+// mismatched ratios estimate +Inf. It allocates nothing, for optimizer
+// loops.
 func (m *Model) EstimateNS(sp SeriesProfile, items int, ratios sched.Ratios) float64 {
 	if len(ratios) != len(sp.Steps) {
 		return math.Inf(1)

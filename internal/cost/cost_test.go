@@ -9,11 +9,16 @@ import (
 	"apujoin/internal/sched"
 )
 
+// fixedEnv gives every step the same memory environment.
+func fixedEnv(e device.Env) sched.EnvFor {
+	return func(sched.StepID, *device.Device) device.Env { return e }
+}
+
 func testModel() *Model {
 	return &Model{
 		CPU: device.APUCPU(),
 		GPU: device.APUGPU(),
-		Env: sched.FixedEnv(device.UniformEnv(0.8)),
+		Env: fixedEnv(device.UniformEnv(0.8)),
 	}
 }
 

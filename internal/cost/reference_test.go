@@ -130,7 +130,7 @@ func randomSearchCase(rng *rand.Rand) searchCase {
 		env.HitRatio[reg] = rng.Float64()*1.6 - 0.3
 	}
 	c := searchCase{
-		m:     &Model{CPU: cpu, GPU: gpu, Env: sched.FixedEnv(env)},
+		m:     &Model{CPU: cpu, GPU: gpu, Env: fixedEnv(env)},
 		items: int(math.Exp2(24 * rng.Float64())),
 		delta: searchDeltas[rng.Intn(len(searchDeltas))],
 	}

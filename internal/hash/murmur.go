@@ -36,50 +36,6 @@ func Murmur2(key uint32, seed uint32) uint32 {
 	return h
 }
 
-// Murmur2Bytes computes MurmurHash 2.0 over an arbitrary byte slice.
-// It is used by tests to cross-check the 4-byte specialization and by
-// callers that hash composite keys.
-func Murmur2Bytes(data []byte, seed uint32) uint32 {
-	const m = 0x5bd1e995
-	const r = 24
-
-	h := seed ^ uint32(len(data))
-
-	for len(data) >= 4 {
-		k := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		k *= m
-		k ^= k >> r
-		k *= m
-
-		h *= m
-		h ^= k
-		data = data[4:]
-	}
-
-	switch len(data) {
-	case 3:
-		h ^= uint32(data[2]) << 16
-		fallthrough
-	case 2:
-		h ^= uint32(data[1]) << 8
-		fallthrough
-	case 1:
-		h ^= uint32(data[0])
-		h *= m
-	}
-
-	h ^= h >> 13
-	h *= m
-	h ^= h >> 15
-	return h
-}
-
-// Bucket maps a key to a hash bucket number in [0, nBuckets).
-// nBuckets must be a power of two.
-func Bucket(key uint32, nBuckets int) int {
-	return int(Murmur2(key, Murmur2Seed) & uint32(nBuckets-1))
-}
-
 // RadixPass extracts the partition number for one radix-partitioning pass.
 // bits is the number of radix bits consumed by this pass and shift is the
 // number of low-order bits consumed by earlier passes. Partitioning is done

@@ -6,6 +6,44 @@ import (
 	"testing/quick"
 )
 
+// Murmur2Bytes computes MurmurHash 2.0 over an arbitrary byte slice: the
+// generic algorithm, the reference the 4-byte specialization is checked
+// against.
+func Murmur2Bytes(data []byte, seed uint32) uint32 {
+	const m = 0x5bd1e995
+	const r = 24
+
+	h := seed ^ uint32(len(data))
+
+	for len(data) >= 4 {
+		k := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
+		k *= m
+		k ^= k >> r
+		k *= m
+
+		h *= m
+		h ^= k
+		data = data[4:]
+	}
+
+	switch len(data) {
+	case 3:
+		h ^= uint32(data[2]) << 16
+		fallthrough
+	case 2:
+		h ^= uint32(data[1]) << 8
+		fallthrough
+	case 1:
+		h ^= uint32(data[0])
+		h *= m
+	}
+
+	h ^= h >> 13
+	h *= m
+	h ^= h >> 15
+	return h
+}
+
 func TestMurmur2MatchesByteVersion(t *testing.T) {
 	// The 4-byte specialization must agree with the generic byte-slice
 	// implementation for every 32-bit key.
@@ -44,23 +82,14 @@ func TestMurmur2Bytes(t *testing.T) {
 	}
 }
 
-func TestBucketRange(t *testing.T) {
-	f := func(key uint32) bool {
-		b := Bucket(key, 1024)
-		return b >= 0 && b < 1024
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBucketDistribution(t *testing.T) {
-	// Sequential keys must spread roughly uniformly across buckets.
+	// Sequential keys must spread roughly uniformly across the buckets a
+	// hash table masks the low bits into.
 	const n = 1 << 16
 	const buckets = 256
 	counts := make([]int, buckets)
 	for k := uint32(0); k < n; k++ {
-		counts[Bucket(k, buckets)]++
+		counts[Murmur2(k, Murmur2Seed)&(buckets-1)]++
 	}
 	want := n / buckets
 	for b, c := range counts {

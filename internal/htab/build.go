@@ -6,10 +6,6 @@ import (
 	"apujoin/internal/hash"
 )
 
-func hashBucket(key int32, mask uint32) uint32 {
-	return hash.Murmur2(uint32(key), hash.Murmur2Seed) & mask
-}
-
 // bucketOf computes the bucket of a key for both flat and segmented
 // layouts; the fused single-tuple operations and Merge go through it.
 func (t *Table) bucketOf(key int32) uint32 {

@@ -564,7 +564,9 @@ func BenchmarkB3B4Shard(b *testing.B) {
 						}
 						clear(t.Count)
 						t.numKeys.Store(0)
-						t.arena.Reset()
+						words := len(t.arena.Words())
+						t.arena.Release()
+						t.arena = alloc.New(alloc.Config{}, words)
 						b.StartTimer()
 						insert()
 					}

@@ -34,9 +34,6 @@ func NewSeg(parts, bucketsPerPart int, hashShift, radixBits uint, arena *alloc.A
 	return t
 }
 
-// BucketsPerPart returns the segment width, or 0 for a flat table.
-func (t *Table) BucketsPerPart() int { return t.bucketsPerPart }
-
 // B1Seg computes segmented bucket numbers for build tuples [lo,hi):
 // bucket = partIdx[i]*bucketsPerPart + murmur(key) mod bucketsPerPart.
 func (t *Table) B1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, lo, hi int) device.Acct {
@@ -58,22 +55,4 @@ func (t *Table) B1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, l
 // P1Seg is B1Seg for probe tuples.
 func (t *Table) P1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, lo, hi int) device.Acct {
 	return t.B1Seg(d, keys, partIdx, bucket, lo, hi)
-}
-
-// LookupSeg returns the rids for key within partition part, the segmented
-// analogue of Lookup for tests.
-func (t *Table) LookupSeg(key int32, part int) []int32 {
-	words := t.arena.Words()
-	segMask := uint32(t.bucketsPerPart - 1)
-	b := part*t.bucketsPerPart + int((hash.Murmur2(uint32(key), hash.Murmur2Seed)>>t.segShift)&segMask)
-	for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-		if words[kn+keyOffKey] == key {
-			var out []int32
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				out = append(out, words[rn+ridOffRID])
-			}
-			return out
-		}
-	}
-	return nil
 }

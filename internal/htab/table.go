@@ -27,7 +27,6 @@
 package htab
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"apujoin/internal/alloc"
@@ -139,61 +138,6 @@ func (t *Table) Release() {
 	alloc.PutWords(t.Count)
 	alloc.PutWords(t.Head)
 	t.Count, t.Head = nil, nil
-}
-
-// Validate walks the whole structure checking invariants: bucket counts
-// equal the number of rids reachable in the bucket, key nodes hash to their
-// bucket, and no reference escapes the arena. It is O(table) and intended
-// for tests.
-func (t *Table) Validate() error {
-	words := t.arena.Words()
-	used := int32(t.arena.Used())
-	for b := 0; b < t.nBuckets; b++ {
-		var rids int32
-		for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-			if kn < 0 || kn+keyNodeWords > used {
-				return fmt.Errorf("htab: bucket %d: key node ref %d out of arena [0,%d)", b, kn, used)
-			}
-			key := words[kn+keyOffKey]
-			if t.bucketsPerPart > 0 {
-				segMask := uint32(t.bucketsPerPart - 1)
-				want := (hashBucket(key, ^uint32(0)) >> t.segShift) & segMask
-				if uint32(b)&segMask != want {
-					return fmt.Errorf("htab: segmented bucket %d: key %d hashes to slot %d within segment",
-						b, key, want)
-				}
-			} else if int((hashBucket(key, ^uint32(0))>>t.segShift)&t.mask) != b {
-				return fmt.Errorf("htab: bucket %d: key %d hashes to %d", b, key,
-					(hashBucket(key, ^uint32(0))>>t.segShift)&t.mask)
-			}
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				if rn < 0 || rn+ridNodeWords > used {
-					return fmt.Errorf("htab: bucket %d: rid node ref %d out of arena [0,%d)", b, rn, used)
-				}
-				rids++
-			}
-		}
-		if rids != t.Count[b] {
-			return fmt.Errorf("htab: bucket %d: header count %d but %d rids reachable", b, t.Count[b], rids)
-		}
-	}
-	return nil
-}
-
-// Lookup returns the rids associated with key, for tests and spot checks.
-func (t *Table) Lookup(key int32) []int32 {
-	words := t.arena.Words()
-	b := t.bucketOf(key)
-	for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-		if words[kn+keyOffKey] == key {
-			var out []int32
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				out = append(out, words[rn+ridOffRID])
-			}
-			return out
-		}
-	}
-	return nil
 }
 
 // Merge inserts every (key, rid) pair of src into t, the merge operation

@@ -214,18 +214,7 @@ func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (s
 func response(q *service.Query) api.JoinResponse {
 	info := q.Snapshot()
 	resp := api.JoinResponse{ID: info.ID, State: info.State, Error: info.Error}
-	if info.Plan != nil {
-		cache := "miss"
-		if info.Plan.CacheHit {
-			cache = "hit"
-		}
-		resp.Plan = &api.PlanReport{
-			Algo:        info.Plan.Algo,
-			Scheme:      info.Plan.Scheme,
-			Cache:       cache,
-			PredictedMS: info.Plan.PredictedNS / 1e6,
-		}
-	}
+	resp.Plan = planReport(info.Plan)
 	if res, err, ok := q.Result(); ok && err == nil && res != nil {
 		resp.Matches = res.Matches
 		resp.TotalMS = res.TotalNS / 1e6
@@ -266,18 +255,7 @@ func response(q *service.Query) api.JoinResponse {
 				ProbeTuples: st.ProbeTuples,
 				Matches:     st.Matches,
 				TotalMS:     st.SimulatedNS / 1e6,
-			}
-			if st.Plan != nil {
-				cache := "miss"
-				if st.Plan.CacheHit {
-					cache = "hit"
-				}
-				sr.Plan = &api.PlanReport{
-					Algo:        st.Plan.Algo,
-					Scheme:      st.Plan.Scheme,
-					Cache:       cache,
-					PredictedMS: st.Plan.PredictedNS / 1e6,
-				}
+				Plan:        planReport(st.Plan),
 			}
 			pr.Steps = append(pr.Steps, sr)
 		}
@@ -287,6 +265,18 @@ func response(q *service.Query) api.JoinResponse {
 		resp.Pipeline = pr
 	}
 	return resp
+}
+
+// planReport is a plan decision's display form, nil for none.
+func planReport(pl *service.PlanInfo) *api.PlanReport {
+	if pl == nil {
+		return nil
+	}
+	cache := "miss"
+	if pl.CacheHit {
+		cache = "hit"
+	}
+	return &api.PlanReport{Algo: pl.Algo, Scheme: pl.Scheme, Cache: cache, PredictedMS: pl.PredictedNS / 1e6}
 }
 
 // wirePipelineParts projects a sharded pipeline's raw per-partition
@@ -307,14 +297,7 @@ func wirePipelineParts(pp *service.PipelinePartitions) *api.PipelineParts {
 				ProbeTuples: pp.ProbeTuples[t][p],
 			}
 			if t < len(pp.Plans) {
-				if pi := pp.Plans[t][p]; pi != nil {
-					stepRow[p].Plan = &api.PartitionPlan{
-						Algo:        pi.Algo,
-						Scheme:      pi.Scheme,
-						CacheHit:    pi.CacheHit,
-						PredictedNS: pi.PredictedNS,
-					}
-				}
+				stepRow[p].Plan = pp.Plans[t][p]
 			}
 		}
 		wire.Steps = append(wire.Steps, stepRow)

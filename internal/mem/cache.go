@@ -4,14 +4,13 @@
 // architecture (paper Sec. 5.1: delay = latency + size/bandwidth with
 // latency 0.015 ms and bandwidth 3 GB/s).
 //
-// Two cache abstractions are provided. CacheModel is the fast analytical
-// model used by the execution simulator and the cost model: it converts
-// working-set sizes into hit ratios, with a sharing credit when both
-// devices touch one structure through the shared cache (the mechanism
-// behind the paper's shared-vs-separate hash table result, Fig. 10).
-// Sim is a trace-driven set-associative LRU simulator used by
-// microbenchmarks and by the Table 3 cache-miss measurements, where the
-// paper reports absolute L2 miss counts.
+// CacheModel is the analytical cache model used by the execution simulator
+// and the cost model: it converts working-set sizes into hit ratios, with a
+// sharing credit when both devices touch one structure through the shared
+// cache (the mechanism behind the paper's shared-vs-separate hash table
+// result, Fig. 10). Its L2 miss counts are what the simulated clock and the
+// Table 3 measurements read; the tests hold it to a trace-driven LRU
+// simulator.
 package mem
 
 import "fmt"
@@ -108,9 +107,6 @@ func (z *ZeroCopy) Free(n int64) {
 		z.used = 0
 	}
 }
-
-// Fits reports whether an allocation of n more bytes would fit.
-func (z *ZeroCopy) Fits(n int64) bool { return z.used+n <= z.Capacity }
 
 // PCIe models the bus of the emulated discrete architecture.
 type PCIe struct {

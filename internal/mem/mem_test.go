@@ -60,12 +60,13 @@ func TestZeroCopyAccounting(t *testing.T) {
 	if err := z.Alloc(100 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if !z.Fits(412 << 20) {
-		t.Fatal("412MB should still fit")
-	}
-	if z.Fits(413 << 20) {
+	if err := z.Alloc(413 << 20); err == nil {
 		t.Fatal("413MB should not fit")
 	}
+	if err := z.Alloc(412 << 20); err != nil {
+		t.Fatalf("412MB should still fit: %v", err)
+	}
+	z.Free(412 << 20)
 	if err := z.Alloc(500 << 20); err == nil {
 		t.Fatal("overflow not detected")
 	}

@@ -1,12 +1,11 @@
 package mem
 
-// Sim is a trace-driven set-associative LRU cache simulator. The join
-// kernels feed it (sampled) access traces to measure L2 miss counts the way
-// the paper reports them in Table 3 and the Fig. 10 discussion; it is also
-// used by the latch microbenchmark.
+// Sim is a trace-driven set-associative LRU cache simulator, the reference
+// TestSimAnalyticalModelAgreement holds the analytical CacheModel to: the
+// simulated clock takes its L2 miss counts from CacheModel, and no kernel
+// feeds Sim a trace.
 //
-// Sim is not safe for concurrent use; each experiment drives its own
-// instance.
+// Sim is not safe for concurrent use.
 type Sim struct {
 	sets      int
 	ways      int

@@ -89,7 +89,7 @@ func BenchmarkPlannerAmortization(b *testing.B) {
 
 // pipelineOrderingShape is a 3-relation pipeline whose declaration order
 // is deliberately bad: the selectivity-1 wide join first. run executes the
-// chain once — in OrderPipeline's order or as declared, the pairwise joins
+// chain once — in OrderPipelineEst's order or as declared, the pairwise joins
 // otherwise identical — and returns its summed simulated time. Ordering
 // must never change the multi-way match count, and the ordered chain must
 // stay strictly cheaper than the declared one.
@@ -114,7 +114,7 @@ func pipelineOrderingShape(tb testing.TB) (run func(tb testing.TB, ordered bool)
 	for i, rl := range rels {
 		pr[i] = PipeRel{Tuples: rl.Len()}
 	}
-	order, ok := OrderPipeline(pr, func(i, j int) (Workload, bool) {
+	order, _, ok := OrderPipelineEst(pr, func(i, j int) (Workload, bool) {
 		w, ok := workloads[pair{i, j}]
 		return w, ok
 	})

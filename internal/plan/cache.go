@@ -67,28 +67,8 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached plan for fp, marking it most recently used.
-func (c *Cache) Get(fp Fingerprint) (*core.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[fp]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).plan, true
-}
-
-// Put inserts (or refreshes) a plan, evicting the least recently used
-// entries beyond capacity.
-func (c *Cache) Put(fp Fingerprint, pl *core.Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(fp, pl)
-}
-
+// putLocked inserts (or refreshes) a plan, evicting the least recently
+// used entries beyond capacity.
 func (c *Cache) putLocked(fp Fingerprint, pl *core.Plan) {
 	if el, ok := c.entries[fp]; ok {
 		el.Value.(*entry).plan = pl
@@ -196,13 +176,6 @@ func (c *Cache) apply(hits []hit) bool {
 		c.hits++
 	}
 	return true
-}
-
-// Len returns the number of resident plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Stats snapshots the cache counters.

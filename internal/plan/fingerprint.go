@@ -176,18 +176,9 @@ func SelBucketOf(sample []int32, contains func(int32) bool) int {
 	return int(math.Round(float64(matched) / float64(len(sample)) * selBuckets))
 }
 
-// Of computes the fingerprint of one workload, measuring the skew and
-// selectivity buckets from the relations. The cost is one strided pass
-// over a probe sample plus one scan of the build keys — far below the
-// pilot run the fingerprint exists to amortize; OfWorkload skips even that
-// when the buckets were measured at catalog ingest.
-func Of(r, s rel.Relation, opt core.Options) Fingerprint {
-	return OfWorkload(r, s, opt, MeasureWorkload(r, s))
-}
-
-// OfWorkload is Of with the measured buckets supplied by the caller — the
-// relation catalog's path, where skew and selectivity were measured once
-// at ingest and every query of the pair reuses them. Options are defaulted
+// OfWorkload computes the fingerprint of one workload from its measured
+// skew and selectivity buckets (MeasureWorkload). The relation catalog
+// measures them once at ingest and every query of the pair reuses them. Options are defaulted
 // first, so an explicit default and an unset field fingerprint alike.
 func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
 	opt.Plan = nil

@@ -30,7 +30,7 @@ type PairStats func(build, probe int) (w Workload, ok bool)
 // The penalty only orders candidates — it never enters a simulated time.
 const skewCostPenalty = 0.15
 
-// OrderPipeline picks a left-deep execution order for a multi-way join
+// OrderPipelineEst picks a left-deep execution order for a multi-way join
 // pipeline: order[0] ⋈ order[1] runs first, every later order[t] probes the
 // previous step's intermediate. The heuristic is the classic greedy
 // minimum-intermediate rule over the catalog's ingest-time statistics:
@@ -52,17 +52,12 @@ const skewCostPenalty = 0.15
 // unchanged with ordered=false. Ordering never changes a pipeline's final
 // match count — only the sizes of the intermediates and with them the
 // simulated (and host) cost of the steps.
-func OrderPipeline(rels []PipeRel, stats PairStats) (order []int, ordered bool) {
-	order, _, ordered = OrderPipelineEst(rels, stats)
-	return order, ordered
-}
-
-// OrderPipelineEst is OrderPipeline, additionally returning the greedy
-// search's own per-step output estimates: ests[t-1] is the estimated match
-// count of step t (the quantity the search minimized when it picked that
-// step). The runtime compares each estimate against the step's observed
-// matches to decide mid-pipeline re-planning; ests is nil when ordered is
-// false (no statistics, no estimates).
+//
+// ests holds the greedy search's own per-step output estimates: ests[t-1]
+// is the estimated match count of step t (the quantity the search
+// minimized when it picked that step). The runtime compares each estimate
+// against the step's observed matches to decide mid-pipeline re-planning;
+// ests is nil when ordered is false (no statistics, no estimates).
 func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []float64, ordered bool) {
 	n := len(rels)
 	order = make([]int, n)
@@ -134,7 +129,7 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 	return order, ests, true
 }
 
-// estHC is a relation's estimated heavy-key multiplicity (OrderPipeline's
+// estHC is a relation's estimated heavy-key multiplicity (OrderPipelineEst's
 // hc): share × tuples for genuinely skewed data, 1 below the low-skew
 // boundary.
 func estHC(r PipeRel) float64 {
@@ -151,7 +146,7 @@ func estHC(r PipeRel) float64 {
 // permutation of remaining, with ests[i] the estimated match count of its
 // i-th step (as OrderPipelineEst reports them); ordered=false (remaining
 // unchanged, ests nil) when any consulted pair lacks statistics, exactly
-// as OrderPipeline degrades. The final match count is unaffected by the
+// as OrderPipelineEst degrades. The final match count is unaffected by the
 // order — re-planning only resizes the remaining intermediates, now
 // anchored on a true cardinality instead of a compounded estimate.
 func OrderRemaining(inter PipeRel, rels []PipeRel, done, remaining []int, stats PairStats) (order []int, ests []float64, ordered bool) {
@@ -167,7 +162,7 @@ func OrderRemaining(inter PipeRel, rels []PipeRel, done, remaining []int, stats 
 		skew[i] = make([]int, n)
 	}
 	// Only the (done ∪ picked, remaining) pairs are consulted; one unknown
-	// pair keeps the current order, as OrderPipeline would.
+	// pair keeps the current order, as OrderPipelineEst would.
 	for _, a := range append(append([]int(nil), done...), remaining...) {
 		for _, k := range remaining {
 			if a == k {
@@ -196,7 +191,7 @@ func OrderRemaining(inter PipeRel, rels []PipeRel, done, remaining []int, stats 
 	return tail, tailEsts, true
 }
 
-// orderTail is the shared greedy tail of OrderPipeline and OrderRemaining:
+// orderTail is the shared greedy tail of OrderPipelineEst and OrderRemaining:
 // repeatedly pick the unused relation minimizing the estimated next
 // intermediate, given the accumulated chain estimate, and return the picks
 // in order alongside each pick's estimated output.

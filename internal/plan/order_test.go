@@ -29,7 +29,7 @@ func TestOrderPipelineGreedy(t *testing.T) {
 		{8, 0, 8},
 		{1, 8, 0}, // build 2: probe 0 sel 0.125
 	}
-	order, ordered := OrderPipeline(rels, statsTable(sel, nil))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, nil))
 	if !ordered {
 		t.Fatal("ordered = false with full statistics")
 	}
@@ -46,7 +46,7 @@ func TestOrderPipelineSizeTieBreak(t *testing.T) {
 	// that first step is then the cheaper of the remaining two.
 	rels := []PipeRel{{Tuples: 4000}, {Tuples: 100}, {Tuples: 900}}
 	sel := [][]int{{0, 8, 8}, {8, 0, 8}, {8, 8, 0}}
-	order, ordered := OrderPipeline(rels, statsTable(sel, nil))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, nil))
 	if !ordered {
 		t.Fatal("ordered = false with full statistics")
 	}
@@ -73,7 +73,7 @@ func TestOrderPipelineSkewPenalty(t *testing.T) {
 		{0, 0, 0, 0},
 		{0, 0, 0, 0},
 	}
-	order, ordered := OrderPipeline(rels, statsTable(sel, skew))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, skew))
 	if !ordered {
 		t.Fatal("ordered = false with full statistics")
 	}
@@ -98,7 +98,7 @@ func TestOrderPipelineHeavyCollision(t *testing.T) {
 		{8, 0, 1}, // B ⋈ C looks maximally selective...
 		{8, 1, 0}, // ...in both directions
 	}
-	order, ordered := OrderPipeline(rels, statsTable(sel, nil))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, nil))
 	if !ordered {
 		t.Fatal("ordered = false with full statistics")
 	}
@@ -110,7 +110,7 @@ func TestOrderPipelineHeavyCollision(t *testing.T) {
 	// Control: identical sizes and selectivities, no heavy shares — the
 	// sel-bucket estimate alone picks the explosive pair first.
 	uniform := []PipeRel{{Tuples: 10000}, {Tuples: 2000}, {Tuples: 800}}
-	order, _ = OrderPipeline(uniform, statsTable(sel, nil))
+	order, _, _ = OrderPipelineEst(uniform, statsTable(sel, nil))
 	if order[0] != 1 || order[1] != 2 {
 		t.Errorf("control order = %v, want the B ⋈ C prefix", order)
 	}
@@ -123,7 +123,7 @@ func TestOrderPipelineFallsBackWithoutStats(t *testing.T) {
 		{8, 0, 8},
 		{8, 8, 0},
 	}
-	order, ordered := OrderPipeline(rels, statsTable(sel, nil))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, nil))
 	if ordered {
 		t.Error("ordered = true with a missing pair")
 	}
@@ -131,7 +131,7 @@ func TestOrderPipelineFallsBackWithoutStats(t *testing.T) {
 		t.Errorf("fallback order = %v, want declaration %v", order, want)
 	}
 	// No stats function at all behaves the same.
-	order, ordered = OrderPipeline(rels, nil)
+	order, _, ordered = OrderPipelineEst(rels, nil)
 	if ordered || !reflect.DeepEqual(order, []int{0, 1, 2}) {
 		t.Errorf("nil stats: order %v ordered %v, want declaration and false", order, ordered)
 	}
@@ -142,7 +142,7 @@ func TestOrderPipelineFallsBackWithoutStats(t *testing.T) {
 func TestOrderPipelinePairSwap(t *testing.T) {
 	rels := []PipeRel{{Tuples: 100}, {Tuples: 5000}}
 	sel := [][]int{{0, 8}, {8, 0}}
-	order, ordered := OrderPipeline(rels, statsTable(sel, nil))
+	order, _, ordered := OrderPipelineEst(rels, statsTable(sel, nil))
 	if !ordered {
 		t.Fatal("ordered = false with full statistics")
 	}

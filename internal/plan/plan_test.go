@@ -26,7 +26,7 @@ func testData(n int, seed int64, dist rel.Distribution, sel float64) (rel.Relati
 
 func fpOf(n int, seed int64, dist rel.Distribution, sel float64, opt core.Options) Fingerprint {
 	r, s := testData(n, seed, dist, sel)
-	return Of(r, s, opt)
+	return OfWorkload(r, s, opt, MeasureWorkload(r, s))
 }
 
 // TestFingerprintStability: equivalent relations — same shape, sizes, skew
@@ -64,19 +64,21 @@ func TestFingerprintStability(t *testing.T) {
 	sep := opt
 	sep.SeparateTables = true
 	r, s := testData(1<<15, 1, rel.Uniform, 0.75)
-	if Of(r, s, sep) == Of(r, s, opt) {
+	w := MeasureWorkload(r, s)
+	if OfWorkload(r, s, sep, w) == OfWorkload(r, s, opt, w) {
 		t.Error("SeparateTables not reflected in the fingerprint")
 	}
 	halfCache := opt
 	halfCache.Cache = mem.NewCacheModel()
 	halfCache.Cache.SizeBytes /= 2
-	if Of(r, s, halfCache) == Of(r, s, opt) {
+	if OfWorkload(r, s, halfCache, w) == OfWorkload(r, s, opt, w) {
 		t.Error("cache model not reflected in the fingerprint")
 	}
 }
 
 // TestCacheLRU: bounded capacity, least-recently-used eviction, counter
-// accounting.
+// accounting. put builds a plan on a miss; resident looks fp up with a
+// build that fails, so a miss caches nothing.
 func TestCacheLRU(t *testing.T) {
 	c := NewCache(2)
 	fps := make([]Fingerprint, 3)
@@ -84,20 +86,30 @@ func TestCacheLRU(t *testing.T) {
 		fps[i] = Fingerprint{R: i + 1}
 	}
 	pl := &core.Plan{}
+	put := func(fp Fingerprint) {
+		if _, _, err := c.GetOrBuild(context.Background(), fp, func() (*core.Plan, error) { return pl, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absent := errors.New("absent")
+	resident := func(fp Fingerprint) bool {
+		_, hit, _ := c.GetOrBuild(context.Background(), fp, func() (*core.Plan, error) { return nil, absent })
+		return hit
+	}
 
-	c.Put(fps[0], pl)
-	c.Put(fps[1], pl)
-	if _, ok := c.Get(fps[0]); !ok { // touch 0 → 1 becomes LRU
+	put(fps[0])
+	put(fps[1])
+	if !resident(fps[0]) { // touch 0 → 1 becomes LRU
 		t.Fatal("entry 0 missing before eviction")
 	}
-	c.Put(fps[2], pl) // evicts 1
-	if _, ok := c.Get(fps[1]); ok {
+	put(fps[2]) // evicts 1
+	if resident(fps[1]) {
 		t.Fatal("entry 1 survived eviction of a full cache")
 	}
-	if _, ok := c.Get(fps[0]); !ok {
+	if !resident(fps[0]) {
 		t.Fatal("recently used entry 0 was evicted")
 	}
-	if _, ok := c.Get(fps[2]); !ok {
+	if !resident(fps[2]) {
 		t.Fatal("newest entry 2 missing")
 	}
 
@@ -105,8 +117,9 @@ func TestCacheLRU(t *testing.T) {
 	if st.Capacity != 2 || st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats %+v, want capacity 2, entries 2, evictions 1", st)
 	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want 3 hits, 1 miss", st)
+	// The three puts are misses too.
+	if st.Hits != 3 || st.Misses != 4 {
+		t.Fatalf("stats %+v, want 3 hits, 4 misses", st)
 	}
 }
 
@@ -174,7 +187,7 @@ func TestCacheBuildError(t *testing.T) {
 	if _, _, err := c.GetOrBuild(context.Background(), fp, func() (*core.Plan, error) { return nil, boom }); err != boom {
 		t.Fatalf("err %v, want %v", err, boom)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed build was cached")
 	}
 	pl, hit, err := c.GetOrBuild(context.Background(), fp, func() (*core.Plan, error) { return &core.Plan{}, nil })

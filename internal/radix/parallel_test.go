@@ -171,11 +171,14 @@ func TestN2AtomicMatchesSerial(t *testing.T) {
 	}
 }
 
-// reset returns the pass to its state after n1: empty partitions, empty
-// arena, no layout.
+// reset returns the pass to its state after n1: empty partitions, a fresh
+// arena of the same size (the benchmarks' passes run under the default
+// alloc.Config), no layout.
 func (p *Pass) reset() {
 	clear(p.hdr)
-	p.arena.Reset()
+	words := len(p.arena.Words())
+	p.arena.Release()
+	p.arena = alloc.New(alloc.Config{}, words)
 	p.scat.Release()
 }
 

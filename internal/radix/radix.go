@@ -338,29 +338,3 @@ func FinalOffsetsShifted(r rel.Relation, plan Plan, shift uint) []int32 {
 	alloc.PutWords(counts)
 	return offs
 }
-
-// PartitionHost partitions a relation on the host in one shot (all passes,
-// no co-processing, nothing charged). Its only callers are tests, which use
-// it as the data-movement reference.
-func PartitionHost(in rel.Relation, plan Plan) Result {
-	n := in.Len()
-	cur := rel.Relation{
-		Keys: append([]int32(nil), in.Keys...),
-		RIDs: append([]int32(nil), in.RIDs...),
-	}
-	//apulint:ignore slabmake(the host reference's columns: one of the two is returned as Result.Rel)
-	buf := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
-	cpu := device.New(device.APUCPU())
-	var shift uint
-	for _, bits := range plan.BitsPerPass {
-		p := NewPass(cur, nil, shift, bits) // no n3: nothing charges a chunk
-		p.N1(cpu, 0, n)
-		p.N2(cpu, 0, n)
-		p.Layout(nil)
-		p.Gather(nil, buf)
-		p.Release()
-		cur, buf = buf, cur
-		shift += bits
-	}
-	return Result{Rel: cur, Offsets: FinalOffsets(cur, plan), Plan: plan}
-}

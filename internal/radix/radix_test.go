@@ -11,6 +11,30 @@ import (
 	"apujoin/internal/rel"
 )
 
+// PartitionHost partitions a relation on the host in one shot (all passes,
+// no co-processing, nothing charged): the data-movement reference.
+func PartitionHost(in rel.Relation, plan Plan) Result {
+	n := in.Len()
+	cur := rel.Relation{
+		Keys: append([]int32(nil), in.Keys...),
+		RIDs: append([]int32(nil), in.RIDs...),
+	}
+	buf := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	cpu := device.New(device.APUCPU())
+	var shift uint
+	for _, bits := range plan.BitsPerPass {
+		p := NewPass(cur, nil, shift, bits) // no n3: nothing charges a chunk
+		p.N1(cpu, 0, n)
+		p.N2(cpu, 0, n)
+		p.Layout(nil)
+		p.Gather(nil, buf)
+		p.Release()
+		cur, buf = buf, cur
+		shift += bits
+	}
+	return Result{Rel: cur, Offsets: FinalOffsets(cur, plan), Plan: plan}
+}
+
 func TestPlanFor(t *testing.T) {
 	// Small inputs still get the minimum fan-out.
 	p := PlanFor(1000, 1<<20)

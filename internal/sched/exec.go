@@ -51,15 +51,6 @@ func (e *Exec) runKernel(st Step, d *device.Device, lo, hi int) device.Acct {
 	return st.Kernel(d, lo, hi)
 }
 
-// New returns an executor over the coupled A8-3870K devices.
-func New(envFor EnvFor) *Exec {
-	return &Exec{
-		CPU: device.New(device.APUCPU()),
-		GPU: device.New(device.APUGPU()),
-		Env: envFor,
-	}
-}
-
 // Run executes the series with the given per-step CPU ratios (PL semantics;
 // pass Uniform(r, n) for DD and 0/1 ratios for OL) and returns the timing
 // result. The kernels perform the real work: after Run returns, the data

@@ -9,6 +9,17 @@ import (
 	"apujoin/internal/device"
 )
 
+// apuExec returns an executor over the coupled A8-3870K devices in which
+// every step sees the same hit ratio.
+func apuExec(hit float64) *Exec {
+	env := device.UniformEnv(hit)
+	return &Exec{
+		CPU: device.New(device.APUCPU()),
+		GPU: device.New(device.APUGPU()),
+		Env: func(StepID, *device.Device) device.Env { return env },
+	}
+}
+
 // fakeSeries builds a series whose kernels record coverage and report a
 // fixed per-item instruction load.
 func fakeSeries(items int, steps int, covered []map[int]int) Series {
@@ -51,7 +62,7 @@ func TestRunProcessesEveryItemOncePerStep(t *testing.T) {
 	f := func(r0, r1, r2 float64) bool {
 		ratios := Ratios{clamp(r0), clamp(r1), clamp(r2)}
 		cov := newCoverage(3, 1000)
-		e := New(FixedEnv(device.UniformEnv(0.9)))
+		e := apuExec(0.9)
 		_, err := e.Run(fakeSeries(1000, 3, cov), ratios)
 		if err != nil {
 			return false
@@ -76,7 +87,7 @@ func clamp(x float64) float64 {
 }
 
 func TestRunRejectsBadRatios(t *testing.T) {
-	e := New(FixedEnv(device.UniformEnv(1)))
+	e := apuExec(1)
 	cov := newCoverage(2, 10)
 	if _, err := e.Run(fakeSeries(10, 2, cov), Ratios{0.5}); err == nil {
 		t.Fatal("ratio count mismatch accepted")
@@ -144,7 +155,7 @@ func TestDelayTotalsAgreesWithDelays(t *testing.T) {
 }
 
 func TestIntermediateResultsFromRatioDifference(t *testing.T) {
-	e := New(FixedEnv(device.UniformEnv(1)))
+	e := apuExec(1)
 	cov := newCoverage(2, 1000)
 	s := fakeSeries(1000, 2, cov)
 	s.Steps[0].OutBytesPerItem = 8
@@ -163,7 +174,7 @@ func TestIntermediateResultsFromRatioDifference(t *testing.T) {
 
 func TestPCIeChargedOnlyWhenConfigured(t *testing.T) {
 	cov := newCoverage(2, 100)
-	e := New(FixedEnv(device.UniformEnv(1)))
+	e := apuExec(1)
 	s := fakeSeries(100, 2, cov)
 	s.Steps[0].OutBytesPerItem = 8
 	res, _ := e.Run(s, Ratios{0, 1})
@@ -186,7 +197,7 @@ func TestUniformRatios(t *testing.T) {
 
 func TestBasicUnitCoversAllItems(t *testing.T) {
 	cov := newCoverage(3, 5000)
-	e := New(FixedEnv(device.UniformEnv(0.9)))
+	e := apuExec(0.9)
 	res, err := e.RunBasicUnit(fakeSeries(5000, 3, cov), 512, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +276,7 @@ func TestParSetupRunsOncePerParallelStep(t *testing.T) {
 		},
 	}}}
 
-	e := New(FixedEnv(device.UniformEnv(0.9)))
+	e := apuExec(0.9)
 	e.Pool = NewPool(2)
 	defer e.Pool.Close()
 	for run := 0; run < 2; run++ {
@@ -287,7 +298,7 @@ func TestParSetupRunsOncePerParallelStep(t *testing.T) {
 	}
 
 	log = nil
-	serial := New(FixedEnv(device.UniformEnv(0.9)))
+	serial := apuExec(0.9)
 	if _, err := serial.Run(series, Ratios{0.5}); err != nil {
 		t.Fatal(err)
 	}

@@ -154,9 +154,3 @@ type Result struct {
 // The join driver implements it from the shared-cache model and the
 // current working-set sizes.
 type EnvFor func(id StepID, d *device.Device) device.Env
-
-// FixedEnv returns an EnvFor that always produces the same environment,
-// convenient for tests and microbenchmarks.
-func FixedEnv(e device.Env) EnvFor {
-	return func(StepID, *device.Device) device.Env { return e }
-}

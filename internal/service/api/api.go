@@ -259,7 +259,8 @@ type PartitionStep struct {
 // PartitionPlan is the raw wire form of one partition's per-step planner
 // decision. PredictedNS stays in nanoseconds: the cluster router sums the
 // per-partition predictions in fixed partition order, and only the final
-// aggregate is ever converted for display.
+// aggregate is ever converted for display. In process the service keeps
+// its plan decisions in this type too (service.PlanInfo).
 type PartitionPlan struct {
 	Algo        string  `json:"algo"`
 	Scheme      string  `json:"scheme"`

@@ -41,17 +41,10 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 	if len(addrs) > shard.Partitions {
 		addrs = addrs[:shard.Partitions]
 	}
-	retries := cfg.ClusterRetries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
 	return &remoteBackend{pool: cluster.NewPool(cluster.Config{
 		Addrs:          addrs,
 		Timeout:        cfg.ClusterTimeout,
-		Retries:        retries,
+		Retries:        cfg.ClusterRetries,
 		Backoff:        cfg.ClusterBackoff,
 		HealthInterval: cfg.HealthInterval,
 		HealthFailures: cfg.HealthFailures,
@@ -282,9 +275,7 @@ func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelineP
 			ps := wire.Steps[t][p]
 			pp.Steps[t][p] = ps.Result.ToResult()
 			pp.BuildTuples[t][p], pp.ProbeTuples[t][p] = ps.BuildTuples, ps.ProbeTuples
-			if pl := ps.Plan; pl != nil {
-				pp.Plans[t][p] = &PlanInfo{Algo: pl.Algo, Scheme: pl.Scheme, CacheHit: pl.CacheHit, PredictedNS: pl.PredictedNS}
-			}
+			pp.Plans[t][p] = ps.Plan
 		}
 		pp.Peak[p] = wire.PeakIntermediateBytes[p]
 		pp.InterTuples[p] = wire.IntermediateTuples[p]

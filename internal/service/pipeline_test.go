@@ -276,7 +276,7 @@ func TestPipelineAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for holder.State() == Queued && time.Now().Before(deadline) {
+	for holder.Snapshot().State == Queued.String() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 

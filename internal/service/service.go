@@ -33,6 +33,7 @@ import (
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
+	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
 )
 
@@ -213,19 +214,9 @@ func (q *Query) Partitions() []*core.Result {
 	return q.parts
 }
 
-// State returns the query's current lifecycle state.
-func (q *Query) State() State {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.state
-}
-
 // Cancel requests cancellation: a queued query is dropped, a running query
 // aborts at its next step boundary.
 func (q *Query) Cancel() { q.cancel() }
-
-// Done returns a channel closed when the query reaches a terminal state.
-func (q *Query) Done() <-chan struct{} { return q.done }
 
 // Wait blocks until the query finishes or ctx is cancelled, returning the
 // result or the query's terminal error.
@@ -265,13 +256,9 @@ type Info struct {
 
 // PlanInfo is the plan report of one auto-planned query: what the planner
 // chose, whether the plan came from the cache, and its predicted time —
-// aggregated over the grid's partitions (mergePlans).
-type PlanInfo struct {
-	Algo        string  `json:"algo"`
-	Scheme      string  `json:"scheme"`
-	CacheHit    bool    `json:"cache_hit"`
-	PredictedNS float64 `json:"predicted_ns"`
-}
+// aggregated over the grid's partitions (mergePlans). It is the type the
+// cluster transport carries per partition, so no copy sits between them.
+type PlanInfo = api.PartitionPlan
 
 // Snapshot returns the query's current Info.
 func (q *Query) Snapshot() Info {
@@ -377,8 +364,8 @@ type Stats struct {
 	// Auto-planning surface. AutoPlanned counts completed auto queries;
 	// PlanHits/PlanMisses/PlanEvictions/PlanEntries mirror the shared plan
 	// cache; the Predicted/Simulated/AbsErr sums (over completed auto
-	// queries) expose the cost model's predicted-vs-simulated error —
-	// MeanPlanErr() folds them into one number.
+	// queries) expose the cost model's predicted-vs-simulated error, whose
+	// mean relative value is PlanAbsErrNS / PlanSimulatedNS.
 	AutoPlanned     int64   `json:"auto_planned"`
 	PlanHits        int64   `json:"plan_hits"`
 	PlanMisses      int64   `json:"plan_misses"`
@@ -407,16 +394,6 @@ type Stats struct {
 	// clustered service: up/down state, probe counters and latency,
 	// request/failure/retry totals per remote server.
 	Cluster *cluster.Report `json:"cluster,omitempty"`
-}
-
-// MeanPlanErr returns the mean relative predicted-vs-simulated error of
-// completed auto-planned queries: Σ|predicted−simulated| / Σsimulated
-// (0 before the first auto query completes).
-func (s Stats) MeanPlanErr() float64 {
-	if s.PlanSimulatedNS == 0 {
-		return 0
-	}
-	return s.PlanAbsErrNS / s.PlanSimulatedNS
 }
 
 // Service is a multi-query join service over one shared resident pool.

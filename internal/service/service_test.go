@@ -208,10 +208,10 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 		t.Fatalf("q1 submit: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for q1.State() == Queued && time.Now().Before(deadline) {
+	for q1.Snapshot().State == Queued.String() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := q1.State(); st != Running && st != Done {
+	if st := q1.Snapshot().State; st != Running.String() && st != Done.String() {
 		t.Fatalf("q1 state %v, want running", st)
 	}
 
@@ -243,7 +243,7 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 	if _, err := q4.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled queued query: err %v, want context.Canceled", err)
 	}
-	if st := q4.State(); st != Canceled {
+	if st := q4.Snapshot().State; st != Canceled.String() {
 		t.Errorf("q4 state %v, want canceled", st)
 	}
 
@@ -374,8 +374,8 @@ func TestSubmitAutoBitIdentical(t *testing.T) {
 	if st.PlanPredictedNS != float64(queries)*pl.PredictedNS {
 		t.Errorf("PlanPredictedNS %.0f, want %.0f", st.PlanPredictedNS, float64(queries)*pl.PredictedNS)
 	}
-	if err := st.MeanPlanErr(); err < 0 || err > 1 {
-		t.Errorf("MeanPlanErr %.3f out of [0,1]", err)
+	if err := st.PlanAbsErrNS / st.PlanSimulatedNS; err < 0 || err > 1 {
+		t.Errorf("mean relative plan error %.3f out of [0,1]", err)
 	}
 }
 
