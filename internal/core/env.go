@@ -3,6 +3,7 @@ package core
 import (
 	"apujoin/internal/device"
 	"apujoin/internal/mem"
+	"apujoin/internal/radix"
 	"apujoin/internal/sched"
 )
 
@@ -68,6 +69,46 @@ func (e *envState) envFor(id sched.StepID, d *device.Device) device.Env {
 	// Intermediate arrays are streamed with good locality.
 	env.HitRatio[device.RegionScratch] = 0.8
 	return env
+}
+
+// geometry is the layout a join's build side fixes before anything runs:
+// the radix plan and partition count (PHJ; one partition for SHJ), the
+// buckets per partition, and the bucket count of the table the run builds.
+type geometry struct {
+	plan           radix.Plan
+	parts          int
+	bucketsPerPart int
+	nBuckets       int
+}
+
+// staticEnv computes a join's geometry over |R| = nr build tuples and the
+// memory environment its phases start in, table residency estimated from
+// that geometry. The runner executes under it, and the planner and the
+// Monte Carlo driver price under it, so the cost model and the execution
+// see one memory system.
+func staticEnv(opt Options, nr int) (*envState, geometry) {
+	g := geometry{parts: 1, bucketsPerPart: ceilPow2(nr)}
+	if opt.Algo == PHJ {
+		g.plan = radix.PlanFor(nr, opt.RadixTargetBytes)
+		g.parts = g.plan.Partitions()
+		g.bucketsPerPart = ceilPow2(nr / g.parts)
+	}
+	g.nBuckets = g.parts * g.bucketsPerPart
+	return &envState{
+		cache:           opt.Cache,
+		tableBytes:      estimateTableBytes(nr, g.nBuckets),
+		parts:           g.parts,
+		shared:          !opt.SeparateTables,
+		scratchPressure: 512 << 10, // streaming intermediates pollute ~0.5 MB
+	}, g
+}
+
+func ceilPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
 }
 
 // estimateTableBytes predicts the resident hash-table size for |R| build

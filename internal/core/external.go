@@ -108,16 +108,7 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 		pass := radix.NewPass(in, arena, shift, bits)
 		defer pass.Release()
 		env.partitionStreams = int64(1<<bits) * chunkBytes
-		series := sched.Series{
-			Name:  "ext-partition",
-			Items: in.Len(),
-			Steps: []sched.Step{
-				{ID: sched.N1, Kernel: pass.N1},
-				{ID: sched.N2, Kernel: pass.N2},
-				{ID: sched.N3, Kernel: pass.N3},
-			},
-		}
-		pres, err := exec.Run(series, sched.Uniform(0.25, 3))
+		pres, err := exec.Run(passSeries(pass, in.Len(), exec.Pool), sched.Uniform(0.25, 3))
 		if err != nil {
 			return nil, err
 		}

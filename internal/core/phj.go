@@ -31,17 +31,7 @@ func passArenaWords(n, parts int, cfg alloc.Config) int {
 // under the configured scheme, leaving rn.r / rn.s reordered by partition
 // with rn.partIdx* filled, and accumulating partition-phase timing into res.
 func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile) error {
-	opt := rn.opt
-	plan := radix.PlanFor(rn.r.Len(), opt.RadixTargetBytes)
-	rn.parts = plan.Partitions()
-	rn.radixBits = plan.TotalBits()
-	avg := rn.r.Len() / rn.parts
-	if avg < 1 {
-		avg = 1
-	}
-	rn.bucketsPerPart = ceilPow2(avg)
-	rn.env.parts = rn.parts
-
+	plan := rn.geo.plan
 	for relIdx, in := range []rel.Relation{rn.r, rn.s} {
 		cur, offs, err := rn.partitionRel(res, exec, model, prof, plan, in, relIdx == 0)
 		if err != nil {
@@ -49,7 +39,7 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 		}
 		if plan.Passes() != 1 {
 			// A later pass's boundaries cover only its own fan-out.
-			offs = radix.FinalOffsetsShifted(cur, plan, opt.HashShift)
+			offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.HashShift)
 		}
 		out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
 		idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
@@ -120,74 +110,57 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	pass := radix.NewPass(cur, arena, shift, bits)
 	defer pass.Release()
 	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-	pool := exec.Pool // captured alone, so the executor stays on the caller's stack
-
-	series := sched.Series{
-		Name:  "partition",
-		Items: n,
-		Steps: []sched.Step{
-			{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1,
-				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-					return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-						return pass.N1(d, mlo, mhi)
-					})
-				}},
-			{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2,
-				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-					return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-						return pass.N2(d, mlo, mhi)
-					})
-				},
-				After: func() { pass.Layout(pool) }},
-			{ID: sched.N3, OutBytesPerItem: 0, Kernel: pass.N3,
-				ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-					var shards [sched.DefaultShards]device.Acct
-					return sched.MergeAccts(pass.N3Shards(lo, hi, shards[:]))
-				}},
-		},
+	ns, est, ratios, err := rn.runPhase(res, exec, model, prof, passSeries(pass, n, exec.Pool), opt.FixedPartition, "partition")
+	if err != nil {
+		return nil, err
 	}
-
-	if opt.Scheme == BasicUnit {
-		bu, err := exec.RunBasicUnit(series, opt.CPUChunk, opt.GPUChunk)
-		if err != nil {
-			return nil, err
+	res.PartitionNS += ns
+	res.EstimatedNS += est
+	res.EstPartitionNS += est
+	if record {
+		if opt.Scheme == BasicUnit {
+			res.BasicUnitShares = append(res.BasicUnitShares, ratios[0])
 		}
-		res.PartitionNS += bu.TotalNS
-		if record {
-			res.BasicUnitShares = append(res.BasicUnitShares, bu.CPUShare)
-			res.Ratios.Partition = append(res.Ratios.Partition, sched.Uniform(bu.CPUShare, 3))
-		}
-	} else {
-		ratios, est := rn.chooseRatios(model, prof, n, len(series.Steps), opt.FixedPartition)
-		pres, err := exec.Run(series, ratios)
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionNS += pres.TotalNS - pres.TransferNS
-		res.TransferNS += pres.TransferNS
-		res.EstimatedNS += est
-		res.EstPartitionNS += est
-		recordSteps(res, "partition", pres, n)
-		if record {
-			res.Ratios.Partition = append(res.Ratios.Partition, ratios)
-		}
-		cs := rn.env.missStats(pres, rn.cpu, rn.gpu)
-		res.Cache.Accesses += cs.Accesses
-		res.Cache.Misses += cs.Misses
-
-		if opt.Arch == Discrete {
-			pcie := mem.NewPCIe()
-			gpuShare := 1 - avgRatio(ratios)
-			bytes := int64(gpuShare * float64(n) * 8)
-			res.TransferNS += pcie.TransferNS(bytes) * 2 // in + partitions back
-		}
+		res.Ratios.Partition = append(res.Ratios.Partition, ratios)
+	}
+	if opt.Arch == Discrete && opt.Scheme != BasicUnit {
+		pcie := mem.NewPCIe()
+		gpuShare := 1 - avgRatio(ratios)
+		bytes := int64(gpuShare * float64(n) * 8)
+		res.TransferNS += pcie.TransferNS(bytes) * 2 // in + partitions back
 	}
 
 	// Link the partition chunks into contiguous form for the next pass /
 	// the join ("we link all the intermediate partitions together").
-	offs, ga := pass.Gather(pool, out)
+	offs, ga := pass.Gather(exec.Pool, out)
 	res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
 	return offs, nil
+}
+
+// passSeries returns a radix pass's n1..n3 series over n tuples. On an
+// executor with a pool the steps carry their pooled kernels, and n2's After
+// hook lays out the partitions the pooled n3 and Gather read; without one
+// the series is single-stream and the caller lays out before it gathers.
+func passSeries(pass *radix.Pass, n int, pool *sched.Pool) sched.Series {
+	steps := []sched.Step{
+		{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1},
+		{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2},
+		{ID: sched.N3, Kernel: pass.N3},
+	}
+	if pool != nil {
+		steps[0].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+			return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return pass.N1(d, mlo, mhi) })
+		}
+		steps[1].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+			return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return pass.N2(d, mlo, mhi) })
+		}
+		steps[1].After = func() { pass.Layout(pool) }
+		steps[2].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+			var shards [sched.DefaultShards]device.Acct
+			return sched.MergeAccts(pass.N3Shards(lo, hi, shards[:]))
+		}
+	}
+	return sched.Series{Name: "partition", Items: n, Steps: steps}
 }
 
 // coarsePairKernel joins whole partition pairs [lo,hi): the coarse-grained
@@ -227,23 +200,21 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 // pilot's per-tuple build and probe profiles scaled by the average pair
 // population, so the ratio choice needs no side-effecting probe run.
 func (rn *runner) coarseJoin(ctx context.Context, res *Result, model *cost.Model) error {
-	pairBytes := int64(0)
-	if rn.parts > 0 {
-		pairBytes = (rn.r.Bytes() + rn.s.Bytes() + estimateTableBytes(rn.r.Len(), rn.parts*rn.bucketsPerPart)) / int64(rn.parts)
-	}
-	rn.env.coarsePairBytes = pairBytes
+	// No shared table is built, so tableBytes is still staticEnv's estimate.
+	parts := rn.geo.parts
+	rn.env.coarsePairBytes = (rn.r.Bytes() + rn.s.Bytes() + rn.env.tableBytes) / int64(parts)
 
 	prof := coarseProfile(res.BuildProfile, res.ProbeProfile,
-		float64(rn.r.Len())/float64(rn.parts), float64(rn.s.Len())/float64(rn.parts))
+		float64(rn.r.Len())/float64(parts), float64(rn.s.Len())/float64(parts))
 
 	series := sched.Series{
 		Name:  "pairjoin",
-		Items: rn.parts,
+		Items: parts,
 		Steps: []sched.Step{{ID: sched.P3, Kernel: rn.coarsePairKernel}},
 	}
 	exec := &sched.Exec{CPU: rn.cpu, GPU: rn.gpu, Env: rn.env.envFor, Ctx: ctx}
 
-	ratio, est := model.OptimizeDD(prof, rn.parts, rn.opt.Delta)
+	ratio, est := model.OptimizeDD(prof, parts, rn.opt.Delta)
 	ratios := sched.Uniform(ratio, 1)
 	cres, err := exec.Run(series, ratios)
 	if err != nil {

@@ -61,17 +61,8 @@ func runPilot(r, s rel.Relation, opt Options) profiles {
 		bits := uint(radix.MaxBitsPerPass)
 		pass := radix.NewPass(pr, arena, 0, bits)
 		defer pass.Release()
-		series := sched.Series{
-			Name:  "partition",
-			Items: n,
-			Steps: []sched.Step{
-				{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1},
-				{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2},
-				{ID: sched.N3, Kernel: pass.N3},
-			},
-		}
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-		if nres, err := exec.Run(series, sched.Uniform(0.5, 3)); err == nil {
+		if nres, err := exec.Run(passSeries(pass, n, exec.Pool), sched.Uniform(0.5, 3)); err == nil {
 			out.partition = cost.ProfileResult(nres, n)
 		}
 	}

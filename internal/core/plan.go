@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"apujoin/internal/cost"
-	"apujoin/internal/radix"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -148,60 +147,43 @@ var (
 	planDD     = (*cost.Model).OptimizeDD
 )
 
-// planCandidate prices one (algorithm, scheme) alternative: it rebuilds
-// the run's memory environment statically — radix fan-out, estimated
-// hash-table residency, partition-chunk working sets — and runs the same
-// per-scheme ratio optimizers chooseRatios would, yielding the ratios the
-// plan will fix and the model's end-to-end estimate. It points model at the
-// candidate's environment.
+// planCandidate prices one (algorithm, scheme) alternative under the
+// memory environment the run will start in — staticEnv's radix fan-out and
+// estimated hash-table residency, the partition-chunk working set of each
+// pass — and runs the same per-scheme ratio optimizers chooseRatios would,
+// yielding the ratios the plan will fix and the model's end-to-end
+// estimate. It points model at the candidate's environment.
 func planCandidate(model *cost.Model, r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) *Plan {
 	opt.Algo, opt.Scheme = algo, scheme
-	env := &envState{
-		cache:           opt.Cache,
-		parts:           1,
-		shared:          !opt.SeparateTables,
-		scratchPressure: 512 << 10,
-	}
+	env, g := staticEnv(opt, r.Len())
 	model.Env = env.envFor
 	pl := &Plan{
 		Algo: algo, Scheme: scheme, Arch: opt.Arch,
 		Partition: prof.partition, Build: prof.build, Probe: prof.probe,
 	}
 
-	nBuckets := ceilPow2(r.Len())
 	if algo == PHJ {
-		rp := radix.PlanFor(r.Len(), opt.RadixTargetBytes)
-		parts := rp.Partitions()
-		avg := r.Len() / parts
-		if avg < 1 {
-			avg = 1
-		}
-		nBuckets = parts * ceilPow2(avg)
-		env.parts = parts
-
 		// Ratios are chosen once, on the first pass's fan-out over |R|
 		// items, exactly as a FixedPartition override applies one ratio
 		// vector to every pass; the prediction then prices every pass of
 		// both relations at those ratios under its own chunk working set.
-		env.partitionStreams = int64(1<<rp.BitsPerPass[0]) * chunkBytes
+		env.partitionStreams = int64(1<<g.plan.BitsPerPass[0]) * chunkBytes
 		steps := len(prof.partition.Steps)
 		ratios, _ := planRatios(model, opt, prof.partition, r.Len(), steps)
 		pl.PartitionRatios = ratios
-		for _, bits := range rp.BitsPerPass {
+		for _, bits := range g.plan.BitsPerPass {
 			env.partitionStreams = int64(1<<bits) * chunkBytes
 			pl.PredictedPartitionNS += model.EstimateNS(prof.partition, r.Len(), ratios)
 			pl.PredictedPartitionNS += model.EstimateNS(prof.partition, s.Len(), ratios)
 		}
 		env.partitionStreams = 0
 	}
-	env.tableBytes = estimateTableBytes(r.Len(), nBuckets)
 
 	if scheme == CoarsePL {
-		parts := env.parts
-		env.coarsePairBytes = (r.Bytes() + s.Bytes() + env.tableBytes) / int64(parts)
+		env.coarsePairBytes = (r.Bytes() + s.Bytes() + env.tableBytes) / int64(g.parts)
 		cp := coarseProfile(prof.build, prof.probe,
-			float64(r.Len())/float64(parts), float64(s.Len())/float64(parts))
-		_, est := planDD(model, cp, parts, opt.Delta)
+			float64(r.Len())/float64(g.parts), float64(s.Len())/float64(g.parts))
+		_, est := planDD(model, cp, g.parts, opt.Delta)
 		// The pair joins cover build and probe; attribute by tuple share
 		// as coarseJoin does.
 		fr := float64(r.Len()) / float64(r.Len()+s.Len())

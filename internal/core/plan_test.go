@@ -152,3 +152,30 @@ func TestBuildPlanEmptyRelation(t *testing.T) {
 		t.Fatal("no error planning an empty probe relation")
 	}
 }
+
+// TestStaticGeometryMatchesTables: the bucket count staticEnv prices with —
+// the planner's, the Monte Carlo driver's and the runner's residency
+// estimate — is the bucket count of the table the run builds, whose
+// constructors round on their own: |R| = 1, |R| below the radix fan-out, a
+// non-power-of-two |R| and join_large's 2^20, under both algorithms.
+func TestStaticGeometryMatchesTables(t *testing.T) {
+	s := rel.Gen{N: 1, Seed: 2}.Build()
+	for _, n := range []int{1, 40, 100_003, 1 << 20} {
+		r := rel.Gen{N: n, Seed: 1}.Build()
+		for _, algo := range []Algo{SHJ, PHJ} {
+			opt := Options{Algo: algo}
+			opt.SetDefaults()
+			rn := newRunner(r, s, opt)
+			rn.makeTables()
+			built := len(rn.table.Count) // one count header per bucket
+			if rn.geo.nBuckets != built || rn.env.tableBytes != estimateTableBytes(n, built) {
+				t.Errorf("%s |R|=%d: staticEnv prices %d buckets (%d table bytes), the run builds %d (%d)",
+					algo, n, rn.geo.nBuckets, rn.env.tableBytes, built, estimateTableBytes(n, built))
+			}
+			if algo == PHJ && rn.geo.parts != rn.geo.plan.Partitions() {
+				t.Errorf("PHJ |R|=%d: %d partitions against a plan of %d", n, rn.geo.parts, rn.geo.plan.Partitions())
+			}
+			rn.release()
+		}
+	}
+}

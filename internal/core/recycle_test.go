@@ -253,3 +253,39 @@ func TestSteadyStateAllocationCeiling(t *testing.T) {
 		t.Fatalf("a warm 2^16 × 2^16 PHJ-PL join allocates %d B, above the ceiling of %d B (a quarter of its input): a slab is not going back to the recycler", warm, ceiling)
 	}
 }
+
+// TestMonteCarloPhaseAllocatesNoRun: the Monte Carlo driver prices a phase
+// under the join's static environment and executes nothing but the pilot,
+// whose slabs go back. A warm call therefore allocates a few closures and
+// its samples, far below |R|·4 bytes — a run's scratch slab, table arenas
+// or hash table taken and not released would each exceed it. An unknown
+// phase is rejected before the pilot, so it allocates only its error.
+func TestMonteCarloPhaseAllocatesNoRun(t *testing.T) {
+	r := rel.Gen{N: 1 << 18, Seed: 73}.Build()
+	s := rel.Gen{N: 1 << 18, Seed: 74}.Probe(r, 1.0)
+	ceiling := uint64(r.Len()) // a quarter of |R|·4 bytes
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(opt Options, phase string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := MonteCarloPhase(r, s, opt, phase, 100, 1)
+		runtime.ReadMemStats(&after)
+		if (err != nil) != (phase == "bogus") {
+			t.Fatalf("phase %q: err = %v", phase, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, algo := range []Algo{SHJ, PHJ} {
+		opt := Options{Algo: algo, Scheme: PL, Delta: 0.1}
+		allocated(opt, "build") // warms the recycler
+		warm := allocated(opt, "probe")
+		t.Logf("%s: a warm call allocated %d B (ceiling %d B)", algo, warm, ceiling)
+		if warm > ceiling {
+			t.Errorf("%s: a warm MonteCarloPhase allocates %d B, above the ceiling of %d B: it holds a run's slabs", algo, warm, ceiling)
+		}
+		if bogus := allocated(opt, "bogus"); bogus > 2<<10 {
+			t.Errorf("%s: an unknown phase allocates %d B: it ran the pilot before rejecting the phase", algo, bogus)
+		}
+	}
+}

@@ -135,30 +135,14 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	rn.makeTables()
 
 	// Build phase.
-	buildSer := rn.buildSeries()
+	var err error
+	res.BuildNS, res.EstBuildNS, res.Ratios.Build, err = rn.runPhase(res, exec, model, prof.build, rn.buildSeries(), opt.FixedBuild, "build")
+	if err != nil {
+		return nil, err
+	}
+	res.EstimatedNS += res.EstBuildNS
 	if opt.Scheme == BasicUnit {
-		bu, err := exec.RunBasicUnit(buildSer, opt.CPUChunk, opt.GPUChunk)
-		if err != nil {
-			return nil, err
-		}
-		res.BuildNS = bu.TotalNS
-		res.BasicUnitShares = append(res.BasicUnitShares, bu.CPUShare)
-		res.Ratios.Build = sched.Uniform(bu.CPUShare, len(buildSer.Steps))
-	} else {
-		ratios, est := rn.chooseRatios(model, prof.build, buildSer.Items, len(buildSer.Steps), opt.FixedBuild)
-		bres, err := exec.Run(buildSer, ratios)
-		if err != nil {
-			return nil, err
-		}
-		res.BuildNS = bres.TotalNS - bres.TransferNS
-		res.TransferNS += bres.TransferNS
-		res.Ratios.Build = ratios
-		res.EstimatedNS += est
-		res.EstBuildNS = est
-		recordSteps(res, "build", bres, buildSer.Items)
-		cs := rn.env.missStats(bres, rn.cpu, rn.gpu)
-		res.Cache.Accesses += cs.Accesses
-		res.Cache.Misses += cs.Misses
+		res.BasicUnitShares = append(res.BasicUnitShares, res.Ratios.Build[0])
 	}
 
 	// Phase-granular PCI-e traffic on the discrete architecture: ship the
@@ -189,30 +173,13 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	rn.env.tableBytes = rn.table.BytesResident()
 
 	// Probe phase.
-	probeSer := rn.probeSeries()
+	res.ProbeNS, res.EstProbeNS, res.Ratios.Probe, err = rn.runPhase(res, exec, model, prof.probe, rn.probeSeries(), opt.FixedProbe, "probe")
+	if err != nil {
+		return nil, err
+	}
+	res.EstimatedNS += res.EstProbeNS
 	if opt.Scheme == BasicUnit {
-		bu, err := exec.RunBasicUnit(probeSer, opt.CPUChunk, opt.GPUChunk)
-		if err != nil {
-			return nil, err
-		}
-		res.ProbeNS = bu.TotalNS
-		res.BasicUnitShares = append(res.BasicUnitShares, bu.CPUShare)
-		res.Ratios.Probe = sched.Uniform(bu.CPUShare, len(probeSer.Steps))
-	} else {
-		ratios, est := rn.chooseRatios(model, prof.probe, probeSer.Items, len(probeSer.Steps), opt.FixedProbe)
-		pres, err := exec.Run(probeSer, ratios)
-		if err != nil {
-			return nil, err
-		}
-		res.ProbeNS = pres.TotalNS - pres.TransferNS
-		res.TransferNS += pres.TransferNS
-		res.Ratios.Probe = ratios
-		res.EstimatedNS += est
-		res.EstProbeNS = est
-		recordSteps(res, "probe", pres, probeSer.Items)
-		cs := rn.env.missStats(pres, rn.cpu, rn.gpu)
-		res.Cache.Accesses += cs.Accesses
-		res.Cache.Misses += cs.Misses
+		res.BasicUnitShares = append(res.BasicUnitShares, res.Ratios.Probe[0])
 	}
 	if opt.Arch == Discrete {
 		gpuShare := 1 - avgRatio(res.Ratios.Probe)
@@ -226,6 +193,33 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	res.AllocStats = rn.allocTotals()
 	finishEstimates(res)
 	return res, nil
+}
+
+// runPhase runs one phase's series under the scheme — BasicUnit's dynamic
+// chunking, or exec.Run at the ratios chooseRatios picks (fixed, when
+// given) — and folds the phase's transfer time, per-step timings and
+// modeled cache misses into res. It returns the phase's device time (its
+// transfer excluded), the model's estimate (0 under BasicUnit) and the
+// ratios applied: BasicUnit's CPU share on every step.
+func (rn *runner) runPhase(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, series sched.Series, fixed sched.Ratios, phase string) (float64, float64, sched.Ratios, error) {
+	if rn.opt.Scheme == BasicUnit {
+		bu, err := exec.RunBasicUnit(series, rn.opt.CPUChunk, rn.opt.GPUChunk)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		return bu.TotalNS, 0, sched.Uniform(bu.CPUShare, len(series.Steps)), nil
+	}
+	ratios, est := rn.chooseRatios(model, prof, series.Items, len(series.Steps), fixed)
+	sr, err := exec.Run(series, ratios)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	res.TransferNS += sr.TransferNS
+	recordSteps(res, phase, sr, series.Items)
+	cs := rn.env.missStats(sr, rn.cpu, rn.gpu)
+	res.Cache.Accesses += cs.Accesses
+	res.Cache.Misses += cs.Misses
+	return sr.TotalNS - sr.TransferNS, est, ratios, nil
 }
 
 // chooseRatios picks the workload ratios for one series according to the
@@ -313,12 +307,4 @@ func avgRatio(rs sched.Ratios) float64 {
 		t += r
 	}
 	return t / float64(len(rs))
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }

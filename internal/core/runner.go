@@ -53,12 +53,11 @@ type runner struct {
 	// (b3, b4) read, built by b3's ParSetup.
 	own htab.Owners
 
-	// PHJ state.
+	// geo is the run's table layout (staticEnv); the PHJ state below
+	// follows from its radix plan.
+	geo                geometry
 	partIdxR, partIdxS []int32
 	offsetsR, offsetsS []int32
-	parts              int
-	bucketsPerPart     int
-	radixBits          uint
 
 	// held lists the run-lifetime slabs that no other field owns: the
 	// carved scratch, and per partitioned relation its final pass buffer
@@ -102,6 +101,7 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 		gpu: device.New(opt.GPU),
 	}
 	nr, ns := r.Len(), s.Len()
+	rn.env, rn.geo = staticEnv(opt, nr)
 
 	// Table arenas are pre-sized for their worst case (every key distinct:
 	// 3 words per key node + 2 per rid node) with headroom for the
@@ -135,24 +135,19 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	if opt.Grouping {
 		rn.workR, rn.workS = carve(nr), carve(ns)
 	}
-
-	rn.env = &envState{
-		cache:           opt.Cache,
-		parts:           1,
-		shared:          !opt.SeparateTables,
-		scratchPressure: 512 << 10, // streaming intermediates pollute ~0.5 MB
-	}
 	return rn
 }
 
 // makeTables creates the hash table(s). For SHJ the bucket count is the
 // next power of two of |R| (load factor ≤ 1); for PHJ the segmented layout
-// is parts × bucketsPerPart.
+// is parts × bucketsPerPart. Either way it is the geometry's nBuckets, which
+// the environment's residency estimate already assumes.
 func (rn *runner) makeTables() {
+	g := rn.geo
 	if rn.opt.Algo == PHJ {
-		rn.table = htab.NewSeg(rn.parts, rn.bucketsPerPart, rn.opt.HashShift, rn.radixBits, rn.arena)
+		rn.table = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.HashShift, g.plan.TotalBits(), rn.arena)
 		if rn.opt.SeparateTables {
-			rn.tableGPU = htab.NewSeg(rn.parts, rn.bucketsPerPart, rn.opt.HashShift, rn.radixBits, rn.arenaGPU)
+			rn.tableGPU = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.HashShift, g.plan.TotalBits(), rn.arenaGPU)
 		}
 	} else {
 		rn.table = htab.NewShifted(rn.r.Len(), rn.opt.HashShift, rn.arena)
@@ -160,7 +155,6 @@ func (rn *runner) makeTables() {
 			rn.tableGPU = htab.NewShifted(rn.r.Len(), rn.opt.HashShift, rn.arenaGPU)
 		}
 	}
-	rn.env.tableBytes = estimateTableBytes(rn.r.Len(), rn.table.NBuckets())
 }
 
 // tableFor routes a kernel to the device's table: with separate tables the

@@ -208,8 +208,8 @@ func TestSegmentedTableRouting(t *testing.T) {
 			used++
 		}
 	}
-	if used < tbl.NBuckets()/4 {
-		t.Fatalf("only %d/%d buckets used: segment slot bits overlap radix bits", used, tbl.NBuckets())
+	if used < tbl.nBuckets/4 {
+		t.Fatalf("only %d/%d buckets used: segment slot bits overlap radix bits", used, tbl.nBuckets)
 	}
 }
 

@@ -110,9 +110,6 @@ func NewShifted(nBuckets int, hashShift uint, arena *alloc.Arena) *Table {
 	return t
 }
 
-// NBuckets returns the bucket count.
-func (t *Table) NBuckets() int { return t.nBuckets }
-
 // NumKeys returns the number of distinct keys inserted so far.
 func (t *Table) NumKeys() int64 { return t.numKeys.Load() }
 
