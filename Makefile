@@ -16,11 +16,11 @@ COVERAGE_FLOOR ?= 91
 
 # Maximum non-test code lines (as `make loc` counts them) per package, as
 # package:ceiling pairs: COVERAGE_FLOOR's pattern pointing the other way.
-# The service layer was three copies of one design, and core wrote its join
-# geometry, radix pass series and phase dispatch out three times each; this
-# keeps each of them one. Lower a ceiling as its package shrinks; never
-# raise one to merge.
-LOC_CEILINGS ?= internal/service:2095 internal/core:1423
+# The service layer was three copies of one design and described a query
+# in four shapes, and core wrote its join geometry, radix pass series and
+# phase dispatch out three times each; this keeps each of them one. Lower a
+# ceiling as its package shrinks; never raise one to merge.
+LOC_CEILINGS ?= internal/service:1945 internal/httpapi:593 internal/core:1423
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

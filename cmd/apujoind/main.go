@@ -44,7 +44,7 @@
 //	POST   /v1/batch       submit many joins in one admission transaction
 //	GET    /v1/query?id=   poll one query
 //	DELETE /v1/query?id=   cancel one query
-//	GET    /v1/queries     list retained queries
+//	GET    /v1/queries     list retained queries, each as GET /v1/query reports it
 //	POST   /v1/relations   register a relation (generate or upload)
 //	GET    /v1/relations   list registered relations with their statistics
 //	DELETE /v1/relations?name=  refcounted delete

@@ -211,11 +211,16 @@ func parsePipeline(req api.PipelineRequest, cfg Config, svc *service.Service) (s
 	return spec, nil
 }
 
+// response renders one query's report — the one rendering every route
+// that reports a query uses. Times convert to milliseconds for display;
+// the per_partition transports keep their raw nanosecond floats.
 func response(q *service.Query) api.JoinResponse {
-	info := q.Snapshot()
-	resp := api.JoinResponse{ID: info.ID, State: info.State, Error: info.Error}
-	resp.Plan = planReport(info.Plan)
-	if res, err, ok := q.Result(); ok && err == nil && res != nil {
+	rep := q.Report()
+	resp := api.JoinResponse{ID: rep.ID, State: rep.State.String(), Plan: planReport(rep.Plan)}
+	if rep.Err != nil {
+		resp.Error = rep.Err.Error()
+	}
+	if res := rep.Result; res != nil {
 		resp.Matches = res.Matches
 		resp.TotalMS = res.TotalNS / 1e6
 		resp.Phases = &api.PhaseReport{
@@ -225,46 +230,56 @@ func response(q *service.Query) api.JoinResponse {
 			MergeMS:     res.MergeNS / 1e6,
 			TransferMS:  res.TransferNS / 1e6,
 		}
-		resp.WallMS = float64(info.WallNS) / 1e6
+		resp.WallMS = float64(rep.Wall.Nanoseconds()) / 1e6
 	}
-	// The raw per-partition vector of a per_partition join — the cluster
-	// transport. Raw nanosecond floats, never the ms conversions above.
-	for _, pr := range q.Partitions() {
+	for _, pr := range rep.Partitions {
 		resp.Partitions = append(resp.Partitions, api.FromResult(pr))
 	}
-	if pi := info.Pipeline; pi != nil {
+	if pipe := rep.Pipeline; pipe != nil {
 		// For pipelines, total_ms covers the whole serial chain (the
 		// Result and its phases describe the final step alone).
-		resp.TotalMS = info.SimulatedNS / 1e6
-		pr := &api.PipelineReport{
-			Sources:               pi.Sources,
-			Ordered:               pi.Ordered,
-			Order:                 pi.Order,
-			IntermediateTuples:    pi.IntermediateTuples,
-			IntermediateBytes:     pi.IntermediateBytes,
-			PeakIntermediateBytes: pi.PeakIntermediateBytes,
-			Replans:               pi.Replans,
-			SpilledPartitions:     pi.SpilledPartitions,
-			SpillBytes:            pi.SpillBytes,
-		}
-		for _, st := range pi.Steps {
-			sr := api.PipelineStepReport{
-				Build:       st.Build,
-				Probe:       st.Probe,
-				BuildTuples: st.BuildTuples,
-				ProbeTuples: st.ProbeTuples,
-				Matches:     st.Matches,
-				TotalMS:     st.SimulatedNS / 1e6,
-				Plan:        planReport(st.Plan),
-			}
-			pr.Steps = append(pr.Steps, sr)
-		}
-		if pipe, ok := q.Pipeline(); ok && pipe.Partitions != nil {
-			pr.Partitions = wirePipelineParts(pipe.Partitions)
-		}
-		resp.Pipeline = pr
+		resp.TotalMS = pipe.TotalNS / 1e6
+		resp.Pipeline = pipelineReport(pipe)
 	}
 	return resp
+}
+
+// pipelineReport renders a pipeline's per-step report and, when it was
+// kept, its per-partition transport.
+func pipelineReport(pipe *service.PipelineResult) *api.PipelineReport {
+	pr := &api.PipelineReport{
+		Sources:               len(pipe.Order),
+		Ordered:               pipe.Ordered,
+		Order:                 pipe.Order,
+		IntermediateTuples:    pipe.IntermediateTuples,
+		IntermediateBytes:     pipe.IntermediateBytes,
+		PeakIntermediateBytes: pipe.PeakIntermediateBytes,
+		Replans:               pipe.Replans,
+		SpilledPartitions:     pipe.SpilledPartitions,
+		SpillBytes:            pipe.SpillBytes,
+	}
+	for _, st := range pipe.Steps {
+		pr.Steps = append(pr.Steps, api.PipelineStepReport{
+			Build:       st.Build,
+			Probe:       st.Probe,
+			BuildTuples: st.BuildTuples,
+			ProbeTuples: st.ProbeTuples,
+			Matches:     st.OutTuples,
+			TotalMS:     st.Result.TotalNS / 1e6,
+			Plan:        planReport(st.Plan),
+		})
+	}
+	if pp := pipe.Partitions; pp != nil {
+		pr.Partitions = &api.PipelineParts{PeakIntermediateBytes: pp.Peak, SpillDepth: pp.SpillDepth}
+		for t, row := range pp.Steps {
+			wire := make([]api.PartitionStep, len(row))
+			for p, r := range row {
+				wire[p] = api.PartitionStep{Result: api.FromResult(r), Plan: pp.Plans[t][p]}
+			}
+			pr.Partitions.Steps = append(pr.Partitions.Steps, wire)
+		}
+	}
+	return pr
 }
 
 // planReport is a plan decision's display form, nil for none.
@@ -277,32 +292,6 @@ func planReport(pl *service.PlanInfo) *api.PlanReport {
 		cache = "hit"
 	}
 	return &api.PlanReport{Algo: pl.Algo, Scheme: pl.Scheme, Cache: cache, PredictedMS: pl.PredictedNS / 1e6}
-}
-
-// wirePipelineParts projects a sharded pipeline's raw per-partition
-// breakdown onto its wire transport.
-func wirePipelineParts(pp *service.PipelinePartitions) *api.PipelineParts {
-	wire := &api.PipelineParts{
-		PeakIntermediateBytes: pp.Peak,
-		IntermediateTuples:    pp.InterTuples,
-		IntermediateBytes:     pp.InterBytes,
-		SpillDepth:            pp.SpillDepth,
-	}
-	for t, row := range pp.Steps {
-		stepRow := make([]api.PartitionStep, len(row))
-		for p, r := range row {
-			stepRow[p] = api.PartitionStep{
-				Result:      api.FromResult(r),
-				BuildTuples: pp.BuildTuples[t][p],
-				ProbeTuples: pp.ProbeTuples[t][p],
-			}
-			if t < len(pp.Plans) {
-				stepRow[p].Plan = pp.Plans[t][p]
-			}
-		}
-		wire.Steps = append(wire.Steps, stepRow)
-	}
-	return wire
 }
 
 // bodyBufs recycles the buffers response bodies are encoded into.
@@ -491,7 +480,7 @@ func waitResult(w http.ResponseWriter, r *http.Request, q *service.Query) {
 //	POST   /v1/batch       submit many joins in one admission transaction
 //	GET    /v1/query?id=   poll one query
 //	DELETE /v1/query?id=   cancel one query
-//	GET    /v1/queries     list retained queries
+//	GET    /v1/queries     list retained queries, each as GET /v1/query reports it
 //	POST   /v1/relations   register a relation (generate or upload)
 //	GET    /v1/relations   list registered relations with their statistics
 //	DELETE /v1/relations?name=  refcounted delete
@@ -660,14 +649,19 @@ func New(svc *service.Service, cfg Config) http.Handler {
 			return
 		}
 		// Cancellation is asynchronous: a queued query drops immediately,
-		// a running one aborts at its next step boundary. The snapshot
+		// a running one aborts at its next step boundary. The response
 		// reflects whatever state the query has reached by now.
 		q.Cancel()
 		writeResult(w, http.StatusAccepted, response(q))
 	})
 
 	mux.HandleFunc("GET /v1/queries", func(w http.ResponseWriter, r *http.Request) {
-		writeResult(w, http.StatusOK, svc.Queries())
+		qs := svc.Queries()
+		resps := make([]api.JoinResponse, len(qs))
+		for i, q := range qs {
+			resps[i] = response(q)
+		}
+		writeResult(w, http.StatusOK, resps)
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {

@@ -2,16 +2,20 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"apujoin/internal/core"
+	"apujoin/internal/rel"
 	"apujoin/internal/service"
 	"apujoin/internal/shard"
 )
@@ -578,5 +582,64 @@ func TestEncodeFailureIsStructured500(t *testing.T) {
 	}
 	if got, want := rec.Header().Get("Content-Length"), fmt.Sprint(rec.Body.Len()); got != want {
 		t.Errorf("Content-Length %s, body %s bytes", got, want)
+	}
+}
+
+// TestQueriesListsQueryResponses: GET /v1/queries renders every retained
+// query exactly as GET /v1/query?id= does — a done join, a done pipeline, a
+// failed query and a canceled one alike.
+func TestQueriesListsQueryResponses(t *testing.T) {
+	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2})
+	ts := httptest.NewServer(New(svc, Config{MaxTuples: 1 << 20, MaxBody: 1 << 20}))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = svc.Close()
+	})
+
+	do(t, "POST", ts.URL+"/v1/relations", `{"name":"r","n":20000,"seed":1}`)
+	do(t, "POST", ts.URL+"/v1/relations", `{"name":"s","probe_of":"r","n":20000,"sel":0.5,"seed":2}`)
+	if st, resp := do(t, "POST", ts.URL+"/v1/join", `{"algo":"auto","delta":0.1,"r_name":"r","s_name":"s","wait":true}`); st != 200 {
+		t.Fatalf("join: status %d, resp %v", st, resp)
+	}
+	if st, resp := do(t, "POST", ts.URL+"/v1/pipeline",
+		`{"algo":"shj","scheme":"dd","delta":0.25,"sources":[{"name":"r"},{"name":"s"},{"name":"s"}],"wait":true}`); st != 200 {
+		t.Fatalf("pipeline: status %d, resp %v", st, resp)
+	}
+	// The HTTP surface rejects invalid options at submit, so the failing
+	// query enters through the service: δ above one fails at execution.
+	r := rel.Gen{N: 1000, Seed: 3}.Build()
+	failed, err := svc.SubmitSpec(context.Background(), service.JoinSpec{R: r, S: r, Opt: core.Options{Delta: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	canceled, err := svc.SubmitSpec(ctx, service.JoinSpec{R: r, S: r, Opt: core.Options{Delta: 0.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*service.Query{failed, canceled} {
+		_, _ = q.Wait(context.Background())
+	}
+
+	st, list := do(t, "GET", ts.URL+"/v1/queries", "")
+	queries, _ := list["list"].([]any)
+	if st != 200 || len(queries) != 4 {
+		t.Fatalf("GET /v1/queries: status %d, %d queries, want 200 and 4: %v", st, len(queries), list)
+	}
+	states := make([]any, len(queries))
+	for i, elem := range queries {
+		got, _ := elem.(map[string]any)
+		_, want := do(t, "GET", fmt.Sprintf("%s/v1/query?id=%v", ts.URL, got["id"]), "")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %v: /v1/queries lists\n %v\nbut /v1/query answers\n %v", got["id"], got, want)
+		}
+		states[i] = got["state"]
+	}
+	if want := []any{"done", "done", "failed", "canceled"}; !reflect.DeepEqual(states, want) {
+		t.Errorf("states %v, want %v", states, want)
+	}
+	if pipe, _ := queries[1].(map[string]any)["pipeline"].(map[string]any); pipe == nil {
+		t.Errorf("the pipeline's listing has no pipeline section: %v", queries[1])
 	}
 }

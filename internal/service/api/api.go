@@ -226,29 +226,25 @@ type PipelineReport struct {
 }
 
 // PipelineParts is the raw per-partition transport of a sharded pipeline:
-// for every step, each fixed grid partition's untouched result and input
-// cardinalities, plus the per-partition chain gauges. The cluster router
-// reassembles the global pipeline report from these exactly as the
-// in-process sharded engine does — per-step merges in fixed partition
-// order, gauges summed across partitions.
+// what each fixed grid partition's chain knows on its own — every step's
+// untouched result and plan, the chain's resident peak and spill depth.
+// The cluster router reassembles the global pipeline report from these
+// exactly as the in-process sharded engine does — per-step merges in fixed
+// partition order, gauges summed across partitions — and derives the tuple
+// counts from the merged steps, so none travel.
 type PipelineParts struct {
 	// Steps[t][p] is partition p's raw result of pipeline step t+1.
 	Steps [][]PartitionStep `json:"steps"`
-	// PeakIntermediateBytes, IntermediateTuples and IntermediateBytes are
-	// each partition chain's gauges, indexed by partition.
+	// PeakIntermediateBytes is each partition chain's resident peak and
+	// SpillDepth its deepest recursive repartitioning level (0 when the
+	// chain ran resident), indexed by partition.
 	PeakIntermediateBytes []int64 `json:"peak_intermediate_bytes"`
-	IntermediateTuples    []int64 `json:"intermediate_tuples"`
-	IntermediateBytes     []int64 `json:"intermediate_bytes"`
-	// SpillDepth is each partition chain's deepest recursive repartitioning
-	// level (0 when the chain ran resident), indexed by partition.
-	SpillDepth []int `json:"spill_depth,omitempty"`
+	SpillDepth            []int   `json:"spill_depth"`
 }
 
 // PartitionStep is one partition's slice of one pipeline step.
 type PartitionStep struct {
-	Result      PartitionResult `json:"result"`
-	BuildTuples int             `json:"build_tuples"`
-	ProbeTuples int             `json:"probe_tuples"`
+	Result PartitionResult `json:"result"`
 	// Plan is the partition's planner decision for the step (algo=auto and
 	// the partition did not spill), raw nanoseconds — the cluster router
 	// aggregates the per-partition plans exactly as the in-process sharded

@@ -41,7 +41,7 @@ func replies() []JoinResponse {
 		SpilledPartitions: 2, SpillBytes: 4096,
 		Partitions: &PipelineParts{
 			Steps:                 [][]PartitionStep{{{Result: parts(true)[0], Plan: &PartitionPlan{Algo: "shj", PredictedNS: 1e-7}}}},
-			PeakIntermediateBytes: []int64{1}, IntermediateTuples: []int64{2}, IntermediateBytes: []int64{3},
+			PeakIntermediateBytes: []int64{1}, SpillDepth: []int{2},
 		},
 	}}
 	failed := JoinResponse{ID: 10, State: "failed", Error: "core: no space"}

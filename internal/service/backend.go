@@ -303,17 +303,10 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 			}
 			s.TotalNS += s.SpillNS
 		}
-		// Step t builds from step t-1's intermediate, of exactly its matches.
-		build := in[order[0]].Len()
 		for t, r := range c.steps {
 			pp.Steps[t][p], pp.Plans[t][p] = r, c.plans[t]
-			pp.BuildTuples[t][p], pp.ProbeTuples[t][p] = build, in[order[t+1]].Len()
-			build = int(r.Matches)
-			if t < n-2 {
-				pp.InterTuples[p] += r.Matches
-			}
 		}
-		pp.InterBytes[p], pp.Peak[p], pp.SpillDepth[p] = pp.InterTuples[p]*8, sp.peak, sp.depth
+		pp.Peak[p], pp.SpillDepth[p] = sp.peak, sp.depth
 		return nil
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
+	"apujoin/internal/service/api"
 	"apujoin/internal/shard"
 )
 
@@ -143,7 +144,9 @@ func cannedResult(p, t int) *core.Result {
 // TestRouterMergesInFixedOrder: whatever order the backend computed the
 // partitions in, a join merges to shard.MergeResults over partition order,
 // and a pipeline's steps, plan aggregates and gauges reassemble from the
-// per-partition transport the same way.
+// per-partition transport the same way — while its tuple counts derive from
+// the merged matches and the sources' whole-relation sizes in the executed
+// order.
 func TestRouterMergesInFixedOrder(t *testing.T) {
 	rt, f := newFakeRouter()
 	f.joinParts = make([]*core.Result, shard.Partitions)
@@ -161,27 +164,28 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 		t.Error("join: per-partition vector kept without being asked for")
 	}
 
-	const nSteps = 2
+	const nSteps = 3
 	pp := newPipelinePartitions(nSteps, shard.Partitions)
-	var wantPeak, wantTuples int64
+	var wantPeak int64
 	for p := 0; p < shard.Partitions; p++ {
 		for s := 0; s < nSteps; s++ {
+			// Partition p of step s matches (s+1)(p+1) tuples: the steps
+			// merge to 36, 72 and 108 matches.
 			pp.Steps[s][p] = cannedResult(p, s)
-			pp.BuildTuples[s][p], pp.ProbeTuples[s][p] = 10+p, 20+p
+			pp.Steps[s][p].Matches = int64((s + 1) * (p + 1))
 		}
 		// Step 0 is planned on the odd partitions only; one of them missed.
 		if p%2 == 1 {
 			pp.Plans[0][p] = &PlanInfo{Algo: "PHJ", Scheme: "PL", CacheHit: p != 3, PredictedNS: float64(p)}
 		}
-		pp.Peak[p], pp.InterTuples[p], pp.InterBytes[p] = int64(100*p), int64(p), int64(8*p)
+		pp.Peak[p] = int64(100 * p)
 		wantPeak += int64(100 * p)
-		wantTuples += int64(p)
 	}
 	pp.SpillDepth[5] = 2
 	f.pipeParts = pp
 	pj := &pipeJob{
-		sources: []pipeSource{{name: "a"}, {name: "b"}, {name: "c"}},
-		order:   &pipeOrder{order: []int{2, 0, 1}, ordered: true},
+		sources: []pipeSource{{name: "a", tuples: 1000}, {name: "b", tuples: 2000}, {name: "c", tuples: 3000}, {name: "d", tuples: 4000}},
+		order:   &pipeOrder{order: []int{2, 0, 3, 1}, ordered: true},
 	}
 	pr, err := rt.execPipeline(context.Background(), pj)
 	if err != nil {
@@ -192,21 +196,30 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 			t.Errorf("pipeline step %d: merged result differs from the fixed-order merge", s)
 		}
 	}
-	if pr.Steps[0].Build != "c" || pr.Steps[0].Probe != "a" || pr.Steps[1].Build != "step1" || pr.Steps[1].Probe != "b" {
-		t.Errorf("step labels: %q ⋈ %q, %q ⋈ %q", pr.Steps[0].Build, pr.Steps[0].Probe, pr.Steps[1].Build, pr.Steps[1].Probe)
+	want := []struct {
+		build, probe   string
+		buildT, probeT int
+	}{{"c", "a", 3000, 1000}, {"step1", "d", 36, 4000}, {"step2", "b", 72, 2000}}
+	for s, w := range want {
+		st := pr.Steps[s]
+		if st.Build != w.build || st.Probe != w.probe || st.BuildTuples != w.buildT || st.ProbeTuples != w.probeT || st.OutTuples != int64(36*(s+1)) {
+			t.Errorf("step %d: %q (%d) ⋈ %q (%d) = %d, want %q (%d) ⋈ %q (%d) = %d",
+				s, st.Build, st.BuildTuples, st.Probe, st.ProbeTuples, st.OutTuples, w.build, w.buildT, w.probe, w.probeT, 36*(s+1))
+		}
 	}
 	if pl := pr.Steps[0].Plan; pl == nil || pl.Algo != "PHJ" || pl.CacheHit || pl.PredictedNS != 1+3+5+7 {
 		t.Errorf("step 0 plan aggregate = %+v, want PHJ, a miss, 16 ns predicted", pl)
 	}
-	if pr.Steps[1].Plan != nil {
-		t.Errorf("step 1 reports a plan no partition made: %+v", pr.Steps[1].Plan)
+	if pr.Steps[1].Plan != nil || pr.Steps[2].Plan != nil {
+		t.Errorf("steps 1 and 2 report plans no partition made: %+v, %+v", pr.Steps[1].Plan, pr.Steps[2].Plan)
 	}
-	if pr.Final != pr.Steps[1].Result || pr.TotalNS != pr.Steps[0].Result.TotalNS+pr.Steps[1].Result.TotalNS {
+	if pr.Final != pr.Steps[2].Result || pr.TotalNS != pr.Steps[0].Result.TotalNS+pr.Steps[1].Result.TotalNS+pr.Steps[2].Result.TotalNS {
 		t.Error("pipeline Final or TotalNS is not the steps' serial fold")
 	}
-	if pr.PeakIntermediateBytes != wantPeak || pr.IntermediateTuples != wantTuples || pr.SpillDepth != 2 || pr.Partitions != nil {
-		t.Errorf("gauges: peak %d tuples %d depth %d partitions %v, want %d/%d/2/nil",
-			pr.PeakIntermediateBytes, pr.IntermediateTuples, pr.SpillDepth, pr.Partitions, wantPeak, wantTuples)
+	// The intermediates are the non-final steps' matches: 36 + 72.
+	if pr.PeakIntermediateBytes != wantPeak || pr.IntermediateTuples != 108 || pr.IntermediateBytes != 864 || pr.SpillDepth != 2 || pr.Partitions != nil {
+		t.Errorf("gauges: peak %d tuples %d bytes %d depth %d partitions %v, want %d/108/864/2/nil",
+			pr.PeakIntermediateBytes, pr.IntermediateTuples, pr.IntermediateBytes, pr.SpillDepth, pr.Partitions, wantPeak)
 	}
 }
 
@@ -236,7 +249,6 @@ func TestRouterGridOfOneIsIdentity(t *testing.T) {
 	pp := newPipelinePartitions(2, 1)
 	for s := range pp.Steps {
 		pp.Steps[s][0] = cannedResult(0, s)
-		pp.BuildTuples[s][0], pp.ProbeTuples[s][0] = 10, 20
 	}
 	pp.Plans[0][0] = &PlanInfo{Algo: "SHJ", Scheme: "DD", PredictedNS: 77}
 	pp.Peak[0], pp.SpillDepth[0] = 4096, 1
@@ -295,5 +307,38 @@ func TestRouterDropInvalidatesWorkloadMemo(t *testing.T) {
 	recs = register(0.0)
 	if none := rt.workload(recs[0], recs[1]); none == full || rt.reuses != 1 {
 		t.Errorf("re-registered pair: workload %+v (old %+v), reuses %d — served from the stale memo", none, full, rt.reuses)
+	}
+}
+
+// TestValidateShardPipeline: a shard's pipeline reply is accepted only with
+// every per-partition vector complete — one row per step, one slot per grid
+// partition in each row and in each chain gauge.
+func TestValidateShardPipeline(t *testing.T) {
+	reply := func(edit func(*api.PipelineParts)) *api.JoinResponse {
+		pp := &api.PipelineParts{
+			Steps:                 [][]api.PartitionStep{make([]api.PartitionStep, shard.Partitions), make([]api.PartitionStep, shard.Partitions)},
+			PeakIntermediateBytes: make([]int64, shard.Partitions),
+			SpillDepth:            make([]int, shard.Partitions),
+		}
+		if edit != nil {
+			edit(pp)
+		}
+		return &api.JoinResponse{State: "done", Pipeline: &api.PipelineReport{Partitions: pp}}
+	}
+	if err := validateShardPipeline(reply(nil), 2); err != nil {
+		t.Fatalf("complete reply rejected: %v", err)
+	}
+	bad := map[string]*api.JoinResponse{
+		"no transport":          {State: "done", Pipeline: &api.PipelineReport{}},
+		"missing step":          reply(func(pp *api.PipelineParts) { pp.Steps = pp.Steps[:1] }),
+		"short step row":        reply(func(pp *api.PipelineParts) { pp.Steps[1] = pp.Steps[1][:shard.Partitions-1] }),
+		"short peak vector":     reply(func(pp *api.PipelineParts) { pp.PeakIntermediateBytes = pp.PeakIntermediateBytes[:shard.Partitions-1] }),
+		"no spill-depth":        reply(func(pp *api.PipelineParts) { pp.SpillDepth = nil }),
+		"truncated spill-depth": reply(func(pp *api.PipelineParts) { pp.SpillDepth = pp.SpillDepth[:3] }),
+	}
+	for name, resp := range bad {
+		if err := validateShardPipeline(resp, 2); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

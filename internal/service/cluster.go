@@ -272,17 +272,9 @@ func (b *remoteBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelineP
 	for p := 0; p < shard.Partitions; p++ {
 		wire := resps[shard.Owner(p, n)].Pipeline.Partitions
 		for t := 0; t < nSteps; t++ {
-			ps := wire.Steps[t][p]
-			pp.Steps[t][p] = ps.Result.ToResult()
-			pp.BuildTuples[t][p], pp.ProbeTuples[t][p] = ps.BuildTuples, ps.ProbeTuples
-			pp.Plans[t][p] = ps.Plan
+			pp.Steps[t][p], pp.Plans[t][p] = wire.Steps[t][p].Result.ToResult(), wire.Steps[t][p].Plan
 		}
-		pp.Peak[p] = wire.PeakIntermediateBytes[p]
-		pp.InterTuples[p] = wire.IntermediateTuples[p]
-		pp.InterBytes[p] = wire.IntermediateBytes[p]
-		if len(wire.SpillDepth) == shard.Partitions {
-			pp.SpillDepth[p] = wire.SpillDepth[p]
-		}
+		pp.Peak[p], pp.SpillDepth[p] = wire.PeakIntermediateBytes[p], wire.SpillDepth[p]
 	}
 	return pp, nil
 }
@@ -302,10 +294,9 @@ func validateShardPipeline(resp *api.JoinResponse, nSteps int) error {
 			return fmt.Errorf("step %d: returned %d per-partition results, want %d", t+1, len(row), shard.Partitions)
 		}
 	}
-	if len(pp.PeakIntermediateBytes) != shard.Partitions ||
-		len(pp.IntermediateTuples) != shard.Partitions ||
-		len(pp.IntermediateBytes) != shard.Partitions {
-		return fmt.Errorf("per-partition gauge vectors are incomplete")
+	if len(pp.PeakIntermediateBytes) != shard.Partitions || len(pp.SpillDepth) != shard.Partitions {
+		return fmt.Errorf("returned %d peak and %d spill-depth gauges, want %d of each",
+			len(pp.PeakIntermediateBytes), len(pp.SpillDepth), shard.Partitions)
 	}
 	return nil
 }

@@ -184,6 +184,24 @@ func TestClusterInvariance(t *testing.T) {
 	}
 }
 
+// TestClusterCountsAutoJoins: a cluster router's auto join counts in
+// AutoPlanned like anywhere else, although no plan crosses the join
+// transport: the counter counts completed auto queries, not plan reports.
+func TestClusterCountsAutoJoins(t *testing.T) {
+	csvc := clusterService(t, []string{startShardServer(t, 1).URL, startShardServer(t, 2).URL})
+	registerTriple(t, csvc)
+	q, err := csvc.SubmitSpec(context.Background(), service.JoinSpec{RName: "orders", SName: "lineitem", Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := csvc.Stats(); st.Completed != 1 || st.AutoPlanned != 1 {
+		t.Errorf("completed %d, auto planned %d; want 1 and 1", st.Completed, st.AutoPlanned)
+	}
+}
+
 // TestClusterHTTPInlineInvariance drives inline generation over HTTP: an
 // inline join or pipeline POSTed to a cluster router reports the same
 // matches, simulated total, phases and pipeline section as the identical

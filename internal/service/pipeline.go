@@ -116,81 +116,20 @@ type PipelineResult struct {
 	Partitions *PipelinePartitions
 }
 
-// PipelinePartitions is the raw per-partition breakdown of a
-// pipeline: for each executed step t (0-based) and grid partition p,
-// Steps[t][p] is partition p's pairwise result of that step, with the
-// matching input cardinalities in BuildTuples/ProbeTuples. The per-
-// partition gauges report each partition chain's intermediate totals and
-// resident peak. Merging Steps[t] over the grid (shard.Grid.Merge) yields
-// exactly the pipeline's Steps[t].Result.
+// PipelinePartitions is the raw per-partition breakdown of a pipeline:
+// what each grid partition's chain knows on its own. For each executed step
+// t (0-based) and grid partition p, Steps[t][p] is partition p's pairwise
+// result of that step and Plans[t][p] its planner decision (nil when the
+// step was not auto-planned, met an empty side, or spilled). Merging
+// Steps[t] over the grid (shard.Grid.Merge) yields exactly the pipeline's
+// Steps[t].Result; the input cardinalities and intermediate totals follow
+// from the merged steps (router.execPipeline). Peak and SpillDepth are each
+// partition chain's resident peak and deepest repartitioning level.
 type PipelinePartitions struct {
-	Steps                    [][]*core.Result
-	BuildTuples, ProbeTuples [][]int
-	// Plans[t][p] is partition p's planner decision for step t (nil when the
-	// step was not auto-planned, met an empty side, or spilled) — the raw
-	// inputs of the merged step's aggregate PlanInfo.
-	Plans                   [][]*PlanInfo
-	Peak                    []int64
-	InterTuples, InterBytes []int64
-	// SpillDepth is each partition chain's deepest repartitioning level.
+	Steps      [][]*core.Result
+	Plans      [][]*PlanInfo
+	Peak       []int64
 	SpillDepth []int
-}
-
-// PipelineInfo is the JSON-friendly snapshot of a pipeline query for
-// status surfaces, with per-step plan decisions.
-type PipelineInfo struct {
-	Sources               int                `json:"sources"`
-	Ordered               bool               `json:"ordered"`
-	Order                 []int              `json:"order"`
-	Steps                 []PipelineStepInfo `json:"steps"`
-	IntermediateTuples    int64              `json:"intermediate_tuples"`
-	IntermediateBytes     int64              `json:"intermediate_bytes"`
-	PeakIntermediateBytes int64              `json:"peak_intermediate_bytes"`
-	Replans               int64              `json:"replans"`
-	SpilledPartitions     int64              `json:"spilled_partitions"`
-	SpillBytes            int64              `json:"spill_bytes"`
-}
-
-// PipelineStepInfo is the snapshot of one pipeline step.
-type PipelineStepInfo struct {
-	Build       string    `json:"build"`
-	Probe       string    `json:"probe"`
-	BuildTuples int       `json:"build_tuples"`
-	ProbeTuples int       `json:"probe_tuples"`
-	Matches     int64     `json:"matches"`
-	SimulatedNS float64   `json:"simulated_ns"`
-	Plan        *PlanInfo `json:"plan,omitempty"`
-}
-
-// pipelineInfo snapshots a PipelineResult.
-func pipelineInfo(p *PipelineResult) *PipelineInfo {
-	info := &PipelineInfo{
-		Sources:               len(p.Order),
-		Ordered:               p.Ordered,
-		Order:                 append([]int(nil), p.Order...),
-		IntermediateTuples:    p.IntermediateTuples,
-		IntermediateBytes:     p.IntermediateBytes,
-		PeakIntermediateBytes: p.PeakIntermediateBytes,
-		Replans:               p.Replans,
-		SpilledPartitions:     p.SpilledPartitions,
-		SpillBytes:            p.SpillBytes,
-	}
-	for _, st := range p.Steps {
-		si := PipelineStepInfo{
-			Build:       st.Build,
-			Probe:       st.Probe,
-			BuildTuples: st.BuildTuples,
-			ProbeTuples: st.ProbeTuples,
-			Matches:     st.OutTuples,
-			SimulatedNS: st.Result.TotalNS,
-		}
-		if st.Plan != nil {
-			pl := *st.Plan
-			si.Plan = &pl
-		}
-		info.Steps = append(info.Steps, si)
-	}
-	return info
 }
 
 // pipeSource is one resolved pipeline input: the router's record of a
@@ -239,8 +178,7 @@ type pipeJob struct {
 // queue rejects the pipeline whole, with every pin released), exactly as
 // SubmitBatch treats its queries. The query's Result is the final step's
 // Result; the per-step breakdown — including the planner's per-step
-// decisions when Auto — is available through Query.Pipeline and in the
-// query's Info snapshot.
+// decisions when Auto — is its Report's Pipeline.
 func (s *Service) SubmitPipeline(ctx context.Context, spec PipelineSpec) (*Query, error) {
 	spec.Opt.Pool = s.pool
 	rs, err := s.router.resolvePipeline(spec)

@@ -61,30 +61,23 @@ func TestSubmitPipeline(t *testing.T) {
 	if want := oracle.PipelineCount(rels); res.Matches != want {
 		t.Errorf("matches %d, want oracle %d", res.Matches, want)
 	}
-	pr, ok := q.Pipeline()
-	if !ok || pr.Final != res {
-		t.Fatal("Pipeline() not available or final mismatched after Wait")
+	rep := q.Report()
+	pr := rep.Pipeline
+	if pr == nil || pr.Final != res || rep.Result != res || rep.State != Done {
+		t.Fatalf("report after Wait = %+v, want done with the pipeline's final result", rep)
 	}
-	if !pr.Ordered || len(pr.Steps) != 2 {
-		t.Errorf("ordered=%v steps=%d, want cost-ordered 2-step chain", pr.Ordered, len(pr.Steps))
-	}
-
-	info := q.Snapshot()
-	if info.Pipeline == nil {
-		t.Fatal("Info.Pipeline missing")
-	}
-	if info.Pipeline.Sources != 3 || len(info.Pipeline.Steps) != 2 {
-		t.Errorf("snapshot pipeline = %+v", info.Pipeline)
+	if !pr.Ordered || len(pr.Order) != 3 || len(pr.Steps) != 2 {
+		t.Errorf("ordered=%v order=%v steps=%d, want a cost-ordered 2-step chain over 3 sources", pr.Ordered, pr.Order, len(pr.Steps))
 	}
 	var stepSum float64
-	for i, st := range info.Pipeline.Steps {
+	for i, st := range pr.Steps {
 		if st.Plan == nil {
 			t.Errorf("step %d: missing per-step PlanInfo on an auto pipeline", i)
 		}
-		stepSum += st.SimulatedNS
+		stepSum += st.Result.TotalNS
 	}
-	if info.SimulatedNS != stepSum || info.SimulatedNS != pr.TotalNS {
-		t.Errorf("SimulatedNS %.0f != step sum %.0f / TotalNS %.0f", info.SimulatedNS, stepSum, pr.TotalNS)
+	if pr.TotalNS != stepSum {
+		t.Errorf("TotalNS %.0f != step sum %.0f", pr.TotalNS, stepSum)
 	}
 
 	st := svc.Stats()
@@ -119,9 +112,9 @@ func TestSubmitPipeline(t *testing.T) {
 
 // TestPipelineStats drives one pipeline through the admission layer and
 // checks the footprint surfaces: the per-pipeline peak (exactly the largest
-// single intermediate — at most one is ever resident), its snapshot and
-// stats mirrors, the catalog's lifetime high-water mark, and that the
-// residency budget is back at the registered relations afterwards.
+// single intermediate — at most one is ever resident), its stats mirror,
+// the catalog's lifetime high-water mark, and that the residency budget is
+// back at the registered relations afterwards.
 func TestPipelineStats(t *testing.T) {
 	svc := New(Config{Workers: 2, MaxConcurrent: 1})
 	defer svc.Close()
@@ -138,8 +131,8 @@ func TestPipelineStats(t *testing.T) {
 	if _, err := q.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pr, ok := q.Pipeline()
-	if !ok {
+	pr := q.Report().Pipeline
+	if pr == nil {
 		t.Fatal("no pipeline result")
 	}
 	var peak int64
@@ -150,9 +143,6 @@ func TestPipelineStats(t *testing.T) {
 	}
 	if pr.PeakIntermediateBytes != peak || peak <= 0 {
 		t.Errorf("peak %d, want the largest single intermediate %d > 0", pr.PeakIntermediateBytes, peak)
-	}
-	if info := q.Snapshot(); info.Pipeline == nil || info.Pipeline.PeakIntermediateBytes != peak {
-		t.Errorf("snapshot pipeline = %+v", info.Pipeline)
 	}
 
 	st := svc.Stats()
@@ -234,8 +224,8 @@ func TestConcurrentPipelinesInvariance(t *testing.T) {
 		if _, err := q.Wait(context.Background()); err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		pr, ok := q.Pipeline()
-		if !ok {
+		pr := q.Report().Pipeline
+		if pr == nil {
 			t.Fatalf("lane %d: no pipeline result", i)
 		}
 		if !reflect.DeepEqual(ref, normalizeCacheHits(pr)) {
@@ -254,7 +244,7 @@ func TestConcurrentPipelinesInvariance(t *testing.T) {
 	if _, err := q.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if pr, _ := q.Pipeline(); !reflect.DeepEqual(ref, normalizeCacheHits(pr)) {
+	if pr := q.Report().Pipeline; !reflect.DeepEqual(ref, normalizeCacheHits(pr)) {
 		t.Error("serial-after PipelineResult differs from the synchronous reference")
 	}
 }
@@ -276,7 +266,7 @@ func TestPipelineAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for holder.Snapshot().State == Queued.String() && time.Now().Before(deadline) {
+	for holder.Report().State == Queued && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -301,7 +291,7 @@ func TestPipelineAdmission(t *testing.T) {
 	if _, err := queued2.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled queued pipeline: err %v, want context.Canceled", err)
 	}
-	if _, ok := queued2.Pipeline(); ok {
+	if queued2.Report().Pipeline != nil {
 		t.Error("cancelled pipeline reports a pipeline result")
 	}
 

@@ -647,11 +647,15 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 // global report from the raw per-partition transport: the chain decomposes
 // exactly because every source is partitioned on the shared join key —
 // step t of partition p only ever meets keys of partition p — so each
-// step's results merge across partitions in fixed partition order; labels
-// and tuple counts are global (full-relation) quantities, and a step's
-// PlanInfo aggregates the per-partition planner decisions (mergePlans).
-// The job's order is read after the run: the chain of a grid of one may
-// have revised it in place, which Replans counts.
+// step's results merge across partitions in fixed partition order, and a
+// step's PlanInfo aggregates the per-partition planner decisions
+// (mergePlans). The job's order is read after the run: the chain of a grid
+// of one may have revised it in place, which Replans counts.
+//
+// Labels and tuple counts are global quantities, derived here rather than
+// shipped: step 0 builds from order[0]'s whole relation and step t from
+// step t-1's merged matches, step t probes with order[t+1]'s whole relation,
+// and the intermediates are every step's matches but the last.
 //
 // PeakIntermediateBytes sums the per-partition chain peaks: the chains
 // execute concurrently, so their peaks are simultaneous in the worst case,
@@ -662,28 +666,27 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult
 		return nil, err
 	}
 	res := &PipelineResult{Order: pj.order.order, Ordered: pj.order.ordered, Replans: pj.order.replans}
+	buildT := pj.sources[res.Order[0]].tuples
 	for idx, parts := range pp.Steps {
-		buildT, probeT := 0, 0
-		for p := range parts {
-			buildT += pp.BuildTuples[idx][p]
-			probeT += pp.ProbeTuples[idx][p]
-		}
 		merged := t.grid.Merge(parts)
 		build, probe := stepLabels(pj.sources, res.Order, idx+1)
 		res.Steps = append(res.Steps, PipelineStep{
 			Build:       build,
 			Probe:       probe,
 			BuildTuples: buildT,
-			ProbeTuples: probeT,
+			ProbeTuples: pj.sources[res.Order[idx+1]].tuples,
 			OutTuples:   merged.Matches,
 			Result:      merged,
 			Plan:        mergePlans(pp.Plans[idx]),
 		})
 		res.add(merged)
+		if idx < len(pp.Steps)-1 {
+			res.IntermediateTuples += merged.Matches
+		}
+		buildT = int(merged.Matches)
 	}
+	res.IntermediateBytes = res.IntermediateTuples * 8
 	for p := range pp.Peak {
-		res.IntermediateTuples += pp.InterTuples[p]
-		res.IntermediateBytes += pp.InterBytes[p]
 		res.PeakIntermediateBytes += pp.Peak[p]
 		res.SpillDepth = max(res.SpillDepth, pp.SpillDepth[p])
 	}
@@ -697,19 +700,13 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult
 // nSteps-step pipeline over a grid of the given size.
 func newPipelinePartitions(nSteps, grid int) *PipelinePartitions {
 	pp := &PipelinePartitions{
-		Steps:       make([][]*core.Result, nSteps),
-		BuildTuples: make([][]int, nSteps),
-		ProbeTuples: make([][]int, nSteps),
-		Plans:       make([][]*PlanInfo, nSteps),
-		Peak:        make([]int64, grid),
-		InterTuples: make([]int64, grid),
-		InterBytes:  make([]int64, grid),
-		SpillDepth:  make([]int, grid),
+		Steps:      make([][]*core.Result, nSteps),
+		Plans:      make([][]*PlanInfo, nSteps),
+		Peak:       make([]int64, grid),
+		SpillDepth: make([]int, grid),
 	}
 	for t := 0; t < nSteps; t++ {
 		pp.Steps[t] = make([]*core.Result, grid)
-		pp.BuildTuples[t] = make([]int, grid)
-		pp.ProbeTuples[t] = make([]int, grid)
 		pp.Plans[t] = make([]*PlanInfo, grid)
 	}
 	return pp

@@ -165,53 +165,49 @@ type Query struct {
 	// ID is the service-assigned identifier, dense from 1 in submit order.
 	ID int64
 
-	mu       sync.Mutex
-	state    State
-	res      *core.Result
-	err      error
-	submit   time.Time
-	started  time.Time
-	finished time.Time
+	mu  sync.Mutex
+	rep Report
 
-	// auto marks an auto query (JoinSpec.Auto); plan is the planner's
-	// decision, filled when the query finishes.
+	// auto marks an auto query (JoinSpec.Auto).
 	auto bool
-	plan *PlanInfo
 
 	// pins holds the catalog entries a named query references; released
 	// when the query reaches a terminal state.
 	pins []*catalog.Entry
 
-	// pipe is the per-step report of a SubmitPipeline query, filled when
-	// the pipeline finishes (res then holds the final step's Result).
-	pipe *PipelineResult
-
-	// parts holds the raw per-partition results of a join that asked for
-	// them (JoinSpec.KeepPartitions), indexed by grid partition. A cluster
-	// router rebuilds the merged result from these.
-	parts []*core.Result
-
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-// Pipeline returns the finished pipeline query's per-step report; ok is
-// false for plain joins and while a pipeline has not reached a terminal
-// state.
-func (q *Query) Pipeline() (*PipelineResult, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pipe, q.pipe != nil
+// Report is a query at one point in time: its lifecycle position and, once
+// it has finished, everything it produced. The pointed-to values are never
+// written after the query turns terminal, so a Report may be read freely.
+type Report struct {
+	ID    int64
+	State State
+	// Err is the terminal error of a failed or canceled query.
+	Err error
+	// Wall is host wall-clock from admission to finish (0 until finished,
+	// and for a query that never left the queue).
+	Wall time.Duration
+	// Result is a done query's result: a pipeline's final step.
+	Result *core.Result
+	// Pipeline is a done pipeline query's per-step report.
+	Pipeline *PipelineResult
+	// Plan aggregates the planner's decisions of a done join whose
+	// partitions were planned.
+	Plan *PlanInfo
+	// Partitions holds the raw per-partition results of a done join
+	// submitted with JoinSpec.KeepPartitions, indexed by grid partition.
+	// Merging them over the grid (shard.Grid.Merge) yields exactly Result.
+	Partitions []*core.Result
 }
 
-// Partitions returns the raw per-partition results of a finished join
-// submitted with JoinSpec.KeepPartitions, indexed by grid partition (nil
-// otherwise). Merging them over the grid (shard.Grid.Merge) yields exactly
-// the query's Result.
-func (q *Query) Partitions() []*core.Result {
+// Report returns the query's current report.
+func (q *Query) Report() Report {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.parts
+	return q.rep
 }
 
 // Cancel requests cancellation: a queued query is dropped, a running query
@@ -225,33 +221,10 @@ func (q *Query) Wait(ctx context.Context) (*core.Result, error) {
 	case <-q.done:
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		return q.res, q.err
+		return q.rep.Result, q.rep.Err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Info is a point-in-time snapshot of a query for status surfaces.
-type Info struct {
-	ID        int64      `json:"id"`
-	State     string     `json:"state"`
-	Submitted time.Time  `json:"submitted"`
-	Started   *time.Time `json:"started,omitempty"`
-	Finished  *time.Time `json:"finished,omitempty"`
-	// WallNS is host wall-clock from admission to finish (0 while queued
-	// or running).
-	WallNS int64 `json:"wall_ns,omitempty"`
-	// Matches and SimulatedNS are filled once the query is Done.
-	Matches     int64   `json:"matches,omitempty"`
-	SimulatedNS float64 `json:"simulated_ns,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	// Plan reports the planner's decision for auto-planned queries.
-	Plan *PlanInfo `json:"plan,omitempty"`
-	// Pipeline reports a multi-way pipeline query: the executed order and
-	// the per-step results and plan decisions. For pipelines, Matches is
-	// the final step's match count while SimulatedNS sums every step of
-	// the serial chain.
-	Pipeline *PipelineInfo `json:"pipeline,omitempty"`
 }
 
 // PlanInfo is the plan report of one auto-planned query: what the planner
@@ -259,51 +232,6 @@ type Info struct {
 // aggregated over the grid's partitions (mergePlans). It is the type the
 // cluster transport carries per partition, so no copy sits between them.
 type PlanInfo = api.PartitionPlan
-
-// Snapshot returns the query's current Info.
-func (q *Query) Snapshot() Info {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	info := Info{ID: q.ID, State: q.state.String(), Submitted: q.submit}
-	if !q.started.IsZero() {
-		t := q.started
-		info.Started = &t
-	}
-	if !q.finished.IsZero() {
-		t := q.finished
-		info.Finished = &t
-		if !q.started.IsZero() {
-			info.WallNS = q.finished.Sub(q.started).Nanoseconds()
-		}
-	}
-	if q.res != nil {
-		info.Matches = q.res.Matches
-		info.SimulatedNS = q.res.TotalNS
-	}
-	if q.pipe != nil {
-		info.SimulatedNS = q.pipe.TotalNS
-		info.Pipeline = pipelineInfo(q.pipe)
-	}
-	if q.plan != nil {
-		pl := *q.plan
-		info.Plan = &pl
-	}
-	if q.err != nil {
-		info.Error = q.err.Error()
-	}
-	return info
-}
-
-// Result returns the finished query's result and error; ok is false while
-// the query has not reached a terminal state.
-func (q *Query) Result() (res *core.Result, err error, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.state == Queued || q.state == Running {
-		return nil, nil, false
-	}
-	return q.res, q.err, true
-}
 
 // PhaseNS aggregates simulated per-phase time across completed queries.
 type PhaseNS struct {
@@ -708,15 +636,14 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 		qctx, cancel := context.WithCancel(ctx)
 		q := &Query{
 			ID:     s.nextID,
+			rep:    Report{ID: s.nextID},
 			auto:   res[i].auto,
-			submit: now,
 			cancel: cancel,
 			done:   make(chan struct{}),
 			pins:   res[i].pins,
 		}
 		if admitted[i] {
-			q.state = Running
-			q.started = now
+			q.rep.State = Running
 			s.stats.Active++
 		} else {
 			s.stats.Queued++
@@ -734,27 +661,32 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 	s.mu.Unlock()
 
 	for i, q := range qs {
+		var started time.Time
+		if admitted[i] {
+			started = now
+		}
 		//apulint:ignore nakedgo(query lifecycle goroutine, tracked by s.wg and cancelled via qctx; the query's data parallelism still runs on the pool)
-		go s.run(ctxs[i], q, res[i], admitted[i])
+		go s.run(ctxs[i], q, res[i], started)
 	}
 	return qs, nil
 }
 
-// run carries one query from admission through completion.
-func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted bool) {
+// run carries one query from admission through completion; started is its
+// admission time, zero while it still waits for a slot.
+func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, started time.Time) {
 	defer s.wg.Done()
 	defer q.cancel()
 
-	if !admitted {
+	if started.IsZero() {
 		// Shutdown and cancellation win over a simultaneously free slot:
 		// check them first, and again after acquiring, because the
 		// blocking select picks uniformly among ready cases.
 		select {
 		case <-ctx.Done():
-			s.finish(q, nil, ctx.Err(), Canceled, time.Time{})
+			s.finish(q, Report{State: Canceled, Err: ctx.Err()}, time.Time{})
 			return
 		case <-s.closing:
-			s.finish(q, nil, ErrClosed, Canceled, time.Time{})
+			s.finish(q, Report{State: Canceled, Err: ErrClosed}, time.Time{})
 			return
 		default:
 		}
@@ -763,21 +695,20 @@ func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted b
 			select {
 			case <-s.closing:
 				<-s.sem
-				s.finish(q, nil, ErrClosed, Canceled, time.Time{})
+				s.finish(q, Report{State: Canceled, Err: ErrClosed}, time.Time{})
 				return
 			default:
 			}
 		case <-ctx.Done():
-			s.finish(q, nil, ctx.Err(), Canceled, time.Time{})
+			s.finish(q, Report{State: Canceled, Err: ctx.Err()}, time.Time{})
 			return
 		case <-s.closing:
-			s.finish(q, nil, ErrClosed, Canceled, time.Time{})
+			s.finish(q, Report{State: Canceled, Err: ErrClosed}, time.Time{})
 			return
 		}
-		started := time.Now()
+		started = time.Now()
 		q.mu.Lock()
-		q.state = Running
-		q.started = started
+		q.rep.State = Running
 		q.mu.Unlock()
 		s.mu.Lock()
 		s.stats.Queued--
@@ -788,52 +719,39 @@ func (s *Service) run(ctx context.Context, q *Query, rs resolvedSpec, admitted b
 	// Close is called.
 	defer func() { <-s.sem }()
 
-	q.mu.Lock()
-	started := q.started
-	q.mu.Unlock()
-
 	// A pipeline query runs its whole chain inside the one admission slot:
-	// the final step's Result is the query's Result and the per-step report
-	// lands on the query before it turns terminal. A plain join reports the
+	// the final step's Result is the query's Result. A plain join reports the
 	// planner's decision and, when asked, its raw per-partition results.
-	var res *core.Result
+	rep := Report{State: Done}
 	var err error
 	if rs.pipe != nil {
-		var pres *PipelineResult
-		if pres, err = s.router.execPipeline(ctx, rs.pipe); err == nil {
-			res = pres.Final
-			q.mu.Lock()
-			q.pipe = pres
-			q.mu.Unlock()
+		if rep.Pipeline, err = s.router.execPipeline(ctx, rs.pipe); err == nil {
+			rep.Result = rep.Pipeline.Final
 		}
 	} else {
-		var parts []*core.Result
-		var pl *PlanInfo
-		if res, parts, pl, err = s.router.execJoin(ctx, rs.join); err == nil {
-			q.mu.Lock()
-			q.parts, q.plan = parts, pl
-			q.mu.Unlock()
-		}
+		rep.Result, rep.Partitions, rep.Plan, err = s.router.execJoin(ctx, rs.join)
 	}
 	switch {
 	case err == nil:
-		s.finish(q, res, nil, Done, started)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.finish(q, nil, err, Canceled, started)
+		rep = Report{State: Canceled, Err: err}
 	default:
-		s.finish(q, nil, err, Failed, started)
+		rep = Report{State: Failed, Err: err}
 	}
+	s.finish(q, rep, started)
 }
 
-// finish moves a query to a terminal state and folds it into the metrics.
-// A zero started time means the query never left the queue.
-func (s *Service) finish(q *Query, res *core.Result, err error, st State, started time.Time) {
+// finish moves a query to rep's terminal state, publishing everything it
+// produced in one step, and folds it into the metrics. A zero started time
+// means the query never left the queue.
+func (s *Service) finish(q *Query, rep Report, started time.Time) {
 	now := time.Now()
+	rep.ID = q.ID
+	if !started.IsZero() {
+		rep.Wall = now.Sub(started)
+	}
 	q.mu.Lock()
-	q.state = st
-	q.res = res
-	q.err = err
-	q.finished = now
+	q.rep = rep
 	q.mu.Unlock()
 	// Waiters wake last (deferred before the lock below, so after its
 	// unlock): Stats read right after Wait already counts this query.
@@ -848,16 +766,16 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 		s.stats.Queued--
 	} else {
 		s.stats.Active--
-		s.stats.WallNS += now.Sub(started).Nanoseconds()
+		s.stats.WallNS += rep.Wall.Nanoseconds()
 	}
-	switch st {
+	switch rep.State {
 	case Done:
 		s.stats.Completed++
-		s.stats.Matches += res.Matches
-		q.mu.Lock()
-		pl, pipe := q.plan, q.pipe
-		q.mu.Unlock()
-		if pipe != nil {
+		s.stats.Matches += rep.Result.Matches
+		if q.auto {
+			s.stats.AutoPlanned++
+		}
+		if pipe := rep.Pipeline; pipe != nil {
 			// A pipeline folds every step of its serial chain into the
 			// simulated totals; Matches stays the final multi-way count.
 			s.stats.Pipelines++
@@ -872,16 +790,10 @@ func (s *Service) finish(q *Query, res *core.Result, err error, st State, starte
 			for _, step := range pipe.Steps {
 				s.stats.addRun(step.Result, step.Plan)
 			}
-			if q.auto {
-				s.stats.AutoPlanned++
-			}
 			break
 		}
-		s.stats.SimulatedNS += res.TotalNS
-		s.stats.addRun(res, pl)
-		if pl != nil {
-			s.stats.AutoPlanned++
-		}
+		s.stats.SimulatedNS += rep.Result.TotalNS
+		s.stats.addRun(rep.Result, rep.Plan)
 	case Failed:
 		s.stats.Failed++
 	case Canceled:
@@ -916,7 +828,7 @@ func (s *Service) evictLocked() {
 		q := s.queries[id]
 		if excess > 0 && q != nil {
 			q.mu.Lock()
-			terminal := q.state == Done || q.state == Failed || q.state == Canceled
+			terminal := q.rep.State == Done || q.rep.State == Failed || q.rep.State == Canceled
 			q.mu.Unlock()
 			if terminal {
 				delete(s.queries, id)
@@ -937,21 +849,17 @@ func (s *Service) Query(id int64) (*Query, bool) {
 	return q, ok
 }
 
-// Queries snapshots all retained queries in submit order.
-func (s *Service) Queries() []Info {
+// Queries returns all retained queries in submit order.
+func (s *Service) Queries() []*Query {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	qs := make([]*Query, 0, len(s.order))
 	for _, id := range s.order {
 		if q, ok := s.queries[id]; ok {
 			qs = append(qs, q)
 		}
 	}
-	s.mu.Unlock()
-	out := make([]Info, len(qs))
-	for i, q := range qs {
-		out[i] = q.Snapshot()
-	}
-	return out
+	return qs
 }
 
 // Stats snapshots the metrics surface, folding in the plan cache counters

@@ -208,10 +208,10 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 		t.Fatalf("q1 submit: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for q1.Snapshot().State == Queued.String() && time.Now().Before(deadline) {
+	for q1.Report().State == Queued && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := q1.Snapshot().State; st != Running.String() && st != Done.String() {
+	if st := q1.Report().State; st != Running && st != Done {
 		t.Fatalf("q1 state %v, want running", st)
 	}
 
@@ -243,7 +243,7 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 	if _, err := q4.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled queued query: err %v, want context.Canceled", err)
 	}
-	if st := q4.Snapshot().State; st != Canceled.String() {
+	if st := q4.Report().State; st != Canceled {
 		t.Errorf("q4 state %v, want canceled", st)
 	}
 
@@ -338,13 +338,13 @@ func TestSubmitAutoBitIdentical(t *testing.T) {
 		compareResults(t, "auto", fmt.Sprintf("query %d vs explicit plan", i), ref, res)
 	}
 
-	// Every query's snapshot reports the planner's decision; exactly one
+	// Every query's report carries the planner's decision; exactly one
 	// paid the plan build.
 	hits := 0
 	for _, q := range qs {
-		info := q.Snapshot()
+		info := q.Report()
 		if info.Plan == nil {
-			t.Fatalf("query %d snapshot has no plan report", q.ID)
+			t.Fatalf("query %d report has no plan", q.ID)
 		}
 		if info.Plan.Algo != pl.Algo.String() || info.Plan.Scheme != pl.Scheme.String() {
 			t.Errorf("query %d planned %s-%s, want %s-%s",
