@@ -78,8 +78,12 @@ bench:
 # producer that looked every key up twice, and the spill partitioner beside
 # the single-stream append loop it replaced (pools of 1 and 2, x-ref) — at
 # 2^14 and 2^17 tuples, a spilled partition's size
-# and the benchmark's relation size. Several rows check their output against a reference and
-# fail on a mismatch, so CI runs the target once per PR at BENCHTIME=1x.
+# and the benchmark's relation size; then the planner — the refined ratio
+# search over four steps at δ 0.02 and 0.05, the paper's exhaustive δ=0.02
+# grid, and one cold core.BuildPlan of a 4 096 × 4 096 join (pilot plus
+# eleven priced candidates, what every plan-cache miss costs). Several rows
+# check their output against a reference and fail on a mismatch, so CI runs
+# the target once per PR at BENCHTIME=1x.
 BENCHTIME ?= 10x
 bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkOwnerScatter -benchmem -benchtime=$(BENCHTIME) ./internal/sched
@@ -89,6 +93,8 @@ bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel
 	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=$(BENCHTIME) ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=$(BENCHTIME) ./internal/shard
+	$(GO) test -run=NONE -bench='BenchmarkOptimizePLRefined|BenchmarkOptimizePLFullGrid' -benchmem -benchtime=$(BENCHTIME) ./internal/cost
+	$(GO) test -run=NONE -bench=BenchmarkBuildPlan -benchmem -benchtime=$(BENCHTIME) ./internal/core
 
 # "Did host time move?": one full apubench run set (all four workloads,
 # ~15 s each), then its comparison against the committed baseline. Host

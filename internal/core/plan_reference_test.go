@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"apujoin/internal/alloc"
@@ -179,4 +180,27 @@ func BenchmarkBuildPlan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestBuildPlanAllocations bounds what BenchmarkBuildPlan's cold plan
+// allocates: the pilot's tables and profiles, eleven candidate plans and
+// their ratio vectors, and nothing per search — the ratio searches, their
+// seeds and bounds work in the one cost.Model's scratch. The collector is
+// off so that the slab recycler keeps what the warm-up put back.
+func TestBuildPlanAllocations(t *testing.T) {
+	const ceiling = 141
+	r := rel.Gen{N: 4096, Seed: 1}.Build()
+	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 0.8)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	plan := func() {
+		if _, err := BuildPlan(r, s, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan()
+	n := testing.AllocsPerRun(10, plan)
+	if n > ceiling {
+		t.Fatalf("a cold 4 096 × 4 096 plan allocates %v times, above the ceiling of %d", n, ceiling)
+	}
+	t.Logf("a cold 4 096 × 4 096 plan allocates %v times (ceiling %d)", n, ceiling)
 }

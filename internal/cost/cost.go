@@ -86,7 +86,8 @@ type Model struct {
 	Env sched.EnvFor
 
 	cpuDev, gpuDev *device.Device
-	// Per-step time buffers reused by EstimateNS and the refined search.
+	// Per-step buffers reused by EstimateNS, the refined search and the
+	// exhaustive search's bound.
 	cpuScratch, gpuScratch []float64
 	search                 search
 }
@@ -94,7 +95,7 @@ type Model struct {
 // newDevPair returns the model's device handles, rebuilt only when either
 // profile has changed since they were made: EstimateNS is called per random
 // sample by MonteCarlo and a few times per plan candidate, and a search
-// tabulates 2·n·|grid| step times through them. A Model carries scratch and
+// prices every step on both of them per table. A Model carries scratch and
 // is therefore used via pointer, by one goroutine at a time.
 func newDevPair(m *Model) (*device.Device, *device.Device) {
 	if m.cpuDev == nil || m.cpuDev.Profile != m.CPU || m.gpuDev.Profile != m.GPU {
@@ -113,38 +114,84 @@ func (m *Model) stepScratch(n int) (cpu, gpu []float64) {
 	return m.cpuScratch[:n], m.gpuScratch[:n]
 }
 
-// stepTime estimates one step's time on one device: computation (Eq. 3)
-// plus calibrated memory cost. Atomics and divergence are excluded by
-// design.
-func (m *Model) stepTime(p StepProfile, dp device.Profile, dev *device.Device, items float64) float64 {
-	if items <= 0 {
-		return 0
-	}
-	instr := (p.InstrPerItem + float64(dp.PerItemInstr)) * items
-	c := instr / dp.InstrThroughput()
+// stepPrice is what one step's time on one device owes to everything but
+// its item count: the Eq. 3 operands and the calibrated memory costs,
+// derived once per (step, device) so that a search fills a table row by
+// at(items) alone instead of re-reading both profiles and the environment
+// per grid value.
+type stepPrice struct {
+	instr      float64 // instructions per item, the device's bookkeeping included
+	throughput float64 // instructions per ns
+	seq        float64 // streamed bytes per item
+	bandwidth  float64
+	// rand[reg] is the random accesses per item to region reg, weight[reg]
+	// their cost at the environment's clamped hit ratio.
+	rand, weight [device.NumRegions]float64
+	// div is the step's SIMD divergence on the GPU; 0 where it stretches
+	// nothing (on the CPU, or at a factor ≤ 1).
+	div    float64
+	launch float64
+}
 
+// price derives the step's invariants on one device under the model's
+// current environment.
+func (m *Model) price(p *StepProfile, dp *device.Profile, dev *device.Device) stepPrice {
+	c := stepPrice{
+		instr:      p.InstrPerItem + float64(dp.PerItemInstr),
+		throughput: dp.InstrThroughput(),
+		seq:        p.SeqBytesPerItem,
+		bandwidth:  dp.BandwidthGBs,
+		rand:       p.RandPerItem,
+		launch:     dp.LaunchNS,
+	}
 	env := m.Env(p.ID, dev)
-	seq := p.SeqBytesPerItem * items / dp.BandwidthGBs
-	var rnd float64
-	for reg := device.Region(0); reg < device.NumRegions; reg++ {
-		cnt := p.RandPerItem[reg] * items
-		if cnt == 0 {
-			continue
-		}
-		hit := env.HitRatio[reg]
+	for reg, hit := range env.HitRatio {
 		if hit < 0 {
 			hit = 0
 		} else if hit > 1 {
 			hit = 1
 		}
-		rnd += cnt * (hit*dp.RandHitNS + (1-hit)*dp.RandMissNS)
+		c.weight[reg] = hit*dp.RandHitNS + (1-hit)*dp.RandMissNS
 	}
 	if dp.Kind == device.GPU && p.DivFactor > 1 {
-		// SIMD lockstep stretches compute and latency-bound accesses.
-		c *= p.DivFactor
-		rnd *= p.DivFactor
+		c.div = p.DivFactor
 	}
-	return c + seq + rnd + dp.LaunchNS
+	return c
+}
+
+// at estimates the step's time over items: computation (Eq. 3) plus
+// calibrated memory cost. Atomics are excluded by design.
+func (c *stepPrice) at(items float64) float64 {
+	if items <= 0 {
+		return 0
+	}
+	comp := c.instr * items / c.throughput
+	seq := c.seq * items / c.bandwidth
+	var rnd float64
+	for reg, per := range c.rand {
+		cnt := per * items
+		if cnt == 0 {
+			continue
+		}
+		rnd += cnt * c.weight[reg]
+	}
+	if c.div > 0 {
+		// SIMD lockstep stretches compute and latency-bound accesses.
+		comp *= c.div
+		rnd *= c.div
+	}
+	return comp + seq + rnd + c.launch
+}
+
+// stepTimes fills cpu and gpu with each step's time at its ratio of items.
+func (m *Model) stepTimes(sp SeriesProfile, items int, ratios sched.Ratios, cpu, gpu []float64) {
+	cpuDev, gpuDev := newDevPair(m)
+	x := float64(items)
+	for i := range sp.Steps {
+		p := &sp.Steps[i]
+		cp, gp := m.price(p, &m.CPU, cpuDev), m.price(p, &m.GPU, gpuDev)
+		cpu[i], gpu[i] = cp.at(ratios[i]*x), gp.at((1-ratios[i])*x)
+	}
 }
 
 // EstimateNS evaluates Eqs. 1–5 for the series profile over items tuples
@@ -155,13 +202,8 @@ func (m *Model) EstimateNS(sp SeriesProfile, items int, ratios sched.Ratios) flo
 	if len(ratios) != len(sp.Steps) {
 		return math.Inf(1)
 	}
-	cpuDev, gpuDev := newDevPair(m)
 	cpu, gpu := m.stepScratch(len(sp.Steps))
-	for i, p := range sp.Steps {
-		x := float64(items)
-		cpu[i] = m.stepTime(p, m.CPU, cpuDev, ratios[i]*x)
-		gpu[i] = m.stepTime(p, m.GPU, gpuDev, (1-ratios[i])*x)
-	}
+	m.stepTimes(sp, items, ratios, cpu, gpu)
 	cpuTot, gpuTot := sched.DelayTotals(cpu, gpu, ratios)
 	return math.Max(cpuTot, gpuTot)
 }

@@ -20,15 +20,10 @@ func (m *Model) Estimate(sp SeriesProfile, items int, ratios sched.Ratios) (Esti
 	if err := ratios.Validate(len(sp.Steps)); err != nil {
 		return Estimate{}, fmt.Errorf("cost: series %s: %w", sp.Name, err)
 	}
-	cpuDev, gpuDev := newDevPair(m)
 	n := len(sp.Steps)
 	cpu := make([]float64, n)
 	gpu := make([]float64, n)
-	for i, p := range sp.Steps {
-		x := float64(items)
-		cpu[i] = m.stepTime(p, m.CPU, cpuDev, ratios[i]*x)
-		gpu[i] = m.stepTime(p, m.GPU, gpuDev, (1-ratios[i])*x)
-	}
+	m.stepTimes(sp, items, ratios, cpu, gpu)
 	cpuTot, gpuTot, dc, dg := sched.Delays(cpu, gpu, ratios)
 	return Estimate{
 		CPUNS: cpuTot, GPUNS: gpuTot,

@@ -42,17 +42,19 @@ func gridValues(vs []float64, delta float64) []float64 {
 // search is the ratio searches' scratch, held on the Model and grown once
 // so that a search on a warm Model allocates nothing but its result. A
 // step's time depends on nothing but its own ratio, so each search first
-// tabulates stepTime over the grid — 2·n·|grid| calls — and then combines
-// table entries, where pricing every candidate through EstimateNS made
-// 2·n·|grid|^n. Every candidate is still the same float operations in the
-// same order as EstimateNS on its ratios (DESIGN.md, "Ratio search").
+// tabulates the step's price over the grid — 2·n prices, 2·n·|grid| table
+// entries — and then combines table entries, where pricing every candidate
+// through EstimateNS made 2·n·|grid|^n step times. Every candidate is still
+// the same float operations in the same order as EstimateNS on its ratios
+// (DESIGN.md, "Ratio search").
 type search struct {
 	grid []float64
 	// cpuTab[i*len(grid)+k] is step i's time on the CPU at ratio grid[k],
 	// gpuTab the GPU's on the remaining 1-grid[k].
 	cpuTab, gpuTab []float64
 	// prune records that no table entry is negative or NaN, which is what
-	// makes a prefix sum a lower bound of every total beneath it.
+	// makes a prefix sum a lower bound of every total beneath it, and what
+	// the exhaustive search's seed and prefix bound rest on too.
 	prune bool
 
 	// The exhaustive recursion's state: the candidate being built, the
@@ -60,6 +62,13 @@ type search struct {
 	cur, best sched.Ratios
 	bestT     float64
 }
+
+// boundScale is 2·(1+1e-9). A leaf's time is max(cpuSum, gpuSum) ≥
+// (cpuSum+gpuSum)/2, so a prefix whose cpuSum+gpuSum plus the least the
+// remaining steps can add exceeds boundScale × the incumbent's time holds no
+// strict improvement; the 1e-9 covers the rounding of the additions on
+// either side of that inequality (each ≤ 2^-53 relative, a few per step).
+const boundScale = 2 * (1 + 1e-9)
 
 // tabulate fills the search tables for sp over the δ-grid and returns the
 // grid size.
@@ -74,17 +83,38 @@ func (m *Model) tabulate(sp SeriesProfile, items int, delta float64) int {
 	cpuDev, gpuDev := newDevPair(m)
 	x := float64(items)
 	s.prune = true
-	for i, p := range sp.Steps {
+	for i := range sp.Steps {
+		p := &sp.Steps[i]
+		cp, gp := m.price(p, &m.CPU, cpuDev), m.price(p, &m.GPU, gpuDev)
+		cpuT, gpuT := s.cpuTab[i*g:(i+1)*g], s.gpuTab[i*g:(i+1)*g]
 		for k, v := range s.grid {
-			c := m.stepTime(p, m.CPU, cpuDev, v*x)
-			gp := m.stepTime(p, m.GPU, gpuDev, (1-v)*x)
-			s.cpuTab[i*g+k], s.gpuTab[i*g+k] = c, gp
-			if !(c >= 0 && gp >= 0) {
+			c, gt := cp.at(v*x), gp.at((1-v)*x)
+			cpuT[k], gpuT[k] = c, gt
+			if !(c >= 0 && gt >= 0) {
 				s.prune = false
 			}
 		}
 	}
 	return g
+}
+
+// uniform returns the grid index and time of the best all-equal leaf, the
+// first such in grid order. Equal ratios never stall (Eqs. 4 and 5 need
+// r_i ≠ r_{i-1}), so a device's total is the plain sum of its step times.
+func (s *search) uniform(n int) (int, float64) {
+	g := len(s.grid)
+	bestK, bestT := 0, math.Inf(1)
+	for k := range s.grid {
+		var cpuSum, gpuSum float64
+		for i := 0; i < n; i++ {
+			cpuSum += s.cpuTab[i*g+k]
+			gpuSum += s.gpuTab[i*g+k]
+		}
+		if t := math.Max(cpuSum, gpuSum); t < bestT {
+			bestK, bestT = k, t
+		}
+	}
+	return bestK, bestT
 }
 
 // OptimizePL exhaustively searches the δ-grid over all per-step ratios —
@@ -95,10 +125,11 @@ func (m *Model) tabulate(sp SeriesProfile, items int, delta float64) int {
 // The search space is |grid|^n — 51^4 ≈ 6.8M candidates at δ=0.02 over a
 // 4-step series — but candidates sharing a ratio prefix share its partial
 // sums, so the tree is walked with one DelayStep per node rather than n per
-// leaf, over tabulated step times, and subtrees whose prefix already costs
-// as much as the incumbent are skipped. BenchmarkOptimizePLFullGrid reads
-// 3.8 ms for that grid on the two-core machine where pricing each leaf
-// through EstimateNS read 1.8 s; OptimizePLRefined, the default, 42 µs.
+// leaf, over tabulated step times, from an incumbent no worse than the best
+// uniform leaf, and subtrees that provably cannot beat the incumbent are
+// skipped. BenchmarkOptimizePLFullGrid reads 0.7–0.85 ms for that grid on
+// the two-core machine where pricing each leaf through EstimateNS read
+// 1.8 s; OptimizePLRefined, the default, 42–49 µs.
 func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
 	best := make(sched.Ratios, len(sp.Steps))
 	return best, m.searchGrid(sp, items, delta, best)
@@ -115,18 +146,53 @@ func (m *Model) searchGrid(sp SeriesProfile, items int, delta float64, best sche
 	if cap(s.cur) < n {
 		s.cur = make(sched.Ratios, n)
 	}
-	s.cur, s.best, s.bestT = s.cur[:n], best, math.Inf(1)
-	s.descend(0, 0, 0, 0, 0)
+	s.cur, s.best = s.cur[:n], best
+	rest, _ := m.stepScratch(n)
+	s.start(rest)
+	s.descend(rest, 0, 0, 0, 0, 0)
 	s.best = nil
 	return s.bestT
+}
+
+// start sets the exhaustive search's incumbent and, under prune, fills
+// rest[i] with Σ_{j>i} min_k(cpuTab+gpuTab), the least the steps after step
+// i can add to cpuSum+gpuSum.
+//
+// Under prune the incumbent starts one ulp above the best uniform leaf's
+// time. The descent reaches that leaf at exactly that time (it adds the
+// same step times in the same order as uniform, and equal ratios never
+// stall), so the leaf an unseeded search would return — the first at the
+// minimum, which is at most that time — is strictly below the seed and
+// still wins, even when it ties the uniform leaf: that is what the ulp is
+// for. Without prune a NaN could make the seed a time no leaf beats, so
+// the search starts from +Inf and rest is left alone.
+func (s *search) start(rest []float64) {
+	s.bestT = math.Inf(1)
+	if !s.prune {
+		return
+	}
+	g, n := len(s.grid), len(rest)
+	var sum float64
+	for i := n - 1; i >= 0; i-- {
+		rest[i] = sum
+		lo := math.Inf(1)
+		for k := i * g; k < (i+1)*g; k++ {
+			if t := s.cpuTab[k] + s.gpuTab[k]; t < lo {
+				lo = t
+			}
+		}
+		sum += lo
+	}
+	_, u := s.uniform(n)
+	s.bestT = math.Nextafter(u, math.Inf(1))
 }
 
 // descend tries every grid value for step and recurses, carrying what the
 // Eq. 4/5 recurrence needs of the prefix: the per-device sums, the previous
 // ratio and the previous step's GPU time. Leaves are reached in the order
 // nested loops over the grid would reach them, and only a strictly lower
-// time replaces the incumbent.
-func (s *search) descend(step int, cpuSum, gpuSum, rp, gpuPrev float64) {
+// time replaces the incumbent. rest is start's.
+func (s *search) descend(rest []float64, step int, cpuSum, gpuSum, rp, gpuPrev float64) {
 	g := len(s.grid)
 	cpuT, gpuT := s.cpuTab[step*g:(step+1)*g], s.gpuTab[step*g:(step+1)*g]
 	last := step == len(s.cur)-1
@@ -144,11 +210,14 @@ func (s *search) descend(step int, cpuSum, gpuSum, rp, gpuPrev float64) {
 				s.bestT = t
 				copy(s.best, s.cur)
 			}
-		case s.prune && (cs >= s.bestT || gs >= s.bestT):
+		case s.prune && (cs >= s.bestT || gs >= s.bestT || cs+gs+rest[step] > s.bestT*boundScale):
 			// Step times and delays are non-negative, so every total
-			// below is at least this prefix: no strict improvement.
+			// below is at least this prefix's, and every leaf's time is
+			// at least half its two totals, which are at least this
+			// prefix's plus the cheapest remaining steps: no strict
+			// improvement.
 		default:
-			s.descend(step+1, cs, gs, v, gpuT[k])
+			s.descend(rest, step+1, cs, gs, v, gpuT[k])
 		}
 	}
 }
@@ -177,12 +246,7 @@ func (m *Model) searchRefined(sp SeriesProfile, items int, delta float64, best s
 	g := m.tabulate(sp, items, delta)
 	s := &m.search
 	cpu, gpu := m.stepScratch(len(sp.Steps))
-	cpuDev, gpuDev := newDevPair(m)
-	x := float64(items)
-	for i, p := range sp.Steps {
-		cpu[i] = m.stepTime(p, m.CPU, cpuDev, best[i]*x)
-		gpu[i] = m.stepTime(p, m.GPU, gpuDev, (1-best[i])*x)
-	}
+	m.stepTimes(sp, items, best, cpu, gpu)
 	improved := true
 	for iter := 0; improved && iter < 32; iter++ {
 		improved = false
@@ -209,23 +273,9 @@ func (m *Model) searchRefined(sp SeriesProfile, items int, delta float64, best s
 // OptimizeDD searches the single-ratio space of the data-dividing scheme:
 // all steps share one ratio r.
 func (m *Model) OptimizeDD(sp SeriesProfile, items int, delta float64) (float64, float64) {
-	g := m.tabulate(sp, items, delta)
-	s := &m.search
-	bestR, bestT := 0.0, math.Inf(1)
-	for k, v := range s.grid {
-		// Equal ratios never stall (Eqs. 4 and 5 need r_i ≠ r_{i-1}), so a
-		// device's total is the plain sum of its step times.
-		var cpuSum, gpuSum float64
-		for i := range sp.Steps {
-			cpuSum += s.cpuTab[i*g+k]
-			gpuSum += s.gpuTab[i*g+k]
-		}
-		if t := math.Max(cpuSum, gpuSum); t < bestT {
-			bestT = t
-			bestR = v
-		}
-	}
-	return bestR, bestT
+	m.tabulate(sp, items, delta)
+	k, t := m.search.uniform(len(sp.Steps))
+	return m.search.grid[k], t
 }
 
 // OptimizeOL decides, per step, whether it runs entirely on the CPU or the
@@ -238,10 +288,10 @@ func (m *Model) OptimizeOL(sp SeriesProfile, items int) (sched.Ratios, float64) 
 	n := len(sp.Steps)
 	ratios := make(sched.Ratios, n)
 	cpuDev, gpuDev := newDevPair(m)
-	for i, p := range sp.Steps {
-		tc := m.stepTime(p, m.CPU, cpuDev, float64(items))
-		tg := m.stepTime(p, m.GPU, gpuDev, float64(items))
-		if tc < tg {
+	for i := range sp.Steps {
+		p := &sp.Steps[i]
+		cp, gp := m.price(p, &m.CPU, cpuDev), m.price(p, &m.GPU, gpuDev)
+		if cp.at(float64(items)) < gp.at(float64(items)) {
 			ratios[i] = 1
 		} else {
 			ratios[i] = 0

@@ -14,6 +14,41 @@ import (
 // redoing the whole recurrence. They are the definition the table-driven
 // searches are held to — == on every ratio and on the time, no tolerance.
 
+// refStepTime is the step-time body every estimate and table entry went
+// through before the per-(step, device) invariants were hoisted into
+// stepPrice: both profiles by value, Env and the clamped per-region weights
+// per call.
+func refStepTime(m *Model, p StepProfile, dp device.Profile, dev *device.Device, items float64) float64 {
+	if items <= 0 {
+		return 0
+	}
+	instr := (p.InstrPerItem + float64(dp.PerItemInstr)) * items
+	c := instr / dp.InstrThroughput()
+
+	env := m.Env(p.ID, dev)
+	seq := p.SeqBytesPerItem * items / dp.BandwidthGBs
+	var rnd float64
+	for reg := device.Region(0); reg < device.NumRegions; reg++ {
+		cnt := p.RandPerItem[reg] * items
+		if cnt == 0 {
+			continue
+		}
+		hit := env.HitRatio[reg]
+		if hit < 0 {
+			hit = 0
+		} else if hit > 1 {
+			hit = 1
+		}
+		rnd += cnt * (hit*dp.RandHitNS + (1-hit)*dp.RandMissNS)
+	}
+	if dp.Kind == device.GPU && p.DivFactor > 1 {
+		// SIMD lockstep stretches compute and latency-bound accesses.
+		c *= p.DivFactor
+		rnd *= p.DivFactor
+	}
+	return c + seq + rnd + dp.LaunchNS
+}
+
 func refGridValues(delta float64) []float64 {
 	if delta <= 0 || delta > 1 {
 		delta = DefaultDelta
@@ -170,6 +205,48 @@ func sameRatios(a, b sched.Ratios) bool {
 // sameNS is == that also accepts NaN on both sides.
 func sameNS(a, b float64) bool { return a == b || (a != a && b != b) }
 
+// TestStepPriceEqualsReference: a step time from the hoisted invariants is
+// the reference body's to the last bit, on the random search cases' steps
+// (zero and non-zero random regions, hit ratios outside [0, 1], GPU
+// divergence, zero-cost steps, identical device pairs) at zero, negative,
+// fractional, grid and 2^24 item counts.
+func TestStepPriceEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var compared, divergent, randomAccess int
+	for i := 0; i < 500; i++ {
+		c := randomSearchCase(rng)
+		x := float64(c.items)
+		items := []float64{0, -1, 0.5, 1 - 0.7, 1 << 24, x, 0.3 * x, (1 - 0.3) * x, rng.Float64() * x}
+		cpuDev, gpuDev := newDevPair(c.m)
+		for _, p := range c.sp.Steps {
+			for _, d := range []struct {
+				dp  device.Profile
+				dev *device.Device
+			}{{c.m.CPU, cpuDev}, {c.m.GPU, gpuDev}} {
+				price := c.m.price(&p, &d.dp, d.dev)
+				for _, n := range items {
+					got, want := price.at(n), refStepTime(c.m, p, d.dp, d.dev, n)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("case %d, step %+v on the %v at %v items: %v (%#x), reference %v (%#x)",
+							i, p, d.dp.Kind, n, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					compared++
+				}
+				if d.dp.Kind == device.GPU && p.DivFactor > 1 {
+					divergent++
+				}
+				if p.RandPerItem != [device.NumRegions]float64{} {
+					randomAccess++
+				}
+			}
+		}
+	}
+	if divergent == 0 || randomAccess == 0 {
+		t.Fatalf("%d divergent GPU prices, %d with random accesses: the cases lost a subject", divergent, randomAccess)
+	}
+	t.Logf("%d step times compared, from %d divergent GPU prices and %d with random accesses", compared, divergent, randomAccess)
+}
+
 // TestSearchesEqualReference: the table-driven searches return exactly what
 // the per-leaf searches return — the same ratios, the same time, to the last
 // bit — on seeded random problems. The exhaustive search is compared where
@@ -263,10 +340,66 @@ func TestRefinedSearchStartsOffTheFineGrid(t *testing.T) {
 	t.Logf("%d searches started from a coarse value absent from the δ=0.05 grid (%v)", hits, offGrid)
 }
 
+// TestSeedTiesGoToTheEarlierLeaf: the exhaustive search's incumbent starts
+// at the best uniform leaf's time, and an earlier leaf with exactly that
+// time must still win. A step that costs nothing at any ratio (no launch
+// overhead, no per-item work, no bookkeeping) ahead of a real one makes
+// such a surface: after it no device stalls, so (0, …, 0, a) prices
+// exactly as (a, …, a) and comes first.
+func TestSeedTiesGoToTheEarlierLeaf(t *testing.T) {
+	free := StepProfile{ID: sched.B1, DivFactor: 1}
+	for _, c := range []struct {
+		steps []StepProfile
+		delta float64
+	}{
+		{[]StepProfile{free, chaseProfile()}, 0.1},
+		{[]StepProfile{free, computeProfile()}, 0.02},
+		{[]StepProfile{free, free, chaseProfile()}, 0.1},
+	} {
+		newModel := func() *Model {
+			m := testModel()
+			m.CPU.LaunchNS, m.GPU.LaunchNS = 0, 0
+			m.CPU.PerItemInstr, m.GPU.PerItemInstr = 0, 0
+			return m
+		}
+		sp := SeriesProfile{Name: "tie", Steps: c.steps}
+		n := len(c.steps)
+		wantR, wantT := refOptimizePL(newModel(), sp, 1<<20, c.delta)
+		a, uniformT := refOptimizeDD(newModel(), sp, 1<<20, c.delta)
+		if a == 0 || wantT != uniformT || !sameRatios(wantR, append(make(sched.Ratios, n-1), a)) {
+			t.Fatalf("%d steps, δ=%v: the reference chose %v at %v, the best uniform leaf is %v at %v: not the tie this test is about",
+				n, c.delta, wantR, wantT, a, uniformT)
+		}
+		m := newModel()
+		gotR, gotT := m.OptimizePL(sp, 1<<20, c.delta)
+		if !m.search.prune {
+			t.Fatal("pruning is off, so the seed was not used")
+		}
+		if !sameRatios(gotR, wantR) || !sameNS(gotT, wantT) {
+			t.Fatalf("%d steps, δ=%v: OptimizePL = %v, %v; reference %v, %v", n, c.delta, gotR, gotT, wantR, wantT)
+		}
+		wantR, wantT = refOptimizePLRefined(newModel(), sp, 1<<20, c.delta)
+		if gotR, gotT = m.OptimizePLRefined(sp, 1<<20, c.delta); !sameRatios(gotR, wantR) || !sameNS(gotT, wantT) {
+			t.Fatalf("%d steps, δ=%v: OptimizePLRefined = %v, %v; reference %v, %v", n, c.delta, gotR, gotT, wantR, wantT)
+		}
+	}
+}
+
 // TestPruneNeedsNonNegativeTables: a profile that prices a step below zero
-// (or at NaN) breaks the bound pruning rests on, so the search must notice
-// and visit every leaf; the answer is still the reference's.
+// (or at NaN) breaks the bounds pruning, the incumbent's seed and the
+// prefix bound rest on, so the search must notice, start from +Inf with no
+// bound and visit every leaf; the answer is still the reference's.
 func TestPruneNeedsNonNegativeTables(t *testing.T) {
+	// started runs a search's start over rest slots that hold NaN before.
+	started := func(m *Model, sp SeriesProfile) (*search, []float64) {
+		m.tabulate(sp, 1<<16, 0.1)
+		rest, _ := m.stepScratch(len(sp.Steps))
+		for i := range rest {
+			rest[i] = math.NaN()
+		}
+		m.search.start(rest)
+		return &m.search, rest
+	}
 	for name, instr := range map[string]float64{"negative": -400, "NaN": math.NaN()} {
 		m := testModel()
 		sp := SeriesProfile{Name: name, Steps: []StepProfile{chaseProfile(), computeProfile(), chaseProfile()}}
@@ -279,27 +412,41 @@ func TestPruneNeedsNonNegativeTables(t *testing.T) {
 		if !sameRatios(gotR, wantR) || !sameNS(gotT, wantT) {
 			t.Fatalf("%s step time: OptimizePL = %v, %v; reference %v, %v", name, gotR, gotT, wantR, wantT)
 		}
+		if s, rest := started(m, sp); !math.IsInf(s.bestT, 1) || !math.IsNaN(rest[0]) {
+			t.Fatalf("%s step time: the search starts at incumbent %v with prefix bounds %v; want +Inf and none", name, s.bestT, rest)
+		}
 	}
 	m := testModel()
-	m.OptimizePL(SeriesProfile{Name: "s", Steps: []StepProfile{chaseProfile(), computeProfile()}}, 1<<16, 0.1)
+	sp := SeriesProfile{Name: "s", Steps: []StepProfile{chaseProfile(), computeProfile()}}
+	m.OptimizePL(sp, 1<<16, 0.1)
 	if !m.search.prune {
 		t.Fatal("pruning is off on an ordinary profile")
+	}
+	_, uniformT := refOptimizeDD(testModel(), sp, 1<<16, 0.1)
+	if s, rest := started(m, sp); s.bestT != math.Nextafter(uniformT, math.Inf(1)) || !(rest[0] > 0) || rest[1] != 0 {
+		t.Fatalf("ordinary profile: the search starts at incumbent %v with prefix bounds %v; want one ulp above the best uniform leaf's %v, and [>0 0]",
+			s.bestT, rest, uniformT)
 	}
 }
 
 // TestSearchesAllocateNothing: on a warm Model the searches work entirely in
-// the model's scratch. OptimizePL and OptimizePLRefined return a vector the
-// caller keeps (a Plan stores it), which is their one allocation.
+// the model's scratch, the exhaustive search's seed and prefix bound
+// included. OptimizePL and OptimizePLRefined return a vector the caller
+// keeps (a Plan stores it), which is their one allocation.
 func TestSearchesAllocateNothing(t *testing.T) {
 	m := testModel()
 	sp := SeriesProfile{Name: "s", Steps: []StepProfile{computeProfile(), chaseProfile(), computeProfile(), chaseProfile()}}
 	best := make(sched.Ratios, len(sp.Steps))
 	m.searchRefined(sp, 1<<20, 0.02, best) // warm: the largest tables come first
+	if !m.search.prune {
+		t.Fatal("the exhaustive search ran unseeded and unbounded on an ordinary profile")
+	}
 
 	for name, search := range map[string]func(){
 		"searchRefined δ=0.02": func() { m.searchRefined(sp, 1<<20, 0.02, best) },
 		"searchRefined δ=0.05": func() { m.searchRefined(sp, 1<<20, 0.05, best) },
 		"searchGrid δ=0.1":     func() { m.searchGrid(sp, 1<<20, 0.1, best) },
+		"searchGrid δ=0.05":    func() { m.searchGrid(sp, 1<<20, 0.05, best) },
 		"OptimizeDD δ=0.02":    func() { m.OptimizeDD(sp, 1<<20, 0.02) },
 	} {
 		if n := testing.AllocsPerRun(20, search); n != 0 {

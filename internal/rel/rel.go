@@ -39,12 +39,30 @@ func (r Relation) Validate() error {
 	if len(r.RIDs) != len(r.Keys) {
 		return fmt.Errorf("rel: column length mismatch: %d RIDs vs %d keys", len(r.RIDs), len(r.Keys))
 	}
-	for i, rid := range r.RIDs {
-		if rid < 0 {
-			return fmt.Errorf("rel: negative RID %d at index %d", rid, i)
+	if anyNegative(r.RIDs) {
+		for i, rid := range r.RIDs {
+			if rid < 0 {
+				return fmt.Errorf("rel: negative RID %d at index %d", rid, i)
+			}
 		}
 	}
 	return nil
+}
+
+// anyNegative reports whether v holds a negative value. A value is negative
+// iff its sign bit is set, and an OR keeps every sign bit, so v is
+// OR-reduced eight words at a time with no branch per word.
+func anyNegative(v []int32) bool {
+	var acc int32
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		w := v[i : i+8 : i+8]
+		acc |= (w[0] | w[1]) | (w[2] | w[3]) | (w[4] | w[5]) | (w[6] | w[7])
+	}
+	for _, x := range v[i:] {
+		acc |= x
+	}
+	return acc < 0
 }
 
 // Recycled returns an n-tuple relation whose two columns are recycler slabs

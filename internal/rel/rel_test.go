@@ -1,6 +1,8 @@
 package rel
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -119,14 +121,39 @@ func TestProbeSelectivityPanics(t *testing.T) {
 	Gen{N: 10, Seed: 2}.Probe(r, 1.5)
 }
 
+// TestValidateRejectsBadRelations: a length mismatch is an error, and a
+// negative RID is named with its index exactly as a plain scan names it
+// wherever it sits — the head, inside an eight-word block of the reduce,
+// the tail past the last whole block — with later negatives behind it.
 func TestValidateRejectsBadRelations(t *testing.T) {
 	bad := Relation{RIDs: []int32{1, 2}, Keys: []int32{1}}
 	if bad.Validate() == nil {
 		t.Fatal("length mismatch not detected")
 	}
-	neg := Relation{RIDs: []int32{-1}, Keys: []int32{1}}
-	if neg.Validate() == nil {
-		t.Fatal("negative rid not detected")
+	for _, n := range []int{1, 7, 8, 9, 16, 61, 1 << 10} {
+		for _, at := range []int{0, n / 2, n - 1, n - n%8} {
+			if at >= n {
+				continue
+			}
+			rids := make([]int32, n)
+			for i := range rids {
+				rids[i] = int32(i)
+			}
+			rids[at] = -5 - int32(at)
+			if at+1 < n {
+				rids[n-1] = -1 // a later negative must not be the one named
+			}
+			want := fmt.Sprintf("rel: negative RID %d at index %d", rids[at], at)
+			err := Relation{RIDs: rids, Keys: make([]int32, n)}.Validate()
+			if err == nil || err.Error() != want {
+				t.Fatalf("n=%d, negative at %d: Validate() = %v, want %q", n, at, err, want)
+			}
+		}
+		ok := Relation{RIDs: make([]int32, n), Keys: make([]int32, n)}
+		ok.RIDs[n-1] = math.MaxInt32
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("n=%d, no negative RID: %v", n, err)
+		}
 	}
 }
 
@@ -221,5 +248,17 @@ func TestZipfProbeEmptyBuild(t *testing.T) {
 	s := Gen{N: 10, Seed: 5}.ZipfProbe(Relation{}, 1)
 	if s.Len() != 10 {
 		t.Fatal("wrong length")
+	}
+}
+
+// BenchmarkValidate is the RID scan every join and plan runs on each input,
+// over one 2^20-tuple column (apubench join_large's relation size).
+func BenchmarkValidate(b *testing.B) {
+	r := Gen{N: 1 << 20, Seed: 1}.Build()
+	b.SetBytes(int64(r.Len()) * 4)
+	for b.Loop() {
+		if err := r.Validate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
