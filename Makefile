@@ -78,7 +78,10 @@ bench:
 # producer that looked every key up twice, and the spill partitioner beside
 # the single-stream append loop it replaced (pools of 1 and 2, x-ref) — at
 # 2^14 and 2^17 tuples, a spilled partition's size
-# and the benchmark's relation size; then the planner — the refined ratio
+# and the benchmark's relation size; then catalog ingest — one
+# registration's statistics (catalog.Measure: the key sample and the whole
+# relation's key-count table) at 2^17 and 2^20 tuples, ns/tuple and the
+# B/op a registered relation keeps; then the planner — the refined ratio
 # search over four steps at δ 0.02 and 0.05, the paper's exhaustive δ=0.02
 # grid, and one cold core.BuildPlan of a 4 096 × 4 096 join (pilot plus
 # eleven priced candidates, what every plan-cache miss costs). Several rows
@@ -93,6 +96,7 @@ bench-kernels:
 	$(GO) test -run=NONE -bench=BenchmarkKeyCounts -benchmem -benchtime=$(BENCHTIME) ./internal/rel
 	$(GO) test -run=NONE -bench=BenchmarkStreamMaterialize -benchmem -benchtime=$(BENCHTIME) ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkSplitAt -benchmem -benchtime=$(BENCHTIME) ./internal/shard
+	$(GO) test -run=NONE -bench=BenchmarkMeasure -benchmem -benchtime=$(BENCHTIME) ./internal/catalog
 	$(GO) test -run=NONE -bench='BenchmarkOptimizePLRefined|BenchmarkOptimizePLFullGrid' -benchmem -benchtime=$(BENCHTIME) ./internal/cost
 	$(GO) test -run=NONE -bench=BenchmarkBuildPlan -benchmem -benchtime=$(BENCHTIME) ./internal/core
 

@@ -5,8 +5,9 @@
 // keeps them, charged against a resident zero-copy buffer (the paper's
 // schemes assume the relations already live in the region both devices
 // address, Sec. 4), and lends the same budget to a pipeline's transient
-// intermediates (ReserveTransient, Unreserve). Slices are stored as given:
-// nothing is copied, measured or indexed here.
+// intermediates (ReserveTransient, Unreserve). Slices are stored as given,
+// each beside the count table its relation was measured into at ingest
+// (Load): nothing is copied, measured or indexed here.
 //
 // Deletion is refcounted: Drop unbinds the name immediately (no new query
 // can resolve it) while in-flight queries keep their pins; the zero-copy
@@ -15,12 +16,14 @@
 // The package also holds what the router records about a relation — Info,
 // Source, and the ingest statistics (Measure, IngestStats) the planner's
 // fingerprint would otherwise measure per query: a strided key sample, its
-// heavy-hitter (skew) bucket, and a sorted key index for O(log n)
-// membership. plan.PairWorkload folds a probe's sample against a build's
-// index, so a registered pair fingerprints without reading either relation
-// — and lands in the same plan-cache slot as the identical inline query,
-// because the sampling arithmetic is shared (plan.WorkloadSample,
-// rel.Relation.KeySample).
+// heavy-hitter (skew) bucket, and the key → multiplicity table (rel.Counts)
+// a build over the relation would create. plan.PairWorkload folds a probe's
+// sample against a build's table, so a registered pair fingerprints without
+// reading either relation — and lands in the same plan-cache slot as the
+// identical inline query, because the sampling arithmetic is shared
+// (plan.WorkloadSample, rel.Relation.KeySample). A pipeline's first step
+// reads the same table, through the pin on its slice, instead of counting
+// its build side per query.
 package catalog
 
 import (
@@ -84,24 +87,43 @@ type Info struct {
 
 // IngestStats are the workload statistics measured once when a relation
 // is registered: the strided key sample, its skew bucket and heaviest key's
-// share, and the sorted key index for membership tests — always of the
-// whole relation, whatever grid its slices are stored on, so every engine
-// shape lands a pair workload in the same plan-cache bucket.
+// share, and the key → multiplicity table — always of the whole relation,
+// whatever grid its slices are stored on, so every engine shape lands a
+// pair workload in the same plan-cache bucket. Because grid partitions and
+// spill levels split by key, the whole relation's count of any key a
+// partition holds is that partition's own count: the table serves every
+// partition's chain exactly.
+//
+// Counts is fitted to the relation's distinct keys (rel.Counts.Fit): 16–32 B
+// per distinct key, two 4-byte words per slot at a load between one quarter
+// and one half. A relation of distinct keys — every generated build side —
+// therefore keeps 16–32 B per tuple beside its own 8, where the sorted key
+// index this table replaced kept 4; a probe side with repeated keys keeps
+// less. The table is not charged to the catalog budget, so the budget
+// bounds the relations' columns, not the memory their registration holds —
+// on a router with no local backend too, which keeps the table only for
+// membership tests. It is never handed back to the recycler: the router
+// record, the relation's catalog entries and every query that pinned them
+// share the table, which the GC frees once the last of them is gone — so a
+// Drop during a running query needs no refcount beyond the entry pins.
 type IngestStats struct {
 	Sample     []int32
-	Index      rel.KeyIndex
+	Counts     rel.Counts
 	SkewBucket int
 	HeavyShare float64
 }
 
-// Measure computes a relation's ingest statistics. Sampling is cheap; the
-// key index sort is O(n log n).
+// Measure computes a relation's ingest statistics: one strided sample and
+// one pass over the key column into the count table, then fitted to the
+// distinct keys.
 func Measure(r rel.Relation) IngestStats {
 	sample := r.KeySample(plan.WorkloadSample)
 	share := plan.HeavyShare(sample)
+	counts := rel.CountKeys(r.Keys)
+	counts.Fit()
 	return IngestStats{
 		Sample:     sample,
-		Index:      r.Index(),
+		Counts:     counts,
 		SkewBucket: plan.SkewBucketOf(share),
 		HeavyShare: share,
 	}
@@ -111,8 +133,9 @@ func Measure(r rel.Relation) IngestStats {
 // pin count and drop flag change, both guarded by the owning catalog's
 // mutex.
 type Entry struct {
-	c   *Catalog
-	rel rel.Relation
+	c      *Catalog
+	rel    rel.Relation
+	counts rel.Counts
 
 	// Mutable, guarded by c.mu.
 	pins    int
@@ -122,6 +145,10 @@ type Entry struct {
 // Relation returns the resident slice. The columns are shared, not copied;
 // callers must treat them as read-only.
 func (e *Entry) Relation() rel.Relation { return e.rel }
+
+// Counts returns the count table stored beside the slice (Load): shared,
+// read-only, and never released through the entry.
+func (e *Entry) Counts() rel.Counts { return e.counts }
 
 // Scratch pins a relation no catalog holds: one query's split of an inline
 // relation, whose columns are recycler slabs. Its one Release hands them
@@ -198,9 +225,14 @@ func New(capacityBytes int64) *Catalog {
 	return &Catalog{zc: zc, entries: make(map[string]*Entry)}
 }
 
-// Load stores a slice under name. The columns are retained, not copied;
-// the caller must not mutate them afterwards.
-func (c *Catalog) Load(name string, r rel.Relation) error {
+// Load stores a slice under name, beside counts: the key → multiplicity
+// table of the relation the slice was split from (IngestStats.Counts), or
+// the empty table. A split by key keeps every key's tuples together, so the
+// table is exact for every key the slice holds, and a query that pins the
+// slice reads the table of exactly these tuples, whatever registers under
+// the name later. The columns and the table are retained, not copied; the
+// caller must not mutate them afterwards.
+func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
 	}
@@ -216,7 +248,7 @@ func (c *Catalog) Load(name string, r rel.Relation) error {
 		return fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrNoSpace, name, r.Bytes(), c.zc.Used(), c.zc.Capacity)
 	}
-	c.entries[name] = &Entry{c: c, rel: r}
+	c.entries[name] = &Entry{c: c, rel: r, counts: counts}
 	c.registered++
 	if c.zc.Used() > c.peakBytes {
 		c.peakBytes = c.zc.Used()

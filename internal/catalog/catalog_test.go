@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"apujoin/internal/plan"
@@ -9,11 +10,11 @@ import (
 )
 
 // TestWorkloadMatchesInlineMeasurement is the statistics contract: the
-// buckets assembled from a probe's ingest-time sample and a build's key
-// index (what the service's router memoizes per registered pair) must equal
-// plan.MeasureWorkload on the raw relations, for every workload class —
-// otherwise registered and inline queries would fingerprint into different
-// plan-cache slots.
+// buckets assembled from a probe's ingest-time sample and membership in a
+// build's key count table (what the service's router memoizes per
+// registered pair) must equal plan.MeasureWorkload on the raw relations,
+// for every workload class — otherwise registered and inline queries would
+// fingerprint into different plan-cache slots.
 func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,7 +31,7 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 			r := rel.Gen{N: 1 << 15, Seed: 7}.Build()
 			s := rel.Gen{N: 1 << 15, Dist: tc.dist, Seed: 8}.Probe(r, tc.sel)
 			build, probe := Measure(r), Measure(s)
-			got := plan.PairWorkload(probe.Sample, probe.SkewBucket, build.Index.Contains)
+			got := plan.PairWorkload(probe.Sample, probe.SkewBucket, func(k int32) bool { return build.Counts.Of(k) > 0 })
 			if want := plan.MeasureWorkload(r, s); got != want {
 				t.Errorf("ingest-statistics workload %+v != inline measurement %+v", got, want)
 			}
@@ -41,13 +42,13 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 func TestRegisterLookupDrop(t *testing.T) {
 	c := New(0)
 	orders := rel.Gen{N: 1024, Seed: 1}.Build()
-	if err := c.Load("orders", orders); err != nil {
+	if err := c.Load("orders", orders, rel.Counts{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build()); !errors.Is(err, ErrExists) {
+	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build(), rel.Counts{}); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate load: err %v, want ErrExists", err)
 	}
-	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build()); err != nil {
+	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build(), rel.Counts{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Relations != 2 || st.Bytes != (1024+512)*8 || st.Registered != 2 {
@@ -69,10 +70,12 @@ func TestRegisterLookupDrop(t *testing.T) {
 }
 
 // TestDropWhilePinned: the name unbinds immediately but the resident bytes
-// survive until the pin is released.
+// survive until the pin is released, and the pin keeps serving the slice
+// and the count table it was loaded with after the name is loaded again.
 func TestDropWhilePinned(t *testing.T) {
 	c := New(0)
-	if err := c.Load("r", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
+	r := rel.Gen{N: 1024, Seed: 1}.Build()
+	if err := c.Load("r", r, Measure(r).Counts); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -88,29 +91,33 @@ func TestDropWhilePinned(t *testing.T) {
 	if st := c.Stats(); st.Bytes != 1024*8 {
 		t.Errorf("bytes %d freed before last pin released", st.Bytes)
 	}
-	// The pinned entry still serves its data.
-	if e.Relation().Len() != 1024 {
-		t.Errorf("pinned relation lost its data")
+	next := rel.Gen{N: 64, Seed: 2}.Build()
+	if err := c.Load("r", next, Measure(next).Counts); err != nil {
+		t.Fatal(err)
+	}
+	// The pinned entry still serves its data, and its own table.
+	if e.Relation().Len() != 1024 || e.Counts().Len() != 1024 || e.Counts().Of(r.Keys[0]) != 1 {
+		t.Errorf("pinned entry lost its data: %d tuples, %d counted keys", e.Relation().Len(), e.Counts().Len())
 	}
 	e.Release()
-	if st := c.Stats(); st.Bytes != 0 {
-		t.Errorf("bytes %d not freed after last release", st.Bytes)
+	if st := c.Stats(); st.Bytes != 64*8 {
+		t.Errorf("bytes %d, want the reloaded relation's %d after the last release", st.Bytes, 64*8)
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
 	c := New(1024 * 8)
-	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
+	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build(), rel.Counts{}); err != nil {
 		t.Fatal(err)
 	}
 	overflow := rel.Gen{N: 1, Seed: 2}.Build()
-	if err := c.Load("overflow", overflow); !errors.Is(err, ErrNoSpace) {
+	if err := c.Load("overflow", overflow, rel.Counts{}); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("overflow load: err %v, want ErrNoSpace", err)
 	}
 	if _, err := c.Drop("fits"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("overflow", overflow); err != nil {
+	if err := c.Load("overflow", overflow, rel.Counts{}); err != nil {
 		t.Errorf("load after drop freed space: %v", err)
 	}
 }
@@ -123,7 +130,7 @@ func TestCapacityEnforced(t *testing.T) {
 func TestReserveAccounting(t *testing.T) {
 	const half = 512 * 8
 	c := New(2 * half)
-	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build()); err != nil {
+	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build(), rel.Counts{}); err != nil {
 		t.Fatal(err)
 	}
 	peak := c.Stats().PeakBytes
@@ -164,7 +171,7 @@ func TestReserveAccounting(t *testing.T) {
 func TestEntryAccessors(t *testing.T) {
 	c := New(0)
 	in := rel.Gen{N: 4096, Seed: 1}.Build()
-	if err := c.Load("base", in); err != nil {
+	if err := c.Load("base", in, rel.Counts{}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("base")
@@ -186,10 +193,29 @@ func TestEntryAccessors(t *testing.T) {
 func TestLoadValidates(t *testing.T) {
 	c := New(0)
 	bad := rel.Relation{RIDs: []int32{0, 1}, Keys: []int32{5}}
-	if err := c.Load("bad", bad); err == nil {
+	if err := c.Load("bad", bad, rel.Counts{}); err == nil {
 		t.Error("loading a column-length-mismatched relation succeeded")
 	}
-	if err := c.Load("", rel.Relation{}); err == nil {
+	if err := c.Load("", rel.Relation{}, rel.Counts{}); err == nil {
 		t.Error("loading under an empty name succeeded")
+	}
+}
+
+// BenchmarkMeasure is catalog ingest's kernel: one registration's
+// statistics — the strided sample, its skew bucket and the whole relation's
+// key count table, fitted to its distinct keys — at the benchmark's
+// relation sizes. The tables are kept, as a registered relation keeps its
+// own, so B/op is what ingest holds per relation plus the sample: the
+// generated build sides have distinct keys, 16–32 B per tuple.
+func BenchmarkMeasure(b *testing.B) {
+	for _, n := range []int{1 << 17, 1 << 20} {
+		r := rel.Gen{N: n, Seed: 1}.Build()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Measure(r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
+		})
 	}
 }

@@ -159,9 +159,10 @@ func SkewBucketOf(share float64) int {
 }
 
 // SelBucketOf quantizes the fraction of sampled probe keys for which
-// contains reports membership in the build key set. The catalog passes a
-// binary search over its ingest-time key index; the inline path passes a
-// lookup into a rel.Counts table over R's keys — both report the same
+// contains reports membership in the build key set. Every path passes a
+// lookup into a rel.Counts table over R's keys — the catalog's ingest-time
+// table of the whole relation, a chain's table of its build side, or the
+// inline path's table of the sampled keys R holds — and all report the same
 // memberships, so the buckets agree.
 func SelBucketOf(sample []int32, contains func(int32) bool) int {
 	if len(sample) == 0 {

@@ -49,7 +49,7 @@ func mapHeavyShare(sample []int32) float64 {
 // are now obtained — MeasureWorkload (a sample-sized table, R scanned),
 // CountsWorkload (the chain's build counts, R not read) and PairWorkload
 // over ingest statistics (the catalog's: stored sample, stored skew bucket,
-// sorted key index) — equal the map-backed measurement, so every path
+// membership in the whole relation's count table) — equal the map-backed measurement, so every path
 // fingerprints a pair into the same plan-cache slot as before. The build
 // side is tried with distinct keys and as an intermediate with duplicates;
 // the sizes straddle WorkloadSample so both the strided and the whole-
@@ -75,14 +75,14 @@ func TestWorkloadBucketsMatchMapReference(t *testing.T) {
 					if got := CountsWorkload(counts, s); got != want {
 						t.Errorf("%s: CountsWorkload %+v, the map reference %+v", name, got, want)
 					}
-					counts.Release()
 					sample := s.KeySample(WorkloadSample)
 					if got, ref := HeavyShare(sample), mapHeavyShare(sample); got != ref {
 						t.Errorf("%s: HeavyShare %v, the map reference %v", name, got, ref)
 					}
-					if got := PairWorkload(sample, SkewBucketOf(HeavyShare(sample)), r.Index().Contains); got != want {
+					if got := PairWorkload(sample, SkewBucketOf(HeavyShare(sample)), func(k int32) bool { return counts.Of(k) > 0 }); got != want {
 						t.Errorf("%s: PairWorkload over ingest statistics %+v, the map reference %+v", name, got, want)
 					}
+					counts.Release()
 				}
 			}
 		}

@@ -58,14 +58,46 @@ func (c Counts) Restrict(keys []int32) Counts {
 	return out
 }
 
+// Fit moves the table into one sized by its distinct keys. CountKeys sizes
+// a table by the column it counts, so a column with repeated keys leaves
+// most slots empty; Fit copies the held keys into the smallest table that
+// keeps the load at most one half — 16–32 B per distinct key — and hands
+// the old slab back, or leaves a table already that size as it is. It is
+// for a table kept long after it was counted. Copies of c made before the
+// call must not be read after it.
+func (c *Counts) Fit() {
+	if c.n == 0 || 2*slotsFor(c.n) == len(c.slots) {
+		return
+	}
+	out := makeCounts(c.n)
+	mask := len(out.slots) - 1
+	for i := 0; i < len(c.slots); i += 2 {
+		if c.slots[i+1] == 0 {
+			continue
+		}
+		// The held keys are distinct, so each takes the first empty slot.
+		j := int(mix(c.slots[i])) << 1 & mask
+		for out.slots[j|1] != 0 {
+			j = (j + 2) & mask
+		}
+		out.slots[j], out.slots[j|1] = c.slots[i], c.slots[i+1]
+	}
+	out.n, out.max = c.n, c.max
+	c.Release()
+	*c = out
+}
+
+// slotsFor is the number of slots that holds the given number of distinct
+// keys at a load of at most one half: a power of two.
+func slotsFor(distinct int) int { return 1 << bits.Len(uint(2*distinct-1)) }
+
 // makeCounts returns an empty table with room for the given number of
 // distinct keys at a load of at most one half.
 func makeCounts(distinct int) Counts {
 	if distinct == 0 {
 		return Counts{}
 	}
-	slots := 1 << bits.Len(uint(2*distinct-1))
-	return Counts{slots: alloc.GetZeroed(2 * slots)}
+	return Counts{slots: alloc.GetZeroed(2 * slotsFor(distinct))}
 }
 
 // mix spreads a key over the table. It must be decorrelated from every

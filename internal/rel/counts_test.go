@@ -149,8 +149,39 @@ func TestCountsRestrict(t *testing.T) {
 	}
 }
 
+// TestCountsFit: Fit keeps every count and moves the table into the
+// smallest one that holds its distinct keys at a load of at most one half
+// — a skewed column's table shrinks, a column of distinct keys' stays.
+func TestCountsFit(t *testing.T) {
+	build := rel.Gen{N: 1 << 15, Seed: 9}.Build()
+	for name, keys := range map[string][]int32{
+		"distinct":      build.Keys,
+		"highskew":      rel.Gen{N: 1 << 15, Dist: rel.HighSkew, Seed: 10}.Probe(build, 1.0).Keys,
+		"lowskew_sel20": rel.Gen{N: 1 << 15, Dist: rel.LowSkew, Seed: 11}.Probe(build, 0.2).Keys,
+		"one_key":       make([]int32, 1000),
+		"empty":         nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := rel.CountKeys(keys)
+			counted := c.Slots()
+			c.Fit()
+			defer c.Release()
+			requireCountsEqualMap(t, c, keys)
+			if c.Len() == 0 {
+				if c.Slots() != 0 {
+					t.Fatalf("the empty table kept %d slots", c.Slots())
+				}
+				return
+			}
+			if s := c.Slots(); s < 2*c.Len() || s >= 4*c.Len() || s > counted {
+				t.Fatalf("%d distinct keys fit into %d slots (counted into %d), want [%d, %d)", c.Len(), s, counted, 2*c.Len(), 4*c.Len())
+			}
+		})
+	}
+}
+
 // FuzzKeyCounts: any key column, with as many duplicates as the modulus
-// forces, counts exactly as the map counts it.
+// forces, counts exactly as the map counts it, before and after Fit.
 func FuzzKeyCounts(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 255, 255, 255, 255}, uint32(0))
@@ -167,6 +198,8 @@ func FuzzKeyCounts(f *testing.F) {
 		}
 		c := rel.CountKeys(keys)
 		defer c.Release()
+		requireCountsEqualMap(t, c, keys)
+		c.Fit()
 		requireCountsEqualMap(t, c, keys)
 	})
 }

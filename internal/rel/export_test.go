@@ -12,3 +12,6 @@ func (c Counts) ProbeLen(k int32) int {
 	}
 	return n
 }
+
+// Slots returns the table's slot count.
+func (c Counts) Slots() int { return len(c.slots) / 2 }

@@ -2,7 +2,6 @@ package rel
 
 import (
 	"slices"
-	"sort"
 
 	"apujoin/internal/alloc"
 )
@@ -33,25 +32,4 @@ func (r Relation) KeySampleSlab(target int) []int32 {
 		sample[j] = r.Keys[j*stride]
 	}
 	return sample
-}
-
-// KeyIndex is a sorted copy of a relation's key column, supporting
-// O(log n) membership tests. The relation catalog builds one per
-// registered relation at ingest so per-query selectivity measurement
-// becomes a handful of binary searches over a stored probe sample instead
-// of a full scan of the build relation.
-type KeyIndex []int32
-
-// Index returns the sorted key index of the relation.
-func (r Relation) Index() KeyIndex {
-	ix := make(KeyIndex, len(r.Keys))
-	copy(ix, r.Keys)
-	sort.Slice(ix, func(i, j int) bool { return ix[i] < ix[j] })
-	return ix
-}
-
-// Contains reports whether key k occurs in the indexed relation.
-func (ix KeyIndex) Contains(k int32) bool {
-	i := sort.Search(len(ix), func(i int) bool { return ix[i] >= k })
-	return i < len(ix) && ix[i] == k
 }

@@ -38,7 +38,7 @@ type localBackend struct {
 
 	mu sync.Mutex
 	// partBytes tracks the registered relation bytes resident per grid
-	// partition, backing partitionBudget.
+	// partition, backing partitionBudgets.
 	partBytes []int64
 }
 
@@ -98,9 +98,9 @@ func (b *localBackend) catalogOf(p int) *catalog.Catalog {
 // budget cannot hold its partitions rolls the others back and the
 // placement fails with the catalog's ErrNoSpace — no bytes, no names and
 // no gauges left behind.
-func (b *localBackend) place(name string, parts []rel.Relation) error {
+func (b *localBackend) place(name string, parts []rel.Relation, counts rel.Counts) error {
 	for p := range parts {
-		if err := b.catalogOf(p).Load(b.partName(name, p), parts[p]); err != nil {
+		if err := b.catalogOf(p).Load(b.partName(name, p), parts[p], counts); err != nil {
 			for q := 0; q < p; q++ {
 				b.catalogOf(q).Drop(b.partName(name, q)) //nolint:errcheck // just loaded
 			}
@@ -118,15 +118,12 @@ func (b *localBackend) place(name string, parts []rel.Relation) error {
 // remove drops every partition entry from its shard catalog — each shard's
 // bytes free when its last pin drains — and unwinds the partition gauges.
 func (b *localBackend) remove(name string) {
-	freed := make([]int64, b.grid)
-	for p := range freed {
-		freed[p], _ = b.catalogOf(p).Drop(b.partName(name, p)) // absent: nothing was freed
-	}
 	b.mu.Lock()
-	for p, bytes := range freed {
-		b.partBytes[p] -= bytes
+	defer b.mu.Unlock()
+	for p := range int(b.grid) {
+		freed, _ := b.catalogOf(p).Drop(b.partName(name, p)) // absent: nothing was freed
+		b.partBytes[p] -= freed
 	}
-	b.mu.Unlock()
 }
 
 // pins reports the in-flight queries referencing a relation: every query
@@ -188,7 +185,10 @@ func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry,
 }
 
 // bindPipeline materializes each generator spec, then pins or splits every
-// source.
+// source. A registered source's count table comes from its pins, not from
+// the router's record: a Drop and re-registration of the name after the
+// router resolved it cannot pair one relation's table with another's
+// slices.
 func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalog.Entry, err error) {
 	pins = make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
 	for i, in := range sp.Sources {
@@ -198,6 +198,9 @@ func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalo
 		if j.sources[i].parts, pins, err = b.input(in.Name, in.Rel, pins); err != nil {
 			releaseAll(pins)
 			return nil, fmt.Errorf("pipeline source %d: %w", i+1, err)
+		}
+		if in.Name != "" {
+			j.sources[i].counts = pins[len(pins)-1].Counts()
 		}
 	}
 	return pins, nil
@@ -210,21 +213,22 @@ func (b *localBackend) planWhole(ctx context.Context, r, s rel.Relation, opt cor
 	return planFor(ctx, b.planners[0], r, s, opt, w)
 }
 
-// partitionBudget returns partition p's residency budget for transient
-// pipeline intermediates: its even share of the total configured budget
-// minus the relation bytes registered into it — over a grid of one, the
-// capacity less everything registered. The spill path compares
-// intermediates against this — a pure function of the registered data and
+// partitionBudgets returns every partition's residency budget for
+// transient pipeline intermediates: its even share of the total configured
+// budget minus the relation bytes registered into it — over a grid of one,
+// the capacity less everything registered. The spill path compares
+// intermediates against these — a pure function of the registered data and
 // the total budget — so spill decisions are identical for any shard count
-// and any concurrent interleaving. Summed over a shard's owned partitions
-// the thresholds never exceed the shard catalog's free capacity, which is
-// what makes the thresholds physically honorable.
-func (b *localBackend) partitionBudget(p int) int64 {
+// and any concurrent interleaving. They are read in one snapshot when a
+// pipeline starts, so a Drop while its partition chains run moves no
+// chain's budget. Summed over a shard's owned partitions the thresholds
+// never exceed the shard catalog's free capacity, which is what makes the
+// thresholds physically honorable.
+func (b *localBackend) partitionBudgets() (free [shard.Partitions]int64) {
 	b.mu.Lock()
-	free := b.partBudget - b.partBytes[p]
-	b.mu.Unlock()
-	if free < 0 {
-		return 0
+	defer b.mu.Unlock()
+	for p := range int(b.grid) {
+		free[p] = max(b.partBudget-b.partBytes[p], 0)
 	}
 	return free
 }
@@ -272,6 +276,13 @@ func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
 // one sees global cardinalities, so only it may revise the job's order
 // mid-pipeline; partition chains execute the order as resolved — it is part
 // of their merge contract.
+//
+// A registered first source hands every chain its ingest-time count table
+// (catalog.IngestStats.Counts, read from its pins): grid partitions split
+// by key, so for every probe key of partition p the whole relation's count
+// is its slice's, and one rule serves every grid. The table is shared,
+// never released here; an inline first source has none and its chains
+// count their slices.
 func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error) {
 	n, grid := len(j.sources), int(b.grid)
 	in := make([]rel.Relation, n*grid)
@@ -281,15 +292,17 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 		}
 	}
 	order := j.order.order
+	first := j.sources[order[0]].counts
 	pp := newPipelinePartitions(n-1, grid)
+	budgets := b.partitionBudgets()
 	err := runPartitions(b.pool, grid, func(p int) error {
-		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: b.partitionBudget(p)}
+		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: budgets[p]}
 		c := &chain{level: b.grid.Levels(), wFirst: j.wFirst, steps: make([]*core.Result, 0, n-1), plans: make([]*PlanInfo, 0, n-1)}
 		if b.grid.Whole() {
 			c.replan = j.order.replan
 		}
 		in := in[p*n : (p+1)*n]
-		if err := sp.runChain(c, in, order, rel.Counts{}, core.Mults{}); err != nil {
+		if err := sp.runChain(c, in, order, first, core.Mults{}); err != nil {
 			return err
 		}
 		// The spill I/O of every level the spiller reached attaches to the

@@ -28,7 +28,7 @@ type fakeBackend struct {
 	pipeParts *PipelinePartitions
 }
 
-func (f *fakeBackend) place(name string, _ []rel.Relation) error {
+func (f *fakeBackend) place(name string, _ []rel.Relation, _ rel.Counts) error {
 	if f.entered != nil {
 		f.entered <- struct{}{}
 		<-f.release

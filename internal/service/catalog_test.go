@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,44 +140,116 @@ func TestSubmitBatchAdmission(t *testing.T) {
 
 // TestDropWhileQueryRunning: dropping a relation mid-query unbinds the
 // name immediately but the running query keeps its pinned data and
-// completes; the zero-copy bytes free once the query finishes.
+// completes; the zero-copy bytes free once the query finishes. A pipeline
+// whose first build side reads its ingest-time count table (held by the
+// pinned entries, never released: the GC keeps it while a pin or record
+// refers to it) is dropped
+// source by source at its first, middle and last step boundary, unsharded
+// and on four shards, and must report exactly what the undropped run
+// reports, with every byte — relations and transient reservations — back
+// once it returns.
 func TestDropWhileQueryRunning(t *testing.T) {
-	svc := New(Config{Workers: 2, MaxConcurrent: 1})
-	defer svc.Close()
-	if _, err := svc.RegisterGen("r", rel.Gen{N: 60000, Seed: 1}); err != nil {
-		t.Fatal(err)
+	t.Run("join", func(t *testing.T) {
+		svc := New(Config{Workers: 2, MaxConcurrent: 1})
+		defer svc.Close()
+		if _, err := svc.RegisterGen("r", rel.Gen{N: 60000, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: 60000, Seed: 2}, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		spec := JoinSpec{RName: "r", SName: "s", Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 2048}}
+		q, err := svc.SubmitSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.DropRelation("r"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.DropRelation("s"); err != nil {
+			t.Fatal(err)
+		}
+		// New names no longer resolve.
+		if _, err := svc.SubmitSpec(context.Background(), spec); !errors.Is(err, catalog.ErrNotFound) {
+			t.Errorf("submit after drop: err %v, want catalog.ErrNotFound", err)
+		}
+		res, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("query with dropped relations: %v", err)
+		}
+		if res.Matches <= 0 {
+			t.Errorf("matches %d, want > 0", res.Matches)
+		}
+		// Pins drain asynchronously in finish; poll briefly for the free.
+		deadline := time.Now().Add(5 * time.Second)
+		for svc.Stats().Catalog.Bytes != 0 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if b := svc.Stats().Catalog.Bytes; b != 0 {
+			t.Errorf("catalog bytes %d after last query finished, want 0", b)
+		}
+	})
+	t.Run("pipeline", func(t *testing.T) {
+		sh := spillShapes()[0]
+		for _, shards := range []int{0, 4} {
+			count, counted := dropAtBoundary(0, nil), sh.loadOn(t, Config{Workers: 2, Shards: shards})
+			if _, err := counted.RunPipeline(count, sh.spec(counted)); err != nil {
+				t.Fatal(err)
+			}
+			boundaries := count.seen
+			for _, k := range []int{1, max(boundaries/2, 1), boundaries} {
+				svc := sh.loadOn(t, Config{Workers: 2, Shards: shards})
+				want := sh.run(t, svc)
+				ctx := dropAtBoundary(k, func() {
+					for _, name := range spillNames[:len(sh.rels)] {
+						if _, err := svc.DropRelation(name); err != nil {
+							t.Error(err)
+						}
+					}
+					runtime.GC()
+				})
+				pr, err := svc.RunPipeline(ctx, sh.spec(svc))
+				if err != nil {
+					t.Fatalf("shards=%d, dropped at boundary %d of %d: %v", shards, k, boundaries, err)
+				}
+				if !ctx.fired() {
+					t.Fatalf("shards=%d: the run checked fewer than %d step boundaries", shards, k)
+				}
+				if !reflect.DeepEqual(normalizeCacheHits(pr), want) {
+					t.Errorf("shards=%d: dropped at boundary %d of %d, the pipeline differs from the undropped run", shards, k, boundaries)
+				}
+				if st := svc.Stats(); st.Catalog.Bytes != 0 || st.Catalog.Relations != 0 {
+					t.Errorf("shards=%d: %d catalog bytes and %d relations once the dropped run returned, want none", shards, st.Catalog.Bytes, st.Catalog.Relations)
+				}
+			}
+		}
+	})
+}
+
+// boundaryDrop counts the step boundaries a run checks (calls to Done) and
+// runs drop, once, at the k-th; it never cancels.
+type boundaryDrop struct {
+	context.Context
+	mu      sync.Mutex
+	k, seen int
+	drop    func()
+}
+
+func dropAtBoundary(k int, drop func()) *boundaryDrop {
+	return &boundaryDrop{Context: context.Background(), k: k, drop: drop}
+}
+
+func (c *boundaryDrop) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seen++; c.seen == c.k {
+		c.drop()
 	}
-	if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: 60000, Seed: 2}, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	spec := JoinSpec{RName: "r", SName: "s", Opt: core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.1, PilotItems: 2048}}
-	q, err := svc.SubmitSpec(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.DropRelation("r"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.DropRelation("s"); err != nil {
-		t.Fatal(err)
-	}
-	// New names no longer resolve.
-	if _, err := svc.SubmitSpec(context.Background(), spec); !errors.Is(err, catalog.ErrNotFound) {
-		t.Errorf("submit after drop: err %v, want catalog.ErrNotFound", err)
-	}
-	res, err := q.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("query with dropped relations: %v", err)
-	}
-	if res.Matches <= 0 {
-		t.Errorf("matches %d, want > 0", res.Matches)
-	}
-	// Pins drain asynchronously in finish; poll briefly for the free.
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Stats().Catalog.Bytes != 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if b := svc.Stats().Catalog.Bytes; b != 0 {
-		t.Errorf("catalog bytes %d after last query finished, want 0", b)
-	}
+	return nil
+}
+
+func (c *boundaryDrop) fired() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.k > 0 && c.seen >= c.k
 }

@@ -128,16 +128,6 @@ func (o *pipeOrder) replan(t int, matches int64) {
 	o.replans++
 }
 
-// stepLabels names step t's inputs: the first source (or the previous
-// step's intermediate) and the probing source.
-func stepLabels(srcs []pipeSource, order []int, t int) (build, probe string) {
-	build = srcs[order[0]].name
-	if t > 1 {
-		build = fmt.Sprintf("step%d", t-1)
-	}
-	return build, srcs[order[t]].name
-}
-
 // chain is one left-deep chain: what it starts from and, per executed
 // step, the pairwise result and the planner's decision (nil for an
 // empty-side step and for steps the spiller ran). Input cardinalities and
@@ -150,7 +140,8 @@ type chain struct {
 	// past its parent's for a spilled partition's.
 	level int
 	// wFirst is the first step's registered pair workload (nil: plan from
-	// the build side's key counts, or measure).
+	// the build side's key counts, or measure); runChain clears it once the
+	// first step has read it.
 	wFirst *plan.Workload
 	// replan, when set, may re-order the steps after t (mid-pipeline
 	// re-planning) given step t's exact matches. Only a chain that sees
@@ -191,15 +182,16 @@ func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
 // run, so a chain holds at most one intermediate and never names, pins or
 // indexes it.
 //
-// counts and known are in[order[0]]'s key → multiplicity table and
-// in[order[1]]'s multiplicities against it when the caller holds them (a
-// spilled partition's), and stay the caller's: the first pre-check reads
-// known's total and the first hand-off fills from it. Every other build
-// side's table and multiplicities the chain derives when the step hands an
-// intermediate on (the last step needs none) and releases after the
-// hand-off. A step
-// whose build counts are in hand plans from them (plan.CountsWorkload —
-// the measured workload by construction); the first step prefers wFirst.
+// counts is in[order[0]]'s key → multiplicity table when the caller holds
+// one (a registered source's ingest table, a spilled partition's), and
+// known in[order[1]]'s multiplicities against it when the caller holds
+// those too (a spilled partition's); both stay the caller's. The first
+// pre-check reads known's total and the first hand-off fills from it. A
+// table or multiplicities not in hand the chain derives when the step
+// hands an intermediate on (the last step needs none) and releases after
+// the hand-off. A step whose build counts are in hand plans from them
+// (plan.CountsWorkload — the measured workload by construction); the first
+// step prefers wFirst.
 //
 // A step with an empty side joins to nothing: it is neither planned (the
 // planner refuses empty relations) nor run, reports a zero result, and its
@@ -238,8 +230,11 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			if !empty {
 				if counts.Len() == 0 {
 					own = rel.KeyCounts(cur)
-					ownMult = core.Multiplicities(sp.opt.Pool, own, probe.Keys)
-					counts, known = own, ownMult
+					counts = own
+				}
+				if known.Of == nil {
+					ownMult = core.Multiplicities(sp.opt.Pool, counts, probe.Keys)
+					known = ownMult
 				}
 				if matches = known.Total; matches > math.MaxInt32 {
 					return fail(fmt.Errorf("intermediate of %d tuples exceeds the representable relation size", matches))
@@ -269,10 +264,8 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			}
 		}
 
-		w := c.wFirst
-		if t > 1 {
-			w = nil
-		}
+		w := c.wFirst // the first step's alone
+		c.wFirst = nil
 		if w == nil && sp.planner != nil && counts.Len() > 0 {
 			cw := plan.CountsWorkload(counts, probe)
 			w = &cw

@@ -60,7 +60,7 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 // servers AND the failing one are sent the idempotent delete — a POST whose
 // reply was lost may still have committed there, and the orphan would
 // answer 409 to the retry.
-func (b *remoteBackend) place(name string, parts []rel.Relation) error {
+func (b *remoteBackend) place(name string, parts []rel.Relation, _ rel.Counts) error {
 	n := b.pool.Size()
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the

@@ -143,6 +143,10 @@ type pipeSource struct {
 	tuples int
 	rec    *shardedRel
 	parts  []rel.Relation
+	// counts is a registered source's ingest table as its pinned slices
+	// hold it (catalog.Entry.Counts), in-process; the empty table
+	// otherwise.
+	counts rel.Counts
 }
 
 // pipeRel is the source as the join orderer sees it.

@@ -53,8 +53,10 @@ type router struct {
 // never merges.
 type backend interface {
 	// place stores one relation's partition slices, all or nothing: after
-	// a failure no slice of name remains anywhere.
-	place(name string, parts []rel.Relation) error
+	// a failure no slice of name remains anywhere. counts is the whole
+	// relation's ingest table, which an in-process backend keeps beside
+	// every slice so that a pin on the slices also holds their counts.
+	place(name string, parts []rel.Relation, counts rel.Counts) error
 	// remove drops a relation's slices; in-flight pins keep their data.
 	remove(name string)
 	// pins counts the in-flight pins on a relation's slices.
@@ -314,7 +316,7 @@ func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, erro
 			sr.order[i] = uint8(t.grid.PartitionOf(k))
 		}
 	}
-	if err := t.b.place(sr.name, t.grid.Split(full)); err != nil {
+	if err := t.b.place(sr.name, t.grid.Split(full), sr.stats.Counts); err != nil {
 		return catalog.Info{}, err
 	}
 	t.mu.Lock()
@@ -427,7 +429,7 @@ func (t *router) lookup(names []string, recs []*shardedRel) error {
 
 // workload returns the planner workload buckets of the pair (build r,
 // probe s) from the full-relation ingest statistics — the probe's stored
-// key sample against the build's sorted key index — without scanning either
+// key sample against the build's key count table — without scanning either
 // relation. The result is memoized per pair and equals plan.MeasureWorkload
 // on the same relations, so registered and inline queries share plan-cache
 // entries.
@@ -444,7 +446,7 @@ func (t *router) workload(r, s *shardedRel) plan.Workload {
 	}
 	t.mu.Unlock()
 
-	w := plan.PairWorkload(s.stats.Sample, s.stats.SkewBucket, r.stats.Index.Contains)
+	w := plan.PairWorkload(s.stats.Sample, s.stats.SkewBucket, func(k int32) bool { return r.stats.Counts.Of(k) > 0 })
 
 	t.mu.Lock()
 	// Only memoize while both names still resolve to these records: a
@@ -654,8 +656,9 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 //
 // Labels and tuple counts are global quantities, derived here rather than
 // shipped: step 0 builds from order[0]'s whole relation and step t from
-// step t-1's merged matches, step t probes with order[t+1]'s whole relation,
-// and the intermediates are every step's matches but the last.
+// step t-1's merged matches (labelled "step<t>"), step t probes with
+// order[t+1]'s whole relation, and the intermediates are every step's
+// matches but the last.
 //
 // PeakIntermediateBytes sums the per-partition chain peaks: the chains
 // execute concurrently, so their peaks are simultaneous in the worst case,
@@ -666,15 +669,16 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult
 		return nil, err
 	}
 	res := &PipelineResult{Order: pj.order.order, Ordered: pj.order.ordered, Replans: pj.order.replans}
-	buildT := pj.sources[res.Order[0]].tuples
+	first := &pj.sources[res.Order[0]]
+	build, buildT := first.name, first.tuples
 	for idx, parts := range pp.Steps {
 		merged := t.grid.Merge(parts)
-		build, probe := stepLabels(pj.sources, res.Order, idx+1)
+		probe := &pj.sources[res.Order[idx+1]]
 		res.Steps = append(res.Steps, PipelineStep{
 			Build:       build,
-			Probe:       probe,
+			Probe:       probe.name,
 			BuildTuples: buildT,
-			ProbeTuples: pj.sources[res.Order[idx+1]].tuples,
+			ProbeTuples: probe.tuples,
 			OutTuples:   merged.Matches,
 			Result:      merged,
 			Plan:        mergePlans(pp.Plans[idx]),
@@ -682,6 +686,7 @@ func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult
 		res.add(merged)
 		if idx < len(pp.Steps)-1 {
 			res.IntermediateTuples += merged.Matches
+			build = fmt.Sprintf("step%d", idx+1)
 		}
 		buildT = int(merged.Matches)
 	}

@@ -3,8 +3,10 @@ package apujoin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -369,5 +371,80 @@ func TestEngineClosePipelinesInFlight(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Errorf("goroutines after Close: %d, want <= %d", g, before)
+	}
+}
+
+// TestPipelineRefMatchesInline: a pipeline over registered sources — whose
+// chains read the first build side's ingest-time count table — reports
+// exactly what the same pipeline over inline copies reports, whose chains
+// count their slices per query: every step's Result and plan decision, the
+// final Result, the spill gauges and the resident peak. Unsharded, on one
+// and on four shards, with explicit and auto-planned steps, both under a
+// budget that spills and one that does not. The inline engine registers the
+// same relations too, so both see the same per-partition budget.
+func TestPipelineRefMatchesInline(t *testing.T) {
+	r := Gen{N: 16000, Seed: 1}.Build()
+	rels := []Relation{r, Gen{N: 16000, Seed: 2}.Probe(r, 1.0), Gen{N: 16000, Seed: 3}.Probe(r, 1.0)}
+	names := []string{"r", "s", "u"}
+	refs := []Source{Ref("r"), Ref("s"), Ref("u")}
+	var inlines []Source
+	for _, rl := range rels {
+		inlines = append(inlines, Inline(Relation{RIDs: slices.Clone(rl.RIDs), Keys: slices.Clone(rl.Keys)}))
+	}
+	ctx := context.Background()
+	run := func(t *testing.T, shards int, budget int64, srcs []Source, opts []JoinOption) *PipelineResult {
+		t.Helper()
+		eng := NewEngine(Workers(2), WithShards(shards), CatalogCapacity(budget), WithShardBudget(budget/int64(max(shards, 1))))
+		defer eng.Close()
+		for i, rl := range rels {
+			if _, err := eng.Load(names[i], rl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pr, err := eng.JoinPipeline(ctx, Pipeline{Sources: srcs, DeclaredOrder: true}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	base := []JoinOption{WithDelta(0.25), WithPilotItems(1 << 8)}
+	for _, shards := range []int{0, 1, 4} {
+		// 397 600 bytes spill every selectivity-1 intermediate
+		// (TestShardSpillInvariance); 1 MB holds them all.
+		for _, budget := range []int64{397_600, 1 << 20} {
+			for _, auto := range []bool{false, true} {
+				opts := base
+				if auto {
+					opts = append(slices.Clone(base), WithAuto())
+				}
+				name := fmt.Sprintf("shards=%d/budget=%d/auto=%v", shards, budget, auto)
+				t.Run(name, func(t *testing.T) {
+					ref, inl := run(t, shards, budget, refs, opts), run(t, shards, budget, inlines, opts)
+					if spilled := ref.SpilledPartitions > 0; spilled != (budget < 1<<20) {
+						t.Errorf("spilled %d partitions under a budget of %d", ref.SpilledPartitions, budget)
+					}
+					if len(ref.Steps) != len(inl.Steps) {
+						t.Fatalf("%d steps over Ref sources, %d over Inline ones", len(ref.Steps), len(inl.Steps))
+					}
+					for i := range ref.Steps {
+						if !reflect.DeepEqual(ref.Steps[i].Result, inl.Steps[i].Result) || !reflect.DeepEqual(ref.Steps[i].Plan, inl.Steps[i].Plan) {
+							t.Errorf("step %d differs between Ref and Inline sources", i+1)
+						}
+					}
+					if !reflect.DeepEqual(ref.Final, inl.Final) {
+						t.Error("Final differs between Ref and Inline sources")
+					}
+					type gauges struct {
+						spilled, bytes, peak int64
+						ns                   float64
+						depth                int
+					}
+					if g, h := (gauges{ref.SpilledPartitions, ref.SpillBytes, ref.PeakIntermediateBytes, ref.SpillNS, ref.SpillDepth}),
+						(gauges{inl.SpilledPartitions, inl.SpillBytes, inl.PeakIntermediateBytes, inl.SpillNS, inl.SpillDepth}); g != h {
+						t.Errorf("spill gauges and peak over Ref sources %+v, over Inline ones %+v", g, h)
+					}
+				})
+			}
+		}
 	}
 }
