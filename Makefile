@@ -18,9 +18,11 @@ COVERAGE_FLOOR ?= 91
 # package:ceiling pairs: COVERAGE_FLOOR's pattern pointing the other way.
 # The service layer was three copies of one design and described a query
 # in four shapes, and core wrote its join geometry, radix pass series and
-# phase dispatch out three times each; this keeps each of them one. Lower a
-# ceiling as its package shrinks; never raise one to merge.
-LOC_CEILINGS ?= internal/service:1945 internal/httpapi:593 internal/core:1423
+# phase dispatch out three times each; this keeps each of them one. The
+# cluster pool sends each request once; its ceiling keeps a retry layer
+# that no request reaches from coming back. Lower a ceiling as its package
+# shrinks; never raise one to merge.
+LOC_CEILINGS ?= internal/service:1935 internal/httpapi:593 internal/core:1423 internal/cluster:302
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

@@ -28,9 +28,8 @@
 // that needs a marked-down shard fails fast with a structured 503 (code
 // "shard_down") instead of hanging, and /v1/stats adds a "cluster" section
 // with per-shard health and traffic gauges. The engine-only flags (-shards,
-// -shard-budget, -catalog-bytes, -plan-cache) are errors on a router, the
-// router-only ones (-timeout, -retries, -backoff, -health-interval,
-// -health-failures) errors without -cluster.
+// -catalog-bytes, -plan-cache) are errors on a router, the router-only ones
+// (-timeout, -health-interval, -health-failures) errors without -cluster.
 //
 // Every response uses one JSON envelope: successes carry the payload under
 // "result", failures carry {"error": {"code", "message"}}.
@@ -117,12 +116,9 @@ func parseFlags(args []string, out io.Writer) (daemon, error) {
 	fs.IntVar(&d.http.MaxTuples, "max-tuples", 1<<24, "largest accepted relation size")
 	fs.Int64Var(&d.http.MaxBody, "max-body", 32<<20, "largest accepted request body in bytes")
 	fs.IntVar(&c.PlanCache, "plan-cache", 0, "plan cache capacity for algo=auto queries (0 = default)")
-	fs.Int64Var(&c.CatalogBytes, "catalog-bytes", 0, "zero-copy budget for registered relations (0 = 512 MB)")
+	fs.Int64Var(&c.CatalogBytes, "catalog-bytes", 0, "zero-copy budget for registered relations, split evenly across -shards (0 = 512 MB)")
 	fs.IntVar(&c.Shards, "shards", 0, "partition the relation catalog across this many engine shards (0 = unsharded; results are identical for any value)")
-	fs.Int64Var(&c.ShardBudget, "shard-budget", 0, "zero-copy budget per shard catalog (0 = split -catalog-bytes evenly)")
 	fs.DurationVar(&c.ClusterTimeout, "timeout", 120*time.Second, "router: per-shard-request timeout; a query on a dead shard fails within this bound")
-	fs.IntVar(&c.ClusterRetries, "retries", 2, "router: retries for idempotent (GET) shard requests; mutations never retry (0 or -1 disables)")
-	fs.DurationVar(&c.ClusterBackoff, "backoff", 100*time.Millisecond, "router: base backoff between retries (exponential, jittered)")
 	fs.DurationVar(&c.HealthInterval, "health-interval", 2*time.Second, "router: period of the background /healthz probe per shard")
 	fs.IntVar(&c.HealthFailures, "health-failures", 3, "router: consecutive probe failures before a shard is marked down")
 	if err := fs.Parse(args); err != nil {
@@ -141,28 +137,21 @@ func parseFlags(args []string, out io.Writer) (daemon, error) {
 	switch {
 	case err != nil:
 		return d, err
-	case set["cluster"] && (set["shards"] || set["shard-budget"] || set["catalog-bytes"] || set["plan-cache"]):
-		return d, errors.New("-shards, -shard-budget, -catalog-bytes and -plan-cache size an engine's data; a router (-cluster) holds none")
-	case !set["cluster"] && (set["timeout"] || set["retries"] || set["backoff"] || set["health-interval"] || set["health-failures"]):
-		return d, errors.New("-timeout, -retries, -backoff, -health-interval and -health-failures tune a router; they need -cluster")
+	case set["cluster"] && (set["shards"] || set["catalog-bytes"] || set["plan-cache"]):
+		return d, errors.New("-shards, -catalog-bytes and -plan-cache size an engine's data; a router (-cluster) holds none")
+	case !set["cluster"] && (set["timeout"] || set["health-interval"] || set["health-failures"]):
+		return d, errors.New("-timeout, -health-interval and -health-failures tune a router; they need -cluster")
 	case c.Workers < 0:
 		return d, fmt.Errorf("-workers %d is negative; use 0 for GOMAXPROCS", c.Workers)
 	case c.MaxQueue < 1 || c.KeepResults < 1 || d.http.MaxTuples < 1 || d.http.MaxBody < 1:
 		return d, errors.New("-queue, -keep, -max-tuples and -max-body must be >= 1")
 	case c.Shards < 0:
 		return d, fmt.Errorf("-shards %d is negative; use 0 for the unsharded catalog", c.Shards)
-	case c.ShardBudget != 0 && c.Shards == 0:
-		return d, errors.New("-shard-budget needs -shards")
-	case c.ClusterTimeout <= 0 || c.ClusterBackoff <= 0 || c.HealthInterval <= 0 || c.HealthFailures < 1:
-		return d, errors.New("-timeout, -backoff and -health-interval must be positive and -health-failures >= 1")
+	case c.ClusterTimeout <= 0 || c.HealthInterval <= 0 || c.HealthFailures < 1:
+		return d, errors.New("-timeout and -health-interval must be positive and -health-failures >= 1")
 	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = max(cmp.Or(c.Workers, runtime.GOMAXPROCS(0))/2, 2)
-	}
-	// The flag reads 0 and -1 as "disable", which the config spells as any
-	// negative value (its 0 selects the default).
-	if c.ClusterRetries <= 0 {
-		c.ClusterRetries = -1
 	}
 	return d, nil
 }

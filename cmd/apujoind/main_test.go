@@ -23,10 +23,12 @@ func TestParseFlagsRejects(t *testing.T) {
 	for i := range nine {
 		nine[i] = fmt.Sprintf("http://shard%d:8417", i)
 	}
-	const roleErr, routerErr, boundErr = "holds none", "need -cluster", "must be positive"
+	// removed is the parse error of a flag the daemon no longer has:
+	// -shard-budget (use -catalog-bytes B×shards), -retries and -backoff
+	// (the router sends every request once).
+	const roleErr, routerErr, boundErr, removed = "holds none", "need -cluster", "must be positive", "flag provided but not defined"
 	cases := map[string]struct{ args, err string }{
 		"cluster with shards":         {"-cluster http://a:1 -shards 2", roleErr},
-		"cluster with shard-budget":   {"-cluster http://a:1 -shard-budget 1024", roleErr},
 		"cluster with catalog-bytes":  {"-cluster http://a:1 -catalog-bytes 1024", roleErr},
 		"cluster with plan-cache":     {"-cluster http://a:1 -plan-cache 8", roleErr},
 		"cluster with zero shards":    {"-cluster http://a:1 -shards 0", roleErr},
@@ -37,17 +39,21 @@ func TestParseFlagsRejects(t *testing.T) {
 		"URL without scheme":          {"-cluster localhost:8417", "bad shard URL"},
 		"negative workers":            {"-workers -1", "-workers -1 is negative"},
 		"negative workers on router":  {"-cluster http://a:1 -workers -1", "-workers -1 is negative"},
-		"shard-budget without shards": {"-shard-budget 1024", "-shard-budget needs -shards"},
 		"negative shards":             {"-shards -1", "-shards -1 is negative"},
 		"zero queue":                  {"-queue 0", "must be >= 1"},
 		"zero max-body":               {"-max-body 0", "must be >= 1"},
 		"zero timeout":                {"-cluster http://a:1 -timeout 0s", boundErr},
 		"negative timeout":            {"-cluster http://a:1 -timeout -1s", boundErr},
-		"zero backoff":                {"-cluster http://a:1 -backoff 0s", boundErr},
 		"zero health-failures":        {"-cluster http://a:1 -health-failures 0", boundErr},
 		"router flag on an engine":    {"-timeout 5s", routerErr},
-		"retries on an engine":        {"-retries 0", routerErr},
 		"unknown flag":                {"-bogus 1", "not defined"},
+		"cluster with shard-budget":   {"-cluster http://a:1 -shard-budget 1024", removed},
+		"shard-budget without shards": {"-shard-budget 1024", removed},
+		"shard-budget with shards":    {"-shards 2 -shard-budget 1024", removed},
+		"retries on an engine":        {"-retries 0", removed},
+		"retries on a router":         {"-cluster http://a:1 -retries 2", removed},
+		"zero backoff":                {"-cluster http://a:1 -backoff 0s", removed},
+		"backoff on a router":         {"-cluster http://a:1 -backoff 1s", removed},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -60,15 +66,13 @@ func TestParseFlagsRejects(t *testing.T) {
 }
 
 // TestParseFlagsConfigs pins the service.Config each role produces: the
-// -max-concurrent default (half the pool, at least 2), -retries 0 and -1
-// both disabling retries, and the HTTP bounds.
+// -max-concurrent default (half the pool, at least 2) and the HTTP bounds.
 func TestParseFlagsConfigs(t *testing.T) {
 	// An engine leaves the router's knobs at their flag defaults, which
 	// the service reads only when Cluster is set.
 	engine := service.Config{
 		MaxQueue: 64, KeepResults: 1024,
-		ClusterTimeout: 120 * time.Second, ClusterRetries: 2, ClusterBackoff: 100 * time.Millisecond,
-		HealthInterval: 2 * time.Second, HealthFailures: 3,
+		ClusterTimeout: 120 * time.Second, HealthInterval: 2 * time.Second, HealthFailures: 3,
 	}
 	with := func(f func(*service.Config)) service.Config {
 		c := engine
@@ -85,27 +89,23 @@ func TestParseFlagsConfigs(t *testing.T) {
 		{"defaults", "", ":8417", with(func(c *service.Config) {
 			c.MaxConcurrent = max(runtime.GOMAXPROCS(0)/2, 2)
 		}), httpapi.Config{MaxTuples: 1 << 24, MaxBody: 32 << 20}},
-		{"sharded engine", "-addr :9000 -workers 6 -shards 4 -shard-budget 4096 -catalog-bytes 8192 -plan-cache 16 -queue 8 -keep 9 -max-tuples 100 -max-body 200",
+		{"sharded engine", "-addr :9000 -workers 6 -shards 4 -catalog-bytes 8192 -plan-cache 16 -queue 8 -keep 9 -max-tuples 100 -max-body 200",
 			":9000", with(func(c *service.Config) {
 				c.Workers, c.MaxConcurrent, c.MaxQueue, c.KeepResults = 6, 3, 8, 9
-				c.Shards, c.ShardBudget, c.CatalogBytes, c.PlanCache = 4, 4096, 8192, 16
+				c.Shards, c.CatalogBytes, c.PlanCache = 4, 8192, 16
 			}), httpapi.Config{MaxTuples: 100, MaxBody: 200}},
 		{"explicit max-concurrent", "-workers 1 -max-concurrent 7", ":8417", with(func(c *service.Config) {
 			c.Workers, c.MaxConcurrent = 1, 7
 		}), httpapi.Config{MaxTuples: 1 << 24, MaxBody: 32 << 20}},
-		{"router", "-addr :8430 -workers 1 -cluster http://a:1,https://b:2/ -timeout 30s -retries 5 -backoff 1s -health-interval 500ms -health-failures 2",
+		{"router", "-addr :8430 -workers 1 -cluster http://a:1,https://b:2/ -timeout 30s -health-interval 500ms -health-failures 2",
 			":8430", with(func(c *service.Config) {
 				c.Workers, c.MaxConcurrent = 1, 2
 				c.Cluster = []string{"http://a:1", "https://b:2"}
-				c.ClusterTimeout, c.ClusterRetries, c.ClusterBackoff = 30*time.Second, 5, time.Second
+				c.ClusterTimeout = 30 * time.Second
 				c.HealthInterval, c.HealthFailures = 500*time.Millisecond, 2
 			}), httpapi.Config{MaxTuples: 1 << 24, MaxBody: 32 << 20}},
-		{"router without retries", "-workers 8 -cluster http://a:1 -retries 0", ":8417", with(func(c *service.Config) {
-			c.Workers, c.MaxConcurrent, c.ClusterRetries = 8, 4, -1
-			c.Cluster = []string{"http://a:1"}
-		}), httpapi.Config{MaxTuples: 1 << 24, MaxBody: 32 << 20}},
-		{"router with retries -1", "-workers 8 -cluster http://a:1 -retries -1", ":8417", with(func(c *service.Config) {
-			c.Workers, c.MaxConcurrent, c.ClusterRetries = 8, 4, -1
+		{"router without retries", "-workers 8 -cluster http://a:1", ":8417", with(func(c *service.Config) {
+			c.Workers, c.MaxConcurrent = 8, 4
 			c.Cluster = []string{"http://a:1"}
 		}), httpapi.Config{MaxTuples: 1 << 24, MaxBody: 32 << 20}},
 	}

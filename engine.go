@@ -41,7 +41,6 @@ type engineConfig struct {
 	planCache    int
 	catalogBytes int64
 	shards       int
-	shardBudget  int64
 }
 
 // EngineOption configures NewEngine.
@@ -59,7 +58,7 @@ func PlanCacheSize(n int) EngineOption { return func(c *engineConfig) { c.planCa
 // CatalogCapacity bounds the zero-copy bytes the engine's registered
 // relations may occupy; <= 0 selects the A8-3870K's 512 MB. On a sharded
 // engine (WithShards) the capacity splits evenly across the per-shard
-// catalogs unless WithShardBudget bounds each shard directly.
+// catalogs.
 func CatalogCapacity(bytes int64) EngineOption {
 	return func(c *engineConfig) { c.catalogBytes = bytes }
 }
@@ -77,13 +76,6 @@ func CatalogCapacity(bytes int64) EngineOption {
 // fixed partition count are clamped to it.
 func WithShards(n int) EngineOption { return func(c *engineConfig) { c.shards = n } }
 
-// WithShardBudget bounds each shard catalog's zero-copy bytes on a sharded
-// engine; <= 0 (the default) splits CatalogCapacity — or its 512 MB
-// default — evenly across the shards. Without WithShards it has no effect.
-func WithShardBudget(bytes int64) EngineOption {
-	return func(c *engineConfig) { c.shardBudget = bytes }
-}
-
 // NewEngine starts an engine: the resident pool spins up immediately and
 // lives until Close.
 func NewEngine(opts ...EngineOption) *Engine {
@@ -98,7 +90,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 		PlanCache:    cfg.planCache,
 		CatalogBytes: cfg.catalogBytes,
 		Shards:       cfg.shards,
-		ShardBudget:  cfg.shardBudget,
 	})}
 }
 

@@ -1,16 +1,14 @@
 // Package cluster is the network tier under a cluster-backed service: a
-// pool of HTTP clients to remote apujoind shard servers, with per-request
-// timeouts, bounded retries (exponential backoff plus jitter, idempotent
-// GETs only — a retried POST could double-execute), and a health checker
-// that probes every shard's /healthz and marks it up or down.
+// pool of HTTP clients to remote apujoind shard servers that sends each
+// request once under a per-request timeout, and a health checker that
+// probes every shard's /healthz and marks it up or down.
 //
 // The pool implements fail-fast semantics for the cluster router: before
 // fanning a query out, RequireAllUp refuses immediately — with
 // ErrShardDown, which the HTTP layer maps to a structured 503 — when any
 // shard is marked down, and a transport failure mid-query surfaces as the
-// same sentinel instead of hanging until every retry is exhausted. A
-// downed shard rejoins as soon as a probe (or any passive request)
-// succeeds again.
+// same sentinel instead of hanging. A downed shard rejoins as soon as a
+// probe (or any passive request) succeeds again.
 package cluster
 
 import (
@@ -20,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -54,16 +51,9 @@ type Config struct {
 	// Addrs are the shard server base URLs in shard order (the contiguous
 	// shard.Owner map assigns partitions by this order).
 	Addrs []string
-	// Timeout bounds each HTTP request attempt; <= 0 selects 120s —
-	// generous, because a fanned-out join runs server-side within it.
+	// Timeout bounds each HTTP request; <= 0 selects 120s — generous,
+	// because a fanned-out join runs server-side within it.
 	Timeout time.Duration
-	// Retries is how many times an idempotent request is retried beyond
-	// the first attempt; 0 selects 2 and a negative value disables
-	// retries. Non-idempotent requests (POST, DELETE) are never retried.
-	Retries int
-	// Backoff is the base of the exponential retry backoff (attempt k
-	// sleeps Backoff·2^k plus up to 50% jitter); <= 0 selects 100ms.
-	Backoff time.Duration
 	// HealthInterval is the probe period of the health checker; <= 0
 	// selects 2s.
 	HealthInterval time.Duration
@@ -77,12 +67,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 120 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -105,10 +89,8 @@ type shardState struct {
 	checkFails  int64
 	lastProbeNS int64
 	probeNSSum  float64
-	probes      int64
 	requests    int64
 	failures    int64
-	retries     int64
 }
 
 // Pool manages the shard clients and the health checker goroutine. Close
@@ -121,9 +103,6 @@ type Pool struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
-
-	jmu sync.Mutex
-	rng *rand.Rand
 }
 
 // NewPool builds the pool and starts the health checker. Shards start
@@ -136,7 +115,6 @@ func NewPool(cfg Config) *Pool {
 		cfg:    cfg,
 		client: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		stop:   make(chan struct{}),
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	now := time.Now()
 	for i, addr := range cfg.Addrs {
@@ -177,16 +155,6 @@ func (p *Pool) RequireAllUp() error {
 	return nil
 }
 
-// jitter returns a uniformly random duration in [0, d/2).
-func (p *Pool) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	p.jmu.Lock()
-	defer p.jmu.Unlock()
-	return time.Duration(p.rng.Int63n(int64(d)/2 + 1))
-}
-
 // maxReply bounds how much of one shard reply is read.
 const maxReply = 256 << 20
 
@@ -210,12 +178,10 @@ type envelopeDecoder interface {
 // Call performs one request against shard i: method and path against the
 // shard's base URL, in (when non-nil) marshaled as the JSON body, the
 // envelope's result decoded into out (when non-nil) in one pass — by out's
-// own DecodeEnvelope when it has one and accepts the body. Idempotent
-// requests (GET) retry on transport errors and 5xx responses with
-// exponential backoff plus jitter; everything else gets exactly one
-// attempt. Transport failures wrap ErrShardDown; structured shard failures
-// return a *ShardError. Each attempt is bounded by the pool's Timeout on
-// top of ctx.
+// own DecodeEnvelope when it has one and accepts the body. Every request
+// is sent exactly once: a resent POST could execute twice. Transport
+// failures wrap ErrShardDown; structured shard failures return a
+// *ShardError. The request is bounded by the pool's Timeout on top of ctx.
 func (p *Pool) Call(ctx context.Context, i int, method, path string, in, out any) error {
 	s := p.shards[i]
 	var body []byte
@@ -225,46 +191,19 @@ func (p *Pool) Call(ctx context.Context, i int, method, path string, in, out any
 			return fmt.Errorf("shard %d (%s): encode %s %s: %w", i, s.addr, method, path, err)
 		}
 	}
-	idempotent := method == http.MethodGet
-	attempts := 1
-	if idempotent {
-		attempts += max(p.cfg.Retries, 0)
-	}
-
 	s.mu.Lock()
 	s.requests++
 	s.mu.Unlock()
-
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			delay := p.cfg.Backoff << (attempt - 1)
-			select {
-			case <-time.After(delay + p.jitter(delay)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			s.mu.Lock()
-			s.retries++
-			s.mu.Unlock()
-		}
-		retriable, err := p.attempt(ctx, s, method, path, body, out)
-		if err == nil {
-			s.markUp()
-			return nil
-		}
-		lastErr = err
-		if !idempotent || !retriable {
-			break
-		}
+	if err := p.attempt(ctx, s, method, path, body, out); err != nil {
+		s.reportFailure()
+		return err
 	}
-	s.reportFailure()
-	return lastErr
+	s.markUp()
+	return nil
 }
 
-// attempt is one bounded HTTP round-trip. retriable reports whether a
-// retry could help (transport errors and 5xx responses; 4xx cannot).
-func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, body []byte, out any) (retriable bool, err error) {
+// attempt is one bounded HTTP round-trip.
+func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, body []byte, out any) error {
 	actx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -273,7 +212,7 @@ func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, 
 	}
 	req, err := http.NewRequestWithContext(actx, method, s.addr+path, rd)
 	if err != nil {
-		return false, fmt.Errorf("shard %d (%s): %s %s: %w", s.index, s.addr, method, path, err)
+		return fmt.Errorf("shard %d (%s): %s %s: %w", s.index, s.addr, method, path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -283,9 +222,9 @@ func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, 
 		// ctx (the caller's context) expiring is a cancellation, not a
 		// shard failure; the per-attempt timeout and transport errors are.
 		if ctx.Err() != nil {
-			return false, ctx.Err()
+			return ctx.Err()
 		}
-		return true, fmt.Errorf("shard %d (%s): %s %s: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
+		return fmt.Errorf("shard %d (%s): %s %s: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
 	}
 	defer resp.Body.Close()
 	// One read into a buffer the Content-Length sizes, rather than
@@ -297,21 +236,21 @@ func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, 
 	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxReply))
 	raw := buf.Bytes()
 	if err != nil {
-		return true, fmt.Errorf("shard %d (%s): %s %s: read: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
+		return fmt.Errorf("shard %d (%s): %s %s: read: %w: %v", s.index, s.addr, method, path, ErrShardDown, err)
 	}
 	if resp.StatusCode < 300 {
 		if out == nil {
-			return false, nil
+			return nil
 		}
 		if d, ok := out.(envelopeDecoder); ok && d.DecodeEnvelope(raw) {
-			return false, nil
+			return nil
 		}
 		if err := json.Unmarshal(raw, &struct {
 			Result any `json:"result"`
 		}{out}); err != nil {
-			return false, fmt.Errorf("shard %d (%s): %s %s: decode: %w", s.index, s.addr, method, path, err)
+			return fmt.Errorf("shard %d (%s): %s %s: decode: %w", s.index, s.addr, method, path, err)
 		}
-		return false, nil
+		return nil
 	}
 	var env envelope
 	se := &ShardError{Shard: s.index, Addr: s.addr, Status: resp.StatusCode, Code: "internal", Message: http.StatusText(resp.StatusCode)}
@@ -330,7 +269,7 @@ func (p *Pool) attempt(ctx context.Context, s *shardState, method, path string, 
 			}
 		}
 	}
-	return resp.StatusCode >= 500, se
+	return se
 }
 
 // markUp records a successful request: consecutive failures reset and a
@@ -398,7 +337,6 @@ func (p *Pool) probe(s *shardState) {
 	s.checks++
 	s.lastProbeNS = elapsed.Nanoseconds()
 	s.probeNSSum += float64(elapsed.Nanoseconds())
-	s.probes++
 	var transition string
 	if ok {
 		s.consecFails = 0
@@ -437,8 +375,10 @@ type ShardStatus struct {
 	// LastProbeMS and AvgProbeMS are health-probe round-trip latencies.
 	LastProbeMS float64 `json:"last_probe_ms"`
 	AvgProbeMS  float64 `json:"avg_probe_ms"`
-	// Requests, Failures and Retries count the shard's query/registration
-	// traffic (health probes are counted separately above).
+	// Requests and Failures count the shard's query/registration traffic
+	// (health probes are counted separately above). Retries is always 0:
+	// the pool sends every request once. It stays on the wire for the
+	// readers that still report it.
 	Requests int64 `json:"requests"`
 	Failures int64 `json:"failures"`
 	Retries  int64 `json:"retries"`
@@ -466,10 +406,9 @@ func (p *Pool) Report() Report {
 			LastProbeMS:         float64(s.lastProbeNS) / 1e6,
 			Requests:            s.requests,
 			Failures:            s.failures,
-			Retries:             s.retries,
 		}
-		if s.probes > 0 {
-			st.AvgProbeMS = s.probeNSSum / float64(s.probes) / 1e6
+		if s.checks > 0 {
+			st.AvgProbeMS = s.probeNSSum / float64(s.checks) / 1e6
 		}
 		s.mu.Unlock()
 		rep.Shards[i] = st

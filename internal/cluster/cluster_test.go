@@ -41,58 +41,33 @@ func (f *flakyShard) handler() http.Handler {
 	return mux
 }
 
-// TestClientRetriesIdempotent checks the retry contract: idempotent GETs
-// retry through transient 5xx failures with bounded attempts, while POSTs
-// get exactly one attempt and surface the structured shard error.
-func TestClientRetriesIdempotent(t *testing.T) {
+// TestCallSendsOnce: a shard failing its first two requests per method
+// sees exactly one GET and one POST, each failing with the shard's
+// structured error, and the gauges count two requests, two failures and no
+// retries.
+func TestCallSendsOnce(t *testing.T) {
 	shard := &flakyShard{failN: 2}
 	srv := httptest.NewServer(shard.handler())
 	defer srv.Close()
-
-	p := NewPool(Config{
-		Addrs:          []string{srv.URL},
-		Retries:        3,
-		Backoff:        time.Millisecond,
-		HealthInterval: time.Hour, // keep probes out of the counters
-	})
+	p := NewPool(Config{Addrs: []string{srv.URL}, HealthInterval: time.Hour}) // keep probes out of the counters
 	defer p.Close()
 
-	var out struct {
-		OK      bool  `json:"ok"`
-		Attempt int32 `json:"attempt"`
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		var out struct{ OK bool }
+		err := p.Call(context.Background(), 0, method, "/v1/thing", map[string]any{"x": 1}, &out)
+		var se *ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s error = %v (%T), want *ShardError", method, err, err)
+		}
+		if se.Status != http.StatusInternalServerError || se.Code != "internal" || se.Message != "transient" {
+			t.Fatalf("%s ShardError = %+v, want status 500 code internal message transient", method, se)
+		}
 	}
-	if err := p.Call(context.Background(), 0, http.MethodGet, "/v1/thing", nil, &out); err != nil {
-		t.Fatalf("GET with retries: %v", err)
+	if gets, posts := shard.gets.Load(), shard.posts.Load(); gets != 1 || posts != 1 {
+		t.Fatalf("shard saw %d GETs and %d POSTs, want one of each", gets, posts)
 	}
-	if got := shard.gets.Load(); got != 3 {
-		t.Fatalf("GET attempts = %d, want 3 (two 500s then success)", got)
-	}
-	if !out.OK || out.Attempt != 3 {
-		t.Fatalf("GET result = %+v, want success on attempt 3", out)
-	}
-
-	// The POST hits the same failure budget but must never retry.
-	err := p.Call(context.Background(), 0, http.MethodPost, "/v1/thing", map[string]any{"x": 1}, nil)
-	if err == nil {
-		t.Fatal("POST against failing shard succeeded; want exactly one failed attempt")
-	}
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("POST error = %v (%T), want *ShardError", err, err)
-	}
-	if se.Status != http.StatusInternalServerError || se.Code != "internal" || se.Message != "transient" {
-		t.Fatalf("POST ShardError = %+v, want status 500 code internal message transient", se)
-	}
-	if got := shard.posts.Load(); got != 1 {
-		t.Fatalf("POST attempts = %d, want 1 (non-idempotent, never retried)", got)
-	}
-
-	rep := p.Report()
-	if rep.Shards[0].Retries != 2 {
-		t.Fatalf("retry gauge = %d, want 2", rep.Shards[0].Retries)
-	}
-	if rep.Shards[0].Failures != 1 {
-		t.Fatalf("failure gauge = %d, want 1 (the POST)", rep.Shards[0].Failures)
+	if rep := p.Report().Shards[0]; rep.Requests != 2 || rep.Failures != 2 || rep.Retries != 0 {
+		t.Fatalf("gauges = %d requests, %d failures, %d retries; want 2, 2, 0", rep.Requests, rep.Failures, rep.Retries)
 	}
 }
 
@@ -133,31 +108,6 @@ func TestCallDecodesOnce(t *testing.T) {
 	}
 }
 
-// TestRetriesExhausted checks a GET against a persistently failing shard
-// stops after 1+Retries attempts and returns the last error rather than
-// looping. A zero Retries selects the default of 2; a negative one
-// disables retries.
-func TestRetriesExhausted(t *testing.T) {
-	for _, tc := range []struct {
-		retries int
-		want    int32
-	}{{2, 3}, {0, 3}, {-1, 1}} {
-		shard := &flakyShard{failN: 100}
-		srv := httptest.NewServer(shard.handler())
-		p := NewPool(Config{Addrs: []string{srv.URL}, Retries: tc.retries, Backoff: time.Millisecond, HealthInterval: time.Hour})
-
-		err := p.Call(context.Background(), 0, http.MethodGet, "/v1/thing", nil, nil)
-		p.Close()
-		srv.Close()
-		if err == nil {
-			t.Fatalf("Retries %d: GET against always-failing shard succeeded", tc.retries)
-		}
-		if got := shard.gets.Load(); got != tc.want {
-			t.Fatalf("Retries %d: GET attempts = %d, want %d", tc.retries, got, tc.want)
-		}
-	}
-}
-
 // TestTransportErrorIsShardDown checks that an unreachable shard surfaces
 // as ErrShardDown so the HTTP layer can map it to a structured 503.
 func TestTransportErrorIsShardDown(t *testing.T) {
@@ -165,7 +115,7 @@ func TestTransportErrorIsShardDown(t *testing.T) {
 	addr := srv.URL
 	srv.Close() // nothing listens anymore
 
-	p := NewPool(Config{Addrs: []string{addr}, Retries: 0, Backoff: time.Millisecond, HealthInterval: time.Hour})
+	p := NewPool(Config{Addrs: []string{addr}, HealthInterval: time.Hour})
 	defer p.Close()
 
 	err := p.Call(context.Background(), 0, http.MethodPost, "/v1/join", map[string]any{}, nil)
@@ -195,7 +145,6 @@ func TestHealthTransitions(t *testing.T) {
 		Addrs:          []string{srv.URL},
 		HealthInterval: 20 * time.Millisecond,
 		HealthFailures: 2,
-		Backoff:        time.Millisecond,
 	})
 	defer p.Close()
 
@@ -213,6 +162,9 @@ func TestHealthTransitions(t *testing.T) {
 	up := func() bool { return p.Report().Shards[0].Up }
 
 	waitFor("probed up", func() bool { return up() && p.Report().Shards[0].Checks > 0 })
+	if avg := p.Report().Shards[0].AvgProbeMS; avg <= 0 {
+		t.Fatalf("average probe latency = %v ms after a check, want > 0", avg)
+	}
 	if err := p.RequireAllUp(); err != nil {
 		t.Fatalf("RequireAllUp with healthy shard: %v", err)
 	}

@@ -216,9 +216,10 @@ type Options struct {
 	FixedBuild     sched.Ratios
 	FixedProbe     sched.Ratios
 
-	// HashShift skips the low hash bits an outer partitioning already
-	// consumed; it is set by RunExternal for the per-pair sub-joins.
-	HashShift uint
+	// hashShift skips the low hash bits an outer partitioning already
+	// consumed; RunExternalCtx sets it for the per-pair sub-joins, which
+	// it never plans.
+	hashShift uint
 
 	// Device profiles; default the A8-3870K.
 	CPU, GPU device.Profile

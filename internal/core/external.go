@@ -199,7 +199,7 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	// Join each partition pair with the in-buffer algorithm, skipping the
 	// low outerBits hash bits every key in the pair shares.
 	sub := opt
-	sub.HashShift = outerBits
+	sub.hashShift = outerBits
 	sub.ZeroCopy = mem.NewZeroCopy()
 	sub.ZeroCopy.Capacity = opt.ZeroCopy.Capacity
 	for p := 0; p < res.Pairs; p++ {

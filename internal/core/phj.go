@@ -39,7 +39,7 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 		}
 		if plan.Passes() != 1 {
 			// A later pass's boundaries cover only its own fan-out.
-			offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.HashShift)
+			offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.hashShift)
 		}
 		out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
 		idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
@@ -72,7 +72,7 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 	var offs []int32
 	var bufs [2]rel.Relation
 
-	shift := rn.opt.HashShift
+	shift := rn.opt.hashShift
 	for pi, bits := range plan.BitsPerPass {
 		buf := &bufs[pi%2]
 		if buf.Keys == nil {

@@ -145,14 +145,14 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 func (rn *runner) makeTables() {
 	g := rn.geo
 	if rn.opt.Algo == PHJ {
-		rn.table = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.HashShift, g.plan.TotalBits(), rn.arena)
+		rn.table = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.hashShift, g.plan.TotalBits(), rn.arena)
 		if rn.opt.SeparateTables {
-			rn.tableGPU = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.HashShift, g.plan.TotalBits(), rn.arenaGPU)
+			rn.tableGPU = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.hashShift, g.plan.TotalBits(), rn.arenaGPU)
 		}
 	} else {
-		rn.table = htab.NewShifted(rn.r.Len(), rn.opt.HashShift, rn.arena)
+		rn.table = htab.NewShifted(rn.r.Len(), rn.opt.hashShift, rn.arena)
 		if rn.opt.SeparateTables {
-			rn.tableGPU = htab.NewShifted(rn.r.Len(), rn.opt.HashShift, rn.arenaGPU)
+			rn.tableGPU = htab.NewShifted(rn.r.Len(), rn.opt.hashShift, rn.arenaGPU)
 		}
 	}
 }

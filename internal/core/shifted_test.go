@@ -7,7 +7,7 @@ import (
 	"apujoin/internal/rel"
 )
 
-// TestHashShiftSubJoins exercises the HashShift plumbing the external join
+// TestHashShiftSubJoins exercises the hashShift plumbing the external join
 // relies on: a sub-join over keys that all share their low hash bits must
 // still spread across buckets and produce exact matches.
 func TestHashShiftSubJoins(t *testing.T) {
@@ -29,7 +29,7 @@ func TestHashShiftSubJoins(t *testing.T) {
 	want := rel.NaiveJoinCount(r, s)
 
 	for _, algo := range []Algo{SHJ, PHJ} {
-		opt := Options{Algo: algo, Scheme: PL, Delta: 0.25, PilotItems: 1024, HashShift: bits}
+		opt := Options{Algo: algo, Scheme: PL, Delta: 0.25, PilotItems: 1024, hashShift: bits}
 		res, err := Run(r, s, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

@@ -703,8 +703,8 @@ func registerRelation(svc *service.Service, req api.RelationRequest, maxTuples i
 	// An explicit "keys" array — even an empty one — is a bulk upload; a
 	// generator spec omits the field entirely.
 	if req.Keys != nil {
-		if req.N != 0 || req.ProbeOf != "" || req.Sel != nil || req.Skew != "" || req.KeyRange != 0 {
-			return catalog.Info{}, errors.New("generator fields (n, skew, key_range, probe_of, sel) conflict with keys upload")
+		if req.N != 0 || req.ProbeOf != "" || req.Sel != nil || req.Seed != nil || req.Skew != "" || req.KeyRange != 0 {
+			return catalog.Info{}, errors.New("generator fields (n, skew, seed, key_range, probe_of, sel) conflict with keys upload")
 		}
 		if len(req.Keys) > maxTuples {
 			return catalog.Info{}, fmt.Errorf("upload of %d tuples exceeds -max-tuples %d", len(req.Keys), maxTuples)

@@ -233,6 +233,7 @@ func TestRoutesTable(t *testing.T) {
 		{"sel without probe_of", "POST", "/v1/relations", `{"name":"x","n":64,"sel":0.5}`, 400, nil},
 		{"rids without keys", "POST", "/v1/relations", `{"name":"x","rids":[1,2]}`, 400, nil},
 		{"upload keys+generator conflict", "POST", "/v1/relations", `{"name":"x","n":64,"keys":[1,2]}`, 400, nil},
+		{"upload keys+seed conflict", "POST", "/v1/relations", `{"name":"x","keys":[1,2],"seed":7}`, 400, nil},
 		{"delete unknown relation", "DELETE", "/v1/relations?name=ghost", "", 404, nil},
 		{"delete without name", "DELETE", "/v1/relations", "", 400, nil},
 

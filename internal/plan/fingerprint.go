@@ -71,7 +71,6 @@ type Fingerprint struct {
 	AllocBlock  int
 	PilotItems  int
 	RadixTarget int64
-	HashShift   uint
 
 	R          int
 	S          int
@@ -200,7 +199,6 @@ func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
 		AllocBlock:  opt.Alloc.BlockBytes,
 		PilotItems:  opt.PilotItems,
 		RadixTarget: opt.RadixTargetBytes,
-		HashShift:   opt.HashShift,
 
 		R:          r.Len(),
 		S:          s.Len(),

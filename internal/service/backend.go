@@ -54,29 +54,25 @@ func (b *localBackend) partName(name string, p int) string {
 }
 
 // newLocalBackend builds the in-process tier from a service Config: the
-// grid Config.Shards selects, Shards shard catalogs (budget ShardBudget
-// each, defaulting to an even split of CatalogBytes) — one catalog holding
-// all of CatalogBytes when unsharded — and one planner per grid partition.
+// grid Config.Shards selects, Shards shard catalogs (an even split of
+// CatalogBytes each) — one catalog holding all of CatalogBytes when
+// unsharded — and one planner per grid partition.
 func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	grid := shard.GridFor(cfg.Shards)
 	shards := shard.Clamp(cfg.Shards)
-	budget := cfg.ShardBudget
-	if budget <= 0 || grid.Whole() {
-		total := cfg.CatalogBytes
-		if total <= 0 {
-			total = catalog.DefaultCapacity
-		}
-		budget = total / int64(shards)
+	total := cfg.CatalogBytes
+	if total <= 0 {
+		total = catalog.DefaultCapacity
 	}
+	budget := total / int64(shards)
 	b := &localBackend{
 		pool:     pool,
 		grid:     grid,
 		catalogs: make([]*catalog.Catalog, shards),
 		planners: make([]*plan.Planner, grid),
-		// An even partition split of the total budget. With the default
-		// even shard split this is total/grid for every shard count;
-		// an explicit ShardBudget makes the total (and with it the spill
-		// thresholds) a property of the configured topology.
+		// An even partition split of the shard catalogs' combined budget:
+		// the floored per-shard budget × shards, not total/grid, so a
+		// shard's partitions share exactly its catalog's bytes.
 		partBudget: budget * int64(shards) / int64(grid),
 		partBytes:  make([]int64, grid),
 	}

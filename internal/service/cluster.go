@@ -44,8 +44,6 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 	return &remoteBackend{pool: cluster.NewPool(cluster.Config{
 		Addrs:          addrs,
 		Timeout:        cfg.ClusterTimeout,
-		Retries:        cfg.ClusterRetries,
-		Backoff:        cfg.ClusterBackoff,
 		HealthInterval: cfg.HealthInterval,
 		HealthFailures: cfg.HealthFailures,
 		Logf:           cfg.Logf,

@@ -14,9 +14,8 @@ import (
 	"apujoin/internal/rel"
 )
 
-// TestRouterBudgetSplitDefault: without ShardBudget the catalog capacity
-// splits evenly across the per-shard catalogs, and the aggregate gauge
-// reports the sum.
+// TestRouterBudgetSplitDefault: the catalog capacity splits evenly across
+// the per-shard catalogs, and the aggregate gauge reports the sum.
 func TestRouterBudgetSplitDefault(t *testing.T) {
 	svc := New(Config{Workers: 1, Shards: 4, CatalogBytes: 4096})
 	defer svc.Close()
@@ -32,15 +31,6 @@ func TestRouterBudgetSplitDefault(t *testing.T) {
 	if st.Catalog.Capacity != 4096 {
 		t.Errorf("aggregate capacity = %d, want 4096", st.Catalog.Capacity)
 	}
-
-	// An explicit per-shard budget overrides the split.
-	svc2 := New(Config{Workers: 1, Shards: 2, CatalogBytes: 4096, ShardBudget: 512})
-	defer svc2.Close()
-	for i, sc := range svc2.Stats().ShardCatalogs {
-		if sc.Capacity != 512 {
-			t.Errorf("explicit budget: shard %d capacity = %d, want 512", i, sc.Capacity)
-		}
-	}
 }
 
 // TestRouterRegisterRollback: a registration one shard's budget cannot
@@ -49,7 +39,7 @@ func TestRouterBudgetSplitDefault(t *testing.T) {
 func TestRouterRegisterRollback(t *testing.T) {
 	// Each shard holds ~half of a hash-split relation; 2 KB per shard
 	// admits ~250 tuples total but not 4000.
-	svc := New(Config{Workers: 1, Shards: 2, ShardBudget: 2048})
+	svc := New(Config{Workers: 1, Shards: 2, CatalogBytes: 2 * 2048})
 	defer svc.Close()
 	if _, err := svc.RegisterGen("small", rel.Gen{N: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -384,7 +374,7 @@ func TestRouterShardedPipelineBudget(t *testing.T) {
 	ug := rel.Gen{N: 2000, Seed: 3}
 	// Sources fit (ingest splits ~6000 tuples over 2 shards), but each
 	// selectivity-1 intermediate (~2000 tuples in one chain) cannot.
-	svc := New(Config{Workers: 2, Shards: 2, ShardBudget: 26_000})
+	svc := New(Config{Workers: 2, Shards: 2, CatalogBytes: 2 * 26_000})
 	defer svc.Close()
 	if _, err := svc.RegisterGen("r", rg); err != nil {
 		t.Fatal(err)
@@ -433,7 +423,7 @@ func TestRouterProbeOfLoadedRollback(t *testing.T) {
 	// 2000 loaded tuples split over 2 shards ≈ 8000 bytes per shard; a
 	// 6000-tuple probe (~24000 bytes per shard) cannot fit a 12_000-byte
 	// shard budget, while a 500-tuple probe can.
-	svc := New(Config{Workers: 2, Shards: 2, ShardBudget: 12_000})
+	svc := New(Config{Workers: 2, Shards: 2, CatalogBytes: 2 * 12_000})
 	defer svc.Close()
 	if _, err := svc.LoadRelation("bulk", rg.Build()); err != nil {
 		t.Fatal(err)

@@ -68,8 +68,8 @@ type Config struct {
 	PlanCache int
 	// CatalogBytes bounds the zero-copy space the relation catalog's
 	// resident relations may occupy; <= 0 selects the A8-3870K's 512 MB.
-	// A sharded service splits this total across the per-shard catalogs
-	// unless ShardBudget sets the per-shard bound directly.
+	// A sharded service splits this total evenly across the per-shard
+	// catalogs.
 	CatalogBytes int64
 	// Shards > 0 partitions the relation catalog by key hash across that
 	// many in-process engine shards behind the service's stateless router:
@@ -81,10 +81,6 @@ type Config struct {
 	// slice is the relation itself. Values above shard.Partitions are
 	// clamped.
 	Shards int
-	// ShardBudget bounds each shard catalog's zero-copy bytes; <= 0
-	// splits CatalogBytes (or its 512 MB default) evenly across the
-	// shards.
-	ShardBudget int64
 	// Cluster lists the base URLs of remote apujoind shard servers. When
 	// non-empty the service becomes a network cluster router — what
 	// apujoind -cluster serves: relations register by splitting over the
@@ -98,14 +94,6 @@ type Config struct {
 	// ClusterTimeout bounds each remote shard request; <= 0 selects 120s
 	// (join fan-outs block until the remote query finishes).
 	ClusterTimeout time.Duration
-	// ClusterRetries bounds the retries of idempotent (GET) shard
-	// requests after transport errors or 5xx responses; 0 selects 2,
-	// negative disables retries. Non-idempotent requests are never
-	// retried.
-	ClusterRetries int
-	// ClusterBackoff is the base of the exponential retry backoff; <= 0
-	// selects 100ms.
-	ClusterBackoff time.Duration
 	// HealthInterval is the period of the background shard health probe;
 	// <= 0 selects 2s.
 	HealthInterval time.Duration

@@ -61,10 +61,6 @@ func clockRows() []clockRow {
 			{eng: []EngineOption{WithShards(2)}, ref: true},
 			{eng: []EngineOption{WithShards(8)}, ref: true},
 		}},
-		{name: "WithShardBudget", host: true, variants: []clockVariant{
-			{eng: []EngineOption{WithShards(2)}, ref: true},
-			{eng: []EngineOption{WithShards(2), WithShardBudget(1 << 20)}, ref: true},
-		}},
 		{name: "CatalogCapacity", host: true, variants: []clockVariant{
 			{ref: true},
 			{eng: []EngineOption{CatalogCapacity(1 << 20)}, ref: true},

@@ -394,7 +394,7 @@ func TestPipelineRefMatchesInline(t *testing.T) {
 	ctx := context.Background()
 	run := func(t *testing.T, shards int, budget int64, srcs []Source, opts []JoinOption) *PipelineResult {
 		t.Helper()
-		eng := NewEngine(Workers(2), WithShards(shards), CatalogCapacity(budget), WithShardBudget(budget/int64(max(shards, 1))))
+		eng := NewEngine(Workers(2), WithShards(shards), CatalogCapacity(budget))
 		defer eng.Close()
 		for i, rl := range rels {
 			if _, err := eng.Load(names[i], rl); err != nil {

@@ -222,8 +222,7 @@ func TestShardSpillInvariance(t *testing.T) {
 		for _, shards := range []int{0, 1, 2, 4} {
 			cfg := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 			t.Run(cfg, func(t *testing.T) {
-				eng := NewEngine(Workers(workers), WithShards(shards), CatalogCapacity(totalBudget),
-					WithShardBudget(totalBudget/int64(max(shards, 1))))
+				eng := NewEngine(Workers(workers), WithShards(shards), CatalogCapacity(totalBudget))
 				defer eng.Close()
 				register(t, eng)
 
