@@ -11,7 +11,12 @@
 //
 // Deletion is refcounted: Drop unbinds the name immediately (no new query
 // can resolve it) while in-flight queries keep their pins; the zero-copy
-// bytes are released when the last pin drains.
+// bytes are released when the last pin drains, and with them the build
+// record a join left on the entry (Entry.Slot): the built hash table the
+// next join over the same build side probes instead of building its own.
+// A record is charged to the same budget, and only kept when it fits;
+// relations and transient reservations come first, evicting the records no
+// query reads when they would not fit otherwise.
 //
 // The package also holds what the router records about a relation — Info,
 // Source, and the ingest statistics (Measure, IngestStats) the planner's
@@ -32,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"apujoin/internal/core"
 	"apujoin/internal/mem"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
@@ -131,11 +137,12 @@ func Measure(r rel.Relation) IngestStats {
 
 // Entry is one resident slice. Entries are immutable after Load; only the
 // pin count and drop flag change, both guarded by the owning catalog's
-// mutex.
+// mutex, and the build record in the slot, guarded by its own.
 type Entry struct {
 	c      *Catalog
 	rel    rel.Relation
 	counts rel.Counts
+	slot   *core.BuildSlot
 
 	// Mutable, guarded by c.mu.
 	pins    int
@@ -149,6 +156,11 @@ func (e *Entry) Relation() rel.Relation { return e.rel }
 // Counts returns the count table stored beside the slice (Load): shared,
 // read-only, and never released through the entry.
 func (e *Entry) Counts() rel.Counts { return e.counts }
+
+// Slot returns the build slot of a join whose build side is this slice
+// (core.BuildSlot.Run): freed with the entry's bytes, when the last pin
+// drains. A scratch entry has none.
+func (e *Entry) Slot() *core.BuildSlot { return e.slot }
 
 // Scratch pins a relation no catalog holds: one query's split of an inline
 // relation, whose columns are recycler slabs. Its one Release hands them
@@ -172,6 +184,7 @@ func (e *Entry) Release() {
 	}
 	if e.dropped && e.pins == 0 {
 		e.c.zc.Free(e.rel.Bytes())
+		e.c.freeRecord(e.slot.Free())
 		e.dropped = false // free exactly once
 	}
 }
@@ -180,14 +193,16 @@ func (e *Entry) Release() {
 // physical gauges, the router the logical ones (relations counted once,
 // WorkloadReuses).
 type Stats struct {
-	Relations int   `json:"relations"`
-	Bytes     int64 `json:"bytes"`
-	Capacity  int64 `json:"capacity_bytes"`
+	Relations int `json:"relations"`
+	// Bytes is what the registered relations and transient pipeline
+	// reservations hold of the resident budget; BuildRecordBytes the rest.
+	Bytes    int64 `json:"bytes"`
+	Capacity int64 `json:"capacity_bytes"`
 
 	// PeakBytes is the high-water mark of the resident zero-copy buffer
-	// over the catalog's lifetime — registered relations plus transient
-	// pipeline reservations. It is what a real coupled-architecture
-	// deployment would have to provision.
+	// over the catalog's lifetime — registered relations, transient
+	// pipeline reservations and build records. It is what a real
+	// coupled-architecture deployment would have to provision.
 	PeakBytes int64 `json:"peak_bytes"`
 
 	Registered int64 `json:"registered"`
@@ -195,6 +210,16 @@ type Stats struct {
 	// WorkloadReuses counts pair-workload lookups served from the
 	// ingest-time statistics without re-measuring either relation.
 	WorkloadReuses int64 `json:"workload_reuses"`
+
+	// BuildRecordBytes is what the build records on the entries keep
+	// resident — each a built hash table's bucket headers and node arena,
+	// freed with its entry or evicted for a relation or reservation that
+	// would not fit otherwise — charged to the capacity beside Bytes.
+	// BuildRecordHits counts the joins over a registered build side that
+	// probed a kept table; BuildRecordMisses those that built their own.
+	BuildRecordBytes  int64 `json:"build_record_bytes"`
+	BuildRecordHits   int64 `json:"build_record_hits"`
+	BuildRecordMisses int64 `json:"build_record_misses"`
 }
 
 // Catalog is a named set of resident slices, safe for concurrent use.
@@ -208,6 +233,10 @@ type Catalog struct {
 
 	registered, dropped int64
 	peakBytes           int64
+	// slots is what the entries' build slots share: their records are
+	// charged to zc, and records is the share of zc.Used() they hold.
+	slots   core.Records
+	records int64
 }
 
 // DefaultCapacity is the zero-copy capacity New selects when none is
@@ -222,7 +251,48 @@ func New(capacityBytes int64) *Catalog {
 	if capacityBytes > 0 {
 		zc.Capacity = capacityBytes
 	}
-	return &Catalog{zc: zc, entries: make(map[string]*Entry)}
+	c := &Catalog{zc: zc, entries: make(map[string]*Entry)}
+	c.slots.Charge, c.slots.Uncharge = c.chargeRecord, c.unchargeRecord
+	return c
+}
+
+// makeRoom evicts the build records no query reads — their entries are
+// unpinned — when n more bytes would not fit the budget. c.mu is held.
+func (c *Catalog) makeRoom(n int64) {
+	if c.zc.Used()+n <= c.zc.Capacity {
+		return
+	}
+	//apulint:ignore detmaporder(every unpinned entry's record is evicted; the freed bytes and the records left are the same whatever order the entries are visited in)
+	for _, e := range c.entries {
+		if e.pins == 0 {
+			c.freeRecord(e.slot.Evict())
+		}
+	}
+}
+
+// chargeRecord charges a build record's bytes to the budget, all or
+// nothing; it evicts nothing.
+func (c *Catalog) chargeRecord(n int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.zc.Alloc(n) != nil {
+		return false
+	}
+	c.records += n
+	c.peakBytes = max(c.peakBytes, c.zc.Used())
+	return true
+}
+
+func (c *Catalog) unchargeRecord(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.freeRecord(n)
+}
+
+// freeRecord hands a record's bytes back to the budget. c.mu is held.
+func (c *Catalog) freeRecord(n int64) {
+	c.zc.Free(n)
+	c.records -= n
 }
 
 // Load stores a slice under name, beside counts: the key → multiplicity
@@ -231,7 +301,8 @@ func New(capacityBytes int64) *Catalog {
 // table is exact for every key the slice holds, and a query that pins the
 // slice reads the table of exactly these tuples, whatever registers under
 // the name later. The columns and the table are retained, not copied; the
-// caller must not mutate them afterwards.
+// caller must not mutate them afterwards. When the slice does not fit, the
+// build records no query reads are evicted before Load gives up.
 func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
@@ -244,11 +315,12 @@ func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if _, ok := c.entries[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	c.makeRoom(r.Bytes())
 	if err := c.zc.Alloc(r.Bytes()); err != nil {
 		return fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrNoSpace, name, r.Bytes(), c.zc.Used(), c.zc.Capacity)
 	}
-	c.entries[name] = &Entry{c: c, rel: r, counts: counts}
+	c.entries[name] = &Entry{c: c, rel: r, counts: counts, slot: core.NewBuildSlot(&c.slots)}
 	c.registered++
 	if c.zc.Used() > c.peakBytes {
 		c.peakBytes = c.zc.Used()
@@ -263,14 +335,16 @@ func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 // against the pipeline's budget share, so what does not fit right now
 // (another pipeline holds the rest, or the spill path's irreducible working
 // set overdraws) is an overdraft reported through the caller's own demand
-// gauge, never an error. The caller must hand the returned amount — not its
-// demand — back to Unreserve.
+// gauge, never an error. Build records no query reads are evicted first
+// when the bytes would not fit. The caller must hand the returned amount —
+// not its demand — back to Unreserve.
 func (c *Catalog) ReserveTransient(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.makeRoom(bytes)
 	if free := c.zc.Capacity - c.zc.Used(); free < bytes {
 		bytes = free
 	}
@@ -333,6 +407,7 @@ func (c *Catalog) Drop(name string) (int64, error) {
 	c.dropped++
 	if e.pins == 0 {
 		c.zc.Free(e.rel.Bytes())
+		c.freeRecord(e.slot.Free())
 	} else {
 		e.dropped = true
 	}
@@ -345,10 +420,14 @@ func (c *Catalog) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Relations:  len(c.entries),
-		Bytes:      c.zc.Used(),
+		Bytes:      c.zc.Used() - c.records,
 		Capacity:   c.zc.Capacity,
 		PeakBytes:  c.peakBytes,
 		Registered: c.registered,
 		Dropped:    c.dropped,
+
+		BuildRecordBytes:  c.records,
+		BuildRecordHits:   c.slots.Hits.Load(),
+		BuildRecordMisses: c.slots.Misses.Load(),
 	}
 }

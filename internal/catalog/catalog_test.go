@@ -1,10 +1,13 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 )
@@ -162,6 +165,88 @@ func TestReserveAccounting(t *testing.T) {
 	step("after Unreserve", 0, 0)
 	if st := c.Stats(); st.Bytes != half || st.PeakBytes != 2*half {
 		t.Errorf("bytes %d, peak %d after Unreserve, want %d and the high-water %d", st.Bytes, st.PeakBytes, half, 2*half)
+	}
+}
+
+// TestBuildRecordsShareTheBudget: a build record is charged to the
+// capacity beside the relations, and kept only when it fits; Bytes leaves
+// it out and BuildRecordBytes counts it. A relation or reservation that
+// would not fit evicts the records of unpinned entries first, never one a
+// pinned entry's query may read. Every run answers as the uncached run.
+func TestBuildRecordsShareTheBudget(t *testing.T) {
+	r := rel.Gen{N: 4096, Seed: 1}.Build()
+	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 1.0)
+	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.25, PilotItems: 1024}
+	want, err := core.Run(r, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const room = 1 << 20 // the record needs about 3.5 times r's 32 KB
+	c := New(r.Bytes() + s.Bytes() + room)
+	for name, x := range map[string]rel.Relation{"r": r, "s": s} {
+		if err := c.Load(name, x, rel.Counts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join := func() *Entry {
+		t.Helper()
+		e, err := c.Acquire("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Slot().Run(context.Background(), r, s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("a join over the registered build side differs from the uncached run")
+		}
+		return e
+	}
+	join().Release()
+	st := c.Stats()
+	kept := st.BuildRecordBytes
+	if kept <= 0 || kept > room || st.Bytes != r.Bytes()+s.Bytes() || st.PeakBytes != st.Bytes+kept {
+		t.Fatalf("after a cold join: %d record bytes, %d bytes, peak %d", kept, st.Bytes, st.PeakBytes)
+	}
+	join().Release()
+	if st := c.Stats(); st.BuildRecordHits != 1 || st.BuildRecordMisses != 1 || st.BuildRecordBytes != kept {
+		t.Errorf("after a warm join: %d hits, %d misses, %d record bytes", st.BuildRecordHits, st.BuildRecordMisses, st.BuildRecordBytes)
+	}
+
+	// A pinned entry's record stays: the relation that needs its bytes is
+	// refused, as is a reservation's demand beyond the free bytes.
+	pin := join()
+	big := rel.Gen{N: int(room/8) - 1, Seed: 3}.Build()
+	if err := c.Load("big", big, rel.Counts{}); !errors.Is(err, ErrNoSpace) {
+		t.Errorf("a load that needs a pinned entry's record bytes: err %v, want ErrNoSpace", err)
+	}
+	if got := c.ReserveTransient(room); got != room-kept {
+		t.Errorf("reserved %d under the pin, want the %d free bytes", got, room-kept)
+	} else {
+		c.Unreserve(got)
+	}
+	if c.Stats().BuildRecordBytes != kept {
+		t.Fatal("a pinned entry's record was evicted")
+	}
+	pin.Release()
+	if got := c.ReserveTransient(room); got != room || c.Stats().BuildRecordBytes != 0 {
+		t.Errorf("reserved %d of %d with %d record bytes left, want the whole room and none", got, room, c.Stats().BuildRecordBytes)
+	} else {
+		c.Unreserve(got)
+	}
+
+	// Evicted, the slot keeps the next cold join's record — until a load
+	// needs the room.
+	join().Release()
+	if err := c.Load("big", big, rel.Counts{}); err != nil || c.Stats().BuildRecordBytes != 0 {
+		t.Fatalf("the load an unpinned record made room for: err %v, %d record bytes left", err, c.Stats().BuildRecordBytes)
+	}
+
+	// A record that does not fit is not kept.
+	join().Release()
+	if st := c.Stats(); st.BuildRecordBytes != 0 || st.BuildRecordMisses != 3 || st.Bytes != r.Bytes()+s.Bytes()+big.Bytes() {
+		t.Errorf("a full catalog kept %d record bytes (%d misses, %d bytes)", st.BuildRecordBytes, st.BuildRecordMisses, st.Bytes)
 	}
 }
 

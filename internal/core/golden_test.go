@@ -38,7 +38,8 @@ func singleStreamInputs() (r, s rel.Relation) {
 // passes interleave n1→n2→n3 per dispatched chunk — under the Basic
 // allocator, the Block allocator, and Block with a two-pass radix plan.
 // AllocStats totals the run's build and output arenas; a pass's chunk
-// allocator reaches the clock through n3's accounting, so PartitionNS.
+// allocator reaches the clock through n3's accounting, so PartitionNS. Each
+// case runs with no build slot, cold and warm (runSlots).
 func TestGoldenBasicUnitPartition(t *testing.T) {
 	r, s := singleStreamInputs()
 	cases := []struct {
@@ -61,11 +62,8 @@ func TestGoldenBasicUnitPartition(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Run(r, s, Options{Algo: PHJ, Scheme: BasicUnit, Alloc: c.cfg, RadixTargetBytes: c.target,
+			res := runSlots(t, r, s, Options{Algo: PHJ, Scheme: BasicUnit, Alloc: c.cfg, RadixTargetBytes: c.target,
 				PilotItems: 4096, CPUChunk: 5000, GPUChunk: 20000, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
 			wantGolden(t, "TotalNS", res.TotalNS, c.total)
 			wantGolden(t, "PartitionNS", res.PartitionNS, c.partition)
 			if res.AllocStats != c.stats {

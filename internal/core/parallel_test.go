@@ -14,7 +14,8 @@ import (
 // count must not change anything but host wall-clock. Match counts, the
 // simulated elapsed time, every phase of the breakdown and the allocator
 // totals must be identical between a single worker and many, across both
-// algorithms, every scheme and both ends of the skew range.
+// algorithms, every scheme and both ends of the skew range — and each run is
+// the same with no build slot, cold and warm (runSlots).
 func TestWorkersInvariance(t *testing.T) {
 	type cfg struct {
 		name string
@@ -53,10 +54,7 @@ func TestWorkersInvariance(t *testing.T) {
 					opt.Workers = workers
 					opt.Delta = 0.1
 					opt.PilotItems = 4096
-					res, err := Run(r, s, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					res := runSlots(t, r, s, opt)
 					if res.Matches != want {
 						t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
 					}
@@ -171,7 +169,7 @@ func TestPartitionLeavesInputsUntouched(t *testing.T) {
 // the final boundaries come from the histogram. The simulated clock, the
 // partition phase and the allocator totals are pinned to what the
 // chain-building shard kernels produced (recorded on PR 24's parent), with
-// == and at one worker and many.
+// == and at one worker and many, each with no build slot, cold and warm.
 func TestGoldenTwoPassPartition(t *testing.T) {
 	r := rel.Gen{N: 50000, Dist: rel.HighSkew, Seed: 41}.Build()
 	s := rel.Gen{N: 60000, Seed: 42}.Probe(r, 0.9)
@@ -180,10 +178,7 @@ func TestGoldenTwoPassPartition(t *testing.T) {
 		t.Fatalf("plan has %d pass(es), want 2", got)
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := Run(r, s, Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: workers, RadixTargetBytes: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSlots(t, r, s, Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: workers, RadixTargetBytes: 512})
 		if res.Matches != want {
 			t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
 		}

@@ -27,32 +27,31 @@ func passArenaWords(n, parts int, cfg alloc.Config) int {
 	return alloc.ParallelCapWords(cfg, chunks*chunkWords, chunkWords, 2*sched.DefaultShards)
 }
 
-// partitionPhase runs the multi-pass radix partitioning of both relations
-// under the configured scheme, leaving rn.r / rn.s reordered by partition
-// with rn.partIdx* filled, and accumulating partition-phase timing into res.
-func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile) error {
+// partitionSide runs every radix pass of the build (r) or probe (s) side
+// at the ratios chosen for it, accumulating the passes' timing into res,
+// and leaves the side reordered by partition with its partition index and
+// offsets on the runner.
+func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, build bool) error {
 	plan := rn.geo.plan
-	for relIdx, in := range []rel.Relation{rn.r, rn.s} {
-		cur, offs, err := rn.partitionRel(res, exec, model, prof, plan, in, relIdx == 0)
-		if err != nil {
-			return err
-		}
-		if plan.Passes() != 1 {
-			// A later pass's boundaries cover only its own fan-out.
-			offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.hashShift)
-		}
-		out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
-		idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
-		out.PartIdx(idx)
-		if relIdx == 0 {
-			rn.r = out.Rel
-			rn.partIdxR = idx
-			rn.offsetsR = out.Offsets
-		} else {
-			rn.s = out.Rel
-			rn.partIdxS = idx
-			rn.offsetsS = out.Offsets
-		}
+	in := rn.s
+	if build {
+		in = rn.r
+	}
+	cur, offs, err := rn.partitionRel(res, exec, passes, plan, in, build)
+	if err != nil {
+		return err
+	}
+	if plan.Passes() != 1 {
+		// A later pass's boundaries cover only its own fan-out.
+		offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.hashShift)
+	}
+	out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
+	idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
+	out.PartIdx(idx)
+	if build {
+		rn.r, rn.partIdxR, rn.offsetsR = out.Rel, idx, out.Offsets
+	} else {
+		rn.s, rn.partIdxS, rn.offsetsS = out.Rel, idx, out.Offsets
 	}
 	return nil
 }
@@ -66,7 +65,7 @@ func (rn *runner) partitionPhase(res *Result, exec *sched.Exec, model *cost.Mode
 // result is held for the run; the other goes back at once, so S's passes
 // reuse R's. first marks the build relation, whose first pass records the
 // ratios.
-func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
+func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
 	n := in.Len()
 	cur := in
 	var offs []int32
@@ -80,7 +79,7 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 			*buf = rel.Recycled(n)
 		}
 		var err error
-		if offs, err = rn.partitionPass(res, exec, model, prof, cur, *buf, shift, bits, first && pi == 0); err != nil {
+		if offs, err = rn.partitionPass(res, exec, cur, *buf, shift, bits, passes[pi].ratios, first && pi == 0); err != nil {
 			bufs[0].Release()
 			bufs[1].Release()
 			return rel.Relation{}, nil, err
@@ -96,13 +95,27 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, model *cost.Model,
 	return cur, offs, nil
 }
 
-// partitionPass runs one radix pass over cur under the configured scheme,
-// leaving its partitions in out, and returns their offsets. n3 only charges
-// the chunk chains — on a pool through the ownership shards, single-stream
-// (BasicUnit's chunk-by-chunk n1→n2→n3) through the pass arena — and Gather
-// moves the tuples into out. The pass's chunk arena and partition numbers
-// live exactly as long as the pass.
-func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, cur, out rel.Relation, shift, bits uint, record bool) ([]int32, error) {
+// choosePasses chooses the ratios of every radix pass over n tuples, each
+// under its own pass's open-partition working set, as the pass will run,
+// and adds their estimates to res.
+func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesProfile, n int) []choice {
+	passes := make([]choice, rn.geo.plan.Passes())
+	for pi, bits := range rn.geo.plan.BitsPerPass {
+		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
+		passes[pi] = rn.choose(model, prof, n, passSteps, rn.opt.FixedPartition)
+		res.EstimatedNS += passes[pi].est
+		res.EstPartitionNS += passes[pi].est
+	}
+	return passes
+}
+
+// partitionPass runs one radix pass over cur at ratios (nil under
+// BasicUnit), leaving its partitions in out, and returns their offsets. n3
+// only charges the chunk chains — on a pool through the ownership shards,
+// single-stream (BasicUnit's chunk-by-chunk n1→n2→n3) through the pass
+// arena — and Gather moves the tuples into out. The pass's chunk arena and
+// partition numbers live exactly as long as the pass.
+func (rn *runner) partitionPass(res *Result, exec *sched.Exec, cur, out rel.Relation, shift, bits uint, ratios sched.Ratios, record bool) ([]int32, error) {
 	opt := rn.opt
 	n := cur.Len()
 	arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
@@ -110,13 +123,11 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, model *cost.Model
 	pass := radix.NewPass(cur, arena, shift, bits)
 	defer pass.Release()
 	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-	ns, est, ratios, err := rn.runPhase(res, exec, model, prof, passSeries(pass, n, exec.Pool), opt.FixedPartition, "partition")
+	ns, ratios, err := rn.runPhase(res, exec, passSeries(pass, n, exec.Pool), ratios, "partition")
 	if err != nil {
 		return nil, err
 	}
 	res.PartitionNS += ns
-	res.EstimatedNS += est
-	res.EstPartitionNS += est
 	if record {
 		if opt.Scheme == BasicUnit {
 			res.BasicUnitShares = append(res.BasicUnitShares, ratios[0])
@@ -201,6 +212,7 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 // population, so the ratio choice needs no side-effecting probe run.
 func (rn *runner) coarseJoin(ctx context.Context, res *Result, model *cost.Model) error {
 	// No shared table is built, so tableBytes is still staticEnv's estimate.
+	rn.arena = rn.newArena()
 	parts := rn.geo.parts
 	rn.env.coarsePairBytes = (rn.r.Bytes() + rn.s.Bytes() + rn.env.tableBytes) / int64(parts)
 

@@ -49,7 +49,7 @@ func runPilot(r, s rel.Relation, opt Options) profiles {
 	if bres, err := exec.Run(rn.buildSeries(), half); err == nil {
 		out.build = cost.ProfileResult(bres, n)
 	}
-	rn.env.tableBytes = rn.table.BytesResident()
+	rn.env.tableBytes, rn.probed = rn.table.BytesResident(), rn.table
 	if pres, err := exec.Run(rn.probeSeries(), half); err == nil {
 		out.probe = cost.ProfileResult(pres, n)
 	}
@@ -77,10 +77,10 @@ func coarseProfile(build, probe cost.SeriesProfile, rPerPair, sPerPair float64) 
 	p.ID = sched.P3
 	accum := func(sp cost.SeriesProfile, mult float64) {
 		for _, st := range sp.Steps {
-			p.InstrPerItem += st.InstrPerItem * mult
-			p.SeqBytesPerItem += st.SeqBytesPerItem * mult
+			p.InstrPerItem += float64(st.InstrPerItem * mult)
+			p.SeqBytesPerItem += float64(st.SeqBytesPerItem * mult)
 			for reg := range st.RandPerItem {
-				p.RandPerItem[reg] += st.RandPerItem[reg] * mult
+				p.RandPerItem[reg] += float64(st.RandPerItem[reg] * mult)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"apujoin/internal/alloc"
 	"apujoin/internal/cost"
 	"apujoin/internal/mem"
 	"apujoin/internal/rel"
@@ -33,6 +34,13 @@ func Run(r, s rel.Relation, opt Options) (*Result, error) {
 // concurrently, each producing bit-identical results to the same run
 // executed alone.
 func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error) {
+	return runCtx(ctx, r, s, opt, nil)
+}
+
+// runCtx is RunCtx with the build side's slot: a record published there
+// under this run's configuration and ratios replaces r's radix passes and
+// the build phase, and a run that builds one offers it to the slot.
+func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot) (*Result, error) {
 	if opt.Plan != nil {
 		// An injected plan decides algorithm, scheme and ratios; the
 		// pilot below is skipped in favour of the plan's profiles.
@@ -48,15 +56,13 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: probe relation: %w", err)
 	}
-	if opt.SeparateTables && (opt.Scheme == PL || opt.Scheme == OL) {
+	if opt.SeparateTables && opt.Scheme == PL {
 		// With one table per device, a tuple must stay on one device for
 		// the whole phase; per-step ratios would scatter its steps across
 		// both tables. The paper accordingly evaluates separate tables
 		// under DD, and notes PL is infeasible on the discrete
 		// architecture.
-		if opt.Scheme == PL {
-			return nil, fmt.Errorf("core: PL requires a shared hash table (infeasible with separate tables / on the discrete architecture)")
-		}
+		return nil, fmt.Errorf("core: PL requires a shared hash table (infeasible with separate tables / on the discrete architecture)")
 	}
 
 	// Zero-copy footprint: both relations plus (approximately data-sized)
@@ -105,9 +111,47 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 	res.PartitionProfile = prof.partition
 	model := &cost.Model{CPU: opt.CPU, GPU: opt.GPU, Env: rn.env.envFor}
 
-	// Partition phase (PHJ and PHJ-PL').
+	// Every ratio before the probe's is chosen up front, in the order the
+	// phases run: the pilot that prices them sees s, so they are chosen on
+	// every run, and the build side's are part of its record's key.
+	rPasses := rn.choosePasses(res, model, prof.partition, r.Len())
+	sPasses := rn.choosePasses(res, model, prof.partition, s.Len())
+	var build choice
+	steps := passSteps * (len(rPasses) + len(sPasses))
+	if opt.Scheme != CoarsePL {
+		build = rn.choose(model, prof.build, r.Len(), buildSteps, opt.FixedBuild)
+		steps += buildSteps + probeSteps
+	}
+	if opt.Scheme != BasicUnit {
+		// One allocation for every step the run records (BasicUnit records
+		// none).
+		res.Steps = make([]StepTiming, 0, steps)
+	}
+
+	// The build side: r's passes and the build phase, or the record a slot
+	// holds for them. Either way its terms fold in where they ran before
+	// the split — r's partition terms, s's passes, then the build terms —
+	// so every float sum keeps its order.
+	if opt.Scheme == CoarsePL {
+		slot = nil // PHJ-PL' builds no shared table to keep
+	}
+	key := buildKey{configOf(&opt), rPasses, build.ratios}
+	rec := slot.lookup(&key)
+	if rec == nil {
+		// The run's own record stays on its stack: a slot that takes it
+		// keeps a copy.
+		own := buildRecord{key: key}
+		if err := rn.buildSide(&own, exec); err != nil {
+			return nil, err
+		}
+		rec = &own
+		if !slot.publish(&own) {
+			defer own.release()
+		}
+	}
+	fold(res, &rec.part)
 	if opt.Algo == PHJ {
-		if err := rn.partitionPhase(res, exec, model, prof.partition); err != nil {
+		if err := rn.partitionSide(res, exec, sPasses, false); err != nil {
 			return nil, err
 		}
 	}
@@ -116,68 +160,29 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 		if err := rn.coarseJoin(ctx, res, model); err != nil {
 			return nil, err
 		}
-		res.Matches = rn.out.Pairs
-		res.TotalNS = res.Breakdown.TotalNS()
-		res.AllocStats = rn.allocTotals()
-		finishEstimates(res)
-		return res, nil
+		return rn.finish(res, rec.alloc), nil
 	}
 
-	// Grouped execution reorders tuples by workload hint, and both the hint
-	// values and the grouped processing order are only meaningful on a
-	// single stream; the build and probe series therefore run serially when
-	// the grouping optimization is enabled (the partition phase above still
-	// parallelizes).
+	res.EstBuildNS = build.est
+	res.EstimatedNS += build.est
+	fold(res, &rec.terms)
+	res.TransferNS += rec.pcie
+	// The table is fully built; the probe's working set is its actual
+	// resident size.
+	rn.env.tableBytes = rec.tableBytes
+	rn.probed = rec.table
+
+	// Probe phase.
 	if opt.Grouping {
 		exec.Pool = nil
 	}
-
-	rn.makeTables()
-
-	// Build phase.
+	probe := rn.choose(model, prof.probe, s.Len(), probeSteps, opt.FixedProbe)
 	var err error
-	res.BuildNS, res.EstBuildNS, res.Ratios.Build, err = rn.runPhase(res, exec, model, prof.build, rn.buildSeries(), opt.FixedBuild, "build")
-	if err != nil {
+	if res.ProbeNS, res.Ratios.Probe, err = rn.runPhase(res, exec, rn.probeSeries(), probe.ratios, "probe"); err != nil {
 		return nil, err
 	}
-	res.EstimatedNS += res.EstBuildNS
-	if opt.Scheme == BasicUnit {
-		res.BasicUnitShares = append(res.BasicUnitShares, res.Ratios.Build[0])
-	}
-
-	// Phase-granular PCI-e traffic on the discrete architecture: ship the
-	// GPU's input share over and its partial hash table back.
-	if opt.Arch == Discrete {
-		gpuShare := 1 - avgRatio(res.Ratios.Build)
-		in := pcie.TransferNS(int64(gpuShare * float64(r.Bytes())))
-		back := pcie.TransferNS(int64(gpuShare * float64(rn.env.tableBytes)))
-		res.TransferNS += in + back
-	}
-
-	// A build that ran entirely on the GPU leaves the complete table on
-	// the GPU side; probing continues there and no merge is needed (OL on
-	// the discrete architecture has only the transfer overhead, Sec. 5.2).
-	if rn.tableGPU != nil && avgRatio(res.Ratios.Build) == 0 {
-		rn.table.Release()
-		rn.table, rn.tableGPU = rn.tableGPU, nil
-	}
-
-	// Merge the per-device tables (inherent to DD with separate tables).
-	if rn.tableGPU != nil && rn.tableGPU.NumKeys() > 0 {
-		acct := rn.table.Merge(rn.tableGPU)
-		res.MergeNS = rn.cpu.TimeNS(acct, rn.env.envFor(sched.B3, rn.cpu))
-	}
-	rn.merged = true
-	// The table is now fully built; refresh the working-set estimate with
-	// the actual resident size for the probe phase.
-	rn.env.tableBytes = rn.table.BytesResident()
-
-	// Probe phase.
-	res.ProbeNS, res.EstProbeNS, res.Ratios.Probe, err = rn.runPhase(res, exec, model, prof.probe, rn.probeSeries(), opt.FixedProbe, "probe")
-	if err != nil {
-		return nil, err
-	}
-	res.EstimatedNS += res.EstProbeNS
+	res.EstProbeNS = probe.est
+	res.EstimatedNS += probe.est
 	if opt.Scheme == BasicUnit {
 		res.BasicUnitShares = append(res.BasicUnitShares, res.Ratios.Probe[0])
 	}
@@ -187,52 +192,67 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 		back := pcie.TransferNS(int64(gpuShare * float64(rn.out.Pairs) * 8))
 		res.TransferNS += in + back
 	}
+	return rn.finish(res, rec.alloc), nil
+}
 
+// finish completes res: the match count, the total, the allocator totals —
+// the build side's (built), then those of the arenas the run still holds —
+// and the latch overhead the paper backs out of measured−estimated (Sec.
+// 5.4), over the phases the model covers.
+func (rn *runner) finish(res *Result, built alloc.Stats) *Result {
 	res.Matches = rn.out.Pairs
 	res.TotalNS = res.Breakdown.TotalNS()
-	res.AllocStats = rn.allocTotals()
-	finishEstimates(res)
-	return res, nil
+	res.AllocStats = built
+	if rn.arena != nil {
+		res.AllocStats.Add(rn.arena.Stats())
+	}
+	res.AllocStats.Add(rn.outArena.Stats())
+	res.AllocStats.Add(rn.outExtra)
+	if d := res.PartitionNS + res.BuildNS + res.ProbeNS - res.EstimatedNS; res.EstimatedNS > 0 && d > 0 {
+		res.LockOverheadNS = d
+	}
+	return res
 }
 
 // runPhase runs one phase's series under the scheme — BasicUnit's dynamic
-// chunking, or exec.Run at the ratios chooseRatios picks (fixed, when
-// given) — and folds the phase's transfer time, per-step timings and
-// modeled cache misses into res. It returns the phase's device time (its
-// transfer excluded), the model's estimate (0 under BasicUnit) and the
-// ratios applied: BasicUnit's CPU share on every step.
-func (rn *runner) runPhase(res *Result, exec *sched.Exec, model *cost.Model, prof cost.SeriesProfile, series sched.Series, fixed sched.Ratios, phase string) (float64, float64, sched.Ratios, error) {
+// chunking, or exec.Run at the ratios chosen for it — and folds the phase's
+// transfer time, per-step timings and modeled cache misses into res. It
+// returns the phase's device time (its transfer excluded) and the ratios
+// applied: BasicUnit's CPU share on every step.
+func (rn *runner) runPhase(res *Result, exec *sched.Exec, series sched.Series, ratios sched.Ratios, phase string) (float64, sched.Ratios, error) {
 	if rn.opt.Scheme == BasicUnit {
 		bu, err := exec.RunBasicUnit(series, rn.opt.CPUChunk, rn.opt.GPUChunk)
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
-		return bu.TotalNS, 0, sched.Uniform(bu.CPUShare, len(series.Steps)), nil
+		return bu.TotalNS, sched.Uniform(bu.CPUShare, len(series.Steps)), nil
 	}
-	ratios, est := rn.chooseRatios(model, prof, series.Items, len(series.Steps), fixed)
 	sr, err := exec.Run(series, ratios)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	res.TransferNS += sr.TransferNS
 	recordSteps(res, phase, sr, series.Items)
 	cs := rn.env.missStats(sr, rn.cpu, rn.gpu)
 	res.Cache.Accesses += cs.Accesses
 	res.Cache.Misses += cs.Misses
-	return sr.TotalNS - sr.TransferNS, est, ratios, nil
+	return sr.TotalNS - sr.TransferNS, ratios, nil
 }
 
-// chooseRatios picks the workload ratios for one series according to the
-// scheme (or the caller's fixed override), returning them with the model's
-// estimate.
-func (rn *runner) chooseRatios(model *cost.Model, prof cost.SeriesProfile, items, steps int, fixed sched.Ratios) (sched.Ratios, float64) {
-	if fixed != nil {
-		if len(fixed) == 1 && steps > 1 {
-			fixed = sched.Uniform(fixed[0], steps)
-		}
-		return fixed, model.EstimateNS(prof, items, fixed)
+// choose picks the workload ratios for one series according to the scheme
+// (or the caller's fixed override), with the model's estimate; BasicUnit
+// chooses none.
+func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, steps int, fixed sched.Ratios) choice {
+	switch {
+	case rn.opt.Scheme == BasicUnit:
+		return choice{}
+	case fixed == nil:
+		ratios, est := schemeRatios(model, rn.opt, prof, items, steps)
+		return choice{ratios, est}
+	case len(fixed) == 1 && steps > 1:
+		fixed = sched.Uniform(fixed[0], steps)
 	}
-	return schemeRatios(model, rn.opt, prof, items, steps)
+	return choice{fixed, model.EstimateNS(prof, items, fixed)}
 }
 
 // schemeRatios runs the per-scheme ratio optimizer for one series,
@@ -272,18 +292,6 @@ func schemeRatios(model *cost.Model, opt Options, prof cost.SeriesProfile, items
 	default:
 		r := sched.Uniform(0.5, steps)
 		return r, model.EstimateNS(prof, items, r)
-	}
-}
-
-// finishEstimates derives the latch-overhead estimate the paper backs out
-// of measured−estimated (Sec. 5.4), over the phases the model covers.
-func finishEstimates(res *Result) {
-	if res.EstimatedNS <= 0 {
-		return
-	}
-	measured := res.PartitionNS + res.BuildNS + res.ProbeNS
-	if d := measured - res.EstimatedNS; d > 0 {
-		res.LockOverheadNS = d
 	}
 }
 

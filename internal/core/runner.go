@@ -32,11 +32,14 @@ type runner struct {
 	outMu    sync.Mutex
 	outExtra alloc.Stats
 
+	// The build's table(s) and their node arenas (makeTables) — or
+	// PHJ-PL''s pair-table arena — until buildSide moves the probe's table
+	// to its record.
 	arena    *alloc.Arena // table nodes (CPU table when separate)
 	arenaGPU *alloc.Arena // GPU table nodes when separate
 	table    *htab.Table
 	tableGPU *htab.Table // nil when shared
-	merged   bool
+	probed   *htab.Table // the table the probe reads: the run's record's, or a kept one
 
 	outArena *alloc.Arena
 	out      htab.Out
@@ -84,12 +87,19 @@ func (rn *runner) release() {
 		alloc.PutWords(w)
 	}
 	rn.nheld = 0
-	rn.arena.Release()
-	rn.arenaGPU.Release()
 	rn.outArena.Release()
+	rn.releaseTables()
+}
+
+// releaseTables hands back whatever the runner still holds of the build:
+// tables, arenas and the ownership layout.
+func (rn *runner) releaseTables() {
 	rn.table.Release()
 	rn.tableGPU.Release()
+	rn.arena.Release()
+	rn.arenaGPU.Release()
 	rn.own.Release()
+	rn.table, rn.tableGPU, rn.arena, rn.arenaGPU = nil, nil, nil, nil
 }
 
 func newRunner(r, s rel.Relation, opt Options) *runner {
@@ -102,18 +112,6 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	}
 	nr, ns := r.Len(), s.Len()
 	rn.env, rn.geo = staticEnv(opt, nr)
-
-	// Table arenas are pre-sized for their worst case (every key distinct:
-	// 3 words per key node + 2 per rid node) with headroom for the
-	// worker-private block allocation of the parallel build, because the
-	// backing array must not move while shards hold offsets into it. A
-	// separate GPU table must fit a full build: under GPU-only ratios it
-	// receives every tuple.
-	tableWords := alloc.ParallelCapWords(opt.Alloc, nr*5+64, 3, 4*sched.DefaultShards)
-	rn.arena = alloc.New(opt.Alloc, tableWords)
-	if opt.SeparateTables {
-		rn.arenaGPU = alloc.New(opt.Alloc, tableWords)
-	}
 	rn.outArena = alloc.New(opt.Alloc, 64)
 	rn.out = htab.Out{Arena: rn.outArena, Materialize: !opt.CountOnly}
 
@@ -138,12 +136,27 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	return rn
 }
 
-// makeTables creates the hash table(s). For SHJ the bucket count is the
-// next power of two of |R| (load factor ≤ 1); for PHJ the segmented layout
-// is parts × bucketsPerPart. Either way it is the geometry's nBuckets, which
-// the environment's residency estimate already assumes.
+// newArena returns an arena for one table's nodes over R, pre-sized for
+// the worst case (every key distinct: 3 words per key node + 2 per rid
+// node) with headroom for the worker-private block allocation of the
+// parallel build, because the backing array must not move while shards
+// hold offsets into it. A separate GPU table must fit a full build: under
+// GPU-only ratios it receives every tuple.
+func (rn *runner) newArena() *alloc.Arena {
+	return alloc.New(rn.opt.Alloc, alloc.ParallelCapWords(rn.opt.Alloc, rn.r.Len()*5+64, 3, 4*sched.DefaultShards))
+}
+
+// makeTables creates the hash table(s) and their arenas. For SHJ the
+// bucket count is the next power of two of |R| (load factor ≤ 1); for PHJ
+// the segmented layout is parts × bucketsPerPart. Either way it is the
+// geometry's nBuckets, which the environment's residency estimate already
+// assumes.
 func (rn *runner) makeTables() {
 	g := rn.geo
+	rn.arena = rn.newArena()
+	if rn.opt.SeparateTables {
+		rn.arenaGPU = rn.newArena()
+	}
 	if rn.opt.Algo == PHJ {
 		rn.table = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.hashShift, g.plan.TotalBits(), rn.arena)
 		if rn.opt.SeparateTables {
@@ -157,11 +170,10 @@ func (rn *runner) makeTables() {
 	}
 }
 
-// tableFor routes a kernel to the device's table: with separate tables the
-// GPU builds its own; after the merge (or with a shared table) everyone
-// sees one table.
+// tableFor routes a build kernel to the device's table: with separate
+// tables the GPU builds its own.
 func (rn *runner) tableFor(d *device.Device) *htab.Table {
-	if rn.tableGPU != nil && !rn.merged && d.Kind == device.GPU {
+	if rn.tableGPU != nil && d.Kind == device.GPU {
 		return rn.tableGPU
 	}
 	return rn.table
@@ -265,10 +277,15 @@ func (rn *runner) buildSeries() sched.Series {
 	return sched.Series{Name: "build", Items: rn.r.Len(), Steps: steps}
 }
 
-// probeSeries returns the probe step series (p1..p4) over S. The probe
-// reads an immutable table, so every step splits into plain range morsels;
-// p4 counts each morsel's matches, charges its output allocator in closed
-// form and folds both back into the run.
+// Steps per series: a radix pass (n1..n3), the build (b1..b4) and the probe
+// (p1..p4).
+const passSteps, buildSteps, probeSteps = 3, 4, 4
+
+// probeSeries returns the probe step series (p1..p4) over S against the
+// built table rn.probed. The probe only reads the table — concurrent runs
+// may share it — so every step splits into plain range morsels; p4 counts
+// each morsel's matches, charges its output allocator in closed form and
+// folds both back into the run.
 func (rn *runner) probeSeries() sched.Series {
 	keys := rn.s.Keys
 	steps := []sched.Step{
@@ -276,27 +293,27 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P1, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				if rn.opt.Algo == PHJ {
-					return rn.tableFor(d).P1Seg(d, keys, rn.partIdxS, rn.bucketS, lo, hi)
+					return rn.probed.P1Seg(d, keys, rn.partIdxS, rn.bucketS, lo, hi)
 				}
-				return rn.tableFor(d).P1(d, keys, rn.bucketS, lo, hi)
+				return rn.probed.P1(d, keys, rn.bucketS, lo, hi)
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
 					if rn.opt.Algo == PHJ {
-						return rn.tableFor(d).P1Seg(d, keys, rn.partIdxS, rn.bucketS, mlo, mhi)
+						return rn.probed.P1Seg(d, keys, rn.partIdxS, rn.bucketS, mlo, mhi)
 					}
-					return rn.tableFor(d).P1(d, keys, rn.bucketS, mlo, mhi)
+					return rn.probed.P1(d, keys, rn.bucketS, mlo, mhi)
 				})
 			},
 		},
 		{
 			ID: sched.P2, OutBytesPerItem: 12,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				return rn.tableFor(d).P2(d, rn.bucketS, rn.headS, rn.workS, lo, hi)
+				return rn.probed.P2(d, rn.bucketS, rn.headS, rn.workS, lo, hi)
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.tableFor(d).P2(d, rn.bucketS, rn.headS, rn.workS, mlo, mhi)
+					return rn.probed.P2(d, rn.bucketS, rn.headS, rn.workS, mlo, mhi)
 				})
 			},
 		},
@@ -304,14 +321,14 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P3, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.tableFor(d).P3(d, keys, rn.headS, rn.nodeS, lo, hi, order)
+				a := rn.probed.P3(d, keys, rn.headS, rn.nodeS, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.tableFor(d).P3(d, keys, rn.headS, rn.nodeS, mlo, mhi, nil)
+					return rn.probed.P3(d, keys, rn.headS, rn.nodeS, mlo, mhi, nil)
 				})
 			},
 		},
@@ -319,7 +336,7 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P4, OutBytesPerItem: 0,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.tableFor(d).P4(d, rn.nodeS, &rn.out, lo, hi, order)
+				a := rn.probed.P4(d, rn.nodeS, &rn.out, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
@@ -329,7 +346,7 @@ func (rn *runner) probeSeries() sched.Series {
 					// Each morsel charges its output as an arena of its own
 					// would serve it.
 					priv := htab.Out{Materialize: rn.out.Materialize}
-					a := rn.tableFor(d).P4(d, rn.nodeS, &priv, mlo, mhi, nil)
+					a := rn.probed.P4(d, rn.nodeS, &priv, mlo, mhi, nil)
 					st := priv.ChargeFresh(&a, rn.opt.Alloc)
 					// Fold the morsel's output under the mutex (once per
 					// morsel): Out.Pairs is a plain field mid-struct, not
@@ -345,15 +362,4 @@ func (rn *runner) probeSeries() sched.Series {
 		},
 	}
 	return sched.Series{Name: "probe", Items: rn.s.Len(), Steps: steps}
-}
-
-// allocTotals aggregates allocator activity across the run's arenas.
-func (rn *runner) allocTotals() alloc.Stats {
-	st := rn.arena.Stats()
-	if rn.arenaGPU != nil {
-		st.Add(rn.arenaGPU.Stats())
-	}
-	st.Add(rn.outArena.Stats())
-	st.Add(rn.outExtra)
-	return st
 }

@@ -151,7 +151,7 @@ func (m *Model) price(p *StepProfile, dp *device.Profile, dev *device.Device) st
 		} else if hit > 1 {
 			hit = 1
 		}
-		c.weight[reg] = hit*dp.RandHitNS + (1-hit)*dp.RandMissNS
+		c.weight[reg] = float64(hit*dp.RandHitNS) + float64((1-hit)*dp.RandMissNS)
 	}
 	if dp.Kind == device.GPU && p.DivFactor > 1 {
 		c.div = p.DivFactor
@@ -173,7 +173,7 @@ func (c *stepPrice) at(items float64) float64 {
 		if cnt == 0 {
 			continue
 		}
-		rnd += cnt * c.weight[reg]
+		rnd += float64(cnt * c.weight[reg])
 	}
 	if c.div > 0 {
 		// SIMD lockstep stretches compute and latency-bound accesses.

@@ -85,8 +85,8 @@ func (d *Device) Time(a Acct, env Env) Breakdown {
 			continue
 		}
 		hit := clamp01(env.HitRatio[r])
-		cost := hit*d.RandHitNS + (1-hit)*d.RandMissNS
-		mem += float64(n) * cost
+		cost := float64(hit*d.RandHitNS) + float64((1-hit)*d.RandMissNS)
+		mem += float64(float64(n) * cost)
 	}
 	if d.Kind == GPU {
 		mem *= div
@@ -119,7 +119,7 @@ func (d *Device) Time(a Acct, env Env) Breakdown {
 		if d.Cores == 1 {
 			ser = d.AtomicNS
 		}
-		b.AtomicNS += float64(a.AllocAtomics) * ser
+		b.AtomicNS += float64(float64(a.AllocAtomics) * ser)
 	}
 
 	// Local ops execute in parallel across lanes at L1/LDS speed; the

@@ -62,7 +62,7 @@ func (c CacheModel) SharedHitRatio(workingSet, pressure int64) float64 {
 	base := c.HitRatio(workingSet, pressure)
 	// Reuse credit: lines warmed by the peer device. Bounded so a
 	// DRAM-sized structure still misses most of the time.
-	credit := 0.04 * (1 - base)
+	credit := float64(0.04 * (1 - base))
 	return base + credit
 }
 

@@ -88,7 +88,7 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 		}
 	}
 	probeCost := func(i, j int) float64 {
-		return float64(rels[j].Tuples) * (1 + skewCostPenalty*float64(skew[i][j]))
+		return float64(float64(rels[j].Tuples) * (1 + float64(skewCostPenalty*float64(skew[i][j]))))
 	}
 	// hc is a relation's estimated heavy-key multiplicity: share × tuples
 	// for genuinely skewed data, 1 (a unique key) when the sampled share
@@ -108,8 +108,8 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 			if i == j {
 				continue
 			}
-			collide := hc(i) * hc(j)
-			out := sel[i][j]*float64(rels[j].Tuples) + collide
+			collide := float64(hc(i) * hc(j))
+			out := float64(sel[i][j]*float64(rels[j].Tuples)) + collide
 			cost := float64(rels[i].Tuples) + probeCost(i, j)
 			if bestOut < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
 				bi, bj, bestOut, bestCost = i, j, out, cost
@@ -206,7 +206,7 @@ func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used [
 	tail := make([]int, 0, remaining)
 	ests := make([]float64, 0, remaining)
 	probeCost := func(i, j int) float64 {
-		return float64(rels[j].Tuples) * (1 + skewCostPenalty*float64(skew[i][j]))
+		return float64(float64(rels[j].Tuples) * (1 + float64(skewCostPenalty*float64(skew[i][j]))))
 	}
 	hc := func(i int) float64 { return estHC(rels[i]) }
 
@@ -227,8 +227,8 @@ func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used [
 					pc = c
 				}
 			}
-			collide := interHC * hc(k)
-			out := f*float64(rels[k].Tuples) + collide
+			collide := float64(interHC * hc(k))
+			out := float64(f*float64(rels[k].Tuples)) + collide
 			cost := interEst + pc
 			if bk < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
 				bk, bestOut, bestCost = k, out, cost

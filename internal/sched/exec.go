@@ -198,9 +198,9 @@ func DelayTotals(cpuNS, gpuNS []float64, ratios Ratios) (cpuTot, gpuTot float64)
 // so.
 func DelayStep(cpuSum, gpuSum, rp, ri, gpuPrev, cpuNS, gpuNS float64) (dCPU, dGPU float64) {
 	if ri > rp {
-		dCPU = (gpuSum - gpuPrev*shareLeft(ri, rp)) - (cpuSum + cpuNS)
+		dCPU = (gpuSum - float64(gpuPrev*shareLeft(ri, rp))) - (cpuSum + cpuNS)
 	} else if ri < rp {
-		dGPU = cpuSum - (gpuSum + gpuNS - gpuNS*shareLeft(rp, ri))
+		dGPU = cpuSum - (gpuSum + gpuNS - float64(gpuNS*shareLeft(rp, ri)))
 	}
 	// Negative (and NaN) delays clamp to 0; the untouched one is 0 already.
 	if dCPU > 0 || dGPU > 0 {

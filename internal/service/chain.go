@@ -35,11 +35,11 @@ func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 
 // planRun is the one place a pairwise join is planned and executed: with a
 // planner it plans first (planFor) and runs under the plan; a nil planner
-// runs opt as given. A pair with an empty side joins to nothing: it is
+// runs opt as given. slot is a registered build side's (nil otherwise). A pair with an empty side joins to nothing: it is
 // neither planned (the planner refuses empty relations) nor run, and
 // reports a zero result. pl and hit report the planner's decision (nil,
 // false when nothing was planned).
-func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload) (res *core.Result, pl *core.Plan, hit bool, err error) {
+func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, slot *core.BuildSlot) (res *core.Result, pl *core.Plan, hit bool, err error) {
 	if r.Len() == 0 || s.Len() == 0 {
 		return emptyResult(opt), nil, false, nil
 	}
@@ -49,7 +49,7 @@ func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 		}
 		opt.Plan = pl
 	}
-	res, err = core.RunCtx(ctx, r, s, opt)
+	res, err = slot.Run(ctx, r, s, opt)
 	return res, pl, hit, err
 }
 
@@ -270,7 +270,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			cw := plan.CountsWorkload(counts, probe)
 			w = &cw
 		}
-		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, *sp.opt, w)
+		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, *sp.opt, w, nil)
 		if err != nil {
 			return fail(err)
 		}

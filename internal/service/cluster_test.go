@@ -104,7 +104,8 @@ func ddOptions(t *testing.T, algo string) core.Options {
 // contract: a cluster of 1, 2 and 4 remote shard servers reports results
 // bit-identical — match counts, every simulated float, pipeline gauges —
 // to the in-process 8-shard engine (itself invariant to the unsharded
-// engine by the router tests).
+// engine by the router tests), whether a shard server builds a registered
+// build side or probes the table it kept.
 func TestClusterInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 7 shard servers")
@@ -160,14 +161,18 @@ func TestClusterInvariance(t *testing.T) {
 		csvc := clusterService(t, addrs)
 		registerTriple(t, csvc)
 
-		for i, sp := range joinSpecs {
-			res, err := csvc.RunJoin(ctx, sp)
-			if err != nil {
-				t.Fatalf("%d servers: join %d: %v", servers, i, err)
-			}
-			if !reflect.DeepEqual(res, refJoins[i]) {
-				t.Errorf("%d servers: join %d diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
-					servers, i, res, refJoins[i])
+		// Twice: the second pass probes the tables the shard servers kept
+		// for the registered build sides on the first.
+		for _, pass := range []string{"cold", "warm"} {
+			for i, sp := range joinSpecs {
+				res, err := csvc.RunJoin(ctx, sp)
+				if err != nil {
+					t.Fatalf("%d servers: %s join %d: %v", servers, pass, i, err)
+				}
+				if !reflect.DeepEqual(res, refJoins[i]) {
+					t.Errorf("%d servers: %s join %d diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
+						servers, pass, i, res, refJoins[i])
+				}
 			}
 		}
 

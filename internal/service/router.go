@@ -498,7 +498,11 @@ type joinJob struct {
 	keep bool
 
 	rParts, sParts []rel.Relation
-	req            api.JoinRequest
+	// slots are the build side's per-partition build slots, nil for an
+	// inline build side: a partition's join over a registered one probes
+	// the table its entry keeps instead of building its own.
+	slots []*core.BuildSlot
+	req   api.JoinRequest
 }
 
 // resolveJoin resolves a JoinSpec through the router: registered sides

@@ -60,9 +60,21 @@ func runShardWorkload(t *testing.T, eng *Engine, tiny Relation) *shardOutcome {
 		return res
 	}
 	o := &shardOutcome{}
-	o.explicit = must(eng.Join(ctx, Ref("orders"), Ref("lineitem"),
-		append(opts, WithAlgo(PHJ), WithScheme(PL))...))
+	explicit := append(opts, WithAlgo(PHJ), WithScheme(PL))
+	o.explicit = must(eng.Join(ctx, Ref("orders"), Ref("lineitem"), explicit...))
 	o.auto = must(eng.Join(ctx, Ref("orders"), Ref("lineitem"), append(opts, WithAuto())...))
+	// Build once, probe many: a repeat join probes the table the first one
+	// left on the registered build side, an inline build side has none, and
+	// all three report the same Result.
+	orders := Gen{N: 12000, Seed: 5}.Build()
+	for name, res := range map[string]*Result{
+		"warm":     must(eng.Join(ctx, Ref("orders"), Ref("lineitem"), explicit...)),
+		"uncached": must(eng.Join(ctx, Inline(orders), Ref("lineitem"), explicit...)),
+	} {
+		if !reflect.DeepEqual(res, o.explicit) {
+			t.Errorf("%s explicit join differs from the cold one:\n %s %+v\n cold %+v", name, name, res, o.explicit)
+		}
+	}
 	// A mixed Ref/Inline pair (allowed on every engine) and a join whose
 	// tiny side leaves most hash partitions empty.
 	o.mixed = must(eng.Join(ctx, Ref("orders"), Inline(Gen{N: 15000, Dist: HighSkew, Seed: 6}.
