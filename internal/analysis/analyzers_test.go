@@ -80,6 +80,7 @@ func TestNakedGoScope(t *testing.T) {
 
 func TestWallClock(t *testing.T) {
 	runFixture(t, "wallclock/a", "apujoin/internal/core", WallClock)
+	runFixture(t, "wallclock/a", "apujoin/internal/device", WallClock)
 }
 
 func TestWallClockOutOfScope(t *testing.T) {

@@ -37,6 +37,7 @@ var simulatedTime = []string{
 	modulePath + "/internal/shard",
 	modulePath + "/internal/plan",
 	modulePath + "/internal/catalog",
+	modulePath + "/internal/device",
 }
 
 // goAllowed is where bare go statements are legitimate: the scheduler

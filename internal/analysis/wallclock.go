@@ -7,7 +7,7 @@ import (
 
 // WallClock keeps the simulated-time core deterministic: inside the
 // packages that compute under the simulated clock (core, htab, sched,
-// alloc, radix, hash, mem, cost, rel, shard, plan, catalog), any
+// alloc, radix, hash, mem, cost, rel, shard, plan, catalog, device), any
 // reference to time.Now/Since/Until or to math/rand's global-state
 // convenience functions is flagged. Simulated results must be a pure
 // function of inputs and injected seeds — rand.New(rand.NewSource(seed))

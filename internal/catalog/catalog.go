@@ -12,11 +12,13 @@
 // Deletion is refcounted: Drop unbinds the name immediately (no new query
 // can resolve it) while in-flight queries keep their pins; the zero-copy
 // bytes are released when the last pin drains, and with them the build
-// record a join left on the entry (Entry.Slot): the built hash table the
+// record a join left on the entry (Entry.Join): the built hash table the
 // next join over the same build side probes instead of building its own.
-// A record is charged to the same budget, and only kept when it fits;
-// relations and transient reservations come first, evicting the records no
-// query reads when they would not fit otherwise.
+// The catalog alone decides what stays resident: a record is charged to
+// the same budget and only kept when it fits, and relations and transient
+// reservations come first, evicting the records no query reads when that
+// makes them fit. One mutex guards the pins, the drop state and the
+// records.
 //
 // The package also holds what the router records about a relation — Info,
 // Source, and the ingest statistics (Measure, IngestStats) the planner's
@@ -32,6 +34,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -136,17 +139,17 @@ func Measure(r rel.Relation) IngestStats {
 }
 
 // Entry is one resident slice. Entries are immutable after Load; only the
-// pin count and drop flag change, both guarded by the owning catalog's
-// mutex, and the build record in the slot, guarded by its own.
+// pin count, the drop flag and the build record change, all guarded by the
+// owning catalog's mutex.
 type Entry struct {
 	c      *Catalog
 	rel    rel.Relation
 	counts rel.Counts
-	slot   *core.BuildSlot
 
 	// Mutable, guarded by c.mu.
 	pins    int
 	dropped bool
+	rec     *core.BuildRecord
 }
 
 // Relation returns the resident slice. The columns are shared, not copied;
@@ -157,10 +160,44 @@ func (e *Entry) Relation() rel.Relation { return e.rel }
 // read-only, and never released through the entry.
 func (e *Entry) Counts() rel.Counts { return e.counts }
 
-// Slot returns the build slot of a join whose build side is this slice
-// (core.BuildSlot.Run): freed with the entry's bytes, when the last pin
-// drains. A scratch entry has none.
-func (e *Entry) Slot() *core.BuildSlot { return e.slot }
+// Join runs the join of r, the entry's slice, with s. On a catalog's entry
+// it probes the table the entry keeps when that was built under the join's
+// configuration and ratios (core.RunKept), and counts the hit or the miss;
+// on a miss the entry keeps the join's own table when it holds none and
+// the budget takes its bytes, and the table is freed otherwise. The caller
+// holds a pin on the entry for the whole join, so no table a join reads is
+// freed under it. A nil or scratch entry runs uncached (core.RunCtx).
+func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (*core.Result, error) {
+	if e == nil || e.c == nil {
+		return core.RunCtx(ctx, r, s, opt)
+	}
+	c := e.c
+	c.mu.Lock()
+	kept := e.rec
+	c.mu.Unlock()
+	res, rec, err := core.RunKept(ctx, r, s, opt, kept)
+	if rec == nil {
+		return res, err // a failed join, or PHJ-PL', which keeps no table
+	}
+	c.mu.Lock()
+	hit := rec == kept
+	keep := !hit && e.rec == nil && c.zc.Alloc(rec.Bytes()) == nil
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	if keep {
+		e.rec = rec
+		c.records += rec.Bytes()
+		c.peakBytes = max(c.peakBytes, c.zc.Used())
+	}
+	c.mu.Unlock()
+	if !hit && !keep {
+		rec.Release()
+	}
+	return res, nil
+}
 
 // Scratch pins a relation no catalog holds: one query's split of an inline
 // relation, whose columns are recycler slabs. Its one Release hands them
@@ -184,7 +221,7 @@ func (e *Entry) Release() {
 	}
 	if e.dropped && e.pins == 0 {
 		e.c.zc.Free(e.rel.Bytes())
-		e.c.freeRecord(e.slot.Free())
+		e.c.freeRecord(e)
 		e.dropped = false // free exactly once
 	}
 }
@@ -233,10 +270,10 @@ type Catalog struct {
 
 	registered, dropped int64
 	peakBytes           int64
-	// slots is what the entries' build slots share: their records are
-	// charged to zc, and records is the share of zc.Used() they hold.
-	slots   core.Records
-	records int64
+	// records is the share of zc.Used() the entries' build records hold;
+	// hits and misses count the joins that found one under their key and
+	// those that built their own.
+	records, hits, misses int64
 }
 
 // DefaultCapacity is the zero-copy capacity New selects when none is
@@ -251,48 +288,41 @@ func New(capacityBytes int64) *Catalog {
 	if capacityBytes > 0 {
 		zc.Capacity = capacityBytes
 	}
-	c := &Catalog{zc: zc, entries: make(map[string]*Entry)}
-	c.slots.Charge, c.slots.Uncharge = c.chargeRecord, c.unchargeRecord
-	return c
+	return &Catalog{zc: zc, entries: make(map[string]*Entry)}
 }
 
 // makeRoom evicts the build records no query reads — their entries are
-// unpinned — when n more bytes would not fit the budget. c.mu is held.
-func (c *Catalog) makeRoom(n int64) {
-	if c.zc.Used()+n <= c.zc.Capacity {
+// unpinned — when n more bytes would not fit the budget; with whole set,
+// only when that makes all n bytes fit. c.mu is held.
+func (c *Catalog) makeRoom(n int64, whole bool) {
+	over := c.zc.Used() + n - c.zc.Capacity
+	if over <= 0 {
 		return
 	}
-	//apulint:ignore detmaporder(every unpinned entry's record is evicted; the freed bytes and the records left are the same whatever order the entries are visited in)
+	var idle []*Entry
+	//apulint:ignore detmaporder(every unpinned entry's record is evicted, or none is; the freed bytes and the records left are the same whatever order the entries are visited in)
 	for _, e := range c.entries {
-		if e.pins == 0 {
-			c.freeRecord(e.slot.Evict())
+		if e.pins == 0 && e.rec != nil {
+			idle = append(idle, e)
+			over -= e.rec.Bytes()
+		}
+	}
+	if !whole || over <= 0 {
+		for _, e := range idle {
+			c.freeRecord(e)
 		}
 	}
 }
 
-// chargeRecord charges a build record's bytes to the budget, all or
-// nothing; it evicts nothing.
-func (c *Catalog) chargeRecord(n int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.zc.Alloc(n) != nil {
-		return false
+// freeRecord releases e's build record, if it holds one, and hands its
+// bytes back to the budget. c.mu is held, and no query reads the record.
+func (c *Catalog) freeRecord(e *Entry) {
+	if e.rec != nil {
+		c.zc.Free(e.rec.Bytes())
+		c.records -= e.rec.Bytes()
+		e.rec.Release()
+		e.rec = nil
 	}
-	c.records += n
-	c.peakBytes = max(c.peakBytes, c.zc.Used())
-	return true
-}
-
-func (c *Catalog) unchargeRecord(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.freeRecord(n)
-}
-
-// freeRecord hands a record's bytes back to the budget. c.mu is held.
-func (c *Catalog) freeRecord(n int64) {
-	c.zc.Free(n)
-	c.records -= n
 }
 
 // Load stores a slice under name, beside counts: the key → multiplicity
@@ -302,7 +332,8 @@ func (c *Catalog) freeRecord(n int64) {
 // slice reads the table of exactly these tuples, whatever registers under
 // the name later. The columns and the table are retained, not copied; the
 // caller must not mutate them afterwards. When the slice does not fit, the
-// build records no query reads are evicted before Load gives up.
+// build records no query reads are evicted if that makes it fit; a load
+// that cannot fit evicts nothing.
 func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
@@ -315,16 +346,14 @@ func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if _, ok := c.entries[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	c.makeRoom(r.Bytes())
+	c.makeRoom(r.Bytes(), true)
 	if err := c.zc.Alloc(r.Bytes()); err != nil {
 		return fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrNoSpace, name, r.Bytes(), c.zc.Used(), c.zc.Capacity)
 	}
-	c.entries[name] = &Entry{c: c, rel: r, counts: counts, slot: core.NewBuildSlot(&c.slots)}
+	c.entries[name] = &Entry{c: c, rel: r, counts: counts}
 	c.registered++
-	if c.zc.Used() > c.peakBytes {
-		c.peakBytes = c.zc.Used()
-	}
+	c.peakBytes = max(c.peakBytes, c.zc.Used())
 	return nil
 }
 
@@ -344,16 +373,14 @@ func (c *Catalog) ReserveTransient(bytes int64) int64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.makeRoom(bytes)
+	c.makeRoom(bytes, false)
 	if free := c.zc.Capacity - c.zc.Used(); free < bytes {
 		bytes = free
 	}
 	if bytes <= 0 || c.zc.Alloc(bytes) != nil {
 		return 0
 	}
-	if c.zc.Used() > c.peakBytes {
-		c.peakBytes = c.zc.Used()
-	}
+	c.peakBytes = max(c.peakBytes, c.zc.Used())
 	return bytes
 }
 
@@ -407,7 +434,7 @@ func (c *Catalog) Drop(name string) (int64, error) {
 	c.dropped++
 	if e.pins == 0 {
 		c.zc.Free(e.rel.Bytes())
-		c.freeRecord(e.slot.Free())
+		c.freeRecord(e)
 	} else {
 		e.dropped = true
 	}
@@ -427,7 +454,7 @@ func (c *Catalog) Stats() Stats {
 		Dropped:    c.dropped,
 
 		BuildRecordBytes:  c.records,
-		BuildRecordHits:   c.slots.Hits.Load(),
-		BuildRecordMisses: c.slots.Misses.Load(),
+		BuildRecordHits:   c.hits,
+		BuildRecordMisses: c.misses,
 	}
 }

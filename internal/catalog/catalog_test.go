@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
 
 // TestWorkloadMatchesInlineMeasurement is the statistics contract: the
@@ -172,7 +174,8 @@ func TestReserveAccounting(t *testing.T) {
 // capacity beside the relations, and kept only when it fits; Bytes leaves
 // it out and BuildRecordBytes counts it. A relation or reservation that
 // would not fit evicts the records of unpinned entries first, never one a
-// pinned entry's query may read. Every run answers as the uncached run.
+// pinned entry's query may read; a relation that cannot fit even then
+// evicts nothing. Every run answers as the uncached run.
 func TestBuildRecordsShareTheBudget(t *testing.T) {
 	r := rel.Gen{N: 4096, Seed: 1}.Build()
 	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 1.0)
@@ -194,7 +197,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Slot().Run(context.Background(), r, s, opt)
+		got, err := e.Join(context.Background(), r, s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +239,13 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 		c.Unreserve(got)
 	}
 
-	// Evicted, the slot keeps the next cold join's record — until a load
-	// needs the room.
+	// Evicted, the entry keeps the next cold join's record — through a
+	// load it cannot make room for, until a load needs the room.
 	join().Release()
+	huge := rel.Gen{N: int(room/8) + 1, Seed: 4}.Build()
+	if err := c.Load("huge", huge, rel.Counts{}); !errors.Is(err, ErrNoSpace) || c.Stats().BuildRecordBytes != kept {
+		t.Fatalf("a load that cannot fit: err %v, %d record bytes left, want ErrNoSpace and %d", err, c.Stats().BuildRecordBytes, kept)
+	}
 	if err := c.Load("big", big, rel.Counts{}); err != nil || c.Stats().BuildRecordBytes != 0 {
 		t.Fatalf("the load an unpinned record made room for: err %v, %d record bytes left", err, c.Stats().BuildRecordBytes)
 	}
@@ -247,6 +254,93 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	join().Release()
 	if st := c.Stats(); st.BuildRecordBytes != 0 || st.BuildRecordMisses != 3 || st.Bytes != r.Bytes()+s.Bytes()+big.Bytes() {
 		t.Errorf("a full catalog kept %d record bytes (%d misses, %d bytes)", st.BuildRecordBytes, st.BuildRecordMisses, st.Bytes)
+	}
+}
+
+// TestConcurrentColdJoinsKeepOneRecord: eight cold joins on one pinned
+// entry at once each build a table; the entry keeps exactly one, charged
+// at its size, the rest go back, and all eight Results are the same.
+func TestConcurrentColdJoinsKeepOneRecord(t *testing.T) {
+	r := rel.Gen{N: 20000, Seed: 85}.Build()
+	s := rel.Gen{N: 20000, Seed: 86}.Probe(r, 1.0)
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.25, PilotItems: 1024, Pool: pool}
+	c := New(0)
+	if err := c.Load("r", r, rel.Counts{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Acquire("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	var results [8]*core.Result
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := e.Join(context.Background(), r, s, opt)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	close(start)
+	wg.Wait()
+	c.mu.Lock()
+	rec := e.rec
+	c.mu.Unlock()
+	if st := c.Stats(); rec == nil || st.BuildRecordBytes != rec.Bytes() || st.BuildRecordHits+st.BuildRecordMisses != 8 {
+		t.Fatalf("%d record bytes kept (%d hits, %d misses), want exactly one record's", st.BuildRecordBytes, st.BuildRecordHits, st.BuildRecordMisses)
+	}
+	for i, res := range results[1:] {
+		if !reflect.DeepEqual(res, results[0]) {
+			t.Errorf("join %d differs from join 0", i+1)
+		}
+	}
+}
+
+// TestDroppedEntryFreesRecordOnLastRelease: a Drop leaves a pinned entry's
+// record to the queries that pin it — a join through the pin still probes
+// it — and the last Release frees it with the entry's bytes.
+func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
+	r := rel.Gen{N: 4096, Seed: 1}.Build()
+	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 1.0)
+	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.25, PilotItems: 1024}
+	c := New(0)
+	if err := c.Load("r", r, rel.Counts{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Acquire("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := e.Join(context.Background(), r, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := c.Stats().BuildRecordBytes
+	if _, err := c.Drop("r"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.BuildRecordBytes != kept || kept <= 0 {
+		t.Fatalf("the Drop freed the record under a pin: %d bytes kept, %d before", st.BuildRecordBytes, kept)
+	}
+	warm, err := e.Join(context.Background(), r, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); !reflect.DeepEqual(warm, cold) || st.BuildRecordHits != 1 {
+		t.Errorf("the join through the pin after the Drop: %d hits, deep-equal %v", st.BuildRecordHits, reflect.DeepEqual(warm, cold))
+	}
+	e.Release()
+	if st := c.Stats(); st.BuildRecordBytes != 0 || st.Bytes != 0 || e.rec != nil {
+		t.Errorf("after the last Release: %d record bytes, %d bytes, record %p", st.BuildRecordBytes, st.Bytes, e.rec)
 	}
 }
 

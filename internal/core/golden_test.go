@@ -39,7 +39,7 @@ func singleStreamInputs() (r, s rel.Relation) {
 // allocator, the Block allocator, and Block with a two-pass radix plan.
 // AllocStats totals the run's build and output arenas; a pass's chunk
 // allocator reaches the clock through n3's accounting, so PartitionNS. Each
-// case runs with no build slot, cold and warm (runSlots).
+// case runs uncached, cold and warm (runColdWarm).
 func TestGoldenBasicUnitPartition(t *testing.T) {
 	r, s := singleStreamInputs()
 	cases := []struct {
@@ -62,7 +62,7 @@ func TestGoldenBasicUnitPartition(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res := runSlots(t, r, s, Options{Algo: PHJ, Scheme: BasicUnit, Alloc: c.cfg, RadixTargetBytes: c.target,
+			res := runColdWarm(t, r, s, Options{Algo: PHJ, Scheme: BasicUnit, Alloc: c.cfg, RadixTargetBytes: c.target,
 				PilotItems: 4096, CPUChunk: 5000, GPUChunk: 20000, Workers: 2})
 			wantGolden(t, "TotalNS", res.TotalNS, c.total)
 			wantGolden(t, "PartitionNS", res.PartitionNS, c.partition)

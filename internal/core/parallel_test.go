@@ -15,7 +15,7 @@ import (
 // simulated elapsed time, every phase of the breakdown and the allocator
 // totals must be identical between a single worker and many, across both
 // algorithms, every scheme and both ends of the skew range — and each run is
-// the same with no build slot, cold and warm (runSlots).
+// the same uncached, cold and warm (runColdWarm).
 func TestWorkersInvariance(t *testing.T) {
 	type cfg struct {
 		name string
@@ -54,7 +54,7 @@ func TestWorkersInvariance(t *testing.T) {
 					opt.Workers = workers
 					opt.Delta = 0.1
 					opt.PilotItems = 4096
-					res := runSlots(t, r, s, opt)
+					res := runColdWarm(t, r, s, opt)
 					if res.Matches != want {
 						t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
 					}
@@ -178,7 +178,7 @@ func TestGoldenTwoPassPartition(t *testing.T) {
 		t.Fatalf("plan has %d pass(es), want 2", got)
 	}
 	for _, workers := range []int{1, 4} {
-		res := runSlots(t, r, s, Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: workers, RadixTargetBytes: 512})
+		res := runColdWarm(t, r, s, Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 4096, Workers: workers, RadixTargetBytes: 512})
 		if res.Matches != want {
 			t.Fatalf("workers=%d: matches %d, want %d", workers, res.Matches, want)
 		}

@@ -34,13 +34,24 @@ func Run(r, s rel.Relation, opt Options) (*Result, error) {
 // concurrently, each producing bit-identical results to the same run
 // executed alone.
 func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error) {
-	return runCtx(ctx, r, s, opt, nil)
+	res, _, err := runCtx(ctx, r, s, opt, nil, false)
+	return res, err
 }
 
-// runCtx is RunCtx with the build side's slot: a record published there
-// under this run's configuration and ratios replaces r's radix passes and
-// the build phase, and a run that builds one offers it to the slot.
-func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot) (*Result, error) {
+// RunKept is RunCtx over a build side whose record the caller may keep. The
+// run probes kept's table when kept was built under this run's
+// configuration and the ratios it chooses for r's passes and the build,
+// and builds its own otherwise. It returns the record the probe read:
+// kept itself on a hit; on a miss a fresh record, which the caller owns
+// from then on and must Release; nil for PHJ-PL', which builds no shared
+// table. A failed run returns no record. The run only reads kept, which
+// stays the caller's.
+func RunKept(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord) (*Result, *BuildRecord, error) {
+	return runCtx(ctx, r, s, opt, kept, true)
+}
+
+// runCtx is RunKept; keep says whether the caller takes a fresh record.
+func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord, keep bool) (_ *Result, _ *BuildRecord, err error) {
 	if opt.Plan != nil {
 		// An injected plan decides algorithm, scheme and ratios; the
 		// pilot below is skipped in favour of the plan's profiles.
@@ -48,13 +59,13 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 	}
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("core: build relation: %w", err)
+		return nil, nil, fmt.Errorf("core: build relation: %w", err)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: probe relation: %w", err)
+		return nil, nil, fmt.Errorf("core: probe relation: %w", err)
 	}
 	if opt.SeparateTables && opt.Scheme == PL {
 		// With one table per device, a tuple must stay on one device for
@@ -62,7 +73,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 		// both tables. The paper accordingly evaluates separate tables
 		// under DD, and notes PL is infeasible on the discrete
 		// architecture.
-		return nil, fmt.Errorf("core: PL requires a shared hash table (infeasible with separate tables / on the discrete architecture)")
+		return nil, nil, fmt.Errorf("core: PL requires a shared hash table (infeasible with separate tables / on the discrete architecture)")
 	}
 
 	// Zero-copy footprint: both relations plus (approximately data-sized)
@@ -71,10 +82,10 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 	dataBytes := r.Bytes() + s.Bytes()
 	foot := dataBytes * 2
 	if foot > opt.ZeroCopy.Capacity {
-		return nil, ErrExceedsZeroCopy
+		return nil, nil, ErrExceedsZeroCopy
 	}
 	if err := opt.ZeroCopy.Alloc(foot); err != nil {
-		return nil, ErrExceedsZeroCopy
+		return nil, nil, ErrExceedsZeroCopy
 	}
 	defer opt.ZeroCopy.Free(foot)
 
@@ -128,39 +139,47 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 		res.Steps = make([]StepTiming, 0, steps)
 	}
 
-	// The build side: r's passes and the build phase, or the record a slot
-	// holds for them. Either way its terms fold in where they ran before
-	// the split — r's partition terms, s's passes, then the build terms —
-	// so every float sum keeps its order.
+	// The build side: r's passes and the build phase, or the record kept
+	// for them. Either way its terms fold in where they ran before the
+	// split — r's partition terms, s's passes, then the build terms — so
+	// every float sum keeps its order.
 	if opt.Scheme == CoarsePL {
-		slot = nil // PHJ-PL' builds no shared table to keep
+		kept, keep = nil, false // PHJ-PL' builds no shared table to keep
 	}
 	key := buildKey{configOf(&opt), rPasses, build.ratios}
-	rec := slot.lookup(&key)
-	if rec == nil {
-		// The run's own record stays on its stack: a slot that takes it
-		// keeps a copy.
-		own := buildRecord{key: key}
+	out, rec := kept, kept
+	if kept == nil || !kept.key.equal(&key) {
+		// The run's own record stays on its stack: a caller that keeps
+		// records gets a copy, released here if the run fails.
+		own := BuildRecord{key: key}
 		if err := rn.buildSide(&own, exec); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rec = &own
-		if !slot.publish(&own) {
-			defer own.release()
+		out, rec = nil, &own
+		if keep {
+			fresh := new(BuildRecord)
+			*fresh, out, rec = own, fresh, fresh
+			defer func() {
+				if err != nil {
+					fresh.Release()
+				}
+			}()
+		} else {
+			defer own.Release()
 		}
 	}
 	fold(res, &rec.part)
 	if opt.Algo == PHJ {
 		if err := rn.partitionSide(res, exec, sPasses, false); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	if opt.Scheme == CoarsePL {
 		if err := rn.coarseJoin(ctx, res, model); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return rn.finish(res, rec.alloc), nil
+		return rn.finish(res, rec.alloc), nil, nil
 	}
 
 	res.EstBuildNS = build.est
@@ -177,9 +196,8 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 		exec.Pool = nil
 	}
 	probe := rn.choose(model, prof.probe, s.Len(), probeSteps, opt.FixedProbe)
-	var err error
 	if res.ProbeNS, res.Ratios.Probe, err = rn.runPhase(res, exec, rn.probeSeries(), probe.ratios, "probe"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.EstProbeNS = probe.est
 	res.EstimatedNS += probe.est
@@ -192,7 +210,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, slot *BuildSlot
 		back := pcie.TransferNS(int64(gpuShare * float64(rn.out.Pairs) * 8))
 		res.TransferNS += in + back
 	}
-	return rn.finish(res, rec.alloc), nil
+	return rn.finish(res, rec.alloc), out, nil
 }
 
 // finish completes res: the match count, the total, the allocator totals —

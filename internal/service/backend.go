@@ -173,11 +173,9 @@ func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry,
 	if j.rParts, pins, err = b.input(sp.RName, sp.R, pins); err != nil {
 		return nil, err
 	}
-	j.slots = make([]*core.BuildSlot, b.grid)
+	j.builds = make([]*catalog.Entry, b.grid)
 	if sp.RName != "" {
-		for p, e := range pins {
-			j.slots[p] = e.Slot()
-		}
+		copy(j.builds, pins)
 	}
 	if j.sParts, pins, err = b.input(sp.SName, sp.S, pins); err != nil {
 		releaseAll(pins)
@@ -247,7 +245,7 @@ func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result,
 	parts := make([]*core.Result, b.grid)
 	plans := make([]*PlanInfo, b.grid)
 	err := runPartitions(b.pool, int(b.grid), func(p int) error {
-		res, pl, hit, err := planRun(ctx, plannerIf(j.auto, b.planners[p]), j.rParts[p], j.sParts[p], j.opt, j.workload, j.slots[p])
+		res, pl, hit, err := planRun(ctx, plannerIf(j.auto, b.planners[p]), j.rParts[p], j.sParts[p], j.opt, j.workload, j.builds[p])
 		parts[p], plans[p] = res, planInfo(pl, hit)
 		return err
 	})

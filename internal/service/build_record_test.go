@@ -94,7 +94,7 @@ func TestBuildRecordFreedWithLastPin(t *testing.T) {
 	}
 
 	// A pin like an in-flight query's outlives the Drop, and so does the
-	// table: the pinned entry's slot still serves its warm run.
+	// table: the pinned entry still serves its warm run.
 	cat := svc.router.b.(*localBackend).catalogs[0]
 	pinR, err := cat.Acquire("r")
 	if err != nil {
@@ -111,7 +111,7 @@ func TestBuildRecordFreedWithLastPin(t *testing.T) {
 	if recordBytes(svc) != kept {
 		t.Fatalf("the Drop freed the record under a pin: %d bytes kept, want %d", recordBytes(svc), kept)
 	}
-	res, err := pinR.Slot().Run(ctx, pinR.Relation(), pinS.Relation(), recordOpt)
+	res, err := pinR.Join(ctx, pinR.Relation(), pinS.Relation(), recordOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

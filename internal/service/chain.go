@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
@@ -35,11 +36,12 @@ func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 
 // planRun is the one place a pairwise join is planned and executed: with a
 // planner it plans first (planFor) and runs under the plan; a nil planner
-// runs opt as given. slot is a registered build side's (nil otherwise). A pair with an empty side joins to nothing: it is
+// runs opt as given. build is r's entry when r is a registered slice (nil
+// otherwise), whose kept table the join may probe. A pair with an empty side joins to nothing: it is
 // neither planned (the planner refuses empty relations) nor run, and
 // reports a zero result. pl and hit report the planner's decision (nil,
 // false when nothing was planned).
-func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, slot *core.BuildSlot) (res *core.Result, pl *core.Plan, hit bool, err error) {
+func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (res *core.Result, pl *core.Plan, hit bool, err error) {
 	if r.Len() == 0 || s.Len() == 0 {
 		return emptyResult(opt), nil, false, nil
 	}
@@ -49,7 +51,7 @@ func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 		}
 		opt.Plan = pl
 	}
-	res, err = slot.Run(ctx, r, s, opt)
+	res, err = build.Join(ctx, r, s, opt)
 	return res, pl, hit, err
 }
 

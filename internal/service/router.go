@@ -498,11 +498,11 @@ type joinJob struct {
 	keep bool
 
 	rParts, sParts []rel.Relation
-	// slots are the build side's per-partition build slots, nil for an
-	// inline build side: a partition's join over a registered one probes
-	// the table its entry keeps instead of building its own.
-	slots []*core.BuildSlot
-	req   api.JoinRequest
+	// builds are a registered build side's per-partition entries, all nil
+	// for an inline one: a partition's join over a registered build side
+	// probes the table its entry keeps instead of building its own.
+	builds []*catalog.Entry
+	req    api.JoinRequest
 }
 
 // resolveJoin resolves a JoinSpec through the router: registered sides
