@@ -75,9 +75,10 @@ bench:
 # relation (single-stream and pooled, beside the chunk chains the host used
 # to build on the same input, the ratio printed as x-chains), b3 + b4 over
 # the contiguous ranges of their ownership shards (beside the owner-index
-# walks they replaced, x-sparse), p3 and p4 (materializing and count-only) over range
-# morsels, each beside its twin without the model's accounting (acct-pct), the
-# serial arena bump (Alloc(2), Basic and Block, ns/alloc); then the pipeline
+# walks they replaced, x-sparse), the probe's one host pass (Table.Walk) over
+# range morsels on the linked table and on the sealed one (x-linked), and
+# the p3 + p4 charge pass from its columns (materializing and count-only, CPU
+# and GPU wavefronts), the serial arena bump (Alloc(2), Basic and Block, ns/alloc); then the pipeline
 # hand-off between two joins — the key-count
 # table (single-stream), the streamed producer as a chain runs it
 # (Multiplicities, then StreamFill from the slab) beside the three-pass

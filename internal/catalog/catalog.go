@@ -162,11 +162,12 @@ func (e *Entry) Counts() rel.Counts { return e.counts }
 
 // Join runs the join of r, the entry's slice, with s. On a catalog's entry
 // it probes the table the entry keeps when that was built under the join's
-// configuration and ratios (core.RunKept), and counts the hit or the miss;
-// on a miss the entry keeps the join's own table when it holds none and
-// the budget takes its bytes, and the table is freed otherwise. The caller
-// holds a pin on the entry for the whole join, so no table a join reads is
-// freed under it. A nil or scratch entry runs uncached (core.RunCtx).
+// configuration and ratios (core.RunKept), and counts the hit or the miss.
+// An entry that holds no table gets the join's own, sealed, when the budget
+// takes its bytes, and the table is freed otherwise; a join under another
+// key than the kept table's runs uncached. The caller holds a pin on the
+// entry for the whole join, so no table a join reads is freed under it. A
+// nil or scratch entry runs uncached (core.RunCtx).
 func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (*core.Result, error) {
 	if e == nil || e.c == nil {
 		return core.RunCtx(ctx, r, s, opt)
@@ -176,12 +177,12 @@ func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (
 	kept := e.rec
 	c.mu.Unlock()
 	res, rec, err := core.RunKept(ctx, r, s, opt, kept)
-	if rec == nil {
+	if err != nil || res.Scheme == core.CoarsePL {
 		return res, err // a failed join, or PHJ-PL', which keeps no table
 	}
 	c.mu.Lock()
-	hit := rec == kept
-	keep := !hit && e.rec == nil && c.zc.Alloc(rec.Bytes()) == nil
+	hit := rec != nil && rec == kept
+	keep := rec != nil && !hit && e.rec == nil && c.zc.Alloc(rec.Bytes()) == nil
 	if hit {
 		c.hits++
 	} else {
@@ -193,7 +194,7 @@ func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (
 		c.peakBytes = max(c.peakBytes, c.zc.Used())
 	}
 	c.mu.Unlock()
-	if !hit && !keep {
+	if rec != nil && !hit && !keep {
 		rec.Release()
 	}
 	return res, nil

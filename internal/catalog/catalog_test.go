@@ -184,7 +184,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const room = 1 << 20 // the record needs about 3.5 times r's 32 KB
+	const room = 1 << 20 // the sealed record needs about twice r's 32 KB
 	c := New(r.Bytes() + s.Bytes() + room)
 	for name, x := range map[string]rel.Relation{"r": r, "s": s} {
 		if err := c.Load(name, x, rel.Counts{}); err != nil {
@@ -254,6 +254,55 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	join().Release()
 	if st := c.Stats(); st.BuildRecordBytes != 0 || st.BuildRecordMisses != 3 || st.Bytes != r.Bytes()+s.Bytes()+big.Bytes() {
 		t.Errorf("a full catalog kept %d record bytes (%d misses, %d bytes)", st.BuildRecordBytes, st.BuildRecordMisses, st.Bytes)
+	}
+}
+
+// TestJoinUnderAnotherKeyRunsUncached: once an entry keeps a record, a
+// join under another key — other build ratios, another scheme — answers as
+// its uncached run and counts a miss, and the entry keeps the record it
+// held at the same bytes; a join under the kept key still hits it.
+func TestJoinUnderAnotherKeyRunsUncached(t *testing.T) {
+	r := rel.Gen{N: 4096, Seed: 5}.Build()
+	s := rel.Gen{N: 4096, Seed: 6}.Probe(r, 1.0)
+	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.25, PilotItems: 1024}
+	ratios, dd := opt, opt
+	ratios.FixedBuild = sched.Ratios{0.3}
+	dd.Scheme = core.DD
+	c := New(0)
+	if err := c.Load("r", r, rel.Counts{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Acquire("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	misses := []int64{1, 2, 3, 4, 4} // after each join
+	var first *core.BuildRecord
+	for i, o := range []core.Options{opt, ratios, dd, ratios, opt} {
+		want, err := core.Run(r, s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Join(context.Background(), r, s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("join %d differs from its uncached run", i)
+		}
+		c.mu.Lock()
+		rec := e.rec
+		c.mu.Unlock()
+		if i == 0 {
+			first = rec
+		}
+		if st := c.Stats(); rec == nil || rec != first || st.BuildRecordBytes != rec.Bytes() || st.BuildRecordMisses != misses[i] {
+			t.Errorf("after join %d: %d record bytes, %d hits, %d misses", i, st.BuildRecordBytes, st.BuildRecordHits, st.BuildRecordMisses)
+		}
+	}
+	if st := c.Stats(); st.BuildRecordHits != 1 || st.BuildRecordMisses != 4 {
+		t.Errorf("%d hits and %d misses, want 1 and 4", st.BuildRecordHits, st.BuildRecordMisses)
 	}
 }
 

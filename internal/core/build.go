@@ -57,7 +57,8 @@ func (k *buildKey) equal(o *buildKey) bool {
 // BuildRecord is one executed build side: r's radix passes, the build
 // phase, the merge of separate tables (or the swap to a GPU-built one) and
 // the discrete build transfer. It holds the table the probe reads, with its
-// arena, and every value those steps add to a Result, in the order they add
+// arena (freed when a kept record is sealed, see RunKept), and every value
+// those steps add to a Result, in the order they add
 // it: part holds r's partition terms (folded into a Result before s's
 // passes), terms the build terms (folded after them), then pcie, the
 // discrete transfer that follows the build phase. A run folds a record the
@@ -72,7 +73,7 @@ type BuildRecord struct {
 
 	part, terms Result
 	pcie        float64
-	tableBytes  int64 // the table's resident size, the probe's working set
+	tableBytes  int64 // the built table's resident size, the probe's working set
 	alloc       alloc.Stats
 }
 
@@ -95,9 +96,9 @@ func fold(res, p *Result) {
 }
 
 // Bytes is what the record keeps resident: the table's bucket headers and
-// its node arena.
+// its node arena, or, once sealed, the counts and the flat probe layout.
 func (rec *BuildRecord) Bytes() int64 {
-	return int64(len(rec.table.Count)+len(rec.table.Head)+len(rec.arena.Words())) * alloc.WordBytes
+	return rec.table.Bytes() + int64(len(rec.arena.Words()))*alloc.WordBytes
 }
 
 // Release hands the table's slabs back to the recycler.

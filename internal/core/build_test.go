@@ -17,25 +17,32 @@ import (
 )
 
 // keeper holds build records as a catalog entry does, under a budget that
-// takes every record: it keeps the first record a run hands it, frees the
-// others, and counts hits and misses.
+// takes every record: it keeps the record a run hands it when it holds
+// none, and counts hits and misses — a run under another key than the kept
+// record's runs uncached and hands back nothing, but misses. handed counts
+// the records runs handed it besides the kept one's hits, which RunKept
+// makes only for a keeper that holds none.
 type keeper struct {
-	rec          *BuildRecord
-	hits, misses int
+	rec                  *BuildRecord
+	hits, misses, handed int
 }
 
 func (k *keeper) run(r, s rel.Relation, opt Options) (*Result, error) {
 	res, rec, err := RunKept(context.Background(), r, s, opt, k.rec)
 	switch {
+	case err != nil || res.Scheme == CoarsePL:
 	case rec == nil:
+		k.misses++
 	case rec == k.rec:
 		k.hits++
-	case k.rec == nil:
-		k.rec = rec
-		k.misses++
 	default:
-		rec.Release()
 		k.misses++
+		k.handed++
+		if k.rec != nil {
+			rec.Release()
+		} else {
+			k.rec = rec
+		}
 	}
 	return res, err
 }
@@ -146,8 +153,10 @@ func TestRunKeptDifferential(t *testing.T) {
 
 // TestRunKeptKeys: a record serves only runs under the configuration and
 // ratios it was built with. A run under another key — other build ratios,
-// another allocator — builds its own, reports what it would uncached, and
-// hands back its own record, not the one it was given.
+// another allocator — builds its own table, reports what it would uncached
+// and, since the caller keeps a record already, frees the table and hands
+// back no record: it neither reads the one it was given nor makes (and
+// seals) one the caller cannot keep.
 func TestRunKeptKeys(t *testing.T) {
 	r := rel.Gen{N: 5000, Seed: 83}.Build()
 	s := rel.Gen{N: 5000, Seed: 84}.Probe(r, 1.0)
@@ -182,11 +191,15 @@ func TestRunKeptKeys(t *testing.T) {
 	if k.rec != first || k.hits != 0 || k.misses != 3 {
 		t.Errorf("a run under another key read the first record (%d hits, %d misses)", k.hits, k.misses)
 	}
+	if k.handed != 1 {
+		t.Errorf("runs handed back %d records, want only the cold run's: a run under another key made a record", k.handed)
+	}
 }
 
-// TestBuildRecordReleaseReturnsSlabs: Release hands the kept table's slabs
-// to the recycler — the next take of the arena's size class is the arena
-// itself.
+// TestBuildRecordReleaseReturnsSlabs: a kept record is sealed — it holds
+// its table's bucket counts and the flat probe layout (off, ent), no node
+// arena and no key-list heads — and Release hands those three slabs to the
+// recycler: the next takes of their sizes are the slabs themselves.
 func TestBuildRecordReleaseReturnsSlabs(t *testing.T) {
 	r := rel.Gen{N: 30000, Seed: 87}.Build()
 	s := rel.Gen{N: 30000, Seed: 88}.Probe(r, 1.0)
@@ -194,13 +207,61 @@ func TestBuildRecordReleaseReturnsSlabs(t *testing.T) {
 	if _, err := k.run(r, s, Options{Algo: SHJ, Scheme: CPUOnly}); err != nil {
 		t.Fatal(err)
 	}
-	words := k.rec.arena.Words()
-	slab, n := unsafe.SliceData(words), len(words)
+	if k.rec.arena.Words() != nil || k.rec.table.Head != nil {
+		t.Fatal("the kept record still holds its node arena or its key-list heads")
+	}
+	// off and ent are the table's own; their slabs are read through reflect.
+	table := reflect.ValueOf(k.rec.table).Elem()
+	type slab struct {
+		data unsafe.Pointer
+		n    int
+	}
+	var slabs []slab
+	var words int
+	for _, f := range []reflect.Value{table.FieldByName("Count"), table.FieldByName("off"), table.FieldByName("ent")} {
+		slabs = append(slabs, slab{unsafe.Pointer(f.Pointer()), f.Len()})
+		words += f.Len()
+	}
+	if got := k.rec.Bytes(); got != int64(words)*alloc.WordBytes {
+		t.Errorf("the sealed record counts %d B, its slabs hold %d", got, words*alloc.WordBytes)
+	}
 	k.free()
-	got := alloc.GetWords(n)
-	defer alloc.PutWords(got)
-	if unsafe.SliceData(got) != slab {
-		t.Error("the released arena did not go back to the recycler")
+	taken := map[unsafe.Pointer]bool{}
+	for _, sl := range slabs {
+		got := alloc.GetWords(sl.n)
+		defer alloc.PutWords(got)
+		taken[unsafe.Pointer(unsafe.SliceData(got))] = true
+	}
+	for i, sl := range slabs {
+		if !taken[sl.data] {
+			t.Errorf("slab %d of the released record (%d words) did not go back to the recycler", i, sl.n)
+		}
+	}
+}
+
+// TestSealedRecordSize: the record a 2^20-tuple PHJ-PL build side keeps is
+// sealed to its bucket counts and flat layout, at most 17 MB (about 29.6
+// MB with the node arena and key-list heads), while the probe still prices
+// the built table's resident size.
+func TestSealedRecordSize(t *testing.T) {
+	r := rel.Gen{N: 1 << 20, Seed: 93}.Build()
+	s := rel.Gen{N: 1 << 12, Seed: 94}.Probe(r, 1.0)
+	opt := Options{Algo: PHJ, Scheme: PL, Delta: 0.1, PilotItems: 1 << 12}
+	var k keeper
+	defer k.free()
+	res, err := k.run(r, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := Run(r, s, opt); err != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("the cold kept run differs from the uncached run (err %v)", err)
+	}
+	t.Logf("sealed record %d B, built table %d B", k.rec.Bytes(), k.rec.tableBytes)
+	if got := k.rec.Bytes(); got > 17e6 {
+		t.Errorf("the sealed record holds %d B, above 17 MB", got)
+	}
+	if k.rec.tableBytes <= k.rec.Bytes() {
+		t.Errorf("the record's working set %d B is not the built table's (sealed: %d B)", k.rec.tableBytes, k.rec.Bytes())
 	}
 }
 

@@ -42,8 +42,11 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 // run probes kept's table when kept was built under this run's
 // configuration and the ratios it chooses for r's passes and the build,
 // and builds its own otherwise. It returns the record the probe read:
-// kept itself on a hit; on a miss a fresh record, which the caller owns
-// from then on and must Release; nil for PHJ-PL', which builds no shared
+// kept itself on a hit; when kept is nil, a fresh record, sealed for
+// probing (htab.Table.Seal) before the run's own probe, which the caller
+// owns from then on and must Release. It returns nil under another key than
+// kept's — the run builds, probes and frees its table as RunCtx does, since
+// the caller keeps one record — and for PHJ-PL', which builds no shared
 // table. A failed run returns no record. The run only reads kept, which
 // stays the caller's.
 func RunKept(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord) (*Result, *BuildRecord, error) {
@@ -150,15 +153,17 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	out, rec := kept, kept
 	if kept == nil || !kept.key.equal(&key) {
 		// The run's own record stays on its stack: a caller that keeps
-		// records gets a copy, released here if the run fails.
+		// records and holds none gets a copy, sealed on the pool before
+		// the probe and released here if the run fails.
 		own := BuildRecord{key: key}
 		if err := rn.buildSide(&own, exec); err != nil {
 			return nil, nil, err
 		}
 		out, rec = nil, &own
-		if keep {
+		if keep && kept == nil {
 			fresh := new(BuildRecord)
 			*fresh, out, rec = own, fresh, fresh
+			fresh.table.Seal(rn.pool)
 			defer func() {
 				if err != nil {
 					fresh.Release()

@@ -46,11 +46,11 @@ type runner struct {
 
 	// Intermediate per-step arrays (the "intermediate results" PL trades
 	// in): R-side for the build series, S-side for the probe series. The
-	// work hints exist only under Options.Grouping, their one reader. Only
-	// the probe snapshots key-list heads: b3 must re-read them, because it
-	// links new key nodes as it goes.
+	// work hints exist only under Options.Grouping, their one reader. p2's
+	// one host pass (htab.Walk) leaves each probe tuple's key-list nodes
+	// visited and matches in visS and matchS, which p3 and p4 charge from.
 	bucketR, nodeR, workR        []int32
-	bucketS, headS, nodeS, workS []int32
+	bucketS, visS, matchS, workS []int32
 
 	// own is the ownership layout the parallel insert kernels of the build
 	// (b3, b4) read, built by b3's ParSetup.
@@ -129,7 +129,7 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 		return c
 	}
 	rn.bucketR, rn.nodeR = carve(nr), carve(nr)
-	rn.bucketS, rn.headS, rn.nodeS = carve(ns), carve(ns), carve(ns)
+	rn.bucketS, rn.visS, rn.matchS = carve(ns), carve(ns), carve(ns)
 	if opt.Grouping {
 		rn.workR, rn.workS = carve(nr), carve(ns)
 	}
@@ -283,11 +283,17 @@ const passSteps, buildSteps, probeSteps = 3, 4, 4
 
 // probeSeries returns the probe step series (p1..p4) over S against the
 // built table rn.probed. The probe only reads the table — concurrent runs
-// may share it — so every step splits into plain range morsels; p4 counts
-// each morsel's matches, charges its output allocator in closed form and
-// folds both back into the run.
+// may share it — so every step splits into plain range morsels. p2 does the
+// host work of p2..p4 in one pass (htab.Walk); p3 and p4 only charge from
+// its columns, as the pooled b2 does. p4 counts each morsel's matches,
+// charges its output allocator in closed form and folds both back into the
+// run.
 func (rn *runner) probeSeries() sched.Series {
 	keys := rn.s.Keys
+	walk := func(d *device.Device, lo, hi int) device.Acct {
+		rn.probed.Walk(keys, rn.bucketS, rn.workS, rn.visS, rn.matchS, lo, hi)
+		return rn.probed.P2Charge(lo, hi)
+	}
 	steps := []sched.Step{
 		{
 			ID: sched.P1, OutBytesPerItem: 4,
@@ -307,28 +313,23 @@ func (rn *runner) probeSeries() sched.Series {
 			},
 		},
 		{
-			ID: sched.P2, OutBytesPerItem: 12,
-			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				return rn.probed.P2(d, rn.bucketS, rn.headS, rn.workS, lo, hi)
-			},
+			ID: sched.P2, OutBytesPerItem: 12, Kernel: walk,
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.probed.P2(d, rn.bucketS, rn.headS, rn.workS, mlo, mhi)
-				})
+				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return walk(d, mlo, mhi) })
 			},
 		},
 		{
 			ID: sched.P3, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.probed.P3(d, keys, rn.headS, rn.nodeS, lo, hi, order)
+				a := rn.probed.P3Charge(d, rn.visS, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.probed.P3(d, keys, rn.headS, rn.nodeS, mlo, mhi, nil)
+					return rn.probed.P3Charge(d, rn.visS, mlo, mhi, nil)
 				})
 			},
 		},
@@ -336,7 +337,7 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P4, OutBytesPerItem: 0,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.probed.P4(d, rn.nodeS, &rn.out, lo, hi, order)
+				a := rn.probed.P4Charge(d, rn.matchS, &rn.out, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
@@ -346,7 +347,7 @@ func (rn *runner) probeSeries() sched.Series {
 					// Each morsel charges its output as an arena of its own
 					// would serve it.
 					priv := htab.Out{Materialize: rn.out.Materialize}
-					a := rn.probed.P4(d, rn.nodeS, &priv, mlo, mhi, nil)
+					a := rn.probed.P4Charge(d, rn.matchS, &priv, mlo, mhi, nil)
 					st := priv.ChargeFresh(&a, rn.opt.Alloc)
 					// Fold the morsel's output under the mutex (once per
 					// morsel): Out.Pairs is a plain field mid-struct, not

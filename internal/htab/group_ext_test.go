@@ -17,7 +17,7 @@ func TestGroupingReducesP3Divergence(t *testing.T) {
 	tbl := New(n, arena)
 	gpu := device.New(device.APUGPU())
 	bucket := make([]int32, n)
-	head := make([]int32, n)
+	vis := make([]int32, n)
 	node := make([]int32, n)
 	work := make([]int32, n)
 	tbl.B1(gpu, r.Keys, bucket, 0, n)
@@ -26,10 +26,10 @@ func TestGroupingReducesP3Divergence(t *testing.T) {
 	tbl.B4(gpu, r.RIDs, node, 0, n)
 
 	tbl.P1(gpu, s.Keys, bucket, 0, n)
-	tbl.P2(gpu, bucket, head, work, 0, n)
-	plain := tbl.P3(gpu, s.Keys, head, node, 0, n, nil)
+	tbl.Walk(s.Keys, bucket, work, vis, node, 0, n)
+	plain := tbl.P3Charge(gpu, vis, 0, n, nil)
 	order := sched.GroupOrder(work, 0, n, 32)
-	grouped := tbl.P3(gpu, s.Keys, head, node, 0, n, order)
+	grouped := tbl.P3Charge(gpu, vis, 0, n, order)
 	t.Logf("P3 divergence plain=%.3f grouped=%.3f", plain.DivergenceFactor(), grouped.DivergenceFactor())
 	t.Logf("P3 GPU time plain=%.2fms grouped=%.2fms", gpu.TimeNS(plain, device.UniformEnv(0.5))/1e6, gpu.TimeNS(grouped, device.UniformEnv(0.5))/1e6)
 	if grouped.DivergenceFactor() >= plain.DivergenceFactor() {

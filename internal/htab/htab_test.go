@@ -85,14 +85,13 @@ func TestProbePipelineCountsMatches(t *testing.T) {
 
 	n := s.Len()
 	bucket := make([]int32, n)
-	head := make([]int32, n)
-	node := make([]int32, n)
+	vis := make([]int32, n)
+	match := make([]int32, n)
 	work := make([]int32, n)
 	out := Out{Arena: outArena, Materialize: true}
 	tbl.P1(gpu, s.Keys, bucket, 0, n)
-	tbl.P2(gpu, bucket, head, work, 0, n)
-	tbl.P3(gpu, s.Keys, head, node, 0, n, nil)
-	tbl.P4(gpu, node, &out, 0, n, nil)
+	tbl.Walk(s.Keys, bucket, work, vis, match, 0, n)
+	tbl.P4Charge(gpu, match, &out, 0, n, nil)
 	if out.Pairs != want {
 		t.Fatalf("pairs %d, want %d", out.Pairs, want)
 	}

@@ -12,10 +12,70 @@ import (
 	"apujoin/internal/sched"
 )
 
-// p4Ref and probeOneRef are P4 and ProbeOne as they were while they wrote
-// the join output: every matching (buildRID, probeRID) pair is served by
-// Alloc(2) from the output arena and written into it. They are kept as the
-// reference the counting kernels are held to.
+// p2Ref and p3Ref are the accounted p2 and p3 kernels from before Walk did
+// the probe's host work in one pass and P2Charge and P3Charge charged it:
+// p2 snapshots each tuple's key-list head into head[i] and its bucket's
+// tuple count into work[i] (if non-nil); p3 walks the key list from head[i]
+// for the tuple's key, storing the matching key node (or -1) into node[i].
+// They are kept as the references the charges are held to.
+func (t *Table) p2Ref(bucket []int32, head, work []int32, lo, hi int) device.Acct {
+	var a device.Acct
+	for i := lo; i < hi; i++ {
+		b := bucket[i]
+		head[i] = t.Head[b]
+		if work != nil {
+			work[i] = t.Count[b]
+		}
+	}
+	n := int64(hi - lo)
+	a.Items = n
+	a.Instr = n * instrVisitHeader
+	a.SeqBytes = n * 8
+	a.Rand[device.RegionHashTable] = n
+	return a
+}
+
+func (t *Table) p3Ref(d *device.Device, keys, head []int32, node []int32, lo, hi int, order []int32) device.Acct {
+	var a device.Acct
+	div := device.NewDivTracker(d.WavefrontSize)
+	words := t.arena.Words()
+
+	run := func(i int) {
+		key := keys[i]
+		var visited int32 = 1
+		kn := head[i]
+		for kn != nilRef && words[kn+keyOffKey] != key {
+			kn = words[kn+keyOffNext]
+			visited++
+		}
+		node[i] = kn
+		a.Instr += int64(visited) * instrListNode
+		a.Rand[device.RegionHashTable] += int64(visited)
+		div.Item(visited)
+	}
+
+	if order != nil {
+		// order is the grouped permutation of exactly [lo,hi).
+		for _, i := range order {
+			run(int(i))
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			run(i)
+		}
+	}
+
+	n := int64(hi - lo)
+	a.Items = n
+	a.SeqBytes = n * 12
+	div.Flush(&a)
+	return a
+}
+
+// p4Ref and probeOneRef are p4 and ProbeOne as they were while they wrote
+// the join output: every matching (buildRID, probeRID) pair of node[i]'s
+// rid list is served by Alloc(2) from the output arena and written into it.
+// They are kept as the reference the counting kernels are held to.
 func (t *Table) p4Ref(d *device.Device, rids, node []int32, out *Out, lo, hi int, order []int32) device.Acct {
 	var a device.Acct
 	div := device.NewDivTracker(d.WavefrontSize)
@@ -102,23 +162,25 @@ func (t *Table) probeOneRef(key, srid int32, out *Out) device.Acct {
 }
 
 // probeFixture is a table over a build side with about three rids per key,
-// and a probe side run through p1..p3 with p2's work hints kept for grouped
-// order.
+// and a probe side run through p1 and Walk, with Walk's work hints kept for
+// grouped order, and through the reference p2 and p3 for p4Ref's nodes.
 type probeFixture struct {
-	t          *Table
-	s          rel.Relation
-	node, work []int32
+	t                      *Table
+	s                      rel.Relation
+	node, work, vis, match []int32
 }
 
 func newProbeFixture(n int, dist rel.Distribution, sel float64) *probeFixture {
 	r := rel.Gen{N: n, KeyRange: n / 3, Seed: 21}.Build()
 	s := rel.Gen{N: n, Dist: dist, Seed: 22}.Probe(r, sel)
-	f := &probeFixture{t: buildSerial(r), s: s, node: make([]int32, n), work: make([]int32, n)}
+	f := &probeFixture{t: buildSerial(r), s: s, node: make([]int32, n), work: make([]int32, n),
+		vis: make([]int32, n), match: make([]int32, n)}
 	cpu := device.New(device.APUCPU())
 	bucket, head := make([]int32, n), make([]int32, n)
 	f.t.P1(cpu, s.Keys, bucket, 0, n)
-	f.t.P2(cpu, bucket, head, f.work, 0, n)
-	f.t.P3(cpu, s.Keys, head, f.node, 0, n, nil)
+	f.t.p2Ref(bucket, head, nil, 0, n)
+	f.t.p3Ref(cpu, s.Keys, head, f.node, 0, n, nil)
+	f.t.Walk(s.Keys, bucket, f.work, f.vis, f.match, 0, n)
 	return f
 }
 
@@ -147,13 +209,14 @@ func requireSameOut(t *testing.T, name string, got, want *Out) {
 	}
 }
 
-// TestP4CountsLikeRef holds P4, which counts its matches and charges the
-// output it no longer writes, to the writing kernel it replaced. Every
+// TestP4CountsLikeRef holds P4Charge, which counts Walk's matches and
+// charges the output no kernel writes, to the writing kernel it replaced.
+// Every
 // record, the pairs and the output arena's Stats and Used must be equal:
 // single-stream over a CPU and a GPU share, twice on one output arena so
 // the block state carries across calls, in nil and grouped order; and on
 // range morsels, where the reference writes into a fresh arena per morsel
-// as the pooled p4 did and P4 charges ChargeFresh. Probes are uniform and
+// as the pooled p4 did and P4Charge charges ChargeFresh. Probes are uniform and
 // high-skew at selectivity 0, 0.6 and 1, shares split at 0, n, n/3, inside
 // a morsel and in the ragged last morsel, Materialize on and off, every
 // outConfigs allocator.
@@ -184,7 +247,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 									if grouped && sh.d.WavefrontSize > 1 && sh.hi-sh.lo > 1 {
 										order = sched.GroupOrder(f.work, sh.lo, sh.hi, 16)
 									}
-									g := f.t.P4(sh.d, f.node, &got, sh.lo, sh.hi, order)
+									g := f.t.P4Charge(sh.d, f.match, &got, sh.lo, sh.hi, order)
 									w := f.t.p4Ref(sh.d, f.s.RIDs, f.node, &want, sh.lo, sh.hi, order)
 									alloc.PutWords(order)
 									if g != w {
@@ -197,7 +260,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 						for _, sh := range shares {
 							gotM := sched.CollectRange(pool, sh.lo, sh.hi, func(lo, hi int) morsel {
 								o := Out{Materialize: materialize}
-								a := f.t.P4(sh.d, f.node, &o, lo, hi, nil)
+								a := f.t.P4Charge(sh.d, f.match, &o, lo, hi, nil)
 								return morsel{a, o.Pairs, o.ChargeFresh(&a, cfg)}
 							})
 							wantM := sched.CollectRange(pool, sh.lo, sh.hi, func(lo, hi int) morsel {

@@ -109,37 +109,6 @@ func (t *Table) b2AtomicRef(d *device.Device, bucket, work []int32, lo, hi int) 
 	return a
 }
 
-// p3Bare and p4Bare are P3 and P4 with the model taken out: the same walks
-// and the same node refs and pair count, but no device.Acct, no DivTracker
-// and no output charge. BenchmarkP3P4 runs them beside the kernels, so what
-// the accounting costs is measured.
-func (t *Table) p3Bare(keys, head, node []int32, lo, hi int) {
-	words := t.arena.Words()
-	for i := lo; i < hi; i++ {
-		key := keys[i]
-		kn := head[i]
-		for kn != nilRef && words[kn+keyOffKey] != key {
-			kn = words[kn+keyOffNext]
-		}
-		node[i] = kn
-	}
-}
-
-func (t *Table) p4Bare(node []int32, out *Out, lo, hi int) {
-	words := t.arena.Words()
-	var pairs int64
-	for i := lo; i < hi; i++ {
-		kn := node[i]
-		if kn == nilRef {
-			continue
-		}
-		for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-			pairs++
-		}
-	}
-	out.Pairs += pairs
-}
-
 // ownedIdx is one shard's list of the owner index the reference kernels
 // walk: the tuples of [lo,hi) whose bucket the shard owns, ascending.
 func ownedIdx(bucket []int32, shift uint, shard, lo, hi int) []int32 {
@@ -601,103 +570,113 @@ func BenchmarkB3B4Shard(b *testing.B) {
 	}
 }
 
-// BenchmarkP3P4 measures the probe's list-walk and emit steps over 2^20
-// probe tuples (selectivity 1) of a 2^20-tuple build as the runner executes
-// them: range morsels on the pool, p4 counting its pairs and, under
-// materialize, charging each morsel's output as ChargeFresh does. p1 and p2
-// run outside the timer. Each row is paired with an unaccounted row that
-// runs p3Bare / p4Bare instead — the same walks without device.Acct,
-// DivTracker and output charge — and reports how much of the accounted
-// row's time the model took as acct-pct. Each p4 row must find the pairs a
-// single-stream p4 finds, and each accounted p4 row's merged record must
-// equal the single-stream p4's: at selectivity 1 every morsel's pairs fill
-// whole 2 KB output blocks, so the morsels' charges add up to one arena's.
+// BenchmarkP3P4 measures the probe's host work over 2^20 probe tuples
+// (selectivity 1) of a 2^20-tuple build as the runner executes it, on range
+// morsels of the pool: Walk, p2's one pass over the table, on the linked
+// layout and on the sealed one (which reports its speed-up over the linked
+// row as x-linked), then the charge pass — P3Charge and P4Charge, the latter
+// counting each morsel's pairs and, under materialize, charging its output
+// as ChargeFresh does. p1 runs outside the timer. The sealed walk must write
+// the linked walk's columns, every row must find the pairs the reference
+// p4 finds, and the charge rows' merged records must equal the single-stream
+// reference kernels': at selectivity 1 every morsel's pairs fill whole 2 KB
+// output blocks, so the morsels' charges add up to one arena's.
 func BenchmarkP3P4(b *testing.B) {
 	const n = 1 << 20
-	cpu := device.New(device.APUCPU())
+	cpu, gpu := device.New(device.APUCPU()), device.New(device.APUGPU())
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
 		r := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
 		s := rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(r, 1.0)
-		t := buildSerial(r)
+		linked, sealed := buildSerial(r), buildSerial(r)
+		sealed.Seal(nil)
 		bucket, head, node := make([]int32, n), make([]int32, n), make([]int32, n)
-		t.P1(cpu, s.Keys, bucket, 0, n)
-		t.P2(cpu, bucket, head, nil, 0, n)
-		t.P3(cpu, s.Keys, head, node, 0, n, nil)
+		linked.P1(cpu, s.Keys, bucket, 0, n)
+		linked.p2Ref(bucket, head, nil, 0, n)
+		// One charge row per device and output mode, with the reference
+		// kernels' single-stream records.
+		type charge struct {
+			name         string
+			d            *device.Device
+			materialize  bool
+			want3, want4 device.Acct
+		}
+		var charges []charge
+		var wantPairs int64
+		for _, d := range []*device.Device{cpu, gpu} {
+			want3 := linked.p3Ref(d, s.Keys, head, node, 0, n, nil)
+			for _, materialize := range []bool{true, false} {
+				serial := Out{Materialize: materialize, Arena: alloc.New(alloc.Config{}, 64)}
+				want4 := linked.p4Ref(d, s.RIDs, node, &serial, 0, n, nil)
+				serial.Arena.Release()
+				wantPairs = serial.Pairs
+				name := map[bool]string{true: "materialize", false: "count-only"}[materialize]
+				dev := map[bool]string{true: "gpu", false: "cpu"}[d == gpu]
+				charges = append(charges, charge{"charge/" + name + "/" + dev, d, materialize, want3, want4})
+			}
+		}
+		wantVis, wantMatch := make([]int32, n), make([]int32, n)
+		linked.Walk(s.Keys, bucket, nil, wantVis, wantMatch, 0, n)
 
 		for _, workers := range []int{1, 2} {
 			pool := sched.NewPool(workers)
-			var accountedNS float64
-			// row times step over the probe; an unaccounted row follows its
-			// accounted twin. check, when non-nil, verifies the last pass.
-			row := func(name string, accounted bool, step func(), check func(b *testing.B)) {
-				if !accounted {
-					name += "/unaccounted"
-				}
-				b.Run(name, func(b *testing.B) {
+			vis, match := make([]int32, n), make([]int32, n)
+			var linkedNS float64
+			row := func(name string, step func(), check func(b *testing.B)) {
+				b.Run(fmt.Sprintf("%s/%v/pool=%d", name, dist, workers), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						step()
 					}
 					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 					b.ReportMetric(ns/n, "ns/tuple")
-					if accounted {
-						accountedNS = ns
-					} else if accountedNS > 0 {
-						b.ReportMetric(100*(accountedNS-ns)/accountedNS, "acct-pct")
+					switch {
+					case name == "walk-linked":
+						linkedNS = ns
+					case name == "walk-sealed" && linkedNS > 0:
+						b.ReportMetric(linkedNS/ns, "x-linked")
 					}
-					if check != nil {
-						check(b)
+					check(b)
+				})
+			}
+			for _, tb := range []struct {
+				name string
+				t    *Table
+			}{{"walk-linked", linked}, {"walk-sealed", sealed}} {
+				row(tb.name, func() {
+					clear(vis)
+					pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						tb.t.Walk(s.Keys, bucket, nil, vis, match, lo, hi)
+						return device.Acct{}
+					})
+				}, func(b *testing.B) {
+					if !slices.Equal(vis, wantVis) || !slices.Equal(match, wantMatch) {
+						b.Fatal("the walk's columns differ from the single-stream linked walk's")
 					}
 				})
 			}
-			for _, accounted := range []bool{true, false} {
-				row(fmt.Sprintf("P3/%v/pool=%d", dist, workers), accounted, func() {
-					pool.MapRange(0, n, func(lo, hi int) device.Acct {
-						if !accounted {
-							t.p3Bare(s.Keys, head, node, lo, hi)
-							return device.Acct{}
-						}
-						return t.P3(cpu, s.Keys, head, node, lo, hi, nil)
+			for _, k := range charges {
+				var pairs atomic.Int64
+				var got3, got4 device.Acct
+				row(k.name, func() {
+					pairs.Store(0)
+					got3 = pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						return sealed.P3Charge(k.d, wantVis, lo, hi, nil)
 					})
-				}, nil)
-			}
-			for _, materialize := range []bool{true, false} {
-				name := "count-only"
-				if materialize {
-					name = "materialize"
-				}
-				serial := Out{Materialize: materialize}
-				if materialize {
-					serial.Arena = alloc.New(alloc.Config{}, 64)
-				}
-				want := t.P4(cpu, node, &serial, 0, n, nil)
-				serial.Arena.Release()
-				for _, accounted := range []bool{true, false} {
-					var pairs atomic.Int64
-					var got device.Acct
-					row(fmt.Sprintf("P4/%s/%v/pool=%d", name, dist, workers), accounted, func() {
-						pairs.Store(0)
-						got = pool.MapRange(0, n, func(lo, hi int) device.Acct {
-							priv := Out{Materialize: materialize}
-							var a device.Acct
-							if accounted {
-								a = t.P4(cpu, node, &priv, lo, hi, nil)
-								priv.ChargeFresh(&a, alloc.Config{})
-							} else {
-								t.p4Bare(node, &priv, lo, hi)
-							}
-							pairs.Add(priv.Pairs)
-							return a
-						})
-					}, func(b *testing.B) {
-						if pairs.Load() != serial.Pairs {
-							b.Fatalf("%d pairs, single-stream p4 found %d", pairs.Load(), serial.Pairs)
-						}
-						if accounted && got != want {
-							b.Fatalf("merged record\n %+v\nsingle-stream p4's\n %+v", got, want)
-						}
+					got4 = pool.MapRange(0, n, func(lo, hi int) device.Acct {
+						priv := Out{Materialize: k.materialize}
+						a := sealed.P4Charge(k.d, wantMatch, &priv, lo, hi, nil)
+						priv.ChargeFresh(&a, alloc.Config{})
+						pairs.Add(priv.Pairs)
+						return a
 					})
-				}
+				}, func(b *testing.B) {
+					if pairs.Load() != wantPairs {
+						b.Fatalf("%d pairs, the reference p4 found %d", pairs.Load(), wantPairs)
+					}
+					if got3 != k.want3 || got4 != k.want4 {
+						b.Fatalf("merged records\n %+v\n %+v\nthe reference kernels'\n %+v\n %+v", got3, got4, k.want3, k.want4)
+					}
+				})
 			}
 			pool.Close()
 		}

@@ -21,9 +21,17 @@
 // Every step kernel does the real work on a batch [lo,hi) of tuples while
 // filling a device accounting record; the co-processing schedulers split
 // batches between the CPU and GPU devices and the device model converts the
-// accounts into simulated time. The one exception is p4's output: the
-// kernel counts the matches, and under Out.Materialize the output tuples
-// are charged, but they are never written (see Out).
+// accounts into simulated time. The probe's host work is one pass: Walk,
+// p2's kernel, visits the header, walks the key list and counts the rid
+// list of each tuple, recording per tuple the nodes visited and the
+// matches, and p3 and p4 charge from those columns (P3Charge, P4Charge) the
+// records their kernels filled as they walked. p4's output is counted and,
+// under Out.Materialize, charged, but never written (see Out).
+//
+// A table that will be probed again can be sealed (Seal): each bucket's
+// keys laid out as one flat run of (key, rid count) pairs, the key lists,
+// rid lists and arena freed. Walk reads either layout into the same
+// columns, so the charges and the simulated time do not depend on it.
 package htab
 
 import (
@@ -31,6 +39,7 @@ import (
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
+	"apujoin/internal/sched"
 )
 
 // Node layouts inside the arena (int32 words).
@@ -77,6 +86,11 @@ type Table struct {
 	bucketsPerPart int
 	segShift       uint
 	partShift      uint
+
+	// off and ent are the sealed probe layout (Seal), nil until then:
+	// bucket b's keys are the (key, rid count) pairs of ent[off[b]:off[b+1]],
+	// in key-list order.
+	off, ent []int32
 }
 
 // New returns an empty table with nBuckets buckets (rounded up to a power
@@ -125,16 +139,83 @@ func (t *Table) BytesResident() int64 {
 	return headers + nodes
 }
 
-// Release hands the bucket headers to the slab recycler; the table must not
-// be used afterwards. The arena is the caller's to release (several tables
-// may share it). Releasing a nil table is a no-op.
+// Bytes is what Release hands back: the bucket headers, and a sealed
+// table's layout. The arena is counted by its owner.
+func (t *Table) Bytes() int64 {
+	return int64(len(t.Count)+len(t.Head)+len(t.off)+len(t.ent)) * alloc.WordBytes
+}
+
+// Release hands the bucket headers (and a sealed table's layout) to the slab
+// recycler; the table must not be used afterwards. The arena is the
+// caller's to release (several tables may share it). Releasing a nil table
+// is a no-op.
 func (t *Table) Release() {
 	if t == nil {
 		return
 	}
 	alloc.PutWords(t.Count)
 	alloc.PutWords(t.Head)
-	t.Count, t.Head = nil, nil
+	alloc.PutWords(t.off)
+	alloc.PutWords(t.ent)
+	t.Count, t.Head, t.off, t.ent = nil, nil, nil, nil
+}
+
+// Seal lays a built table out for probing, on the pool: for every bucket,
+// in bucket order, the (key, rid count) pair of each key of its key list, in
+// list order, with off[b] the offset in ent of bucket b's first pair. Walk
+// then reads one flat run per bucket instead of chasing the key and rid
+// nodes — the same columns, so the same charges. Seal frees the key-list
+// heads and the node arena (the table must be its arena's only user) and
+// keeps Count, the grouping hints. Sealing costs about two walks of every
+// key list, so it pays only for a table probed more than once. A sealed
+// table can only be probed (Walk) and released.
+func (t *Table) Seal(p *sched.Pool) {
+	words := t.arena.Words()
+	off := alloc.GetWords(t.nBuckets + 1)
+	ent := alloc.GetWords(2 * int(t.numKeys.Load()))
+	// Each morsel of buckets counts its keys' words; their prefix sums are
+	// the morsels' bases. Then each morsel lays its buckets' pairs out from
+	// its base and records each bucket's end: it writes only off[lo+1..hi]
+	// and its own run of ent.
+	bases := sched.CollectRange(p, 0, t.nBuckets, func(lo, hi int) int32 {
+		var size int32
+		for _, kn := range t.Head[lo:hi] {
+			for ; kn != nilRef; kn = words[kn+keyOffNext] {
+				size += 2
+			}
+		}
+		return size
+	})
+	var at int32
+	for m, size := range bases {
+		bases[m], at = at, at+size
+	}
+	off[0] = 0
+	p.ForEach(len(bases), func(m int) {
+		lo := m * sched.MorselItems
+		at := bases[m]
+		for b := lo; b < min(lo+sched.MorselItems, t.nBuckets); b++ {
+			// The bucket's count is its rids: the last key holds those the
+			// keys before it do not, so its rid list is not walked.
+			rest := t.Count[b]
+			for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
+				rids := rest
+				if words[kn+keyOffNext] != nilRef {
+					rids = 0
+					for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
+						rids++
+					}
+				}
+				rest -= rids
+				ent[at], ent[at+1] = words[kn+keyOffKey], rids
+				at += 2
+			}
+			off[b+1] = at
+		}
+	})
+	alloc.PutWords(t.Head)
+	t.arena.Release()
+	t.Head, t.off, t.ent = nil, off, ent
 }
 
 // Merge inserts every (key, rid) pair of src into t, the merge operation

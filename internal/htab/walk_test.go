@@ -1,0 +1,282 @@
+package htab
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"apujoin/internal/alloc"
+	"apujoin/internal/device"
+	"apujoin/internal/rel"
+	"apujoin/internal/sched"
+)
+
+// walkCase is one probe of the differential tests: a build side, the
+// geometry of its table and a probe side, with the probe's bucket numbers
+// on that geometry.
+type walkCase struct {
+	name   string
+	r, s   rel.Relation
+	bits   uint // radix bits of a segmented table; 0 for a flat one
+	groups int  // buckets of a flat table; 0 for one per build tuple
+	bucket []int32
+}
+
+// table builds the case's table single-stream, its CPU share [0,cut) into
+// the first table and the rest into a second one merged into the first
+// when cut < |R|, as separate tables are.
+func (c *walkCase) table(cut int) *Table {
+	n := c.r.Len()
+	newTable := func() *Table {
+		arena := alloc.New(alloc.Config{}, n*6+64)
+		switch {
+		case c.bits > 0:
+			return NewSeg(1<<c.bits, max(n>>c.bits, 1), 0, c.bits, arena)
+		case c.groups > 0:
+			return New(c.groups, arena)
+		}
+		return New(n, arena)
+	}
+	bucket, node := make([]int32, n), make([]int32, n)
+	t, other := newTable(), newTable()
+	cpu := device.New(device.APUCPU())
+	if c.bits > 0 {
+		_, partIdx, _ := byPartition(c.r, c.bits)
+		t.B1Seg(cpu, c.r.Keys, partIdx, bucket, 0, n)
+	} else {
+		t.B1(cpu, c.r.Keys, bucket, 0, n)
+	}
+	for _, sh := range []struct {
+		t      *Table
+		lo, hi int
+	}{{t, 0, cut}, {other, cut, n}} {
+		sh.t.B2(cpu, bucket, nil, sh.lo, sh.hi)
+		sh.t.B3(cpu, c.r.Keys, bucket, node, sh.lo, sh.hi, nil)
+		sh.t.B4(cpu, c.r.RIDs, node, sh.lo, sh.hi)
+	}
+	if cut < n {
+		t.Merge(other)
+	}
+	other.Release()
+	other.arena.Release()
+	return t
+}
+
+// walkCases are the tables the differential tests probe: flat and
+// segmented, a uniform build side with about three rids per key and a
+// high-skew one (a quarter of its tuples share one key), each probed at
+// selectivity 1 and 0.5 (half the probe keys absent) with keys drawn
+// uniformly from the build's key domain — every 4099th one the heavy key —
+// and a tiny flat table of four buckets holding about 75 keys each.
+func walkCases() []*walkCase {
+	n := 2*sched.MorselItems + 3617
+	uniform := rel.Gen{N: n, KeyRange: n / 3, Seed: 31}.Build()
+	domain := rel.Gen{N: n, Seed: 33}.Build()
+	skewed := rel.Gen{N: n, Dist: rel.HighSkew, Seed: 32}.Probe(domain, 1.0)
+	var cases []*walkCase
+	for _, bits := range []uint{0, 6} {
+		for _, build := range []struct {
+			name      string
+			r, domain rel.Relation
+		}{{"uniform", uniform, uniform}, {"high-skew", skewed, domain}} {
+			for _, sel := range []float64{1, 0.5} {
+				r := build.r
+				s := rel.Gen{N: n, Seed: 34}.Probe(build.domain, sel)
+				for i := 0; i < n; i += 4099 {
+					s.Keys[i] = build.domain.Keys[0] // the high-skew build's heavy key, when skewed
+				}
+				if bits > 0 {
+					r, _, _ = byPartition(r, bits)
+					s, _, _ = byPartition(s, bits)
+				}
+				cases = append(cases, &walkCase{name: fmt.Sprintf("bits=%d/%s/sel=%v", bits, build.name, sel), r: r, s: s, bits: bits})
+			}
+		}
+	}
+	tiny := rel.Gen{N: 600, KeyRange: 300, Seed: 35}.Build()
+	cases = append(cases, &walkCase{name: "tiny", r: tiny, s: rel.Gen{N: 5000, Seed: 36}.Probe(tiny, 0.5), groups: 4})
+
+	cpu := device.New(device.APUCPU())
+	for _, c := range cases {
+		t := c.table(c.r.Len())
+		c.bucket = make([]int32, c.s.Len())
+		if c.bits > 0 {
+			_, partIdx, _ := byPartition(c.s, c.bits)
+			t.P1Seg(cpu, c.s.Keys, partIdx, c.bucket, 0, c.s.Len())
+		} else {
+			t.P1(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
+		}
+	}
+	return cases
+}
+
+// walkCols are Walk's output columns.
+type walkCols struct{ work, vis, match []int32 }
+
+// walk runs Walk over the case's probe side on range morsels of pool.
+func (c *walkCase) walk(pool *sched.Pool, t *Table) walkCols {
+	n := c.s.Len()
+	w := walkCols{make([]int32, n), make([]int32, n), make([]int32, n)}
+	pool.MapRange(0, n, func(lo, hi int) device.Acct {
+		t.Walk(c.s.Keys, c.bucket, w.work, w.vis, w.match, lo, hi)
+		return device.Acct{}
+	})
+	return w
+}
+
+func (w walkCols) equal(o walkCols) bool {
+	return slices.Equal(w.work, o.work) && slices.Equal(w.vis, o.vis) && slices.Equal(w.match, o.match)
+}
+
+// TestSealedWalkMatchesLinked: Walk writes the same work, vis and match
+// columns on a sealed table as on the linked one it was sealed from, on
+// every walkCases table, whether sealed on one worker or on a pool — absent
+// keys included, which visit every key of their bucket and one more — and
+// on a table built as two separate tables merged and then sealed. A sealed
+// table holds only its counts and layout, and Release hands both back.
+func TestSealedWalkMatchesLinked(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, c := range walkCases() {
+		for _, cut := range []int{c.r.Len(), c.r.Len() / 3} {
+			name := fmt.Sprintf("%s/merged=%v", c.name, cut < c.r.Len())
+			linked := c.table(cut)
+			want := c.walk(pool, linked)
+			for _, sealPool := range []*sched.Pool{nil, pool} {
+				sealed := c.table(cut)
+				sealed.Seal(sealPool)
+				if got := c.walk(pool, sealed); !got.equal(want) {
+					t.Fatalf("%s: the sealed walk's columns differ from the linked walk's", name)
+				}
+				if sealed.Head != nil || sealed.arena.Words() != nil {
+					t.Fatalf("%s: the sealed table kept its key-list heads or its node arena", name)
+				}
+				keys := int(sealed.NumKeys())
+				if want := int64(2*len(sealed.Count)+1+2*keys) * alloc.WordBytes; sealed.Bytes() != want {
+					t.Fatalf("%s: a sealed table of %d keys holds %d B, want %d", name, keys, sealed.Bytes(), want)
+				}
+				sealed.Release()
+				if sealed.Bytes() != 0 {
+					t.Fatalf("%s: a released sealed table still holds %d B", name, sealed.Bytes())
+				}
+			}
+			var pairs int64
+			for _, m := range want.match {
+				pairs += int64(m)
+			}
+			if naive := rel.NaiveJoinCount(c.r, c.s); pairs != naive {
+				t.Fatalf("%s: the walk found %d pairs, the naive join %d", name, pairs, naive)
+			}
+		}
+	}
+}
+
+// TestChargesMatchKernels holds P2Charge, P3Charge and P4Charge, computed
+// from a sealed table's Walk columns, to the accounted kernels they
+// replaced (p2Ref, p3Ref, p4Ref over the linked table) on every walkCases
+// table: per device share, in index and in grouped order, with the shares
+// cut at both ends, at a third, inside a morsel (an odd lo) and in the
+// ragged last morsel; and per range morsel of each share, the output
+// charged as a fresh arena's. The output arenas' totals must agree too.
+func TestChargesMatchKernels(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	cpu, gpu := device.New(device.APUCPU()), device.New(device.APUGPU())
+	cfg := alloc.Config{Strategy: alloc.Block, BlockBytes: 20}
+	type morsel struct {
+		a3, a4 device.Acct
+		st     alloc.Stats
+	}
+	for _, c := range walkCases() {
+		n := c.s.Len()
+		linked, sealed := c.table(c.r.Len()), c.table(c.r.Len())
+		sealed.Seal(pool)
+		cols := c.walk(pool, sealed)
+		head, work, node := make([]int32, n), make([]int32, n), make([]int32, n)
+		linked.p2Ref(c.bucket, head, work, 0, n)
+		if !slices.Equal(work, cols.work) {
+			t.Fatalf("%s: Walk's work hints differ from p2's", c.name)
+		}
+		for _, cut := range []int{0, n, n / 3, min(sched.MorselItems+77, n-1), n - 1001} {
+			for _, sh := range []share{{cpu, sealed, 0, cut}, {gpu, sealed, cut, n}} {
+				if sh.lo == sh.hi {
+					continue
+				}
+				name := fmt.Sprintf("%s cut=%d share [%d,%d)", c.name, cut, sh.lo, sh.hi)
+				if g, w := sealed.P2Charge(sh.lo, sh.hi), linked.p2Ref(c.bucket, head, nil, sh.lo, sh.hi); g != w {
+					t.Fatalf("%s: p2 acct\n got %+v\nwant %+v", name, g, w)
+				}
+				for _, grouped := range []bool{false, true} {
+					var order []int32
+					if grouped && sh.d.WavefrontSize > 1 && sh.hi-sh.lo > 1 {
+						order = sched.GroupOrder(work, sh.lo, sh.hi, 16)
+					}
+					if g, w := sealed.P3Charge(sh.d, cols.vis, sh.lo, sh.hi, order), linked.p3Ref(sh.d, c.s.Keys, head, node, sh.lo, sh.hi, order); g != w {
+						t.Fatalf("%s grouped=%v: p3 acct\n got %+v\nwant %+v", name, grouped, g, w)
+					}
+					got := Out{Arena: alloc.New(cfg, 64), Materialize: true}
+					want := Out{Arena: alloc.New(cfg, 64), Materialize: true}
+					if g, w := sealed.P4Charge(sh.d, cols.match, &got, sh.lo, sh.hi, order), linked.p4Ref(sh.d, c.s.RIDs, node, &want, sh.lo, sh.hi, order); g != w {
+						t.Fatalf("%s grouped=%v: p4 acct\n got %+v\nwant %+v", name, grouped, g, w)
+					}
+					requireSameOut(t, fmt.Sprintf("%s grouped=%v", name, grouped), &got, &want)
+					alloc.PutWords(order)
+				}
+				gotM := sched.CollectRange(pool, sh.lo, sh.hi, func(lo, hi int) morsel {
+					o := Out{Materialize: true}
+					a4 := sealed.P4Charge(sh.d, cols.match, &o, lo, hi, nil)
+					return morsel{sealed.P3Charge(sh.d, cols.vis, lo, hi, nil), a4, o.ChargeFresh(&a4, cfg)}
+				})
+				// The reference walks write node, so its morsels run one
+				// after another.
+				wantM := sched.CollectRange(nil, sh.lo, sh.hi, func(lo, hi int) morsel {
+					a3 := linked.p3Ref(sh.d, c.s.Keys, head, node, lo, hi, nil)
+					o := Out{Materialize: true, Arena: alloc.New(cfg, 4*(hi-lo)+64)}
+					defer o.Arena.Release()
+					a4 := linked.p4Ref(sh.d, c.s.RIDs, node, &o, lo, hi, nil)
+					return morsel{a3, a4, o.Arena.Stats()}
+				})
+				if !slices.Equal(gotM, wantM) {
+					t.Fatalf("%s: morsels\n got %+v\nwant %+v", name, gotM, wantM)
+				}
+			}
+		}
+	}
+}
+
+// TestSealReturnsSlabs: Seal hands the key-list heads and the node arena to
+// the recycler at once — the next takes of their size classes are those
+// slabs — and Release hands back the sealed layout.
+func TestSealReturnsSlabs(t *testing.T) {
+	r := rel.Gen{N: 30000, Seed: 37}.Build()
+	tbl := buildSerial(r)
+	slabOf := func(w []int32) *int32 { return &w[:1][0] }
+	head, arena := tbl.Head, tbl.arena.Words()
+	headSlab, arenaSlab := slabOf(head), slabOf(arena)
+	tbl.Seal(nil)
+	for _, want := range []struct {
+		name string
+		slab *int32
+		n    int
+	}{{"arena", arenaSlab, len(arena)}, {"heads", headSlab, len(head)}} {
+		got := alloc.GetWords(want.n)
+		if slabOf(got) != want.slab {
+			t.Errorf("Seal did not hand the %s back to the recycler", want.name)
+		}
+		defer alloc.PutWords(got)
+	}
+	ent, off := tbl.ent, tbl.off
+	entSlab, offSlab := slabOf(ent), slabOf(off)
+	tbl.Release()
+	for _, want := range []struct {
+		name string
+		slab *int32
+		n    int
+	}{{"pairs", entSlab, len(ent)}, {"offsets", offSlab, len(off)}} {
+		got := alloc.GetWords(want.n)
+		if slabOf(got) != want.slab {
+			t.Errorf("Release did not hand the sealed %s back to the recycler", want.name)
+		}
+		defer alloc.PutWords(got)
+	}
+}
