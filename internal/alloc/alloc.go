@@ -115,12 +115,17 @@ type Arena struct {
 // New returns an arena with capacity for capWords int32 words. The backing
 // array comes from the slab recycler with arbitrary contents — every user
 // writes the words it allocates before it reads them — and goes back with
-// Release.
+// Release. An arena of no words only counts (Count, Fold) until an Alloc
+// grows it.
 func New(cfg Config, capWords int) *Arena {
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = DefaultBlockBytes
 	}
-	return &Arena{cfg: cfg, words: GetWords(max(capWords, 1)), blockWords: blockWordsOf(cfg)}
+	a := &Arena{cfg: cfg, blockWords: blockWordsOf(cfg)}
+	if capWords > 0 {
+		a.words = GetWords(capWords)
+	}
+	return a
 }
 
 // blockWordsOf is the Block strategy's block size in words under cfg.
@@ -139,6 +144,9 @@ func FreshStats(cfg Config, m int64, n int) Stats {
 	a.Count(m, n)
 	return a.stats
 }
+
+// Config returns the arena's configuration, its block size defaulted.
+func (a *Arena) Config() Config { return a.cfg }
 
 // Stats returns a snapshot of the allocator counters.
 func (a *Arena) Stats() Stats { return a.stats }
@@ -244,7 +252,7 @@ func (a *Arena) Release() {
 
 // grow doubles the backing array until it holds n words.
 func (a *Arena) grow(n int) {
-	newCap := len(a.words) * 2
+	newCap := max(len(a.words)*2, 64)
 	for newCap < n {
 		newCap *= 2
 	}

@@ -1,5 +1,7 @@
 package alloc
 
+import "sync/atomic"
+
 // Local is a worker-private view of an Arena for parallel kernel execution,
 // mirroring the paper's optimized allocator at the work-group level: the
 // worker grabs a whole block from the shared arena with one global atomic
@@ -74,6 +76,28 @@ func (l *Local) Close() {
 	l.left = 0
 	l.parent.foldStats(l.stats)
 	l.stats = Stats{}
+}
+
+// LocalStats returns the Stats a fresh Local under cfg folds into its
+// arena on Close after m calls of Alloc(n), without building either: the
+// Stats FreshStats gives, plus the tail of the last block, which Close
+// abandons. Before Close the Local's own Stats are FreshStats'. Arena.Fold
+// charges them to an arena.
+func LocalStats(cfg Config, m int64, n int) Stats {
+	a := Arena{cfg: cfg, blockWords: blockWordsOf(cfg)}
+	a.Count(m, n)
+	st := a.stats
+	st.WastedWords += int64(a.blockLeft)
+	return st
+}
+
+// Fold charges a closed Local's Stats (LocalStats) to the arena as if the
+// Local had served them: its counters, and on the bump pointer the words
+// its grabs took — every word it served or wasted. Like Grab, it is safe
+// for concurrent use.
+func (a *Arena) Fold(s Stats) {
+	atomic.AddInt64(&a.next, s.Words+s.WastedWords)
+	a.foldStats(s)
 }
 
 // ParallelCapWords bounds the arena words needed to serve usefulWords of

@@ -121,3 +121,33 @@ func TestParallelCapWords(t *testing.T) {
 	l1.Close()
 	l2.Close()
 }
+
+// TestLocalStatsMatchesLocal holds LocalStats and Fold to a real Local:
+// after m requests of n words, the Local's Stats before Close are
+// FreshStats', and an arena that folded LocalStats holds the Stats and Used
+// of one the Local closed into — under Basic, Block with and without a
+// block tail, and requests larger than a block.
+func TestLocalStatsMatchesLocal(t *testing.T) {
+	for _, cfg := range []Config{{Strategy: Basic}, {Strategy: Block}, {Strategy: Block, BlockBytes: 20}, {Strategy: Block, BlockBytes: 256}} {
+		for _, n := range []int{2, 3, 5, 700} {
+			for _, m := range []int64{0, 1, 2, 7, 171, 4000} {
+				served := New(cfg, int(m)*(n+blockWordsOf(cfg))+64)
+				l := served.NewLocal()
+				for range m {
+					l.Alloc(n)
+				}
+				if got, want := FreshStats(cfg, m, n), l.Stats(); got != want {
+					t.Fatalf("%+v %d×Alloc(%d): FreshStats %+v, the open Local's %+v", cfg, m, n, got, want)
+				}
+				l.Close()
+				folded := New(cfg, 0)
+				folded.Fold(LocalStats(cfg, m, n))
+				if folded.Stats() != served.Stats() || folded.Used() != served.Used() {
+					t.Fatalf("%+v %d×Alloc(%d): folded %+v, %d words; the closed Local's %+v, %d", cfg, m, n,
+						folded.Stats(), folded.Used(), served.Stats(), served.Used())
+				}
+				served.Release()
+			}
+		}
+	}
+}

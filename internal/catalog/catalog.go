@@ -250,7 +250,7 @@ type Stats struct {
 	WorkloadReuses int64 `json:"workload_reuses"`
 
 	// BuildRecordBytes is what the build records on the entries keep
-	// resident — each a built hash table's bucket headers and node arena,
+	// resident — each a sealed hash table's bucket counts and flat layout,
 	// freed with its entry or evicted for a relation or reservation that
 	// would not fit otherwise — charged to the capacity beside Bytes.
 	// BuildRecordHits counts the joins over a registered build side that

@@ -56,8 +56,8 @@ func (k *buildKey) equal(o *buildKey) bool {
 
 // BuildRecord is one executed build side: r's radix passes, the build
 // phase, the merge of separate tables (or the swap to a GPU-built one) and
-// the discrete build transfer. It holds the table the probe reads, with its
-// arena (freed when a kept record is sealed, see RunKept), and every value
+// the discrete build transfer. It holds the table the probe reads (sealed
+// when a record is made to be kept, see RunKept), and every value
 // those steps add to a Result, in the order they add
 // it: part holds r's partition terms (folded into a Result before s's
 // passes), terms the build terms (folded after them), then pcie, the
@@ -69,7 +69,6 @@ type BuildRecord struct {
 	key buildKey
 
 	table *htab.Table
-	arena *alloc.Arena
 
 	part, terms Result
 	pcie        float64
@@ -96,24 +95,19 @@ func fold(res, p *Result) {
 }
 
 // Bytes is what the record keeps resident: the table's bucket headers and
-// its node arena, or, once sealed, the counts and the flat probe layout.
-func (rec *BuildRecord) Bytes() int64 {
-	return rec.table.Bytes() + int64(len(rec.arena.Words()))*alloc.WordBytes
-}
+// its key nodes, or, once sealed, the counts and the flat probe layout.
+func (rec *BuildRecord) Bytes() int64 { return rec.table.Bytes() }
 
 // Release hands the table's slabs back to the recycler.
-func (rec *BuildRecord) Release() {
-	rec.table.Release()
-	rec.arena.Release()
-}
+func (rec *BuildRecord) Release() { rec.table.Release() }
 
 // buildSide runs the build side under the ratios its key holds: r's radix
 // passes (PHJ), then — but for PHJ-PL', which builds no shared table — the
 // table(s), the build phase, the discrete build transfer, and the swap to
 // a GPU-built table or the merge of separate ones. It records into rec,
 // empty, what a run adds to its Result, in order. r's partitioned columns
-// stay on the runner (PHJ-PL' joins from them); the probe's table and its
-// arena move to the record, and the runner frees the rest.
+// stay on the runner (PHJ-PL' joins from them); the probe's table moves to
+// the record, and the runner frees the rest.
 func (rn *runner) buildSide(rec *BuildRecord, exec *sched.Exec) error {
 	opt := rn.opt
 	if opt.Algo == PHJ {
@@ -171,12 +165,6 @@ func (rn *runner) buildSide(rec *BuildRecord, exec *sched.Exec) error {
 	if rn.arenaGPU != nil {
 		rec.alloc.Add(rn.arenaGPU.Stats())
 	}
-	rec.table, rec.arena = rn.table, rn.table.Arena()
-	rn.table = nil
-	if rec.arena == rn.arena {
-		rn.arena = nil
-	} else {
-		rn.arenaGPU = nil
-	}
+	rec.table, rn.table = rn.table, nil
 	return nil
 }

@@ -197,8 +197,8 @@ func TestRunKeptKeys(t *testing.T) {
 }
 
 // TestBuildRecordReleaseReturnsSlabs: a kept record is sealed — it holds
-// its table's bucket counts and the flat probe layout (off, ent), no node
-// arena and no key-list heads — and Release hands those three slabs to the
+// its table's bucket counts and the flat probe layout (off, ent), no key
+// nodes and no key-list heads — and Release hands those three slabs to the
 // recycler: the next takes of their sizes are the slabs themselves.
 func TestBuildRecordReleaseReturnsSlabs(t *testing.T) {
 	r := rel.Gen{N: 30000, Seed: 87}.Build()
@@ -207,11 +207,11 @@ func TestBuildRecordReleaseReturnsSlabs(t *testing.T) {
 	if _, err := k.run(r, s, Options{Algo: SHJ, Scheme: CPUOnly}); err != nil {
 		t.Fatal(err)
 	}
-	if k.rec.arena.Words() != nil || k.rec.table.Head != nil {
-		t.Fatal("the kept record still holds its node arena or its key-list heads")
-	}
-	// off and ent are the table's own; their slabs are read through reflect.
+	// nodes, off and ent are the table's own; they are read through reflect.
 	table := reflect.ValueOf(k.rec.table).Elem()
+	if table.FieldByName("nodes").Len() != 0 || k.rec.table.Head != nil {
+		t.Fatal("the kept record still holds its key nodes or its key-list heads")
+	}
 	type slab struct {
 		data unsafe.Pointer
 		n    int
@@ -240,9 +240,12 @@ func TestBuildRecordReleaseReturnsSlabs(t *testing.T) {
 }
 
 // TestSealedRecordSize: the record a 2^20-tuple PHJ-PL build side keeps is
-// sealed to its bucket counts and flat layout, at most 17 MB (about 29.6
-// MB with the node arena and key-list heads), while the probe still prices
-// the built table's resident size.
+// sealed to its bucket counts and flat layout, at most 17 MB, while the
+// probe still prices the built table's resident size. Before sealing, the
+// table holds its bucket headers and a 3-word key node per build tuple —
+// per distinct key, since r's keys are distinct —, about 21.0 MB; the
+// sealed layout is made beside it, so a cold join that keeps its record
+// peaks at the two together.
 func TestSealedRecordSize(t *testing.T) {
 	r := rel.Gen{N: 1 << 20, Seed: 93}.Build()
 	s := rel.Gen{N: 1 << 12, Seed: 94}.Probe(r, 1.0)
@@ -256,9 +259,22 @@ func TestSealedRecordSize(t *testing.T) {
 	if want, err := Run(r, s, opt); err != nil || !reflect.DeepEqual(res, want) {
 		t.Fatalf("the cold kept run differs from the uncached run (err %v)", err)
 	}
-	t.Logf("sealed record %d B, built table %d B", k.rec.Bytes(), k.rec.tableBytes)
+	def := opt
+	def.SetDefaults()
+	rn := newRunner(r, s, def)
+	rn.makeTables()
+	lean := rn.table.Bytes()
+	buckets := int64(len(rn.table.Count))
+	rn.release()
+	keys := k.rec.table.NumKeys()
+	sealedExtra := k.rec.Bytes() - buckets*alloc.WordBytes // off and ent, made while the table is held
+	t.Logf("sealed record %d B, built table %d B, unsealed table %d B, peak while sealing %d B",
+		k.rec.Bytes(), k.rec.tableBytes, lean, lean+sealedExtra)
 	if got := k.rec.Bytes(); got > 17e6 {
 		t.Errorf("the sealed record holds %d B, above 17 MB", got)
+	}
+	if want := (2*buckets + 3*keys) * alloc.WordBytes; keys != int64(r.Len()) || buckets != int64(len(k.rec.table.Count)) || lean != want || lean > 21.1e6 {
+		t.Errorf("the unsealed table of %d keys in %d buckets holds %d B, want %d (≈ 21.0 MB)", keys, buckets, lean, want)
 	}
 	if k.rec.tableBytes <= k.rec.Bytes() {
 		t.Errorf("the record's working set %d B is not the built table's (sealed: %d B)", k.rec.tableBytes, k.rec.Bytes())

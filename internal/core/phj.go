@@ -190,9 +190,9 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 			if nb < 2 {
 				nb = 2
 			}
-			t := htab.New(nb, rn.arena)
-			for i := rLo; i < rHi; i++ {
-				a.Add(t.InsertOne(rn.r.Keys[i], rn.r.RIDs[i]))
+			t := htab.New(nb, rHi-rLo, rn.arena)
+			for _, key := range rn.r.Keys[rLo:rHi] {
+				a.Add(t.InsertOne(key))
 			}
 			for i := sLo; i < sHi; i++ {
 				a.Add(t.ProbeOne(rn.s.Keys[i], &rn.out))
@@ -212,7 +212,7 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 // population, so the ratio choice needs no side-effecting probe run.
 func (rn *runner) coarseJoin(ctx context.Context, res *Result, model *cost.Model) error {
 	// No shared table is built, so tableBytes is still staticEnv's estimate.
-	rn.arena = rn.newArena()
+	rn.arena = alloc.New(rn.opt.Alloc, 0)
 	parts := rn.geo.parts
 	rn.env.coarsePairBytes = (rn.r.Bytes() + rn.s.Bytes() + rn.env.tableBytes) / int64(parts)
 

@@ -63,7 +63,8 @@ func TestRecycledSlabsNeverReachResults(t *testing.T) {
 	r := rel.Gen{N: 20000, Dist: rel.LowSkew, Seed: 51}.Build()
 	s := rel.Gen{N: 24000, Dist: rel.LowSkew, Seed: 52}.Probe(r, 0.8)
 	want := rel.NaiveJoinCount(r, s)
-	// The largest slab of these runs is a table arena of ~5 words per tuple.
+	// The largest slab of these runs is a table's node array of 3 words per
+	// tuple.
 	maxWords := 16 * r.Len()
 
 	workerSets := []int{1}
@@ -257,8 +258,8 @@ func TestSteadyStateAllocationCeiling(t *testing.T) {
 // TestMonteCarloPhaseAllocatesNoRun: the Monte Carlo driver prices a phase
 // under the join's static environment and executes nothing but the pilot,
 // whose slabs go back. A warm call therefore allocates a few closures and
-// its samples, far below |R|·4 bytes — a run's scratch slab, table arenas
-// or hash table taken and not released would each exceed it. An unknown
+// its samples, far below |R|·4 bytes — a run's scratch slab or hash table
+// taken and not released would each exceed it. An unknown
 // phase is rejected before the pilot, so it allocates only its error.
 func TestMonteCarloPhaseAllocatesNoRun(t *testing.T) {
 	r := rel.Gen{N: 1 << 18, Seed: 73}.Build()

@@ -32,11 +32,11 @@ type runner struct {
 	outMu    sync.Mutex
 	outExtra alloc.Stats
 
-	// The build's table(s) and their node arenas (makeTables) — or
-	// PHJ-PL''s pair-table arena — until buildSide moves the probe's table
-	// to its record.
-	arena    *alloc.Arena // table nodes (CPU table when separate)
-	arenaGPU *alloc.Arena // GPU table nodes when separate
+	// The build's table(s) and the arenas their allocator requests are
+	// charged on (makeTables) — or PHJ-PL''s pair tables' arena — until
+	// buildSide moves the probe's table to its record.
+	arena    *alloc.Arena // CPU table's requests when separate
+	arenaGPU *alloc.Arena // GPU table's requests when separate
 	table    *htab.Table
 	tableGPU *htab.Table // nil when shared
 	probed   *htab.Table // the table the probe reads: the run's record's, or a kept one
@@ -46,14 +46,16 @@ type runner struct {
 
 	// Intermediate per-step arrays (the "intermediate results" PL trades
 	// in): R-side for the build series, S-side for the probe series. The
-	// work hints exist only under Options.Grouping, their one reader. p2's
-	// one host pass (htab.Walk) leaves each probe tuple's key-list nodes
-	// visited and matches in visS and matchS, which p3 and p4 charge from.
-	bucketR, nodeR, workR        []int32
+	// work hints exist only under Options.Grouping, their one reader. b3's
+	// one host pass leaves each build tuple's key-list nodes visited and
+	// whether it created its key in visR and freshR, which b3 charges from;
+	// p2's (htab.Walk) leaves each probe tuple's nodes visited and matches
+	// in visS and matchS, which p3 and p4 charge from.
+	bucketR, visR, freshR, workR []int32
 	bucketS, visS, matchS, workS []int32
 
-	// own is the ownership layout the parallel insert kernels of the build
-	// (b3, b4) read, built by b3's ParSetup.
+	// own is the ownership layout the parallel insert steps of the build
+	// (b3's kernel, b4's charge) read, built by b3's ParSetup.
 	own htab.Owners
 
 	// geo is the run's table layout (staticEnv); the PHJ state below
@@ -92,12 +94,11 @@ func (rn *runner) release() {
 }
 
 // releaseTables hands back whatever the runner still holds of the build:
-// tables, arenas and the ownership layout.
+// tables and the ownership layout. The arenas hold no words; dropping them
+// keeps finish from counting the build's requests twice.
 func (rn *runner) releaseTables() {
 	rn.table.Release()
 	rn.tableGPU.Release()
-	rn.arena.Release()
-	rn.arenaGPU.Release()
 	rn.own.Release()
 	rn.table, rn.tableGPU, rn.arena, rn.arenaGPU = nil, nil, nil, nil
 }
@@ -118,7 +119,7 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	// One slab, carved: the arrays live and die together. Its contents are
 	// arbitrary; every column is written by the step that produces it
 	// before the step that consumes it reads it.
-	words := 2*nr + 3*ns
+	words := 3*nr + 3*ns
 	if opt.Grouping {
 		words += nr + ns
 	}
@@ -128,7 +129,7 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 		scratch = scratch[n:]
 		return c
 	}
-	rn.bucketR, rn.nodeR = carve(nr), carve(nr)
+	rn.bucketR, rn.visR, rn.freshR = carve(nr), carve(nr), carve(nr)
 	rn.bucketS, rn.visS, rn.matchS = carve(ns), carve(ns), carve(ns)
 	if opt.Grouping {
 		rn.workR, rn.workS = carve(nr), carve(ns)
@@ -136,37 +137,26 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	return rn
 }
 
-// newArena returns an arena for one table's nodes over R, pre-sized for
-// the worst case (every key distinct: 3 words per key node + 2 per rid
-// node) with headroom for the worker-private block allocation of the
-// parallel build, because the backing array must not move while shards
-// hold offsets into it. A separate GPU table must fit a full build: under
-// GPU-only ratios it receives every tuple.
-func (rn *runner) newArena() *alloc.Arena {
-	return alloc.New(rn.opt.Alloc, alloc.ParallelCapWords(rn.opt.Alloc, rn.r.Len()*5+64, 3, 4*sched.DefaultShards))
-}
-
-// makeTables creates the hash table(s) and their arenas. For SHJ the
-// bucket count is the next power of two of |R| (load factor ≤ 1); for PHJ
-// the segmented layout is parts × bucketsPerPart. Either way it is the
-// geometry's nBuckets, which the environment's residency estimate already
-// assumes.
+// makeTables creates the hash table(s) and the arenas their allocator
+// requests are charged on, which only count (alloc.New with no words). For
+// SHJ the bucket count is the next power of two of |R| (load factor ≤ 1);
+// for PHJ the segmented layout is parts × bucketsPerPart. Either way it is
+// the geometry's nBuckets, which the environment's residency estimate
+// already assumes. Every table has room for all of R's keys: a separate
+// GPU table receives every tuple under GPU-only ratios.
 func (rn *runner) makeTables() {
-	g := rn.geo
-	rn.arena = rn.newArena()
-	if rn.opt.SeparateTables {
-		rn.arenaGPU = rn.newArena()
+	g, n := rn.geo, rn.r.Len()
+	newTable := func(arena *alloc.Arena) *htab.Table {
+		if rn.opt.Algo == PHJ {
+			return htab.NewSeg(g.parts, g.bucketsPerPart, n, rn.opt.hashShift, g.plan.TotalBits(), arena)
+		}
+		return htab.NewShifted(n, n, rn.opt.hashShift, arena)
 	}
-	if rn.opt.Algo == PHJ {
-		rn.table = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.hashShift, g.plan.TotalBits(), rn.arena)
-		if rn.opt.SeparateTables {
-			rn.tableGPU = htab.NewSeg(g.parts, g.bucketsPerPart, rn.opt.hashShift, g.plan.TotalBits(), rn.arenaGPU)
-		}
-	} else {
-		rn.table = htab.NewShifted(rn.r.Len(), rn.opt.hashShift, rn.arena)
-		if rn.opt.SeparateTables {
-			rn.tableGPU = htab.NewShifted(rn.r.Len(), rn.opt.hashShift, rn.arenaGPU)
-		}
+	rn.arena = alloc.New(rn.opt.Alloc, 0)
+	rn.table = newTable(rn.arena)
+	if rn.opt.SeparateTables {
+		rn.arenaGPU = alloc.New(rn.opt.Alloc, 0)
+		rn.tableGPU = newTable(rn.arenaGPU)
 	}
 }
 
@@ -195,23 +185,11 @@ func (rn *runner) grouping(d *device.Device, work []int32, lo, hi int) ([]int32,
 	return order, a
 }
 
-// mapOwned runs an ownership-shard kernel of the build over the tuples of
-// [lo,hi): fn receives one shard's share, a range of the owner-ordered
-// columns, and a worker-private allocator on t's arena.
-func (rn *runner) mapOwned(p *sched.Pool, t *htab.Table, lo, hi int, fn func(lo, hi int, la *alloc.Local) device.Acct) device.Acct {
-	from, to := rn.own.Cut(lo), rn.own.Cut(hi)
-	return p.MapShards(rn.own.Shards(), func(shard int) device.Acct {
-		la := t.Arena().NewLocal()
-		defer la.Close()
-		return fn(int(from[shard]), int(to[shard]), la)
-	})
-}
-
 // buildSeries returns the build step series (b1..b4) over R. Every step
 // carries both the single-stream kernel and its parallel counterpart; the
 // executor picks by the presence of a worker pool.
 func (rn *runner) buildSeries() sched.Series {
-	keys, rids := rn.r.Keys, rn.r.RIDs
+	keys := rn.r.Keys
 	steps := []sched.Step{
 		{
 			ID: sched.B1, OutBytesPerItem: 4,
@@ -235,7 +213,7 @@ func (rn *runner) buildSeries() sched.Series {
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				return rn.tableFor(d).B2(d, rn.bucketR, rn.workR, lo, hi)
 			},
-			// On a pool b2 only charges: b4's shards count the tuples.
+			// On a pool b2 only charges: b3's shards count the tuples.
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return rn.tableFor(d).B2Charge(lo, hi)
 			},
@@ -244,33 +222,38 @@ func (rn *runner) buildSeries() sched.Series {
 			ID: sched.B3, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workR, lo, hi)
-				a := rn.tableFor(d).B3(d, keys, rn.bucketR, rn.nodeR, lo, hi, order)
+				a := rn.tableFor(d).B3(d, keys, rn.bucketR, rn.visR, rn.freshR, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
 			},
 			// One layout over b1's bucket numbers serves b3 and b4, both
-			// devices and both separate tables (they share one geometry);
-			// b3 writes node in its order for b4. offsetsR is nil but for
-			// a partitioned (PHJ) build side.
-			ParSetup: func(p *sched.Pool) { rn.own.Build(p, rn.table, keys, rn.bucketR, rids, rn.offsetsR) },
+			// devices and both separate tables (they share one geometry).
+			// offsetsR is nil but for a partitioned (PHJ) build side.
+			ParSetup: func(p *sched.Pool) { rn.own.Build(p, rn.table, keys, rn.bucketR, rn.offsetsR) },
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return rn.mapOwned(p, t, lo, hi, func(lo, hi int, la *alloc.Local) device.Acct {
-					return t.B3Shard(d, rn.own.Keys, rn.own.Bucket, rn.nodeR, lo, hi, la)
+				from, to := rn.own.Cut(lo), rn.own.Cut(hi)
+				return p.MapShards(rn.own.Shards(), func(k int) device.Acct {
+					return t.B3Shard(d, rn.own.Keys, rn.own.Bucket, rn.visR, rn.freshR, int(from[k]), int(to[k]))
 				})
 			},
 		},
 		{
+			// b3's pass did b4's host work: b4 only charges, on a pool per
+			// ownership shard.
 			ID: sched.B4, OutBytesPerItem: 0,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				return rn.tableFor(d).B4(d, rids, rn.nodeR, lo, hi)
+				return rn.tableFor(d).B4Charge(lo, hi, false)
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				t := rn.tableFor(d)
-				return rn.mapOwned(p, t, lo, hi, func(lo, hi int, la *alloc.Local) device.Acct {
-					return t.B4Shard(d, rn.own.Bucket, rn.own.RIDs, rn.nodeR, lo, hi, la)
-				})
+				from, to := rn.own.Cut(lo), rn.own.Cut(hi)
+				var shards [sched.DefaultShards]device.Acct
+				for k := range rn.own.Shards() {
+					shards[k] = t.B4Charge(int(from[k]), int(to[k]), true)
+				}
+				return sched.MergeAccts(shards[:rn.own.Shards()])
 			},
 		},
 	}

@@ -3,7 +3,6 @@ package htab
 import (
 	"testing"
 
-	"apujoin/internal/alloc"
 	"apujoin/internal/device"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
@@ -13,20 +12,19 @@ func TestGroupingReducesP3Divergence(t *testing.T) {
 	n := 1 << 18
 	r := rel.Gen{N: n, Seed: 1}.Build()
 	s := rel.Gen{N: n, Seed: 2}.Probe(r, 1.0)
-	arena := alloc.New(alloc.Config{}, n*6)
-	tbl := New(n, arena)
+	tbl := newFlat(n)
 	gpu := device.New(device.APUGPU())
 	bucket := make([]int32, n)
 	vis := make([]int32, n)
-	node := make([]int32, n)
+	match := make([]int32, n)
 	work := make([]int32, n)
 	tbl.B1(gpu, r.Keys, bucket, 0, n)
 	tbl.B2(gpu, bucket, nil, 0, n)
-	tbl.B3(gpu, r.Keys, bucket, node, 0, n, nil)
-	tbl.B4(gpu, r.RIDs, node, 0, n)
+	tbl.B3(gpu, r.Keys, bucket, vis, match, 0, n, nil)
+	tbl.B4Charge(0, n, false)
 
 	tbl.P1(gpu, s.Keys, bucket, 0, n)
-	tbl.Walk(s.Keys, bucket, work, vis, node, 0, n)
+	tbl.Walk(s.Keys, bucket, work, vis, match, 0, n)
 	plain := tbl.P3Charge(gpu, vis, 0, n, nil)
 	order := sched.GroupOrder(work, 0, n, 32)
 	grouped := tbl.P3Charge(gpu, vis, 0, n, order)

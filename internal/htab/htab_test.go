@@ -10,23 +10,25 @@ import (
 	"apujoin/internal/rel"
 )
 
+// buildAll runs the single-stream b1..b4 over r into tbl.
 func buildAll(t *testing.T, tbl *Table, d *device.Device, r rel.Relation) {
 	t.Helper()
 	n := r.Len()
-	bucket := make([]int32, n)
-	node := make([]int32, n)
+	bucket, vis, fresh := make([]int32, n), make([]int32, n), make([]int32, n)
 	tbl.B1(d, r.Keys, bucket, 0, n)
 	tbl.B2(d, bucket, nil, 0, n)
-	tbl.B3(d, r.Keys, bucket, node, 0, n, nil)
-	tbl.B4(d, r.RIDs, node, 0, n)
+	tbl.B3(d, r.Keys, bucket, vis, fresh, 0, n, nil)
+	tbl.B4Charge(0, n, false)
 }
+
+// newFlat returns a flat table for a build side of n tuples whose
+// allocator requests are only counted.
+func newFlat(n int) *Table { return New(n, n, alloc.New(alloc.Config{}, 0)) }
 
 func TestBuildThenValidate(t *testing.T) {
 	r := rel.Gen{N: 20000, Seed: 1}.Build()
-	arena := alloc.New(alloc.Config{}, r.Len()*6)
-	tbl := New(r.Len(), arena)
-	cpu := device.New(device.APUCPU())
-	buildAll(t, tbl, cpu, r)
+	tbl := newFlat(r.Len())
+	buildAll(t, tbl, device.New(device.APUCPU()), r)
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +39,14 @@ func TestBuildThenValidate(t *testing.T) {
 
 func TestLookupAfterBuild(t *testing.T) {
 	r := rel.Gen{N: 5000, Seed: 2}.Build()
-	arena := alloc.New(alloc.Config{}, r.Len()*6)
-	tbl := New(r.Len(), arena)
+	tbl := newFlat(r.Len())
 	buildAll(t, tbl, device.New(device.APUCPU()), r)
 	for i := 0; i < 100; i++ {
-		rids := tbl.Lookup(r.Keys[i])
-		if len(rids) != 1 || rids[0] != r.RIDs[i] {
-			t.Fatalf("key %d: lookup %v, want [%d]", r.Keys[i], rids, r.RIDs[i])
+		if rids := tbl.Lookup(r.Keys[i]); rids != 1 {
+			t.Fatalf("key %d: %d rids, want 1", r.Keys[i], rids)
 		}
 	}
-	if tbl.Lookup(-12345) != nil {
+	if tbl.Lookup(-12345) != 0 {
 		t.Fatal("absent key found")
 	}
 }
@@ -55,14 +55,13 @@ func TestDuplicateKeysAccumulateRIDs(t *testing.T) {
 	keys := []int32{7, 7, 7, 9}
 	rids := []int32{0, 1, 2, 3}
 	r := rel.Relation{Keys: keys, RIDs: rids}
-	arena := alloc.New(alloc.Config{}, 256)
-	tbl := New(8, arena)
+	tbl := New(8, r.Len(), alloc.New(alloc.Config{}, 0))
 	buildAll(t, tbl, device.New(device.APUCPU()), r)
-	if got := tbl.Lookup(7); len(got) != 3 {
-		t.Fatalf("key 7 rids %v, want 3 entries", got)
+	if got := tbl.Lookup(7); got != 3 {
+		t.Fatalf("key 7 holds %d rids, want 3", got)
 	}
-	if got := tbl.Lookup(9); len(got) != 1 {
-		t.Fatalf("key 9 rids %v", got)
+	if got := tbl.Lookup(9); got != 1 {
+		t.Fatalf("key 9 holds %d rids", got)
 	}
 	if tbl.NumKeys() != 2 {
 		t.Fatalf("numKeys %d, want 2", tbl.NumKeys())
@@ -77,9 +76,8 @@ func TestProbePipelineCountsMatches(t *testing.T) {
 	s := rel.Gen{N: 15000, Seed: 4}.Probe(r, 0.6)
 	want := rel.NaiveJoinCount(r, s)
 
-	arena := alloc.New(alloc.Config{}, r.Len()*6)
 	outArena := alloc.New(alloc.Config{}, 64)
-	tbl := New(r.Len(), arena)
+	tbl := newFlat(r.Len())
 	gpu := device.New(device.APUGPU())
 	buildAll(t, tbl, gpu, r)
 
@@ -109,16 +107,14 @@ func TestSplitExecutionEqualsFull(t *testing.T) {
 	gpu := device.New(device.APUGPU())
 
 	build := func(split int) *Table {
-		arena := alloc.New(alloc.Config{}, r.Len()*6)
-		tbl := New(r.Len(), arena)
+		tbl := newFlat(r.Len())
 		n := r.Len()
-		bucket := make([]int32, n)
-		node := make([]int32, n)
+		bucket, vis, fresh := make([]int32, n), make([]int32, n), make([]int32, n)
 		for _, step := range []func(d *device.Device, lo, hi int){
 			func(d *device.Device, lo, hi int) { tbl.B1(d, r.Keys, bucket, lo, hi) },
 			func(d *device.Device, lo, hi int) { tbl.B2(d, bucket, nil, lo, hi) },
-			func(d *device.Device, lo, hi int) { tbl.B3(d, r.Keys, bucket, node, lo, hi, nil) },
-			func(d *device.Device, lo, hi int) { tbl.B4(d, r.RIDs, node, lo, hi) },
+			func(d *device.Device, lo, hi int) { tbl.B3(d, r.Keys, bucket, vis, fresh, lo, hi, nil) },
+			func(d *device.Device, lo, hi int) { tbl.B4Charge(lo, hi, false) },
 		} {
 			step(cpu, 0, split)
 			step(gpu, split, n)
@@ -129,10 +125,8 @@ func TestSplitExecutionEqualsFull(t *testing.T) {
 	full := build(r.Len())
 	mixed := build(r.Len() / 3)
 	for i := 0; i < 200; i++ {
-		a := full.Lookup(r.Keys[i])
-		b := mixed.Lookup(r.Keys[i])
-		if len(a) != len(b) || len(a) != 1 || a[0] != b[0] {
-			t.Fatalf("key %d: full %v vs mixed %v", r.Keys[i], a, b)
+		if a, b := full.Lookup(r.Keys[i]), mixed.Lookup(r.Keys[i]); a != b || a != 1 {
+			t.Fatalf("key %d: full %d rids vs mixed %d", r.Keys[i], a, b)
 		}
 	}
 	if err := mixed.Validate(); err != nil {
@@ -140,29 +134,32 @@ func TestSplitExecutionEqualsFull(t *testing.T) {
 	}
 }
 
+// TestMergePreservesAllPairs: two separate tables built over the halves of
+// one build side merge into one holding every tuple.
 func TestMergePreservesAllPairs(t *testing.T) {
 	r := rel.Gen{N: 6000, Seed: 6}.Build()
-	half := r.Len() / 2
+	n, half := r.Len(), r.Len()/2
 	cpu := device.New(device.APUCPU())
-
-	mk := func(part rel.Relation) *Table {
-		arena := alloc.New(alloc.Config{}, r.Len()*6)
-		tbl := New(r.Len(), arena)
-		buildAll(t, tbl, cpu, part)
+	bucket, vis, fresh := make([]int32, n), make([]int32, n), make([]int32, n)
+	mk := func(lo, hi int) *Table {
+		tbl := newFlat(n)
+		tbl.B1(cpu, r.Keys, bucket, lo, hi)
+		tbl.B2(cpu, bucket, nil, lo, hi)
+		tbl.B3(cpu, r.Keys, bucket, vis, fresh, lo, hi, nil)
+		tbl.B4Charge(lo, hi, false)
 		return tbl
 	}
-	a := mk(r.Slice(0, half))
-	b := mk(r.Slice(half, r.Len()))
+	a, b := mk(0, half), mk(half, n)
 	acct := a.Merge(b)
-	if acct.Items != int64(r.Len()-half) {
+	if acct.Items != int64(n-half) {
 		t.Fatalf("merge items %d", acct.Items)
 	}
-	if a.NumKeys() != int64(r.Len()) {
-		t.Fatalf("after merge %d distinct keys, want %d", a.NumKeys(), r.Len())
+	if a.NumKeys() != int64(n) {
+		t.Fatalf("after merge %d distinct keys, want %d", a.NumKeys(), n)
 	}
-	for i := 0; i < r.Len(); i += 97 {
-		if got := a.Lookup(r.Keys[i]); len(got) != 1 || got[0] != r.RIDs[i] {
-			t.Fatalf("after merge key %d: %v", r.Keys[i], got)
+	for i := 0; i < n; i += 97 {
+		if got := a.Lookup(r.Keys[i]); got != 1 {
+			t.Fatalf("after merge key %d holds %d rids", r.Keys[i], got)
 		}
 	}
 	if err := a.Validate(); err != nil {
@@ -176,8 +173,7 @@ func TestSegmentedTableRouting(t *testing.T) {
 	const radixBits = 4
 	const parts = 1 << radixBits
 	r := rel.Gen{N: 4000, Seed: 7}.Build()
-	arena := alloc.New(alloc.Config{}, r.Len()*6)
-	tbl := NewSeg(parts, 64, 0, radixBits, arena)
+	tbl := NewSeg(parts, 64, r.Len(), 0, radixBits, alloc.New(alloc.Config{}, 0))
 	cpu := device.New(device.APUCPU())
 
 	n := r.Len()
@@ -185,19 +181,17 @@ func TestSegmentedTableRouting(t *testing.T) {
 	for i, k := range r.Keys {
 		partIdx[i] = int32(hashOf(k) & (parts - 1))
 	}
-	bucket := make([]int32, n)
-	node := make([]int32, n)
+	bucket, vis, fresh := make([]int32, n), make([]int32, n), make([]int32, n)
 	tbl.B1Seg(cpu, r.Keys, partIdx, bucket, 0, n)
 	tbl.B2(cpu, bucket, nil, 0, n)
-	tbl.B3(cpu, r.Keys, bucket, node, 0, n, nil)
-	tbl.B4(cpu, r.RIDs, node, 0, n)
+	tbl.B3(cpu, r.Keys, bucket, vis, fresh, 0, n, nil)
+	tbl.B4Charge(0, n, false)
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		got := tbl.LookupSeg(r.Keys[i], int(partIdx[i]))
-		if len(got) != 1 || got[0] != r.RIDs[i] {
-			t.Fatalf("segmented lookup key %d: %v", r.Keys[i], got)
+		if got := tbl.LookupSeg(r.Keys[i], int(partIdx[i])); got != 1 {
+			t.Fatalf("segmented lookup key %d: %d rids", r.Keys[i], got)
 		}
 	}
 	// Segments should use many distinct buckets (the seg-shift fix).
@@ -217,10 +211,9 @@ func TestInsertProbeOneAgreeWithBatch(t *testing.T) {
 		g := rel.Gen{N: 300, Seed: seed}
 		r := g.Build()
 		s := rel.Gen{N: 300, Seed: seed + 1}.Probe(r, 0.5)
-		arena := alloc.New(alloc.Config{}, 4096)
-		tbl := New(r.Len(), arena)
-		for i := range r.Keys {
-			tbl.InsertOne(r.Keys[i], r.RIDs[i])
+		tbl := newFlat(r.Len())
+		for _, key := range r.Keys {
+			tbl.InsertOne(key)
 		}
 		out := Out{}
 		for i := range s.Keys {
@@ -234,10 +227,9 @@ func TestInsertProbeOneAgreeWithBatch(t *testing.T) {
 }
 
 func TestBytesResidentGrowsWithInserts(t *testing.T) {
-	arena := alloc.New(alloc.Config{}, 1024)
-	tbl := New(64, arena)
+	tbl := New(64, 1, alloc.New(alloc.Config{}, 0))
 	before := tbl.BytesResident()
-	tbl.InsertOne(1, 1)
+	tbl.InsertOne(1)
 	if tbl.BytesResident() <= before {
 		t.Fatal("resident bytes did not grow")
 	}

@@ -7,165 +7,16 @@ import (
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
-	"apujoin/internal/hash"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
 
-// p2Ref and p3Ref are the accounted p2 and p3 kernels from before Walk did
-// the probe's host work in one pass and P2Charge and P3Charge charged it:
-// p2 snapshots each tuple's key-list head into head[i] and its bucket's
-// tuple count into work[i] (if non-nil); p3 walks the key list from head[i]
-// for the tuple's key, storing the matching key node (or -1) into node[i].
-// They are kept as the references the charges are held to.
-func (t *Table) p2Ref(bucket []int32, head, work []int32, lo, hi int) device.Acct {
-	var a device.Acct
-	for i := lo; i < hi; i++ {
-		b := bucket[i]
-		head[i] = t.Head[b]
-		if work != nil {
-			work[i] = t.Count[b]
-		}
-	}
-	n := int64(hi - lo)
-	a.Items = n
-	a.Instr = n * instrVisitHeader
-	a.SeqBytes = n * 8
-	a.Rand[device.RegionHashTable] = n
-	return a
-}
-
-func (t *Table) p3Ref(d *device.Device, keys, head []int32, node []int32, lo, hi int, order []int32) device.Acct {
-	var a device.Acct
-	div := device.NewDivTracker(d.WavefrontSize)
-	words := t.arena.Words()
-
-	run := func(i int) {
-		key := keys[i]
-		var visited int32 = 1
-		kn := head[i]
-		for kn != nilRef && words[kn+keyOffKey] != key {
-			kn = words[kn+keyOffNext]
-			visited++
-		}
-		node[i] = kn
-		a.Instr += int64(visited) * instrListNode
-		a.Rand[device.RegionHashTable] += int64(visited)
-		div.Item(visited)
-	}
-
-	if order != nil {
-		// order is the grouped permutation of exactly [lo,hi).
-		for _, i := range order {
-			run(int(i))
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			run(i)
-		}
-	}
-
-	n := int64(hi - lo)
-	a.Items = n
-	a.SeqBytes = n * 12
-	div.Flush(&a)
-	return a
-}
-
-// p4Ref and probeOneRef are p4 and ProbeOne as they were while they wrote
-// the join output: every matching (buildRID, probeRID) pair of node[i]'s
-// rid list is served by Alloc(2) from the output arena and written into it.
-// They are kept as the reference the counting kernels are held to.
-func (t *Table) p4Ref(d *device.Device, rids, node []int32, out *Out, lo, hi int, order []int32) device.Acct {
-	var a device.Acct
-	div := device.NewDivTracker(d.WavefrontSize)
-	words := t.arena.Words()
-	var before alloc.Stats
-	if out.Materialize && out.Arena != nil {
-		before = out.Arena.Stats()
-	}
-
-	run := func(i int) {
-		kn := node[i]
-		var matches int32
-		if kn != nilRef {
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				matches++
-				a.Rand[device.RegionHashTable]++
-				if out.Materialize && out.Arena != nil {
-					off := out.Arena.Alloc(2)
-					ow := out.Arena.Words()
-					ow[off] = words[rn+ridOffRID]
-					ow[off+1] = rids[i]
-				}
-			}
-		}
-		out.Pairs += int64(matches)
-		a.Instr += int64(matches+1) * instrEmitMatch
-		if out.Materialize {
-			a.SeqBytes += int64(matches) * 8 // output pair write
-		}
-		div.Item(matches + 1)
-	}
-
-	if order != nil {
-		for _, i := range order {
-			run(int(i))
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			run(i)
-		}
-	}
-
-	n := int64(hi - lo)
-	a.Items = n
-	a.SeqBytes += n * 8 // rid, node ref reads
-	if out.Materialize && out.Arena != nil {
-		allocDelta(&a, before, out.Arena.Stats())
-	}
-	div.Flush(&a)
-	return a
-}
-
-func (t *Table) probeOneRef(key, srid int32, out *Out) device.Acct {
-	var a device.Acct
-	a.Items = 1
-	a.Instr = hash.InstrPerHash + instrVisitHeader
-	a.SeqBytes = 8
-	words := t.arena.Words()
-	b := t.bucketOf(key)
-	a.Rand[device.RegionHashTable]++ // bucket header
-
-	kn := t.Head[b]
-	for kn != nilRef && words[kn+keyOffKey] != key {
-		kn = words[kn+keyOffNext]
-		a.Instr += instrListNode
-		a.Rand[device.RegionHashTable]++
-	}
-	if kn == nilRef {
-		return a
-	}
-	for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-		a.Rand[device.RegionHashTable]++
-		a.Instr += instrEmitMatch
-		if out.Materialize && out.Arena != nil {
-			off := out.Arena.Alloc(2)
-			ow := out.Arena.Words()
-			ow[off] = words[rn+ridOffRID]
-			ow[off+1] = srid
-			a.SeqBytes += 8
-		}
-		out.Pairs++
-	}
-	return a
-}
-
 // probeFixture is a table over a build side with about three rids per key,
 // and a probe side run through p1 and Walk, with Walk's work hints kept for
-// grouped order, and through the reference p2 and p3 for p4Ref's nodes.
+// grouped order, and through the reference p2 and p3 on the linked table
+// of the same build side for p4Ref's nodes.
 type probeFixture struct {
-	t                      *Table
+	t, linked              *Table
 	s                      rel.Relation
 	node, work, vis, match []int32
 }
@@ -173,13 +24,13 @@ type probeFixture struct {
 func newProbeFixture(n int, dist rel.Distribution, sel float64) *probeFixture {
 	r := rel.Gen{N: n, KeyRange: n / 3, Seed: 21}.Build()
 	s := rel.Gen{N: n, Dist: dist, Seed: 22}.Probe(r, sel)
-	f := &probeFixture{t: buildSerial(r), s: s, node: make([]int32, n), work: make([]int32, n),
+	f := &probeFixture{t: buildSerial(r), linked: buildLinked(r), s: s, node: make([]int32, n), work: make([]int32, n),
 		vis: make([]int32, n), match: make([]int32, n)}
 	cpu := device.New(device.APUCPU())
 	bucket, head := make([]int32, n), make([]int32, n)
 	f.t.P1(cpu, s.Keys, bucket, 0, n)
-	f.t.p2Ref(bucket, head, nil, 0, n)
-	f.t.p3Ref(cpu, s.Keys, head, f.node, 0, n, nil)
+	f.linked.p2Ref(bucket, head, nil, 0, n)
+	f.linked.p3Ref(cpu, s.Keys, head, f.node, 0, n, nil)
 	f.t.Walk(s.Keys, bucket, f.work, f.vis, f.match, 0, n)
 	return f
 }
@@ -248,7 +99,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 										order = sched.GroupOrder(f.work, sh.lo, sh.hi, 16)
 									}
 									g := f.t.P4Charge(sh.d, f.match, &got, sh.lo, sh.hi, order)
-									w := f.t.p4Ref(sh.d, f.s.RIDs, f.node, &want, sh.lo, sh.hi, order)
+									w := f.linked.p4Ref(sh.d, f.s.RIDs, f.node, &want, sh.lo, sh.hi, order)
 									alloc.PutWords(order)
 									if g != w {
 										t.Fatalf("%s grouped=%v share [%d,%d): acct\n got %+v\nwant %+v", name, grouped, sh.lo, sh.hi, g, w)
@@ -269,7 +120,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 									o.Arena = alloc.New(cfg, 4*(hi-lo)+64)
 									defer o.Arena.Release()
 								}
-								a := f.t.p4Ref(sh.d, f.s.RIDs, f.node, &o, lo, hi, nil)
+								a := f.linked.p4Ref(sh.d, f.s.RIDs, f.node, &o, lo, hi, nil)
 								var st alloc.Stats
 								if o.Arena != nil {
 									st = o.Arena.Stats()
@@ -302,7 +153,7 @@ func TestProbeOneCountsLikeRef(t *testing.T) {
 					got := Out{Arena: alloc.New(cfg, 64), Materialize: materialize}
 					want := Out{Arena: alloc.New(cfg, 64), Materialize: materialize}
 					for i, key := range f.s.Keys {
-						if g, w := f.t.ProbeOne(key, &got), f.t.probeOneRef(key, f.s.RIDs[i], &want); g != w {
+						if g, w := f.t.ProbeOne(key, &got), f.linked.probeOneRef(key, f.s.RIDs[i], &want); g != w {
 							t.Fatalf("%s tuple %d: acct\n got %+v\nwant %+v", name, i, g, w)
 						}
 					}

@@ -13,84 +13,10 @@ import (
 	"apujoin/internal/sched"
 )
 
-// b3ShardIdx and b4ShardIdx are the insert kernels B3Shard / B4Shard were
-// before the contiguous layout: a shard walks an ascending, sparse list of
-// its tuple indices — the build's owner index — over the build's own
-// columns. They are kept as the reference decomposition: same tuples, same
-// order, same allocator request sequence, so the same device.Acct per
-// (step, share, shard).
-func (t *Table) b3ShardIdx(d *device.Device, keys, bucket, node []int32, idx []int32, la *alloc.Local) device.Acct {
-	var a device.Acct
-	div := device.NewDivTracker(d.WavefrontSize)
-	words := t.arena.Words()
-
-	var created int64
-	for _, i := range idx {
-		b := bucket[i]
-		key := keys[i]
-		var visited int32 = 1
-		kn := t.Head[b]
-		for kn != nilRef && words[kn+keyOffKey] != key {
-			kn = words[kn+keyOffNext]
-			visited++
-		}
-		if kn == nilRef {
-			kn = la.Alloc(keyNodeWords)
-			words[kn+keyOffKey] = key
-			words[kn+keyOffRIDHead] = nilRef
-			words[kn+keyOffNext] = t.Head[b]
-			t.Head[b] = kn
-			created++
-		}
-		node[i] = kn
-		a.Instr += int64(visited) * instrListNode
-		a.Rand[device.RegionHashTable] += int64(visited)
-		div.Item(visited)
-	}
-	t.numKeys.Add(created)
-
-	processed := int64(len(idx))
-	a.Items = processed
-	a.Instr += created * instrCreateNode
-	a.AtomicOps = created
-	a.SeqBytes = processed * 12
-	a.AtomicTargets = int64(t.nBuckets)
-	st := la.Stats()
-	a.AllocAtomics += st.GlobalAtomics
-	a.LocalOps += st.LocalOps
-	div.Flush(&a)
-	return a
-}
-
-func (t *Table) b4ShardIdx(rids, node []int32, idx []int32, la *alloc.Local) device.Acct {
-	var a device.Acct
-	words := t.arena.Words()
-	before := la.Stats()
-
-	for _, i := range idx {
-		kn := node[i]
-		rn := la.Alloc(ridNodeWords)
-		words[rn+ridOffRID] = rids[i]
-		words[rn+ridOffNext] = words[kn+keyOffRIDHead]
-		words[kn+keyOffRIDHead] = rn
-	}
-
-	processed := int64(len(idx))
-	a.Items = processed
-	a.Instr = processed * instrInsertRID
-	a.SeqBytes = processed * 8
-	a.Rand[device.RegionHashTable] = processed * 2
-	a.AtomicOps = processed
-	a.AtomicTargets = max(t.numKeys.Load(), 1)
-	st := la.Stats().Sub(before)
-	a.AllocAtomics += st.GlobalAtomics
-	a.LocalOps += st.LocalOps
-	return a
-}
-
 // b2AtomicRef is the pooled b2 before it only charged: B2 with a sync/atomic
 // increment of the bucket count, run over concurrent range morsels. It is
-// kept as the reference B2Charge's records are held to.
+// kept as the reference B2Charge's records are held to, and it counts the
+// buckets of a linked table built on a pool.
 func (t *Table) b2AtomicRef(d *device.Device, bucket, work []int32, lo, hi int) device.Acct {
 	var a device.Acct
 	for i := lo; i < hi; i++ {
@@ -109,62 +35,91 @@ func (t *Table) b2AtomicRef(d *device.Device, bucket, work []int32, lo, hi int) 
 	return a
 }
 
-// ownedIdx is one shard's list of the owner index the reference kernels
-// walk: the tuples of [lo,hi) whose bucket the shard owns, ascending.
-func ownedIdx(bucket []int32, shift uint, shard, lo, hi int) []int32 {
-	var out []int32
+// ownedIdx is the owner index the reference kernels walk on a pool: per
+// shard, the tuples of [lo,hi) whose bucket it owns, ascending.
+func ownedIdx(bucket []int32, shift uint, shards, lo, hi int) [][]int32 {
+	out := make([][]int32, shards)
 	for i := lo; i < hi; i++ {
-		if int(bucket[i]>>shift) == shard {
-			out = append(out, int32(i))
-		}
+		k := bucket[i] >> shift
+		out[k] = append(out[k], int32(i))
 	}
 	return out
 }
 
-// buildSerial runs the single-stream b1..b4 pipeline.
+// buildSerial runs the single-stream b1..b4 pipeline into a flat table.
 func buildSerial(r rel.Relation) *Table {
-	n := r.Len()
-	arena := alloc.New(alloc.Config{}, n*6+64)
-	t := New(n, arena)
-	cpu := device.New(device.APUCPU())
-	bucket := make([]int32, n)
-	node := make([]int32, n)
-	t.B1(cpu, r.Keys, bucket, 0, n)
-	t.B2(cpu, bucket, nil, 0, n)
-	t.B3(cpu, r.Keys, bucket, node, 0, n, nil)
-	t.B4(cpu, r.RIDs, node, 0, n)
-	return t
+	ib := newInsertBuild(sideOf(r, 0), false, false, alloc.Config{})
+	ib.serial(ib.r.Len(), ib.r.Len(), false)
+	return ib.tables[0]
 }
 
-// insertBuild is a build after b1, ready for the ownership-shard insert
-// steps as a pool runs them — b2 only charges there, so no bucket is
-// counted yet: a CPU and a GPU table — one table twice unless the build
-// keeps separate tables — and b1's bucket numbers. A PHJ build side is
-// sorted by a radix partition first, as the partition phase leaves it, and
-// offsets holds its partition boundaries.
+// buildLinked is buildSerial on the paper's linked table, the references'.
+func buildLinked(r rel.Relation) *Table {
+	ib := newInsertBuild(sideOf(r, 0), false, true, alloc.Config{})
+	ib.serial(ib.r.Len(), ib.r.Len(), false)
+	return ib.tables[0]
+}
+
+// insertBuild is a build after b1, ready for b2..b4 as the runner executes
+// them, single-stream or on a pool, with the production kernels on lean
+// tables or the reference kernels on linked ones: a CPU and a GPU table —
+// one table twice unless the build keeps separate tables — and b1's bucket
+// numbers. A PHJ build side is sorted by a radix partition first, as the
+// partition phase leaves it, and offsets holds its partition boundaries.
 type insertBuild struct {
-	tables       [2]*Table
-	r            rel.Relation
-	bucket, node []int32
-	offsets      []int32
-	shift        uint
+	tables  [2]*Table
+	linked  bool
+	r       rel.Relation
+	bucket  []int32
+	work    []int32 // b2's hints on a single stream
+	node    []int32 // a linked build's b3 → b4 column
+	offsets []int32
+	shift   uint
+	// vis and fresh are a lean build's b3 columns, at tuple indices on a
+	// single stream, at owner-ordered positions on a pool.
+	vis, fresh []int32
 }
 
-// newInsertBuild builds over r with the given allocator: SHJ when bits is
-// 0, else PHJ over 1<<bits partitions.
-func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config) *insertBuild {
+// buildSide is a build side ready for b1: r, sorted by its radix partition
+// over the low bits hash bits when bits > 0, as the partition phase leaves
+// a PHJ build side, with each tuple's partition and the boundaries.
+type buildSide struct {
+	r                rel.Relation
+	bits             uint
+	partIdx, offsets []int32
+}
+
+func sideOf(r rel.Relation, bits uint) buildSide {
+	if bits == 0 {
+		return buildSide{r: r}
+	}
+	r, partIdx, offsets := byPartition(r, bits)
+	return buildSide{r, bits, partIdx, offsets}
+}
+
+// newInsertBuild prepares a build over side with the given allocator: SHJ
+// when side.bits is 0, else PHJ over 1<<bits partitions; linked for the
+// references.
+func newInsertBuild(side buildSide, separate, linked bool, cfg alloc.Config) *insertBuild {
+	r, bits := side.r, side.bits
 	n := r.Len()
-	ib := &insertBuild{r: r, bucket: make([]int32, n), node: make([]int32, n)}
-	var partIdx []int32
-	if bits > 0 {
-		ib.r, partIdx, ib.offsets = byPartition(r, bits)
+	ib := &insertBuild{r: r, linked: linked, bucket: make([]int32, n), work: make([]int32, n), offsets: side.offsets}
+	if linked {
+		ib.node = make([]int32, n)
+	} else {
+		ib.vis, ib.fresh = make([]int32, n), make([]int32, n)
 	}
 	newTable := func() *Table {
-		arena := alloc.New(cfg, alloc.ParallelCapWords(cfg, n*5+64, 3, 4*sched.DefaultShards))
-		if bits > 0 {
-			return NewSeg(1<<bits, max(n>>bits, 1), 0, bits, arena)
+		// A linked table's nodes are allocated for real, and on a pool
+		// from Locals, which never grow the arena.
+		arena, nodes := alloc.New(cfg, alloc.ParallelCapWords(cfg, n*5+64, 3, 4*sched.DefaultShards)), 0
+		if !linked {
+			arena, nodes = alloc.New(cfg, 0), n
 		}
-		return New(n, arena)
+		if bits > 0 {
+			return NewSeg(1<<bits, max(n>>bits, 1), nodes, 0, bits, arena)
+		}
+		return New(n, nodes, arena)
 	}
 	ib.tables[0] = newTable()
 	ib.tables[1] = ib.tables[0]
@@ -174,29 +129,11 @@ func newInsertBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config) 
 	cpu := device.New(device.APUCPU())
 	t := ib.tables[0]
 	if bits > 0 {
-		t.B1Seg(cpu, ib.r.Keys, partIdx, ib.bucket, 0, n)
+		t.B1Seg(cpu, r.Keys, side.partIdx, ib.bucket, 0, n)
 	} else {
-		t.B1(cpu, ib.r.Keys, ib.bucket, 0, n)
+		t.B1(cpu, r.Keys, ib.bucket, 0, n)
 	}
 	_, ib.shift = sched.OwnerShards(t.nBuckets)
-	return ib
-}
-
-// newSerialBuild is newInsertBuild's build run to the end with the
-// single-stream kernels, every step of it split at cut between the CPU and
-// the GPU share, as a DD build splits them.
-func newSerialBuild(r rel.Relation, bits uint, separate bool, cfg alloc.Config, cut int) *insertBuild {
-	ib := newInsertBuild(r, bits, separate, cfg)
-	shares := ib.shares(cut)
-	for _, sh := range shares {
-		sh.t.B2(sh.d, ib.bucket, nil, sh.lo, sh.hi)
-	}
-	for _, sh := range shares {
-		sh.t.B3(sh.d, ib.r.Keys, ib.bucket, ib.node, sh.lo, sh.hi, nil)
-	}
-	for _, sh := range shares {
-		sh.t.B4(sh.d, ib.r.RIDs, ib.node, sh.lo, sh.hi)
-	}
 	return ib
 }
 
@@ -246,92 +183,143 @@ func (ib *insertBuild) shards() int {
 	return shards
 }
 
-// b2Records runs b2 over every non-empty share — the executor dispatches no
-// empty one — and returns one record per share: the pooled b2's charge, or
-// with ref the atomic reference over range morsels on the pool, which also
-// counts the share's tuples into the share's table.
-func (ib *insertBuild) b2Records(pool *sched.Pool, shares []share, ref bool) []device.Acct {
-	var out []device.Acct
-	for _, sh := range shares {
-		if sh.lo == sh.hi {
-			continue
-		}
-		if !ref {
-			out = append(out, sh.t.B2Charge(sh.lo, sh.hi))
-			continue
-		}
-		out = append(out, pool.MapRange(sh.lo, sh.hi, func(lo, hi int) device.Acct {
-			return sh.t.b2AtomicRef(sh.d, ib.bucket, nil, lo, hi)
-		}))
+// serial runs b2..b4 single-stream, b2 and b3 cut at cut3 and b4 at cut4
+// between the CPU and the GPU share, the GPU share of b3 in grouped order
+// when grouped, as the runner's grouped build does. It returns the records
+// of b3's and b4's shares.
+func (ib *insertBuild) serial(cut3, cut4 int, grouped bool) (b3, b4 []device.Acct) {
+	for _, sh := range ib.shares(cut3) {
+		sh.t.B2(sh.d, ib.bucket, ib.work, sh.lo, sh.hi)
 	}
-	return out
-}
-
-// insertIdx runs b3 over b3Shares, then b4 over b4Shares, with the
-// reference kernels: every shard walks its owner-index list of the share,
-// the shards one after another in the given order. It returns every (step,
-// share, shard) accounting record.
-func (ib *insertBuild) insertIdx(b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
-	for _, sh := range b3Shares {
-		accts := make([]device.Acct, ib.shards())
-		for _, s := range order {
-			la := sh.t.arena.NewLocal()
-			accts[s] = sh.t.b3ShardIdx(sh.d, ib.r.Keys, ib.bucket, ib.node, ownedIdx(ib.bucket, ib.shift, s, sh.lo, sh.hi), la)
-			la.Close()
+	for _, sh := range ib.shares(cut3) {
+		var order []int32
+		if grouped && sh.d.WavefrontSize > 1 && sh.hi-sh.lo > 1 {
+			order = sched.GroupOrder(ib.work, sh.lo, sh.hi, 16)
 		}
-		b3 = append(b3, accts)
+		if ib.linked {
+			b3 = append(b3, sh.t.b3Ref(sh.d, ib.r.Keys, ib.bucket, ib.node, sh.lo, sh.hi, order, sh.t.arena))
+		} else {
+			b3 = append(b3, sh.t.B3(sh.d, ib.r.Keys, ib.bucket, ib.vis, ib.fresh, sh.lo, sh.hi, order))
+		}
+		alloc.PutWords(order)
 	}
-	for _, sh := range b4Shares {
-		accts := make([]device.Acct, ib.shards())
-		for _, s := range order {
-			la := sh.t.arena.NewLocal()
-			accts[s] = sh.t.b4ShardIdx(ib.r.RIDs, ib.node, ownedIdx(ib.bucket, ib.shift, s, sh.lo, sh.hi), la)
-			la.Close()
+	for _, sh := range ib.shares(cut4) {
+		if ib.linked {
+			b4 = append(b4, sh.t.b4Ref(ib.r.RIDs, ib.node, sh.lo, sh.hi, nil, sh.t.arena))
+		} else {
+			b4 = append(b4, sh.t.B4Charge(sh.lo, sh.hi, false))
 		}
-		b4 = append(b4, accts)
 	}
 	return b3, b4
 }
 
-// owners lays out the build's insert ownership, as b3's ParSetup does.
-func (ib *insertBuild) owners(pool *sched.Pool) *Owners {
+// pooled runs b2..b4 as a pool runs them, cuts as for serial, and returns
+// every (step, share, shard) record: a linked build counts the buckets with
+// b2AtomicRef and walks each shard's owner index over the build's own
+// columns through a Local per (step, share, shard), the shards in order; a
+// lean build only charges b2, lays out its Owners and runs B3Shard on the
+// pool and B4Charge per shard.
+func (ib *insertBuild) pooled(pool *sched.Pool, cut3, cut4 int, order []int) (b3, b4 [][]device.Acct) {
+	if ib.linked {
+		for _, sh := range ib.shares(cut3) {
+			pool.MapRange(sh.lo, sh.hi, func(lo, hi int) device.Acct {
+				return sh.t.b2AtomicRef(sh.d, ib.bucket, nil, lo, hi)
+			})
+		}
+		each := func(cut int, fn func(sh share, idx []int32, la *alloc.Local) device.Acct) (out [][]device.Acct) {
+			for _, sh := range ib.shares(cut) {
+				accts := make([]device.Acct, ib.shards())
+				idx := ownedIdx(ib.bucket, ib.shift, ib.shards(), sh.lo, sh.hi)
+				for _, k := range order {
+					la := sh.t.arena.NewLocal()
+					accts[k] = fn(sh, idx[k], la)
+					la.Close()
+				}
+				out = append(out, accts)
+			}
+			return out
+		}
+		b3 = each(cut3, func(sh share, idx []int32, la *alloc.Local) device.Acct {
+			return sh.t.b3Ref(sh.d, ib.r.Keys, ib.bucket, ib.node, 0, 0, idx, la)
+		})
+		b4 = each(cut4, func(sh share, idx []int32, la *alloc.Local) device.Acct {
+			return sh.t.b4Ref(ib.r.RIDs, ib.node, 0, 0, idx, la)
+		})
+		return b3, b4
+	}
 	var o Owners
-	o.Build(pool, ib.tables[0], ib.r.Keys, ib.bucket, ib.r.RIDs, ib.offsets)
-	return &o
+	defer o.Release()
+	o.Build(pool, ib.tables[0], ib.r.Keys, ib.bucket, ib.offsets)
+	each := func(cut int, fn func(sh share, lo, hi int) device.Acct) (out [][]device.Acct) {
+		for _, sh := range ib.shares(cut) {
+			from, to := o.Cut(sh.lo), o.Cut(sh.hi)
+			run := func(k int) device.Acct { return fn(sh, int(from[k]), int(to[k])) }
+			if order == nil {
+				out = append(out, sched.Collect(pool, o.Shards(), run))
+				continue
+			}
+			accts := make([]device.Acct, o.Shards())
+			for _, k := range order {
+				accts[k] = run(k)
+			}
+			out = append(out, accts)
+		}
+		return out
+	}
+	b3 = each(cut3, func(sh share, lo, hi int) device.Acct {
+		return sh.t.B3Shard(sh.d, o.Keys, o.Bucket, ib.vis, ib.fresh, lo, hi)
+	})
+	b4 = each(cut4, func(sh share, lo, hi int) device.Acct { return sh.t.B4Charge(lo, hi, true) })
+	return b3, b4
 }
 
-// insertOwned runs the same steps with the production kernels over one
-// ownership layout for both steps and all shares. A nil order runs the
-// shards concurrently on the pool, the way the runner does; otherwise one
-// after another in that order.
-func (ib *insertBuild) insertOwned(pool *sched.Pool, o *Owners, b3Shares, b4Shares []share, order []int) (b3, b4 [][]device.Acct) {
-	each := func(sh share, fn func(t *Table, lo, hi int, la *alloc.Local) device.Acct) []device.Acct {
-		from, to := o.Cut(sh.lo), o.Cut(sh.hi)
-		run := func(s int) device.Acct {
-			la := sh.t.arena.NewLocal()
-			defer la.Close()
-			return fn(sh.t, int(from[s]), int(to[s]), la)
-		}
-		if order == nil {
-			return sched.Collect(pool, o.Shards(), run)
-		}
-		accts := make([]device.Acct, o.Shards())
-		for _, s := range order {
-			accts[s] = run(s)
-		}
-		return accts
+// merge merges a separate GPU table into the CPU table, as the runner does
+// after the build, and returns the merge's record.
+func (ib *insertBuild) merge() device.Acct {
+	if ib.linked {
+		return ib.tables[0].mergeRef(ib.tables[1])
 	}
-	for _, sh := range b3Shares {
-		b3 = append(b3, each(sh, func(t *Table, lo, hi int, la *alloc.Local) device.Acct {
-			return t.B3Shard(sh.d, o.Keys, o.Bucket, ib.node, lo, hi, la)
-		}))
+	return ib.tables[0].Merge(ib.tables[1])
+}
+
+// release hands the build's tables, and a linked build's arenas, back to
+// the recycler.
+func (ib *insertBuild) release() {
+	for i, t := range ib.tables {
+		if i > 0 && t == ib.tables[0] {
+			break
+		}
+		t.Release()
+		if ib.linked {
+			t.arena.Release()
+		}
 	}
-	for _, sh := range b4Shares {
-		b4 = append(b4, each(sh, func(t *Table, lo, hi int, la *alloc.Local) device.Acct {
-			return t.B4Shard(sh.d, o.Bucket, o.RIDs, ib.node, lo, hi, la)
-		}))
+}
+
+// sameAs checks a lean build's tables against a linked build's of the same
+// tuples: each lean table valid, with the same bucket counts, key lists and
+// rid counts, distinct keys, allocator totals and modelled working set.
+func (ib *insertBuild) sameAs(ref *insertBuild) error {
+	for i, g := range ib.tables {
+		if i > 0 && g == ib.tables[0] {
+			break // one table twice
+		}
+		w := ref.tables[i]
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("table %d invalid: %v", i, err)
+		}
+		if !slices.Equal(g.Count, w.Count) {
+			return fmt.Errorf("table %d bucket counts differ from the reference's", i)
+		}
+		if err := sameKeyLists(g, w); err != nil {
+			return fmt.Errorf("table %d: %v", i, err)
+		}
+		if g.NumKeys() != w.NumKeys() || g.arena.Stats() != w.arena.Stats() || g.arena.Used() != w.arena.Used() || g.BytesResident() != w.BytesResident() {
+			return fmt.Errorf("table %d holds %d keys, allocator %+v, %d words, %d B resident; the reference %d, %+v, %d, %d",
+				i, g.NumKeys(), g.arena.Stats(), g.arena.Used(), g.BytesResident(), w.NumKeys(), w.arena.Stats(), w.arena.Used(), w.BytesResident())
+		}
 	}
-	return b3, b4
+	return nil
 }
 
 func ascending(n int) []int {
@@ -342,109 +330,12 @@ func ascending(n int) []int {
 	return out
 }
 
-// requireSameTables checks two builds of the same tuples structurally: each
-// table valid, with the bucket counts of the serial build, and the same key
-// population, allocator totals and rid order for every 17th tuple's key as
-// want.
-func requireSameTables(t *testing.T, name string, got, want, serial *insertBuild) {
-	t.Helper()
-	for i := range got.tables {
-		g, w := got.tables[i], want.tables[i]
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: table %d invalid: %v", name, i, err)
-		}
-		if !slices.Equal(g.Count, serial.tables[i].Count) {
-			t.Fatalf("%s: table %d bucket counts differ from the serial build's", name, i)
-		}
-		if g.NumKeys() != w.NumKeys() || g.arena.Stats() != w.arena.Stats() {
-			t.Fatalf("%s: table %d holds %d keys, allocator %+v; the reference %d, %+v", name, i, g.NumKeys(), g.arena.Stats(), w.NumKeys(), w.arena.Stats())
-		}
-		for j := 0; j < got.r.Len(); j += 17 {
-			k := got.r.Keys[j]
-			if a, b := g.Lookup(k), w.Lookup(k); !slices.Equal(a, b) {
-				t.Fatalf("%s: table %d key %d rids %v, the reference's %v", name, i, k, a, b)
-			}
-		}
-	}
-}
-
-// TestShardedBuildMatchesSerial holds the contiguous insert steps to the
-// owner-index kernels they replaced, record by record: every (step, share,
-// shard) device.Acct, the allocator totals and the rid order of every key
-// must be equal — for SHJ, for PHJ over a partition-sorted build side with
-// more partitions than shards (nothing is laid out) and with fewer (the
-// scatter takes over), under Basic and Block allocation, with one shared
-// table and with separate CPU and GPU tables, at cuts on and inside
-// morsels, b2, b3 and b4 cut at different points as per-step PL ratios do.
-// b2 only charges, so b4's shards count the buckets: every table must hold
-// the bucket counts of the serial build split at b4's cut and pass
-// Validate, separate tables whose b2 cut differs from b4's too. A shared
-// SHJ table must also equal the serial build's.
-func TestShardedBuildMatchesSerial(t *testing.T) {
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	n := sched.MorselItems + 3616
-	base := rel.Gen{N: n, Seed: 7}.Build()
-	inputs := map[string]rel.Relation{
-		"distinct":  base,
-		"high-skew": rel.Gen{N: n, Dist: rel.HighSkew, Seed: 8}.Probe(base, 1.0),
-	}
-	for iname, r := range inputs {
-		serial := buildSerial(r)
-		for _, bits := range []uint{0, 6, 3} {
-			for _, cfg := range []alloc.Config{{Strategy: alloc.Basic}, {Strategy: alloc.Block}} {
-				for _, separate := range []bool{false, true} {
-					// b2, b3 and b4 cuts.
-					cuts := [][3]int{{n, n, n}, {n / 3, n / 3, 2 * n / 3}, {n, 0, n / 2}, {0, sched.MorselItems + 77, 5000}}
-					if separate {
-						// A tuple's b3 and b4 must meet one table: DD cuts.
-						cuts = [][3]int{{n / 3, n / 3, n / 3}, {n / 2, sched.MorselItems + 77, sched.MorselItems + 77}, {n, 0, 0}}
-					}
-					for _, cut := range cuts {
-						name := fmt.Sprintf("%s bits=%d %v separate=%v cuts=%v", iname, bits, cfg.Strategy, separate, cut)
-						ref := newInsertBuild(r, bits, separate, cfg)
-						ref2 := ref.b2Records(pool, ref.shares(cut[0]), true)
-						b3Shares, b4Shares := ref.shares(cut[1]), ref.shares(cut[2])
-						ref3, ref4 := ref.insertIdx(b3Shares, b4Shares, ascending(ref.shards()))
-
-						got := newInsertBuild(r, bits, separate, cfg)
-						if got2 := got.b2Records(pool, got.shares(cut[0]), false); !slices.Equal(got2, ref2) {
-							t.Fatalf("%s: b2 accts\n got %+v\nwant %+v", name, got2, ref2)
-						}
-						b3Shares, b4Shares = got.shares(cut[1]), got.shares(cut[2])
-						o := got.owners(pool)
-						got3, got4 := got.insertOwned(pool, o, b3Shares, b4Shares, nil)
-						o.Release()
-						for si := range b3Shares {
-							if !slices.Equal(got3[si], ref3[si]) {
-								t.Fatalf("%s: b3 share %d accts\n got %+v\nwant %+v", name, si, got3[si], ref3[si])
-							}
-							if !slices.Equal(got4[si], ref4[si]) {
-								t.Fatalf("%s: b4 share %d accts\n got %+v\nwant %+v", name, si, got4[si], ref4[si])
-							}
-						}
-						requireSameTables(t, name, got, ref, newSerialBuild(r, bits, separate, cfg, cut[2]))
-						if bits > 0 || separate {
-							continue
-						}
-						for _, k := range r.Keys[:200] {
-							if a, b := serial.Lookup(k), got.tables[0].Lookup(k); !slices.Equal(a, b) {
-								t.Fatalf("%s: key %d rids %v, the serial build's %v", name, k, b, a)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestShardedBuildAccountingDeterministic: per-tuple accounting must be a
 // pure function of the shard decomposition, not of shard execution order.
-// B3Shard and B4Shard run serially over one ownership layout with the
+// B3Shard and B4Charge run serially over one ownership layout with the
 // shards in ascending and in reversed order; every (step, share, shard)
 // record must be the same both ways, and equal to the owner-index
-// reference's.
+// reference's on the linked table.
 func TestShardedBuildAccountingDeterministic(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
@@ -452,14 +343,14 @@ func TestShardedBuildAccountingDeterministic(t *testing.T) {
 		r := rel.Gen{N: 8192, Dist: dist, Seed: 9}.Probe(rel.Gen{N: 8192, Seed: 10}.Build(), 1.0)
 		n := r.Len()
 		for _, bits := range []uint{0, 6} {
-			ref := newInsertBuild(r, bits, false, alloc.Config{})
-			fwd := newInsertBuild(r, bits, false, alloc.Config{})
-			rev := newInsertBuild(r, bits, false, alloc.Config{})
+			ref := newInsertBuild(sideOf(r, bits), false, true, alloc.Config{})
+			fwd := newInsertBuild(sideOf(r, bits), false, false, alloc.Config{})
+			rev := newInsertBuild(sideOf(r, bits), false, false, alloc.Config{})
 			order := ascending(ref.shards())
-			want3, want4 := ref.insertIdx(ref.shares(n/4), ref.shares(n/2), order)
-			fwd3, fwd4 := fwd.insertOwned(nil, fwd.owners(pool), fwd.shares(n/4), fwd.shares(n/2), order)
+			want3, want4 := ref.pooled(pool, n/4, n/2, order)
+			fwd3, fwd4 := fwd.pooled(pool, n/4, n/2, order)
 			slices.Reverse(order)
-			rev3, rev4 := rev.insertOwned(nil, rev.owners(pool), rev.shares(n/4), rev.shares(n/2), order)
+			rev3, rev4 := rev.pooled(pool, n/4, n/2, order)
 
 			for si := range want3 {
 				if !slices.Equal(fwd3[si], rev3[si]) || !slices.Equal(fwd4[si], rev4[si]) {
@@ -467,8 +358,13 @@ func TestShardedBuildAccountingDeterministic(t *testing.T) {
 						dist, bits, si, fwd3[si], rev3[si], fwd4[si], rev4[si])
 				}
 				if !slices.Equal(fwd3[si], want3[si]) || !slices.Equal(fwd4[si], want4[si]) {
-					t.Fatalf("%v bits=%d share %d: contiguous kernels differ from the owner-index reference:\n b3 got %+v\n b3 want %+v\n b4 got %+v\n b4 want %+v",
+					t.Fatalf("%v bits=%d share %d: the lean kernels differ from the owner-index reference:\n b3 got %+v\n b3 want %+v\n b4 got %+v\n b4 want %+v",
 						dist, bits, si, fwd3[si], want3[si], fwd4[si], want4[si])
+				}
+			}
+			for _, ib := range []*insertBuild{fwd, rev} {
+				if err := ib.sameAs(ref); err != nil {
+					t.Fatalf("%v bits=%d: %v", dist, bits, err)
 				}
 			}
 		}
@@ -489,10 +385,18 @@ func TestPooledB2ChargeMatchesAtomic(t *testing.T) {
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
 		r := rel.Gen{N: n, Dist: dist, Seed: 12}.Probe(base, 1.0)
 		for _, bits := range []uint{0, 6} {
-			ib := newInsertBuild(r, bits, false, alloc.Config{})
+			ib := newInsertBuild(sideOf(r, bits), false, false, alloc.Config{})
 			for _, cut := range []int{0, n, n / 3, sched.MorselItems + 77, n - 1000} {
-				shares := ib.shares(cut)
-				got, want := ib.b2Records(pool, shares, false), ib.b2Records(pool, shares, true)
+				var got, want []device.Acct
+				for _, sh := range ib.shares(cut) {
+					if sh.lo == sh.hi {
+						continue // the executor dispatches no empty share
+					}
+					got = append(got, sh.t.B2Charge(sh.lo, sh.hi))
+					want = append(want, pool.MapRange(sh.lo, sh.hi, func(lo, hi int) device.Acct {
+						return sh.t.b2AtomicRef(sh.d, ib.bucket, nil, lo, hi)
+					}))
+				}
 				if len(got) == 0 || !slices.Equal(got, want) {
 					t.Fatalf("%v bits=%d cut=%d: pooled b2 charges\n %+v\nthe atomic kernel\n %+v", dist, bits, cut, got, want)
 				}
@@ -501,85 +405,124 @@ func TestPooledB2ChargeMatchesAtomic(t *testing.T) {
 	}
 }
 
-// BenchmarkB3B4Shard measures the two insert steps of a 2^20-tuple SHJ
-// build as the runner executes them — ownership shards on the pool, each
-// reading its contiguous range of the owner-ordered columns, laid out
-// outside the timer (BenchmarkOwnerScatter in internal/sched prices the
-// layout) — beside the owner-index kernels they replaced, whose lists are
-// also built outside the timer. The contiguous rows report their speed-up
-// over the sparse row beside them as x-sparse.
+// BenchmarkB3B4Shard measures the build's insert steps as a pool executes
+// them — ownership shards, each over its contiguous range of the
+// owner-ordered columns, laid out outside the timer (BenchmarkOwnerScatter
+// in internal/sched prices the layout) — at 2^14 and 2^20 tuples (a
+// spilled partition's size and the benchmark's relation size), uniform and
+// high-skew, on pools of 1 and 2: the lean row is b3's one host pass
+// (B3Shard) plus b4's charge per shard, the linked row the paper's linked
+// table built by the reference kernels — key nodes, rid nodes linked
+// through a Local per shard and step — as the host built it before. The
+// lean row reports its speed-up over the linked one as x-linked. Both
+// rows' records must be equal per shard, and the tables' bucket counts,
+// key lists, rid counts and allocator totals too.
 func BenchmarkB3B4Shard(b *testing.B) {
-	const n = 1 << 20
-	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
-		ib := newInsertBuild(rel.Gen{N: n, Dist: dist, Seed: 1}.Build(), 0, false, alloc.Config{})
-		whole := ib.shares(n)[:1]
-		idx := make([][]int32, ib.shards())
-		for s := range idx {
-			idx[s] = ownedIdx(ib.bucket, ib.shift, s, 0, n)
-		}
-		for _, workers := range []int{1, 2} {
-			pool := sched.NewPool(workers)
-			o := ib.owners(pool)
-			var sparseNS float64
-			run := func(name string, insert func()) {
-				b.Run(fmt.Sprintf("%v/pool=%d/%s", dist, workers, name), func(b *testing.B) {
-					t := ib.tables[0]
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						for j := range t.Head {
-							t.Head[j] = nilRef
-						}
-						clear(t.Count)
-						t.numKeys.Store(0)
-						words := len(t.arena.Words())
+	for _, n := range []int{1 << 14, 1 << 20} {
+		for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
+			r := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
+			for _, workers := range []int{1, 2} {
+				pool := sched.NewPool(workers)
+				lean := newInsertBuild(sideOf(r, 0), false, false, alloc.Config{})
+				ref := newInsertBuild(sideOf(r, 0), false, true, alloc.Config{})
+				cpu := device.New(device.APUCPU())
+				var o Owners
+				o.Build(pool, lean.tables[0], lean.r.Keys, lean.bucket, nil)
+				oRIDs := make([]int32, n) // the rids b4 links, owner-ordered
+				from, to := o.Cut(0), o.Cut(n)
+				reset := func(t *Table, linked bool) {
+					for j := range t.Head {
+						t.Head[j] = nilRef
+					}
+					clear(t.Count)
+					t.numKeys.Store(0)
+					words := 0
+					if linked {
+						words = len(t.arena.Words())
 						t.arena.Release()
-						t.arena = alloc.New(alloc.Config{}, words)
-						b.StartTimer()
-						insert()
 					}
-					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					b.ReportMetric(ns/n, "ns/tuple")
-					if name == "sparse" {
-						sparseNS = ns
-					} else if sparseNS > 0 {
-						b.ReportMetric(sparseNS/ns, "x-sparse")
-					}
-				})
-			}
-			run("sparse", func() {
-				t, d := ib.tables[0], whole[0].d
-				for _, step := range []func(s int, la *alloc.Local) device.Acct{
-					func(s int, la *alloc.Local) device.Acct {
-						return t.b3ShardIdx(d, ib.r.Keys, ib.bucket, ib.node, idx[s], la)
-					},
-					func(s int, la *alloc.Local) device.Acct { return t.b4ShardIdx(ib.r.RIDs, ib.node, idx[s], la) },
-				} {
-					pool.MapShards(len(idx), func(s int) device.Acct {
-						la := t.arena.NewLocal()
-						defer la.Close()
-						return step(s, la)
+					t.arena = alloc.New(alloc.Config{}, words)
+				}
+				var got3, got4 device.Acct
+				rows := []struct {
+					name   string
+					t      *Table
+					linked bool
+					insert func(t *Table)
+				}{
+					{"linked", ref.tables[0], true, func(t *Table) {
+						got3 = pool.MapShards(o.Shards(), func(k int) device.Acct {
+							la := t.arena.NewLocal()
+							defer la.Close()
+							for _, bk := range o.Bucket[from[k]:to[k]] {
+								t.Count[bk]++
+							}
+							return t.b3Ref(cpu, o.Keys, o.Bucket, ref.node, int(from[k]), int(to[k]), nil, la)
+						})
+						got4 = pool.MapShards(o.Shards(), func(k int) device.Acct {
+							la := t.arena.NewLocal()
+							defer la.Close()
+							return t.b4Ref(oRIDs, ref.node, int(from[k]), int(to[k]), nil, la)
+						})
+					}},
+					{"lean", lean.tables[0], false, func(t *Table) {
+						got3 = pool.MapShards(o.Shards(), func(k int) device.Acct {
+							return t.B3Shard(cpu, o.Keys, o.Bucket, lean.vis, lean.fresh, int(from[k]), int(to[k]))
+						})
+						var shards [sched.DefaultShards]device.Acct
+						for k := range o.Shards() {
+							shards[k] = t.B4Charge(int(from[k]), int(to[k]), true)
+						}
+						got4 = sched.MergeAccts(shards[:o.Shards()])
+					}},
+				}
+				// The linked build, once outside the timers, is the one every
+				// row is checked against.
+				rows[0].insert(ref.tables[0])
+				want3, want4 := got3, got4
+				var linkedNS float64
+				for _, row := range rows {
+					b.Run(fmt.Sprintf("n=%d/%v/pool=%d/%s", n, dist, workers, row.name), func(b *testing.B) {
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							reset(row.t, row.linked)
+							b.StartTimer()
+							row.insert(row.t)
+						}
+						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+						b.ReportMetric(ns/float64(n), "ns/tuple")
+						if row.linked {
+							linkedNS = ns
+						} else if linkedNS > 0 {
+							b.ReportMetric(linkedNS/ns, "x-linked")
+						}
+						if got3 != want3 || got4 != want4 {
+							b.Fatalf("records\n %+v\n %+v\nthe linked kernels'\n %+v\n %+v", got3, got4, want3, want4)
+						}
+						if err := lean.sameAs(ref); !row.linked && err != nil {
+							b.Fatal(err)
+						}
 					})
 				}
-			})
-			run("contiguous", func() { ib.insertOwned(pool, o, whole, whole, nil) })
-			o.Release()
-			pool.Close()
+				o.Release()
+				pool.Close()
+			}
 		}
 	}
 }
 
 // BenchmarkP3P4 measures the probe's host work over 2^20 probe tuples
 // (selectivity 1) of a 2^20-tuple build as the runner executes it, on range
-// morsels of the pool: Walk, p2's one pass over the table, on the linked
-// layout and on the sealed one (which reports its speed-up over the linked
-// row as x-linked), then the charge pass — P3Charge and P4Charge, the latter
+// morsels of the pool: Walk, p2's one pass over the table, on its key lists
+// and on the sealed layout (which reports its speed-up over the key lists
+// as x-linked), then the charge pass — P3Charge and P4Charge, the latter
 // counting each morsel's pairs and, under materialize, charging its output
 // as ChargeFresh does. p1 runs outside the timer. The sealed walk must write
 // the linked walk's columns, every row must find the pairs the reference
 // p4 finds, and the charge rows' merged records must equal the single-stream
-// reference kernels': at selectivity 1 every morsel's pairs fill whole 2 KB
+// reference kernels' on the paper's linked table: at selectivity 1 every morsel's pairs fill whole 2 KB
 // output blocks, so the morsels' charges add up to one arena's.
 func BenchmarkP3P4(b *testing.B) {
 	const n = 1 << 20
@@ -587,11 +530,11 @@ func BenchmarkP3P4(b *testing.B) {
 	for _, dist := range []rel.Distribution{rel.Uniform, rel.HighSkew} {
 		r := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
 		s := rel.Gen{N: n, Dist: dist, Seed: 2}.Probe(r, 1.0)
-		linked, sealed := buildSerial(r), buildSerial(r)
+		linked, sealed, ref := buildSerial(r), buildSerial(r), buildLinked(r)
 		sealed.Seal(nil)
 		bucket, head, node := make([]int32, n), make([]int32, n), make([]int32, n)
 		linked.P1(cpu, s.Keys, bucket, 0, n)
-		linked.p2Ref(bucket, head, nil, 0, n)
+		ref.p2Ref(bucket, head, nil, 0, n)
 		// One charge row per device and output mode, with the reference
 		// kernels' single-stream records.
 		type charge struct {
@@ -603,10 +546,10 @@ func BenchmarkP3P4(b *testing.B) {
 		var charges []charge
 		var wantPairs int64
 		for _, d := range []*device.Device{cpu, gpu} {
-			want3 := linked.p3Ref(d, s.Keys, head, node, 0, n, nil)
+			want3 := ref.p3Ref(d, s.Keys, head, node, 0, n, nil)
 			for _, materialize := range []bool{true, false} {
 				serial := Out{Materialize: materialize, Arena: alloc.New(alloc.Config{}, 64)}
-				want4 := linked.p4Ref(d, s.RIDs, node, &serial, 0, n, nil)
+				want4 := ref.p4Ref(d, s.RIDs, node, &serial, 0, n, nil)
 				serial.Arena.Release()
 				wantPairs = serial.Pairs
 				name := map[bool]string{true: "materialize", false: "count-only"}[materialize]

@@ -50,21 +50,21 @@ func (t *Table) P1(d *device.Device, keys []int32, bucket []int32, lo, hi int) d
 
 // Walk does the host work of p2, p3 and p4 for probe tuples [lo,hi) in one
 // pass: it visits each tuple's bucket header, walks the key list for the
-// tuple's key and counts the rid list of the matching key. It records the
+// tuple's key and reads the matching key's rid count. It records the
 // key-list nodes visited into vis[i] (the matching node's position plus one,
 // or the list length plus one when the key is absent), the matches into
 // match[i] and, when work is non-nil, the bucket's tuple count into work[i]
 // — the workload hint the grouping optimization sorts by (paper Sec. 3.3:
 // "the amount of workload is represented by the number of keys in the key
 // list"). A sealed table (Seal) is read through its flat layout, any other
-// through its linked lists; both write the same columns. The steps' device
+// through its key lists; both write the same columns. The steps' device
 // time comes from the columns: P2Charge, P3Charge and P4Charge.
 func (t *Table) Walk(keys, bucket, work, vis, match []int32, lo, hi int) {
 	if t.off != nil {
 		t.walkSealed(keys, bucket, work, vis, match, lo, hi)
 		return
 	}
-	words := t.arena.Words()
+	nodes := t.nodes
 	for i := lo; i < hi; i++ {
 		b := bucket[i]
 		if work != nil {
@@ -73,15 +73,13 @@ func (t *Table) Walk(keys, bucket, work, vis, match []int32, lo, hi int) {
 		key := keys[i]
 		var visited int32 = 1
 		kn := t.Head[b]
-		for kn != nilRef && words[kn+keyOffKey] != key {
-			kn = words[kn+keyOffNext]
+		for kn != nilRef && nodes[kn+nodeKey] != key {
+			kn = nodes[kn+nodeNext]
 			visited++
 		}
 		var matches int32
 		if kn != nilRef {
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				matches++
-			}
+			matches = nodes[kn+nodeCount]
 		}
 		vis[i], match[i] = visited, matches
 	}

@@ -10,18 +10,16 @@ import (
 // key, or the whole structure — so only the tests call them.
 
 // Validate walks the whole structure checking invariants: bucket counts
-// equal the number of rids reachable in the bucket, key nodes hash to their
-// bucket, and no reference escapes the arena. It is O(table).
+// equal the rid counts of the bucket's keys, key nodes hash to their
+// bucket, and no reference escapes the node array. It is O(table).
 func (t *Table) Validate() error {
-	words := t.arena.Words()
-	used := int32(t.arena.Used())
 	for b := 0; b < t.nBuckets; b++ {
 		var rids int32
-		for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-			if kn < 0 || kn+keyNodeWords > used {
-				return fmt.Errorf("htab: bucket %d: key node ref %d out of arena [0,%d)", b, kn, used)
+		for kn := t.Head[b]; kn != nilRef; kn = t.nodes[kn+nodeNext] {
+			if kn < 0 || int(kn)+nodeWords > len(t.nodes) || kn%nodeWords != 0 {
+				return fmt.Errorf("htab: bucket %d: key node ref %d out of the node array [0,%d)", b, kn, len(t.nodes))
 			}
-			key := words[kn+keyOffKey]
+			key := t.nodes[kn+nodeKey]
 			if t.bucketsPerPart > 0 {
 				segMask := uint32(t.bucketsPerPart - 1)
 				want := (hash.Murmur2(uint32(key), hash.Murmur2Seed) >> t.segShift) & segMask
@@ -33,50 +31,33 @@ func (t *Table) Validate() error {
 				return fmt.Errorf("htab: bucket %d: key %d hashes to %d", b, key,
 					(hash.Murmur2(uint32(key), hash.Murmur2Seed)>>t.segShift)&t.mask)
 			}
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				if rn < 0 || rn+ridNodeWords > used {
-					return fmt.Errorf("htab: bucket %d: rid node ref %d out of arena [0,%d)", b, rn, used)
-				}
-				rids++
+			if t.nodes[kn+nodeCount] < 1 {
+				return fmt.Errorf("htab: bucket %d: key %d holds %d rids", b, key, t.nodes[kn+nodeCount])
 			}
+			rids += t.nodes[kn+nodeCount]
 		}
 		if rids != t.Count[b] {
-			return fmt.Errorf("htab: bucket %d: header count %d but %d rids reachable", b, t.Count[b], rids)
+			return fmt.Errorf("htab: bucket %d: header count %d but its keys hold %d rids", b, t.Count[b], rids)
 		}
 	}
 	return nil
 }
 
-// Lookup returns the rids associated with key, the flat-table reference the tests read the built structure through.
-func (t *Table) Lookup(key int32) []int32 {
-	words := t.arena.Words()
-	b := t.bucketOf(key)
-	for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-		if words[kn+keyOffKey] == key {
-			var out []int32
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				out = append(out, words[rn+ridOffRID])
-			}
-			return out
-		}
-	}
-	return nil
+// Lookup returns the number of build tuples carrying key, the reference
+// the tests read the built structure through.
+func (t *Table) Lookup(key int32) int32 {
+	return t.lookupIn(t.bucketOf(key), key)
 }
 
-// LookupSeg returns the rids for key within partition part, the segmented
-// analogue of Lookup.
-func (t *Table) LookupSeg(key int32, part int) []int32 {
-	words := t.arena.Words()
+// LookupSeg is Lookup within partition part of a segmented table.
+func (t *Table) LookupSeg(key int32, part int) int32 {
 	segMask := uint32(t.bucketsPerPart - 1)
-	b := part*t.bucketsPerPart + int((hash.Murmur2(uint32(key), hash.Murmur2Seed)>>t.segShift)&segMask)
-	for kn := t.Head[b]; kn != nilRef; kn = words[kn+keyOffNext] {
-		if words[kn+keyOffKey] == key {
-			var out []int32
-			for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-				out = append(out, words[rn+ridOffRID])
-			}
-			return out
-		}
+	return t.lookupIn(uint32(part*t.bucketsPerPart)+(hash.Murmur2(uint32(key), hash.Murmur2Seed)>>t.segShift)&segMask, key)
+}
+
+func (t *Table) lookupIn(b uint32, key int32) int32 {
+	if kn, _ := t.find(b, key); kn != nilRef {
+		return t.nodes[kn+nodeCount]
 	}
-	return nil
+	return 0
 }

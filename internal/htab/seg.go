@@ -21,13 +21,13 @@ import (
 // 1/parts of each segment's buckets would ever be populated (all keys of a
 // partition share their low hash bits by construction).
 // hashShift is the number of still-lower bits an outer (external)
-// partitioning consumed before radixBits.
-func NewSeg(parts, bucketsPerPart int, hashShift, radixBits uint, arena *alloc.Arena) *Table {
+// partitioning consumed before radixBits. n and arena are as for New.
+func NewSeg(parts, bucketsPerPart, n int, hashShift, radixBits uint, arena *alloc.Arena) *Table {
 	bpp := 1
 	for bpp < bucketsPerPart {
 		bpp *= 2
 	}
-	t := New(parts*bpp, arena)
+	t := New(parts*bpp, n, arena)
 	t.bucketsPerPart = bpp
 	t.partShift = hashShift
 	t.segShift = hashShift + radixBits

@@ -8,15 +8,31 @@ import (
 // InsertOne performs a fused single-tuple insert (b1..b4 in one call).
 // It exists for the coarse-grained step definition PHJ-PL' (paper Sec. 3.3),
 // where one work item executes a whole partition pair's join, and for
-// tests.
-func (t *Table) InsertOne(key, rid int32) device.Acct {
-	a, created := t.insertOne(key, rid)
-	if created > 0 {
-		t.numKeys.Add(created)
+// tests. Its key nodes are created in insertion order, so the table takes
+// as many distinct keys as New sized it for tuples. The paper's node
+// requests are charged on the table's arena in request order.
+func (t *Table) InsertOne(key int32) device.Acct {
+	var a device.Acct
+	b := t.bucketOf(key)
+	t.Count[b]++
+	kn, hops := t.find(b, key)
+	if kn == nilRef {
+		kn = int32(nodeWords * t.numKeys.Load())
+		t.nodes[kn+nodeKey], t.nodes[kn+nodeNext], t.nodes[kn+nodeCount] = key, t.Head[b], 0
+		t.Head[b] = kn
+		t.numKeys.Add(1)
+		t.arena.Count(1, keyNodeWords)
+		a.Instr += instrCreateNode
+		a.AtomicOps++
 	}
+	t.nodes[kn+nodeCount]++
+	t.arena.Count(1, ridNodeWords)
 	a.Items = 1
-	a.Instr += hash.InstrPerHash
-	a.SeqBytes += 8
+	a.Instr += hash.InstrPerHash + instrVisitHeader + hops*instrListNode + instrInsertRID
+	a.SeqBytes = 8
+	a.Rand[device.RegionHashTable] = 3 + hops // header, list nodes, rid node and its link
+	a.AtomicOps += 2
+	a.AtomicTargets = int64(t.nBuckets)
 	return a
 }
 
@@ -25,26 +41,15 @@ func (t *Table) InsertOne(key, rid int32) device.Acct {
 // their output.
 func (t *Table) ProbeOne(key int32, out *Out) device.Acct {
 	var a device.Acct
+	kn, hops := t.find(t.bucketOf(key), key)
 	a.Items = 1
-	a.Instr = hash.InstrPerHash + instrVisitHeader
+	a.Instr = hash.InstrPerHash + instrVisitHeader + hops*instrListNode
 	a.SeqBytes = 8
-	words := t.arena.Words()
-	b := t.bucketOf(key)
-	a.Rand[device.RegionHashTable]++ // bucket header
-
-	kn := t.Head[b]
-	for kn != nilRef && words[kn+keyOffKey] != key {
-		kn = words[kn+keyOffNext]
-		a.Instr += instrListNode
-		a.Rand[device.RegionHashTable]++
-	}
+	a.Rand[device.RegionHashTable] = 1 + hops // bucket header, list nodes
 	if kn == nilRef {
 		return a
 	}
-	var matches int64
-	for rn := words[kn+keyOffRIDHead]; rn != nilRef; rn = words[rn+ridOffNext] {
-		matches++
-	}
+	matches := int64(t.nodes[kn+nodeCount])
 	a.Rand[device.RegionHashTable] += matches
 	a.Instr += matches * instrEmitMatch
 	out.Pairs += matches

@@ -24,20 +24,24 @@ type walkCase struct {
 
 // table builds the case's table single-stream, its CPU share [0,cut) into
 // the first table and the rest into a second one merged into the first
-// when cut < |R|, as separate tables are.
-func (c *walkCase) table(cut int) *Table {
+// when cut < |R|, as separate tables are: a lean table, or with linked the
+// paper's linked one through the reference kernels.
+func (c *walkCase) table(cut int, linked bool) *Table {
 	n := c.r.Len()
 	newTable := func() *Table {
-		arena := alloc.New(alloc.Config{}, n*6+64)
+		arena, nodes := alloc.New(alloc.Config{}, n*6+64), 0
+		if !linked {
+			arena, nodes = alloc.New(alloc.Config{}, 0), n
+		}
 		switch {
 		case c.bits > 0:
-			return NewSeg(1<<c.bits, max(n>>c.bits, 1), 0, c.bits, arena)
+			return NewSeg(1<<c.bits, max(n>>c.bits, 1), nodes, 0, c.bits, arena)
 		case c.groups > 0:
-			return New(c.groups, arena)
+			return New(c.groups, nodes, arena)
 		}
-		return New(n, arena)
+		return New(n, nodes, arena)
 	}
-	bucket, node := make([]int32, n), make([]int32, n)
+	bucket, col1, col2 := make([]int32, n), make([]int32, n), make([]int32, n)
 	t, other := newTable(), newTable()
 	cpu := device.New(device.APUCPU())
 	if c.bits > 0 {
@@ -51,14 +55,20 @@ func (c *walkCase) table(cut int) *Table {
 		lo, hi int
 	}{{t, 0, cut}, {other, cut, n}} {
 		sh.t.B2(cpu, bucket, nil, sh.lo, sh.hi)
-		sh.t.B3(cpu, c.r.Keys, bucket, node, sh.lo, sh.hi, nil)
-		sh.t.B4(cpu, c.r.RIDs, node, sh.lo, sh.hi)
+		if linked {
+			sh.t.b3Ref(cpu, c.r.Keys, bucket, col1, sh.lo, sh.hi, nil, sh.t.arena)
+			sh.t.b4Ref(c.r.RIDs, col1, sh.lo, sh.hi, nil, sh.t.arena)
+			continue
+		}
+		sh.t.B3(cpu, c.r.Keys, bucket, col1, col2, sh.lo, sh.hi, nil)
+		sh.t.B4Charge(sh.lo, sh.hi, false)
 	}
-	if cut < n {
+	if cut < n && linked {
+		t.mergeRef(other)
+	} else if cut < n {
 		t.Merge(other)
 	}
 	other.Release()
-	other.arena.Release()
 	return t
 }
 
@@ -98,7 +108,7 @@ func walkCases() []*walkCase {
 
 	cpu := device.New(device.APUCPU())
 	for _, c := range cases {
-		t := c.table(c.r.Len())
+		t := c.table(c.r.Len(), false)
 		c.bucket = make([]int32, c.s.Len())
 		if c.bits > 0 {
 			_, partIdx, _ := byPartition(c.s, c.bits)
@@ -129,7 +139,7 @@ func (w walkCols) equal(o walkCols) bool {
 }
 
 // TestSealedWalkMatchesLinked: Walk writes the same work, vis and match
-// columns on a sealed table as on the linked one it was sealed from, on
+// columns on a sealed table as on the key lists it was sealed from, on
 // every walkCases table, whether sealed on one worker or on a pool — absent
 // keys included, which visit every key of their bucket and one more — and
 // on a table built as two separate tables merged and then sealed. A sealed
@@ -140,16 +150,16 @@ func TestSealedWalkMatchesLinked(t *testing.T) {
 	for _, c := range walkCases() {
 		for _, cut := range []int{c.r.Len(), c.r.Len() / 3} {
 			name := fmt.Sprintf("%s/merged=%v", c.name, cut < c.r.Len())
-			linked := c.table(cut)
+			linked := c.table(cut, false)
 			want := c.walk(pool, linked)
 			for _, sealPool := range []*sched.Pool{nil, pool} {
-				sealed := c.table(cut)
+				sealed := c.table(cut, false)
 				sealed.Seal(sealPool)
 				if got := c.walk(pool, sealed); !got.equal(want) {
 					t.Fatalf("%s: the sealed walk's columns differ from the linked walk's", name)
 				}
-				if sealed.Head != nil || sealed.arena.Words() != nil {
-					t.Fatalf("%s: the sealed table kept its key-list heads or its node arena", name)
+				if sealed.Head != nil || sealed.nodes != nil {
+					t.Fatalf("%s: the sealed table kept its key-list heads or its key nodes", name)
 				}
 				keys := int(sealed.NumKeys())
 				if want := int64(2*len(sealed.Count)+1+2*keys) * alloc.WordBytes; sealed.Bytes() != want {
@@ -173,7 +183,7 @@ func TestSealedWalkMatchesLinked(t *testing.T) {
 
 // TestChargesMatchKernels holds P2Charge, P3Charge and P4Charge, computed
 // from a sealed table's Walk columns, to the accounted kernels they
-// replaced (p2Ref, p3Ref, p4Ref over the linked table) on every walkCases
+// replaced (p2Ref, p3Ref, p4Ref over the paper's linked table) on every walkCases
 // table: per device share, in index and in grouped order, with the shares
 // cut at both ends, at a third, inside a morsel (an odd lo) and in the
 // ragged last morsel; and per range morsel of each share, the output
@@ -189,7 +199,7 @@ func TestChargesMatchKernels(t *testing.T) {
 	}
 	for _, c := range walkCases() {
 		n := c.s.Len()
-		linked, sealed := c.table(c.r.Len()), c.table(c.r.Len())
+		linked, sealed := c.table(c.r.Len(), true), c.table(c.r.Len(), false)
 		sealed.Seal(pool)
 		cols := c.walk(pool, sealed)
 		head, work, node := make([]int32, n), make([]int32, n), make([]int32, n)
@@ -244,21 +254,21 @@ func TestChargesMatchKernels(t *testing.T) {
 	}
 }
 
-// TestSealReturnsSlabs: Seal hands the key-list heads and the node arena to
+// TestSealReturnsSlabs: Seal hands the key-list heads and the key nodes to
 // the recycler at once — the next takes of their size classes are those
 // slabs — and Release hands back the sealed layout.
 func TestSealReturnsSlabs(t *testing.T) {
 	r := rel.Gen{N: 30000, Seed: 37}.Build()
 	tbl := buildSerial(r)
 	slabOf := func(w []int32) *int32 { return &w[:1][0] }
-	head, arena := tbl.Head, tbl.arena.Words()
-	headSlab, arenaSlab := slabOf(head), slabOf(arena)
+	head, nodes := tbl.Head, tbl.nodes
+	headSlab, nodesSlab := slabOf(head), slabOf(nodes)
 	tbl.Seal(nil)
 	for _, want := range []struct {
 		name string
 		slab *int32
 		n    int
-	}{{"arena", arenaSlab, len(arena)}, {"heads", headSlab, len(head)}} {
+	}{{"nodes", nodesSlab, len(nodes)}, {"heads", headSlab, len(head)}} {
 		got := alloc.GetWords(want.n)
 		if slabOf(got) != want.slab {
 			t.Errorf("Seal did not hand the %s back to the recycler", want.name)
@@ -278,5 +288,147 @@ func TestSealReturnsSlabs(t *testing.T) {
 			t.Errorf("Release did not hand the sealed %s back to the recycler", want.name)
 		}
 		defer alloc.PutWords(got)
+	}
+}
+
+// TestBuildChargesMatchKernels holds the build's one host pass and the
+// charges of b3, b4, the allocator and Merge to the kernels that built the
+// paper's linked table (b3Ref, b4Ref, mergeRef), record by record: every
+// b3 and b4 record per device share on a single stream, in index and in
+// grouped order, and per (step, share, shard) on pools of 1 and 2 — where
+// the reference serves each shard's owner index through a Local of its own
+// — and the merge of separate tables; and after the build every table's
+// bucket counts, key lists and rid counts, distinct keys, allocator Stats
+// and Used and BytesResident. Builds are uniform (about three rids per key)
+// and high-skew, on a flat table, a segmented one with more partitions than
+// shards (built in place) and one with fewer (scattered), under Basic and
+// Block allocation at 256 B and 2 KB, shared and separate, with b2 and b3
+// cut at both ends, at a third, inside a morsel and at n−1001, and b4 cut
+// elsewhere on a shared table. Then PHJ-PL′'s pair tables: InsertOne and
+// ProbeOne against insertOneRef and probeOneRef call by call, one arena
+// across every pair.
+func TestBuildChargesMatchKernels(t *testing.T) {
+	pools := []*sched.Pool{sched.NewPool(1), sched.NewPool(2)}
+	defer func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}()
+	n := sched.MorselItems + 3616
+	domain := rel.Gen{N: n, Seed: 7}.Build()
+	inputs := []struct {
+		name string
+		r    rel.Relation
+	}{
+		{"uniform", rel.Gen{N: n, KeyRange: n / 3, Seed: 41}.Build()},
+		{"high-skew", rel.Gen{N: n, Dist: rel.HighSkew, Seed: 8}.Probe(domain, 1.0)},
+	}
+	cfgs := []alloc.Config{{Strategy: alloc.Basic}, {Strategy: alloc.Block, BlockBytes: 256}, {Strategy: alloc.Block}}
+	cuts := []int{0, n, n / 3, sched.MorselItems + 77, n - 1001}
+	modes := []string{"index", "grouped", "pool=1", "pool=2"}
+	for _, in := range inputs {
+		for _, bits := range []uint{0, 6, 3} {
+			side := sideOf(in.r, bits)
+			for _, cfg := range cfgs {
+				for _, separate := range []bool{false, true} {
+					for ci, cut := range cuts {
+						// A tuple's b3 and b4 meet one table: separate
+						// tables are cut alike (DD).
+						cut4 := cut
+						if !separate {
+							cut4 = cuts[(ci+2)%len(cuts)]
+						}
+						// The pooled reference runs its shards one after
+						// another: pool=2 is held to pool=1's.
+						var ref *insertBuild
+						var w3, w4 [][]device.Acct
+						var wm device.Acct
+						for mi, mode := range modes {
+							name := fmt.Sprintf("%s bits=%d %+v separate=%v cuts=%d,%d %s", in.name, bits, cfg, separate, cut, cut4, mode)
+							got := newInsertBuild(side, separate, false, cfg)
+							var g3, g4 [][]device.Acct
+							if mi < 2 {
+								a3, a4 := got.serial(cut, cut4, mode == "grouped")
+								g3, g4 = [][]device.Acct{a3}, [][]device.Acct{a4}
+							} else {
+								g3, g4 = got.pooled(pools[mi-2], cut, cut4, nil)
+							}
+							if mi < 3 {
+								if ref != nil {
+									ref.release()
+								}
+								ref = newInsertBuild(side, separate, true, cfg)
+								if mi < 2 {
+									b3, b4 := ref.serial(cut, cut4, mode == "grouped")
+									w3, w4 = [][]device.Acct{b3}, [][]device.Acct{b4}
+								} else {
+									w3, w4 = ref.pooled(nil, cut, cut4, ascending(ref.shards()))
+								}
+								if separate {
+									wm = ref.merge()
+								}
+							}
+							for i := range w3 {
+								if !slices.Equal(g3[i], w3[i]) {
+									t.Fatalf("%s: b3 records %d\n got %+v\nwant %+v", name, i, g3[i], w3[i])
+								}
+								if !slices.Equal(g4[i], w4[i]) {
+									t.Fatalf("%s: b4 records %d\n got %+v\nwant %+v", name, i, g4[i], w4[i])
+								}
+							}
+							if separate {
+								if g := got.merge(); g != wm {
+									t.Fatalf("%s: merge record\n got %+v\nwant %+v", name, g, wm)
+								}
+							}
+							if err := got.sameAs(ref); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							got.release()
+						}
+						ref.release()
+					}
+				}
+			}
+		}
+	}
+
+	const bits = 6
+	for _, in := range inputs {
+		r, _, rOff := byPartition(in.r, bits)
+		s, _, sOff := byPartition(rel.Gen{N: n / 16, Seed: 42}.Probe(in.r, 0.7), bits)
+		for _, cfg := range cfgs {
+			name := fmt.Sprintf("pair tables %s %+v", in.name, cfg)
+			lean, linked := alloc.New(cfg, 0), alloc.New(cfg, 64)
+			gotOut := Out{Arena: alloc.New(cfg, 64), Materialize: true}
+			wantOut := Out{Arena: alloc.New(cfg, 64), Materialize: true}
+			for p := range 1 << bits {
+				rLo, rHi := int(rOff[p]), int(rOff[p+1])
+				nb := max(rHi-rLo, 2)
+				g, w := New(nb, rHi-rLo, lean), New(nb, 0, linked)
+				for i := rLo; i < rHi; i++ {
+					if ga, wa := g.InsertOne(r.Keys[i]), w.insertOneFusedRef(r.Keys[i], r.RIDs[i]); ga != wa {
+						t.Fatalf("%s: pair %d tuple %d: insert record\n got %+v\nwant %+v", name, p, i, ga, wa)
+					}
+				}
+				if err := sameKeyLists(g, w); err != nil {
+					t.Fatalf("%s: pair %d: %v", name, p, err)
+				}
+				if g.NumKeys() != w.NumKeys() || g.BytesResident() != w.BytesResident() {
+					t.Fatalf("%s: pair %d holds %d keys in %d B, the reference %d in %d B", name, p, g.NumKeys(), g.BytesResident(), w.NumKeys(), w.BytesResident())
+				}
+				for i := int(sOff[p]); i < int(sOff[p+1]); i++ {
+					if ga, wa := g.ProbeOne(s.Keys[i], &gotOut), w.probeOneRef(s.Keys[i], s.RIDs[i], &wantOut); ga != wa {
+						t.Fatalf("%s: pair %d probe tuple %d: record\n got %+v\nwant %+v", name, p, i, ga, wa)
+					}
+				}
+				g.Release()
+				w.Release()
+			}
+			if lean.Stats() != linked.Stats() || lean.Used() != linked.Used() {
+				t.Fatalf("%s: arena %+v, %d words; the reference %+v, %d", name, lean.Stats(), lean.Used(), linked.Stats(), linked.Used())
+			}
+			requireSameOut(t, name, &gotOut, &wantOut)
+		}
 	}
 }
