@@ -28,7 +28,7 @@ COVERAGE_FLOOR ?= 91
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1944 internal/httpapi:593 internal/core:1548 internal/cluster:302 internal/catalog:266 internal/htab:557
+LOC_CEILINGS ?= internal/service:1944 internal/httpapi:593 internal/core:1531 internal/cluster:302 internal/catalog:266 internal/htab:557
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -74,8 +74,10 @@ bench:
 # 2, of the steps as the runner executes them — the SHJ build's owner
 # scatter (sched.Scatter, the one count/prefix/fill every hash split runs
 # on), n2's counting morsels, one whole radix pass from n2 to the gathered
-# relation (single-stream and pooled, beside the chunk chains the host used
-# to build on the same input, the ratio printed as x-chains), the build's
+# keys (single-stream and pooled, as the runner moves them, and a
+# two-column single-stream row as the external join gathers pairs, beside
+# the chunk chains the host used to build on the same input, the ratio
+# printed as x-chains), the build's
 # one host pass (b3's kernel over the contiguous ranges of its ownership
 # shards, plus b4's charge per shard) at 2^14 and 2^20 tuples beside the
 # reference kernels that linked the paper's key and rid nodes through a

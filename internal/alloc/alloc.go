@@ -90,10 +90,15 @@ func (s *Stats) Add(t Stats) {
 
 // Arena is a pre-allocated int32 array serving dynamic requests.
 //
-// The serial entry point Alloc is not safe for concurrent use; the parallel
-// execution engine instead hands each worker a Local view (see local.go)
-// whose block grabs go through Grab, the only concurrent operation and the
-// arena's one atomic instruction. Alloc never overlaps a Grab — a parallel
+// The join's kernels only charge it — Count, and on a pool the Stats a
+// worker-private Local would close with (LocalStats) folded in with Fold —
+// so their arenas hold no words; Alloc and the Locals serve the reference
+// kernels the tests hold those charges to.
+//
+// The serial entry point Alloc is not safe for concurrent use; a parallel
+// phase instead hands each worker a Local view (see local.go) whose block
+// grabs go through Grab, the only concurrent operation and the arena's one
+// atomic instruction. Alloc never overlaps a Grab — a parallel
 // phase ends at a barrier before serial allocation resumes — so it bumps
 // the pointer with plain reads and writes; the global atomics of the
 // paper's allocator are counted in Stats, not executed. While any Local is

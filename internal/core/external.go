@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"apujoin/internal/alloc"
 	"apujoin/internal/device"
 	"apujoin/internal/mem"
 	"apujoin/internal/radix"
@@ -103,9 +102,7 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	// usual n1..n3 steps (DD co-processing with the paper's partition-phase
 	// ratio), leaving its partitions in out, and returns their offsets.
 	partitionPass := func(in, out rel.Relation, shift, bits uint) ([]int32, error) {
-		arena := alloc.New(opt.Alloc, in.Len()*3+radix.ChunkTuples*4)
-		defer arena.Release()
-		pass := radix.NewPass(in, arena, shift, bits)
+		pass := radix.NewPass(in, opt.Alloc, shift, bits)
 		defer pass.Release()
 		env.partitionStreams = int64(1<<bits) * chunkBytes
 		pres, err := exec.Run(passSeries(pass, in.Len(), exec.Pool), sched.Uniform(0.25, 3))

@@ -17,20 +17,11 @@ import (
 // size the partition-phase cache working set.
 const chunkBytes = int64((1 + 2*radix.ChunkTuples) * 4)
 
-// passArenaWords pre-sizes one radix pass's chunk arena for the worst-case
-// chunk population (one partial chunk per partition beyond the full ones),
-// with headroom for worker-private block allocation, since the arena must
-// not grow while parallel shards hold offsets into it.
-func passArenaWords(n, parts int, cfg alloc.Config) int {
-	chunkWords := 1 + 2*radix.ChunkTuples
-	chunks := n/radix.ChunkTuples + parts + 1
-	return alloc.ParallelCapWords(cfg, chunks*chunkWords, chunkWords, 2*sched.DefaultShards)
-}
-
 // partitionSide runs every radix pass of the build (r) or probe (s) side
 // at the ratios chosen for it, accumulating the passes' timing into res,
-// and leaves the side reordered by partition with its partition index and
-// offsets on the runner.
+// and leaves the side's keys reordered by partition with its offsets on the
+// runner. The segmented table takes a tuple's partition from its hash
+// (htab.Table.B1Seg), so no partition index is kept.
 func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, build bool) error {
 	plan := rn.geo.plan
 	in := rn.s
@@ -45,52 +36,48 @@ func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, 
 		// A later pass's boundaries cover only its own fan-out.
 		offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.hashShift)
 	}
-	out := radix.Result{Rel: cur, Offsets: offs, Plan: plan}
-	idx := rn.hold(alloc.GetWords(cur.Len())) // PartIdx writes every entry
-	out.PartIdx(idx)
 	if build {
-		rn.r, rn.partIdxR, rn.offsetsR = out.Rel, idx, out.Offsets
+		rn.r, rn.offsetsR = cur, offs
 	} else {
-		rn.s, rn.partIdxS, rn.offsetsS = out.Rel, idx, out.Offsets
+		rn.s, rn.offsetsS = cur, offs
 	}
 	return nil
 }
 
 // partitionRel runs every pass of plan over in and returns the partitioned
-// relation with the last pass's partition offsets — the final boundaries
-// when that pass was the only one. Passes never write their input, so the
-// first one reads the caller's relation in place; passes ping-pong between
-// two recycler buffers of the run's own (the second exists only if a second
-// pass does), never into the catalog-resident input. The buffer holding the
-// result is held for the run; the other goes back at once, so S's passes
-// reuse R's. first marks the build relation, whose first pass records the
-// ratios.
+// keys, as a relation with no RID column (no join reads one), with the last
+// pass's partition offsets — the final boundaries when that pass was the
+// only one. Passes never write their input, so the first one reads the
+// caller's relation in place; passes ping-pong between two recycler key
+// columns of the run's own (the second exists only if a second pass does),
+// never into the catalog-resident input. The column holding the result is
+// held for the run; the other goes back at once, so S's passes reuse R's.
+// first marks the build relation, whose first pass records the ratios.
 func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
 	n := in.Len()
 	cur := in
 	var offs []int32
-	var bufs [2]rel.Relation
+	var bufs [2][]int32
 
 	shift := rn.opt.hashShift
 	for pi, bits := range plan.BitsPerPass {
 		buf := &bufs[pi%2]
-		if buf.Keys == nil {
-			// The pass's Gather writes all n tuples of both columns.
-			*buf = rel.Recycled(n)
+		if *buf == nil {
+			*buf = alloc.GetWords(n) // the pass's Gather writes all n keys
 		}
+		out := rel.Relation{Keys: *buf}
 		var err error
-		if offs, err = rn.partitionPass(res, exec, cur, *buf, shift, bits, passes[pi].ratios, first && pi == 0); err != nil {
-			bufs[0].Release()
-			bufs[1].Release()
+		if offs, err = rn.partitionPass(res, exec, cur, out, shift, bits, passes[pi].ratios, first && pi == 0); err != nil {
+			alloc.PutWords(bufs[0])
+			alloc.PutWords(bufs[1])
 			return rel.Relation{}, nil, err
 		}
-		cur = *buf
+		cur = out
 		shift += bits
 	}
 	if passes := plan.Passes(); passes > 0 {
-		bufs[passes%2].Release() // the one not holding the result (none after a single pass)
+		alloc.PutWords(bufs[passes%2]) // the one not holding the result (none after a single pass)
 		rn.hold(cur.Keys)
-		rn.hold(cur.RIDs)
 	}
 	return cur, offs, nil
 }
@@ -110,17 +97,15 @@ func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesP
 }
 
 // partitionPass runs one radix pass over cur at ratios (nil under
-// BasicUnit), leaving its partitions in out, and returns their offsets. n3
-// only charges the chunk chains — on a pool through the ownership shards,
-// single-stream (BasicUnit's chunk-by-chunk n1→n2→n3) through the pass
-// arena — and Gather moves the tuples into out. The pass's chunk arena and
-// partition numbers live exactly as long as the pass.
+// BasicUnit), leaving its partitions' keys in out, and returns their
+// offsets. n3 only charges the chunk chains — on a pool as the ownership
+// shards, single-stream (BasicUnit's chunk-by-chunk n1→n2→n3) in request
+// order, both on an arena that only counts — and Gather moves the keys into
+// out. The pass's partition numbers live exactly as long as the pass.
 func (rn *runner) partitionPass(res *Result, exec *sched.Exec, cur, out rel.Relation, shift, bits uint, ratios sched.Ratios, record bool) ([]int32, error) {
 	opt := rn.opt
 	n := cur.Len()
-	arena := alloc.New(opt.Alloc, passArenaWords(n, 1<<bits, opt.Alloc))
-	defer arena.Release()
-	pass := radix.NewPass(cur, arena, shift, bits)
+	pass := radix.NewPass(cur, opt.Alloc, shift, bits)
 	defer pass.Release()
 	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
 	ns, ratios, err := rn.runPhase(res, exec, passSeries(pass, n, exec.Pool), ratios, "partition")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"apujoin/internal/alloc"
 	"apujoin/internal/cost"
 	"apujoin/internal/radix"
 	"apujoin/internal/rel"
@@ -56,10 +55,8 @@ func runPilot(r, s rel.Relation, opt Options) profiles {
 
 	// Partition-pass profile for PHJ variants: one pass over the sample.
 	if opt.Algo == PHJ {
-		arena := alloc.New(opt.Alloc, n*3+radix.ChunkTuples*4)
-		defer arena.Release()
 		bits := uint(radix.MaxBitsPerPass)
-		pass := radix.NewPass(pr, arena, 0, bits)
+		pass := radix.NewPass(pr, opt.Alloc, 0, bits)
 		defer pass.Release()
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
 		if nres, err := exec.Run(passSeries(pass, n, exec.Pool), sched.Uniform(0.5, 3)); err == nil {

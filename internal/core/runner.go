@@ -58,17 +58,16 @@ type runner struct {
 	// (b3's kernel, b4's charge) read, built by b3's ParSetup.
 	own htab.Owners
 
-	// geo is the run's table layout (staticEnv); the PHJ state below
-	// follows from its radix plan.
+	// geo is the run's table layout (staticEnv); the PHJ partition
+	// offsets below follow from its radix plan.
 	geo                geometry
-	partIdxR, partIdxS []int32
 	offsetsR, offsetsS []int32
 
 	// held lists the run-lifetime slabs that no other field owns: the
 	// carved scratch, and per partitioned relation its final pass buffer
-	// (two columns) and partition index. A fixed array, so holding costs
-	// the many small joins of a pipeline no allocation.
-	held  [7][]int32
+	// (the key column). A fixed array, so holding costs the many small
+	// joins of a pipeline no allocation.
+	held  [3][]int32
 	nheld int
 }
 
@@ -113,7 +112,7 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	}
 	nr, ns := r.Len(), s.Len()
 	rn.env, rn.geo = staticEnv(opt, nr)
-	rn.outArena = alloc.New(opt.Alloc, 64)
+	rn.outArena = alloc.New(opt.Alloc, 0) // P4Charge only counts
 	rn.out = htab.Out{Arena: rn.outArena, Materialize: !opt.CountOnly}
 
 	// One slab, carved: the arrays live and die together. Its contents are
@@ -195,14 +194,14 @@ func (rn *runner) buildSeries() sched.Series {
 			ID: sched.B1, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				if rn.opt.Algo == PHJ {
-					return rn.tableFor(d).B1Seg(d, keys, rn.partIdxR, rn.bucketR, lo, hi)
+					return rn.tableFor(d).B1Seg(d, keys, rn.bucketR, lo, hi)
 				}
 				return rn.tableFor(d).B1(d, keys, rn.bucketR, lo, hi)
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
 					if rn.opt.Algo == PHJ {
-						return rn.tableFor(d).B1Seg(d, keys, rn.partIdxR, rn.bucketR, mlo, mhi)
+						return rn.tableFor(d).B1Seg(d, keys, rn.bucketR, mlo, mhi)
 					}
 					return rn.tableFor(d).B1(d, keys, rn.bucketR, mlo, mhi)
 				})
@@ -282,14 +281,14 @@ func (rn *runner) probeSeries() sched.Series {
 			ID: sched.P1, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				if rn.opt.Algo == PHJ {
-					return rn.probed.P1Seg(d, keys, rn.partIdxS, rn.bucketS, lo, hi)
+					return rn.probed.P1Seg(d, keys, rn.bucketS, lo, hi)
 				}
 				return rn.probed.P1(d, keys, rn.bucketS, lo, hi)
 			},
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
 				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
 					if rn.opt.Algo == PHJ {
-						return rn.probed.P1Seg(d, keys, rn.partIdxS, rn.bucketS, mlo, mhi)
+						return rn.probed.P1Seg(d, keys, rn.bucketS, mlo, mhi)
 					}
 					return rn.probed.P1(d, keys, rn.bucketS, mlo, mhi)
 				})

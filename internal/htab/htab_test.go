@@ -1,12 +1,15 @@
 package htab
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
 	"apujoin/internal/hash"
+	"apujoin/internal/radix"
 	"apujoin/internal/rel"
 )
 
@@ -182,7 +185,7 @@ func TestSegmentedTableRouting(t *testing.T) {
 		partIdx[i] = int32(hashOf(k) & (parts - 1))
 	}
 	bucket, vis, fresh := make([]int32, n), make([]int32, n), make([]int32, n)
-	tbl.B1Seg(cpu, r.Keys, partIdx, bucket, 0, n)
+	tbl.B1Seg(cpu, r.Keys, bucket, 0, n)
 	tbl.B2(cpu, bucket, nil, 0, n)
 	tbl.B3(cpu, r.Keys, bucket, vis, fresh, 0, n, nil)
 	tbl.B4Charge(0, n, false)
@@ -203,6 +206,55 @@ func TestSegmentedTableRouting(t *testing.T) {
 	}
 	if used < tbl.nBuckets/4 {
 		t.Fatalf("only %d/%d buckets used: segment slot bits overlap radix bits", used, tbl.nBuckets)
+	}
+}
+
+// TestSegBucketFromHash: the segmented b1 and p1 take a tuple's partition
+// from its hash, so they must give the bucket the partition index did —
+// index*bucketsPerPart + slot, the index filled from the partitioned
+// relation's offsets as the runner once filled it — and the bucket
+// bucketOf gives, on a one-pass 6-bit and a two-pass 12-bit plan, with no
+// hash shift and with the shift an external join's outer partitioning
+// leaves. Their charge is the model's kernel's, which reads the index.
+func TestSegBucketFromHash(t *testing.T) {
+	const n = 1 << 15
+	cpu := device.New(device.APUCPU())
+	for _, bits := range []uint{6, 12} {
+		plan := radix.PlanBits(bits)
+		for _, shift := range []uint{0, 7} {
+			name := fmt.Sprintf("%s, hash shift %d", plan, shift)
+			r := rel.Gen{N: n, Seed: int64(bits + shift)}.Build()
+			r.Keys = slices.Clone(r.Keys)
+			slices.SortStableFunc(r.Keys, func(a, b int32) int {
+				return hash.RadixPass(uint32(a), shift, bits) - hash.RadixPass(uint32(b), shift, bits)
+			})
+			offs := radix.FinalOffsetsShifted(r, plan, shift)
+			if len(offs) != 1<<bits+1 {
+				t.Fatalf("%s: %d offsets", name, len(offs))
+			}
+			partIdx := make([]int32, n)
+			for part := 0; part+1 < len(offs); part++ {
+				for i := offs[part]; i < offs[part+1]; i++ {
+					partIdx[i] = int32(part)
+				}
+			}
+
+			tbl := NewSeg(1<<bits, max(n>>bits, 4), 0, shift, bits, alloc.New(alloc.Config{}, 0))
+			segMask := uint32(tbl.bucketsPerPart - 1)
+			b1, p1 := make([]int32, n), make([]int32, n)
+			ab, ap := tbl.B1Seg(cpu, r.Keys, b1, 0, n), tbl.P1Seg(cpu, r.Keys, p1, 0, n)
+			want := device.Acct{Items: n, Instr: n * (hash.InstrPerHash + 3), SeqBytes: n * 12}
+			if ab != want || ap != want {
+				t.Fatalf("%s: charges\n b1 %+v\n p1 %+v\nwant %+v", name, ab, ap, want)
+			}
+			for i, k := range r.Keys {
+				old := partIdx[i]*int32(tbl.bucketsPerPart) + int32(hash.Murmur2(uint32(k), hash.Murmur2Seed)>>(shift+bits)&segMask)
+				if b1[i] != old || p1[i] != old || uint32(old) != tbl.bucketOf(k) {
+					t.Fatalf("%s: tuple %d in partition %d: b1 %d, p1 %d, index formula %d, bucketOf %d",
+						name, i, partIdx[i], b1[i], p1[i], old, tbl.bucketOf(k))
+				}
+			}
+		}
 	}
 }
 

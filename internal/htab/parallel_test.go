@@ -84,17 +84,17 @@ type insertBuild struct {
 // over the low bits hash bits when bits > 0, as the partition phase leaves
 // a PHJ build side, with each tuple's partition and the boundaries.
 type buildSide struct {
-	r                rel.Relation
-	bits             uint
-	partIdx, offsets []int32
+	r       rel.Relation
+	bits    uint
+	offsets []int32
 }
 
 func sideOf(r rel.Relation, bits uint) buildSide {
 	if bits == 0 {
 		return buildSide{r: r}
 	}
-	r, partIdx, offsets := byPartition(r, bits)
-	return buildSide{r, bits, partIdx, offsets}
+	r, offsets := byPartition(r, bits)
+	return buildSide{r, bits, offsets}
 }
 
 // newInsertBuild prepares a build over side with the given allocator: SHJ
@@ -129,7 +129,7 @@ func newInsertBuild(side buildSide, separate, linked bool, cfg alloc.Config) *in
 	cpu := device.New(device.APUCPU())
 	t := ib.tables[0]
 	if bits > 0 {
-		t.B1Seg(cpu, r.Keys, side.partIdx, ib.bucket, 0, n)
+		t.B1Seg(cpu, r.Keys, ib.bucket, 0, n)
 	} else {
 		t.B1(cpu, r.Keys, ib.bucket, 0, n)
 	}
@@ -138,9 +138,8 @@ func newInsertBuild(side buildSide, separate, linked bool, cfg alloc.Config) *in
 }
 
 // byPartition returns r stably sorted by its radix partition over the low
-// bits of the key hash, the partition of each tuple and the partition
-// boundaries.
-func byPartition(r rel.Relation, bits uint) (rel.Relation, []int32, []int32) {
+// bits of the key hash, with the partition boundaries.
+func byPartition(r rel.Relation, bits uint) (rel.Relation, []int32) {
 	n := r.Len()
 	parts := 1 << bits
 	offsets := make([]int32, parts+1)
@@ -151,14 +150,13 @@ func byPartition(r rel.Relation, bits uint) (rel.Relation, []int32, []int32) {
 		offsets[p+1] += offsets[p]
 	}
 	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
-	partIdx := make([]int32, n)
 	at := slices.Clone(offsets)
 	for i, k := range r.Keys {
 		p := hash.RadixPass(uint32(k), 0, bits)
-		out.Keys[at[p]], out.RIDs[at[p]], partIdx[at[p]] = k, r.RIDs[i], int32(p)
+		out.Keys[at[p]], out.RIDs[at[p]] = k, r.RIDs[i]
 		at[p]++
 	}
-	return out, partIdx, offsets
+	return out, offsets
 }
 
 // share is one device's [lo,hi) slice of a step on that device's table.

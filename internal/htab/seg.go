@@ -12,7 +12,10 @@ import (
 // ordinary step series over the concatenation of all partitions while
 // random accesses stay within the (cache-resident) segment of the tuple's
 // partition. This is the cache-reuse benefit that makes the fine-grained
-// PHJ beat the coarse-grained PHJ-PL' in Table 3.
+// PHJ beat the coarse-grained PHJ-PL' in Table 3. A tuple's segment is its
+// partition, the radix bits of its key's hash, so the segmented b1 and p1
+// compute it and read no partition index; they charge the model's kernel,
+// which reads one.
 
 // NewSeg returns a table whose bucket space is split into parts segments of
 // bucketsPerPart buckets each. bucketsPerPart is rounded up to a power of
@@ -35,15 +38,19 @@ func NewSeg(parts, bucketsPerPart, n int, hashShift, radixBits uint, arena *allo
 }
 
 // B1Seg computes segmented bucket numbers for build tuples [lo,hi):
-// bucket = partIdx[i]*bucketsPerPart + murmur(key) mod bucketsPerPart.
-func (t *Table) B1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, lo, hi int) device.Acct {
+// bucket = partition*bucketsPerPart + slot, both from the key's hash — the
+// partition is the radix bits the partitioning consumed, the slot the bits
+// above them — as bucketOf computes it. The host reads no partition index,
+// but the charge is the model's kernel's, which reads one beside the key
+// and writes the bucket number.
+func (t *Table) B1Seg(d *device.Device, keys, bucket []int32, lo, hi int) device.Acct {
 	var a device.Acct
-	segMask := uint32(t.bucketsPerPart - 1)
-	bpp := int32(t.bucketsPerPart)
-	shift := t.segShift
+	bpp := uint32(t.bucketsPerPart)
+	partShift, partMask := t.partShift, uint32(1)<<(t.segShift-t.partShift)-1
+	segShift, segMask := t.segShift, bpp-1
 	for i := lo; i < hi; i++ {
-		h := (hash.Murmur2(uint32(keys[i]), hash.Murmur2Seed) >> shift) & segMask
-		bucket[i] = partIdx[i]*bpp + int32(h)
+		h := hash.Murmur2(uint32(keys[i]), hash.Murmur2Seed)
+		bucket[i] = int32((h>>partShift&partMask)*bpp + h>>segShift&segMask)
 	}
 	n := int64(hi - lo)
 	a.Items = n
@@ -53,6 +60,6 @@ func (t *Table) B1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, l
 }
 
 // P1Seg is B1Seg for probe tuples.
-func (t *Table) P1Seg(d *device.Device, keys, partIdx []int32, bucket []int32, lo, hi int) device.Acct {
-	return t.B1Seg(d, keys, partIdx, bucket, lo, hi)
+func (t *Table) P1Seg(d *device.Device, keys, bucket []int32, lo, hi int) device.Acct {
+	return t.B1Seg(d, keys, bucket, lo, hi)
 }

@@ -45,8 +45,7 @@ func (c *walkCase) table(cut int, linked bool) *Table {
 	t, other := newTable(), newTable()
 	cpu := device.New(device.APUCPU())
 	if c.bits > 0 {
-		_, partIdx, _ := byPartition(c.r, c.bits)
-		t.B1Seg(cpu, c.r.Keys, partIdx, bucket, 0, n)
+		t.B1Seg(cpu, c.r.Keys, bucket, 0, n)
 	} else {
 		t.B1(cpu, c.r.Keys, bucket, 0, n)
 	}
@@ -96,8 +95,8 @@ func walkCases() []*walkCase {
 					s.Keys[i] = build.domain.Keys[0] // the high-skew build's heavy key, when skewed
 				}
 				if bits > 0 {
-					r, _, _ = byPartition(r, bits)
-					s, _, _ = byPartition(s, bits)
+					r, _ = byPartition(r, bits)
+					s, _ = byPartition(s, bits)
 				}
 				cases = append(cases, &walkCase{name: fmt.Sprintf("bits=%d/%s/sel=%v", bits, build.name, sel), r: r, s: s, bits: bits})
 			}
@@ -111,8 +110,7 @@ func walkCases() []*walkCase {
 		t := c.table(c.r.Len(), false)
 		c.bucket = make([]int32, c.s.Len())
 		if c.bits > 0 {
-			_, partIdx, _ := byPartition(c.s, c.bits)
-			t.P1Seg(cpu, c.s.Keys, partIdx, c.bucket, 0, c.s.Len())
+			t.P1Seg(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
 		} else {
 			t.P1(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
 		}
@@ -395,8 +393,8 @@ func TestBuildChargesMatchKernels(t *testing.T) {
 
 	const bits = 6
 	for _, in := range inputs {
-		r, _, rOff := byPartition(in.r, bits)
-		s, _, sOff := byPartition(rel.Gen{N: n / 16, Seed: 42}.Probe(in.r, 0.7), bits)
+		r, rOff := byPartition(in.r, bits)
+		s, sOff := byPartition(rel.Gen{N: n / 16, Seed: 42}.Probe(in.r, 0.7), bits)
 		for _, cfg := range cfgs {
 			name := fmt.Sprintf("pair tables %s %+v", in.name, cfg)
 			lean, linked := alloc.New(cfg, 0), alloc.New(cfg, 64)

@@ -21,6 +21,15 @@ const (
 	nilRef      = int32(-1)
 )
 
+// chainArena gives a reference pass an arena whose words hold its chains,
+// pre-sized as a parallel phase needs (Grab never grows an arena): the
+// worst-case chunk population with headroom for one worker-private
+// allocator per ownership shard per device share.
+func (p *Pass) chainArena(cfg alloc.Config) {
+	chunks := p.in.Len()/ChunkTuples + len(p.counts) + 1
+	p.arena = alloc.New(cfg, alloc.ParallelCapWords(cfg, chunks*chunkWords, chunkWords, 2*sched.DefaultShards))
+}
+
 // chains holds the partition header's chain columns: each partition's
 // first chunk, its append chunk and the tuples in the append chunk.
 type chains struct{ head, tail, fill []int32 }
@@ -156,8 +165,8 @@ func splitShares(cpu, gpu *device.Device, a, n int) []share {
 // chunk, as BasicUnit does, with ragged chunks and tail. It covers both
 // allocator strategies (blocks smaller and larger than a chunk), both
 // distributions and a non-zero hash shift. Every n3 record, all five arena
-// totals, Gather's record, the offsets and every tuple must equal the
-// reference's.
+// totals and the words they take, Gather's record, the offsets and every
+// tuple must equal the reference's, and the pass's arena holds no words.
 func TestSingleStreamPassMatchesChains(t *testing.T) {
 	cpu, gpu := device.New(device.APUCPU()), device.New(device.APUGPU())
 	const n = 2*sched.MorselItems + 3000
@@ -221,13 +230,14 @@ func TestSingleStreamPassMatchesChains(t *testing.T) {
 			for _, cfg := range allocs {
 				for _, o := range orders {
 					name := fmt.Sprintf("%v shift=%d bits=%d %v/%d %s", dist, shift, bits, cfg.Strategy, cfg.BlockBytes, o.name)
-					ref := NewPass(in, alloc.New(cfg, n*3+ChunkTuples*4), shift, bits)
+					ref := NewPass(in, cfg, shift, bits)
+					ref.chainArena(cfg)
 					c := newChains(1 << bits)
 					refAccts := run(ref, func(_ *device.Device, lo, hi int) device.Acct { return ref.n3ChainRef(c, lo, hi) }, o)
 					refOut := poisoned(n)
 					refOffs, refGather := ref.gatherChainRef(c, refOut)
 
-					p := NewPass(in, alloc.New(cfg, n*3+ChunkTuples*4), shift, bits)
+					p := NewPass(in, cfg, shift, bits)
 					accts := run(p, p.N3, o)
 					p.Layout(nil)
 					out := poisoned(n)
@@ -238,6 +248,9 @@ func TestSingleStreamPassMatchesChains(t *testing.T) {
 					}
 					if got, want := p.arena.Stats(), ref.arena.Stats(); got != want {
 						t.Fatalf("%s: arena totals\n got %+v\nwant %+v", name, got, want)
+					}
+					if got, want := p.arena.Used(), ref.arena.Used(); got != want || len(p.arena.Words()) != 0 {
+						t.Fatalf("%s: the pass arena counts %d words (want %d) and holds %d", name, got, want, len(p.arena.Words()))
 					}
 					if ga != refGather {
 						t.Fatalf("%s: gather record\n got %+v\nwant %+v", name, ga, refGather)

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"apujoin/internal/alloc"
 	"apujoin/internal/device"
 	"apujoin/internal/sched"
 )
@@ -18,33 +19,31 @@ import (
 // must hold sched.DefaultShards records, comes back cut to one record per
 // shard, for the caller to merge in shard order.
 //
-// Shard by shard it opens a worker-private allocator on the pass's arena,
-// requests the chunks the shard's partitions would have grown by — a
-// partition holding `before` tuples of [0,lo) that receives c more
-// allocates ⌈(before+c)/64⌉ − ⌈before/64⌉ of them, both counts read off the
-// scatter's cuts — and fills accts[shard] from the tuple count and the
-// allocator's own counters. Every request has one size, so a Local's
-// counters depend only on how many a shard makes, not on the order
-// partitions make them in. Closing the Local folds them into the arena's
-// totals, as a chain-building shard's would.
+// Shard by shard it counts the chunks the shard's partitions would have
+// grown by — a partition holding `before` tuples of [0,lo) that receives c
+// more takes ⌈(before+c)/64⌉ − ⌈before/64⌉ of them, both counts read off
+// the scatter's cuts — and fills accts[shard] from the tuple count and the
+// Stats a fresh worker-private allocator closes with after that many
+// requests (alloc.LocalStats), which it folds into the pass's arena. Every
+// request has one size, so those Stats depend only on how many a shard
+// makes, not on the order partitions make them in.
 func (p *Pass) N3Shards(lo, hi int, accts []device.Acct) []device.Acct {
 	var start, from, to [1 << MaxBitsPerPass]int32
 	p.scat.Cut(0, start[:])
 	p.scat.Cut(lo, from[:])
 	p.scat.Cut(hi, to[:])
+	cfg := p.arena.Config()
 	shards, shift := sched.OwnerShards(len(p.counts))
 	for s := 0; s < shards; s++ {
-		la := p.arena.NewLocal()
-		var n int64
+		var n, m int64
 		for pt := s << shift; pt < (s+1)<<shift; pt++ {
 			before, after := from[pt]-start[pt], to[pt]-start[pt]
-			for k := chunksOf(after) - chunksOf(before); k > 0; k-- {
-				la.Alloc(chunkWords)
-			}
+			m += int64(chunksOf(after) - chunksOf(before))
 			n += int64(after - before)
 		}
-		accts[s] = p.n3Acct(n, la.Stats())
-		la.Close()
+		st := alloc.LocalStats(cfg, m, chunkWords)
+		accts[s] = p.n3Acct(n, st)
+		p.arena.Fold(st)
 	}
 	return accts[:shards]
 }

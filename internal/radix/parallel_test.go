@@ -11,19 +11,10 @@ import (
 	"apujoin/internal/sched"
 )
 
-// passArenaWords sizes a pass's chunk arena as the runner does: the
-// worst-case chunk population with headroom for one worker-private
-// allocator per ownership shard per device share.
-func passArenaWords(n int, bits uint, cfg alloc.Config) int {
-	return alloc.ParallelCapWords(cfg, (n/ChunkTuples+(1<<bits)+1)*chunkWords, chunkWords, 2*sched.DefaultShards)
-}
-
-// parallelPass returns a pass over in whose arena is pre-sized for
-// worker-private block allocation, with n1 already run.
+// parallelPass returns a pass over in with n1 already run.
 func parallelPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
-	n := in.Len()
-	p := NewPass(in, alloc.New(cfg, passArenaWords(n, bits, cfg)), shift, bits)
-	p.N1(device.New(device.APUCPU()), 0, n)
+	p := NewPass(in, cfg, shift, bits)
+	p.N1(device.New(device.APUCPU()), 0, in.Len())
 	return p
 }
 
@@ -45,8 +36,9 @@ func poisoned(n int) rel.Relation {
 // both allocator strategies (blocks smaller and larger than a chunk) and a
 // non-zero hash shift. The pooled relation and offsets must equal the
 // serial ones tuple for tuple (and the offsets FinalOffsetsShifted's); every
-// (share, shard) accounting record, all five arena totals and Gather's
-// accounting must equal the shard reference's.
+// (share, shard) accounting record, all five arena totals and the words
+// they take, and Gather's accounting must equal the shard reference's, and
+// the pooled pass's arena holds no words.
 func TestShardedPassMatchesSerial(t *testing.T) {
 	cpu, gpu := device.New(device.APUCPU()), device.New(device.APUGPU())
 	var pools []*sched.Pool
@@ -78,6 +70,7 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 		in := rel.Gen{N: n, Dist: dist, Seed: 5}.Build()
 		for _, sh := range shapes {
 			sp := parallelPass(in, alloc.Config{}, sh.shift, sh.bits)
+			sp.chainArena(alloc.Config{})
 			sp.n2PerTuple(0, n)
 			sc := newChains(1 << sh.bits)
 			sp.n3ChainRef(sc, 0, n)
@@ -95,6 +88,7 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 					shares := splitShares(cpu, gpu, a, n)
 
 					ref := parallelPass(in, cfg, sh.shift, sh.bits)
+					ref.chainArena(cfg)
 					ref.N2(cpu, 0, n)
 					rc := newChains(1 << sh.bits)
 					shards, shift := sched.OwnerShards(len(ref.counts))
@@ -127,6 +121,9 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 						}
 						if got, want := pp.arena.Stats(), ref.arena.Stats(); got != want {
 							t.Fatalf("%s pool=%d: arena totals\n got %+v\nwant %+v", name, pool.Workers(), got, want)
+						}
+						if got, want := pp.arena.Used(), ref.arena.Used(); got != want || len(pp.arena.Words()) != 0 {
+							t.Fatalf("%s pool=%d: the pass arena counts %d words (want %d) and holds %d", name, pool.Workers(), got, want, len(pp.arena.Words()))
 						}
 						out := poisoned(n)
 						offs, ga := pp.Gather(pool, out)
@@ -172,13 +169,16 @@ func TestN2AtomicMatchesSerial(t *testing.T) {
 }
 
 // reset returns the pass to its state after n1: empty partitions, a fresh
-// arena of the same size (the benchmarks' passes run under the default
-// alloc.Config), no layout.
-func (p *Pass) reset() {
+// arena (the benchmarks' passes run under the default alloc.Config) — with
+// words for the chains if chains is set, counting only otherwise — and no
+// layout.
+func (p *Pass) reset(chains bool) {
 	clear(p.hdr)
-	words := len(p.arena.Words())
 	p.arena.Release()
-	p.arena = alloc.New(alloc.Config{}, words)
+	p.arena = alloc.New(alloc.Config{}, 0)
+	if chains {
+		p.chainArena(alloc.Config{})
+	}
 	p.scat.Release()
 }
 
@@ -215,17 +215,20 @@ func BenchmarkN2(b *testing.B) {
 
 // BenchmarkPartitionPass measures one radix pass over 2^20 tuples from n2
 // to the gathered relation (n1, a pure hash map, runs outside the timer),
-// four ways on the same input: through the chunk chains the host used to
-// build (the test reference), single-stream as BasicUnit, the pilot and the
-// external join's buffer rounds run n2 and n3 (N2, N3, then Layout and
-// Gather with no pool), and as the runner executes it on a pool (N2
-// morsels, Layout, N3Shards, Gather). The rows after the first report their
-// speed-up over the chains as x-chains, and every row's output must equal
-// the chains'.
+// five ways on the same input: through the chunk chains the host used to
+// build (the test reference, which moves <key, rid> pairs); single-stream
+// as BasicUnit and the pilot run n2 and n3 (N2, N3, then Layout and Gather
+// with no pool), keys only; as the runner executes it on a pool (N2
+// morsels, Layout, N3Shards, Gather), keys only; and single-stream into a
+// relation with a RID column, as the external join's buffer rounds gather
+// their sub-joins' pairs. The rows after the first report their speed-up
+// over the chains as x-chains, and every row's output — keys, offsets, and
+// RIDs where it has them — must equal the chains'.
 func BenchmarkPartitionPass(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())
-	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	pairs := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	keys := rel.Relation{Keys: pairs.Keys}
 	for _, dist := range benchInputs {
 		in := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
 		for _, bits := range []uint{6, MaxBitsPerPass} {
@@ -234,15 +237,18 @@ func BenchmarkPartitionPass(b *testing.B) {
 			var want rel.Relation
 			var wantOffs []int32
 			var chainsNS float64
-			run := func(name string, pass func() []int32) {
+			run := func(name string, out rel.Relation, pass func() []int32) {
 				b.Run(fmt.Sprintf("%v/bits=%d/%s", dist, bits, name), func(b *testing.B) {
 					var offs []int32
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						p.reset()
+						p.reset(name == "chains")
 						c.reset()
+						for j := range pairs.Keys {
+							pairs.Keys[j], pairs.RIDs[j] = alloc.PoisonWord, alloc.PoisonWord
+						}
 						b.StartTimer()
 						offs = pass()
 					}
@@ -254,38 +260,43 @@ func BenchmarkPartitionPass(b *testing.B) {
 						want = rel.Relation{Keys: slices.Clone(out.Keys), RIDs: slices.Clone(out.RIDs)}
 						wantOffs, chainsNS = offs, ns
 					case want.Keys == nil: // the chains row was filtered out
-					case !slices.Equal(offs, wantOffs) || !slices.Equal(out.Keys, want.Keys) || !slices.Equal(out.RIDs, want.RIDs):
+					case !slices.Equal(offs, wantOffs) || !slices.Equal(out.Keys, want.Keys) ||
+						out.RIDs != nil && !slices.Equal(out.RIDs, want.RIDs):
 						b.Fatal("partitioned relation differs from the chains'")
 					default:
 						b.ReportMetric(chainsNS/ns, "x-chains")
 					}
 				})
 			}
-			run("chains", func() []int32 {
+			run("chains", pairs, func() []int32 {
 				p.N2(cpu, 0, n)
 				p.n3ChainRef(c, 0, n)
-				offs, _ := p.gatherChainRef(c, out)
+				offs, _ := p.gatherChainRef(c, pairs)
 				return offs
 			})
-			run("serial", func() []int32 {
-				p.N2(cpu, 0, n)
-				p.N3(cpu, 0, n)
-				p.Layout(nil)
-				offs, _ := p.Gather(nil, out)
-				return offs
-			})
+			serial := func(out rel.Relation) func() []int32 {
+				return func() []int32 {
+					p.N2(cpu, 0, n)
+					p.N3(cpu, 0, n)
+					p.Layout(nil)
+					offs, _ := p.Gather(nil, out)
+					return offs
+				}
+			}
+			run("serial", keys, serial(keys))
 			for _, workers := range []int{1, 2} {
 				pool := sched.NewPool(workers)
-				run(fmt.Sprintf("pool=%d", workers), func() []int32 {
+				run(fmt.Sprintf("pool=%d", workers), keys, func() []int32 {
 					pool.MapRange(0, n, func(lo, hi int) device.Acct { return p.N2(cpu, lo, hi) })
 					p.Layout(pool)
 					var shards [sched.DefaultShards]device.Acct
 					sched.MergeAccts(p.N3Shards(0, n, shards[:]))
-					offs, _ := p.Gather(pool, out)
+					offs, _ := p.Gather(pool, keys)
 					return offs
 				})
 				pool.Close()
 			}
+			run("pairs", pairs, serial(pairs))
 		}
 	}
 }

@@ -17,13 +17,15 @@
 // of the dynamic allocations whose allocator behaviour Fig. 11 studies.
 //
 // That structure is what every pass is charged for, and the host builds
-// none of it. n3 only charges the chains: single-stream (N3) it counts each
-// partition's appends and requests a chunk from the allocator whenever one
-// fills, which works chunk by chunk with no barrier between n2 and n3; on a
-// pool (N3Shards) it replays the ownership shards' requests through
-// worker-private allocators. The tuples move once, in Gather, through the
-// tree's one counting scatter (sched.Scatter), straight to the slots a walk
-// of the chains would copy them to.
+// none of it. n3 only charges the chains, on an arena that only counts:
+// single-stream (N3) it counts each partition's appends and charges a chunk
+// request whenever one fills, which works chunk by chunk with no barrier
+// between n2 and n3; on a pool (N3Shards) it charges the ownership shards'
+// requests as worker-private allocators would serve them. The keys move
+// once, in Gather, through the tree's one counting scatter (sched.Scatter),
+// straight to the slots a walk of the chains would copy them to. No join
+// reads a partitioned RID, so the RIDs move only into an output that has a
+// RID column (the external join's sub-joins, whose inputs are relations).
 //
 // Passes consume radix bits of the key hash from the lowest bit upward and
 // append stably, so after g passes the gathered relation is grouped by the
@@ -129,14 +131,14 @@ func PlanBits(bits uint) Plan {
 }
 
 // Pass holds one radix pass over a relation: the partition headers, the
-// intermediate array n1 hands to n2/n3, and the scatter Gather moves the
-// tuples with.
+// intermediate array n1 hands to n2/n3, the arena n3 charges the chunk
+// chains to, and the scatter Gather moves the tuples with.
 type Pass struct {
 	Shift uint
 	Bits  uint
 
 	in    rel.Relation
-	arena *alloc.Arena
+	arena *alloc.Arena // holds no words: n3 only counts (Count, Fold)
 
 	part     []int32 // n1 output: partition number per tuple
 	hdr      []int32 // the two header columns below, one slab
@@ -148,13 +150,13 @@ type Pass struct {
 }
 
 // NewPass prepares a pass consuming bits radix bits at the given shift,
-// charging partition chunks to arena. Its two slabs come from the
-// recycler — the header zeroed and never below the recycler's smallest
-// class, so a narrow pass allocates nothing; part with arbitrary contents,
-// since n1 writes every entry before n2 reads one — and go back with
-// Release. A pass takes at most MaxBitsPerPass bits: wider fan-outs are
-// split into passes (PlanBits).
-func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
+// charging partition chunks to an arena of its own under cfg. Its two
+// slabs come from the recycler — the header zeroed and never below the
+// recycler's smallest class, so a narrow pass allocates nothing; part with
+// arbitrary contents, since n1 writes every entry before n2 reads one —
+// and go back with Release. A pass takes at most MaxBitsPerPass bits: wider
+// fan-outs are split into passes (PlanBits).
+func NewPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
 	if bits > MaxBitsPerPass {
 		panic(fmt.Sprintf("radix: a pass of %d bits, above MaxBitsPerPass (%d)", bits, MaxBitsPerPass))
 	}
@@ -164,7 +166,7 @@ func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 		Shift:    shift,
 		Bits:     bits,
 		in:       in,
-		arena:    arena,
+		arena:    alloc.New(cfg, 0),
 		part:     alloc.GetWords(in.Len()),
 		hdr:      hdr,
 		counts:   hdr[:parts:parts],
@@ -173,8 +175,7 @@ func NewPass(in rel.Relation, arena *alloc.Arena, shift, bits uint) *Pass {
 }
 
 // Release hands the pass's slabs to the recycler, once Gather has returned;
-// the pass must not be used afterwards. The chunk arena is the caller's to
-// release.
+// the pass must not be used afterwards.
 func (p *Pass) Release() {
 	alloc.PutWords(p.part)
 	alloc.PutWords(p.hdr)
@@ -226,17 +227,16 @@ func (p *Pass) N2(d *device.Device, lo, hi int) device.Acct {
 }
 
 // N3 is n3 on one stream: it charges the appends of tuples [lo,hi) to their
-// partitions' chunk chains, requesting a fresh chunk from the software
-// allocator whenever a partition's running count reaches a multiple of
-// ChunkTuples — the append that finds its tail chunk missing or full. The
-// shares must be charged in index order, tuples [0,lo) first, as the
-// executor's CPU and GPU shares and BasicUnit's chunks are; the tuples move
-// later, in Gather.
+// partitions' chunk chains, charging the software allocator a fresh chunk
+// whenever a partition's running count reaches a multiple of ChunkTuples —
+// the append that finds its tail chunk missing or full. The shares must be
+// charged in index order, tuples [0,lo) first, as the executor's CPU and
+// GPU shares and BasicUnit's chunks are; the tuples move later, in Gather.
 func (p *Pass) N3(d *device.Device, lo, hi int) device.Acct {
 	before := p.arena.Stats()
 	for _, pt := range p.part[lo:hi] {
 		if p.appended[pt]%ChunkTuples == 0 {
-			p.arena.Alloc(chunkWords)
+			p.arena.Count(1, chunkWords)
 		}
 		p.appended[pt]++
 	}
@@ -270,13 +270,18 @@ func (p *Pass) Layout(pool *sched.Pool) {
 // Gather links the partitioned tuples into the contiguous relation out, in
 // partition order ("we link all the intermediate partitions together to form
 // the result partition pairs"), and returns the partition boundary offsets
-// with the accounting of the streaming copy out of the chunk chains. The
-// tuples move once, on pool, straight to the slots Layout laid out: a
-// partition's tuples in input order, which is the order its chain holds them
-// in.
+// with the accounting of the streaming copy out of the chunk chains, which
+// the model charges for <key, rid> pairs either way. The keys move once, on
+// pool, straight to the slots Layout laid out: a partition's tuples in input
+// order, which is the order its chain holds them in. The RIDs move with them
+// only when out has a RID column.
 func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
-	p.scat.Move(pool, 0, p.in.Len(), sched.Cols{out.Keys, out.RIDs}, sched.Cols{p.in.Keys, p.in.RIDs})
+	dst, src := sched.Cols{out.Keys}, sched.Cols{p.in.Keys}
+	if out.RIDs != nil {
+		dst[1], src[1] = out.RIDs, p.in.RIDs
+	}
+	p.scat.Move(pool, 0, p.in.Len(), dst, src)
 	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0
@@ -290,25 +295,6 @@ func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct)
 	a.SeqBytes = int64(pos) * 16 // read chunk, write contiguous
 	a.Instr = int64(pos) * 4
 	return offs, a
-}
-
-// Result is a fully partitioned relation.
-type Result struct {
-	// Rel holds the tuples grouped by partition.
-	Rel rel.Relation
-	// Offsets[i] is the first tuple of partition i; len = Partitions+1.
-	Offsets []int32
-	// Plan is the plan that produced the result.
-	Plan Plan
-}
-
-// PartIdx fills idx[i] with the partition number of tuple i in Rel.
-func (r Result) PartIdx(idx []int32) {
-	for part := 0; part+1 < len(r.Offsets); part++ {
-		for i := r.Offsets[part]; i < r.Offsets[part+1]; i++ {
-			idx[i] = int32(part)
-		}
-	}
 }
 
 // FinalOffsets computes the partition boundaries of a fully partitioned

@@ -11,6 +11,16 @@ import (
 	"apujoin/internal/rel"
 )
 
+// Result is a fully partitioned relation.
+type Result struct {
+	// Rel holds the tuples grouped by partition.
+	Rel rel.Relation
+	// Offsets[i] is the first tuple of partition i; len = Partitions+1.
+	Offsets []int32
+	// Plan is the plan that produced the result.
+	Plan Plan
+}
+
 // PartitionHost partitions a relation on the host in one shot (all passes,
 // no co-processing, nothing charged): the data-movement reference.
 func PartitionHost(in rel.Relation, plan Plan) Result {
@@ -23,7 +33,7 @@ func PartitionHost(in rel.Relation, plan Plan) Result {
 	cpu := device.New(device.APUCPU())
 	var shift uint
 	for _, bits := range plan.BitsPerPass {
-		p := NewPass(cur, nil, shift, bits) // no n3: nothing charges a chunk
+		p := NewPass(cur, alloc.Config{}, shift, bits) // no n3: nothing charges a chunk
 		p.N1(cpu, 0, n)
 		p.N2(cpu, 0, n)
 		p.Layout(nil)
@@ -70,7 +80,7 @@ func TestPassesStayWithinMaxBits(t *testing.T) {
 			t.Fatal("NewPass accepted a pass above MaxBitsPerPass")
 		}
 	}()
-	NewPass(rel.Gen{N: 10, Seed: 1}.Build(), nil, 0, MaxBitsPerPass+1)
+	NewPass(rel.Gen{N: 10, Seed: 1}.Build(), alloc.Config{}, 0, MaxBitsPerPass+1)
 }
 
 func TestPartitionHostGroupsByHash(t *testing.T) {
@@ -149,8 +159,7 @@ func TestMultiPassEqualsSinglePassGrouping(t *testing.T) {
 
 func TestPassStepsSplitAcrossDevices(t *testing.T) {
 	r := rel.Gen{N: 10000, Seed: 3}.Build()
-	arena := alloc.New(alloc.Config{}, r.Len()*3+1024)
-	pass := NewPass(r, arena, 0, 5)
+	pass := NewPass(r, alloc.Config{}, 0, 5)
 	cpu := device.New(device.APUCPU())
 	gpu := device.New(device.APUGPU())
 	n := r.Len()
@@ -176,8 +185,7 @@ func TestPassStepsSplitAcrossDevices(t *testing.T) {
 
 func TestN2N3Accounting(t *testing.T) {
 	r := rel.Gen{N: 1000, Seed: 4}.Build()
-	arena := alloc.New(alloc.Config{}, 8192)
-	pass := NewPass(r, arena, 0, 6)
+	pass := NewPass(r, alloc.Config{}, 0, 6)
 	cpu := device.New(device.APUCPU())
 	pass.N1(cpu, 0, r.Len())
 	a2 := pass.N2(cpu, 0, r.Len())
@@ -194,8 +202,7 @@ func TestFinalOffsetsShifted(t *testing.T) {
 	// With a hash shift, partitions must group on the shifted bits.
 	r := rel.Gen{N: 5000, Seed: 5}.Build()
 	const shift = 3
-	arena := alloc.New(alloc.Config{}, r.Len()*3+1024)
-	pass := NewPass(r, arena, shift, 4)
+	pass := NewPass(r, alloc.Config{}, shift, 4)
 	cpu := device.New(device.APUCPU())
 	pass.N1(cpu, 0, r.Len())
 	pass.N2(cpu, 0, r.Len())
@@ -208,20 +215,6 @@ func TestFinalOffsetsShifted(t *testing.T) {
 			if hash.RadixPass(uint32(out.Keys[i]), shift, 4) != p {
 				t.Fatalf("shifted partition %d holds stranger at %d", p, i)
 			}
-		}
-	}
-}
-
-func TestPartIdx(t *testing.T) {
-	r := rel.Gen{N: 3000, Seed: 6}.Build()
-	plan := PlanFor(r.Len(), 1<<10)
-	res := PartitionHost(r, plan)
-	idx := make([]int32, r.Len())
-	res.PartIdx(idx)
-	for i, k := range res.Rel.Keys {
-		want := hash.RadixPass(uint32(k), 0, plan.TotalBits())
-		if int(idx[i]) != want {
-			t.Fatalf("partIdx[%d]=%d, want %d", i, idx[i], want)
 		}
 	}
 }
