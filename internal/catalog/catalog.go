@@ -13,12 +13,14 @@
 // can resolve it) while in-flight queries keep their pins; the zero-copy
 // bytes are released when the last pin drains, and with them the build
 // record a join left on the entry (Entry.Join): the built hash table the
-// next join over the same build side probes instead of building its own.
-// The catalog alone decides what stays resident: a record is charged to
-// the same budget and only kept when it fits, and relations and transient
-// reservations come first, evicting the records no query reads when that
-// makes them fit. One mutex guards the pins, the drop state and the
-// records.
+// next join over the same build side probes instead of building its own —
+// and the pilot a plan left (Entry.BuildPlan): the build half of the
+// planner's profiling run, which the next cold plan probes. The catalog
+// alone decides what stays resident: records and pilots are charged to the
+// same budget and only kept when they fit, and relations and transient
+// reservations come first, evicting the records and pilots no query reads
+// when that makes them fit. One mutex guards the pins, the drop state, the
+// records and the pilots.
 //
 // The package also holds what the router records about a relation — Info,
 // Source, and the ingest statistics (Measure, IngestStats) the planner's
@@ -139,8 +141,8 @@ func Measure(r rel.Relation) IngestStats {
 }
 
 // Entry is one resident slice. Entries are immutable after Load; only the
-// pin count, the drop flag and the build record change, all guarded by the
-// owning catalog's mutex.
+// pin count, the drop flag, the build record and the pilot change, all
+// guarded by the owning catalog's mutex.
 type Entry struct {
 	c      *Catalog
 	rel    rel.Relation
@@ -150,6 +152,7 @@ type Entry struct {
 	pins    int
 	dropped bool
 	rec     *core.BuildRecord
+	pilot   *core.Pilot
 }
 
 // Relation returns the resident slice. The columns are shared, not copied;
@@ -182,22 +185,51 @@ func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (
 	}
 	c.mu.Lock()
 	hit := rec != nil && rec == kept
-	keep := rec != nil && !hit && e.rec == nil && c.zc.Alloc(rec.Bytes()) == nil
 	if hit {
 		c.hits++
 	} else {
 		c.misses++
 	}
+	keep := rec != nil && !hit && c.charge(rec.Bytes(), e.rec == nil)
 	if keep {
 		e.rec = rec
-		c.records += rec.Bytes()
-		c.peakBytes = max(c.peakBytes, c.zc.Used())
 	}
 	c.mu.Unlock()
 	if rec != nil && !hit && !keep {
 		rec.Release()
 	}
 	return res, nil
+}
+
+// BuildPlan plans the join of r, the entry's slice, with s. On a catalog's
+// entry it probes the pilot the entry keeps when that was built under the
+// plan's pilot key (core.BuildPlanKept); an entry that holds no pilot gets
+// the plan's own, sealed, when the budget takes its bytes, and the pilot is
+// freed otherwise. The plan is core.BuildPlan's either way, and counts
+// neither as a hit nor as a miss of the build records. The caller holds a
+// pin on the entry. A nil or scratch entry plans uncached (core.BuildPlan).
+func (e *Entry) BuildPlan(r, s rel.Relation, opt core.Options) (*core.Plan, error) {
+	if e == nil || e.c == nil {
+		return core.BuildPlan(r, s, opt)
+	}
+	c := e.c
+	c.mu.Lock()
+	kept := e.pilot
+	c.mu.Unlock()
+	pl, p, err := core.BuildPlanKept(r, s, opt, kept)
+	if err != nil || p == nil || p == kept {
+		return pl, err
+	}
+	c.mu.Lock()
+	keep := c.charge(p.Bytes(), e.pilot == nil)
+	if keep {
+		e.pilot = p
+	}
+	c.mu.Unlock()
+	if !keep {
+		p.Release()
+	}
+	return pl, nil
 }
 
 // Scratch pins a relation no catalog holds: one query's split of an inline
@@ -222,7 +254,7 @@ func (e *Entry) Release() {
 	}
 	if e.dropped && e.pins == 0 {
 		e.c.zc.Free(e.rel.Bytes())
-		e.c.freeRecord(e)
+		e.c.freeKept(e)
 		e.dropped = false // free exactly once
 	}
 }
@@ -249,10 +281,10 @@ type Stats struct {
 	// ingest-time statistics without re-measuring either relation.
 	WorkloadReuses int64 `json:"workload_reuses"`
 
-	// BuildRecordBytes is what the build records on the entries keep
-	// resident — each a sealed hash table's bucket counts and flat layout,
-	// freed with its entry or evicted for a relation or reservation that
-	// would not fit otherwise — charged to the capacity beside Bytes.
+	// BuildRecordBytes is what the build records and pilots on the entries
+	// keep resident — each a sealed hash table's bucket counts and flat
+	// layout, freed with its entry or evicted for a relation or reservation
+	// that would not fit otherwise — charged to the capacity beside Bytes.
 	// BuildRecordHits counts the joins over a registered build side that
 	// probed a kept table; BuildRecordMisses those that built their own.
 	BuildRecordBytes  int64 `json:"build_record_bytes"`
@@ -271,9 +303,9 @@ type Catalog struct {
 
 	registered, dropped int64
 	peakBytes           int64
-	// records is the share of zc.Used() the entries' build records hold;
-	// hits and misses count the joins that found one under their key and
-	// those that built their own.
+	// records is the share of zc.Used() the entries' build records and
+	// pilots hold; hits and misses count the joins that found a record
+	// under their key and those that built their own.
 	records, hits, misses int64
 }
 
@@ -292,38 +324,68 @@ func New(capacityBytes int64) *Catalog {
 	return &Catalog{zc: zc, entries: make(map[string]*Entry)}
 }
 
-// makeRoom evicts the build records no query reads — their entries are
-// unpinned — when n more bytes would not fit the budget; with whole set,
-// only when that makes all n bytes fit. c.mu is held.
+// makeRoom evicts the build records and pilots no query reads — their
+// entries are unpinned — when n more bytes would not fit the budget; with
+// whole set, only when that makes all n bytes fit. c.mu is held.
 func (c *Catalog) makeRoom(n int64, whole bool) {
 	over := c.zc.Used() + n - c.zc.Capacity
 	if over <= 0 {
 		return
 	}
 	var idle []*Entry
-	//apulint:ignore detmaporder(every unpinned entry's record is evicted, or none is; the freed bytes and the records left are the same whatever order the entries are visited in)
+	//apulint:ignore detmaporder(every unpinned entry's record and pilot is evicted, or none is; the freed bytes and what is left are the same whatever order the entries are visited in)
 	for _, e := range c.entries {
-		if e.pins == 0 && e.rec != nil {
+		if b := e.keptBytes(); e.pins == 0 && b > 0 {
 			idle = append(idle, e)
-			over -= e.rec.Bytes()
+			over -= b
 		}
 	}
 	if !whole || over <= 0 {
 		for _, e := range idle {
-			c.freeRecord(e)
+			c.freeKept(e)
 		}
 	}
 }
 
-// freeRecord releases e's build record, if it holds one, and hands its
-// bytes back to the budget. c.mu is held, and no query reads the record.
-func (c *Catalog) freeRecord(e *Entry) {
-	if e.rec != nil {
-		c.zc.Free(e.rec.Bytes())
-		c.records -= e.rec.Bytes()
-		e.rec.Release()
-		e.rec = nil
+// charge takes bytes of the budget for the record or pilot an entry's
+// empty slot keeps, when the budget takes them, and reports whether it did.
+// c.mu is held.
+func (c *Catalog) charge(bytes int64, empty bool) bool {
+	if !empty || c.zc.Alloc(bytes) != nil {
+		return false
 	}
+	c.records += bytes
+	c.peakBytes = max(c.peakBytes, c.zc.Used())
+	return true
+}
+
+// keptBytes is what e's build record and pilot hold of the budget. c.mu is
+// held.
+func (e *Entry) keptBytes() int64 {
+	var b int64
+	if e.rec != nil {
+		b += e.rec.Bytes()
+	}
+	if e.pilot != nil {
+		b += e.pilot.Bytes()
+	}
+	return b
+}
+
+// freeKept releases e's build record and pilot, if it holds them, and
+// hands their bytes back to the budget. c.mu is held, and no query reads
+// either.
+func (c *Catalog) freeKept(e *Entry) {
+	b := e.keptBytes()
+	c.zc.Free(b)
+	c.records -= b
+	if e.rec != nil {
+		e.rec.Release()
+	}
+	if e.pilot != nil {
+		e.pilot.Release()
+	}
+	e.rec, e.pilot = nil, nil
 }
 
 // Load stores a slice under name, beside counts: the key → multiplicity
@@ -435,7 +497,7 @@ func (c *Catalog) Drop(name string) (int64, error) {
 	c.dropped++
 	if e.pins == 0 {
 		c.zc.Free(e.rel.Bytes())
-		c.freeRecord(e)
+		c.freeKept(e)
 	} else {
 		e.dropped = true
 	}

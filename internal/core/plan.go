@@ -99,19 +99,40 @@ func autoSchemes(algo Algo, opt Options) []Scheme {
 // a fixed order with strict improvement, so ties resolve deterministically
 // and the same workload always yields the same plan.
 func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
+	pl, _, err := buildPlan(r, s, opt, nil, false)
+	return pl, err
+}
+
+// BuildPlanKept is BuildPlan over a build side whose pilot the caller may
+// keep, as RunKept is RunCtx: the plan's pilot probes kept when kept was
+// built under its key (Pilot) and builds its own otherwise. It returns the
+// pilot the probe read: kept itself on a hit; when kept is nil, a fresh
+// pilot, sealed, which the caller owns from then on and must Release; nil
+// under another key than kept's, whose pilot runs whole and is freed. The
+// plan is BuildPlan's either way. r is the caller's registered slice,
+// validated when it was loaded, and is not validated again; s is.
+func BuildPlanKept(r, s rel.Relation, opt Options, kept *Pilot) (*Plan, *Pilot, error) {
+	return buildPlan(r, s, opt, kept, true)
+}
+
+// buildPlan is BuildPlanKept; keep says whether the caller takes a fresh
+// pilot, and validates r when it does not.
+func buildPlan(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (*Plan, *Pilot, error) {
 	opt.Plan = nil
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("core: plan build relation: %w", err)
+	if !keep {
+		if err := r.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("core: plan build relation: %w", err)
+		}
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: plan probe relation: %w", err)
+		return nil, nil, fmt.Errorf("core: plan probe relation: %w", err)
 	}
 	if r.Len() == 0 || s.Len() == 0 {
-		return nil, fmt.Errorf("core: cannot plan an empty relation (|R|=%d, |S|=%d)", r.Len(), s.Len())
+		return nil, nil, fmt.Errorf("core: cannot plan an empty relation (|R|=%d, |S|=%d)", r.Len(), s.Len())
 	}
 
 	// The pilot is run once with Algo PHJ so the partition profile is
@@ -120,7 +141,7 @@ func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
 	// sample regardless of the algorithm).
 	popt := opt
 	popt.Algo = PHJ
-	prof := runPilot(r, s, popt)
+	prof, pilot := runPilotKept(r, s, popt, kept, keep)
 
 	// One model prices every candidate, each under its own environment, so
 	// the searches' tables are grown once per plan.
@@ -134,7 +155,7 @@ func BuildPlan(r, s rel.Relation, opt Options) (*Plan, error) {
 			}
 		}
 	}
-	return best, nil
+	return best, pilot, nil
 }
 
 // The planner reaches the ratio searches through these two variables, so

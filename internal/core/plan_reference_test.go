@@ -168,39 +168,97 @@ func TestBuildPlanEqualsReferenceSearch(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildPlan is one cold plan of a 4 096 × 4 096 join at the default
-// options (δ=0.02): the pilot, eleven candidates, six refined searches — what
-// every plan-cache miss costs.
-func BenchmarkBuildPlan(b *testing.B) {
+// planColdShape is apubench's plan_cold workload: a 4 096-tuple build side
+// and probe sides of 4 096 + 16·k tuples, each a plan-cache miss.
+func planColdShape(probes int) (rel.Relation, []rel.Relation) {
 	r := rel.Gen{N: 4096, Seed: 1}.Build()
-	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 0.8)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := BuildPlan(r, s, Options{}); err != nil {
+	s := make([]rel.Relation, probes)
+	for k := range s {
+		s[k] = rel.Gen{N: 4096 + 16*k, Seed: int64(2 + k)}.Probe(r, 1.0)
+	}
+	return r, s
+}
+
+// BenchmarkBuildPlan is one cold plan at plan_cold's shape at the default
+// options (δ=0.02): the pilot, eleven candidates, six refined searches —
+// what every plan-cache miss costs. cold runs the whole pilot (BuildPlan);
+// kept-pilot probes the pilot a first plan kept for the build side
+// (BuildPlanKept), as a registered build side's plans do, and fails if a
+// plan differs from cold's.
+func BenchmarkBuildPlan(b *testing.B) {
+	r, s := planColdShape(8)
+	want := make([]*Plan, len(s))
+	for k := range s {
+		var err error
+		if want[k], err = BuildPlan(r, s[k], Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if _, err := BuildPlan(r, s[i%len(s)], Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("kept-pilot", func(b *testing.B) {
+		_, kept, err := BuildPlanKept(r, s[0], Options{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer kept.Release()
+		for k := range s {
+			pl, p, err := BuildPlanKept(r, s[k], Options{}, kept)
+			if err != nil || p != kept || !reflect.DeepEqual(pl, want[k]) {
+				b.Fatalf("plan %d over the kept pilot: err %v, pilot %p (kept %p), equal to the cold plan %v", k, err, p, kept, reflect.DeepEqual(pl, want[k]))
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if _, p, err := BuildPlanKept(r, s[i%len(s)], Options{}, kept); err != nil || p != kept {
+				b.Fatalf("plan %d over the kept pilot: err %v, pilot %p (kept %p)", i, err, p, kept)
+			}
+		}
+	})
 }
 
-// TestBuildPlanAllocations bounds what BenchmarkBuildPlan's cold plan
-// allocates: the pilot's tables and profiles, eleven candidate plans and
+// TestBuildPlanAllocations bounds what BenchmarkBuildPlan's plans allocate:
+// a cold plan its pilot's tables and profiles, eleven candidate plans and
 // their ratio vectors, and nothing per search — the ratio searches, their
-// seeds and bounds work in the one cost.Model's scratch. The collector is
-// off so that the slab recycler keeps what the warm-up put back.
+// seeds and bounds work in the one cost.Model's scratch; a plan over a kept
+// pilot less, since no build half runs. The collector is off so that the
+// slab recycler keeps what the warm-up put back.
 func TestBuildPlanAllocations(t *testing.T) {
-	const ceiling = 141
-	r := rel.Gen{N: 4096, Seed: 1}.Build()
-	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 0.8)
+	const cold, keptPilot = 140, 107
+	r, s := planColdShape(1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	plan := func() {
-		if _, err := BuildPlan(r, s, Options{}); err != nil {
-			t.Fatal(err)
+	_, kept, err := BuildPlanKept(r, s[0], Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Release()
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		plan    func() (*Plan, error)
+	}{
+		{"cold", cold, func() (*Plan, error) { return BuildPlan(r, s[0], Options{}) }},
+		{"kept-pilot", keptPilot, func() (*Plan, error) {
+			pl, _, err := BuildPlanKept(r, s[0], Options{}, kept)
+			return pl, err
+		}},
+	} {
+		plan := func() {
+			if _, err := c.plan(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		plan()
+		n := testing.AllocsPerRun(10, plan)
+		if n > c.ceiling {
+			t.Errorf("a %s 4 096 × 4 096 plan allocates %v times, above the ceiling of %v", c.name, n, c.ceiling)
+		}
+		t.Logf("a %s 4 096 × 4 096 plan allocates %v times (ceiling %v)", c.name, n, c.ceiling)
 	}
-	plan()
-	n := testing.AllocsPerRun(10, plan)
-	if n > ceiling {
-		t.Fatalf("a cold 4 096 × 4 096 plan allocates %v times, above the ceiling of %d", n, ceiling)
-	}
-	t.Logf("a cold 4 096 × 4 096 plan allocates %v times (ceiling %d)", n, ceiling)
 }

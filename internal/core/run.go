@@ -48,12 +48,14 @@ func RunCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Result, error
 // kept's — the run builds, probes and frees its table as RunCtx does, since
 // the caller keeps one record — and for PHJ-PL', which builds no shared
 // table. A failed run returns no record. The run only reads kept, which
-// stays the caller's.
+// stays the caller's. r is the caller's registered slice, validated when it
+// was loaded, and is not validated again; s is.
 func RunKept(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord) (*Result, *BuildRecord, error) {
 	return runCtx(ctx, r, s, opt, kept, true)
 }
 
-// runCtx is RunKept; keep says whether the caller takes a fresh record.
+// runCtx is RunKept; keep says whether the caller takes a fresh record,
+// and validates r when it does not.
 func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord, keep bool) (_ *Result, _ *BuildRecord, err error) {
 	if opt.Plan != nil {
 		// An injected plan decides algorithm, scheme and ratios; the
@@ -64,8 +66,10 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := r.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: build relation: %w", err)
+	if !keep {
+		if err := r.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("core: build relation: %w", err)
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: probe relation: %w", err)

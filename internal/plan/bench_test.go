@@ -38,7 +38,7 @@ func plannerAmortizationShape(tb testing.TB) (run func(tb testing.TB, warm bool)
 		if !warm {
 			p = New(4)
 		}
-		pl, _, _, err := p.Plan(context.Background(), r, s, opt)
+		pl, _, _, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -246,7 +246,7 @@ func TestPlannerAmortizes(t *testing.T) {
 	opt := testOptions()
 
 	r1, s1 := testData(1<<14, 1, rel.Uniform, 1.0)
-	pl1, _, hit, err := p.Plan(context.Background(), r1, s1, opt)
+	pl1, _, hit, err := p.Plan(context.Background(), r1, s1, opt, core.BuildPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPlannerAmortizes(t *testing.T) {
 	}
 
 	r2, s2 := testData(1<<14, 99, rel.Uniform, 1.0)
-	pl2, _, hit, err := p.Plan(context.Background(), r2, s2, opt)
+	pl2, _, hit, err := p.Plan(context.Background(), r2, s2, opt, core.BuildPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +288,13 @@ func TestAutoPlannedBitIdentical(t *testing.T) {
 		return res
 	}
 
-	plMiss, _, _, err := p.Plan(context.Background(), r, s, opt)
+	plMiss, _, _, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	auto := runWith(plMiss)
 
-	plHit, _, hit, err := p.Plan(context.Background(), r, s, opt)
+	plHit, _, hit, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalo
 // external join) on partition 0's planner — on an unsharded engine, the
 // planner every join uses.
 func (b *localBackend) planWhole(ctx context.Context, r, s rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error) {
-	return planFor(ctx, b.planners[0], r, s, opt, w)
+	return planFor(ctx, b.planners[0], r, s, opt, w, nil)
 }
 
 // partitionBudgets returns every partition's residency budget for

@@ -22,14 +22,17 @@ func plannerIf(auto bool, p *plan.Planner) *plan.Planner {
 
 // planFor plans one pairwise join on p: from the registered pair's
 // workload w when the caller has one (fingerprinting then reads neither relation), else
-// from a measured one. hit reports whether the plan was served without a
-// pilot run. ctx bounds the planning wait, so a cancelled query frees its
-// slot instead of blocking on another query's plan build.
-func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload) (pl *core.Plan, hit bool, err error) {
+// from a measured one. build is r's entry when r is a registered slice (nil
+// otherwise), whose kept pilot a cold plan probes (catalog.Entry.BuildPlan);
+// the miss runs on the caller's goroutine, under the caller's pin. hit
+// reports whether the plan was served without a pilot run. ctx bounds the
+// planning wait, so a cancelled query frees its slot instead of blocking on
+// another query's plan build.
+func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (pl *core.Plan, hit bool, err error) {
 	if w != nil {
-		pl, _, hit, err = p.PlanWorkload(ctx, r, s, opt, *w)
+		pl, _, hit, err = p.PlanWorkload(ctx, r, s, opt, *w, build.BuildPlan)
 	} else {
-		pl, _, hit, err = p.Plan(ctx, r, s, opt)
+		pl, _, hit, err = p.Plan(ctx, r, s, opt, build.BuildPlan)
 	}
 	return pl, hit, err
 }
@@ -37,7 +40,8 @@ func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 // planRun is the one place a pairwise join is planned and executed: with a
 // planner it plans first (planFor) and runs under the plan; a nil planner
 // runs opt as given. build is r's entry when r is a registered slice (nil
-// otherwise), whose kept table the join may probe. A pair with an empty side joins to nothing: it is
+// otherwise), whose kept pilot a cold plan and whose kept table the join
+// may probe. A pair with an empty side joins to nothing: it is
 // neither planned (the planner refuses empty relations) nor run, and
 // reports a zero result. pl and hit report the planner's decision (nil,
 // false when nothing was planned).
@@ -46,7 +50,7 @@ func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.O
 		return emptyResult(opt), nil, false, nil
 	}
 	if p != nil {
-		if pl, hit, err = planFor(ctx, p, r, s, opt, w); err != nil {
+		if pl, hit, err = planFor(ctx, p, r, s, opt, w, build); err != nil {
 			return nil, nil, false, fmt.Errorf("plan: %w", err)
 		}
 		opt.Plan = pl
