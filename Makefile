@@ -28,7 +28,7 @@ COVERAGE_FLOOR ?= 91
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1944 internal/httpapi:593 internal/core:1583 internal/cluster:302 internal/catalog:310 internal/htab:557
+LOC_CEILINGS ?= internal/service:1931 internal/httpapi:593 internal/core:1583 internal/cluster:302 internal/catalog:310 internal/htab:557
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

@@ -5,12 +5,11 @@
 //
 //	apujoind -addr :8417 -workers 0 -max-concurrent 4 -queue 64
 //
-// With -shards N the relation catalog partitions by key hash across N
-// in-process engine shards behind a stateless router: every join and
-// pipeline fans out to all shards and merges deterministically, and the
-// results — match counts, simulated times, pipeline peak bytes — are
-// bit-identical for any shard count. /v1/stats then reports the aggregate
-// catalog plus per-shard gauges under "shard_catalogs".
+// With -shards N (any N >= 1) relations split by key hash over the fixed
+// 8-partition grid in the daemon's one catalog, every join and pipeline
+// fans out to all partitions and merges deterministically, and the daemon
+// can serve a cluster router. N selects nothing else: every N >= 1 is the
+// same engine, with the same results and the whole -catalog-bytes budget.
 //
 // With -cluster URL,… the daemon is a cluster router instead: it holds no
 // tuple data and fans the same /v1 surface out over 1..8 apujoind shard
@@ -116,8 +115,8 @@ func parseFlags(args []string, out io.Writer) (daemon, error) {
 	fs.IntVar(&d.http.MaxTuples, "max-tuples", 1<<24, "largest accepted relation size")
 	fs.Int64Var(&d.http.MaxBody, "max-body", 32<<20, "largest accepted request body in bytes")
 	fs.IntVar(&c.PlanCache, "plan-cache", 0, "plan cache capacity for algo=auto queries (0 = default)")
-	fs.Int64Var(&c.CatalogBytes, "catalog-bytes", 0, "zero-copy budget for registered relations, split evenly across -shards (0 = 512 MB)")
-	fs.IntVar(&c.Shards, "shards", 0, "partition the relation catalog across this many engine shards (0 = unsharded; results are identical for any value)")
+	fs.Int64Var(&c.CatalogBytes, "catalog-bytes", 0, "zero-copy budget for registered relations and pipeline intermediates, held in one catalog (0 = 512 MB)")
+	fs.IntVar(&c.Shards, "shards", 0, "any value >= 1 splits relations over the fixed 8-partition grid, as a cluster shard server needs (0 = unsharded; every value >= 1 is the same engine)")
 	fs.DurationVar(&c.ClusterTimeout, "timeout", 120*time.Second, "router: per-shard-request timeout; a query on a dead shard fails within this bound")
 	fs.DurationVar(&c.HealthInterval, "health-interval", 2*time.Second, "router: period of the background /healthz probe per shard")
 	fs.IntVar(&c.HealthFailures, "health-failures", 3, "router: consecutive probe failures before a shard is marked down")
@@ -196,8 +195,8 @@ func run(args []string, stdout io.Writer) error {
 	defer stop()
 	if n := len(d.svc.Cluster); n > 0 {
 		logger.Printf("routing %d partitions across %d shard servers: %s", shard.Partitions, n, strings.Join(d.svc.Cluster, ", "))
-	} else if n := svc.Shards(); n > 0 {
-		logger.Printf("sharded catalog: %d shards (per-shard gauges under /v1/stats shard_catalogs)", n)
+	} else if svc.Shards() > 0 {
+		logger.Printf("sharded engine: %d partitions in one catalog", shard.Partitions)
 	}
 	logger.Printf("listening on %s (%d workers, %d concurrent queries)", d.addr, svc.Stats().Workers, d.svc.MaxConcurrent)
 	// The listener stops the daemon on failure, a signal on request. The

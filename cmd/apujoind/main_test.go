@@ -176,7 +176,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not drain after SIGINT")
 	}
-	for _, want := range []string{"sharded catalog: 2 shards", "shutting down", "drained 0 queries"} {
+	for _, want := range []string{"sharded engine: 8 partitions in one catalog", "shutting down", "drained 0 queries"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("log lacks %q:\n%s", want, out.String())
 		}

@@ -56,24 +56,18 @@ func Workers(n int) EngineOption { return func(c *engineConfig) { c.workers = n 
 func PlanCacheSize(n int) EngineOption { return func(c *engineConfig) { c.planCache = n } }
 
 // CatalogCapacity bounds the zero-copy bytes the engine's registered
-// relations may occupy; <= 0 selects the A8-3870K's 512 MB. On a sharded
-// engine (WithShards) the capacity splits evenly across the per-shard
-// catalogs.
+// relations may occupy; <= 0 selects the A8-3870K's 512 MB. The engine
+// holds it in one catalog, sharded (WithShards) or not.
 func CatalogCapacity(bytes int64) EngineOption {
 	return func(c *engineConfig) { c.catalogBytes = bytes }
 }
 
-// WithShards partitions the engine's relation catalog by key hash across n
-// in-process engine shards behind a stateless router: relations register
-// once and split over a fixed grid of hash partitions, each shard owns a
-// contiguous partition range with its own residency budget, and every join
-// or pipeline fans out to all partitions and merges deterministically.
-//
-// The shard count carries an invariance contract: match counts, every
-// simulated time, and the pipeline peak-bytes accounting are bit-identical
-// for any n — sharding moves data between catalogs and budgets, never a
-// computed number. n <= 0 keeps the unsharded engine; values above the
-// fixed partition count are clamped to it.
+// WithShards selects the sharded engine for any n >= 1: relations register
+// once and split by key hash over a fixed grid of partitions in the
+// engine's one catalog, and every join or pipeline fans out to all
+// partitions and merges deterministically. The value of n selects nothing
+// else — every n >= 1 is the same engine, with the same results and the
+// same budget. n <= 0 keeps the unsharded engine.
 func WithShards(n int) EngineOption { return func(c *engineConfig) { c.shards = n } }
 
 // NewEngine starts an engine: the resident pool spins up immediately and
@@ -120,8 +114,8 @@ type RelationInfo = catalog.Info
 
 // Register generates and registers a build relation from a spec (keys are
 // a permutation of [1, KeyRange] — the primary-key side of a join). On a
-// sharded engine the relation is generated once and split across the
-// per-shard catalogs by key hash.
+// sharded engine the relation is generated once and split into the grid's
+// partitions by key hash.
 func (e *Engine) Register(name string, g Gen) (RelationInfo, error) {
 	return e.svc.RegisterGen(name, g)
 }
@@ -159,7 +153,8 @@ func (e *Engine) Relations() []RelationInfo { return e.svc.Relations() }
 // Relation returns one registered relation's info.
 func (e *Engine) Relation(name string) (RelationInfo, bool) { return e.svc.RelationInfo(name) }
 
-// Shards returns the configured shard count (0 for an unsharded engine).
+// Shards returns 1 for a sharded engine, whatever WithShards was given, and
+// 0 for an unsharded one.
 func (e *Engine) Shards() int { return e.svc.Shards() }
 
 // spec folds one join's sources and resolved options into the service's

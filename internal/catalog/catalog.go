@@ -311,7 +311,8 @@ type Catalog struct {
 
 // DefaultCapacity is the zero-copy capacity New selects when none is
 // configured: the A8-3870K's 512 MB device-addressable region. Exported so
-// the service can split the same default across per-shard budgets.
+// the service can derive its partitions' spill budgets from the same
+// default.
 const DefaultCapacity int64 = 512 << 20
 
 // New returns an empty catalog whose resident slices may occupy up to

@@ -14,26 +14,23 @@ import (
 	"apujoin/internal/shard"
 )
 
-// localBackend keeps the partition slices in-process: one catalog per
-// shard with its own zero-copy budget, holding partition p of relation
-// name as the entry partName(name, p), and one planner per grid partition.
-// The unsharded engine is this backend over a grid of one: one catalog, one
-// planner, and every relation stored whole under its own name.
+// localBackend keeps the partition slices in-process: one catalog holding
+// the whole zero-copy budget, with partition p of relation name as the entry
+// partName(name, p), and one planner per grid partition. The unsharded
+// engine is this backend over a grid of one: one planner, and every
+// relation stored whole under its own name.
 type localBackend struct {
 	// pool runs the partition fan-out (the service's resident pool).
 	pool     *sched.Pool
 	grid     shard.Grid
-	catalogs []*catalog.Catalog
-	// planners are per grid partition — NOT per shard — so each
-	// partition's plan cache evolves identically for any shard count.
+	cat      *catalog.Catalog
 	planners []*plan.Planner
 
-	// partBudget is the per-partition share of the TOTAL configured budget
-	// (total / grid size, independent of the shard count). The spill
-	// path triggers on it rather than on a shard catalog's physical
-	// headroom: which partition chains spill — and therefore every spilled
-	// number — must be a pure function of the data and the total budget,
-	// never of how partitions happen to be packed into shards.
+	// partBudget is each grid partition's even share of the catalog's
+	// budget (total / grid size). The spill path triggers on it rather than
+	// on the catalog's headroom: which partition chains spill — and
+	// therefore every spilled number — is a pure function of the data and
+	// the budget, never of what concurrent pipelines hold.
 	partBudget int64
 
 	mu sync.Mutex
@@ -42,10 +39,10 @@ type localBackend struct {
 	partBytes []int64
 }
 
-// partName is the shard-catalog entry name of one partition of a
-// relation. Shard catalogs are written only by the backend, so the suffix
-// cannot collide with user registrations; a grid of one stores the relation
-// under its own name.
+// partName is the catalog entry name of one partition of a relation.
+// Partition entries are written only by the backend, so the suffix cannot
+// collide with user registrations; a grid of one stores the relation under
+// its own name.
 func (b *localBackend) partName(name string, p int) string {
 	if b.grid.Whole() {
 		return name
@@ -54,30 +51,21 @@ func (b *localBackend) partName(name string, p int) string {
 }
 
 // newLocalBackend builds the in-process tier from a service Config: the
-// grid Config.Shards selects, Shards shard catalogs (an even split of
-// CatalogBytes each) — one catalog holding all of CatalogBytes when
-// unsharded — and one planner per grid partition.
+// grid Config.Shards selects, one catalog holding all of CatalogBytes and
+// one planner per grid partition.
 func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	grid := shard.GridFor(cfg.Shards)
-	shards := shard.Clamp(cfg.Shards)
 	total := cfg.CatalogBytes
 	if total <= 0 {
 		total = catalog.DefaultCapacity
 	}
-	budget := total / int64(shards)
 	b := &localBackend{
-		pool:     pool,
-		grid:     grid,
-		catalogs: make([]*catalog.Catalog, shards),
-		planners: make([]*plan.Planner, grid),
-		// An even partition split of the shard catalogs' combined budget:
-		// the floored per-shard budget × shards, not total/grid, so a
-		// shard's partitions share exactly its catalog's bytes.
-		partBudget: budget * int64(shards) / int64(grid),
+		pool:       pool,
+		grid:       grid,
+		cat:        catalog.New(total),
+		planners:   make([]*plan.Planner, grid),
+		partBudget: total / int64(grid),
 		partBytes:  make([]int64, grid),
-	}
-	for i := range b.catalogs {
-		b.catalogs[i] = catalog.New(budget)
 	}
 	for p := range b.planners {
 		b.planners[p] = plan.New(cfg.PlanCache)
@@ -85,22 +73,16 @@ func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	return b
 }
 
-// catalogOf returns the shard catalog owning partition p.
-func (b *localBackend) catalogOf(p int) *catalog.Catalog {
-	return b.catalogs[shard.Owner(p, len(b.catalogs))]
-}
-
-// place loads each slice into its owning shard catalog. A shard whose
-// budget cannot hold its partitions rolls the others back and the
-// placement fails with the catalog's ErrNoSpace — no bytes, no names and
-// no gauges left behind.
+// place loads each slice into the catalog. A slice the budget cannot hold
+// rolls the others back and the placement fails with the catalog's
+// ErrNoSpace — no bytes, no names and no gauges left behind.
 func (b *localBackend) place(name string, parts []rel.Relation, counts rel.Counts) error {
 	for p := range parts {
-		if err := b.catalogOf(p).Load(b.partName(name, p), parts[p], counts); err != nil {
+		if err := b.cat.Load(b.partName(name, p), parts[p], counts); err != nil {
 			for q := 0; q < p; q++ {
-				b.catalogOf(q).Drop(b.partName(name, q)) //nolint:errcheck // just loaded
+				b.cat.Drop(b.partName(name, q)) //nolint:errcheck // just loaded
 			}
-			return fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
+			return err
 		}
 	}
 	b.mu.Lock()
@@ -111,13 +93,13 @@ func (b *localBackend) place(name string, parts []rel.Relation, counts rel.Count
 	return nil
 }
 
-// remove drops every partition entry from its shard catalog — each shard's
-// bytes free when its last pin drains — and unwinds the partition gauges.
+// remove drops every partition entry — each one's bytes free when its last
+// pin drains — and unwinds the partition gauges.
 func (b *localBackend) remove(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for p := range int(b.grid) {
-		freed, _ := b.catalogOf(p).Drop(b.partName(name, p)) // absent: nothing was freed
+		freed, _ := b.cat.Drop(b.partName(name, p)) // absent: nothing was freed
 		b.partBytes[p] -= freed
 	}
 }
@@ -128,7 +110,7 @@ func (b *localBackend) remove(name string) {
 func (b *localBackend) pins(name string) int {
 	n := 0
 	for p := range int(b.grid) {
-		n = max(n, b.catalogOf(p).Pins(b.partName(name, p)))
+		n = max(n, b.cat.Pins(b.partName(name, p)))
 	}
 	return n
 }
@@ -139,10 +121,10 @@ func (b *localBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Rel
 	base := len(pins)
 	parts := make([]rel.Relation, b.grid)
 	for p := range parts {
-		e, err := b.catalogOf(p).Acquire(b.partName(name, p))
+		e, err := b.cat.Acquire(b.partName(name, p))
 		if err != nil {
 			releaseAll(pins[base:])
-			return nil, pins[:base], fmt.Errorf("shard %d: %w", shard.Owner(p, len(b.catalogs)), err)
+			return nil, pins[:base], err
 		}
 		pins = append(pins, e)
 		parts[p] = e.Relation()
@@ -214,16 +196,15 @@ func (b *localBackend) planWhole(ctx context.Context, r, s rel.Relation, opt cor
 }
 
 // partitionBudgets returns every partition's residency budget for
-// transient pipeline intermediates: its even share of the total configured
-// budget minus the relation bytes registered into it — over a grid of one,
-// the capacity less everything registered. The spill path compares
+// transient pipeline intermediates: its even share of the catalog's budget
+// minus the relation bytes registered into it — over a grid of one, the
+// capacity less everything registered. The spill path compares
 // intermediates against these — a pure function of the registered data and
-// the total budget — so spill decisions are identical for any shard count
-// and any concurrent interleaving. They are read in one snapshot when a
+// the budget — so spill decisions are identical for any worker count and
+// any concurrent interleaving. They are read in one snapshot when a
 // pipeline starts, so a Drop while its partition chains run moves no
-// chain's budget. Summed over a shard's owned partitions the thresholds
-// never exceed the shard catalog's free capacity, which is what makes the
-// thresholds physically honorable.
+// chain's budget. Summed over the grid the thresholds never exceed the
+// catalog's free capacity, which is what makes them physically honorable.
 func (b *localBackend) partitionBudgets() (free [shard.Partitions]int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -237,10 +218,9 @@ func (b *localBackend) partitionBudgets() (free [shard.Partitions]int64) {
 // inline on the caller). A partition with an empty side joins to nothing:
 // it skips planning (the planner refuses empty relations) and execution and
 // contributes a zero result — which partitions are empty depends only on
-// the keys and the grid, never the shard count. Planning (auto) happens
-// inside the fan-out on the partition's own planner: the planner index is
-// the grid partition, never the shard, and the job's full-relation workload
-// (registered pairs) stands in for measuring the slice.
+// the keys and the grid. Planning (auto) happens inside the fan-out on the
+// partition's own planner, and the job's full-relation workload (registered
+// pairs) stands in for measuring the slice.
 func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error) {
 	parts := make([]*core.Result, b.grid)
 	plans := make([]*PlanInfo, b.grid)
@@ -270,8 +250,8 @@ func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
 
 // runPipeline runs the whole chain once per grid partition, concurrently on
 // the pool, each over that partition's slice of every source, on its own
-// spiller — reservations against the partition's owning shard catalog,
-// spill decisions against its budget share — and writes each chain into
+// spiller — reservations against the catalog, spill decisions against the
+// partition's budget share — and writes each chain into
 // its column of the per-partition transport. Only the chain of a grid of
 // one sees global cardinalities, so only it may revise the job's order
 // mid-pipeline; partition chains execute the order as resolved — it is part
@@ -296,7 +276,7 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 	pp := newPipelinePartitions(n-1, grid)
 	budgets := b.partitionBudgets()
 	err := runPartitions(b.pool, grid, func(p int) error {
-		sp := &spiller{ctx: ctx, cat: b.catalogOf(p), planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: budgets[p]}
+		sp := &spiller{ctx: ctx, cat: b.cat, planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: budgets[p]}
 		c := &chain{level: b.grid.Levels(), wFirst: j.wFirst, steps: make([]*core.Result, 0, n-1), plans: make([]*PlanInfo, 0, n-1)}
 		if b.grid.Whole() {
 			c.replan = j.order.replan
@@ -329,9 +309,9 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 }
 
 // stats folds in the per-partition planners' cache counters and replaces
-// the logical byte total with the physical one: bytes, capacity and peak
-// summed over the shard catalogs, whose own gauges follow in shard order —
-// on a sharded service; an unsharded engine's one catalog is the aggregate.
+// the logical byte total with the catalog's physical gauges: bytes (a
+// relation's partition entries and any reservations), capacity, peak and
+// the kept build records.
 func (b *localBackend) stats(st *Stats) {
 	for _, p := range b.planners {
 		cs := p.Stats()
@@ -340,19 +320,13 @@ func (b *localBackend) stats(st *Stats) {
 		st.PlanEvictions += cs.Evictions
 		st.PlanEntries += cs.Entries
 	}
-	st.Catalog.Bytes = 0
-	for _, c := range b.catalogs {
-		cs := c.Stats()
-		if st.Shards > 0 {
-			st.ShardCatalogs = append(st.ShardCatalogs, cs)
-		}
-		st.Catalog.Bytes += cs.Bytes
-		st.Catalog.Capacity += cs.Capacity
-		st.Catalog.PeakBytes += cs.PeakBytes
-		st.Catalog.BuildRecordBytes += cs.BuildRecordBytes
-		st.Catalog.BuildRecordHits += cs.BuildRecordHits
-		st.Catalog.BuildRecordMisses += cs.BuildRecordMisses
-	}
+	cs := b.cat.Stats()
+	st.Catalog.Bytes = cs.Bytes
+	st.Catalog.Capacity = cs.Capacity
+	st.Catalog.PeakBytes = cs.PeakBytes
+	st.Catalog.BuildRecordBytes = cs.BuildRecordBytes
+	st.Catalog.BuildRecordHits = cs.BuildRecordHits
+	st.Catalog.BuildRecordMisses = cs.BuildRecordMisses
 }
 
 func (b *localBackend) close() {}

@@ -95,7 +95,7 @@ func TestBuildRecordFreedWithLastPin(t *testing.T) {
 
 	// A pin like an in-flight query's outlives the Drop, and so does the
 	// table: the pinned entry still serves its warm run.
-	cat := svc.router.b.(*localBackend).catalogs[0]
+	cat := svc.router.b.(*localBackend).cat
 	pinR, err := cat.Acquire("r")
 	if err != nil {
 		t.Fatal(err)

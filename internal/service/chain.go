@@ -188,10 +188,12 @@ func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
 // run, so a chain holds at most one intermediate and never names, pins or
 // indexes it.
 //
-// counts is in[order[0]]'s key → multiplicity table when the caller holds
-// one (a registered source's ingest table, a spilled partition's), and
-// known in[order[1]]'s multiplicities against it when the caller holds
-// those too (a spilled partition's); both stay the caller's. The first
+// counts is a key → multiplicity table covering in[order[0]]'s keys at
+// their counts in it, when the caller holds one (a registered source's
+// ingest table, or the spill point's table a spilled partition was split
+// from: partitions split by key), and known in[order[1]]'s multiplicities
+// against it when the caller holds those too (a spilled partition's); both
+// stay the caller's. A spill hands counts on to the spiller. The first
 // pre-check reads known's total and the first hand-off fills from it. A
 // table or multiplicities not in hand the chain derives when the step
 // hands an intermediate on (the last step needs none) and releases after
@@ -258,7 +260,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 				for _, i := range order[t:] {
 					probes = append(probes, in[i])
 				}
-				steps, err := sp.run(cur, probes, c.level)
+				steps, err := sp.run(cur, probes, counts, c.level)
 				if err != nil {
 					return fail(fmt.Errorf("spill: %w", err))
 				}

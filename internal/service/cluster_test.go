@@ -29,7 +29,14 @@ import (
 // in-process sharded engine behind the real HTTP surface.
 func startShardServer(t *testing.T, shards int) *httptest.Server {
 	t.Helper()
-	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: shards})
+	return startShardServerBudget(t, shards, 0)
+}
+
+// startShardServerBudget is startShardServer with a catalog budget
+// (CatalogBytes; <= 0 is the default).
+func startShardServerBudget(t *testing.T, shards int, budget int64) *httptest.Server {
+	t.Helper()
+	svc := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: shards, CatalogBytes: budget})
 	ts := httptest.NewServer(readerAccepts(t, httpapi.New(svc, httpapi.Config{})))
 	t.Cleanup(func() {
 		ts.Close()
@@ -100,21 +107,39 @@ func ddOptions(t *testing.T, algo string) core.Options {
 	return core.Options{Algo: a, Scheme: core.DD, Delta: 0.1}
 }
 
-// TestClusterInvariance is the network half of the shard-count-invariance
+// TestClusterInvariance is the network half of the server-count-invariance
 // contract: a cluster of 1, 2 and 4 remote shard servers reports results
-// bit-identical — match counts, every simulated float, pipeline gauges —
-// to the in-process 8-shard engine (itself invariant to the unsharded
-// engine by the router tests), whether a shard server builds a registered
-// build side or probes the table it kept.
+// bit-identical — match counts, every simulated float, pipeline gauges and
+// spill accounting — to the in-process sharded engine, whether a shard
+// server builds a registered build side or probes the table it kept. Every
+// server and the reference get the same catalog budget, which one pipeline
+// overflows: which partitions spill must not depend on where they live.
 func TestClusterInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 7 shard servers")
 	}
 	ctx := context.Background()
 
-	ref := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: 8})
+	// The triple and three 40 000-tuple relations hold 1 464 000 bytes; the
+	// rest leaves each grid partition ~32 KB for intermediates: room for
+	// the triple pipeline's ~24 KB, not for the 40 KB of a selectivity-1
+	// step over the large ones.
+	const budget = 1_720_000
+	register := func(t *testing.T, svc *service.Service) {
+		t.Helper()
+		registerTriple(t, svc)
+		if _, err := svc.RegisterGen("big", rel.Gen{N: 40000, Seed: 11}); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"big1", "big2"} {
+			if _, err := svc.RegisterProbe(name, "big", rel.Gen{N: 40000, Seed: int64(12 + i)}, 1.0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref := service.New(service.Config{Workers: 2, MaxConcurrent: 2, Shards: 1, CatalogBytes: budget})
 	t.Cleanup(func() { _ = ref.Close() })
-	registerTriple(t, ref)
+	register(t, ref)
 
 	joinSpecs := []service.JoinSpec{
 		{RName: "orders", SName: "lineitem", Opt: ddOptions(t, "phj")},
@@ -132,7 +157,9 @@ func TestClusterInvariance(t *testing.T) {
 		// Named and generated sources together (in declaration order: a
 		// generated source carries no ingest statistics to order by).
 		{Sources: []service.PipelineSource{{Gen: &gens[0]}, {Name: "orders"}, {Gen: &gens[1]}}, Opt: ddOptions(t, "shj")},
+		{Sources: []service.PipelineSource{{Name: "big"}, {Name: "big1"}, {Name: "big2"}}, Opt: ddOptions(t, "phj")},
 	}
+	const spilling = 2 // pipeSpecs' index of the one the budget cannot hold
 
 	refJoins := make([]*core.Result, len(joinSpecs))
 	for i, sp := range joinSpecs {
@@ -150,16 +177,21 @@ func TestClusterInvariance(t *testing.T) {
 		}
 		refPipes[i] = res
 	}
+	for i, res := range refPipes {
+		if spilled := res.SpilledPartitions > 0; spilled != (i == spilling) {
+			t.Fatalf("reference pipeline %d spilled %d partitions; only pipeline %d should spill", i, res.SpilledPartitions, spilling)
+		}
+	}
 
 	for _, servers := range []int{1, 2, 4} {
 		addrs := make([]string, servers)
 		for i := range addrs {
-			// Shard-server-side in-process shard counts deliberately vary:
-			// invariance must hold across them too.
-			addrs[i] = startShardServer(t, 1+i%2).URL
+			// Shard-server-side shard counts deliberately vary: every count
+			// >= 1 must be the same engine.
+			addrs[i] = startShardServerBudget(t, 1+i%2, budget).URL
 		}
 		csvc := clusterService(t, addrs)
-		registerTriple(t, csvc)
+		register(t, csvc)
 
 		// Twice: the second pass probes the tables the shard servers kept
 		// for the registered build sides on the first.
@@ -170,7 +202,7 @@ func TestClusterInvariance(t *testing.T) {
 					t.Fatalf("%d servers: %s join %d: %v", servers, pass, i, err)
 				}
 				if !reflect.DeepEqual(res, refJoins[i]) {
-					t.Errorf("%d servers: %s join %d diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
+					t.Errorf("%d servers: %s join %d diverges from the in-process reference:\n cluster %+v\n ref     %+v",
 						servers, pass, i, res, refJoins[i])
 				}
 			}
@@ -182,7 +214,7 @@ func TestClusterInvariance(t *testing.T) {
 				t.Fatalf("%d servers: pipeline %d: %v", servers, i, err)
 			}
 			if !reflect.DeepEqual(pres, refPipes[i]) {
-				t.Errorf("%d servers: pipeline %d diverges from the 8-shard reference:\n cluster %+v\n ref     %+v",
+				t.Errorf("%d servers: pipeline %d diverges from the in-process reference:\n cluster %+v\n ref     %+v",
 					servers, i, pres, refPipes[i])
 			}
 		}

@@ -37,7 +37,7 @@ func TestGoldenCatalogReuse(t *testing.T) {
 	wantGolden(t, "inline-regen sim_ns/op", catalogReuseShape(t, true)(t), golden)
 }
 
-// One literal for both shard counts: the shard-count-invariance contract.
+// One literal for both shard counts: every count >= 1 is the same engine.
 func TestGoldenShardedScaleout(t *testing.T) {
 	const golden = 4.646330552237265e+06
 	for _, shards := range []int{1, shard.Partitions} {

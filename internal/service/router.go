@@ -28,10 +28,10 @@ import (
 //
 // The grid is shard.One on an unsharded engine — the split, the fan-out and
 // the merge are then identities (see shard.Grid) and the one partition's
-// numbers are the engine's — and shard.Partitions otherwise, where the shard
-// (or server) count decides placement and budget boundaries and nothing
-// else: every computed number is a function of the grid, which is why
-// results are bit-identical for any shard count and any backend.
+// numbers are the engine's — and shard.Partitions otherwise, where a
+// cluster's server count decides placement and budget boundaries and
+// nothing else: every computed number is a function of the grid, which is
+// why results are bit-identical for any server count and any backend.
 type router struct {
 	b    backend
 	grid shard.Grid
@@ -555,7 +555,7 @@ func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, pins [
 // execJoin fans one join out to every grid partition and merges the
 // per-partition results in partition order. Equi-join matches never cross
 // partitions, so the merged result — match count and every simulated
-// number — equals the grid's and is bit-identical for any shard count and
+// number — equals the grid's and is bit-identical for any server count and
 // any backend. parts is the raw per-partition vector, returned only when
 // the job asked to keep it; pl aggregates the partitions' planner decisions
 // (mergePlans).
@@ -666,7 +666,7 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 //
 // PeakIntermediateBytes sums the per-partition chain peaks: the chains
 // execute concurrently, so their peaks are simultaneous in the worst case,
-// and the sum is a pure function of the grid (shard-count invariant).
+// and the sum is a pure function of the grid (server-count invariant).
 func (t *router) execPipeline(ctx context.Context, pj *pipeJob) (*PipelineResult, error) {
 	pp, err := t.b.runPipeline(ctx, pj)
 	if err != nil {

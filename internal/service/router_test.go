@@ -2,49 +2,87 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/oracle"
 	"apujoin/internal/rel"
+	"apujoin/internal/shard"
 )
 
-// TestRouterBudgetSplitDefault: the catalog capacity splits evenly across
-// the per-shard catalogs, and the aggregate gauge reports the sum.
-func TestRouterBudgetSplitDefault(t *testing.T) {
-	svc := New(Config{Workers: 1, Shards: 4, CatalogBytes: 4096})
+// TestRouterOneCatalog: a sharded service holds every partition in one
+// catalog with the whole budget, so a relation whose keys all hash into one
+// grid partition registers as long as the process has room — more than a
+// quarter of the budget, which a four-way budget split refused — and the
+// stats carry that one catalog and no per-shard gauges.
+func TestRouterOneCatalog(t *testing.T) {
+	const budget = 4096
+	svc := New(Config{Workers: 1, Shards: 4, CatalogBytes: budget})
 	defer svc.Close()
 	st := svc.Stats()
-	if len(st.ShardCatalogs) != 4 {
-		t.Fatalf("shard catalogs = %d, want 4", len(st.ShardCatalogs))
+	if st.Shards != 1 || st.Catalog.Capacity != budget {
+		t.Fatalf("stats: shards %d, capacity %d, want 1 and %d", st.Shards, st.Catalog.Capacity, budget)
 	}
-	for i, sc := range st.ShardCatalogs {
-		if sc.Capacity != 1024 {
-			t.Errorf("shard %d capacity = %d, want 1024", i, sc.Capacity)
+
+	// 300 keys of partition 0: 2 400 bytes, between budget/4 and budget.
+	var skew rel.Relation
+	for k := int32(1); skew.Len() < 300; k++ {
+		if shard.PartitionOf(k) == 0 {
+			skew.RIDs = append(skew.RIDs, int32(skew.Len()))
+			skew.Keys = append(skew.Keys, k)
 		}
 	}
-	if st.Catalog.Capacity != 4096 {
-		t.Errorf("aggregate capacity = %d, want 4096", st.Catalog.Capacity)
+	if b := skew.Bytes(); b <= budget/4 || b >= budget {
+		t.Fatalf("fixture holds %d bytes, want between %d and %d", b, budget/4, budget)
+	}
+	if _, err := svc.LoadRelation("skew", skew); err != nil {
+		t.Fatalf("a relation the process has room for: %v", err)
+	}
+	if got := svc.Stats().Catalog.Bytes; got != skew.Bytes() {
+		t.Errorf("catalog bytes = %d, want %d", got, skew.Bytes())
+	}
+
+	raw, err := json.Marshal(svc.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		t.Fatal(err)
+	}
+	for key := range wire {
+		if strings.HasPrefix(key, "shard") && key != "shards" {
+			t.Errorf("stats carry per-shard gauges under %q: %s", key, raw)
+		}
+	}
+	if c := wire["catalog"].(map[string]any); c["capacity_bytes"] != float64(budget) || wire["shards"] != float64(1) {
+		t.Errorf("stats: catalog %v, shards %v, want capacity %d and 1", c, wire["shards"], budget)
 	}
 }
 
-// TestRouterRegisterRollback: a registration one shard's budget cannot
-// hold fails with ErrNoSpace and rolls back the partitions already loaded
-// into other shards — no orphaned partial relation survives anywhere.
+// TestRouterRegisterRollback: a registration the budget cannot hold fails
+// with ErrNoSpace on the partition that overflows it and rolls back the
+// partitions already loaded — no orphaned partial relation survives.
 func TestRouterRegisterRollback(t *testing.T) {
-	// Each shard holds ~half of a hash-split relation; 2 KB per shard
-	// admits ~250 tuples total but not 4000.
-	svc := New(Config{Workers: 1, Shards: 2, CatalogBytes: 2 * 2048})
+	// 16 KB admits ~2000 tuples but not 4000: "huge" overflows it after its
+	// first partitions are loaded.
+	const budget = 16384
+	svc := New(Config{Workers: 1, Shards: 2, CatalogBytes: budget})
 	defer svc.Close()
 	if _, err := svc.RegisterGen("small", rel.Gen{N: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	before := svc.Stats().Catalog
+	if parts := shard.Split(rel.Gen{N: 4000, Seed: 2}.Build()); before.Bytes+parts[0].Bytes()+parts[1].Bytes() > budget {
+		t.Fatalf("huge's first two partitions do not fit: nothing would roll back")
+	}
 
 	if _, err := svc.RegisterGen("huge", rel.Gen{N: 4000, Seed: 2}); !errors.Is(err, catalog.ErrNoSpace) {
 		t.Fatalf("oversized sharded register: err %v, want catalog.ErrNoSpace", err)
@@ -176,8 +214,8 @@ func TestRouterProbeChainRegeneration(t *testing.T) {
 func TestRouterShardedJoinPaths(t *testing.T) {
 	svc := New(Config{Workers: 2, Shards: 2})
 	defer svc.Close()
-	if !svc.ShardServer() || svc.Shards() != 2 {
-		t.Fatalf("ShardServer()=%v Shards()=%d, want true/2", svc.ShardServer(), svc.Shards())
+	if !svc.ShardServer() || svc.Shards() != 1 {
+		t.Fatalf("ShardServer()=%v Shards()=%d, want true/1", svc.ShardServer(), svc.Shards())
 	}
 	if svc.Pool() == nil {
 		t.Fatal("resident pool missing")

@@ -68,18 +68,15 @@ type Config struct {
 	PlanCache int
 	// CatalogBytes bounds the zero-copy space the relation catalog's
 	// resident relations may occupy; <= 0 selects the A8-3870K's 512 MB.
-	// A sharded service splits this total evenly across the per-shard
-	// catalogs.
+	// An in-process service holds it in one catalog whatever its grid.
 	CatalogBytes int64
-	// Shards > 0 partitions the relation catalog by key hash across that
-	// many in-process engine shards behind the service's stateless router:
-	// relations register once and split over the fixed shard.Partitions
-	// grid, joins and pipelines fan out to every partition and merge
-	// deterministically, and results are bit-identical for any shard
-	// count. 0 (the default) is the unsharded engine: the same router over
-	// a grid of one partition in one catalog, where a relation's single
-	// slice is the relation itself. Values above shard.Partitions are
-	// clamped.
+	// Shards >= 1 selects the sharded engine: relations register once and
+	// split by key hash over the fixed shard.Partitions grid in the one
+	// catalog, joins and pipelines fan out to every partition and merge
+	// deterministically, and the service can serve a cluster router. The
+	// value selects nothing else: every n >= 1 is the same engine. 0 (the
+	// default) is the unsharded engine: the same router over a grid of one
+	// partition, where a relation's single slice is the relation itself.
 	Shards int
 	// Cluster lists the base URLs of remote apujoind shard servers. When
 	// non-empty the service becomes a network cluster router — what
@@ -291,20 +288,15 @@ type Stats struct {
 	PlanSimulatedNS float64 `json:"plan_simulated_ns"`
 	PlanAbsErrNS    float64 `json:"plan_abs_err_ns"`
 
-	// Catalog mirrors the relation catalog: resident relations, their
-	// zero-copy footprint, and how often ingest-time statistics were
-	// reused in place of per-query measurement. On a sharded service it is
-	// the aggregate across shards (logical relations, summed bytes,
-	// capacity and peak) and ShardCatalogs carries each shard's own
-	// gauges.
+	// Catalog mirrors the relation catalog: resident relations (each
+	// counted once, however many partitions it split into), their zero-copy
+	// footprint, and how often ingest-time statistics were reused in place
+	// of per-query measurement.
 	Catalog catalog.Stats `json:"catalog"`
 
-	// Shards is the router's shard count (0 = unsharded) and ShardCatalogs
-	// the per-shard catalog gauges, in shard order. On a clustered service
-	// Shards is the remote server count and ShardCatalogs stays empty (the
-	// shard catalogs live in the remote processes).
-	Shards        int             `json:"shards,omitempty"`
-	ShardCatalogs []catalog.Stats `json:"shard_catalogs,omitempty"`
+	// Shards is 1 on a sharded in-process service (its one catalog), the
+	// remote server count on a clustered one, and 0 (absent) unsharded.
+	Shards int `json:"shards,omitempty"`
 
 	// Cluster carries the per-shard health and latency gauges of a
 	// clustered service: up/down state, probe counters and latency,
@@ -318,10 +310,10 @@ type Service struct {
 	pool *sched.Pool
 	// router is the front every relation registration, join and pipeline
 	// goes through: over remote shard servers when Config.Cluster is set
-	// (which wins: a cluster router holds no tuple data), else over
-	// in-process catalogs — Config.Shards of them behind the fixed
-	// hash-partition grid, or one holding whole relations (a grid of one)
-	// when unsharded.
+	// (which wins: a cluster router holds no tuple data), else over one
+	// in-process catalog — behind the fixed hash-partition grid when
+	// Config.Shards >= 1, holding whole relations (a grid of one) when
+	// unsharded.
 	router *router
 	// sem holds one slot per concurrently executing query; acquisition
 	// order is the runtime's FIFO for blocked channel sends, which
@@ -369,14 +361,14 @@ func New(opt Config) *Service {
 // router runs no partition of its own.
 func (s *Service) ShardServer() bool { return len(s.opt.Cluster) == 0 && s.opt.Shards > 0 }
 
-// Shards returns the configured shard count, clamped to the grid: remote
-// servers for a cluster router, in-process shards otherwise (0 when
-// unsharded).
+// Shards returns how many processes hold the service's partitions: the
+// remote server count for a cluster router, 1 for a sharded in-process
+// service whatever its configured count, 0 when unsharded.
 func (s *Service) Shards() int {
 	if n := len(s.opt.Cluster); n > 0 {
 		return min(n, shard.Partitions)
 	}
-	return min(max(s.opt.Shards, 0), shard.Partitions)
+	return min(max(s.opt.Shards, 0), 1)
 }
 
 // Pool exposes the shared resident pool (for callers running joins outside
@@ -385,7 +377,7 @@ func (s *Service) Pool() *sched.Pool { return s.pool }
 
 // RegisterGen generates and registers a build relation from a spec (keys a
 // permutation of [1, KeyRange] — the primary-key side of a join), splitting
-// it across the shard catalogs when the service is sharded.
+// it over the grid's partitions when the service is sharded.
 func (s *Service) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
 	return s.router.RegisterGen(name, g)
 }
@@ -851,10 +843,8 @@ func (s *Service) Queries() []*Query {
 }
 
 // Stats snapshots the metrics surface, folding in the plan cache counters
-// — summed over the per-partition planners — and the catalog gauges: on a
-// sharded service Catalog aggregates the shard catalogs and ShardCatalogs
-// carries the per-shard gauges; on a clustered one Cluster reports shard
-// health.
+// — summed over the per-partition planners — and the catalog gauges; on a
+// clustered service Cluster reports shard health.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats

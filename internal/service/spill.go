@@ -22,8 +22,8 @@ import (
 //     rehash with decorrelated seeds);
 //   - as many partitions as the budget allows stay resident (first-fit in
 //     partition order over each partition's exact intermediate size, which
-//     the build side's key counts give, partition by partition on the pool,
-//     before anything runs) and pay no I/O; every other partition is
+//     the spill point's key counts give, partition by partition on the
+//     pool, before anything runs) and pay no I/O; every other partition is
 //     charged one simulated write+read-back round trip over its input
 //     bytes (cost.Spill*);
 //   - a partition whose intermediate alone exceeds the budget is
@@ -37,7 +37,7 @@ import (
 // a pure function of the data and the budget — never of wall time, worker
 // schedule or physical allocation state — so spilled executions keep the
 // engine's determinism contract: matches and simulated times are
-// bit-identical for any worker and shard count. Per-step results merge
+// bit-identical for any worker and server count. Per-step results merge
 // across partitions in partition order with shard.MergeResults, exactly as
 // the sharded engine merges its grid.
 const (
@@ -121,47 +121,35 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // returns one merged Result per chain step, bit-identical for any worker
 // count.
 //
-// Every input splits on the pool into consecutive sub-slices of one keys
-// slab and one RIDs slab, handed back when run returns. The build side's
-// key counts are derived once, per partition and on the pool, and so are
-// the multiplicities of the partition's probe keys against them, whose
-// total is its exact first intermediate: partitions hold disjoint key sets,
-// so the heaviest key overall is the heaviest of any partition, and a
-// partition's table and multiplicities then serve its first chain step —
-// its pre-check reads the total and its hand-off fills from the slab, so
-// that step looks its probe up once. run owns both and releases them when
-// it returns.
-func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*core.Result, error) {
+// counts is the spill point's key → multiplicity table, covering cur's
+// keys: cur's own, or a table over a relation cur is a key-split part of
+// (a registered source's ingest table, a parent level's), whose count of
+// every key of cur is cur's. Every input splits on the pool into
+// consecutive sub-slices of one keys slab and one RIDs slab, handed back
+// when run returns. Partitions split by key, so counts serves every
+// partition too: each looks its probe keys up in it once, on the pool, and
+// the multiplicities' total is its exact first intermediate. The table and
+// multiplicities then serve the partition's first chain step — its
+// pre-check reads the total and its hand-off fills from the slab, so that
+// step looks its probe up once. run owns the multiplicities and releases
+// them when it returns; counts stays the caller's.
+func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, depth int) ([]*core.Result, error) {
 	sp.depth = max(sp.depth, depth)
-	if depth >= maxSpillDepth {
+	if depth >= maxSpillDepth || dominated(cur, counts) {
 		return sp.stream(cur, probes)
 	}
 	split, slab := shard.SplitAt(sp.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
-	var counts [shard.Partitions]rel.Counts
 	var mults [shard.Partitions]core.Mults
 	defer func() {
-		for p := range counts {
-			counts[p].Release()
+		for p := range mults {
 			mults[p].Release()
 		}
 		slab.Release()
 	}()
-	// Partitioning is by key, so partition p's first intermediate is the sum
-	// of the build-side counts of p's probe keys. The loop is the
-	// parallelism: each partition's lookups run inline.
+	// The loop is the parallelism: each partition's lookups run inline.
 	sp.opt.Pool.ForEach(shard.Partitions, func(p int) {
-		counts[p] = rel.KeyCounts(split[0][p])
-		mults[p] = core.Multiplicities(nil, counts[p], split[1][p].Keys)
+		mults[p] = core.Multiplicities(nil, counts, split[1][p].Keys)
 	})
-	var heaviest int32
-	for p := range counts {
-		heaviest = max(heaviest, counts[p].Max())
-	}
-	// One key owning heavyKeyShare of the build side is the case
-	// repartitioning cannot improve.
-	if heaviest > 0 && float64(heaviest) >= heavyKeyShare*float64(cur.Len()) {
-		return sp.stream(cur, probes)
-	}
 
 	// Hybrid residency: first-fit in partition order over the exact sizes,
 	// keeping as many partitions resident as the budget holds, in one pass
@@ -183,10 +171,11 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 	}
 
 	// Every partition's chain runs through runChain one level down, from
-	// its build side's counts, on a child spiller, concurrently on the pool
-	// (an intermediate the budget cannot hold recurses through the chain's
-	// own pre-check); Turns keeps their planner decisions in partition
-	// order. A chain's inputs, in chain order, sit on its own stack.
+	// counts and its multiplicities, on a child spiller, concurrently on the
+	// pool (an intermediate the budget cannot hold recurses through the
+	// chain's own pre-check); Turns keeps their planner decisions in
+	// partition order. A chain's inputs, in chain order, sit on its own
+	// stack.
 	order := make([]int, len(split))
 	for i := range order {
 		order[i] = i
@@ -202,7 +191,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 		}
 		kids[p] = spiller{ctx: sp.ctx, cat: sp.cat, planner: pl, opt: sp.opt, budget: sp.budget}
 		c := chain{level: depth + 1, steps: steps[p*k : p*k : (p+1)*k]}
-		return kids[p].runChain(&c, in, order, counts[p], mults[p])
+		return kids[p].runChain(&c, in, order, counts, mults[p])
 	})
 	if err := runPartitions(sp.opt.Pool, n, turns.Run); err != nil {
 		return nil, fmt.Errorf("level %d: %w", depth, err)
@@ -227,6 +216,25 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, depth int) ([]*c
 		out[t] = shard.MergeResults(col[:])
 	}
 	return out, nil
+}
+
+// dominated reports whether one key owns heavyKeyShare of cur — the case
+// repartitioning cannot improve, since a key is indivisible. counts holds
+// every key of cur at its count in cur (run's contract). Its Max bounds
+// cur's heaviest key from above — a table over more than cur can hold a
+// heavier key cur lacks — so cur's keys are read only when the bound
+// reaches the share.
+func dominated(cur rel.Relation, counts rel.Counts) bool {
+	limit := heavyKeyShare * float64(cur.Len())
+	if float64(counts.Max()) < limit {
+		return false
+	}
+	for _, k := range cur.Keys {
+		if float64(counts.Of(k)) >= limit {
+			return true
+		}
+	}
+	return false
 }
 
 // stream is the skew escape hatch: a budget-chunked nested probe for data

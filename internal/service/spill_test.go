@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/oracle"
 	"apujoin/internal/rel"
@@ -312,6 +313,51 @@ func TestSpillBoundaries(t *testing.T) {
 				t.Errorf("%d matches, the oracle counts %d", pr.Final.Matches, want)
 			}
 		})
+	}
+}
+
+// TestSpillReadsAWiderTable: the spiller takes the spill point's count
+// table, which may cover more than the relation it spills — a registered
+// source's ingest table covers the whole relation a grid partition's chain
+// starts from. Its heaviest key can then lie outside the spilled side, and
+// must not make the spiller stream a side no key of which owns
+// heavyKeyShare of it: spilled with the whole relation's table, a partition
+// runs exactly as with its own.
+func TestSpillReadsAWiderTable(t *testing.T) {
+	whole := rel.Gen{N: 1 << 12, Seed: 21}.Build()
+	for i := range 1 << 10 {
+		whole.Keys[i] = whole.Keys[0]
+	}
+	parts := shard.Split(whole)
+	cur := parts[(shard.PartitionOf(whole.Keys[0])+1)%shard.Partitions]
+	wide := rel.KeyCounts(whole)
+	defer wide.Release()
+	if float64(wide.Max()) < heavyKeyShare*float64(cur.Len()) {
+		t.Fatalf("the whole relation's heaviest key (%d tuples) is no heavier than half the partition's %d", wide.Max(), cur.Len())
+	}
+	probes := []rel.Relation{
+		rel.Gen{N: 1 << 11, Seed: 22}.Probe(cur, 1.0),
+		rel.Gen{N: 1 << 10, Seed: 23}.Probe(cur, 0.5),
+	}
+	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1}
+	spill := func(counts rel.Counts) (*spiller, []*core.Result) {
+		sp := &spiller{ctx: context.Background(), cat: catalog.New(1 << 20), opt: &opt, budget: 2 << 10}
+		steps, err := sp.run(cur, probes, counts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp, steps
+	}
+	own := rel.KeyCounts(cur)
+	defer own.Release()
+	ref, refSteps := spill(own)
+	if len(ref.spills) == 0 {
+		t.Fatal("the partition spilled nothing: the comparison shows nothing")
+	}
+	got, steps := spill(wide)
+	if !reflect.DeepEqual(steps, refSteps) || !reflect.DeepEqual(got.spills, ref.spills) || got.depth != ref.depth || got.peak != ref.peak {
+		t.Errorf("with the whole relation's table: %d spills to depth %d, peak %d; with its own: %d to depth %d, peak %d",
+			len(got.spills), got.depth, got.peak, len(ref.spills), ref.depth, ref.peak)
 	}
 }
 

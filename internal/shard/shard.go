@@ -1,19 +1,19 @@
 // Package shard owns the hash partitioner and the deterministic merge
 // behind every engine: relations are split once over the engine's Grid —
 // one partition (the unsharded engine: the relation itself) or a fixed grid
-// of Partitions key-hash partitions — partitions are assigned to N
-// in-process engine shards by a contiguous ownership map, and per-partition
-// join results are reduced in partition order.
+// of Partitions key-hash partitions — partitions are assigned to the N
+// shard servers of a cluster by a contiguous ownership map, and
+// per-partition join results are reduced in partition order.
 //
-// The shard-count-invariance contract rests on the grid being fixed: the
-// partition a tuple lands in depends only on its key, never on the shard
-// count, so an equi-join (or a whole left-deep pipeline over the shared
-// key) decomposes into Partitions independent sub-joins whose inputs — and
-// therefore whose match counts and simulated times — are identical for any
-// shard count. Changing the shard count moves partitions between catalogs
-// and budgets; it never changes a single computed number. This is the same
-// trick the worker-count contract uses (fixed morsel grids, ordered
-// reduction in sched.Pool), lifted one level up.
+// The server-count-invariance contract rests on the grid being fixed: the
+// partition a tuple lands in depends only on its key, never on how many
+// servers hold the partitions, so an equi-join (or a whole left-deep
+// pipeline over the shared key) decomposes into Partitions independent
+// sub-joins whose inputs — and therefore whose match counts and simulated
+// times — are identical for any server count. Changing the server count
+// moves partitions between processes; it never changes a single computed
+// number. This is the same trick the worker-count contract uses (fixed
+// morsel grids, ordered reduction in sched.Pool), lifted one level up.
 package shard
 
 import (
@@ -25,10 +25,10 @@ import (
 )
 
 // Partitions is the fixed number of hash partitions every relation is
-// split into, independent of the shard count. Shard counts above it are
-// clamped: a shard can own several partitions, but a partition never
-// spans shards. Eight keeps per-partition relations large enough to join
-// efficiently while dividing evenly among 1, 2 or 4 shards.
+// split into, and the most shard servers a cluster can have: a server can
+// own several partitions, but a partition never spans servers. Eight keeps
+// per-partition relations large enough to join efficiently while dividing
+// evenly among 1, 2 or 4 servers.
 const Partitions = 8
 
 // partitionSeed seeds the partitioner's Murmur2, deliberately distinct
@@ -73,8 +73,8 @@ type Grid int
 const One Grid = 1
 
 // GridFor derives an engine's grid from its configured shard count: no
-// shards is one partition in one catalog, any shard count is the fixed
-// Partitions grid (which is why results cannot depend on the count).
+// shards is one partition, any shard count is the fixed Partitions grid —
+// the count selects nothing else.
 func GridFor(shards int) Grid {
 	if shards <= 0 {
 		return One
@@ -141,31 +141,16 @@ func (g Grid) Merge(parts []*core.Result) *core.Result {
 	return MergeResults(parts)
 }
 
-// Clamp normalizes a configured shard count: values below 1 select one
-// shard, values above Partitions are capped at Partitions (extra shards
-// would own no partition).
-func Clamp(shards int) int {
-	if shards < 1 {
-		return 1
-	}
-	if shards > Partitions {
-		return Partitions
-	}
-	return shards
-}
-
-// Owner maps a partition to the shard owning it under a given shard
-// count: partitions are assigned contiguously (shard k owns partitions
+// Owner maps a partition to the shard owning it among 1..Partitions
+// shards: partitions are assigned contiguously (shard k owns partitions
 // [k*Partitions/shards, (k+1)*Partitions/shards)), so growing the shard
 // count splits ownership ranges without interleaving them.
 func Owner(part, shards int) int {
-	return part * Clamp(shards) / Partitions
+	return part * shards / Partitions
 }
 
-// OwnedBy returns the partitions shard k owns under a given shard count,
-// in ascending partition order. It is the inverse view of Owner, used by
-// routing tiers that group a relation's partitions by owner — the
-// in-process router iterates partitions directly, while the network
+// OwnedBy returns the partitions shard server k owns among shards servers,
+// in ascending partition order. It is the inverse view of Owner: the
 // cluster tier concatenates each server's owned partitions into one
 // upload.
 func OwnedBy(k, shards int) []int {
@@ -181,7 +166,7 @@ func OwnedBy(k, shards int) []int {
 // Split partitions a relation over the fixed grid: tuple i of r lands in
 // partition PartitionOf(r.Keys[i]), keeping its original (RID, Key) pair,
 // and tuples within a partition preserve their relative order in r. The
-// output is a pure function of r — the shard count plays no part — and
+// output is a pure function of r — where partitions are held plays no part — and
 // every returned partition has freshly allocated columns of its own (they
 // alias neither r nor each other): catalog entries outlive any query and
 // drop one partition at a time.
@@ -244,7 +229,7 @@ func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Re
 // footprint all sum — the partitions form independent sub-joins, so their
 // simulated times add exactly like a pipeline's serial steps do. Summation
 // runs strictly in slice (partition) order, so the floating-point totals
-// are bit-identical for any shard count and any execution interleaving.
+// are bit-identical for any server count and any execution interleaving.
 //
 // Per-partition artifacts that do not aggregate — the ratio vectors,
 // per-step timings, pilot profiles and BasicUnit shares — are left zero in

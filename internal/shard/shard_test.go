@@ -198,14 +198,6 @@ func TestOwnerContiguousAndComplete(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	for _, tc := range [][2]int{{-1, 1}, {0, 1}, {1, 1}, {4, 4}, {Partitions, Partitions}, {Partitions + 5, Partitions}} {
-		if got := Clamp(tc[0]); got != tc[1] {
-			t.Fatalf("Clamp(%d) = %d, want %d", tc[0], got, tc[1])
-		}
-	}
-}
-
 // MergeResults sums in slice order: merging [a, b] must equal merging
 // [a, b] again bit for bit, and the totals must be the ordered sums.
 func TestMergeResultsOrderedSums(t *testing.T) {

@@ -98,16 +98,17 @@ func runShardWorkload(t *testing.T, eng *Engine, tiny Relation) *shardOutcome {
 	return o
 }
 
-// TestShardInvariance is the PR's acceptance contract: every number an
-// engine reports — match counts, every simulated time, the pipeline
-// peak-bytes accounting — is bit-identical for shard counts 1, 2 and 4,
-// and for worker counts 1 and GOMAXPROCS. Sharding decides where data
-// lives and which budget it charges, never a computed number. Full
-// Results and PipelineResults are compared with DeepEqual; match counts
-// are additionally grounded against an unsharded engine, which also runs
-// as the shards=0 column for match counts only — they are
+// TestShardInvariance: every number a sharded engine reports — match
+// counts, every simulated time, the pipeline peak-bytes accounting — is
+// bit-identical for worker counts 1 and GOMAXPROCS. Full Results and
+// PipelineResults are compared with DeepEqual; match counts are
+// additionally grounded against an unsharded engine, which also runs as
+// the shards=0 column for match counts only — they are
 // decomposition-independent, while the simulated times of a grid of one
 // legitimately differ from the grid of eight's, and only it may re-plan.
+// Every shard count >= 1 is the same engine (one catalog, the fixed grid,
+// Shards() == 1); the columns 1, 2 and 4 hold it to that, and
+// TestClusterInvariance varies where the partitions live.
 func TestShardInvariance(t *testing.T) {
 	unsharded := NewEngine(Workers(2))
 	defer unsharded.Close()
@@ -122,8 +123,8 @@ func TestShardInvariance(t *testing.T) {
 			t.Run(cfg, func(t *testing.T) {
 				eng := NewEngine(Workers(workers), WithShards(shards))
 				defer eng.Close()
-				if got := eng.Shards(); got != shards {
-					t.Fatalf("Shards() = %d, want %d", got, shards)
+				if got, want := eng.Shards(), min(shards, 1); got != want {
+					t.Fatalf("Shards() = %d, want %d", got, want)
 				}
 				tiny := shardFixture(t, eng)
 				o := runShardWorkload(t, eng, tiny)
@@ -184,18 +185,16 @@ func TestShardInvariance(t *testing.T) {
 // pipeline whose selectivity-1 intermediates overflow the residency
 // budget completes by spilling, matches the unconstrained run exactly, and the
 // full PipelineResult (match counts, every simulated time, the spill
-// accounting itself) is bit-identical for worker counts 1 and
-// GOMAXPROCS and shard counts 1, 2 and 4 with the total budget held
-// fixed. An unsharded engine under the same total (the shards=0 column)
+// accounting itself) is bit-identical for worker counts 1 and GOMAXPROCS
+// and shard counts 1, 2 and 4, which all run one catalog under the same
+// budget. An unsharded engine under the same budget (the shards=0 column)
 // must spill too and find the same matches; its numbers are its own.
+// TestClusterInvariance runs a spilling pipeline over 1, 2 and 4 servers.
 func TestShardSpillInvariance(t *testing.T) {
-	// Total residency budget across all shards, divisible by 4 so every
-	// shard count gets an exact split and the per-partition budget —
-	// total/8, the quantity spill decisions and with them the simulated
-	// spill I/O depend on — is bit-identical for shards 1, 2 and 4. The
-	// 48 000 relation tuples leave ~13.6 KB headroom: enough for the
-	// hash-split imbalance at registration, too little for any single
-	// partition's ~16 KB selectivity-1 intermediate.
+	// The residency budget: each grid partition's share is total/8, the
+	// quantity spill decisions and with them the simulated spill I/O
+	// depend on. The 48 000 relation tuples leave ~13.6 KB headroom: too
+	// little for any single partition's ~16 KB selectivity-1 intermediate.
 	const totalBudget = 397_600
 	rg := Gen{N: 16000, Seed: 1}
 	sg := Gen{N: 16000, Seed: 2}
@@ -265,39 +264,31 @@ func TestShardSpillInvariance(t *testing.T) {
 	}
 }
 
-// TestShardInvarianceStats: the aggregate catalog gauge equals the sum of
-// the per-shard gauges, resident bytes match the unsharded ingest, and
-// shard counts above the fixed partition grid clamp rather than fail.
+// TestShardInvarianceStats: a sharded engine reports one catalog holding
+// the whole budget, its resident bytes match the unsharded ingest, and
+// every shard count >= 1 — above the fixed partition grid too — is the
+// same engine, reporting Shards() == 1.
 func TestShardInvarianceStats(t *testing.T) {
 	eng := NewEngine(Workers(2), WithShards(3))
 	defer eng.Close()
 	shardFixture(t, eng)
 
 	st := eng.svc.Stats()
-	if st.Shards != 3 || len(st.ShardCatalogs) != 3 {
-		t.Fatalf("stats: shards=%d, %d shard catalogs, want 3 and 3", st.Shards, len(st.ShardCatalogs))
-	}
-	var bytes, capacity int64
-	for _, sc := range st.ShardCatalogs {
-		bytes += sc.Bytes
-		capacity += sc.Capacity
-	}
-	if st.Catalog.Bytes != bytes || st.Catalog.Capacity != capacity {
-		t.Errorf("aggregate catalog gauge (%d bytes / %d cap) != shard sum (%d / %d)",
-			st.Catalog.Bytes, st.Catalog.Capacity, bytes, capacity)
+	if st.Shards != 1 || st.Catalog.Capacity != catalog.DefaultCapacity {
+		t.Fatalf("stats: shards=%d, capacity %d, want 1 and %d", st.Shards, st.Catalog.Capacity, catalog.DefaultCapacity)
 	}
 	if st.Catalog.Relations != 4 {
 		t.Errorf("catalog relations = %d, want 4", st.Catalog.Relations)
 	}
 	// (12000 + 15000 + 9000 + 3) tuples × 8 bytes, wherever the split put them.
-	if want := int64(12000+15000+9000+3) * 8; bytes != want {
-		t.Errorf("resident bytes = %d, want %d", bytes, want)
+	if want := int64(12000+15000+9000+3) * 8; st.Catalog.Bytes != want {
+		t.Errorf("resident bytes = %d, want %d", st.Catalog.Bytes, want)
 	}
 
 	over := NewEngine(Workers(1), WithShards(shard.Partitions*4))
 	defer over.Close()
-	if got := over.Shards(); got != shard.Partitions {
-		t.Errorf("oversized shard count: Shards() = %d, want clamp to %d", got, shard.Partitions)
+	if got := over.Shards(); got != 1 {
+		t.Errorf("oversized shard count: Shards() = %d, want 1", got)
 	}
 }
 
