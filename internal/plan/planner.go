@@ -11,8 +11,11 @@ import (
 // service layer owns and every auto-planned query consults.
 type Planner struct {
 	cache *Cache
-	// seat, when set, makes the planner one chain of a Turns fan-out.
-	seat *seat
+	// view makes the planner one chain of a FanOut before its turn: it
+	// serves resident plans only and records its hits, buffered inline.
+	view bool
+	hits []hit
+	buf  [4]hit
 }
 
 // New returns a planner over a fresh cache of the given capacity

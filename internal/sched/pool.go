@@ -234,9 +234,7 @@ func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {
 // Collect executes fn once per index of a fixed n-element grid on the pool
 // and returns the results in index order — the ordered fan-out the sharded
 // engine's router uses to run every hash partition's sub-join and gather
-// the per-partition results for the deterministic merge, and the spill
-// executor uses to run the partition chains of one repartitioning level
-// concurrently. Like MapRange,
+// the per-partition results for the deterministic merge. Like MapRange,
 // the grid and the returned slice are pure functions of n and fn; the
 // worker count only decides which goroutine computes which entry. Nested
 // use (fn itself running pool kernels) is safe: the submitter always

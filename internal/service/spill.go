@@ -173,7 +173,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	// Every partition's chain runs through runChain one level down, from
 	// counts and its multiplicities, on a child spiller, concurrently on the
 	// pool (an intermediate the budget cannot hold recurses through the
-	// chain's own pre-check); Turns keeps their planner decisions in
+	// chain's own pre-check); FanOut keeps their planner decisions in
 	// partition order. A chain's inputs, in chain order, sit on its own
 	// stack.
 	order := make([]int, len(split))
@@ -183,7 +183,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	k := len(probes)
 	steps := make([]*core.Result, n*k)
 	kids := make([]spiller, n)
-	turns := sp.planner.Turns(n, func(p int, pl *plan.Planner) error {
+	failed, err := sp.planner.FanOut(n, sp.opt.Pool.ForEach, func(p int, pl *plan.Planner) error {
 		var buf [4]rel.Relation
 		in := buf[:0]
 		for j := range split {
@@ -193,8 +193,8 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 		c := chain{level: depth + 1, steps: steps[p*k : p*k : (p+1)*k]}
 		return kids[p].runChain(&c, in, order, counts, mults[p])
 	})
-	if err := runPartitions(sp.opt.Pool, n, turns.Run); err != nil {
-		return nil, fmt.Errorf("level %d: %w", depth, err)
+	if err != nil {
+		return nil, fmt.Errorf("level %d: partition %d: %w", depth, failed, err)
 	}
 
 	// The children fold back in partition order, as if their chains had run
