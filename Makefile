@@ -24,14 +24,14 @@ COVERAGE_FLOOR ?= 91
 # stays resident, kept build tables and pilots included; its ceiling keeps that
 # policy in one place. The hash table's host layout is one node array that
 # b3's one pass builds, and the allocator is charged, not run; its ceiling
-# keeps the linked rid lists and their kernels in the tests. Concurrent spill
-# chains keep their plan-cache decisions in partition order without waiting
-# for one another; the planner's ceiling keeps a blocking sequencer from
+# keeps the linked rid lists and their kernels in the tests. A spill level's
+# leader chain alone plans and the others run its plans, so the planner is a
+# fingerprint over one cache with no fan-out API; its ceiling keeps one from
 # coming back. Lower a ceiling as its package
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1931 internal/plan:504 internal/httpapi:593 internal/core:1583 internal/cluster:302 internal/catalog:310 internal/htab:557
+LOC_CEILINGS ?= internal/service:1974 internal/plan:423 internal/httpapi:593 internal/core:1583 internal/cluster:302 internal/catalog:310 internal/htab:557
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -103,7 +103,9 @@ bench:
 # eleven priced candidates, what every plan-cache miss costs); last, one
 # 2^18 × 2^18 PHJ-PL join cold and warm, the second probing a kept build
 # record (core.RunKept: what a repeat join over a registered build side
-# skips). Several rows
+# skips); and one warm spilled pipeline at spill depth 0 and ≥ 1, with the
+# plan misses a warm run costs (0 while only a spill level's leader plans).
+# Several rows
 # check their output against a reference and fail on a mismatch, so CI runs
 # the target once per PR at BENCHTIME=1x.
 BENCHTIME ?= 10x
@@ -119,6 +121,7 @@ bench-kernels:
 	$(GO) test -run=NONE -bench='BenchmarkOptimizePLRefined|BenchmarkOptimizePLFullGrid' -benchmem -benchtime=$(BENCHTIME) ./internal/cost
 	$(GO) test -run=NONE -bench=BenchmarkBuildPlan -benchmem -benchtime=$(BENCHTIME) ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkRunWarmBuild -benchmem -benchtime=$(BENCHTIME) ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkSpilledPipeline -benchmem -benchtime=$(BENCHTIME) ./internal/service
 
 # "Did host time move?": one full apubench run set (all four workloads,
 # ~15 s each), then its comparison against the committed baseline. Host

@@ -145,39 +145,6 @@ func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*c
 	return fl.plan, false, fl.err
 }
 
-// peek returns fp's resident entry and its plan, leaving the LRU order and
-// the counters as they are.
-func (c *Cache) peek(fp Fingerprint) (*list.Element, *core.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[fp]
-	if !ok {
-		return nil, nil, false
-	}
-	return el, el.Value.(*entry).plan, true
-}
-
-// apply counts peeked hits as the lookups they stand for, in order, if
-// every entry is still resident with the plan it held; otherwise it changes
-// nothing and reports false.
-func (c *Cache) apply(hits []hit) bool {
-	if len(hits) == 0 {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range hits {
-		if e := h.el.Value.(*entry); c.entries[e.fp] != h.el || e.plan != h.pl {
-			return false
-		}
-	}
-	for _, h := range hits {
-		c.lru.MoveToFront(h.el)
-		c.hits++
-	}
-	return true
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -11,11 +11,6 @@ import (
 // service layer owns and every auto-planned query consults.
 type Planner struct {
 	cache *Cache
-	// view makes the planner one chain of a FanOut before its turn: it
-	// serves resident plans only and records its hits, buffered inline.
-	view bool
-	hits []hit
-	buf  [4]hit
 }
 
 // New returns a planner over a fresh cache of the given capacity
@@ -45,7 +40,7 @@ func (p *Planner) Plan(ctx context.Context, r, s rel.Relation, opt core.Options,
 // query therefore fingerprints without reading either relation.
 func (p *Planner) PlanWorkload(ctx context.Context, r, s rel.Relation, opt core.Options, w Workload, build BuildFunc) (pl *core.Plan, fp Fingerprint, hit bool, err error) {
 	fp = OfWorkload(r, s, opt, w)
-	pl, hit, err = p.lookup(ctx, fp, func() (*core.Plan, error) {
+	pl, hit, err = p.cache.GetOrBuild(ctx, fp, func() (*core.Plan, error) {
 		return build(r, s, opt)
 	})
 	return pl, fp, hit, err

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"apujoin/internal/core"
@@ -196,6 +197,31 @@ func BenchmarkShardedScaleout(b *testing.B) {
 				simNS = run(b)
 			}
 			b.ReportMetric(simNS, "sim_ns/op")
+		})
+	}
+}
+
+// BenchmarkSpilledPipeline times one warm spilled pipeline on two workers:
+// the depth-0 and depth ≥ 1 shapes whose digests TestSpilledPipelineUnchanged
+// pins, each on a service whose plan cache a first run outside the timer
+// primed. Every run must return the first run's PipelineResult. ns/op is
+// host wall-clock per pipeline; plan_misses/op is what a warm run costs the
+// default 128-entry cache, 0 while only a spill level's leader plans.
+func BenchmarkSpilledPipeline(b *testing.B) {
+	for _, sh := range spillShapes()[:2] {
+		b.Run(sh.name, func(b *testing.B) {
+			svc := sh.load(b, 2)
+			first := sh.exec(b, svc)
+			misses := svc.Stats().PlanMisses
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pr := sh.exec(b, svc); !reflect.DeepEqual(pr, first) {
+					b.Fatalf("run %d differs from the first run (TotalNS %v, want %v)", i, pr.TotalNS, first.TotalNS)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(svc.Stats().PlanMisses-misses)/float64(b.N), "plan_misses/op")
+			b.ReportMetric(first.TotalNS, "sim_ns/op")
 		})
 	}
 }

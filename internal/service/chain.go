@@ -155,7 +155,14 @@ type chain struct {
 	// global order is part of the merge contract.
 	replan func(t int, matches int64)
 
+	// inherit, when non-nil, holds the plan of every step of a follower
+	// partition chain: its leader's (nil: the leader planned none).
+	inherit []*core.Plan
+
 	steps []*core.Result
+	// ran, when non-nil, records the plan each step ran (nil: none): a spill
+	// level's leader chain keeps it for the level's other chains.
+	ran []*core.Plan
 	// plans is nil for a spilled partition's chain: no result reports its
 	// planner decisions.
 	plans []*PlanInfo
@@ -163,10 +170,13 @@ type chain struct {
 	spilled *core.Result
 }
 
-// add appends one step and, when the chain keeps plans, its planner
-// decision.
+// add appends one step and, when the chain keeps them, the plan it ran and
+// its planner decision.
 func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
 	c.steps = append(c.steps, r)
+	if c.ran != nil {
+		c.ran = append(c.ran, pl)
+	}
 	if c.plans != nil {
 		c.plans = append(c.plans, planInfo(pl, hit))
 	}
@@ -199,7 +209,8 @@ func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
 // hands an intermediate on (the last step needs none) and releases after
 // the hand-off. A step whose build counts are in hand plans from them
 // (plan.CountsWorkload — the measured workload by construction); the first
-// step prefers wFirst.
+// step prefers wFirst. A follower partition chain (c.inherit) plans
+// nothing on the planner: each step runs its leader's plan for it.
 //
 // A step with an empty side joins to nothing: it is neither planned (the
 // planner refuses empty relations) nor run, reports a zero result, and its
@@ -260,7 +271,9 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 				for _, i := range order[t:] {
 					probes = append(probes, in[i])
 				}
-				steps, err := sp.run(cur, probes, counts, c.level)
+				// A follower's remaining plans (nil stays nil).
+				inherit := c.inherit[min(t-1, len(c.inherit)):]
+				steps, plans, err := sp.run(cur, probes, counts, c.level, inherit)
 				if err != nil {
 					return fail(fmt.Errorf("spill: %w", err))
 				}
@@ -268,17 +281,31 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 				for _, r := range steps {
 					c.add(r, nil, false)
 				}
+				if c.ran != nil { // a leader's: the plans its spill's leader ran
+					copy(c.ran[len(c.ran)-len(steps):], plans)
+				}
 				return nil
 			}
 		}
 
-		w := c.wFirst // the first step's alone
+		opt, w := *sp.opt, c.wFirst // the first step's workload alone
 		c.wFirst = nil
-		if w == nil && sp.planner != nil && counts.Len() > 0 {
+		if c.inherit != nil && !empty {
+			// A follower runs its leader's plan: no pilot, no fingerprint, no
+			// lookup. A step its leader ran empty or streamed it plans alone,
+			// outside the plan cache.
+			if opt.Plan = c.inherit[t-1]; opt.Plan == nil {
+				pl, err := core.BuildPlan(cur, probe, opt)
+				if err != nil {
+					return fail(fmt.Errorf("plan: %w", err))
+				}
+				opt.Plan = pl
+			}
+		} else if w == nil && sp.planner != nil && counts.Len() > 0 {
 			cw := plan.CountsWorkload(counts, probe)
 			w = &cw
 		}
-		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, *sp.opt, w, nil)
+		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, opt, w, nil)
 		if err != nil {
 			return fail(err)
 		}

@@ -31,13 +31,17 @@ import (
 //   - a partition dominated by one heavy key — repartitioning cannot split
 //     a single key — falls back to a streaming nested probe: the probe
 //     side is walked in budget-sized chunks and each chunk's intermediate
-//     probes the full remaining chain before the next chunk starts.
+//     probes the full remaining chain before the next chunk starts;
+//   - an auto-planned level plans once, as the paper profiles and plans a
+//     workload once and then runs the plan: one partition chain, the
+//     level's leader, plans its steps, and every other chain runs the
+//     leader's plan for each step, at every level below it too.
 //
-// Every decision (partition boundaries, residency, recursion, chunking) is
-// a pure function of the data and the budget — never of wall time, worker
-// schedule or physical allocation state — so spilled executions keep the
-// engine's determinism contract: matches and simulated times are
-// bit-identical for any worker and server count. Per-step results merge
+// Every decision (partition boundaries, residency, recursion, chunking,
+// the leader) is a pure function of the data and the budget — never of
+// wall time, worker schedule or physical allocation state — so spilled
+// executions keep the engine's determinism contract: matches and simulated
+// times are bit-identical for any worker and server count. Per-step results merge
 // across partitions in partition order with shard.MergeResults, exactly as
 // the sharded engine merges its grid.
 const (
@@ -62,12 +66,18 @@ const (
 	replanDeviation = 1.0
 )
 
+// spillLevelHook, when set, sees every partitioned spill level once its
+// chains have run: its leader (-1: none), the plans its other chains ran
+// (nil: none) and every partition's steps, len(probes) each. Tests set it.
+var spillLevelHook func(leader int, inherit []*core.Plan, steps []*core.Result)
+
 // spiller is what one chain runs against — the catalog its intermediates
-// reserve in, its planner (nil runs every step under the base options) and
-// its residency budget — and, once the chain spills, the hybrid-hash spill
-// executor of the rest, with the spill accounting of every level below. A
-// spiller is not safe for concurrent use: run gives each partition chain a
-// child spiller of its own and folds the children back in partition order.
+// reserve in, its planner (nil: the chain runs the plans it inherited as a
+// follower, or else the base options) and its residency budget — and, once
+// the chain spills, the hybrid-hash spill executor of the rest, with the
+// spill accounting of every level below. A spiller is not safe for
+// concurrent use: run gives each partition chain a child spiller of its own
+// and folds the children back in partition order.
 type spiller struct {
 	ctx     context.Context
 	cat     *catalog.Catalog
@@ -133,10 +143,16 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // pre-check reads the total and its hand-off fills from the slab, so that
 // step looks its probe up once. run owns the multiplicities and releases
 // them when it returns; counts stays the caller's.
-func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, depth int) ([]*core.Result, error) {
+//
+// inherit, when non-nil, are the plans of the remaining steps that a
+// follower chain inherited, which every partition chain runs. A spiller
+// with a planner returns the plans its leader's chain ran, one per step
+// (none when it streams: the stream plans nothing).
+func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, depth int, inherit []*core.Plan) ([]*core.Result, []*core.Plan, error) {
 	sp.depth = max(sp.depth, depth)
 	if depth >= maxSpillDepth || dominated(cur, counts) {
-		return sp.stream(cur, probes)
+		steps, err := sp.stream(cur, probes)
+		return steps, nil, err
 	}
 	split, slab := shard.SplitAt(sp.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
 	var mults [shard.Partitions]core.Mults
@@ -171,11 +187,14 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	}
 
 	// Every partition's chain runs through runChain one level down, from
-	// counts and its multiplicities, on a child spiller, concurrently on the
-	// pool (an intermediate the budget cannot hold recurses through the
-	// chain's own pre-check); FanOut keeps their planner decisions in
-	// partition order. A chain's inputs, in chain order, sit on its own
-	// stack.
+	// counts and its multiplicities, on a child spiller (an intermediate the
+	// budget cannot hold recurses through the chain's own pre-check). An
+	// auto-planned level plans once: its leader — the lowest partition whose
+	// first step has two non-empty sides, else partition 0 — runs first, on
+	// this spiller's planner, and the others then run concurrently on the
+	// pool, each step under the plan the leader's step ran. Below a
+	// follower nothing plans: its chains take the plans it inherited. A
+	// chain's inputs, in chain order, sit on its own stack.
 	order := make([]int, len(split))
 	for i := range order {
 		order[i] = i
@@ -183,18 +202,42 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	k := len(probes)
 	steps := make([]*core.Result, n*k)
 	kids := make([]spiller, n)
-	failed, err := sp.planner.FanOut(n, sp.opt.Pool.ForEach, func(p int, pl *plan.Planner) error {
+	runAt := func(p int, planner *plan.Planner, c *chain) error {
 		var buf [4]rel.Relation
 		in := buf[:0]
 		for j := range split {
 			in = append(in, split[j][p])
 		}
-		kids[p] = spiller{ctx: sp.ctx, cat: sp.cat, planner: pl, opt: sp.opt, budget: sp.budget}
-		c := chain{level: depth + 1, steps: steps[p*k : p*k : (p+1)*k]}
-		return kids[p].runChain(&c, in, order, counts, mults[p])
+		kids[p] = spiller{ctx: sp.ctx, cat: sp.cat, planner: planner, opt: sp.opt, budget: sp.budget}
+		c.level, c.steps = depth+1, steps[p*k:p*k:(p+1)*k]
+		return kids[p].runChain(c, in, order, counts, mults[p])
+	}
+	leader := -1
+	if sp.planner != nil {
+		leader = 0
+		for p := range n {
+			if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
+				leader = p
+				break
+			}
+		}
+		lead := &chain{ran: make([]*core.Plan, 0, k)}
+		if err := runAt(leader, sp.planner, lead); err != nil {
+			return nil, nil, fmt.Errorf("level %d: partition %d: %w", depth, leader, err)
+		}
+		inherit = lead.ran
+	}
+	err := runPartitions(sp.opt.Pool, n, func(p int) error {
+		if p == leader {
+			return nil
+		}
+		return runAt(p, nil, &chain{inherit: inherit})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("level %d: partition %d: %w", depth, failed, err)
+		return nil, nil, fmt.Errorf("level %d: %w", depth, err)
+	}
+	if spillLevelHook != nil {
+		spillLevelHook(leader, inherit, steps)
 	}
 
 	// The children fold back in partition order, as if their chains had run
@@ -215,7 +258,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 		}
 		out[t] = shard.MergeResults(col[:])
 	}
-	return out, nil
+	return out, inherit, nil
 }
 
 // dominated reports whether one key owns heavyKeyShare of cur — the case

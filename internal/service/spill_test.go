@@ -27,10 +27,12 @@ type spillShape struct {
 	name     string
 	rels     []rel.Relation
 	headroom int64
-	// digest is sha256 over the JSON of the whole PipelineResult as the
-	// map-backed hand-off of PR 21 produced it (recorded by running this
-	// file, digests blanked, on that tree): every match count, simulated
-	// time, spill and peak gauge of every step, in one literal.
+	// digest is sha256 over the JSON of the whole PipelineResult: every
+	// match count, simulated time, spill and peak gauge of every step, in
+	// one literal. The streaming fallback's was recorded through the
+	// map-backed hand-off the count tables replaced; the partitioned
+	// shapes' since their spilled partition chains run their leader's
+	// plans (recorded by running this file, digests blanked).
 	digest string
 	check  func(t *testing.T, pr *PipelineResult)
 }
@@ -47,14 +49,14 @@ func spillShapes() []spillShape {
 	skewed := skewedRels(1<<10*3/5, 1<<10*3/5)
 	return []spillShape{
 		{name: "depth 0", rels: uniform, headroom: 16 << 10,
-			digest: "8323e49d90012c2d5611e85b633be66e5b435ec89cc1e6fa1771abfb90f30d03",
+			digest: "561e42b43be02baa82fc37e47bbf1e00b3411586ba04bea56847579557660331",
 			check: func(t *testing.T, pr *PipelineResult) {
 				if pr.SpilledPartitions == 0 || pr.SpillDepth != 0 {
 					t.Errorf("spilled %d partitions to depth %d, want some at depth 0", pr.SpilledPartitions, pr.SpillDepth)
 				}
 			}},
 		{name: "depth ≥ 1", rels: uniform, headroom: 2 << 10,
-			digest: "6a68c9b81a8a6085d4cffe4016939e7aa99f1b4753fcb69107ca9a018ccbbb75",
+			digest: "a5f5fcb7d77ad8a7e109f791c05bb7353e03f316b15974c0ccddd44e0b712f88",
 			check: func(t *testing.T, pr *PipelineResult) {
 				if pr.SpillDepth < 1 {
 					t.Errorf("spill depth %d, want the partitions to repartition", pr.SpillDepth)
@@ -159,8 +161,8 @@ func (sh *spillShape) resident() int64 {
 // side derivation and the recycled hand-off buffers change no number of a
 // spilled pipeline. Each shape — partitions resident at depth 0, recursive
 // repartitioning, and the streaming fallback of an indivisible key — must
-// reproduce the PipelineResult the map-backed hand-off produced, again on
-// one, two and four workers: the later runs execute on
+// reproduce its recorded PipelineResult, again on one, two and four
+// workers: the later runs execute on
 // slabs the earlier ones released, which a -race build hands back poisoned,
 // so a table or column read past what its owner wrote, or released while
 // still in use, changes a number here.
@@ -342,7 +344,7 @@ func TestSpillReadsAWiderTable(t *testing.T) {
 	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1}
 	spill := func(counts rel.Counts) (*spiller, []*core.Result) {
 		sp := &spiller{ctx: context.Background(), cat: catalog.New(1 << 20), opt: &opt, budget: 2 << 10}
-		steps, err := sp.run(cur, probes, counts, 1)
+		steps, _, err := sp.run(cur, probes, counts, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,16 +364,23 @@ func TestSpillReadsAWiderTable(t *testing.T) {
 }
 
 // TestSpillPlanLookups: a chain decides to spill from its build side's key
-// counts before it plans or runs the step, so a spilled pipeline consults
-// the plan cache only for the steps that actually run — the partition
-// chains' — never for the whole-relation step the spiller takes over.
+// counts before it plans or runs the step, and only a spill level's leader
+// chain plans, so a spilled pipeline consults the plan cache once per step
+// its leader runs — never for the whole-relation step the spiller takes
+// over, never for a follower partition. A warm run then neither misses nor
+// evicts at the default cache size, however deep the spill.
 func TestSpillPlanLookups(t *testing.T) {
-	want := map[string]int64{"depth 0": 24, "depth ≥ 1": 192, "streaming fallback": 0}
+	want := map[string]int64{"depth 0": 3, "depth ≥ 1": 3, "streaming fallback": 0}
 	for _, sh := range spillShapes() {
 		svc := sh.load(t, 2)
 		sh.run(t, svc)
-		if st := svc.Stats(); st.PlanHits+st.PlanMisses != want[sh.name] {
-			t.Errorf("%s: %d plan lookups, want %d", sh.name, st.PlanHits+st.PlanMisses, want[sh.name])
+		cold := planCounters(svc)
+		if lookups := cold[0] + cold[1]; lookups != want[sh.name] {
+			t.Errorf("%s: %d plan lookups, want %d", sh.name, lookups, want[sh.name])
+		}
+		sh.run(t, svc)
+		if warm := planCounters(svc); warm[1] != cold[1] || warm[2] != cold[2] {
+			t.Errorf("%s: a warm run missed %d plans and evicted %d, want none", sh.name, warm[1]-cold[1], warm[2]-cold[2])
 		}
 	}
 }
@@ -422,82 +431,208 @@ func TestConcurrentSpillDeterminism(t *testing.T) {
 	}
 }
 
-// fanOutPlanShape is a three-source pipeline that spills at level 0 into
-// two chains, in partitions 0 and 1, whose second steps share one plan
-// fingerprint — 1000 ⋈ 1000 tuples, uniform, every probe key matching —
-// while their data differ: partition 0's intermediate has 1000 distinct
-// keys that match once each, partition 1's has 250 keys that match four
-// times each. A plan built from partition 1's data is a different plan.
-// Partition 0's first step (4000 ⋈ 1000) is the heavier one, so partition
-// 1 tends to reach the shared fingerprint first.
-func fanOutPlanShape() spillShape {
-	var keys [2][]int32
-	for k := int32(1); len(keys[0]) < 4000 || len(keys[1]) < 250; k++ {
-		if p := shard.PartitionAt(k, 0); p < 2 {
-			keys[p] = append(keys[p], k)
-		}
-	}
-	a, b := keys[0][:4000], keys[1][:250]
-	r := append([]int32(nil), a...)
-	s := append([]int32(nil), a[:1000]...)
-	u := append([]int32(nil), a[:1000]...)
-	for range 2 {
-		r, s = append(r, b...), append(s, b...)
-	}
-	for range 4 {
-		u = append(u, b...)
-	}
-	rels := make([]rel.Relation, 3)
-	for i, keys := range [][]int32{r, s, u} {
-		rels[i] = rel.Relation{RIDs: make([]int32, len(keys)), Keys: keys}
-		for j := range keys {
-			rels[i].RIDs[j] = int32(j)
-		}
-	}
-	return spillShape{name: "fan-out plan order", rels: rels, headroom: 12 << 10}
-}
-
 // planCounters are a service's plan-cache counters.
 func planCounters(svc *Service) [4]int64 {
 	st := svc.Stats()
 	return [4]int64{st.PlanHits, st.PlanMisses, st.PlanEvictions, int64(st.PlanEntries)}
 }
 
-// TestSpillFanOutPlanOrder: spilled partition chains run concurrently, yet
-// a plan two of them share is built from the lower partition's data, and
-// every lookup hits or misses as it does when the chains run in partition
-// order. A cold run, then a warm one, on one, two and four workers — and
-// again on a two-entry plan cache, where the chains' inserts evict each
-// other's plans — must return the same PipelineResult, cache hits
-// included, and leave the same plan-cache counters.
-func TestSpillFanOutPlanOrder(t *testing.T) {
-	sh := fanOutPlanShape()
-	type outcome struct {
-		cold, warm           *PipelineResult
-		coldPlans, warmPlans [4]int64
+// spillLevel is one partitioned spill level as spillLevelHook saw it.
+type spillLevel struct {
+	leader  int
+	inherit []*core.Plan
+	steps   []*core.Result
+}
+
+// watchSpills records every spill level the test's pipelines partition
+// and returns a function that takes the levels recorded so far. A level
+// finishes after every level below it, so a run's top level comes last.
+func watchSpills(t *testing.T) func() []spillLevel {
+	var mu sync.Mutex
+	var levels []spillLevel
+	spillLevelHook = func(leader int, inherit []*core.Plan, steps []*core.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		levels = append(levels, spillLevel{leader, inherit, steps})
 	}
-	for _, capacity := range []int{0, 2} {
-		t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
-			var want *outcome
-			for _, workers := range []int{1, 2, 4} {
-				svc := sh.loadOn(t, Config{Workers: workers, PlanCache: capacity})
-				var got outcome
-				got.cold, got.coldPlans = sh.exec(t, svc), planCounters(svc)
-				got.warm, got.warmPlans = sh.exec(t, svc), planCounters(svc)
-				if want == nil {
-					// Both chains plan their first step and share the second:
-					// three misses and one hit on a cold cache.
-					if got.cold.SpilledPartitions != 1 || got.cold.SpillDepth != 0 || got.coldPlans[0] != 1 || got.coldPlans[1] != 3 {
-						t.Fatalf("%d partitions spilled to depth %d with %d plan hits and %d misses: the fixture lost its shared fingerprint",
-							got.cold.SpilledPartitions, got.cold.SpillDepth, got.coldPlans[0], got.coldPlans[1])
+	t.Cleanup(func() { spillLevelHook = nil })
+	return func() []spillLevel {
+		mu.Lock()
+		defer mu.Unlock()
+		taken := levels
+		levels = nil
+		return taken
+	}
+}
+
+// followersRanLeaders checks that every sub-join a follower ran under an
+// inherited plan reports that plan's algorithm, scheme, probe profile and
+// ratios, and returns how many it checked. The leader's own steps, steps
+// a follower planned for itself, merged steps of a nested level and empty
+// ones are not follower sub-joins.
+func followersRanLeaders(t *testing.T, levels []spillLevel) (checked int) {
+	t.Helper()
+	for _, lv := range levels {
+		k := len(lv.inherit)
+		for i, r := range lv.steps {
+			if k == 0 || i/k == lv.leader || lv.inherit[i%k] == nil || len(r.Ratios.Probe) == 0 {
+				continue
+			}
+			pl := lv.inherit[i%k]
+			ok := r.Algo == pl.Algo && r.Scheme == pl.Scheme && reflect.DeepEqual(r.ProbeProfile, pl.Probe) &&
+				(pl.BuildRatios == nil || reflect.DeepEqual(r.Ratios.Build, pl.BuildRatios)) &&
+				(pl.ProbeRatios == nil || reflect.DeepEqual(r.Ratios.Probe, pl.ProbeRatios))
+			for _, pr := range r.Ratios.Partition {
+				ok = ok && reflect.DeepEqual(pr, pl.PartitionRatios)
+			}
+			if !ok {
+				t.Errorf("partition %d step %d ran %s-%s with ratios %v, its leader's plan is %s with %v / %v / %v",
+					i/k, i%k, r.Algo, r.Scheme, r.Ratios, pl, pl.PartitionRatios, pl.BuildRatios, pl.ProbeRatios)
+			}
+			checked++
+		}
+	}
+	return checked
+}
+
+// TestSpillLeaderPlans: a spill level plans once. Its leader chain plans
+// on the query's planner and every other chain runs the leader's plan for
+// each step, at every nested level too. So the depth-0 and depth ≥ 1
+// shapes, which spill at their first step, make exactly one plan lookup per
+// remaining step, cold or warm, on one, two or four workers, at the default
+// cache and at a two-entry one. Every follower sub-join reports its
+// leader's ratios, and every run returns the same PipelineResult.
+func TestSpillLeaderPlans(t *testing.T) {
+	take := watchSpills(t)
+	for _, sh := range spillShapes()[:2] {
+		t.Run(sh.name, func(t *testing.T) {
+			var want *PipelineResult
+			for _, capacity := range []int{0, 2} {
+				t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
+					for _, workers := range []int{1, 2, 4} {
+						t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+							svc := sh.loadOn(t, Config{Workers: workers, PlanCache: capacity})
+							for _, temp := range []string{"cold", "warm"} {
+								before := planCounters(svc)
+								pr := sh.exec(t, svc)
+								after := planCounters(svc)
+								if lookups := after[0] + after[1] - before[0] - before[1]; lookups != int64(len(pr.Steps)) {
+									t.Errorf("%s: %d plan lookups, want one per remaining step: %d", temp, lookups, len(pr.Steps))
+								}
+								if n := followersRanLeaders(t, take()); n == 0 {
+									t.Errorf("%s: no follower sub-join ran an inherited plan", temp)
+								}
+								if want == nil {
+									want = pr
+								} else if !reflect.DeepEqual(pr, want) {
+									t.Errorf("%s: the PipelineResult differs from the first run's", temp)
+								}
+							}
+						})
 					}
-					want = &got
-					continue
+				})
+			}
+		})
+	}
+}
+
+// leaderShape is a four-source pipeline r ⋈ s ⋈ u ⋈ v that spills at its
+// first step into the eight partitions of level 0 and no further: in each
+// partition r holds 300 keys, s each of them twice, u and v each once —
+// 4 800 tuples per step, 38 400 bytes against 12 KB of headroom, 4 800
+// bytes per partition. edit, when set, may replace partition p's s and u;
+// other is 300 more keys of the partition, none of them in r.
+func leaderShape(name string, edit func(p int, other, s, u []int32) ([]int32, []int32)) spillShape {
+	var rk, sk, uk, vk []int32
+	for p := range shard.Partitions {
+		var keys, other []int32
+		for k := int32(1); len(keys) < 300 || len(other) < 300; k++ {
+			if shard.PartitionAt(k, 0) == p {
+				if len(keys) < 300 {
+					keys = append(keys, k)
+				} else {
+					other = append(other, k)
 				}
-				if !reflect.DeepEqual(got, *want) {
-					t.Errorf("%d workers: the run differs from the one-worker run (plan counters cold %v warm %v, want %v and %v)",
-						workers, got.coldPlans, got.warmPlans, want.coldPlans, want.warmPlans)
-				}
+			}
+		}
+		s, u := append(append([]int32(nil), keys...), keys...), keys
+		if edit != nil {
+			s, u = edit(p, other, s, u)
+		}
+		rk, sk, uk, vk = append(rk, keys...), append(sk, s...), append(uk, u...), append(vk, keys...)
+	}
+	rels := make([]rel.Relation, 4)
+	for i, keys := range [][]int32{rk, sk, uk, vk} {
+		rels[i] = rel.Relation{RIDs: make([]int32, len(keys)), Keys: keys}
+		for j := range keys {
+			rels[i].RIDs[j] = int32(j)
+		}
+	}
+	return spillShape{name: name, rels: rels, headroom: 12 << 10}
+}
+
+// TestSpillLeaderFallback pins the leader rule where it has to choose.
+// When partition 0's probe side is empty, the leader is the next
+// partition. When the leader's intermediate empties before the last step
+// (partition 0's u matches none of its keys), the leader plans nothing for
+// that step and every follower plans it for itself, outside the cache. In
+// both the result is the same on one, two and four workers, and the
+// query's planner serves the leader's lookups alone: one per step the
+// leader planned.
+func TestSpillLeaderFallback(t *testing.T) {
+	take := watchSpills(t)
+	for _, tc := range []struct {
+		sh                spillShape
+		leader, unplanned int
+	}{
+		{leaderShape("partition 0 has an empty side", func(p int, other, s, u []int32) ([]int32, []int32) {
+			if p == 0 {
+				s = nil
+			}
+			return s, u
+		}), 1, 0},
+		{leaderShape("the leader's intermediate empties", func(p int, other, s, u []int32) ([]int32, []int32) {
+			if p == 0 {
+				u = other
+			}
+			return s, u
+		}), 0, 1},
+	} {
+		t.Run(tc.sh.name, func(t *testing.T) {
+			var want *PipelineResult
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					svc := tc.sh.load(t, workers)
+					pr := tc.sh.exec(t, svc)
+					if want := oracle.PipelineCount(tc.sh.rels); pr.Final.Matches != want {
+						t.Fatalf("%d matches, the oracle counts %d", pr.Final.Matches, want)
+					}
+					levels := take()
+					if len(levels) != 1 || pr.SpillDepth != 0 {
+						t.Fatalf("%d spill levels to depth %d, want the first step to spill at level 0 alone", len(levels), pr.SpillDepth)
+					}
+					top := levels[0]
+					planned := 0
+					for _, pl := range top.inherit {
+						if pl != nil {
+							planned++
+						}
+					}
+					if top.leader != tc.leader || len(top.inherit)-planned != tc.unplanned {
+						t.Fatalf("leader %d left %d of %d steps unplanned, want leader %d and %d", top.leader, len(top.inherit)-planned, len(top.inherit), tc.leader, tc.unplanned)
+					}
+					if st := planCounters(svc); st[0]+st[1] != int64(planned) {
+						t.Errorf("%d plan lookups, the leader planned %d steps: a follower looked a plan up", st[0]+st[1], planned)
+					}
+					if followersRanLeaders(t, levels) == 0 {
+						t.Errorf("no follower sub-join ran an inherited plan")
+					}
+					if want == nil {
+						want = pr
+					} else if !reflect.DeepEqual(pr, want) {
+						t.Errorf("the PipelineResult differs from the one-worker run's")
+					}
+				})
 			}
 		})
 	}
