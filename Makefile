@@ -27,13 +27,14 @@ COVERAGE_FLOOR ?= 91
 # keeps the linked rid lists and their kernels in the tests. A spill level's
 # leader chain alone plans and the others run its plans, so the planner is a
 # fingerprint over one cache with no fan-out API; its ceiling keeps one from
-# coming back. Lower a ceiling as its package
+# coming back. A relation is its key column; the relation package's ceiling
+# keeps a RID column from coming back. Lower a ceiling as its package
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1974 internal/plan:423 internal/httpapi:593 internal/core:1583 internal/cluster:302 internal/catalog:310 internal/htab:557
+LOC_CEILINGS ?= internal/service:1965 internal/plan:423 internal/httpapi:590 internal/core:1559 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
 
-.PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
+.PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check rid-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
 # Budget for the randomized join-oracle fuzz smoke (the committed seed
 # corpus under testdata/fuzz additionally runs as plain unit tests).
@@ -77,10 +78,9 @@ bench:
 # 2, of the steps as the runner executes them — the SHJ build's owner
 # scatter (sched.Scatter, the one count/prefix/fill every hash split runs
 # on), n2's counting morsels, one whole radix pass from n2 to the gathered
-# keys (single-stream and pooled, as the runner moves them, and a
-# two-column single-stream row as the external join gathers pairs, beside
-# the chunk chains the host used to build on the same input, the ratio
-# printed as x-chains), the build's
+# keys (single-stream and pooled, as the runner moves them, beside the
+# chunk chains the host used to build on the same input, the ratio printed
+# as x-chains), the build's
 # one host pass (b3's kernel over the contiguous ranges of its ownership
 # shards, plus b4's charge per shard) at 2^14 and 2^20 tuples beside the
 # reference kernels that linked the paper's key and rid nodes through a
@@ -216,6 +216,22 @@ fma-check:
 		fi; \
 	done; exit $$fail
 
+# A relation is its key column: no code path makes, moves, copies or
+# validates a record ID, and rel.Relation.RIDs is ignored. This fails on any
+# non-test Go code outside cmd/apubench that names .RIDs, except the HTTP
+# upload's check of the rids it accepts and then drops: in
+# internal/httpapi/server.go, `req.RIDs != nil`, `len(req.RIDs)` and
+# `ContainsFunc(req.RIDs,` are struck out before the search.
+rid-check:
+	@out=$$(grep -rnE '\.RIDs\b' --include='*.go' --exclude='*_test.go' . \
+		| grep -v -e '^\./cmd/apubench/' -e '/testdata/' \
+		| sed -E '/^\.\/internal\/httpapi\/server\.go:/s/req\.RIDs != nil|len\(req\.RIDs\)|ContainsFunc\(req\.RIDs,//g' \
+		| grep -E '\.RIDs\b'); \
+	if [ -n "$$out" ]; then \
+		echo "a RID column is named outside the upload check:"; echo "$$out"; exit 1; \
+	fi; \
+	echo "rid-check: no code names a RID column"
+
 # Static analysis beyond vet: the project's own analyzer suite (apulint,
 # always — it builds from the tree), then staticcheck and govulncheck
 # (pinned; CI installs them, locally the targets degrade to a notice when
@@ -271,4 +287,4 @@ apubench-smoke:
 	$(GO) run ./cmd/apubench -smoke
 
 # Everything CI runs, in the same order.
-check: fmt vet lint fma-check build race docs-check apubench-smoke loc
+check: fmt vet lint rid-check fma-check build race docs-check apubench-smoke loc

@@ -37,7 +37,10 @@ import (
 	"apujoin/internal/rel"
 )
 
-// Relation is a column-oriented relation of (RID, Key) int32 pairs.
+// Relation is a relation of int32 join keys, one per tuple. Its RIDs field
+// is ignored: no join result reads a record ID, so only the key column is
+// retained, and the cost model still charges the paper's 8-byte
+// <rid, key> tuple.
 type Relation = rel.Relation
 
 // Gen generates the paper's synthetic datasets (uniform, low-skew s=10,

@@ -132,9 +132,10 @@ func (e *Engine) RegisterProbe(name, of string, g Gen, selectivity float64) (Rel
 	return e.svc.RegisterProbe(name, of, g, selectivity)
 }
 
-// Load registers an existing relation (bulk load). On the unsharded engine
-// the columns are retained, not copied, and the caller must not mutate
-// them afterwards; a sharded engine copies them into its partition split.
+// Load registers an existing relation (bulk load) by its key column alone;
+// its RIDs field is ignored. On the unsharded engine the key column is
+// retained, not copied, and the caller must not mutate it afterwards; a
+// sharded engine copies it into its partition split.
 func (e *Engine) Load(name string, r Relation) (RelationInfo, error) {
 	return e.svc.LoadRelation(name, r)
 }

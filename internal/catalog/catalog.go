@@ -108,12 +108,12 @@ type Info struct {
 // Counts is fitted to the relation's distinct keys (rel.Counts.Fit): 16–32 B
 // per distinct key, two 4-byte words per slot at a load between one quarter
 // and one half. A relation of distinct keys — every generated build side —
-// therefore keeps 16–32 B per tuple beside its own 8, where the sorted key
-// index this table replaced kept 4; a probe side with repeated keys keeps
-// less. The table is not charged to the catalog budget, so the budget
-// bounds the relations' columns, not the memory their registration holds —
-// on a router with no local backend too, which keeps the table only for
-// membership tests. It is never handed back to the recycler: the router
+// therefore keeps 16–32 B per tuple beside its own 4-byte key, where the
+// sorted key index this table replaced kept 4; a probe side with repeated
+// keys keeps less. The table is not charged to the catalog budget, so the
+// budget bounds the relations' bytes, not the memory their registration
+// holds — on a router with no local backend too, which keeps the table only
+// for membership tests. It is never handed back to the recycler: the router
 // record, the relation's catalog entries and every query that pinned them
 // share the table, which the GC frees once the last of them is gone — so a
 // Drop during a running query needs no refcount beyond the entry pins.
@@ -155,8 +155,8 @@ type Entry struct {
 	pilot   *core.Pilot
 }
 
-// Relation returns the resident slice. The columns are shared, not copied;
-// callers must treat them as read-only.
+// Relation returns the resident slice. Its key column is shared, not
+// copied; callers must treat it as read-only.
 func (e *Entry) Relation() rel.Relation { return e.rel }
 
 // Counts returns the count table stored beside the slice (Load): shared,
@@ -233,7 +233,7 @@ func (e *Entry) BuildPlan(r, s rel.Relation, opt core.Options) (*core.Plan, erro
 }
 
 // Scratch pins a relation no catalog holds: one query's split of an inline
-// relation, whose columns are recycler slabs. Its one Release hands them
+// relation, whose key column is a recycler slab. Its one Release hands it
 // back, as the last pin on a dropped entry frees its bytes.
 func Scratch(r rel.Relation) *Entry { return &Entry{rel: r, pins: 1} }
 
@@ -394,16 +394,13 @@ func (c *Catalog) freeKept(e *Entry) {
 // the empty table. A split by key keeps every key's tuples together, so the
 // table is exact for every key the slice holds, and a query that pins the
 // slice reads the table of exactly these tuples, whatever registers under
-// the name later. The columns and the table are retained, not copied; the
-// caller must not mutate them afterwards. When the slice does not fit, the
-// build records no query reads are evicted if that makes it fit; a load
+// the name later. The key column and the table are retained, not copied;
+// the caller must not mutate them afterwards. When the slice does not fit,
+// the build records no query reads are evicted if that makes it fit; a load
 // that cannot fit evicts nothing.
 func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
-	}
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -394,7 +394,7 @@ func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 }
 
 // TestEntryAccessors: a pinned entry serves the slice exactly as it was
-// loaded — the caller's columns, not a copy — and Pins follows the pins
+// loaded — the caller's key column, not a copy — and Pins follows the pins
 // without taking one.
 func TestEntryAccessors(t *testing.T) {
 	c := New(0)
@@ -406,8 +406,8 @@ func TestEntryAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e.Relation(); r.Len() != 4096 || &r.Keys[0] != &in.Keys[0] || &r.RIDs[0] != &in.RIDs[0] {
-		t.Errorf("Relation() is not the loaded columns (len %d)", r.Len())
+	if r := e.Relation(); r.Len() != 4096 || &r.Keys[0] != &in.Keys[0] {
+		t.Errorf("Relation() is not the loaded key column (len %d)", r.Len())
 	}
 	if c.Pins("base") != 1 || c.Pins("absent") != 0 {
 		t.Errorf("Pins: base %d absent %d, want 1 and 0", c.Pins("base"), c.Pins("absent"))
@@ -420,10 +420,6 @@ func TestEntryAccessors(t *testing.T) {
 
 func TestLoadValidates(t *testing.T) {
 	c := New(0)
-	bad := rel.Relation{RIDs: []int32{0, 1}, Keys: []int32{5}}
-	if err := c.Load("bad", bad, rel.Counts{}); err == nil {
-		t.Error("loading a column-length-mismatched relation succeeded")
-	}
 	if err := c.Load("", rel.Relation{}, rel.Counts{}); err == nil {
 		t.Error("loading under an empty name succeeded")
 	}

@@ -62,13 +62,6 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 		defer pool.Close()
 		opt.Pool = pool
 	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("core: build relation: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: probe relation: %w", err)
-	}
-
 	res := &ExternalResult{}
 
 	// Chunk size: the block of tuples partitioned inside the zero-copy
@@ -155,7 +148,7 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	partitionRel := func(in rel.Relation) (rel.Relation, [][]int32, error) {
 		n := in.Len()
 		//apulint:ignore slabmake(the system-memory side of the external join: it outlives the zero-copy rounds the recycler serves)
-		out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+		out := rel.Relation{Keys: make([]int32, n)}
 		var rounds [][]int32
 		for lo := 0; lo < n; lo += res.ChunkTuples {
 			if err := ctx.Err(); err != nil {
@@ -179,7 +172,6 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 		for k, offs := range rounds {
 			lo, hi := k*res.ChunkTuples+int(offs[p]), k*res.ChunkTuples+int(offs[p+1])
 			out.Keys = append(out.Keys, part.Keys[lo:hi]...)
-			out.RIDs = append(out.RIDs, part.RIDs[lo:hi]...)
 		}
 		return out
 	}

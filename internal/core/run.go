@@ -54,8 +54,7 @@ func RunKept(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRec
 	return runCtx(ctx, r, s, opt, kept, true)
 }
 
-// runCtx is RunKept; keep says whether the caller takes a fresh record,
-// and validates r when it does not.
+// runCtx is RunKept; keep says whether the caller takes a fresh record.
 func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildRecord, keep bool) (_ *Result, _ *BuildRecord, err error) {
 	if opt.Plan != nil {
 		// An injected plan decides algorithm, scheme and ratios; the
@@ -65,14 +64,6 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if !keep {
-		if err := r.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: build relation: %w", err)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: probe relation: %w", err)
 	}
 	if opt.SeparateTables && opt.Scheme == PL {
 		// With one table per device, a tuple must stay on one device for

@@ -22,8 +22,8 @@ import (
 //  2. An exclusive prefix sum over the slab's per-morsel sums, in grid
 //     order, places every morsel's output slice (StreamFill).
 //  3. Fill pass (StreamFill): each morsel writes its matches — probe order,
-//     mult[i] copies of probe tuple i's key, RIDs dense from the morsel's
-//     offset — into its disjoint slice of the output concurrently.
+//     mult[i] copies of probe tuple i's key — into its disjoint slice of the
+//     output concurrently.
 //
 // Scheduling decides only which goroutine handles which morsel when; the
 // grid, the offsets and every written value are pure functions of the
@@ -77,12 +77,12 @@ func (m *Mults) Release() {
 // Multiplicities computed them — a sub-slice serves the matching sub-slice
 // of the probe side, whose grid starts at its own first tuple. Neither the
 // prefix sum nor the fill consults a table. A zero total returns the zero
-// relation (nil columns), exactly as rel.JoinMaterialize does.
+// relation (a nil key column), exactly as rel.JoinMaterialize does.
 //
 // The caller must ensure the total fits a relation (≤ MaxInt32 tuples);
 // pipeline execution checks the step's exact total before producing.
 //
-// Both output columns are recycler slabs, every word of which the fill
+// The output's key column is a recycler slab, every word of which the fill
 // pass writes. The chain that called for the intermediate owns it and hands
 // it back with Release once the consumer step has run and derived its own
 // per-key state; a caller that simply drops the result leaves ordinary
@@ -110,7 +110,6 @@ func StreamFill(pool *sched.Pool, s rel.Relation, mult []int32) rel.Relation {
 		at := offsets[i]
 		for j, c := range mult[mlo:mhi] {
 			for k := keys[j]; c > 0; c-- {
-				out.RIDs[at] = int32(at)
 				out.Keys[at] = k
 				at++
 			}

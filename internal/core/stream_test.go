@@ -98,14 +98,13 @@ func mapStreamMaterialize(pool *sched.Pool, counts map[int32]int32, s rel.Relati
 	if total == 0 {
 		return rel.Relation{}
 	}
-	out := rel.Relation{RIDs: make([]int32, total), Keys: make([]int32, total)}
+	out := rel.Relation{Keys: make([]int32, total)}
 	pool.ForEach(len(perMorsel), func(i int) {
 		mlo := i * sched.MorselItems
 		mhi := min(mlo+sched.MorselItems, n)
 		at := offsets[i]
 		for _, k := range s.Keys[mlo:mhi] {
 			for c := counts[k]; c > 0; c-- {
-				out.RIDs[at] = int32(at)
 				out.Keys[at] = k
 				at++
 			}
@@ -184,7 +183,6 @@ func streamMaterializeRef(pool *sched.Pool, counts rel.Counts, s rel.Relation) r
 		at := offsets[i]
 		for _, k := range s.Keys[mlo:mhi] {
 			for c := counts.Of(k); c > 0; c-- {
-				out.RIDs[at] = int32(at)
 				out.Keys[at] = k
 				at++
 			}

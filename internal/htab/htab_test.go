@@ -56,8 +56,7 @@ func TestLookupAfterBuild(t *testing.T) {
 
 func TestDuplicateKeysAccumulateRIDs(t *testing.T) {
 	keys := []int32{7, 7, 7, 9}
-	rids := []int32{0, 1, 2, 3}
-	r := rel.Relation{Keys: keys, RIDs: rids}
+	r := rel.Relation{Keys: keys}
 	tbl := New(8, r.Len(), alloc.New(alloc.Config{}, 0))
 	buildAll(t, tbl, device.New(device.APUCPU()), r)
 	if got := tbl.Lookup(7); got != 3 {

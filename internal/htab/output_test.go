@@ -16,16 +16,16 @@ import (
 // grouped order, and through the reference p2 and p3 on the linked table
 // of the same build side for p4Ref's nodes.
 type probeFixture struct {
-	t, linked              *Table
-	s                      rel.Relation
-	node, work, vis, match []int32
+	t, linked                    *Table
+	s                            rel.Relation
+	node, work, vis, match, rids []int32
 }
 
 func newProbeFixture(n int, dist rel.Distribution, sel float64) *probeFixture {
 	r := rel.Gen{N: n, KeyRange: n / 3, Seed: 21}.Build()
 	s := rel.Gen{N: n, Dist: dist, Seed: 22}.Probe(r, sel)
 	f := &probeFixture{t: buildSerial(r), linked: buildLinked(r), s: s, node: make([]int32, n), work: make([]int32, n),
-		vis: make([]int32, n), match: make([]int32, n)}
+		vis: make([]int32, n), match: make([]int32, n), rids: denseRIDs(n)}
 	cpu := device.New(device.APUCPU())
 	bucket, head := make([]int32, n), make([]int32, n)
 	f.t.P1(cpu, s.Keys, bucket, 0, n)
@@ -99,7 +99,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 										order = sched.GroupOrder(f.work, sh.lo, sh.hi, 16)
 									}
 									g := f.t.P4Charge(sh.d, f.match, &got, sh.lo, sh.hi, order)
-									w := f.linked.p4Ref(sh.d, f.s.RIDs, f.node, &want, sh.lo, sh.hi, order)
+									w := f.linked.p4Ref(sh.d, f.rids, f.node, &want, sh.lo, sh.hi, order)
 									alloc.PutWords(order)
 									if g != w {
 										t.Fatalf("%s grouped=%v share [%d,%d): acct\n got %+v\nwant %+v", name, grouped, sh.lo, sh.hi, g, w)
@@ -120,7 +120,7 @@ func TestP4CountsLikeRef(t *testing.T) {
 									o.Arena = alloc.New(cfg, 4*(hi-lo)+64)
 									defer o.Arena.Release()
 								}
-								a := f.linked.p4Ref(sh.d, f.s.RIDs, f.node, &o, lo, hi, nil)
+								a := f.linked.p4Ref(sh.d, f.rids, f.node, &o, lo, hi, nil)
 								var st alloc.Stats
 								if o.Arena != nil {
 									st = o.Arena.Stats()
@@ -153,7 +153,7 @@ func TestProbeOneCountsLikeRef(t *testing.T) {
 					got := Out{Arena: alloc.New(cfg, 64), Materialize: materialize}
 					want := Out{Arena: alloc.New(cfg, 64), Materialize: materialize}
 					for i, key := range f.s.Keys {
-						if g, w := f.t.ProbeOne(key, &got), f.linked.probeOneRef(key, f.s.RIDs[i], &want); g != w {
+						if g, w := f.t.ProbeOne(key, &got), f.linked.probeOneRef(key, f.rids[i], &want); g != w {
 							t.Fatalf("%s tuple %d: acct\n got %+v\nwant %+v", name, i, g, w)
 						}
 					}

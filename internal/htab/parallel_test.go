@@ -73,6 +73,7 @@ type insertBuild struct {
 	bucket  []int32
 	work    []int32 // b2's hints on a single stream
 	node    []int32 // a linked build's b3 → b4 column
+	rids    []int32 // the dense rids a linked build's b4 links
 	offsets []int32
 	shift   uint
 	// vis and fresh are a lean build's b3 columns, at tuple indices on a
@@ -105,7 +106,7 @@ func newInsertBuild(side buildSide, separate, linked bool, cfg alloc.Config) *in
 	n := r.Len()
 	ib := &insertBuild{r: r, linked: linked, bucket: make([]int32, n), work: make([]int32, n), offsets: side.offsets}
 	if linked {
-		ib.node = make([]int32, n)
+		ib.node, ib.rids = make([]int32, n), denseRIDs(n)
 	} else {
 		ib.vis, ib.fresh = make([]int32, n), make([]int32, n)
 	}
@@ -149,11 +150,11 @@ func byPartition(r rel.Relation, bits uint) (rel.Relation, []int32) {
 	for p := 0; p < parts; p++ {
 		offsets[p+1] += offsets[p]
 	}
-	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	out := rel.Relation{Keys: make([]int32, n)}
 	at := slices.Clone(offsets)
-	for i, k := range r.Keys {
+	for _, k := range r.Keys {
 		p := hash.RadixPass(uint32(k), 0, bits)
-		out.Keys[at[p]], out.RIDs[at[p]] = k, r.RIDs[i]
+		out.Keys[at[p]] = k
 		at[p]++
 	}
 	return out, offsets
@@ -203,7 +204,7 @@ func (ib *insertBuild) serial(cut3, cut4 int, grouped bool) (b3, b4 []device.Acc
 	}
 	for _, sh := range ib.shares(cut4) {
 		if ib.linked {
-			b4 = append(b4, sh.t.b4Ref(ib.r.RIDs, ib.node, sh.lo, sh.hi, nil, sh.t.arena))
+			b4 = append(b4, sh.t.b4Ref(ib.rids, ib.node, sh.lo, sh.hi, nil, sh.t.arena))
 		} else {
 			b4 = append(b4, sh.t.B4Charge(sh.lo, sh.hi, false))
 		}
@@ -241,7 +242,7 @@ func (ib *insertBuild) pooled(pool *sched.Pool, cut3, cut4 int, order []int) (b3
 			return sh.t.b3Ref(sh.d, ib.r.Keys, ib.bucket, ib.node, 0, 0, idx, la)
 		})
 		b4 = each(cut4, func(sh share, idx []int32, la *alloc.Local) device.Acct {
-			return sh.t.b4Ref(ib.r.RIDs, ib.node, 0, 0, idx, la)
+			return sh.t.b4Ref(ib.rids, ib.node, 0, 0, idx, la)
 		})
 		return b3, b4
 	}
@@ -547,7 +548,7 @@ func BenchmarkP3P4(b *testing.B) {
 			want3 := ref.p3Ref(d, s.Keys, head, node, 0, n, nil)
 			for _, materialize := range []bool{true, false} {
 				serial := Out{Materialize: materialize, Arena: alloc.New(alloc.Config{}, 64)}
-				want4 := ref.p4Ref(d, s.RIDs, node, &serial, 0, n, nil)
+				want4 := ref.p4Ref(d, denseRIDs(n), node, &serial, 0, n, nil)
 				serial.Arena.Release()
 				wantPairs = serial.Pairs
 				name := map[bool]string{true: "materialize", false: "count-only"}[materialize]

@@ -82,6 +82,16 @@ func (t *Table) b3Ref(d *device.Device, keys, bucket, node []int32, lo, hi int, 
 	return a
 }
 
+// denseRIDs returns the record IDs 0..n-1 that b4Ref links and p4Ref
+// writes: relations carry no RID column, so the tests build one.
+func denseRIDs(n int) []int32 {
+	rids := make([]int32, n)
+	for i := range rids {
+		rids[i] = int32(i)
+	}
+	return rids
+}
+
 func (t *Table) b4Ref(rids, node []int32, lo, hi int, order []int32, al nodeAlloc) device.Acct {
 	var a device.Acct
 	before := al.Stats()

@@ -56,7 +56,7 @@ func (c *walkCase) table(cut int, linked bool) *Table {
 		sh.t.B2(cpu, bucket, nil, sh.lo, sh.hi)
 		if linked {
 			sh.t.b3Ref(cpu, c.r.Keys, bucket, col1, sh.lo, sh.hi, nil, sh.t.arena)
-			sh.t.b4Ref(c.r.RIDs, col1, sh.lo, sh.hi, nil, sh.t.arena)
+			sh.t.b4Ref(denseRIDs(n), col1, sh.lo, sh.hi, nil, sh.t.arena)
 			continue
 		}
 		sh.t.B3(cpu, c.r.Keys, bucket, col1, col2, sh.lo, sh.hi, nil)
@@ -200,7 +200,7 @@ func TestChargesMatchKernels(t *testing.T) {
 		linked, sealed := c.table(c.r.Len(), true), c.table(c.r.Len(), false)
 		sealed.Seal(pool)
 		cols := c.walk(pool, sealed)
-		head, work, node := make([]int32, n), make([]int32, n), make([]int32, n)
+		head, work, node, rids := make([]int32, n), make([]int32, n), make([]int32, n), denseRIDs(n)
 		linked.p2Ref(c.bucket, head, work, 0, n)
 		if !slices.Equal(work, cols.work) {
 			t.Fatalf("%s: Walk's work hints differ from p2's", c.name)
@@ -224,7 +224,7 @@ func TestChargesMatchKernels(t *testing.T) {
 					}
 					got := Out{Arena: alloc.New(cfg, 64), Materialize: true}
 					want := Out{Arena: alloc.New(cfg, 64), Materialize: true}
-					if g, w := sealed.P4Charge(sh.d, cols.match, &got, sh.lo, sh.hi, order), linked.p4Ref(sh.d, c.s.RIDs, node, &want, sh.lo, sh.hi, order); g != w {
+					if g, w := sealed.P4Charge(sh.d, cols.match, &got, sh.lo, sh.hi, order), linked.p4Ref(sh.d, rids, node, &want, sh.lo, sh.hi, order); g != w {
 						t.Fatalf("%s grouped=%v: p4 acct\n got %+v\nwant %+v", name, grouped, g, w)
 					}
 					requireSameOut(t, fmt.Sprintf("%s grouped=%v", name, grouped), &got, &want)
@@ -241,7 +241,7 @@ func TestChargesMatchKernels(t *testing.T) {
 					a3 := linked.p3Ref(sh.d, c.s.Keys, head, node, lo, hi, nil)
 					o := Out{Materialize: true, Arena: alloc.New(cfg, 4*(hi-lo)+64)}
 					defer o.Arena.Release()
-					a4 := linked.p4Ref(sh.d, c.s.RIDs, node, &o, lo, hi, nil)
+					a4 := linked.p4Ref(sh.d, rids, node, &o, lo, hi, nil)
 					return morsel{a3, a4, o.Arena.Stats()}
 				})
 				if !slices.Equal(gotM, wantM) {
@@ -405,7 +405,7 @@ func TestBuildChargesMatchKernels(t *testing.T) {
 				nb := max(rHi-rLo, 2)
 				g, w := New(nb, rHi-rLo, lean), New(nb, 0, linked)
 				for i := rLo; i < rHi; i++ {
-					if ga, wa := g.InsertOne(r.Keys[i]), w.insertOneFusedRef(r.Keys[i], r.RIDs[i]); ga != wa {
+					if ga, wa := g.InsertOne(r.Keys[i]), w.insertOneFusedRef(r.Keys[i], int32(i)); ga != wa {
 						t.Fatalf("%s: pair %d tuple %d: insert record\n got %+v\nwant %+v", name, p, i, ga, wa)
 					}
 				}
@@ -416,7 +416,7 @@ func TestBuildChargesMatchKernels(t *testing.T) {
 					t.Fatalf("%s: pair %d holds %d keys in %d B, the reference %d in %d B", name, p, g.NumKeys(), g.BytesResident(), w.NumKeys(), w.BytesResident())
 				}
 				for i := int(sOff[p]); i < int(sOff[p+1]); i++ {
-					if ga, wa := g.ProbeOne(s.Keys[i], &gotOut), w.probeOneRef(s.Keys[i], s.RIDs[i], &wantOut); ga != wa {
+					if ga, wa := g.ProbeOne(s.Keys[i], &gotOut), w.probeOneRef(s.Keys[i], int32(i), &wantOut); ga != wa {
 						t.Fatalf("%s: pair %d probe tuple %d: record\n got %+v\nwant %+v", name, p, i, ga, wa)
 					}
 				}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -709,14 +710,12 @@ func registerRelation(svc *service.Service, req api.RelationRequest, maxTuples i
 		if len(req.Keys) > maxTuples {
 			return catalog.Info{}, fmt.Errorf("upload of %d tuples exceeds -max-tuples %d", len(req.Keys), maxTuples)
 		}
-		rids := req.RIDs
-		if rids == nil {
-			rids = make([]int32, len(req.Keys))
-			for i := range rids {
-				rids[i] = int32(i)
-			}
+		// rids are accepted and checked, then dropped: a relation is its
+		// key column.
+		if req.RIDs != nil && (len(req.RIDs) != len(req.Keys) || slices.ContainsFunc(req.RIDs, func(rid int32) bool { return rid < 0 })) {
+			return catalog.Info{}, fmt.Errorf("rids must be one non-negative value per key: %d rids for %d keys", len(req.RIDs), len(req.Keys))
 		}
-		return svc.LoadRelation(req.Name, rel.Relation{RIDs: rids, Keys: req.Keys})
+		return svc.LoadRelation(req.Name, rel.Relation{Keys: req.Keys})
 	}
 	if req.RIDs != nil {
 		return catalog.Info{}, errors.New("rids without keys")

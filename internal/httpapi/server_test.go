@@ -232,6 +232,10 @@ func TestRoutesTable(t *testing.T) {
 		{"probe of unknown", "POST", "/v1/relations", `{"name":"x","probe_of":"ghost","n":64}`, 404, nil},
 		{"sel without probe_of", "POST", "/v1/relations", `{"name":"x","n":64,"sel":0.5}`, 400, nil},
 		{"rids without keys", "POST", "/v1/relations", `{"name":"x","rids":[1,2]}`, 400, nil},
+		{"upload rids length mismatch", "POST", "/v1/relations", `{"name":"x","keys":[1,2,3],"rids":[0,1]}`, 400, nil},
+		{"upload negative rid", "POST", "/v1/relations", `{"name":"x","keys":[1,2,3],"rids":[0,-1,2]}`, 400, nil},
+		{"upload keys with rids", "POST", "/v1/relations", `{"name":"withrids","keys":[3,1,4,1,5],"rids":[9,0,7,7,2]}`, 201, nil},
+		{"upload keys alone", "POST", "/v1/relations", `{"name":"keysonly","keys":[3,1,4,1,5]}`, 201, nil},
 		{"upload keys+generator conflict", "POST", "/v1/relations", `{"name":"x","n":64,"keys":[1,2]}`, 400, nil},
 		{"upload keys+seed conflict", "POST", "/v1/relations", `{"name":"x","keys":[1,2],"seed":7}`, 400, nil},
 		{"delete unknown relation", "DELETE", "/v1/relations?name=ghost", "", 404, nil},
@@ -259,8 +263,8 @@ func TestRoutesTable(t *testing.T) {
 						if !ok {
 							t.Fatalf("error status %d without the {\"error\":{\"code\",\"message\"}} envelope: %v", st, resp)
 						}
-						if code, _ := eobj["code"].(string); code == "" {
-							t.Errorf("error envelope without code: %v", resp)
+						if code, _ := eobj["code"].(string); code == "" || st == http.StatusBadRequest && code != "bad_request" {
+							t.Errorf("error envelope without code, or a 400 without bad_request: %v", resp)
 						}
 						if errMsg(resp) == "" {
 							t.Errorf("error envelope without message: %v", resp)
@@ -286,6 +290,21 @@ func TestRoutesTable(t *testing.T) {
 	}
 
 	for _, sh := range shapes {
+		// An upload's rids are checked, then dropped: with or without them
+		// the same keys register the same relation.
+		_, list := do(t, "GET", sh.ts.URL+"/v1/relations", "")
+		infos := map[string]map[string]any{}
+		for _, e := range list["list"].([]any) {
+			info := e.(map[string]any)
+			name := info["name"].(string)
+			delete(info, "name")
+			delete(info, "created")
+			infos[name] = info
+		}
+		if infos["withrids"] == nil || !reflect.DeepEqual(infos["withrids"], infos["keysonly"]) {
+			t.Errorf("%s: keys with rids registered %v, keys alone %v", sh.name, infos["withrids"], infos["keysonly"])
+		}
+
 		// Oversized body → 413 with the structured envelope.
 		big := fmt.Sprintf(`{"name":"big","keys":[%s1]}`, strings.Repeat("1,", 40000))
 		if st, resp := do(t, "POST", sh.ts.URL+"/v1/relations", big); st != http.StatusRequestEntityTooLarge {

@@ -25,14 +25,13 @@ func JoinCount(r, s rel.Relation) int64 {
 }
 
 // Join materializes R ⋈ S by exhaustive comparison, in the canonical
-// intermediate order (probe order, a probe tuple's matches in build order,
-// dense RIDs) — the reference for rel.JoinMaterialize.
+// intermediate order: probe order, a probe tuple's matches in build order.
+// It is the reference for rel.JoinMaterialize.
 func Join(r, s rel.Relation) rel.Relation {
 	var out rel.Relation
 	for _, sk := range s.Keys {
 		for _, rk := range r.Keys {
 			if rk == sk {
-				out.RIDs = append(out.RIDs, int32(len(out.RIDs)))
 				out.Keys = append(out.Keys, sk)
 			}
 		}

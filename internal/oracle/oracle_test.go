@@ -20,10 +20,10 @@ func TestJoinCountAgainstNaive(t *testing.T) {
 // TestJoinReferenceOrder pins the canonical intermediate order on a
 // hand-checkable example with duplicate build keys.
 func TestJoinReferenceOrder(t *testing.T) {
-	r := rel.Relation{RIDs: []int32{0, 1, 2}, Keys: []int32{7, 5, 7}}
-	s := rel.Relation{RIDs: []int32{0, 1, 2, 3}, Keys: []int32{5, 9, 7, 5}}
+	r := rel.Relation{Keys: []int32{7, 5, 7}}
+	s := rel.Relation{Keys: []int32{5, 9, 7, 5}}
 	got := Join(r, s)
-	want := rel.Relation{RIDs: []int32{0, 1, 2, 3}, Keys: []int32{5, 7, 7, 5}}
+	want := rel.Relation{Keys: []int32{5, 7, 7, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Join = %+v, want %+v", got, want)
 	}
@@ -44,8 +44,8 @@ func TestMaterializeMatchesOracle(t *testing.T) {
 		}
 	}
 	// Duplicate build keys multiply output tuples.
-	r := rel.Relation{RIDs: []int32{0, 1, 2}, Keys: []int32{4, 4, 9}}
-	s := rel.Relation{RIDs: []int32{0, 1}, Keys: []int32{4, 9}}
+	r := rel.Relation{Keys: []int32{4, 4, 9}}
+	s := rel.Relation{Keys: []int32{4, 9}}
 	if got, want := rel.JoinMaterialize(r, s), Join(r, s); !reflect.DeepEqual(got, want) {
 		t.Errorf("duplicate-key JoinMaterialize = %+v, want %+v", got, want)
 	}

@@ -66,7 +66,7 @@ func (c *chains) add(p *Pass, i int, get func(words int) int32) {
 	}
 	off := c.tail[pt] + 1 + 2*f
 	words := p.arena.Words()
-	words[off], words[off+1] = p.in.Keys[i], p.in.RIDs[i]
+	words[off], words[off+1] = p.in.Keys[i], int32(i) // the tuple's dense rid
 	c.fill[pt] = f + 1
 }
 
@@ -124,7 +124,7 @@ func (p *Pass) gatherChainRef(c *chains, out rel.Relation) ([]int32, device.Acct
 		remaining := p.counts[pt]
 		for ch := c.head[pt]; ch != nilRef; ch = words[ch+chunkOffNxt] {
 			for j := int32(0); j < min(ChunkTuples, remaining); j++ {
-				out.Keys[pos], out.RIDs[pos] = words[ch+1+2*j], words[ch+2+2*j]
+				out.Keys[pos] = words[ch+1+2*j]
 				pos++
 			}
 			remaining -= min(ChunkTuples, remaining)
@@ -255,7 +255,7 @@ func TestSingleStreamPassMatchesChains(t *testing.T) {
 					if ga != refGather {
 						t.Fatalf("%s: gather record\n got %+v\nwant %+v", name, ga, refGather)
 					}
-					if !slices.Equal(offs, refOffs) || !slices.Equal(out.Keys, refOut.Keys) || !slices.Equal(out.RIDs, refOut.RIDs) {
+					if !slices.Equal(offs, refOffs) || !slices.Equal(out.Keys, refOut.Keys) {
 						t.Fatalf("%s: partitioned relation differs from the chains'", name)
 					}
 					for _, q := range []*Pass{p, ref} {

@@ -21,9 +21,9 @@ func parallelPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
 // poisoned returns an n-tuple output relation no word of which is a valid
 // result, so a slot the scatter skips shows in the comparison.
 func poisoned(n int) rel.Relation {
-	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	out := rel.Relation{Keys: make([]int32, n)}
 	for i := range out.Keys {
-		out.Keys[i], out.RIDs[i] = alloc.PoisonWord, alloc.PoisonWord
+		out.Keys[i] = alloc.PoisonWord
 	}
 	return out
 }
@@ -105,7 +105,7 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 					}
 					refOut := poisoned(n)
 					refOffs, refGather := ref.gatherChainRef(rc, refOut)
-					if !slices.Equal(refOffs, serialOffs) || !slices.Equal(refOut.Keys, serialOut.Keys) || !slices.Equal(refOut.RIDs, serialOut.RIDs) {
+					if !slices.Equal(refOffs, serialOffs) || !slices.Equal(refOut.Keys, serialOut.Keys) {
 						t.Fatalf("%s: reference differs from serial", name)
 					}
 
@@ -133,7 +133,7 @@ func TestShardedPassMatchesSerial(t *testing.T) {
 						if !slices.Equal(offs, serialOffs) {
 							t.Fatalf("%s pool=%d: partition offsets differ from serial", name, pool.Workers())
 						}
-						if !slices.Equal(out.Keys, serialOut.Keys) || !slices.Equal(out.RIDs, serialOut.RIDs) {
+						if !slices.Equal(out.Keys, serialOut.Keys) {
 							t.Fatalf("%s pool=%d: scattered tuples differ from serial", name, pool.Workers())
 						}
 					}
@@ -214,21 +214,18 @@ func BenchmarkN2(b *testing.B) {
 }
 
 // BenchmarkPartitionPass measures one radix pass over 2^20 tuples from n2
-// to the gathered relation (n1, a pure hash map, runs outside the timer),
-// five ways on the same input: through the chunk chains the host used to
-// build (the test reference, which moves <key, rid> pairs); single-stream
-// as BasicUnit and the pilot run n2 and n3 (N2, N3, then Layout and Gather
-// with no pool), keys only; as the runner executes it on a pool (N2
-// morsels, Layout, N3Shards, Gather), keys only; and single-stream into a
-// relation with a RID column, as the external join's buffer rounds gather
-// their sub-joins' pairs. The rows after the first report their speed-up
-// over the chains as x-chains, and every row's output — keys, offsets, and
-// RIDs where it has them — must equal the chains'.
+// to the gathered keys (n1, a pure hash map, runs outside the timer), four
+// ways on the same input: through the chunk chains the host used to build
+// (the test reference, which links <key, rid> pairs); single-stream as
+// BasicUnit and the pilot run n2 and n3 (N2, N3, then Layout and Gather with
+// no pool); and as the runner executes it on a pool (N2 morsels, Layout,
+// N3Shards, Gather) of 1 and of 2. The rows after the first report their
+// speed-up over the chains as x-chains, and every row's output — keys and
+// offsets — must equal the chains'.
 func BenchmarkPartitionPass(b *testing.B) {
 	const n = 1 << 20
 	cpu := device.New(device.APUCPU())
-	pairs := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
-	keys := rel.Relation{Keys: pairs.Keys}
+	keys := rel.Relation{Keys: make([]int32, n)}
 	for _, dist := range benchInputs {
 		in := rel.Gen{N: n, Dist: dist, Seed: 1}.Build()
 		for _, bits := range []uint{6, MaxBitsPerPass} {
@@ -246,8 +243,8 @@ func BenchmarkPartitionPass(b *testing.B) {
 						b.StopTimer()
 						p.reset(name == "chains")
 						c.reset()
-						for j := range pairs.Keys {
-							pairs.Keys[j], pairs.RIDs[j] = alloc.PoisonWord, alloc.PoisonWord
+						for j := range keys.Keys {
+							keys.Keys[j] = alloc.PoisonWord
 						}
 						b.StartTimer()
 						offs = pass()
@@ -257,33 +254,29 @@ func BenchmarkPartitionPass(b *testing.B) {
 					b.ReportMetric(ns/n, "ns/tuple")
 					switch {
 					case name == "chains":
-						want = rel.Relation{Keys: slices.Clone(out.Keys), RIDs: slices.Clone(out.RIDs)}
+						want = rel.Relation{Keys: slices.Clone(out.Keys)}
 						wantOffs, chainsNS = offs, ns
 					case want.Keys == nil: // the chains row was filtered out
-					case !slices.Equal(offs, wantOffs) || !slices.Equal(out.Keys, want.Keys) ||
-						out.RIDs != nil && !slices.Equal(out.RIDs, want.RIDs):
+					case !slices.Equal(offs, wantOffs) || !slices.Equal(out.Keys, want.Keys):
 						b.Fatal("partitioned relation differs from the chains'")
 					default:
 						b.ReportMetric(chainsNS/ns, "x-chains")
 					}
 				})
 			}
-			run("chains", pairs, func() []int32 {
+			run("chains", keys, func() []int32 {
 				p.N2(cpu, 0, n)
 				p.n3ChainRef(c, 0, n)
-				offs, _ := p.gatherChainRef(c, pairs)
+				offs, _ := p.gatherChainRef(c, keys)
 				return offs
 			})
-			serial := func(out rel.Relation) func() []int32 {
-				return func() []int32 {
-					p.N2(cpu, 0, n)
-					p.N3(cpu, 0, n)
-					p.Layout(nil)
-					offs, _ := p.Gather(nil, out)
-					return offs
-				}
-			}
-			run("serial", keys, serial(keys))
+			run("serial", keys, func() []int32 {
+				p.N2(cpu, 0, n)
+				p.N3(cpu, 0, n)
+				p.Layout(nil)
+				offs, _ := p.Gather(nil, keys)
+				return offs
+			})
 			for _, workers := range []int{1, 2} {
 				pool := sched.NewPool(workers)
 				run(fmt.Sprintf("pool=%d", workers), keys, func() []int32 {
@@ -296,7 +289,6 @@ func BenchmarkPartitionPass(b *testing.B) {
 				})
 				pool.Close()
 			}
-			run("pairs", pairs, serial(pairs))
 		}
 	}
 }

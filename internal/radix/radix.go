@@ -23,9 +23,7 @@
 // between n2 and n3; on a pool (N3Shards) it charges the ownership shards'
 // requests as worker-private allocators would serve them. The keys move
 // once, in Gather, through the tree's one counting scatter (sched.Scatter),
-// straight to the slots a walk of the chains would copy them to. No join
-// reads a partitioned RID, so the RIDs move only into an output that has a
-// RID column (the external join's sub-joins, whose inputs are relations).
+// straight to the slots a walk of the chains would copy them to.
 //
 // Passes consume radix bits of the key hash from the lowest bit upward and
 // append stably, so after g passes the gathered relation is grouped by the
@@ -271,17 +269,12 @@ func (p *Pass) Layout(pool *sched.Pool) {
 // partition order ("we link all the intermediate partitions together to form
 // the result partition pairs"), and returns the partition boundary offsets
 // with the accounting of the streaming copy out of the chunk chains, which
-// the model charges for <key, rid> pairs either way. The keys move once, on
-// pool, straight to the slots Layout laid out: a partition's tuples in input
-// order, which is the order its chain holds them in. The RIDs move with them
-// only when out has a RID column.
+// the model charges for <key, rid> pairs. The keys move once, on pool,
+// straight to the slots Layout laid out: a partition's tuples in input
+// order, which is the order its chain holds them in.
 func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
-	dst, src := sched.Cols{out.Keys}, sched.Cols{p.in.Keys}
-	if out.RIDs != nil {
-		dst[1], src[1] = out.RIDs, p.in.RIDs
-	}
-	p.scat.Move(pool, 0, p.in.Len(), dst, src)
+	p.scat.Move(pool, 0, p.in.Len(), sched.Cols{out.Keys}, sched.Cols{p.in.Keys})
 	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
 	offs := make([]int32, len(p.counts)+1)
 	pos := 0

@@ -25,11 +25,8 @@ type Result struct {
 // no co-processing, nothing charged): the data-movement reference.
 func PartitionHost(in rel.Relation, plan Plan) Result {
 	n := in.Len()
-	cur := rel.Relation{
-		Keys: append([]int32(nil), in.Keys...),
-		RIDs: append([]int32(nil), in.RIDs...),
-	}
-	buf := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	cur := rel.Relation{Keys: append([]int32(nil), in.Keys...)}
+	buf := rel.Relation{Keys: make([]int32, n)}
 	cpu := device.New(device.APUCPU())
 	var shift uint
 	for _, bits := range plan.BitsPerPass {
@@ -108,13 +105,13 @@ func TestPartitionPreservesMultiset(t *testing.T) {
 		r := rel.Gen{N: 2000, Seed: seed}.Build()
 		plan := PlanFor(r.Len(), 1<<10)
 		res := PartitionHost(r, plan)
-		// Key→rid pairs must be preserved exactly.
-		want := map[[2]int32]int{}
-		for i := range r.Keys {
-			want[[2]int32{r.Keys[i], r.RIDs[i]}]++
+		// The key multiset must be preserved exactly.
+		want := map[int32]int{}
+		for _, k := range r.Keys {
+			want[k]++
 		}
-		for i := range res.Rel.Keys {
-			want[[2]int32{res.Rel.Keys[i], res.Rel.RIDs[i]}]--
+		for _, k := range res.Rel.Keys {
+			want[k]--
 		}
 		for _, c := range want {
 			if c != 0 {
@@ -169,7 +166,7 @@ func TestPassStepsSplitAcrossDevices(t *testing.T) {
 		step(gpu, split, n)
 	}
 	pass.Layout(nil)
-	out := rel.Relation{Keys: make([]int32, n), RIDs: make([]int32, n)}
+	out := rel.Relation{Keys: make([]int32, n)}
 	offs, _ := pass.Gather(nil, out)
 	if int(offs[len(offs)-1]) != n {
 		t.Fatalf("gathered %d tuples, want %d", offs[len(offs)-1], n)
@@ -207,7 +204,7 @@ func TestFinalOffsetsShifted(t *testing.T) {
 	pass.N1(cpu, 0, r.Len())
 	pass.N2(cpu, 0, r.Len())
 	pass.Layout(nil)
-	out := rel.Relation{Keys: make([]int32, r.Len()), RIDs: make([]int32, r.Len())}
+	out := rel.Relation{Keys: make([]int32, r.Len())}
 	pass.Gather(nil, out)
 	offs := FinalOffsetsShifted(out, Plan{BitsPerPass: []uint{4}}, shift)
 	for p := 0; p+1 < len(offs); p++ {

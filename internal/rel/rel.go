@@ -1,9 +1,11 @@
 // Package rel defines the relations the joins operate on and the synthetic
 // data generators used throughout the evaluation.
 //
-// Following the paper (Sec. 5.1) and Blanas et al. (SIGMOD 2011), a relation
-// consists of two four-byte integer attributes, the record ID and the key
-// value, stored column-wise. The default workload is 16 M tuples per
+// The paper (Sec. 5.1, after Blanas et al., SIGMOD 2011) stores a relation
+// as two four-byte integer columns, the record ID and the key value. No join
+// result reads a record ID — the output is counted — so a relation here is
+// its key column alone, and the cost model still charges the paper's 8-byte
+// tuple (Relation.Bytes). The default workload is 16 M tuples per
 // relation with uniform keys; skewed datasets duplicate a single heavy key
 // for s% of the tuples (low-skew s=10, high-skew s=25), and join selectivity
 // is controlled by the fraction of probe keys that have a match in the
@@ -18,9 +20,10 @@ import (
 	"apujoin/internal/alloc"
 )
 
-// Relation is a column-oriented relation of (RID, Key) pairs.
-// RIDs[i] and Keys[i] together form tuple i.
+// Relation is a relation of int32 keys: Keys[i] is tuple i's key.
 type Relation struct {
+	// RIDs is ignored: no code path reads, moves or checks it, and every
+	// producer leaves it nil. It stays only for callers that still set it.
 	RIDs []int32
 	Keys []int32
 }
@@ -28,61 +31,29 @@ type Relation struct {
 // Len returns the number of tuples in the relation.
 func (r Relation) Len() int { return len(r.Keys) }
 
-// Bytes returns the in-memory size of the relation in bytes
-// (two 4-byte columns), which is what the zero-copy buffer accounting
-// and the PCI-e transfer model charge for.
+// Bytes returns the paper's in-memory size of the relation in bytes (a
+// 4-byte record ID and a 4-byte key per tuple), which is what the zero-copy
+// buffer accounting and the PCI-e transfer model charge for.
 func (r Relation) Bytes() int64 { return int64(r.Len()) * 8 }
 
-// Validate checks structural invariants: equal column lengths and
-// non-negative RIDs. It returns a descriptive error on violation.
-func (r Relation) Validate() error {
-	if len(r.RIDs) != len(r.Keys) {
-		return fmt.Errorf("rel: column length mismatch: %d RIDs vs %d keys", len(r.RIDs), len(r.Keys))
-	}
-	if anyNegative(r.RIDs) {
-		for i, rid := range r.RIDs {
-			if rid < 0 {
-				return fmt.Errorf("rel: negative RID %d at index %d", rid, i)
-			}
-		}
-	}
-	return nil
-}
-
-// anyNegative reports whether v holds a negative value. A value is negative
-// iff its sign bit is set, and an OR keeps every sign bit, so v is
-// OR-reduced eight words at a time with no branch per word.
-func anyNegative(v []int32) bool {
-	var acc int32
-	i := 0
-	for ; i+8 <= len(v); i += 8 {
-		w := v[i : i+8 : i+8]
-		acc |= (w[0] | w[1]) | (w[2] | w[3]) | (w[4] | w[5]) | (w[6] | w[7])
-	}
-	for _, x := range v[i:] {
-		acc |= x
-	}
-	return acc < 0
-}
-
-// Recycled returns an n-tuple relation whose two columns are recycler slabs
-// of arbitrary contents, for a producer that writes every word of both.
-// Release hands them back.
+// Recycled returns an n-tuple relation whose key column is a recycler slab
+// of arbitrary contents, for a producer that writes every word of it.
+// Release hands it back.
 func Recycled(n int) Relation {
-	return Relation{RIDs: alloc.GetWords(n), Keys: alloc.GetWords(n)}
+	return Relation{Keys: alloc.GetWords(n)}
 }
 
-// Release hands a Recycled relation's columns back to the recycler. Nothing
-// may read the relation afterwards; the zero relation is fine to pass.
+// Release hands a Recycled relation's key column back to the recycler.
+// Nothing may read the relation afterwards; the zero relation is fine to
+// pass.
 func (r Relation) Release() {
-	alloc.PutWords(r.RIDs)
 	alloc.PutWords(r.Keys)
 }
 
 // Slice returns the sub-relation covering tuples [lo, hi).
 // The returned relation shares backing storage with r.
 func (r Relation) Slice(lo, hi int) Relation {
-	return Relation{RIDs: r.RIDs[lo:hi], Keys: r.Keys[lo:hi]}
+	return Relation{Keys: r.Keys[lo:hi]}
 }
 
 // Distribution identifies one of the paper's synthetic data distributions.
@@ -167,14 +138,12 @@ func (g Gen) Build() Relation {
 	rng := rand.New(rand.NewSource(g.Seed))
 
 	keys := make([]int32, n)
-	rids := make([]int32, n)
 	// Permutation of 1..keyRange truncated to n values.
 	perm := rng.Perm(keyRange)
 	for i := 0; i < n; i++ {
 		keys[i] = int32(perm[i%keyRange] + 1)
-		rids[i] = int32(i)
 	}
-	return Relation{RIDs: rids, Keys: keys}
+	return Relation{Keys: keys}
 }
 
 // Probe generates a probe relation S against build relation r with the
@@ -188,12 +157,10 @@ func (g Gen) Probe(r Relation, selectivity float64) Relation {
 	rng := rand.New(rand.NewSource(g.Seed + 1))
 
 	keys := make([]int32, n)
-	rids := make([]int32, n)
 	nr := r.Len()
 	// Non-matching keys live above every key Build can generate.
 	nonMatchBase := int32(1 << 30)
 	for i := 0; i < n; i++ {
-		rids[i] = int32(i)
 		if rng.Float64() < selectivity && nr > 0 {
 			keys[i] = r.Keys[rng.Intn(nr)]
 		} else {
@@ -212,7 +179,7 @@ func (g Gen) Probe(r Relation, selectivity float64) Relation {
 			keys[rng.Intn(n)] = heavy
 		}
 	}
-	return Relation{RIDs: rids, Keys: keys}
+	return Relation{Keys: keys}
 }
 
 // NaiveJoinCount computes the number of matching (r,s) pairs with a plain

@@ -17,18 +17,16 @@ func (g Gen) ZipfProbe(r Relation, theta float64) Relation {
 	n := g.N
 	rng := rand.New(rand.NewSource(g.Seed + 2))
 	keys := make([]int32, n)
-	rids := make([]int32, n)
 
 	nr := r.Len()
 	if nr == 0 {
-		return Relation{Keys: keys, RIDs: rids}
+		return Relation{Keys: keys}
 	}
 	z := newZipf(rng, theta, nr)
 	for i := 0; i < n; i++ {
-		rids[i] = int32(i)
 		keys[i] = r.Keys[z.next()]
 	}
-	return Relation{Keys: keys, RIDs: rids}
+	return Relation{Keys: keys}
 }
 
 // zipf samples ranks 0..n-1 with P(rank k) ∝ 1/(k+1)^theta using the

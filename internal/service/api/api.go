@@ -129,7 +129,8 @@ type BatchResponse struct {
 // RelationRequest is the JSON body of POST /v1/relations. Exactly one of
 // three forms: a build-relation generator spec (n, skew, seed, key_range),
 // a probe generator spec against a registered build relation (probe_of,
-// sel plus the generator fields), or a bulk upload (keys, optional rids).
+// sel plus the generator fields), or a bulk upload (keys, and optional
+// rids, which the server checks against keys and then drops).
 type RelationRequest struct {
 	Name string `json:"name"`
 
@@ -149,7 +150,7 @@ type RelationRequest struct {
 	// for a shard whose owned partitions happen to be empty), and omitting
 	// the field would flip the request into a generator spec.
 	Keys []int32 `json:"keys"`
-	RIDs []int32 `json:"rids"`
+	RIDs []int32 `json:"rids,omitempty"`
 }
 
 // JoinResponse reports a finished (or submitted) query.

@@ -63,12 +63,11 @@ func (b *remoteBackend) place(name string, parts []rel.Relation, _ rel.Counts) e
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the
 		// wire, while a missing keys field would read as a generator spec.
-		keys, rids := []int32{}, []int32{}
+		keys := []int32{}
 		for _, p := range shard.OwnedBy(j, n) {
 			keys = append(keys, parts[p].Keys...)
-			rids = append(rids, parts[p].RIDs...)
 		}
-		req := api.RelationRequest{Name: name, Keys: keys, RIDs: rids}
+		req := api.RelationRequest{Name: name, Keys: keys}
 		if err := b.pool.Call(context.Background(), j, http.MethodPost, "/v1/relations", &req, nil); err != nil {
 			for q := j; q >= 0; q-- {
 				b.delete(q, name)

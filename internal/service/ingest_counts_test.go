@@ -21,10 +21,9 @@ import (
 // group is the whole relation, eight are the grid itself.
 func keyGroup(r rel.Relation, level, ways, g int) rel.Relation {
 	var out rel.Relation
-	for i, k := range r.Keys {
+	for _, k := range r.Keys {
 		if shard.Owner(shard.PartitionAt(k, level), ways) == g {
 			out.Keys = append(out.Keys, k)
-			out.RIDs = append(out.RIDs, r.RIDs[i])
 		}
 	}
 	return out

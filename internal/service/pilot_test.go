@@ -1,11 +1,9 @@
 package service
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/rel"
 )
@@ -61,57 +59,5 @@ func TestAutoJoinKeepsPilot(t *testing.T) {
 	}
 	if got := svc.Stats().PlanMisses; got != 2 {
 		t.Errorf("the two auto joins missed the plan cache %d times, want 2", got)
-	}
-}
-
-// TestInvalidRelationsStillRefused: a registered build side is validated
-// once, when it registers, and the joins and plans over it do not validate
-// it again (core.RunKept, core.BuildPlanKept). A relation with a negative
-// RID is still refused by catalog.Load, the router's Load, core.Run and
-// core.BuildPlan, and a join or plan over a registered build side still
-// refuses an invalid s.
-func TestInvalidRelationsStillRefused(t *testing.T) {
-	opt := core.Options{Delta: 0.25, PilotItems: 1024}
-	good := rel.Gen{N: 4096, Seed: 1}.Build()
-	bad := rel.Gen{N: 4096, Seed: 2}.Build()
-	bad.RIDs[1000] = -1
-	c := catalog.New(0)
-	if err := c.Load("bad", bad, rel.Counts{}); err == nil {
-		t.Error("catalog.Load took a relation with a negative RID")
-	}
-	svc := New(Config{Workers: 2})
-	defer svc.Close()
-	if _, err := svc.LoadRelation("bad", bad); err == nil {
-		t.Error("the router's Load took a relation with a negative RID")
-	}
-	for _, pair := range [][2]rel.Relation{{bad, good}, {good, bad}} {
-		if _, err := core.Run(pair[0], pair[1], opt); err == nil {
-			t.Error("core.Run joined a relation with a negative RID")
-		}
-		if _, err := core.BuildPlan(pair[0], pair[1], opt); err == nil {
-			t.Error("core.BuildPlan planned a relation with a negative RID")
-		}
-	}
-	if err := c.Load("r", good, rel.Counts{}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
-	if _, err := e.Join(context.Background(), good, bad, opt); err == nil {
-		t.Error("Entry.Join joined a probe side with a negative RID")
-	}
-	if _, err := e.BuildPlan(good, bad, opt); err == nil {
-		t.Error("Entry.BuildPlan planned a probe side with a negative RID")
-	}
-	if _, err := svc.LoadRelation("r", good); err != nil {
-		t.Fatal(err)
-	}
-	for _, auto := range []bool{false, true} {
-		if _, err := svc.RunJoin(context.Background(), JoinSpec{RName: "r", S: bad, Opt: opt, Auto: auto}); err == nil {
-			t.Errorf("a join (auto %v) over a registered build side took a probe side with a negative RID", auto)
-		}
 	}
 }

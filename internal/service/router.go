@@ -158,18 +158,15 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 	return t.register(sr, g.Probe(base, selectivity))
 }
 
-// Load registers an existing relation (bulk load). A grid of one retains
-// the caller's columns, which must not be mutated afterwards; a larger grid
-// copies them into its per-partition relations.
+// Load registers an existing relation (bulk load) by its key column alone.
+// A grid of one retains the caller's key column, which must not be mutated
+// afterwards; a larger grid copies it into its per-partition relations.
 func (t *router) Load(name string, r rel.Relation) (catalog.Info, error) {
 	if err := t.precheck(name, r.Len()); err != nil {
 		return catalog.Info{}, err
 	}
 	defer t.unpend(name)
-	if err := r.Validate(); err != nil {
-		return catalog.Info{}, fmt.Errorf("catalog: %w", err)
-	}
-	return t.register(&shardedRel{name: name, source: catalog.Loaded}, r)
+	return t.register(&shardedRel{name: name, source: catalog.Loaded}, rel.Relation{Keys: r.Keys})
 }
 
 // precheck fails fast on an invalid or duplicate registration before any
@@ -279,15 +276,10 @@ func (t *router) reassemble(sr *shardedRel) (rel.Relation, error) {
 		return rel.Relation{}, err
 	}
 	defer releaseAll(pins)
-	out := rel.Relation{
-		RIDs: make([]int32, 0, len(sr.order)),
-		Keys: make([]int32, 0, len(sr.order)),
-	}
+	out := rel.Relation{Keys: make([]int32, 0, len(sr.order))}
 	cursors := make([]int, len(parts))
 	for _, p := range sr.order {
-		i := cursors[p]
-		out.RIDs = append(out.RIDs, parts[p].RIDs[i])
-		out.Keys = append(out.Keys, parts[p].Keys[i])
+		out.Keys = append(out.Keys, parts[p].Keys[cursors[p]])
 		cursors[p]++
 	}
 	return out, nil

@@ -35,7 +35,6 @@ func TestRouterOneCatalog(t *testing.T) {
 	var skew rel.Relation
 	for k := int32(1); skew.Len() < 300; k++ {
 		if shard.PartitionOf(k) == 0 {
-			skew.RIDs = append(skew.RIDs, int32(skew.Len()))
 			skew.Keys = append(skew.Keys, k)
 		}
 	}
@@ -584,15 +583,15 @@ func TestUnshardedRegistrationKeepsTheRelationWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer releaseAll(pins)
-	if &whole.Keys[0] != &in.Keys[0] || &whole.RIDs[0] != &in.RIDs[0] {
-		t.Error("Load copied the relation: the resident columns are not the caller's")
+	if &whole.Keys[0] != &in.Keys[0] {
+		t.Error("Load copied the relation: the resident key column is not the caller's")
 	}
 	want := pg.Probe(in, 0.6)
 	if len(probe.Keys) != len(want.Keys) {
 		t.Fatalf("probe of loaded: %d tuples, inline generation %d", len(probe.Keys), len(want.Keys))
 	}
 	for i := range want.Keys {
-		if probe.Keys[i] != want.Keys[i] || probe.RIDs[i] != want.RIDs[i] {
+		if probe.Keys[i] != want.Keys[i] {
 			t.Fatalf("probe of loaded: tuple %d differs from inline generation", i)
 		}
 	}

@@ -391,9 +391,10 @@ func (s *Service) RegisterProbe(name, of string, g rel.Gen, selectivity float64)
 	return s.router.RegisterProbe(name, of, g, selectivity)
 }
 
-// LoadRelation registers an existing relation (bulk load). An unsharded
-// service retains the columns, which the caller must not mutate afterwards;
-// a sharded one copies them into its partition split.
+// LoadRelation registers an existing relation (bulk load) by its key
+// column alone; its RIDs field is ignored. An unsharded service retains
+// the key column, which the caller must not mutate afterwards; a sharded
+// one copies it into its partition split.
 func (s *Service) LoadRelation(name string, r rel.Relation) (catalog.Info, error) {
 	return s.router.Load(name, r)
 }

@@ -135,14 +135,14 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // keys: cur's own, or a table over a relation cur is a key-split part of
 // (a registered source's ingest table, a parent level's), whose count of
 // every key of cur is cur's. Every input splits on the pool into
-// consecutive sub-slices of one keys slab and one RIDs slab, handed back
-// when run returns. Partitions split by key, so counts serves every
-// partition too: each looks its probe keys up in it once, on the pool, and
-// the multiplicities' total is its exact first intermediate. The table and
-// multiplicities then serve the partition's first chain step — its
-// pre-check reads the total and its hand-off fills from the slab, so that
-// step looks its probe up once. run owns the multiplicities and releases
-// them when it returns; counts stays the caller's.
+// consecutive sub-slices of one keys slab, handed back when run returns.
+// Partitions split by key, so counts serves every partition too: each
+// looks its probe keys up in it once, on the pool, and the multiplicities'
+// total is its exact first intermediate. The table and multiplicities then
+// serve the partition's first chain step — its pre-check reads the total
+// and its hand-off fills from the slab, so that step looks its probe up
+// once. run owns the multiplicities and releases them when it returns;
+// counts stays the caller's.
 //
 // inherit, when non-nil, are the plans of the remaining steps that a
 // follower chain inherited, which every partition chain runs. A spiller

@@ -563,10 +563,7 @@ func leaderShape(name string, edit func(p int, other, s, u []int32) ([]int32, []
 	}
 	rels := make([]rel.Relation, 4)
 	for i, keys := range [][]int32{rk, sk, uk, vk} {
-		rels[i] = rel.Relation{RIDs: make([]int32, len(keys)), Keys: keys}
-		for j := range keys {
-			rels[i].RIDs[j] = int32(j)
-		}
+		rels[i] = rel.Relation{Keys: keys}
 	}
 	return spillShape{name: name, rels: rels, headroom: 12 << 10}
 }

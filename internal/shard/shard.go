@@ -164,32 +164,32 @@ func OwnedBy(k, shards int) []int {
 }
 
 // Split partitions a relation over the fixed grid: tuple i of r lands in
-// partition PartitionOf(r.Keys[i]), keeping its original (RID, Key) pair,
-// and tuples within a partition preserve their relative order in r. The
-// output is a pure function of r — where partitions are held plays no part — and
-// every returned partition has freshly allocated columns of its own (they
-// alias neither r nor each other): catalog entries outlive any query and
-// drop one partition at a time.
+// partition PartitionOf(r.Keys[i]), and tuples within a partition preserve
+// their relative order in r. The output is a pure function of r — where
+// partitions are held plays no part — and every returned partition has a
+// freshly allocated key column of its own (it aliases neither r nor another
+// partition): catalog entries outlive any query and drop one partition at a
+// time.
 func Split(r rel.Relation) [Partitions]rel.Relation {
 	split, slab := SplitAt(nil, 0, r)
 	defer slab.Release()
 	parts := split[0]
 	for p, part := range parts {
-		parts[p] = rel.Relation{RIDs: append([]int32(nil), part.RIDs...), Keys: append([]int32(nil), part.Keys...)}
+		parts[p] = rel.Relation{Keys: append([]int32(nil), part.Keys...)}
 	}
 	return parts
 }
 
 // SplitAt partitions each of rs at a repartitioning level on the pool (nil
 // runs it inline): tuple i of a relation lands in partition
-// PartitionAt(Keys[i], level) with its (RID, Key) pair, in its relative
-// order. Each key is hashed once, and the tuples move through
-// sched.Scatter into one pair of recycler slabs, each relation's partitions
-// consecutive sub-slices of it in partition order. SplitAt returns every
-// relation's partitions and the slabs, which the caller hands back
-// (Release) once no reader is left. Level 0 is the fixed grid; deeper
-// levels are the spill path's recursive sub-splits of one oversized
-// partition, each a pure function of the data exactly as Split is.
+// PartitionAt(Keys[i], level), in its relative order. Each key is hashed
+// once, and the keys move through sched.Scatter into one recycler slab,
+// each relation's partitions consecutive sub-slices of it in partition
+// order. SplitAt returns every relation's partitions and the slab, which
+// the caller hands back (Release) once no reader is left. Level 0 is the
+// fixed grid; deeper levels are the spill path's recursive sub-splits of
+// one oversized partition, each a pure function of the data exactly as
+// Split is.
 func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Relation, rel.Relation) {
 	n := 0
 	for _, r := range rs {
@@ -211,13 +211,13 @@ func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Re
 			}
 		})
 		x.Setup(p, hashed, 0, Partitions)
-		x.Move(p, 0, r.Len(), sched.Cols{out.Keys, out.RIDs}, sched.Cols{r.Keys, r.RIDs})
+		x.Move(p, 0, r.Len(), sched.Cols{out.Keys}, sched.Cols{r.Keys})
 		var from, to [Partitions]int32
 		x.Cut(0, from[:])
 		x.Cut(r.Len(), to[:])
 		for q, lo := range from {
 			hi := to[q]
-			split[j][q] = rel.Relation{RIDs: out.RIDs[lo:hi:hi], Keys: out.Keys[lo:hi:hi]}
+			split[j][q] = rel.Relation{Keys: out.Keys[lo:hi:hi]}
 		}
 	}
 	return split, slab

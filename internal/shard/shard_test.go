@@ -25,11 +25,10 @@ func splitAtRef(r rel.Relation, level int) [Partitions]rel.Relation {
 		if n == 0 {
 			continue
 		}
-		out[p] = rel.Relation{RIDs: make([]int32, 0, n), Keys: make([]int32, 0, n)}
+		out[p] = rel.Relation{Keys: make([]int32, 0, n)}
 	}
-	for i, k := range r.Keys {
+	for _, k := range r.Keys {
 		p := PartitionAt(k, level)
-		out[p].RIDs = append(out[p].RIDs, r.RIDs[i])
 		out[p].Keys = append(out[p].Keys, k)
 	}
 	return out
@@ -51,9 +50,9 @@ func requireSplitsEqual(t testing.TB, name string, got, want [Partitions]rel.Rel
 			t.Fatalf("%s: partition %d holds %d tuples, the reference %d", name, p, got[p].Len(), want[p].Len())
 		}
 		for i := range got[p].Keys {
-			if got[p].Keys[i] != want[p].Keys[i] || got[p].RIDs[i] != want[p].RIDs[i] {
-				t.Fatalf("%s: partition %d slot %d holds (rid %d, key %d), the reference (rid %d, key %d)",
-					name, p, i, got[p].RIDs[i], got[p].Keys[i], want[p].RIDs[i], want[p].Keys[i])
+			if got[p].Keys[i] != want[p].Keys[i] {
+				t.Fatalf("%s: partition %d slot %d holds key %d, the reference key %d",
+					name, p, i, got[p].Keys[i], want[p].Keys[i])
 			}
 		}
 	}
@@ -85,7 +84,7 @@ func dirtyRecycler(maxWords int) {
 // the append loop it replaced tuple for tuple, on pools of 1, 2 and 4, at
 // levels 0–3, for an empty input, a one-tuple input, an input whose every
 // key lands in one partition and a multi-morsel input — each alone and all
-// in one call, sharing one pair of slabs — every time on a freshly dirtied
+// in one call, sharing one slab — every time on a freshly dirtied
 // recycler; Split's fresh columns equal it too, and alias neither the input
 // nor each other.
 func TestSplitAtMatchesReference(t *testing.T) {
@@ -95,9 +94,9 @@ func TestSplitAtMatchesReference(t *testing.T) {
 		pool := sched.NewPool(workers)
 		for level := 0; level <= 3; level++ {
 			var one rel.Relation // every key in partition 0 at this level
-			for i, k := range big.Keys {
+			for _, k := range big.Keys {
 				if PartitionAt(k, level) == 0 {
-					one.Keys, one.RIDs = append(one.Keys, k), append(one.RIDs, big.RIDs[i])
+					one.Keys = append(one.Keys, k)
 				}
 			}
 			names := []string{"empty", "one tuple", "one partition", "multi-morsel"}
@@ -117,12 +116,11 @@ func TestSplitAtMatchesReference(t *testing.T) {
 		}
 		pool.Close()
 	}
-	want, orig := splitAtRef(big, 0), rel.Relation{Keys: slices.Clone(big.Keys), RIDs: slices.Clone(big.RIDs)}
+	want, orig := splitAtRef(big, 0), rel.Relation{Keys: slices.Clone(big.Keys)}
 	fresh := Split(big)
 	requireSplitsEqual(t, "Split", fresh, want)
 	for p := range fresh {
 		clear(fresh[p].Keys)
-		clear(fresh[p].RIDs)
 		want[p] = fresh[p]
 		requireSplitsEqual(t, fmt.Sprintf("Split after clearing partition %d", p), fresh, want)
 	}
@@ -132,7 +130,7 @@ func TestSplitAtMatchesReference(t *testing.T) {
 }
 
 // Split must place every tuple exactly once, in its key's fixed partition,
-// preserving relative order and the original (RID, Key) pairs.
+// preserving relative order.
 func TestSplitPartitionsEveryTupleOnce(t *testing.T) {
 	g := rel.Gen{N: 1 << 12, Seed: 3}
 	r := g.Build()
@@ -153,14 +151,13 @@ func TestSplitPartitionsEveryTupleOnce(t *testing.T) {
 	}
 
 	// Reassembling by walking r and popping from each partition in order
-	// must reproduce the original pairs: order within a partition is r's.
+	// must reproduce the original keys: order within a partition is r's.
 	var next [Partitions]int
 	for i, k := range r.Keys {
 		p := PartitionOf(k)
 		j := next[p]
-		if parts[p].Keys[j] != k || parts[p].RIDs[j] != r.RIDs[i] {
-			t.Fatalf("tuple %d (rid %d, key %d) not preserved in partition %d slot %d",
-				i, r.RIDs[i], k, p, j)
+		if parts[p].Keys[j] != k {
+			t.Fatalf("tuple %d (key %d) not preserved in partition %d slot %d", i, k, p, j)
 		}
 		next[p]++
 	}
@@ -332,7 +329,7 @@ func TestGridOfOneIsTheRelation(t *testing.T) {
 	}
 	r := rel.Gen{N: 1 << 10, Seed: 3}.Build()
 	one := One.Split(r)
-	if len(one) != 1 || &one[0].Keys[0] != &r.Keys[0] || &one[0].RIDs[0] != &r.RIDs[0] {
+	if len(one) != 1 || &one[0].Keys[0] != &r.Keys[0] {
 		t.Error("One.Split copied the relation or returned more than one slice")
 	}
 	for _, k := range r.Keys {

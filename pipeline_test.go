@@ -389,7 +389,7 @@ func TestPipelineRefMatchesInline(t *testing.T) {
 	refs := []Source{Ref("r"), Ref("s"), Ref("u")}
 	var inlines []Source
 	for _, rl := range rels {
-		inlines = append(inlines, Inline(Relation{RIDs: slices.Clone(rl.RIDs), Keys: slices.Clone(rl.Keys)}))
+		inlines = append(inlines, Inline(Relation{Keys: slices.Clone(rl.Keys)}))
 	}
 	ctx := context.Background()
 	run := func(t *testing.T, shards int, budget int64, srcs []Source, opts []JoinOption) *PipelineResult {
