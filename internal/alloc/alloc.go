@@ -123,14 +123,23 @@ type Arena struct {
 // Release. An arena of no words only counts (Count, Fold) until an Alloc
 // grows it.
 func New(cfg Config, capWords int) *Arena {
-	if cfg.BlockBytes <= 0 {
-		cfg.BlockBytes = DefaultBlockBytes
-	}
-	a := &Arena{cfg: cfg, blockWords: blockWordsOf(cfg)}
+	a := new(Arena)
+	a.Reset(cfg)
 	if capWords > 0 {
 		a.words = GetWords(capWords)
 	}
 	return a
+}
+
+// Reset makes a the arena New(cfg, 0) returns, handing its words back to
+// the recycler: an arena held by value counts run after run without being
+// allocated again.
+func (a *Arena) Reset(cfg Config) {
+	PutWords(a.words)
+	if cfg.BlockBytes <= 0 {
+		cfg.BlockBytes = DefaultBlockBytes
+	}
+	*a = Arena{cfg: cfg, blockWords: blockWordsOf(cfg)}
 }
 
 // blockWordsOf is the Block strategy's block size in words under cfg.

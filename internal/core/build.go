@@ -101,6 +101,15 @@ func (rec *BuildRecord) Bytes() int64 { return rec.table.Bytes() }
 // Release hands the table's slabs back to the recycler.
 func (rec *BuildRecord) Release() { rec.table.Release() }
 
+// detach copies out of the runner the buffers the record was made in
+// (choosePasses, buildSide), so that it outlives the run.
+func (rec *BuildRecord) detach() {
+	rec.key.passes = slices.Clone(rec.key.passes)
+	rec.part.Steps = slices.Clone(rec.part.Steps)
+	rec.part.Ratios.Partition = slices.Clone(rec.part.Ratios.Partition)
+	rec.terms.Steps = slices.Clone(rec.terms.Steps)
+}
+
 // buildSide runs the build side under the ratios its key holds: r's radix
 // passes (PHJ), then — but for PHJ-PL', which builds no shared table — the
 // table(s), the build phase, the discrete build transfer, and the swap to
@@ -110,6 +119,13 @@ func (rec *BuildRecord) Release() { rec.table.Release() }
 // the record, and the runner frees the rest.
 func (rn *runner) buildSide(rec *BuildRecord, exec *sched.Exec) error {
 	opt := rn.opt
+	// The record's step timings and pass ratios go to the runner's buffers,
+	// grown to the build side once; a record the caller keeps is detached.
+	passes := len(rec.key.passes)
+	rec.part.Steps = slices.Grow(rn.recSteps[0][:0], passSteps*passes)
+	rec.terms.Steps = slices.Grow(rn.recSteps[1][:0], buildSteps)
+	rec.part.Ratios.Partition = slices.Grow(rn.recRatios[:0], passes)
+	rn.recSteps[0], rn.recSteps[1], rn.recRatios = rec.part.Steps, rec.terms.Steps, rec.part.Ratios.Partition
 	if opt.Algo == PHJ {
 		if err := rn.partitionSide(&rec.part, exec, rec.key.passes, true); err != nil {
 			return err

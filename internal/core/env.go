@@ -86,7 +86,7 @@ type geometry struct {
 // that geometry. The runner executes under it, and the planner and the
 // Monte Carlo driver price under it, so the cost model and the execution
 // see one memory system.
-func staticEnv(opt Options, nr int) (*envState, geometry) {
+func staticEnv(opt Options, nr int) (envState, geometry) {
 	g := geometry{parts: 1, bucketsPerPart: ceilPow2(nr)}
 	if opt.Algo == PHJ {
 		g.plan = radix.PlanFor(nr, opt.RadixTargetBytes)
@@ -94,7 +94,7 @@ func staticEnv(opt Options, nr int) (*envState, geometry) {
 		g.bucketsPerPart = ceilPow2(nr / g.parts)
 	}
 	g.nBuckets = g.parts * g.bucketsPerPart
-	return &envState{
+	return envState{
 		cache:           opt.Cache,
 		tableBytes:      estimateTableBytes(nr, g.nBuckets),
 		parts:           g.parts,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"apujoin/internal/device"
 	"apujoin/internal/mem"
 	"apujoin/internal/radix"
 	"apujoin/internal/rel"
@@ -88,24 +87,29 @@ func RunExternalCtx(ctx context.Context, r, s rel.Relation, opt Options) (*Exter
 	// fan-out takes more than one pass per round, as PHJ's partitioning does.
 	outer := radix.PlanBits(outerBits)
 
-	env := &envState{cache: opt.Cache, parts: 1, shared: true, scratchPressure: 512 << 10}
-	exec := &sched.Exec{CPU: device.New(opt.CPU), GPU: device.New(opt.GPU), Env: env.envFor, Ctx: ctx}
+	// The passes run on a runner of no relations and no pool, so their
+	// series is single-stream and each is laid out before it gathers.
+	rn := newRunner(rel.Relation{}, rel.Relation{}, opt)
+	defer rn.release()
+	rn.env = envState{cache: opt.Cache, parts: 1, shared: true, scratchPressure: 512 << 10}
+	exec := &rn.exec
+	exec.Ctx = ctx
 
 	// partitionPass runs one pass of the outer partitioning over in with the
 	// usual n1..n3 steps (DD co-processing with the paper's partition-phase
 	// ratio), leaving its partitions in out, and returns their offsets.
 	partitionPass := func(in, out rel.Relation, shift, bits uint) ([]int32, error) {
-		pass := radix.NewPass(in, opt.Alloc, shift, bits)
-		defer pass.Release()
-		env.partitionStreams = int64(1<<bits) * chunkBytes
-		pres, err := exec.Run(passSeries(pass, in.Len(), exec.Pool), sched.Uniform(0.25, 3))
+		rn.pass.Init(in, opt.Alloc, shift, bits)
+		defer rn.pass.Release()
+		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
+		pres, err := exec.Run(rn.passSeries(in.Len()), sched.Uniform(0.25, 3))
 		if err != nil {
 			return nil, err
 		}
 		res.PartitionNS += pres.TotalNS
-		pass.Layout(opt.Pool)
-		offs, ga := pass.Gather(opt.Pool, out)
-		res.PartitionNS += exec.CPU.TimeNS(ga, env.envFor(sched.N3, exec.CPU))
+		rn.pass.Layout(opt.Pool)
+		offs, ga := rn.pass.Gather(opt.Pool, out)
+		res.PartitionNS += exec.CPU.TimeNS(ga, rn.env.envFor(sched.N3, exec.CPU))
 		return offs, nil
 	}
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"slices"
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/cost"
@@ -34,6 +34,7 @@ func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, 
 	}
 	if plan.Passes() != 1 {
 		// A later pass's boundaries cover only its own fan-out.
+		alloc.PutWords(offs)
 		offs = radix.FinalOffsetsShifted(cur, plan, rn.opt.hashShift)
 	}
 	if build {
@@ -45,11 +46,12 @@ func (rn *runner) partitionSide(res *Result, exec *sched.Exec, passes []choice, 
 }
 
 // partitionRel runs every pass of plan over in and returns the partitioned
-// keys, with the last pass's partition offsets — the final boundaries when
-// that pass was the only one. Passes never write their input, so the first
-// one reads the caller's relation in place; passes ping-pong between two
-// recycler key columns of the run's own (the second exists only if a
-// second pass does), never into the catalog-resident input. The column
+// keys, with the last pass's partition offsets (a recycler slab) — the
+// final boundaries when that pass was the only one. Passes never write
+// their input, so the first one reads the caller's relation in place;
+// passes ping-pong between two recycler key columns of the run's own (the
+// second exists only if a second pass does), never into the
+// catalog-resident input. The column
 // holding the result is held for the run; the other goes back at once, so
 // S's passes reuse R's. first marks the build relation, whose first pass records the ratios.
 func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, plan radix.Plan, in rel.Relation, first bool) (rel.Relation, []int32, error) {
@@ -65,6 +67,7 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, p
 			*buf = alloc.GetWords(n) // the pass's Gather writes all n keys
 		}
 		out := rel.Relation{Keys: *buf}
+		alloc.PutWords(offs) // the previous pass's
 		var err error
 		if offs, err = rn.partitionPass(res, exec, cur, out, shift, bits, passes[pi].ratios, first && pi == 0); err != nil {
 			alloc.PutWords(bufs[0])
@@ -83,9 +86,11 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, p
 
 // choosePasses chooses the ratios of every radix pass over n tuples, each
 // under its own pass's open-partition working set, as the pass will run,
-// and adds their estimates to res.
-func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesProfile, n int) []choice {
-	passes := make([]choice, rn.geo.plan.Passes())
+// and adds their estimates to res. The choices go to the runner's buffer
+// side (0: r, 1: s), valid until the runner is released.
+func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesProfile, n, side int) []choice {
+	passes := slices.Grow(rn.passBuf[side][:0], rn.geo.plan.Passes())[:rn.geo.plan.Passes()]
+	rn.passBuf[side] = passes
 	for pi, bits := range rn.geo.plan.BitsPerPass {
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
 		passes[pi] = rn.choose(model, prof, n, passSteps, rn.opt.FixedPartition)
@@ -104,10 +109,11 @@ func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesP
 func (rn *runner) partitionPass(res *Result, exec *sched.Exec, cur, out rel.Relation, shift, bits uint, ratios sched.Ratios, record bool) ([]int32, error) {
 	opt := rn.opt
 	n := cur.Len()
-	pass := radix.NewPass(cur, opt.Alloc, shift, bits)
-	defer pass.Release()
+	rn.pass.Init(cur, opt.Alloc, shift, bits)
+	defer rn.pass.Release()
+	rn.passPool = exec.Pool
 	rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-	ns, ratios, err := rn.runPhase(res, exec, passSeries(pass, n, exec.Pool), ratios, "partition")
+	ns, ratios, err := rn.runPhase(res, exec, rn.passSeries(n), ratios, "partition")
 	if err != nil {
 		return nil, err
 	}
@@ -127,35 +133,42 @@ func (rn *runner) partitionPass(res *Result, exec *sched.Exec, cur, out rel.Rela
 
 	// Link the partition chunks into contiguous form for the next pass /
 	// the join ("we link all the intermediate partitions together").
-	offs, ga := pass.Gather(exec.Pool, out)
+	offs, ga := rn.pass.Gather(exec.Pool, out)
 	res.PartitionNS += rn.cpu.TimeNS(ga, rn.env.envFor(sched.N3, rn.cpu))
 	return offs, nil
 }
 
-// passSeries returns a radix pass's n1..n3 series over n tuples. On an
-// executor with a pool the steps carry their pooled kernels, and n2's After
-// hook lays out the partitions the pooled n3 and Gather read; without one
-// the series is single-stream and the caller lays out before it gathers.
-func passSeries(pass *radix.Pass, n int, pool *sched.Pool) sched.Series {
-	steps := []sched.Step{
-		{ID: sched.N1, OutBytesPerItem: 4, Kernel: pass.N1},
-		{ID: sched.N2, OutBytesPerItem: 4, Kernel: pass.N2},
-		{ID: sched.N3, Kernel: pass.N3},
+// passSeries returns the running radix pass's n1..n3 series over n tuples.
+// The pooled kernels run on an executor with a pool, where n2's After hook
+// lays out the partitions the pooled n3 and Gather read (partitionPass);
+// without one the series is single-stream and the caller lays out before
+// it gathers.
+func (rn *runner) passSeries(n int) sched.Series {
+	return sched.Series{Name: "partition", Items: n, Steps: rn.passKernels}
+}
+
+func (rn *runner) makePassSteps() []sched.Step {
+	n1 := func(d *device.Device, lo, hi int) device.Acct { return rn.pass.N1(d, lo, hi) }
+	n2 := func(d *device.Device, lo, hi int) device.Acct { return rn.pass.N2(d, lo, hi) }
+	return []sched.Step{
+		{ID: sched.N1, OutBytesPerItem: 4, Kernel: n1, ParKernel: rn.ranged(n1)},
+		{
+			ID: sched.N2, OutBytesPerItem: 4, Kernel: n2, ParKernel: rn.ranged(n2),
+			After: func() {
+				if rn.passPool != nil {
+					rn.pass.Layout(rn.passPool)
+				}
+			},
+		},
+		{
+			ID:     sched.N3,
+			Kernel: func(d *device.Device, lo, hi int) device.Acct { return rn.pass.N3(d, lo, hi) },
+			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+				var shards [sched.DefaultShards]device.Acct
+				return sched.MergeAccts(rn.pass.N3Shards(lo, hi, shards[:]))
+			},
+		},
 	}
-	if pool != nil {
-		steps[0].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-			return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return pass.N1(d, mlo, mhi) })
-		}
-		steps[1].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-			return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return pass.N2(d, mlo, mhi) })
-		}
-		steps[1].After = func() { pass.Layout(pool) }
-		steps[2].ParKernel = func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-			var shards [sched.DefaultShards]device.Acct
-			return sched.MergeAccts(pass.N3Shards(lo, hi, shards[:]))
-		}
-	}
-	return sched.Series{Name: "partition", Items: n, Steps: steps}
 }
 
 // coarsePairKernel joins whole partition pairs [lo,hi): the coarse-grained
@@ -194,7 +207,7 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 // The scheduling profile for the single coarse step is synthesized from the
 // pilot's per-tuple build and probe profiles scaled by the average pair
 // population, so the ratio choice needs no side-effecting probe run.
-func (rn *runner) coarseJoin(ctx context.Context, res *Result, model *cost.Model) error {
+func (rn *runner) coarseJoin(res *Result, model *cost.Model) error {
 	// No shared table is built, so tableBytes is still staticEnv's estimate.
 	rn.arena = alloc.New(rn.opt.Alloc, 0)
 	parts := rn.geo.parts
@@ -208,7 +221,8 @@ func (rn *runner) coarseJoin(ctx context.Context, res *Result, model *cost.Model
 		Items: parts,
 		Steps: []sched.Step{{ID: sched.P3, Kernel: rn.coarsePairKernel}},
 	}
-	exec := &sched.Exec{CPU: rn.cpu, GPU: rn.gpu, Env: rn.env.envFor, Ctx: ctx}
+	exec := rn.exec
+	exec.Pool, exec.PCIe = nil, nil
 
 	ratio, est := model.OptimizeDD(prof, parts, rn.opt.Delta)
 	ratios := sched.Uniform(ratio, 1)

@@ -83,7 +83,7 @@ func runPilotKept(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (profi
 	}
 	rn := newRunner(pr, s.Slice(0, n), opt)
 	defer rn.release()
-	exec, half := &sched.Exec{CPU: rn.cpu, GPU: rn.gpu, Env: rn.env.envFor}, sched.Uniform(0.5, 4)
+	exec, half := &rn.exec, sched.Uniform(0.5, 4)
 	if hit {
 		return rn.pilotProbe(kept, exec, half), kept
 	}
@@ -113,10 +113,10 @@ func (rn *runner) pilotBuild(p *Pilot, exec *sched.Exec, half sched.Ratios) {
 	p.table, rn.table = rn.table, nil
 	if p.key.partition {
 		bits := uint(radix.MaxBitsPerPass)
-		pass := radix.NewPass(rn.r, rn.opt.Alloc, 0, bits)
-		defer pass.Release()
+		rn.pass.Init(rn.r, rn.opt.Alloc, 0, bits)
+		defer rn.pass.Release()
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-		if nres, err := exec.Run(passSeries(pass, n, nil), sched.Uniform(0.5, 3)); err == nil {
+		if nres, err := exec.Run(rn.passSeries(n), sched.Uniform(0.5, 3)); err == nil {
 			p.partition = cost.ProfileResult(nres, n)
 		}
 		rn.env.partitionStreams = 0 // the probe half may run next on this runner

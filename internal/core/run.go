@@ -61,6 +61,14 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 		// pilot below is skipped in favour of the plan's profiles.
 		opt.applyPlan()
 	}
+	rn := runners.Get().(*runner)
+	defer rn.release()
+	if opt.ZeroCopy == nil {
+		// The run's own buffer, as SetDefaults would make it, held by the
+		// runner instead.
+		rn.zeroCopy = *mem.NewZeroCopy()
+		opt.ZeroCopy = &rn.zeroCopy
+	}
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
@@ -87,8 +95,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	}
 	defer opt.ZeroCopy.Free(foot)
 
-	rn := newRunner(r, s, opt)
-	defer rn.release()
+	rn.init(r, s, opt)
 	rn.pool = opt.Pool
 	if rn.pool == nil {
 		rn.pool = sched.NewPool(opt.Workers)
@@ -96,11 +103,11 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	}
 	res := &Result{Algo: opt.Algo, Scheme: opt.Scheme, Arch: opt.Arch, ZeroCopyBytes: foot}
 
-	exec := &sched.Exec{CPU: rn.cpu, GPU: rn.gpu, Env: rn.env.envFor, Pool: rn.pool, Ctx: ctx}
-	var pcie mem.PCIe
+	exec := &rn.exec
+	exec.Pool, exec.Ctx = rn.pool, ctx
 	if opt.Arch == Discrete {
-		pcie = mem.NewPCIe()
-		exec.PCIe = &pcie
+		rn.pcie = mem.NewPCIe()
+		exec.PCIe = &rn.pcie
 	}
 
 	// Pilot profiling run (the "profiler" feeding the cost model) — or the
@@ -118,13 +125,13 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	res.BuildProfile = prof.build
 	res.ProbeProfile = prof.probe
 	res.PartitionProfile = prof.partition
-	model := &cost.Model{CPU: opt.CPU, GPU: opt.GPU, Env: rn.env.envFor}
+	model := &rn.model
 
 	// Every ratio before the probe's is chosen up front, in the order the
 	// phases run: the pilot that prices them sees s, so they are chosen on
 	// every run, and the build side's are part of its record's key.
-	rPasses := rn.choosePasses(res, model, prof.partition, r.Len())
-	sPasses := rn.choosePasses(res, model, prof.partition, s.Len())
+	rPasses := rn.choosePasses(res, model, prof.partition, r.Len(), 0)
+	sPasses := rn.choosePasses(res, model, prof.partition, s.Len(), 1)
 	var build choice
 	steps := passSteps * (len(rPasses) + len(sPasses))
 	if opt.Scheme != CoarsePL {
@@ -158,6 +165,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 		if keep && kept == nil {
 			fresh := new(BuildRecord)
 			*fresh, out, rec = own, fresh, fresh
+			fresh.detach()
 			fresh.table.Seal(rn.pool)
 			defer func() {
 				if err != nil {
@@ -176,7 +184,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	}
 
 	if opt.Scheme == CoarsePL {
-		if err := rn.coarseJoin(ctx, res, model); err != nil {
+		if err := rn.coarseJoin(res, model); err != nil {
 			return nil, nil, err
 		}
 		return rn.finish(res, rec.alloc), nil, nil
@@ -206,8 +214,8 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	}
 	if opt.Arch == Discrete {
 		gpuShare := 1 - avgRatio(res.Ratios.Probe)
-		in := pcie.TransferNS(int64(gpuShare * float64(s.Bytes())))
-		back := pcie.TransferNS(int64(gpuShare * float64(rn.out.Pairs) * 8))
+		in := rn.pcie.TransferNS(int64(gpuShare * float64(s.Bytes())))
+		back := rn.pcie.TransferNS(int64(gpuShare * float64(rn.out.Pairs) * 8))
 		res.TransferNS += in + back
 	}
 	return rn.finish(res, rec.alloc), out, nil

@@ -4,8 +4,11 @@ import (
 	"sync"
 
 	"apujoin/internal/alloc"
+	"apujoin/internal/cost"
 	"apujoin/internal/device"
 	"apujoin/internal/htab"
+	"apujoin/internal/mem"
+	"apujoin/internal/radix"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -14,18 +17,56 @@ import (
 // arrays for the per-step intermediate results, and the device pair. Every
 // large []int32 it owns is a recycler slab (alloc.GetWords), handed back by
 // release when the run ends.
+//
+// Runners are recycled (runners): release zeroes the run's state and hands
+// the runner back, and what it built once — the executor, the cost model,
+// the radix pass, the step series and their closures, which read the run's
+// state through rn — serves every later run it is taken for.
 type runner struct {
+	runState
+
+	// exec has the devices and the environment bound once; runCtx sets its
+	// pool, PCI-e bus and context, and its step buffer serves every phase.
+	exec  sched.Exec
+	model cost.Model
+	// pass is the radix pass running (partitionPass, pilotBuild), and own
+	// the ownership layout the parallel insert steps of the build (b3's
+	// kernel, b4's charge) read, built by b3's ParSetup. Both are released
+	// with the run, and their scatters keep what they bound.
+	pass radix.Pass
+	own  htab.Owners
+	// passBuf holds the ratios chosen for r's and s's radix passes, and
+	// recSteps and recRatios the step timings and pass ratios of the build
+	// side the run records (buildSide).
+	passBuf   [2][]choice
+	recSteps  [2][]StepTiming
+	recRatios []sched.Ratios
+	// The step series, built once: buildSeries, probeSeries and
+	// passSeries cut them to the run's items.
+	buildKernels, probeKernels, passKernels []sched.Step
+}
+
+// runState is a runner's state for one run, zero between runs.
+type runState struct {
 	opt Options
 	r   rel.Relation
 	s   rel.Relation
 
-	cpu *device.Device
-	gpu *device.Device
-	env *envState
+	// cpu and gpu point at devs, the run's devices, held by value.
+	cpu, gpu *device.Device
+	devs     [2]device.Device
+	env      envState
+	pcie     mem.PCIe // the discrete bus, when exec charges one
+	// zeroCopy is the buffer of a run whose options name none.
+	zeroCopy mem.ZeroCopy
 
 	// pool is the morsel-driven worker pool Run hands to the executor; the
 	// pilot's runner leaves it nil so profiling stays single-stream.
 	pool *sched.Pool
+	// passPool is the pool of the executor running the radix pass, which
+	// n2's After hook lays the pass out on; nil leaves the layout to the
+	// caller.
+	passPool *sched.Pool
 
 	// outExtra accumulates the output allocator activity the parallel p4's
 	// morsels charge (outMu guards it).
@@ -41,7 +82,7 @@ type runner struct {
 	tableGPU *htab.Table // nil when shared
 	probed   *htab.Table // the table the probe reads: the run's record's, or a kept one
 
-	outArena *alloc.Arena
+	outArena alloc.Arena // P4Charge only counts
 	out      htab.Out
 
 	// Intermediate per-step arrays (the "intermediate results" PL trades
@@ -54,12 +95,11 @@ type runner struct {
 	bucketR, visR, freshR, workR []int32
 	bucketS, visS, matchS, workS []int32
 
-	// own is the ownership layout the parallel insert steps of the build
-	// (b3's kernel, b4's charge) read, built by b3's ParSetup.
-	own htab.Owners
+	// from and to are own's cuts of the device share b3's shards run.
+	from, to [sched.DefaultShards]int32
 
 	// geo is the run's table layout (staticEnv); the PHJ partition
-	// offsets below follow from its radix plan.
+	// offsets below, recycler slabs, follow from its radix plan.
 	geo                geometry
 	offsetsR, offsetsS []int32
 
@@ -71,6 +111,15 @@ type runner struct {
 	nheld int
 }
 
+// runners recycles runners across runs, each built whole once.
+var runners = sync.Pool{New: func() any {
+	rn := new(runner)
+	rn.exec = sched.Exec{CPU: &rn.devs[0], GPU: &rn.devs[1], Env: rn.env.envFor, Steps: make([]sched.StepResult, buildSteps)}
+	rn.model.Env = rn.exec.Env
+	rn.buildKernels, rn.probeKernels, rn.passKernels = rn.makeBuildSteps(), rn.makeProbeSteps(), rn.makePassSteps()
+	return rn
+}}
+
 // hold registers a slab for release and returns it.
 func (rn *runner) hold(w []int32) []int32 {
 	rn.held[rn.nheld] = w
@@ -78,18 +127,23 @@ func (rn *runner) hold(w []int32) []int32 {
 	return w
 }
 
-// release hands every slab of the run back to the recycler. The caller
-// defers it, so it runs on the error and cancellation paths too, and that
-// is safe there: Pool.ForEach is a completion barrier and Exec checks its
-// context only between steps, so no worker still holds a slab when the run
-// returns. Nothing of the runner may be used afterwards.
+// release hands every slab of the run back to the recycler and the runner
+// back to runners. The caller defers it, so it runs on the error and
+// cancellation paths too, and that is safe there: Pool.ForEach is a
+// completion barrier and Exec checks its context only between steps, so no
+// worker still holds a slab or reads the runner when the run returns.
+// Nothing of the runner may be used afterwards.
 func (rn *runner) release() {
 	for _, w := range rn.held[:rn.nheld] {
 		alloc.PutWords(w)
 	}
-	rn.nheld = 0
+	alloc.PutWords(rn.offsetsR)
+	alloc.PutWords(rn.offsetsS)
 	rn.outArena.Release()
 	rn.releaseTables()
+	rn.runState = runState{}
+	rn.exec.Pool, rn.exec.PCIe, rn.exec.Ctx = nil, nil, nil
+	runners.Put(rn)
 }
 
 // releaseTables hands back whatever the runner still holds of the build:
@@ -102,18 +156,24 @@ func (rn *runner) releaseTables() {
 	rn.table, rn.tableGPU, rn.arena, rn.arenaGPU = nil, nil, nil, nil
 }
 
+// newRunner takes a runner from runners for a join of r and s under opt.
 func newRunner(r, s rel.Relation, opt Options) *runner {
-	rn := &runner{
-		opt: opt,
-		r:   r,
-		s:   s,
-		cpu: device.New(opt.CPU),
-		gpu: device.New(opt.GPU),
-	}
+	rn := runners.Get().(*runner)
+	rn.init(r, s, opt)
+	return rn
+}
+
+// init prepares a runner fresh from runners for a join of r and s under
+// opt, defaults set.
+func (rn *runner) init(r, s rel.Relation, opt Options) {
+	rn.opt, rn.r, rn.s = opt, r, s
+	rn.devs = [2]device.Device{*device.New(opt.CPU), *device.New(opt.GPU)}
+	rn.cpu, rn.gpu = &rn.devs[0], &rn.devs[1]
+	rn.model.CPU, rn.model.GPU = opt.CPU, opt.GPU
 	nr, ns := r.Len(), s.Len()
 	rn.env, rn.geo = staticEnv(opt, nr)
-	rn.outArena = alloc.New(opt.Alloc, 0) // P4Charge only counts
-	rn.out = htab.Out{Arena: rn.outArena, Materialize: !opt.CountOnly}
+	rn.outArena.Reset(opt.Alloc)
+	rn.out = htab.Out{Arena: &rn.outArena, Materialize: !opt.CountOnly}
 
 	// One slab, carved: the arrays live and die together. Its contents are
 	// arbitrary; every column is written by the step that produces it
@@ -133,7 +193,31 @@ func newRunner(r, s rel.Relation, opt Options) *runner {
 	if opt.Grouping {
 		rn.workR, rn.workS = carve(nr), carve(ns)
 	}
-	return rn
+}
+
+// bindDevices calls bind once per device of the runner and returns the
+// lookup of its result by device, so a step's pooled kernel hands the pool a
+// function built once per runner instead of a closure per call. The
+// executor only passes the runner's own devices.
+func bindDevices[F any](rn *runner, bind func(d *device.Device) F) func(d *device.Device) F {
+	cpu, gpu := bind(&rn.devs[0]), bind(&rn.devs[1])
+	return func(d *device.Device) F {
+		if d == &rn.devs[1] {
+			return gpu
+		}
+		return cpu
+	}
+}
+
+// ranged is the pooled kernel that runs k over the range morsels of a
+// device's share (Pool.MapRange).
+func (rn *runner) ranged(k sched.Kernel) sched.ParKernel {
+	on := bindDevices(rn, func(d *device.Device) func(lo, hi int) device.Acct {
+		return func(lo, hi int) device.Acct { return k(d, lo, hi) }
+	})
+	return func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
+		return p.MapRange(lo, hi, on(d))
+	}
 }
 
 // makeTables creates the hash table(s) and the arenas their allocator
@@ -188,25 +272,23 @@ func (rn *runner) grouping(d *device.Device, work []int32, lo, hi int) ([]int32,
 // carries both the single-stream kernel and its parallel counterpart; the
 // executor picks by the presence of a worker pool.
 func (rn *runner) buildSeries() sched.Series {
-	keys := rn.r.Keys
-	steps := []sched.Step{
-		{
-			ID: sched.B1, OutBytesPerItem: 4,
-			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				if rn.opt.Algo == PHJ {
-					return rn.tableFor(d).B1Seg(d, keys, rn.bucketR, lo, hi)
-				}
-				return rn.tableFor(d).B1(d, keys, rn.bucketR, lo, hi)
-			},
-			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					if rn.opt.Algo == PHJ {
-						return rn.tableFor(d).B1Seg(d, keys, rn.bucketR, mlo, mhi)
-					}
-					return rn.tableFor(d).B1(d, keys, rn.bucketR, mlo, mhi)
-				})
-			},
-		},
+	return sched.Series{Name: "build", Items: rn.r.Len(), Steps: rn.buildKernels}
+}
+
+func (rn *runner) makeBuildSteps() []sched.Step {
+	b1 := func(d *device.Device, lo, hi int) device.Acct {
+		if rn.opt.Algo == PHJ {
+			return rn.tableFor(d).B1Seg(d, rn.r.Keys, rn.bucketR, lo, hi)
+		}
+		return rn.tableFor(d).B1(d, rn.r.Keys, rn.bucketR, lo, hi)
+	}
+	b3 := bindDevices(rn, func(d *device.Device) func(k int) device.Acct {
+		return func(k int) device.Acct {
+			return rn.tableFor(d).B3Shard(d, rn.own.Keys, rn.own.Bucket, rn.visR, rn.freshR, int(rn.from[k]), int(rn.to[k]))
+		}
+	})
+	return []sched.Step{
+		{ID: sched.B1, OutBytesPerItem: 4, Kernel: b1, ParKernel: rn.ranged(b1)},
 		{
 			ID: sched.B2, OutBytesPerItem: 8,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
@@ -221,7 +303,7 @@ func (rn *runner) buildSeries() sched.Series {
 			ID: sched.B3, OutBytesPerItem: 4,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
 				order, ga := rn.grouping(d, rn.workR, lo, hi)
-				a := rn.tableFor(d).B3(d, keys, rn.bucketR, rn.visR, rn.freshR, lo, hi, order)
+				a := rn.tableFor(d).B3(d, rn.r.Keys, rn.bucketR, rn.visR, rn.freshR, lo, hi, order)
 				alloc.PutWords(order)
 				a.Add(ga)
 				return a
@@ -229,13 +311,10 @@ func (rn *runner) buildSeries() sched.Series {
 			// One layout over b1's bucket numbers serves b3 and b4, both
 			// devices and both separate tables (they share one geometry).
 			// offsetsR is nil but for a partitioned (PHJ) build side.
-			ParSetup: func(p *sched.Pool) { rn.own.Build(p, rn.table, keys, rn.bucketR, rn.offsetsR) },
+			ParSetup: func(p *sched.Pool) { rn.own.Build(p, rn.table, rn.r.Keys, rn.bucketR, rn.offsetsR) },
 			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				t := rn.tableFor(d)
-				from, to := rn.own.Cut(lo), rn.own.Cut(hi)
-				return p.MapShards(rn.own.Shards(), func(k int) device.Acct {
-					return t.B3Shard(d, rn.own.Keys, rn.own.Bucket, rn.visR, rn.freshR, int(from[k]), int(to[k]))
-				})
+				rn.from, rn.to = rn.own.Cut(lo), rn.own.Cut(hi)
+				return p.MapShards(rn.own.Shards(), b3(d))
 			},
 		},
 		{
@@ -256,7 +335,6 @@ func (rn *runner) buildSeries() sched.Series {
 			},
 		},
 	}
-	return sched.Series{Name: "build", Items: rn.r.Len(), Steps: steps}
 }
 
 // Steps per series: a radix pass (n1..n3), the build (b1..b4) and the probe
@@ -271,50 +349,33 @@ const passSteps, buildSteps, probeSteps = 3, 4, 4
 // charges its output allocator in closed form and folds both back into the
 // run.
 func (rn *runner) probeSeries() sched.Series {
-	keys := rn.s.Keys
+	return sched.Series{Name: "probe", Items: rn.s.Len(), Steps: rn.probeKernels}
+}
+
+func (rn *runner) makeProbeSteps() []sched.Step {
+	p1 := func(d *device.Device, lo, hi int) device.Acct {
+		if rn.opt.Algo == PHJ {
+			return rn.probed.P1Seg(d, rn.s.Keys, rn.bucketS, lo, hi)
+		}
+		return rn.probed.P1(d, rn.s.Keys, rn.bucketS, lo, hi)
+	}
 	walk := func(d *device.Device, lo, hi int) device.Acct {
-		rn.probed.Walk(keys, rn.bucketS, rn.workS, rn.visS, rn.matchS, lo, hi)
+		rn.probed.Walk(rn.s.Keys, rn.bucketS, rn.workS, rn.visS, rn.matchS, lo, hi)
 		return rn.probed.P2Charge(lo, hi)
 	}
-	steps := []sched.Step{
-		{
-			ID: sched.P1, OutBytesPerItem: 4,
-			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				if rn.opt.Algo == PHJ {
-					return rn.probed.P1Seg(d, keys, rn.bucketS, lo, hi)
-				}
-				return rn.probed.P1(d, keys, rn.bucketS, lo, hi)
-			},
-			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					if rn.opt.Algo == PHJ {
-						return rn.probed.P1Seg(d, keys, rn.bucketS, mlo, mhi)
-					}
-					return rn.probed.P1(d, keys, rn.bucketS, mlo, mhi)
-				})
-			},
-		},
-		{
-			ID: sched.P2, OutBytesPerItem: 12, Kernel: walk,
-			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct { return walk(d, mlo, mhi) })
-			},
-		},
-		{
-			ID: sched.P3, OutBytesPerItem: 4,
-			Kernel: func(d *device.Device, lo, hi int) device.Acct {
-				order, ga := rn.grouping(d, rn.workS, lo, hi)
-				a := rn.probed.P3Charge(d, rn.visS, lo, hi, order)
-				alloc.PutWords(order)
-				a.Add(ga)
-				return a
-			},
-			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					return rn.probed.P3Charge(d, rn.visS, mlo, mhi, nil)
-				})
-			},
-		},
+	// Grouping keeps the probe off the pool, so a pooled share's morsels
+	// run p3 ungrouped.
+	p3 := func(d *device.Device, lo, hi int) device.Acct {
+		order, ga := rn.grouping(d, rn.workS, lo, hi)
+		a := rn.probed.P3Charge(d, rn.visS, lo, hi, order)
+		alloc.PutWords(order)
+		a.Add(ga)
+		return a
+	}
+	return []sched.Step{
+		{ID: sched.P1, OutBytesPerItem: 4, Kernel: p1, ParKernel: rn.ranged(p1)},
+		{ID: sched.P2, OutBytesPerItem: 12, Kernel: walk, ParKernel: rn.ranged(walk)},
+		{ID: sched.P3, OutBytesPerItem: 4, Kernel: p3, ParKernel: rn.ranged(p3)},
 		{
 			ID: sched.P4, OutBytesPerItem: 0,
 			Kernel: func(d *device.Device, lo, hi int) device.Acct {
@@ -324,25 +385,23 @@ func (rn *runner) probeSeries() sched.Series {
 				a.Add(ga)
 				return a
 			},
-			ParKernel: func(d *device.Device, lo, hi int, p *sched.Pool) device.Acct {
-				return p.MapRange(lo, hi, func(mlo, mhi int) device.Acct {
-					// Each morsel charges its output as an arena of its own
-					// would serve it.
-					priv := htab.Out{Materialize: rn.out.Materialize}
-					a := rn.probed.P4Charge(d, rn.matchS, &priv, mlo, mhi, nil)
-					st := priv.ChargeFresh(&a, rn.opt.Alloc)
-					// Fold the morsel's output under the mutex (once per
-					// morsel): Out.Pairs is a plain field mid-struct, not
-					// guaranteed 64-bit aligned for atomics on 32-bit
-					// platforms.
-					rn.outMu.Lock()
-					rn.out.Pairs += priv.Pairs
-					rn.outExtra.Add(st)
-					rn.outMu.Unlock()
-					return a
-				})
-			},
+			ParKernel: rn.ranged(rn.p4Morsel),
 		},
 	}
-	return sched.Series{Name: "probe", Items: rn.s.Len(), Steps: steps}
+}
+
+// p4Morsel is p4 over one morsel of a pooled share: it charges its output
+// as an arena of its own would serve it and folds its pairs and that
+// arena's activity into the run under the mutex, once per morsel (Out.Pairs
+// is a plain field mid-struct, not guaranteed 64-bit aligned for atomics
+// on 32-bit platforms).
+func (rn *runner) p4Morsel(d *device.Device, lo, hi int) device.Acct {
+	priv := htab.Out{Materialize: rn.out.Materialize}
+	a := rn.probed.P4Charge(d, rn.matchS, &priv, lo, hi, nil)
+	st := priv.ChargeFresh(&a, rn.opt.Alloc)
+	rn.outMu.Lock()
+	rn.out.Pairs += priv.Pairs
+	rn.outExtra.Add(st)
+	rn.outMu.Unlock()
+	return a
 }

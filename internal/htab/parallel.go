@@ -96,12 +96,12 @@ func (o *Owners) Cut(i int) (at [sched.DefaultShards]int32) {
 	return at
 }
 
-// Release hands the slab and the scatter's grid to the recycler, leaving the
-// zero value.
+// Release hands the slab and the scatter's grid to the recycler, leaving an
+// empty layout whose scatter serves the next Build.
 func (o *Owners) Release() {
 	alloc.PutWords(o.slab)
 	o.scat.Release()
-	*o = Owners{}
+	*o = Owners{scat: o.scat}
 }
 
 // B3Shard is B3 for the tuples [lo,hi) of the owner-ordered columns — one

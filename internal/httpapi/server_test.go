@@ -236,6 +236,12 @@ func TestRoutesTable(t *testing.T) {
 		{"upload negative rid", "POST", "/v1/relations", `{"name":"x","keys":[1,2,3],"rids":[0,-1,2]}`, 400, nil},
 		{"upload keys with rids", "POST", "/v1/relations", `{"name":"withrids","keys":[3,1,4,1,5],"rids":[9,0,7,7,2]}`, 201, nil},
 		{"upload keys alone", "POST", "/v1/relations", `{"name":"keysonly","keys":[3,1,4,1,5]}`, 201, nil},
+		{"upload keys at and below the probe base", "POST", "/v1/relations", `{"name":"highkeys","keys":[2000000000,-5]}`, 201, nil},
+		{"probe of an upload at the probe base", "POST", "/v1/relations", `{"name":"x","probe_of":"highkeys","n":64}`, 400, nil},
+		{"upload negative key", "POST", "/v1/relations", `{"name":"negkey","keys":[-5,1073741823]}`, 201, nil},
+		// A clustered service cannot reassemble an upload to probe it.
+		{"probe of an upload with a negative key", "POST", "/v1/relations", `{"name":"negprobe","probe_of":"negkey","n":64}`, 201,
+			map[string]int{"router": 400}},
 		{"upload keys+generator conflict", "POST", "/v1/relations", `{"name":"x","n":64,"keys":[1,2]}`, 400, nil},
 		{"upload keys+seed conflict", "POST", "/v1/relations", `{"name":"x","keys":[1,2],"seed":7}`, 400, nil},
 		{"delete unknown relation", "DELETE", "/v1/relations?name=ghost", "", 404, nil},

@@ -116,6 +116,22 @@ func PlanFor(buildTuples int, targetBytes int64) Plan {
 // PlanBits splits a fan-out of 2^bits partitions into passes of at most
 // MaxBitsPerPass bits, low bits first.
 func PlanBits(bits uint) Plan {
+	if bits < uint(len(plans)) {
+		return plans[bits]
+	}
+	return planBits(bits)
+}
+
+// plans holds PlanBits's plans up to 32 bits, made once; a plan is
+// read-only.
+var plans = func() (p [33]Plan) {
+	for bits := range p {
+		p[bits] = planBits(uint(bits))
+	}
+	return p
+}()
+
+func planBits(bits uint) Plan {
 	var plan Plan
 	for bits > 0 {
 		b := bits
@@ -147,29 +163,28 @@ type Pass struct {
 	scat sched.Scatter
 }
 
-// NewPass prepares a pass consuming bits radix bits at the given shift,
-// charging partition chunks to an arena of its own under cfg. Its two
-// slabs come from the recycler — the header zeroed and never below the
-// recycler's smallest class, so a narrow pass allocates nothing; part with
-// arbitrary contents, since n1 writes every entry before n2 reads one —
-// and go back with Release. A pass takes at most MaxBitsPerPass bits: wider
-// fan-outs are split into passes (PlanBits).
-func NewPass(in rel.Relation, cfg alloc.Config, shift, bits uint) *Pass {
+// Init prepares p, zero or released, to consume bits radix bits at the
+// given shift, charging partition chunks to an arena of its own under cfg.
+// A pass held by value serves pass after pass. Its two slabs come from the
+// recycler — the header zeroed and never below the recycler's smallest
+// class, so a narrow pass allocates nothing; part with arbitrary contents,
+// since n1 writes every entry before n2 reads one — and go back with
+// Release. A pass takes at most MaxBitsPerPass bits: wider fan-outs are
+// split into passes (PlanBits).
+func (p *Pass) Init(in rel.Relation, cfg alloc.Config, shift, bits uint) {
 	if bits > MaxBitsPerPass {
 		panic(fmt.Sprintf("radix: a pass of %d bits, above MaxBitsPerPass (%d)", bits, MaxBitsPerPass))
 	}
 	parts := 1 << bits
 	hdr := alloc.GetZeroed(max(2*parts, alloc.MinSlabWords))
-	return &Pass{
-		Shift:    shift,
-		Bits:     bits,
-		in:       in,
-		arena:    alloc.New(cfg, 0),
-		part:     alloc.GetWords(in.Len()),
-		hdr:      hdr,
-		counts:   hdr[:parts:parts],
-		appended: hdr[parts : 2*parts],
+	p.Shift, p.Bits, p.in = shift, bits, in
+	if p.arena == nil {
+		p.arena = alloc.New(cfg, 0)
+	} else {
+		p.arena.Reset(cfg) // a pass Init serves again
 	}
+	p.part = alloc.GetWords(in.Len())
+	p.hdr, p.counts, p.appended = hdr, hdr[:parts:parts], hdr[parts:2*parts]
 }
 
 // Release hands the pass's slabs to the recycler, once Gather has returned;
@@ -178,7 +193,7 @@ func (p *Pass) Release() {
 	alloc.PutWords(p.part)
 	alloc.PutWords(p.hdr)
 	p.scat.Release()
-	*p = Pass{}
+	p.part, p.hdr, p.counts, p.appended, p.in = nil, nil, nil, nil, rel.Relation{}
 }
 
 // N1 computes the partition number for tuples [lo,hi). Like b1/p1 it is a
@@ -267,16 +282,18 @@ func (p *Pass) Layout(pool *sched.Pool) {
 
 // Gather links the partitioned tuples into the contiguous relation out, in
 // partition order ("we link all the intermediate partitions together to form
-// the result partition pairs"), and returns the partition boundary offsets
-// with the accounting of the streaming copy out of the chunk chains, which
-// the model charges for <key, rid> pairs. The keys move once, on pool,
+// the result partition pairs"), and returns the partition boundary offsets,
+// a recycler slab the caller may hand back, with the accounting of the
+// streaming copy out of the chunk chains, which the model charges for
+// <key, rid> pairs. The keys move once, on pool,
 // straight to the slots Layout laid out: a partition's tuples in input
 // order, which is the order its chain holds them in.
 func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct) {
 	var a device.Acct
 	p.scat.Move(pool, 0, p.in.Len(), sched.Cols{out.Keys}, sched.Cols{p.in.Keys})
-	//apulint:ignore slabmake(at most 1<<MaxBitsPerPass + 1 words, and the caller keeps it)
-	offs := make([]int32, len(p.counts)+1)
+	// Every word is written below; never below the recycler's smallest
+	// slab, so a recycled one serves it.
+	offs := alloc.GetWords(max(len(p.counts)+1, alloc.MinSlabWords))[:len(p.counts)+1]
 	pos := 0
 	for pt, c := range p.counts {
 		offs[pt] = int32(pos)
@@ -291,8 +308,9 @@ func (p *Pass) Gather(pool *sched.Pool, out rel.Relation) ([]int32, device.Acct)
 }
 
 // FinalOffsets computes the partition boundaries of a fully partitioned
-// relation by histogramming the combined radix bits. It is used after the
-// last pass, whose per-pass offsets only cover that pass's fan-out.
+// relation by histogramming the combined radix bits, in a recycler slab the
+// caller may hand back. It is used after the last pass, whose per-pass
+// offsets only cover that pass's fan-out.
 func FinalOffsets(r rel.Relation, plan Plan) []int32 {
 	return FinalOffsetsShifted(r, plan, 0)
 }
@@ -306,8 +324,7 @@ func FinalOffsetsShifted(r rel.Relation, plan Plan, shift uint) []int32 {
 	for _, k := range r.Keys {
 		counts[hash.RadixPass(uint32(k), shift, total)]++
 	}
-	//apulint:ignore slabmake(the result: the caller keeps the offsets, one word per partition)
-	offs := make([]int32, parts+1)
+	offs := alloc.GetWords(max(parts+1, alloc.MinSlabWords))[:parts+1] // as Gather's
 	var sum int32
 	for i, c := range counts {
 		offs[i] = sum

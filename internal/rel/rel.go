@@ -146,6 +146,12 @@ func (g Gen) Build() Relation {
 	return Relation{Keys: keys}
 }
 
+// NonMatchBase is where Probe's non-matching keys start: they are drawn
+// from [NonMatchBase, NonMatchBase+2^20), above every key Build can
+// generate, so that they match no build tuple. A build side that holds such
+// a key would change a generated probe's selectivity.
+const NonMatchBase int32 = 1 << 30
+
 // Probe generates a probe relation S against build relation r with the
 // given match selectivity in [0,1]: that fraction of probe tuples carry a
 // key that exists in r; the rest carry keys outside r's domain.
@@ -158,13 +164,11 @@ func (g Gen) Probe(r Relation, selectivity float64) Relation {
 
 	keys := make([]int32, n)
 	nr := r.Len()
-	// Non-matching keys live above every key Build can generate.
-	nonMatchBase := int32(1 << 30)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < selectivity && nr > 0 {
 			keys[i] = r.Keys[rng.Intn(nr)]
 		} else {
-			keys[i] = nonMatchBase + int32(rng.Intn(1<<20))
+			keys[i] = NonMatchBase + int32(rng.Intn(1<<20))
 		}
 	}
 

@@ -22,6 +22,10 @@ type Exec struct {
 	// without a pool of any size for such steps only when the kernels keep
 	// their decomposition worker-independent; the stock kernels do.
 	Pool *Pool
+	// Steps, when it has room for a series' steps, is where Run records
+	// them: the Result it returns then shares the buffer, valid until the
+	// next Run. Without one Run allocates the Result's steps.
+	Steps []StepResult
 	// Ctx, when non-nil, is checked at step boundaries: a cancelled context
 	// aborts the series with the context's error. Steps are never torn
 	// mid-kernel, so data structures stay consistent up to the completed
@@ -59,7 +63,12 @@ func (e *Exec) Run(s Series, ratios Ratios) (Result, error) {
 	if err := ratios.Validate(len(s.Steps)); err != nil {
 		return Result{}, fmt.Errorf("series %s: %w", s.Name, err)
 	}
-	res := Result{Name: s.Name, Steps: make([]StepResult, len(s.Steps))}
+	res := Result{Name: s.Name}
+	if cap(e.Steps) >= len(s.Steps) {
+		res.Steps = e.Steps[:len(s.Steps)] // every step is written below
+	} else {
+		res.Steps = make([]StepResult, len(s.Steps))
+	}
 
 	for i, st := range s.Steps {
 		if err := e.cancelled(); err != nil {
@@ -111,30 +120,27 @@ func (e *Exec) Run(s Series, ratios Ratios) (Result, error) {
 		}
 	}
 
-	applyDelays(&res)
+	res.CPUNS, res.GPUNS = applyDelays(res.Steps)
 	res.TotalNS = maxf(res.CPUNS, res.GPUNS) + res.TransferNS
 	return res, nil
 }
 
-// applyDelays computes the pipelined execution delays and per-device totals
-// for an executed series.
-func applyDelays(res *Result) {
-	n := len(res.Steps)
-	cpu := make([]float64, n)
-	gpu := make([]float64, n)
-	ratios := make(Ratios, n)
-	for i, st := range res.Steps {
-		cpu[i] = st.CPUNS
-		gpu[i] = st.GPUNS
-		ratios[i] = st.Ratio
+// applyDelays fills in the pipelined execution delays of an executed
+// series' steps and returns the per-device totals: Delays over the steps in
+// place.
+func applyDelays(steps []StepResult) (cpuTot, gpuTot float64) {
+	var cpuSum, gpuSum float64
+	for i := range steps {
+		st := &steps[i]
+		rp, gpuPrev := st.Ratio, 0.0
+		if i > 0 {
+			rp, gpuPrev = steps[i-1].Ratio, steps[i-1].GPUNS
+		}
+		st.DelayCPUNS, st.DelayGPUNS = DelayStep(cpuSum, gpuSum, rp, st.Ratio, gpuPrev, st.CPUNS, st.GPUNS)
+		cpuSum += st.CPUNS + st.DelayCPUNS
+		gpuSum += st.GPUNS + st.DelayGPUNS
 	}
-	cpuTot, gpuTot, dCPU, dGPU := Delays(cpu, gpu, ratios)
-	for i := range res.Steps {
-		res.Steps[i].DelayCPUNS = dCPU[i]
-		res.Steps[i].DelayGPUNS = dGPU[i]
-	}
-	res.CPUNS = cpuTot
-	res.GPUNS = gpuTot
+	return cpuSum, gpuSum
 }
 
 // Delays computes the pipelined execution delays of the paper's Eqs. 4 and 5
@@ -190,9 +196,10 @@ func DelayTotals(cpuNS, gpuNS []float64, ratios Ratios) (cpuTot, gpuTot float64)
 // series' first step has no predecessor and is passed its own ratio as rp,
 // which selects neither case.
 //
-// Delays, DelayTotals and the cost model's ratio search (which folds it down
-// its search tree) all go through this one body, so an estimate is the same
-// float operations in the same order wherever it is computed. Its shape —
+// Delays, DelayTotals, the executor (applyDelays) and the cost model's
+// ratio search (which folds it down its search tree) all go through this
+// one body, so an estimate is the same float operations in the same order
+// wherever it is computed. Its shape —
 // the ratio helper, the single clamp at the end — keeps it under the
 // compiler's inlining budget; `go build -gcflags=-m ./internal/sched` says
 // so.

@@ -33,9 +33,14 @@ import (
 // interleaves concurrent queries at batch (step) granularity.
 type Pool struct {
 	workers int
-	// tasks carries batch-help closures to the resident workers; nil for
-	// 1-worker pools, which execute inline and own no goroutines.
-	tasks  chan func()
+	// tasks carries help offers to the resident workers; nil for 1-worker
+	// pools, which execute inline and own no goroutines.
+	tasks chan *batch
+	// free holds batches no submitter or offer refers to any more, for the
+	// next parallel call to reuse. Its capacity is the offer queue's: at
+	// most that many batches wait on queued offers at once, and each comes
+	// back here when its last one is taken.
+	free   chan *batch
 	quit   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -77,7 +82,8 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		p.tasks = make(chan func(), 4*workers)
+		p.tasks = make(chan *batch, 4*workers)
+		p.free = make(chan *batch, 4*workers)
 		p.quit = make(chan struct{})
 		p.wg.Add(workers - 1)
 		for g := 0; g < workers-1; g++ {
@@ -110,37 +116,138 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		select {
-		case t := <-p.tasks:
-			t()
+		case b := <-p.tasks:
+			b.run()
+			p.unref(b)
 		case <-p.quit:
 			return
 		}
 	}
 }
 
-// batch is one ForEach invocation: n pieces claimed from a shared cursor by
-// the submitter and any resident workers that picked up its help offers.
-type batch struct {
-	next int64 // atomic claim cursor
-	done int64 // atomic completed-piece count
-	n    int64
-	fn   func(i int)
-	fin  chan struct{} // closed when done == n
+// work is what a parallel call runs per piece i: each(i) for ForEach,
+// shard(i) for MapShards, or morsel over the i-th MorselItems morsel of
+// [lo,hi) for MapRange.
+type work struct {
+	each   func(i int)
+	shard  func(i int) device.Acct
+	morsel func(mlo, mhi int) device.Acct
+	lo, hi int
 }
 
-// run claims and executes pieces until the batch is exhausted. Stale help
-// offers (executed after the batch completed) claim nothing and return
-// immediately.
+func (w *work) piece(i int) device.Acct {
+	switch {
+	case w.each != nil:
+		w.each(i)
+		return device.Acct{}
+	case w.shard != nil:
+		return w.shard(i)
+	}
+	mlo := w.lo + i*MorselItems
+	return w.morsel(mlo, min(w.hi, mlo+MorselItems))
+}
+
+// batch is one parallel call on the resident workers: n pieces claimed from
+// a shared cursor by the submitter and any resident workers that picked up
+// its help offers, their records folded into acc.
+//
+// Batches are reused. The submitter and every help offer hold a reference,
+// and only the last one dropped hands the batch to the free list, so an
+// offer that a worker picks up after its batch completed (a stale offer)
+// still finds that batch exhausted: it claims nothing and cannot reach the
+// pieces of a later call.
+type batch struct {
+	work
+	next atomic.Int64 // claim cursor
+	done atomic.Int64 // completed-piece count
+	refs atomic.Int32
+	n    int64
+
+	mu  sync.Mutex
+	acc device.Acct
+	fin chan struct{} // receives one token when done reaches n
+}
+
+// run claims and executes pieces until the batch is exhausted, folding
+// their records into a local total that joins acc once, then counts its
+// pieces done. A participant that claimed nothing leaves the batch alone.
 func (b *batch) run() {
-	for {
-		i := atomic.AddInt64(&b.next, 1) - 1
-		if i >= b.n {
-			return
+	var acc device.Acct
+	var k int64
+	for i := b.next.Add(1) - 1; i < b.n; i = b.next.Add(1) - 1 {
+		mergeAcct(&acc, b.piece(int(i)))
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	b.mu.Lock()
+	mergeAcct(&b.acc, acc)
+	b.mu.Unlock()
+	if b.done.Add(k) == b.n {
+		b.fin <- struct{}{}
+	}
+}
+
+// unref drops one reference to b, handing it to the free list when it was
+// the last.
+func (p *Pool) unref(b *batch) {
+	if b.refs.Add(-1) != 0 {
+		return
+	}
+	b.work, b.acc = work{}, device.Acct{}
+	select {
+	case p.free <- b:
+	default:
+	}
+}
+
+// run executes w's n pieces and returns their folded record: on the
+// submitting goroutine alone when the pool has no resident to help (one
+// worker, one piece, or closed), else as a batch offered to the residents.
+func (p *Pool) run(n int, w work) device.Acct {
+	if p == nil || p.tasks == nil || n <= 1 || p.closed.Load() {
+		var acc device.Acct
+		for i := range n {
+			mergeAcct(&acc, w.piece(i))
 		}
-		b.fn(int(i))
-		if atomic.AddInt64(&b.done, 1) == b.n {
-			close(b.fin)
-		}
+		return acc
+	}
+	var b *batch
+	select {
+	case b = <-p.free:
+	default:
+		b = &batch{fin: make(chan struct{}, 1)}
+	}
+	b.work, b.n = w, int64(n)
+	b.next.Store(0)
+	b.done.Store(0)
+	// Offer help to at most workers-1 residents (the submitter is the
+	// final executor, keeping total concurrency at the pool size). A full
+	// offer queue means the residents are busy with other queries; the
+	// batch still completes through the submitter, and whichever resident
+	// frees up first drains the queue and finds it exhausted.
+	helpers := min(p.workers-1, n-1)
+	b.refs.Store(int32(helpers) + 1)
+	offered := 0
+	for offered < helpers && p.offer(b) {
+		offered++
+	}
+	b.refs.Add(int32(offered - helpers))
+	b.run()
+	<-b.fin
+	acc := b.acc
+	p.unref(b)
+	return acc
+}
+
+// offer queues a help offer for b unless the queue is full.
+func (p *Pool) offer(b *batch) bool {
+	select {
+	case p.tasks <- b:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -149,77 +256,53 @@ func (b *batch) run() {
 // finished. The completion barrier establishes the happens-before edge
 // kernels rely on between parallel steps. Safe for concurrent use by many
 // queries; the submitting goroutine always executes pieces itself, so
-// ForEach completes even on a saturated or closed pool.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || p.tasks == nil || n == 1 || p.closed.Load() {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	b := &batch{n: int64(n), fn: fn, fin: make(chan struct{})}
-	// Offer help to at most workers-1 residents (the submitter is the
-	// final executor, keeping total concurrency at the pool size). A full
-	// offer queue means the residents are busy with other queries; the
-	// batch still completes through the submitter, and whichever resident
-	// frees up first drains the queue and joins in.
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-offer:
-	for g := 0; g < helpers; g++ {
-		select {
-		case p.tasks <- b.run:
-		default:
-			break offer
-		}
-	}
-	b.run()
-	<-b.fin
+// ForEach completes even on a saturated or closed pool. It allocates
+// nothing once the pool has a free batch.
+func (p *Pool) ForEach(n int, fn func(i int)) { p.run(n, work{each: fn}) }
+
+// mergeAcct folds one piece's record into out. All counters sum except
+// AtomicTargets: the pieces contend on the same target set (the table's
+// buckets, a phase's key nodes), so the target spread of the merged batch
+// is the largest any piece reported, not the sum — summing would
+// understate contention in the device model's serialization term. Integer
+// sums and a max commute, so the fold order cannot change a bit.
+func mergeAcct(out *device.Acct, a device.Acct) {
+	targets := max(out.AtomicTargets, a.AtomicTargets)
+	out.Add(a)
+	out.AtomicTargets = targets
 }
 
 // MergeAccts reduces per-piece accounting records into the record of the
-// whole range. All counters sum except AtomicTargets: the pieces contend on
-// the same target set (the table's buckets, a phase's key nodes), so the
-// target spread of the merged batch is the largest any piece reported, not
-// the sum — summing would understate contention in the device model's
-// serialization term.
+// whole range, as mergeAcct folds them.
 func MergeAccts(accts []device.Acct) device.Acct {
 	var out device.Acct
-	var targets int64
 	for _, a := range accts {
-		if a.AtomicTargets > targets {
-			targets = a.AtomicTargets
-		}
-		a.AtomicTargets = 0
-		out.Add(a)
+		mergeAcct(&out, a)
 	}
-	out.AtomicTargets = targets
 	return out
 }
 
 // MapRange splits [lo,hi) into the fixed MorselItems grid, executes fn over
-// the morsels on the pool, and merges the per-morsel records in grid order.
+// the morsels on the pool, and merges the per-morsel records. The grid is
+// a pure function of [lo,hi) and the merge is order-free, so the record is
+// the same on any pool; it allocates nothing once the pool has a free
+// batch.
 func (p *Pool) MapRange(lo, hi int, fn func(mlo, mhi int) device.Acct) device.Acct {
-	return MergeAccts(CollectRange(p, lo, hi, fn))
+	return p.run((max(hi-lo, 0)+MorselItems-1)/MorselItems, work{morsel: fn, lo: lo, hi: hi})
 }
 
 // MapShards executes fn once per ownership shard on the pool and merges the
-// per-shard records in shard order. Kernels use it when tuples must be
+// per-shard records. Kernels use it when tuples must be
 // routed by structure ownership (hash bucket or partition segment) rather
 // than split by range.
 func (p *Pool) MapShards(shards int, fn func(shard int) device.Acct) device.Acct {
-	return MergeAccts(Collect(p, shards, fn))
+	return p.run(shards, work{shard: fn})
 }
 
 // CollectRange splits [lo,hi) into the fixed MorselItems grid, executes fn
 // over the morsels on the pool, and returns the per-morsel results in grid
-// order: MapRange's records, or the per-morsel match totals of the
-// streamed pipeline hand-off's multiplicity pass. The
+// order: the per-morsel match totals of the streamed pipeline hand-off's
+// multiplicity pass, or a sealed table's per-morsel bases. The
 // grid — and with it the returned slice — is a pure function of [lo,hi);
 // the worker count only decides which goroutine computes which entry.
 func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {

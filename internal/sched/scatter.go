@@ -37,6 +37,22 @@ type Scatter struct {
 	// Move never writes it, so a range that starts inside a morsel resumes
 	// from it plus a count of the morsel's tuples before the cut.
 	grid []int32
+
+	// The Move running: its range and columns. count and move are Setup's
+	// and Move's pool pieces, bound to the scatter at self once, so a
+	// scatter that serves many calls hands the pool no new closure; a
+	// copied scatter binds its own.
+	lo, hi      int
+	dst, src    Cols
+	count, move func(i int)
+	self        *Scatter
+}
+
+// bind binds count and move to x, unless they are bound to it already.
+func (x *Scatter) bind() {
+	if x.self != x {
+		x.self, x.count, x.move = x, x.countMorsel, x.moveAt
+	}
 }
 
 // Setup lays out the scatter of len(key) tuples into at most 256 buckets (it
@@ -56,13 +72,8 @@ func (x *Scatter) Setup(p *Pool, key []int32, shift uint, buckets int) {
 	grid := x.grid[:(m+1)*buckets]
 	x.key, x.shift, x.buckets, x.grid = key, shift, buckets, grid
 
-	p.ForEach(m, func(mi int) {
-		var h [maxBuckets]int32
-		for _, k := range key[mi*MorselItems : min(n, (mi+1)*MorselItems)] {
-			h[uint8(k>>shift)]++
-		}
-		copy(grid[mi*buckets:(mi+1)*buckets], h[:])
-	})
+	x.bind()
+	p.ForEach(m, x.count)
 	clear(grid[m*buckets:])
 	var pos int32
 	for b := 0; b < buckets; b++ {
@@ -74,10 +85,20 @@ func (x *Scatter) Setup(p *Pool, key []int32, shift uint, buckets int) {
 	}
 }
 
-// Release hands the cursor grid to the recycler, leaving the zero value.
+// countMorsel counts morsel mi's tuples per bucket into its grid row.
+func (x *Scatter) countMorsel(mi int) {
+	var h [maxBuckets]int32
+	for _, k := range x.key[mi*MorselItems : min(len(x.key), (mi+1)*MorselItems)] {
+		h[uint8(k>>x.shift)]++
+	}
+	copy(x.grid[mi*x.buckets:(mi+1)*x.buckets], h[:])
+}
+
+// Release hands the cursor grid to the recycler, leaving a scatter that
+// holds nothing but its bound pieces.
 func (x *Scatter) Release() {
 	alloc.PutWords(x.grid)
-	*x = Scatter{}
+	*x = Scatter{count: x.count, move: x.move, self: x.self}
 }
 
 // Cut fills at[b], for every bucket b, with the output slot of bucket b's
@@ -97,16 +118,23 @@ func (x *Scatter) Cut(i int, at []int32) {
 // to dst[c][slot of i] for every column given, and each dst column must hold
 // len(key) slots. Every morsel the range overlaps moves its part from its
 // own cursors, so a morsel that a range boundary cuts is finished by the
-// Move over the next range; disjoint ranges may be moved in any order.
+// Move over the next range; disjoint ranges may be moved in any order, one
+// Move at a time.
 func (x *Scatter) Move(p *Pool, lo, hi int, dst, src Cols) {
 	if lo >= hi {
 		return
 	}
 	first, last := lo/MorselItems, (hi-1)/MorselItems
-	p.ForEach(last-first+1, func(k int) {
-		mi := first + k
-		x.moveMorsel(max(lo, mi*MorselItems), min(hi, (mi+1)*MorselItems), dst, src)
-	})
+	x.lo, x.hi, x.dst, x.src = lo, hi, dst, src
+	x.bind()
+	p.ForEach(last-first+1, x.move)
+	x.dst, x.src = Cols{}, Cols{}
+}
+
+// moveAt moves the k-th morsel the running Move's range overlaps.
+func (x *Scatter) moveAt(k int) {
+	mi := x.lo/MorselItems + k
+	x.moveMorsel(max(x.lo, mi*MorselItems), min(x.hi, (mi+1)*MorselItems), x.dst, x.src)
 }
 
 // moveMorsel moves the tuples [lo,hi) of one morsel, two columns per pass

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"apujoin/internal/catalog"
@@ -47,7 +48,7 @@ func (b *localBackend) partName(name string, p int) string {
 	if b.grid.Whole() {
 		return name
 	}
-	return fmt.Sprintf("%s/p%d", name, p)
+	return name + "/p" + strconv.Itoa(p)
 }
 
 // newLocalBackend builds the in-process tier from a service Config: the

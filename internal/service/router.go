@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -154,6 +155,15 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: %w", of, err)
 	}
 	defer releaseAll(pins)
+	// The probe's non-matching keys start at rel.NonMatchBase, above every
+	// generated build key: an uploaded base holding one there would match
+	// them and the probe would miss its selectivity.
+	t.mu.Lock()
+	loaded := t.rels[of] != nil && t.rels[of].source == catalog.Loaded
+	t.mu.Unlock()
+	if loaded && slices.ContainsFunc(base.Keys, func(k int32) bool { return k >= rel.NonMatchBase }) {
+		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: an uploaded key is at or above %d, where a generated probe's non-matching keys start", of, rel.NonMatchBase)
+	}
 	sr := &shardedRel{name: name, source: catalog.Probe, gen: g, probeOf: of, sel: selectivity}
 	return t.register(sr, g.Probe(base, selectivity))
 }

@@ -325,7 +325,12 @@ type Service struct {
 	closed  bool
 	nextID  int64
 	queries map[int64]*Query
-	order   []int64 // submit order, for eviction and listing
+	// The retained queries in submit order, for eviction and listing: the
+	// queued or running ones eviction passed over, then order[head:]
+	// (order[:head] is spent and compacted away once it is half of order).
+	blocked []*Query
+	order   []*Query
+	head    int
 	stats   Stats
 
 	wg sync.WaitGroup
@@ -630,7 +635,7 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 			s.stats.Queued++
 		}
 		s.queries[q.ID] = q
-		s.order = append(s.order, q.ID)
+		s.order = append(s.order, q)
 		s.stats.Submitted++
 		qs[i], ctxs[i] = q, qctx
 	}
@@ -798,28 +803,46 @@ func (st *Stats) addRun(r *core.Result, pl *PlanInfo) {
 }
 
 // evictLocked drops the oldest finished queries beyond the retention cap.
-// Queries still queued or running are never evicted.
+// Queries still queued or running are never evicted: eviction passes over
+// them into blocked, where the next eviction looks first, so each call
+// costs the blocked queries plus the ones it drops.
 func (s *Service) evictLocked() {
-	excess := len(s.order) - s.opt.KeepResults
+	excess := len(s.queries) - s.opt.KeepResults
 	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		q := s.queries[id]
-		if excess > 0 && q != nil {
-			q.mu.Lock()
-			terminal := q.rep.State == Done || q.rep.State == Failed || q.rep.State == Canceled
-			q.mu.Unlock()
-			if terminal {
-				delete(s.queries, id)
-				excess--
-				continue
-			}
+	kept := s.blocked[:0]
+	for _, q := range s.blocked {
+		if excess > 0 && q.terminal() {
+			delete(s.queries, q.ID)
+			excess--
+			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, q)
 	}
-	s.order = kept
+	s.blocked = kept
+	for ; excess > 0 && s.head < len(s.order); s.head++ {
+		q := s.order[s.head]
+		s.order[s.head] = nil
+		if q.terminal() {
+			delete(s.queries, q.ID)
+			excess--
+		} else {
+			s.blocked = append(s.blocked, q)
+		}
+	}
+	if s.head > len(s.order)/2 {
+		n := copy(s.order, s.order[s.head:])
+		clear(s.order[n:])
+		s.order, s.head = s.order[:n], 0
+	}
+}
+
+// terminal reports whether q has finished: done, failed or canceled.
+func (q *Query) terminal() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rep.State == Done || q.rep.State == Failed || q.rep.State == Canceled
 }
 
 // Query returns the query with the given ID, if still retained.
@@ -834,12 +857,9 @@ func (s *Service) Query(id int64) (*Query, bool) {
 func (s *Service) Queries() []*Query {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	qs := make([]*Query, 0, len(s.order))
-	for _, id := range s.order {
-		if q, ok := s.queries[id]; ok {
-			qs = append(qs, q)
-		}
-	}
+	qs := make([]*Query, 0, len(s.blocked)+len(s.order)-s.head)
+	qs = append(qs, s.blocked...)
+	qs = append(qs, s.order[s.head:]...)
 	return qs
 }
 

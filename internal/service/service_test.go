@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -288,6 +289,64 @@ func TestResultRetention(t *testing.T) {
 	}
 	if _, ok := svc.Query(1); ok {
 		t.Errorf("oldest query still retained beyond cap")
+	}
+}
+
+// TestResultRetentionKeepsBlockedQueries: a query that stays queued or
+// running from its submission on is passed over by every eviction and kept
+// in its place, the oldest, while later finished queries beyond the cap go
+// oldest first and Queries() lists what is left in submit order; once it
+// finishes, the next submission evicts it. The blocked query is entered in
+// the service's books as a submission enters it, so no timing decides
+// whether it is still running.
+func TestResultRetentionKeepsBlockedQueries(t *testing.T) {
+	svc := New(Config{Workers: 2, MaxConcurrent: 2, MaxQueue: 16, KeepResults: 3})
+	defer svc.Close()
+	svc.mu.Lock()
+	svc.nextID++
+	blocked := &Query{ID: svc.nextID, rep: Report{ID: svc.nextID, State: Running}, done: make(chan struct{})}
+	svc.queries[blocked.ID] = blocked
+	svc.order = append(svc.order, blocked)
+	svc.mu.Unlock()
+
+	r := rel.Gen{N: 3000, Seed: 7}.Build()
+	s := rel.Gen{N: 3000, Seed: 8}.Probe(r, 1.0)
+	opt := core.Options{Algo: core.SHJ, Scheme: core.DD, Delta: 0.25, PilotItems: 1024}
+	submit := func() *Query {
+		t.Helper()
+		q, err := svc.SubmitSpec(context.Background(), JoinSpec{R: r, S: s, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	ids := func() []int64 {
+		var out []int64
+		for _, q := range svc.Queries() {
+			out = append(out, q.ID)
+		}
+		return out
+	}
+	for range 6 {
+		submit()
+	}
+	// The cap counts the blocked query: it and the two newest stay.
+	if got, want := ids(), []int64{1, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("retained %v, want %v in submit order", got, want)
+	}
+	if _, ok := svc.Query(blocked.ID); !ok {
+		t.Fatal("the blocked query was evicted")
+	}
+
+	blocked.mu.Lock()
+	blocked.rep.State = Done
+	blocked.mu.Unlock()
+	submit()
+	if got, want := ids(), []int64{6, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("after the blocked query finished, retained %v, want %v", got, want)
 	}
 }
 
