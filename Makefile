@@ -24,15 +24,17 @@ COVERAGE_FLOOR ?= 91
 # stays resident, kept build tables and pilots included; its ceiling keeps that
 # policy in one place. The hash table's host layout is one node array that
 # b3's one pass builds, and the allocator is charged, not run; its ceiling
-# keeps the linked rid lists and their kernels in the tests. A spill level's
-# leader chain alone plans and the others run its plans, so the planner is a
-# fingerprint over one cache with no fan-out API; its ceiling keeps one from
+# keeps the linked rid lists and their kernels in the tests. There is no
+# planner type: a plan is a fingerprint looked up in one plan cache per grid
+# partition, and each spill point has one plan table that its level's leader
+# chain writes and the other chains read; the plan and service ceilings keep
+# a planner wrapper, a fan-out API or a second per-step plan vector from
 # coming back. A relation is its key column; the relation package's ceiling
 # keeps a RID column from coming back. Lower a ceiling as its package
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1986 internal/plan:423 internal/httpapi:590 internal/core:1605 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
+LOC_CEILINGS ?= internal/service:1981 internal/plan:383 internal/httpapi:590 internal/core:1605 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check rid-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

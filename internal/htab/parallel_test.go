@@ -253,11 +253,10 @@ func (ib *insertBuild) pooled(pool *sched.Pool, cut3, cut4 int, order []int) (b3
 		for _, sh := range ib.shares(cut) {
 			from, to := o.Cut(sh.lo), o.Cut(sh.hi)
 			run := func(k int) device.Acct { return fn(sh, int(from[k]), int(to[k])) }
-			if order == nil {
-				out = append(out, sched.Collect(pool, o.Shards(), run))
-				continue
-			}
 			accts := make([]device.Acct, o.Shards())
+			if order == nil {
+				pool.ForEach(len(accts), func(k int) { accts[k] = run(k) })
+			}
 			for _, k := range order {
 				accts[k] = run(k)
 			}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"testing"
 
 	"apujoin/internal/core"
@@ -18,27 +17,27 @@ import (
 const plannerTuples = 1 << 17
 
 // plannerAmortizationShape is one auto-planned join run through a plan
-// cache. run plans and executes it once — warm on a planner shared across
+// cache. run plans and executes it once — warm on a cache shared across
 // runs and primed here, so the fingerprint hits and the pilot and the
-// grid searches are amortized away; cold on a fresh planner, paying the
+// grid searches are amortized away; cold on a fresh cache, paying the
 // miss an unplanned core.Run pays too — and returns the simulated total.
 // Both inject the identical plan, so matches and simulated time must be
-// the same whatever the cache's temperature, and either planner must have
+// the same whatever the cache's temperature, and either cache must have
 // missed exactly once.
 func plannerAmortizationShape(tb testing.TB) (run func(tb testing.TB, warm bool) float64) {
 	r := rel.Gen{N: plannerTuples, Seed: 1}.Build()
 	s := rel.Gen{N: plannerTuples, Seed: 2}.Probe(r, 1.0)
 	opt := core.Options{Delta: 0.1, PilotItems: 1 << 13}
 
-	shared := New(4)
+	shared := NewCache(4)
 	var ref *core.Result
 	run = func(tb testing.TB, warm bool) float64 {
 		tb.Helper()
 		p := shared
 		if !warm {
-			p = New(4)
+			p = NewCache(4)
 		}
-		pl, _, _, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
+		pl, _, err := planOn(p, r, s, opt)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -56,11 +55,11 @@ func plannerAmortizationShape(tb testing.TB) (run func(tb testing.TB, warm bool)
 				res.Matches, ref.Matches, res.TotalNS, ref.TotalNS)
 		}
 		if st := p.Stats(); st.Misses != 1 {
-			tb.Fatalf("warm=%v planner missed the cache %d times, want 1", warm, st.Misses)
+			tb.Fatalf("warm=%v cache missed %d times, want 1", warm, st.Misses)
 		}
 		return res.TotalNS
 	}
-	run(tb, true) // prime the shared planner
+	run(tb, true) // prime the shared cache
 	return run
 }
 

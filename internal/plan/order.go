@@ -70,34 +70,9 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 
 	// Collect the full pairwise statistics up front; one unknown pair
 	// means declaration order (the greedy frontier can consult any pair).
-	sel := make([][]float64, n)
-	skew := make([][]int, n)
-	for i := range sel {
-		sel[i] = make([]float64, n)
-		skew[i] = make([]int, n)
-		for j := range sel[i] {
-			if i == j {
-				continue
-			}
-			w, ok := stats(i, j)
-			if !ok {
-				return order, nil, false
-			}
-			sel[i][j] = float64(w.SelBucket) / selBuckets
-			skew[i][j] = w.SkewBucket
-		}
-	}
-	probeCost := func(i, j int) float64 {
-		return float64(float64(rels[j].Tuples) * (1 + float64(skewCostPenalty*float64(skew[i][j]))))
-	}
-	// hc is a relation's estimated heavy-key multiplicity: share × tuples
-	// for genuinely skewed data, 1 (a unique key) when the sampled share
-	// sits below the uniform/low-skew boundary.
-	hc := func(i int) float64 {
-		if rels[i].HeavyShare < skewLowThreshold {
-			return 1
-		}
-		return rels[i].HeavyShare * float64(rels[i].Tuples)
+	sel, skew, ok := pairBuckets(n, order, order, stats)
+	if !ok {
+		return order, nil, false
 	}
 
 	// First step: the ordered pair minimizing the estimated intermediate.
@@ -108,9 +83,9 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 			if i == j {
 				continue
 			}
-			collide := float64(hc(i) * hc(j))
+			collide := float64(estHC(rels[i]) * estHC(rels[j]))
 			out := float64(sel[i][j]*float64(rels[j].Tuples)) + collide
-			cost := float64(rels[i].Tuples) + probeCost(i, j)
+			cost := float64(rels[i].Tuples) + probeCost(rels, skew, i, j)
 			if bestOut < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
 				bi, bj, bestOut, bestCost = i, j, out, cost
 				bestHC = math.Min(collide, out)
@@ -129,14 +104,46 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 	return order, ests, true
 }
 
-// estHC is a relation's estimated heavy-key multiplicity (OrderPipelineEst's
-// hc): share × tuples for genuinely skewed data, 1 below the low-skew
-// boundary.
+// estHC is a relation's estimated heavy-key multiplicity: share × tuples
+// for genuinely skewed data, 1 (a unique key) when the sampled share sits
+// below the uniform/low-skew boundary.
 func estHC(r PipeRel) float64 {
 	if r.HeavyShare < skewLowThreshold {
 		return 1
 	}
 	return r.HeavyShare * float64(r.Tuples)
+}
+
+// probeCost is the work term of probing j against i's build: j's tuples,
+// inflated by the pair's skew bucket.
+func probeCost(rels []PipeRel, skew [][]int, i, j int) float64 {
+	return float64(float64(rels[j].Tuples) * (1 + float64(skewCostPenalty*float64(skew[i][j]))))
+}
+
+// pairBuckets consults stats for every pair (a, k), a in builds and k in
+// probes, a != k, in that order, into n × n selectivity and skew tables;
+// ok=false at the first unknown pair, whose caller keeps its order.
+func pairBuckets(n int, builds, probes []int, stats PairStats) (sel [][]float64, skew [][]int, ok bool) {
+	sel = make([][]float64, n)
+	skew = make([][]int, n)
+	for i := range sel {
+		sel[i] = make([]float64, n)
+		skew[i] = make([]int, n)
+	}
+	for _, a := range builds {
+		for _, k := range probes {
+			if a == k {
+				continue
+			}
+			w, known := stats(a, k)
+			if !known {
+				return nil, nil, false
+			}
+			sel[a][k] = float64(w.SelBucket) / selBuckets
+			skew[a][k] = w.SkewBucket
+		}
+	}
+	return sel, skew, true
 }
 
 // OrderRemaining re-runs the orderer's greedy tail mid-pipeline: inter
@@ -155,26 +162,11 @@ func OrderRemaining(inter PipeRel, rels []PipeRel, done, remaining []int, stats 
 		return order, nil, false
 	}
 	n := len(rels)
-	sel := make([][]float64, n)
-	skew := make([][]int, n)
-	for i := range sel {
-		sel[i] = make([]float64, n)
-		skew[i] = make([]int, n)
-	}
 	// Only the (done ∪ picked, remaining) pairs are consulted; one unknown
 	// pair keeps the current order, as OrderPipelineEst would.
-	for _, a := range append(append([]int(nil), done...), remaining...) {
-		for _, k := range remaining {
-			if a == k {
-				continue
-			}
-			w, ok := stats(a, k)
-			if !ok {
-				return order, nil, false
-			}
-			sel[a][k] = float64(w.SelBucket) / selBuckets
-			skew[a][k] = w.SkewBucket
-		}
+	sel, skew, ok := pairBuckets(n, append(append([]int(nil), done...), remaining...), remaining, stats)
+	if !ok {
+		return order, nil, false
 	}
 	used := make([]bool, n)
 	for i := range used {
@@ -205,10 +197,6 @@ func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used [
 	}
 	tail := make([]int, 0, remaining)
 	ests := make([]float64, 0, remaining)
-	probeCost := func(i, j int) float64 {
-		return float64(float64(rels[j].Tuples) * (1 + float64(skewCostPenalty*float64(skew[i][j]))))
-	}
-	hc := func(i int) float64 { return estHC(rels[i]) }
 
 	// Later steps: the remaining relation minimizing the next intermediate.
 	for t := 0; t < remaining; t++ {
@@ -223,11 +211,11 @@ func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used [
 				if s := sel[a][k]; s < f {
 					f = s
 				}
-				if c := probeCost(a, k); c > pc {
+				if c := probeCost(rels, skew, a, k); c > pc {
 					pc = c
 				}
 			}
-			collide := float64(interHC * hc(k))
+			collide := float64(interHC * estHC(rels[k]))
 			out := float64(f*float64(rels[k].Tuples)) + collide
 			cost := interEst + pc
 			if bk < 0 || out < bestOut || (out == bestOut && cost < bestCost) {

@@ -238,24 +238,32 @@ func TestCacheWaitCancellation(t *testing.T) {
 	}
 }
 
+// planOn plans r ⋈ s on c as the service layer does: the fingerprint of the
+// measured workload, core.BuildPlan on a miss.
+func planOn(c *Cache, r, s rel.Relation, opt core.Options) (*core.Plan, bool, error) {
+	return c.GetOrBuild(context.Background(), OfWorkload(r, s, opt, MeasureWorkload(r, s)), func() (*core.Plan, error) {
+		return core.BuildPlan(r, s, opt)
+	})
+}
+
 // TestPlannerAmortizes: the first query of a shape misses and builds; every
 // equivalent query afterwards — including ones generated from different
 // seeds — hits and reuses the identical plan instance.
 func TestPlannerAmortizes(t *testing.T) {
-	p := New(8)
+	p := NewCache(8)
 	opt := testOptions()
 
 	r1, s1 := testData(1<<14, 1, rel.Uniform, 1.0)
-	pl1, _, hit, err := p.Plan(context.Background(), r1, s1, opt, core.BuildPlan)
+	pl1, hit, err := planOn(p, r1, s1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Fatal("cold planner reported a hit")
+		t.Fatal("cold cache reported a hit")
 	}
 
 	r2, s2 := testData(1<<14, 99, rel.Uniform, 1.0)
-	pl2, _, hit, err := p.Plan(context.Background(), r2, s2, opt, core.BuildPlan)
+	pl2, hit, err := planOn(p, r2, s2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +282,7 @@ func TestPlannerAmortizes(t *testing.T) {
 // miss, then cache hit) yields results bit-identical to injecting an
 // explicitly built plan — the cache mediation changes nothing.
 func TestAutoPlannedBitIdentical(t *testing.T) {
-	p := New(4)
+	p := NewCache(4)
 	opt := testOptions()
 	r, s := testData(1<<15, 3, rel.LowSkew, 0.5)
 
@@ -288,13 +296,13 @@ func TestAutoPlannedBitIdentical(t *testing.T) {
 		return res
 	}
 
-	plMiss, _, _, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
+	plMiss, _, err := planOn(p, r, s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	auto := runWith(plMiss)
 
-	plHit, _, hit, err := p.Plan(context.Background(), r, s, opt, core.BuildPlan)
+	plHit, hit, err := planOn(p, r, s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

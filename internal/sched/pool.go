@@ -313,21 +313,3 @@ func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {
 	})
 	return out
 }
-
-// Collect executes fn once per index of a fixed n-element grid on the pool
-// and returns the results in index order — the ordered fan-out the sharded
-// engine's router uses to run every hash partition's sub-join and gather
-// the per-partition results for the deterministic merge. Like MapRange,
-// the grid and the returned slice are pure functions of n and fn; the
-// worker count only decides which goroutine computes which entry. Nested
-// use (fn itself running pool kernels) is safe: the submitter always
-// participates, so a saturated pool degenerates to inline execution
-// instead of deadlocking.
-func Collect[T any](p *Pool, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}

@@ -137,15 +137,15 @@ func TestScatterSharedPool(t *testing.T) {
 	for b := 0; b < 16; b++ {
 		want = append(want, filterScan(key, 3, b, 0, n)...)
 	}
-	errs := Collect(p, 6, func(g int) error {
+	errs := make([]error, 6)
+	p.ForEach(len(errs), func(g int) {
 		var x Scatter
 		defer x.Release()
 		x.Setup(p, key, 3, 16)
 		out := moved(p, &x, n, 1, rand.New(rand.NewSource(int64(g))))
 		if !slices.Equal(out[0], want) {
-			return fmt.Errorf("goroutine %d: the output is not the tuples in bucket order", g)
+			errs[g] = fmt.Errorf("goroutine %d: the output is not the tuples in bucket order", g)
 		}
-		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

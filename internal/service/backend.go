@@ -17,15 +17,15 @@ import (
 
 // localBackend keeps the partition slices in-process: one catalog holding
 // the whole zero-copy budget, with partition p of relation name as the entry
-// partName(name, p), and one planner per grid partition. The unsharded
-// engine is this backend over a grid of one: one planner, and every
+// partName(name, p), and one plan cache per grid partition. The unsharded
+// engine is this backend over a grid of one: one plan cache, and every
 // relation stored whole under its own name.
 type localBackend struct {
 	// pool runs the partition fan-out (the service's resident pool).
-	pool     *sched.Pool
-	grid     shard.Grid
-	cat      *catalog.Catalog
-	planners []*plan.Planner
+	pool   *sched.Pool
+	grid   shard.Grid
+	cat    *catalog.Catalog
+	caches []*plan.Cache
 
 	// partBudget is each grid partition's even share of the catalog's
 	// budget (total / grid size). The spill path triggers on it rather than
@@ -53,7 +53,7 @@ func (b *localBackend) partName(name string, p int) string {
 
 // newLocalBackend builds the in-process tier from a service Config: the
 // grid Config.Shards selects, one catalog holding all of CatalogBytes and
-// one planner per grid partition.
+// one plan cache of Config.PlanCache entries per grid partition.
 func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	grid := shard.GridFor(cfg.Shards)
 	total := cfg.CatalogBytes
@@ -64,12 +64,12 @@ func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 		pool:       pool,
 		grid:       grid,
 		cat:        catalog.New(total),
-		planners:   make([]*plan.Planner, grid),
+		caches:     make([]*plan.Cache, grid),
 		partBudget: total / int64(grid),
 		partBytes:  make([]int64, grid),
 	}
-	for p := range b.planners {
-		b.planners[p] = plan.New(cfg.PlanCache)
+	for p := range b.caches {
+		b.caches[p] = plan.NewCache(cfg.PlanCache)
 	}
 	return b
 }
@@ -190,10 +190,10 @@ func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalo
 }
 
 // planWhole plans a whole-relation join that runs outside the grid (an
-// external join) on partition 0's planner — on an unsharded engine, the
-// planner every join uses.
+// external join) on partition 0's plan cache — on an unsharded engine, the
+// cache every join plans on.
 func (b *localBackend) planWhole(ctx context.Context, r, s rel.Relation, opt core.Options, w *plan.Workload) (*core.Plan, bool, error) {
-	return planFor(ctx, b.planners[0], r, s, opt, w, nil)
+	return planFor(ctx, b.caches[0], r, s, opt, w, nil)
 }
 
 // partitionBudgets returns every partition's residency budget for
@@ -220,13 +220,17 @@ func (b *localBackend) partitionBudgets() (free [shard.Partitions]int64) {
 // it skips planning (the planner refuses empty relations) and execution and
 // contributes a zero result — which partitions are empty depends only on
 // the keys and the grid. Planning (auto) happens inside the fan-out on the
-// partition's own planner, and the job's full-relation workload (registered
-// pairs) stands in for measuring the slice.
+// partition's own plan cache, and the job's full-relation workload
+// (registered pairs) stands in for measuring the slice.
 func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error) {
 	parts := make([]*core.Result, b.grid)
 	plans := make([]*PlanInfo, b.grid)
 	err := runPartitions(b.pool, int(b.grid), func(p int) error {
-		res, pl, hit, err := planRun(ctx, plannerIf(j.auto, b.planners[p]), j.rParts[p], j.sParts[p], j.opt, j.workload, j.builds[p])
+		var cache *plan.Cache // nil: run the options as given
+		if j.auto {
+			cache = b.caches[p]
+		}
+		res, pl, hit, err := planRun(ctx, cache, j.rParts[p], j.sParts[p], j.opt, j.workload, j.builds[p])
 		parts[p], plans[p] = res, planInfo(pl, hit)
 		return err
 	})
@@ -238,7 +242,9 @@ func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result,
 // order the partitions finished in. A single partition has no partition to
 // name.
 func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
-	for p, err := range sched.Collect(pool, n, fn) {
+	var errs [shard.Partitions]error
+	pool.ForEach(n, func(p int) { errs[p] = fn(p) })
+	for p, err := range errs[:n] {
 		if err != nil && n > 1 {
 			return fmt.Errorf("partition %d: %w", p, err)
 		}
@@ -250,9 +256,10 @@ func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
 }
 
 // runPipeline runs the whole chain once per grid partition, concurrently on
-// the pool, each over that partition's slice of every source, on its own
-// spiller — reservations against the catalog, spill decisions against the
-// partition's budget share — and writes each chain into
+// the pool, each over that partition's slice of every source, as a chain of
+// its own — reservations against the catalog, spill decisions against the
+// partition's budget share, plans on the partition's cache into a plan
+// table of its own when auto — and writes each chain into
 // its column of the per-partition transport. Only the chain of a grid of
 // one sees global cardinalities, so only it may revise the job's order
 // mid-pipeline; partition chains execute the order as resolved — it is part
@@ -277,20 +284,23 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 	pp := newPipelinePartitions(n-1, grid)
 	budgets := b.partitionBudgets()
 	err := runPartitions(b.pool, grid, func(p int) error {
-		sp := &spiller{ctx: ctx, cat: b.cat, planner: plannerIf(j.auto, b.planners[p]), opt: &j.opt, budget: budgets[p]}
-		c := &chain{level: b.grid.Levels(), wFirst: j.wFirst, steps: make([]*core.Result, 0, n-1), plans: make([]*PlanInfo, 0, n-1)}
+		c := &chain{ctx: ctx, cat: b.cat, opt: &j.opt, budget: budgets[p], level: b.grid.Levels(), wFirst: j.wFirst,
+			steps: make([]*core.Result, 0, n-1), infos: make([]*PlanInfo, 0, n-1)}
+		if j.auto {
+			c.cache, c.plans = b.caches[p], make([]*core.Plan, n-1)
+		}
 		if b.grid.Whole() {
 			c.replan = j.order.replan
 		}
 		in := in[p*n : (p+1)*n]
-		if err := sp.runChain(c, in, order, first, core.Mults{}); err != nil {
+		if err := c.runChain(in, order, first, core.Mults{}); err != nil {
 			return err
 		}
-		// The spill I/O of every level the spiller reached attaches to the
-		// first spilled step of the grid partition's chain alone: merged
+		// The spill I/O of every level the chain's spill reached attaches to
+		// the first spilled step of the grid partition's chain alone: merged
 		// partition chains would count it again.
 		if s := c.spilled; s != nil {
-			for _, b := range sp.spills {
+			for _, b := range c.spills {
 				s.SpilledPartitions++
 				s.SpillBytes += b
 				s.SpillNS += cost.SpillRoundTripNS(b)
@@ -298,9 +308,9 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 			s.TotalNS += s.SpillNS
 		}
 		for t, r := range c.steps {
-			pp.Steps[t][p], pp.Plans[t][p] = r, c.plans[t]
+			pp.Steps[t][p], pp.Plans[t][p] = r, c.infos[t]
 		}
-		pp.Peak[p], pp.SpillDepth[p] = sp.peak, sp.depth
+		pp.Peak[p], pp.SpillDepth[p] = c.peak, c.depth
 		return nil
 	})
 	if err != nil {
@@ -309,13 +319,13 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 	return pp, nil
 }
 
-// stats folds in the per-partition planners' cache counters and replaces
+// stats folds in the per-partition plan caches' counters and replaces
 // the logical byte total with the catalog's physical gauges: bytes (a
 // relation's partition entries and any reservations), capacity, peak and
 // the kept build records.
 func (b *localBackend) stats(st *Stats) {
-	for _, p := range b.planners {
-		cs := p.Stats()
+	for _, c := range b.caches {
+		cs := c.Stats()
 		st.PlanHits += cs.Hits
 		st.PlanMisses += cs.Misses
 		st.PlanEvictions += cs.Evictions

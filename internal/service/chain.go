@@ -11,46 +11,38 @@ import (
 	"apujoin/internal/rel"
 )
 
-// plannerIf returns p for an auto-planned query and nil — "run the options
-// as given" — otherwise.
-func plannerIf(auto bool, p *plan.Planner) *plan.Planner {
-	if auto {
-		return p
+// planFor plans one pairwise join on the plan cache c: the fingerprint of
+// the registered pair's workload w when the caller has one (fingerprinting
+// then reads neither relation), else of a measured one. build is r's entry
+// when r is a registered slice (nil otherwise), whose kept pilot a cold plan
+// probes (catalog.Entry.BuildPlan); the miss runs on the caller's goroutine,
+// under the caller's pin. hit reports whether the plan was served without a
+// pilot run. ctx bounds the planning wait, so a cancelled query frees its
+// slot instead of blocking on another query's plan build.
+func planFor(ctx context.Context, c *plan.Cache, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (pl *core.Plan, hit bool, err error) {
+	if w == nil {
+		m := plan.MeasureWorkload(r, s)
+		w = &m
 	}
-	return nil
-}
-
-// planFor plans one pairwise join on p: from the registered pair's
-// workload w when the caller has one (fingerprinting then reads neither relation), else
-// from a measured one. build is r's entry when r is a registered slice (nil
-// otherwise), whose kept pilot a cold plan probes (catalog.Entry.BuildPlan);
-// the miss runs on the caller's goroutine, under the caller's pin. hit
-// reports whether the plan was served without a pilot run. ctx bounds the
-// planning wait, so a cancelled query frees its slot instead of blocking on
-// another query's plan build.
-func planFor(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (pl *core.Plan, hit bool, err error) {
-	if w != nil {
-		pl, _, hit, err = p.PlanWorkload(ctx, r, s, opt, *w, build.BuildPlan)
-	} else {
-		pl, _, hit, err = p.Plan(ctx, r, s, opt, build.BuildPlan)
-	}
-	return pl, hit, err
+	return c.GetOrBuild(ctx, plan.OfWorkload(r, s, opt, *w), func() (*core.Plan, error) {
+		return build.BuildPlan(r, s, opt)
+	})
 }
 
 // planRun is the one place a pairwise join is planned and executed: with a
-// planner it plans first (planFor) and runs under the plan; a nil planner
+// plan cache it plans first (planFor) and runs under the plan; a nil cache
 // runs opt as given. build is r's entry when r is a registered slice (nil
 // otherwise), whose kept pilot a cold plan and whose kept table the join
 // may probe. A pair with an empty side joins to nothing: it is
 // neither planned (the planner refuses empty relations) nor run, and
 // reports a zero result. pl and hit report the planner's decision (nil,
 // false when nothing was planned).
-func planRun(ctx context.Context, p *plan.Planner, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (res *core.Result, pl *core.Plan, hit bool, err error) {
+func planRun(ctx context.Context, c *plan.Cache, r, s rel.Relation, opt core.Options, w *plan.Workload, build *catalog.Entry) (res *core.Result, pl *core.Plan, hit bool, err error) {
 	if r.Len() == 0 || s.Len() == 0 {
 		return emptyResult(opt), nil, false, nil
 	}
-	if p != nil {
-		if pl, hit, err = planFor(ctx, p, r, s, opt, w, build); err != nil {
+	if c != nil {
+		if pl, hit, err = planFor(ctx, c, r, s, opt, w, build); err != nil {
 			return nil, nil, false, fmt.Errorf("plan: %w", err)
 		}
 		opt.Plan = pl
@@ -134,13 +126,30 @@ func (o *pipeOrder) replan(t int, matches int64) {
 	o.replans++
 }
 
-// chain is one left-deep chain: what it starts from and, per executed
-// step, the pairwise result and the planner's decision (nil for an
-// empty-side step and for steps the spiller ran). Input cardinalities and
+// chain is one left-deep chain and what it runs against — the catalog its
+// intermediates reserve in, its plan cache, its options and its residency
+// budget — and, once it spills, the hybrid-hash spill executor of the rest
+// (run, spill.go), with the spill accounting of every level below. Per
+// executed step it keeps the pairwise result and, for a grid partition's
+// chain, the planner decision it reports. Input cardinalities and
 // intermediate totals follow from the steps (step t builds from step t-1's
-// matches), and the resident peak and spill depth from the spiller the
-// chain ran against, so the chain keeps none of them.
+// matches), so the chain keeps none of them. A chain is not safe for
+// concurrent use: a spill level runs each partition's chain as a chain of
+// its own and folds them back in partition order.
 type chain struct {
+	ctx context.Context
+	cat *catalog.Catalog
+	// cache is the plan cache the chain plans on (nil: it runs the plans of
+	// its table, or else the base options).
+	cache *plan.Cache
+	opt   *core.Options
+	// budget pre-checks every intermediate before it is produced: a grid
+	// partition's share of the total budget less what is registered into
+	// it, so which chains spill is a pure function of data and budget,
+	// never of how partitions are packed into shards or of what concurrent
+	// pipelines hold.
+	budget int64
+
 	// level is the repartitioning level a spill starts at: the levels the
 	// grid consumed (shard.Grid.Levels) for a grid partition's chain, one
 	// past its parent's for a spilled partition's.
@@ -155,68 +164,81 @@ type chain struct {
 	// global order is part of the merge contract.
 	replan func(t int, matches int64)
 
-	// inherit, when non-nil, holds the plan of every step of a follower
-	// partition chain: its leader's (nil: the leader planned none).
-	inherit []*core.Plan
-
+	// plans is the spill point's plan table, entry t-1 for step t (nil: the
+	// query is not auto-planned). A chain with a cache writes the plan each
+	// step ran (nil: none) and a spill below it hands on the table's tail;
+	// a chain without one runs each entry.
+	plans []*core.Plan
 	steps []*core.Result
-	// ran, when non-nil, records the plan each step ran (nil: none): a spill
-	// level's leader chain keeps it for the level's other chains.
-	ran []*core.Plan
-	// plans is nil for a spilled partition's chain: no result reports its
-	// planner decisions.
-	plans []*PlanInfo
-	// spilled is the first step the spiller ran (nil: the chain ran whole).
+	// infos, when non-nil, collects each step's planner decision (nil for
+	// an empty-side step and for the steps the spill executor ran): a grid
+	// partition's chain reports them.
+	infos []*PlanInfo
+	// spilled is the first step the spill executor ran (nil: the chain ran
+	// whole).
 	spilled *core.Result
+
+	// spills holds the input bytes of every partition written to the
+	// simulated store, in the order the sequential spill executor meets
+	// them — their count, sum and I/O charge are the spill accounting —
+	// and depth the deepest repartitioning level reached.
+	spills []int64
+	depth  int
+	// resident/peak track the demand of every transient reservation, for
+	// the pipeline's peak-footprint gauge.
+	resident int64
+	peak     int64
 }
 
-// add appends one step and, when the chain keeps them, the plan it ran and
-// its planner decision.
+// add appends one step and, when the chain reports them, its planner
+// decision.
 func (c *chain) add(r *core.Result, pl *core.Plan, hit bool) {
 	c.steps = append(c.steps, r)
-	if c.ran != nil {
-		c.ran = append(c.ran, pl)
-	}
-	if c.plans != nil {
-		c.plans = append(c.plans, planInfo(pl, hit))
+	if c.infos != nil {
+		c.infos = append(c.infos, planInfo(pl, hit))
 	}
 }
 
 // runChain executes in[order[0]] ⋈ in[order[1]] ⋈ … as a chain of pairwise
 // joins and appends every step to c. It is the one loop that chains
 // pairwise steps: a grid partition's chain runs here, and so does every
-// partition chain the spiller starts.
+// partition chain a spill level starts.
 //
 // Before a non-final step runs, its probe keys are looked up in its build
 // side's key counts once, on the pool (core.Multiplicities): the total is
 // the exact intermediate size. One the budget cannot hold hands the
-// remaining chain to the spiller at c.level without running the step. One
-// that fits is produced morsel-parallel from the same per-tuple
-// multiplicities (core.StreamFill, no second lookup) straight into the
-// buffer the next step builds from — recycler slabs this chain hands back
-// — reserved through sp.reserve and returned once the consumer step has
-// run, so a chain holds at most one intermediate and never names, pins or
-// indexes it.
+// remaining chain to c's spill executor (run) at c.level without running
+// the step. One that fits is produced morsel-parallel from the same
+// per-tuple multiplicities (core.StreamFill, no second lookup) straight
+// into the buffer the next step builds from — recycler slabs this chain
+// hands back — reserved through c.reserve and returned once the consumer
+// step has run, so a chain holds at most one intermediate and never names,
+// pins or indexes it.
 //
 // counts is a key → multiplicity table covering in[order[0]]'s keys at
 // their counts in it, when the caller holds one (a registered source's
 // ingest table, or the spill point's table a spilled partition was split
 // from: partitions split by key), and known in[order[1]]'s multiplicities
 // against it when the caller holds those too (a spilled partition's); both
-// stay the caller's. A spill hands counts on to the spiller. The first
+// stay the caller's. A spill hands counts on to run. The first
 // pre-check reads known's total and the first hand-off fills from it. A
 // table or multiplicities not in hand the chain derives when the step
 // hands an intermediate on (the last step needs none) and releases after
 // the hand-off. A step whose build counts are in hand plans from them
 // (plan.CountsWorkload — the measured workload by construction); the first
-// step prefers wFirst. A follower partition chain (c.inherit) plans
-// nothing on the planner: each step runs its leader's plan for it.
+// step prefers wFirst. A chain with a cache writes each step's plan into
+// its table; a spill passes the table's tail on to run, where the spill
+// level's leader writes through it and its other chains read it. A chain
+// with a table but no cache (a follower partition chain) plans nothing on
+// the cache: each step runs its table's plan, and a non-empty step whose
+// entry is nil (its leader ran it empty or streamed it) plans alone,
+// outside the cache.
 //
 // A step with an empty side joins to nothing: it is neither planned (the
 // planner refuses empty relations) nor run, reports a zero result, and its
 // empty intermediate flows on. Emptiness depends only on the data (and the
 // fixed grid), so the skip is deterministic.
-func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel.Counts, known core.Mults) error {
+func (c *chain) runChain(in []rel.Relation, order []int, counts rel.Counts, known core.Mults) error {
 	n := len(order)
 	// reserved (phys of it charged) backs cur and inter is cur once this
 	// chain produced it; own and ownMult are counts and known once this
@@ -227,7 +249,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 	var own rel.Counts
 	var ownMult core.Mults
 	defer func() {
-		sp.unreserve(reserved, phys)
+		c.unreserve(reserved, phys)
 		own.Release()
 		ownMult.Release()
 		inter.Release()
@@ -239,7 +261,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 		fail := func(err error) error { return fmt.Errorf("step %d: %w", t, err) }
 		// A cancelled query starts no further step, here or in any other
 		// partition chain of its fan-out.
-		if err := sp.ctx.Err(); err != nil {
+		if err := c.ctx.Err(); err != nil {
 			return fail(err)
 		}
 		empty := cur.Len() == 0 || probe.Len() == 0
@@ -252,7 +274,7 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 					counts = own
 				}
 				if known.Of == nil {
-					ownMult = core.Multiplicities(sp.opt.Pool, counts, probe.Keys)
+					ownMult = core.Multiplicities(c.opt.Pool, counts, probe.Keys)
 					known = ownMult
 				}
 				if matches = known.Total; matches > math.MaxInt32 {
@@ -262,18 +284,17 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 			if c.replan != nil {
 				c.replan(t, matches)
 			}
-			if matches*8 > sp.budget {
+			if matches*8 > c.budget {
 				// cur's reservation returns first, as at every hand-off; its
-				// slabs stay until the spiller has partitioned it.
-				sp.unreserve(reserved, phys)
+				// slabs stay until run has partitioned it.
+				c.unreserve(reserved, phys)
 				reserved, phys = 0, 0
 				probes := make([]rel.Relation, 0, n-t)
 				for _, i := range order[t:] {
 					probes = append(probes, in[i])
 				}
-				// A follower's remaining plans (nil stays nil).
-				inherit := c.inherit[min(t-1, len(c.inherit)):]
-				steps, plans, err := sp.run(cur, probes, counts, c.level, inherit)
+				// The remaining steps' entries of the table (nil stays nil).
+				steps, err := c.run(cur, probes, counts, c.plans[min(t-1, len(c.plans)):])
 				if err != nil {
 					return fail(fmt.Errorf("spill: %w", err))
 				}
@@ -281,33 +302,33 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 				for _, r := range steps {
 					c.add(r, nil, false)
 				}
-				if c.ran != nil { // a leader's: the plans its spill's leader ran
-					copy(c.ran[len(c.ran)-len(steps):], plans)
-				}
 				return nil
 			}
 		}
 
-		opt, w := *sp.opt, c.wFirst // the first step's workload alone
+		opt, w := *c.opt, c.wFirst // the first step's workload alone
 		c.wFirst = nil
-		if c.inherit != nil && !empty {
+		if c.cache == nil && c.plans != nil && !empty {
 			// A follower runs its leader's plan: no pilot, no fingerprint, no
 			// lookup. A step its leader ran empty or streamed it plans alone,
 			// outside the plan cache.
-			if opt.Plan = c.inherit[t-1]; opt.Plan == nil {
+			if opt.Plan = c.plans[t-1]; opt.Plan == nil {
 				pl, err := core.BuildPlan(cur, probe, opt)
 				if err != nil {
 					return fail(fmt.Errorf("plan: %w", err))
 				}
 				opt.Plan = pl
 			}
-		} else if w == nil && sp.planner != nil && counts.Len() > 0 {
+		} else if w == nil && c.cache != nil && counts.Len() > 0 {
 			cw := plan.CountsWorkload(counts, probe)
 			w = &cw
 		}
-		stepRes, pl, hit, err := planRun(sp.ctx, sp.planner, cur, probe, opt, w, nil)
+		stepRes, pl, hit, err := planRun(c.ctx, c.cache, cur, probe, opt, w, nil)
 		if err != nil {
 			return fail(err)
+		}
+		if c.cache != nil {
+			c.plans[t-1] = pl
 		}
 		c.add(stepRes, pl, hit)
 		if last {
@@ -316,11 +337,11 @@ func (sp *spiller) runChain(c *chain, in []rel.Relation, order []int, counts rel
 
 		// The finished step's build side has served its consumer: its
 		// reservation is returned before the next intermediate reserves.
-		sp.unreserve(reserved, phys)
+		c.unreserve(reserved, phys)
 		reserved = matches * 8
-		phys = sp.reserve(reserved)
+		phys = c.reserve(reserved)
 		// An empty step's known is zero or all zeros: it fills nothing.
-		next := core.StreamFill(sp.opt.Pool, probe, known.Of)
+		next := core.StreamFill(c.opt.Pool, probe, known.Of)
 		own.Release()
 		ownMult.Release()
 		counts, known = rel.Counts{}, core.Mults{}

@@ -103,7 +103,7 @@ type PipelineResult struct {
 	Replans int64
 	// SpilledPartitions, SpillBytes and SpillNS aggregate the hybrid-hash
 	// spill activity of the whole pipeline (see Result's fields of the same
-	// names); SpillDepth is the deepest repartitioning level the spiller
+	// names); SpillDepth is the deepest repartitioning level a spill
 	// reached (0 when nothing spilled).
 	SpilledPartitions int64
 	SpillBytes        int64

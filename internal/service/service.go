@@ -864,7 +864,7 @@ func (s *Service) Queries() []*Query {
 }
 
 // Stats snapshots the metrics surface, folding in the plan cache counters
-// — summed over the per-partition planners — and the catalog gauges; on a
+// — summed over the per-partition caches — and the catalog gauges; on a
 // clustered service Cluster reports shard health.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()

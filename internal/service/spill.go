@@ -1,19 +1,16 @@
 package service
 
 import (
-	"context"
 	"fmt"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
-	"apujoin/internal/plan"
 	"apujoin/internal/rel"
 	"apujoin/internal/shard"
 )
 
 // Hybrid-hash spill executor. When a chain's next intermediate would exceed
 // the residency budget (runChain's pre-check, before the step runs), the
-// spiller takes over the remaining chain instead of failing the query:
+// chain's own run takes over the rest of it instead of failing the query:
 //
 //   - the current build side, its probe and every remaining probe are
 //     partitioned with the shard package's fixed grid partitioner into a
@@ -33,9 +30,12 @@ import (
 //     side is walked in budget-sized chunks and each chunk's intermediate
 //     probes the full remaining chain before the next chunk starts;
 //   - an auto-planned level plans once, as the paper profiles and plans a
-//     workload once and then runs the plan: one partition chain, the
-//     level's leader, plans its steps, and every other chain runs the
-//     leader's plan for each step, at every level below it too.
+//     workload once and then runs the plan: the spill point has one plan
+//     table, one entry per remaining step; one partition chain, the
+//     level's leader, writes the plan each of its steps ran into it (a
+//     level nested below the leader writes through the table's tail), and
+//     every other chain runs the table's plan for each step, at every level
+//     below it too.
 //
 // Every decision (partition boundaries, residency, recursion, chunking,
 // the leader) is a pure function of the data and the budget — never of
@@ -67,40 +67,10 @@ const (
 )
 
 // spillLevelHook, when set, sees every partitioned spill level once its
-// chains have run: its leader (-1: none), the plans its other chains ran
-// (nil: none) and every partition's steps, len(probes) each. Tests set it.
-var spillLevelHook func(leader int, inherit []*core.Plan, steps []*core.Result)
-
-// spiller is what one chain runs against — the catalog its intermediates
-// reserve in, its planner (nil: the chain runs the plans it inherited as a
-// follower, or else the base options) and its residency budget — and, once
-// the chain spills, the hybrid-hash spill executor of the rest, with the
-// spill accounting of every level below. A spiller is not safe for
-// concurrent use: run gives each partition chain a child spiller of its own
-// and folds the children back in partition order.
-type spiller struct {
-	ctx     context.Context
-	cat     *catalog.Catalog
-	planner *plan.Planner
-	opt     *core.Options
-	// budget pre-checks every intermediate before it is produced: a grid
-	// partition's share of the total budget less what is registered into
-	// it, so which chains spill is a pure function of data and budget,
-	// never of how partitions are packed into shards or of what concurrent
-	// pipelines hold.
-	budget int64
-
-	// spills holds the input bytes of every partition written to the
-	// simulated store, in the order the sequential spill executor meets
-	// them — their count, sum and I/O charge are the spill accounting —
-	// and depth the deepest repartitioning level reached.
-	spills []int64
-	depth  int
-	// resident/peak track the demand of every transient reservation, for
-	// the pipeline's peak-footprint gauge.
-	resident int64
-	peak     int64
-}
+// chains have run: its leader (-1: none), its plan table (nil: the query is
+// not auto-planned) and every partition's steps, len(probes) each. Tests
+// set it.
+var spillLevelHook func(leader int, plans []*core.Plan, steps []*core.Result)
 
 // reserve charges an intermediate's bytes against the catalog — whatever
 // portion of the demand fits. The rest is an overdraft: another pipeline
@@ -112,24 +82,23 @@ type spiller struct {
 // unreserve; the peak gauge tracks the full demand, so the pipeline's
 // peak-footprint accounting stays exact and deterministic whatever the
 // catalog could absorb.
-func (sp *spiller) reserve(b int64) (phys int64) {
-	phys = sp.cat.ReserveTransient(b)
-	sp.resident += b
-	sp.peak = max(sp.peak, sp.resident)
+func (c *chain) reserve(b int64) (phys int64) {
+	phys = c.cat.ReserveTransient(b)
+	c.resident += b
+	c.peak = max(c.peak, c.resident)
 	return phys
 }
 
 // unreserve returns a reserve's physically charged portion to the catalog
-// and retires its full demand from the spiller's gauge.
-func (sp *spiller) unreserve(demand, phys int64) {
-	sp.cat.Unreserve(phys)
-	sp.resident -= demand
+// and retires its full demand from the chain's gauge.
+func (c *chain) unreserve(demand, phys int64) {
+	c.cat.Unreserve(phys)
+	c.resident -= demand
 }
 
 // run executes the chain cur ⋈ probes[0] ⋈ probes[1] ⋈ … under the budget
-// by partitioning every input at the given repartitioning level. It
-// returns one merged Result per chain step, bit-identical for any worker
-// count.
+// by partitioning every input at repartitioning level c.level. It returns
+// one merged Result per chain step, bit-identical for any worker count.
 //
 // counts is the spill point's key → multiplicity table, covering cur's
 // keys: cur's own, or a table over a relation cur is a key-split part of
@@ -144,17 +113,18 @@ func (sp *spiller) unreserve(demand, phys int64) {
 // once. run owns the multiplicities and releases them when it returns;
 // counts stays the caller's.
 //
-// inherit, when non-nil, are the plans of the remaining steps that a
-// follower chain inherited, which every partition chain runs. A spiller
-// with a planner returns the plans its leader's chain ran, one per step
-// (none when it streams: the stream plans nothing).
-func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, depth int, inherit []*core.Plan) ([]*core.Result, []*core.Plan, error) {
-	sp.depth = max(sp.depth, depth)
+// plans is the spill point's plan table, one entry per remaining step (nil:
+// the query is not auto-planned). Every partition chain of the level runs
+// against it: with c's cache, the level's leader writes the plans it ran
+// into it; every other chain reads them. A level that streams writes
+// nothing: the stream plans nothing.
+func (c *chain) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, plans []*core.Plan) ([]*core.Result, error) {
+	depth := c.level
+	c.depth = max(c.depth, depth)
 	if depth >= maxSpillDepth || dominated(cur, counts) {
-		steps, err := sp.stream(cur, probes)
-		return steps, nil, err
+		return c.stream(cur, probes)
 	}
-	split, slab := shard.SplitAt(sp.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
+	split, slab := shard.SplitAt(c.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
 	var mults [shard.Partitions]core.Mults
 	defer func() {
 		for p := range mults {
@@ -163,7 +133,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 		slab.Release()
 	}()
 	// The loop is the parallelism: each partition's lookups run inline.
-	sp.opt.Pool.ForEach(shard.Partitions, func(p int) {
+	c.opt.Pool.ForEach(shard.Partitions, func(p int) {
 		mults[p] = core.Multiplicities(nil, counts, split[1][p].Keys)
 	})
 
@@ -177,7 +147,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	var spills [n]int64
 	var residentCum int64
 	for p := range spills {
-		if m := mults[p].Total * 8; residentCum+m <= sp.budget {
+		if m := mults[p].Total * 8; residentCum+m <= c.budget {
 			residentCum += m
 		} else if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
 			for j := range split {
@@ -187,13 +157,13 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	}
 
 	// Every partition's chain runs through runChain one level down, from
-	// counts and its multiplicities, on a child spiller (an intermediate the
+	// counts and its multiplicities, against plans (an intermediate the
 	// budget cannot hold recurses through the chain's own pre-check). An
 	// auto-planned level plans once: its leader — the lowest partition whose
 	// first step has two non-empty sides, else partition 0 — runs first, on
-	// this spiller's planner, and the others then run concurrently on the
-	// pool, each step under the plan the leader's step ran. Below a
-	// follower nothing plans: its chains take the plans it inherited. A
+	// c's cache, writing plans, and the others then run concurrently on the
+	// pool, each step under the entry the leader's step wrote. Below a
+	// follower nothing plans: its chains have the table and no cache. A
 	// chain's inputs, in chain order, sit on its own stack.
 	order := make([]int, len(split))
 	for i := range order {
@@ -201,19 +171,20 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 	}
 	k := len(probes)
 	steps := make([]*core.Result, n*k)
-	kids := make([]spiller, n)
-	runAt := func(p int, planner *plan.Planner, c *chain) error {
+	var kids [n]chain
+	for p := range kids {
+		kids[p] = chain{ctx: c.ctx, cat: c.cat, opt: c.opt, budget: c.budget, level: depth + 1, plans: plans, steps: steps[p*k : p*k : (p+1)*k]}
+	}
+	runAt := func(p int) error {
 		var buf [4]rel.Relation
 		in := buf[:0]
 		for j := range split {
 			in = append(in, split[j][p])
 		}
-		kids[p] = spiller{ctx: sp.ctx, cat: sp.cat, planner: planner, opt: sp.opt, budget: sp.budget}
-		c.level, c.steps = depth+1, steps[p*k:p*k:(p+1)*k]
-		return kids[p].runChain(c, in, order, counts, mults[p])
+		return kids[p].runChain(in, order, counts, mults[p])
 	}
 	leader := -1
-	if sp.planner != nil {
+	if c.cache != nil {
 		leader = 0
 		for p := range n {
 			if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
@@ -221,34 +192,34 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 				break
 			}
 		}
-		lead := &chain{ran: make([]*core.Plan, 0, k)}
-		if err := runAt(leader, sp.planner, lead); err != nil {
-			return nil, nil, fmt.Errorf("level %d: partition %d: %w", depth, leader, err)
+		kids[leader].cache = c.cache
+		if err := runAt(leader); err != nil {
+			return nil, fmt.Errorf("level %d: partition %d: %w", depth, leader, err)
 		}
-		inherit = lead.ran
 	}
-	err := runPartitions(sp.opt.Pool, n, func(p int) error {
+	err := runPartitions(c.opt.Pool, n, func(p int) error {
 		if p == leader {
 			return nil
 		}
-		return runAt(p, nil, &chain{inherit: inherit})
+		return runAt(p)
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("level %d: %w", depth, err)
+		return nil, fmt.Errorf("level %d: %w", depth, err)
 	}
 	if spillLevelHook != nil {
-		spillLevelHook(leader, inherit, steps)
+		spillLevelHook(leader, plans, steps)
 	}
 
-	// The children fold back in partition order, as if their chains had run
-	// one after another on this spiller.
-	for p, kid := range kids {
+	// The partition chains fold back in partition order, as if they had run
+	// one after another on c.
+	for p := range kids {
+		kid := &kids[p]
 		if spills[p] > 0 {
-			sp.spills = append(sp.spills, spills[p])
+			c.spills = append(c.spills, spills[p])
 		}
-		sp.spills = append(sp.spills, kid.spills...)
-		sp.depth = max(sp.depth, kid.depth)
-		sp.peak = max(sp.peak, sp.resident+kid.peak)
+		c.spills = append(c.spills, kid.spills...)
+		c.depth = max(c.depth, kid.depth)
+		c.peak = max(c.peak, c.resident+kid.peak)
 	}
 	out := make([]*core.Result, k)
 	var col [n]*core.Result
@@ -258,7 +229,7 @@ func (sp *spiller) run(cur rel.Relation, probes []rel.Relation, counts rel.Count
 		}
 		out[t] = shard.MergeResults(col[:])
 	}
-	return out, inherit, nil
+	return out, nil
 }
 
 // dominated reports whether one key owns heavyKeyShare of cur — the case
@@ -289,15 +260,15 @@ func dominated(cur rel.Relation, counts rel.Counts) bool {
 // boundaries depend only on key counts and the budget, keeping the
 // decomposition deterministic; match counts are exact because an
 // equi-join distributes over a disjoint union of its probe side.
-func (sp *spiller) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Result, error) {
+func (c *chain) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Result, error) {
 	perStep := make([][]*core.Result, len(probes))
-	if err := sp.streamStep(perStep, cur, probes, 0); err != nil {
+	if err := c.streamStep(perStep, cur, probes, 0); err != nil {
 		return nil, err
 	}
 	out := make([]*core.Result, len(probes))
 	for t := range perStep {
 		if len(perStep[t]) == 0 {
-			out[t] = emptyResult(*sp.opt)
+			out[t] = emptyResult(*c.opt)
 			continue
 		}
 		out[t] = shard.MergeResults(perStep[t])
@@ -311,15 +282,15 @@ func (sp *spiller) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Resu
 // The probe's multiplicities are computed once: they cut the chunks, and
 // each chunk's intermediate fills from its own stretch of them. Results
 // accumulate per level in a fixed sequential order.
-func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes []rel.Relation, j int) error {
+func (c *chain) streamStep(acc [][]*core.Result, build rel.Relation, probes []rel.Relation, j int) error {
 	probe := probes[j]
 	if build.Len() == 0 || probe.Len() == 0 {
 		return nil
 	}
-	capB := max(sp.budget, int64(streamChunk)*8)
+	capB := max(c.budget, int64(streamChunk)*8)
 	last := j == len(probes)-1
 	counts := rel.KeyCounts(build)
-	mult := core.Multiplicities(sp.opt.Pool, counts, probe.Keys)
+	mult := core.Multiplicities(c.opt.Pool, counts, probe.Keys)
 	counts.Release()
 	defer mult.Release()
 	for lo, hi := 0, 0; lo < probe.Len(); lo = hi {
@@ -333,7 +304,7 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 			hi++
 		}
 		chunk := probe.Slice(lo, hi)
-		stepRes, err := core.RunCtx(sp.ctx, build, chunk, *sp.opt)
+		stepRes, err := core.RunCtx(c.ctx, build, chunk, *c.opt)
 		if err != nil {
 			return fmt.Errorf("stream step %d: %w", j, err)
 		}
@@ -342,11 +313,11 @@ func (sp *spiller) streamStep(acc [][]*core.Result, build rel.Relation, probes [
 			continue
 		}
 		bytes := stepRes.Matches * 8
-		phys := sp.reserve(bytes)
-		inter := core.StreamFill(sp.opt.Pool, chunk, mult.Of[lo:hi])
-		err = sp.streamStep(acc, inter, probes, j+1)
+		phys := c.reserve(bytes)
+		inter := core.StreamFill(c.opt.Pool, chunk, mult.Of[lo:hi])
+		err = c.streamStep(acc, inter, probes, j+1)
 		inter.Release()
-		sp.unreserve(bytes, phys)
+		c.unreserve(bytes, phys)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -342,13 +343,13 @@ func TestSpillReadsAWiderTable(t *testing.T) {
 		rel.Gen{N: 1 << 10, Seed: 23}.Probe(cur, 0.5),
 	}
 	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1}
-	spill := func(counts rel.Counts) (*spiller, []*core.Result) {
-		sp := &spiller{ctx: context.Background(), cat: catalog.New(1 << 20), opt: &opt, budget: 2 << 10}
-		steps, _, err := sp.run(cur, probes, counts, 1, nil)
+	spill := func(counts rel.Counts) (*chain, []*core.Result) {
+		c := &chain{ctx: context.Background(), cat: catalog.New(1 << 20), opt: &opt, budget: 2 << 10, level: 1}
+		steps, err := c.run(cur, probes, counts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sp, steps
+		return c, steps
 	}
 	own := rel.KeyCounts(cur)
 	defer own.Release()
@@ -439,9 +440,9 @@ func planCounters(svc *Service) [4]int64 {
 
 // spillLevel is one partitioned spill level as spillLevelHook saw it.
 type spillLevel struct {
-	leader  int
-	inherit []*core.Plan
-	steps   []*core.Result
+	leader int
+	plans  []*core.Plan
+	steps  []*core.Result
 }
 
 // watchSpills records every spill level the test's pipelines partition
@@ -450,10 +451,10 @@ type spillLevel struct {
 func watchSpills(t *testing.T) func() []spillLevel {
 	var mu sync.Mutex
 	var levels []spillLevel
-	spillLevelHook = func(leader int, inherit []*core.Plan, steps []*core.Result) {
+	spillLevelHook = func(leader int, plans []*core.Plan, steps []*core.Result) {
 		mu.Lock()
 		defer mu.Unlock()
-		levels = append(levels, spillLevel{leader, inherit, steps})
+		levels = append(levels, spillLevel{leader, plans, steps})
 	}
 	t.Cleanup(func() { spillLevelHook = nil })
 	return func() []spillLevel {
@@ -473,12 +474,12 @@ func watchSpills(t *testing.T) func() []spillLevel {
 func followersRanLeaders(t *testing.T, levels []spillLevel) (checked int) {
 	t.Helper()
 	for _, lv := range levels {
-		k := len(lv.inherit)
+		k := len(lv.plans)
 		for i, r := range lv.steps {
-			if k == 0 || i/k == lv.leader || lv.inherit[i%k] == nil || len(r.Ratios.Probe) == 0 {
+			if k == 0 || i/k == lv.leader || lv.plans[i%k] == nil || len(r.Ratios.Probe) == 0 {
 				continue
 			}
-			pl := lv.inherit[i%k]
+			pl := lv.plans[i%k]
 			ok := r.Algo == pl.Algo && r.Scheme == pl.Scheme && reflect.DeepEqual(r.ProbeProfile, pl.Probe) &&
 				(pl.BuildRatios == nil || reflect.DeepEqual(r.Ratios.Build, pl.BuildRatios)) &&
 				(pl.ProbeRatios == nil || reflect.DeepEqual(r.Ratios.Probe, pl.ProbeRatios))
@@ -568,32 +569,54 @@ func leaderShape(name string, edit func(p int, other, s, u []int32) ([]int32, []
 	return spillShape{name: name, rels: rels, headroom: 12 << 10}
 }
 
+// leaderStreams is leaderShape with partition 0 dominated by one key: r
+// carries it on 200 of the partition's 300 tuples and s carries ten more
+// copies of it, so the leader's first intermediate overflows the budget and
+// its nested level streams.
+func leaderStreams() spillShape {
+	sh := leaderShape("the leader streams", func(p int, other, s, u []int32) ([]int32, []int32) {
+		if p == 0 {
+			s = append(s, slices.Repeat(s[:1], 10)...)
+		}
+		return s, u
+	})
+	r := sh.rels[0].Keys // partition 0's 300 keys come first
+	for i := 1; i < 200; i++ {
+		r[i] = r[0]
+	}
+	return sh
+}
+
 // TestSpillLeaderFallback pins the leader rule where it has to choose.
 // When partition 0's probe side is empty, the leader is the next
 // partition. When the leader's intermediate empties before the last step
 // (partition 0's u matches none of its keys), the leader plans nothing for
-// that step and every follower plans it for itself, outside the cache. In
-// both the result is the same on one, two and four workers, and the
-// query's planner serves the leader's lookups alone: one per step the
-// leader planned.
+// that step and every follower plans it for itself, outside the cache.
+// When the leader streams (its own spill one level down is dominated by
+// one key), it plans nothing at all: the level's plan table stays empty and
+// every follower plans each of its steps alone — the cost of a streaming
+// leader, pinned here. In each the result is the same on one, two and four
+// workers, and the query's plan cache serves the leader's lookups alone:
+// one per step the leader planned, cold, and none on a warm run.
 func TestSpillLeaderFallback(t *testing.T) {
 	take := watchSpills(t)
 	for _, tc := range []struct {
-		sh                spillShape
-		leader, unplanned int
+		sh                       spillShape
+		leader, unplanned, depth int
 	}{
 		{leaderShape("partition 0 has an empty side", func(p int, other, s, u []int32) ([]int32, []int32) {
 			if p == 0 {
 				s = nil
 			}
 			return s, u
-		}), 1, 0},
+		}), 1, 0, 0},
 		{leaderShape("the leader's intermediate empties", func(p int, other, s, u []int32) ([]int32, []int32) {
 			if p == 0 {
 				u = other
 			}
 			return s, u
-		}), 0, 1},
+		}), 0, 1, 0},
+		{leaderStreams(), 0, 3, 1},
 	} {
 		t.Run(tc.sh.name, func(t *testing.T) {
 			var want *PipelineResult
@@ -605,24 +628,39 @@ func TestSpillLeaderFallback(t *testing.T) {
 						t.Fatalf("%d matches, the oracle counts %d", pr.Final.Matches, want)
 					}
 					levels := take()
-					if len(levels) != 1 || pr.SpillDepth != 0 {
-						t.Fatalf("%d spill levels to depth %d, want the first step to spill at level 0 alone", len(levels), pr.SpillDepth)
+					if len(levels) != 1 || pr.SpillDepth != tc.depth {
+						t.Fatalf("%d spill levels to depth %d, want the first step to spill at level 0 alone, to depth %d", len(levels), pr.SpillDepth, tc.depth)
 					}
 					top := levels[0]
 					planned := 0
-					for _, pl := range top.inherit {
+					for _, pl := range top.plans {
 						if pl != nil {
 							planned++
 						}
 					}
-					if top.leader != tc.leader || len(top.inherit)-planned != tc.unplanned {
-						t.Fatalf("leader %d left %d of %d steps unplanned, want leader %d and %d", top.leader, len(top.inherit)-planned, len(top.inherit), tc.leader, tc.unplanned)
+					if top.leader != tc.leader || len(top.plans)-planned != tc.unplanned {
+						t.Fatalf("leader %d left %d of %d steps unplanned, want leader %d and %d", top.leader, len(top.plans)-planned, len(top.plans), tc.leader, tc.unplanned)
 					}
-					if st := planCounters(svc); st[0]+st[1] != int64(planned) {
-						t.Errorf("%d plan lookups, the leader planned %d steps: a follower looked a plan up", st[0]+st[1], planned)
+					cold := planCounters(svc)
+					if cold[0]+cold[1] != int64(planned) {
+						t.Errorf("%d plan lookups, the leader planned %d steps: a follower looked a plan up", cold[0]+cold[1], planned)
 					}
-					if followersRanLeaders(t, levels) == 0 {
+					if planned == 0 {
+						// Nothing to inherit: every follower sub-join ran
+						// under a plan of its own, never the base options.
+						base := tc.sh.spec(svc).Opt.Scheme
+						for i, r := range top.steps {
+							if k := len(top.plans); i/k != top.leader && len(r.Ratios.Probe) > 0 && r.Scheme == base {
+								t.Errorf("partition %d step %d ran the base options' %s: it planned nothing", i/k, i%k, r.Scheme)
+							}
+						}
+					} else if followersRanLeaders(t, levels) == 0 {
 						t.Errorf("no follower sub-join ran an inherited plan")
+					}
+					tc.sh.exec(t, svc)
+					take()
+					if warm := planCounters(svc); warm[0]+warm[1] != cold[0]+cold[1]+int64(planned) {
+						t.Errorf("a warm run made %d plan lookups, the leader planned %d steps", warm[0]+warm[1]-cold[0]-cold[1], planned)
 					}
 					if want == nil {
 						want = pr

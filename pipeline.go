@@ -67,7 +67,7 @@ type PipelineStep = service.PipelineStep
 // then runs the whole chain independently before the deterministic
 // per-step merge; every reported number, including PeakIntermediateBytes,
 // is bit-identical for any worker count. Per-step Plan reports aggregate
-// the per-partition planners' decisions (representative algo/scheme,
+// the per-partition planner decisions (representative algo/scheme,
 // predictions summed in partition order, CacheHit only when every planned
 // partition hit). Sharded pipelines do not re-plan mid-query — the global
 // order is part of the merge contract.
