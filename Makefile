@@ -34,7 +34,7 @@ COVERAGE_FLOOR ?= 91
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1981 internal/plan:383 internal/httpapi:590 internal/core:1605 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
+LOC_CEILINGS ?= internal/service:1981 internal/plan:386 internal/httpapi:590 internal/core:1657 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check rid-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -105,7 +105,9 @@ bench:
 # B/op a registered relation keeps; then the planner — the refined ratio
 # search over four steps at δ 0.02 and 0.05, the paper's exhaustive δ=0.02
 # grid, and one cold core.BuildPlan of a 4 096 × 4 096 join (pilot plus
-# eleven priced candidates, what every plan-cache miss costs); last, one
+# eleven candidates priced on a pooled planning scratch, what every
+# plan-cache miss costs; each row first plans another shape on its
+# scratch and fails on a plan that differs from a fresh scratch's); last, one
 # 2^18 × 2^18 PHJ-PL join cold and warm, the second probing a kept build
 # record (core.RunKept: what a repeat join over a registered build side
 # skips); and one warm spilled pipeline at spill depth 0 and ≥ 1, with the

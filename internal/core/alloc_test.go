@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"apujoin/internal/alloc"
-	"apujoin/internal/cost"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -44,7 +43,7 @@ func TestWarmRunAllocations(t *testing.T) {
 		def.SetDefaults()
 		pilot := def
 		pilot.Algo = PHJ
-		opt.Plan = planCandidate(&cost.Model{CPU: def.CPU, GPU: def.GPU}, r, s, def, c.algo, c.scheme, runPilot(r, s, pilot))
+		opt.Plan = candidatePlan(r, s, def, c.algo, c.scheme, runPilot(r, s, pilot))
 		var k keeper
 		run := func() {
 			if _, err := k.run(r, s, opt); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"apujoin/internal/cost"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
 
 // MonteCarloPhase evaluates the cost model over `runs` random PL ratio
@@ -34,6 +35,6 @@ func MonteCarloPhase(r, s rel.Relation, opt Options, phase string, runs int, see
 	for i, smp := range samples {
 		out[i] = smp.NS
 	}
-	_, ours := model.OptimizePLRefined(sp, items, opt.Delta)
+	ours := model.OptimizePLRefinedInto(sp, items, opt.Delta, make(sched.Ratios, len(sp.Steps)))
 	return out, ours, nil
 }

@@ -213,7 +213,8 @@ func (rn *runner) coarseJoin(res *Result, model *cost.Model) error {
 	parts := rn.geo.parts
 	rn.env.coarsePairBytes = (rn.r.Bytes() + rn.s.Bytes() + rn.env.tableBytes) / int64(parts)
 
-	prof := coarseProfile(res.BuildProfile, res.ProbeProfile,
+	var step [1]cost.StepProfile
+	prof := coarseProfile(&step, res.BuildProfile, res.ProbeProfile,
 		float64(rn.r.Len())/float64(parts), float64(rn.s.Len())/float64(parts))
 
 	series := sched.Series{

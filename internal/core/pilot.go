@@ -135,11 +135,11 @@ func (rn *runner) pilotProbe(p *Pilot, exec *sched.Exec, half sched.Ratios) prof
 }
 
 // coarseProfile synthesizes the single-step profile of the PHJ-PL' pair
-// join from per-tuple build and probe profiles: one pair's work is the sum
-// of its tuples' per-step work.
-func coarseProfile(build, probe cost.SeriesProfile, rPerPair, sPerPair float64) cost.SeriesProfile {
-	var p cost.StepProfile
-	p.ID = sched.P3
+// join from per-tuple build and probe profiles, its step in *step: one
+// pair's work is the sum of its tuples' per-step work.
+func coarseProfile(step *[1]cost.StepProfile, build, probe cost.SeriesProfile, rPerPair, sPerPair float64) cost.SeriesProfile {
+	p := &step[0]
+	*p = cost.StepProfile{ID: sched.P3}
 	accum := func(sp cost.SeriesProfile, mult float64) {
 		for _, st := range sp.Steps {
 			p.InstrPerItem += float64(st.InstrPerItem * mult)
@@ -151,5 +151,5 @@ func coarseProfile(build, probe cost.SeriesProfile, rPerPair, sPerPair float64) 
 	}
 	accum(build, rPerPair)
 	accum(probe, sPerPair)
-	return cost.SeriesProfile{Name: "pairjoin", Steps: []cost.StepProfile{p}}
+	return cost.SeriesProfile{Name: "pairjoin", Steps: step[:]}
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"apujoin/internal/cost"
+	"apujoin/internal/mem"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -74,20 +77,23 @@ func (o *Options) applyPlan() {
 	}
 }
 
-// autoSchemes lists the schemes the planner considers for one algorithm:
-// every scheme the cost model covers and the configuration permits.
-// BasicUnit is excluded — its chunk scheduling is dynamic and the model
-// deliberately does not predict it — and PL requires the shared hash table
-// (infeasible with separate tables / on the discrete architecture).
-func autoSchemes(algo Algo, opt Options) []Scheme {
-	schemes := []Scheme{CPUOnly, GPUOnly, OL, DD}
-	if !opt.SeparateTables {
-		schemes = append(schemes, PL)
+// planSchemes is the order the planner prices schemes in under either
+// algorithm; a tie goes to the earlier candidate.
+var planSchemes = [...]Scheme{CPUOnly, GPUOnly, OL, DD, PL, CoarsePL}
+
+// autoScheme reports whether the planner considers scheme for algo: every
+// scheme of planSchemes the configuration permits. BasicUnit is not among
+// them — its chunk scheduling is dynamic and the model deliberately does not
+// predict it — PL requires the shared hash table (infeasible with separate
+// tables / on the discrete architecture), and PL' is a PHJ scheme.
+func autoScheme(algo Algo, scheme Scheme, opt Options) bool {
+	switch scheme {
+	case PL:
+		return !opt.SeparateTables
+	case CoarsePL:
+		return algo == PHJ
 	}
-	if algo == PHJ {
-		schemes = append(schemes, CoarsePL)
-	}
-	return schemes
+	return true
 }
 
 // BuildPlan evaluates both join algorithms under every applicable
@@ -116,9 +122,23 @@ func BuildPlanKept(r, s rel.Relation, opt Options, kept *Pilot) (*Plan, *Pilot, 
 }
 
 // buildPlan is BuildPlanKept; keep says whether the caller takes a fresh
-// pilot.
+// pilot. The candidates are priced on a pooled planScratch, so what a plan
+// allocates besides its pilot is the winner it returns.
 func buildPlan(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (*Plan, *Pilot, error) {
+	sc := planScratches.Get().(*planScratch)
+	defer planScratches.Put(sc)
+	return sc.plan(r, s, opt, kept, keep)
+}
+
+// plan is buildPlan on sc.
+func (sc *planScratch) plan(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (*Plan, *Pilot, error) {
 	opt.Plan = nil
+	if opt.ZeroCopy == nil {
+		// The plan's own buffer, as SetDefaults would make it, held by the
+		// scratch instead.
+		sc.zeroCopy = *mem.NewZeroCopy()
+		opt.ZeroCopy = &sc.zeroCopy
+	}
 	opt.SetDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
@@ -135,19 +155,28 @@ func buildPlan(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (*Plan, *
 	popt.Algo = PHJ
 	prof, pilot := runPilotKept(r, s, popt, kept, keep)
 
-	// One model prices every candidate, each under its own environment, so
-	// the searches' tables are grown once per plan.
-	model := &cost.Model{CPU: opt.CPU, GPU: opt.GPU}
-	var best *Plan
-	for _, algo := range []Algo{SHJ, PHJ} {
-		for _, scheme := range autoSchemes(algo, opt) {
-			cand := planCandidate(model, r, s, opt, algo, scheme, prof)
-			if best == nil || cand.PredictedNS < best.PredictedNS {
-				best = cand
+	sc.model.CPU, sc.model.GPU = opt.CPU, opt.GPU
+	sc.plSearched = false
+	var best, cand Plan
+	priced := false
+	for _, algo := range [...]Algo{SHJ, PHJ} {
+		for _, scheme := range planSchemes {
+			if !autoScheme(algo, scheme, opt) {
+				continue
+			}
+			sc.price(&cand, r, s, opt, algo, scheme, prof)
+			if !priced || cand.PredictedNS < best.PredictedNS {
+				// best's ratios are in the candidate's set: the next
+				// candidate writes the other.
+				best, priced = cand, true
+				sc.cand ^= 1
 			}
 		}
 	}
-	return best, pilot, nil
+	best.PartitionRatios = slices.Clone(best.PartitionRatios)
+	best.BuildRatios = slices.Clone(best.BuildRatios)
+	best.ProbeRatios = slices.Clone(best.ProbeRatios)
+	return &best, pilot, nil
 }
 
 // The planner reaches the ratio searches through these two variables, so
@@ -160,41 +189,72 @@ var (
 	planDD     = (*cost.Model).OptimizeDD
 )
 
-// planCandidate prices one (algorithm, scheme) alternative under the
+// planScratch is what BuildPlan prices its candidates on, recycled through
+// planScratches: one cost model, whose search tables, step buffers and
+// device pair persist from plan to plan; the environment it is bound to
+// once, which each candidate overwrites; and two sets of ratio buffers, one
+// for the candidate being priced and one for the cheapest so far. A scratch
+// serves one plan at a time.
+type planScratch struct {
+	model cost.Model
+	env   envState
+	// Per series, [cand] holds the candidate's ratios and [cand^1] the
+	// cheapest's; buildPlan copies only the winner's out.
+	partition [2][passSteps]float64
+	build     [2][buildSteps]float64
+	probe     [2][probeSteps]float64
+	cand      int
+	// plPartition and plPartitionNS are PHJ-PL's partition phase, which
+	// PHJ-PL' searches alike; plSearched says whether this plan has yet.
+	plPartition   [passSteps]float64
+	plPartitionNS float64
+	plSearched    bool
+	// coarse is the one step of PHJ-PL''s pair-join profile.
+	coarse [1]cost.StepProfile
+	// zeroCopy is the buffer of a plan whose options name none.
+	zeroCopy mem.ZeroCopy
+}
+
+// planScratches recycles planning scratch across plans.
+var planScratches = sync.Pool{New: func() any {
+	sc := new(planScratch)
+	sc.model.Env = sc.env.envFor
+	return sc
+}}
+
+// price prices one (algorithm, scheme) alternative into pl under the
 // memory environment the run will start in — staticEnv's radix fan-out and
 // estimated hash-table residency, the partition-chunk working set of each
-// pass — and runs the same per-scheme ratio optimizers chooseRatios would,
-// yielding the ratios the plan will fix and the model's end-to-end
-// estimate. It points model at the candidate's environment.
-func planCandidate(model *cost.Model, r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) *Plan {
+// pass — and runs the same per-scheme ratio optimizers runner.choose would,
+// yielding the ratios the plan will fix, in the scratch, and the model's
+// end-to-end estimate.
+func (sc *planScratch) price(pl *Plan, r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) {
 	opt.Algo, opt.Scheme = algo, scheme
-	env, g := staticEnv(opt, r.Len())
-	model.Env = env.envFor
-	pl := &Plan{
+	var g geometry
+	sc.env, g = staticEnv(opt, r.Len())
+	*pl = Plan{
 		Algo: algo, Scheme: scheme, Arch: opt.Arch,
 		Partition: prof.partition, Build: prof.build, Probe: prof.probe,
 	}
+	model, c := &sc.model, sc.cand
 
-	if algo == PHJ {
-		// Ratios are chosen once, on the first pass's fan-out over |R|
-		// items, exactly as a FixedPartition override applies one ratio
-		// vector to every pass; the prediction then prices every pass of
-		// both relations at those ratios under its own chunk working set.
-		env.partitionStreams = int64(1<<g.plan.BitsPerPass[0]) * chunkBytes
-		steps := len(prof.partition.Steps)
-		ratios, _ := planRatios(model, opt, prof.partition, r.Len(), steps)
-		pl.PartitionRatios = ratios
-		for _, bits := range g.plan.BitsPerPass {
-			env.partitionStreams = int64(1<<bits) * chunkBytes
-			pl.PredictedPartitionNS += model.EstimateNS(prof.partition, r.Len(), ratios)
-			pl.PredictedPartitionNS += model.EstimateNS(prof.partition, s.Len(), ratios)
+	n := len(prof.partition.Steps)
+	switch {
+	case algo == SHJ:
+	case scheme == PL || scheme == CoarsePL:
+		// PL and PL' search their partition ratios alike: once a plan.
+		if !sc.plSearched {
+			_, sc.plPartitionNS = sc.pricePartition(opt, g, prof.partition, r.Len(), s.Len(), sc.plPartition[:n])
+			sc.plSearched = true
 		}
-		env.partitionStreams = 0
+		pl.PartitionRatios, pl.PredictedPartitionNS = sc.plPartition[:n], sc.plPartitionNS
+	default:
+		pl.PartitionRatios, pl.PredictedPartitionNS = sc.pricePartition(opt, g, prof.partition, r.Len(), s.Len(), sc.partition[c][:n])
 	}
 
 	if scheme == CoarsePL {
-		env.coarsePairBytes = (r.Bytes() + s.Bytes() + env.tableBytes) / int64(g.parts)
-		cp := coarseProfile(prof.build, prof.probe,
+		sc.env.coarsePairBytes = (r.Bytes() + s.Bytes() + sc.env.tableBytes) / int64(g.parts)
+		cp := coarseProfile(&sc.coarse, prof.build, prof.probe,
 			float64(r.Len())/float64(g.parts), float64(s.Len())/float64(g.parts))
 		_, est := planDD(model, cp, g.parts, opt.Delta)
 		// The pair joins cover build and probe; attribute by tuple share
@@ -203,11 +263,27 @@ func planCandidate(model *cost.Model, r, s rel.Relation, opt Options, algo Algo,
 		pl.PredictedBuildNS = est * fr
 		pl.PredictedProbeNS = est * (1 - fr)
 	} else {
-		pl.BuildRatios, pl.PredictedBuildNS =
-			planRatios(model, opt, prof.build, r.Len(), len(prof.build.Steps))
-		pl.ProbeRatios, pl.PredictedProbeNS =
-			planRatios(model, opt, prof.probe, s.Len(), len(prof.probe.Steps))
+		pl.BuildRatios, pl.PredictedBuildNS = planRatios(model, opt, prof.build, r.Len(), sc.build[c][:len(prof.build.Steps)])
+		pl.ProbeRatios, pl.PredictedProbeNS = planRatios(model, opt, prof.probe, s.Len(), sc.probe[c][:len(prof.probe.Steps)])
 	}
 	pl.PredictedNS = pl.PredictedPartitionNS + pl.PredictedBuildNS + pl.PredictedProbeNS
-	return pl
+}
+
+// pricePartition chooses a PHJ candidate's partition ratios into ratios and
+// returns them with the predicted time of every pass of both relations, nr
+// and ns tuples. The ratios are chosen once, on the first pass's fan-out
+// over |R| items, exactly as a FixedPartition override applies one ratio
+// vector to every pass; the prediction then prices every pass of both
+// relations at those ratios under its own chunk working set.
+func (sc *planScratch) pricePartition(opt Options, g geometry, prof cost.SeriesProfile, nr, ns int, ratios sched.Ratios) (sched.Ratios, float64) {
+	sc.env.partitionStreams = int64(1<<g.plan.BitsPerPass[0]) * chunkBytes
+	ratios, _ = planRatios(&sc.model, opt, prof, nr, ratios)
+	var est float64
+	for _, bits := range g.plan.BitsPerPass {
+		sc.env.partitionStreams = int64(1<<bits) * chunkBytes
+		est += sc.model.EstimateNS(prof, nr, ratios)
+		est += sc.model.EstimateNS(prof, ns, ratios)
+	}
+	sc.env.partitionStreams = 0
+	return ratios, est
 }

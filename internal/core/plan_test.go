@@ -2,9 +2,9 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
-	"apujoin/internal/cost"
 	"apujoin/internal/rel"
 )
 
@@ -17,6 +17,16 @@ func planTestData(t testing.TB) (rel.Relation, rel.Relation) {
 
 func planTestOptions() Options {
 	return Options{Delta: 0.1, PilotItems: 1 << 12}
+}
+
+// candidatePlan prices one candidate, as BuildPlan does, on a scratch of its
+// own, and returns it as a plan; opt has its defaults set.
+func candidatePlan(r, s rel.Relation, opt Options, algo Algo, scheme Scheme, prof profiles) *Plan {
+	sc := planScratches.New().(*planScratch)
+	sc.model.CPU, sc.model.GPU = opt.CPU, opt.GPU
+	pl := new(Plan)
+	sc.price(pl, r, s, opt, algo, scheme, prof)
+	return pl
 }
 
 // TestBuildPlanDeterminism: the same workload always yields the same plan,
@@ -55,10 +65,12 @@ func TestBuildPlanPicksCheapest(t *testing.T) {
 	pilotOpt := popt
 	pilotOpt.Algo = PHJ
 	prof := runPilot(r, s, pilotOpt)
-	model := &cost.Model{CPU: popt.CPU, GPU: popt.GPU}
 	for _, algo := range []Algo{SHJ, PHJ} {
-		for _, scheme := range autoSchemes(algo, popt) {
-			cand := planCandidate(model, r, s, popt, algo, scheme, prof)
+		for _, scheme := range planSchemes {
+			if !autoScheme(algo, scheme, popt) {
+				continue
+			}
+			cand := candidatePlan(r, s, popt, algo, scheme, prof)
 			if cand.PredictedNS < best.PredictedNS {
 				t.Errorf("candidate %s-%s predicted %.0f ns beats chosen %s-%s at %.0f ns",
 					algo, scheme, cand.PredictedNS, best.Algo, best.Scheme, best.PredictedNS)
@@ -176,6 +188,94 @@ func TestStaticGeometryMatchesTables(t *testing.T) {
 				t.Errorf("PHJ |R|=%d: %d partitions against a plan of %d", n, rn.geo.parts, rn.geo.plan.Partitions())
 			}
 			rn.release()
+		}
+	}
+}
+
+// TestConcurrentPlansEqualSerial: plans made concurrently, each on whichever
+// pooled planning scratch its goroutine draws, equal plans of the same
+// shapes made one after another — so no scratch state leaks from one plan
+// into the next and no winner keeps a ratio vector the scratch reuses. The
+// shapes cover SHJ and PHJ winners (4 096, 16 384 and 2^19 tuples a side),
+// δ 0.02 and 0.05, the full grid, separate tables and the discrete
+// architecture; the goroutines take them in different orders and alternate
+// BuildPlan with BuildPlanKept over a pilot kept for the build side, and
+// the plans are compared only once every goroutine has finished.
+func TestConcurrentPlansEqualSerial(t *testing.T) {
+	type shape struct {
+		r, s rel.Relation
+		opt  Options
+	}
+	var shapes []shape
+	var kept []*Pilot
+	for i, n := range []int{1 << 12, 1 << 14, 1 << 19} {
+		r := rel.Gen{N: n, Seed: int64(1 + 2*i)}.Build()
+		s := rel.Gen{N: n, Seed: int64(2 + 2*i)}.Probe(r, 1.0)
+		for _, opt := range []Options{{}, {Delta: 0.05}, {FullGrid: true}, {SeparateTables: true}, {Arch: Discrete}} {
+			opt.PilotItems = 1 << 12
+			shapes = append(shapes, shape{r, s, opt})
+			_, p, err := BuildPlanKept(r, s, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, p)
+		}
+	}
+	defer func() {
+		for _, p := range kept {
+			p.Release()
+		}
+	}()
+	serial := make([]*Plan, len(shapes))
+	algos := map[Algo]bool{}
+	for i, sh := range shapes {
+		var err error
+		if serial[i], err = BuildPlan(sh.r, sh.s, sh.opt); err != nil {
+			t.Fatal(err)
+		}
+		algos[serial[i].Algo] = true
+	}
+	if !algos[SHJ] || !algos[PHJ] {
+		t.Fatalf("the shapes' plans choose %v: want both algorithms", algos)
+	}
+
+	const goroutines, rounds = 4, 2
+	shapeOf := func(g, k int) int { // even goroutines ascend, odd ones descend
+		i := (4*g + k) % len(shapes)
+		if g%2 == 1 {
+			i = len(shapes) - 1 - i
+		}
+		return i
+	}
+	got := make([][]*Plan, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		got[g] = make([]*Plan, rounds*len(shapes))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range got[g] {
+				i := shapeOf(g, k)
+				sh := shapes[i]
+				var err error
+				if k%2 == g%2 {
+					got[g][k], err = BuildPlan(sh.r, sh.s, sh.opt)
+				} else {
+					got[g][k], _, err = BuildPlanKept(sh.r, sh.s, sh.opt, kept[i])
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for k, pl := range got[g] {
+			if i := shapeOf(g, k); !reflect.DeepEqual(pl, serial[i]) {
+				t.Errorf("goroutine %d, plan %d (shape %d, %+v): %+v, the serial plan %+v", g, k, i, shapes[i].opt, pl, serial[i])
+			}
 		}
 	}
 }

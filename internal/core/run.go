@@ -273,7 +273,7 @@ func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, step
 	case rn.opt.Scheme == BasicUnit:
 		return choice{}
 	case fixed == nil:
-		ratios, est := schemeRatios(model, rn.opt, prof, items, steps)
+		ratios, est := schemeRatios(model, rn.opt, prof, items, make(sched.Ratios, steps))
 		return choice{ratios, est}
 	case len(fixed) == 1 && steps > 1:
 		fixed = sched.Uniform(fixed[0], steps)
@@ -281,44 +281,47 @@ func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, step
 	return choice{fixed, model.EstimateNS(prof, items, fixed)}
 }
 
-// schemeRatios runs the per-scheme ratio optimizer for one series,
-// returning the chosen ratios with the model's estimate. It is shared by
-// the run-time ratio choice and the ahead-of-time planner (BuildPlan), so
-// a plan's fixed ratios are exactly what an unplanned run would search for
-// under the same profiles and environment.
-func schemeRatios(model *cost.Model, opt Options, prof cost.SeriesProfile, items, steps int) (sched.Ratios, float64) {
+// schemeRatios runs the per-scheme ratio optimizer for one series into
+// ratios, one per step of the series, and returns them with the model's
+// estimate; the searching schemes (OL on a shared table, PL, PL') choose one
+// per profiled step, into ratios cut to that. It is shared by the run-time
+// ratio choice and the ahead-of-time planner (BuildPlan), so a plan's fixed
+// ratios are exactly what an unplanned run would search for under the same
+// profiles and environment.
+func schemeRatios(model *cost.Model, opt Options, prof cost.SeriesProfile, items int, ratios sched.Ratios) (sched.Ratios, float64) {
 	switch opt.Scheme {
 	case CPUOnly:
-		r := sched.Uniform(1, steps)
-		return r, model.EstimateNS(prof, items, r)
+		ratios.Fill(1)
 	case GPUOnly:
-		r := sched.Uniform(0, steps)
-		return r, model.EstimateNS(prof, items, r)
+		ratios.Fill(0)
 	case OL:
-		if opt.SeparateTables {
-			// Whole-phase offload keeps each tuple on one device/table.
-			cpu := sched.Uniform(1, steps)
-			gpu := sched.Uniform(0, steps)
-			tc := model.EstimateNS(prof, items, cpu)
-			tg := model.EstimateNS(prof, items, gpu)
-			if tc < tg {
-				return cpu, tc
-			}
-			return gpu, tg
+		if !opt.SeparateTables {
+			ratios = ratios[:len(prof.Steps)]
+			return ratios, model.OptimizeOLInto(prof, items, ratios)
 		}
-		return model.OptimizeOL(prof, items)
+		// Whole-phase offload keeps each tuple on one device/table.
+		ratios.Fill(0)
+		tg := model.EstimateNS(prof, items, ratios)
+		ratios.Fill(1)
+		if tc := model.EstimateNS(prof, items, ratios); tc < tg {
+			return ratios, tc
+		}
+		ratios.Fill(0)
+		return ratios, tg
 	case DD:
 		r, est := model.OptimizeDD(prof, items, opt.Delta)
-		return sched.Uniform(r, steps), est
+		ratios.Fill(r)
+		return ratios, est
 	case PL, CoarsePL:
+		ratios = ratios[:len(prof.Steps)]
 		if opt.FullGrid {
-			return model.OptimizePL(prof, items, opt.Delta)
+			return ratios, model.OptimizePLInto(prof, items, opt.Delta, ratios)
 		}
-		return model.OptimizePLRefined(prof, items, opt.Delta)
+		return ratios, model.OptimizePLRefinedInto(prof, items, opt.Delta, ratios)
 	default:
-		r := sched.Uniform(0.5, steps)
-		return r, model.EstimateNS(prof, items, r)
+		ratios.Fill(0.5)
 	}
+	return ratios, model.EstimateNS(prof, items, ratios)
 }
 
 // recordSteps appends the executed series' per-step timings to the result.

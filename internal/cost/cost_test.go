@@ -9,6 +9,23 @@ import (
 	"apujoin/internal/sched"
 )
 
+// OptimizePL, OptimizePLRefined and OptimizeOL are the searches into a new
+// vector, which the tests compare and keep.
+func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
+	best := make(sched.Ratios, len(sp.Steps))
+	return best, m.OptimizePLInto(sp, items, delta, best)
+}
+
+func (m *Model) OptimizePLRefined(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
+	best := make(sched.Ratios, len(sp.Steps))
+	return best, m.OptimizePLRefinedInto(sp, items, delta, best)
+}
+
+func (m *Model) OptimizeOL(sp SeriesProfile, items int) (sched.Ratios, float64) {
+	ratios := make(sched.Ratios, len(sp.Steps))
+	return ratios, m.OptimizeOLInto(sp, items, ratios)
+}
+
 // fixedEnv gives every step the same memory environment.
 func fixedEnv(e device.Env) sched.EnvFor {
 	return func(sched.StepID, *device.Device) device.Env { return e }

@@ -39,8 +39,10 @@ func gridValues(vs []float64, delta float64) []float64 {
 	return vs
 }
 
-// search is the ratio searches' scratch, held on the Model and grown once
-// so that a search on a warm Model allocates nothing but its result. A
+// search is the ratio searches' scratch, held on the Model and grown once,
+// so that a search on a warm Model allocates nothing: the planner keeps one
+// Model per pooled planning scratch, and its tables serve every candidate of
+// every plan made on it, the results going into the planner's buffers. A
 // step's time depends on nothing but its own ratio, so each search first
 // tabulates the step's price over the grid — 2·n prices, 2·n·|grid| table
 // entries — and then combines table entries, where pricing every candidate
@@ -117,10 +119,12 @@ func (s *search) uniform(n int) (int, float64) {
 	return bestK, bestT
 }
 
-// OptimizePL exhaustively searches the δ-grid over all per-step ratios —
+// OptimizePLInto exhaustively searches the δ-grid over all per-step ratios —
 // the paper's approach ("we consider all the possible ratios at the step
-// of δ for r_i") — and returns the ratios with the lowest estimated time,
-// the first such in lexicographic grid order.
+// of δ for r_i") — and writes into best, one ratio per step, the ratios
+// with the lowest estimated time, the first such in lexicographic grid
+// order, returning that time. best is the caller's: a planner prices many
+// candidates into its own buffers and keeps one.
 //
 // The search space is |grid|^n — 51^4 ≈ 6.8M candidates at δ=0.02 over a
 // 4-step series — but candidates sharing a ratio prefix share its partial
@@ -129,14 +133,8 @@ func (s *search) uniform(n int) (int, float64) {
 // uniform leaf, and subtrees that provably cannot beat the incumbent are
 // skipped. BenchmarkOptimizePLFullGrid reads 0.7–0.85 ms for that grid on
 // the two-core machine where pricing each leaf through EstimateNS read
-// 1.8 s; OptimizePLRefined, the default, 42–49 µs.
-func (m *Model) OptimizePL(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
-	best := make(sched.Ratios, len(sp.Steps))
-	return best, m.searchGrid(sp, items, delta, best)
-}
-
-// searchGrid is OptimizePL into a caller-supplied result.
-func (m *Model) searchGrid(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
+// 1.8 s; OptimizePLRefinedInto, the default, 42–49 µs.
+func (m *Model) OptimizePLInto(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
 	n := len(sp.Steps)
 	if n == 0 {
 		return 0
@@ -222,22 +220,17 @@ func (s *search) descend(rest []float64, step int, cpuSum, gpuSum, rp, gpuPrev f
 	}
 }
 
-// OptimizePLRefined runs a coarse grid pass followed by coordinate descent
-// at the requested δ. It finds the same optima as the full grid on the
-// well-behaved cost surfaces of the hash join series at a fraction of the
-// evaluations, and is what the join driver uses by default.
-func (m *Model) OptimizePLRefined(sp SeriesProfile, items int, delta float64) (sched.Ratios, float64) {
-	best := make(sched.Ratios, len(sp.Steps))
-	return best, m.searchRefined(sp, items, delta, best)
-}
-
-// searchRefined is OptimizePLRefined into a caller-supplied result.
-func (m *Model) searchRefined(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
+// OptimizePLRefinedInto runs a coarse grid pass followed by coordinate
+// descent at the requested δ, into best, one ratio per step, and returns the
+// time. It finds the same optima as the full grid on the well-behaved cost
+// surfaces of the hash join series at a fraction of the evaluations, and is
+// what the join driver uses by default.
+func (m *Model) OptimizePLRefinedInto(sp SeriesProfile, items int, delta float64, best sched.Ratios) float64 {
 	coarse := 0.1
 	if delta > coarse {
 		coarse = delta
 	}
-	bestT := m.searchGrid(sp, items, coarse, best)
+	bestT := m.OptimizePLInto(sp, items, coarse, best)
 
 	// The descent holds the current point's step times and swaps one
 	// step's pair for a table entry per probe. The coarse pass's values
@@ -278,15 +271,13 @@ func (m *Model) OptimizeDD(sp SeriesProfile, items int, delta float64) (float64,
 	return m.search.grid[k], t
 }
 
-// OptimizeOL decides, per step, whether it runs entirely on the CPU or the
-// GPU — the off-loading scheme. On the coupled architecture the decision is
-// independent per step ("depending only on the performance comparison of
-// running the steps on the CPU and the GPU", Sec. 3.2), so the search is
-// linear rather than 2^n: 2·n step times and one EstimateNS, nothing a table
-// would save.
-func (m *Model) OptimizeOL(sp SeriesProfile, items int) (sched.Ratios, float64) {
-	n := len(sp.Steps)
-	ratios := make(sched.Ratios, n)
+// OptimizeOLInto decides, per step, whether it runs entirely on the CPU or
+// the GPU — the off-loading scheme — into ratios, one per step, and returns
+// the time. On the coupled architecture the decision is independent per
+// step ("depending only on the performance comparison of running the steps
+// on the CPU and the GPU", Sec. 3.2), so the search is linear rather than
+// 2^n: 2·n step times and one EstimateNS, nothing a table would save.
+func (m *Model) OptimizeOLInto(sp SeriesProfile, items int, ratios sched.Ratios) float64 {
 	cpuDev, gpuDev := newDevPair(m)
 	for i := range sp.Steps {
 		p := &sp.Steps[i]
@@ -297,7 +288,7 @@ func (m *Model) OptimizeOL(sp SeriesProfile, items int) (sched.Ratios, float64) 
 			ratios[i] = 0
 		}
 	}
-	return ratios, m.EstimateNS(sp, items, ratios)
+	return m.EstimateNS(sp, items, ratios)
 }
 
 // MonteCarloSample is one randomized PL configuration and its estimate.

@@ -431,23 +431,23 @@ func TestPruneNeedsNonNegativeTables(t *testing.T) {
 
 // TestSearchesAllocateNothing: on a warm Model the searches work entirely in
 // the model's scratch, the exhaustive search's seed and prefix bound
-// included. OptimizePL and OptimizePLRefined return a vector the caller
-// keeps (a Plan stores it), which is their one allocation.
+// included. The tests' OptimizePLRefined returns a new vector, its one
+// allocation.
 func TestSearchesAllocateNothing(t *testing.T) {
 	m := testModel()
 	sp := SeriesProfile{Name: "s", Steps: []StepProfile{computeProfile(), chaseProfile(), computeProfile(), chaseProfile()}}
 	best := make(sched.Ratios, len(sp.Steps))
-	m.searchRefined(sp, 1<<20, 0.02, best) // warm: the largest tables come first
+	m.OptimizePLRefinedInto(sp, 1<<20, 0.02, best) // warm: the largest tables come first
 	if !m.search.prune {
 		t.Fatal("the exhaustive search ran unseeded and unbounded on an ordinary profile")
 	}
 
 	for name, search := range map[string]func(){
-		"searchRefined δ=0.02": func() { m.searchRefined(sp, 1<<20, 0.02, best) },
-		"searchRefined δ=0.05": func() { m.searchRefined(sp, 1<<20, 0.05, best) },
-		"searchGrid δ=0.1":     func() { m.searchGrid(sp, 1<<20, 0.1, best) },
-		"searchGrid δ=0.05":    func() { m.searchGrid(sp, 1<<20, 0.05, best) },
-		"OptimizeDD δ=0.02":    func() { m.OptimizeDD(sp, 1<<20, 0.02) },
+		"OptimizePLRefinedInto δ=0.02": func() { m.OptimizePLRefinedInto(sp, 1<<20, 0.02, best) },
+		"OptimizePLRefinedInto δ=0.05": func() { m.OptimizePLRefinedInto(sp, 1<<20, 0.05, best) },
+		"OptimizePLInto δ=0.1":         func() { m.OptimizePLInto(sp, 1<<20, 0.1, best) },
+		"OptimizePLInto δ=0.05":        func() { m.OptimizePLInto(sp, 1<<20, 0.05, best) },
+		"OptimizeDD δ=0.02":            func() { m.OptimizeDD(sp, 1<<20, 0.02) },
 	} {
 		if n := testing.AllocsPerRun(20, search); n != 0 {
 			t.Errorf("%s allocates %v times per run on a warm model, want 0", name, n)

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -23,31 +22,38 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// entry is one cached plan keyed by its fingerprint.
+// entry is one fingerprint's slot: first the in-flight record of its
+// build, which concurrent requests for the fingerprint wait on instead of
+// running their own pilot, then, built, a node of the LRU ring. One object
+// serves both, so a miss allocates the entry and, only when another request
+// waits on it, its done channel.
 type entry struct {
 	fp   Fingerprint
 	plan *core.Plan
-}
-
-// flight is one in-progress plan build; concurrent requests for the same
-// fingerprint wait on done instead of running their own pilot.
-type flight struct {
-	done chan struct{}
-	plan *core.Plan
 	err  error
+	// done is closed when the build ends; made by the first waiter.
+	done chan struct{}
+	// prev and next link the LRU ring through the cache's sentinel; both
+	// are nil while the build runs.
+	prev, next *entry
 }
 
 // Cache is a bounded LRU of execution plans, safe for concurrent use.
 // Concurrent misses on one fingerprint are coalesced: exactly one caller
 // runs the build (the pilot plus the candidate searches) while the rest
 // wait for its result, so a burst of identical queries onto a cold cache
-// pays for one pilot, not N.
+// pays for one pilot, not N. A miss nobody waits on makes two objects: its
+// entry, the in-flight record that becomes the LRU node, and the map's copy
+// of its fingerprint.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[Fingerprint]*list.Element
-	lru       *list.List // front = most recently used
-	inflight  map[Fingerprint]*flight
+	mu       sync.Mutex
+	capacity int
+	// entries holds every resident entry and every build in flight;
+	// resident counts the former, which lru rings, front (lru.next) the
+	// most recently used.
+	entries   map[Fingerprint]*entry
+	lru       entry
+	resident  int
 	hits      int64
 	misses    int64
 	evictions int64
@@ -59,29 +65,21 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[Fingerprint]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[Fingerprint]*flight),
-	}
+	c := &Cache{capacity: capacity, entries: make(map[Fingerprint]*entry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
-// putLocked inserts (or refreshes) a plan, evicting the least recently
-// used entries beyond capacity.
-func (c *Cache) putLocked(fp Fingerprint, pl *core.Plan) {
-	if el, ok := c.entries[fp]; ok {
-		el.Value.(*entry).plan = pl
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[fp] = c.lru.PushFront(&entry{fp: fp, plan: pl})
-	for len(c.entries) > c.capacity {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*entry).fp)
-		c.evictions++
-	}
+// unlink takes e out of the LRU ring.
+func (c *Cache) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFront links e in as the most recently used entry.
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // GetOrBuild returns the plan for fp, building and caching it on a miss.
@@ -97,52 +95,67 @@ func (c *Cache) putLocked(fp Fingerprint, pl *core.Plan) {
 // every later query of the shape regardless of who first asked for it.
 func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*core.Plan, error)) (pl *core.Plan, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[fp]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		pl = el.Value.(*entry).plan
-		c.mu.Unlock()
-		return pl, true, nil
-	}
-	if fl, ok := c.inflight[fp]; ok {
+	if e, ok := c.entries[fp]; ok {
+		if e.next != nil {
+			c.unlink(e)
+			c.pushFront(e)
+			c.hits++
+			c.mu.Unlock()
+			return e.plan, true, nil
+		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
 		c.mu.Unlock()
 		select {
-		case <-fl.done:
+		case <-done:
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		if fl.err != nil {
-			return nil, false, fl.err
+		if e.err != nil {
+			return nil, false, e.err
 		}
 		c.mu.Lock()
 		c.hits++
 		c.mu.Unlock()
-		return fl.plan, true, nil
+		return e.plan, true, nil
 	}
 	if err := ctx.Err(); err != nil {
 		c.mu.Unlock()
 		return nil, false, err
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[fp] = fl
+	e := &entry{fp: fp}
+	c.entries[fp] = e
 	c.misses++
 	c.mu.Unlock()
 
 	defer func() {
-		if fl.plan == nil && fl.err == nil {
+		if e.plan == nil && e.err == nil {
 			// build panicked; unblock waiters with an error.
-			fl.err = fmt.Errorf("plan: build for %v aborted", fp)
+			e.err = fmt.Errorf("plan: build for %v aborted", fp)
 		}
 		c.mu.Lock()
-		delete(c.inflight, fp)
-		if fl.err == nil {
-			c.putLocked(fp, fl.plan)
+		if e.err != nil {
+			delete(c.entries, fp)
+		} else {
+			c.pushFront(e)
+			c.resident++
+			for c.resident > c.capacity {
+				back := c.lru.prev
+				c.unlink(back)
+				delete(c.entries, back.fp)
+				c.resident--
+				c.evictions++
+			}
+		}
+		if e.done != nil {
+			close(e.done)
 		}
 		c.mu.Unlock()
-		close(fl.done)
 	}()
-	fl.plan, fl.err = build()
-	return fl.plan, false, fl.err
+	e.plan, e.err = build()
+	return e.plan, false, e.err
 }
 
 // Stats snapshots the cache counters.
@@ -151,7 +164,7 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Capacity:  c.capacity,
-		Entries:   len(c.entries),
+		Entries:   c.resident,
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,

@@ -123,6 +123,42 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
+// TestCacheMissAllocations: a miss nobody waits on allocates its entry — the
+// in-flight record that becomes the LRU node — and the map's copy of its
+// key (a Fingerprint is wider than the 128 bytes a Go map holds in place),
+// and a hit allocates nothing. The cache holds fewer fingerprints than the
+// loop cycles, so every miss evicts too.
+func TestCacheMissAllocations(t *testing.T) {
+	c := NewCache(128)
+	pl := &core.Plan{}
+	build := func() (*core.Plan, error) { return pl, nil }
+	fps := make([]Fingerprint, 192)
+	for i := range fps {
+		fps[i] = Fingerprint{R: i + 1}
+	}
+	next := 0
+	get := func() {
+		if _, _, err := c.GetOrBuild(context.Background(), fps[next%len(fps)], build); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 2 * len(fps) {
+		get()
+	}
+	if n := testing.AllocsPerRun(len(fps), get); n > 2 {
+		t.Errorf("a miss allocates %v objects, want at most 2 (its entry and its key)", n)
+	}
+	hit := func() {
+		if _, hit, err := c.GetOrBuild(context.Background(), fps[(next-1)%len(fps)], build); err != nil || !hit {
+			t.Fatalf("hit %v, err %v", hit, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, hit); n != 0 {
+		t.Errorf("a hit allocates %v objects, want 0", n)
+	}
+}
+
 // TestCacheConcurrent: hammer one cache from many goroutines across a few
 // fingerprints with a capacity that forces constant eviction — run under
 // -race in CI. Every caller must observe the plan its fingerprint maps to,

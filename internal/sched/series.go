@@ -104,10 +104,15 @@ type Ratios []float64
 // Uniform returns DD ratios: the same r for every one of n steps.
 func Uniform(r float64, n int) Ratios {
 	out := make(Ratios, n)
-	for i := range out {
-		out[i] = r
-	}
+	out.Fill(r)
 	return out
+}
+
+// Fill sets every ratio to r: Uniform into a vector the caller holds.
+func (rs Ratios) Fill(r float64) {
+	for i := range rs {
+		rs[i] = r
+	}
 }
 
 // Validate checks all ratios are within [0,1] and the count matches n.

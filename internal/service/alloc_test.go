@@ -2,25 +2,28 @@ package service
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"testing"
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/core"
 	"apujoin/internal/rel"
+	"apujoin/internal/sched"
 )
 
 // TestServedJoinAllocations holds one in-process served join — an auto
 // join of two registered relations, submitted, admitted and waited for,
-// its plan and its build record warm — to a ceiling of objects, a third
-// of the 84 it made when every run built its devices, series and closures
-// and every pooled step its batch. The collector is off, so that
-// no allocation hides behind a collection.
+// its plan and its build record warm — to a ceiling of objects, under a
+// third of the 84 it made when every run built its devices, series and
+// closures and every pooled step its batch; its grid of one runs inline
+// (runPartitions). The collector is off, so that no allocation hides
+// behind a collection.
 func TestServedJoinAllocations(t *testing.T) {
 	if alloc.PoisonOnPut {
 		t.Skip("a race build allocates for the detector and drops recycled objects at random; the counts hold in plain builds")
 	}
-	const ceiling = 27
+	const ceiling = 25
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	svc := New(Config{Workers: 2, MaxConcurrent: 2})
 	defer svc.Close()
@@ -47,4 +50,40 @@ func TestServedJoinAllocations(t *testing.T) {
 		t.Errorf("a served join allocates %v times, above the ceiling of %v", got, ceiling)
 	}
 	t.Logf("a served join allocates %v times (ceiling %v)", got, ceiling)
+}
+
+// TestRunPartitionsOfOne: a grid of one runs its partition on the caller —
+// no dispatch, no error array, no closure — and allocates nothing; a grid of
+// two dispatches both partitions and names the failing one.
+func TestRunPartitionsOfOne(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ran := 0
+	fn := func(p int) error {
+		ran++
+		return nil
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := runPartitions(pool, 1, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a grid of one allocates %v times, want 0", n)
+	}
+	if ran != 101 {
+		t.Fatalf("fn ran %d times in 101 grids of one", ran)
+	}
+	boom := errors.New("boom")
+	if err := runPartitions(pool, 1, func(int) error { return boom }); err != boom {
+		t.Fatalf("a grid of one returned %v, want its partition's error as it is", err)
+	}
+	err := runPartitions(pool, 2, func(p int) error {
+		if p == 1 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || err.Error() != "partition 1: boom" {
+		t.Fatalf("a grid of two returned %v, want partition 1's error", err)
+	}
 }

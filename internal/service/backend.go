@@ -239,17 +239,17 @@ func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result,
 
 // runPartitions runs fn once per partition, concurrently on the pool, and
 // returns the lowest failing partition's error: deterministic whatever
-// order the partitions finished in. A single partition has no partition to
-// name.
+// order the partitions finished in. A single partition runs on the caller,
+// with nothing to dispatch or allocate, and has no partition to name.
 func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
 	var errs [shard.Partitions]error
 	pool.ForEach(n, func(p int) { errs[p] = fn(p) })
 	for p, err := range errs[:n] {
-		if err != nil && n > 1 {
-			return fmt.Errorf("partition %d: %w", p, err)
-		}
 		if err != nil {
-			return err
+			return fmt.Errorf("partition %d: %w", p, err)
 		}
 	}
 	return nil

@@ -468,18 +468,28 @@ func watchSpills(t *testing.T) func() []spillLevel {
 
 // followersRanLeaders checks that every sub-join a follower ran under an
 // inherited plan reports that plan's algorithm, scheme, probe profile and
-// ratios, and returns how many it checked. The leader's own steps, steps
-// a follower planned for itself, merged steps of a nested level and empty
-// ones are not follower sub-joins.
-func followersRanLeaders(t *testing.T, levels []spillLevel) (checked int) {
+// ratios, and returns how many it checked. A sub-join behind a nil entry of
+// the plan table must have been planned alone: every plan's profiles
+// include the partition pass its PHJ pilot takes, which the SHJ base
+// options' own pilot never profiles; alone counts those. The leader's own
+// steps, merged steps of a nested level and empty ones are not follower
+// sub-joins.
+func followersRanLeaders(t *testing.T, levels []spillLevel) (inherited, alone int) {
 	t.Helper()
 	for _, lv := range levels {
 		k := len(lv.plans)
 		for i, r := range lv.steps {
-			if k == 0 || i/k == lv.leader || lv.plans[i%k] == nil || len(r.Ratios.Probe) == 0 {
+			if k == 0 || i/k == lv.leader || len(r.Ratios.Probe) == 0 {
 				continue
 			}
 			pl := lv.plans[i%k]
+			if pl == nil {
+				if len(r.PartitionProfile.Steps) == 0 {
+					t.Errorf("partition %d step %d ran %s-%s unplanned: its leader planned nothing for it, so it plans alone", i/k, i%k, r.Algo, r.Scheme)
+				}
+				alone++
+				continue
+			}
 			ok := r.Algo == pl.Algo && r.Scheme == pl.Scheme && reflect.DeepEqual(r.ProbeProfile, pl.Probe) &&
 				(pl.BuildRatios == nil || reflect.DeepEqual(r.Ratios.Build, pl.BuildRatios)) &&
 				(pl.ProbeRatios == nil || reflect.DeepEqual(r.Ratios.Probe, pl.ProbeRatios))
@@ -490,10 +500,10 @@ func followersRanLeaders(t *testing.T, levels []spillLevel) (checked int) {
 				t.Errorf("partition %d step %d ran %s-%s with ratios %v, its leader's plan is %s with %v / %v / %v",
 					i/k, i%k, r.Algo, r.Scheme, r.Ratios, pl, pl.PartitionRatios, pl.BuildRatios, pl.ProbeRatios)
 			}
-			checked++
+			inherited++
 		}
 	}
-	return checked
+	return inherited, alone
 }
 
 // TestSpillLeaderPlans: a spill level plans once. Its leader chain plans
@@ -520,7 +530,7 @@ func TestSpillLeaderPlans(t *testing.T) {
 								if lookups := after[0] + after[1] - before[0] - before[1]; lookups != int64(len(pr.Steps)) {
 									t.Errorf("%s: %d plan lookups, want one per remaining step: %d", temp, lookups, len(pr.Steps))
 								}
-								if n := followersRanLeaders(t, take()); n == 0 {
+								if n, _ := followersRanLeaders(t, take()); n == 0 {
 									t.Errorf("%s: no follower sub-join ran an inherited plan", temp)
 								}
 								if want == nil {
@@ -645,17 +655,9 @@ func TestSpillLeaderFallback(t *testing.T) {
 					if cold[0]+cold[1] != int64(planned) {
 						t.Errorf("%d plan lookups, the leader planned %d steps: a follower looked a plan up", cold[0]+cold[1], planned)
 					}
-					if planned == 0 {
-						// Nothing to inherit: every follower sub-join ran
-						// under a plan of its own, never the base options.
-						base := tc.sh.spec(svc).Opt.Scheme
-						for i, r := range top.steps {
-							if k := len(top.plans); i/k != top.leader && len(r.Ratios.Probe) > 0 && r.Scheme == base {
-								t.Errorf("partition %d step %d ran the base options' %s: it planned nothing", i/k, i%k, r.Scheme)
-							}
-						}
-					} else if followersRanLeaders(t, levels) == 0 {
-						t.Errorf("no follower sub-join ran an inherited plan")
+					inherited, alone := followersRanLeaders(t, levels)
+					if (inherited > 0) != (planned > 0) || (alone > 0) != (tc.unplanned > 0) {
+						t.Errorf("%d follower sub-joins ran an inherited plan and %d planned alone; the leader planned %d steps and left %d", inherited, alone, planned, tc.unplanned)
 					}
 					tc.sh.exec(t, svc)
 					take()
