@@ -34,7 +34,7 @@ COVERAGE_FLOOR ?= 91
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1981 internal/plan:386 internal/httpapi:590 internal/core:1657 internal/cluster:302 internal/catalog:307 internal/htab:557 internal/rel:347
+LOC_CEILINGS ?= internal/service:2034 internal/plan:387 internal/httpapi:590 internal/core:1738 internal/cluster:302 internal/catalog:307 internal/htab:559 internal/rel:347
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check rid-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 

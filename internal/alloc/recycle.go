@@ -38,12 +38,15 @@ import (
 const PoisonWord int32 = 0x5A5A5A5A
 
 const (
-	// MinSlabWords is the smallest request the recycler serves (4 KiB)
-	// and the size of class 0; anything smaller is a plain make, which the
-	// runtime's own size classes already recycle well. A consumer that asks
-	// for at least this much gets every small array from the recycler too.
+	// MinSlabWords is the smallest request the recycler serves (256 B)
+	// and the size of class 0; anything smaller is a plain make. It is
+	// small on purpose: a spilled pipeline runs many sub-joins of a few
+	// hundred tuples, whose scratch, bucket headers, node arrays and
+	// intermediates, made fresh, were most of its garbage. A consumer that
+	// asks for at least this much gets every smaller array from the
+	// recycler too.
 	MinSlabWords = 1 << minShift
-	minShift     = 10
+	minShift     = 6
 	// The largest class is 7<<(minShift-2+numClasses/4-1) = 7<<28 words;
 	// an Arena is indexed by int32, so nothing larger than 1<<31 is asked for.
 	numClasses = 4 * (31 - minShift)

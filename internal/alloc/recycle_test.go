@@ -27,7 +27,7 @@ func TestSizeClasses(t *testing.T) {
 			}
 		}
 	}
-	for c, want := range []int{1024, 1280, 1536, 1792, 2048, 2560} {
+	for c, want := range []int{64, 80, 96, 112, 128, 160} {
 		if got := classWords(c); got != want {
 			t.Fatalf("class %d holds %d words, want %d", c, got, want)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -66,4 +68,73 @@ func TestWarmRunAllocations(t *testing.T) {
 		}
 		t.Logf("a warm %s-%s run %s allocates %v times (ceiling %v)", c.algo, c.scheme, where, got, c.ceiling)
 	}
+}
+
+// TestColdRunAllocations holds a cold run — RunCtx, no plan, no kept build
+// side, so the pilot and the ratio searches run — to the objects its Result
+// keeps: the Result and its step timings, the pilot's profiles, the chosen
+// ratio vectors and, for PHJ, the list of its partition ratios; a run on no
+// pool also makes its transient pool of one. Its table, arena, runner,
+// pilot and search scratch all come pooled. The collector is off, so that
+// no allocation hides behind a collection.
+func TestColdRunAllocations(t *testing.T) {
+	if alloc.PoisonOnPut {
+		t.Skip("a race build allocates for the detector and drops recycled objects at random; the counts hold in plain builds")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 2 * sched.MorselItems
+	r := rel.Gen{N: n, Seed: 53}.Build()
+	s := rel.Gen{N: n, Seed: 54}.Probe(r, 0.9)
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, algo := range []Algo{SHJ, PHJ} {
+		for _, p := range []*sched.Pool{nil, pool} {
+			opt := Options{Algo: algo, Scheme: PL, PilotItems: 1 << 12, Workers: 1, Pool: p}
+			var res *Result
+			run := func() {
+				var err error
+				if res, err = RunCtx(context.Background(), r, s, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oneP(run)
+			got := testing.AllocsPerRun(20, run)
+			want := resultObjects(res)
+			where := "on no pool"
+			if p == nil {
+				want++
+			} else {
+				where = "on a pool of 2"
+			}
+			if got > float64(want) {
+				t.Errorf("a cold %s-PL run %s allocates %v times, above the %d objects its Result keeps", algo, where, got, want)
+			}
+			t.Logf("a cold %s-PL run %s allocates %v times (its Result keeps %d objects)", algo, where, got, want)
+		}
+	}
+}
+
+// oneP warms run up on one P, where testing.AllocsPerRun measures: the
+// sync.Pools' per-P caches settle only a run or two after GOMAXPROCS
+// changes, and a pooled runner or batch stranded on another P's cache
+// would be made again in the measurement.
+func oneP(run func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 3 {
+		run()
+	}
+}
+
+// resultObjects counts the heap objects a run's Result holds: itself, its
+// step timings, every profile's steps and every ratio vector, and the list
+// of its partition ratios.
+func resultObjects(res *Result) int {
+	n := 1
+	for _, held := range []bool{res.Steps != nil, res.PartitionProfile.Steps != nil, res.BuildProfile.Steps != nil,
+		res.ProbeProfile.Steps != nil, res.Ratios.Build != nil, res.Ratios.Probe != nil, res.Ratios.Partition != nil} {
+		if held {
+			n++
+		}
+	}
+	return n + len(res.Ratios.Partition)
 }

@@ -101,9 +101,11 @@ func (rec *BuildRecord) Bytes() int64 { return rec.table.Bytes() }
 // Release hands the table's slabs back to the recycler.
 func (rec *BuildRecord) Release() { rec.table.Release() }
 
-// detach copies out of the runner the buffers the record was made in
-// (choosePasses, buildSide), so that it outlives the run.
+// detach moves out of the runner the table and the buffers the record was
+// made in (choosePasses, buildSide), so that it outlives the run and holds
+// no pointer into the runner.
 func (rec *BuildRecord) detach() {
+	rec.table = rec.table.Moved()
 	rec.key.passes = slices.Clone(rec.key.passes)
 	rec.part.Steps = slices.Clone(rec.part.Steps)
 	rec.part.Ratios.Partition = slices.Clone(rec.part.Ratios.Partition)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"apujoin/internal/alloc"
@@ -279,5 +280,49 @@ func TestMonteCarloPhaseShape(t *testing.T) {
 	}
 	if _, _, err := MonteCarloPhase(r, s, opt, "bogus", 10, 1); err == nil {
 		t.Error("bogus phase accepted")
+	}
+}
+
+// TestEmptySide: a join with an empty side, either one, runs under every
+// algorithm and scheme and matches nothing. The pilot then profiles nothing,
+// so the searching schemes (OL on a shared table, PL, PL') have no step to
+// search: they divide every step as DD does, and report DD's times and
+// ratios under their own labels.
+func TestEmptySide(t *testing.T) {
+	r, _ := testData(1000)
+	schemes := []Scheme{CPUOnly, GPUOnly, DD, OL, PL, BasicUnit, CoarsePL}
+	for _, algo := range []Algo{SHJ, PHJ} {
+		for _, scheme := range schemes {
+			if scheme == CoarsePL && algo != PHJ {
+				continue
+			}
+			for _, side := range []string{"build", "probe"} {
+				a, b := r, rel.Relation{}
+				if side == "build" {
+					a, b = b, a
+				}
+				opt := Options{Algo: algo, Scheme: scheme, Workers: 1}
+				res, err := Run(a, b, opt)
+				if err != nil {
+					t.Errorf("%s-%s, empty %s side: %v", algo, scheme, side, err)
+					continue
+				}
+				if res.Matches != 0 || res.Algo != algo || res.Scheme != scheme {
+					t.Errorf("%s-%s, empty %s side: %d matches under %s-%s, want 0 under its own labels", algo, scheme, side, res.Matches, res.Algo, res.Scheme)
+				}
+				if scheme != OL && scheme != PL {
+					continue
+				}
+				opt.Scheme = DD
+				dd, err := Run(a, b, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.TotalNS != dd.TotalNS || !slices.Equal(res.Ratios.Build, dd.Ratios.Build) || !slices.Equal(res.Ratios.Probe, dd.Ratios.Probe) {
+					t.Errorf("%s-%s, empty %s side: %v ns at ratios %v / %v, want DD's %v ns at %v / %v", algo, scheme, side,
+						res.TotalNS, res.Ratios.Build, res.Ratios.Probe, dd.TotalNS, dd.Ratios.Build, dd.Ratios.Probe)
+				}
+			}
+		}
 	}
 }

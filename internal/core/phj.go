@@ -6,7 +6,6 @@ import (
 	"apujoin/internal/alloc"
 	"apujoin/internal/cost"
 	"apujoin/internal/device"
-	"apujoin/internal/htab"
 	"apujoin/internal/mem"
 	"apujoin/internal/radix"
 	"apujoin/internal/rel"
@@ -87,13 +86,23 @@ func (rn *runner) partitionRel(res *Result, exec *sched.Exec, passes []choice, p
 // choosePasses chooses the ratios of every radix pass over n tuples, each
 // under its own pass's open-partition working set, as the pass will run,
 // and adds their estimates to res. The choices go to the runner's buffer
-// side (0: r, 1: s), valid until the runner is released.
+// side (0: r, 1: s), valid until the runner is released. s's ratio vectors
+// only run its passes, so they are the runner's too; r's are part of the
+// build side's key and of the Result.
 func (rn *runner) choosePasses(res *Result, model *cost.Model, prof cost.SeriesProfile, n, side int) []choice {
-	passes := slices.Grow(rn.passBuf[side][:0], rn.geo.plan.Passes())[:rn.geo.plan.Passes()]
+	np := rn.geo.plan.Passes()
+	passes := slices.Grow(rn.passBuf[side][:0], np)[:np]
 	rn.passBuf[side] = passes
+	if side == 1 {
+		rn.sRatios = slices.Grow(rn.sRatios[:0], np*passSteps)[:np*passSteps]
+	}
 	for pi, bits := range rn.geo.plan.BitsPerPass {
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-		passes[pi] = rn.choose(model, prof, n, passSteps, rn.opt.FixedPartition)
+		var into sched.Ratios // nil: a vector of the pass's own
+		if side == 1 {
+			into = rn.sRatios[pi*passSteps : (pi+1)*passSteps : (pi+1)*passSteps]
+		}
+		passes[pi] = rn.choose(model, prof, n, passSteps, rn.opt.FixedPartition, into)
 		res.EstimatedNS += passes[pi].est
 		res.EstPartitionNS += passes[pi].est
 	}
@@ -187,7 +196,8 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 			if nb < 2 {
 				nb = 2
 			}
-			t := htab.New(nb, rHi-rLo, rn.arena)
+			t := &rn.tables[0] // no shared table: the pairs take turns in it
+			t.Init(nb, rHi-rLo, 0, rn.arena)
 			for _, key := range rn.r.Keys[rLo:rHi] {
 				a.Add(t.InsertOne(key))
 			}
@@ -209,7 +219,8 @@ func (rn *runner) coarsePairKernel(d *device.Device, lo, hi int) device.Acct {
 // population, so the ratio choice needs no side-effecting probe run.
 func (rn *runner) coarseJoin(res *Result, model *cost.Model) error {
 	// No shared table is built, so tableBytes is still staticEnv's estimate.
-	rn.arena = alloc.New(rn.opt.Alloc, 0)
+	rn.arena = &rn.arenas[0]
+	rn.arena.Reset(rn.opt.Alloc)
 	parts := rn.geo.parts
 	rn.env.coarsePairBytes = (rn.r.Bytes() + rn.s.Bytes() + rn.env.tableBytes) / int64(parts)
 

@@ -64,6 +64,11 @@ func (p *Pilot) Bytes() int64 { return p.table.Bytes() }
 // Release hands the table's slabs back to the recycler.
 func (p *Pilot) Release() { p.table.Release() }
 
+// pilotHalf and passHalf split every step of a pilot's build and probe
+// series and of its radix pass half and half between the devices. Runs
+// only read ratios, so every pilot shares them.
+var pilotHalf, passHalf = sched.Uniform(0.5, buildSteps), sched.Uniform(0.5, passSteps)
+
 // runPilotKept is runPilot over a build side whose pilot the caller may
 // keep, as RunKept is RunCtx: it probes kept when kept was built under the
 // pilot's key; with keep and no kept pilot it returns its own, sealed before
@@ -83,7 +88,7 @@ func runPilotKept(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (profi
 	}
 	rn := newRunner(pr, s.Slice(0, n), opt)
 	defer rn.release()
-	exec, half := &rn.exec, sched.Uniform(0.5, 4)
+	exec, half := &rn.exec, pilotHalf
 	if hit {
 		return rn.pilotProbe(kept, exec, half), kept
 	}
@@ -92,6 +97,7 @@ func runPilotKept(r, s rel.Relation, opt Options, kept *Pilot, keep bool) (profi
 	if keep && kept == nil {
 		fresh := new(Pilot)
 		*fresh = own
+		fresh.table = own.table.Moved()
 		fresh.table.Seal(nil)
 		return rn.pilotProbe(fresh, exec, half), fresh
 	}
@@ -116,7 +122,7 @@ func (rn *runner) pilotBuild(p *Pilot, exec *sched.Exec, half sched.Ratios) {
 		rn.pass.Init(rn.r, rn.opt.Alloc, 0, bits)
 		defer rn.pass.Release()
 		rn.env.partitionStreams = int64(1<<bits) * chunkBytes
-		if nres, err := exec.Run(rn.passSeries(n), sched.Uniform(0.5, 3)); err == nil {
+		if nres, err := exec.Run(rn.passSeries(n), passHalf); err == nil {
 			p.partition = cost.ProfileResult(nres, n)
 		}
 		rn.env.partitionStreams = 0 // the probe half may run next on this runner

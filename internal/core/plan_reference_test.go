@@ -256,17 +256,18 @@ func BenchmarkBuildPlan(b *testing.B) {
 }
 
 // TestBuildPlanAllocations bounds what BenchmarkBuildPlan's plans allocate:
-// a cold plan its pilot's tables and profiles, and the plan it returns with
-// its ratio vectors — the candidates are priced on a pooled planning
-// scratch, whose model, searches, environment and ratio buffers persist
-// from plan to plan; a plan over a kept pilot less, since no build half
-// runs. The collector is off so that the slab recycler keeps what the
+// a cold plan its pilot's profiles, and the plan it returns with its ratio
+// vectors — the pilot's table and arena are its pooled runner's, its ratios
+// shared read-only vectors, and the candidates are priced on a pooled
+// planning scratch, whose model, searches, environment and ratio buffers
+// persist from plan to plan; a plan over a kept pilot less, since no build
+// half runs. The collector is off so that the slab recycler keeps what the
 // warm-up put back.
 func TestBuildPlanAllocations(t *testing.T) {
 	if alloc.PoisonOnPut {
 		t.Skip("a race build allocates for the detector and drops pooled objects at random; the counts hold in plain builds")
 	}
-	const cold, keptPilot = 10, 5
+	const cold, keptPilot = 6, 4
 	r, s := planColdShape(1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	_, kept, err := BuildPlanKept(r, s[0], Options{}, nil)

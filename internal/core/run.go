@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/cost"
@@ -101,7 +104,8 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 		rn.pool = sched.NewPool(opt.Workers)
 		defer rn.pool.Close()
 	}
-	res := &Result{Algo: opt.Algo, Scheme: opt.Scheme, Arch: opt.Arch, ZeroCopyBytes: foot}
+	res := newResult()
+	res.Algo, res.Scheme, res.Arch, res.ZeroCopyBytes = opt.Algo, opt.Scheme, opt.Arch, foot
 
 	exec := &rn.exec
 	exec.Pool, exec.Ctx = rn.pool, ctx
@@ -135,13 +139,15 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	var build choice
 	steps := passSteps * (len(rPasses) + len(sPasses))
 	if opt.Scheme != CoarsePL {
-		build = rn.choose(model, prof.build, r.Len(), buildSteps, opt.FixedBuild)
+		build = rn.choose(model, prof.build, r.Len(), buildSteps, opt.FixedBuild, nil)
 		steps += buildSteps + probeSteps
 	}
 	if opt.Scheme != BasicUnit {
-		// One allocation for every step the run records (BasicUnit records
-		// none).
-		res.Steps = make([]StepTiming, 0, steps)
+		// Room for every step the run records, at most one allocation
+		// (BasicUnit records none).
+		res.Steps = slices.Grow(res.Steps, steps)
+	} else {
+		res.Steps = nil
 	}
 
 	// The build side: r's passes and the build phase, or the record kept
@@ -203,7 +209,7 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 	if opt.Grouping {
 		exec.Pool = nil
 	}
-	probe := rn.choose(model, prof.probe, s.Len(), probeSteps, opt.FixedProbe)
+	probe := rn.choose(model, prof.probe, s.Len(), probeSteps, opt.FixedProbe, nil)
 	if res.ProbeNS, res.Ratios.Probe, err = rn.runPhase(res, exec, rn.probeSeries(), probe.ratios, "probe"); err != nil {
 		return nil, nil, err
 	}
@@ -219,6 +225,40 @@ func runCtx(ctx context.Context, r, s rel.Relation, opt Options, kept *BuildReco
 		res.TransferNS += in + back
 	}
 	return rn.finish(res, rec.alloc), out, nil
+}
+
+// results recycles Results with their Steps capacity: a spill level merges
+// its partitions' sub-join Results and releases them (Result.Release), and
+// a later run takes them up again.
+var results = sync.Pool{New: func() any { return new(Result) }}
+
+// newResult returns a zero Result from results whose Steps, empty, keep the
+// capacity they had.
+func newResult() *Result {
+	res := results.Get().(*Result)
+	steps := res.Steps[:0]
+	*res = Result{Steps: steps}
+	return res
+}
+
+// Release hands r back for a later run to reuse, Steps capacity included.
+// Only a sub-join's one owner releases it, once nothing reads r or its
+// steps: a spill level, after merging its partitions' Results
+// (shard.MergeResults reads no Steps). A Result that Run, RunCtx, RunKept
+// or a pipeline returns stays its caller's and is never released. Nothing
+// may read r afterwards; a race build poisons it (alloc.PoisonOnPut) with a
+// negative match count and NaN times, so a read after release shows.
+func (r *Result) Release() {
+	if alloc.PoisonOnPut {
+		nan := math.NaN()
+		r.Matches = -1
+		r.Breakdown = Breakdown{nan, nan, nan, nan, nan}
+		r.TotalNS, r.EstimatedNS = nan, nan
+		for i := range r.Steps {
+			r.Steps[i].CPUNS, r.Steps[i].GPUNS = nan, nan
+		}
+	}
+	results.Put(r)
 }
 
 // finish completes res: the match count, the total, the allocator totals —
@@ -267,13 +307,17 @@ func (rn *runner) runPhase(res *Result, exec *sched.Exec, series sched.Series, r
 
 // choose picks the workload ratios for one series according to the scheme
 // (or the caller's fixed override), with the model's estimate; BasicUnit
-// chooses none.
-func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, steps int, fixed sched.Ratios) choice {
+// chooses none. A chosen vector goes to into, of steps ratios, or, when
+// into is nil, to a vector of its own.
+func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, steps int, fixed, into sched.Ratios) choice {
 	switch {
 	case rn.opt.Scheme == BasicUnit:
 		return choice{}
 	case fixed == nil:
-		ratios, est := schemeRatios(model, rn.opt, prof, items, make(sched.Ratios, steps))
+		if into == nil {
+			into = make(sched.Ratios, steps)
+		}
+		ratios, est := schemeRatios(model, rn.opt, prof, items, into)
 		return choice{ratios, est}
 	case len(fixed) == 1 && steps > 1:
 		fixed = sched.Uniform(fixed[0], steps)
@@ -289,6 +333,11 @@ func (rn *runner) choose(model *cost.Model, prof cost.SeriesProfile, items, step
 // ratios are exactly what an unplanned run would search for under the same
 // profiles and environment.
 func schemeRatios(model *cost.Model, opt Options, prof cost.SeriesProfile, items int, ratios sched.Ratios) (sched.Ratios, float64) {
+	if len(prof.Steps) == 0 && (opt.Scheme == PL || opt.Scheme == CoarsePL || opt.Scheme == OL && !opt.SeparateTables) {
+		// The pilot profiled nothing — a side is empty — so a searching
+		// scheme has no step to search: it divides every step as DD does.
+		opt.Scheme = DD
+	}
 	switch opt.Scheme {
 	case CPUOnly:
 		ratios.Fill(1)

@@ -35,10 +35,11 @@ type runner struct {
 	// with the run, and their scatters keep what they bound.
 	pass radix.Pass
 	own  htab.Owners
-	// passBuf holds the ratios chosen for r's and s's radix passes, and
+	// passBuf holds the choices for r's and s's radix passes, and
 	// recSteps and recRatios the step timings and pass ratios of the build
 	// side the run records (buildSide).
 	passBuf   [2][]choice
+	sRatios   sched.Ratios // s's pass ratios, passSteps per pass
 	recSteps  [2][]StepTiming
 	recRatios []sched.Ratios
 	// The step series, built once: buildSeries, probeSeries and
@@ -74,8 +75,12 @@ type runState struct {
 	outExtra alloc.Stats
 
 	// The build's table(s) and the arenas their allocator requests are
-	// charged on (makeTables) — or PHJ-PL''s pair tables' arena — until
-	// buildSide moves the probe's table to its record.
+	// charged on (makeTables) — or PHJ-PL''s pair tables and their arena —
+	// held by value and set up in place, so a run allocates neither. table,
+	// tableGPU, arena and arenaGPU point into them while the build holds
+	// them, until buildSide moves the probe's table to its record.
+	tables   [2]htab.Table
+	arenas   [2]alloc.Arena
 	arena    *alloc.Arena // CPU table's requests when separate
 	arenaGPU *alloc.Arena // GPU table's requests when separate
 	table    *htab.Table
@@ -220,26 +225,28 @@ func (rn *runner) ranged(k sched.Kernel) sched.ParKernel {
 	}
 }
 
-// makeTables creates the hash table(s) and the arenas their allocator
-// requests are charged on, which only count (alloc.New with no words). For
-// SHJ the bucket count is the next power of two of |R| (load factor ≤ 1);
-// for PHJ the segmented layout is parts × bucketsPerPart. Either way it is
-// the geometry's nBuckets, which the environment's residency estimate
-// already assumes. Every table has room for all of R's keys: a separate
-// GPU table receives every tuple under GPU-only ratios.
+// makeTables sets up the hash table(s) and the arenas their allocator
+// requests are charged on, which only count, in the runner's own. For SHJ
+// the bucket count is the next power of two of |R| (load factor ≤ 1); for
+// PHJ the segmented layout is parts × bucketsPerPart. Either way it is the
+// geometry's nBuckets, which the environment's residency estimate already
+// assumes. Every table has room for all of R's keys: a separate GPU table
+// receives every tuple under GPU-only ratios.
 func (rn *runner) makeTables() {
 	g, n := rn.geo, rn.r.Len()
-	newTable := func(arena *alloc.Arena) *htab.Table {
+	initTable := func(k int) (*htab.Table, *alloc.Arena) {
+		t, arena := &rn.tables[k], &rn.arenas[k]
+		arena.Reset(rn.opt.Alloc)
 		if rn.opt.Algo == PHJ {
-			return htab.NewSeg(g.parts, g.bucketsPerPart, n, rn.opt.hashShift, g.plan.TotalBits(), arena)
+			t.InitSeg(g.parts, g.bucketsPerPart, n, rn.opt.hashShift, g.plan.TotalBits(), arena)
+		} else {
+			t.Init(n, n, rn.opt.hashShift, arena)
 		}
-		return htab.NewShifted(n, n, rn.opt.hashShift, arena)
+		return t, arena
 	}
-	rn.arena = alloc.New(rn.opt.Alloc, 0)
-	rn.table = newTable(rn.arena)
+	rn.table, rn.arena = initTable(0)
 	if rn.opt.SeparateTables {
-		rn.arenaGPU = alloc.New(rn.opt.Alloc, 0)
-		rn.tableGPU = newTable(rn.arenaGPU)
+		rn.tableGPU, rn.arenaGPU = initTable(1)
 	}
 }
 

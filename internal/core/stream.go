@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sync"
+
 	"apujoin/internal/alloc"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
@@ -15,8 +18,8 @@ import (
 //
 //  1. Multiplicity pass (Multiplicities): the probe side is split into the
 //     fixed sched.MorselItems grid and each morsel writes its tuples'
-//     multiplicities into one recycled slab and sums them (CollectRange —
-//     a pure function of the morsel, merged in grid order). The total is
+//     multiplicities into one recycled slab and records their sum (a pure
+//     function of the morsel, summed in grid order). The total is
 //     the exact intermediate size, which a chain's budget pre-check reads
 //     before the step runs.
 //  2. An exclusive prefix sum over the slab's per-morsel sums, in grid
@@ -46,7 +49,7 @@ type Mults struct {
 // sched.MorselItems grid over the pool, and returns the per-tuple
 // multiplicities. counts is only read. A nil pool, or keys that fit one
 // morsel, take one inline call instead, which writes the same words without
-// the grid's closures.
+// dispatching.
 func Multiplicities(pool *sched.Pool, counts rel.Counts, keys []int32) Mults {
 	if len(keys) == 0 {
 		return Mults{}
@@ -56,10 +59,11 @@ func Multiplicities(pool *sched.Pool, counts rel.Counts, keys []int32) Mults {
 		m.Total = counts.OfEach(m.Of, keys)
 		return m
 	}
-	of := m.Of
-	for _, c := range sched.CollectRange(pool, 0, len(keys), func(lo, hi int) int64 {
-		return counts.OfEach(of[lo:hi], keys[lo:hi])
-	}) {
+	h := takeHandoff(len(keys))
+	defer h.put()
+	h.counts, h.keys, h.of = counts, keys, m.Of
+	pool.ForEach(len(h.sums), h.count)
+	for _, c := range h.sums {
 		m.Total += c
 	}
 	return m
@@ -91,10 +95,11 @@ func StreamFill(pool *sched.Pool, s rel.Relation, mult []int32) rel.Relation {
 	// A plain sequential sum: it reads four bytes per tuple and no table, so
 	// dispatching it would cost more than it saves.
 	n := len(mult)
-	offsets := make([]int64, (n+sched.MorselItems-1)/sched.MorselItems)
+	h := takeHandoff(n)
+	defer h.put()
 	var total int64
-	for i := range offsets {
-		offsets[i] = total
+	for i := range h.sums {
+		h.sums[i] = total
 		for _, c := range mult[i*sched.MorselItems : min((i+1)*sched.MorselItems, n)] {
 			total += int64(c)
 		}
@@ -103,19 +108,64 @@ func StreamFill(pool *sched.Pool, s rel.Relation, mult []int32) rel.Relation {
 		return rel.Relation{}
 	}
 	out := rel.Recycled(int(total))
-	pool.ForEach(len(offsets), func(i int) {
-		mlo := i * sched.MorselItems
-		mhi := min(mlo+sched.MorselItems, n)
-		keys := s.Keys[mlo:mhi]
-		at := offsets[i]
-		for j, c := range mult[mlo:mhi] {
-			for k := keys[j]; c > 0; c-- {
-				out.Keys[at] = k
-				at++
-			}
-		}
-	})
+	h.keys, h.of, h.out = s.Keys, mult, out.Keys
+	pool.ForEach(len(h.sums), h.fill)
 	return out
+}
+
+// handoff is the state of one Multiplicities or StreamFill call on the
+// grid, taken from handoffs: the pieces the pool runs are bound to it once
+// and sums keeps its capacity, so a call allocates nothing but its output.
+type handoff struct {
+	counts   rel.Counts
+	keys, of []int32 // the probe keys and their multiplicities
+	out      []int32 // StreamFill's output column
+	sums     []int64 // per morsel: Multiplicities' totals, StreamFill's first output slots
+	count    func(i int)
+	fill     func(i int)
+}
+
+var handoffs = sync.Pool{New: func() any {
+	h := new(handoff)
+	h.count, h.fill = h.countMorsel, h.fillMorsel
+	return h
+}}
+
+// takeHandoff returns a handoff from handoffs with one sum per morsel of n
+// items.
+func takeHandoff(n int) *handoff {
+	h := handoffs.Get().(*handoff)
+	m := (n + sched.MorselItems - 1) / sched.MorselItems
+	h.sums = slices.Grow(h.sums[:0], m)[:m]
+	return h
+}
+
+// put drops what the call read and hands h back to handoffs.
+func (h *handoff) put() {
+	h.counts, h.keys, h.of, h.out = rel.Counts{}, nil, nil, nil
+	handoffs.Put(h)
+}
+
+// countMorsel looks morsel i's keys up, writing their multiplicities, and
+// records their total.
+func (h *handoff) countMorsel(i int) {
+	lo := i * sched.MorselItems
+	hi := min(lo+sched.MorselItems, len(h.keys))
+	h.sums[i] = h.counts.OfEach(h.of[lo:hi], h.keys[lo:hi])
+}
+
+// fillMorsel writes morsel i's matches — mult[j] copies of probe key j, in
+// probe order — from its first output slot on.
+func (h *handoff) fillMorsel(i int) {
+	lo := i * sched.MorselItems
+	hi := min(lo+sched.MorselItems, len(h.of))
+	keys, out, at := h.keys[lo:hi], h.out, h.sums[i]
+	for j, c := range h.of[lo:hi] {
+		for k := keys[j]; c > 0; c-- {
+			out[at] = k
+			at++
+		}
+	}
 }
 
 // StreamMaterialize produces R ⋈ S from counts, R's key → multiplicity

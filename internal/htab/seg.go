@@ -17,24 +17,24 @@ import (
 // compute it and read no partition index; they charge the model's kernel,
 // which reads one.
 
-// NewSeg returns a table whose bucket space is split into parts segments of
-// bucketsPerPart buckets each. bucketsPerPart is rounded up to a power of
-// two. radixBits is the number of low hash bits the partitioning consumed:
-// the within-segment slot uses the bits above them, otherwise only
-// 1/parts of each segment's buckets would ever be populated (all keys of a
-// partition share their low hash bits by construction).
-// hashShift is the number of still-lower bits an outer (external)
-// partitioning consumed before radixBits. n and arena are as for New.
-func NewSeg(parts, bucketsPerPart, n int, hashShift, radixBits uint, arena *alloc.Arena) *Table {
+// InitSeg makes t, zero or released, a table whose bucket space is split
+// into parts segments of bucketsPerPart buckets each, in place, as Init
+// makes a flat one. bucketsPerPart is rounded up to a power of two.
+// radixBits is the number of low hash bits the partitioning consumed: the
+// within-segment slot uses the bits above them, otherwise only 1/parts of
+// each segment's buckets would ever be populated (all keys of a partition
+// share their low hash bits by construction). hashShift is the number of
+// still-lower bits an outer (external) partitioning consumed before
+// radixBits. n and arena are as for Init.
+func (t *Table) InitSeg(parts, bucketsPerPart, n int, hashShift, radixBits uint, arena *alloc.Arena) {
 	bpp := 1
 	for bpp < bucketsPerPart {
 		bpp *= 2
 	}
-	t := New(parts*bpp, n, arena)
+	t.Init(parts*bpp, n, 0, arena)
 	t.bucketsPerPart = bpp
 	t.partShift = hashShift
 	t.segShift = hashShift + radixBits
-	return t
 }
 
 // B1Seg computes segmented bucket numbers for build tuples [lo,hi):

@@ -102,7 +102,7 @@ type Table struct {
 	arena   *alloc.Arena
 	numKeys atomic.Int64 // distinct keys inserted (key nodes created)
 	// bucketsPerPart is the segment width of a segmented table (see
-	// NewSeg); 0 for a flat table. segShift skips the hash bits the radix
+	// InitSeg); 0 for a flat table. segShift skips the hash bits the radix
 	// partitioning consumed.
 	bucketsPerPart int
 	segShift       uint
@@ -114,38 +114,46 @@ type Table struct {
 	off, ent []int32
 }
 
-// New returns an empty table with nBuckets buckets (rounded up to a power
-// of two) for a build side of n tuples, whose allocator requests are
-// charged to arena.
-func New(nBuckets, n int, arena *alloc.Arena) *Table {
-	return NewShifted(nBuckets, n, 0, arena)
-}
-
-// NewShifted returns a flat table whose bucket function skips the low
-// hashShift hash bits. The external join (data larger than the zero-copy
-// buffer) pre-partitions on the low bits, so the per-pair joins must hash
-// with the bits above them or most buckets would stay empty. The bucket
-// headers and the node array come from the slab recycler — Count zeroed,
-// Head filled with nilRef, the nodes written before they are read — and go
-// back with Release.
-func NewShifted(nBuckets, n int, hashShift uint, arena *alloc.Arena) *Table {
+// Init makes t, zero or released, an empty table with nBuckets buckets
+// (rounded up to a power of two) for a build side of n tuples, whose
+// allocator requests are charged to arena, in place: a table held by value
+// serves build after build. Its bucket function skips the low hashShift
+// hash bits: the external join (data larger than the zero-copy buffer)
+// pre-partitions on the low bits, so the per-pair joins must hash with the
+// bits above them or most buckets would stay empty. The bucket headers and
+// the node array come from the slab recycler — Count zeroed, Head filled
+// with nilRef, the nodes written before they are read — and go back with
+// Release.
+func (t *Table) Init(nBuckets, n int, hashShift uint, arena *alloc.Arena) {
 	nb := 1
 	for nb < nBuckets {
 		nb *= 2
 	}
-	t := &Table{
+	*t = Table{
 		nBuckets: nb,
 		mask:     uint32(nb - 1),
 		Count:    alloc.GetZeroed(nb),
 		Head:     alloc.GetWords(nb), // every word overwritten just below
 		nodes:    alloc.GetWords(nodeWords * n),
 		arena:    arena,
+		segShift: hashShift,
 	}
 	for i := range t.Head {
 		t.Head[i] = nilRef
 	}
-	t.segShift = hashShift
-	return t
+}
+
+// Moved returns a table of its own holding t's build, and leaves t holding
+// nothing, as Release does, without handing a slab back: a table built in
+// place (Init) moves out of its holder this way to outlive it. The moved
+// table has no arena, so it holds no pointer into t's holder; it is built,
+// and only sealing, probing, Bytes and Release read it.
+func (t *Table) Moved() *Table {
+	m := &Table{nBuckets: t.nBuckets, mask: t.mask, Count: t.Count, Head: t.Head, nodes: t.nodes,
+		bucketsPerPart: t.bucketsPerPart, segShift: t.segShift, partShift: t.partShift, off: t.off, ent: t.ent}
+	m.numKeys.Store(t.numKeys.Load())
+	t.Count, t.Head, t.nodes, t.off, t.ent = nil, nil, nil, nil, nil
+	return m
 }
 
 // NumKeys returns the number of distinct keys inserted so far.

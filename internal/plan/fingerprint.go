@@ -176,12 +176,18 @@ func SelBucketOf(sample []int32, contains func(int32) bool) int {
 	return int(math.Round(float64(matched) / float64(len(sample)) * selBuckets))
 }
 
+// noBuffer stands in for the zero-copy buffer while OfWorkload defaults its
+// options; nothing reads or writes it.
+var noBuffer mem.ZeroCopy
+
 // OfWorkload computes the fingerprint of one workload from its measured
 // skew and selectivity buckets (MeasureWorkload). The relation catalog
 // measures them once at ingest and every query of the pair reuses them. Options are defaulted
 // first, so an explicit default and an unset field fingerprint alike.
 func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
-	opt.Plan = nil
+	// No zero-copy buffer is part of the fingerprint: a placeholder keeps
+	// SetDefaults from making one, so a fingerprint allocates nothing.
+	opt.Plan, opt.ZeroCopy = nil, &noBuffer
 	opt.SetDefaults()
 	fp := Fingerprint{
 		CPU:   opt.CPU.Name,

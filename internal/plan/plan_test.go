@@ -76,6 +76,22 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestOfWorkloadAllocations: a fingerprint is a value, and computing one
+// from a measured workload allocates nothing — a warm auto query computes
+// one per planned step.
+func TestOfWorkloadAllocations(t *testing.T) {
+	r, s := testData(1<<12, 1, rel.Uniform, 0.75)
+	w := MeasureWorkload(r, s)
+	opt := testOptions()
+	var fp Fingerprint
+	if n := testing.AllocsPerRun(100, func() { fp = OfWorkload(r, s, opt, w) }); n != 0 {
+		t.Errorf("OfWorkload allocates %v times, want 0", n)
+	}
+	if fp.R != r.Len() || fp.S != s.Len() {
+		t.Fatalf("fingerprint of %d x %d tuples, want %d x %d", fp.R, fp.S, r.Len(), s.Len())
+	}
+}
+
 // TestCacheLRU: bounded capacity, least-recently-used eviction, counter
 // accounting. put builds a plan on a miss; resident looks fp up with a
 // build that fails, so a miss caches nothing.

@@ -37,9 +37,11 @@ type Pool struct {
 	// pools, which execute inline and own no goroutines.
 	tasks chan *batch
 	// free holds batches no submitter or offer refers to any more, for the
-	// next parallel call to reuse. Its capacity is the offer queue's: at
-	// most that many batches wait on queued offers at once, and each comes
-	// back here when its last one is taken.
+	// next parallel call to reuse. Its capacity is twice the offer queue's:
+	// as many batches as wait on queued offers at once, each back here when
+	// its last one is taken, plus as many again for the calls running
+	// meanwhile — nested ones too: a spill level's partition chains submit
+	// their steps from pool pieces — so a warm pool makes no new batch.
 	free   chan *batch
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -83,7 +85,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.tasks = make(chan *batch, 4*workers)
-		p.free = make(chan *batch, 4*workers)
+		p.free = make(chan *batch, 8*workers)
 		p.quit = make(chan struct{})
 		p.wg.Add(workers - 1)
 		for g := 0; g < workers-1; g++ {
@@ -301,10 +303,9 @@ func (p *Pool) MapShards(shards int, fn func(shard int) device.Acct) device.Acct
 
 // CollectRange splits [lo,hi) into the fixed MorselItems grid, executes fn
 // over the morsels on the pool, and returns the per-morsel results in grid
-// order: the per-morsel match totals of the streamed pipeline hand-off's
-// multiplicity pass, or a sealed table's per-morsel bases. The
-// grid — and with it the returned slice — is a pure function of [lo,hi);
-// the worker count only decides which goroutine computes which entry.
+// order: a sealed table's per-morsel bases. The grid — and with it the
+// returned slice — is a pure function of [lo,hi); the worker count only
+// decides which goroutine computes which entry.
 func CollectRange[T any](p *Pool, lo, hi int, fn func(mlo, mhi int) T) []T {
 	out := make([]T, (max(hi-lo, 0)+MorselItems-1)/MorselItems)
 	p.ForEach(len(out), func(i int) {

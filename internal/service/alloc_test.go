@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -85,5 +86,39 @@ func TestRunPartitionsOfOne(t *testing.T) {
 	})
 	if !errors.Is(err, boom) || err.Error() != "partition 1: boom" {
 		t.Fatalf("a grid of two returned %v, want partition 1's error", err)
+	}
+}
+
+// TestSpilledPipelineAllocations holds a warm spilled pipeline — the depth 0
+// and depth ≥ 1 shapes, plans cached — to ceilings set at what it makes:
+// its PipelineResult, the query's order, partitions and merged steps, and
+// none of its partition sub-joins' Results, tables, arenas, hand-offs or
+// spill levels, which all come pooled (221 and 2 602 objects before they
+// did). The collector is off, so that no allocation hides behind a
+// collection.
+func TestSpilledPipelineAllocations(t *testing.T) {
+	if alloc.PoisonOnPut {
+		t.Skip("a race build allocates for the detector and drops recycled objects at random; the counts hold in plain builds")
+	}
+	ceilings := map[string]float64{"depth 0": 44, "depth ≥ 1": 92}
+	for _, sh := range spillShapes()[:2] {
+		t.Run(sh.name, func(t *testing.T) {
+			svc := sh.load(t, 2)
+			run := func() { sh.exec(t, svc) }
+			run()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			// Warm up on one P, where AllocsPerRun measures: the pools'
+			// per-P caches settle a run or two after GOMAXPROCS changes.
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				run()
+				run()
+			}()
+			got := testing.AllocsPerRun(20, run)
+			if got > ceilings[sh.name] {
+				t.Errorf("a warm %s spilled pipeline allocates %v times, above the ceiling of %v", sh.name, got, ceilings[sh.name])
+			}
+			t.Logf("a warm %s spilled pipeline allocates %v times (ceiling %v)", sh.name, got, ceilings[sh.name])
+		})
 	}
 }

@@ -289,18 +289,9 @@ func (c *chain) runChain(in []rel.Relation, order []int, counts rel.Counts, know
 				// slabs stay until run has partitioned it.
 				c.unreserve(reserved, phys)
 				reserved, phys = 0, 0
-				probes := make([]rel.Relation, 0, n-t)
-				for _, i := range order[t:] {
-					probes = append(probes, in[i])
-				}
 				// The remaining steps' entries of the table (nil stays nil).
-				steps, err := c.run(cur, probes, counts, c.plans[min(t-1, len(c.plans)):])
-				if err != nil {
+				if err := c.run(cur, in, order[t:], counts, c.plans[min(t-1, len(c.plans)):]); err != nil {
 					return fail(fmt.Errorf("spill: %w", err))
-				}
-				c.spilled = steps[0]
-				for _, r := range steps {
-					c.add(r, nil, false)
 				}
 				return nil
 			}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"apujoin/internal/core"
 	"apujoin/internal/rel"
@@ -14,7 +16,7 @@ import (
 //
 //   - the current build side, its probe and every remaining probe are
 //     partitioned with the shard package's fixed grid partitioner into a
-//     simulated spill store (shard.SplitAt on the pool, into one pair of
+//     simulated spill store (shard.SplitInto on the pool, into one pair of
 //     recycled slabs per level — level 0 is the grid itself, deeper levels
 //     rehash with decorrelated seeds);
 //   - as many partitions as the budget allows stay resident (first-fit in
@@ -68,8 +70,9 @@ const (
 
 // spillLevelHook, when set, sees every partitioned spill level once its
 // chains have run: its leader (-1: none), its plan table (nil: the query is
-// not auto-planned) and every partition's steps, len(probes) each. Tests
-// set it.
+// not auto-planned) and every partition's steps, len(probes) each. The
+// steps are valid only during the call: the level releases them once it
+// has merged them, so a hook copies what it keeps. Tests set it.
 var spillLevelHook func(leader int, plans []*core.Plan, steps []*core.Result)
 
 // reserve charges an intermediate's bytes against the catalog — whatever
@@ -96,9 +99,10 @@ func (c *chain) unreserve(demand, phys int64) {
 	c.resident -= demand
 }
 
-// run executes the chain cur ⋈ probes[0] ⋈ probes[1] ⋈ … under the budget
-// by partitioning every input at repartitioning level c.level. It returns
-// one merged Result per chain step, bit-identical for any worker count.
+// run executes the chain cur ⋈ in[probes[0]] ⋈ in[probes[1]] ⋈ … under the
+// budget by partitioning every input at repartitioning level c.level, and
+// adds one merged Result per chain step to c, the first its spilled step.
+// The merged Results are bit-identical for any worker count.
 //
 // counts is the spill point's key → multiplicity table, covering cur's
 // keys: cur's own, or a table over a relation cur is a key-split part of
@@ -118,24 +122,29 @@ func (c *chain) unreserve(demand, phys int64) {
 // against it: with c's cache, the level's leader writes the plans it ran
 // into it; every other chain reads them. A level that streams writes
 // nothing: the stream plans nothing.
-func (c *chain) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, plans []*core.Plan) ([]*core.Result, error) {
+//
+// The level's scratch comes from levels and its partitions' step Results
+// are its own: once merged, they are released (core.Result.Release) —
+// nested levels' merged ones too — and only the merged Results outlive run.
+func (c *chain) run(cur rel.Relation, in []rel.Relation, probes []int, counts rel.Counts, plans []*core.Plan) error {
 	depth := c.level
 	c.depth = max(c.depth, depth)
-	if depth >= maxSpillDepth || dominated(cur, counts) {
-		return c.stream(cur, probes)
+	lv := takeLevel()
+	defer lv.put()
+	lv.in = append(lv.in[:0], cur)
+	for _, i := range probes {
+		lv.in = append(lv.in, in[i])
 	}
-	split, slab := shard.SplitAt(c.opt.Pool, depth, append([]rel.Relation{cur}, probes...)...)
-	var mults [shard.Partitions]core.Mults
-	defer func() {
-		for p := range mults {
-			mults[p].Release()
-		}
-		slab.Release()
-	}()
+	if depth >= maxSpillDepth || dominated(cur, counts) {
+		return c.stream(cur, lv.in[1:])
+	}
+	lv.split = slices.Grow(lv.split[:0], len(lv.in))[:len(lv.in)]
+	slab := shard.SplitInto(c.opt.Pool, depth, lv.split, lv.in...)
+	defer slab.Release()
+	split := lv.split
 	// The loop is the parallelism: each partition's lookups run inline.
-	c.opt.Pool.ForEach(shard.Partitions, func(p int) {
-		mults[p] = core.Multiplicities(nil, counts, split[1][p].Keys)
-	})
+	lv.counts = counts
+	c.opt.Pool.ForEach(shard.Partitions, lv.count)
 
 	// Hybrid residency: first-fit in partition order over the exact sizes,
 	// keeping as many partitions resident as the budget holds, in one pass
@@ -144,14 +153,14 @@ func (c *chain) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, 
 	// with an empty side joins to nothing (the chain reports zero results
 	// for it) and is never written out.
 	const n = shard.Partitions
-	var spills [n]int64
 	var residentCum int64
-	for p := range spills {
-		if m := mults[p].Total * 8; residentCum+m <= c.budget {
+	for p := range lv.spills {
+		lv.spills[p] = 0
+		if m := lv.mults[p].Total * 8; residentCum+m <= c.budget {
 			residentCum += m
 		} else if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
 			for j := range split {
-				spills[p] += split[j][p].Bytes()
+				lv.spills[p] += split[j][p].Bytes()
 			}
 		}
 	}
@@ -163,73 +172,157 @@ func (c *chain) run(cur rel.Relation, probes []rel.Relation, counts rel.Counts, 
 	// first step has two non-empty sides, else partition 0 — runs first, on
 	// c's cache, writing plans, and the others then run concurrently on the
 	// pool, each step under the entry the leader's step wrote. Below a
-	// follower nothing plans: its chains have the table and no cache. A
-	// chain's inputs, in chain order, sit on its own stack.
-	order := make([]int, len(split))
-	for i := range order {
-		order[i] = i
+	// follower nothing plans: its chains have the table and no cache.
+	lv.order = lv.order[:0]
+	for i := range split {
+		lv.order = append(lv.order, i)
 	}
-	k := len(probes)
-	steps := make([]*core.Result, n*k)
-	var kids [n]chain
-	for p := range kids {
-		kids[p] = chain{ctx: c.ctx, cat: c.cat, opt: c.opt, budget: c.budget, level: depth + 1, plans: plans, steps: steps[p*k : p*k : (p+1)*k]}
+	k := len(split) - 1
+	lv.steps = slices.Grow(lv.steps[:0], n*k)[:n*k]
+	for p := range lv.kids {
+		lv.kids[p] = chain{ctx: c.ctx, cat: c.cat, opt: c.opt, budget: c.budget, level: depth + 1, plans: plans,
+			steps: lv.steps[p*k : p*k : (p+1)*k], spills: lv.kids[p].spills[:0]}
 	}
-	runAt := func(p int) error {
-		var buf [4]rel.Relation
-		in := buf[:0]
-		for j := range split {
-			in = append(in, split[j][p])
-		}
-		return kids[p].runChain(in, order, counts, mults[p])
-	}
-	leader := -1
+	lv.leader = -1
 	if c.cache != nil {
-		leader = 0
+		lv.leader = 0
 		for p := range n {
 			if split[0][p].Len() > 0 && split[1][p].Len() > 0 {
-				leader = p
+				lv.leader = p
 				break
 			}
 		}
-		kids[leader].cache = c.cache
-		if err := runAt(leader); err != nil {
-			return nil, fmt.Errorf("level %d: partition %d: %w", depth, leader, err)
+		lv.kids[lv.leader].cache = c.cache
+		if err := lv.runAt(lv.leader); err != nil {
+			return fmt.Errorf("level %d: partition %d: %w", depth, lv.leader, err)
 		}
 	}
-	err := runPartitions(c.opt.Pool, n, func(p int) error {
-		if p == leader {
-			return nil
+	// The lowest failing partition's error: deterministic whatever order
+	// the partitions finished in.
+	c.opt.Pool.ForEach(n, lv.each)
+	for p, err := range lv.errs {
+		if err != nil {
+			return fmt.Errorf("level %d: partition %d: %w", depth, p, err)
 		}
-		return runAt(p)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("level %d: %w", depth, err)
 	}
 	if spillLevelHook != nil {
-		spillLevelHook(leader, plans, steps)
+		spillLevelHook(lv.leader, plans, lv.steps)
 	}
 
 	// The partition chains fold back in partition order, as if they had run
 	// one after another on c.
-	for p := range kids {
-		kid := &kids[p]
-		if spills[p] > 0 {
-			c.spills = append(c.spills, spills[p])
+	grow := 0
+	for p := range lv.kids {
+		grow += len(lv.kids[p].spills)
+		if lv.spills[p] > 0 {
+			grow++
+		}
+	}
+	c.spills = slices.Grow(c.spills, grow)
+	for p := range lv.kids {
+		kid := &lv.kids[p]
+		if lv.spills[p] > 0 {
+			c.spills = append(c.spills, lv.spills[p])
 		}
 		c.spills = append(c.spills, kid.spills...)
 		c.depth = max(c.depth, kid.depth)
 		c.peak = max(c.peak, c.resident+kid.peak)
 	}
-	out := make([]*core.Result, k)
 	var col [n]*core.Result
-	for t := range out {
+	for t := range k {
 		for p := range col {
-			col[p] = steps[p*k+t]
+			col[p] = lv.steps[p*k+t]
 		}
-		out[t] = shard.MergeResults(col[:])
+		c.addSpilled(t, shard.MergeResults(col[:]))
 	}
-	return out, nil
+	for _, r := range lv.steps {
+		r.Release()
+	}
+	return nil
+}
+
+// addSpilled adds the merged Result of the spill's t-th step to c: the
+// first is the chain's spilled step.
+func (c *chain) addSpilled(t int, r *core.Result) {
+	if t == 0 {
+		c.spilled = r
+	}
+	c.add(r, nil, false)
+}
+
+// level is the scratch of one partitioned spill level, taken from levels:
+// the split's inputs and partitions, the partitions' chains,
+// multiplicities, spill sizes and errors, and the chains' step Results,
+// with the pieces the pool runs bound to it once, so a level makes no
+// garbage.
+type level struct {
+	counts rel.Counts
+	in     []rel.Relation
+	split  [][shard.Partitions]rel.Relation
+	order  []int
+	steps  []*core.Result // partition p's step t at p*len(order[1:])+t
+	leader int            // the partition that ran first (-1: none)
+	kids   [shard.Partitions]chain
+	mults  [shard.Partitions]core.Mults
+	spills [shard.Partitions]int64
+	errs   [shard.Partitions]error
+	// count and each are countAt and runEach, bound once.
+	count, each func(p int)
+}
+
+var levels = sync.Pool{New: func() any { return new(level) }}
+
+// takeLevel returns a level from levels, its pieces bound. (levels cannot
+// bind them itself: runEach reaches run, which reads levels.)
+func takeLevel() *level {
+	lv := levels.Get().(*level)
+	if lv.count == nil {
+		lv.count, lv.each = lv.countAt, lv.runEach
+	}
+	return lv
+}
+
+// countAt looks partition p's first probe up in the spill point's counts.
+func (lv *level) countAt(p int) {
+	lv.mults[p] = core.Multiplicities(nil, lv.counts, lv.split[1][p].Keys)
+}
+
+// runEach runs partition p's chain, unless it is the leader, which ran
+// first, and records its error.
+func (lv *level) runEach(p int) {
+	lv.errs[p] = nil
+	if p != lv.leader {
+		lv.errs[p] = lv.runAt(p)
+	}
+}
+
+// runAt runs partition p's chain, its inputs in chain order on its own
+// stack.
+func (lv *level) runAt(p int) error {
+	var buf [4]rel.Relation
+	in := buf[:0]
+	for j := range lv.split {
+		in = append(in, lv.split[j][p])
+	}
+	return lv.kids[p].runChain(in, lv.order, lv.counts, lv.mults[p])
+}
+
+// put releases the level's multiplicities, drops every reference it holds
+// — the partition chains keep their spills' capacity — and hands lv back to
+// levels.
+func (lv *level) put() {
+	for p := range lv.mults {
+		lv.mults[p].Release()
+	}
+	for p := range lv.kids {
+		lv.kids[p] = chain{spills: lv.kids[p].spills[:0]}
+	}
+	clear(lv.in)
+	clear(lv.split)
+	clear(lv.steps)
+	clear(lv.errs[:])
+	lv.counts = rel.Counts{}
+	levels.Put(lv)
 }
 
 // dominated reports whether one key owns heavyKeyShare of cur — the case
@@ -260,20 +353,22 @@ func dominated(cur rel.Relation, counts rel.Counts) bool {
 // boundaries depend only on key counts and the budget, keeping the
 // decomposition deterministic; match counts are exact because an
 // equi-join distributes over a disjoint union of its probe side.
-func (c *chain) stream(cur rel.Relation, probes []rel.Relation) ([]*core.Result, error) {
+func (c *chain) stream(cur rel.Relation, probes []rel.Relation) error {
 	perStep := make([][]*core.Result, len(probes))
 	if err := c.streamStep(perStep, cur, probes, 0); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]*core.Result, len(probes))
-	for t := range perStep {
-		if len(perStep[t]) == 0 {
-			out[t] = emptyResult(*c.opt)
+	for t, chunks := range perStep {
+		if len(chunks) == 0 {
+			c.addSpilled(t, emptyResult(*c.opt))
 			continue
 		}
-		out[t] = shard.MergeResults(perStep[t])
+		c.addSpilled(t, shard.MergeResults(chunks))
+		for _, r := range chunks {
+			r.Release()
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // streamStep processes chain level j for one build relation: walk

@@ -343,22 +343,21 @@ func TestSpillReadsAWiderTable(t *testing.T) {
 		rel.Gen{N: 1 << 10, Seed: 23}.Probe(cur, 0.5),
 	}
 	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.1}
-	spill := func(counts rel.Counts) (*chain, []*core.Result) {
+	spill := func(counts rel.Counts) *chain {
 		c := &chain{ctx: context.Background(), cat: catalog.New(1 << 20), opt: &opt, budget: 2 << 10, level: 1}
-		steps, err := c.run(cur, probes, counts, nil)
-		if err != nil {
+		if err := c.run(cur, probes, []int{0, 1}, counts, nil); err != nil {
 			t.Fatal(err)
 		}
-		return c, steps
+		return c
 	}
 	own := rel.KeyCounts(cur)
 	defer own.Release()
-	ref, refSteps := spill(own)
+	ref := spill(own)
 	if len(ref.spills) == 0 {
 		t.Fatal("the partition spilled nothing: the comparison shows nothing")
 	}
-	got, steps := spill(wide)
-	if !reflect.DeepEqual(steps, refSteps) || !reflect.DeepEqual(got.spills, ref.spills) || got.depth != ref.depth || got.peak != ref.peak {
+	got := spill(wide)
+	if !reflect.DeepEqual(got.steps, ref.steps) || !reflect.DeepEqual(got.spills, ref.spills) || got.depth != ref.depth || got.peak != ref.peak {
 		t.Errorf("with the whole relation's table: %d spills to depth %d, peak %d; with its own: %d to depth %d, peak %d",
 			len(got.spills), got.depth, got.peak, len(ref.spills), ref.depth, ref.peak)
 	}
@@ -448,13 +447,23 @@ type spillLevel struct {
 // watchSpills records every spill level the test's pipelines partition
 // and returns a function that takes the levels recorded so far. A level
 // finishes after every level below it, so a run's top level comes last.
+// The hook sees the level's own step Results, released once it returns, so
+// it records deep copies.
 func watchSpills(t *testing.T) func() []spillLevel {
 	var mu sync.Mutex
 	var levels []spillLevel
 	spillLevelHook = func(leader int, plans []*core.Plan, steps []*core.Result) {
+		kept := make([]*core.Result, len(steps))
+		for i, r := range steps {
+			c := *r
+			c.Steps = slices.Clone(r.Steps)
+			c.Ratios.Partition = slices.Clone(r.Ratios.Partition)
+			c.BasicUnitShares = slices.Clone(r.BasicUnitShares)
+			kept[i] = &c
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		levels = append(levels, spillLevel{leader, plans, steps})
+		levels = append(levels, spillLevel{leader, slices.Clone(plans), kept})
 	}
 	t.Cleanup(func() { spillLevelHook = nil })
 	return func() []spillLevel {

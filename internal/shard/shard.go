@@ -17,6 +17,8 @@
 package shard
 
 import (
+	"sync"
+
 	"apujoin/internal/alloc"
 	"apujoin/internal/core"
 	"apujoin/internal/hash"
@@ -191,26 +193,30 @@ func Split(r rel.Relation) [Partitions]rel.Relation {
 // one oversized partition, each a pure function of the data exactly as
 // Split is.
 func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Relation, rel.Relation) {
+	split := make([][Partitions]rel.Relation, len(rs))
+	return split, SplitInto(p, level, split, rs...)
+}
+
+// SplitInto is SplitAt into split, which has room for every relation of rs,
+// returning the slab: a caller that holds split allocates nothing for it.
+func SplitInto(p *sched.Pool, level int, split [][Partitions]rel.Relation, rs ...rel.Relation) rel.Relation {
 	n := 0
 	for _, r := range rs {
 		n += r.Len()
 	}
 	slab, part := rel.Recycled(n), alloc.GetWords(n)
 	defer alloc.PutWords(part)
-	var x sched.Scatter
-	defer x.Release()
-	split := make([][Partitions]rel.Relation, len(rs))
+	sp := splitters.Get().(*splitter)
+	defer sp.put()
+	sp.level = level
 	at := 0
 	for j, r := range rs {
-		hashed, out := part[at:at+r.Len()], slab.Slice(at, at+r.Len())
+		out := slab.Slice(at, at+r.Len())
+		sp.keys, sp.hashed = r.Keys, part[at:at+r.Len()]
 		at += r.Len()
-		p.ForEach((r.Len()+sched.MorselItems-1)/sched.MorselItems, func(mi int) {
-			lo := mi * sched.MorselItems
-			for i, k := range r.Keys[lo:min(r.Len(), lo+sched.MorselItems)] {
-				hashed[lo+i] = int32(PartitionAt(k, level))
-			}
-		})
-		x.Setup(p, hashed, 0, Partitions)
+		p.ForEach((r.Len()+sched.MorselItems-1)/sched.MorselItems, sp.hash)
+		x := &sp.x
+		x.Setup(p, sp.hashed, 0, Partitions)
 		x.Move(p, 0, r.Len(), sched.Cols{out.Keys}, sched.Cols{r.Keys})
 		var from, to [Partitions]int32
 		x.Cut(0, from[:])
@@ -220,7 +226,40 @@ func SplitAt(p *sched.Pool, level int, rs ...rel.Relation) ([][Partitions]rel.Re
 			split[j][q] = rel.Relation{Keys: out.Keys[lo:hi:hi]}
 		}
 	}
-	return split, slab
+	return slab
+}
+
+// splitter is the state of one SplitInto call, taken from splitters: its
+// hash piece and its scatter's pieces are bound to it once, so a split
+// hands the pool no new closure.
+type splitter struct {
+	x      sched.Scatter
+	keys   []int32 // the relation splitting
+	hashed []int32 // its keys' partitions
+	level  int
+	hash   func(mi int)
+}
+
+var splitters = sync.Pool{New: func() any {
+	sp := new(splitter)
+	sp.hash = sp.hashMorsel
+	return sp
+}}
+
+// hashMorsel writes the partition of every key of morsel mi.
+func (sp *splitter) hashMorsel(mi int) {
+	lo := mi * sched.MorselItems
+	for i, k := range sp.keys[lo:min(len(sp.keys), lo+sched.MorselItems)] {
+		sp.hashed[lo+i] = int32(PartitionAt(k, sp.level))
+	}
+}
+
+// put hands the scatter's grid back, drops what the split read and hands
+// sp back to splitters.
+func (sp *splitter) put() {
+	sp.x.Release()
+	sp.keys, sp.hashed = nil, nil
+	splitters.Put(sp)
 }
 
 // MergeResults reduces per-partition join results in partition order into
