@@ -5,8 +5,7 @@
 // keeps them, charged against a resident zero-copy buffer (the paper's
 // schemes assume the relations already live in the region both devices
 // address, Sec. 4), and lends the same budget to a pipeline's transient
-// intermediates (ReserveTransient, Unreserve). Slices are stored as given,
-// each beside the count table its relation was measured into at ingest
+// intermediates (ReserveTransient, Unreserve). Slices are stored as given
 // (Load): nothing is copied, measured or indexed here.
 //
 // Deletion is refcounted: Drop unbinds the name immediately (no new query
@@ -31,8 +30,10 @@
 // reading either relation — and lands in the same plan-cache slot as the
 // identical inline query, because the sampling arithmetic is shared
 // (plan.WorkloadSample, rel.Relation.KeySample). A pipeline's first step
-// reads the same table, through the pin on its slice, instead of counting
-// its build side per query.
+// reads the same table instead of counting its build side per query. The
+// table lives on the router's record alone: a query looks its names up and
+// pins their slices in one critical section of the router, so the record it
+// reads belongs to the slices it pins.
 package catalog
 
 import (
@@ -144,9 +145,8 @@ func Measure(r rel.Relation) IngestStats {
 // pin count, the drop flag, the build record and the pilot change, all
 // guarded by the owning catalog's mutex.
 type Entry struct {
-	c      *Catalog
-	rel    rel.Relation
-	counts rel.Counts
+	c   *Catalog
+	rel rel.Relation
 
 	// Mutable, guarded by c.mu.
 	pins    int
@@ -158,10 +158,6 @@ type Entry struct {
 // Relation returns the resident slice. Its key column is shared, not
 // copied; callers must treat it as read-only.
 func (e *Entry) Relation() rel.Relation { return e.rel }
-
-// Counts returns the count table stored beside the slice (Load): shared,
-// read-only, and never released through the entry.
-func (e *Entry) Counts() rel.Counts { return e.counts }
 
 // Join runs the join of r, the entry's slice, with s. On a catalog's entry
 // it probes the table the entry keeps when that was built under the join's
@@ -389,16 +385,11 @@ func (c *Catalog) freeKept(e *Entry) {
 	e.rec, e.pilot = nil, nil
 }
 
-// Load stores a slice under name, beside counts: the key → multiplicity
-// table of the relation the slice was split from (IngestStats.Counts), or
-// the empty table. A split by key keeps every key's tuples together, so the
-// table is exact for every key the slice holds, and a query that pins the
-// slice reads the table of exactly these tuples, whatever registers under
-// the name later. The key column and the table are retained, not copied;
-// the caller must not mutate them afterwards. When the slice does not fit,
+// Load stores a slice under name. The key column is retained, not copied;
+// the caller must not mutate it afterwards. When the slice does not fit,
 // the build records no query reads are evicted if that makes it fit; a load
 // that cannot fit evicts nothing.
-func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
+func (c *Catalog) Load(name string, r rel.Relation) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty relation name")
 	}
@@ -412,7 +403,7 @@ func (c *Catalog) Load(name string, r rel.Relation, counts rel.Counts) error {
 		return fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrNoSpace, name, r.Bytes(), c.zc.Used(), c.zc.Capacity)
 	}
-	c.entries[name] = &Entry{c: c, rel: r, counts: counts}
+	c.entries[name] = &Entry{c: c, rel: r}
 	c.registered++
 	c.peakBytes = max(c.peakBytes, c.zc.Used())
 	return nil

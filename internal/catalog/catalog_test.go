@@ -47,13 +47,13 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 func TestRegisterLookupDrop(t *testing.T) {
 	c := New(0)
 	orders := rel.Gen{N: 1024, Seed: 1}.Build()
-	if err := c.Load("orders", orders, rel.Counts{}); err != nil {
+	if err := c.Load("orders", orders); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build(), rel.Counts{}); !errors.Is(err, ErrExists) {
+	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build()); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate load: err %v, want ErrExists", err)
 	}
-	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build(), rel.Counts{}); err != nil {
+	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build()); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Relations != 2 || st.Bytes != (1024+512)*8 || st.Registered != 2 {
@@ -75,12 +75,12 @@ func TestRegisterLookupDrop(t *testing.T) {
 }
 
 // TestDropWhilePinned: the name unbinds immediately but the resident bytes
-// survive until the pin is released, and the pin keeps serving the slice
-// and the count table it was loaded with after the name is loaded again.
+// survive until the pin is released, and the pin keeps serving the slice it
+// was loaded with after the name is loaded again.
 func TestDropWhilePinned(t *testing.T) {
 	c := New(0)
 	r := rel.Gen{N: 1024, Seed: 1}.Build()
-	if err := c.Load("r", r, Measure(r).Counts); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -97,12 +97,12 @@ func TestDropWhilePinned(t *testing.T) {
 		t.Errorf("bytes %d freed before last pin released", st.Bytes)
 	}
 	next := rel.Gen{N: 64, Seed: 2}.Build()
-	if err := c.Load("r", next, Measure(next).Counts); err != nil {
+	if err := c.Load("r", next); err != nil {
 		t.Fatal(err)
 	}
-	// The pinned entry still serves its data, and its own table.
-	if e.Relation().Len() != 1024 || e.Counts().Len() != 1024 || e.Counts().Of(r.Keys[0]) != 1 {
-		t.Errorf("pinned entry lost its data: %d tuples, %d counted keys", e.Relation().Len(), e.Counts().Len())
+	// The pinned entry still serves its data.
+	if got := e.Relation(); got.Len() != 1024 || got.Keys[0] != r.Keys[0] {
+		t.Errorf("pinned entry lost its data: %d tuples", got.Len())
 	}
 	e.Release()
 	if st := c.Stats(); st.Bytes != 64*8 {
@@ -112,17 +112,17 @@ func TestDropWhilePinned(t *testing.T) {
 
 func TestCapacityEnforced(t *testing.T) {
 	c := New(1024 * 8)
-	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build(), rel.Counts{}); err != nil {
+	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
 	overflow := rel.Gen{N: 1, Seed: 2}.Build()
-	if err := c.Load("overflow", overflow, rel.Counts{}); !errors.Is(err, ErrNoSpace) {
+	if err := c.Load("overflow", overflow); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("overflow load: err %v, want ErrNoSpace", err)
 	}
 	if _, err := c.Drop("fits"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("overflow", overflow, rel.Counts{}); err != nil {
+	if err := c.Load("overflow", overflow); err != nil {
 		t.Errorf("load after drop freed space: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestCapacityEnforced(t *testing.T) {
 func TestReserveAccounting(t *testing.T) {
 	const half = 512 * 8
 	c := New(2 * half)
-	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build(), rel.Counts{}); err != nil {
+	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build()); err != nil {
 		t.Fatal(err)
 	}
 	peak := c.Stats().PeakBytes
@@ -187,7 +187,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	const room = 1 << 20 // the sealed record needs about twice r's 32 KB
 	c := New(r.Bytes() + s.Bytes() + room)
 	for name, x := range map[string]rel.Relation{"r": r, "s": s} {
-		if err := c.Load(name, x, rel.Counts{}); err != nil {
+		if err := c.Load(name, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	// refused, as is a reservation's demand beyond the free bytes.
 	pin := join()
 	big := rel.Gen{N: int(room/8) - 1, Seed: 3}.Build()
-	if err := c.Load("big", big, rel.Counts{}); !errors.Is(err, ErrNoSpace) {
+	if err := c.Load("big", big); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("a load that needs a pinned entry's record bytes: err %v, want ErrNoSpace", err)
 	}
 	if got := c.ReserveTransient(room); got != room-kept {
@@ -243,10 +243,10 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	// load it cannot make room for, until a load needs the room.
 	join().Release()
 	huge := rel.Gen{N: int(room/8) + 1, Seed: 4}.Build()
-	if err := c.Load("huge", huge, rel.Counts{}); !errors.Is(err, ErrNoSpace) || c.Stats().BuildRecordBytes != kept {
+	if err := c.Load("huge", huge); !errors.Is(err, ErrNoSpace) || c.Stats().BuildRecordBytes != kept {
 		t.Fatalf("a load that cannot fit: err %v, %d record bytes left, want ErrNoSpace and %d", err, c.Stats().BuildRecordBytes, kept)
 	}
-	if err := c.Load("big", big, rel.Counts{}); err != nil || c.Stats().BuildRecordBytes != 0 {
+	if err := c.Load("big", big); err != nil || c.Stats().BuildRecordBytes != 0 {
 		t.Fatalf("the load an unpinned record made room for: err %v, %d record bytes left", err, c.Stats().BuildRecordBytes)
 	}
 
@@ -269,7 +269,7 @@ func TestJoinUnderAnotherKeyRunsUncached(t *testing.T) {
 	ratios.FixedBuild = sched.Ratios{0.3}
 	dd.Scheme = core.DD
 	c := New(0)
-	if err := c.Load("r", r, rel.Counts{}); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -316,7 +316,7 @@ func TestConcurrentColdJoinsKeepOneRecord(t *testing.T) {
 	defer pool.Close()
 	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.25, PilotItems: 1024, Pool: pool}
 	c := New(0)
-	if err := c.Load("r", r, rel.Counts{}); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -362,7 +362,7 @@ func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 1.0)
 	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.25, PilotItems: 1024}
 	c := New(0)
-	if err := c.Load("r", r, rel.Counts{}); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -399,7 +399,7 @@ func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 func TestEntryAccessors(t *testing.T) {
 	c := New(0)
 	in := rel.Gen{N: 4096, Seed: 1}.Build()
-	if err := c.Load("base", in, rel.Counts{}); err != nil {
+	if err := c.Load("base", in); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("base")
@@ -420,7 +420,7 @@ func TestEntryAccessors(t *testing.T) {
 
 func TestLoadValidates(t *testing.T) {
 	c := New(0)
-	if err := c.Load("", rel.Relation{}, rel.Counts{}); err == nil {
+	if err := c.Load("", rel.Relation{}); err == nil {
 		t.Error("loading under an empty name succeeded")
 	}
 }

@@ -63,7 +63,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 	s2 := rel.Gen{N: 1<<14 + 16, Seed: 3}.Probe(r, 1.0)
 	const room = 1 << 20 // the sealed pilot needs 16 B per sample tuple
 	c := New(r.Bytes() + room)
-	if err := c.Load("r", r, rel.Counts{}); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")
@@ -111,7 +111,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 			t.Fatalf("after the %s: %d record bytes", free.name, st.BuildRecordBytes)
 		}
 		if free.name == "Drop" {
-			if err := c.Load("r", r, rel.Counts{}); err != nil {
+			if err := c.Load("r", r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,7 +142,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 
 	// A pilot the budget cannot take is not kept.
 	small := New(r.Bytes() + kept - 1)
-	if err := small.Load("r", r, rel.Counts{}); err != nil {
+	if err := small.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err = small.Acquire("r")
@@ -163,7 +163,7 @@ func TestConcurrentColdPlansKeepOnePilot(t *testing.T) {
 	r := rel.Gen{N: 4096, Seed: 85}.Build()
 	s := rel.Gen{N: 4096, Seed: 86}.Probe(r, 1.0)
 	c := New(0)
-	if err := c.Load("r", r, rel.Counts{}); err != nil {
+	if err := c.Load("r", r); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Acquire("r")

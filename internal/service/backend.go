@@ -77,9 +77,9 @@ func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 // place loads each slice into the catalog. A slice the budget cannot hold
 // rolls the others back and the placement fails with the catalog's
 // ErrNoSpace — no bytes, no names and no gauges left behind.
-func (b *localBackend) place(name string, parts []rel.Relation, counts rel.Counts) error {
+func (b *localBackend) place(name string, parts []rel.Relation) error {
 	for p := range parts {
-		if err := b.cat.Load(b.partName(name, p), parts[p], counts); err != nil {
+		if err := b.cat.Load(b.partName(name, p), parts[p]); err != nil {
 			for q := 0; q < p; q++ {
 				b.cat.Drop(b.partName(name, q)) //nolint:errcheck // just loaded
 			}
@@ -133,58 +133,45 @@ func (b *localBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Rel
 	return parts, pins, nil
 }
 
-// input resolves one job source to its per-partition slices: a registered
-// relation's pinned entries, or an inline relation split on the spot into
-// slabs that go back with the job's pins.
-func (b *localBackend) input(name string, inline rel.Relation, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	if name == "" {
-		parts, scratch := b.grid.SplitScratch(b.pool, inline)
-		if scratch.Len() > 0 {
-			pins = append(pins, catalog.Scratch(scratch))
-		}
-		return parts, pins, nil
+// split splits one inline source over the grid into slabs that go back
+// with the job's pins.
+func (b *localBackend) split(r rel.Relation, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry) {
+	parts, scratch := b.grid.SplitScratch(b.pool, r)
+	if scratch.Len() > 0 {
+		pins = append(pins, catalog.Scratch(scratch))
 	}
-	return b.partitions(name, pins)
+	return parts, pins
 }
 
-// bindJoin materializes a generator spec, then pins or splits both sides.
-func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) (pins []*catalog.Entry, err error) {
+// bindJoin materializes a generator spec and splits the inline sides, into
+// a pin slice with room for the registered sides' pins.
+func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error) {
 	if sp.Gen != nil {
 		sp.R, sp.S = sp.Gen.relations()
 	}
-	pins = make([]*catalog.Entry, 0, 2*int(b.grid))
-	if j.rParts, pins, err = b.input(sp.RName, sp.R, pins); err != nil {
-		return nil, err
+	pins := make([]*catalog.Entry, 0, 2*int(b.grid))
+	if sp.RName == "" {
+		j.in[0].parts, pins = b.split(sp.R, pins)
 	}
-	j.builds = make([]*catalog.Entry, b.grid)
-	if sp.RName != "" {
-		copy(j.builds, pins)
-	}
-	if j.sParts, pins, err = b.input(sp.SName, sp.S, pins); err != nil {
-		releaseAll(pins)
-		return nil, err
+	if sp.SName == "" {
+		j.in[1].parts, pins = b.split(sp.S, pins)
 	}
 	return pins, nil
 }
 
-// bindPipeline materializes each generator spec, then pins or splits every
-// source. A registered source's count table comes from its pins, not from
-// the router's record: a Drop and re-registration of the name after the
-// router resolved it cannot pair one relation's table with another's
-// slices.
-func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) (pins []*catalog.Entry, err error) {
-	pins = make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
+// bindPipeline materializes each inline source's generator spec and splits
+// the inline sources, into a pin slice with room for the registered
+// sources' pins.
+func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
+	pins := make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
 	for i, in := range sp.Sources {
+		if in.Name != "" {
+			continue
+		}
 		if in.Gen != nil {
 			in.Rel = in.Gen.Build()
 		}
-		if j.sources[i].parts, pins, err = b.input(in.Name, in.Rel, pins); err != nil {
-			releaseAll(pins)
-			return nil, fmt.Errorf("pipeline source %d: %w", i+1, err)
-		}
-		if in.Name != "" {
-			j.sources[i].counts = pins[len(pins)-1].Counts()
-		}
+		j.sources[i].parts, pins = b.split(in.Rel, pins)
 	}
 	return pins, nil
 }
@@ -230,7 +217,11 @@ func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result,
 		if j.auto {
 			cache = b.caches[p]
 		}
-		res, pl, hit, err := planRun(ctx, cache, j.rParts[p], j.sParts[p], j.opt, j.workload, j.builds[p])
+		var build *catalog.Entry // an inline build side: none to keep a table on
+		if r := j.in[0].entries; r != nil {
+			build = r[p]
+		}
+		res, pl, hit, err := planRun(ctx, cache, j.in[0].parts[p], j.in[1].parts[p], j.opt, j.workload, build)
 		parts[p], plans[p] = res, planInfo(pl, hit)
 		return err
 	})
@@ -266,11 +257,12 @@ func runPartitions(pool *sched.Pool, n int, fn func(p int) error) error {
 // of their merge contract.
 //
 // A registered first source hands every chain its ingest-time count table
-// (catalog.IngestStats.Counts, read from its pins): grid partitions split
-// by key, so for every probe key of partition p the whole relation's count
-// is its slice's, and one rule serves every grid. The table is shared,
-// never released here; an inline first source has none and its chains
-// count their slices.
+// (catalog.IngestStats.Counts, read from the record bind resolved with the
+// pins, so it counts exactly the pinned slices): grid partitions split by
+// key, so for every probe key of partition p the whole relation's count is
+// its slice's, and one rule serves every grid. The table is shared, never
+// released here; an inline first source has none and its chains count
+// their slices.
 func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePartitions, error) {
 	n, grid := len(j.sources), int(b.grid)
 	in := make([]rel.Relation, n*grid)
@@ -280,7 +272,10 @@ func (b *localBackend) runPipeline(ctx context.Context, j *pipeJob) (*PipelinePa
 		}
 	}
 	order := j.order.order
-	first := j.sources[order[0]].counts
+	var first rel.Counts
+	if rec := j.sources[order[0]].rec; rec != nil {
+		first = rec.stats.Counts
+	}
 	pp := newPipelinePartitions(n-1, grid)
 	budgets := b.partitionBudgets()
 	err := runPartitions(b.pool, grid, func(p int) error {

@@ -28,7 +28,7 @@ type fakeBackend struct {
 	pipeParts *PipelinePartitions
 }
 
-func (f *fakeBackend) place(name string, _ []rel.Relation, _ rel.Counts) error {
+func (f *fakeBackend) place(name string, _ []rel.Relation) error {
 	if f.entered != nil {
 		f.entered <- struct{}{}
 		<-f.release
@@ -41,8 +41,8 @@ func (f *fakeBackend) place(name string, _ []rel.Relation, _ rel.Counts) error {
 }
 func (f *fakeBackend) remove(name string) { delete(f.placed, name) }
 func (f *fakeBackend) pins(string) int    { return 0 }
-func (f *fakeBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	return nil, pins, errors.New("fake: no tuple data")
+func (f *fakeBackend) partitions(_ string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
+	return nil, pins, nil
 }
 func (f *fakeBackend) bindJoin(*joinJob, JoinSpec) ([]*catalog.Entry, error) { return nil, nil }
 func (f *fakeBackend) bindPipeline(*pipeJob, PipelineSpec) ([]*catalog.Entry, error) {
@@ -184,7 +184,7 @@ func TestRouterMergesInFixedOrder(t *testing.T) {
 	pp.SpillDepth[5] = 2
 	f.pipeParts = pp
 	pj := &pipeJob{
-		sources: []pipeSource{{name: "a", tuples: 1000}, {name: "b", tuples: 2000}, {name: "c", tuples: 3000}, {name: "d", tuples: 4000}},
+		sources: []source{{name: "a", tuples: 1000}, {name: "b", tuples: 2000}, {name: "c", tuples: 3000}, {name: "d", tuples: 4000}},
 		order:   &pipeOrder{order: []int{2, 0, 3, 1}, ordered: true},
 	}
 	pr, err := rt.execPipeline(context.Background(), pj)
@@ -254,7 +254,7 @@ func TestRouterGridOfOneIsIdentity(t *testing.T) {
 	pp.Peak[0], pp.SpillDepth[0] = 4096, 1
 	f.pipeParts = pp
 	pj := &pipeJob{
-		sources: []pipeSource{{name: "a"}, {name: "b"}, {name: "c"}},
+		sources: []source{{name: "a"}, {name: "b"}, {name: "c"}},
 		order:   &pipeOrder{order: []int{0, 1, 2}, ordered: true, replans: 1},
 	}
 	pr, err := rt.execPipeline(context.Background(), pj)

@@ -73,7 +73,7 @@ func emptyResult(opt core.Options) *core.Result {
 
 // pairFn reports the memoized pair workload of two pipeline sources, or
 // ok=false when either carries no ingest statistics (an inline source).
-type pairFn func(build, probe *pipeSource) (w plan.Workload, ok bool)
+type pairFn func(build, probe *source) (w plan.Workload, ok bool)
 
 // pipeOrder is a pipeline's chosen left-deep order with what mid-pipeline
 // re-planning needs to revise it: the orderer's inputs and its per-step
@@ -90,7 +90,7 @@ type pipeOrder struct {
 // chooseOrder picks a pipeline's order once, from whole-relation
 // statistics: the cost-based orderer's when every source is registered,
 // declaration order on request or when any source is inline.
-func chooseOrder(srcs []pipeSource, declared bool, pair pairFn) *pipeOrder {
+func chooseOrder(srcs []source, declared bool, pair pairFn) *pipeOrder {
 	o := &pipeOrder{rels: make([]plan.PipeRel, len(srcs))}
 	for i := range srcs {
 		o.rels[i] = srcs[i].pipeRel()

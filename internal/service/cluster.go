@@ -58,7 +58,7 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 // servers AND the failing one are sent the idempotent delete — a POST whose
 // reply was lost may still have committed there, and the orphan would
 // answer 409 to the retry.
-func (b *remoteBackend) place(name string, parts []rel.Relation, _ rel.Counts) error {
+func (b *remoteBackend) place(name string, parts []rel.Relation) error {
 	n := b.pool.Size()
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the
@@ -98,10 +98,12 @@ func (b *remoteBackend) remove(name string) {
 // remote processes.
 func (b *remoteBackend) pins(string) int { return 0 }
 
-// partitions cannot be served: a cluster router holds no tuple data, so a
-// bulk-loaded relation cannot anchor a probe registration.
-func (b *remoteBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	return nil, pins, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", name)
+// partitions hands back no slices: a cluster router holds no tuple data.
+// Each shard server binds its own slices when the query's request reaches
+// it, so a clustered query may read each server's slices as of a different
+// moment (docs/OPERATIONS.md).
+func (b *remoteBackend) partitions(_ string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
+	return nil, pins, nil
 }
 
 // bindJoin builds the wire request of a clustered join from its spec —

@@ -119,9 +119,9 @@ func TestIngestCountsPipelineSteps(t *testing.T) {
 	}
 }
 
-// rebindBackend runs before, once, when the first pipeline binds, then
-// binds through the backend it wraps: the window between the router's
-// lookup of a pipeline's sources and the backend's pins on their slices.
+// rebindBackend runs before, once, when the first pipeline is prepared,
+// then prepares it through the backend it wraps: before the router's bind
+// resolves the pipeline's sources and pins their slices.
 type rebindBackend struct {
 	backend
 	before func()
@@ -136,9 +136,9 @@ func (b *rebindBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.En
 }
 
 // TestIngestCountsFollowPins: a first source dropped and registered again
-// between the router's lookup and the backend's bind runs on the new
-// relation's slices, and its chains must read the count table its pins
-// hold — the new relation's — not that of the record the router resolved.
+// while the backend prepares the pipeline, before the router's bind, runs
+// on the new relation's slices, and its chains must read the count table of
+// the record bound with those pins — the new relation's — not the old one.
 // The old relation's table would size and fill the first intermediate for
 // keys the new slices do not hold. Every step must equal a run on a service
 // that only ever held the new relation, unsharded and on four shards.

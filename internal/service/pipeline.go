@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
@@ -132,25 +133,24 @@ type PipelinePartitions struct {
 	SpillDepth []int
 }
 
-// pipeSource is one resolved pipeline input: the router's record of a
-// registered source, or nil for an inline one, and — on the in-process
-// backend — its per-partition slices (pinned entries, or the inline
-// relation's split).
-type pipeSource struct {
-	// name is the registered name, or "inline[i]" for the i-th declared
-	// inline source; tuples the whole-relation cardinality.
-	name   string
-	tuples int
-	rec    *shardedRel
-	parts  []rel.Relation
-	// counts is a registered source's ingest table as its pinned slices
-	// hold it (catalog.Entry.Counts), in-process; the empty table
-	// otherwise.
-	counts rel.Counts
+// source is one resolved input of a join or a pipeline. A registered one
+// carries its name and, as the router's bind snapshot took them together,
+// its record and — on the in-process backend — its pinned partition slices
+// and their entries; an inline one has no record, and in-process its parts
+// are its split.
+type source struct {
+	// name is the registered name ("" for an inline source until resolved,
+	// then "inline[i]" for the i-th declared inline pipeline source);
+	// tuples the whole-relation cardinality.
+	name    string
+	tuples  int
+	rec     *shardedRel
+	parts   []rel.Relation
+	entries []*catalog.Entry
 }
 
 // pipeRel is the source as the join orderer sees it.
-func (src *pipeSource) pipeRel() plan.PipeRel {
+func (src *source) pipeRel() plan.PipeRel {
 	pr := plan.PipeRel{Tuples: src.tuples}
 	if src.rec != nil {
 		pr.HeavyShare = src.rec.stats.HeavyShare
@@ -162,7 +162,7 @@ func (src *pipeSource) pipeRel() plan.PipeRel {
 type pipeJob struct {
 	opt      core.Options
 	auto     bool
-	sources  []pipeSource
+	sources  []source
 	declared bool
 	// keep retains the raw per-partition step results
 	// (PipelineSpec.KeepPartitions); wFirst overrides the first step's

@@ -54,21 +54,21 @@ type router struct {
 // never merges.
 type backend interface {
 	// place stores one relation's partition slices, all or nothing: after
-	// a failure no slice of name remains anywhere. counts is the whole
-	// relation's ingest table, which an in-process backend keeps beside
-	// every slice so that a pin on the slices also holds their counts.
-	place(name string, parts []rel.Relation, counts rel.Counts) error
+	// a failure no slice of name remains anywhere.
+	place(name string, parts []rel.Relation) error
 	// remove drops a relation's slices; in-flight pins keep their data.
 	remove(name string)
 	// pins counts the in-flight pins on a relation's slices.
 	pins(name string) int
 	// partitions hands back a placed relation's slices in partition order,
-	// pinned until the entries appended to pins are released — what
-	// rebuilding a probe registration's base in original tuple order reads.
+	// pinned until the entries appended to pins are released, or none where
+	// the backend holds no tuple data. The router calls it with its lock
+	// held (bind, fullRelation), so the slices are its record's.
 	partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error)
-	// bindJoin and bindPipeline attach the backend's form of a job's
-	// inputs — pinned or split partition slices in-process, the wire
-	// request on a cluster — and return the pins the query must release.
+	// bindJoin and bindPipeline do a job's lock-free preparation before the
+	// router's bind pins its registered sources: in-process, materialize
+	// generator specs and split the inline sources, returning the scratch
+	// pins the query must release; on a cluster, build the wire request.
 	bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error)
 	bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error)
 	// runJoin runs one join on every grid partition and returns the raw
@@ -88,10 +88,16 @@ type backend interface {
 // shardedRel is the router's record of one registered relation: the
 // generation provenance (so probe relations can regenerate their build
 // side in original tuple order) and the full-relation ingest statistics
-// the planner fingerprints and the pipeline orderer consume — measured on
-// the FULL relation whatever the grid, so a pair workload lands in the same
-// plan-cache bucket on every engine shape. The tuple data itself lives with
-// the backend.
+// the planner fingerprints, the pipeline orderer consumes and a pipeline's
+// first step reads its count table from — measured on the FULL relation
+// whatever the grid, so a pair workload lands in the same plan-cache bucket
+// on every engine shape. The tuple data itself lives with the backend.
+//
+// A record is in router.rels exactly while its registration's slices are
+// placed: register places the slices before it inserts the record, Drop
+// deletes the record before the backend removes the slices, and the name
+// stays pending across both steps. So a record and the slices pinned under
+// the same lock (bind) always belong together.
 type shardedRel struct {
 	name    string
 	source  catalog.Source
@@ -150,7 +156,7 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 	if selectivity < 0 || selectivity > 1 {
 		return catalog.Info{}, fmt.Errorf("catalog: selectivity %v out of [0,1]", selectivity)
 	}
-	base, pins, err := t.fullRelation(of)
+	base, ofRec, pins, err := t.fullRelation(of)
 	if err != nil {
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: %w", of, err)
 	}
@@ -158,10 +164,7 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 	// The probe's non-matching keys start at rel.NonMatchBase, above every
 	// generated build key: an uploaded base holding one there would match
 	// them and the probe would miss its selectivity.
-	t.mu.Lock()
-	loaded := t.rels[of] != nil && t.rels[of].source == catalog.Loaded
-	t.mu.Unlock()
-	if loaded && slices.ContainsFunc(base.Keys, func(k int32) bool { return k >= rel.NonMatchBase }) {
+	if ofRec.source == catalog.Loaded && slices.ContainsFunc(base.Keys, func(k int32) bool { return k >= rel.NonMatchBase }) {
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: an uploaded key is at or above %d, where a generated probe's non-matching keys start", of, rel.NonMatchBase)
 	}
 	sr := &shardedRel{name: name, source: catalog.Probe, gen: g, probeOf: of, sel: selectivity}
@@ -206,86 +209,72 @@ func (t *router) unpend(name string) {
 	t.mu.Unlock()
 }
 
-// fullRelation returns a registered relation in its original tuple order,
-// with the pins (if any) the caller releases when done reading it. Probe
-// generation indexes the build side by original position. A grid of one
-// holds exactly that — the one resident slice is the relation — and it is
-// read in place. A partition split does not preserve positions, so over a
-// larger grid the router walks the provenance chain: generated bases
-// regenerate from their stored specs, bulk-loaded bases reassemble from
-// their partition slices via the ingest-time order map (see
+// fullRelation returns a registered relation in its original tuple order
+// and its record, with the pins (if any) the caller releases when done
+// reading it. Probe generation indexes the build side by original position.
+// A grid of one holds exactly that — the one resident slice is the relation
+// — and it is read in place. A partition split does not preserve positions,
+// so over a larger grid the router walks the provenance chain: generated
+// bases regenerate from their stored specs, bulk-loaded bases reassemble
+// from their partition slices via the ingest-time order map (see
 // shardedRel.order), and probe links re-apply on top. Every route yields the
-// same relation, bit for bit.
-func (t *router) fullRelation(name string) (rel.Relation, []*catalog.Entry, error) {
+// same relation, bit for bit. The walk and the pin on the slices read are
+// one critical section, so the slices are the walked records' own.
+func (t *router) fullRelation(name string) (r rel.Relation, sr *shardedRel, pins []*catalog.Entry, err error) {
 	type link struct {
 		gen rel.Gen
 		sel float64
 	}
 	var chain []link
-	var loaded *shardedRel
+	var parts []rel.Relation
 	t.mu.Lock()
-	cur, ok := t.rels[name]
-	if ok && t.grid.Whole() {
-		parts, pins, err := t.b.partitions(name, nil)
-		t.mu.Unlock()
-		if err != nil {
-			return rel.Relation{}, nil, err
+	sr = t.rels[name]
+	base := sr
+	for base != nil && !t.grid.Whole() && base.source != catalog.Loaded {
+		chain = append(chain, link{gen: base.gen, sel: base.sel})
+		if base.source == catalog.Generated {
+			break
 		}
-		return parts[0], pins, nil
+		base = t.rels[base.probeOf]
 	}
-	for {
-		if !ok {
-			t.mu.Unlock()
-			return rel.Relation{}, nil, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
-		}
-		if cur.source == catalog.Loaded {
-			loaded = cur
-			break
-		}
-		chain = append(chain, link{gen: cur.gen, sel: cur.sel})
-		if cur.source == catalog.Generated {
-			break
-		}
-		cur, ok = t.rels[cur.probeOf]
+	if base == nil {
+		err = fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+	} else if t.grid.Whole() || base.source == catalog.Loaded {
+		parts, pins, err = t.b.partitions(base.name, nil)
 	}
 	t.mu.Unlock()
 	// Rebuild the base outside the lock (generation and reassembly are the
 	// expensive part), then re-apply the probe chain on top.
-	var r rel.Relation
-	if loaded != nil {
-		var err error
-		if r, err = t.reassemble(loaded); err != nil {
-			return rel.Relation{}, nil, err
+	switch {
+	case err != nil:
+		return r, nil, nil, err
+	case t.grid.Whole():
+		return parts[0], sr, pins, nil
+	case base.source == catalog.Loaded:
+		r, err = reassemble(base, parts)
+		releaseAll(pins)
+		if err != nil {
+			return r, nil, nil, err
 		}
-	} else {
+	default:
 		r = chain[len(chain)-1].gen.Build()
 		chain = chain[:len(chain)-1]
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		r = chain[i].gen.Probe(r, chain[i].sel)
 	}
-	return r, nil, nil
+	return r, sr, nil, nil
 }
 
 // reassemble reconstructs a bulk-loaded relation in its original tuple
-// order: pin every partition slice, then walk the ingest-time order map
-// with one cursor per partition — the split preserves within-partition
-// relative order, so tuple i is the next unconsumed tuple of its recorded
-// partition.
-func (t *router) reassemble(sr *shardedRel) (rel.Relation, error) {
-	// Pinning under the lock, after re-checking the record: the slices read
-	// below must be the ones sr.order was recorded against.
-	t.mu.Lock()
-	if t.rels[sr.name] != sr {
-		t.mu.Unlock()
-		return rel.Relation{}, fmt.Errorf("%w: %q", catalog.ErrNotFound, sr.name)
+// order from its partition slices: walk the ingest-time order map with one
+// cursor per partition — the split preserves within-partition relative
+// order, so tuple i is the next unconsumed tuple of its recorded partition.
+// A cluster router holds no slices to walk.
+func reassemble(sr *shardedRel, parts []rel.Relation) (rel.Relation, error) {
+	if parts == nil {
+		return rel.Relation{}, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", sr.name)
 	}
-	parts, pins, err := t.b.partitions(sr.name, nil)
-	t.mu.Unlock()
-	if err != nil {
-		return rel.Relation{}, err
-	}
-	defer releaseAll(pins)
 	out := rel.Relation{Keys: make([]int32, 0, len(sr.order))}
 	cursors := make([]int, len(parts))
 	for _, p := range sr.order {
@@ -318,7 +307,7 @@ func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, erro
 			sr.order[i] = uint8(t.grid.PartitionOf(k))
 		}
 	}
-	if err := t.b.place(sr.name, t.grid.Split(full), sr.stats.Counts); err != nil {
+	if err := t.b.place(sr.name, t.grid.Split(full)); err != nil {
 		return catalog.Info{}, err
 	}
 	t.mu.Lock()
@@ -406,27 +395,42 @@ func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 	return info
 }
 
-// lookup resolves each non-empty name to its record (recs[i] stays nil for
-// an empty names[i]) and counts one join against every record found.
-func (t *router) lookup(names []string, recs []*shardedRel) error {
+// bind takes a query's snapshot of the catalog in one critical section:
+// it resolves every named source to its record, pins that registration's
+// partition slices into the source (backend.partitions), appending the
+// pins to pins, and counts one join against every record. It is all or
+// nothing: on a failure every pin goes back, those passed in (an inline
+// split's scratch) included. A record and the slices pinned under the same
+// lock belong to one registration (see shardedRel), so nothing needs
+// re-checking: a registration that completed before the bind is what the
+// query reads, and a later Drop or registration changes nothing it reads.
+func (t *router) bind(srcs []source, pins []*catalog.Entry) ([]*catalog.Entry, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, name := range names {
-		if name == "" {
+	for i := range srcs {
+		src := &srcs[i]
+		if src.name == "" {
 			continue
 		}
-		sr, ok := t.rels[name]
-		if !ok {
-			return fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+		var err error
+		if src.rec = t.rels[src.name]; src.rec == nil {
+			err = fmt.Errorf("%w: %q", catalog.ErrNotFound, src.name)
+		} else {
+			n := len(pins)
+			src.parts, pins, err = t.b.partitions(src.name, pins)
+			src.entries = pins[n:]
 		}
-		recs[i] = sr
-	}
-	for _, sr := range recs {
-		if sr != nil {
-			sr.joins++
+		if err != nil {
+			releaseAll(pins)
+			return nil, err
 		}
 	}
-	return nil
+	for i := range srcs {
+		if srcs[i].rec != nil {
+			srcs[i].rec.joins++
+		}
+	}
+	return pins, nil
 }
 
 // workload returns the planner workload buckets of the pair (build r,
@@ -462,7 +466,7 @@ func (t *router) workload(r, s *shardedRel) plan.Workload {
 
 // recWorkload is the routed pairFn: the memoized pair workload of two
 // registered sources.
-func (t *router) recWorkload(build, probe *pipeSource) (plan.Workload, bool) {
+func (t *router) recWorkload(build, probe *source) (plan.Workload, bool) {
 	if build.rec == nil || probe.rec == nil {
 		return plan.Workload{}, false
 	}
@@ -490,7 +494,9 @@ func (t *router) stats(st *Stats) {
 // joinJob is one resolved join: its options, the full-relation pair
 // workload when both sides are registered (auto planning), and the
 // backend's form of the inputs — both sides' per-partition slices
-// in-process, the wire request on a cluster.
+// in-process (a partition's join over a registered build side probes the
+// table its entry keeps instead of building its own), the wire request on
+// a cluster.
 type joinJob struct {
 	opt      core.Options
 	auto     bool
@@ -499,36 +505,32 @@ type joinJob struct {
 	// (JoinSpec.KeepPartitions) — the cluster transport's raw material.
 	keep bool
 
-	rParts, sParts []rel.Relation
-	// builds are a registered build side's per-partition entries, all nil
-	// for an inline one: a partition's join over a registered build side
-	// probes the table its entry keeps instead of building its own.
-	builds []*catalog.Entry
-	req    api.JoinRequest
+	in  [2]source
+	req api.JoinRequest
 }
 
-// resolveJoin resolves a JoinSpec through the router: registered sides
-// resolve to their records and — when the planner decides — carry the
-// centrally measured pair workload; the backend binds the inputs. Mixed
-// named/inline pairs are accepted in-process (the engine facade's
-// contract); the HTTP layer enforces its own both-or-neither rule before
-// submitting.
+// resolveJoin resolves a JoinSpec through the router: the backend prepares
+// the inputs, bind pins the registered sides and resolves their records,
+// and — when the planner decides — the job carries the centrally measured
+// pair workload. Mixed named/inline pairs are accepted in-process (the
+// engine facade's contract); the HTTP layer enforces its own
+// both-or-neither rule before submitting.
 func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 	rs := resolvedSpec{auto: sp.Auto}
-	var recs [2]*shardedRel
-	if err := t.lookup([]string{sp.RName, sp.SName}, recs[:]); err != nil {
-		return rs, err
-	}
 	job := &joinJob{opt: sp.Opt, auto: sp.Auto, keep: sp.KeepPartitions, workload: sp.Workload}
-	var err error
-	if rs.pins, err = t.b.bindJoin(job, sp); err != nil {
+	job.in[0].name, job.in[1].name = sp.RName, sp.SName
+	pins, err := t.b.bindJoin(job, sp)
+	if err == nil {
+		pins, err = t.bind(job.in[:], pins)
+	}
+	if err != nil {
 		return rs, err
 	}
-	if sp.Auto && job.workload == nil && recs[0] != nil && recs[1] != nil {
-		w := t.workload(recs[0], recs[1])
+	if r, s := job.in[0].rec, job.in[1].rec; sp.Auto && job.workload == nil && r != nil && s != nil {
+		w := t.workload(r, s)
 		job.workload = &w
 	}
-	rs.join = job
+	rs.join, rs.pins = job, pins
 	return rs, nil
 }
 
@@ -551,7 +553,7 @@ func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, pins [
 	if err != nil {
 		return r, s, nil, nil, err
 	}
-	return rs.join.rParts[0], rs.join.sParts[0], rs.join.workload, rs.pins, nil
+	return rs.join.in[0].parts[0], rs.join.in[1].parts[0], rs.join.workload, rs.pins, nil
 }
 
 // execJoin fans one join out to every grid partition and merges the
@@ -596,35 +598,36 @@ func mergePlans(plans []*PlanInfo) *PlanInfo {
 	return out
 }
 
-// resolvePipeline resolves a pipeline through the router: look the
-// registered sources up, let the backend bind the inputs, then choose the
-// left-deep order ONCE from the full-relation statistics — every partition
-// (and every server) executes the same order — and capture the first
-// step's pair workload for auto planning.
+// resolvePipeline resolves a pipeline through the router: the backend
+// prepares the inputs, bind pins the registered sources and resolves their
+// records, then the left-deep order is chosen ONCE from the full-relation
+// statistics — every partition (and every server) executes the same order
+// — and the first step's pair workload is captured for auto planning.
 func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 	rs := resolvedSpec{auto: spec.Auto}
 	if len(spec.Sources) < 2 {
 		return rs, fmt.Errorf("%w (got %d)", ErrPipelineTooShort, len(spec.Sources))
 	}
-	names := make([]string, len(spec.Sources))
-	for i, src := range spec.Sources {
-		names[i] = src.Name
-	}
-	recs := make([]*shardedRel, len(names))
-	if err := t.lookup(names, recs); err != nil {
-		return rs, fmt.Errorf("pipeline source: %w", err)
-	}
 	pj := &pipeJob{
 		opt:      spec.Opt,
 		auto:     spec.Auto,
-		sources:  make([]pipeSource, len(spec.Sources)),
+		sources:  make([]source, len(spec.Sources)),
 		declared: spec.DeclaredOrder,
 		keep:     spec.KeepPartitions,
 		wFirst:   spec.FirstWorkload,
 	}
 	for i, src := range spec.Sources {
+		pj.sources[i].name = src.Name
+	}
+	pins, err := t.b.bindPipeline(pj, spec)
+	if err != nil {
+		return rs, err
+	}
+	if rs.pins, err = t.bind(pj.sources, pins); err != nil {
+		return rs, fmt.Errorf("pipeline source: %w", err)
+	}
+	for i, src := range spec.Sources {
 		in := &pj.sources[i]
-		in.name, in.rec = src.Name, recs[i]
 		switch {
 		case in.rec != nil:
 			in.tuples = in.rec.tuples
@@ -633,10 +636,6 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 		default:
 			in.name, in.tuples = fmt.Sprintf("inline[%d]", i), src.Rel.Len()
 		}
-	}
-	var err error
-	if rs.pins, err = t.b.bindPipeline(pj, spec); err != nil {
-		return rs, err
 	}
 	pj.order = chooseOrder(pj.sources, pj.declared, t.recWorkload)
 	// The first step plans from its pair workload when both of its inputs
