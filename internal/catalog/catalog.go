@@ -1,25 +1,24 @@
-// Package catalog is the resident store under the service's router: a
-// budgeted, pinned, named set of relation slices. The router owns every
-// logical fact about a relation — its name, provenance, ingest statistics
-// and pair workloads — and hands a backend the slices to keep; a Catalog
-// keeps them, charged against a resident zero-copy buffer (the paper's
-// schemes assume the relations already live in the region both devices
-// address, Sec. 4), and lends the same budget to a pipeline's transient
-// intermediates (ReserveTransient, Unreserve). Slices are stored as given
-// (Load): nothing is copied, measured or indexed here.
+// Package catalog is the resident store under the service's router: the
+// budget of the zero-copy region both devices address, and the slices
+// charged to it (the paper's schemes assume the relations already live
+// there, Sec. 4). It names nothing. Load stores a slice as given — nothing
+// is copied, measured or indexed — and returns its entry, a handle the
+// caller keeps: the router's record of a registration holds its entries
+// beside its slices, pins them as one set (Pin) and drops them (Drop). The
+// same budget is lent to a pipeline's transient intermediates
+// (ReserveTransient, Unreserve).
 //
-// Deletion is refcounted: Drop unbinds the name immediately (no new query
-// can resolve it) while in-flight queries keep their pins; the zero-copy
-// bytes are released when the last pin drains, and with them the build
-// record a join left on the entry (Entry.Join): the built hash table the
-// next join over the same build side probes instead of building its own —
-// and the pilot a plan left (Entry.BuildPlan): the build half of the
-// planner's profiling run, which the next cold plan probes. The catalog
-// alone decides what stays resident: records and pilots are charged to the
-// same budget and only kept when they fit, and relations and transient
-// reservations come first, evicting the records and pilots no query reads
-// when that makes them fit. One mutex guards the pins, the drop state, the
-// records and the pilots.
+// Deletion is refcounted: Drop marks an entry dropped while in-flight
+// queries keep their pins; the zero-copy bytes are released when the last
+// pin drains, and with them the build record a join left on the entry
+// (Entry.Join): the built hash table the next join over the same build side
+// probes instead of building its own — and the pilot a plan left
+// (Entry.BuildPlan): the build half of the planner's profiling run, which
+// the next cold plan probes. The catalog alone decides what stays resident:
+// records and pilots are charged to the same budget and only kept when they
+// fit, and relations and transient reservations come first, evicting the
+// records and pilots no query reads when that makes them fit. One mutex
+// guards the pins, the drop state, the records and the pilots.
 //
 // The package also holds what the router records about a relation — Info,
 // Source, and the ingest statistics (Measure, IngestStats) the planner's
@@ -31,15 +30,15 @@
 // identical inline query, because the sampling arithmetic is shared
 // (plan.WorkloadSample, rel.Relation.KeySample). A pipeline's first step
 // reads the same table instead of counting its build side per query. The
-// table lives on the router's record alone: a query looks its names up and
-// pins their slices in one critical section of the router, so the record it
-// reads belongs to the slices it pins.
+// table lives on the router's record alone, beside the entries the record
+// pins, so the table a query reads belongs to the slices it pins.
 package catalog
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -50,7 +49,9 @@ import (
 )
 
 // Registration and lookup errors. HTTP layers map ErrNotFound to 404,
-// ErrExists to 409 and ErrNoSpace to 507.
+// ErrExists to 409 and ErrNoSpace to 507. The router, which owns the names,
+// returns the first two; Load returns ErrNoSpace, which the router's backend
+// wraps with the relation's name.
 var (
 	ErrExists   = errors.New("catalog: relation already registered")
 	ErrNotFound = errors.New("catalog: no such relation")
@@ -115,9 +116,9 @@ type Info struct {
 // budget bounds the relations' bytes, not the memory their registration
 // holds — on a router with no local backend too, which keeps the table only
 // for membership tests. It is never handed back to the recycler: the router
-// record, the relation's catalog entries and every query that pinned them
-// share the table, which the GC frees once the last of them is gone — so a
-// Drop during a running query needs no refcount beyond the entry pins.
+// record and every query that bound it share the table, which the GC frees
+// once the last of them is gone — so a Drop during a running query needs no
+// refcount beyond the entry pins.
 type IngestStats struct {
 	Sample     []int32
 	Counts     rel.Counts
@@ -141,9 +142,9 @@ func Measure(r rel.Relation) IngestStats {
 	}
 }
 
-// Entry is one resident slice. Entries are immutable after Load; only the
-// pin count, the drop flag, the build record and the pilot change, all
-// guarded by the owning catalog's mutex.
+// Entry is one resident slice, the handle Load returns. Entries are
+// immutable after Load; only the pin count, the drop flag, the build record
+// and the pilot change, all guarded by the owning catalog's mutex.
 type Entry struct {
 	c   *Catalog
 	rel rel.Relation
@@ -155,10 +156,6 @@ type Entry struct {
 	pilot   *core.Pilot
 }
 
-// Relation returns the resident slice. Its key column is shared, not
-// copied; callers must treat it as read-only.
-func (e *Entry) Relation() rel.Relation { return e.rel }
-
 // Join runs the join of r, the entry's slice, with s. On a catalog's entry
 // it probes the table the entry keeps when that was built under the join's
 // configuration and ratios (core.RunKept), and counts the hit or the miss.
@@ -166,9 +163,9 @@ func (e *Entry) Relation() rel.Relation { return e.rel }
 // takes its bytes, and the table is freed otherwise; a join under another
 // key than the kept table's runs uncached. The caller holds a pin on the
 // entry for the whole join, so no table a join reads is freed under it. A
-// nil or scratch entry runs uncached (core.RunCtx).
+// nil entry runs uncached (core.RunCtx).
 func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (*core.Result, error) {
-	if e == nil || e.c == nil {
+	if e == nil {
 		return core.RunCtx(ctx, r, s, opt)
 	}
 	c := e.c
@@ -186,7 +183,7 @@ func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (
 	} else {
 		c.misses++
 	}
-	keep := rec != nil && !hit && c.charge(rec.Bytes(), e.rec == nil)
+	keep := rec != nil && !hit && e.rec == nil && c.charge(e, rec.Bytes())
 	if keep {
 		e.rec = rec
 	}
@@ -203,9 +200,9 @@ func (e *Entry) Join(ctx context.Context, r, s rel.Relation, opt core.Options) (
 // the plan's own, sealed, when the budget takes its bytes, and the pilot is
 // freed otherwise. The plan is core.BuildPlan's either way, and counts
 // neither as a hit nor as a miss of the build records. The caller holds a
-// pin on the entry. A nil or scratch entry plans uncached (core.BuildPlan).
+// pin on the entry. A nil entry plans uncached (core.BuildPlan).
 func (e *Entry) BuildPlan(r, s rel.Relation, opt core.Options) (*core.Plan, error) {
-	if e == nil || e.c == nil {
+	if e == nil {
 		return core.BuildPlan(r, s, opt)
 	}
 	c := e.c
@@ -217,7 +214,7 @@ func (e *Entry) BuildPlan(r, s rel.Relation, opt core.Options) (*core.Plan, erro
 		return pl, err
 	}
 	c.mu.Lock()
-	keep := c.charge(p.Bytes(), e.pilot == nil)
+	keep := e.pilot == nil && c.charge(e, p.Bytes())
 	if keep {
 		e.pilot = p
 	}
@@ -228,36 +225,60 @@ func (e *Entry) BuildPlan(r, s rel.Relation, opt core.Options) (*core.Plan, erro
 	return pl, nil
 }
 
-// Scratch pins a relation no catalog holds: one query's split of an inline
-// relation, whose key column is a recycler slab. Its one Release hands it
-// back, as the last pin on a dropped entry frees its bytes.
-func Scratch(r rel.Relation) *Entry { return &Entry{rel: r, pins: 1} }
-
-// Release drops one pin taken by Catalog.Acquire. When the entry was
-// dropped and this was the last pin, the resident zero-copy bytes are
-// released. Release is safe to call from query-completion paths running
-// concurrently with Drop.
-func (e *Entry) Release() {
-	if e.c == nil {
-		e.rel.Release()
-		e.rel = rel.Relation{}
+// Pin takes one pin on every entry of set — one registration's slices, all
+// of one catalog — under one lock, so no Drop, eviction or other pin sees
+// the set half pinned. The caller must Unpin the same set when its query
+// finishes; the pins keep a dropped entry's data alive until then. An
+// empty set (a relation no catalog holds) pins nothing.
+func Pin(set ...*Entry) {
+	if len(set) == 0 {
 		return
 	}
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	if e.pins > 0 {
-		e.pins--
-	}
-	if e.dropped && e.pins == 0 {
-		e.c.zc.Free(e.rel.Bytes())
-		e.c.freeKept(e)
-		e.dropped = false // free exactly once
+	c := set[0].c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range set {
+		e.pins++
 	}
 }
 
+// Unpin drops the pins Pin took on set, under one lock. An entry that was
+// dropped frees its resident zero-copy bytes, build record and pilot with
+// its last pin. Unpin is safe to call from query-completion paths running
+// concurrently with Drop.
+func Unpin(set ...*Entry) {
+	if len(set) == 0 {
+		return
+	}
+	c := set[0].c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range set {
+		if e.pins == 0 {
+			continue
+		}
+		if e.pins--; e.dropped && e.pins == 0 {
+			c.free(e)
+		}
+	}
+}
+
+// Pins returns the in-flight pins on set, 0 for an empty set. Pin and
+// Unpin move every entry of a set together, so its first entry's count is
+// the set's: the queries that pinned it.
+func Pins(set ...*Entry) int {
+	if len(set) == 0 {
+		return 0
+	}
+	c := set[0].c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return set[0].pins
+}
+
 // Stats is the catalog metrics surface of the service: a store fills the
-// physical gauges, the router the logical ones (relations counted once,
-// WorkloadReuses).
+// physical gauges, the router the logical ones (Relations, Registered,
+// Dropped, WorkloadReuses).
 type Stats struct {
 	Relations int `json:"relations"`
 	// Bytes is what the registered relations and transient pipeline
@@ -288,17 +309,18 @@ type Stats struct {
 	BuildRecordMisses int64 `json:"build_record_misses"`
 }
 
-// Catalog is a named set of resident slices, safe for concurrent use.
+// Catalog is a budgeted store of resident slices, safe for concurrent use.
 type Catalog struct {
 	mu sync.Mutex
 	// zc accounts the resident slices against the zero-copy capacity;
 	// queries still run their own per-run footprint accounting (the
 	// transient join structures), see DESIGN.md.
-	zc      *mem.ZeroCopy
-	entries map[string]*Entry
+	zc *mem.ZeroCopy
+	// kept lists the entries that keep a build record or a pilot, in the
+	// order they first kept one: what makeRoom may evict.
+	kept []*Entry
 
-	registered, dropped int64
-	peakBytes           int64
+	peakBytes int64
 	// records is the share of zc.Used() the entries' build records and
 	// pilots hold; hits and misses count the joins that found a record
 	// under their key and those that built their own.
@@ -318,7 +340,7 @@ func New(capacityBytes int64) *Catalog {
 	if capacityBytes > 0 {
 		zc.Capacity = capacityBytes
 	}
-	return &Catalog{zc: zc, entries: make(map[string]*Entry)}
+	return &Catalog{zc: zc}
 }
 
 // makeRoom evicts the build records and pilots no query reads — their
@@ -330,11 +352,10 @@ func (c *Catalog) makeRoom(n int64, whole bool) {
 		return
 	}
 	var idle []*Entry
-	//apulint:ignore detmaporder(every unpinned entry's record and pilot is evicted, or none is; the freed bytes and what is left are the same whatever order the entries are visited in)
-	for _, e := range c.entries {
-		if b := e.keptBytes(); e.pins == 0 && b > 0 {
+	for _, e := range c.kept {
+		if e.pins == 0 {
 			idle = append(idle, e)
-			over -= b
+			over -= e.keptBytes()
 		}
 	}
 	if !whole || over <= 0 {
@@ -344,12 +365,15 @@ func (c *Catalog) makeRoom(n int64, whole bool) {
 	}
 }
 
-// charge takes bytes of the budget for the record or pilot an entry's
-// empty slot keeps, when the budget takes them, and reports whether it did.
+// charge takes bytes of the budget for the record or pilot e's empty slot
+// is about to keep, when the budget takes them, and reports whether it did.
 // c.mu is held.
-func (c *Catalog) charge(bytes int64, empty bool) bool {
-	if !empty || c.zc.Alloc(bytes) != nil {
+func (c *Catalog) charge(e *Entry, bytes int64) bool {
+	if c.zc.Alloc(bytes) != nil {
 		return false
+	}
+	if e.rec == nil && e.pilot == nil {
+		c.kept = append(c.kept, e)
 	}
 	c.records += bytes
 	c.peakBytes = max(c.peakBytes, c.zc.Used())
@@ -373,6 +397,11 @@ func (e *Entry) keptBytes() int64 {
 // hands their bytes back to the budget. c.mu is held, and no query reads
 // either.
 func (c *Catalog) freeKept(e *Entry) {
+	i := slices.Index(c.kept, e)
+	if i < 0 {
+		return
+	}
+	c.kept = slices.Delete(c.kept, i, i+1)
 	b := e.keptBytes()
 	c.zc.Free(b)
 	c.records -= b
@@ -385,28 +414,28 @@ func (c *Catalog) freeKept(e *Entry) {
 	e.rec, e.pilot = nil, nil
 }
 
-// Load stores a slice under name. The key column is retained, not copied;
-// the caller must not mutate it afterwards. When the slice does not fit,
-// the build records no query reads are evicted if that makes it fit; a load
-// that cannot fit evicts nothing.
-func (c *Catalog) Load(name string, r rel.Relation) error {
-	if name == "" {
-		return fmt.Errorf("catalog: empty relation name")
-	}
+// free hands a dropped entry's bytes, build record and pilot back to the
+// budget. c.mu is held, and the entry's last pin has drained.
+func (c *Catalog) free(e *Entry) {
+	c.zc.Free(e.rel.Bytes())
+	c.freeKept(e)
+}
+
+// Load stores a slice and returns its entry, unpinned. The key column is
+// retained, not copied; the caller must not mutate it afterwards. When the
+// slice does not fit, the build records no query reads are evicted if that
+// makes it fit; a load that cannot fit evicts nothing and fails with
+// ErrNoSpace.
+func (c *Catalog) Load(r rel.Relation) (*Entry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, name)
-	}
 	c.makeRoom(r.Bytes(), true)
 	if err := c.zc.Alloc(r.Bytes()); err != nil {
-		return fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
-			ErrNoSpace, name, r.Bytes(), c.zc.Used(), c.zc.Capacity)
+		return nil, fmt.Errorf("%w: %d bytes needed, %d of %d in use",
+			ErrNoSpace, r.Bytes(), c.zc.Used(), c.zc.Capacity)
 	}
-	c.entries[name] = &Entry{c: c, rel: r}
-	c.registered++
 	c.peakBytes = max(c.peakBytes, c.zc.Used())
-	return nil
+	return &Entry{c: c, rel: r}, nil
 }
 
 // ReserveTransient charges up to bytes of a pipeline intermediate against
@@ -447,48 +476,19 @@ func (c *Catalog) Unreserve(bytes int64) {
 	c.zc.Free(bytes)
 }
 
-// Acquire resolves a name to its entry and takes one pin; the caller must
-// Release when the query finishes. Pins keep a dropped entry's data alive
-// until the last in-flight query completes.
-func (c *Catalog) Acquire(name string) (*Entry, error) {
+// Drop removes e from the store: queries already pinning it keep its data,
+// and its zero-copy bytes are released when the last pin drains
+// (immediately when none are held). It returns the slice's bytes; an entry
+// dropped before fails with ErrNotFound.
+func (c *Catalog) Drop(e *Entry) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	if e.dropped {
+		return 0, ErrNotFound
 	}
-	e.pins++
-	return e, nil
-}
-
-// Pins returns the pins currently held on name's entry (0 when absent).
-func (c *Catalog) Pins(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
-		return e.pins
-	}
-	return 0
-}
-
-// Drop removes a slice: the name is unbound immediately, so new queries
-// cannot resolve it, while queries already pinning the entry keep their
-// data; the zero-copy bytes are released when the last pin drains
-// (immediately when none are held). It returns the slice's bytes.
-func (c *Catalog) Drop(name string) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(c.entries, name)
-	c.dropped++
+	e.dropped = true
 	if e.pins == 0 {
-		c.zc.Free(e.rel.Bytes())
-		c.freeKept(e)
-	} else {
-		e.dropped = true
+		c.free(e)
 	}
 	return e.rel.Bytes(), nil
 }
@@ -498,12 +498,9 @@ func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Relations:  len(c.entries),
-		Bytes:      c.zc.Used() - c.records,
-		Capacity:   c.zc.Capacity,
-		PeakBytes:  c.peakBytes,
-		Registered: c.registered,
-		Dropped:    c.dropped,
+		Bytes:     c.zc.Used() - c.records,
+		Capacity:  c.zc.Capacity,
+		PeakBytes: c.peakBytes,
 
 		BuildRecordBytes:  c.records,
 		BuildRecordHits:   c.hits,

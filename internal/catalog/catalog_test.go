@@ -44,85 +44,124 @@ func TestWorkloadMatchesInlineMeasurement(t *testing.T) {
 	}
 }
 
-func TestRegisterLookupDrop(t *testing.T) {
-	c := New(0)
-	orders := rel.Gen{N: 1024, Seed: 1}.Build()
-	if err := c.Load("orders", orders); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load("orders", rel.Gen{N: 16, Seed: 2}.Build()); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate load: err %v, want ErrExists", err)
-	}
-	if err := c.Load("lineitem", rel.Gen{N: 512, Seed: 3}.Build()); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Relations != 2 || st.Bytes != (1024+512)*8 || st.Registered != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-
-	if bytes, err := c.Drop("orders"); err != nil || bytes != orders.Bytes() {
-		t.Fatalf("drop: %d bytes, err %v", bytes, err)
-	}
-	if _, err := c.Acquire("orders"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("acquire after drop: err %v, want ErrNotFound", err)
-	}
-	if st := c.Stats(); st.Relations != 1 || st.Bytes != 512*8 || st.Dropped != 1 {
-		t.Errorf("stats after drop = %+v, want bytes freed", st)
-	}
-	if _, err := c.Drop("orders"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double drop: err %v, want ErrNotFound", err)
-	}
-}
-
-// TestDropWhilePinned: the name unbinds immediately but the resident bytes
-// survive until the pin is released, and the pin keeps serving the slice it
-// was loaded with after the name is loaded again.
-func TestDropWhilePinned(t *testing.T) {
-	c := New(0)
-	r := rel.Gen{N: 1024, Seed: 1}.Build()
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
+// load stores r in c and returns its entry, failing the test otherwise.
+func load(t *testing.T, c *Catalog, r rel.Relation) *Entry {
+	t.Helper()
+	e, err := c.Load(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pins := c.Pins("r"); pins != 1 {
+	return e
+}
+
+// pinned loads r and takes one pin on its entry.
+func pinned(t *testing.T, c *Catalog, r rel.Relation) *Entry {
+	t.Helper()
+	e := load(t, c, r)
+	Pin(e)
+	return e
+}
+
+// TestRegisterLookupDrop: Load charges a slice's bytes and Drop frees them,
+// once: an entry dropped before fails with ErrNotFound.
+func TestRegisterLookupDrop(t *testing.T) {
+	c := New(0)
+	orders := rel.Gen{N: 1024, Seed: 1}.Build()
+	e := load(t, c, orders)
+	load(t, c, rel.Gen{N: 512, Seed: 3}.Build())
+	if st := c.Stats(); st.Bytes != (1024+512)*8 || st.PeakBytes != st.Bytes {
+		t.Errorf("stats = %+v", st)
+	}
+
+	if bytes, err := c.Drop(e); err != nil || bytes != orders.Bytes() {
+		t.Fatalf("drop: %d bytes, err %v", bytes, err)
+	}
+	if st := c.Stats(); st.Bytes != 512*8 {
+		t.Errorf("stats after drop = %+v, want bytes freed", st)
+	}
+	if _, err := c.Drop(e); !errors.Is(err, ErrNotFound) {
+		t.Errorf("double drop: err %v, want ErrNotFound", err)
+	}
+	if st := c.Stats(); st.Bytes != 512*8 {
+		t.Errorf("stats after a double drop = %+v, want the bytes freed once", st)
+	}
+}
+
+// TestDropWhilePinned: the resident bytes survive a Drop until the last pin
+// is released, and the pin keeps serving the slice it was loaded with
+// after the same relation's next slice is loaded.
+func TestDropWhilePinned(t *testing.T) {
+	c := New(0)
+	r := rel.Gen{N: 1024, Seed: 1}.Build()
+	e := pinned(t, c, r)
+	if pins := Pins(e); pins != 1 {
 		t.Errorf("pins = %d, want 1", pins)
 	}
-	if _, err := c.Drop("r"); err != nil {
+	if _, err := c.Drop(e); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Bytes != 1024*8 {
 		t.Errorf("bytes %d freed before last pin released", st.Bytes)
 	}
-	next := rel.Gen{N: 64, Seed: 2}.Build()
-	if err := c.Load("r", next); err != nil {
-		t.Fatal(err)
-	}
+	load(t, c, rel.Gen{N: 64, Seed: 2}.Build())
 	// The pinned entry still serves its data.
-	if got := e.Relation(); got.Len() != 1024 || got.Keys[0] != r.Keys[0] {
+	if got := e.rel; got.Len() != 1024 || got.Keys[0] != r.Keys[0] {
 		t.Errorf("pinned entry lost its data: %d tuples", got.Len())
 	}
-	e.Release()
+	Unpin(e)
 	if st := c.Stats(); st.Bytes != 64*8 {
 		t.Errorf("bytes %d, want the reloaded relation's %d after the last release", st.Bytes, 64*8)
+	}
+	Unpin(e) // an extra Unpin frees nothing twice
+	if st := c.Stats(); st.Bytes != 64*8 {
+		t.Errorf("bytes %d after an extra Unpin, want %d", st.Bytes, 64*8)
+	}
+}
+
+// TestPinAsOneSet: Pin and Unpin move every entry of a set together, Pins
+// counts the set's pins without taking one, and a dropped set frees its
+// bytes with its last Unpin.
+func TestPinAsOneSet(t *testing.T) {
+	c := New(0)
+	set := []*Entry{load(t, c, rel.Gen{N: 64, Seed: 1}.Build()), load(t, c, rel.Gen{N: 128, Seed: 2}.Build())}
+	if Pins() != 0 || Pins(set...) != 0 {
+		t.Fatalf("pins before any Pin: empty set %d, set %d", Pins(), Pins(set...))
+	}
+	Pin()
+	Unpin() // an empty set — a relation no catalog holds — pins nothing
+	Pin(set...)
+	Pin(set...)
+	for _, e := range set {
+		if Pins(e) != 2 {
+			t.Errorf("an entry of a set pinned twice holds %d pins", Pins(e))
+		}
+	}
+	for _, e := range set {
+		if _, err := c.Drop(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Unpin(set...)
+	if st := c.Stats(); Pins(set...) != 1 || st.Bytes != (64+128)*8 {
+		t.Errorf("after one Unpin: %d pins, %d bytes", Pins(set...), st.Bytes)
+	}
+	Unpin(set...)
+	if st := c.Stats(); Pins(set...) != 0 || st.Bytes != 0 {
+		t.Errorf("after the last Unpin: %d pins, %d bytes", Pins(set...), st.Bytes)
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
 	c := New(1024 * 8)
-	if err := c.Load("fits", rel.Gen{N: 1024, Seed: 1}.Build()); err != nil {
-		t.Fatal(err)
-	}
+	fits := load(t, c, rel.Gen{N: 1024, Seed: 1}.Build())
 	overflow := rel.Gen{N: 1, Seed: 2}.Build()
-	if err := c.Load("overflow", overflow); !errors.Is(err, ErrNoSpace) {
+	if _, err := c.Load(overflow); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("overflow load: err %v, want ErrNoSpace", err)
 	}
-	if _, err := c.Drop("fits"); err != nil {
+	if _, err := c.Drop(fits); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("overflow", overflow); err != nil {
+	if _, err := c.Load(overflow); err != nil {
 		t.Errorf("load after drop freed space: %v", err)
 	}
 }
@@ -135,9 +174,7 @@ func TestCapacityEnforced(t *testing.T) {
 func TestReserveAccounting(t *testing.T) {
 	const half = 512 * 8
 	c := New(2 * half)
-	if err := c.Load("half", rel.Gen{N: 512, Seed: 1}.Build()); err != nil {
-		t.Fatal(err)
-	}
+	load(t, c, rel.Gen{N: 512, Seed: 1}.Build())
 	peak := c.Stats().PeakBytes
 	step := func(what string, got, want int64) {
 		t.Helper()
@@ -186,17 +223,11 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	}
 	const room = 1 << 20 // the sealed record needs about twice r's 32 KB
 	c := New(r.Bytes() + s.Bytes() + room)
-	for name, x := range map[string]rel.Relation{"r": r, "s": s} {
-		if err := c.Load(name, x); err != nil {
-			t.Fatal(err)
-		}
-	}
+	e := load(t, c, r)
+	load(t, c, s)
 	join := func() *Entry {
 		t.Helper()
-		e, err := c.Acquire("r")
-		if err != nil {
-			t.Fatal(err)
-		}
+		Pin(e)
 		got, err := e.Join(context.Background(), r, s, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -206,13 +237,13 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 		}
 		return e
 	}
-	join().Release()
+	Unpin(join())
 	st := c.Stats()
 	kept := st.BuildRecordBytes
 	if kept <= 0 || kept > room || st.Bytes != r.Bytes()+s.Bytes() || st.PeakBytes != st.Bytes+kept {
 		t.Fatalf("after a cold join: %d record bytes, %d bytes, peak %d", kept, st.Bytes, st.PeakBytes)
 	}
-	join().Release()
+	Unpin(join())
 	if st := c.Stats(); st.BuildRecordHits != 1 || st.BuildRecordMisses != 1 || st.BuildRecordBytes != kept {
 		t.Errorf("after a warm join: %d hits, %d misses, %d record bytes", st.BuildRecordHits, st.BuildRecordMisses, st.BuildRecordBytes)
 	}
@@ -221,7 +252,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	// refused, as is a reservation's demand beyond the free bytes.
 	pin := join()
 	big := rel.Gen{N: int(room/8) - 1, Seed: 3}.Build()
-	if err := c.Load("big", big); !errors.Is(err, ErrNoSpace) {
+	if _, err := c.Load(big); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("a load that needs a pinned entry's record bytes: err %v, want ErrNoSpace", err)
 	}
 	if got := c.ReserveTransient(room); got != room-kept {
@@ -232,7 +263,7 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 	if c.Stats().BuildRecordBytes != kept {
 		t.Fatal("a pinned entry's record was evicted")
 	}
-	pin.Release()
+	Unpin(pin)
 	if got := c.ReserveTransient(room); got != room || c.Stats().BuildRecordBytes != 0 {
 		t.Errorf("reserved %d of %d with %d record bytes left, want the whole room and none", got, room, c.Stats().BuildRecordBytes)
 	} else {
@@ -241,17 +272,17 @@ func TestBuildRecordsShareTheBudget(t *testing.T) {
 
 	// Evicted, the entry keeps the next cold join's record — through a
 	// load it cannot make room for, until a load needs the room.
-	join().Release()
+	Unpin(join())
 	huge := rel.Gen{N: int(room/8) + 1, Seed: 4}.Build()
-	if err := c.Load("huge", huge); !errors.Is(err, ErrNoSpace) || c.Stats().BuildRecordBytes != kept {
+	if _, err := c.Load(huge); !errors.Is(err, ErrNoSpace) || c.Stats().BuildRecordBytes != kept {
 		t.Fatalf("a load that cannot fit: err %v, %d record bytes left, want ErrNoSpace and %d", err, c.Stats().BuildRecordBytes, kept)
 	}
-	if err := c.Load("big", big); err != nil || c.Stats().BuildRecordBytes != 0 {
+	if _, err := c.Load(big); err != nil || c.Stats().BuildRecordBytes != 0 {
 		t.Fatalf("the load an unpinned record made room for: err %v, %d record bytes left", err, c.Stats().BuildRecordBytes)
 	}
 
 	// A record that does not fit is not kept.
-	join().Release()
+	Unpin(join())
 	if st := c.Stats(); st.BuildRecordBytes != 0 || st.BuildRecordMisses != 3 || st.Bytes != r.Bytes()+s.Bytes()+big.Bytes() {
 		t.Errorf("a full catalog kept %d record bytes (%d misses, %d bytes)", st.BuildRecordBytes, st.BuildRecordMisses, st.Bytes)
 	}
@@ -269,14 +300,8 @@ func TestJoinUnderAnotherKeyRunsUncached(t *testing.T) {
 	ratios.FixedBuild = sched.Ratios{0.3}
 	dd.Scheme = core.DD
 	c := New(0)
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
+	e := pinned(t, c, r)
+	defer Unpin(e)
 	misses := []int64{1, 2, 3, 4, 4} // after each join
 	var first *core.BuildRecord
 	for i, o := range []core.Options{opt, ratios, dd, ratios, opt} {
@@ -316,14 +341,8 @@ func TestConcurrentColdJoinsKeepOneRecord(t *testing.T) {
 	defer pool.Close()
 	opt := core.Options{Algo: core.PHJ, Scheme: core.PL, Delta: 0.25, PilotItems: 1024, Pool: pool}
 	c := New(0)
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
+	e := pinned(t, c, r)
+	defer Unpin(e)
 	var results [8]*core.Result
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -356,25 +375,19 @@ func TestConcurrentColdJoinsKeepOneRecord(t *testing.T) {
 
 // TestDroppedEntryFreesRecordOnLastRelease: a Drop leaves a pinned entry's
 // record to the queries that pin it — a join through the pin still probes
-// it — and the last Release frees it with the entry's bytes.
+// it — and the last Unpin frees it with the entry's bytes.
 func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 	r := rel.Gen{N: 4096, Seed: 1}.Build()
 	s := rel.Gen{N: 4096, Seed: 2}.Probe(r, 1.0)
 	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.25, PilotItems: 1024}
 	c := New(0)
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := pinned(t, c, r)
 	cold, err := e.Join(context.Background(), r, s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := c.Stats().BuildRecordBytes
-	if _, err := c.Drop("r"); err != nil {
+	if _, err := c.Drop(e); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.BuildRecordBytes != kept || kept <= 0 {
@@ -387,8 +400,8 @@ func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 	if st := c.Stats(); !reflect.DeepEqual(warm, cold) || st.BuildRecordHits != 1 {
 		t.Errorf("the join through the pin after the Drop: %d hits, deep-equal %v", st.BuildRecordHits, reflect.DeepEqual(warm, cold))
 	}
-	e.Release()
-	if st := c.Stats(); st.BuildRecordBytes != 0 || st.Bytes != 0 || e.rec != nil {
+	Unpin(e)
+	if st := c.Stats(); st.BuildRecordBytes != 0 || st.Bytes != 0 || e.rec != nil || len(c.kept) != 0 {
 		t.Errorf("after the last Release: %d record bytes, %d bytes, record %p", st.BuildRecordBytes, st.Bytes, e.rec)
 	}
 }
@@ -399,29 +412,17 @@ func TestDroppedEntryFreesRecordOnLastRelease(t *testing.T) {
 func TestEntryAccessors(t *testing.T) {
 	c := New(0)
 	in := rel.Gen{N: 4096, Seed: 1}.Build()
-	if err := c.Load("base", in); err != nil {
-		t.Fatal(err)
+	e := pinned(t, c, in)
+	other := load(t, c, rel.Gen{N: 64, Seed: 2}.Build())
+	if r := e.rel; r.Len() != 4096 || &r.Keys[0] != &in.Keys[0] {
+		t.Errorf("the entry's slice is not the loaded key column (len %d)", r.Len())
 	}
-	e, err := c.Acquire("base")
-	if err != nil {
-		t.Fatal(err)
+	if Pins(e) != 1 || Pins(other) != 0 {
+		t.Errorf("Pins: pinned %d, unpinned %d, want 1 and 0", Pins(e), Pins(other))
 	}
-	if r := e.Relation(); r.Len() != 4096 || &r.Keys[0] != &in.Keys[0] {
-		t.Errorf("Relation() is not the loaded key column (len %d)", r.Len())
-	}
-	if c.Pins("base") != 1 || c.Pins("absent") != 0 {
-		t.Errorf("Pins: base %d absent %d, want 1 and 0", c.Pins("base"), c.Pins("absent"))
-	}
-	e.Release()
-	if c.Pins("base") != 0 {
-		t.Errorf("Pins after release = %d", c.Pins("base"))
-	}
-}
-
-func TestLoadValidates(t *testing.T) {
-	c := New(0)
-	if err := c.Load("", rel.Relation{}); err == nil {
-		t.Error("loading under an empty name succeeded")
+	Unpin(e)
+	if Pins(e) != 0 {
+		t.Errorf("Pins after release = %d", Pins(e))
 	}
 }
 

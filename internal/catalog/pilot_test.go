@@ -63,13 +63,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 	s2 := rel.Gen{N: 1<<14 + 16, Seed: 3}.Probe(r, 1.0)
 	const room = 1 << 20 // the sealed pilot needs 16 B per sample tuple
 	c := New(r.Bytes() + room)
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := pinned(t, c, r)
 	planOn(t, e, r, s, planOpt)
 	p := keptPilot(e)
 	st := c.Stats()
@@ -85,7 +79,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 	} else {
 		c.Unreserve(got)
 	}
-	e.Release()
+	Unpin(e)
 
 	// Evicted, or dropped: the pilot's slabs go back, and the next cold
 	// plan's pilot takes them.
@@ -98,7 +92,7 @@ func TestPilotSharesTheBudget(t *testing.T) {
 		}
 	}
 	drop := func() {
-		if _, err := c.Drop("r"); err != nil {
+		if _, err := c.Drop(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,26 +105,18 @@ func TestPilotSharesTheBudget(t *testing.T) {
 			t.Fatalf("after the %s: %d record bytes", free.name, st.BuildRecordBytes)
 		}
 		if free.name == "Drop" {
-			if err := c.Load("r", r); err != nil {
-				t.Fatal(err)
-			}
+			e = load(t, c, r)
 		}
-		e, err := c.Acquire("r")
-		if err != nil {
-			t.Fatal(err)
-		}
+		Pin(e)
 		if got := allocated(func() { planOn(t, e, r, s, planOpt) }); got > kept/2 || keptPilot(e) == nil {
 			t.Errorf("the cold plan after the %s allocated %d B, the pilot kept %d B: its slabs did not go back", free.name, got, kept)
 		}
-		e.Release()
+		Unpin(e)
 	}
 
 	// A join keeps its record beside the pilot, and only joins count as
 	// build-record hits and misses.
-	e, err = c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Pin(e)
 	if _, err := e.Join(context.Background(), r, s, core.Options{Algo: core.SHJ, Scheme: core.DD, Delta: 0.25}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +124,12 @@ func TestPilotSharesTheBudget(t *testing.T) {
 	if e.rec == nil || st.BuildRecordBytes != kept+e.rec.Bytes() || st.BuildRecordHits != 0 || st.BuildRecordMisses != 1 {
 		t.Errorf("after the plans and a join: %d record bytes, %d hits, %d misses", st.BuildRecordBytes, st.BuildRecordHits, st.BuildRecordMisses)
 	}
-	e.Release()
+	Unpin(e)
 
 	// A pilot the budget cannot take is not kept.
 	small := New(r.Bytes() + kept - 1)
-	if err := small.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err = small.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
+	e = pinned(t, small, r)
+	defer Unpin(e)
 	planOn(t, e, r, s, planOpt)
 	if st := small.Stats(); keptPilot(e) != nil || st.BuildRecordBytes != 0 || st.PeakBytes != r.Bytes() {
 		t.Errorf("a full catalog kept pilot %p (%d record bytes, peak %d)", keptPilot(e), st.BuildRecordBytes, st.PeakBytes)
@@ -163,14 +143,8 @@ func TestConcurrentColdPlansKeepOnePilot(t *testing.T) {
 	r := rel.Gen{N: 4096, Seed: 85}.Build()
 	s := rel.Gen{N: 4096, Seed: 86}.Probe(r, 1.0)
 	c := New(0)
-	if err := c.Load("r", r); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
+	e := pinned(t, c, r)
+	defer Unpin(e)
 	want, err := core.BuildPlan(r, s, planOpt)
 	if err != nil {
 		t.Fatal(err)

@@ -341,6 +341,25 @@ func TestRoutesTable(t *testing.T) {
 			t.Errorf("%s: delete info: %v", sh.name, resp)
 		}
 	}
+
+	// A relation the resident budget cannot hold answers 507 no_space on
+	// every shape, and the message names it: the catalog names nothing, so
+	// the backend that placed the slices says whose they were.
+	small := service.Config{Workers: 1, CatalogBytes: 64 << 10}
+	smallSharded := small
+	smallSharded.Shards = 4
+	smallRouter := service.Config{Workers: 1, Cluster: []string{testServer(t, smallSharded, Config{}).URL}}
+	for _, sh := range []routeShape{
+		{"unsharded", testServer(t, small, Config{})},
+		{"sharded", testServer(t, smallSharded, Config{})},
+		{"router", testServer(t, smallRouter, Config{})},
+	} {
+		st, resp := doRaw(t, "POST", sh.ts.URL+"/v1/relations", `{"name":"huge","n":100000}`)
+		code, _ := resp["error"].(map[string]any)["code"].(string)
+		if st != http.StatusInsufficientStorage || code != "no_space" || !strings.Contains(errMsg(resp), `"huge"`) {
+			t.Errorf("%s: oversized register: status %d, resp %v, want 507 no_space naming \"huge\"", sh.name, st, resp)
+		}
+	}
 }
 
 // TestJoinByNameMatchesInline: the HTTP determinism contract — a join over

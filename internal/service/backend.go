@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"apujoin/internal/catalog"
@@ -16,10 +15,11 @@ import (
 )
 
 // localBackend keeps the partition slices in-process: one catalog holding
-// the whole zero-copy budget, with partition p of relation name as the entry
-// partName(name, p), and one plan cache per grid partition. The unsharded
-// engine is this backend over a grid of one: one plan cache, and every
-// relation stored whole under its own name.
+// the whole zero-copy budget, where partition p of a relation is the entry
+// its record holds at entries[p], and one plan cache per grid partition.
+// The catalog names nothing: the router's record is the only index of a
+// registration's slices. The unsharded engine is this backend over a grid
+// of one: one plan cache, and every relation stored whole as one entry.
 type localBackend struct {
 	// pool runs the partition fan-out (the service's resident pool).
 	pool   *sched.Pool
@@ -38,17 +38,6 @@ type localBackend struct {
 	// partBytes tracks the registered relation bytes resident per grid
 	// partition, backing partitionBudgets.
 	partBytes []int64
-}
-
-// partName is the catalog entry name of one partition of a relation.
-// Partition entries are written only by the backend, so the suffix cannot
-// collide with user registrations; a grid of one stores the relation under
-// its own name.
-func (b *localBackend) partName(name string, p int) string {
-	if b.grid.Whole() {
-		return name
-	}
-	return name + "/p" + strconv.Itoa(p)
 }
 
 // newLocalBackend builds the in-process tier from a service Config: the
@@ -74,18 +63,23 @@ func newLocalBackend(cfg Config, pool *sched.Pool) *localBackend {
 	return b
 }
 
-// place loads each slice into the catalog. A slice the budget cannot hold
-// rolls the others back and the placement fails with the catalog's
-// ErrNoSpace — no bytes, no names and no gauges left behind.
-func (b *localBackend) place(name string, parts []rel.Relation) error {
+// place loads each slice into the catalog and writes the slices and their
+// entries onto the record. A slice the budget cannot hold rolls the others
+// back and the placement fails with the catalog's ErrNoSpace, naming the
+// relation — no bytes and no gauges left behind.
+func (b *localBackend) place(sr *shardedRel, parts []rel.Relation) error {
+	entries := make([]*catalog.Entry, len(parts))
 	for p := range parts {
-		if err := b.cat.Load(b.partName(name, p), parts[p]); err != nil {
-			for q := 0; q < p; q++ {
-				b.cat.Drop(b.partName(name, q)) //nolint:errcheck // just loaded
+		e, err := b.cat.Load(parts[p])
+		if err != nil {
+			for _, e := range entries[:p] {
+				b.cat.Drop(e) //nolint:errcheck // just loaded
 			}
-			return err
+			return fmt.Errorf("register %q: %w", sr.name, err)
 		}
+		entries[p] = e
 	}
+	sr.parts, sr.entries = parts, entries
 	b.mu.Lock()
 	for p := range parts {
 		b.partBytes[p] += parts[p].Bytes()
@@ -94,76 +88,40 @@ func (b *localBackend) place(name string, parts []rel.Relation) error {
 	return nil
 }
 
-// remove drops every partition entry — each one's bytes free when its last
-// pin drains — and unwinds the partition gauges.
-func (b *localBackend) remove(name string) {
+// remove drops every partition entry of the record — each one's bytes free
+// when its last pin drains — and unwinds the partition gauges.
+func (b *localBackend) remove(sr *shardedRel) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for p := range int(b.grid) {
-		freed, _ := b.cat.Drop(b.partName(name, p)) // absent: nothing was freed
+	for p, e := range sr.entries {
+		freed, _ := b.cat.Drop(e) // dropped before: nothing was freed
 		b.partBytes[p] -= freed
 	}
 }
 
-// pins reports the in-flight queries referencing a relation: every query
-// pins all of its partition entries, so the count is any one partition's —
-// the largest, since pins are taken and released one partition at a time.
-func (b *localBackend) pins(name string) int {
-	n := 0
-	for p := range int(b.grid) {
-		n = max(n, b.cat.Pins(b.partName(name, p)))
-	}
-	return n
+// split splits one inline source over the grid; the scratch slab its parts
+// are cut from goes back with the query (release).
+func (b *localBackend) split(src *source, r rel.Relation) {
+	src.parts, src.slab = b.grid.SplitScratch(b.pool, r)
 }
 
-// partitions pins every partition entry of a placed relation, appending
-// the entries — in partition order — to pins.
-func (b *localBackend) partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	base := len(pins)
-	parts := make([]rel.Relation, b.grid)
-	for p := range parts {
-		e, err := b.cat.Acquire(b.partName(name, p))
-		if err != nil {
-			releaseAll(pins[base:])
-			return nil, pins[:base], err
-		}
-		pins = append(pins, e)
-		parts[p] = e.Relation()
-	}
-	return parts, pins, nil
-}
-
-// split splits one inline source over the grid into slabs that go back
-// with the job's pins.
-func (b *localBackend) split(r rel.Relation, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry) {
-	parts, scratch := b.grid.SplitScratch(b.pool, r)
-	if scratch.Len() > 0 {
-		pins = append(pins, catalog.Scratch(scratch))
-	}
-	return parts, pins
-}
-
-// bindJoin materializes a generator spec and splits the inline sides, into
-// a pin slice with room for the registered sides' pins.
-func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error) {
+// bindJoin materializes a generator spec and splits the inline sides.
+func (b *localBackend) bindJoin(j *joinJob, sp JoinSpec) error {
 	if sp.Gen != nil {
 		sp.R, sp.S = sp.Gen.relations()
 	}
-	pins := make([]*catalog.Entry, 0, 2*int(b.grid))
 	if sp.RName == "" {
-		j.in[0].parts, pins = b.split(sp.R, pins)
+		b.split(&j.in[0], sp.R)
 	}
 	if sp.SName == "" {
-		j.in[1].parts, pins = b.split(sp.S, pins)
+		b.split(&j.in[1], sp.S)
 	}
-	return pins, nil
+	return nil
 }
 
 // bindPipeline materializes each inline source's generator spec and splits
-// the inline sources, into a pin slice with room for the registered
-// sources' pins.
-func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
-	pins := make([]*catalog.Entry, 0, len(j.sources)*int(b.grid))
+// the inline sources.
+func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) error {
 	for i, in := range sp.Sources {
 		if in.Name != "" {
 			continue
@@ -171,9 +129,9 @@ func (b *localBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Ent
 		if in.Gen != nil {
 			in.Rel = in.Gen.Build()
 		}
-		j.sources[i].parts, pins = b.split(in.Rel, pins)
+		b.split(&j.sources[i], in.Rel)
 	}
-	return pins, nil
+	return nil
 }
 
 // planWhole plans a whole-relation join that runs outside the grid (an
@@ -218,8 +176,8 @@ func (b *localBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result,
 			cache = b.caches[p]
 		}
 		var build *catalog.Entry // an inline build side: none to keep a table on
-		if r := j.in[0].entries; r != nil {
-			build = r[p]
+		if r := j.in[0].rec; r != nil {
+			build = r.entries[p]
 		}
 		res, pl, hit, err := planRun(ctx, cache, j.in[0].parts[p], j.in[1].parts[p], j.opt, j.workload, build)
 		parts[p], plans[p] = res, planInfo(pl, hit)

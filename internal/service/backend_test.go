@@ -28,7 +28,7 @@ type fakeBackend struct {
 	pipeParts *PipelinePartitions
 }
 
-func (f *fakeBackend) place(name string, _ []rel.Relation) error {
+func (f *fakeBackend) place(sr *shardedRel, _ []rel.Relation) error {
 	if f.entered != nil {
 		f.entered <- struct{}{}
 		<-f.release
@@ -36,18 +36,12 @@ func (f *fakeBackend) place(name string, _ []rel.Relation) error {
 	if f.placeErr != nil {
 		return f.placeErr
 	}
-	f.placed[name] = true
+	f.placed[sr.name] = true
 	return nil
 }
-func (f *fakeBackend) remove(name string) { delete(f.placed, name) }
-func (f *fakeBackend) pins(string) int    { return 0 }
-func (f *fakeBackend) partitions(_ string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	return nil, pins, nil
-}
-func (f *fakeBackend) bindJoin(*joinJob, JoinSpec) ([]*catalog.Entry, error) { return nil, nil }
-func (f *fakeBackend) bindPipeline(*pipeJob, PipelineSpec) ([]*catalog.Entry, error) {
-	return nil, nil
-}
+func (f *fakeBackend) remove(sr *shardedRel)                     { delete(f.placed, sr.name) }
+func (f *fakeBackend) bindJoin(*joinJob, JoinSpec) error         { return nil }
+func (f *fakeBackend) bindPipeline(*pipeJob, PipelineSpec) error { return nil }
 func (f *fakeBackend) runJoin(context.Context, *joinJob) ([]*core.Result, []*PlanInfo, error) {
 	// Produced highest partition first: the merge must not care.
 	out := make([]*core.Result, len(f.joinParts))

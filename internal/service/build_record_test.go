@@ -95,30 +95,25 @@ func TestBuildRecordFreedWithLastPin(t *testing.T) {
 
 	// A pin like an in-flight query's outlives the Drop, and so does the
 	// table: the pinned entry still serves its warm run.
-	cat := svc.router.b.(*localBackend).cat
-	pinR, err := cat.Acquire("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinS, err := cat.Acquire("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pinS.Release()
+	r, s := svc.router.rels["r"], svc.router.rels["s"]
+	pinR, pinS := r.entries[0], s.entries[0]
+	catalog.Pin(pinR)
+	catalog.Pin(pinS)
+	defer catalog.Unpin(pinS)
 	if _, err := svc.DropRelation("r"); err != nil {
 		t.Fatal(err)
 	}
 	if recordBytes(svc) != kept {
 		t.Fatalf("the Drop freed the record under a pin: %d bytes kept, want %d", recordBytes(svc), kept)
 	}
-	res, err := pinR.Join(ctx, pinR.Relation(), pinS.Relation(), recordOpt)
+	res, err := pinR.Join(ctx, r.parts[0], s.parts[0], recordOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, cold) {
 		t.Error("the pinned entry's kept table answers differently after the Drop")
 	}
-	pinR.Release()
+	catalog.Unpin(pinR)
 	awaitNoRecords(t, svc)
 
 	inline := inlinePair(1)

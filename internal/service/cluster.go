@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"sync"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/cluster"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
@@ -58,8 +57,8 @@ func newRemoteBackend(cfg Config) *remoteBackend {
 // servers AND the failing one are sent the idempotent delete — a POST whose
 // reply was lost may still have committed there, and the orphan would
 // answer 409 to the retry.
-func (b *remoteBackend) place(name string, parts []rel.Relation) error {
-	n := b.pool.Size()
+func (b *remoteBackend) place(sr *shardedRel, parts []rel.Relation) error {
+	name, n := sr.name, b.pool.Size()
 	for j := 0; j < n; j++ {
 		// Non-nil even when empty: "keys": [] is a zero-tuple upload on the
 		// wire, while a missing keys field would read as a generator spec.
@@ -88,29 +87,22 @@ func (b *remoteBackend) delete(j int, name string) {
 // re-registering the name may answer 409 from the recovered server until
 // the delete is re-issued (DELETE /v1/relations is idempotent on the
 // router).
-func (b *remoteBackend) remove(name string) {
+//
+// A cluster router keeps no slices and no entries on its records, so its
+// pins read 0 and its queries pin nothing: each shard server binds its own
+// slices when the query's request reaches it, so a clustered query may read
+// each server's slices as of a different moment (docs/OPERATIONS.md).
+func (b *remoteBackend) remove(sr *shardedRel) {
 	for j := 0; j < b.pool.Size(); j++ {
-		b.delete(j, name)
+		b.delete(j, sr.name)
 	}
-}
-
-// pins stays 0: the partition entries — and their pins — live in the
-// remote processes.
-func (b *remoteBackend) pins(string) int { return 0 }
-
-// partitions hands back no slices: a cluster router holds no tuple data.
-// Each shard server binds its own slices when the query's request reaches
-// it, so a clustered query may read each server's slices as of a different
-// moment (docs/OPERATIONS.md).
-func (b *remoteBackend) partitions(_ string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error) {
-	return nil, pins, nil
 }
 
 // bindJoin builds the wire request of a clustered join from its spec —
 // the one builder for named, generated and programmatic joins alike. A
 // generator travels as its spec and every server generates the same full
 // relations from it; an inline relation cannot travel.
-func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error) {
+func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) error {
 	j.req = api.JoinRequest{RName: sp.RName, SName: sp.SName,
 		Separate: sp.Opt.SeparateTables, Grouping: sp.Opt.Grouping, Delta: sp.Opt.Delta, CountOnly: sp.Opt.CountOnly}
 	j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
@@ -119,9 +111,9 @@ func (b *remoteBackend) bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, err
 		seed, sel := g.Seed, g.Sel
 		j.req.R, j.req.S, j.req.Skew, j.req.Seed, j.req.Sel = g.R, g.S, g.Dist.String(), &seed, &sel
 	case sp.RName == "" || sp.SName == "":
-		return nil, fmt.Errorf("service: a clustered service joins registered or generated relations, not inline ones; reference both sides by name or pass a generator (r %q, s %q)", sp.RName, sp.SName)
+		return fmt.Errorf("service: a clustered service joins registered or generated relations, not inline ones; reference both sides by name or pass a generator (r %q, s %q)", sp.RName, sp.SName)
 	}
-	return nil, nil
+	return nil
 }
 
 // wireAlgo names a query's algorithm, scheme and architecture on the wire:
@@ -221,9 +213,9 @@ func (b *remoteBackend) runJoin(ctx context.Context, j *joinJob) ([]*core.Result
 // spec, sources still in declared order. A generated source travels as its
 // spec, seed included, so reordering never changes what a server
 // generates; an inline relation cannot travel.
-func (b *remoteBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
+func (b *remoteBackend) bindPipeline(j *pipeJob, sp PipelineSpec) error {
 	if n := len(sp.Sources); n > api.MaxPipelineSources {
-		return nil, fmt.Errorf("service: pipeline of %d sources exceeds the maximum of %d", n, api.MaxPipelineSources)
+		return fmt.Errorf("service: pipeline of %d sources exceeds the maximum of %d", n, api.MaxPipelineSources)
 	}
 	j.req = api.PipelineRequest{Separate: sp.Opt.SeparateTables, Grouping: sp.Opt.Grouping, Delta: sp.Opt.Delta, CountOnly: sp.Opt.CountOnly}
 	j.req.Algo, j.req.Scheme, j.req.Arch = wireAlgo(sp.Auto, sp.Opt)
@@ -234,11 +226,11 @@ func (b *remoteBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.En
 			seed := g.Seed
 			ws = api.PipelineSource{N: g.N, Skew: g.Dist.String(), Seed: &seed, KeyRange: g.KeyRange}
 		case src.Name == "":
-			return nil, fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered or generated relations, not inline ones", i+1)
+			return fmt.Errorf("service: pipeline source %d: a clustered service pipelines registered or generated relations, not inline ones", i+1)
 		}
 		j.req.Sources = append(j.req.Sources, ws)
 	}
-	return nil, nil
+	return nil
 }
 
 // runPipeline fans one pipeline out to every shard server — sources

@@ -127,7 +127,7 @@ type rebindBackend struct {
 	before func()
 }
 
-func (b *rebindBackend) bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error) {
+func (b *rebindBackend) bindPipeline(j *pipeJob, sp PipelineSpec) error {
 	if f := b.before; f != nil {
 		b.before = nil
 		f()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"apujoin/internal/catalog"
 	"apujoin/internal/core"
 	"apujoin/internal/plan"
 	"apujoin/internal/rel"
@@ -134,19 +133,19 @@ type PipelinePartitions struct {
 }
 
 // source is one resolved input of a join or a pipeline. A registered one
-// carries its name and, as the router's bind snapshot took them together,
-// its record and — on the in-process backend — its pinned partition slices
-// and their entries; an inline one has no record, and in-process its parts
-// are its split.
+// carries its name and the record the router's bind pinned, and its parts
+// are the record's own slices, read-only (nil on a cluster router); an
+// inline one has no record, and in-process its parts are its split, cut
+// from slab, a recycler slab the query hands back (release).
 type source struct {
 	// name is the registered name ("" for an inline source until resolved,
 	// then "inline[i]" for the i-th declared inline pipeline source);
 	// tuples the whole-relation cardinality.
-	name    string
-	tuples  int
-	rec     *shardedRel
-	parts   []rel.Relation
-	entries []*catalog.Entry
+	name   string
+	tuples int
+	rec    *shardedRel
+	parts  []rel.Relation
+	slab   rel.Relation
 }
 
 // pipeRel is the source as the join orderer sees it.

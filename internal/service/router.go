@@ -50,27 +50,24 @@ type router struct {
 
 // backend is what genuinely differs between an in-process sharded engine
 // and a network cluster: where a relation's partition slices live and how
-// one partition job runs. It never sees a logical relation record and
-// never merges.
+// one partition job runs. It sees a relation's record only to place and
+// remove its slices, and never merges.
 type backend interface {
-	// place stores one relation's partition slices, all or nothing: after
-	// a failure no slice of name remains anywhere.
-	place(name string, parts []rel.Relation) error
+	// place stores one relation's partition slices, all or nothing, and
+	// writes what it keeps onto the record — in-process, sr.parts and the
+	// catalog entries holding them, sr.entries — before the router
+	// publishes it. After a failure no slice of the relation remains
+	// anywhere.
+	place(sr *shardedRel, parts []rel.Relation) error
 	// remove drops a relation's slices; in-flight pins keep their data.
-	remove(name string)
-	// pins counts the in-flight pins on a relation's slices.
-	pins(name string) int
-	// partitions hands back a placed relation's slices in partition order,
-	// pinned until the entries appended to pins are released, or none where
-	// the backend holds no tuple data. The router calls it with its lock
-	// held (bind, fullRelation), so the slices are its record's.
-	partitions(name string, pins []*catalog.Entry) ([]rel.Relation, []*catalog.Entry, error)
+	remove(sr *shardedRel)
 	// bindJoin and bindPipeline do a job's lock-free preparation before the
 	// router's bind pins its registered sources: in-process, materialize
-	// generator specs and split the inline sources, returning the scratch
-	// pins the query must release; on a cluster, build the wire request.
-	bindJoin(j *joinJob, sp JoinSpec) ([]*catalog.Entry, error)
-	bindPipeline(j *pipeJob, sp PipelineSpec) ([]*catalog.Entry, error)
+	// generator specs and split the inline sources onto their sources,
+	// whose scratch slabs the query releases; on a cluster, build the wire
+	// request.
+	bindJoin(j *joinJob, sp JoinSpec) error
+	bindPipeline(j *pipeJob, sp PipelineSpec) error
 	// runJoin runs one join on every grid partition and returns the raw
 	// results, and the planner decisions it has, indexed by partition.
 	runJoin(ctx context.Context, j *joinJob) ([]*core.Result, []*PlanInfo, error)
@@ -87,39 +84,60 @@ type backend interface {
 
 // shardedRel is the router's record of one registered relation: the
 // generation provenance (so probe relations can regenerate their build
-// side in original tuple order) and the full-relation ingest statistics
-// the planner fingerprints, the pipeline orderer consumes and a pipeline's
+// side in original tuple order), the full-relation ingest statistics the
+// planner fingerprints, the pipeline orderer consumes and a pipeline's
 // first step reads its count table from — measured on the FULL relation
 // whatever the grid, so a pair workload lands in the same plan-cache bucket
-// on every engine shape. The tuple data itself lives with the backend.
+// on every engine shape — and, in-process, the registration's own slices
+// and the catalog entries that hold them.
 //
-// A record is in router.rels exactly while its registration's slices are
-// placed: register places the slices before it inserts the record, Drop
-// deletes the record before the backend removes the slices, and the name
-// stays pending across both steps. So a record and the slices pinned under
-// the same lock (bind) always belong together.
+// Everything but joins is written before register publishes the record
+// and is immutable after, so a query that binds the record pins exactly
+// the slices it reads (bind): the snapshot holds by construction, whatever
+// is dropped or registered under the name meanwhile.
 type shardedRel struct {
 	name    string
 	source  catalog.Source
 	created time.Time
 
-	gen     rel.Gen
+	gen rel.Gen
+	// probeOf names the build relation a probe was generated against, as
+	// the caller named it at registration; it is reported, never looked up.
 	probeOf string
 	sel     float64
 
-	// order records, for bulk-loaded relations split over more than one
+	// regen is the provenance a generated or probe relation regenerates
+	// from in original tuple order, captured at registration: the generated
+	// base's spec first, then every probe link above it, this record's own
+	// last. A relation anchored on a bulk load has none: over more than one
+	// partition it records order instead.
+	regen []genLink
+
+	// order records, for relations with no regen split over more than one
 	// partition, each original tuple position's grid partition (one byte per
-	// tuple). The partition
-	// split preserves within-partition relative order, so walking order
-	// with per-partition cursors reassembles the exact original relation —
-	// what a probe registration against a loaded build side needs. Written
-	// once at register, immutable after.
+	// tuple). The partition split preserves within-partition relative
+	// order, so walking order with per-partition cursors over the record's
+	// own slices reassembles the exact original relation — what a probe
+	// registration against it needs.
 	order []uint8
+
+	// parts are the registration's slices in partition order and entries
+	// the catalog entries holding them, both written by backend.place; a
+	// cluster router, which holds no tuple data, leaves both nil.
+	parts   []rel.Relation
+	entries []*catalog.Entry
 
 	tuples int
 	stats  catalog.IngestStats
 
 	joins int64
+}
+
+// genLink is one step of a relation's regeneration: a generated base's
+// spec, or a probe's spec and selectivity over the step below it.
+type genLink struct {
+	gen rel.Gen
+	sel float64
 }
 
 // routerPairKey identifies a memoized (build, probe) pair workload.
@@ -141,13 +159,16 @@ func (t *router) RegisterGen(name string, g rel.Gen) (catalog.Info, error) {
 		return catalog.Info{}, err
 	}
 	defer t.unpend(name)
-	return t.register(&shardedRel{name: name, source: catalog.Generated, gen: g}, g.Build())
+	sr := &shardedRel{name: name, source: catalog.Generated, gen: g, regen: []genLink{{gen: g}}}
+	return t.register(sr, g.Build())
 }
 
 // RegisterProbe generates and registers a probe relation against the
 // registered build relation of. The build side is read in original tuple
 // order (fullRelation), so the probe is bit-identical to inline
-// g.Probe(build, selectivity) on every grid.
+// g.Probe(build, selectivity) on every grid. The probe keeps its own
+// provenance — of's regeneration chain with its own link on top, or the
+// order of its own slices — so a later probe of it never looks of up again.
 func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) (catalog.Info, error) {
 	if err := t.precheck(name, g.N); err != nil {
 		return catalog.Info{}, err
@@ -156,11 +177,11 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 	if selectivity < 0 || selectivity > 1 {
 		return catalog.Info{}, fmt.Errorf("catalog: selectivity %v out of [0,1]", selectivity)
 	}
-	base, ofRec, pins, err := t.fullRelation(of)
+	base, ofRec, pinned, err := t.fullRelation(of)
 	if err != nil {
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: %w", of, err)
 	}
-	defer releaseAll(pins)
+	defer catalog.Unpin(pinned...)
 	// The probe's non-matching keys start at rel.NonMatchBase, above every
 	// generated build key: an uploaded base holding one there would match
 	// them and the probe would miss its selectivity.
@@ -168,6 +189,9 @@ func (t *router) RegisterProbe(name, of string, g rel.Gen, selectivity float64) 
 		return catalog.Info{}, fmt.Errorf("catalog: probe_of %q: an uploaded key is at or above %d, where a generated probe's non-matching keys start", of, rel.NonMatchBase)
 	}
 	sr := &shardedRel{name: name, source: catalog.Probe, gen: g, probeOf: of, sel: selectivity}
+	if ofRec.regen != nil {
+		sr.regen = append(slices.Clip(ofRec.regen), genLink{gen: g, sel: selectivity})
+	}
 	return t.register(sr, g.Probe(base, selectivity))
 }
 
@@ -210,84 +234,58 @@ func (t *router) unpend(name string) {
 }
 
 // fullRelation returns a registered relation in its original tuple order
-// and its record, with the pins (if any) the caller releases when done
-// reading it. Probe generation indexes the build side by original position.
-// A grid of one holds exactly that — the one resident slice is the relation
-// — and it is read in place. A partition split does not preserve positions,
-// so over a larger grid the router walks the provenance chain: generated
-// bases regenerate from their stored specs, bulk-loaded bases reassemble
-// from their partition slices via the ingest-time order map (see
-// shardedRel.order), and probe links re-apply on top. Every route yields the
-// same relation, bit for bit. The walk and the pin on the slices read are
-// one critical section, so the slices are the walked records' own.
-func (t *router) fullRelation(name string) (r rel.Relation, sr *shardedRel, pins []*catalog.Entry, err error) {
-	type link struct {
-		gen rel.Gen
-		sel float64
-	}
-	var chain []link
-	var parts []rel.Relation
+// and its record, with the entries (if any) it pinned, which the caller
+// unpins when done reading it. Probe generation indexes the build side by
+// original position. A grid of one holds exactly that — the one resident
+// slice is the relation — and it is read in place. A partition split does
+// not preserve positions, so over a larger grid the record's own
+// provenance rebuilds it: a relation with a regeneration chain replays it,
+// one anchored on a bulk load reassembles its own slices via its order map.
+// Either reads nothing but the record, so every route yields the relation
+// that registered, bit for bit, whatever was dropped or registered since.
+func (t *router) fullRelation(name string) (r rel.Relation, sr *shardedRel, pinned []*catalog.Entry, err error) {
 	t.mu.Lock()
 	sr = t.rels[name]
-	base := sr
-	for base != nil && !t.grid.Whole() && base.source != catalog.Loaded {
-		chain = append(chain, link{gen: base.gen, sel: base.sel})
-		if base.source == catalog.Generated {
-			break
-		}
-		base = t.rels[base.probeOf]
-	}
-	if base == nil {
-		err = fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
-	} else if t.grid.Whole() || base.source == catalog.Loaded {
-		parts, pins, err = t.b.partitions(base.name, nil)
+	if sr != nil && (t.grid.Whole() || sr.regen == nil) {
+		pinned = sr.entries
+		catalog.Pin(pinned...)
 	}
 	t.mu.Unlock()
-	// Rebuild the base outside the lock (generation and reassembly are the
-	// expensive part), then re-apply the probe chain on top.
+	// Rebuild outside the lock: regeneration and reassembly are the
+	// expensive part.
 	switch {
-	case err != nil:
-		return r, nil, nil, err
+	case sr == nil:
+		return r, nil, nil, fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
 	case t.grid.Whole():
-		return parts[0], sr, pins, nil
-	case base.source == catalog.Loaded:
-		r, err = reassemble(base, parts)
-		releaseAll(pins)
-		if err != nil {
-			return r, nil, nil, err
-		}
-	default:
-		r = chain[len(chain)-1].gen.Build()
-		chain = chain[:len(chain)-1]
+		return sr.parts[0], sr, pinned, nil
+	case sr.regen == nil:
+		r, err = reassemble(sr)
+		catalog.Unpin(pinned...)
+		return r, sr, nil, err
 	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		r = chain[i].gen.Probe(r, chain[i].sel)
+	r = sr.regen[0].gen.Build()
+	for _, l := range sr.regen[1:] {
+		r = l.gen.Probe(r, l.sel)
 	}
 	return r, sr, nil, nil
 }
 
-// reassemble reconstructs a bulk-loaded relation in its original tuple
-// order from its partition slices: walk the ingest-time order map with one
-// cursor per partition — the split preserves within-partition relative
-// order, so tuple i is the next unconsumed tuple of its recorded partition.
-// A cluster router holds no slices to walk.
-func reassemble(sr *shardedRel, parts []rel.Relation) (rel.Relation, error) {
-	if parts == nil {
-		return rel.Relation{}, fmt.Errorf("catalog: %q was bulk-loaded; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", sr.name)
+// reassemble reconstructs a relation in its original tuple order from its
+// own partition slices: walk the ingest-time order map with one cursor per
+// partition — the split preserves within-partition relative order, so
+// tuple i is the next unconsumed tuple of its recorded partition. A cluster
+// router holds no slices to walk.
+func reassemble(sr *shardedRel) (rel.Relation, error) {
+	if sr.parts == nil {
+		return rel.Relation{}, fmt.Errorf("catalog: %q is anchored on a bulk load; a clustered service regenerates relations from their specs and cannot reassemble a loaded relation in original order", sr.name)
 	}
 	out := rel.Relation{Keys: make([]int32, 0, len(sr.order))}
-	cursors := make([]int, len(parts))
+	cursors := make([]int, len(sr.parts))
 	for _, p := range sr.order {
-		out.Keys = append(out.Keys, parts[p].Keys[cursors[p]])
+		out.Keys = append(out.Keys, sr.parts[p].Keys[cursors[p]])
 		cursors[p]++
 	}
 	return out, nil
-}
-
-func releaseAll(pins []*catalog.Entry) {
-	for _, e := range pins {
-		e.Release()
-	}
 }
 
 // register measures the full-relation ingest statistics, splits the
@@ -297,17 +295,17 @@ func releaseAll(pins []*catalog.Entry) {
 func (t *router) register(sr *shardedRel, full rel.Relation) (catalog.Info, error) {
 	sr.tuples = full.Len()
 	sr.stats = catalog.Measure(full)
-	if sr.source == catalog.Loaded && !t.grid.Whole() {
-		// Loaded relations have no spec to regenerate from, so the split's
-		// inverse is recorded instead: each tuple's partition, one byte per
-		// tuple, enough to reassemble the original order for probe
-		// registrations against this relation.
+	if sr.regen == nil && !t.grid.Whole() {
+		// A relation anchored on a bulk load has no spec to regenerate from,
+		// so the split's inverse is recorded instead: each tuple's
+		// partition, one byte per tuple, enough to reassemble the original
+		// order for probe registrations against this relation.
 		sr.order = make([]uint8, full.Len())
 		for i, k := range full.Keys {
 			sr.order[i] = uint8(t.grid.PartitionOf(k))
 		}
 	}
-	if err := t.b.place(sr.name, t.grid.Split(full)); err != nil {
+	if err := t.b.place(sr, t.grid.Split(full)); err != nil {
 		return catalog.Info{}, err
 	}
 	t.mu.Lock()
@@ -341,7 +339,7 @@ func (t *router) Drop(name string) (catalog.Info, error) {
 	t.dropped++
 	t.pending[name] = true
 	t.mu.Unlock()
-	t.b.remove(name)
+	t.b.remove(sr)
 	t.unpend(name)
 	return info, nil
 }
@@ -370,7 +368,7 @@ func (t *router) List() []catalog.Info {
 }
 
 // infoLocked builds the logical (whole-relation) Info: global tuple count
-// and statistics from the router record, pins from the backend.
+// and statistics from the router record, pins from its entries.
 func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 	info := catalog.Info{
 		Name:       sr.name,
@@ -379,7 +377,7 @@ func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 		Source:     sr.source,
 		SkewBucket: sr.stats.SkewBucket,
 		HeavyShare: sr.stats.HeavyShare,
-		Pins:       t.b.pins(sr.name),
+		Pins:       catalog.Pins(sr.entries...),
 		Joins:      sr.joins,
 		Created:    sr.created,
 	}
@@ -396,15 +394,15 @@ func (t *router) infoLocked(sr *shardedRel) catalog.Info {
 }
 
 // bind takes a query's snapshot of the catalog in one critical section:
-// it resolves every named source to its record, pins that registration's
-// partition slices into the source (backend.partitions), appending the
-// pins to pins, and counts one join against every record. It is all or
-// nothing: on a failure every pin goes back, those passed in (an inline
-// split's scratch) included. A record and the slices pinned under the same
-// lock belong to one registration (see shardedRel), so nothing needs
-// re-checking: a registration that completed before the bind is what the
-// query reads, and a later Drop or registration changes nothing it reads.
-func (t *router) bind(srcs []source, pins []*catalog.Entry) ([]*catalog.Entry, error) {
+// it resolves every named source to its record, pins the record's entries
+// as one set, hands the source the record's slices read-only, and counts
+// one join against every record. It is all or nothing: on a failure
+// everything the sources hold goes back, an inline split's scratch slabs
+// included. A record holds its own slices and entries, immutable once
+// published, so nothing needs re-checking: a registration that completed
+// before the bind is what the query reads, and a later Drop or
+// registration changes nothing it reads.
+func (t *router) bind(srcs []source) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range srcs {
@@ -412,25 +410,32 @@ func (t *router) bind(srcs []source, pins []*catalog.Entry) ([]*catalog.Entry, e
 		if src.name == "" {
 			continue
 		}
-		var err error
-		if src.rec = t.rels[src.name]; src.rec == nil {
-			err = fmt.Errorf("%w: %q", catalog.ErrNotFound, src.name)
-		} else {
-			n := len(pins)
-			src.parts, pins, err = t.b.partitions(src.name, pins)
-			src.entries = pins[n:]
+		rec := t.rels[src.name]
+		if rec == nil {
+			release(srcs)
+			return fmt.Errorf("%w: %q", catalog.ErrNotFound, src.name)
 		}
-		if err != nil {
-			releaseAll(pins)
-			return nil, err
-		}
+		catalog.Pin(rec.entries...)
+		src.rec, src.parts = rec, rec.parts
 	}
 	for i := range srcs {
 		if srcs[i].rec != nil {
 			srcs[i].rec.joins++
 		}
 	}
-	return pins, nil
+	return nil
+}
+
+// release hands back what a bound query's sources hold: each registered
+// source's pins and each inline source's split slab. It runs once per
+// query, when it turns terminal or is rejected.
+func release(srcs []source) {
+	for i := range srcs {
+		if rec := srcs[i].rec; rec != nil {
+			catalog.Unpin(rec.entries...)
+		}
+		srcs[i].slab.Release()
+	}
 }
 
 // workload returns the planner workload buckets of the pair (build r,
@@ -519,9 +524,9 @@ func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 	rs := resolvedSpec{auto: sp.Auto}
 	job := &joinJob{opt: sp.Opt, auto: sp.Auto, keep: sp.KeepPartitions, workload: sp.Workload}
 	job.in[0].name, job.in[1].name = sp.RName, sp.SName
-	pins, err := t.b.bindJoin(job, sp)
+	err := t.b.bindJoin(job, sp)
 	if err == nil {
-		pins, err = t.bind(job.in[:], pins)
+		err = t.bind(job.in[:])
 	}
 	if err != nil {
 		return rs, err
@@ -530,30 +535,29 @@ func (t *router) resolveJoin(sp JoinSpec) (resolvedSpec, error) {
 		w := t.workload(r, s)
 		job.workload = &w
 	}
-	rs.join, rs.pins = job, pins
+	rs.join = job
 	return rs, nil
 }
 
 // whole resolves a join's two sources to whole relations in original tuple
-// order, with the pins the caller releases and — auto, both registered —
-// the memoized pair workload. Inline relations are whole as they come (a
-// generator is materialized here); a registered one is whole only where the
-// grid keeps it in one piece.
-func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, pins []*catalog.Entry, err error) {
+// order, with the resolved spec the caller releases and — auto, both
+// registered — the memoized pair workload. Inline relations are whole as
+// they come (a generator is materialized here); a registered one is whole
+// only where the grid keeps it in one piece.
+func (t *router) whole(sp JoinSpec) (r, s rel.Relation, w *plan.Workload, rs resolvedSpec, err error) {
 	if sp.RName == "" && sp.SName == "" {
 		if sp.Gen != nil {
 			sp.R, sp.S = sp.Gen.relations()
 		}
-		return sp.R, sp.S, sp.Workload, nil, nil
+		return sp.R, sp.S, sp.Workload, rs, nil
 	}
 	if !t.grid.Whole() {
-		return r, s, nil, nil, errors.New("service: an external join does not accept catalog references on a sharded engine, which holds partition slices (resolve the data yourself and pass it inline)")
+		return r, s, nil, rs, errors.New("service: an external join does not accept catalog references on a sharded engine, which holds partition slices (resolve the data yourself and pass it inline)")
 	}
-	rs, err := t.resolveJoin(sp)
-	if err != nil {
-		return r, s, nil, nil, err
+	if rs, err = t.resolveJoin(sp); err != nil {
+		return r, s, nil, rs, err
 	}
-	return rs.join.in[0].parts[0], rs.join.in[1].parts[0], rs.join.workload, rs.pins, nil
+	return rs.join.in[0].parts[0], rs.join.in[1].parts[0], rs.join.workload, rs, nil
 }
 
 // execJoin fans one join out to every grid partition and merges the
@@ -619,11 +623,10 @@ func (t *router) resolvePipeline(spec PipelineSpec) (resolvedSpec, error) {
 	for i, src := range spec.Sources {
 		pj.sources[i].name = src.Name
 	}
-	pins, err := t.b.bindPipeline(pj, spec)
-	if err != nil {
+	if err := t.b.bindPipeline(pj, spec); err != nil {
 		return rs, err
 	}
-	if rs.pins, err = t.bind(pj.sources, pins); err != nil {
+	if err := t.bind(pj.sources); err != nil {
 		return rs, fmt.Errorf("pipeline source: %w", err)
 	}
 	for i, src := range spec.Sources {

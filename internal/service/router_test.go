@@ -100,8 +100,8 @@ func TestRouterRegisterRollback(t *testing.T) {
 	}
 }
 
-// TestRouterLifecycle: duplicate names, drop semantics and the router's
-// registered/dropped counters across the sharded catalog surface.
+// TestRouterLifecycle: duplicate and empty names, drop semantics and the
+// router's registered/dropped counters across the sharded catalog surface.
 func TestRouterLifecycle(t *testing.T) {
 	svc := New(Config{Workers: 2, Shards: 3})
 	defer svc.Close()
@@ -131,6 +131,15 @@ func TestRouterLifecycle(t *testing.T) {
 	}
 	if _, err := svc.RegisterProbe("p", "missing", rel.Gen{N: 10, Seed: 4}, 1.0); !errors.Is(err, catalog.ErrNotFound) {
 		t.Errorf("probe of missing base: err %v, want catalog.ErrNotFound", err)
+	}
+	for form, register := range map[string]func() (catalog.Info, error){
+		"gen":   func() (catalog.Info, error) { return svc.RegisterGen("", rel.Gen{N: 10, Seed: 5}) },
+		"probe": func() (catalog.Info, error) { return svc.RegisterProbe("", "r", rel.Gen{N: 10, Seed: 5}, 1.0) },
+		"load":  func() (catalog.Info, error) { return svc.LoadRelation("", rel.Gen{N: 10, Seed: 5}.Build()) },
+	} {
+		if _, err := register(); err == nil {
+			t.Errorf("%s: registering an empty name succeeded", form)
+		}
 	}
 
 	st := svc.Stats().Catalog
@@ -204,6 +213,73 @@ func TestRouterProbeChainRegeneration(t *testing.T) {
 	// too: the chain walk bottoms out at the reassembled load.
 	if _, err := svc.RegisterProbe("q2", "q", rel.Gen{N: 1500, Seed: 10}, 0.8); err != nil {
 		t.Fatalf("probe of probe-of-loaded: %v", err)
+	}
+}
+
+// TestProbeProvenanceOutlivesItsBase: a probe keeps the provenance of the
+// base it was generated against. b is registered, p is generated as a
+// probe of b, b is dropped and registered again from other data, and q is
+// generated as a probe of p: q must be generated from p as p registered,
+// so a sharded service holds exactly the split of the unsharded service's
+// q — never a q regenerated through the newer b. Both for a generated b,
+// whose spec chain p carries, and for a bulk-loaded one, where p
+// reassembles from its own slices.
+func TestProbeProvenanceOutlivesItsBase(t *testing.T) {
+	for _, base := range []struct {
+		name     string
+		register func(svc *Service, seed int64) error
+	}{
+		{"generated", func(svc *Service, seed int64) error {
+			_, err := svc.RegisterGen("b", rel.Gen{N: 1000, Seed: seed})
+			return err
+		}},
+		{"loaded", func(svc *Service, seed int64) error {
+			_, err := svc.LoadRelation("b", rel.Gen{N: 1000, Seed: seed}.Build())
+			return err
+		}},
+	} {
+		t.Run(base.name, func(t *testing.T) {
+			qOn := func(shards int) []rel.Relation {
+				svc := New(Config{Workers: 1, Shards: shards})
+				defer svc.Close()
+				if err := base.register(svc, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.RegisterProbe("p", "b", rel.Gen{N: 1000, Seed: 2}, 0.5); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.DropRelation("b"); err != nil {
+					t.Fatal(err)
+				}
+				if err := base.register(svc, 7); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.RegisterProbe("q", "p", rel.Gen{N: 1000, Seed: 3}, 1.0); err != nil {
+					t.Fatal(err)
+				}
+				return svc.router.rels["q"].parts
+			}
+			whole := qOn(0)[0]
+			for _, shards := range []int{1, 4} {
+				want, got := shard.Split(whole), qOn(shards)
+				// Count the keys of the unsharded split the sharded slices
+				// lack, as multisets, and fail on any other difference too.
+				differ, left := 0, map[int32]int{}
+				for part := range want {
+					for _, k := range got[part].Keys {
+						left[k]++
+					}
+					for _, k := range want[part].Keys {
+						if left[k]--; left[k] < 0 {
+							differ++
+						}
+					}
+				}
+				if differ != 0 || !reflect.DeepEqual(got, want[:]) {
+					t.Errorf("shards=%d: q's slices are not the unsharded q's split: %d of its %d keys are missing", shards, differ, whole.Len())
+				}
+			}
+		})
 	}
 }
 
@@ -562,6 +638,48 @@ func TestPinsCountQueriesNotPartitions(t *testing.T) {
 	}
 }
 
+// TestPinnedRegistrationOutlivesItsName: a query bound to a registration
+// keeps reading that registration's slices after its name is dropped and
+// registered again from other data — the join answers as before the Drop —
+// and the old slices' bytes go back when the query releases them, unsharded
+// and on four shards.
+func TestPinnedRegistrationOutlivesItsName(t *testing.T) {
+	opt := core.Options{Algo: core.PHJ, Scheme: core.DD, Delta: 0.25}
+	for _, shards := range []int{0, 4} {
+		svc := New(Config{Workers: 1, Shards: shards})
+		if _, err := svc.RegisterGen("r", rel.Gen{N: 4000, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RegisterProbe("s", "r", rel.Gen{N: 3000, Seed: 2}, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		spec := JoinSpec{RName: "r", SName: "s", Opt: opt}
+		want := mustJoin(t, svc, spec)
+		open, err := svc.router.resolveJoin(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.DropRelation("r"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RegisterGen("r", rel.Gen{N: 2000, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := svc.router.execJoin(context.Background(), open.join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: the pinned join answers %d matches, %d before the name was registered again", shards, got.Matches, want.Matches)
+		}
+		open.release()
+		if b, live := svc.Stats().Catalog.Bytes, int64(2000+3000)*8; b != live {
+			t.Errorf("shards=%d: %d bytes resident once the pinned query released, want the live relations' %d", shards, b, live)
+		}
+		svc.Close()
+	}
+}
+
 // TestUnshardedRegistrationKeepsTheRelationWhole: an unsharded service's one
 // partition is the relation itself. Load retains the caller's columns — the
 // whole-relation resolve hands the very same backing arrays back — and a
@@ -578,11 +696,11 @@ func TestUnshardedRegistrationKeepsTheRelationWhole(t *testing.T) {
 	if _, err := svc.RegisterProbe("p", "in", pg, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	whole, probe, _, pins, err := svc.router.whole(JoinSpec{RName: "in", SName: "p"})
+	whole, probe, _, rs, err := svc.router.whole(JoinSpec{RName: "in", SName: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer releaseAll(pins)
+	defer rs.release()
 	if &whole.Keys[0] != &in.Keys[0] {
 		t.Error("Load copied the relation: the resident key column is not the caller's")
 	}

@@ -156,9 +156,9 @@ type Query struct {
 	// auto marks an auto query (JoinSpec.Auto).
 	auto bool
 
-	// pins holds the catalog entries a named query references; released
-	// when the query reaches a terminal state.
-	pins []*catalog.Entry
+	// srcs are the query's bound sources, whose pins and scratch slabs are
+	// released when the query reaches a terminal state.
+	srcs []source
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -441,11 +441,11 @@ func (s *Service) RunJoin(ctx context.Context, spec JoinSpec) (*core.Result, err
 // workload — and carries the planned algorithm and scheme into the
 // per-chunk sub-joins.
 func (s *Service) RunExternal(ctx context.Context, spec JoinSpec) (*core.ExternalResult, error) {
-	r, sr, w, pins, err := s.router.whole(spec)
+	r, sr, w, rs, err := s.router.whole(spec)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseAll(pins)
+	defer rs.release()
 	opt := spec.Opt
 	if spec.Auto {
 		if opt.Plan, _, err = s.router.b.planWhole(ctx, r, sr, opt, w); err != nil {
@@ -517,14 +517,24 @@ func (g *JoinGen) relations() (r, s rel.Relation) {
 // router: a pairwise join, or — when pipe is set — a multi-way pipeline.
 type resolvedSpec struct {
 	auto bool
-	pins []*catalog.Entry
 	// join is the backend-bound per-partition job of a pairwise join, pipe
-	// that of a pipeline (SubmitPipeline); exactly one is set.
+	// that of a pipeline (SubmitPipeline); at most one is set.
 	join *joinJob
 	pipe *pipeJob
 }
 
-func (rs *resolvedSpec) release() { releaseAll(rs.pins) }
+// sources are the spec's bound sources: what its query holds.
+func (rs *resolvedSpec) sources() []source {
+	switch {
+	case rs.join != nil:
+		return rs.join.in[:]
+	case rs.pipe != nil:
+		return rs.pipe.sources
+	}
+	return nil
+}
+
+func (rs *resolvedSpec) release() { release(rs.sources()) }
 
 // SubmitSpec enqueues one join described by a JoinSpec and returns
 // immediately. A free execution slot is claimed on the spot — a burst onto
@@ -626,7 +636,7 @@ func (s *Service) submitResolved(ctx context.Context, res []resolvedSpec, batch 
 			auto:   res[i].auto,
 			cancel: cancel,
 			done:   make(chan struct{}),
-			pins:   res[i].pins,
+			srcs:   res[i].sources(),
 		}
 		if admitted[i] {
 			q.rep.State = Running
@@ -743,8 +753,11 @@ func (s *Service) finish(q *Query, rep Report, started time.Time) {
 	// unlock): Stats read right after Wait already counts this query.
 	defer close(q.done)
 	// The query no longer reads its relations: release its catalog pins
-	// (finish runs exactly once per query, so pins release exactly once).
-	releaseAll(q.pins)
+	// and scratch slabs (finish runs exactly once per query, so they are
+	// released exactly once), and let go of its records, so a retained
+	// query keeps no dropped relation's slices or count table alive.
+	release(q.srcs)
+	q.srcs = nil
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
