@@ -37,7 +37,7 @@ COVERAGE_FLOOR ?= 91
 # shrinks. Never raise one just to get a change through: a change that must
 # grow a package raises its ceiling by exactly the measured net growth and
 # states the growth and its cause in CHANGES.md.
-LOC_CEILINGS ?= internal/service:1978 internal/plan:387 internal/httpapi:590 internal/core:1738 internal/cluster:302 internal/catalog:300 internal/htab:559 internal/rel:347
+LOC_CEILINGS ?= internal/service:1978 internal/plan:387 internal/httpapi:590 internal/core:1732 internal/cluster:302 internal/catalog:300 internal/htab:559 internal/rel:347
 
 .PHONY: all build test test-time race loc bench bench-kernels bench-host apubench-smoke coverage fuzz fma-check rid-check lint lint-apulint lint-install lint-install-staticcheck lint-install-govulncheck fmt vet docs-check check
 
@@ -93,8 +93,10 @@ bench:
 # shards, plus b4's charge per shard) at 2^14 and 2^20 tuples beside the
 # reference kernels that linked the paper's key and rid nodes through a
 # Local per shard (x-linked), the probe's one host pass (Table.Walk) over
-# range morsels on the key lists and on the sealed table (x-linked), and
-# the p3 + p4 charge pass from its columns (materializing and count-only, CPU
+# range morsels on the key lists and on the sealed table (x-linked), flat in
+# probe order and, as walk-linked/partitioned and walk-sealed/partitioned,
+# on a 64-part segmented table probed in partition order (the walk a
+# partitioned join runs), and the p3 + p4 charge pass from its columns (materializing and count-only, CPU
 # and GPU wavefronts), the serial arena bump (Alloc(2), Basic and Block, ns/alloc); then the pipeline
 # hand-off between two joins — the key-count
 # table (single-stream), the streamed producer as a chain runs it

@@ -284,9 +284,6 @@ func (rn *runner) buildSeries() sched.Series {
 
 func (rn *runner) makeBuildSteps() []sched.Step {
 	b1 := func(d *device.Device, lo, hi int) device.Acct {
-		if rn.opt.Algo == PHJ {
-			return rn.tableFor(d).B1Seg(d, rn.r.Keys, rn.bucketR, lo, hi)
-		}
 		return rn.tableFor(d).B1(d, rn.r.Keys, rn.bucketR, lo, hi)
 	}
 	b3 := bindDevices(rn, func(d *device.Device) func(k int) device.Acct {
@@ -361,10 +358,7 @@ func (rn *runner) probeSeries() sched.Series {
 
 func (rn *runner) makeProbeSteps() []sched.Step {
 	p1 := func(d *device.Device, lo, hi int) device.Acct {
-		if rn.opt.Algo == PHJ {
-			return rn.probed.P1Seg(d, rn.s.Keys, rn.bucketS, lo, hi)
-		}
-		return rn.probed.P1(d, rn.s.Keys, rn.bucketS, lo, hi)
+		return rn.probed.B1(d, rn.s.Keys, rn.bucketS, lo, hi)
 	}
 	walk := func(d *device.Device, lo, hi int) device.Acct {
 		rn.probed.Walk(rn.s.Keys, rn.bucketS, rn.workS, rn.visS, rn.matchS, lo, hi)

@@ -26,10 +26,14 @@ func allocDelta(a *device.Acct, before, after alloc.Stats) {
 	a.LocalOps += d.LocalOps
 }
 
-// B1 computes the hash bucket number for build tuples [lo,hi) and stores it
-// in bucket[i]. Pure streaming computation: this is the step the GPU
-// accelerates by >15x in the paper's Fig. 4.
+// B1 computes the hash bucket number for tuples [lo,hi) and stores it in
+// bucket[i]; on a segmented table it is B1Seg. Build (b1) and probe (p1)
+// run the same kernel at the same charge. Pure streaming computation: this
+// is the step the GPU accelerates by >15x in the paper's Fig. 4.
 func (t *Table) B1(d *device.Device, keys []int32, bucket []int32, lo, hi int) device.Acct {
+	if t.bucketsPerPart > 0 {
+		return t.B1Seg(d, keys, bucket, lo, hi)
+	}
 	var a device.Acct
 	shift := t.segShift
 	for i := lo; i < hi; i++ {

@@ -23,7 +23,7 @@ func TestGroupingReducesP3Divergence(t *testing.T) {
 	tbl.B3(gpu, r.Keys, bucket, vis, match, 0, n, nil)
 	tbl.B4Charge(0, n, false)
 
-	tbl.P1(gpu, s.Keys, bucket, 0, n)
+	tbl.B1(gpu, s.Keys, bucket, 0, n)
 	tbl.Walk(s.Keys, bucket, work, vis, match, 0, n)
 	plain := tbl.P3Charge(gpu, vis, 0, n, nil)
 	order := sched.GroupOrder(work, 0, n, 32)

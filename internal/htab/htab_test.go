@@ -89,7 +89,7 @@ func TestProbePipelineCountsMatches(t *testing.T) {
 	match := make([]int32, n)
 	work := make([]int32, n)
 	out := Out{Arena: outArena, Materialize: true}
-	tbl.P1(gpu, s.Keys, bucket, 0, n)
+	tbl.B1(gpu, s.Keys, bucket, 0, n)
 	tbl.Walk(s.Keys, bucket, work, vis, match, 0, n)
 	tbl.P4Charge(gpu, match, &out, 0, n, nil)
 	if out.Pairs != want {
@@ -208,13 +208,14 @@ func TestSegmentedTableRouting(t *testing.T) {
 	}
 }
 
-// TestSegBucketFromHash: the segmented b1 and p1 take a tuple's partition
-// from its hash, so they must give the bucket the partition index did —
-// index*bucketsPerPart + slot, the index filled from the partitioned
-// relation's offsets as the runner once filled it — and the bucket
-// bucketOf gives, on a one-pass 6-bit and a two-pass 12-bit plan, with no
-// hash shift and with the shift an external join's outer partitioning
-// leaves. Their charge is the model's kernel's, which reads the index.
+// TestSegBucketFromHash: the segmented b1 and p1 (B1Seg, and B1 on a
+// segmented table) take a tuple's partition from its hash, so they must
+// give the bucket the partition index did — index*bucketsPerPart + slot,
+// the index filled from the partitioned relation's offsets as the runner
+// once filled it — and the bucket bucketOf gives, on a one-pass 6-bit and a
+// two-pass 12-bit plan, with no hash shift and with the shift an external
+// join's outer partitioning leaves. Their charge is the model's kernel's,
+// which reads the index.
 func TestSegBucketFromHash(t *testing.T) {
 	const n = 1 << 15
 	cpu := device.New(device.APUCPU())
@@ -241,7 +242,7 @@ func TestSegBucketFromHash(t *testing.T) {
 			tbl := NewSeg(1<<bits, max(n>>bits, 4), 0, shift, bits, alloc.New(alloc.Config{}, 0))
 			segMask := uint32(tbl.bucketsPerPart - 1)
 			b1, p1 := make([]int32, n), make([]int32, n)
-			ab, ap := tbl.B1Seg(cpu, r.Keys, b1, 0, n), tbl.P1Seg(cpu, r.Keys, p1, 0, n)
+			ab, ap := tbl.B1Seg(cpu, r.Keys, b1, 0, n), tbl.B1(cpu, r.Keys, p1, 0, n)
 			want := device.Acct{Items: n, Instr: n * (hash.InstrPerHash + 3), SeqBytes: n * 12}
 			if ab != want || ap != want {
 				t.Fatalf("%s: charges\n b1 %+v\n p1 %+v\nwant %+v", name, ab, ap, want)

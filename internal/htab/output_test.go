@@ -28,7 +28,7 @@ func newProbeFixture(n int, dist rel.Distribution, sel float64) *probeFixture {
 		vis: make([]int32, n), match: make([]int32, n), rids: denseRIDs(n)}
 	cpu := device.New(device.APUCPU())
 	bucket, head := make([]int32, n), make([]int32, n)
-	f.t.P1(cpu, s.Keys, bucket, 0, n)
+	f.t.B1(cpu, s.Keys, bucket, 0, n)
 	f.linked.p2Ref(bucket, head, nil, 0, n)
 	f.linked.p3Ref(cpu, s.Keys, head, f.node, 0, n, nil)
 	f.t.Walk(s.Keys, bucket, f.work, f.vis, f.match, 0, n)

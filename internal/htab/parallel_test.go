@@ -3,6 +3,7 @@ package htab
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -47,8 +48,12 @@ func ownedIdx(bucket []int32, shift uint, shards, lo, hi int) [][]int32 {
 }
 
 // buildSerial runs the single-stream b1..b4 pipeline into a flat table.
-func buildSerial(r rel.Relation) *Table {
-	ib := newInsertBuild(sideOf(r, 0), false, false, alloc.Config{})
+func buildSerial(r rel.Relation) *Table { return buildSerialSeg(r, 0) }
+
+// buildSerialSeg is buildSerial into a segmented table of 1<<bits parts
+// (a flat one when bits is 0), over r sorted by partition.
+func buildSerialSeg(r rel.Relation, bits uint) *Table {
+	ib := newInsertBuild(sideOf(r, bits), false, false, alloc.Config{})
 	ib.serial(ib.r.Len(), ib.r.Len(), false)
 	return ib.tables[0]
 }
@@ -129,11 +134,7 @@ func newInsertBuild(side buildSide, separate, linked bool, cfg alloc.Config) *in
 	}
 	cpu := device.New(device.APUCPU())
 	t := ib.tables[0]
-	if bits > 0 {
-		t.B1Seg(cpu, r.Keys, ib.bucket, 0, n)
-	} else {
-		t.B1(cpu, r.Keys, ib.bucket, 0, n)
-	}
+	t.B1(cpu, r.Keys, ib.bucket, 0, n)
 	_, ib.shift = sched.OwnerShards(t.nBuckets)
 	return ib
 }
@@ -515,7 +516,8 @@ func BenchmarkB3B4Shard(b *testing.B) {
 // (selectivity 1) of a 2^20-tuple build as the runner executes it, on range
 // morsels of the pool: Walk, p2's one pass over the table, on its key lists
 // and on the sealed layout (which reports its speed-up over the key lists
-// as x-linked), then the charge pass — P3Charge and P4Charge, the latter
+// as x-linked) — in probe order on a flat table, and (/partitioned) in
+// partition order on a segmented table of 64 parts — then the charge pass — P3Charge and P4Charge, the latter
 // counting each morsel's pairs and, under materialize, charging its output
 // as ChargeFresh does. p1 runs outside the timer. The sealed walk must write
 // the linked walk's columns, every row must find the pairs the reference
@@ -531,7 +533,7 @@ func BenchmarkP3P4(b *testing.B) {
 		linked, sealed, ref := buildSerial(r), buildSerial(r), buildLinked(r)
 		sealed.Seal(nil)
 		bucket, head, node := make([]int32, n), make([]int32, n), make([]int32, n)
-		linked.P1(cpu, s.Keys, bucket, 0, n)
+		linked.B1(cpu, s.Keys, bucket, 0, n)
 		ref.p2Ref(bucket, head, nil, 0, n)
 		// One charge row per device and output mode, with the reference
 		// kernels' single-stream records.
@@ -557,6 +559,23 @@ func BenchmarkP3P4(b *testing.B) {
 		}
 		wantVis, wantMatch := make([]int32, n), make([]int32, n)
 		linked.Walk(s.Keys, bucket, nil, wantVis, wantMatch, 0, n)
+		// The walk as a partitioned join runs it: a segmented table of 64
+		// parts probed in partition order, a 2^14-tuple morsel about one
+		// partition's probes.
+		type walk struct {
+			name               string
+			t                  *Table
+			keys, bucket       []int32
+			wantVis, wantMatch []int32 // the single-stream linked walk's
+		}
+		walks := []walk{{"walk-linked", linked, s.Keys, bucket, wantVis, wantMatch}, {"walk-sealed", sealed, s.Keys, bucket, wantVis, wantMatch}}
+		segLinked, segSealed := buildSerialSeg(r, 6), buildSerialSeg(r, 6)
+		segSealed.Seal(nil)
+		sp, _ := byPartition(s, 6)
+		bucketP, visP, matchP := make([]int32, n), make([]int32, n), make([]int32, n)
+		segLinked.B1(cpu, sp.Keys, bucketP, 0, n)
+		segLinked.Walk(sp.Keys, bucketP, nil, visP, matchP, 0, n)
+		walks = append(walks, walk{"walk-linked/partitioned", segLinked, sp.Keys, bucketP, visP, matchP}, walk{"walk-sealed/partitioned", segSealed, sp.Keys, bucketP, visP, matchP})
 
 		for _, workers := range []int{1, 2} {
 			pool := sched.NewPool(workers)
@@ -571,26 +590,23 @@ func BenchmarkP3P4(b *testing.B) {
 					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 					b.ReportMetric(ns/n, "ns/tuple")
 					switch {
-					case name == "walk-linked":
+					case strings.HasPrefix(name, "walk-linked"):
 						linkedNS = ns
-					case name == "walk-sealed" && linkedNS > 0:
+					case strings.HasPrefix(name, "walk-sealed") && linkedNS > 0:
 						b.ReportMetric(linkedNS/ns, "x-linked")
 					}
 					check(b)
 				})
 			}
-			for _, tb := range []struct {
-				name string
-				t    *Table
-			}{{"walk-linked", linked}, {"walk-sealed", sealed}} {
-				row(tb.name, func() {
+			for _, w := range walks {
+				row(w.name, func() {
 					clear(vis)
 					pool.MapRange(0, n, func(lo, hi int) device.Acct {
-						tb.t.Walk(s.Keys, bucket, nil, vis, match, lo, hi)
+						w.t.Walk(w.keys, w.bucket, nil, vis, match, lo, hi)
 						return device.Acct{}
 					})
 				}, func(b *testing.B) {
-					if !slices.Equal(vis, wantVis) || !slices.Equal(match, wantMatch) {
+					if !slices.Equal(vis, w.wantVis) || !slices.Equal(match, w.wantMatch) {
 						b.Fatal("the walk's columns differ from the single-stream linked walk's")
 					}
 				})

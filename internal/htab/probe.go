@@ -3,7 +3,6 @@ package htab
 import (
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
-	"apujoin/internal/hash"
 )
 
 // Out collects the join result of P4 and ProbeOne: the number of matching
@@ -34,20 +33,6 @@ func (o *Out) ChargeFresh(a *device.Acct, cfg alloc.Config) alloc.Stats {
 	return st
 }
 
-// P1 computes the hash bucket number for probe tuples [lo,hi).
-func (t *Table) P1(d *device.Device, keys []int32, bucket []int32, lo, hi int) device.Acct {
-	var a device.Acct
-	shift := t.segShift
-	for i := lo; i < hi; i++ {
-		bucket[i] = int32((hash.Murmur2(uint32(keys[i]), hash.Murmur2Seed) >> shift) & t.mask)
-	}
-	n := int64(hi - lo)
-	a.Items = n
-	a.Instr = n * hash.InstrPerHash
-	a.SeqBytes = n * 8
-	return a
-}
-
 // Walk does the host work of p2, p3 and p4 for probe tuples [lo,hi) in one
 // pass: it visits each tuple's bucket header, walks the key list for the
 // tuple's key and reads the matching key's rid count. It records the
@@ -60,19 +45,20 @@ func (t *Table) P1(d *device.Device, keys []int32, bucket []int32, lo, hi int) d
 // through its key lists; both write the same columns. The steps' device
 // time comes from the columns: P2Charge, P3Charge and P4Charge.
 func (t *Table) Walk(keys, bucket, work, vis, match []int32, lo, hi int) {
+	if work != nil {
+		for i := lo; i < hi; i++ {
+			work[i] = t.Count[bucket[i]]
+		}
+	}
 	if t.off != nil {
-		t.walkSealed(keys, bucket, work, vis, match, lo, hi)
+		t.walkSealed(keys, bucket, vis, match, lo, hi)
 		return
 	}
 	nodes := t.nodes
 	for i := lo; i < hi; i++ {
-		b := bucket[i]
-		if work != nil {
-			work[i] = t.Count[b]
-		}
 		key := keys[i]
 		var visited int32 = 1
-		kn := t.Head[b]
+		kn := t.Head[bucket[i]]
 		for kn != nilRef && nodes[kn+nodeKey] != key {
 			kn = nodes[kn+nodeNext]
 			visited++
@@ -86,18 +72,39 @@ func (t *Table) Walk(keys, bucket, work, vis, match []int32, lo, hi int) {
 }
 
 // walkSealed is Walk over the sealed layout: bucket b's keys are the
-// (key, rid count) pairs of ent[off[b]:off[b+1]], in key-list order.
-func (t *Table) walkSealed(keys, bucket, work, vis, match []int32, lo, hi int) {
+// (key, rid count) pairs of ent[off[b]:off[b+1]], in key-list order. A key
+// lies in exactly one bucket, so a pair past b's run — a later bucket's —
+// never holds a key of b: the first two pairs from off[b] are read and
+// compared whatever b holds, and the common bucket, whose key is one of
+// them or which holds at most two, is answered by two conditional moves,
+// with no data-dependent branch. Only a longer bucket walks on, from its
+// third pair; only a bucket within two pairs of ent's end walks from its
+// first.
+func (t *Table) walkSealed(keys, bucket, vis, match []int32, lo, hi int) {
 	off, ent := t.off, t.ent
-	for i := lo; i < hi; i++ {
-		b := bucket[i]
-		if work != nil {
-			work[i] = t.Count[b]
+	bucket, vis, match = bucket[lo:hi], vis[lo:hi], match[lo:hi]
+	for i, key := range keys[lo:hi] {
+		e, end := off[bucket[i]], off[bucket[i]+1]
+		visited, matches := int32(1), int32(0)
+		if int(e)+4 <= len(ent) {
+			// The loads stay outside the ifs: an if that loads compiles
+			// to a branch, one that only moves to a CMOV.
+			p := (*[4]int32)(ent[e:])
+			k0, c0, k1, c1 := p[0], p[1], p[2], p[3]
+			visited = (end-e)>>1 + 1
+			if k1 == key {
+				visited, matches = 2, c1
+			}
+			if k0 == key {
+				visited, matches = 1, c0
+			}
+			if visited <= 3 {
+				vis[i], match[i] = visited, matches
+				continue
+			}
+			e, visited = e+4, 3
 		}
-		key := keys[i]
-		var visited int32 = 1
-		var matches int32
-		for e, end := off[b], off[b+1]; e < end; e += 2 {
+		for ; e < end; e += 2 {
 			if ent[e] == key {
 				matches = ent[e+1]
 				break

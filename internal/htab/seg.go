@@ -37,7 +37,8 @@ func (t *Table) InitSeg(parts, bucketsPerPart, n int, hashShift, radixBits uint,
 	t.segShift = hashShift + radixBits
 }
 
-// B1Seg computes segmented bucket numbers for build tuples [lo,hi):
+// B1Seg computes segmented bucket numbers for tuples [lo,hi) (B1 on a
+// segmented table):
 // bucket = partition*bucketsPerPart + slot, both from the key's hash — the
 // partition is the radix bits the partitioning consumed, the slot the bits
 // above them — as bucketOf computes it. The host reads no partition index,
@@ -57,9 +58,4 @@ func (t *Table) B1Seg(d *device.Device, keys, bucket []int32, lo, hi int) device
 	a.Instr = n * (hash.InstrPerHash + 3)
 	a.SeqBytes = n * 12 // key, partition index, bucket number
 	return a
-}
-
-// P1Seg is B1Seg for probe tuples.
-func (t *Table) P1Seg(d *device.Device, keys, bucket []int32, lo, hi int) device.Acct {
-	return t.B1Seg(d, keys, bucket, lo, hi)
 }

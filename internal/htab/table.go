@@ -194,7 +194,11 @@ func (t *Table) Release() {
 // in bucket order, the (key, rid count) pair of each key of its key list, in
 // list order, with off[b] the offset in ent of bucket b's first pair. Walk
 // then reads one flat run per bucket instead of chasing the key nodes — the
-// same columns, so the same charges. Seal frees the key-list heads and the
+// same columns, so the same charges. A key lies in exactly one bucket, so a
+// pair past bucket b's run never holds a key of b: Walk compares a
+// bucket's first two pairs before it knows its length, which answers the
+// common bucket with no data-dependent branch. ent is not padded: the
+// buckets within two pairs of its end walk their run. Seal frees the key-list heads and the
 // node array and keeps Count, the grouping hints. Sealing costs about two
 // walks of every key list, so it pays only for a table probed more than
 // once. A sealed table can only be probed (Walk) and released.

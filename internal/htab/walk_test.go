@@ -7,6 +7,7 @@ import (
 
 	"apujoin/internal/alloc"
 	"apujoin/internal/device"
+	"apujoin/internal/hash"
 	"apujoin/internal/rel"
 	"apujoin/internal/sched"
 )
@@ -44,11 +45,7 @@ func (c *walkCase) table(cut int, linked bool) *Table {
 	bucket, col1, col2 := make([]int32, n), make([]int32, n), make([]int32, n)
 	t, other := newTable(), newTable()
 	cpu := device.New(device.APUCPU())
-	if c.bits > 0 {
-		t.B1Seg(cpu, c.r.Keys, bucket, 0, n)
-	} else {
-		t.B1(cpu, c.r.Keys, bucket, 0, n)
-	}
+	t.B1(cpu, c.r.Keys, bucket, 0, n)
 	for _, sh := range []struct {
 		t      *Table
 		lo, hi int
@@ -76,7 +73,12 @@ func (c *walkCase) table(cut int, linked bool) *Table {
 // high-skew one (a quarter of its tuples share one key), each probed at
 // selectivity 1 and 0.5 (half the probe keys absent) with keys drawn
 // uniformly from the build's key domain — every 4099th one the heavy key —
-// and a tiny flat table of four buckets holding about 75 keys each.
+// and a tiny flat table of four buckets holding about 75 keys each. Then
+// the sealed walk's edges: an empty build side, whose every read falls past
+// the sealed pairs; a one-key one; and two crowded eight-bucket tables
+// (crowded) probed at every key position and with absent keys, one whose
+// last bucket holds one key, one with empty buckets and the last pairs in
+// its second-to-last bucket.
 func walkCases() []*walkCase {
 	n := 2*sched.MorselItems + 3617
 	uniform := rel.Gen{N: n, KeyRange: n / 3, Seed: 31}.Build()
@@ -104,18 +106,48 @@ func walkCases() []*walkCase {
 	}
 	tiny := rel.Gen{N: 600, KeyRange: 300, Seed: 35}.Build()
 	cases = append(cases, &walkCase{name: "tiny", r: tiny, s: rel.Gen{N: 5000, Seed: 36}.Probe(tiny, 0.5), groups: 4})
+	one := rel.Relation{Keys: []int32{77, 77, 77}}
+	cases = append(cases,
+		&walkCase{name: "empty", s: rel.Gen{N: 3000, Seed: 38}.Build()},
+		&walkCase{name: "one-key", r: one, s: rel.Gen{N: 3000, Seed: 39}.Probe(one, 0.5)},
+		crowded("crowded/last=1", []int{6, 6, 6, 6, 6, 6, 6, 1}),
+		crowded("crowded/last=0", []int{5, 7, 0, 6, 5, 9, 1, 0}))
 
 	cpu := device.New(device.APUCPU())
 	for _, c := range cases {
 		t := c.table(c.r.Len(), false)
 		c.bucket = make([]int32, c.s.Len())
-		if c.bits > 0 {
-			t.P1Seg(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
-		} else {
-			t.P1(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
-		}
+		t.B1(cpu, c.s.Keys, c.bucket, 0, c.s.Len())
 	}
 	return cases
+}
+
+// crowded is a case on a flat table of len(keys) buckets (a power of two),
+// bucket b holding keys[b] distinct keys, the i-th with i%3+1 rids. Its
+// probe side repeats every build key and three absent keys of every bucket,
+// so every position of every bucket is probed and every bucket is walked to
+// its end.
+func crowded(name string, keys []int) *walkCase {
+	var r, present, absent rel.Relation
+	have, missing := make([]int, len(keys)), make([]int, len(keys))
+	for k := int32(1); absent.Len() < 3*len(keys); k++ {
+		b := int(hash.Murmur2(uint32(k), hash.Murmur2Seed)) & (len(keys) - 1)
+		switch {
+		case have[b] < keys[b]:
+			for range have[b]%3 + 1 {
+				r.Keys = append(r.Keys, k)
+			}
+			present.Keys, have[b] = append(present.Keys, k), have[b]+1
+		case missing[b] < 3:
+			// Bucket b is full, so the build side never holds k.
+			absent.Keys, missing[b] = append(absent.Keys, k), missing[b]+1
+		}
+	}
+	var s rel.Relation
+	for s.Len() < 3000 {
+		s.Keys = append(append(s.Keys, present.Keys...), absent.Keys...)
+	}
+	return &walkCase{name: name, r: r, s: s, groups: len(keys)}
 }
 
 // walkCols are Walk's output columns.

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"apujoin/internal/core"
@@ -22,6 +23,10 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
+// fpHash is the cache's index of a fingerprint under a seed. A test makes
+// it constant to chain every fingerprint.
+var fpHash = maphash.Comparable[Fingerprint]
+
 // entry is one fingerprint's slot: first the in-flight record of its
 // build, which concurrent requests for the fingerprint wait on instead of
 // running their own pilot, then, built, a node of the LRU ring. One object
@@ -36,22 +41,27 @@ type entry struct {
 	// prev and next link the LRU ring through the cache's sentinel; both
 	// are nil while the build runs.
 	prev, next *entry
+	// same is the next entry of the chain whose fingerprints hash alike.
+	same *entry
 }
 
 // Cache is a bounded LRU of execution plans, safe for concurrent use.
 // Concurrent misses on one fingerprint are coalesced: exactly one caller
 // runs the build (the pilot plus the candidate searches) while the rest
 // wait for its result, so a burst of identical queries onto a cold cache
-// pays for one pilot, not N. A miss nobody waits on makes two objects: its
-// entry, the in-flight record that becomes the LRU node, and the map's copy
-// of its fingerprint.
+// pays for one pilot, not N. A miss nobody waits on makes one object: its
+// entry, the in-flight record that becomes the LRU node.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	// entries holds every resident entry and every build in flight;
-	// resident counts the former, which lru rings, front (lru.next) the
-	// most recently used.
-	entries   map[Fingerprint]*entry
+	// entries holds every resident entry and every build in flight, keyed
+	// by a 64-bit hash of the fingerprint under seed (a map keyed by the
+	// wide Fingerprint itself would copy each key out of line), entries
+	// whose fingerprints hash alike chained through same. resident counts
+	// the resident ones, which lru rings, front (lru.next) the most
+	// recently used.
+	seed      maphash.Seed
+	entries   map[uint64]*entry
 	lru       entry
 	resident  int
 	hits      int64
@@ -65,7 +75,7 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	c := &Cache{capacity: capacity, entries: make(map[Fingerprint]*entry)}
+	c := &Cache{capacity: capacity, seed: maphash.MakeSeed(), entries: make(map[uint64]*entry)}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
@@ -82,6 +92,21 @@ func (c *Cache) pushFront(e *entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
+// remove takes e out of the entries and its chain.
+func (c *Cache) remove(e *entry) {
+	h := fpHash(c.seed, e.fp)
+	if p := c.entries[h]; p != e {
+		for p.same != e {
+			p = p.same
+		}
+		p.same = e.same
+	} else if e.same != nil {
+		c.entries[h] = e.same
+	} else {
+		delete(c.entries, h)
+	}
+}
+
 // GetOrBuild returns the plan for fp, building and caching it on a miss.
 // hit reports whether the caller was served without running build itself —
 // true both for a resident entry and for a request coalesced onto another
@@ -94,8 +119,13 @@ func (c *Cache) pushFront(e *entry) {
 // a build already running completes and is cached — its result serves
 // every later query of the shape regardless of who first asked for it.
 func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*core.Plan, error)) (pl *core.Plan, hit bool, err error) {
+	h := fpHash(c.seed, fp)
 	c.mu.Lock()
-	if e, ok := c.entries[fp]; ok {
+	e := c.entries[h]
+	for e != nil && e.fp != fp {
+		e = e.same
+	}
+	if e != nil {
 		if e.next != nil {
 			c.unlink(e)
 			c.pushFront(e)
@@ -125,8 +155,8 @@ func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*c
 		c.mu.Unlock()
 		return nil, false, err
 	}
-	e := &entry{fp: fp}
-	c.entries[fp] = e
+	e = &entry{fp: fp, same: c.entries[h]}
+	c.entries[h] = e
 	c.misses++
 	c.mu.Unlock()
 
@@ -137,14 +167,14 @@ func (c *Cache) GetOrBuild(ctx context.Context, fp Fingerprint, build func() (*c
 		}
 		c.mu.Lock()
 		if e.err != nil {
-			delete(c.entries, fp)
+			c.remove(e)
 		} else {
 			c.pushFront(e)
 			c.resident++
 			for c.resident > c.capacity {
 				back := c.lru.prev
 				c.unlink(back)
-				delete(c.entries, back.fp)
+				c.remove(back)
 				c.resident--
 				c.evictions++
 			}

@@ -76,11 +76,8 @@ type Fingerprint struct {
 	S          int
 	TupleBytes int
 
-	// SkewBucket classifies the sampled heavy-hitter share of the probe
-	// keys: 0 ≈ uniform, 1 ≈ the paper's low skew (s=10), 2 ≈ high skew
-	// (s=25). SelBucket is round(measured selectivity × selBuckets).
-	SkewBucket int
-	SelBucket  int
+	// Workload is the measured skew and selectivity buckets.
+	Workload
 }
 
 // Workload is the measured (data-dependent) part of a fingerprint: the
@@ -189,7 +186,7 @@ func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
 	// SetDefaults from making one, so a fingerprint allocates nothing.
 	opt.Plan, opt.ZeroCopy = nil, &noBuffer
 	opt.SetDefaults()
-	fp := Fingerprint{
+	return Fingerprint{
 		CPU:   opt.CPU.Name,
 		GPU:   opt.GPU.Name,
 		Arch:  opt.Arch,
@@ -209,9 +206,8 @@ func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
 		R:          r.Len(),
 		S:          s.Len(),
 		TupleBytes: 8, // two int32 columns per tuple
+		Workload:   w,
 	}
-	fp.SkewBucket, fp.SelBucket = w.SkewBucket, w.SelBucket
-	return fp
 }
 
 // PairWorkload folds stored ingest-time statistics of a (build, probe)
@@ -223,8 +219,5 @@ func OfWorkload(r, s rel.Relation, opt core.Options, w Workload) Fingerprint {
 // construction — and with each other, which keeps plan-cache slots shared
 // between inline, catalog-resident and sharded queries of the same shape.
 func PairWorkload(probeSample []int32, probeSkewBucket int, buildContains func(int32) bool) Workload {
-	return Workload{
-		SkewBucket: probeSkewBucket,
-		SelBucket:  SelBucketOf(probeSample, buildContains),
-	}
+	return Workload{SkewBucket: probeSkewBucket, SelBucket: SelBucketOf(probeSample, buildContains)}
 }

@@ -1,6 +1,9 @@
 package plan
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // PipeRel describes one pipeline input to the join orderer: its
 // cardinality and the heaviest key's sampled share (the catalog's
@@ -92,13 +95,9 @@ func OrderPipelineEst(rels []PipeRel, stats PairStats) (order []int, ests []floa
 			}
 		}
 	}
+	rest := slices.DeleteFunc(slices.Clone(order), func(k int) bool { return k == bi || k == bj })
+	tail, tailEsts := orderTail(rels, sel, skew, []int{bi, bj}, rest, bestOut, bestHC)
 	order[0], order[1] = bi, bj
-	done := []int{bi, bj}
-	used := make([]bool, n)
-	used[bi], used[bj] = true, true
-	interEst, interHC := bestOut, bestHC
-
-	tail, tailEsts := orderTail(rels, sel, skew, done, used, interEst, interHC)
 	copy(order[2:], tail)
 	ests = append([]float64{bestOut}, tailEsts...)
 	return order, ests, true
@@ -161,51 +160,32 @@ func OrderRemaining(inter PipeRel, rels []PipeRel, done, remaining []int, stats 
 	if len(remaining) < 2 || stats == nil {
 		return order, nil, false
 	}
-	n := len(rels)
 	// Only the (done ∪ picked, remaining) pairs are consulted; one unknown
 	// pair keeps the current order, as OrderPipelineEst would.
-	sel, skew, ok := pairBuckets(n, append(append([]int(nil), done...), remaining...), remaining, stats)
+	sel, skew, ok := pairBuckets(len(rels), append(append([]int(nil), done...), remaining...), remaining, stats)
 	if !ok {
 		return order, nil, false
-	}
-	used := make([]bool, n)
-	for i := range used {
-		used[i] = true
-	}
-	for _, k := range remaining {
-		used[k] = false
 	}
 	// The observed intermediate anchors the tail: its cardinality is exact,
 	// and its heavy multiplicity is unknown (its keys already survived every
 	// prior join), so the collision term restarts from the estimator's
 	// uniform baseline.
-	tail, tailEsts := orderTail(rels, sel, skew, append([]int(nil), done...), used, float64(inter.Tuples), estHC(inter))
+	tail, tailEsts := orderTail(rels, sel, skew, append([]int(nil), done...), slices.Sorted(slices.Values(remaining)), float64(inter.Tuples), estHC(inter))
 	return tail, tailEsts, true
 }
 
 // orderTail is the shared greedy tail of OrderPipelineEst and OrderRemaining:
-// repeatedly pick the unused relation minimizing the estimated next
-// intermediate, given the accumulated chain estimate, and return the picks
-// in order alongside each pick's estimated output.
-func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used []bool, interEst, interHC float64) ([]int, []float64) {
-	n := len(rels)
-	remaining := 0
-	for k := 0; k < n; k++ {
-		if !used[k] {
-			remaining++
-		}
-	}
-	tail := make([]int, 0, remaining)
-	ests := make([]float64, 0, remaining)
-
-	// Later steps: the remaining relation minimizing the next intermediate.
-	for t := 0; t < remaining; t++ {
-		bk := -1
+// repeatedly pick, from cands (ascending, consumed), the relation minimizing
+// the estimated next intermediate, given the accumulated chain estimate,
+// and return the picks in order alongside each pick's estimated output.
+// Ties go to the lowest index.
+func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done, cands []int, interEst, interHC float64) ([]int, []float64) {
+	tail := make([]int, 0, len(cands))
+	ests := make([]float64, 0, len(cands))
+	for len(cands) > 0 {
+		bc := -1
 		bestOut, bestCost, bestHC := -1.0, 0.0, 1.0
-		for k := 0; k < n; k++ {
-			if used[k] {
-				continue
-			}
+		for c, k := range cands {
 			f, pc := 1.0, 0.0
 			for _, a := range done {
 				if s := sel[a][k]; s < f {
@@ -218,15 +198,16 @@ func orderTail(rels []PipeRel, sel [][]float64, skew [][]int, done []int, used [
 			collide := float64(interHC * estHC(rels[k]))
 			out := float64(f*float64(rels[k].Tuples)) + collide
 			cost := interEst + pc
-			if bk < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
-				bk, bestOut, bestCost = k, out, cost
+			if bc < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
+				bc, bestOut, bestCost = c, out, cost
 				bestHC = math.Min(collide, out)
 			}
 		}
+		bk := cands[bc]
+		cands = slices.Delete(cands, bc, bc+1)
 		tail = append(tail, bk)
 		ests = append(ests, bestOut)
 		done = append(done, bk)
-		used[bk] = true
 		interEst, interHC = bestOut, bestHC
 	}
 	return tail, ests

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,11 +141,12 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
-// TestCacheMissAllocations: a miss nobody waits on allocates its entry — the
-// in-flight record that becomes the LRU node — and the map's copy of its
-// key (a Fingerprint is wider than the 128 bytes a Go map holds in place),
-// and a hit allocates nothing. The cache holds fewer fingerprints than the
-// loop cycles, so every miss evicts too.
+// TestCacheMissAllocations: a miss nobody waits on allocates its entry —
+// the in-flight record that becomes the LRU node — and nothing more: the
+// map is keyed by the fingerprint's hash, so it keeps no copy of the key (a
+// Fingerprint is wider than the 128 bytes a Go map holds in place). A hit
+// allocates nothing. The cache holds fewer fingerprints than the loop
+// cycles, so every miss evicts too.
 func TestCacheMissAllocations(t *testing.T) {
 	c := NewCache(128)
 	pl := &core.Plan{}
@@ -162,8 +165,8 @@ func TestCacheMissAllocations(t *testing.T) {
 	for range 2 * len(fps) {
 		get()
 	}
-	if n := testing.AllocsPerRun(len(fps), get); n > 2 {
-		t.Errorf("a miss allocates %v objects, want at most 2 (its entry and its key)", n)
+	if n := testing.AllocsPerRun(len(fps), get); n > 1 {
+		t.Errorf("a miss allocates %v objects, want at most 1 (its entry)", n)
 	}
 	hit := func() {
 		if _, hit, err := c.GetOrBuild(context.Background(), fps[(next-1)%len(fps)], build); err != nil || !hit {
@@ -172,6 +175,54 @@ func TestCacheMissAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, hit); n != 0 {
 		t.Errorf("a hit allocates %v objects, want 0", n)
+	}
+}
+
+// TestCacheCollisions: with every fingerprint hashed alike, all of them
+// share one chain, and the cache must still serve each its own plan and
+// evict as an LRU: a cycle of lookups over six fingerprints on three slots,
+// with every third lookup's build failing (the first on an empty cache), is
+// held lookup by lookup to a reference LRU over a slice, so entries leave
+// the chain at its head, in its middle and at its tail, evicted or failed,
+// and the hash leaves the map with the chain's last entry.
+func TestCacheCollisions(t *testing.T) {
+	defer func(h func(maphash.Seed, Fingerprint) uint64) { fpHash = h }(fpHash)
+	fpHash = func(maphash.Seed, Fingerprint) uint64 { return 7 }
+	c := NewCache(3)
+	plans := make([]*core.Plan, 6)
+	for i := range plans {
+		plans[i] = &core.Plan{}
+	}
+	var lru []int // the reference: resident fingerprints, most recent first
+	failed := errors.New("failed")
+	for n, i := range []int{0, 1, 2, 0, 3, 1, 4, 2, 2, 5, 0, 3, 4, 1, 5, 5, 0, 2, 3, 4, 1, 0, 5, 2} {
+		fail := n%3 == 0
+		pl, hit, err := c.GetOrBuild(context.Background(), Fingerprint{R: i + 1}, func() (*core.Plan, error) {
+			if fail {
+				return nil, failed
+			}
+			return plans[i], nil
+		})
+		at := slices.Index(lru, i)
+		switch {
+		case at >= 0:
+			lru = append([]int{i}, slices.Delete(lru, at, at+1)...)
+		case !fail:
+			lru = append([]int{i}, lru[:min(len(lru), 2)]...)
+		}
+		if wantHit := at >= 0; hit != wantHit || (err != nil) != (fail && !wantHit) {
+			t.Fatalf("lookup %d of fingerprint %d: hit %v, err %v; want hit %v, failing build %v", n, i, hit, err, wantHit, fail)
+		}
+		if err == nil && pl != plans[i] {
+			t.Fatalf("lookup %d of fingerprint %d served another fingerprint's plan", n, i)
+		}
+		chain := 0
+		for e := c.entries[7]; e != nil; e = e.same {
+			chain++
+		}
+		if len(c.entries) != min(len(lru), 1) || chain != len(lru) || c.Stats().Entries != len(lru) {
+			t.Fatalf("lookup %d: %d hashes, a chain of %d, %d resident; want 1, %d, %d", n, len(c.entries), chain, c.Stats().Entries, len(lru), len(lru))
+		}
 	}
 }
 
